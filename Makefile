@@ -3,7 +3,7 @@ GO ?= go
 # Match-driven benchmarks whose throughput we track across PRs.
 QUERY_BENCH := BenchmarkFig2_GeoSIRRetrieval|BenchmarkMatch_Scaling_100images|BenchmarkFindBySketch|BenchmarkFindApproximate
 
-.PHONY: ci vet build test race bench-smoke bench-query bench-diff bench-serve bench-shard bench-ann bench-ann-smoke bench-cache bench-cache-smoke bench-ingest bench-throughput throughput-smoke bench-load load-smoke serve-smoke ingest-smoke fuzz-smoke deprecations cover clean
+.PHONY: ci vet build test race ledger bench-check bench-smoke bench-query bench-diff bench-serve bench-shard bench-ann bench-ann-smoke bench-cache bench-cache-smoke bench-ingest bench-throughput throughput-smoke bench-load load-smoke serve-smoke ingest-smoke fuzz-smoke deprecations cover clean
 
 # The gate every PR must pass. The race run includes the persistence
 # fault-injection suite; fuzz-smoke gives each fuzz target a short
@@ -17,11 +17,13 @@ QUERY_BENCH := BenchmarkFig2_GeoSIRRetrieval|BenchmarkMatch_Scaling_100images|Be
 # load-smoke serves the same GSIR3 snapshot heap-loaded and mmap-served
 # and asserts the mode is live via /statz; deprecations keeps internal
 # code off the deprecated Find* wrappers and the deprecated
-# SearchRequest.Workers knob. Perf-sensitive changes should additionally
-# run `make bench-diff` to compare a fresh bench run against the
-# committed BENCH_query.json baseline (the diff also gates on any recall
-# metrics present in both files).
-ci: vet deprecations build race bench-smoke bench-ann-smoke fuzz-smoke serve-smoke ingest-smoke bench-cache-smoke throughput-smoke load-smoke
+# SearchRequest.Workers knob; bench-check vets and tests the benchmark's
+# own module (bench/, which the root `go test ./...` does not reach).
+# Perf-sensitive changes are measured with `make ledger` (the one
+# benchmark, BENCHMARK.json); `make bench-diff` still compares a fresh
+# bench run against the committed BENCH_query.json baseline (the diff
+# also gates on any recall metrics present in both files).
+ci: vet deprecations build race bench-check bench-smoke bench-ann-smoke fuzz-smoke serve-smoke ingest-smoke bench-cache-smoke throughput-smoke load-smoke
 
 vet:
 	$(GO) vet ./...
@@ -56,6 +58,21 @@ test:
 # timeout needs raising.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The repo's one benchmark (bench/README.md, declared in BENCHMARK.json):
+# without ARGS a full set — four workloads, each untraced then traced,
+# ~3 min; with them one run, e.g.
+#
+#	make ledger ARGS="--workload exact_8shard --trace 1"
+#
+# Reports land in bench/out/, build products in .bench_build/.
+ledger:
+	bash bench/run.sh $(ARGS)
+
+# The benchmark is a Go module of its own: its contract/schema tests and
+# demo-20 smoke runs (~15 s) need their own vet and test.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of each figure benchmark — catches benchmarks that no
 # longer compile or panic, without paying for stable timings.

@@ -390,10 +390,9 @@ func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 }
 
 // deleteFrozenLocked tombstones a frozen image by publishing a
-// successor view: the manifest-log entry flips to Deleted, the image's
-// global shape ids join deadGIDs, and its id joins its shard's dead
-// image set. The shard file itself is untouched. Caller holds mu and
-// has verified frozenLive.
+// successor view: the manifest-log entry flips to Deleted, and the image
+// and its shapes join fresh copies of its shard's dead sets. The shard
+// file itself is untouched. Caller holds mu and has verified frozenLive.
 func (g *ingestor) deleteFrozenLocked(imageID int) {
 	v := g.se.view.Load()
 	idx := g.frozenIdx[imageID]
@@ -402,28 +401,26 @@ func (g *ingestor) deleteFrozenLocked(imageID int) {
 	norder := append([]shardImage(nil), v.order...)
 	norder[idx].Deleted = true
 
-	ndead := make(map[int]bool, len(v.deadGIDs)+im.Shapes)
-	for gid := range v.deadGIDs {
-		ndead[gid] = true
-	}
-	for gid := g.gidStart[idx]; gid < g.gidStart[idx]+im.Shapes; gid++ {
-		ndead[gid] = true
-	}
-
-	ndeadIn := make([]map[int]bool, len(v.shards))
-	copy(ndeadIn, v.deadIn)
-	shardDead := make(map[int]bool, len(ndeadIn[im.Shard])+1)
-	for id := range v.deadImagesIn(im.Shard) {
-		shardDead[id] = true
-	}
-	shardDead[imageID] = true
-	ndeadIn[im.Shard] = shardDead
-
 	nv := *v
 	nv.order = norder
-	nv.deadGIDs = ndead
-	nv.deadIn = ndeadIn
+	nv.deadIn = cowDead(v.deadIn, len(v.shards), im.Shard)
+	nv.deadShapes = cowDead(v.deadShapes, len(v.shards), im.Shard)
+	nv.markDead(im, g.gidStart[idx])
 	g.se.view.Store(&nv)
+}
+
+// cowDead copies per-shard dead sets for a successor view over n shards:
+// the given shard's set is a fresh copy the caller may add to, the
+// others are shared with the predecessor.
+func cowDead(sets []map[int]bool, n, shard int) []map[int]bool {
+	out := make([]map[int]bool, n)
+	copy(out, sets)
+	own := make(map[int]bool, len(out[shard])+1)
+	for id := range out[shard] {
+		own[id] = true
+	}
+	out[shard] = own
+	return out
 }
 
 // Compact folds the delta into a new immutable shard: it seals the
@@ -557,16 +554,17 @@ func (se *ShardedEngine) Compact() error {
 			norder = append(norder, shardImage{ID: st.ID, Shapes: st.NumShapes, Shard: newShard})
 		}
 	}
-	ndeadIn := make([]map[int]bool, len(nshards))
-	copy(ndeadIn, cur.deadIn)
 	nv := &shardView{
-		shards:   nshards,
-		smap:     nsmap,
-		order:    norder,
-		gen:      cur.gen + 1,
-		active:   cur.active,
-		deadGIDs: cur.deadGIDs,
-		deadIn:   ndeadIn,
+		shards: nshards,
+		smap:   nsmap,
+		order:  norder,
+		gen:    cur.gen + 1,
+		active: cur.active,
+		// The new shard holds live images only and the others keep their
+		// tombstones, so the sets carry over as they are: deadOf reads a
+		// shard past their end as "no tombstones".
+		deadShapes: cur.deadShapes,
+		deadIn:     cur.deadIn,
 	}
 	if err := writeManifest(filepath.Join(g.cfg.Dir, manifestName), manifestFromView(nv, sealSeq), g.cfg.WrapManifest); err != nil {
 		g.mu.Unlock()

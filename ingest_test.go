@@ -167,12 +167,20 @@ func TestIngestDeleteEquivalence(t *testing.T) {
 			label := fmt.Sprintf("shards=%d compacted=%v", shards, compacted)
 			for _, k := range []int{1, 3, se.NumShapes() + 5} {
 				for qi, q := range queries {
-					for _, mode := range []Mode{ModeExact, ModeApproximate} {
+					// ModeExact runs under the cross-shard bound with the
+					// tombstone present: once as a width-1 walk (every shard
+					// but the first starts under a published bound), once
+					// raced.
+					for _, c := range []struct {
+						mode Mode
+						exec ExecPolicy
+					}{{ModeExact, ExecSequential}, {ModeExact, ExecFanout}, {ModeApproximate, ExecAuto}} {
+						mode := c.mode
 						w, err := ref.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
 						if err != nil {
 							t.Fatalf("%s: reference q%d: %v", label, qi, err)
 						}
-						g, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
+						g, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Exec: c.exec})
 						if err != nil {
 							t.Fatalf("%s: live q%d: %v", label, qi, err)
 						}

@@ -38,6 +38,45 @@ type Stats struct {
 	Converged        bool    // true: stopped via the similarity bound
 }
 
+// MatchOpts are the knobs of one fattening search beyond (query, k).
+// The zero value is a plain top-k Match.
+type MatchOpts struct {
+	// Rank is an a-priori candidate ranking: it maps entry ids to a
+	// promisingness score (higher is more promising; missing means 0),
+	// and the bootstrap evaluations that seed the top-k visit
+	// higher-ranked candidates first. The ranking changes only the order
+	// in which the envelope's own candidates are evaluated — never which
+	// entries are discovered, and every pruning decision stays
+	// admissible — so the returned matches are byte-identical for any
+	// rank; a good ranking (e.g. the ANN tier's signature agreement,
+	// DESIGN.md §4.10) merely tightens the k-th-best cutoff sooner.
+	// Stats may differ (fewer candidates paid for).
+	Rank map[int32]int32
+	// Shared is a bound shared with concurrent searches over disjoint
+	// partitions of one logical base. Candidates proven strictly worse
+	// than it are discarded — admissible because the bound only ever
+	// holds values ≥ the merged k-th best distance — and once every
+	// unresolved entry is proven outside it the search stops early with
+	// Converged set: its contribution to the merged result is final.
+	// See DESIGN.md §4.9.
+	Shared *SharedBound
+	// Publish makes the search tighten Shared with its own live k-th
+	// best. Set it only when k equals the global k over shapes that can
+	// all appear in the merged result (a capped search's k-th best does
+	// not bound the merged k-th best).
+	Publish bool
+	// Dead marks shape ids the search must skip (tombstoned shapes of a
+	// partition): they never enter the top-k, so the k-th best — and any
+	// bound published from it — reflects live shapes only.
+	Dead map[int]bool
+
+	// threshold switches from top-k to "every shape within tau".
+	threshold bool
+	tau       float64
+	// onAccess is MatchTrace's access hook.
+	onAccess func(entryID int)
+}
+
 // Match retrieves the k most similar shapes to q via the incremental
 // ε-envelope fattening algorithm (§2.5). The returned matches are sorted
 // by increasing DistVertex. Stats.Converged reports whether the algorithm
@@ -45,7 +84,7 @@ type Stats struct {
 // in the latter case the caller is expected to fall back to geometric
 // hashing (§3).
 func (b *Base) Match(q geom.Poly, k int) ([]Match, Stats, error) {
-	return b.match(q, k, math.Inf(1), nil, nil, nil, false)
+	return b.matchPoly(q, k, MatchOpts{})
 }
 
 // MatchTrace is Match with an access hook: onAccess is invoked with the
@@ -54,36 +93,23 @@ func (b *Base) Match(q geom.Poly, k int) ([]Match, Stats, error) {
 // continuous measure). The external-storage experiments (§4) replay this
 // trace against a disk layout to count I/O operations.
 func (b *Base) MatchTrace(q geom.Poly, k int, onAccess func(entryID int)) ([]Match, Stats, error) {
-	return b.match(q, k, math.Inf(1), onAccess, nil, nil, false)
+	return b.matchPoly(q, k, MatchOpts{onAccess: onAccess})
 }
 
 // MatchShared is Match pruning against (and, when publish is set,
-// tightening) a bound shared with concurrent searches over disjoint
-// partitions of one logical base. Candidates proven strictly worse than
-// the shared bound are discarded — admissible because the bound only
-// ever holds values ≥ the merged k-th best distance — and once every
-// unresolved entry is proven outside the shared bound the search stops
-// early with Converged set: its contribution to the merged result is
-// final. publish must be set only when the caller's k equals the global
-// k (a capped search's k-th best does not bound the merged k-th best).
-// See DESIGN.md §4.9.
+// tightening) a shared bound; see MatchOpts.
 func (b *Base) MatchShared(q geom.Poly, k int, shared *SharedBound, publish bool) ([]Match, Stats, error) {
-	return b.match(q, k, math.Inf(1), nil, nil, shared, publish)
+	return b.matchPoly(q, k, MatchOpts{Shared: shared, Publish: publish})
 }
 
-// MatchSharedRanked is MatchShared with an a-priori candidate ranking:
-// rank maps entry ids to a promisingness score (higher is more
-// promising; missing means 0), and the bootstrap evaluations that seed
-// the top-k visit higher-ranked candidates first. The ranking changes
-// only the order in which the envelope's own candidates are evaluated —
-// never which entries are discovered, and every pruning decision stays
-// admissible — so the returned matches are byte-identical to
-// MatchShared's for any rank; a good ranking (e.g. the ANN tier's
-// signature agreement, DESIGN.md §4.10) merely tightens the k-th-best
-// cutoff sooner, which prunes more and publishes a tighter shared bound
-// earlier. Stats may differ (fewer candidates paid for).
-func (b *Base) MatchSharedRanked(q geom.Poly, k int, rank map[int32]int32, shared *SharedBound, publish bool) ([]Match, Stats, error) {
-	return b.match(q, k, math.Inf(1), nil, rank, shared, publish)
+// MatchPrepared is Match against a query prepared once (PrepareQuery)
+// and shared by every partition's search, under the given options. The
+// caller has validated the query shape.
+func (b *Base) MatchPrepared(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, error) {
+	if err := b.matchable(k); err != nil {
+		return nil, Stats{}, err
+	}
+	return b.match(pq, k, o)
 }
 
 // SimilarShapes returns every shape whose vertex-averaged distance to q
@@ -92,7 +118,7 @@ func (b *Base) MatchSharedRanked(q geom.Poly, k int, rank map[int32]int32, share
 // qualify). This is the shape_similar(Q) primitive of the query
 // processor (§5).
 func (b *Base) SimilarShapes(q geom.Poly, tau float64) ([]Match, Stats, error) {
-	matches, stats, err := b.match(q, len(b.shapes), tau, nil, nil, nil, false)
+	matches, stats, err := b.matchPoly(q, len(b.shapes), MatchOpts{threshold: true, tau: tau})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -105,9 +131,35 @@ func (b *Base) SimilarShapes(q geom.Poly, tau float64) ([]Match, Stats, error) {
 	return out, stats, nil
 }
 
-// match is the shared driver. With tau = +Inf it is a pure top-k search
-// honoring the ε_max stopping rule; with finite tau it keeps fattening
-// until ε/2 > tau so that the threshold answer is complete.
+// matchable reports why the base cannot answer a top-k search, if so.
+func (b *Base) matchable(k int) error {
+	if !b.frozen {
+		return fmt.Errorf("core: base must be frozen before matching")
+	}
+	if k <= 0 {
+		return fmt.Errorf("core: k must be positive, got %d", k)
+	}
+	return nil
+}
+
+// matchPoly validates and prepares q, then runs the shared driver.
+func (b *Base) matchPoly(q geom.Poly, k int, o MatchOpts) ([]Match, Stats, error) {
+	if err := b.matchable(k); err != nil {
+		return nil, Stats{}, err
+	}
+	if err := q.Validate(); err != nil {
+		return nil, Stats{}, fmt.Errorf("core: invalid query: %w", err)
+	}
+	pq, err := PrepareQuery(q)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return b.match(pq, k, o)
+}
+
+// match is the shared driver. In top-k mode it honors the ε_max stopping
+// rule; in threshold mode it keeps fattening until ε/2 > tau so that the
+// threshold answer is complete.
 //
 // The kernel is prune-first (DESIGN.md §4.9): every candidate evaluation
 // runs under the tightest currently-proven cutoff — min of the live k-th
@@ -117,32 +169,16 @@ func (b *Base) SimilarShapes(q geom.Poly, tau float64) ([]Match, Stats, error) {
 // as possible; and entries proven outside every cutoff are stamped dead
 // exactly once (all cutoffs are monotone non-increasing, so a ruling
 // never has to be revisited).
-func (b *Base) match(q geom.Poly, k int, tau float64, onAccess func(entryID int), rank map[int32]int32, shared *SharedBound, publish bool) ([]Match, Stats, error) {
+func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, error) {
 	var stats Stats
-	if !b.frozen {
-		return nil, stats, fmt.Errorf("core: base must be frozen before matching")
-	}
-	if k <= 0 {
-		return nil, stats, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, stats, fmt.Errorf("core: invalid query: %w", err)
-	}
-	qe, err := NormalizeCanonical(q)
-	if err != nil {
-		return nil, stats, err
-	}
-	env, err := envelope.New(qe.Poly)
-	if err != nil {
-		return nil, stats, err
-	}
-	oracle := NewBoundaryDist(qe.Poly)
-	qBound := GeomBoundOf(qe.Poly.Pts)
+	qe, env, oracle, qBound := pq.entry, pq.env, pq.oracle, pq.bound
+	shared, publish, rank, onAccess := o.Shared, o.Publish, o.Rank, o.onAccess
 	lQ := qe.Poly.Perimeter()
 	epsMax := b.EpsilonMax(lQ)
 	stats.EpsilonMax = epsMax
 	thresholdEps := epsMax
-	topkMode := math.IsInf(tau, 1)
+	topkMode := !o.threshold
+	tau := o.tau
 	if !topkMode {
 		// Completeness for the threshold query requires the ε/2 bound on
 		// untouched entries to pass tau.
@@ -169,11 +205,19 @@ func (b *Base) match(q geom.Poly, k int, tau float64, onAccess func(entryID int)
 	// populated (the O(log n) presence probes of the paper).
 	epsPrev := 0.0
 	eps := b.InitialEpsilon(lQ)
-	for probe := 0; probe < 64 && eps < thresholdEps; probe++ {
-		if b.probeEnvelope(env, eps) {
-			break
+	if open := openingEpsilon(shared); open > eps && open <= thresholdEps {
+		// A sibling already published a bound: one envelope just wide
+		// enough to see past it replaces the climb to that width (one
+		// triangle cover, no overshoot by the growth factor). If it is
+		// empty, the merged-bound exit below fires all the same.
+		eps = open
+	} else {
+		for probe := 0; probe < 64 && eps < thresholdEps; probe++ {
+			if b.probeEnvelope(env, eps) {
+				break
+			}
+			eps *= grow
 		}
-		eps *= grow
 	}
 
 	// kthBound reads the incremental bound: the k-th smallest per-shape
@@ -307,6 +351,9 @@ func (b *Base) match(q geom.Poly, k int, tau float64, onAccess func(entryID int)
 		stats.VerticesCounted++
 		ei := b.vertEntry[vid]
 		c := scratch.addVertex(ei, d)
+		if c == 1 && o.Dead != nil && o.Dead[b.entries[ei].ShapeID] {
+			scratch.setDead(ei) // tombstoned: resolved before it can be scored
+		}
 		need := candidateThreshold(b.entryVertexCount(ei), beta)
 		if c == need && !scratch.resolved(ei) {
 			newCandidates = append(newCandidates, ei)
@@ -359,8 +406,15 @@ func (b *Base) match(q geom.Poly, k int, tau float64, onAccess func(entryID int)
 		// only tighten) or evaluated, in ascending lower-bound order so
 		// the k-th best tightens as fast as possible and later entries
 		// face the sharpest cutoff. Before the top-k is populated there
-		// is no bound to undercut, so only the β-candidates above run.
-		if !topkMode || have >= k {
+		// is no local bound to undercut, so only the β-candidates above
+		// run — unless the merged bound (one snapshot sv per iteration)
+		// is already inside the envelope's reach, sv < ε/2: then the pass
+		// runs on the shared test alone and the search can stop below.
+		sv := math.Inf(1)
+		if shared != nil {
+			sv = shared.Load()
+		}
+		if !topkMode || have >= k || sv < eps/2 {
 			scratch.orderEnt = scratch.orderEnt[:0]
 			scratch.orderLB = scratch.orderLB[:0]
 			for _, ei := range scratch.touched {
@@ -401,17 +455,17 @@ func (b *Base) match(q geom.Poly, k int, tau float64, onAccess func(entryID int)
 				stats.Converged = true
 				break
 			}
-			// Shared-bound early exit: once the local top-k is full
-			// (have >= k) the bounds pass above has run, so every
-			// touched entry is evaluated or ruled out and every
-			// unresolved entry has DistVertex ≥ ε/2 > shared ≥ the
-			// merged k-th best — nothing this search could still
-			// evaluate can enter the merged result, so its
-			// contribution is final. Before the top-k fills, touched
-			// entries below the β-candidacy threshold are only
-			// guaranteed DistVertex > β·ε/2, which a shared bound in
-			// (β·ε/2, ε/2) would not dominate, so the exit must wait.
-			if shared != nil && have >= k && shared.Load() < eps/2 {
+			// Merged-bound exit: sv < ε/2 made the bounds pass above run
+			// whether or not the local top-k is full, so every touched
+			// entry is evaluated under the cutoff or proven > sv, and
+			// every untouched entry has DistVertex ≥ ε/2 > sv ≥ the merged
+			// k-th best — nothing this search could still evaluate can
+			// enter the merged result, so its contribution is final even
+			// when it holds fewer than k matches. (Without the pass,
+			// touched entries below the β-candidacy threshold are only
+			// guaranteed DistVertex > β·ε/2, which a bound in
+			// (β·ε/2, ε/2) would not dominate.)
+			if sv < eps/2 {
 				stats.Converged = true
 				break
 			}
@@ -477,6 +531,20 @@ func (b *Base) avgMinDistToScratch(a geom.Poly, o *BoundaryDist, scratch *matchS
 		sum += o.Dist(p)
 	}
 	return sum / float64(len(scratch.resample))
+}
+
+// openingEpsilon returns the narrowest envelope width whose ε/2 reach
+// strictly exceeds the shared bound's current value, or 0 when there is
+// no finite bound to open at.
+func openingEpsilon(shared *SharedBound) float64 {
+	if shared == nil {
+		return 0
+	}
+	sv := shared.Load()
+	if math.IsInf(sv, 1) {
+		return 0
+	}
+	return 2 * sv * 1.0001
 }
 
 // probeEnvelope cheaply checks whether any base vertex lies within eps of

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/envelope"
 	"repro/internal/geom"
 	"repro/internal/shapeindex"
 	"repro/internal/voronoi"
@@ -204,15 +205,19 @@ func directedKth(a, b geom.Poly, k int) float64 {
 	return ds[k-1]
 }
 
-// PreparedQuery caches the per-query work of the direct similarity
-// checks: the canonical normalization and its boundary-distance oracle.
-// Preparing once and reusing across many ShapeDistancePrepared calls
-// hoists the normalization and grid build out of candidate loops. A
-// PreparedQuery is immutable and safe for concurrent use.
+// PreparedQuery caches the per-query work of the fattening search and
+// the direct similarity checks: the canonical normalization, its
+// boundary-distance oracle and geometric summary, and the ε-envelope the
+// search fattens. Preparing once and reusing across many
+// ShapeDistancePrepared calls — or across the MatchPrepared calls of
+// every shard of a partitioned base — hoists the normalization and grid
+// builds out of candidate and shard loops. A PreparedQuery is immutable
+// and safe for concurrent use.
 type PreparedQuery struct {
 	entry  Entry
 	oracle *BoundaryDist
 	bound  GeomBound
+	env    *envelope.Envelope
 
 	// blocks, when attached, accumulates the page-granular cost of every
 	// entry this query evaluates through the bounded distance checks (§4
@@ -221,9 +226,14 @@ type PreparedQuery struct {
 	blocks *atomic.Int64
 }
 
-// PrepareQuery normalizes q canonically and builds its boundary oracle.
+// PrepareQuery normalizes q canonically and builds its boundary oracle
+// and envelope.
 func PrepareQuery(q geom.Poly) (*PreparedQuery, error) {
 	qe, err := NormalizeCanonical(q)
+	if err != nil {
+		return nil, err
+	}
+	env, err := envelope.New(qe.Poly)
 	if err != nil {
 		return nil, err
 	}
@@ -231,6 +241,7 @@ func PrepareQuery(q geom.Poly) (*PreparedQuery, error) {
 		entry:  qe,
 		oracle: NewBoundaryDist(qe.Poly),
 		bound:  GeomBoundOf(qe.Poly.Pts),
+		env:    env,
 	}, nil
 }
 

@@ -378,3 +378,102 @@ func TestSharedBoundPretightenedExact(t *testing.T) {
 		t.Errorf("only %d/40 queries exercised the pre-tightened bound", tested)
 	}
 }
+
+// TestSharedBoundUnfilledTopKStops is the regression test for sharding
+// amplification: a shard that owns fewer than k of the merged top-k can
+// never fill its own heap under a tight shared bound (every candidate
+// worse than the bound is aborted), so its exits must not wait for one.
+// With the bound pre-tightened to the true merged k-th best — the value
+// a width-1 walk hands every shard but the first — such a shard must
+// stop Converged after no more fattening iterations and no more counted
+// vertices than when searched alone, and still contribute exactly its
+// members of the merged top-k.
+func TestSharedBoundUnfilledTopKStops(t *testing.T) {
+	const shards, k = 8, 5
+	images := synth.GenerateBase(synth.BaseSpec{
+		Images: 120, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
+		Distortion: 0.02, OpenFraction: 0.3, Seed: 53,
+	})
+	whole := NewBase(DefaultOptions())
+	parts := make([]*Base, shards)
+	for i := range parts {
+		parts[i] = NewBase(DefaultOptions())
+	}
+	// owner[g] locates whole-base shape g on its part.
+	type loc struct{ part, local int }
+	var owner []loc
+	for _, img := range images {
+		p := ShardFor(img.ID, shards)
+		for _, s := range img.Shapes {
+			if _, err := whole.AddShape(img.ID, s); err != nil {
+				t.Fatal(err)
+			}
+			local, err := parts[p].AddShape(img.ID, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner = append(owner, loc{p, local})
+		}
+	}
+	for _, b := range append([]*Base{whole}, parts...) {
+		if err := b.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(59))
+	held := make(map[int]int) // merged top-k members on a shard → shards seen
+	for trial := 0; trial < 12; trial++ {
+		q := synth.Distort(rng, whole.Shape(rng.Intn(whole.NumShapes())).Poly, 0.01)
+		if q.Validate() != nil {
+			continue
+		}
+		merged, st, err := whole.Match(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged || len(merged) < k {
+			continue
+		}
+		for p, b := range parts {
+			want := make(map[int]float64) // local shape id → merged distance
+			for _, m := range merged {
+				if o := owner[m.ShapeID]; o.part == p {
+					want[o.local] = m.DistVertex
+				}
+			}
+			if len(want) == k {
+				continue // a full heap always could stop
+			}
+			held[len(want)]++
+			_, alone, err := b.Match(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb := NewSharedBound()
+			sb.Tighten(merged[k-1].DistVertex)
+			got, gst, err := b.MatchShared(q, k, sb, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !gst.Converged {
+				t.Fatalf("trial %d shard %d (holds %d/%d): did not converge on the merged bound (%d iterations)",
+					trial, p, len(want), k, gst.Iterations)
+			}
+			if gst.Iterations > alone.Iterations || gst.VerticesCounted > alone.VerticesCounted {
+				t.Fatalf("trial %d shard %d (holds %d/%d): bound cost work: %d iterations / %d vertices, alone %d / %d",
+					trial, p, len(want), k, gst.Iterations, gst.VerticesCounted, alone.Iterations, alone.VerticesCounted)
+			}
+			for _, m := range got {
+				if d, ok := want[m.ShapeID]; ok && d == m.DistVertex {
+					delete(want, m.ShapeID)
+				}
+			}
+			if len(want) != 0 {
+				t.Fatalf("trial %d shard %d: merged top-k members missing from the shard's answer: %v", trial, p, want)
+			}
+		}
+	}
+	if held[0] == 0 || len(held) < 3 {
+		t.Errorf("shards seen by merged top-k members held: %v; want 0 and at least two other counts", held)
+	}
+}

@@ -293,18 +293,32 @@ func exactGoodEnough(ms []Match, tau float64) bool {
 	return len(ms) > 0 && ms[0].Distance <= tau
 }
 
+// prepareExact validates q and prepares it for the fattening search:
+// one normalization, oracle and envelope per request, however many
+// shards then search it.
+func prepareExact(q Shape) (*core.PreparedQuery, error) {
+	if err := q.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid query: %w", err)
+	}
+	return core.PrepareQuery(q)
+}
+
 // searchExact runs the ε-envelope fattening search (§2.5). A non-nil
 // rank (from annRank) only reorders the kernel's bootstrap evaluations;
 // results are byte-identical either way.
 func (e *Engine) searchExact(q Shape, k int, rank map[int32]int32) ([]Match, Stats, error) {
-	return e.searchExactShared(q, k, rank, nil, false)
+	pq, err := prepareExact(q)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return e.searchExactShared(pq, k, core.MatchOpts{Rank: rank})
 }
 
-// searchExactShared is searchExact pruning against (and, when publish is
-// set, tightening) a top-k bound shared with the sibling shards of a
-// partitioned base; see core.MatchShared. A nil bound is plain searchExact.
-func (e *Engine) searchExactShared(q Shape, k int, rank map[int32]int32, shared *core.SharedBound, publish bool) ([]Match, Stats, error) {
-	ms, st, err := e.db.Base().MatchSharedRanked(q, k, rank, shared, publish)
+// searchExactShared is the fattening search of one prepared query under
+// the sharing options of a partitioned base (bound, publication,
+// tombstones); see core.MatchOpts. Zero options are plain searchExact.
+func (e *Engine) searchExactShared(pq *core.PreparedQuery, k int, o core.MatchOpts) ([]Match, Stats, error) {
+	ms, st, err := e.db.Base().MatchPrepared(pq, k, o)
 	if err != nil {
 		return nil, Stats{}, err
 	}

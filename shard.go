@@ -102,15 +102,17 @@ type shardView struct {
 	sealed *ingest.Delta
 	active *ingest.Delta
 
-	// deadGIDs marks global shape ids whose frozen copy is tombstoned
-	// (image deleted after its shard froze). deadIn is the same set
-	// grouped per shard at image granularity, for the paths that filter
-	// whole images (sketch tables, topological queries). An image id may
-	// legitimately appear dead in one shard and live in another — delete
-	// then re-insert then compact — so the per-shard grouping is not
-	// redundant with a flat image set.
-	deadGIDs map[int]bool
-	deadIn   []map[int]bool
+	// deadShapes marks, per shard, the local shape ids whose frozen copy
+	// is tombstoned (image deleted after its shard froze), for the paths
+	// that filter shapes before scoring them (exact kernel, hashing, ANN).
+	// deadIn is the same set at image granularity, for the paths that
+	// filter whole images (sketch tables, topological queries). Both are
+	// nil until the first tombstone. An image id may legitimately appear
+	// dead in one shard and live in another — delete then re-insert then
+	// compact — so the per-shard grouping is not redundant with a flat
+	// image set.
+	deadShapes []map[int]bool
+	deadIn     []map[int]bool
 }
 
 // deltas returns the live mutable parts of the view, sealed first so
@@ -139,26 +141,49 @@ func (v *shardView) liveShards() []int {
 	return out
 }
 
-// deadImagesIn returns the image ids whose copy on the given shard is
-// tombstoned (nil when none).
-func (v *shardView) deadImagesIn(shard int) map[int]bool {
-	if shard < len(v.deadIn) {
-		return v.deadIn[shard]
+// deadOf returns one shard's set from the view's per-shard dead sets
+// (deadIn or deadShapes), nil when it has none: the slices are nil until
+// the first tombstone and stop short of shards a compaction added since.
+func deadOf(sets []map[int]bool, shard int) map[int]bool {
+	if shard < len(sets) {
+		return sets[shard]
 	}
 	return nil
 }
 
-// liveLocal drops candidate local shape ids whose global id is
-// tombstoned, in place. Filtering happens before scoring, so the
-// per-shard running k-th best — and any bound published from it — only
-// ever reflects shapes that can appear in the final answer.
+// markDead records frozen image im, whose first global shape id is gid,
+// as tombstoned on its shard. It writes in place: the caller owns v's
+// dead sets (a view not yet published, over fresh copies of the shard's
+// sets when it succeeds a published one).
+func (v *shardView) markDead(im shardImage, gid int) {
+	if v.deadIn == nil {
+		v.deadIn = make([]map[int]bool, len(v.shards))
+		v.deadShapes = make([]map[int]bool, len(v.shards))
+	}
+	if v.deadIn[im.Shard] == nil {
+		v.deadIn[im.Shard] = make(map[int]bool)
+		v.deadShapes[im.Shard] = make(map[int]bool)
+	}
+	v.deadIn[im.Shard][im.ID] = true
+	for g := gid; g < gid+im.Shapes; g++ {
+		if _, local, ok := v.smap.Locate(g); ok {
+			v.deadShapes[im.Shard][local] = true
+		}
+	}
+}
+
+// liveLocal drops a shard's tombstoned candidate shape ids, in place.
+// Filtering happens before scoring, so the per-shard running k-th best —
+// and any bound published from it — only ever reflects shapes that can
+// appear in the final answer.
 func (v *shardView) liveLocal(shard int, ids []int) []int {
-	if len(v.deadGIDs) == 0 {
+	dead := deadOf(v.deadShapes, shard)
+	if len(dead) == 0 {
 		return ids
 	}
 	out := ids[:0]
 	for _, id := range ids {
-		if !v.deadGIDs[v.smap.Global(shard, id)] {
+		if !dead[id] {
 			out = append(out, id)
 		}
 	}
@@ -176,21 +201,6 @@ func (v *shardView) toGlobal(shard int, ms []Match) []Match {
 	return ms
 }
 
-// dropDead removes matches whose global shape id is tombstoned,
-// preserving order. Call after toGlobal.
-func (v *shardView) dropDead(ms []Match) []Match {
-	if len(v.deadGIDs) == 0 {
-		return ms
-	}
-	out := ms[:0]
-	for _, m := range ms {
-		if !v.deadGIDs[m.ShapeID] {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // liveShapeCount is the number of shapes a query can return: frozen
 // shapes minus tombstones plus the deltas' live shapes.
 func (v *shardView) liveShapeCount() int {
@@ -200,7 +210,9 @@ func (v *shardView) liveShapeCount() int {
 			n += sh.NumShapes()
 		}
 	}
-	n -= len(v.deadGIDs)
+	for _, dead := range v.deadShapes {
+		n -= len(dead)
+	}
 	if v.sealed != nil {
 		n += v.sealed.NumShapes()
 	}
@@ -244,19 +256,7 @@ func (se *ShardedEngine) publishBaseView(gen uint64) {
 	gid := 0
 	for _, im := range se.order {
 		if im.Deleted && im.Shard >= 0 {
-			if v.deadGIDs == nil {
-				v.deadGIDs = make(map[int]bool)
-			}
-			for g := gid; g < gid+im.Shapes; g++ {
-				v.deadGIDs[g] = true
-			}
-			if v.deadIn == nil {
-				v.deadIn = make([]map[int]bool, len(se.shards))
-			}
-			if v.deadIn[im.Shard] == nil {
-				v.deadIn[im.Shard] = make(map[int]bool)
-			}
-			v.deadIn[im.Shard][im.ID] = true
+			v.markDead(im, gid)
 		}
 		gid += im.Shapes
 	}
@@ -484,7 +484,11 @@ func (se *ShardedEngine) Search(ctx context.Context, req SearchRequest) (*Search
 		// decision reads stats.Converged and must stay deterministic, so
 		// only ModeExact — where convergence is reporting, not control
 		// flow — shares the bound.
-		ms, stats, err := se.exactFanout(ctx, v, req.Query, req.K, width, req.Mode == ModeExact, req.Ann)
+		var shared *core.SharedBound
+		if req.Mode == ModeExact {
+			shared = core.NewSharedBound()
+		}
+		ms, stats, err := se.exactFanout(ctx, v, req.Query, req.K, width, shared, req.Ann)
 		if err != nil {
 			return nil, err
 		}
@@ -560,7 +564,7 @@ func (se *ShardedEngine) Query(src string, binds map[string]Shape) ([]int, strin
 		if err != nil {
 			return nil, "", err
 		}
-		if dead := v.deadImagesIn(si); len(dead) > 0 {
+		if dead := deadOf(v.deadIn, si); len(dead) > 0 {
 			kept := ids[:0]
 			for _, id := range ids {
 				if !dead[id] {
@@ -578,42 +582,44 @@ func (se *ShardedEngine) Query(src string, binds map[string]Shape) ([]int, strin
 
 // exactFanout runs the fattening search on every live shard — and an
 // exhaustive exact match on every live delta — concurrently and merges
-// the sorted per-part top-k lists exactly.
+// the sorted per-part top-k lists exactly. The query is validated and
+// prepared once for all of them.
 //
-// Each shard is asked for min(k + tombstones, its shape count) matches:
-// a shard cannot supply more than it holds, at most len(deadGIDs) of
-// its best can be filtered as tombstoned, and capping lets small shards
+// Each shard is asked for min(k, its live shape count) matches and skips
+// its tombstoned shapes inside the kernel, before they are scored: a
+// shard cannot supply more than it holds, and capping lets small shards
 // reach the convergence condition (the k-th best must exist to be
 // proven within ε/2). Because the per-shape distances are intrinsic to
 // (query, shape) and every shape lives on exactly one part, the merged
 // top-k of converged parts is the true global top-k. Deltas are scanned
 // exhaustively (they are small by construction) and always converge.
 //
-// With useShared set the shards additionally prune against each other
-// mid-flight through one atomic shared bound: every uncapped shard
+// With a shared bound (dropped when a lone live shard has no sibling to
+// share it with) the shards additionally prune against each other
+// mid-flight through that one atomic cell: every uncapped shard
 // publishes its live k-th best, every shard discards candidates proven
-// strictly worse than the tightest published value. Capped shards must
-// not publish — their k'-th best does not bound the global k-th — but
-// may consume, since anything they discard is proven outside the merged
-// top-k (DESIGN.md §4.9). Tombstones disable the bound entirely: a
-// shard's k-th best over a set that still contains dead shapes does not
-// bound the k-th best of the live base.
-func (se *ShardedEngine) exactFanout(ctx context.Context, v *shardView, q Shape, k, width int, useShared bool, ann AnnMode) ([]Match, Stats, error) {
+// strictly worse than the tightest published value and stops once the
+// bound is inside its envelope's reach. Capped shards must not publish —
+// their k'-th best does not bound the global k-th — but may consume,
+// since anything they discard is proven outside the merged top-k
+// (DESIGN.md §4.9).
+func (se *ShardedEngine) exactFanout(ctx context.Context, v *shardView, q Shape, k, width int, shared *core.SharedBound, ann AnnMode) ([]Match, Stats, error) {
+	pq, err := prepareExact(q)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	live := v.liveShards()
 	deltas := v.deltas()
-	dead := len(v.deadGIDs)
-	want := k + dead // overfetch so filtering cannot starve the merge
 	n := len(live) + len(deltas)
 	lists := make([][]Match, n)
 	stats := make([]Stats, n)
-	var shared *core.SharedBound
-	if useShared && dead == 0 && len(live) > 1 {
-		shared = core.NewSharedBound()
+	if len(live) < 2 {
+		shared = nil
 	}
-	err := fanout(ctx, n, width, func(i int) error {
+	err = fanout(ctx, n, width, func(i int) error {
 		if i >= len(live) {
 			d := deltas[i-len(live)]
-			dms, err := d.Match(ctx, q, want, true)
+			dms, err := d.Match(ctx, q, k, true)
 			if err != nil {
 				return fmt.Errorf("geosir: delta: %w", err)
 			}
@@ -623,17 +629,24 @@ func (se *ShardedEngine) exactFanout(ctx context.Context, v *shardView, q Shape,
 		}
 		si := live[i]
 		sh := v.shards[si]
-		kk := min(want, sh.NumShapes())
+		dead := deadOf(v.deadShapes, si)
+		kk := min(k, sh.NumShapes()-len(dead))
+		if kk == 0 {
+			stats[i] = Stats{Converged: true} // every shape tombstoned
+			return nil
+		}
 		// Each shard ranks its own bootstrap candidates against its own
 		// ANN index — a per-shard visit-order change, so the per-shard
 		// (and thus merged) matches are byte-identical to AnnOff.
 		rank, annSt := sh.annRank(q, ann)
-		ms, st, err := sh.searchExactShared(q, kk, rank, shared, kk == k && dead == 0)
+		ms, st, err := sh.searchExactShared(pq, kk, core.MatchOpts{
+			Rank: rank, Shared: shared, Publish: kk == k, Dead: dead,
+		})
 		if err != nil {
 			return fmt.Errorf("geosir: shard %d: %w", si, err)
 		}
 		st.addANN(annSt)
-		lists[i] = v.dropDead(v.toGlobal(si, ms))
+		lists[i] = v.toGlobal(si, ms)
 		stats[i] = st
 		return nil
 	})
@@ -846,7 +859,7 @@ func (se *ShardedEngine) sketchFanout(ctx context.Context, v *shardView, sketch 
 		if err != nil {
 			return fmt.Errorf("geosir: sketch shape %d: %w", si, err)
 		}
-		if dead := v.deadImagesIn(live[pi]); len(dead) > 0 {
+		if dead := deadOf(v.deadIn, live[pi]); len(dead) > 0 {
 			for img := range dead {
 				delete(m, img)
 			}

@@ -2,6 +2,7 @@ package geosir
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -12,9 +13,12 @@ import (
 // over the same seeded random base, a snapshot directory reloaded in
 // LoadModeMmap answers byte-identically to the same directory reloaded
 // in LoadModeHeap and to the engine that wrote it — for shard counts
-// {1, 2, 7}, every mode, several k, and both ANN tiers. Run under
-// -race this also proves the mapped sections are data-race-free under
-// concurrent fan-out.
+// {1, 2, 7}, every mode, several k, and both ANN tiers. Matches are
+// compared under the default (possibly parallel) plan, which under
+// -race also proves the mapped sections are data-race-free under
+// concurrent fan-out; Stats only under ExecSequential, because the work
+// counters of a parallel shared-bound fan-out depend on which shard
+// publishes first.
 func TestShardedMmapEquivalence(t *testing.T) {
 	images, queries, sketch := equivBase(t)
 	ctx := context.Background()
@@ -78,27 +82,28 @@ func TestShardedMmapEquivalence(t *testing.T) {
 					qs = queries[:1] // sketch ignores Query; run once
 				}
 				for qi, q := range qs {
-					req := SearchRequest{Query: q, K: k, Mode: c.mode, Ann: c.ann}
-					if c.mode == ModeSketch {
-						req = SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Ann: c.ann}
-					}
-					want, werr := heap.Search(ctx, req)
-					for _, e := range engines {
-						got, gerr := e.s.Search(ctx, req)
-						label := e.name
-						if (werr == nil) != (gerr == nil) {
-							t.Fatalf("shards=%d mode=%v ann=%v k=%d q=%d %s: errors differ: %v vs %v",
-								shards, c.mode, c.ann, k, qi, label, werr, gerr)
+					for _, exec := range []ExecPolicy{ExecAuto, ExecSequential} {
+						req := SearchRequest{Query: q, K: k, Mode: c.mode, Ann: c.ann, Exec: exec}
+						if c.mode == ModeSketch {
+							req = SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Ann: c.ann, Exec: exec}
 						}
-						if werr != nil {
-							continue
+						want, werr := heap.Search(ctx, req)
+						for _, e := range engines {
+							got, gerr := e.s.Search(ctx, req)
+							label := fmt.Sprintf("shards=%d mode=%v ann=%v k=%d q=%d exec=%v %s",
+								shards, c.mode, c.ann, k, qi, exec, e.name)
+							if (werr == nil) != (gerr == nil) {
+								t.Fatalf("%s: errors differ: %v vs %v", label, werr, gerr)
+							}
+							if werr != nil {
+								continue
+							}
+							if exec == ExecSequential && want.Stats != got.Stats {
+								t.Fatalf("%s: stats differ\nheap: %+v\ngot:  %+v", label, want.Stats, got.Stats)
+							}
+							assertMatchesEqual(t, label, want.Matches, got.Matches)
+							assertSketchEqual(t, label, want.SketchMatches, got.SketchMatches)
 						}
-						if want.Stats != got.Stats {
-							t.Fatalf("shards=%d mode=%v ann=%v k=%d q=%d %s: stats differ\nheap: %+v\n%s: %+v",
-								shards, c.mode, c.ann, k, qi, label, want.Stats, label, got.Stats)
-						}
-						assertMatchesEqual(t, label, want.Matches, got.Matches)
-						assertSketchEqual(t, label, want.SketchMatches, got.SketchMatches)
 					}
 				}
 			}
