@@ -3,7 +3,7 @@ GO ?= go
 # Match-driven benchmarks whose throughput we track across PRs.
 QUERY_BENCH := BenchmarkFig2_GeoSIRRetrieval|BenchmarkMatch_Scaling_100images|BenchmarkFindBySketch|BenchmarkFindApproximate
 
-.PHONY: ci vet build test race ledger bench-check bench-smoke bench-query bench-diff bench-serve bench-shard bench-ann bench-ann-smoke bench-cache bench-cache-smoke bench-ingest bench-throughput throughput-smoke bench-load load-smoke serve-smoke ingest-smoke fuzz-smoke deprecations cover clean
+.PHONY: ci vet build test race test-procs ledger bench-check bench-smoke bench-query bench-diff bench-serve bench-shard bench-ann bench-ann-smoke bench-cache bench-cache-smoke bench-ingest bench-throughput throughput-smoke bench-load load-smoke serve-smoke ingest-smoke fuzz-smoke deprecations cover clean
 
 # The gate every PR must pass. The race run includes the persistence
 # fault-injection suite; fuzz-smoke gives each fuzz target a short
@@ -17,13 +17,15 @@ QUERY_BENCH := BenchmarkFig2_GeoSIRRetrieval|BenchmarkMatch_Scaling_100images|Be
 # load-smoke serves the same GSIR3 snapshot heap-loaded and mmap-served
 # and asserts the mode is live via /statz; deprecations keeps internal
 # code off the deprecated Find* wrappers and the deprecated
-# SearchRequest.Workers knob; bench-check vets and tests the benchmark's
+# SearchRequest.Workers knob; test-procs re-runs the suites whose
+# outcome has depended on the core count at GOMAXPROCS 1 and 2;
+# bench-check vets and tests the benchmark's
 # own module (bench/, which the root `go test ./...` does not reach).
 # Perf-sensitive changes are measured with `make ledger` (the one
 # benchmark, BENCHMARK.json); `make bench-diff` still compares a fresh
 # bench run against the committed BENCH_query.json baseline (the diff
 # also gates on any recall metrics present in both files).
-ci: vet deprecations build race bench-check bench-smoke bench-ann-smoke fuzz-smoke serve-smoke ingest-smoke bench-cache-smoke throughput-smoke load-smoke
+ci: vet deprecations build race test-procs bench-check bench-smoke bench-ann-smoke fuzz-smoke serve-smoke ingest-smoke bench-cache-smoke throughput-smoke load-smoke
 
 vet:
 	$(GO) vet ./...
@@ -58,6 +60,15 @@ test:
 # timeout needs raising.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The shared bound makes per-shard work depend on which shard publishes
+# first, and -shard-bench sweeps GOMAXPROCS up to the core count: the two
+# latest tier-1 failures (TestShardedMmapEquivalence's stats,
+# TestRunShardBench's row count) showed only with >= 2 cores, which the
+# CI box does not have. Run the affected suites at both settings.
+test-procs:
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Equivalence|ShardBench|SharedBound' . ./cmd/geosir ./internal/core
+	GOMAXPROCS=2 $(GO) test -count=1 -run 'Equivalence|ShardBench|SharedBound' . ./cmd/geosir ./internal/core
 
 # The repo's one benchmark (bench/README.md, declared in BENCHMARK.json):
 # without ARGS a full set — four workloads, each untraced then traced,

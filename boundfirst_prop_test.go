@@ -1,0 +1,273 @@
+package geosir
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/synth"
+)
+
+// The bound-first property (DESIGN.md §4.9): seeding the exact search's
+// bound from the hash tier changes how much work a request does, never
+// its matches. Every Search below is compared byte for byte with the
+// same search run unseeded — Base().Match for an Engine, the exact
+// fan-out called without a seed for a ShardedEngine — and, in ModeAuto,
+// with the fallback decision that follows from the unseeded exact phase.
+
+// engineUnseeded answers (q, k, mode) the way Engine.Search does, from an
+// unseeded exact phase.
+func engineUnseeded(t *testing.T, label string, e *Engine, q Shape, k int, mode Mode) []Match {
+	t.Helper()
+	ms, st, err := e.Base().Match(q, k)
+	if err != nil {
+		t.Fatalf("%s: unseeded: %v", label, err)
+	}
+	exact := e.toMatches(ms, false)
+	if mode == ModeExact || (st.Converged && exactGoodEnough(exact, e.db.Tau())) {
+		return exact
+	}
+	approx, _, err := e.searchApprox(q, k, AnnOff)
+	if err != nil {
+		t.Fatalf("%s: hashing: %v", label, err)
+	}
+	if len(approx) == 0 {
+		return exact
+	}
+	return approx
+}
+
+// seeded reports whether a Search of (q, k) on the view runs under a
+// hash-tier seed, so a scenario can assert it exercises the path it is
+// there for.
+func seeded(t *testing.T, se *ShardedEngine, v *shardView, q Shape, k int) bool {
+	t.Helper()
+	pq, err := prepareExact(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return se.scoreSeed(v, pq, k).bound() != nil
+}
+
+// assertBoundFirst sweeps modes × exec policies of one (engine, q, k) and
+// compares each Search with the unseeded reference.
+func assertBoundFirst(t *testing.T, label string, se *ShardedEngine, q Shape, k int) {
+	t.Helper()
+	ctx := context.Background()
+	v := se.snapshot()
+	want, wst := exactUnseeded(t, label, se, v, q, k, 1, nil)
+	wantAuto := autoFrom(t, label, se, v, q, k, want, wst)
+	for _, mode := range []Mode{ModeExact, ModeAuto} {
+		for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
+			got, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Exec: exec})
+			if err != nil {
+				t.Fatalf("%s %v %v: %v", label, mode, exec, err)
+			}
+			w := want
+			if mode == ModeAuto {
+				w = wantAuto
+			}
+			assertMatchesEqual(t, fmt.Sprintf("%s %v %v", label, mode, exec), w, got.Matches)
+		}
+	}
+}
+
+func TestBoundFirstEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("property soak")
+	}
+	ctx := context.Background()
+	images := synth.GenerateBase(synth.PaperSpec(0.003, 83))
+	// A shape stored twice, in two images: every query ties the pair, and
+	// a query copied from it ties them at the k-th slot for k = 1.
+	twin := synth.Image{ID: 9001, Shapes: []Shape{images[0].Shapes[0].Clone()}}
+	images = append(images, twin)
+	rng := rand.New(rand.NewSource(89))
+	queries := synth.Queries(rng, images[:len(images)-1], 4, 0.01)
+	queries = append(queries, synth.Distort(rng, twin.Shapes[0], 0.005), twin.Shapes[0])
+	many := 0
+	for _, im := range images {
+		many += len(im.Shapes)
+	}
+	ks := []int{1, 5, many + 3}
+
+	single := buildSingle(t, images)
+	for qi, q := range queries {
+		for _, k := range ks {
+			for _, mode := range []Mode{ModeExact, ModeAuto} {
+				label := fmt.Sprintf("engine q%d k=%d %v", qi, k, mode)
+				got, err := single.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertMatchesEqual(t, label, engineUnseeded(t, label, single, q, k, mode), got.Matches)
+				if k == 1 && got.Stats.Iterations != 1 {
+					t.Errorf("%s: %d iterations under a k=1 seed, want 1", label, got.Stats.Iterations)
+				}
+			}
+		}
+	}
+
+	for _, shards := range []int{1, 2, 7, 8} {
+		se := buildShardedFrom(t, images, shards)
+		for qi, q := range queries {
+			for _, k := range ks {
+				label := fmt.Sprintf("shards=%d q%d k=%d", shards, qi, k)
+				// k = 1 always finds its seed (the source's bucket is not
+				// empty); k beyond the base never does.
+				if on := seeded(t, se, se.snapshot(), q, k); (k == 1 && !on) || (k > many && on) {
+					t.Fatalf("%s: seeded = %v", label, on)
+				}
+				assertBoundFirst(t, label, se, q, k)
+			}
+		}
+
+		// Live: the nearest stored shapes of the first query tombstoned (the
+		// seed must not count them), and a copy of the second query's source
+		// inserted, so the delta holds its best match.
+		enableIngest(t, se, t.TempDir(), IngestConfig{})
+		near, err := single.Search(ctx, SearchRequest{Query: queries[0], K: 3, Mode: ModeExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gone := map[int]bool{}
+		for _, m := range near.Matches {
+			if !gone[m.ImageID] {
+				gone[m.ImageID] = true
+				if err := se.DeleteImage(ctx, m.ImageID); err != nil {
+					t.Fatalf("shards=%d: DeleteImage(%d): %v", shards, m.ImageID, err)
+				}
+			}
+		}
+		if err := se.InsertImage(ctx, 9002, []Shape{queries[1].Clone()}); err != nil {
+			t.Fatalf("shards=%d: InsertImage: %v", shards, err)
+		}
+		for qi, q := range queries[:2] {
+			for _, k := range ks {
+				label := fmt.Sprintf("shards=%d live q%d k=%d", shards, qi, k)
+				assertBoundFirst(t, label, se, q, k)
+			}
+		}
+		got, err := se.Search(ctx, SearchRequest{Query: queries[1], K: 1, Mode: ModeExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Matches) != 1 || got.Matches[0].ImageID != 9002 || got.Stats.Iterations > 1 {
+			t.Fatalf("shards=%d: the delta's copy of the query is not the seeded best match: %+v, %d iterations",
+				shards, got.Matches, got.Stats.Iterations)
+		}
+		got, err = se.Search(ctx, SearchRequest{Query: queries[0], K: 5, Mode: ModeExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range got.Matches {
+			if gone[m.ImageID] {
+				t.Fatalf("shards=%d: tombstoned image %d surfaced", shards, m.ImageID)
+			}
+		}
+	}
+}
+
+// TestBoundFirstFitRule pins when a seed is used at all: only when the
+// bucket held k live shapes and the envelope a search opens with under it
+// fits ε_max. A seed that does not fit leaves the request on the unseeded
+// path, stats and all.
+func TestBoundFirstFitRule(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	se := buildShardedFrom(t, images, 2)
+	ctx := context.Background()
+	v := se.snapshot()
+	q := queries[0]
+	pq, err := prepareExact(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := se.scoreSeed(v, pq, 1)
+	sv, epsMax := seed.kth.Kth(), seed.epsMax
+	for _, si := range v.liveShards() {
+		if em := v.shards[si].db.Base().EpsilonMax(pq.Entry().Poly.Perimeter()); em < epsMax {
+			t.Fatalf("shard %d: ε_max %g below the seed's %g", si, em, epsMax)
+		}
+	}
+	if math.IsInf(sv, 1) || math.IsInf(epsMax, 1) || seed.bound() == nil {
+		t.Fatalf("no k=1 seed for a copy of a stored shape (k-th %g, ε_max %g)", sv, epsMax)
+	}
+	if short := se.scoreSeed(v, pq, se.NumShapes()+1); short.bound() != nil {
+		t.Fatalf("a bucket short of k shapes must not seed")
+	}
+	seed.epsMax = 2 * sv * 1.0001
+	if sb := seed.bound(); sb == nil || sb.Load() != sv {
+		t.Fatalf("a seed whose opening envelope equals ε_max must be used")
+	}
+	seed.epsMax = 2 * sv
+	if seed.bound() != nil {
+		t.Fatalf("a seed whose opening envelope exceeds ε_max must not be used")
+	}
+
+	req := SearchRequest{Query: q, K: 1, Mode: ModeExact, Exec: ExecSequential}
+	want, wst := exactUnseeded(t, "unseeded", se, v, q, 1, 1, core.NewSharedBound())
+	got, gst, err := se.exactSeeded(ctx, v, pq, req, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesEqual(t, "seed too wide", want, got)
+	wst.BlockReads += seed.blockReads()
+	if gst != wst {
+		t.Fatalf("a seed that does not fit changed the search:\ngot:  %+v\nwant: %+v", gst, wst)
+	}
+	seed.epsMax = epsMax
+	fit, fst, err := se.exactSeeded(ctx, v, pq, req, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesEqual(t, "seed fits", want, fit)
+	if fst.Iterations != 1 || !fst.Converged || fst.VerticesCounted >= wst.VerticesCounted {
+		t.Fatalf("a fitting seed did not open one envelope: %+v (unseeded %+v)", fst, wst)
+	}
+}
+
+// TestBoundFirstStaleSeed drives the one way a seed can go stale: a
+// delete reaching the active delta between the seed pass and the delta's
+// scan. The seed then undercuts the k-th best of what is left; the short
+// answer gives it away and the search runs again unseeded.
+func TestBoundFirstStaleSeed(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	ctx := context.Background()
+	for _, shards := range []int{1, 7} {
+		se := buildShardedFrom(t, images, shards)
+		enableIngest(t, se, t.TempDir(), IngestConfig{})
+		q := queries[0]
+		if err := se.InsertImage(ctx, 9003, []Shape{q.Clone()}); err != nil {
+			t.Fatal(err)
+		}
+		v := se.snapshot()
+		pq, err := prepareExact(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := se.scoreSeed(v, pq, 1)
+		if seed.kth.Kth() != 0 {
+			t.Fatalf("shards=%d: seed %g, want the inserted copy at 0", shards, seed.kth.Kth())
+		}
+		if err := se.DeleteImage(ctx, 9003); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []Mode{ModeExact, ModeAuto} {
+			want, _ := exactUnseeded(t, "after delete", se, v, q, 1, 1, nil)
+			got, st, err := se.exactSeeded(ctx, v, pq, SearchRequest{Query: q, K: 1, Mode: mode}, 1, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != 1 || want[0].ImageID == 9003 {
+				t.Fatalf("shards=%d: reference after the delete: %+v", shards, want)
+			}
+			assertMatchesEqual(t, fmt.Sprintf("shards=%d %v stale seed", shards, mode), want, got)
+			if !st.Converged {
+				t.Fatalf("shards=%d %v: rerun did not converge: %+v", shards, mode, st)
+			}
+		}
+	}
+}

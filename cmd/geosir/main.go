@@ -359,9 +359,10 @@ type shardBenchConcRow struct {
 // window must fit several of the slowest demo-base queries (~600ms on
 // the bench box at 8 shards) or the c=1 row degenerates to a single
 // sample.
-var shardBenchConcLevels = []int{1, 8, 64}
-
-const shardBenchConcWindow = 2 * time.Second
+var (
+	shardBenchConcLevels = []int{1, 8, 64}
+	shardBenchConcWindow = 2 * time.Second
+)
 
 // measureConcLevel runs the closed loop at one concurrency level and
 // summarizes it.

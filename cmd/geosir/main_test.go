@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -203,6 +205,13 @@ func TestRunSnapshotSharded(t *testing.T) {
 }
 
 func TestRunShardBench(t *testing.T) {
+	// The closed-loop sweep is the bench's measurement, not the test's:
+	// one short window keeps every row's shape without 2 s × 3 levels × rows.
+	defer func(levels []int, window time.Duration) {
+		shardBenchConcLevels, shardBenchConcWindow = levels, window
+	}(shardBenchConcLevels, shardBenchConcWindow)
+	shardBenchConcLevels, shardBenchConcWindow = []int{2}, 100*time.Millisecond
+
 	out := filepath.Join(t.TempDir(), "bench.json")
 	if err := runShardBench("", 10, 3, "1,2", out); err != nil {
 		t.Fatal(err)
@@ -215,11 +224,14 @@ func TestRunShardBench(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("bench output not JSON: %v\n%s", err, data)
 	}
-	if rep.Cores < 1 || len(rep.Results) != 2 {
-		t.Fatalf("report = %+v", rep)
+	// The sweep runs once at GOMAXPROCS=1 and, on a multi-core box, once
+	// more at NumCPU: one row per shard count per setting.
+	procs := map[int]bool{1: true, runtime.NumCPU(): true}
+	if rep.Cores != runtime.NumCPU() || len(rep.Results) != 2*len(procs) {
+		t.Fatalf("want %d rows on %d cores, report = %+v", 2*len(procs), runtime.NumCPU(), rep)
 	}
 	for _, row := range rep.Results {
-		if row.FreezeMillis <= 0 || row.Shapes == 0 {
+		if row.FreezeMillis <= 0 || row.Shapes == 0 || !procs[row.GoMaxProcs] || len(row.Concurrency) != 1 {
 			t.Fatalf("row = %+v", row)
 		}
 	}

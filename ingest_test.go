@@ -167,14 +167,15 @@ func TestIngestDeleteEquivalence(t *testing.T) {
 			label := fmt.Sprintf("shards=%d compacted=%v", shards, compacted)
 			for _, k := range []int{1, 3, se.NumShapes() + 5} {
 				for qi, q := range queries {
-					// ModeExact runs under the cross-shard bound with the
+					// ModeExact and ModeAuto run under the cross-shard bound
+					// (seeded from the hash tier when it can be) with the
 					// tombstone present: once as a width-1 walk (every shard
 					// but the first starts under a published bound), once
 					// raced.
 					for _, c := range []struct {
 						mode Mode
 						exec ExecPolicy
-					}{{ModeExact, ExecSequential}, {ModeExact, ExecFanout}, {ModeApproximate, ExecAuto}} {
+					}{{ModeExact, ExecSequential}, {ModeExact, ExecFanout}, {ModeAuto, ExecSequential}, {ModeAuto, ExecFanout}, {ModeApproximate, ExecAuto}} {
 						mode := c.mode
 						w, err := ref.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
 						if err != nil {

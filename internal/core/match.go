@@ -25,16 +25,19 @@ type Match struct {
 }
 
 // Stats records the work a retrieval performed (the quantities of the
-// paper's complexity analysis in §2.5).
+// paper's complexity analysis in §2.5). An iteration that starts under a
+// finite cutoff marks entries at first touch and settles them in index
+// order (DESIGN.md §4.9, bound-first search) and counts differently, as
+// noted per field.
 type Stats struct {
-	Iterations       int     // r: number of envelope fattenings
+	Iterations       int     // r: number of envelope fattenings (1 under a fitting seed)
 	FinalEpsilon     float64 // ε at termination
 	EpsilonMax       float64 // the stopping threshold (A/2p·l_Q)·log³n
 	TrianglesQueried int     // simplex range queries issued
-	VerticesReported int     // K plus filtered duplicates from the cover
-	VerticesCounted  int     // K: vertices that entered counters
-	Candidates       int     // entries that crossed the (1-β) threshold
-	BlocksRead       int     // page-granular storage touched (§4 block accounting)
+	VerticesReported int     // vertices the triangle covers reported, duplicates included
+	VerticesCounted  int     // K: vertices that entered counters; entry-first, the first reported vertex of each touched entry
+	Candidates       int     // entries evaluated (under a cutoff: most abort after a few vertices)
+	BlocksRead       int     // page-granular storage of the evaluated entries (§4 block accounting)
 	Converged        bool    // true: stopped via the similarity bound
 }
 
@@ -75,6 +78,9 @@ type MatchOpts struct {
 	tau       float64
 	// onAccess is MatchTrace's access hook.
 	onAccess func(entryID int)
+	// onIteration observes each fattening iteration's width and the k-th
+	// best distance proven by its end (+Inf while the top-k is short).
+	onIteration func(eps, kth float64)
 }
 
 // Match retrieves the k most similar shapes to q via the incremental
@@ -229,15 +235,12 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 
 	// entryBound returns the proven lower bound on DistVertex for an
 	// unevaluated entry: the counting bound with the current counters at
-	// envelope width eps, the cached directed distance (DistVertex ≥
-	// dir/2), and the O(1) geometric bound against the query's summary.
+	// envelope width eps, and the O(1) geometric bound against the
+	// query's summary.
 	entryBound := func(ei int32, eps float64) float64 {
 		v := float64(b.entryVertexCount(ei))
 		c := float64(scratch.count(ei))
 		lb := (scratch.sum(ei) + (v-c)*eps) / v / 2
-		if d := scratch.dir(ei); d >= 0 && d/2 > lb {
-			lb = d / 2
-		}
 		if g := qBound.LowerBound(&b.geomBounds[ei]); g > lb {
 			lb = g
 		}
@@ -246,11 +249,10 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 
 	// evaluate resolves one entry under the tightest proven cutoff: the
 	// exact symmetric measure is computed with an admissible partial-sum
-	// early exit, and an aborted entry — proven strictly worse than
-	// everything that could make it matter — is stamped dead instead of
-	// cached. The directed half is cached only when computed in full (a
-	// partial sum is not the directed distance).
+	// early exit, and an aborted entry is proven strictly worse than
+	// everything that could make it matter.
 	evaluate := func(ei int32) {
+		scratch.setResolved(ei)
 		stats.Candidates++
 		stats.BlocksRead += b.blockCost(ei)
 		if onAccess != nil {
@@ -275,22 +277,14 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 				cut = sv
 			}
 		}
-		dir := scratch.dir(ei)
-		if dir < 0 {
-			var full bool
-			dir, full = avgMinDistVerticesBoundedAffine(e.Poly, oracle, 0, cut)
-			if !full {
-				scratch.setDead(ei)
-				return
-			}
-			scratch.setDir(ei, dir)
+		dir, full := avgMinDistVerticesBoundedAffine(e.Poly, oracle, 0, cut)
+		if !full {
+			return
 		}
 		back, full := avgMinDistVerticesBoundedAffine(qe.Poly, b.entryOracle(ei), dir, cut)
 		if !full {
-			scratch.setDead(ei)
 			return
 		}
-		scratch.setEvaluated(ei)
 		dv := (dir + back) / 2
 		if dv < curBest {
 			bestByShape[e.ShapeID] = Match{
@@ -315,11 +309,14 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 
 	// ruledOut reports whether lower bound lb proves an entry irrelevant.
 	// Each cutoff is monotone non-increasing over the query, so a true
-	// result is permanent and the caller stamps the entry dead.
+	// result is permanent and the caller stamps the entry resolved. Every
+	// test is strict: an entry that may tie the k-th best is evaluated, so
+	// which of several tied shapes is reported never depends on the order
+	// they were reached in.
 	kth, have := kthBound()
 	ruledOut := func(lb float64) bool {
 		if topkMode {
-			if have >= k && lb >= kth {
+			if have >= k && lb > kth {
 				return true
 			}
 		} else if lb > tau {
@@ -331,12 +328,41 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 		return false
 	}
 
+	// resolve settles one unresolved entry on the spot: ruled out by its
+	// proven lower bound lb, or evaluated under the current cutoffs.
+	resolve := func(ei int32, lb float64) {
+		if ruledOut(lb) {
+			scratch.setResolved(ei)
+			return
+		}
+		evaluate(ei)
+		kth, have = kthBound()
+	}
+
 	// The report callback is allocated once and shared by every triangle
-	// query of every fattening iteration (it reads eps and appends to
-	// newCandidates through the enclosing variables).
+	// query of every fattening iteration (it reads eps and entryFirst and
+	// appends to newCandidates through the enclosing variables).
 	var newCandidates []int32
+	var entryFirst bool
 	reportVertex := func(vid int) {
 		stats.VerticesReported++
+		ei := b.vertEntry[vid]
+		if entryFirst {
+			// The iteration started under a finite cutoff, so every entry
+			// it touches is evaluated or ruled out before it ends and the
+			// counting bound (≤ ε/2) can rule out next to nothing: the
+			// first of an entry's vertices the cover reports only marks it
+			// for the sweep below, and its other vertices cost one stamp
+			// load. The exact filter is skipped: the cover contains the
+			// envelope, so an entry without a reported vertex still has
+			// every vertex farther than ε, and settling an entry the
+			// envelope itself does not reach costs an aborted evaluation,
+			// about what the filter costs per vertex.
+			if scratch.touch(ei) {
+				stats.VerticesCounted++
+			}
+			return
+		}
 		if scratch.counted(vid) {
 			return
 		}
@@ -349,10 +375,9 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 		}
 		scratch.setCounted(vid)
 		stats.VerticesCounted++
-		ei := b.vertEntry[vid]
 		c := scratch.addVertex(ei, d)
 		if c == 1 && o.Dead != nil && o.Dead[b.entries[ei].ShapeID] {
-			scratch.setDead(ei) // tombstoned: resolved before it can be scored
+			scratch.setResolved(ei) // tombstoned: resolved before it can be scored
 		}
 		need := candidateThreshold(b.entryVertexCount(ei), beta)
 		if c == need && !scratch.resolved(ei) {
@@ -363,6 +388,17 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 	for {
 		stats.Iterations++
 		stats.FinalEpsilon = eps
+
+		// One snapshot sv of the merged bound per iteration. When it is
+		// already inside the envelope's reach, sv < ε/2 — or the local
+		// top-k is full — every entry this iteration touches is marked at
+		// first touch, resolved before the iteration ends (entryFirst), and
+		// the search can stop below.
+		sv := math.Inf(1)
+		if shared != nil {
+			sv = shared.Load()
+		}
+		entryFirst = sv < eps/2 || (topkMode && have >= k)
 
 		// Step 2: collect vertices in the envelope difference via simplex
 		// range reporting over the O(m) triangle cover.
@@ -407,14 +443,29 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 		// the k-th best tightens as fast as possible and later entries
 		// face the sharpest cutoff. Before the top-k is populated there
 		// is no local bound to undercut, so only the β-candidates above
-		// run — unless the merged bound (one snapshot sv per iteration)
-		// is already inside the envelope's reach, sv < ε/2: then the pass
-		// runs on the shared test alone and the search can stop below.
-		sv := math.Inf(1)
-		if shared != nil {
-			sv = shared.Load()
-		}
-		if !topkMode || have >= k || sv < eps/2 {
+		// run — unless the merged bound is already inside the envelope's
+		// reach: then the pass runs on the shared test alone.
+		//
+		// An entry-first iteration instead settles every touched entry —
+		// tombstoned, ruled out by the O(1) geometric bound, or evaluated
+		// under the cutoff — in entry-index order: the cutoff is already
+		// tight, so best-first buys nothing, while index order walks the
+		// entries, their vertices and their bounds the way they lie in
+		// memory. (Settled in kd-tree report order, every entry starts
+		// with cache misses, and the search's time follows the memory
+		// system's load rather than the processor's.)
+		if entryFirst {
+			for _, ei := range scratch.touchedInOrder() {
+				if scratch.resolved(ei) {
+					continue
+				}
+				if o.Dead != nil && o.Dead[b.entries[ei].ShapeID] {
+					scratch.setResolved(ei)
+					continue
+				}
+				resolve(ei, qBound.LowerBound(&b.geomBounds[ei]))
+			}
+		} else if !topkMode || have >= k || sv < eps/2 {
 			scratch.orderEnt = scratch.orderEnt[:0]
 			scratch.orderLB = scratch.orderLB[:0]
 			for _, ei := range scratch.touched {
@@ -423,7 +474,7 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 				}
 				lb := entryBound(ei, eps)
 				if ruledOut(lb) {
-					scratch.setDead(ei)
+					scratch.setResolved(ei)
 					continue
 				}
 				scratch.orderEnt = append(scratch.orderEnt, ei)
@@ -431,19 +482,15 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 			}
 			sort.Sort(boundOrder{scratch})
 			for i, ei := range scratch.orderEnt {
-				if scratch.resolved(ei) {
-					continue
-				}
 				// The cutoffs may have tightened since the list was
 				// built; re-test the stored bound before paying for the
 				// evaluation.
-				if ruledOut(scratch.orderLB[i]) {
-					scratch.setDead(ei)
-					continue
-				}
-				evaluate(ei)
-				kth, have = kthBound()
+				resolve(ei, scratch.orderLB[i])
 			}
+		}
+
+		if o.onIteration != nil {
+			o.onIteration(eps, kth)
 		}
 
 		// Termination: untouched entries have every vertex farther than ε
@@ -455,16 +502,15 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 				stats.Converged = true
 				break
 			}
-			// Merged-bound exit: sv < ε/2 made the bounds pass above run
-			// whether or not the local top-k is full, so every touched
-			// entry is evaluated under the cutoff or proven > sv, and
-			// every untouched entry has DistVertex ≥ ε/2 > sv ≥ the merged
-			// k-th best — nothing this search could still evaluate can
-			// enter the merged result, so its contribution is final even
-			// when it holds fewer than k matches. (Without the pass,
-			// touched entries below the β-candidacy threshold are only
-			// guaranteed DistVertex > β·ε/2, which a bound in
-			// (β·ε/2, ε/2) would not dominate.)
+			// Merged-bound exit: sv < ε/2 resolved every touched entry in
+			// the pass above, whether or not the local top-k is full: each
+			// is evaluated under the cutoff or proven > sv, and every
+			// untouched entry has DistVertex ≥ ε/2 > sv ≥ the merged k-th
+			// best — nothing this search could still evaluate can enter
+			// the merged result, so its contribution is final even when it
+			// holds fewer than k matches. (Touched entries left below the
+			// β-candidacy threshold would only be guaranteed DistVertex >
+			// β·ε/2, which a bound in (β·ε/2, ε/2) would not dominate.)
 			if sv < eps/2 {
 				stats.Converged = true
 				break
@@ -483,7 +529,7 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 			break
 		}
 		epsPrev = eps
-		eps = math.Min(eps*grow, thresholdEps)
+		eps = growEpsilon(eps, grow, thresholdEps, kth, topkMode && have >= k)
 	}
 
 	// Fill in the continuous measure for the reported matches and sort.
@@ -531,6 +577,20 @@ func (b *Base) avgMinDistToScratch(a geom.Poly, o *BoundaryDist, scratch *matchS
 		sum += o.Dist(p)
 	}
 	return sum / float64(len(scratch.resample))
+}
+
+// growEpsilon returns the next envelope width of the schedule: eps·grow,
+// capped at limit — and, once the top-k is full, at the width the proven
+// k-th best needs to be confirmed (2·kth, nudged so kth ≤ ε/2 holds in
+// floats): the search ends on that envelope either way, so growing past
+// it only counts vertices that cannot matter. An unconverged full top-k
+// has kth > eps/2, so the schedule still strictly grows.
+func growEpsilon(eps, grow, limit, kth float64, full bool) float64 {
+	next := eps * grow
+	if full {
+		next = math.Min(next, 2*kth*1.0001)
+	}
+	return math.Min(next, limit)
 }
 
 // openingEpsilon returns the narrowest envelope width whose ε/2 reach

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -475,5 +476,140 @@ func TestSharedBoundUnfilledTopKStops(t *testing.T) {
 	}
 	if held[0] == 0 || len(held) < 3 {
 		t.Errorf("shards seen by merged top-k members held: %v; want 0 and at least two other counts", held)
+	}
+}
+
+// pruneTestBase builds the frozen seeded base the bound-first kernel tests
+// search.
+func pruneTestBase(t *testing.T, spec synth.BaseSpec) *Base {
+	t.Helper()
+	b := NewBase(DefaultOptions())
+	for _, img := range synth.GenerateBase(spec) {
+		for _, s := range img.Shapes {
+			if _, err := b.AddShape(img.ID, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := b.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestBoundFirstOneEnvelope pins the bound-first path of the kernel
+// (DESIGN.md §4.9): a search that starts under a bound tightened to the
+// true k-th best — what the hash-tier seed hands it, at best — opens one
+// envelope, marks every entry it touches by the first of its vertices
+// reported (so it counts at most one vertex per entry, not every vertex
+// in the envelope), settles them in entry-index order, stops Converged
+// on the merged-bound exit and returns the bytes of the unshared search.
+func TestBoundFirstOneEnvelope(t *testing.T) {
+	b := pruneTestBase(t, synth.BaseSpec{
+		Images: 40, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
+		Distortion: 0.05, OpenFraction: 0.3, Seed: 41,
+	})
+	rng := rand.New(rand.NewSource(47))
+	tested := 0
+	for trial := 0; trial < 40; trial++ {
+		q := synth.Distort(rng, b.Shape(rng.Intn(b.NumShapes())).Poly, 0.03)
+		if q.Validate() != nil {
+			continue
+		}
+		k := 1 + rng.Intn(10)
+		exact, st, err := b.Match(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged || len(exact) < k || 2*exact[k-1].DistVertex*1.0001 > st.EpsilonMax {
+			continue
+		}
+		tested++
+		sb := NewSharedBound()
+		sb.Tighten(exact[k-1].DistVertex)
+		pq, err := PrepareQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accessed []int
+		got, gst, err := b.MatchPrepared(pq, k, MatchOpts{Shared: sb, onAccess: func(ei int) { accessed = append(accessed, ei) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Entries are evaluated in the order they lie in memory (the
+		// hook's last len(got) calls report the matches).
+		if evaluated := accessed[:len(accessed)-len(got)]; !sort.IntsAreSorted(evaluated) {
+			t.Fatalf("trial %d (k=%d): entries evaluated out of index order: %v", trial, k, evaluated)
+		}
+		if gst.Iterations != 1 || !gst.Converged {
+			t.Fatalf("trial %d (k=%d): %d iterations, converged=%v; want one envelope, converged",
+				trial, k, gst.Iterations, gst.Converged)
+		}
+		if gst.VerticesCounted > b.NumEntries() || gst.Candidates > gst.VerticesCounted {
+			t.Fatalf("trial %d (k=%d): counted %d vertices and evaluated %d entries of %d (alone: %d vertices)",
+				trial, k, gst.VerticesCounted, gst.Candidates, b.NumEntries(), st.VerticesCounted)
+		}
+		if !reflect.DeepEqual(got, exact) {
+			t.Fatalf("trial %d (k=%d): bound-first result diverges:\ngot:   %+v\nexact: %+v", trial, k, got, exact)
+		}
+	}
+	if tested < 20 {
+		t.Errorf("only %d/40 queries exercised the bound-first path", tested)
+	}
+}
+
+// TestGrowthClamp pins the schedule of the unseeded search once its top-k
+// is full: the next envelope is no wider than the proven k-th best needs
+// (2·kth, nudged), so a converged search never overshoots it by the growth
+// factor — and, the schedule being no part of the correctness argument,
+// its matches still equal the exhaustive scan's byte for byte.
+func TestGrowthClamp(t *testing.T) {
+	b := pruneTestBase(t, synth.BaseSpec{
+		Images: 30, MeanShapes: 3, MeanVertices: 13, Prototypes: 8,
+		Distortion: 0.02, OpenFraction: 0.3, Seed: 17,
+	})
+	scan, err := NewScanMatcher(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	converged, clamped := 0, 0
+	for trial := 0; trial < 30; trial++ {
+		q := synth.Distort(rng, b.Shape(rng.Intn(b.NumShapes())).Poly, 0.025)
+		if q.Validate() != nil {
+			continue
+		}
+		k := 1 + rng.Intn(5)
+		pq, err := PrepareQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prevEps, prevKth := 0.0, math.Inf(1)
+		got, st, err := b.match(pq, k, MatchOpts{onIteration: func(eps, kth float64) {
+			if limit := 2 * prevKth * 1.0001; eps > limit {
+				t.Errorf("trial %d (k=%d): envelope %g after a proven k-th best of %g (limit %g)",
+					trial, k, eps, prevKth, limit)
+			} else if eps == limit && eps < prevEps*b.opts.GrowthFactor {
+				clamped++
+			}
+			prevEps, prevKth = eps, kth
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged {
+			continue
+		}
+		converged++
+		ref, err := scan.Match(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("trial %d (k=%d): clamped search diverges from scan:\ngot:  %+v\nscan: %+v", trial, k, got, ref)
+		}
+	}
+	if converged < 20 || clamped < 5 {
+		t.Errorf("%d/30 queries converged, %d clamped envelopes; want at least 20 and 5", converged, clamped)
 	}
 }

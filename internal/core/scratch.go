@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -26,26 +27,21 @@ type matchScratch struct {
 	distSum    []float64 // exact boundary distances of counted vertices
 	entryStamp []uint32  // counters/distSum validity
 
-	// Per-entry cache of the directed vertex-average distance to the
-	// query boundary (the cheap half of the symmetric measure).
-	dirDist  []float64
-	dirStamp []uint32
-
-	// Per-entry "fully evaluated" flag.
-	evalStamp []uint32
-
-	// Per-entry "proven irrelevant" flag: the entry's distance is proven
+	// Per-entry "resolved" flag: the entry needs no further work this
+	// query. Its exact distance is known, or it is proven irrelevant —
 	// strictly above every cutoff that could make it matter (current kth,
-	// its shape's best, tau, the shared cross-shard bound). All cutoffs
-	// are monotonically non-increasing over a query, so the ruling is
-	// permanent and the entry is skipped by every later pass.
-	deadStamp []uint32
+	// its shape's best, tau, the shared cross-shard bound), or tombstoned.
+	// All cutoffs are monotonically non-increasing over a query, so the
+	// ruling is permanent and the entry is skipped by every later pass.
+	doneStamp []uint32
 
 	// Per-vertex "already counted" flag (each vertex enters the counters
 	// exactly once, in its home iteration).
 	vertStamp []uint32
 
-	// Entries with at least one counted vertex, in discovery order.
+	// Entries touched by the query — a counted vertex, or any reported one
+	// in an entry-first iteration — in discovery order until
+	// touchedInOrder sorts them.
 	touched []int32
 
 	// Best-first ordering buffers of the per-iteration bounds pass
@@ -62,10 +58,7 @@ func newMatchScratch(entries, verts int) *matchScratch {
 		counters:   make([]int32, entries),
 		distSum:    make([]float64, entries),
 		entryStamp: make([]uint32, entries),
-		dirDist:    make([]float64, entries),
-		dirStamp:   make([]uint32, entries),
-		evalStamp:  make([]uint32, entries),
-		deadStamp:  make([]uint32, entries),
+		doneStamp:  make([]uint32, entries),
 		vertStamp:  make([]uint32, verts),
 		touched:    make([]int32, 0, 256),
 	}
@@ -78,9 +71,7 @@ func (s *matchScratch) reset() {
 	s.epoch++
 	if s.epoch == 0 {
 		clearU32(s.entryStamp)
-		clearU32(s.dirStamp)
-		clearU32(s.evalStamp)
-		clearU32(s.deadStamp)
+		clearU32(s.doneStamp)
 		clearU32(s.vertStamp)
 		s.epoch = 1
 	}
@@ -110,46 +101,48 @@ func (s *matchScratch) sum(ei int32) float64 {
 	return s.distSum[ei]
 }
 
-// addVertex folds one counted vertex at boundary distance d into entry
-// ei's counters and returns the new counter value. The first vertex of
-// an entry records it in touched.
-func (s *matchScratch) addVertex(ei int32, d float64) int32 {
-	if s.entryStamp[ei] != s.epoch {
-		s.entryStamp[ei] = s.epoch
-		s.counters[ei] = 0
-		s.distSum[ei] = 0
-		s.touched = append(s.touched, ei)
+// touch records entry ei as touched by this query and reports whether
+// it was not yet: a first touch zeroes its counters and appends it to
+// touched.
+func (s *matchScratch) touch(ei int32) bool {
+	if s.entryStamp[ei] == s.epoch {
+		return false
 	}
+	s.entryStamp[ei] = s.epoch
+	s.counters[ei] = 0
+	s.distSum[ei] = 0
+	s.touched = append(s.touched, ei)
+	return true
+}
+
+// addVertex folds one counted vertex at boundary distance d into entry
+// ei's counters and returns the new counter value.
+func (s *matchScratch) addVertex(ei int32, d float64) int32 {
+	s.touch(ei)
 	s.counters[ei]++
 	s.distSum[ei] += d
 	return s.counters[ei]
 }
 
-// dir returns the cached directed distance of entry ei, or -1 when not
-// yet computed this query.
-func (s *matchScratch) dir(ei int32) float64 {
-	if s.dirStamp[ei] != s.epoch {
-		return -1
+// touchedInOrder sorts touched by entry index and returns it. When most
+// of the base is touched, reading the stamps off in order is cheaper than
+// sorting the list.
+func (s *matchScratch) touchedInOrder() []int32 {
+	if len(s.touched) >= len(s.entryStamp)/8 {
+		s.touched = s.touched[:0]
+		for ei, st := range s.entryStamp {
+			if st == s.epoch {
+				s.touched = append(s.touched, int32(ei))
+			}
+		}
+	} else {
+		slices.Sort(s.touched)
 	}
-	return s.dirDist[ei]
+	return s.touched
 }
 
-func (s *matchScratch) setDir(ei int32, d float64) {
-	s.dirStamp[ei] = s.epoch
-	s.dirDist[ei] = d
-}
-
-func (s *matchScratch) evaluated(ei int32) bool { return s.evalStamp[ei] == s.epoch }
-func (s *matchScratch) setEvaluated(ei int32)   { s.evalStamp[ei] = s.epoch }
-
-func (s *matchScratch) dead(ei int32) bool { return s.deadStamp[ei] == s.epoch }
-func (s *matchScratch) setDead(ei int32)   { s.deadStamp[ei] = s.epoch }
-
-// resolved reports that the entry needs no further work this query:
-// its exact distance is known, or it is proven irrelevant.
-func (s *matchScratch) resolved(ei int32) bool {
-	return s.evalStamp[ei] == s.epoch || s.deadStamp[ei] == s.epoch
-}
+func (s *matchScratch) resolved(ei int32) bool { return s.doneStamp[ei] == s.epoch }
+func (s *matchScratch) setResolved(ei int32)   { s.doneStamp[ei] = s.epoch }
 
 func (s *matchScratch) counted(vid int) bool { return s.vertStamp[vid] == s.epoch }
 func (s *matchScratch) setCounted(vid int)   { s.vertStamp[vid] = s.epoch }

@@ -70,12 +70,11 @@ func TestMatchScratchEpochReuse(t *testing.T) {
 	s.addVertex(2, 0.5)
 	s.addVertex(2, 0.25)
 	s.setCounted(3)
-	s.setDir(1, 0.125)
-	s.setEvaluated(0)
+	s.setResolved(0)
 	if s.count(2) != 2 || s.sum(2) != 0.75 {
 		t.Fatalf("counters: %d / %v", s.count(2), s.sum(2))
 	}
-	if !s.counted(3) || s.dir(1) != 0.125 || !s.evaluated(0) {
+	if !s.counted(3) || !s.resolved(0) || s.resolved(1) {
 		t.Fatal("scratch state lost within an epoch")
 	}
 	if len(s.touched) != 1 || s.touched[0] != 2 {
@@ -84,11 +83,48 @@ func TestMatchScratchEpochReuse(t *testing.T) {
 
 	// A reset must invalidate everything without clearing the arrays.
 	s.reset()
-	if s.count(2) != 0 || s.sum(2) != 0 || s.counted(3) || s.dir(1) >= 0 || s.evaluated(0) {
+	if s.count(2) != 0 || s.sum(2) != 0 || s.counted(3) || s.resolved(0) {
 		t.Fatal("stale state visible after reset")
 	}
 	if len(s.touched) != 0 {
 		t.Fatalf("touched not cleared: %v", s.touched)
+	}
+}
+
+// TestMatchScratchTouchedInOrder pins both ways touchedInOrder has of
+// putting the touched list in entry-index order — reading the stamps off
+// when most of the base is touched, sorting the list otherwise — and that
+// a touch is counted once per query.
+func TestMatchScratchTouchedInOrder(t *testing.T) {
+	for _, c := range []struct {
+		entries int
+		touch   []int32
+	}{
+		{entries: 8, touch: []int32{6, 1, 6, 4, 1}},  // dense: stamps read off
+		{entries: 64, touch: []int32{40, 3, 40, 17}}, // sparse: list sorted
+		{entries: 16, touch: nil},                    // nothing touched
+		{entries: 16, touch: []int32{15, 0}},         // at the 1/8 threshold
+	} {
+		s := newMatchScratch(c.entries, 1)
+		s.reset()
+		s.addVertex(2, 1) // an earlier query's state must not show
+		s.reset()
+		want := map[int32]bool{}
+		for _, ei := range c.touch {
+			if first := s.touch(ei); first == want[ei] {
+				t.Fatalf("touch(%d) = %v on a %v entry", ei, first, want[ei])
+			}
+			want[ei] = true
+		}
+		got := s.touchedInOrder()
+		if len(got) != len(want) || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+			t.Fatalf("entries %d, touched %v: in order = %v", c.entries, c.touch, got)
+		}
+		for _, ei := range got {
+			if !want[ei] {
+				t.Fatalf("entries %d, touched %v: in order = %v", c.entries, c.touch, got)
+			}
+		}
 	}
 }
 
@@ -97,12 +133,12 @@ func TestMatchScratchEpochWraparound(t *testing.T) {
 	s.epoch = math.MaxUint32 - 1
 	s.reset() // → MaxUint32
 	s.setCounted(0)
-	s.setDir(1, 0.5)
+	s.setResolved(1)
 	s.reset() // wraps: stamps cleared, epoch restarts at 1
 	if s.epoch != 1 {
 		t.Fatalf("epoch after wraparound = %d", s.epoch)
 	}
-	if s.counted(0) || s.dir(1) >= 0 {
+	if s.counted(0) || s.resolved(1) {
 		t.Fatal("stale stamps survived the wraparound")
 	}
 }

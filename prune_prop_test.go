@@ -56,6 +56,40 @@ func TestSharedBoundDeterministic(t *testing.T) {
 	}
 }
 
+// exactUnseeded is the exact fan-out as it runs without a hash-tier seed
+// (unshared, or under the given bound): the reference a bound-first
+// Search must reproduce.
+func exactUnseeded(t *testing.T, label string, se *ShardedEngine, v *shardView, q Shape, k, width int, shared *core.SharedBound) ([]Match, Stats) {
+	t.Helper()
+	pq, err := prepareExact(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	ms, st, err := se.exactFanout(context.Background(), v, pq, q, k, width, shared, AnnOff)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return ms, st
+}
+
+// autoFrom is the ModeAuto answer that follows from an unseeded exact
+// phase (its merged matches and stats): the exact matches when every part
+// converged on a match within τ, the hashing answer otherwise.
+func autoFrom(t *testing.T, label string, se *ShardedEngine, v *shardView, q Shape, k int, exact []Match, st Stats) []Match {
+	t.Helper()
+	if st.Converged && exactGoodEnough(exact, se.tau(v)) {
+		return exact
+	}
+	approx, _, err := se.approxFanout(context.Background(), v, q, k, 1, AnnOff)
+	if err != nil {
+		t.Fatalf("%s hashing: %v", label, err)
+	}
+	if len(approx) == 0 {
+		return exact
+	}
+	return approx
+}
+
 // TestSharedBoundTombstoneProperty is the seeded property test of the
 // merged-bound exits (DESIGN.md §4.9) over everything that used to
 // switch the bound off or starve a shard's own top-k: random bases,
@@ -112,10 +146,7 @@ func TestSharedBoundTombstoneProperty(t *testing.T) {
 				for _, k := range ks {
 					for qi, q := range queries {
 						label := fmt.Sprintf("seed=%d shards=%d dead=%s k=%d q=%d", seed, shards, scenario, k, qi)
-						want, _, err := se.exactFanout(ctx, v, q, k, 1, nil, AnnOff)
-						if err != nil {
-							t.Fatalf("%s unshared: %v", label, err)
-						}
+						want, wst := exactUnseeded(t, label, se, v, q, k, 1, nil)
 						rebuilt, err := ref.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
 						if err != nil {
 							t.Fatalf("%s rebuilt: %v", label, err)
@@ -129,12 +160,18 @@ func TestSharedBoundTombstoneProperty(t *testing.T) {
 								t.Fatalf("%s: match %d diverges from the rebuilt engine\ngot:  %+v\nwant: %+v", label, i, g, w)
 							}
 						}
+						wantAuto := autoFrom(t, label, se, v, q, k, want, wst)
 						for _, exec := range []ExecPolicy{ExecFanout, ExecSequential} {
 							got, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact, Exec: exec})
 							if err != nil {
 								t.Fatalf("%s %v: %v", label, exec, err)
 							}
 							assertMatchesEqual(t, fmt.Sprintf("%s %v", label, exec), want, got.Matches)
+							got, err = se.Search(ctx, SearchRequest{Query: q, K: k, Exec: exec})
+							if err != nil {
+								t.Fatalf("%s auto %v: %v", label, exec, err)
+							}
+							assertMatchesEqual(t, fmt.Sprintf("%s auto %v", label, exec), wantAuto, got.Matches)
 						}
 						if len(want) < k {
 							continue // no k-th best to pre-tighten to
@@ -145,10 +182,7 @@ func TestSharedBoundTombstoneProperty(t *testing.T) {
 						}{{1, 1}, {1, 3}, {1.0001, 1}, {1.5, 3}} {
 							sb := core.NewSharedBound()
 							sb.Tighten(want[k-1].Distance * c.slack)
-							got, st, err := se.exactFanout(ctx, v, q, k, c.width, sb, AnnOff)
-							if err != nil {
-								t.Fatalf("%s pre-tightened: %v", label, err)
-							}
+							got, st := exactUnseeded(t, label+" pre-tightened", se, v, q, k, c.width, sb)
 							assertMatchesEqual(t, fmt.Sprintf("%s bound×%g width=%d (converged=%v)", label, c.slack, c.width, st.Converged), want, got)
 						}
 					}

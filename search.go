@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/sched"
 )
 
@@ -235,11 +236,18 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse
 			}
 			return &SearchResponse{Matches: ms, Stats: stats}, nil
 		}
-		rank, annStats := e.annRank(req.Query, req.Ann)
-		ms, stats, err := e.searchExact(req.Query, req.K, rank)
+		pq, err := prepareExact(req.Query)
 		if err != nil {
 			return nil, err
 		}
+		seed := newHashSeed(pq, req.K)
+		seed.addShard(e, e.hashBucket(pq))
+		rank, annStats := e.annRank(req.Query, req.Ann)
+		ms, stats, err := e.searchExactShared(pq, req.K, core.MatchOpts{Rank: rank, Shared: seed.bound()})
+		if err != nil {
+			return nil, err
+		}
+		stats.BlockReads += seed.blockReads()
 		stats.addANN(annStats)
 		if req.Mode == ModeExact || (stats.Converged && exactGoodEnough(ms, e.db.Tau())) {
 			return &SearchResponse{Matches: ms, Stats: stats}, nil
@@ -303,20 +311,71 @@ func prepareExact(q Shape) (*core.PreparedQuery, error) {
 	return core.PrepareQuery(q)
 }
 
-// searchExact runs the ε-envelope fattening search (§2.5). A non-nil
-// rank (from annRank) only reorders the kernel's bootstrap evaluations;
-// results are byte-identical either way.
-func (e *Engine) searchExact(q Shape, k int, rank map[int32]int32) ([]Match, Stats, error) {
-	pq, err := prepareExact(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return e.searchExactShared(pq, k, core.MatchOpts{Rank: rank})
+// hashSeed is the bound-first half of an exact request (DESIGN.md §4.9):
+// before the fattening search, the query's hash bucket is scored with the
+// bounded evaluators, and the k-th smallest distance among its live
+// shapes — any k live shapes bound the merged k-th best from above —
+// becomes the bound every part's search opens at.
+type hashSeed struct {
+	pq     *core.PreparedQuery
+	kth    *distTopK
+	epsMax float64 // smallest ε_max among the frozen parts added
+	blocks atomic.Int64
 }
 
-// searchExactShared is the fattening search of one prepared query under
-// the sharing options of a partitioned base (bound, publication,
-// tombstones); see core.MatchOpts. Zero options are plain searchExact.
+func newHashSeed(pq *core.PreparedQuery, k int) *hashSeed {
+	s := &hashSeed{pq: pq, kth: newDistTopK(k), epsMax: math.Inf(1)}
+	pq.AttachBlockCounter(&s.blocks)
+	return s
+}
+
+// addShard scores one frozen part's live bucket shapes, each under the
+// running k-th: a shape proven worse than it cannot lower it. The part
+// will search under the seed, so its ε_max joins the fit rule (bound).
+func (s *hashSeed) addShard(e *Engine, ids []int) {
+	base := e.db.Base()
+	s.epsMax = min(s.epsMax, base.EpsilonMax(s.pq.Entry().Poly.Perimeter()))
+	for _, sid := range ids {
+		if d, ok, err := base.ShapeDistancePreparedBounded(sid, s.pq, s.kth.Kth()); err == nil && ok {
+			s.kth.Add(d)
+		}
+	}
+}
+
+// addDelta is addShard for a mutable part (scanned exhaustively: it has
+// no ε_max to fit).
+func (s *hashSeed) addDelta(d *ingest.Delta, ids []int) {
+	for _, id := range ids {
+		if m, ok := d.ScoreBounded(id, s.pq, s.kth.Kth()); ok {
+			s.kth.Add(m.Distance)
+		}
+	}
+}
+
+// bound returns a shared bound tightened to the seed, or nil when there
+// is none to use: the bucket held fewer than k live shapes, or the one
+// envelope a search under the seed opens with (core's openingEpsilon
+// width) does not fit under the ε_max of every frozen part that would
+// consume it. Under a fitting seed every part converges on that first
+// envelope, so Converged — and ModeAuto's fallback decision — does not
+// depend on which sibling publishes first, and a search that converges
+// without the seed returns the same bytes with it.
+func (s *hashSeed) bound() *core.SharedBound {
+	sv := s.kth.Kth()
+	if math.IsInf(sv, 1) || 2*sv*1.0001 > s.epsMax {
+		return nil
+	}
+	sb := core.NewSharedBound()
+	sb.Tighten(sv)
+	return sb
+}
+
+// blockReads is the page-granular storage the seed pass touched.
+func (s *hashSeed) blockReads() int { return int(s.blocks.Load()) }
+
+// searchExactShared is the fattening search of one prepared query (§2.5)
+// under the sharing options of a partitioned base (bound, publication,
+// tombstones) and an optional a-priori rank; see core.MatchOpts.
 func (e *Engine) searchExactShared(pq *core.PreparedQuery, k int, o core.MatchOpts) ([]Match, Stats, error) {
 	ms, st, err := e.db.Base().MatchPrepared(pq, k, o)
 	if err != nil {
@@ -349,11 +408,7 @@ func (e *Engine) searchApprox(q Shape, k int, ann AnnMode) ([]Match, Stats, erro
 	}
 	var blocks atomic.Int64
 	pq.AttachBlockCounter(&blocks)
-	quad := e.family.Characteristic(pq.Entry().Poly.Pts)
-	ids := e.table.Lookup(quad, 0)
-	if len(ids) == 0 {
-		ids = e.table.Lookup(quad, 1) // widen once to the neighbor curves
-	}
+	ids := e.hashBucket(pq)
 	var st Stats
 	if ann != AnnOff {
 		ids, st = e.annOrderShapes(q, ids)
@@ -365,6 +420,17 @@ func (e *Engine) searchApprox(q Shape, k int, ann AnnMode) ([]Match, Stats, erro
 		out = out[:k]
 	}
 	return out, st, nil
+}
+
+// hashBucket returns the shapes on the prepared query's hash curves,
+// widening once to the neighbor curves when there are none.
+func (e *Engine) hashBucket(pq *core.PreparedQuery) []int {
+	quad := e.family.Characteristic(pq.Entry().Poly.Pts)
+	ids := e.table.Lookup(quad, 0)
+	if len(ids) == 0 {
+		ids = e.table.Lookup(quad, 1)
+	}
+	return ids
 }
 
 // scoreApprox ranks hash-table candidates against a prepared query,

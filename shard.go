@@ -477,18 +477,11 @@ func (se *ShardedEngine) Search(ctx context.Context, req SearchRequest) (*Search
 			}
 			return &SearchResponse{Matches: ms, Stats: stats}, nil
 		}
-		// The cross-shard shared bound makes each shard's candidate
-		// pruning depend on what the other shards found first, which
-		// perturbs the (timing-dependent) per-shard Stats and convergence
-		// flags without affecting the merged matches. ModeAuto's fallback
-		// decision reads stats.Converged and must stay deterministic, so
-		// only ModeExact — where convergence is reporting, not control
-		// flow — shares the bound.
-		var shared *core.SharedBound
-		if req.Mode == ModeExact {
-			shared = core.NewSharedBound()
+		pq, err := prepareExact(req.Query)
+		if err != nil {
+			return nil, err
 		}
-		ms, stats, err := se.exactFanout(ctx, v, req.Query, req.K, width, shared, req.Ann)
+		ms, stats, err := se.exactSeeded(ctx, v, pq, req, width, se.scoreSeed(v, pq, req.K))
 		if err != nil {
 			return nil, err
 		}
@@ -580,10 +573,44 @@ func (se *ShardedEngine) Query(src string, binds map[string]Shape) ([]int, strin
 	return all, plan, nil
 }
 
+// exactSeeded is the exact phase of a request, bound first: a seed that
+// fits every live shard (hashSeed.bound) makes each of them converge on its first envelope whatever its siblings publish
+// meanwhile, so both modes share it. Without one, Converged depends on
+// which shard publishes first — reporting in ModeExact, which still
+// shares a fresh bound, but control flow for ModeAuto's fallback, which
+// then searches unshared.
+//
+// The seed is admissible for the shapes that were live when it was
+// scored. Frozen shards and their tombstones are fixed by the view, but a
+// delete may reach the active delta between the seed pass and its scan;
+// the bound can then sit below the k-th best of what is left. The answer
+// itself tells: k merged matches within the seed are exactly the top k
+// (everything discarded is proven farther); anything less and the search
+// runs again unseeded.
+func (se *ShardedEngine) exactSeeded(ctx context.Context, v *shardView, pq *core.PreparedQuery, req SearchRequest, width int, seed *hashSeed) ([]Match, Stats, error) {
+	k := req.K
+	shared := seed.bound()
+	seeded := shared != nil
+	for {
+		if shared == nil && req.Mode == ModeExact {
+			shared = core.NewSharedBound()
+		}
+		ms, stats, err := se.exactFanout(ctx, v, pq, req.Query, k, width, shared, req.Ann)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		if !seeded || (len(ms) == k && ms[k-1].Distance <= seed.kth.Kth()) {
+			stats.BlockReads += seed.blockReads()
+			return ms, stats, nil
+		}
+		seeded, shared = false, nil
+	}
+}
+
 // exactFanout runs the fattening search on every live shard — and an
 // exhaustive exact match on every live delta — concurrently and merges
-// the sorted per-part top-k lists exactly. The query is validated and
-// prepared once for all of them.
+// the sorted per-part top-k lists exactly. The caller has validated and
+// prepared the query once for all of them.
 //
 // Each shard is asked for min(k, its live shape count) matches and skips
 // its tombstoned shapes inside the kernel, before they are scored: a
@@ -594,29 +621,22 @@ func (se *ShardedEngine) Query(src string, binds map[string]Shape) ([]int, strin
 // top-k of converged parts is the true global top-k. Deltas are scanned
 // exhaustively (they are small by construction) and always converge.
 //
-// With a shared bound (dropped when a lone live shard has no sibling to
-// share it with) the shards additionally prune against each other
-// mid-flight through that one atomic cell: every uncapped shard
-// publishes its live k-th best, every shard discards candidates proven
-// strictly worse than the tightest published value and stops once the
-// bound is inside its envelope's reach. Capped shards must not publish —
-// their k'-th best does not bound the global k-th — but may consume,
-// since anything they discard is proven outside the merged top-k
-// (DESIGN.md §4.9).
-func (se *ShardedEngine) exactFanout(ctx context.Context, v *shardView, q Shape, k, width int, shared *core.SharedBound, ann AnnMode) ([]Match, Stats, error) {
-	pq, err := prepareExact(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
+// With a shared bound — fresh, or seeded from the hash tier by Search,
+// in which case even a lone live shard opens at it — the shards
+// additionally prune against each other mid-flight through that one
+// atomic cell: every uncapped shard publishes its live k-th best, every
+// shard discards candidates proven strictly worse than the tightest
+// published value and stops once the bound is inside its envelope's
+// reach. Capped shards must not publish — their k'-th best does not
+// bound the global k-th — but may consume, since anything they discard is
+// proven outside the merged top-k (DESIGN.md §4.9).
+func (se *ShardedEngine) exactFanout(ctx context.Context, v *shardView, pq *core.PreparedQuery, q Shape, k, width int, shared *core.SharedBound, ann AnnMode) ([]Match, Stats, error) {
 	live := v.liveShards()
 	deltas := v.deltas()
 	n := len(live) + len(deltas)
 	lists := make([][]Match, n)
 	stats := make([]Stats, n)
-	if len(live) < 2 {
-		shared = nil
-	}
-	err = fanout(ctx, n, width, func(i int) error {
+	err := fanout(ctx, n, width, func(i int) error {
 		if i >= len(live) {
 			d := deltas[i-len(live)]
 			dms, err := d.Match(ctx, q, k, true)
@@ -664,14 +684,63 @@ func (se *ShardedEngine) exactFanout(ctx context.Context, v *shardView, q Shape,
 	return mergeTopK(lists, k), merged, nil
 }
 
+// hashBuckets returns, per part (live shards, then deltas; at least one),
+// the live shapes on the prepared query's hash curves. Every part shares
+// one deterministic curve family, so the query hashes to the same
+// characteristic quadruple everywhere and a single table's bucket is
+// exactly the union of the per-part buckets. The widening decision is
+// therefore global: only if the radius-0 union over every part (after
+// tombstone filtering — a deleted shape is no candidate) is empty do all
+// parts widen to the neighbor curves — per-part widening would admit
+// candidates a single engine never sees.
+func (v *shardView) hashBuckets(pq *core.PreparedQuery, live []int, deltas []*ingest.Delta) [][]int {
+	var family *geohash.Family
+	if len(live) > 0 {
+		family = v.shards[live[0]].family
+	} else {
+		family = deltas[0].Family()
+	}
+	quad := family.Characteristic(pq.Entry().Poly.Pts)
+	cand := make([][]int, len(live)+len(deltas))
+	for radius := 0; radius <= 1; radius++ {
+		total := 0
+		for i, si := range live {
+			cand[i] = v.liveLocal(si, v.shards[si].table.Lookup(quad, radius))
+			total += len(cand[i])
+		}
+		for j, d := range deltas {
+			cand[len(live)+j] = d.Candidates(quad, radius)
+			total += len(cand[len(live)+j])
+		}
+		if total > 0 {
+			break
+		}
+	}
+	return cand
+}
+
+// scoreSeed scores the request's hash buckets, once and over every
+// part, into the seed of its exact search.
+func (se *ShardedEngine) scoreSeed(v *shardView, pq *core.PreparedQuery, k int) *hashSeed {
+	seed := newHashSeed(pq, k)
+	live := v.liveShards()
+	deltas := v.deltas()
+	if len(live)+len(deltas) == 0 {
+		return seed
+	}
+	cand := v.hashBuckets(pq, live, deltas)
+	for i, si := range live {
+		seed.addShard(v.shards[si], cand[i])
+	}
+	for j, d := range deltas {
+		seed.addDelta(d, cand[len(live)+j])
+	}
+	return seed
+}
+
 // approxFanout answers from the shards' and deltas' geometric hash
-// tables. Every part shares one deterministic curve family, so the
-// query hashes to the same characteristic quadruple everywhere and a
-// single table's bucket is exactly the union of the per-part buckets.
-// The widening decision is therefore global: only if the radius-0 union
-// over every part (after tombstone filtering — a deleted shape is no
-// candidate) is empty do all parts widen to the neighbor curves —
-// per-part widening would admit candidates a single engine never sees.
+// tables (hashBuckets), scoring every part's bucket under one shared
+// bound.
 func (se *ShardedEngine) approxFanout(ctx context.Context, v *shardView, q Shape, k, width int, ann AnnMode) ([]Match, Stats, error) {
 	pq, err := core.PrepareQuery(q)
 	if err != nil {
@@ -685,31 +754,7 @@ func (se *ShardedEngine) approxFanout(ctx context.Context, v *shardView, q Shape
 	if n == 0 {
 		return []Match{}, Stats{}, nil
 	}
-	var family *geohash.Family
-	if len(live) > 0 {
-		family = v.shards[live[0]].family
-	} else {
-		family = deltas[0].Family()
-	}
-	quad := family.Characteristic(pq.Entry().Poly.Pts)
-	cand := make([][]int, n)
-	total := 0
-	for i, si := range live {
-		cand[i] = v.liveLocal(si, v.shards[si].table.Lookup(quad, 0))
-		total += len(cand[i])
-	}
-	for j, d := range deltas {
-		cand[len(live)+j] = d.Candidates(quad, 0)
-		total += len(cand[len(live)+j])
-	}
-	if total == 0 {
-		for i, si := range live {
-			cand[i] = v.liveLocal(si, v.shards[si].table.Lookup(quad, 1))
-		}
-		for j, d := range deltas {
-			cand[len(live)+j] = d.Candidates(quad, 1)
-		}
-	}
+	cand := v.hashBuckets(pq, live, deltas)
 	// Parts hold disjoint live shape sets, so any part's running k-th
 	// best bounds the merged k-th best from above; sharing it lets parts
 	// abandon each other's hopeless candidates mid-score. Candidates are
