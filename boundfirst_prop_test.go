@@ -75,6 +75,68 @@ func assertBoundFirst(t *testing.T, label string, se *ShardedEngine, q Shape, k 
 	}
 }
 
+// annApproxUnshared is the ann:approx answer with no bound shared: every
+// live shard's probed candidates and every delta's shapes scored on their
+// own, then merged.
+func annApproxUnshared(t *testing.T, label string, v *shardView, q Shape, k int) []Match {
+	t.Helper()
+	pq, err := core.PrepareQuery(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	var lists [][]Match
+	for _, si := range v.liveShards() {
+		sh := v.shards[si]
+		shapes := sh.ann.Probe(sh.ann.Signature(pq.Entry().Poly), annMinShapes(k)).Shapes
+		if max := annCapShapes(annMinShapes(k)); len(shapes) > max {
+			shapes = shapes[:max]
+		}
+		ms := sh.scoreApprox(pq, v.liveLocal(si, shapes), k, nil)
+		sortMatches(ms)
+		lists = append(lists, v.toGlobal(si, ms))
+	}
+	for _, d := range v.deltas() {
+		dms, _, err := d.Match(context.Background(), pq, k, core.MatchOpts{}, false)
+		if err != nil {
+			t.Fatalf("%s: delta: %v", label, err)
+		}
+		lists = append(lists, deltaToMatches(dms, true))
+	}
+	return mergeTopK(lists, k)
+}
+
+// assertDeltaParts is assertBoundFirst plus the ann:approx path, whose
+// deltas scan under the same shared bound: every part consuming and
+// publishing it must leave the merged matches where the unshared runs put
+// them. It returns how many of the exact matches are shapes inserted live
+// (image ids above 9001).
+func assertDeltaParts(t *testing.T, label string, se *ShardedEngine, q Shape, k int) int {
+	t.Helper()
+	ctx := context.Background()
+	assertBoundFirst(t, label, se, q, k)
+	want := annApproxUnshared(t, label, se.snapshot(), q, k)
+	for _, mode := range []Mode{ModeApproximate, ModeAuto} {
+		for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
+			got, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Ann: AnnApprox, Exec: exec})
+			if err != nil {
+				t.Fatalf("%s ann:approx %v %v: %v", label, mode, exec, err)
+			}
+			assertMatchesEqual(t, fmt.Sprintf("%s ann:approx %v %v", label, mode, exec), want, got.Matches)
+		}
+	}
+	got, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	inserted := 0
+	for _, m := range got.Matches {
+		if m.ImageID > 9001 {
+			inserted++
+		}
+	}
+	return inserted
+}
+
 func TestBoundFirstEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property soak")
@@ -128,7 +190,13 @@ func TestBoundFirstEquivalence(t *testing.T) {
 		// Live: the nearest stored shapes of the first query tombstoned (the
 		// seed must not count them), and a copy of the second query's source
 		// inserted, so the delta holds its best match.
-		enableIngest(t, se, t.TempDir(), IngestConfig{})
+		var midCompaction func()
+		enableIngest(t, se, t.TempDir(), IngestConfig{CrashStage: func(stage string) error {
+			if stage == "built" && midCompaction != nil {
+				midCompaction()
+			}
+			return nil
+		}})
 		near, err := single.Search(ctx, SearchRequest{Query: queries[0], K: 3, Mode: ModeExact})
 		if err != nil {
 			t.Fatal(err)
@@ -168,6 +236,75 @@ func TestBoundFirstEquivalence(t *testing.T) {
 				t.Fatalf("shards=%d: tombstoned image %d surfaced", shards, m.ImageID)
 			}
 		}
+
+		// The delta as a part like any other (DESIGN.md §4.12): it scans
+		// under the request's bound and publishes into it while holding
+		// none, some or all of the merged top-k, a twin of a frozen shape (a
+		// tie at distance 0 across parts), and — mid-compaction — as two
+		// deltas, sealed and active, at once.
+		var frozenTwin Shape
+		for _, im := range images[1 : len(images)-1] {
+			if !gone[im.ID] {
+				frozenTwin = im.Shapes[0]
+				break
+			}
+		}
+		crowd := make([]Shape, 6)
+		for i := range crowd {
+			crowd[i] = synth.Distort(rng, queries[2], 0.001)
+		}
+		if err := se.InsertImage(ctx, 9003, []Shape{frozenTwin.Clone()}); err != nil {
+			t.Fatalf("shards=%d: InsertImage: %v", shards, err)
+		}
+		if err := se.InsertImage(ctx, 9004, crowd); err != nil {
+			t.Fatalf("shards=%d: InsertImage: %v", shards, err)
+		}
+		held := map[string]bool{}
+		sweep := func(stage string) {
+			for qi, q := range append(queries[:4:4], frozenTwin) {
+				for _, k := range []int{1, 5} {
+					n := assertDeltaParts(t, fmt.Sprintf("shards=%d %s q%d k=%d", shards, stage, qi, k), se, q, k)
+					switch {
+					case k == 1:
+					case n == 0:
+						held["none"] = true
+					case n == k:
+						held["all"] = true
+					default:
+						held["some"] = true
+					}
+				}
+			}
+			assertDeltaParts(t, fmt.Sprintf("shards=%d %s k=many", shards, stage), se, queries[1], many+12)
+		}
+		sweep("one delta")
+		got, err = se.Search(ctx, SearchRequest{Query: frozenTwin, K: 1, Mode: ModeExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Matches) != 1 || got.Matches[0].Distance != 0 || got.Matches[0].ImageID == 9003 {
+			t.Fatalf("shards=%d: a frozen shape and its twin in the delta tie at 0; the frozen one has the lower id: %+v", shards, got.Matches)
+		}
+		if !held["none"] || !held["some"] || !held["all"] {
+			t.Fatalf("shards=%d: the delta held %v of the top-k, want none, some and all", shards, held)
+		}
+		midCompaction = func() {
+			midCompaction = nil
+			if err := se.InsertImage(ctx, 9005, []Shape{queries[3].Clone(), synth.Distort(rng, queries[0], 0.002)}); err != nil {
+				t.Errorf("shards=%d: InsertImage mid-compaction: %v", shards, err)
+			}
+			if st := se.IngestStats(); st.SealedShapes == 0 || st.DeltaShapes == 0 {
+				t.Errorf("shards=%d: mid-compaction wants a sealed and an active delta: %+v", shards, st)
+			}
+			sweep("sealed+active")
+		}
+		if err := se.Compact(); err != nil {
+			t.Fatalf("shards=%d: Compact: %v", shards, err)
+		}
+		if midCompaction != nil {
+			t.Fatalf("shards=%d: the mid-compaction sweep never ran", shards)
+		}
+		sweep("compacted")
 	}
 }
 

@@ -769,3 +769,41 @@ func TestCloseIngestQuiescesCompaction(t *testing.T) {
 			re.NumImages(), wantImages, re.NumShapes(), wantShapes)
 	}
 }
+
+// TestIngestDeltaStatsCountCopies pins the unit of the delta's share of
+// Stats.Candidates: normalized copies evaluated, as on a frozen shard —
+// not shapes held. With every frozen image tombstoned the delta is the
+// only part that evaluates anything; once compacted away it is no part
+// at all.
+func TestIngestDeltaStatsCountCopies(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	frozenImgs, liveImgs := splitBase(images)
+	ctx := context.Background()
+	se := buildLive(t, frozenImgs, liveImgs, 2, IngestConfig{})
+	for _, im := range frozenImgs {
+		if err := se.DeleteImage(ctx, im.ID); err != nil {
+			t.Fatalf("DeleteImage(%d): %v", im.ID, err)
+		}
+	}
+	v := se.snapshot()
+	if ds := v.deltas(); len(ds) != 1 || ds[0].NumEntries() <= ds[0].NumShapes() {
+		t.Fatalf("want one delta holding several copies per shape, have %d deltas", len(ds))
+	}
+	copies := v.active.NumEntries()
+	for _, mode := range []Mode{ModeExact, ModeAuto} {
+		got, err := se.Search(ctx, SearchRequest{Query: queries[0], K: 3, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Matches) != 3 || got.Stats.Candidates != copies {
+			t.Fatalf("%v: %d matches, Candidates = %d, want the delta's %d copies (it holds %d shapes)",
+				mode, len(got.Matches), got.Stats.Candidates, copies, v.active.NumShapes())
+		}
+	}
+	if err := se.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if ds := se.snapshot().deltas(); len(ds) != 0 {
+		t.Fatalf("an empty delta still counts as %d parts", len(ds))
+	}
+}

@@ -8,52 +8,44 @@ import (
 	"repro/internal/geom"
 )
 
-// Dynamic wraps the (static, frozen) shape base with insert and delete
-// support — the dynamic-environment capability the paper's related work
-// ([5, 7]) highlights for similarity search. The design is the classic
-// main+overflow scheme: a frozen Base serves index queries; newly
-// inserted shapes accumulate in an overflow area searched exactly
-// (linear scan over their normalized copies); deletions are tombstones
-// filtered out of results. When the overflow or tombstone population
-// crosses a threshold, the structure rebuilds the frozen base from the
-// live shapes (the §4 "rehashing" moment, at the index level).
+// Dynamic is the mutable part of a live base — the dynamic-environment
+// capability the paper's related work ([5, 7]) highlights for similarity
+// search: an overflow area holding the shapes inserted since the last
+// compaction, each as its normalized copies with the boundary oracles
+// built at insert. It has no index; MatchPrepared answers with one linear
+// scan whose every evaluation runs under the cutoffs of a frozen part's
+// search (DESIGN.md §4.12). Folding the overflow into a frozen, indexed
+// Base — the §4 "rehashing" moment — is the owner's job (compaction,
+// internal/ingest).
 type Dynamic struct {
 	opts Options
 
-	// shapes is the global shape registry: ids are stable across
-	// rebuilds; tombstoned entries keep their slot.
-	shapes  []Shape
-	deleted []bool
-	live    int
+	// overflow holds the live shapes in no particular order (Delete moves
+	// the last one into the hole); slot maps a shape id — stable, never
+	// reused — to its index there, -1 once deleted.
+	overflow []overflowShape
+	slot     []int
+	copies   int // normalized copies across the live shapes
+}
 
-	frozen    *Base // may be nil before the first rebuild
-	frozenIDs []int // frozen-base shape id → global id
-	frozenDel int   // tombstones that still shadow the frozen base
-
-	overflow        []int             // global ids not yet in the frozen base
-	overflowEntries [][]Entry         // normalized copies per overflow shape
-	overflowOracles [][]*BoundaryDist // boundary oracles per overflow copy
-	overflowIdx     map[int]int       // global id → index into overflow
-	frozenIdx       map[int]int       // global id → frozen-base shape id
-
-	// RebuildFraction triggers a rebuild once overflow+tombstones exceed
-	// this fraction of the live population (default 0.25).
-	RebuildFraction float64
-	// MinRebuild is the absolute overflow size below which no rebuild
-	// happens (default 64).
-	MinRebuild int
+// overflowShape is one live shape: its normalized copies and, per copy,
+// the boundary oracle the back direction of the measure is read from.
+type overflowShape struct {
+	shape   Shape
+	entries []Entry
+	oracles []*BoundaryDist
 }
 
 // NewDynamic creates an empty dynamic base.
 func NewDynamic(opts Options) *Dynamic {
-	return &Dynamic{opts: opts.withDefaults(), RebuildFraction: 0.25, MinRebuild: 64}
+	return &Dynamic{opts: opts.withDefaults()}
 }
 
 // Len returns the number of live shapes.
-func (d *Dynamic) Len() int { return d.live }
+func (d *Dynamic) Len() int { return len(d.overflow) }
 
-// OverflowLen returns the number of shapes pending in the overflow area.
-func (d *Dynamic) OverflowLen() int { return len(d.overflow) }
+// NumEntries returns the number of normalized copies across live shapes.
+func (d *Dynamic) NumEntries() int { return d.copies }
 
 // Insert adds a shape and returns its stable id.
 func (d *Dynamic) Insert(image int, p geom.Poly) (int, error) {
@@ -64,282 +56,162 @@ func (d *Dynamic) Insert(image int, p geom.Poly) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	id := len(d.shapes)
-	d.shapes = append(d.shapes, Shape{ID: id, Image: image, Poly: p.Clone()})
-	d.deleted = append(d.deleted, false)
-	d.live++
-	if d.overflowIdx == nil {
-		d.overflowIdx = make(map[int]int)
-	}
-	d.overflowIdx[id] = len(d.overflow)
-	d.overflow = append(d.overflow, id)
-	d.overflowEntries = append(d.overflowEntries, entries)
-	// Build the copies' oracles once at insert: the overflow area is
-	// scanned exactly on every query until the next rebuild.
+	id := len(d.slot)
+	// Build the copies' oracles once at insert: every query scans them
+	// until the shape is compacted away.
 	oracles := make([]*BoundaryDist, len(entries))
 	for i := range entries {
 		oracles[i] = NewBoundaryDist(entries[i].Poly)
 	}
-	d.overflowOracles = append(d.overflowOracles, oracles)
-	d.maybeRebuild()
+	d.slot = append(d.slot, len(d.overflow))
+	d.overflow = append(d.overflow, overflowShape{
+		shape:   Shape{ID: id, Image: image, Poly: p.Clone()},
+		entries: entries,
+		oracles: oracles,
+	})
+	d.copies += len(entries)
 	return id, nil
 }
 
-// Delete tombstones a shape.
+// Delete removes a shape in O(1): the last overflow shape takes its
+// place. Scan order does not reach the answer — matches are sorted by
+// (distance, id).
 func (d *Dynamic) Delete(id int) error {
-	if id < 0 || id >= len(d.shapes) {
+	if id < 0 || id >= len(d.slot) {
 		return fmt.Errorf("core: shape id %d out of range", id)
 	}
-	if d.deleted[id] {
+	i := d.slot[id]
+	if i < 0 {
 		return fmt.Errorf("core: shape %d already deleted", id)
 	}
-	d.deleted[id] = true
-	d.live--
-	// If the shape is still in overflow, remove it there directly.
-	if i, ok := d.overflowIdx[id]; ok {
-		d.overflow = append(d.overflow[:i], d.overflow[i+1:]...)
-		d.overflowEntries = append(d.overflowEntries[:i], d.overflowEntries[i+1:]...)
-		d.overflowOracles = append(d.overflowOracles[:i], d.overflowOracles[i+1:]...)
-		delete(d.overflowIdx, id)
-		for gid, j := range d.overflowIdx {
-			if j > i {
-				d.overflowIdx[gid] = j - 1
-			}
-		}
-		return nil
-	}
-	d.frozenDel++
-	d.maybeRebuild()
+	last := len(d.overflow) - 1
+	d.copies -= len(d.overflow[i].entries)
+	d.overflow[i] = d.overflow[last]
+	d.slot[d.overflow[i].shape.ID] = i
+	d.slot[id] = -1
+	d.overflow[last] = overflowShape{}
+	d.overflow = d.overflow[:last]
 	return nil
+}
+
+// live returns a live shape's overflow record.
+func (d *Dynamic) live(id int) (*overflowShape, error) {
+	if id < 0 || id >= len(d.slot) || d.slot[id] < 0 {
+		return nil, fmt.Errorf("core: shape %d not found", id)
+	}
+	return &d.overflow[d.slot[id]], nil
 }
 
 // Shape returns a live shape by id.
 func (d *Dynamic) Shape(id int) (Shape, error) {
-	if id < 0 || id >= len(d.shapes) || d.deleted[id] {
-		return Shape{}, fmt.Errorf("core: shape %d not found", id)
-	}
-	return d.shapes[id], nil
-}
-
-// maybeRebuild rebuilds when the pending work crosses the threshold.
-func (d *Dynamic) maybeRebuild() {
-	pending := len(d.overflow) + d.frozenDel
-	if pending < d.MinRebuild {
-		return
-	}
-	if float64(pending) < d.RebuildFraction*float64(max(d.live, 1)) {
-		return
-	}
-	_ = d.Rebuild()
-}
-
-// Rebuild folds the overflow and tombstones into a fresh frozen base.
-// It is a no-op on an empty live set.
-func (d *Dynamic) Rebuild() error {
-	if d.live == 0 {
-		d.frozen = nil
-		d.frozenIDs = nil
-		d.frozenIdx = nil
-		d.frozenDel = 0
-		d.overflow = nil
-		d.overflowEntries = nil
-		d.overflowOracles = nil
-		d.overflowIdx = nil
-		return nil
-	}
-	b := NewBase(d.opts)
-	var ids []int
-	for gid := range d.shapes {
-		if d.deleted[gid] {
-			continue
-		}
-		if _, err := b.AddShape(d.shapes[gid].Image, d.shapes[gid].Poly); err != nil {
-			return fmt.Errorf("core: rebuild: shape %d: %w", gid, err)
-		}
-		ids = append(ids, gid)
-	}
-	if err := b.Freeze(); err != nil {
-		return err
-	}
-	d.frozen = b
-	d.frozenIDs = ids
-	d.frozenIdx = make(map[int]int, len(ids))
-	for local, gid := range ids {
-		d.frozenIdx[gid] = local
-	}
-	d.frozenDel = 0
-	d.overflow = nil
-	d.overflowEntries = nil
-	d.overflowOracles = nil
-	d.overflowIdx = nil
-	return nil
-}
-
-// Match retrieves the k most similar live shapes, merging the frozen
-// index's answer with an exact scan of the overflow area. Returned
-// ShapeIDs are the Dynamic's stable global ids. EntryID is a frozen-base
-// entry id for frozen results; overflow hits carry -(copy+1), the
-// negated ordinal of the normalized copy that realized the distance
-// (always negative, so the two spaces cannot collide), which
-// ContinuousDistance accepts to finish scoring a result.
-func (d *Dynamic) Match(q geom.Poly, k int) ([]Match, Stats, error) {
-	return d.MatchCtx(context.Background(), q, k)
-}
-
-// MatchCtx is Match with cooperative cancellation: it checks ctx before
-// the frozen-index probe and periodically during the overflow scan, so a
-// delta-shard scan inside a serving request respects the request's
-// deadline instead of running the full linear pass after the client has
-// gone away. A cancelled scan returns ctx's error and no matches.
-func (d *Dynamic) MatchCtx(ctx context.Context, q geom.Poly, k int) ([]Match, Stats, error) {
-	var stats Stats
-	if k <= 0 {
-		return nil, stats, fmt.Errorf("core: k must be positive")
-	}
-	if err := q.Validate(); err != nil {
-		return nil, stats, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	qe, err := NormalizeCanonical(q)
+	s, err := d.live(id)
 	if err != nil {
-		return nil, stats, err
+		return Shape{}, err
 	}
-	oracle := NewBoundaryDist(qe.Poly)
+	return s.shape, nil
+}
 
-	var merged []Match
-	if d.frozen != nil {
-		// Ask for enough extra results to absorb tombstoned shadows.
-		want := k + d.frozenDel
-		if want > d.frozen.NumShapes() {
-			want = d.frozen.NumShapes()
-		}
-		ms, st, err := d.frozen.Match(q, want)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats = st
-		for _, m := range ms {
-			gid := d.frozenIDs[m.ShapeID]
-			if d.deleted[gid] {
-				continue
-			}
-			m.ShapeID = gid
-			merged = append(merged, m)
-		}
+// MatchPrepared retrieves the k live shapes nearest the prepared query —
+// fewer when fewer are live or the shared bound proves the rest outside
+// the merged result — sorted by (DistVertex, ShapeID), under the part
+// contract of Base.MatchPrepared: of the options, Shared is consumed and,
+// with Publish, tightened to the scan's own k-th best (which exists only
+// once k live shapes are scored, so a part short of k never publishes).
+// Every normalized copy is evaluated under the tightest proven cutoff —
+// its shape's best so far, the running k-th, the shared bound — and
+// aborted only when a partial sum proves it strictly above it, so ties
+// survive and the matches are byte-identical to the exhaustive scan's
+// wherever the bound is admissible (DESIGN.md §4.9). Stats.Candidates
+// counts the copies evaluated. EntryID is -(copy+1), the negated ordinal
+// of the lowest copy realizing the distance (negative, so it cannot
+// collide with a frozen entry id). DistContinuous is filled for the
+// returned matches when continuous is set, by the float operations a
+// frozen Base uses for its top-k.
+//
+// ctx is checked every 32 shapes — each costs a few oracle-grid probes,
+// so the cancellation latency stays well under a millisecond; a
+// cancelled scan returns ctx's error and no matches.
+func (d *Dynamic) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, continuous bool) ([]Match, Stats, error) {
+	stats := Stats{Converged: true}
+	if k <= 0 {
+		return nil, stats, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	// Exact scan of the overflow area, against the oracles cached at
-	// insert time. The ctx check is amortized over a small batch of
-	// shapes — each shape costs a few oracle-grid probes, so 32 shapes
-	// keep the cancellation latency well under a millisecond.
-	for i, gid := range d.overflow {
+	topk := newBoundedTopK(k)
+	var out []Match
+	for i := range d.overflow {
 		if i&31 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, stats, err
 			}
 		}
-		best := math.Inf(1)
-		bestEi := 0
-		for ei := range d.overflowEntries[i] {
-			e := &d.overflowEntries[i][ei]
-			dv := (AvgMinDistVertices(e.Poly, oracle) +
-				AvgMinDistVertices(qe.Poly, d.overflowOracles[i][ei])) / 2
-			if dv < best {
-				best = dv
-				bestEi = ei
+		s := &d.overflow[i]
+		cutoff := topk.Kth()
+		if o.Shared != nil {
+			cutoff = math.Min(cutoff, o.Shared.Load())
+		}
+		stats.Candidates += len(s.entries)
+		best, bestEi := s.nearest(pq, cutoff)
+		if bestEi < 0 || best > cutoff {
+			continue // proven strictly outside the merged result
+		}
+		out = append(out, Match{ShapeID: s.shape.ID, EntryID: -(bestEi + 1), DistVertex: best})
+		topk.Update(s.shape.ID, best)
+		if o.Publish && o.Shared != nil {
+			if kv := topk.Kth(); !math.IsInf(kv, 1) {
+				o.Shared.Tighten(kv)
 			}
 		}
-		if !math.IsInf(best, 1) {
-			merged = append(merged, Match{ShapeID: gid, EntryID: -(bestEi + 1), DistVertex: best})
+	}
+	sortMatches(out)
+	if len(out) > k {
+		out = out[:k]
+	}
+	if continuous {
+		for i := range out {
+			s := &d.overflow[d.slot[out[i].ShapeID]]
+			ei := -out[i].EntryID - 1
+			out[i].DistContinuous = (AvgMinDistTo(s.entries[ei].Poly, pq.oracle, d.opts.Samples) +
+				AvgMinDistTo(pq.entry.Poly, s.oracles[ei], d.opts.Samples)) / 2
 		}
 	}
-	sortMatches(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, stats, nil
-}
-
-// OverflowCopies returns an overflow-resident shape's normalized copies
-// and their cached boundary oracles (shared slices — callers must not
-// mutate). ok is false for deleted shapes and shapes already folded into
-// the frozen part.
-func (d *Dynamic) OverflowCopies(id int) ([]Entry, []*BoundaryDist, bool) {
-	i, ok := d.overflowIdx[id]
-	if !ok {
-		return nil, nil, false
-	}
-	return d.overflowEntries[i], d.overflowOracles[i], true
-}
-
-// ContinuousDistance computes the symmetrized continuous-boundary
-// measure for a match produced by Match/MatchCtx, using the copy that
-// realized the vertex distance (entryID as returned in Match.EntryID:
-// -(copy+1) for overflow hits). The float operations mirror what a
-// frozen Base computes for its final top-k, so a delta shard's reported
-// ContinuousDistance is bit-identical to a freshly frozen engine's.
-func (d *Dynamic) ContinuousDistance(id, entryID int, pq *PreparedQuery) (float64, error) {
-	if id < 0 || id >= len(d.shapes) || d.deleted[id] {
-		return 0, fmt.Errorf("core: shape %d not found", id)
-	}
-	if entryID >= 0 {
-		return 0, fmt.Errorf("core: entry id %d is not an overflow copy", entryID)
-	}
-	copy := -entryID - 1
-	i, ok := d.overflowIdx[id]
-	if !ok {
-		return 0, fmt.Errorf("core: shape %d not in overflow", id)
-	}
-	if copy >= len(d.overflowEntries[i]) {
-		return 0, fmt.Errorf("core: shape %d has no copy %d", id, copy)
-	}
-	e := &d.overflowEntries[i][copy]
-	return (AvgMinDistTo(e.Poly, pq.oracle, d.opts.Samples) +
-		AvgMinDistTo(pq.entry.Poly, d.overflowOracles[i][copy], d.opts.Samples)) / 2, nil
+	return out, stats, nil
 }
 
 // ShapeDistancePreparedBounded scores one live shape against a prepared
 // query with an admissible cutoff, mirroring Base's method of the same
 // name: the returned value is bit-identical to the one a frozen Base
 // holding the same shape would produce (the cutoff only skips copies
-// that provably cannot improve the minimum). Overflow shapes are scored
-// against the oracles cached at insert; shapes already folded into the
-// frozen part delegate to it. This is what lets a mutable delta shard
-// participate in the approximate (hash-candidate) path with the same
+// that provably cannot improve the minimum). This is what lets a mutable
+// delta shard participate in the hash-candidate paths with the same
 // distance bytes as a freshly frozen engine.
 func (d *Dynamic) ShapeDistancePreparedBounded(id int, pq *PreparedQuery, cutoff float64) (float64, bool, error) {
-	if id < 0 || id >= len(d.shapes) || d.deleted[id] {
-		return 0, false, fmt.Errorf("core: shape %d not found", id)
+	s, err := d.live(id)
+	if err != nil {
+		return 0, false, err
 	}
-	if i, ok := d.overflowIdx[id]; ok {
-		best := math.Inf(1)
-		for ei := range d.overflowEntries[i] {
-			cut := math.Min(cutoff, best)
-			dir, ok := avgMinDistVerticesBoundedAffine(d.overflowEntries[i][ei].Poly, pq.oracle, 0, cut)
-			if !ok {
-				continue
-			}
-			back, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, d.overflowOracles[i][ei], dir, cut)
-			if !ok {
-				continue
-			}
-			if dv := (dir + back) / 2; dv < best {
-				best = dv
-			}
-		}
-		return best, best <= cutoff, nil
-	}
-	local, ok := d.frozenIdx[id]
-	if !ok {
-		return 0, false, fmt.Errorf("core: shape %d not indexed", id)
-	}
-	return d.frozen.ShapeDistancePreparedBounded(local, pq, cutoff)
+	best, _ := s.nearest(pq, cutoff)
+	return best, best <= cutoff, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// nearest evaluates the shape's copies against the query under cutoff and
+// the best so far: it returns the smallest distance found and the lowest
+// copy realizing it, -1 when every copy was proven strictly above cutoff.
+// A distance ≤ cutoff is the shape's exact distance.
+func (s *overflowShape) nearest(pq *PreparedQuery, cutoff float64) (float64, int) {
+	best, bestEi := math.Inf(1), -1
+	for ei := range s.entries {
+		cut := math.Min(cutoff, best)
+		dir, ok := avgMinDistVerticesBoundedAffine(s.entries[ei].Poly, pq.oracle, 0, cut)
+		if !ok {
+			continue
+		}
+		back, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, s.oracles[ei], dir, cut)
+		if !ok {
+			continue
+		}
+		if dv := (dir + back) / 2; dv < best {
+			best, bestEi = dv, ei
+		}
 	}
-	return b
+	return best, bestEi
 }

@@ -18,7 +18,6 @@ func TestDynamicInterleavedWorkload(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Alpha = 0.065
 	d := NewDynamic(opts)
-	d.MinRebuild = 10
 
 	type liveShape struct {
 		id   int
@@ -75,10 +74,7 @@ func TestDynamicInterleavedWorkload(t *testing.T) {
 		if q.Validate() != nil {
 			return
 		}
-		dm, _, err := d.Match(q, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dm := dynMatch(t, d, q, 2)
 		om, err := scan.Match(q, 2)
 		if err != nil {
 			t.Fatal(err)

@@ -14,9 +14,9 @@ import (
 // the images inserted since the last compaction, plus its own geometric
 // hash table over the shared deterministic curve family so the delta
 // participates in the approximate (hashing) path with the same buckets a
-// frozen shard would hold. All methods are safe for concurrent use; the
-// Dynamic's internal rebuild is pinned off because compaction — freezing
-// the delta into a real immutable shard — is this design's rebuild.
+// frozen shard would hold. All methods are safe for concurrent use.
+// Compaction — freezing the delta into a real immutable shard — is what
+// gives its shapes an index.
 //
 // Global shape ids are assigned here, at insert time, by the same rule
 // the manifest replay uses after compaction (sequential from the id
@@ -40,7 +40,6 @@ type Delta struct {
 
 	liveImages int
 	liveShapes int
-	entries    int // normalized copies across live shapes
 	nextGID    int
 	sealed     bool
 }
@@ -82,14 +81,9 @@ func NewDelta(opts core.Options, hashCurves, gidBase int) (*Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	dyn := core.NewDynamic(opts)
-	// Compaction replaces the Dynamic's internal rebuild; pinning it keeps
-	// every live shape in the overflow area, where the bounded scorer and
-	// the continuous measure have their cached oracles.
-	dyn.MinRebuild = int(^uint(0) >> 1)
 	return &Delta{
 		opts:    opts,
-		dyn:     dyn,
+		dyn:     core.NewDynamic(opts),
 		family:  family,
 		table:   geohash.NewTableWith(family),
 		byImage: make(map[int]int),
@@ -147,11 +141,6 @@ func (d *Delta) Insert(image int, shapes []geom.Poly) error {
 	d.images = append(d.images, rec)
 	d.liveImages++
 	d.liveShapes += len(rec.DynIDs)
-	for _, id := range rec.DynIDs {
-		if es, _, ok := d.dyn.OverflowCopies(id); ok {
-			d.entries += len(es)
-		}
-	}
 	return nil
 }
 
@@ -186,9 +175,6 @@ func (d *Delta) RollbackLast(image int) {
 	}
 	rec := d.images[n-1]
 	for _, id := range rec.DynIDs {
-		if es, _, ok := d.dyn.OverflowCopies(id); ok {
-			d.entries -= len(es)
-		}
 		_ = d.dyn.Delete(id)
 		d.deletedDyn[id] = true
 		d.gids[id] = -1
@@ -225,9 +211,6 @@ func (d *Delta) Delete(image int) (int, bool, error) {
 	}
 	rec := &d.images[i]
 	for _, id := range rec.DynIDs {
-		if es, _, ok := d.dyn.OverflowCopies(id); ok {
-			d.entries -= len(es)
-		}
 		_ = d.dyn.Delete(id)
 		d.deletedDyn[id] = true
 	}
@@ -263,7 +246,7 @@ func (d *Delta) NumShapes() int {
 func (d *Delta) NumEntries() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.entries
+	return d.dyn.NumEntries()
 }
 
 // NextGID returns the global-id high-water mark after this delta's
@@ -283,46 +266,31 @@ func (d *Delta) Seal() {
 	d.mu.Unlock()
 }
 
-// Match answers the exact single-shape query against the delta's live
-// shapes, in global id space, sorted by (Distance, GID). withContinuous
-// additionally scores the top results' continuous measure — the exact
-// path needs it (frozen shards report it for their local top-k), the
-// hashing paths do not.
-func (d *Delta) Match(ctx context.Context, q geom.Poly, k int, withContinuous bool) ([]Match, error) {
+// Match answers a prepared single-shape query against the delta's live
+// shapes under the part contract of a frozen shard's search: o.Shared is
+// consumed and, with o.Publish, tightened (core.Dynamic.MatchPrepared).
+// Matches are in global id space, sorted by (Distance, GID); the int is
+// the number of normalized copies the scan evaluated. withContinuous
+// additionally scores the returned matches' continuous measure — the
+// exact path needs it (frozen shards report it for their local top-k),
+// the hashing paths do not.
+func (d *Delta) Match(ctx context.Context, pq *core.PreparedQuery, k int, o core.MatchOpts, withContinuous bool) ([]Match, int, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.liveShapes == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
-	if k > d.liveShapes {
-		k = d.liveShapes
-	}
-	ms, _, err := d.dyn.MatchCtx(ctx, q, k)
+	ms, st, err := d.dyn.MatchPrepared(ctx, pq, k, o, withContinuous)
 	if err != nil {
-		return nil, err
-	}
-	var pq *core.PreparedQuery
-	if withContinuous {
-		if pq, err = core.PrepareQuery(q); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]Match, 0, len(ms))
-	for _, m := range ms {
-		om := Match{GID: d.gids[m.ShapeID], ImageID: d.imageOf[m.ShapeID], Distance: m.DistVertex}
-		if withContinuous {
-			c, err := d.dyn.ContinuousDistance(m.ShapeID, m.EntryID, pq)
-			if err != nil {
-				return nil, err
-			}
-			om.Continuous = c
-		}
-		out = append(out, om)
+		return nil, 0, err
 	}
 	// Dyn ids and gids grow together, so the (DistVertex, ShapeID) order
-	// MatchCtx returns is already the (Distance, GID) order the k-way
-	// merge expects.
-	return out, nil
+	// of ms is already the (Distance, GID) order the k-way merge expects.
+	out := make([]Match, len(ms))
+	for i, m := range ms {
+		out[i] = Match{GID: d.gids[m.ShapeID], ImageID: d.imageOf[m.ShapeID], Distance: m.DistVertex, Continuous: m.DistContinuous}
+	}
+	return out, st.Candidates, nil
 }
 
 // Family returns the delta's curve family (identical across all shards).
@@ -382,16 +350,16 @@ func (d *Delta) ImageOf(id int) int {
 	return d.imageOf[id]
 }
 
-// SketchTable reduces an exhaustive match of one sketch shape to the
-// best distance per live image — the delta's contribution to the sketch
-// path's per-shape tables.
-func (d *Delta) SketchTable(ctx context.Context, q geom.Poly) (map[int]float64, error) {
+// SketchTable reduces a match of one prepared sketch shape against every
+// live shape (k = all of them, no bound) to the best distance per live
+// image — the delta's contribution to the sketch path's per-shape tables.
+func (d *Delta) SketchTable(ctx context.Context, pq *core.PreparedQuery) (map[int]float64, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.liveShapes == 0 {
 		return nil, nil
 	}
-	ms, _, err := d.dyn.MatchCtx(ctx, q, d.liveShapes)
+	ms, _, err := d.dyn.MatchPrepared(ctx, pq, d.liveShapes, core.MatchOpts{}, false)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -11,6 +12,20 @@ import (
 
 func square(dx float64) geom.Poly {
 	return geom.NewPolygon(geom.Pt(dx, 0), geom.Pt(dx+1, 0), geom.Pt(dx+1, 1), geom.Pt(dx, 1))
+}
+
+// matchDelta runs the delta's scan for q with no bound to share.
+func matchDelta(t *testing.T, d *Delta, q geom.Poly, k int, withContinuous bool) []Match {
+	t.Helper()
+	pq, err := core.PrepareQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, _, err := d.Match(context.Background(), pq, k, core.MatchOpts{}, withContinuous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
 }
 
 func newTestDelta(t *testing.T, gidBase int) *Delta {
@@ -40,10 +55,7 @@ func TestDeltaInsertMatchDelete(t *testing.T) {
 	if err := d.Insert(100, []geom.Poly{square(2)}); err == nil {
 		t.Fatal("duplicate image insert accepted")
 	}
-	ms, err := d.Match(context.Background(), square(0), 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := matchDelta(t, d, square(0), 2, true)
 	if len(ms) != 2 || ms[0].GID != 10 || ms[0].ImageID != 100 {
 		t.Fatalf("matches %+v", ms)
 	}
@@ -51,10 +63,7 @@ func TestDeltaInsertMatchDelete(t *testing.T) {
 		t.Fatalf("exact copy distance %v", ms[0].Distance)
 	}
 	// Triangle query: both triangles at distance ~0, tie broken by GID.
-	ms, err = d.Match(context.Background(), tri(0), 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms = matchDelta(t, d, tri(0), 3, false)
 	if len(ms) != 3 || ms[0].GID >= ms[1].GID && ms[0].Distance == ms[1].Distance {
 		t.Fatalf("order %+v", ms)
 	}
@@ -70,10 +79,7 @@ func TestDeltaInsertMatchDelete(t *testing.T) {
 	if err := d.Insert(102, []geom.Poly{square(9)}); err != nil {
 		t.Fatal(err)
 	}
-	ms, err = d.Match(context.Background(), square(9), 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms = matchDelta(t, d, square(9), 1, false)
 	if len(ms) != 1 || ms[0].GID != 13 || ms[0].ImageID != 102 {
 		t.Fatalf("post-delete insert matched %+v", ms)
 	}
@@ -161,9 +167,8 @@ func TestDeltaSealAndSnapshot(t *testing.T) {
 		t.Fatalf("delete in sealed delta: %v", err)
 	}
 	// Sealed deltas still serve queries.
-	ms, err := d.Match(context.Background(), tri(0), 1, false)
-	if err != nil || len(ms) != 1 {
-		t.Fatalf("sealed match: %v %v", ms, err)
+	if ms := matchDelta(t, d, tri(0), 1, false); len(ms) != 1 {
+		t.Fatalf("sealed match: %v", ms)
 	}
 	snap := d.Snapshot()
 	if len(snap) != 2 {
@@ -186,7 +191,11 @@ func TestDeltaSketchTable(t *testing.T) {
 	if err := d.Insert(2, []geom.Poly{tri(4)}); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := d.SketchTable(context.Background(), tri(0))
+	pq, err := core.PrepareQuery(tri(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := d.SketchTable(context.Background(), pq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +204,60 @@ func TestDeltaSketchTable(t *testing.T) {
 	}
 	if tab[1] > 1e-9 {
 		t.Fatalf("image 1 best distance %v", tab[1])
+	}
+}
+
+// The delta under the part contract (DESIGN.md §4.12): it reports the
+// copies it evaluated, publishes its k-th best only when it holds k live
+// shapes, and keeps doing both across multi-shape deletes and rollbacks.
+func TestDeltaMatchSharedBound(t *testing.T) {
+	d := newTestDelta(t, 0)
+	for i := 0; i < 6; i++ {
+		if err := d.Insert(i, []geom.Poly{square(float64(i)), tri(float64(i)), tri(float64(i) + 0.5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, found, err := d.Delete(2); err != nil || !found {
+		t.Fatalf("Delete = (%v, %v)", found, err)
+	}
+	d.RollbackLast(5)
+	if d.NumShapes() != 12 || d.NumEntries() < d.NumShapes() {
+		t.Fatalf("shapes=%d entries=%d", d.NumShapes(), d.NumEntries())
+	}
+	pq, err := core.PrepareQuery(tri(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, evaluated, err := d.Match(ctx, pq, 3, core.MatchOpts{}, true)
+	if err != nil || len(want) != 3 || evaluated != d.NumEntries() {
+		t.Fatalf("unshared scan: %d matches, %d of %d copies, %v", len(want), evaluated, d.NumEntries(), err)
+	}
+	for _, m := range want {
+		if m.ImageID == 2 || m.ImageID == 5 {
+			t.Fatalf("removed image surfaced: %+v", want)
+		}
+	}
+	shared := core.NewSharedBound()
+	got, _, err := d.Match(ctx, pq, 3, core.MatchOpts{Shared: shared, Publish: true}, true)
+	if err != nil || len(got) != 3 {
+		t.Fatalf("shared scan: %v %v", got, err)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("match %d under a shared bound: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if shared.Load() != want[2].Distance {
+		t.Fatalf("published %g, k-th best %g", shared.Load(), want[2].Distance)
+	}
+	// Asked for more than it holds, the delta has no k-th best to publish.
+	shared = core.NewSharedBound()
+	all, _, err := d.Match(ctx, pq, d.NumShapes()+1, core.MatchOpts{Shared: shared, Publish: true}, false)
+	if err != nil || len(all) != d.NumShapes() {
+		t.Fatalf("k beyond the delta: %d matches of %d shapes, %v", len(all), d.NumShapes(), err)
+	}
+	if !math.IsInf(shared.Load(), 1) {
+		t.Fatalf("a delta short of k published %g", shared.Load())
 	}
 }

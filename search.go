@@ -342,8 +342,8 @@ func (s *hashSeed) addShard(e *Engine, ids []int) {
 	}
 }
 
-// addDelta is addShard for a mutable part (scanned exhaustively: it has
-// no ε_max to fit).
+// addDelta is addShard for a mutable part (it opens no envelope, so it
+// has no ε_max to fit).
 func (s *hashSeed) addDelta(d *ingest.Delta, ids []int) {
 	for _, id := range ids {
 		if m, ok := d.ScoreBounded(id, s.pq, s.kth.Kth()); ok {

@@ -607,10 +607,10 @@ func (se *ShardedEngine) exactSeeded(ctx context.Context, v *shardView, pq *core
 	}
 }
 
-// exactFanout runs the fattening search on every live shard — and an
-// exhaustive exact match on every live delta — concurrently and merges
-// the sorted per-part top-k lists exactly. The caller has validated and
-// prepared the query once for all of them.
+// exactFanout runs the fattening search on every live shard — and the
+// bounded scan of every live delta — concurrently and merges the sorted
+// per-part top-k lists exactly. The caller has validated and prepared the
+// query once for all of them.
 //
 // Each shard is asked for min(k, its live shape count) matches and skips
 // its tombstoned shapes inside the kernel, before they are scored: a
@@ -618,8 +618,9 @@ func (se *ShardedEngine) exactSeeded(ctx context.Context, v *shardView, pq *core
 // reach the convergence condition (the k-th best must exist to be
 // proven within ε/2). Because the per-shape distances are intrinsic to
 // (query, shape) and every shape lives on exactly one part, the merged
-// top-k of converged parts is the true global top-k. Deltas are scanned
-// exhaustively (they are small by construction) and always converge.
+// top-k of converged parts is the true global top-k. A delta has no
+// index to converge on: its scan visits every live shape, so its list is
+// final as it stands.
 //
 // With a shared bound — fresh, or seeded from the hash tier by Search,
 // in which case even a lone live shard opens at it — the shards
@@ -629,7 +630,9 @@ func (se *ShardedEngine) exactSeeded(ctx context.Context, v *shardView, pq *core
 // published value and stops once the bound is inside its envelope's
 // reach. Capped shards must not publish — their k'-th best does not
 // bound the global k-th — but may consume, since anything they discard is
-// proven outside the merged top-k (DESIGN.md §4.9).
+// proven outside the merged top-k (DESIGN.md §4.9). A delta is a part
+// like any other: it scans under the same bound and publishes its own
+// k-th best, which exists only once it has scored k live shapes (§4.12).
 func (se *ShardedEngine) exactFanout(ctx context.Context, v *shardView, pq *core.PreparedQuery, q Shape, k, width int, shared *core.SharedBound, ann AnnMode) ([]Match, Stats, error) {
 	live := v.liveShards()
 	deltas := v.deltas()
@@ -638,13 +641,12 @@ func (se *ShardedEngine) exactFanout(ctx context.Context, v *shardView, pq *core
 	stats := make([]Stats, n)
 	err := fanout(ctx, n, width, func(i int) error {
 		if i >= len(live) {
-			d := deltas[i-len(live)]
-			dms, err := d.Match(ctx, q, k, true)
+			dms, evaluated, err := deltas[i-len(live)].Match(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true}, true)
 			if err != nil {
 				return fmt.Errorf("geosir: delta: %w", err)
 			}
 			lists[i] = deltaToMatches(dms, false)
-			stats[i] = Stats{Converged: true, Candidates: d.NumShapes()}
+			stats[i] = Stats{Converged: true, Candidates: evaluated}
 			return nil
 		}
 		si := live[i]
@@ -802,12 +804,12 @@ func (se *ShardedEngine) approxFanout(ctx context.Context, v *shardView, q Shape
 // its own ANN index for candidates (each shard applies the full
 // annMinShapes floor, so the union is at least as wide as a single
 // engine's candidate set) and scores them exactly under one shared
-// cross-shard bound; the per-part top-k lists merge exactly. Deltas have
-// no ANN index — they are scanned exhaustively, which is both cheap
-// (deltas are small) and strictly better recall than any probe. The
-// result can differ from a single engine's AnnApprox answer only by
-// having *more* candidates verified — recall is monotone in the shard
-// count.
+// cross-part bound; the per-part top-k lists merge exactly. Deltas have
+// no ANN index — every live shape of theirs is a candidate, strictly
+// better recall than any probe, scored by the same bounded scan as on the
+// exact path, under the same bound. The result can differ from a single
+// engine's AnnApprox answer only by having *more* candidates verified —
+// recall is monotone in the shard count.
 func (se *ShardedEngine) annApproxFanout(ctx context.Context, v *shardView, q Shape, k, width int) ([]Match, Stats, error) {
 	pq, err := core.PrepareQuery(q)
 	if err != nil {
@@ -822,15 +824,14 @@ func (se *ShardedEngine) annApproxFanout(ctx context.Context, v *shardView, q Sh
 		return []Match{}, Stats{UsedANN: true}, nil
 	}
 	var shared *core.SharedBound
-	if len(live) > 1 {
+	if n > 1 {
 		shared = core.NewSharedBound()
 	}
 	lists := make([][]Match, n)
 	stats := make([]Stats, n)
 	err = fanout(ctx, n, width, func(i int) error {
 		if i >= len(live) {
-			d := deltas[i-len(live)]
-			dms, err := d.Match(ctx, q, k, false)
+			dms, _, err := deltas[i-len(live)].Match(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true}, false)
 			if err != nil {
 				return fmt.Errorf("geosir: delta: %w", err)
 			}
@@ -865,7 +866,8 @@ func (se *ShardedEngine) annApproxFanout(ctx context.Context, v *shardView, q Sh
 	return mergeTopK(lists, k), merged, nil
 }
 
-// sketchFanout evaluates every (sketch shape, part) pair concurrently,
+// sketchFanout evaluates every (sketch shape, part) pair concurrently (a
+// delta's table is its scan with k = all live shapes and no bound),
 // unions each shape's per-part best-distance tables (parts hold
 // disjoint live image sets, so union is just map merge; tombstoned
 // images are removed from their shard's table first), and feeds the
@@ -886,11 +888,13 @@ func (se *ShardedEngine) sketchFanout(ctx context.Context, v *shardView, sketch 
 	err := fanout(ctx, len(parts), width, func(t int) error {
 		si, pi := t/per, t%per
 		if pi >= len(live) {
-			m, err := deltas[pi-len(live)].SketchTable(ctx, sketch[si])
+			pq, err := core.PrepareQuery(sketch[si])
+			if err == nil {
+				parts[t], err = deltas[pi-len(live)].SketchTable(ctx, pq)
+			}
 			if err != nil {
 				return fmt.Errorf("geosir: sketch shape %d: %w", si, err)
 			}
-			parts[t] = m
 			return nil
 		}
 		sh := v.shards[live[pi]]
