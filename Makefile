@@ -16,11 +16,10 @@ QUERY_BENCH := BenchmarkFig2_GeoSIRRetrieval|BenchmarkMatch_Scaling_100images|Be
 # throughput-smoke runs a short concurrency sweep through the scheduler;
 # load-smoke serves the same GSIR3 snapshot heap-loaded and mmap-served
 # and asserts the mode is live via /statz; deprecations keeps internal
-# code off the deprecated Find* wrappers and the deprecated
-# SearchRequest.Workers knob; test-procs re-runs the suites whose
-# outcome has depended on the core count at GOMAXPROCS 1 and 2;
-# bench-check vets and tests the benchmark's
-# own module (bench/, which the root `go test ./...` does not reach).
+# code off the deprecated Find* wrappers; test-procs re-runs the suites
+# whose outcome has depended on the core count at GOMAXPROCS 1 and 2;
+# bench-check vets and tests the benchmark's own module (bench/, which
+# the root `go test ./...` does not reach).
 # Perf-sensitive changes are measured with `make ledger` (the one
 # benchmark, BENCHMARK.json); `make bench-diff` still compares a fresh
 # bench run against the committed BENCH_query.json baseline (the diff
@@ -32,20 +31,12 @@ vet:
 
 # The deprecated Find* wrappers exist for external callers migrating to
 # Search; nothing inside this repo (outside tests, which pin wrapper
-# equivalence on purpose) may call them. Likewise the deprecated
-# SearchRequest.Workers alias (use Exec/MaxWorkers): the word-boundary
-# match leaves MaxWorkers and the server's LegacyWorkers wire shim
-# alone.
+# equivalence on purpose) may call them.
 deprecations:
 	@hits=$$(grep -rnE '\.Find(Similar|Approximate|BySketch)[A-Za-z]*\(' \
 		--include='*.go' --exclude='*_test.go' cmd internal || true); \
 	if [ -n "$$hits" ]; then \
 		echo "deprecated Find* call sites (use Search):"; echo "$$hits"; exit 1; \
-	fi; \
-	whits=$$(grep -rnE '\bWorkers\b' \
-		--include='*.go' --exclude='*_test.go' cmd internal || true); \
-	if [ -n "$$whits" ]; then \
-		echo "deprecated Workers field uses (use Exec/MaxWorkers):"; echo "$$whits"; exit 1; \
 	fi; echo "deprecations: clean"
 
 build:

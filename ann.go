@@ -2,9 +2,7 @@ package geosir
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/annindex"
 	"repro/internal/core"
@@ -143,34 +141,21 @@ func (e *Engine) annSignatures() (annindex.Params, []uint64, int) {
 // (nil before Freeze).
 func (e *Engine) ANNIndex() *annindex.Index { return e.ann }
 
-// annProbe prepares the query against the ANN tier: canonical
-// normalization, signature, bucket probe with the given candidate
-// floor. Returns ok=false when the tier is absent or the query does not
-// normalize (the caller's own normalization will surface the error).
-func (e *Engine) annProbe(q Shape, minShapes int) (annindex.Candidates, bool) {
-	if e.ann == nil {
-		return annindex.Candidates{}, false
-	}
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		return annindex.Candidates{}, false
-	}
-	return e.ann.Probe(e.ann.Signature(pq.Entry().Poly), minShapes), true
+// annStats is the accounting of one probe of the tier.
+func annStats(probes, candidates int) Stats {
+	return Stats{UsedANN: true, ANNProbes: probes, ANNCandidates: candidates}
 }
 
 // annRank probes the tier for verify-mode ordering: a sparse entry→
 // score map the exact kernel uses to evaluate promising bootstrap
 // candidates first. Any non-off mode ranks (AnnApprox degrades to
 // ordering on the exact path). A nil map means no ordering.
-func (e *Engine) annRank(q Shape, ann AnnMode) (map[int32]int32, Stats) {
+func (e *Engine) annRank(pq *core.PreparedQuery, ann AnnMode) (map[int32]int32, Stats) {
 	if ann == AnnOff {
 		return nil, Stats{}
 	}
-	cand, ok := e.annProbe(q, 0)
-	if !ok {
-		return nil, Stats{}
-	}
-	st := Stats{UsedANN: true, ANNProbes: cand.Probes, ANNCandidates: len(cand.Entries)}
+	cand := e.ann.Probe(e.ann.Signature(pq.Entry().Poly), 0)
+	st := annStats(cand.Probes, len(cand.Entries))
 	if len(cand.Entries) == 0 {
 		return nil, st
 	}
@@ -181,21 +166,18 @@ func (e *Engine) annRank(q Shape, ann AnnMode) (map[int32]int32, Stats) {
 	return rank, st
 }
 
-// annOrderShapes reorders candidate shape ids best-first by ANN
-// signature agreement (stable: unprobed shapes keep their relative
-// order after the probed ones). Pure reordering — the §4.9 admissible
-// scoring cutoffs make the surviving top-k independent of visit order —
-// so AnnVerify results stay byte-identical while the k-th-best cutoff
-// tightens sooner.
-func (e *Engine) annOrderShapes(q Shape, ids []int) ([]int, Stats) {
+// annOrder reorders candidate shape ids best-first by ANN signature
+// agreement (stable: unprobed shapes keep their relative order after the
+// probed ones). Pure reordering — the §4.9 admissible scoring cutoffs
+// make the surviving top-k independent of visit order — so AnnVerify
+// results stay byte-identical while the k-th-best cutoff tightens sooner.
+func (p *frozenPart) annOrder(pq *core.PreparedQuery, ids []int) ([]int, Stats) {
 	if len(ids) < 2 {
 		return ids, Stats{}
 	}
-	cand, ok := e.annProbe(q, 0)
-	if !ok {
-		return ids, Stats{}
-	}
-	st := Stats{UsedANN: true, ANNProbes: cand.Probes, ANNCandidates: len(cand.Shapes)}
+	ann := p.e.ann
+	cand := ann.Probe(ann.Signature(pq.Entry().Poly), 0)
+	st := annStats(cand.Probes, len(cand.Shapes))
 	if len(cand.Shapes) == 0 {
 		return ids, st
 	}
@@ -207,67 +189,16 @@ func (e *Engine) annOrderShapes(q Shape, ids []int) ([]int, Stats) {
 	return ids, st
 }
 
-// searchAnnApprox is the sublinear single-shape path: ANN candidates
-// (bucket probes plus the signature-scan floor) scored exactly by the
-// bounded evaluator under the running k-th-best cutoff. Matches are
-// marked Approximate — the candidate set, not the distances, is the
-// approximation.
-func (e *Engine) searchAnnApprox(q Shape, k int, shared *core.SharedBound) ([]Match, Stats, error) {
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var blocks atomic.Int64
-	pq.AttachBlockCounter(&blocks)
-	cand := e.ann.Probe(e.ann.Signature(pq.Entry().Poly), annMinShapes(k))
+// annCandidates is the candidate set of an approximate search: bucket
+// probes plus the signature-scan floor of minShapes, best-first, capped
+// (annCapShapes). It also returns the number of buckets probed.
+func (e *Engine) annCandidates(pq *core.PreparedQuery, minShapes int) ([]int, int) {
+	cand := e.ann.Probe(e.ann.Signature(pq.Entry().Poly), minShapes)
 	shapes := cand.Shapes
-	if max := annCapShapes(annMinShapes(k)); len(shapes) > max {
+	if max := annCapShapes(minShapes); len(shapes) > max {
 		shapes = shapes[:max]
 	}
-	st := Stats{UsedANN: true, ANNProbes: cand.Probes, ANNCandidates: len(shapes)}
-	out := e.scoreApprox(pq, shapes, k, shared)
-	st.BlockReads = int(blocks.Load())
-	sortMatches(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out, st, nil
-}
-
-// sketchShapeTableAnn is sketchShapeTable over the ANN candidate set:
-// instead of matching the sketch shape against every stored shape, only
-// the probed candidates are scored (exactly), and the per-image best
-// distances are reduced from those. Images whose every shape went
-// unprobed are absent — the sketch ranking's recall cost, measured in
-// BENCH_ann.json.
-func (e *Engine) sketchShapeTableAnn(q Shape, k int) (map[int]float64, Stats, error) {
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var blocks atomic.Int64
-	pq.AttachBlockCounter(&blocks)
-	cand := e.ann.Probe(e.ann.Signature(pq.Entry().Poly), annSketchMinShapes(k))
-	shapes := cand.Shapes
-	if max := annCapShapes(annSketchMinShapes(k)); len(shapes) > max {
-		shapes = shapes[:max]
-	}
-	st := Stats{UsedANN: true, ANNProbes: cand.Probes, ANNCandidates: len(shapes)}
-	base := e.db.Base()
-	best := make(map[int]float64, len(shapes))
-	inf := math.Inf(1)
-	for _, sid := range shapes {
-		d, _, err := base.ShapeDistancePreparedBounded(sid, pq, inf)
-		if err != nil {
-			continue
-		}
-		img := base.Shape(sid).Image
-		if cur, ok := best[img]; !ok || d < cur {
-			best[img] = d
-		}
-	}
-	st.BlockReads = int(blocks.Load())
-	return best, st, nil
+	return shapes, cand.Probes
 }
 
 // addANN folds another stage's ANN accounting into s.

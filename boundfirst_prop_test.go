@@ -13,56 +13,76 @@ import (
 
 // The bound-first property (DESIGN.md §4.9): seeding the exact search's
 // bound from the hash tier changes how much work a request does, never
-// its matches. Every Search below is compared byte for byte with the
-// same search run unseeded — Base().Match for an Engine, the exact
-// fan-out called without a seed for a ShardedEngine — and, in ModeAuto,
-// with the fallback decision that follows from the unseeded exact phase.
+// its matches. Every Search below — on an Engine and on ShardedEngines —
+// is compared byte for byte with the exact scatter over the same parts
+// called without a seed and, in ModeAuto, with the fallback decision that
+// follows from that unseeded exact phase. The Engine, whose Search is the
+// one-part case of the same code, is anchored on a reference that shares
+// none of it (engineUnseeded).
 
-// engineUnseeded answers (q, k, mode) the way Engine.Search does, from an
-// unseeded exact phase.
+// engineUnseeded answers (q, k, mode) from nothing Search runs: the
+// unseeded climb of Base().Match for the exact phase, and for the hashing
+// stage an exhaustive, unbounded ranking of the hash table's bucket.
 func engineUnseeded(t *testing.T, label string, e *Engine, q Shape, k int, mode Mode) []Match {
 	t.Helper()
-	ms, st, err := e.Base().Match(q, k)
+	base := e.Base()
+	ms, st, err := base.Match(q, k)
 	if err != nil {
 		t.Fatalf("%s: unseeded: %v", label, err)
 	}
-	exact := e.toMatches(ms, false)
-	if mode == ModeExact || (st.Converged && exactGoodEnough(exact, e.db.Tau())) {
+	exact := make([]Match, len(ms))
+	for i, m := range ms {
+		exact[i] = Match{ShapeID: m.ShapeID, ImageID: base.Shape(m.ShapeID).Image, Distance: m.DistVertex, ContinuousDistance: m.DistContinuous}
+	}
+	if mode == ModeExact || (st.Converged && len(exact) > 0 && exact[0].Distance <= e.DB().Tau()) {
 		return exact
 	}
-	approx, _, err := e.searchApprox(q, k, AnnOff)
+	pq, err := core.PrepareQuery(q)
 	if err != nil {
 		t.Fatalf("%s: hashing: %v", label, err)
+	}
+	quad := e.family.Characteristic(pq.Entry().Poly.Pts)
+	ids := e.HashTable().Lookup(quad, 0)
+	if len(ids) == 0 {
+		ids = e.HashTable().Lookup(quad, 1)
+	}
+	var approx []Match
+	for _, sid := range ids {
+		d, err := base.ShapeDistancePrepared(sid, pq)
+		if err != nil {
+			t.Fatalf("%s: hashing: %v", label, err)
+		}
+		approx = append(approx, Match{ShapeID: sid, ImageID: base.Shape(sid).Image, Distance: d, Approximate: true})
 	}
 	if len(approx) == 0 {
 		return exact
 	}
-	return approx
+	sortMatches(approx)
+	return approx[:min(k, len(approx))]
 }
 
-// seeded reports whether a Search of (q, k) on the view runs under a
+// seeded reports whether a Search of (q, k) over the parts runs under a
 // hash-tier seed, so a scenario can assert it exercises the path it is
 // there for.
-func seeded(t *testing.T, se *ShardedEngine, v *shardView, q Shape, k int) bool {
+func seeded(t *testing.T, parts []part, q Shape, k int) bool {
 	t.Helper()
-	pq, err := prepareExact(q)
+	pq, err := core.PrepareQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return se.scoreSeed(v, pq, k).bound() != nil
+	return scoreSeed(parts, pq, hashBuckets(parts, pq), k).bound() != nil
 }
 
 // assertBoundFirst sweeps modes × exec policies of one (engine, q, k) and
-// compares each Search with the unseeded reference.
-func assertBoundFirst(t *testing.T, label string, se *ShardedEngine, q Shape, k int) {
+// compares each Search with the unseeded reference over the engine's view.
+func assertBoundFirst(t *testing.T, label string, s Searcher, v searchView, q Shape, k int) {
 	t.Helper()
 	ctx := context.Background()
-	v := se.snapshot()
-	want, wst := exactUnseeded(t, label, se, v, q, k, 1, nil)
-	wantAuto := autoFrom(t, label, se, v, q, k, want, wst)
+	want, wst := exactUnseeded(t, label, v.parts, q, k, 1, nil)
+	wantAuto := autoFrom(t, label, v, q, k, want, wst)
 	for _, mode := range []Mode{ModeExact, ModeAuto} {
 		for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
-			got, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Exec: exec})
+			got, err := s.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Exec: exec})
 			if err != nil {
 				t.Fatalf("%s %v %v: %v", label, mode, exec, err)
 			}
@@ -76,31 +96,19 @@ func assertBoundFirst(t *testing.T, label string, se *ShardedEngine, q Shape, k 
 }
 
 // annApproxUnshared is the ann:approx answer with no bound shared: every
-// live shard's probed candidates and every delta's shapes scored on their
-// own, then merged.
-func annApproxUnshared(t *testing.T, label string, v *shardView, q Shape, k int) []Match {
+// frozen part's probed candidates and every delta's shapes scored on
+// their own, then merged.
+func annApproxUnshared(t *testing.T, label string, parts []part, q Shape, k int) []Match {
 	t.Helper()
 	pq, err := core.PrepareQuery(q)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	var lists [][]Match
-	for _, si := range v.liveShards() {
-		sh := v.shards[si]
-		shapes := sh.ann.Probe(sh.ann.Signature(pq.Entry().Poly), annMinShapes(k)).Shapes
-		if max := annCapShapes(annMinShapes(k)); len(shapes) > max {
-			shapes = shapes[:max]
+	lists := make([][]Match, len(parts))
+	for i, p := range parts {
+		if lists[i], _, err = p.annApprox(context.Background(), pq, k, nil); err != nil {
+			t.Fatalf("%s: part %d: %v", label, i, err)
 		}
-		ms := sh.scoreApprox(pq, v.liveLocal(si, shapes), k, nil)
-		sortMatches(ms)
-		lists = append(lists, v.toGlobal(si, ms))
-	}
-	for _, d := range v.deltas() {
-		dms, _, err := d.Match(context.Background(), pq, k, core.MatchOpts{}, false)
-		if err != nil {
-			t.Fatalf("%s: delta: %v", label, err)
-		}
-		lists = append(lists, deltaToMatches(dms, true))
 	}
 	return mergeTopK(lists, k)
 }
@@ -113,8 +121,9 @@ func annApproxUnshared(t *testing.T, label string, v *shardView, q Shape, k int)
 func assertDeltaParts(t *testing.T, label string, se *ShardedEngine, q Shape, k int) int {
 	t.Helper()
 	ctx := context.Background()
-	assertBoundFirst(t, label, se, q, k)
-	want := annApproxUnshared(t, label, se.snapshot(), q, k)
+	v := se.searchView()
+	assertBoundFirst(t, label, se, v, q, k)
+	want := annApproxUnshared(t, label, v.parts, q, k)
 	for _, mode := range []Mode{ModeApproximate, ModeAuto} {
 		for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
 			got, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Ann: AnnApprox, Exec: exec})
@@ -156,9 +165,13 @@ func TestBoundFirstEquivalence(t *testing.T) {
 	}
 	ks := []int{1, 5, many + 3}
 
+	// The Engine is one more row of the table: the same sweep over its
+	// one-part view, and on top of it the reference that shares no code
+	// with Search.
 	single := buildSingle(t, images)
 	for qi, q := range queries {
 		for _, k := range ks {
+			assertBoundFirst(t, fmt.Sprintf("engine q%d k=%d", qi, k), single, single.searchView(), q, k)
 			for _, mode := range []Mode{ModeExact, ModeAuto} {
 				label := fmt.Sprintf("engine q%d k=%d %v", qi, k, mode)
 				got, err := single.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
@@ -178,12 +191,13 @@ func TestBoundFirstEquivalence(t *testing.T) {
 		for qi, q := range queries {
 			for _, k := range ks {
 				label := fmt.Sprintf("shards=%d q%d k=%d", shards, qi, k)
+				v := se.searchView()
 				// k = 1 always finds its seed (the source's bucket is not
 				// empty); k beyond the base never does.
-				if on := seeded(t, se, se.snapshot(), q, k); (k == 1 && !on) || (k > many && on) {
+				if on := seeded(t, v.parts, q, k); (k == 1 && !on) || (k > many && on) {
 					t.Fatalf("%s: seeded = %v", label, on)
 				}
-				assertBoundFirst(t, label, se, q, k)
+				assertBoundFirst(t, label, se, v, q, k)
 			}
 		}
 
@@ -216,7 +230,7 @@ func TestBoundFirstEquivalence(t *testing.T) {
 		for qi, q := range queries[:2] {
 			for _, k := range ks {
 				label := fmt.Sprintf("shards=%d live q%d k=%d", shards, qi, k)
-				assertBoundFirst(t, label, se, q, k)
+				assertBoundFirst(t, label, se, se.searchView(), q, k)
 			}
 		}
 		got, err := se.Search(ctx, SearchRequest{Query: queries[1], K: 1, Mode: ModeExact})
@@ -316,23 +330,24 @@ func TestBoundFirstFitRule(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	se := buildShardedFrom(t, images, 2)
 	ctx := context.Background()
-	v := se.snapshot()
+	parts := se.searchView().parts
 	q := queries[0]
-	pq, err := prepareExact(q)
+	pq, err := core.PrepareQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := se.scoreSeed(v, pq, 1)
+	buckets := hashBuckets(parts, pq)
+	seed := scoreSeed(parts, pq, buckets, 1)
 	sv, epsMax := seed.kth.Kth(), seed.epsMax
-	for _, si := range v.liveShards() {
-		if em := v.shards[si].db.Base().EpsilonMax(pq.Entry().Poly.Perimeter()); em < epsMax {
+	for si := 0; si < se.NumShards(); si++ {
+		if em := se.Shard(si).Base().EpsilonMax(pq.Entry().Poly.Perimeter()); em < epsMax {
 			t.Fatalf("shard %d: ε_max %g below the seed's %g", si, em, epsMax)
 		}
 	}
 	if math.IsInf(sv, 1) || math.IsInf(epsMax, 1) || seed.bound() == nil {
 		t.Fatalf("no k=1 seed for a copy of a stored shape (k-th %g, ε_max %g)", sv, epsMax)
 	}
-	if short := se.scoreSeed(v, pq, se.NumShapes()+1); short.bound() != nil {
+	if short := scoreSeed(parts, pq, buckets, se.NumShapes()+1); short.bound() != nil {
 		t.Fatalf("a bucket short of k shapes must not seed")
 	}
 	seed.epsMax = 2 * sv * 1.0001
@@ -345,18 +360,17 @@ func TestBoundFirstFitRule(t *testing.T) {
 	}
 
 	req := SearchRequest{Query: q, K: 1, Mode: ModeExact, Exec: ExecSequential}
-	want, wst := exactUnseeded(t, "unseeded", se, v, q, 1, 1, core.NewSharedBound())
-	got, gst, err := se.exactSeeded(ctx, v, pq, req, 1, seed)
+	want, wst := exactUnseeded(t, "unseeded", parts, q, 1, 1, core.NewSharedBound())
+	got, gst, err := exactSeeded(ctx, parts, pq, req, 1, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertMatchesEqual(t, "seed too wide", want, got)
-	wst.BlockReads += seed.blockReads()
 	if gst != wst {
 		t.Fatalf("a seed that does not fit changed the search:\ngot:  %+v\nwant: %+v", gst, wst)
 	}
 	seed.epsMax = epsMax
-	fit, fst, err := se.exactSeeded(ctx, v, pq, req, 1, seed)
+	fit, fst, err := exactSeeded(ctx, parts, pq, req, 1, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,12 +394,12 @@ func TestBoundFirstStaleSeed(t *testing.T) {
 		if err := se.InsertImage(ctx, 9003, []Shape{q.Clone()}); err != nil {
 			t.Fatal(err)
 		}
-		v := se.snapshot()
-		pq, err := prepareExact(q)
+		parts := se.searchView().parts
+		pq, err := core.PrepareQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed := se.scoreSeed(v, pq, 1)
+		seed := scoreSeed(parts, pq, hashBuckets(parts, pq), 1)
 		if seed.kth.Kth() != 0 {
 			t.Fatalf("shards=%d: seed %g, want the inserted copy at 0", shards, seed.kth.Kth())
 		}
@@ -393,8 +407,8 @@ func TestBoundFirstStaleSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []Mode{ModeExact, ModeAuto} {
-			want, _ := exactUnseeded(t, "after delete", se, v, q, 1, 1, nil)
-			got, st, err := se.exactSeeded(ctx, v, pq, SearchRequest{Query: q, K: 1, Mode: mode}, 1, seed)
+			want, _ := exactUnseeded(t, "after delete", parts, q, 1, 1, nil)
+			got, st, err := exactSeeded(ctx, parts, pq, SearchRequest{Query: q, K: 1, Mode: mode}, 1, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,11 +11,11 @@ import (
 
 // TestExecEquivalence is the suite the scheduler's exactness claim
 // rests on: the planned fan-out width changes only how fast an answer
-// arrives, never the answer. Over the same seeded random base, a
-// ShardedEngine must return byte-identical matches and ordering under
+// arrives, never the answer. Over the same seeded random base, an
+// engine must return byte-identical matches and ordering under
 // ExecSequential, ExecFanout, a capped ExecFanout, and ExecAuto — for
-// shard counts {1, 2, 7}, every mode, k ∈ {1, many}, and every ann
-// mode. Sequential runs keep the SharedBound cross-shard pruning (its
+// the single Engine and shard counts {1, 2, 7}, every mode,
+// k ∈ {1, many}, and every ann mode. Sequential runs keep the SharedBound cross-shard pruning (its
 // creation does not depend on the width), so this also pins down that a
 // width-1 walk under the shared bound is admissible. Run under -race
 // this exercises the fan-out concurrency against the inline path.
@@ -33,11 +33,15 @@ func TestExecEquivalence(t *testing.T) {
 		{"sequential", func(r *SearchRequest) { r.Exec = ExecSequential }},
 		{"fanout-cap2", func(r *SearchRequest) { r.Exec = ExecFanout; r.MaxWorkers = 2 }},
 		{"auto", func(r *SearchRequest) { r.Exec = ExecAuto }},
-		{"workers-alias", func(r *SearchRequest) { r.Workers = 3 }},
 	}
 
-	for _, shards := range []int{1, 2, 7} {
-		se := buildShardedFrom(t, images, shards)
+	for _, shards := range []int{0, 1, 2, 7} {
+		var se searcher
+		if shards == 0 { // the Engine
+			se = buildSingle(t, images)
+		} else {
+			se = buildShardedFrom(t, images, shards)
+		}
 		many := se.NumShapes() + 5
 		for _, mode := range []Mode{ModeAuto, ModeExact, ModeApproximate} {
 			for _, ann := range []AnnMode{AnnOff, AnnVerify, AnnApprox} {
@@ -78,22 +82,6 @@ func TestExecEquivalence(t *testing.T) {
 				assertSketchEqual(t, fmt.Sprintf("shards=%d sketch k=%d %s", shards, k, v.name), want.SketchMatches, got.SketchMatches)
 			}
 		}
-	}
-
-	// The Engine-side sketch fan-out obeys the same identity.
-	single := buildSingle(t, images)
-	want, err := single.Search(ctx, SearchRequest{Sketch: sketch, K: 5, Mode: ModeSketch, Exec: ExecFanout})
-	if err != nil {
-		t.Fatalf("single sketch fanout: %v", err)
-	}
-	for _, v := range variants {
-		req := SearchRequest{Sketch: sketch, K: 5, Mode: ModeSketch}
-		v.set(&req)
-		got, err := single.Search(ctx, req)
-		if err != nil {
-			t.Fatalf("single sketch %s: %v", v.name, err)
-		}
-		assertSketchEqual(t, "single sketch "+v.name, want.SketchMatches, got.SketchMatches)
 	}
 }
 
@@ -150,10 +138,8 @@ func TestExecAutoLoadGauge(t *testing.T) {
 	assertMatchesEqual(t, "idle vs loaded", idle.Matches, loaded.Matches)
 }
 
-// TestExecPlanWorkersAlias pins the deprecated-alias resolution: a bare
-// positive Workers reproduces the old explicit-width behavior (forced
-// fan-out capped at Workers), while any new-API knob wins over it.
-func TestExecPlanWorkersAlias(t *testing.T) {
+// TestExecPlan pins how a request's knobs resolve to a scheduler plan.
+func TestExecPlan(t *testing.T) {
 	cases := []struct {
 		name    string
 		req     SearchRequest
@@ -161,10 +147,7 @@ func TestExecPlanWorkersAlias(t *testing.T) {
 		wantCap int
 	}{
 		{"zero request", SearchRequest{}, sched.Auto, 0},
-		{"legacy workers", SearchRequest{Workers: 3}, sched.Fanout, 3},
-		{"legacy non-positive", SearchRequest{Workers: -1}, sched.Auto, 0},
-		{"exec wins over alias", SearchRequest{Workers: 3, Exec: ExecSequential}, sched.Sequential, 0},
-		{"maxworkers wins over alias", SearchRequest{Workers: 3, MaxWorkers: 2}, sched.Auto, 2},
+		{"auto capped", SearchRequest{MaxWorkers: 2}, sched.Auto, 2},
 		{"fanout capped", SearchRequest{Exec: ExecFanout, MaxWorkers: 5}, sched.Fanout, 5},
 		{"sequential", SearchRequest{Exec: ExecSequential, MaxWorkers: 9}, sched.Sequential, 9},
 	}

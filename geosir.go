@@ -291,21 +291,6 @@ func (e *Engine) Query(src string, binds map[string]Shape) ([]int, string, error
 	return set.Sorted(), plan.String(), nil
 }
 
-func (e *Engine) toMatches(ms []core.Match, approx bool) []Match {
-	base := e.db.Base()
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{
-			ShapeID:            m.ShapeID,
-			ImageID:            base.Shape(m.ShapeID).Image,
-			Distance:           m.DistVertex,
-			ContinuousDistance: m.DistContinuous,
-			Approximate:        approx,
-		}
-	}
-	return out
-}
-
 // sortMatches orders by increasing distance, breaking ties on ShapeID so
 // results are deterministic regardless of hash-bucket iteration order.
 func sortMatches(ms []Match) {

@@ -104,11 +104,6 @@ func TestFingerprintSeparation(t *testing.T) {
 
 	// The scheduling knobs are scheduling, not semantics: none of them
 	// may separate.
-	w := base
-	w.Workers = 7
-	if got := mustFP(t, w, 1); got != fp {
-		t.Error("Workers changed the fingerprint; it must not (it never changes results)")
-	}
 	x := base
 	x.Exec, x.MaxWorkers = geosir.ExecSequential, 2
 	if got := mustFP(t, x, 1); got != fp {

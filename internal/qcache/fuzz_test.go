@@ -72,7 +72,6 @@ func FuzzFingerprint(f *testing.F) {
 		// The scheduling knobs must not separate: they schedule, they
 		// never change results.
 		wreq := req
-		wreq.Workers = 13
 		wreq.Exec, wreq.MaxWorkers = geosir.ExecSequential, 2
 		if fpW, okW := SearchFingerprint(wreq, epoch); !okW || fpW != fp1 {
 			t.Fatal("scheduling knobs perturbed the fingerprint")

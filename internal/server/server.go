@@ -34,6 +34,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -617,12 +618,19 @@ type similarResponse struct {
 	Stats   StatsJSON   `json:"stats"`
 }
 
+// decodeStrict decodes a request body that must be exactly one JSON
+// value with no field the request type does not declare.
 func decodeStrict(body []byte, v any) error {
 	if len(body) == 0 {
 		return badRequest("empty body")
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		return badRequest("malformed JSON: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequest("malformed JSON: trailing data")
 	}
 	return nil
 }
@@ -674,10 +682,9 @@ func (s *Server) runSearch(ctx context.Context, endpoint string, st *engineState
 // atomically at admission, so neither a hot-swap nor a live write
 // landing mid-request can pair this engine's results with another
 // epoch's entries.
-// The scheduling knobs (exec policy, max-workers cap, and the legacy
-// workers alias) are deliberately outside the fingerprint — they
-// schedule work, they never change results (PR 4/5 and the PR 9 exec
-// equivalence suite).
+// The scheduling knobs (exec policy, max-workers cap) are deliberately
+// outside the fingerprint — they schedule work, they never change
+// results (PR 4/5 and the PR 9 exec equivalence suite).
 func (s *Server) searchCached(ctx context.Context, st *engineState, req geosir.SearchRequest) (*geosir.SearchResponse, qcache.Disposition, error) {
 	if s.cache == nil {
 		resp, err := st.serving.Search(ctx, req)
@@ -764,10 +771,7 @@ func (s *Server) handleApproximate(ctx context.Context, st *engineState, body []
 // searchRequest is the unified /v1/search wire request: one shape (or,
 // for sketch mode, several), k, an optional mode name, an optional
 // execution policy ("auto", "fanout", "sequential") with a worker cap,
-// and an optional ANN tier mode ("off", "verify", "approx"). The
-// legacy "workers" field is still accepted: a positive value (with
-// "exec"/"max_workers" unset) behaves as it always did, forcing a
-// fan-out capped at that width.
+// and an optional ANN tier mode ("off", "verify", "approx").
 type searchRequest struct {
 	Shape         *WireShape  `json:"shape,omitempty"`
 	Shapes        []WireShape `json:"shapes,omitempty"`
@@ -775,7 +779,6 @@ type searchRequest struct {
 	Mode          string      `json:"mode,omitempty"`
 	Exec          string      `json:"exec,omitempty"`
 	MaxWorkersCap int         `json:"max_workers,omitempty"`
-	LegacyWorkers int         `json:"workers,omitempty"`
 	Ann           string      `json:"ann,omitempty"`
 }
 
@@ -800,19 +803,12 @@ func (s *Server) handleSearch(ctx context.Context, st *engineState, body []byte)
 		return nil, qcache.Bypass, unprocessable(err)
 	}
 	greq := geosir.SearchRequest{K: req.K, Mode: mode, Ann: ann, MaxWorkers: req.MaxWorkersCap}
-	switch {
-	case req.Exec != "":
-		exec, err := geosir.ParseExecPolicy(req.Exec)
+	greq.Exec = s.cfg.DefaultExec
+	if req.Exec != "" {
+		greq.Exec, err = geosir.ParseExecPolicy(req.Exec)
 		if err != nil {
 			return nil, qcache.Bypass, unprocessable(err)
 		}
-		greq.Exec = exec
-	case req.LegacyWorkers > 0 && req.MaxWorkersCap <= 0:
-		// The pre-ExecPolicy contract: an explicit positive "workers"
-		// forced a fan-out of that width.
-		greq.Exec, greq.MaxWorkers = geosir.ExecFanout, req.LegacyWorkers
-	default:
-		greq.Exec = s.cfg.DefaultExec
 	}
 	if req.Shape != nil {
 		q, err := req.Shape.Shape()

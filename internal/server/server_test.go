@@ -360,8 +360,7 @@ func TestOverloadSheds429(t *testing.T) {
 
 func TestStatzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	// Drive one request of each kind so counters move. The sketch search
-	// is the one that exercises the single engine's fan-out planner.
+	// Drive one request of each kind so counters move.
 	post(t, ts.URL+"/v1/similar", map[string]any{"shape": wireSquare(), "k": 1})
 	post(t, ts.URL+"/v1/similar", `{"oops`)
 	post(t, ts.URL+"/v1/sketch", map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": 1})
@@ -381,16 +380,17 @@ func TestStatzAndMetrics(t *testing.T) {
 		t.Errorf("statz schema = %d, want %d", st.Schema, StatzSchema)
 	}
 	// The sched section reports the engine's scheduler: the gauge is
-	// idle between requests, and the sketch search above planned exactly
-	// one execution (a single Engine plans only its sketch fan-out).
+	// idle between requests, and each of the two searches above planned
+	// one execution (a single Engine is one part: its single-shape search
+	// is a sequential plan).
 	if st.Sched == nil {
 		t.Fatalf("statz has no sched section: %s", raw)
 	}
 	if st.Sched.InFlight != 0 {
 		t.Errorf("sched.in_flight = %d, want 0 between requests", st.Sched.InFlight)
 	}
-	if st.Sched.PlansFanout+st.Sched.PlansSequential != 1 {
-		t.Errorf("sched plans = %d fanout + %d sequential, want 1 total", st.Sched.PlansFanout, st.Sched.PlansSequential)
+	if st.Sched.PlansFanout+st.Sched.PlansSequential != 2 || st.Sched.PlansSequential == 0 {
+		t.Errorf("sched plans = %d fanout + %d sequential, want 2 total, the single-shape one sequential", st.Sched.PlansFanout, st.Sched.PlansSequential)
 	}
 	// Schema 3: the storage section reports how the snapshot is held.
 	// SetEngine installs a heap-built engine, so nothing is mapped.

@@ -63,11 +63,9 @@ func TestShardedServesAllEndpoints(t *testing.T) {
 		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "auto"}},
 		{"/v1/search", map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": 2, "mode": "sketch"}},
 		// The execution policy schedules work; it must never change the
-		// wire answer. "workers" is the deprecated alias for a forced
-		// fan-out of that width.
+		// wire answer.
 		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", "exec": "sequential"}},
 		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", "exec": "fanout", "max_workers": 2}},
-		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", "workers": 2}},
 		{"/v1/topological", map[string]any{"query": "similar(a)", "binds": map[string]WireShape{"a": wireSquare()}}},
 	} {
 		respS, bodyS := post(t, single.URL+tc.path, tc.body)
@@ -91,6 +89,14 @@ func TestShardedServesAllEndpoints(t *testing.T) {
 		delete(b, "plan")
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: single and sharded servers disagree\nsingle:  %s\nsharded: %s", tc.path, bodyS, bodyP)
+		}
+	}
+
+	// The removed "workers" alias is an unknown field like any other.
+	for _, ts := range []*httptest.Server{single, sharded} {
+		resp, body := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", "workers": 2})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("\"workers\": status %d (%s), want 400", resp.StatusCode, body)
 		}
 	}
 }

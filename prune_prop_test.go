@@ -56,16 +56,16 @@ func TestSharedBoundDeterministic(t *testing.T) {
 	}
 }
 
-// exactUnseeded is the exact fan-out as it runs without a hash-tier seed
+// exactUnseeded is the exact scatter as it runs without a hash-tier seed
 // (unshared, or under the given bound): the reference a bound-first
 // Search must reproduce.
-func exactUnseeded(t *testing.T, label string, se *ShardedEngine, v *shardView, q Shape, k, width int, shared *core.SharedBound) ([]Match, Stats) {
+func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k, width int, shared *core.SharedBound) ([]Match, Stats) {
 	t.Helper()
-	pq, err := prepareExact(q)
+	pq, err := core.PrepareQuery(q)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ms, st, err := se.exactFanout(context.Background(), v, pq, q, k, width, shared, AnnOff)
+	ms, st, err := exactScatter(context.Background(), parts, pq, k, width, shared, false, AnnOff)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -75,12 +75,16 @@ func exactUnseeded(t *testing.T, label string, se *ShardedEngine, v *shardView, 
 // autoFrom is the ModeAuto answer that follows from an unseeded exact
 // phase (its merged matches and stats): the exact matches when every part
 // converged on a match within τ, the hashing answer otherwise.
-func autoFrom(t *testing.T, label string, se *ShardedEngine, v *shardView, q Shape, k int, exact []Match, st Stats) []Match {
+func autoFrom(t *testing.T, label string, v searchView, q Shape, k int, exact []Match, st Stats) []Match {
 	t.Helper()
-	if st.Converged && exactGoodEnough(exact, se.tau(v)) {
+	if st.Converged && exactGoodEnough(exact, v.tau) {
 		return exact
 	}
-	approx, _, err := se.approxFanout(context.Background(), v, q, k, 1, AnnOff)
+	pq, err := core.PrepareQuery(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	approx, _, err := approxScatter(context.Background(), v.parts, pq, hashBuckets(v.parts, pq), k, 1, AnnOff)
 	if err != nil {
 		t.Fatalf("%s hashing: %v", label, err)
 	}
@@ -138,7 +142,7 @@ func TestSharedBoundTombstoneProperty(t *testing.T) {
 				if len(gone) > 0 {
 					queries = append(queries, synth.Queries(rng, gone, 1, 0.005)...)
 				}
-				v := se.snapshot()
+				v := se.searchView()
 				ks := []int{1, 5}
 				if seed == 71 {
 					ks = append(ks, se.NumShapes()+3) // unconverged and slow: one base is enough
@@ -146,7 +150,7 @@ func TestSharedBoundTombstoneProperty(t *testing.T) {
 				for _, k := range ks {
 					for qi, q := range queries {
 						label := fmt.Sprintf("seed=%d shards=%d dead=%s k=%d q=%d", seed, shards, scenario, k, qi)
-						want, wst := exactUnseeded(t, label, se, v, q, k, 1, nil)
+						want, wst := exactUnseeded(t, label, v.parts, q, k, 1, nil)
 						rebuilt, err := ref.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
 						if err != nil {
 							t.Fatalf("%s rebuilt: %v", label, err)
@@ -160,7 +164,7 @@ func TestSharedBoundTombstoneProperty(t *testing.T) {
 								t.Fatalf("%s: match %d diverges from the rebuilt engine\ngot:  %+v\nwant: %+v", label, i, g, w)
 							}
 						}
-						wantAuto := autoFrom(t, label, se, v, q, k, want, wst)
+						wantAuto := autoFrom(t, label, v, q, k, want, wst)
 						for _, exec := range []ExecPolicy{ExecFanout, ExecSequential} {
 							got, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact, Exec: exec})
 							if err != nil {
@@ -182,7 +186,7 @@ func TestSharedBoundTombstoneProperty(t *testing.T) {
 						}{{1, 1}, {1, 3}, {1.0001, 1}, {1.5, 3}} {
 							sb := core.NewSharedBound()
 							sb.Tighten(want[k-1].Distance * c.slack)
-							got, st := exactUnseeded(t, label+" pre-tightened", se, v, q, k, c.width, sb)
+							got, st := exactUnseeded(t, label+" pre-tightened", v.parts, q, k, c.width, sb)
 							assertMatchesEqual(t, fmt.Sprintf("%s bound×%g width=%d (converged=%v)", label, c.slack, c.width, st.Converged), want, got)
 						}
 					}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/geohash"
 	"repro/internal/ingest"
 	"repro/internal/sched"
 )
@@ -137,13 +138,6 @@ type SearchRequest struct {
 	// MaxWorkers caps the planned fan-out width under any policy; ≤ 0
 	// means no cap.
 	MaxWorkers int
-	// Workers is the pre-ExecPolicy fan-out knob.
-	//
-	// Deprecated: set Exec and MaxWorkers instead. A positive Workers
-	// (with Exec and MaxWorkers unset) still behaves as it always did —
-	// it maps onto ExecFanout with MaxWorkers = Workers — and ≤ 0, the
-	// old "use GOMAXPROCS" default, maps onto ExecAuto.
-	Workers int
 	// Mode selects the retrieval strategy.
 	Mode Mode
 	// Ann selects the MinHash/LSH candidate tier's role: AnnOff (the
@@ -151,6 +145,10 @@ type SearchRequest struct {
 	// changing results, AnnApprox answers from its candidate set alone
 	// (sublinear, measured recall). See AnnMode.
 	Ann AnnMode
+
+	// onPrepare observes each query preparation the request performs
+	// (SearchRequest.prepare); tests count them.
+	onPrepare func()
 }
 
 // SearchResponse is the result of a Search.
@@ -175,19 +173,13 @@ type Searcher interface {
 }
 
 // execPlan resolves the request's scheduling knobs to a (policy, cap)
-// pair for internal/sched, folding the deprecated Workers alias in: a
-// positive Workers with Exec and MaxWorkers unset reproduces the old
-// explicit-workers behavior exactly — forced fan-out capped at Workers —
-// while the old ≤ 0 default falls through to ExecAuto.
+// pair for internal/sched.
 func (r SearchRequest) execPlan() (sched.Policy, int) {
 	switch r.Exec {
 	case ExecFanout:
 		return sched.Fanout, r.MaxWorkers
 	case ExecSequential:
 		return sched.Sequential, r.MaxWorkers
-	}
-	if r.MaxWorkers <= 0 && r.Workers > 0 {
-		return sched.Fanout, r.Workers
 	}
 	return sched.Auto, r.MaxWorkers
 }
@@ -202,96 +194,182 @@ func schedStatsFrom(st sched.Stats) SchedStats {
 	}
 }
 
-// SchedStats reports the engine's execution-scheduler counters. Only
-// ModeSketch requests plan a fan-out on a single Engine, so the plan
-// counters stay zero under the single-shape modes.
+// SchedStats reports the engine's execution-scheduler counters. A single
+// Engine is one part, so every single-shape request records a sequential
+// plan; only ModeSketch (one work item per sketch shape) can fan out.
 func (e *Engine) SchedStats() SchedStats { return schedStatsFrom(e.sched.Stats()) }
 
 // Search answers one retrieval request against the frozen engine. It is
-// safe for any number of concurrent callers. The context is checked at
-// stage boundaries (before the exact search and again before the
-// hashing fallback), so a request whose deadline has passed never pays
-// for the next stage.
+// safe for any number of concurrent callers. An Engine is the one-part
+// case of the scatter–merge every request runs (search): the part is the
+// engine itself, with identity shape ids and no tombstones.
 func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
+	return search(ctx, &e.sched, e.frozen, e.searchView, req)
+}
+
+func (e *Engine) searchView() searchView {
+	return searchView{parts: []part{&frozenPart{e: e}}, tau: e.db.Tau()}
+}
+
+// part is one independently searchable slice of a base, as a request
+// sees it: a frozen shard behind its view's tombstones and id map
+// (frozenPart), or a live delta (deltaPart). Parts hold disjoint sets of
+// live shapes, every shape of an image lives on one part, and all parts
+// hash with one deterministic curve family. Matches a part returns carry
+// global shape ids, in sortMatches order.
+type part interface {
+	// liveShapes is the number of shapes the part can return.
+	liveShapes() int
+	family() *geohash.Family
+	// liveBucket returns the part's live shapes (part-local ids) on the
+	// hash curves of quad, widened by radius.
+	liveBucket(quad geohash.Quadruple, radius int) []int
+	// scoreBounded scores one liveBucket / annOrder candidate under an
+	// admissible cutoff; false when it is proven strictly above cutoff
+	// (or has since been deleted).
+	scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, bool)
+	// annOrder reorders candidates best-first by ANN agreement.
+	annOrder(pq *core.PreparedQuery, ids []int) ([]int, Stats)
+	// epsilonMax is the widest envelope the part's exact search opens for
+	// pq; +Inf for a part that opens none.
+	epsilonMax(pq *core.PreparedQuery) float64
+	// exact is the part's top-k under the exact measure, consuming shared
+	// and publishing its own k-th best into it when that bounds the merged
+	// k-th best. ann orders the work, never the result.
+	exact(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode, shared *core.SharedBound) ([]Match, Stats, error)
+	// annApprox is the sublinear path: the part's top-k over its ANN
+	// candidates alone, scored exactly. Each part applies the full
+	// annMinShapes floor, so the union over N parts is at least as wide as
+	// one part's candidate set — recall is monotone in the part count.
+	// Matches are marked Approximate: the candidate set, not the
+	// distances, is the approximation.
+	annApprox(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error)
+	// sketchTable is the best distance per live image to one sketch
+	// shape; under AnnApprox, over the ANN candidates alone.
+	sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error)
+}
+
+// searchView is what one request searches: the parts of one consistent
+// snapshot of the base and its similarity threshold τ.
+type searchView struct {
+	parts []part
+	tau   float64
+}
+
+// search is the request decision tree, the only one: validation, one
+// query preparation, the fan-out plan, then per mode a scatter over the
+// view's parts (the paper's §6 flow — exact fattening; geometric hashing
+// when that finds no close match). The view is taken once per request,
+// so a compaction swapping shards mid-request never mixes two bases in
+// one answer. The context is checked at stage boundaries, so a request
+// whose deadline has passed never pays for the next stage.
+//
+// The width is planned once from req.Exec, the live in-flight gauge and
+// GOMAXPROCS; both stages of a ModeAuto request run under the one plan.
+// Width only changes how fast the answer arrives, never the answer: a
+// sequential plan walks the same parts under the same shared bound and
+// merges identically (DESIGN.md §4.13).
+func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() searchView, req SearchRequest) (*SearchResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !e.frozen {
+	if !frozen {
 		return nil, ErrNotFrozen
 	}
 	if req.K <= 0 {
 		return nil, ErrBadK
 	}
-	release := e.sched.Enter()
+	release := pl.Enter()
 	defer release()
+	v := view()
+	pol, maxw := req.execPlan()
 	switch req.Mode {
-	case ModeAuto, ModeExact:
+	case ModeAuto, ModeExact, ModeApproximate:
 		if len(req.Query.Pts) == 0 {
 			return nil, ErrEmptyQuery
 		}
-		if req.Mode == ModeAuto && req.Ann == AnnApprox && e.ann != nil {
-			ms, stats, err := e.searchAnnApprox(req.Query, req.K, nil)
+		width := pl.Width(len(v.parts), pol, maxw)
+		// AnnApprox answers from the ANN candidates alone — except in
+		// ModeExact, whose contract is exactness: there it only orders work.
+		annOnly := req.Ann == AnnApprox && req.Mode != ModeExact
+		if req.Mode != ModeApproximate && !annOnly {
+			// Only a request that opens envelopes validates the shape; the
+			// others let normalization reject what it must.
+			if err := req.Query.Validate(); err != nil {
+				return nil, fmt.Errorf("core: invalid query: %w", err)
+			}
+		}
+		pq, err := req.prepare(req.Query)
+		if err != nil {
+			return nil, err
+		}
+		var blocks atomic.Int64
+		pq.AttachBlockCounter(&blocks)
+		respond := func(ms []Match, st Stats) (*SearchResponse, error) {
+			st.BlockReads += int(blocks.Load())
+			return &SearchResponse{Matches: ms, Stats: st}, nil
+		}
+		if annOnly {
+			ms, stats, err := scatter(ctx, v.parts, req.K, width, nil, true, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
+				return v.parts[i].annApprox(ctx, pq, req.K, shared)
+			})
 			if err != nil {
 				return nil, err
 			}
-			return &SearchResponse{Matches: ms, Stats: stats}, nil
+			stats.UsedANN = true
+			return respond(ms, stats)
 		}
-		pq, err := prepareExact(req.Query)
+		// One bucket lookup serves both the seed pass and the hashing stage.
+		buckets := hashBuckets(v.parts, pq)
+		if req.Mode == ModeApproximate {
+			ms, stats, err := approxScatter(ctx, v.parts, pq, buckets, req.K, width, req.Ann)
+			if err != nil {
+				return nil, err
+			}
+			stats.UsedHashing = true
+			return respond(ms, stats)
+		}
+		ms, stats, err := exactSeeded(ctx, v.parts, pq, req, width, scoreSeed(v.parts, pq, buckets, req.K))
 		if err != nil {
 			return nil, err
 		}
-		seed := newHashSeed(pq, req.K)
-		seed.addShard(e, e.hashBucket(pq))
-		rank, annStats := e.annRank(req.Query, req.Ann)
-		ms, stats, err := e.searchExactShared(pq, req.K, core.MatchOpts{Rank: rank, Shared: seed.bound()})
-		if err != nil {
-			return nil, err
-		}
-		stats.BlockReads += seed.blockReads()
-		stats.addANN(annStats)
-		if req.Mode == ModeExact || (stats.Converged && exactGoodEnough(ms, e.db.Tau())) {
-			return &SearchResponse{Matches: ms, Stats: stats}, nil
+		if req.Mode == ModeExact || (stats.Converged && exactGoodEnough(ms, v.tau)) {
+			return respond(ms, stats)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		approx, astats, err := e.searchApprox(req.Query, req.K, req.Ann)
+		approx, astats, err := approxScatter(ctx, v.parts, pq, buckets, req.K, width, req.Ann)
 		if err != nil {
 			return nil, err
 		}
 		stats.UsedHashing = true
 		stats.addANN(astats)
 		if len(approx) == 0 {
-			return &SearchResponse{Matches: ms, Stats: stats}, nil
+			return respond(ms, stats)
 		}
-		return &SearchResponse{Matches: approx, Stats: stats}, nil
-	case ModeApproximate:
-		if len(req.Query.Pts) == 0 {
-			return nil, ErrEmptyQuery
-		}
-		if req.Ann == AnnApprox && e.ann != nil {
-			ms, stats, err := e.searchAnnApprox(req.Query, req.K, nil)
-			if err != nil {
-				return nil, err
-			}
-			return &SearchResponse{Matches: ms, Stats: stats}, nil
-		}
-		ms, stats, err := e.searchApprox(req.Query, req.K, req.Ann)
-		if err != nil {
-			return nil, err
-		}
-		stats.UsedHashing = true
-		return &SearchResponse{Matches: ms, Stats: stats}, nil
+		return respond(approx, stats)
 	case ModeSketch:
-		pol, maxw := req.execPlan()
-		width := e.sched.Width(len(req.Sketch), pol, maxw)
-		sms, stats, err := e.searchSketch(ctx, req.Sketch, req.K, width, req.Ann)
+		// Sketch work items are (sketch shape × part) pairs, so the plan
+		// covers the full task count.
+		width := pl.Width(len(v.parts)*len(req.Sketch), pol, maxw)
+		sms, stats, err := sketchScatter(ctx, v.parts, req, width)
 		if err != nil {
 			return nil, err
 		}
 		return &SearchResponse{SketchMatches: sms, Stats: stats}, nil
 	}
 	return nil, fmt.Errorf("geosir: unknown search mode %d", int(req.Mode))
+}
+
+// prepare normalizes one query shape and builds its oracle and envelope:
+// once per request (per sketch shape), however many parts and stages then
+// search it.
+func (r SearchRequest) prepare(q Shape) (*core.PreparedQuery, error) {
+	if r.onPrepare != nil {
+		r.onPrepare()
+	}
+	return core.PrepareQuery(q)
 }
 
 // exactGoodEnough reports whether the exact result is close enough to
@@ -301,65 +379,147 @@ func exactGoodEnough(ms []Match, tau float64) bool {
 	return len(ms) > 0 && ms[0].Distance <= tau
 }
 
-// prepareExact validates q and prepares it for the fattening search:
-// one normalization, oracle and envelope per request, however many
-// shards then search it.
-func prepareExact(q Shape) (*core.PreparedQuery, error) {
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid query: %w", err)
+// scatter runs op on every part, on up to width goroutines, and merges:
+// the sorted per-part top-k lists exactly (mergeTopK), the stats by
+// mergeStats. Parts hold disjoint live shape sets, so any part's k-th
+// best bounds the merged k-th best from above, and sharing one bound lets
+// parts abandon each other's hopeless candidates mid-flight without
+// changing the merge (DESIGN.md §4.9). The bound is the caller's when it
+// brings one (the hash seed); otherwise, when share is set, a fresh one —
+// for two or more parts only: a lone part would read back nothing but its
+// own k-th best, which already is its cutoff.
+func scatter(ctx context.Context, parts []part, k, width int, shared *core.SharedBound, share bool,
+	op func(i int, shared *core.SharedBound) ([]Match, Stats, error)) ([]Match, Stats, error) {
+	if shared == nil && share && len(parts) > 1 {
+		shared = core.NewSharedBound()
 	}
-	return core.PrepareQuery(q)
+	lists := make([][]Match, len(parts))
+	stats := make([]Stats, len(parts))
+	err := fanout(ctx, len(parts), width, func(i int) (err error) {
+		lists[i], stats[i], err = op(i, shared)
+		return err
+	})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return mergeTopK(lists, k), mergeStats(stats), nil
+}
+
+// exactScatter is the exact measure over every part under one bound
+// (scatter). Because per-shape distances are intrinsic to (query, shape)
+// and every shape lives on exactly one part, the merged top-k of
+// converged parts is the true global top-k.
+func exactScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, shared *core.SharedBound, share bool, ann AnnMode) ([]Match, Stats, error) {
+	ms, stats, err := scatter(ctx, parts, k, width, shared, share, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
+		return parts[i].exact(ctx, pq, k, ann, shared)
+	})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	// Asking for more matches than the base holds can never converge (the
+	// k-th best does not exist), even though every part, capped at what
+	// it holds, proved its own list — ModeAuto must fall back to hashing.
+	live := 0
+	for _, p := range parts {
+		live += p.liveShapes()
+	}
+	if k > live {
+		stats.Converged = false
+	}
+	return ms, stats, nil
+}
+
+// exactSeeded is the exact phase of a request, bound first: a seed that
+// fits every part (hashSeed.bound) makes each of them converge on its
+// first envelope whatever its siblings publish meanwhile, so both modes
+// share it. Without one, Converged depends on which part publishes first
+// — reporting in ModeExact, which still shares a fresh bound, but control
+// flow for ModeAuto's fallback, which then searches unshared.
+//
+// The seed is admissible for the shapes that were live when it was
+// scored. Frozen parts and their tombstones are fixed by the view, but a
+// delete may reach the active delta between the seed pass and its scan;
+// the bound can then sit below the k-th best of what is left. The answer
+// itself tells: k merged matches within the seed are exactly the top k
+// (everything discarded is proven farther); anything less and the search
+// runs again unseeded.
+func exactSeeded(ctx context.Context, parts []part, pq *core.PreparedQuery, req SearchRequest, width int, seed *hashSeed) ([]Match, Stats, error) {
+	k := req.K
+	shared := seed.bound()
+	for {
+		ms, stats, err := exactScatter(ctx, parts, pq, k, width, shared, req.Mode == ModeExact, req.Ann)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		if shared == nil || (len(ms) == k && ms[k-1].Distance <= seed.kth.Kth()) {
+			return ms, stats, nil
+		}
+		shared = nil
+	}
+}
+
+// hashBuckets returns, per part, the live shapes on the prepared query's
+// hash curves. Every part shares one deterministic curve family, so the
+// query hashes to the same characteristic quadruple everywhere and a
+// single table's bucket is exactly the union of the per-part buckets. The
+// widening decision is therefore global: only if the radius-0 union over
+// every part (after tombstone filtering — a deleted shape is no
+// candidate) is empty do all parts widen to the neighbor curves —
+// per-part widening would admit candidates a single table never sees.
+func hashBuckets(parts []part, pq *core.PreparedQuery) [][]int {
+	cand := make([][]int, len(parts))
+	if len(parts) == 0 {
+		return cand
+	}
+	quad := parts[0].family().Characteristic(pq.Entry().Poly.Pts)
+	for radius := 0; radius <= 1; radius++ {
+		total := 0
+		for i, p := range parts {
+			cand[i] = p.liveBucket(quad, radius)
+			total += len(cand[i])
+		}
+		if total > 0 {
+			break
+		}
+	}
+	return cand
 }
 
 // hashSeed is the bound-first half of an exact request (DESIGN.md §4.9):
-// before the fattening search, the query's hash bucket is scored with the
-// bounded evaluators, and the k-th smallest distance among its live
+// before the fattening search, the query's hash buckets are scored with
+// the bounded evaluators, and the k-th smallest distance among their live
 // shapes — any k live shapes bound the merged k-th best from above —
 // becomes the bound every part's search opens at.
 type hashSeed struct {
-	pq     *core.PreparedQuery
 	kth    *distTopK
-	epsMax float64 // smallest ε_max among the frozen parts added
-	blocks atomic.Int64
+	epsMax float64 // smallest ε_max among the parts
 }
 
-func newHashSeed(pq *core.PreparedQuery, k int) *hashSeed {
-	s := &hashSeed{pq: pq, kth: newDistTopK(k), epsMax: math.Inf(1)}
-	pq.AttachBlockCounter(&s.blocks)
+// scoreSeed scores the request's hash buckets, once and over every part,
+// each shape under the running k-th: a shape proven worse than it cannot
+// lower it. Every part will search under the seed, so its ε_max joins the
+// fit rule (bound).
+func scoreSeed(parts []part, pq *core.PreparedQuery, buckets [][]int, k int) *hashSeed {
+	s := &hashSeed{kth: newDistTopK(k), epsMax: math.Inf(1)}
+	for i, p := range parts {
+		s.epsMax = min(s.epsMax, p.epsilonMax(pq))
+		for _, id := range buckets[i] {
+			if m, ok := p.scoreBounded(id, pq, s.kth.Kth()); ok {
+				s.kth.Add(m.Distance)
+			}
+		}
+	}
 	return s
 }
 
-// addShard scores one frozen part's live bucket shapes, each under the
-// running k-th: a shape proven worse than it cannot lower it. The part
-// will search under the seed, so its ε_max joins the fit rule (bound).
-func (s *hashSeed) addShard(e *Engine, ids []int) {
-	base := e.db.Base()
-	s.epsMax = min(s.epsMax, base.EpsilonMax(s.pq.Entry().Poly.Perimeter()))
-	for _, sid := range ids {
-		if d, ok, err := base.ShapeDistancePreparedBounded(sid, s.pq, s.kth.Kth()); err == nil && ok {
-			s.kth.Add(d)
-		}
-	}
-}
-
-// addDelta is addShard for a mutable part (it opens no envelope, so it
-// has no ε_max to fit).
-func (s *hashSeed) addDelta(d *ingest.Delta, ids []int) {
-	for _, id := range ids {
-		if m, ok := d.ScoreBounded(id, s.pq, s.kth.Kth()); ok {
-			s.kth.Add(m.Distance)
-		}
-	}
-}
-
 // bound returns a shared bound tightened to the seed, or nil when there
-// is none to use: the bucket held fewer than k live shapes, or the one
+// is none to use: the buckets held fewer than k live shapes, or the one
 // envelope a search under the seed opens with (core's openingEpsilon
-// width) does not fit under the ε_max of every frozen part that would
-// consume it. Under a fitting seed every part converges on that first
-// envelope, so Converged — and ModeAuto's fallback decision — does not
-// depend on which sibling publishes first, and a search that converges
-// without the seed returns the same bytes with it.
+// width) does not fit under the ε_max of every part that would consume
+// it. Under a fitting seed every part converges on that first envelope,
+// so Converged — and ModeAuto's fallback decision — does not depend on
+// which sibling publishes first, and a search that converges without the
+// seed returns the same bytes with it.
 func (s *hashSeed) bound() *core.SharedBound {
 	sv := s.kth.Kth()
 	if math.IsInf(sv, 1) || 2*sv*1.0001 > s.epsMax {
@@ -370,108 +530,252 @@ func (s *hashSeed) bound() *core.SharedBound {
 	return sb
 }
 
-// blockReads is the page-granular storage the seed pass touched.
-func (s *hashSeed) blockReads() int { return int(s.blocks.Load()) }
-
-// searchExactShared is the fattening search of one prepared query (§2.5)
-// under the sharing options of a partitioned base (bound, publication,
-// tombstones) and an optional a-priori rank; see core.MatchOpts.
-func (e *Engine) searchExactShared(pq *core.PreparedQuery, k int, o core.MatchOpts) ([]Match, Stats, error) {
-	ms, st, err := e.db.Base().MatchPrepared(pq, k, o)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{
-		Iterations:      st.Iterations,
-		FinalEpsilon:    st.FinalEpsilon,
-		VerticesCounted: st.VerticesCounted,
-		Candidates:      st.Candidates,
-		Converged:       st.Converged,
-		BlockReads:      st.BlocksRead,
-	}
-	return e.toMatches(ms, false), stats, nil
-}
-
-// searchApprox answers from the geometric hash table alone (§3): hash
-// the query, collect the shapes on the same (widening once to adjacent)
-// curves, rank them with the similarity measure. The query is normalized
-// and its boundary oracle built exactly once; every candidate is scored
-// through the prepared query against the base's frozen per-entry
-// oracles. A non-off ann mode reorders the candidates best-first by ANN
+// approxScatter answers from the parts' geometric hash tables alone (§3):
+// every part's bucket, ranked with the similarity measure under one
+// shared bound. A non-off ann mode reorders each bucket best-first by ANN
 // agreement before scoring — a pure visit-order change (the admissible
 // cutoffs make the surviving top-k order-invariant), reported in the
 // returned Stats' ANN fields.
-func (e *Engine) searchApprox(q Shape, k int, ann AnnMode) ([]Match, Stats, error) {
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var blocks atomic.Int64
-	pq.AttachBlockCounter(&blocks)
-	ids := e.hashBucket(pq)
-	var st Stats
-	if ann != AnnOff {
-		ids, st = e.annOrderShapes(q, ids)
-	}
-	out := e.scoreApprox(pq, ids, k, nil)
-	st.BlockReads = int(blocks.Load())
-	sortMatches(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out, st, nil
+func approxScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, buckets [][]int, k, width int, ann AnnMode) ([]Match, Stats, error) {
+	return scatter(ctx, parts, k, width, nil, true, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
+		ids := buckets[i]
+		var st Stats
+		if ann != AnnOff {
+			ids, st = parts[i].annOrder(pq, ids)
+		}
+		return scoreCandidates(parts[i], pq, ids, k, shared), st, nil
+	})
 }
 
-// hashBucket returns the shapes on the prepared query's hash curves,
-// widening once to the neighbor curves when there are none.
-func (e *Engine) hashBucket(pq *core.PreparedQuery) []int {
-	quad := e.family.Characteristic(pq.Entry().Poly.Pts)
-	ids := e.table.Lookup(quad, 0)
-	if len(ids) == 0 {
-		ids = e.table.Lookup(quad, 1)
-	}
-	return ids
-}
-
-// scoreApprox ranks hash-table candidates against a prepared query,
+// scoreCandidates ranks one part's candidates against a prepared query,
 // skipping shapes proven unable to make the final top-k: every candidate
 // is scored under the tightest currently-proven cutoff — the k-th best
 // distance scored so far, and (when non-nil) the bound shared with the
-// sibling shards of a partitioned base — and the bounded evaluation
-// abandons a shape as soon as a partial sum proves its distance strictly
-// above that cutoff. Both cutoffs only ever hold values ≥ the final k-th
-// best, and the skip is strict, so the surviving list truncates to a
-// top-k byte-identical to the exhaustive ranking (DESIGN.md §4.9).
-// Shapes that fail to score (stale ids) are also skipped.
-func (e *Engine) scoreApprox(pq *core.PreparedQuery, ids []int, k int, shared *core.SharedBound) []Match {
-	base := e.db.Base()
+// sibling parts — and the bounded evaluation abandons a shape as soon as
+// a partial sum proves its distance strictly above that cutoff. Both
+// cutoffs only ever hold values ≥ the final k-th best, and the skip is
+// strict, so the surviving list truncates to a top-k byte-identical to
+// the exhaustive ranking (DESIGN.md §4.9). Candidates are live when they
+// are listed, so a published bound only ever reflects shapes that can
+// appear in the final answer.
+func scoreCandidates(p part, pq *core.PreparedQuery, ids []int, k int, shared *core.SharedBound) []Match {
 	out := make([]Match, 0, len(ids))
 	kth := newDistTopK(k)
-	for _, sid := range ids {
+	for _, id := range ids {
 		cut := kth.Kth()
 		if shared != nil {
 			if sv := shared.Load(); sv < cut {
 				cut = sv
 			}
 		}
-		d, ok, err := base.ShapeDistancePreparedBounded(sid, pq, cut)
-		if err != nil || !ok {
+		m, ok := p.scoreBounded(id, pq, cut)
+		if !ok {
 			continue
 		}
-		kth.Add(d)
+		kth.Add(m.Distance)
 		if shared != nil {
 			if v := kth.Kth(); !math.IsInf(v, 1) {
 				shared.Tighten(v)
 			}
 		}
-		out = append(out, Match{
-			ShapeID:     sid,
-			ImageID:     base.Shape(sid).Image,
-			Distance:    d,
-			Approximate: true,
-		})
+		out = append(out, m)
+	}
+	sortMatches(out)
+	return out
+}
+
+// frozenPart is a frozen Engine as one part of a view: its shapes minus
+// the view's tombstones, its local shape ids mapped to global ones. A
+// single Engine is the part with neither (smap nil: ids are global
+// already).
+type frozenPart struct {
+	e      *Engine
+	shard  int
+	smap   *core.ShardMap
+	dead   map[int]bool // tombstoned local shape ids
+	deadIn map[int]bool // tombstoned image ids
+}
+
+func (p *frozenPart) liveShapes() int         { return p.e.NumShapes() - len(p.dead) }
+func (p *frozenPart) family() *geohash.Family { return p.e.family }
+
+// global maps a local shape id to its global id. Within one shard local
+// id order is ascending global id order, so a list sorted by (Distance,
+// local id) is sorted by (Distance, global id).
+func (p *frozenPart) global(local int) int {
+	if p.smap == nil {
+		return local
+	}
+	return p.smap.Global(p.shard, local)
+}
+
+// live drops the tombstoned shape ids, in place.
+func (p *frozenPart) live(ids []int) []int {
+	if len(p.dead) == 0 {
+		return ids
+	}
+	out := ids[:0]
+	for _, id := range ids {
+		if !p.dead[id] {
+			out = append(out, id)
+		}
 	}
 	return out
+}
+
+func (p *frozenPart) liveBucket(quad geohash.Quadruple, radius int) []int {
+	return p.live(p.e.table.Lookup(quad, radius))
+}
+
+func (p *frozenPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, bool) {
+	base := p.e.db.Base()
+	d, ok, err := base.ShapeDistancePreparedBounded(id, pq, cutoff)
+	if err != nil || !ok {
+		return Match{}, false
+	}
+	return Match{ShapeID: p.global(id), ImageID: base.Shape(id).Image, Distance: d, Approximate: true}, true
+}
+
+func (p *frozenPart) epsilonMax(pq *core.PreparedQuery) float64 {
+	return p.e.db.Base().EpsilonMax(pq.Entry().Poly.Perimeter())
+}
+
+// exact is the fattening search (§2.5) for min(k, live shapes) matches,
+// skipping tombstoned shapes inside the kernel, before they are scored: a
+// part cannot supply more than it holds, and capping lets a small part
+// reach the convergence condition (the k-th best must exist to be proven
+// within ε/2). A capped part must not publish — its k'-th best does not
+// bound the merged k-th — but may consume, since anything it discards is
+// proven outside the merged top-k (DESIGN.md §4.9). The part ranks its
+// bootstrap candidates against its own ANN index — a visit-order change,
+// so the matches are byte-identical to AnnOff.
+func (p *frozenPart) exact(_ context.Context, pq *core.PreparedQuery, k int, ann AnnMode, shared *core.SharedBound) ([]Match, Stats, error) {
+	kk := min(k, p.liveShapes())
+	if kk == 0 {
+		return nil, Stats{Converged: true}, nil // every shape tombstoned
+	}
+	rank, stats := p.e.annRank(pq, ann)
+	base := p.e.db.Base()
+	ms, st, err := base.MatchPrepared(pq, kk, core.MatchOpts{Rank: rank, Shared: shared, Publish: kk == k, Dead: p.dead})
+	if err != nil {
+		if p.smap != nil {
+			err = fmt.Errorf("geosir: shard %d: %w", p.shard, err)
+		}
+		return nil, Stats{}, err
+	}
+	stats.Iterations = st.Iterations
+	stats.FinalEpsilon = st.FinalEpsilon
+	stats.VerticesCounted = st.VerticesCounted
+	stats.Candidates = st.Candidates
+	stats.Converged = st.Converged
+	stats.BlockReads = st.BlocksRead
+	out := make([]Match, len(ms))
+	for i, m := range ms {
+		out[i] = Match{
+			ShapeID:            p.global(m.ShapeID),
+			ImageID:            base.Shape(m.ShapeID).Image,
+			Distance:           m.DistVertex,
+			ContinuousDistance: m.DistContinuous,
+		}
+	}
+	return out, stats, nil
+}
+
+func (p *frozenPart) annApprox(_ context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error) {
+	shapes, probes := p.e.annCandidates(pq, annMinShapes(k))
+	shapes = p.live(shapes)
+	return scoreCandidates(p, pq, shapes, k, shared), annStats(probes, len(shapes)), nil
+}
+
+// sketchTable retrieves one sketch shape generously (enough shapes to
+// cover every image once) and reduces the matches to the best distance
+// per live image. Under AnnApprox only the ANN candidates are scored
+// (exactly); images whose every shape went unprobed are absent — the
+// sketch ranking's recall cost, measured in BENCH_ann.json.
+func (p *frozenPart) sketchTable(_ context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error) {
+	base := p.e.db.Base()
+	best := make(map[int]float64)
+	keep := func(sid int, d float64) {
+		img := base.Shape(sid).Image
+		if cur, ok := best[img]; !ok || d < cur {
+			best[img] = d
+		}
+	}
+	var stats Stats
+	if ann == AnnApprox {
+		shapes, probes := p.e.annCandidates(pq, annSketchMinShapes(k))
+		for _, sid := range shapes {
+			if d, _, err := base.ShapeDistancePreparedBounded(sid, pq, math.Inf(1)); err == nil {
+				keep(sid, d)
+			}
+		}
+		stats = annStats(probes, len(shapes))
+	} else {
+		ms, st, err := base.MatchPrepared(pq, base.NumShapes(), core.MatchOpts{})
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		for _, m := range ms {
+			keep(m.ShapeID, m.DistVertex)
+		}
+		stats.BlockReads = st.BlocksRead
+	}
+	for img := range p.deadIn {
+		delete(best, img)
+	}
+	return best, stats, nil
+}
+
+// deltaPart is a live delta as a part. It has no index to converge on and
+// no ANN tier: its exact search is a bounded scan of every live shape, so
+// its list is final as it stands, and every live shape is an ANN
+// candidate — strictly better recall than any probe. It publishes its own
+// k-th best, which exists only once it has scored k live shapes (§4.12).
+// Delta matches carry global ids already.
+type deltaPart struct{ d *ingest.Delta }
+
+func (p deltaPart) liveShapes() int         { return p.d.NumShapes() }
+func (p deltaPart) family() *geohash.Family { return p.d.Family() }
+
+func (p deltaPart) liveBucket(quad geohash.Quadruple, radius int) []int {
+	return p.d.Candidates(quad, radius)
+}
+
+func (p deltaPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, bool) {
+	m, ok := p.d.ScoreBounded(id, pq, cutoff)
+	return Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, Approximate: true}, ok
+}
+
+func (p deltaPart) annOrder(_ *core.PreparedQuery, ids []int) ([]int, Stats) { return ids, Stats{} }
+
+func (p deltaPart) epsilonMax(*core.PreparedQuery) float64 { return math.Inf(1) }
+
+// scan is the delta's bounded scan. Exact results carry the continuous
+// measure; approximate ones do not, matching the frozen paths.
+func (p deltaPart) scan(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound, approx bool) ([]Match, Stats, error) {
+	ms, evaluated, err := p.d.Match(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true}, !approx)
+	if err != nil {
+		return nil, Stats{}, fmt.Errorf("geosir: delta: %w", err)
+	}
+	out := make([]Match, len(ms))
+	for i, m := range ms {
+		out[i] = Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, ContinuousDistance: m.Continuous, Approximate: approx}
+	}
+	return out, Stats{Converged: true, Candidates: evaluated}, nil
+}
+
+func (p deltaPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, _ AnnMode, shared *core.SharedBound) ([]Match, Stats, error) {
+	return p.scan(ctx, pq, k, shared, false)
+}
+
+func (p deltaPart) annApprox(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error) {
+	ms, _, err := p.scan(ctx, pq, k, shared, true)
+	return ms, Stats{}, err
+}
+
+func (p deltaPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, _ int, _ AnnMode) (map[int]float64, Stats, error) {
+	best, err := p.d.SketchTable(ctx, pq)
+	return best, Stats{}, err
 }
 
 // distTopK tracks the k-th smallest of a distance stream with a size-
@@ -538,67 +842,60 @@ func validateSketch(sketch []Shape) error {
 	return nil
 }
 
-// searchSketch implements the §6 user flow: a query sketch is decomposed
+// sketchScatter implements the §6 user flow: a query sketch is decomposed
 // into several polylines, and images are ranked by how well they match
-// *all* of them. The per-sketch-shape retrievals are independent index
-// reads and run concurrently on up to width goroutines — the planned
-// fan-out width from internal/sched (work-stealing, see fanout); the
-// per-image tables are merged after the barrier, so the result is
-// identical to the sequential evaluation order.
-func (e *Engine) searchSketch(ctx context.Context, sketch []Shape, k, width int, ann AnnMode) ([]SketchMatch, Stats, error) {
+// *all* of them. Every (sketch shape, part) pair is an independent index
+// read; each shape's per-part best-distance tables are unioned after the
+// barrier (parts hold disjoint live image sets, so union is just map
+// merge) and ranked by scoreSketchTables, so the result is identical to
+// the sequential evaluation order.
+func sketchScatter(ctx context.Context, parts []part, req SearchRequest, width int) ([]SketchMatch, Stats, error) {
+	sketch, k := req.Sketch, req.K
 	if err := validateSketch(sketch); err != nil {
 		return nil, Stats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-
-	// For each sketch shape, the best distance per image, filled in by
-	// that shape's worker (no shared writes before the barrier).
-	useAnn := ann == AnnApprox && e.ann != nil
-	perShape := make([]map[int]float64, len(sketch))
-	perStats := make([]Stats, len(sketch))
-	err := fanout(ctx, len(sketch), width, func(si int) error {
-		var t map[int]float64
-		var err error
-		if useAnn {
-			t, perStats[si], err = e.sketchShapeTableAnn(sketch[si], k)
-		} else {
-			t, perStats[si], err = e.sketchShapeTable(sketch[si])
+	var blocks atomic.Int64
+	pqs := make([]*core.PreparedQuery, len(sketch))
+	for si, q := range sketch {
+		pq, err := req.prepare(q)
+		if err != nil {
+			return nil, Stats{}, fmt.Errorf("geosir: sketch shape %d: %w", si, err)
 		}
+		pq.AttachBlockCounter(&blocks)
+		pqs[si] = pq
+	}
+	per := len(parts)
+	tables := make([]map[int]float64, len(sketch)*per)
+	tableStats := make([]Stats, len(tables))
+	err := fanout(ctx, len(tables), width, func(t int) (err error) {
+		si := t / per
+		tables[t], tableStats[t], err = parts[t%per].sketchTable(ctx, pqs[si], k, req.Ann)
 		if err != nil {
 			return fmt.Errorf("geosir: sketch shape %d: %w", si, err)
 		}
-		perShape[si] = t
 		return nil
 	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	var stats Stats
-	for _, st := range perStats {
+	stats := Stats{BlockReads: int(blocks.Load())}
+	for _, st := range tableStats {
 		stats.addANN(st)
 	}
-	return scoreSketchTables(perShape, k), stats, nil
-}
-
-// sketchShapeTable retrieves one sketch shape generously (enough shapes
-// to cover every image once) and reduces the matches to the best
-// distance per image.
-func (e *Engine) sketchShapeTable(q Shape) (map[int]float64, Stats, error) {
-	base := e.db.Base()
-	ms, st, err := base.Match(q, base.NumShapes())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	best := make(map[int]float64)
-	for _, m := range ms {
-		img := base.Shape(m.ShapeID).Image
-		if d, ok := best[img]; !ok || m.DistVertex < d {
-			best[img] = m.DistVertex
+	perShape := make([]map[int]float64, len(sketch))
+	for si := range sketch {
+		best := make(map[int]float64)
+		for _, table := range tables[si*per : (si+1)*per] {
+			for img, d := range table {
+				best[img] = d
+			}
 		}
+		perShape[si] = best
 	}
-	return best, Stats{BlockReads: st.BlocksRead}, nil
+	return scoreSketchTables(perShape, k), stats, nil
 }
 
 // scoreSketchTables merges per-sketch-shape best-distance tables into

@@ -5,14 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/geohash"
 	"repro/internal/ingest"
 	"repro/internal/sched"
 )
@@ -172,33 +170,25 @@ func (v *shardView) markDead(im shardImage, gid int) {
 	}
 }
 
-// liveLocal drops a shard's tombstoned candidate shape ids, in place.
-// Filtering happens before scoring, so the per-shard running k-th best —
-// and any bound published from it — only ever reflects shapes that can
-// appear in the final answer.
-func (v *shardView) liveLocal(shard int, ids []int) []int {
-	dead := deadOf(v.deadShapes, shard)
-	if len(dead) == 0 {
-		return ids
-	}
-	out := ids[:0]
-	for _, id := range ids {
-		if !dead[id] {
-			out = append(out, id)
+// parts lists what a request searches: the live shards, each behind its
+// tombstones and id map, then the deltas (sealed first) — ascending
+// global-id ranges, which is the order the k-way merge sees them in.
+func (v *shardView) parts() []part {
+	live := v.liveShards()
+	deltas := v.deltas()
+	frozen := make([]frozenPart, len(live))
+	out := make([]part, 0, len(live)+len(deltas))
+	for i, si := range live {
+		frozen[i] = frozenPart{
+			e: v.shards[si], shard: si, smap: v.smap,
+			dead: deadOf(v.deadShapes, si), deadIn: deadOf(v.deadIn, si),
 		}
+		out = append(out, &frozen[i])
+	}
+	for _, d := range deltas {
+		out = append(out, deltaPart{d})
 	}
 	return out
-}
-
-// toGlobal rewrites a shard's local shape ids to global ids in place.
-// Within one shard local id order is ascending global id order, so a
-// list sorted by (Distance, local id) stays sorted by (Distance,
-// global id).
-func (v *shardView) toGlobal(shard int, ms []Match) []Match {
-	for i := range ms {
-		ms[i].ShapeID = v.smap.Global(shard, ms[i].ShapeID)
-	}
-	return ms
 }
 
 // liveShapeCount is the number of shapes a query can return: frozen
@@ -434,102 +424,17 @@ func (se *ShardedEngine) tau(v *shardView) float64 {
 	return DefaultOptions().Tau // mirror of New()'s defaulting
 }
 
-// Search answers one retrieval request by fanning it out across the
-// live shards — and, when ingestion is enabled, the mutable delta(s) —
-// and merging the answers. The decision structure mirrors Engine.Search
-// stage for stage: same validation order, same ModeAuto fallback rule
-// (fall back to hashing unless every live part converged and the merged
-// best match is within τ), same empty-approximate recovery. The view is
-// loaded once per request, so a compaction swapping shards mid-request
-// never mixes two bases in one answer.
-//
-// The fan-out width is planned once per request by internal/sched from
-// req.Exec, the live in-flight gauge, and GOMAXPROCS; both stages of a
-// ModeAuto request (exact, then the hashing fallback) run under the one
-// plan. Width only changes how fast the answer arrives, never the
-// answer: a sequential plan walks the same parts under the same shared
-// bound and merges identically (DESIGN.md §4.13).
+// Search answers one retrieval request by scattering it across the live
+// shards — and, when ingestion is enabled, the mutable delta(s) — and
+// merging the answers: the request flow of search, over this engine's
+// current view.
 func (se *ShardedEngine) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if !se.frozen {
-		return nil, ErrNotFrozen
-	}
-	if req.K <= 0 {
-		return nil, ErrBadK
-	}
-	release := se.sched.Enter()
-	defer release()
+	return search(ctx, &se.sched, se.frozen, se.searchView, req)
+}
+
+func (se *ShardedEngine) searchView() searchView {
 	v := se.snapshot()
-	pol, maxw := req.execPlan()
-	nparts := len(v.liveShards()) + len(v.deltas())
-	switch req.Mode {
-	case ModeAuto, ModeExact:
-		if len(req.Query.Pts) == 0 {
-			return nil, ErrEmptyQuery
-		}
-		width := se.sched.Width(nparts, pol, maxw)
-		if req.Mode == ModeAuto && req.Ann == AnnApprox {
-			ms, stats, err := se.annApproxFanout(ctx, v, req.Query, req.K, width)
-			if err != nil {
-				return nil, err
-			}
-			return &SearchResponse{Matches: ms, Stats: stats}, nil
-		}
-		pq, err := prepareExact(req.Query)
-		if err != nil {
-			return nil, err
-		}
-		ms, stats, err := se.exactSeeded(ctx, v, pq, req, width, se.scoreSeed(v, pq, req.K))
-		if err != nil {
-			return nil, err
-		}
-		if req.Mode == ModeExact || (stats.Converged && exactGoodEnough(ms, se.tau(v))) {
-			return &SearchResponse{Matches: ms, Stats: stats}, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		approx, astats, err := se.approxFanout(ctx, v, req.Query, req.K, width, req.Ann)
-		if err != nil {
-			return nil, err
-		}
-		stats.UsedHashing = true
-		stats.addANN(astats)
-		if len(approx) == 0 {
-			return &SearchResponse{Matches: ms, Stats: stats}, nil
-		}
-		return &SearchResponse{Matches: approx, Stats: stats}, nil
-	case ModeApproximate:
-		if len(req.Query.Pts) == 0 {
-			return nil, ErrEmptyQuery
-		}
-		width := se.sched.Width(nparts, pol, maxw)
-		if req.Ann == AnnApprox {
-			ms, stats, err := se.annApproxFanout(ctx, v, req.Query, req.K, width)
-			if err != nil {
-				return nil, err
-			}
-			return &SearchResponse{Matches: ms, Stats: stats}, nil
-		}
-		ms, stats, err := se.approxFanout(ctx, v, req.Query, req.K, width, req.Ann)
-		if err != nil {
-			return nil, err
-		}
-		stats.UsedHashing = true
-		return &SearchResponse{Matches: ms, Stats: stats}, nil
-	case ModeSketch:
-		// Sketch work items are (sketch shape × part) pairs, so the
-		// plan covers the full task count.
-		width := se.sched.Width(nparts*len(req.Sketch), pol, maxw)
-		sms, stats, err := se.sketchFanout(ctx, v, req.Sketch, req.K, width, req.Ann)
-		if err != nil {
-			return nil, err
-		}
-		return &SearchResponse{SketchMatches: sms, Stats: stats}, nil
-	}
-	return nil, fmt.Errorf("geosir: unknown search mode %d", int(req.Mode))
+	return searchView{parts: v.parts(), tau: se.tau(v)}
 }
 
 // SchedStats reports the engine's execution-scheduler counters: the
@@ -573,429 +478,13 @@ func (se *ShardedEngine) Query(src string, binds map[string]Shape) ([]int, strin
 	return all, plan, nil
 }
 
-// exactSeeded is the exact phase of a request, bound first: a seed that
-// fits every live shard (hashSeed.bound) makes each of them converge on its first envelope whatever its siblings publish
-// meanwhile, so both modes share it. Without one, Converged depends on
-// which shard publishes first — reporting in ModeExact, which still
-// shares a fresh bound, but control flow for ModeAuto's fallback, which
-// then searches unshared.
-//
-// The seed is admissible for the shapes that were live when it was
-// scored. Frozen shards and their tombstones are fixed by the view, but a
-// delete may reach the active delta between the seed pass and its scan;
-// the bound can then sit below the k-th best of what is left. The answer
-// itself tells: k merged matches within the seed are exactly the top k
-// (everything discarded is proven farther); anything less and the search
-// runs again unseeded.
-func (se *ShardedEngine) exactSeeded(ctx context.Context, v *shardView, pq *core.PreparedQuery, req SearchRequest, width int, seed *hashSeed) ([]Match, Stats, error) {
-	k := req.K
-	shared := seed.bound()
-	seeded := shared != nil
-	for {
-		if shared == nil && req.Mode == ModeExact {
-			shared = core.NewSharedBound()
-		}
-		ms, stats, err := se.exactFanout(ctx, v, pq, req.Query, k, width, shared, req.Ann)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		if !seeded || (len(ms) == k && ms[k-1].Distance <= seed.kth.Kth()) {
-			stats.BlockReads += seed.blockReads()
-			return ms, stats, nil
-		}
-		seeded, shared = false, nil
-	}
-}
-
-// exactFanout runs the fattening search on every live shard — and the
-// bounded scan of every live delta — concurrently and merges the sorted
-// per-part top-k lists exactly. The caller has validated and prepared the
-// query once for all of them.
-//
-// Each shard is asked for min(k, its live shape count) matches and skips
-// its tombstoned shapes inside the kernel, before they are scored: a
-// shard cannot supply more than it holds, and capping lets small shards
-// reach the convergence condition (the k-th best must exist to be
-// proven within ε/2). Because the per-shape distances are intrinsic to
-// (query, shape) and every shape lives on exactly one part, the merged
-// top-k of converged parts is the true global top-k. A delta has no
-// index to converge on: its scan visits every live shape, so its list is
-// final as it stands.
-//
-// With a shared bound — fresh, or seeded from the hash tier by Search,
-// in which case even a lone live shard opens at it — the shards
-// additionally prune against each other mid-flight through that one
-// atomic cell: every uncapped shard publishes its live k-th best, every
-// shard discards candidates proven strictly worse than the tightest
-// published value and stops once the bound is inside its envelope's
-// reach. Capped shards must not publish — their k'-th best does not
-// bound the global k-th — but may consume, since anything they discard is
-// proven outside the merged top-k (DESIGN.md §4.9). A delta is a part
-// like any other: it scans under the same bound and publishes its own
-// k-th best, which exists only once it has scored k live shapes (§4.12).
-func (se *ShardedEngine) exactFanout(ctx context.Context, v *shardView, pq *core.PreparedQuery, q Shape, k, width int, shared *core.SharedBound, ann AnnMode) ([]Match, Stats, error) {
-	live := v.liveShards()
-	deltas := v.deltas()
-	n := len(live) + len(deltas)
-	lists := make([][]Match, n)
-	stats := make([]Stats, n)
-	err := fanout(ctx, n, width, func(i int) error {
-		if i >= len(live) {
-			dms, evaluated, err := deltas[i-len(live)].Match(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true}, true)
-			if err != nil {
-				return fmt.Errorf("geosir: delta: %w", err)
-			}
-			lists[i] = deltaToMatches(dms, false)
-			stats[i] = Stats{Converged: true, Candidates: evaluated}
-			return nil
-		}
-		si := live[i]
-		sh := v.shards[si]
-		dead := deadOf(v.deadShapes, si)
-		kk := min(k, sh.NumShapes()-len(dead))
-		if kk == 0 {
-			stats[i] = Stats{Converged: true} // every shape tombstoned
-			return nil
-		}
-		// Each shard ranks its own bootstrap candidates against its own
-		// ANN index — a per-shard visit-order change, so the per-shard
-		// (and thus merged) matches are byte-identical to AnnOff.
-		rank, annSt := sh.annRank(q, ann)
-		ms, st, err := sh.searchExactShared(pq, kk, core.MatchOpts{
-			Rank: rank, Shared: shared, Publish: kk == k, Dead: dead,
-		})
-		if err != nil {
-			return fmt.Errorf("geosir: shard %d: %w", si, err)
-		}
-		st.addANN(annSt)
-		lists[i] = v.toGlobal(si, ms)
-		stats[i] = st
-		return nil
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	merged := mergeStats(stats)
-	// Mirror the single engine's convergence semantics: asking for more
-	// matches than the base holds can never converge there (the k-th
-	// best does not exist), so it must not count as converged here
-	// either, even though every capped shard proved its own list.
-	if k > v.liveShapeCount() {
-		merged.Converged = false
-	}
-	return mergeTopK(lists, k), merged, nil
-}
-
-// hashBuckets returns, per part (live shards, then deltas; at least one),
-// the live shapes on the prepared query's hash curves. Every part shares
-// one deterministic curve family, so the query hashes to the same
-// characteristic quadruple everywhere and a single table's bucket is
-// exactly the union of the per-part buckets. The widening decision is
-// therefore global: only if the radius-0 union over every part (after
-// tombstone filtering — a deleted shape is no candidate) is empty do all
-// parts widen to the neighbor curves — per-part widening would admit
-// candidates a single engine never sees.
-func (v *shardView) hashBuckets(pq *core.PreparedQuery, live []int, deltas []*ingest.Delta) [][]int {
-	var family *geohash.Family
-	if len(live) > 0 {
-		family = v.shards[live[0]].family
-	} else {
-		family = deltas[0].Family()
-	}
-	quad := family.Characteristic(pq.Entry().Poly.Pts)
-	cand := make([][]int, len(live)+len(deltas))
-	for radius := 0; radius <= 1; radius++ {
-		total := 0
-		for i, si := range live {
-			cand[i] = v.liveLocal(si, v.shards[si].table.Lookup(quad, radius))
-			total += len(cand[i])
-		}
-		for j, d := range deltas {
-			cand[len(live)+j] = d.Candidates(quad, radius)
-			total += len(cand[len(live)+j])
-		}
-		if total > 0 {
-			break
-		}
-	}
-	return cand
-}
-
-// scoreSeed scores the request's hash buckets, once and over every
-// part, into the seed of its exact search.
-func (se *ShardedEngine) scoreSeed(v *shardView, pq *core.PreparedQuery, k int) *hashSeed {
-	seed := newHashSeed(pq, k)
-	live := v.liveShards()
-	deltas := v.deltas()
-	if len(live)+len(deltas) == 0 {
-		return seed
-	}
-	cand := v.hashBuckets(pq, live, deltas)
-	for i, si := range live {
-		seed.addShard(v.shards[si], cand[i])
-	}
-	for j, d := range deltas {
-		seed.addDelta(d, cand[len(live)+j])
-	}
-	return seed
-}
-
-// approxFanout answers from the shards' and deltas' geometric hash
-// tables (hashBuckets), scoring every part's bucket under one shared
-// bound.
-func (se *ShardedEngine) approxFanout(ctx context.Context, v *shardView, q Shape, k, width int, ann AnnMode) ([]Match, Stats, error) {
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var blocks atomic.Int64
-	pq.AttachBlockCounter(&blocks)
-	live := v.liveShards()
-	deltas := v.deltas()
-	n := len(live) + len(deltas)
-	if n == 0 {
-		return []Match{}, Stats{}, nil
-	}
-	cand := v.hashBuckets(pq, live, deltas)
-	// Parts hold disjoint live shape sets, so any part's running k-th
-	// best bounds the merged k-th best from above; sharing it lets parts
-	// abandon each other's hopeless candidates mid-score. Candidates are
-	// tombstone-filtered before scoring, so published bounds only ever
-	// reflect live shapes and stay admissible. The skipped shapes are
-	// exactly those proven outside the merged top-k, so the merge below
-	// is unchanged (DESIGN.md §4.9).
-	var shared *core.SharedBound
-	if n > 1 {
-		shared = core.NewSharedBound()
-	}
-	lists := make([][]Match, n)
-	stats := make([]Stats, n)
-	err = fanout(ctx, n, width, func(i int) error {
-		if i >= len(live) {
-			d := deltas[i-len(live)]
-			lists[i] = scoreDeltaApprox(d, pq, cand[i], k, shared)
-			return nil
-		}
-		sh := v.shards[live[i]]
-		ids := cand[i]
-		if ann != AnnOff {
-			// Per-shard best-first ordering against the shard's own ANN
-			// index; the admissible cutoffs keep the surviving top-k
-			// identical (DESIGN.md §4.9), only the bounds tighten sooner.
-			ids, stats[i] = sh.annOrderShapes(q, ids)
-		}
-		ms := sh.scoreApprox(pq, ids, k, shared)
-		sortMatches(ms) // local ids; local order == global order within a shard
-		lists[i] = v.toGlobal(live[i], ms)
-		return nil
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var merged Stats
-	for _, st := range stats {
-		merged.addANN(st)
-	}
-	merged.BlockReads += int(blocks.Load())
-	return mergeTopK(lists, k), merged, nil
-}
-
-// annApproxFanout is the sharded sublinear path: every live shard probes
-// its own ANN index for candidates (each shard applies the full
-// annMinShapes floor, so the union is at least as wide as a single
-// engine's candidate set) and scores them exactly under one shared
-// cross-part bound; the per-part top-k lists merge exactly. Deltas have
-// no ANN index — every live shape of theirs is a candidate, strictly
-// better recall than any probe, scored by the same bounded scan as on the
-// exact path, under the same bound. The result can differ from a single
-// engine's AnnApprox answer only by having *more* candidates verified —
-// recall is monotone in the shard count.
-func (se *ShardedEngine) annApproxFanout(ctx context.Context, v *shardView, q Shape, k, width int) ([]Match, Stats, error) {
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var blocks atomic.Int64
-	pq.AttachBlockCounter(&blocks)
-	live := v.liveShards()
-	deltas := v.deltas()
-	n := len(live) + len(deltas)
-	if n == 0 {
-		return []Match{}, Stats{UsedANN: true}, nil
-	}
-	var shared *core.SharedBound
-	if n > 1 {
-		shared = core.NewSharedBound()
-	}
-	lists := make([][]Match, n)
-	stats := make([]Stats, n)
-	err = fanout(ctx, n, width, func(i int) error {
-		if i >= len(live) {
-			dms, _, err := deltas[i-len(live)].Match(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true}, false)
-			if err != nil {
-				return fmt.Errorf("geosir: delta: %w", err)
-			}
-			lists[i] = deltaToMatches(dms, true)
-			return nil
-		}
-		sh := v.shards[live[i]]
-		if sh.ann == nil {
-			lists[i] = []Match{}
-			return nil
-		}
-		cand := sh.ann.Probe(sh.ann.Signature(pq.Entry().Poly), annMinShapes(k))
-		shapes := cand.Shapes
-		if max := annCapShapes(annMinShapes(k)); len(shapes) > max {
-			shapes = shapes[:max]
-		}
-		shapes = v.liveLocal(live[i], shapes)
-		stats[i] = Stats{UsedANN: true, ANNProbes: cand.Probes, ANNCandidates: len(shapes)}
-		ms := sh.scoreApprox(pq, shapes, k, shared)
-		sortMatches(ms) // local ids; local order == global order within a shard
-		lists[i] = v.toGlobal(live[i], ms)
-		return nil
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	merged := Stats{UsedANN: true}
-	for _, st := range stats {
-		merged.addANN(st)
-	}
-	merged.BlockReads += int(blocks.Load())
-	return mergeTopK(lists, k), merged, nil
-}
-
-// sketchFanout evaluates every (sketch shape, part) pair concurrently (a
-// delta's table is its scan with k = all live shapes and no bound),
-// unions each shape's per-part best-distance tables (parts hold
-// disjoint live image sets, so union is just map merge; tombstoned
-// images are removed from their shard's table first), and feeds the
-// result through the same scoreSketchTables ranking as the single
-// engine.
-func (se *ShardedEngine) sketchFanout(ctx context.Context, v *shardView, sketch []Shape, k, width int, ann AnnMode) ([]SketchMatch, Stats, error) {
-	if err := validateSketch(sketch); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-	live := v.liveShards()
-	deltas := v.deltas()
-	per := len(live) + len(deltas)
-	parts := make([]map[int]float64, len(sketch)*per)
-	partStats := make([]Stats, len(parts))
-	err := fanout(ctx, len(parts), width, func(t int) error {
-		si, pi := t/per, t%per
-		if pi >= len(live) {
-			pq, err := core.PrepareQuery(sketch[si])
-			if err == nil {
-				parts[t], err = deltas[pi-len(live)].SketchTable(ctx, pq)
-			}
-			if err != nil {
-				return fmt.Errorf("geosir: sketch shape %d: %w", si, err)
-			}
-			return nil
-		}
-		sh := v.shards[live[pi]]
-		var m map[int]float64
-		var err error
-		if ann == AnnApprox && sh.ann != nil {
-			m, partStats[t], err = sh.sketchShapeTableAnn(sketch[si], k)
-		} else {
-			m, partStats[t], err = sh.sketchShapeTable(sketch[si])
-		}
-		if err != nil {
-			return fmt.Errorf("geosir: sketch shape %d: %w", si, err)
-		}
-		if dead := deadOf(v.deadIn, live[pi]); len(dead) > 0 {
-			for img := range dead {
-				delete(m, img)
-			}
-		}
-		parts[t] = m
-		return nil
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var stats Stats
-	for _, st := range partStats {
-		stats.addANN(st)
-	}
-	perShape := make([]map[int]float64, len(sketch))
-	for si := range sketch {
-		best := make(map[int]float64)
-		for pi := 0; pi < per; pi++ {
-			for img, d := range parts[si*per+pi] {
-				best[img] = d
-			}
-		}
-		perShape[si] = best
-	}
-	return scoreSketchTables(perShape, k), stats, nil
-}
-
-// deltaToMatches converts delta matches (already global ids) to the
-// public Match shape. Exact-path results carry the continuous measure;
-// hashing-path results (approx) do not, matching the frozen paths.
-func deltaToMatches(ms []ingest.Match, approx bool) []Match {
-	out := make([]Match, 0, len(ms))
-	for _, m := range ms {
-		om := Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, Approximate: approx}
-		if !approx {
-			om.ContinuousDistance = m.Continuous
-		}
-		out = append(out, om)
-	}
-	return out
-}
-
-// scoreDeltaApprox ranks a delta's hash-table candidates against a
-// prepared query, mirroring Engine.scoreApprox exactly: every candidate
-// is scored under the tightest currently-proven cutoff — the local k-th
-// best and the cross-part shared bound — and the bounded evaluation
-// abandons a shape as soon as a partial sum proves it strictly worse.
-// The delta holds only live shapes disjoint from every other part, so
-// its published bounds are admissible for the same reason a shard's are
-// (DESIGN.md §4.9).
-func scoreDeltaApprox(d *ingest.Delta, pq *core.PreparedQuery, ids []int, k int, shared *core.SharedBound) []Match {
-	out := make([]Match, 0, len(ids))
-	kth := newDistTopK(k)
-	for _, id := range ids {
-		cut := kth.Kth()
-		if shared != nil {
-			if sv := shared.Load(); sv < cut {
-				cut = sv
-			}
-		}
-		m, ok := d.ScoreBounded(id, pq, cut)
-		if !ok {
-			continue
-		}
-		kth.Add(m.Distance)
-		if shared != nil {
-			if bound := kth.Kth(); !math.IsInf(bound, 1) {
-				shared.Tighten(bound)
-			}
-		}
-		out = append(out, Match{
-			ShapeID:     m.GID,
-			ImageID:     m.ImageID,
-			Distance:    m.Distance,
-			Approximate: true,
-		})
-	}
-	sortMatches(out)
-	return out
-}
-
-// mergeStats aggregates per-shard retrieval stats: work counters sum,
+// mergeStats aggregates per-part retrieval stats: work counters sum,
 // the iteration/ε high-water marks are maxima, and the merged result
-// counts as converged only if every shard converged (only then is the
-// merged top-k proven to be the true global top-k).
+// counts as converged only if every part converged (only then is the
+// merged top-k proven to be the true global top-k; no parts prove
+// nothing).
 func mergeStats(ss []Stats) Stats {
-	out := Stats{Converged: true}
+	out := Stats{Converged: len(ss) > 0}
 	for _, s := range ss {
 		out.Iterations = max(out.Iterations, s.Iterations)
 		out.FinalEpsilon = max(out.FinalEpsilon, s.FinalEpsilon)
