@@ -57,10 +57,12 @@ race:
 # latest tier-1 failures (TestShardedMmapEquivalence's stats,
 # TestRunShardBench's row count) showed only with >= 2 cores, which the
 # CI box does not have. The delta reads a bound its sibling parts publish
-# concurrently — the same class. Run the affected suites at both settings.
+# concurrently, and a request's distance field is built once and read by
+# every shard goroutine — the same class. Run the affected suites at both
+# settings.
 test-procs:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Equivalence|ShardBench|SharedBound|BoundFirst|Delta|Dynamic' . ./cmd/geosir ./internal/core ./internal/ingest
-	GOMAXPROCS=2 $(GO) test -count=1 -run 'Equivalence|ShardBench|SharedBound|BoundFirst|Delta|Dynamic' . ./cmd/geosir ./internal/core ./internal/ingest
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Equivalence|ShardBench|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst' . ./cmd/geosir ./internal/core ./internal/ingest
+	GOMAXPROCS=2 $(GO) test -count=1 -run 'Equivalence|ShardBench|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst' . ./cmd/geosir ./internal/core ./internal/ingest
 
 # The repo's one benchmark (bench/README.md, declared in BENCHMARK.json):
 # without ARGS a full set — four workloads, each untraced then traced,

@@ -11,6 +11,7 @@ package geosir
 // report the figure's headline quantity as a custom metric.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -297,25 +298,28 @@ func BenchmarkFig10_Selectivity(b *testing.B) {
 
 // --- §2.5: retrieval scaling (polylog claim) ------------------------------
 
+// benchmarkMatchAtScale times the exact search as it is served —
+// Engine.Search in ModeExact: hash seed, one envelope, settle — over bases
+// of growing size, and reports what the base-size question needs: the
+// share of stored copies that reach the exact evaluator and the time per
+// stored copy.
 func benchmarkMatchAtScale(b *testing.B, scale float64) {
-	cfg := experiments.DefaultConfig()
-	cfg.Scale = scale
-	f, err := experiments.BuildFixture(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	images := synth.GenerateBase(synth.PaperSpec(scale, 1))
+	eng := buildSingle(b, images)
+	queries := synth.Queries(rand.New(rand.NewSource(2)), images, 64, 0.01)
+	entries := float64(eng.db.Base().NumEntries())
+	ctx := context.Background()
 	b.ResetTimer()
-	var iters int
+	var candidates int
 	for i := 0; i < b.N; i++ {
-		q := f.Queries[i%len(f.Queries)]
-		_, st, err := f.Base.Match(q, 1)
+		resp, err := eng.Search(ctx, SearchRequest{Query: queries[i%len(queries)], K: 5, Mode: ModeExact})
 		if err != nil {
 			b.Fatal(err)
 		}
-		iters = st.Iterations
+		candidates += resp.Stats.Candidates
 	}
-	b.ReportMetric(float64(f.Base.NumVertices()), "base-vertices")
-	b.ReportMetric(float64(iters), "fattenings")
+	b.ReportMetric(float64(candidates)/float64(b.N)/entries, "candidates/entry")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
 }
 
 func BenchmarkMatch_Scaling_50images(b *testing.B)  { benchmarkMatchAtScale(b, 0.005) }

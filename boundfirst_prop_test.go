@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/synth"
 )
 
@@ -182,6 +183,40 @@ func TestBoundFirstEquivalence(t *testing.T) {
 				if k == 1 && got.Stats.Iterations != 1 {
 					t.Errorf("%s: %d iterations under a k=1 seed, want 1", label, got.Stats.Iterations)
 				}
+			}
+		}
+	}
+
+	// The distance field in front of every bounded evaluation must say
+	// nothing where it knows nothing: at α = 0.6 stored copies are
+	// normalized about pairs as short as 0.4 of the diameter and leave the
+	// lune — the sliver's far corner lands at x ≈ 2, outside the field's
+	// box — and the sliver's twin ties it at the k-th slot for k = 1.
+	wideOpts := DefaultOptions()
+	wideOpts.Alpha = 0.6
+	wide := New(wideOpts)
+	sliver := geom.NewPolygon(geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 1))
+	wideImages := append(synth.GenerateBase(synth.PaperSpec(0.0004, 97)),
+		synth.Image{ID: 9001, Shapes: []Shape{sliver}}, synth.Image{ID: 9002, Shapes: []Shape{sliver.Clone()}})
+	for _, im := range wideImages {
+		if err := wide.AddImage(im.ID, im.Shapes); err != nil {
+			t.Fatalf("wide AddImage(%d): %v", im.ID, err)
+		}
+	}
+	if err := wide.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	wrng := rand.New(rand.NewSource(101))
+	for qi, q := range append(synth.Queries(wrng, wideImages[:len(wideImages)-2], 2, 0.01), sliver, synth.Distort(wrng, sliver, 0.01)) {
+		for _, k := range []int{1, 4} {
+			assertBoundFirst(t, fmt.Sprintf("wide-alpha engine q%d k=%d", qi, k), wide, wide.searchView(), q, k)
+			for _, mode := range []Mode{ModeExact, ModeAuto} {
+				label := fmt.Sprintf("wide-alpha engine q%d k=%d %v", qi, k, mode)
+				got, err := wide.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertMatchesEqual(t, label, engineUnseeded(t, label, wide, q, k, mode), got.Matches)
 			}
 		}
 	}

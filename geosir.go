@@ -102,9 +102,12 @@ type Stats struct {
 	Iterations      int
 	FinalEpsilon    float64
 	VerticesCounted int
-	Candidates      int
-	Converged       bool
-	UsedHashing     bool
+	// Candidates counts the normalized copies that reached the exact
+	// evaluator — not those a geometric bound or the query's distance
+	// field rejected first (DESIGN.md §4.9).
+	Candidates  int
+	Converged   bool
+	UsedHashing bool
 	// UsedANN reports that the MinHash/LSH candidate tier participated
 	// (ordering in AnnVerify, candidate generation in AnnApprox);
 	// ANNProbes counts LSH buckets probed and ANNCandidates the
@@ -113,7 +116,7 @@ type Stats struct {
 	ANNProbes     int
 	ANNCandidates int
 	// BlockReads is the page-granular storage footprint of the entries
-	// this search evaluated (the paper's §4 block-access measure, live on
+	// whose vertices this search read (the paper's §4 block-access measure, live on
 	// the real path instead of the extstore simulation). Under mmap
 	// serving it estimates the pages the query could fault in.
 	BlockReads int

@@ -770,11 +770,15 @@ func TestCloseIngestQuiescesCompaction(t *testing.T) {
 	}
 }
 
-// TestIngestDeltaStatsCountCopies pins the unit of the delta's share of
-// Stats.Candidates: normalized copies evaluated, as on a frozen shard —
-// not shapes held. With every frozen image tombstoned the delta is the
-// only part that evaluates anything; once compacted away it is no part
-// at all.
+// TestIngestDeltaStatsCountCopies pins the unit and the meaning of the
+// delta's share of Stats.Candidates: normalized copies that reached the
+// exact evaluator, as on a frozen shard — not shapes held. With every
+// frozen image tombstoned the delta is the only part that evaluates
+// anything. Asked for more than it holds there is no k-th best, each
+// shape's copies are cut only by the shape's own best so far, and more
+// copies than shapes are scored; under a fitting seed the distance field
+// turns nearly all of them away first. Once compacted away the delta is
+// no part at all.
 func TestIngestDeltaStatsCountCopies(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	frozenImgs, liveImgs := splitBase(images)
@@ -789,15 +793,23 @@ func TestIngestDeltaStatsCountCopies(t *testing.T) {
 	if ds := v.deltas(); len(ds) != 1 || ds[0].NumEntries() <= ds[0].NumShapes() {
 		t.Fatalf("want one delta holding several copies per shape, have %d deltas", len(ds))
 	}
-	copies := v.active.NumEntries()
+	copies, shapes := v.active.NumEntries(), v.active.NumShapes()
+	all, err := se.Search(ctx, SearchRequest{Query: queries[0], K: shapes + 1, Mode: ModeExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unbounded := all.Stats.Candidates; len(all.Matches) != shapes || unbounded <= shapes || unbounded > copies {
+		t.Fatalf("unbounded: %d matches, Candidates = %d, want more than the delta's %d shapes and at most its %d copies",
+			len(all.Matches), unbounded, shapes, copies)
+	}
 	for _, mode := range []Mode{ModeExact, ModeAuto} {
 		got, err := se.Search(ctx, SearchRequest{Query: queries[0], K: 3, Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Matches) != 3 || got.Stats.Candidates != copies {
-			t.Fatalf("%v: %d matches, Candidates = %d, want the delta's %d copies (it holds %d shapes)",
-				mode, len(got.Matches), got.Stats.Candidates, copies, v.active.NumShapes())
+		if c := got.Stats.Candidates; len(got.Matches) != 3 || c < 3 || c >= all.Stats.Candidates {
+			t.Fatalf("%v: %d matches, Candidates = %d, want at least the 3 returned and fewer than the unbounded scan's %d (of %d copies)",
+				mode, len(got.Matches), c, all.Stats.Candidates, copies)
 		}
 	}
 	if err := se.Compact(); err != nil {

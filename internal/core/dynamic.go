@@ -122,7 +122,8 @@ func (d *Dynamic) Shape(id int) (Shape, error) {
 // aborted only when a partial sum proves it strictly above it, so ties
 // survive and the matches are byte-identical to the exhaustive scan's
 // wherever the bound is admissible (DESIGN.md §4.9). Stats.Candidates
-// counts the copies evaluated. EntryID is -(copy+1), the negated ordinal
+// counts the copies that reached the exact evaluator — the tighter the
+// cutoff, the fewer. EntryID is -(copy+1), the negated ordinal
 // of the lowest copy realizing the distance (negative, so it cannot
 // collide with a frozen entry id). DistContinuous is filled for the
 // returned matches when continuous is set, by the float operations a
@@ -149,8 +150,8 @@ func (d *Dynamic) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o
 		if o.Shared != nil {
 			cutoff = math.Min(cutoff, o.Shared.Load())
 		}
-		stats.Candidates += len(s.entries)
-		best, bestEi := s.nearest(pq, cutoff)
+		best, bestEi, scored := s.nearest(pq, cutoff)
+		stats.Candidates += scored
 		if bestEi < 0 || best > cutoff {
 			continue // proven strictly outside the merged result
 		}
@@ -189,29 +190,25 @@ func (d *Dynamic) ShapeDistancePreparedBounded(id int, pq *PreparedQuery, cutoff
 	if err != nil {
 		return 0, false, err
 	}
-	best, _ := s.nearest(pq, cutoff)
+	best, _, _ := s.nearest(pq, cutoff)
 	return best, best <= cutoff, nil
 }
 
 // nearest evaluates the shape's copies against the query under cutoff and
-// the best so far: it returns the smallest distance found and the lowest
-// copy realizing it, -1 when every copy was proven strictly above cutoff.
-// A distance ≤ cutoff is the shape's exact distance.
-func (s *overflowShape) nearest(pq *PreparedQuery, cutoff float64) (float64, int) {
-	best, bestEi := math.Inf(1), -1
+// the best so far: it returns the smallest distance found, the lowest
+// copy realizing it (-1 when every copy was proven strictly above cutoff)
+// and how many copies reached the exact evaluator. A distance ≤ cutoff is
+// the shape's exact distance.
+func (s *overflowShape) nearest(pq *PreparedQuery, cutoff float64) (best float64, bestEi, scored int) {
+	best, bestEi = math.Inf(1), -1
 	for ei := range s.entries {
-		cut := math.Min(cutoff, best)
-		dir, ok := avgMinDistVerticesBoundedAffine(s.entries[ei].Poly, pq.oracle, 0, cut)
-		if !ok {
-			continue
+		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, s.oracles[ei], math.Min(cutoff, best))
+		if reached {
+			scored++
 		}
-		back, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, s.oracles[ei], dir, cut)
-		if !ok {
-			continue
-		}
-		if dv := (dir + back) / 2; dv < best {
+		if ok && dv < best {
 			best, bestEi = dv, ei
 		}
 	}
-	return best, bestEi
+	return best, bestEi, scored
 }

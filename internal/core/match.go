@@ -33,11 +33,11 @@ type Stats struct {
 	Iterations       int     // r: number of envelope fattenings (1 under a fitting seed)
 	FinalEpsilon     float64 // ε at termination
 	EpsilonMax       float64 // the stopping threshold (A/2p·l_Q)·log³n
-	TrianglesQueried int     // simplex range queries issued
+	TrianglesQueried int     // simplex range queries issued (entry-first: until every entry is marked)
 	VerticesReported int     // vertices the triangle covers reported, duplicates included
 	VerticesCounted  int     // K: vertices that entered counters; entry-first, the first reported vertex of each touched entry
-	Candidates       int     // entries evaluated (under a cutoff: most abort after a few vertices)
-	BlocksRead       int     // page-granular storage of the evaluated entries (§4 block accounting)
+	Candidates       int     // entries that reached the exact evaluator (not those the geometric bound or the distance field rejected first)
+	BlocksRead       int     // page-granular storage of the entries whose vertices were read, field-rejected included (§4 block accounting)
 	Converged        bool    // true: stopped via the similarity bound
 }
 
@@ -247,13 +247,11 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 		return lb
 	}
 
-	// evaluate resolves one entry under the tightest proven cutoff: the
-	// exact symmetric measure is computed with an admissible partial-sum
-	// early exit, and an aborted entry is proven strictly worse than
+	// evaluate resolves one entry under the tightest proven cutoff
+	// (distWithin): an entry it gives up on is proven strictly worse than
 	// everything that could make it matter.
 	evaluate := func(ei int32) {
 		scratch.setResolved(ei)
-		stats.Candidates++
 		stats.BlocksRead += b.blockCost(ei)
 		if onAccess != nil {
 			onAccess(int(ei))
@@ -277,15 +275,13 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 				cut = sv
 			}
 		}
-		dir, full := avgMinDistVerticesBoundedAffine(e.Poly, oracle, 0, cut)
-		if !full {
+		dv, ok, scored := pq.distWithin(e.Poly, b.entryOracle(ei), cut)
+		if scored {
+			stats.Candidates++
+		}
+		if !ok {
 			return
 		}
-		back, full := avgMinDistVerticesBoundedAffine(qe.Poly, b.entryOracle(ei), dir, cut)
-		if !full {
-			return
-		}
-		dv := (dir + back) / 2
 		if dv < curBest {
 			bestByShape[e.ShapeID] = Match{
 				ShapeID:    e.ShapeID,
@@ -407,6 +403,12 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 		for _, tr := range tris {
 			if tr.IsDegenerate() {
 				continue
+			}
+			if entryFirst && len(scratch.touched) == len(b.entries) {
+				// Every entry is marked; a further triangle has nothing to
+				// add. §2.4 pins two vertices of every copy where the query
+				// has two of its own, so the first few triangles get here.
+				break
 			}
 			stats.TrianglesQueried++
 			b.backend.ReportTriangle(tr, reportVertex)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/envelope"
@@ -211,8 +212,9 @@ func directedKth(a, b geom.Poly, k int) float64 {
 // search fattens. Preparing once and reusing across many
 // ShapeDistancePrepared calls — or across the MatchPrepared calls of
 // every shard of a partitioned base — hoists the normalization and grid
-// builds out of candidate and shard loops. A PreparedQuery is immutable
-// and safe for concurrent use.
+// builds out of candidate and shard loops. A PreparedQuery is safe for
+// concurrent use: immutable but for the distance field, built once at the
+// first evaluation under a finite cutoff.
 type PreparedQuery struct {
 	entry  Entry
 	oracle *BoundaryDist
@@ -224,6 +226,11 @@ type PreparedQuery struct {
 	// block accounting). Atomic because one prepared query fans out
 	// across shard goroutines.
 	blocks *atomic.Int64
+
+	// field is the lower-bound distance field of the query boundary in
+	// front of every bounded evaluation (distWithin).
+	fieldOnce sync.Once
+	field     *distField
 }
 
 // PrepareQuery normalizes q canonically and builds its boundary oracle

@@ -28,8 +28,8 @@ const geomBoundSlack = 1e-9
 // box. Both regions contain every vertex — and, being convex, the whole
 // boundary (each boundary point is a convex combination of two vertices).
 type GeomBound struct {
-	CX, CY float64 // vertex centroid
-	R      float64 // enclosing radius about the centroid
+	CX, CY                 float64 // vertex centroid
+	R                      float64 // enclosing radius about the centroid
 	MinX, MinY, MaxX, MaxY float64
 }
 
@@ -161,6 +161,126 @@ func avgMinDistVerticesBoundedAffine(a geom.Poly, b *BoundaryDist, base, cut flo
 	return sum / nf, true
 }
 
+// The distance field's table: cells of side 1/fieldRes over the box
+// [-0.25, 1.25] × [-1.1, 1.15], which holds the lune every diameter-
+// normalized copy lies in and what an α-diameter copy adds to it at the
+// default α. Constants, not knobs: a vertex outside the box reads 0.
+const (
+	fieldRes         = 32
+	fieldX0, fieldY0 = -0.25, -1.1
+	fieldNX, fieldNY = 48, 72
+	// fieldFar is how far from the boundary a 2×2 block's centre must be
+	// for its one distance to stand in for its four cells' own.
+	fieldFar = 0.1
+	// fieldGuard is the relative margin on the reject trigger: it absorbs
+	// the rounding of the two float sums being compared (≤ n·2⁻⁵³ each,
+	// relative), so the reject stays exact for any copy under ~10⁶ vertices.
+	fieldGuard = 1e-9
+)
+
+// distField is a lower bound on the distance to a query's boundary that
+// costs one table load. Distance-to-a-set is 1-Lipschitz, so a distance d
+// measured at c proves Dist(p) ≥ d − r for every p within r of c: a cell
+// holds max(0, Dist(centre) − half-diagonal − geomBoundSlack). The slack
+// covers the oracle's rounding and a point the float cell index puts one
+// ulp outside its cell. float32, rounded toward zero, halves the table's
+// cache footprint. See DESIGN.md §4.9, "Distance-field reject".
+type distField [fieldNX * fieldNY]float32
+
+func newDistField(o *BoundaryDist) *distField {
+	f := new(distField)
+	const half = math.Sqrt2 / (2 * fieldRes) // a cell's half-diagonal
+	// dist is the oracle at (gx, gy) half-cells from the box's corner.
+	dist := func(gx, gy int) float64 {
+		return o.Dist(geom.Pt(fieldX0+float64(gx)/(2*fieldRes), fieldY0+float64(gy)/(2*fieldRes)))
+	}
+	// The oracle is slowest far from the boundary, where precision matters
+	// least: there one probe at a 2×2 block's centre bounds the whole block
+	// (radius: two half-diagonals); near the boundary every cell is probed.
+	for by := 0; by < fieldNY; by += 2 {
+		for bx := 0; bx < fieldNX; bx += 2 {
+			block := dist(2*bx+2, 2*by+2)
+			for iy := by; iy < by+2; iy++ {
+				for ix := bx; ix < bx+2; ix++ {
+					d := block - 2*half
+					if block <= fieldFar {
+						d = dist(2*ix+1, 2*iy+1) - half
+					}
+					if d -= geomBoundSlack; d > 0 {
+						f[iy*fieldNX+ix] = float32Floor(d)
+					}
+				}
+			}
+		}
+	}
+	return f
+}
+
+// float32Floor converts a positive d rounding toward zero.
+func float32Floor(d float64) float32 {
+	v := float32(d)
+	if float64(v) > d {
+		v = math.Nextafter32(v, 0)
+	}
+	return v
+}
+
+// at returns the field's lower bound on Dist(p): 0 outside the box and for
+// non-finite coordinates (every comparison with NaN is false).
+func (f *distField) at(p geom.Point) float64 {
+	fx, fy := (p.X-fieldX0)*fieldRes, (p.Y-fieldY0)*fieldRes
+	if !(fx >= 0 && fx < fieldNX && fy >= 0 && fy < fieldNY) {
+		return 0
+	}
+	return float64(f[int(fy)*fieldNX+int(fx)])
+}
+
+// ruledOut reports whether the field proves a copy with vertices pts
+// strictly farther than cut: Σlb > 2·cut·n gives dir = ΣDist/n > 2·cut,
+// so DistVertex = (dir+back)/2 ≥ dir/2 > cut whatever back is.
+func (f *distField) ruledOut(pts []geom.Point, cut float64) bool {
+	trigger := 2 * cut * float64(len(pts)) * (1 + fieldGuard)
+	var sum float64
+	for _, p := range pts {
+		if sum += f.at(p); sum > trigger {
+			return true
+		}
+	}
+	return false
+}
+
+// distField returns the query's distance field, built at first use: a
+// request that never evaluates under a finite cutoff never pays for it,
+// and every part and goroutine of one that does shares the one table
+// (immutable once built).
+func (pq *PreparedQuery) distField() *distField {
+	pq.fieldOnce.Do(func() { pq.field = newDistField(pq.oracle) })
+	return pq.field
+}
+
+// distWithin is the one bounded evaluator of the symmetric vertex-averaged
+// measure between the query and a normalized copy cp whose boundary oracle
+// is back: (DistVertex, true) when it is ≤ cut — bit-identical to the
+// unbounded (dir+back)/2 — and ok = false once it is proven strictly above
+// cut, first by the query's distance field in O(1) per vertex, then by the
+// partial sums of the two directed passes. Both rejects are strict, so a
+// copy tying cut survives. scored is false when the field rejected the
+// copy: its vertices were read, the exact evaluator never ran.
+func (pq *PreparedQuery) distWithin(cp geom.Poly, back *BoundaryDist, cut float64) (dv float64, ok, scored bool) {
+	if cut <= math.MaxFloat64 && pq.distField().ruledOut(cp.Pts, cut) {
+		return 0, false, false
+	}
+	dir, ok := avgMinDistVerticesBoundedAffine(cp, pq.oracle, 0, cut)
+	if !ok {
+		return 0, false, true
+	}
+	bk, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, back, dir, cut)
+	if !ok {
+		return 0, false, true
+	}
+	return (dir + bk) / 2, true, true
+}
+
 // AvgMinDistVerticesBounded is AvgMinDistVertices with an admissible
 // early exit: it returns (value, true) with the exact directed measure
 // when it is ≤ cutoff (or when cutoff is +Inf), and (0, false) as soon
@@ -213,7 +333,7 @@ func AvgMinDistToBounded(a geom.Poly, b *BoundaryDist, samples int, cutoff float
 // admissible cutoff: it returns the exact shape distance and true when
 // the distance is ≤ cutoff, and (+Inf, false) once every normalized copy
 // is proven to exceed cutoff — via the O(1) geometric lower bound first,
-// then the partial-sum early exit. The pruning is exact: a copy is
+// then the bounded evaluator (distWithin). The pruning is exact: a copy is
 // discarded only when the value the unpruned evaluation would have
 // produced is strictly above both cutoff and the running best, so the
 // minimum over surviving copies equals the unpruned minimum whenever
@@ -231,15 +351,7 @@ func (b *Base) ShapeDistancePreparedBounded(shapeID int, pq *PreparedQuery, cuto
 		if pq.blocks != nil {
 			pq.blocks.Add(int64(b.blockCost(ei)))
 		}
-		dir, ok := avgMinDistVerticesBoundedAffine(b.entries[ei].Poly, pq.oracle, 0, cut)
-		if !ok {
-			continue
-		}
-		back, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, b.entryOracle(ei), dir, cut)
-		if !ok {
-			continue
-		}
-		if d := (dir + back) / 2; d < best {
+		if d, ok, _ := pq.distWithin(b.entries[ei].Poly, b.entryOracle(ei), cut); ok && d < best {
 			best = d
 		}
 	}

@@ -258,64 +258,115 @@ func TestShapeDistancePreparedBounded(t *testing.T) {
 // measures — must equal the exhaustive linear scan's exactly, not just
 // within tolerance. The pruning is only admissible if no float in the
 // output moves.
+//
+// The second base stretches what the distance field in front of the
+// evaluator sees: at α = 0.6 copies are normalized about pairs as short as
+// 0.4 of the diameter, so their other vertices leave the lune — the
+// sliver's far corner lands at x ≈ 2, outside the field's box, where the
+// field must say 0, not index out of its table — and a shape stored twice
+// ties its twin at every rank, the k-th included.
 func TestPrunedTopKAgainstScan(t *testing.T) {
-	b := NewBase(DefaultOptions())
-	images := synth.GenerateBase(synth.BaseSpec{
-		Images: 30, MeanShapes: 3, MeanVertices: 13, Prototypes: 8,
-		Distortion: 0.02, OpenFraction: 0.3, Seed: 17,
-	})
-	for _, img := range images {
-		for _, s := range img.Shapes {
-			if _, err := b.AddShape(img.ID, s); err != nil {
-				t.Fatal(err)
+	wide := DefaultOptions()
+	wide.Alpha = 0.6
+	sliver := geom.NewPolygon(geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 1))
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		spec   synth.BaseSpec
+		extra  []geom.Poly
+		trials int
+	}{
+		{"default", DefaultOptions(), synth.BaseSpec{
+			Images: 30, MeanShapes: 3, MeanVertices: 13, Prototypes: 8,
+			Distortion: 0.02, OpenFraction: 0.3, Seed: 17}, nil, 30},
+		{"wide alpha, sliver, twin", wide, synth.BaseSpec{
+			Images: 8, MeanShapes: 2, MeanVertices: 9, Prototypes: 4,
+			Distortion: 0.02, OpenFraction: 0.3, Seed: 19}, []geom.Poly{sliver, sliver.Clone()}, 16},
+	} {
+		b := NewBase(tc.opts)
+		images := synth.GenerateBase(tc.spec)
+		for i, p := range tc.extra {
+			images = append(images, synth.Image{ID: 9001 + i, Shapes: []geom.Poly{p}})
+		}
+		for _, img := range images {
+			for _, s := range img.Shapes {
+				if _, err := b.AddShape(img.ID, s); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	scan, err := NewScanMatcher(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(29))
-	converged := 0
-	for trial := 0; trial < 30; trial++ {
-		q := synth.Distort(rng, b.Shape(rng.Intn(b.NumShapes())).Poly, 0.025)
-		if q.Validate() != nil {
-			continue
+		if err := b.Freeze(); err != nil {
+			t.Fatal(err)
 		}
-		k := 1 + rng.Intn(5)
-		fast, st, err := b.Match(q, k)
+		if len(tc.extra) > 0 {
+			outside := 0
+			for _, v := range b.verts {
+				if v.X > fieldX0+float64(fieldNX)/fieldRes {
+					outside++
+				}
+			}
+			if outside == 0 {
+				t.Fatalf("%s: no stored vertex leaves the distance field's box", tc.name)
+			}
+		}
+		scan, err := NewScanMatcher(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Converged {
-			continue
-		}
-		converged++
-		ref, err := scan.Match(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("trial %d (k=%d): pruned result diverges from scan:\nfast: %+v\nscan: %+v",
-				trial, k, fast, ref)
-		}
+		rng := rand.New(rand.NewSource(29))
+		converged := 0
+		for trial := 0; trial < tc.trials; trial++ {
+			q := synth.Distort(rng, b.Shape(rng.Intn(b.NumShapes())).Poly, 0.025)
+			if trial < len(tc.extra) {
+				q = tc.extra[trial] // the twins' own query: a tie at distance 0
+			}
+			if q.Validate() != nil {
+				continue
+			}
+			k := 1 + rng.Intn(5)
+			fast, st, err := b.Match(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Converged {
+				continue
+			}
+			converged++
+			ref, err := scan.Match(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Fatalf("%s trial %d (k=%d): pruned result diverges from scan:\nfast: %+v\nscan: %+v",
+					tc.name, trial, k, fast, ref)
+			}
 
-		// MatchShared over the whole base with a fresh bound must agree
-		// byte for byte with Match: publishing its own k-th best back to
-		// itself never prunes anything the local bound would not.
-		shared, sst, err := b.MatchShared(q, k, NewSharedBound(), true)
-		if err != nil {
-			t.Fatal(err)
+			// MatchShared over the whole base with a fresh bound must agree
+			// byte for byte with Match: publishing its own k-th best back to
+			// itself never prunes anything the local bound would not. So must
+			// the search that starts under the tightest legal bound, the true
+			// k-th best: whatever ties it survives.
+			shared, sst, err := b.MatchShared(q, k, NewSharedBound(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sst.Converged || !reflect.DeepEqual(shared, fast) {
+				t.Fatalf("%s trial %d: MatchShared diverges from Match (converged=%v)", tc.name, trial, sst.Converged)
+			}
+			tight := NewSharedBound()
+			tight.Tighten(ref[len(ref)-1].DistVertex)
+			seeded, _, err := b.MatchShared(q, k, tight, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(seeded, ref) {
+				t.Fatalf("%s trial %d (k=%d): search under the true k-th best diverges from scan:\ngot:  %+v\nscan: %+v",
+					tc.name, trial, k, seeded, ref)
+			}
 		}
-		if !sst.Converged || !reflect.DeepEqual(shared, fast) {
-			t.Fatalf("trial %d: MatchShared diverges from Match (converged=%v)", trial, sst.Converged)
+		if converged < 2*tc.trials/3 {
+			t.Errorf("%s: only %d/%d queries converged", tc.name, converged, tc.trials)
 		}
-	}
-	if converged < 20 {
-		t.Errorf("only %d/30 queries converged", converged)
 	}
 }
 
@@ -545,9 +596,12 @@ func TestBoundFirstOneEnvelope(t *testing.T) {
 			t.Fatalf("trial %d (k=%d): %d iterations, converged=%v; want one envelope, converged",
 				trial, k, gst.Iterations, gst.Converged)
 		}
-		if gst.VerticesCounted > b.NumEntries() || gst.Candidates > gst.VerticesCounted {
-			t.Fatalf("trial %d (k=%d): counted %d vertices and evaluated %d entries of %d (alone: %d vertices)",
-				trial, k, gst.VerticesCounted, gst.Candidates, b.NumEntries(), st.VerticesCounted)
+		// One vertex counted per marked entry; of the marked, only those the
+		// geometric bound and the distance field let through are candidates —
+		// the k matches among them.
+		if gst.VerticesCounted > b.NumEntries() || gst.Candidates > gst.VerticesCounted || gst.Candidates < len(got) {
+			t.Fatalf("trial %d (k=%d): marked %d entries of %d and scored %d for %d matches (alone: %d vertices)",
+				trial, k, gst.VerticesCounted, b.NumEntries(), gst.Candidates, len(got), st.VerticesCounted)
 		}
 		if !reflect.DeepEqual(got, exact) {
 			t.Fatalf("trial %d (k=%d): bound-first result diverges:\ngot:   %+v\nexact: %+v", trial, k, got, exact)

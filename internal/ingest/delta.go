@@ -270,7 +270,8 @@ func (d *Delta) Seal() {
 // shapes under the part contract of a frozen shard's search: o.Shared is
 // consumed and, with o.Publish, tightened (core.Dynamic.MatchPrepared).
 // Matches are in global id space, sorted by (Distance, GID); the int is
-// the number of normalized copies the scan evaluated. withContinuous
+// the number of normalized copies that reached the exact evaluator
+// (core.Stats.Candidates). withContinuous
 // additionally scores the returned matches' continuous measure — the
 // exact path needs it (frozen shards report it for their local top-k),
 // the hashing paths do not.

@@ -63,7 +63,7 @@ func equivBase(t *testing.T) ([]synth.Image, []Shape, []Shape) {
 	return images, queries, sketch
 }
 
-func buildSingle(t *testing.T, images []synth.Image) *Engine {
+func buildSingle(t testing.TB, images []synth.Image) *Engine {
 	t.Helper()
 	eng := New(DefaultOptions())
 	for _, im := range images {
