@@ -27,7 +27,8 @@ const (
 	// from the ANN candidate set alone: probed buckets (extended to a
 	// minimum candidate floor by a signature scan) are scored exactly by
 	// the bounded evaluators, unprobed shapes are skipped. Sublinear in
-	// the base's geometry at a measured recall (BENCH_ann.json).
+	// the base's geometry at a measured recall (BenchmarkAnn*; the ledger's
+	// recall_at_k on approx_zipf_cached).
 	// ModeExact ignores the approximation and degrades to AnnVerify —
 	// its contract is exactness.
 	AnnApprox
@@ -75,7 +76,7 @@ func annMinShapes(k int) int {
 // shape count, which would silently degrade the approximate path back
 // to a linear scan. The cap keeps the evaluated set proportional to the
 // floor, preserving the sublinear claim; recall relies on agreement
-// ranking putting the true neighbors in this prefix (BENCH_ann.json).
+// ranking putting the true neighbors in this prefix (BenchmarkAnn*).
 func annCapShapes(minShapes int) int { return 2 * minShapes }
 
 // annSketchMinShapes is the per-sketch-shape candidate floor. Sketch

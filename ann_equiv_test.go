@@ -143,8 +143,8 @@ func recallAtK(t *testing.T, eng searcher, queries []Shape, k int) float64 {
 // probe floors), so the measured recall is a constant of the code and a
 // drop below the floor is a real regression, not flake. The floor is
 // deliberately below the measured value to leave headroom for benign
-// parameter retunes; the full recall/speedup tradeoff is tracked in
-// BENCH_ann.json.
+// parameter retunes; BenchmarkAnn* report the full recall/speedup
+// tradeoff.
 func TestAnnApproxRecallFloor(t *testing.T) {
 	images, queries := annRecallBase(t)
 	const k = 5

@@ -1,24 +1,19 @@
 package geosir
 
 // ANN candidate-tier benchmarks: recall vs speedup of approximate mode
-// against the exact kernel on the demo base (see the Makefile's
-// bench-ann target, which records the result in BENCH_ann.json, and
-// cmd/benchdiff, which gates on the reported recall metric). Each
-// approximate benchmark reports:
+// against the exact kernel on the demo base. Each approximate benchmark
+// reports:
 //
 //	recall   — mean fraction of the exact top-k recovered
 //	speedup  — exact mean latency / approximate mean latency
 //
-// GEOSIR_ANN_BENCH_IMAGES overrides the base size (default 400), so CI
-// can run a fast smoke pass (bench-ann-smoke) without paying for the
-// full demo base.
+// Under -short the base is 60 images instead of 400, so `make
+// bench-smoke` can run a fast pass without paying for the full demo base.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -47,10 +42,8 @@ var (
 )
 
 func annBenchImages() int {
-	if s := os.Getenv("GEOSIR_ANN_BENCH_IMAGES"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
+	if testing.Short() {
+		return 60
 	}
 	return 400
 }
@@ -134,8 +127,8 @@ func annBenchFixture(b *testing.B) *annBenchState {
 var errNoSketch = errors.New("no usable sketch in the generated base")
 
 // BenchmarkAnnFig2Exact is the exact-kernel baseline over the same
-// distorted-copy workload the approximate benchmark runs, so BENCH_ann
-// diffs show both sides of the tradeoff.
+// distorted-copy workload the approximate benchmark runs, so one run
+// shows both sides of the tradeoff.
 func BenchmarkAnnFig2Exact(b *testing.B) {
 	f := annBenchFixture(b)
 	ctx := context.Background()

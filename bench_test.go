@@ -162,13 +162,14 @@ func benchSketch(eng *Engine, n int) []Shape {
 	return sketch
 }
 
-func BenchmarkFindBySketch(b *testing.B) {
+func BenchmarkSearchSketch(b *testing.B) {
 	eng := sharedEngine(b)
 	sketch := benchSketch(eng, 4)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.FindBySketchWorkers(sketch, 3, workers); err != nil {
+				req := SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch, Exec: ExecFanout, MaxWorkers: workers}
+				if _, err := eng.Search(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -176,7 +177,7 @@ func BenchmarkFindBySketch(b *testing.B) {
 	}
 }
 
-func BenchmarkFindApproximate(b *testing.B) {
+func BenchmarkSearchApproximate(b *testing.B) {
 	eng := sharedEngine(b)
 	rng := rand.New(rand.NewSource(34))
 	shapes := eng.Base().Shapes()
@@ -187,7 +188,7 @@ func BenchmarkFindApproximate(b *testing.B) {
 		if q.Validate() != nil {
 			continue
 		}
-		if _, err := eng.FindApproximate(q, 3); err != nil {
+		if _, err := eng.Search(context.Background(), SearchRequest{Query: q, K: 3, Mode: ModeApproximate}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,24 +16,17 @@
 //	geosir -base shapes.txt -topo "similar(q)" -bind "q=0,0 1,0 1,1 0,1"
 //	geosir -base shapes.txt -stats
 //	geosir -demo 500 -shards 4 -snapshot-out snapdir   # sharded snapshot directory
-//	geosir -demo 500 -shard-bench 1,2,4 -bench-out BENCH_shard.json
-//	geosir -load-bench 100,400 -bench-out BENCH_load.json
 package main
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro"
 	"repro/internal/synth"
@@ -54,27 +47,10 @@ func main() {
 		dump       = flag.String("dump", "", "write the loaded/demo base to a shape file and exit")
 		snapOut    = flag.String("snapshot-out", "", "freeze the loaded/demo base and write a snapshot for geosird, then exit (with -shards > 1: a snapshot directory)")
 		shards     = flag.Int("shards", 1, "partition the base across N shards")
-		shardBench = flag.String("shard-bench", "", "comma-separated shard counts to benchmark Freeze + queries over, e.g. \"1,2,4\"")
-		loadBench  = flag.String("load-bench", "", "comma-separated demo sizes to benchmark snapshot decode vs mmap open over, e.g. \"100,400\"")
-		benchOut   = flag.String("bench-out", "", "write -shard-bench/-load-bench results as JSON to this file (default stdout)")
 		annMode    = flag.String("ann", "off", "ANN candidate tier: off, verify (reorder only, exact results), approx (sublinear)")
 	)
 	flag.Parse()
 
-	if *shardBench != "" {
-		if err := runShardBench(*basePath, *demo, *seed, *shardBench, *benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "geosir:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *loadBench != "" {
-		if err := runLoadBench(*basePath, *loadBench, *seed, *benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "geosir:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *dump != "" {
 		if err := runDump(*basePath, *demo, *seed, *dump); err != nil {
 			fmt.Fprintln(os.Stderr, "geosir:", err)
@@ -325,213 +301,6 @@ func runSnapshot(basePath string, demo int, seed int64, shards int, out string) 
 			out, e.NumImages(), e.NumShapes(), e.NumEntries())
 	}
 	return nil
-}
-
-// shardBenchRow is one (gomaxprocs, shard count) cell's measurements in
-// BENCH_shard.json.
-type shardBenchRow struct {
-	Shards        int     `json:"shards"`
-	GoMaxProcs    int     `json:"gomaxprocs"`
-	FreezeMillis  float64 `json:"freeze_ms"`
-	FreezeSpeedup float64 `json:"freeze_speedup_vs_single"`
-	QueryMicros   float64 `json:"query_us_mean"`
-	Images        int     `json:"images"`
-	Shapes        int     `json:"shapes"`
-	// Concurrency holds closed-loop rows at increasing caller counts
-	// against this same frozen engine, exercising the scheduler's
-	// load-adaptive fan-out (ExecAuto narrows per-query width as the
-	// in-flight gauge rises).
-	Concurrency []shardBenchConcRow `json:"concurrency_sweep,omitempty"`
-}
-
-// shardBenchConcRow is one concurrency level of the closed-loop query
-// sweep: Concurrency goroutines each loop exact searches for a fixed
-// window.
-type shardBenchConcRow struct {
-	Concurrency int     `json:"concurrency"`
-	QPS         float64 `json:"qps"`
-	P50Micros   float64 `json:"p50_us"`
-	P99Micros   float64 `json:"p99_us"`
-}
-
-// shardBenchConcLevels are the caller counts each engine is measured
-// under; shardBenchConcWindow is the per-level measurement window. The
-// window must fit several of the slowest demo-base queries (~600ms on
-// the bench box at 8 shards) or the c=1 row degenerates to a single
-// sample.
-var (
-	shardBenchConcLevels = []int{1, 8, 64}
-	shardBenchConcWindow = 2 * time.Second
-)
-
-// measureConcLevel runs the closed loop at one concurrency level and
-// summarizes it.
-func measureConcLevel(eng cliEngine, queries []geosir.Shape, conc int) (shardBenchConcRow, error) {
-	lats := make([][]time.Duration, conc)
-	errs := make([]error, conc)
-	var wg sync.WaitGroup
-	start := time.Now()
-	stopAt := start.Add(shardBenchConcWindow)
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; time.Now().Before(stopAt); i++ {
-				q := queries[i%len(queries)]
-				t0 := time.Now()
-				if _, err := eng.Search(context.Background(),
-					geosir.SearchRequest{Query: q, K: 5, Mode: geosir.ModeExact}); err != nil {
-					errs[w] = err
-					return
-				}
-				lats[w] = append(lats[w], time.Since(t0))
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return shardBenchConcRow{}, err
-		}
-	}
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	if len(all) == 0 {
-		return shardBenchConcRow{}, fmt.Errorf("concurrency %d: no queries completed in %v", conc, shardBenchConcWindow)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) float64 {
-		i := int(p * float64(len(all)-1))
-		return float64(all[i].Nanoseconds()) / 1e3
-	}
-	return shardBenchConcRow{
-		Concurrency: conc,
-		QPS:         float64(len(all)) / elapsed.Seconds(),
-		P50Micros:   pct(0.50),
-		P99Micros:   pct(0.99),
-	}, nil
-}
-
-type shardBenchReport struct {
-	Demo    int             `json:"demo_images"`
-	Seed    int64           `json:"seed"`
-	Queries int             `json:"queries"`
-	Cores   int             `json:"cores"`
-	Results []shardBenchRow `json:"results"`
-}
-
-// runShardBench measures Freeze wall time and mean exact-query latency
-// for each requested shard count over the same synthetic base, and
-// emits the result as JSON (BENCH_shard.json in the Makefile target).
-// Freeze parallelizes per shard, so speedup tracks available cores; the
-// whole sweep runs twice, at GOMAXPROCS=1 and GOMAXPROCS=NumCPU, so the
-// report separates fan-out coordination overhead (visible when shards
-// outnumber usable cores) from genuine parallel speedup. Each row
-// records which setting produced it, and freeze speedups are relative
-// to the single-shard run at the same GOMAXPROCS.
-func runShardBench(basePath string, demo int, seed int64, countsStr, out string) error {
-	if basePath != "" {
-		return fmt.Errorf("-shard-bench needs -demo N (query workload is synthesized)")
-	}
-	if demo <= 0 {
-		return fmt.Errorf("need -demo N with -shard-bench")
-	}
-	var counts []int
-	for _, tok := range strings.Split(countsStr, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad shard count %q in -shard-bench", tok)
-		}
-		counts = append(counts, n)
-	}
-
-	// Query workload: distorted copies of stored shapes, independent of
-	// how the base is partitioned.
-	spec := synth.PaperSpec(float64(demo)/10000, seed)
-	spec.Images = demo
-	images := synth.GenerateBase(spec)
-	queries := synth.Queries(rand.New(rand.NewSource(seed+7)), images, 8, 0.01)
-
-	report := shardBenchReport{
-		Demo:    demo,
-		Seed:    seed,
-		Queries: len(queries),
-		Cores:   runtime.NumCPU(),
-	}
-	procSweep := []int{1, runtime.NumCPU()}
-	if procSweep[1] == 1 {
-		procSweep = procSweep[:1]
-	}
-	prevProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prevProcs)
-	for _, gp := range procSweep {
-		runtime.GOMAXPROCS(gp)
-		var singleFreeze time.Duration
-		for _, n := range counts {
-			eng := newEngine(n)
-			if err := fillBase(eng, "", demo, seed); err != nil {
-				return err
-			}
-			t0 := time.Now()
-			if err := eng.Freeze(); err != nil {
-				return err
-			}
-			freeze := time.Since(t0)
-			if n == 1 {
-				singleFreeze = freeze
-			}
-
-			t0 = time.Now()
-			for _, q := range queries {
-				if _, err := eng.Search(context.Background(),
-					geosir.SearchRequest{Query: q, K: 5, Mode: geosir.ModeExact}); err != nil {
-					return err
-				}
-			}
-			perQuery := time.Since(t0) / time.Duration(len(queries))
-
-			row := shardBenchRow{
-				Shards:       n,
-				GoMaxProcs:   gp,
-				FreezeMillis: float64(freeze.Microseconds()) / 1e3,
-				QueryMicros:  float64(perQuery.Nanoseconds()) / 1e3,
-				Images:       eng.NumImages(),
-				Shapes:       eng.NumShapes(),
-			}
-			if singleFreeze > 0 {
-				row.FreezeSpeedup = float64(singleFreeze) / float64(freeze)
-			}
-			for _, conc := range shardBenchConcLevels {
-				cr, err := measureConcLevel(eng, queries, conc)
-				if err != nil {
-					return err
-				}
-				row.Concurrency = append(row.Concurrency, cr)
-			}
-			report.Results = append(report.Results, row)
-			fmt.Fprintf(os.Stderr, "gomaxprocs=%d shards=%d freeze=%v query=%v speedup=%.2fx\n",
-				gp, n, freeze.Round(time.Microsecond), perQuery.Round(time.Microsecond), row.FreezeSpeedup)
-			for _, cr := range row.Concurrency {
-				fmt.Fprintf(os.Stderr, "  c=%-3d %9.1f qps  p50 %.1fus  p99 %.1fus\n",
-					cr.Concurrency, cr.QPS, cr.P50Micros, cr.P99Micros)
-			}
-		}
-	}
-	runtime.GOMAXPROCS(prevProcs)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(out, data, 0o644)
 }
 
 // loadBase reads the shape file format described in the package comment.

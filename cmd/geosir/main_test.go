@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro"
 )
@@ -91,11 +89,11 @@ func TestLoadBase(t *testing.T) {
 	}
 	// Retrieval works on the loaded base.
 	q, _ := parseShape("0,0 4,0 4,4 0,4", true)
-	ms, _, err := eng.FindSimilar(q, 1)
+	resp, err := eng.Search(context.Background(), geosir.SearchRequest{Query: q, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 1 || ms[0].ImageID != 0 {
+	if ms := resp.Matches; len(ms) != 1 || ms[0].ImageID != 0 {
 		t.Errorf("query = %v", ms)
 	}
 }
@@ -201,52 +199,6 @@ func TestRunSnapshotSharded(t *testing.T) {
 		t.Fatal(err)
 	} else if _, ok := sv.(*geosir.Engine); !ok {
 		t.Fatalf("LoadAny(file) = %T, want *Engine", sv)
-	}
-}
-
-func TestRunShardBench(t *testing.T) {
-	// The closed-loop sweep is the bench's measurement, not the test's:
-	// one short window keeps every row's shape without 2 s × 3 levels × rows.
-	defer func(levels []int, window time.Duration) {
-		shardBenchConcLevels, shardBenchConcWindow = levels, window
-	}(shardBenchConcLevels, shardBenchConcWindow)
-	shardBenchConcLevels, shardBenchConcWindow = []int{2}, 100*time.Millisecond
-
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := runShardBench("", 10, 3, "1,2", out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep shardBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench output not JSON: %v\n%s", err, data)
-	}
-	// The sweep runs once at GOMAXPROCS=1 and, on a multi-core box, once
-	// more at NumCPU: one row per shard count per setting.
-	procs := map[int]bool{1: true, runtime.NumCPU(): true}
-	if rep.Cores != runtime.NumCPU() || len(rep.Results) != 2*len(procs) {
-		t.Fatalf("want %d rows on %d cores, report = %+v", 2*len(procs), runtime.NumCPU(), rep)
-	}
-	for _, row := range rep.Results {
-		if row.FreezeMillis <= 0 || row.Shapes == 0 || !procs[row.GoMaxProcs] || len(row.Concurrency) != 1 {
-			t.Fatalf("row = %+v", row)
-		}
-	}
-	if rep.Results[0].Shards != 1 || rep.Results[0].FreezeSpeedup != 1 {
-		t.Fatalf("single-shard baseline row = %+v", rep.Results[0])
-	}
-	// Bad inputs.
-	if err := runShardBench("", 0, 1, "1,2", out); err == nil {
-		t.Error("no demo base should fail")
-	}
-	if err := runShardBench("x.txt", 10, 1, "1,2", out); err == nil {
-		t.Error("-base with -shard-bench should fail")
-	}
-	if err := runShardBench("", 10, 1, "1,zero", out); err == nil {
-		t.Error("bad shard count should fail")
 	}
 }
 

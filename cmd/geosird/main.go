@@ -12,9 +12,9 @@
 // cache — open is O(1) in base size and the base may exceed RAM;
 // non-GSIR3 snapshots silently fall back to a heap load per file.
 //
-// Endpoints: POST /v1/search (unified), /v1/similar, /v1/approximate,
-// /v1/sketch, /v1/topological, POST /admin/reload, GET /healthz /readyz
-// /metrics /statz. See internal/server for the wire format.
+// Endpoints: POST /v1/search (every retrieval mode), /v1/topological,
+// POST /admin/reload, GET /healthz /readyz /metrics /statz. See
+// internal/server for the wire format.
 //
 // Signals: SIGHUP hot-swaps the snapshot (re-reads the active snapshot
 // path with zero downtime — the old engine serves until the new one is
@@ -66,7 +66,6 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty = disabled)")
 		ingest      = flag.Bool("ingest", false, "enable live ingestion on a sharded snapshot directory (POST/DELETE /v1/images, background compaction)")
 		compactAt   = flag.Int("compact-threshold", 0, "delta shape count that triggers background compaction (0 = default, negative = manual /admin/compact only; needs -ingest)")
-		walNoSync   = flag.Bool("wal-nosync", false, "skip the per-write WAL fsync — a crash may lose acknowledged writes (benchmarks only; needs -ingest)")
 		execPolicy  = flag.String("exec", "auto", "default execution policy for requests that do not set one: auto (adapt fan-out to load), fanout, sequential")
 		loadMode    = flag.String("load-mode", "heap", "snapshot load mode: heap (decode into memory) or mmap (serve GSIR3 sections off the page cache; non-GSIR3 files fall back to heap)")
 	)
@@ -96,7 +95,7 @@ func main() {
 		cfg.AccessLog = os.Stderr
 	}
 	if *ingest {
-		cfg.Ingest = &server.IngestOptions{CompactThreshold: *compactAt, NoSync: *walNoSync}
+		cfg.Ingest = &server.IngestOptions{CompactThreshold: *compactAt}
 	}
 	if err := run(*snapshot, *addr, cfg, *drainWait, *pprofAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "geosird:", err)
@@ -124,8 +123,8 @@ func run(snapshot, addr string, cfg server.Config, drainWait time.Duration, ppro
 		snapshot, info.FormatName, sv.NumImages(), sv.NumShapes(), sv.NumEntries(),
 		time.Since(start).Round(time.Millisecond))
 	if cfg.Ingest != nil {
-		logger.Printf("live ingestion on: /v1/images accepts writes (compact threshold %d, wal sync %v)",
-			cfg.Ingest.CompactThreshold, !cfg.Ingest.NoSync)
+		logger.Printf("live ingestion on: /v1/images accepts writes (compact threshold %d)",
+			cfg.Ingest.CompactThreshold)
 	}
 
 	ln, err := net.Listen("tcp", addr)

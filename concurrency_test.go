@@ -1,7 +1,9 @@
 package geosir
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -14,157 +16,57 @@ func buildSketch() []Shape {
 	return []Shape{square(0, 0, 19), triangle(5, 5, 2.9)}
 }
 
-// TestConcurrentQueries drives every read API of one frozen engine from
-// many goroutines at once — the contract DESIGN.md's concurrency model
-// promises. Run under -race it also proves the pooled scratch state and
-// frozen oracles are properly isolated per query. Every goroutine must
-// observe exactly the same results as a sequential reference.
+// TestConcurrentQueries drives Search in all four modes on one frozen
+// engine from many goroutines at once — the contract DESIGN.md's
+// concurrency model promises. Run under -race it also proves the pooled
+// scratch state and frozen oracles are properly isolated per query. Every
+// goroutine must observe exactly the same results as a sequential
+// reference.
 func TestConcurrentQueries(t *testing.T) {
 	eng := buildEngine(t)
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(21))
-	var queries []Shape
+	var reqs []SearchRequest
 	for i := 0; i < 8; i++ {
 		src := eng.Base().Shape(rng.Intn(eng.NumShapes())).Poly
 		q := synth.Distort(rng, src, 0.01)
 		if q.Validate() != nil {
 			q = src
 		}
-		queries = append(queries, q)
+		mode := []Mode{ModeAuto, ModeExact, ModeApproximate}[i%3]
+		reqs = append(reqs, SearchRequest{Query: q, K: 2, Mode: mode})
 	}
-	sketch := buildSketch()
+	reqs = append(reqs, SearchRequest{Sketch: buildSketch(), K: 3, Mode: ModeSketch, Exec: ExecFanout, MaxWorkers: 2})
 
 	// Sequential reference answers.
-	refBatch, _, err := eng.FindSimilarBatch(queries, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSketch, err := eng.FindBySketchWorkers(sketch, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refApprox, err := eng.FindApproximate(queries[0], 3)
-	if err != nil {
-		t.Fatal(err)
+	refs := make([]*SearchResponse, len(reqs))
+	for i, req := range reqs {
+		refs[i] = mustSearch(t, eng, req)
 	}
 
 	const goroutines = 16
 	var wg sync.WaitGroup
-	errCh := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
-				switch (g + round) % 3 {
-				case 0:
-					batch, _, err := eng.FindSimilarBatch(queries, 2, 4)
+				for off := range reqs {
+					i := (g + off) % len(reqs)
+					got, err := eng.Search(ctx, reqs[i])
 					if err != nil {
-						errCh <- err
+						t.Errorf("goroutine %d request %d: %v", g, i, err)
 						return
 					}
-					for i := range refBatch {
-						for j := range refBatch[i] {
-							if batch[i][j] != refBatch[i][j] {
-								t.Errorf("goroutine %d: batch[%d][%d] = %+v, want %+v",
-									g, i, j, batch[i][j], refBatch[i][j])
-								return
-							}
-						}
-					}
-				case 1:
-					sm, err := eng.FindBySketchWorkers(sketch, 3, 2)
-					if err != nil {
-						errCh <- err
+					if !reflect.DeepEqual(got.Matches, refs[i].Matches) || !reflect.DeepEqual(got.SketchMatches, refs[i].SketchMatches) {
+						t.Errorf("goroutine %d request %d (%v): got %+v, want %+v", g, i, reqs[i].Mode, got, refs[i])
 						return
-					}
-					if len(sm) != len(refSketch) {
-						t.Errorf("goroutine %d: %d sketch matches, want %d",
-							g, len(sm), len(refSketch))
-						return
-					}
-					for i := range sm {
-						if sm[i].ImageID != refSketch[i].ImageID || sm[i].Score != refSketch[i].Score {
-							t.Errorf("goroutine %d: sketch rank %d = %+v, want %+v",
-								g, i, sm[i], refSketch[i])
-							return
-						}
-					}
-				case 2:
-					am, err := eng.FindApproximate(queries[0], 3)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					for i := range am {
-						if am[i] != refApprox[i] {
-							t.Errorf("goroutine %d: approx rank %d = %+v, want %+v",
-								g, i, am[i], refApprox[i])
-							return
-						}
 					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-}
-
-// TestFindBySketchWorkersEquivalence asserts the parallel fan-out is
-// invisible in the results: any worker count produces the sequential
-// answer, match for match.
-func TestFindBySketchWorkersEquivalence(t *testing.T) {
-	eng := buildEngine(t)
-	sketch := buildSketch()
-	ref, err := eng.FindBySketchWorkers(sketch, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) == 0 {
-		t.Fatal("reference sketch retrieval returned nothing")
-	}
-	for _, workers := range []int{0, 2, 4, 8} {
-		got, err := eng.FindBySketchWorkers(sketch, 5, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d matches, want %d", workers, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i].ImageID != ref[i].ImageID || got[i].Score != ref[i].Score {
-				t.Fatalf("workers=%d rank %d: %+v, want %+v", workers, i, got[i], ref[i])
-			}
-			for si := range got[i].PerShape {
-				if got[i].PerShape[si] != ref[i].PerShape[si] {
-					t.Fatalf("workers=%d rank %d shape %d: %v, want %v",
-						workers, i, si, got[i].PerShape[si], ref[i].PerShape[si])
-				}
-			}
-		}
-	}
-}
-
-// TestFindBySketchWorkersErrors mirrors the sequential validation rules.
-func TestFindBySketchWorkersErrors(t *testing.T) {
-	eng := New(DefaultOptions())
-	if _, err := eng.FindBySketchWorkers(buildSketch(), 1, 2); err == nil {
-		t.Error("unfrozen engine should fail")
-	}
-	built := buildEngine(t)
-	if _, err := built.FindBySketchWorkers(buildSketch(), 0, 2); err == nil {
-		t.Error("k=0 should fail")
-	}
-	if _, err := built.FindBySketchWorkers(nil, 1, 2); err == nil {
-		t.Error("empty sketch should fail")
-	}
-	bad := []Shape{square(0, 0, 1), NewPolyline(Pt(0, 0))}
-	if _, err := built.FindBySketchWorkers(bad, 1, 2); err == nil {
-		t.Error("invalid sketch shape should fail")
-	}
 }
 
 // TestSortMatchesDeterministic asserts distance ties are broken on

@@ -1,13 +1,14 @@
 package geosir_test
 
 import (
+	"context"
 	"fmt"
 
 	geosir "repro"
 )
 
 // The basic flow: build an image base, freeze, retrieve by sketch.
-func ExampleEngine_FindSimilar() {
+func ExampleEngine_Search() {
 	eng := geosir.New(geosir.DefaultOptions())
 	_ = eng.AddImage(0, []geosir.Shape{
 		geosir.NewPolygon(geosir.Pt(0, 0), geosir.Pt(4, 0), geosir.Pt(4, 4), geosir.Pt(0, 4)),
@@ -22,8 +23,8 @@ func ExampleEngine_FindSimilar() {
 		geosir.Pt(0, 0), geosir.Pt(2, 0), geosir.Pt(2, 2), geosir.Pt(0, 2),
 	).Transform(geosir.Similarity(3, 0.8, geosir.Pt(10, -5)))
 
-	matches, _, _ := eng.FindSimilar(sketch, 1)
-	fmt.Printf("image %d, distance %.4f\n", matches[0].ImageID, matches[0].Distance)
+	resp, _ := eng.Search(context.Background(), geosir.SearchRequest{Query: sketch, K: 1})
+	fmt.Printf("image %d, distance %.4f\n", resp.Matches[0].ImageID, resp.Matches[0].Distance)
 	// Output: image 0, distance 0.0000
 }
 
@@ -50,7 +51,7 @@ func ExampleEngine_Query() {
 }
 
 // Multi-shape sketches rank images by how well they match every part.
-func ExampleEngine_FindBySketch() {
+func ExampleEngine_Search_sketch() {
 	eng := geosir.New(geosir.DefaultOptions())
 	sq := geosir.NewPolygon(geosir.Pt(0, 0), geosir.Pt(8, 0), geosir.Pt(8, 8), geosir.Pt(0, 8))
 	tri := geosir.NewPolygon(geosir.Pt(1, 1), geosir.Pt(4, 1), geosir.Pt(1, 6))
@@ -62,8 +63,8 @@ func ExampleEngine_FindBySketch() {
 		geosir.NewPolygon(geosir.Pt(0, 0), geosir.Pt(1, 0), geosir.Pt(1, 1), geosir.Pt(0, 1)),
 		geosir.NewPolygon(geosir.Pt(0, 0), geosir.Pt(3, 0), geosir.Pt(0, 5)),
 	}
-	ms, _ := eng.FindBySketch(sketch, 2)
-	for _, m := range ms {
+	resp, _ := eng.Search(context.Background(), geosir.SearchRequest{Sketch: sketch, K: 2, Mode: geosir.ModeSketch})
+	for _, m := range resp.SketchMatches {
 		fmt.Printf("image %d score %.4f\n", m.ImageID, m.Score)
 	}
 	// Image 0 matches both parts exactly; image 1 pays a penalty for the

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,10 +56,11 @@ func main() {
 		geosir.Pt(4, 9.2), geosir.Pt(-0.2, 6)).
 		Transform(geosir.Similarity(0.8, 0.6, geosir.Pt(30, 10)))
 
-	matches, stats, err := eng.FindSimilar(sketch, 3)
+	resp, err := eng.Search(context.Background(), geosir.SearchRequest{Query: sketch, K: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
+	matches, stats := resp.Matches, resp.Stats
 	fmt.Printf("retrieval converged=%v after %d envelope fattenings (ε=%.4f)\n",
 		stats.Converged, stats.Iterations, stats.FinalEpsilon)
 	for i, m := range matches {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -59,10 +60,11 @@ func main() {
 	}
 	sketch = sketch.Transform(geosir.Similarity(1, 0.5, geosir.Pt(7, 3)))
 
-	matches, stats, err := eng.FindSimilar(sketch, len(scenes))
+	resp, err := eng.Search(context.Background(), geosir.SearchRequest{Query: sketch, K: len(scenes)})
 	if err != nil {
 		log.Fatal(err)
 	}
+	matches, stats := resp.Matches, resp.Stats
 	fmt.Printf("\nsketch query: %d iterations, %d candidates, converged=%v\n",
 		stats.Iterations, stats.Candidates, stats.Converged)
 	for i, m := range matches {

@@ -24,7 +24,6 @@
 package geosir
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -126,10 +125,10 @@ type Stats struct {
 // graphs, and the geometric hash table.
 //
 // Concurrency: an Engine is not safe for concurrent mutation, but after
-// Freeze every index structure is immutable and Search (and the
-// deprecated Find* wrappers) may be called from any number of
-// goroutines. Query updates the shared selectivity estimator and should
-// not race with itself; use one goroutine for topological queries.
+// Freeze every index structure is immutable and Search may be called
+// from any number of goroutines. Query updates the shared selectivity
+// estimator and should not race with itself; use one goroutine for
+// topological queries.
 type Engine struct {
 	opts   Options
 	db     *query.DB
@@ -237,46 +236,6 @@ func (e *Engine) Base() *core.Base { return e.db.Base() }
 // HashTable exposes the geometric hash table for advanced use.
 func (e *Engine) HashTable() *geohash.Table { return e.table }
 
-// FindSimilar retrieves the k shapes most similar to q. It first runs the
-// exact ε-envelope fattening search; if that fails to converge on a
-// sufficiently close match, it falls back to geometric hashing for an
-// approximate answer (§6: "if it fails to find a close match, geometric
-// hashing is used for approximate retrieval").
-//
-// Deprecated: use Search with ModeAuto (the zero Mode):
-//
-//	resp, err := e.Search(ctx, SearchRequest{Query: q, K: k})
-func (e *Engine) FindSimilar(q Shape, k int) ([]Match, Stats, error) {
-	return e.FindSimilarCtx(context.Background(), q, k)
-}
-
-// FindSimilarCtx is FindSimilar under a context.
-//
-// Deprecated: use Search with ModeAuto (the zero Mode):
-//
-//	resp, err := e.Search(ctx, SearchRequest{Query: q, K: k})
-func (e *Engine) FindSimilarCtx(ctx context.Context, q Shape, k int) ([]Match, Stats, error) {
-	resp, err := e.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeAuto})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return resp.Matches, resp.Stats, nil
-}
-
-// FindApproximate retrieves up to k approximate matches through the
-// geometric hash table alone (§3).
-//
-// Deprecated: use Search with ModeApproximate:
-//
-//	resp, err := e.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeApproximate})
-func (e *Engine) FindApproximate(q Shape, k int) ([]Match, error) {
-	resp, err := e.Search(context.Background(), SearchRequest{Query: q, K: k, Mode: ModeApproximate})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Matches, nil
-}
-
 // Query parses and executes a topological query (§5), e.g.
 //
 //	similar(a) AND NOT overlap(b, c, any)
@@ -314,16 +273,4 @@ type SketchMatch struct {
 	// PerShape holds the per-sketch-shape best distances (aligned with
 	// the query slice).
 	PerShape []float64
-}
-
-// FindBySketch implements the §6 user flow: a query sketch is decomposed
-// into several polylines, and images are ranked by how well they match
-// *all* of them — the mean over sketch shapes of the distance to the
-// image's closest shape.
-//
-// Deprecated: use Search with ModeSketch:
-//
-//	resp, err := e.Search(ctx, SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch})
-func (e *Engine) FindBySketch(sketch []Shape, k int) ([]SketchMatch, error) {
-	return e.FindBySketchWorkers(sketch, k, 0)
 }

@@ -1,6 +1,7 @@
 package geosir
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -40,10 +41,20 @@ func buildEngine(t *testing.T) *Engine {
 	return eng
 }
 
+// mustSearch runs one Search and fails the test on an error.
+func mustSearch(t testing.TB, s Searcher, req SearchRequest) *SearchResponse {
+	t.Helper()
+	resp, err := s.Search(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func TestEngineLifecycle(t *testing.T) {
 	eng := New(DefaultOptions())
-	if _, _, err := eng.FindSimilar(square(0, 0, 1), 1); err == nil {
-		t.Error("unfrozen FindSimilar should fail")
+	if _, err := eng.Search(context.Background(), SearchRequest{Query: square(0, 0, 1), K: 1}); err == nil {
+		t.Error("unfrozen Search should fail")
 	}
 	if _, _, err := eng.Query("similar(q)", nil); err == nil {
 		t.Error("unfrozen Query should fail")
@@ -63,14 +74,12 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 }
 
-func TestFindSimilarExact(t *testing.T) {
+func TestSearchAutoExact(t *testing.T) {
 	eng := buildEngine(t)
 	// A rotated, scaled L-shape must hit the L-shape images.
 	q := lshape(0, 0, 3).Transform(Similarity(1.8, 0.7, Pt(50, 50)))
-	ms, stats, err := eng.FindSimilar(q, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := mustSearch(t, eng, SearchRequest{Query: q, K: 2})
+	ms, stats := resp.Matches, resp.Stats
 	if len(ms) != 2 {
 		t.Fatalf("matches = %d", len(ms))
 	}
@@ -89,7 +98,7 @@ func TestFindSimilarExact(t *testing.T) {
 	}
 }
 
-func TestFindSimilarFallsBackToHashing(t *testing.T) {
+func TestSearchAutoFallsBackToHashing(t *testing.T) {
 	eng := buildEngine(t)
 	// A very dissimilar query: a 12-armed star. The fattening search will
 	// not find anything within τ, so hashing must kick in.
@@ -103,10 +112,8 @@ func TestFindSimilarFallsBackToHashing(t *testing.T) {
 		pts = append(pts, Pt(r*math.Cos(a), r*math.Sin(a)))
 	}
 	star := NewPolygon(pts...)
-	ms, stats, err := eng.FindSimilar(star, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := mustSearch(t, eng, SearchRequest{Query: star, K: 3})
+	ms, stats := resp.Matches, resp.Stats
 	if !stats.UsedHashing {
 		t.Errorf("expected hashing fallback (best distance would be large)")
 	}
@@ -120,12 +127,9 @@ func TestFindSimilarFallsBackToHashing(t *testing.T) {
 	}
 }
 
-func TestFindApproximateDirect(t *testing.T) {
+func TestSearchApproximateDirect(t *testing.T) {
 	eng := buildEngine(t)
-	ms, err := eng.FindApproximate(square(0, 0, 3), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := mustSearch(t, eng, SearchRequest{Query: square(0, 0, 3), K: 4, Mode: ModeApproximate}).Matches
 	if len(ms) == 0 {
 		t.Fatal("no approximate matches")
 	}
@@ -138,7 +142,7 @@ func TestFindApproximateDirect(t *testing.T) {
 			t.Error("approximate matches unsorted")
 		}
 	}
-	if _, err := eng.FindApproximate(square(0, 0, 1), 0); err == nil {
+	if _, err := eng.Search(context.Background(), SearchRequest{Query: square(0, 0, 1), K: 0, Mode: ModeApproximate}); err == nil {
 		t.Error("k=0 should fail")
 	}
 }
@@ -186,14 +190,12 @@ func TestAddImageValidation(t *testing.T) {
 	}
 }
 
-func TestFindBySketch(t *testing.T) {
+func TestSearchSketch(t *testing.T) {
 	eng := buildEngine(t)
+	ctx := context.Background()
 	// A two-shape sketch: square + triangle. Only image 0 has both.
 	sketch := []Shape{square(0, 0, 6), triangle(0, 0, 4)}
-	ms, err := eng.FindBySketch(sketch, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := mustSearch(t, eng, SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch}).SketchMatches
 	if len(ms) == 0 {
 		t.Fatal("no sketch matches")
 	}
@@ -209,32 +211,26 @@ func TestFindBySketch(t *testing.T) {
 		}
 	}
 	// Error paths.
-	if _, err := eng.FindBySketch(nil, 1); err == nil {
+	if _, err := eng.Search(ctx, SearchRequest{K: 1, Mode: ModeSketch}); err == nil {
 		t.Error("empty sketch should fail")
 	}
-	if _, err := eng.FindBySketch(sketch, 0); err == nil {
+	if _, err := eng.Search(ctx, SearchRequest{Sketch: sketch, K: 0, Mode: ModeSketch}); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := eng.FindBySketch([]Shape{NewPolyline(Pt(0, 0))}, 1); err == nil {
+	if _, err := eng.Search(ctx, SearchRequest{Sketch: []Shape{NewPolyline(Pt(0, 0))}, K: 1, Mode: ModeSketch}); err == nil {
 		t.Error("invalid sketch shape should fail")
 	}
 	unfrozen := New(DefaultOptions())
-	if _, err := unfrozen.FindBySketch(sketch, 1); err == nil {
+	if _, err := unfrozen.Search(ctx, SearchRequest{Sketch: sketch, K: 1, Mode: ModeSketch}); err == nil {
 		t.Error("unfrozen should fail")
 	}
 }
 
-func TestFindBySketchSingleShapeAgreesWithFindSimilar(t *testing.T) {
+func TestSearchSketchSingleShapeAgreesWithAuto(t *testing.T) {
 	eng := buildEngine(t)
 	q := lshape(0, 0, 2)
-	sk, err := eng.FindBySketch([]Shape{q}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, _, err := eng.FindSimilar(q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk := mustSearch(t, eng, SearchRequest{Sketch: []Shape{q}, K: 1, Mode: ModeSketch}).SketchMatches
+	fs := mustSearch(t, eng, SearchRequest{Query: q, K: 1}).Matches
 	if len(sk) == 0 || len(fs) == 0 {
 		t.Fatal("empty results")
 	}

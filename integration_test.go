@@ -5,6 +5,7 @@ package geosir
 // every module boundary the paper's prototype (§6) crosses.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,10 +60,11 @@ func TestPixelsToRetrieval(t *testing.T) {
 	// Query each class with a rotated, scaled vector sketch.
 	for id, sc := range scenes {
 		q := sc.shape.Transform(Similarity(0.02, 1.1, Pt(5, 5)))
-		ms, _, err := eng.FindSimilar(q, 1)
+		resp, err := eng.Search(context.Background(), SearchRequest{Query: q, K: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
+		ms := resp.Matches
 		if len(ms) != 1 || ms[0].ImageID != id {
 			t.Errorf("%s: retrieved image %v, want %d (dist %v)",
 				sc.name, ms[0].ImageID, id, ms[0].Distance)
@@ -110,10 +112,7 @@ func TestClusterDecomposeIndex(t *testing.T) {
 		}
 	}
 	if found {
-		ms, _, err := eng.FindSimilar(loop, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ms := mustSearch(t, eng, SearchRequest{Query: loop, K: 1}).Matches
 		if len(ms) == 0 || ms[0].Distance > 1e-6 {
 			t.Errorf("loop piece not retrieved exactly: %v", ms)
 		}
@@ -209,10 +208,7 @@ func TestHashingFallbackAgreesWithScan(t *testing.T) {
 	}
 	q := NewPolygon(pts...)
 
-	approx, err := eng.FindApproximate(q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	approx := mustSearch(t, eng, SearchRequest{Query: q, K: 1, Mode: ModeApproximate}).Matches
 	if len(approx) == 0 {
 		t.Skip("hash buckets empty for this query (legal: hashing is approximate)")
 	}
@@ -248,11 +244,8 @@ func TestEngineDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := synth.Star(rand.New(rand.NewSource(6)), 4, 0.02)
-		ms, st, err := eng.FindSimilar(q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ms, st
+		resp := mustSearch(t, eng, SearchRequest{Query: q, K: 3})
+		return resp.Matches, resp.Stats
 	}
 	a, sa := build()
 	b, sb := build()

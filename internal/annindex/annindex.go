@@ -48,7 +48,8 @@ type Params struct {
 	Seed uint64
 }
 
-// DefaultParams are tuned on the 400-image demo base (see BENCH_ann.json):
+// DefaultParams are tuned on the 400-image demo base (BenchmarkAnn* in
+// the root package):
 // cell side ≈ 0.05 diameters absorbs query distortion, 16 bands × 2 rows
 // keeps band collisions likely down to moderate similarity.
 func DefaultParams() Params {

@@ -89,12 +89,8 @@ func TestCacheEquivalence(t *testing.T) {
 		probes = append(probes,
 			probe{fmt.Sprintf("search/sketch/k%d", k), "/v1/search",
 				map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": k, "mode": "sketch"}},
-			probe{fmt.Sprintf("similar/k%d", k), "/v1/similar",
+			probe{fmt.Sprintf("search/default/k%d", k), "/v1/search",
 				map[string]any{"shape": wireL(), "k": k}},
-			probe{fmt.Sprintf("approximate/k%d", k), "/v1/approximate",
-				map[string]any{"shape": wireSquare(), "k": k}},
-			probe{fmt.Sprintf("sketch/k%d", k), "/v1/sketch",
-				map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": k}},
 		)
 	}
 
@@ -112,12 +108,8 @@ func TestCacheEquivalence(t *testing.T) {
 			if st1 != 200 || st2 != 200 {
 				t.Fatalf("cached: %d / %d", st1, st2)
 			}
-			// The first touch may already hit: the cache stores the engine
-			// response keyed by SearchRequest fingerprint, so /v1/approximate
-			// and /v1/search?mode=approximate share entries by design (each
-			// endpoint re-renders its own body from the cached response).
-			if (hdr1 != "miss" && hdr1 != "hit") || hdr2 != "hit" {
-				t.Fatalf("dispositions = %q, %q; want miss|hit then hit", hdr1, hdr2)
+			if hdr1 != "miss" || hdr2 != "hit" {
+				t.Fatalf("dispositions = %q, %q; want miss then hit", hdr1, hdr2)
 			}
 			if !bytes.Equal(bodyP, body1) {
 				t.Fatalf("miss body differs from uncached:\n  plain:  %s\n  cached: %s", bodyP, body1)
@@ -383,7 +375,7 @@ func TestCacheInvalidationUnderReload(t *testing.T) {
 		}
 		ref := httptest.NewServer(p.Handler())
 		defer ref.Close()
-		st, body, _ := postRaw(t, ref.URL+"/v1/similar", map[string]any{"shape": wireSquare(), "k": 3})
+		st, body, _ := postRaw(t, ref.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 3})
 		if st != 200 {
 			t.Fatalf("canonical answer: %d %s", st, body)
 		}
@@ -417,7 +409,7 @@ func TestCacheInvalidationUnderReload(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(ts.URL+"/v1/similar", "application/json", bytes.NewReader(reqBody))
+				resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(reqBody))
 				if err != nil {
 					failures.Add(1)
 					continue
@@ -462,7 +454,7 @@ func TestCacheInvalidationUnderReload(t *testing.T) {
 	// --- failed reload leaves engine AND cache intact -----------------
 
 	// Warm the cache on the current engine (last loop load was snapA).
-	_, warmBody, hdrWarm := postRaw(t, ts.URL+"/v1/similar", map[string]any{"shape": wireL(), "k": 2})
+	_, warmBody, hdrWarm := postRaw(t, ts.URL+"/v1/search", map[string]any{"shape": wireL(), "k": 2})
 	epochBefore := s.Statz().Epoch
 	if hdrWarm == "bypass" {
 		t.Fatalf("warm request bypassed the cache")
@@ -474,7 +466,7 @@ func TestCacheInvalidationUnderReload(t *testing.T) {
 	if got := s.Statz().Epoch; got != epochBefore {
 		t.Fatalf("failed reload bumped the epoch %d → %d; cache was invalidated for nothing", epochBefore, got)
 	}
-	st, body, hdr := postRaw(t, ts.URL+"/v1/similar", map[string]any{"shape": wireL(), "k": 2})
+	st, body, hdr := postRaw(t, ts.URL+"/v1/search", map[string]any{"shape": wireL(), "k": 2})
 	if st != 200 || hdr != "hit" {
 		t.Fatalf("post-failed-reload request = %d %q, want a 200 hit (cache intact)", st, hdr)
 	}

@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -122,10 +120,8 @@ func (s *Server) serveMutate(w *statusRecorder, r *http.Request, em *endpointMet
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		em.status4x.Add(1)
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+	body, ok := s.readBody(w, r, em)
+	if !ok {
 		return
 	}
 	resp, err := h(ctx, st, r, body)

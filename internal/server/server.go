@@ -10,9 +10,6 @@
 // Endpoints:
 //
 //	POST /v1/search        {"shape": {...}, "k": 5, "mode": "auto"}  (unified; sketch mode takes "shapes")
-//	POST /v1/similar       {"shape": {...}, "k": 5}
-//	POST /v1/approximate   {"shape": {...}, "k": 5}
-//	POST /v1/sketch        {"shapes": [{...}, ...], "k": 5}
 //	POST /v1/topological   {"query": "similar(a) AND ...", "binds": {"a": {...}}}
 //	POST /v1/images        {"id": 7, "shapes": [{...}, ...]}  (live insert; Config.Ingest)
 //	DELETE /v1/images/{id}                                    (live delete)
@@ -163,8 +160,8 @@ type Server struct {
 	epochCounter atomic.Uint64
 
 	// topoMu serializes topological queries: Engine.Query updates the
-	// shared selectivity estimator and must not race with itself. The
-	// similarity endpoints stay fully concurrent.
+	// shared selectivity estimator and must not race with itself.
+	// /v1/search stays fully concurrent.
 	topoMu sync.Mutex
 	// reloadMu serializes reloads; traffic keeps flowing off the old
 	// engine while the new one loads outside any request path.
@@ -395,6 +392,9 @@ func unprocessable(err error) *apiError {
 	return &apiError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 }
 
+// routes is the one route table. Wrapping a handler (instrument, query,
+// mutate) registers its metric row under the given name, so /statz lists
+// exactly the endpoints registered here, from the first scrape.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -404,18 +404,9 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("/admin/reload", s.instrument("admin_reload", s.handleReload))
 	mux.HandleFunc("/admin/compact", s.instrument("admin_compact", s.handleCompact))
 	mux.HandleFunc("/v1/search", s.query("search", s.handleSearch))
-	mux.HandleFunc("/v1/similar", s.query("similar", s.handleSimilar))
-	mux.HandleFunc("/v1/approximate", s.query("approximate", s.handleApproximate))
-	mux.HandleFunc("/v1/sketch", s.query("sketch", s.handleSketch))
 	mux.HandleFunc("/v1/topological", s.query("topological", s.handleTopological))
 	mux.HandleFunc("POST /v1/images", s.mutate("images_insert", s.handleInsertImage))
 	mux.HandleFunc("DELETE /v1/images/{id}", s.mutate("images_delete", s.handleDeleteImage))
-	// Pre-register the metric rows so /statz lists every endpoint from
-	// the first scrape, not only the ones that saw traffic.
-	for _, name := range []string{"search", "similar", "approximate", "sketch", "topological",
-		"images_insert", "images_delete", "admin_reload", "admin_compact"} {
-		s.metrics.endpoint(name)
-	}
 	return mux
 }
 
@@ -549,10 +540,8 @@ func (s *Server) serveQuery(w *statusRecorder, r *http.Request, em *endpointMetr
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		em.status4x.Add(1)
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+	body, ok := s.readBody(w, r, em)
+	if !ok {
 		return
 	}
 	resp, disp, err := h(ctx, st, body)
@@ -598,6 +587,24 @@ func (s *Server) serveQuery(w *statusRecorder, r *http.Request, em *endpointMetr
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
+// readBody reads a request body under Config.MaxBodyBytes. On failure it
+// answers the request itself — 413 for a body over the limit, 400 for any
+// other read error — and reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, em *endpointMetrics) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		em.status4x.Add(1)
+		s.writeError(w, status, fmt.Sprintf("reading body: %v", err))
+		return nil, false
+	}
+	return body, true
+}
+
 func retryAfter(d time.Duration) string {
 	secs := int(d / time.Second)
 	if secs < 1 {
@@ -607,16 +614,6 @@ func retryAfter(d time.Duration) string {
 }
 
 // --- query handlers -------------------------------------------------
-
-type similarRequest struct {
-	Shape WireShape `json:"shape"`
-	K     int       `json:"k"`
-}
-
-type similarResponse struct {
-	Matches []MatchJSON `json:"matches"`
-	Stats   StatsJSON   `json:"stats"`
-}
 
 // decodeStrict decodes a request body that must be exactly one JSON
 // value with no field the request type does not declare.
@@ -646,14 +643,14 @@ const cacheHeader = "X-Geosir-Cache"
 // just never cached.
 var errUncacheable = errors.New("server: response not cacheable")
 
-// runSearch funnels every similarity endpoint through the unified
-// Search API — through the query-result cache when one is configured —
-// translating the engine's sentinel failures to statuses in
-// serveQuery's error switch, and folds the response's ANN and block
-// accounting into the cumulative /statz counters. Both track engine
-// work actually performed, so cache hits and coalesced waits (which run
-// no engine search of their own) do not advance them.
-func (s *Server) runSearch(ctx context.Context, endpoint string, st *engineState, req geosir.SearchRequest) (*geosir.SearchResponse, qcache.Disposition, error) {
+// runSearch answers a /v1/search request through the unified Search API
+// — through the query-result cache when one is configured — leaving the
+// engine's sentinel failures to serveQuery's error switch, and folds the
+// response's ANN and block accounting into the cumulative /statz
+// counters. Both track engine work actually performed, so cache hits and
+// coalesced waits (which run no engine search of their own) do not
+// advance them.
+func (s *Server) runSearch(ctx context.Context, st *engineState, req geosir.SearchRequest) (*geosir.SearchResponse, qcache.Disposition, error) {
 	resp, disp, err := s.searchCached(ctx, st, req)
 	if err != nil {
 		return nil, disp, err
@@ -665,7 +662,7 @@ func (s *Server) runSearch(ctx context.Context, endpoint string, st *engineState
 			s.metrics.annCandidates.Add(int64(resp.Stats.ANNCandidates))
 		}
 		if resp.Stats.BlockReads > 0 {
-			s.metrics.endpoint(endpoint).blockReads.Add(int64(resp.Stats.BlockReads))
+			s.metrics.endpoint("search").blockReads.Add(int64(resp.Stats.BlockReads))
 		}
 	}
 	return resp, disp, nil
@@ -736,38 +733,6 @@ func (s *Server) searchCached(ctx context.Context, st *engineState, req geosir.S
 	return resp, disp, nil
 }
 
-func (s *Server) handleSimilar(ctx context.Context, st *engineState, body []byte) (any, qcache.Disposition, error) {
-	var req similarRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, qcache.Bypass, err
-	}
-	q, err := req.Shape.Shape()
-	if err != nil {
-		return nil, qcache.Bypass, unprocessable(err)
-	}
-	resp, disp, err := s.runSearch(ctx, "similar", st, geosir.SearchRequest{Query: q, K: req.K, Mode: geosir.ModeAuto, Exec: s.cfg.DefaultExec})
-	if err != nil {
-		return nil, disp, err
-	}
-	return similarResponse{Matches: matchesJSON(resp.Matches), Stats: statsJSON(resp.Stats)}, disp, nil
-}
-
-func (s *Server) handleApproximate(ctx context.Context, st *engineState, body []byte) (any, qcache.Disposition, error) {
-	var req similarRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, qcache.Bypass, err
-	}
-	q, err := req.Shape.Shape()
-	if err != nil {
-		return nil, qcache.Bypass, unprocessable(err)
-	}
-	resp, disp, err := s.runSearch(ctx, "approximate", st, geosir.SearchRequest{Query: q, K: req.K, Mode: geosir.ModeApproximate, Exec: s.cfg.DefaultExec})
-	if err != nil {
-		return nil, disp, err
-	}
-	return similarResponse{Matches: matchesJSON(resp.Matches), Stats: statsJSON(resp.Stats)}, disp, nil
-}
-
 // searchRequest is the unified /v1/search wire request: one shape (or,
 // for sketch mode, several), k, an optional mode name, an optional
 // execution policy ("auto", "fanout", "sequential") with a worker cap,
@@ -824,7 +789,7 @@ func (s *Server) handleSearch(ctx context.Context, st *engineState, body []byte)
 		}
 		greq.Sketch = shapes
 	}
-	resp, disp, err := s.runSearch(ctx, "search", st, greq)
+	resp, disp, err := s.runSearch(ctx, st, greq)
 	if err != nil {
 		return nil, disp, err
 	}
@@ -836,36 +801,6 @@ func (s *Server) handleSearch(ctx context.Context, st *engineState, body []byte)
 		out.SketchMatches = sketchMatchesJSON(resp.SketchMatches)
 	}
 	return out, disp, nil
-}
-
-type sketchRequest struct {
-	Shapes []WireShape `json:"shapes"`
-	K      int         `json:"k"`
-	Ann    string      `json:"ann,omitempty"`
-}
-
-type sketchResponse struct {
-	Matches []SketchMatchJSON `json:"matches"`
-}
-
-func (s *Server) handleSketch(ctx context.Context, st *engineState, body []byte) (any, qcache.Disposition, error) {
-	var req sketchRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, qcache.Bypass, err
-	}
-	shapes, err := shapesOf(req.Shapes)
-	if err != nil {
-		return nil, qcache.Bypass, unprocessable(err)
-	}
-	ann, err := geosir.ParseAnnMode(req.Ann)
-	if err != nil {
-		return nil, qcache.Bypass, unprocessable(err)
-	}
-	resp, disp, err := s.runSearch(ctx, "sketch", st, geosir.SearchRequest{Sketch: shapes, K: req.K, Mode: geosir.ModeSketch, Ann: ann, Exec: s.cfg.DefaultExec})
-	if err != nil {
-		return nil, disp, err
-	}
-	return sketchResponse{Matches: sketchMatchesJSON(resp.SketchMatches)}, disp, nil
 }
 
 type topologicalRequest struct {

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -128,8 +130,8 @@ func TestHealthAndReady(t *testing.T) {
 		t.Errorf("readyz before load: %d, want 503", resp.StatusCode)
 	}
 	// Query endpoints shed with 503 + Retry-After until a snapshot lands.
-	if resp, _ := post(t, ts.URL+"/v1/similar", map[string]any{"shape": wireSquare(), "k": 1}); resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
-		t.Errorf("similar before load: %d Retry-After=%q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	if resp, _ := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 1}); resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("search before load: %d Retry-After=%q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	if err := s.SetEngine(testEngine(t), "(test)"); err != nil {
 		t.Fatal(err)
@@ -141,19 +143,19 @@ func TestHealthAndReady(t *testing.T) {
 
 func TestSimilarEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, raw := post(t, ts.URL+"/v1/similar", map[string]any{"shape": wireSquare(), "k": 2})
+	resp, raw := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 2})
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content-type %q", ct)
 	}
-	var out struct {
-		Matches []MatchJSON `json:"matches"`
-		Stats   StatsJSON   `json:"stats"`
-	}
+	var out searchResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("decode: %v in %s", err, raw)
+	}
+	if out.Mode != "auto" {
+		t.Errorf("mode %q, want the default auto", out.Mode)
 	}
 	if len(out.Matches) != 2 {
 		t.Fatalf("matches = %d, want 2: %s", len(out.Matches), raw)
@@ -166,11 +168,11 @@ func TestSimilarEndpoint(t *testing.T) {
 		t.Errorf("stats missing: %+v", out.Stats)
 	}
 	// Result must be identical to calling the library directly.
-	eng := testEngine(t)
-	want, _, err := eng.FindSimilar(sq(0, 0, 12), 2)
+	lib, err := testEngine(t).Search(context.Background(), geosir.SearchRequest{Query: sq(0, 0, 12), K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := lib.Matches
 	for i := range want {
 		if want[i].ShapeID != out.Matches[i].ShapeID || want[i].ImageID != out.Matches[i].ImageID {
 			t.Errorf("rank %d: got shape %d image %d, want shape %d image %d",
@@ -181,19 +183,19 @@ func TestSimilarEndpoint(t *testing.T) {
 
 func TestApproximateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, raw := post(t, ts.URL+"/v1/approximate", map[string]any{"shape": wireL(), "k": 3})
+	resp, raw := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireL(), "k": 3, "mode": "approximate"})
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var out struct {
-		Matches []MatchJSON `json:"matches"`
-		Stats   StatsJSON   `json:"stats"`
-	}
+	var out searchResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !out.Stats.UsedHashing {
-		t.Error("approximate endpoint must report used_hashing")
+		t.Error("approximate mode must report used_hashing")
+	}
+	if len(out.Matches) == 0 {
+		t.Fatalf("no approximate matches: %s", raw)
 	}
 	for _, m := range out.Matches {
 		if !m.Approximate {
@@ -210,26 +212,25 @@ func TestSketchEndpoint(t *testing.T) {
 			{Points: [][2]float64{{0, 0}, {20, 0}, {20, 20}, {0, 20}}, Closed: true},
 			{Points: [][2]float64{{0, 0}, {3, 0}, {3, 1.5}, {1.5, 1.5}, {1.5, 4.5}, {0, 4.5}}, Closed: true},
 		},
-		"k": 3,
+		"k":    3,
+		"mode": "sketch",
 	}
-	resp, raw := post(t, ts.URL+"/v1/sketch", body)
+	resp, raw := post(t, ts.URL+"/v1/search", body)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var out struct {
-		Matches []SketchMatchJSON `json:"matches"`
-	}
+	var out searchResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Matches) == 0 {
+	if len(out.SketchMatches) == 0 {
 		t.Fatalf("no sketch matches: %s", raw)
 	}
-	if out.Matches[0].ImageID != 4 {
-		t.Errorf("best image = %d, want 4 (square + L): %s", out.Matches[0].ImageID, raw)
+	if out.SketchMatches[0].ImageID != 4 {
+		t.Errorf("best image = %d, want 4 (square + L): %s", out.SketchMatches[0].ImageID, raw)
 	}
-	if len(out.Matches[0].PerShape) != 2 {
-		t.Errorf("per_shape = %v", out.Matches[0].PerShape)
+	if len(out.SketchMatches[0].PerShape) != 2 {
+		t.Errorf("per_shape = %v", out.SketchMatches[0].PerShape)
 	}
 }
 
@@ -276,15 +277,15 @@ func TestRequestValidation(t *testing.T) {
 		body any
 		want int
 	}{
-		{"malformed JSON", "/v1/similar", `{"shape": {`, 400},
-		{"empty body", "/v1/similar", ``, 400},
-		{"non-simple shape", "/v1/similar", map[string]any{"shape": wireBowtie(), "k": 1}, 422},
-		{"k zero", "/v1/similar", map[string]any{"shape": wireSquare()}, 422},
-		{"too few vertices", "/v1/similar", map[string]any{"shape": WireShape{Points: [][2]float64{{0, 0}, {1, 1}}, Closed: true}, "k": 1}, 422},
-		{"approximate bowtie", "/v1/approximate", map[string]any{"shape": wireBowtie(), "k": 1}, 422},
-		{"sketch empty", "/v1/sketch", map[string]any{"shapes": []WireShape{}, "k": 1}, 422},
-		{"sketch bad shape", "/v1/sketch", map[string]any{"shapes": []WireShape{wireBowtie()}, "k": 1}, 422},
-		{"sketch malformed", "/v1/sketch", `[1,2`, 400},
+		{"malformed JSON", "/v1/search", `{"shape": {`, 400},
+		{"empty body", "/v1/search", ``, 400},
+		{"non-object body", "/v1/search", `[1,2`, 400},
+		{"non-simple shape", "/v1/search", map[string]any{"shape": wireBowtie(), "k": 1}, 422},
+		{"k zero", "/v1/search", map[string]any{"shape": wireSquare()}, 422},
+		{"too few vertices", "/v1/search", map[string]any{"shape": WireShape{Points: [][2]float64{{0, 0}, {1, 1}}, Closed: true}, "k": 1}, 422},
+		{"approximate bowtie", "/v1/search", map[string]any{"shape": wireBowtie(), "k": 1, "mode": "approximate"}, 422},
+		{"sketch empty", "/v1/search", map[string]any{"shapes": []WireShape{}, "k": 1, "mode": "sketch"}, 422},
+		{"sketch bad shape", "/v1/search", map[string]any{"shapes": []WireShape{wireBowtie()}, "k": 1, "mode": "sketch"}, 422},
 		{"topological empty query", "/v1/topological", map[string]any{"query": ""}, 422},
 		{"topological bad bind", "/v1/topological", map[string]any{"query": "similar(q)", "binds": map[string]WireShape{"q": wireBowtie()}}, 422},
 	} {
@@ -302,17 +303,39 @@ func TestRequestValidation(t *testing.T) {
 		})
 	}
 	// Wrong method → 405 with Allow.
-	resp, _ := get(t, ts.URL+"/v1/similar")
+	resp, _ := get(t, ts.URL+"/v1/search")
 	if resp.StatusCode != 405 || resp.Header.Get("Allow") != "POST" {
-		t.Errorf("GET similar: %d Allow=%q", resp.StatusCode, resp.Header.Get("Allow"))
+		t.Errorf("GET search: %d Allow=%q", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 }
 
 func TestBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
-	resp, _ := post(t, ts.URL+"/v1/similar", map[string]any{"shape": wireSquare(), "k": 1})
-	if resp.StatusCode != 400 {
-		t.Errorf("oversized body: %d, want 400", resp.StatusCode)
+	resp, _ := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 1})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestLegacyEndpointsGone pins the query surface: the per-mode endpoints
+// /v1/search subsumed answer 404, and /statz lists exactly the endpoints
+// the route table registers.
+func TestLegacyEndpointsGone(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/similar", "/v1/approximate", "/v1/sketch"} {
+		body := map[string]any{"shape": wireSquare(), "shapes": []WireShape{wireSquare()}, "k": 1}
+		if resp, raw := post(t, ts.URL+path, body); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: %d, want 404: %s", path, resp.StatusCode, raw)
+		}
+	}
+	want := []string{"admin_compact", "admin_reload", "images_delete", "images_insert", "search", "topological"}
+	var got []string
+	for name := range s.Statz().Endpoints {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("statz endpoints = %v, want %v", got, want)
 	}
 }
 
@@ -333,7 +356,7 @@ func TestOverloadSheds429(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, raw := post(t, ts.URL+"/v1/similar", map[string]any{"shape": wireSquare(), "k": 1})
+	resp, raw := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 1})
 	if resp.StatusCode != 429 {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, raw)
 	}
@@ -342,7 +365,7 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 	<-parked // the queued waiter sheds with 503 after QueueWait
 	// Shed counter moved.
-	if got := s.metrics.endpoint("similar").shed.Load(); got != 1 {
+	if got := s.metrics.endpoint("search").shed.Load(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
 	// After load drains, the endpoint serves again.
@@ -352,7 +375,7 @@ func TestOverloadSheds429(t *testing.T) {
 			t.Errorf("re-acquire for balanced deferred release: %v", err)
 		}
 	}()
-	resp, raw = post(t, ts.URL+"/v1/similar", map[string]any{"shape": wireSquare(), "k": 1})
+	resp, raw = post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 1})
 	if resp.StatusCode != 200 {
 		t.Fatalf("post-overload status %d: %s", resp.StatusCode, raw)
 	}
@@ -361,9 +384,9 @@ func TestOverloadSheds429(t *testing.T) {
 func TestStatzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// Drive one request of each kind so counters move.
-	post(t, ts.URL+"/v1/similar", map[string]any{"shape": wireSquare(), "k": 1})
-	post(t, ts.URL+"/v1/similar", `{"oops`)
-	post(t, ts.URL+"/v1/sketch", map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": 1})
+	post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 1})
+	post(t, ts.URL+"/v1/search", `{"oops`)
+	post(t, ts.URL+"/v1/search", map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": 1, "mode": "sketch"})
 
 	resp, raw := get(t, ts.URL+"/statz")
 	if resp.StatusCode != 200 {
@@ -397,23 +420,23 @@ func TestStatzAndMetrics(t *testing.T) {
 	if st.Storage == nil || st.Storage.LoadMode != "heap" || st.Storage.MappedBytes != 0 {
 		t.Errorf("storage section = %+v, want heap with no mapping", st.Storage)
 	}
-	sim, ok := st.Endpoints["similar"]
+	sim, ok := st.Endpoints["search"]
 	if !ok {
-		t.Fatalf("no similar endpoint in statz: %s", raw)
+		t.Fatalf("no search endpoint in statz: %s", raw)
 	}
-	if sim.Requests != 2 || sim.Status4x != 1 {
-		t.Errorf("similar endpoint stats = %+v", sim)
+	if sim.Requests != 3 || sim.Status4x != 1 {
+		t.Errorf("search endpoint stats = %+v", sim)
 	}
-	// The successful similar search evaluated candidates, so the block
-	// accounting must have moved for the endpoint that ran it.
+	// The successful searches evaluated candidates, so the block
+	// accounting must have moved for the endpoint that ran them.
 	if sim.BlockReads <= 0 {
-		t.Errorf("similar block_reads = %d, want > 0", sim.BlockReads)
+		t.Errorf("search block_reads = %d, want > 0", sim.BlockReads)
 	}
 	if sim.P50Ms <= 0 || sim.P99Ms < sim.P50Ms {
 		t.Errorf("latency quantiles implausible: %+v", sim)
 	}
-	// Every endpoint is pre-registered even without traffic.
-	for _, name := range []string{"approximate", "sketch", "topological", "admin_reload"} {
+	// Every endpoint is registered even without traffic.
+	for _, name := range []string{"topological", "admin_reload"} {
 		if _, ok := st.Endpoints[name]; !ok {
 			t.Errorf("endpoint %q missing from statz", name)
 		}
@@ -434,7 +457,7 @@ func TestStatzAndMetrics(t *testing.T) {
 	if err := json.Unmarshal(raw, &vars); err != nil {
 		t.Fatalf("metrics decode: %v in %s", err, raw)
 	}
-	if vars.Geosird.Endpoints["similar"].Requests != 2 || vars.Process.Goroutines <= 0 {
+	if vars.Geosird.Endpoints["search"].Requests != 3 || vars.Process.Goroutines <= 0 {
 		t.Errorf("metrics = %s", raw)
 	}
 }
@@ -484,7 +507,7 @@ func TestReloadEndpoint(t *testing.T) {
 	if resp.StatusCode != 422 {
 		t.Errorf("missing snapshot reload: %d, want 422", resp.StatusCode)
 	}
-	if resp, _ := post(t, ts.URL+"/v1/similar", map[string]any{"shape": wireSquare(), "k": 1}); resp.StatusCode != 200 {
+	if resp, _ := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 1}); resp.StatusCode != 200 {
 		t.Error("old engine must keep serving after failed reload")
 	}
 	// GET → 405.
@@ -534,7 +557,7 @@ func TestReloadUnderTraffic(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(ts.URL+"/v1/similar", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 				if err != nil {
 					failures.Add(1)
 					continue

@@ -56,12 +56,11 @@ func TestShardedServesAllEndpoints(t *testing.T) {
 		path string
 		body any
 	}{
-		{"/v1/similar", map[string]any{"shape": wireSquare(), "k": 3}},
-		{"/v1/approximate", map[string]any{"shape": wireSquare(), "k": 3}},
-		{"/v1/sketch", map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": 3}},
+		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3}},
+		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "approximate"}},
 		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact"}},
 		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "auto"}},
-		{"/v1/search", map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": 2, "mode": "sketch"}},
+		{"/v1/search", map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": 3, "mode": "sketch"}},
 		// The execution policy schedules work; it must never change the
 		// wire answer.
 		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", "exec": "sequential"}},
@@ -115,8 +114,7 @@ func TestSentinelStatusMapping(t *testing.T) {
 			{"/v1/search", map[string]any{"shape": wireSquare(), "k": 0}},
 			{"/v1/search", map[string]any{"k": 3}},
 			{"/v1/search", map[string]any{"shapes": []WireShape{}, "k": 3, "mode": "sketch"}},
-			{"/v1/similar", map[string]any{"shape": wireSquare(), "k": -1}},
-			{"/v1/sketch", map[string]any{"shapes": []WireShape{}, "k": 3}},
+			{"/v1/search", map[string]any{"shape": wireSquare(), "k": -1}},
 		} {
 			resp, body := post(t, base+tc.path, tc.body)
 			if resp.StatusCode != http.StatusUnprocessableEntity {

@@ -254,9 +254,7 @@ func TestLoadPartialSalvagesVerifiedImages(t *testing.T) {
 	}
 	// The salvaged engine must answer queries.
 	q := lshape(0, 0, 3).Transform(Similarity(1.4, 0.5, Pt(40, 40)))
-	if _, _, err := eng2.FindSimilar(q, 3); err != nil {
-		t.Fatalf("salvaged engine cannot query: %v", err)
-	}
+	mustSearch(t, eng2, SearchRequest{Query: q, K: 3})
 }
 
 // TestLoadPartialTruncatedTail truncates mid-stream: the verified prefix

@@ -2,6 +2,7 @@ package geosir
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,22 +27,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Queries must answer identically.
 	q := lshape(0, 0, 3).Transform(Similarity(1.4, 0.5, Pt(40, 40)))
-	m1, s1, err := orig.FindSimilar(q, 3)
-	if err != nil {
-		t.Fatal(err)
+	r1 := mustSearch(t, orig, SearchRequest{Query: q, K: 3})
+	r2 := mustSearch(t, loaded, SearchRequest{Query: q, K: 3})
+	if r1.Stats != r2.Stats {
+		t.Fatalf("stats differ: %+v vs %+v", r1.Stats, r2.Stats)
 	}
-	m2, s2, err := loaded.FindSimilar(q, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s2 || len(m1) != len(m2) {
-		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
-	}
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatalf("match %d differs: %+v vs %+v", i, m1[i], m2[i])
-		}
-	}
+	assertMatchesEqual(t, "reloaded", r1.Matches, r2.Matches)
 	// Topological queries too.
 	binds := map[string]Shape{"sq": square(0, 0, 7), "tri": triangle(0, 0, 5)}
 	ids1, _, err := orig.Query("contain(sq, tri, any)", binds)
@@ -127,40 +118,19 @@ func TestReloadedQueryEquivalence(t *testing.T) {
 			t.Fatalf("format %d: load: %v", f, err)
 		}
 		for qi, q := range queries {
-			m1, s1, err1 := orig.FindSimilar(q, 4)
-			m2, s2, err2 := loaded.FindSimilar(q, 4)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("format %d query %d: errs %v / %v", f, qi, err1, err2)
-			}
-			if s1 != s2 || len(m1) != len(m2) {
-				t.Fatalf("format %d query %d: stats differ: %+v vs %+v", f, qi, s1, s2)
-			}
-			for i := range m1 {
-				if m1[i] != m2[i] {
-					t.Fatalf("format %d query %d match %d: %+v vs %+v", f, qi, i, m1[i], m2[i])
+			for _, mode := range []Mode{ModeAuto, ModeApproximate} {
+				req := SearchRequest{Query: q, K: 4, Mode: mode}
+				r1, r2 := mustSearch(t, orig, req), mustSearch(t, loaded, req)
+				label := fmt.Sprintf("format %d query %d %v", f, qi, mode)
+				if r1.Stats != r2.Stats {
+					t.Fatalf("%s: stats differ: %+v vs %+v", label, r1.Stats, r2.Stats)
 				}
-			}
-			a1, err1 := orig.FindApproximate(q, 4)
-			a2, err2 := loaded.FindApproximate(q, 4)
-			if err1 != nil || err2 != nil || len(a1) != len(a2) {
-				t.Fatalf("format %d query %d: approximate differs", f, qi)
-			}
-			for i := range a1 {
-				if a1[i] != a2[i] {
-					t.Fatalf("format %d query %d approx %d: %+v vs %+v", f, qi, i, a1[i], a2[i])
-				}
+				assertMatchesEqual(t, label, r1.Matches, r2.Matches)
 			}
 		}
-		k1, err1 := orig.FindBySketch(sketch, 3)
-		k2, err2 := loaded.FindBySketch(sketch, 3)
-		if err1 != nil || err2 != nil || len(k1) != len(k2) {
-			t.Fatalf("format %d: sketch retrieval differs: %v / %v", f, err1, err2)
-		}
-		for i := range k1 {
-			if k1[i].ImageID != k2[i].ImageID || k1[i].Score != k2[i].Score {
-				t.Fatalf("format %d sketch match %d: %+v vs %+v", f, i, k1[i], k2[i])
-			}
-		}
+		req := SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch}
+		assertSketchEqual(t, fmt.Sprintf("format %d sketch", f),
+			mustSearch(t, orig, req).SketchMatches, mustSearch(t, loaded, req).SketchMatches)
 	}
 }
 

@@ -250,10 +250,7 @@ func TestGSIR3ByteFlipSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := lshape(0, 0, 3).Transform(Similarity(1.4, 0.5, Pt(40, 40)))
-	wantM, wantS, err := orig.FindSimilar(q, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustSearch(t, orig, SearchRequest{Query: q, K: 3})
 	for _, s := range secs {
 		if s.len == 0 {
 			continue
@@ -281,18 +278,11 @@ func TestGSIR3ByteFlipSweep(t *testing.T) {
 			if rec.AuxDropped == 0 {
 				t.Fatalf("recovery from damaged %s reports no dropped sections", name)
 			}
-			gotM, gotS, err := eng.FindSimilar(q, 3)
-			if err != nil {
-				t.Fatal(err)
+			got := mustSearch(t, eng, SearchRequest{Query: q, K: 3})
+			if got.Stats != want.Stats {
+				t.Fatalf("salvaged engine answers differently: %+v vs %+v", got.Stats, want.Stats)
 			}
-			if gotS != wantS || len(gotM) != len(wantM) {
-				t.Fatalf("salvaged engine answers differently: %+v vs %+v", gotS, wantS)
-			}
-			for i := range wantM {
-				if gotM[i] != wantM[i] {
-					t.Fatalf("salvaged match %d: %+v vs %+v", i, gotM[i], wantM[i])
-				}
-			}
+			assertMatchesEqual(t, "salvaged", want.Matches, got.Matches)
 		})
 	}
 }

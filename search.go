@@ -691,7 +691,7 @@ func (p *frozenPart) annApprox(_ context.Context, pq *core.PreparedQuery, k int,
 // cover every image once) and reduces the matches to the best distance
 // per live image. Under AnnApprox only the ANN candidates are scored
 // (exactly); images whose every shape went unprobed are absent — the
-// sketch ranking's recall cost, measured in BENCH_ann.json.
+// sketch ranking's recall cost, measured by BenchmarkAnnSketchApprox.
 func (p *frozenPart) sketchTable(_ context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error) {
 	base := p.e.db.Base()
 	best := make(map[int]float64)

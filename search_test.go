@@ -8,8 +8,7 @@ import (
 
 // TestSentinelErrors pins the errors.Is contract of the unified API:
 // every state and argument failure surfaces one of the exported
-// sentinels, on both engine kinds, through Search and through the
-// deprecated wrappers alike.
+// sentinels, on both engine kinds and in every mode.
 func TestSentinelErrors(t *testing.T) {
 	ctx := context.Background()
 	q := square(0, 0, 1)
@@ -19,11 +18,8 @@ func TestSentinelErrors(t *testing.T) {
 		if _, err := eng.Search(ctx, SearchRequest{Query: q, K: 1}); !errors.Is(err, ErrNotFrozen) {
 			t.Fatalf("Engine.Search unfrozen: got %v, want ErrNotFrozen", err)
 		}
-		if _, _, err := eng.FindSimilar(q, 1); !errors.Is(err, ErrNotFrozen) {
-			t.Fatalf("FindSimilar unfrozen: got %v, want ErrNotFrozen", err)
-		}
-		if _, _, err := eng.FindSimilarBatch([]Shape{q}, 1, 1); !errors.Is(err, ErrNotFrozen) {
-			t.Fatalf("FindSimilarBatch unfrozen: got %v, want ErrNotFrozen", err)
+		if _, err := eng.Search(ctx, SearchRequest{Sketch: []Shape{q}, K: 1, Mode: ModeSketch}); !errors.Is(err, ErrNotFrozen) {
+			t.Fatalf("Engine.Search sketch unfrozen: got %v, want ErrNotFrozen", err)
 		}
 		if _, _, err := eng.Query("similar(a)", map[string]Shape{"a": q}); !errors.Is(err, ErrNotFrozen) {
 			t.Fatalf("Query unfrozen: got %v, want ErrNotFrozen", err)
@@ -58,14 +54,8 @@ func TestSentinelErrors(t *testing.T) {
 				t.Fatalf("Search k=%d: got %v, want ErrBadK", k, err)
 			}
 		}
-		if _, _, err := eng.FindSimilar(q, 0); !errors.Is(err, ErrBadK) {
-			t.Fatalf("FindSimilar k=0: got %v, want ErrBadK", err)
-		}
-		if _, _, err := eng.FindSimilarBatch([]Shape{q}, 0, 1); !errors.Is(err, ErrBadK) {
-			t.Fatalf("FindSimilarBatch k=0: got %v, want ErrBadK", err)
-		}
-		if _, err := eng.FindBySketch([]Shape{q}, 0); !errors.Is(err, ErrBadK) {
-			t.Fatalf("FindBySketch k=0: got %v, want ErrBadK", err)
+		if _, err := eng.Search(ctx, SearchRequest{Sketch: []Shape{q}, K: 0, Mode: ModeSketch}); !errors.Is(err, ErrBadK) {
+			t.Fatalf("Search sketch k=0: got %v, want ErrBadK", err)
 		}
 	})
 
@@ -79,8 +69,21 @@ func TestSentinelErrors(t *testing.T) {
 		if _, err := eng.Search(ctx, SearchRequest{K: 1, Mode: ModeSketch}); !errors.Is(err, ErrEmptyQuery) {
 			t.Fatalf("Search sketch with no sketch: got %v, want ErrEmptyQuery", err)
 		}
-		if _, err := eng.FindBySketch(nil, 1); !errors.Is(err, ErrEmptyQuery) {
-			t.Fatalf("FindBySketch nil: got %v, want ErrEmptyQuery", err)
+	})
+
+	t.Run("InvalidShape", func(t *testing.T) {
+		// An invalid shape is rejected (no sentinel: the geometry error is
+		// passed up) at any fan-out width, wherever it sits in the sketch.
+		eng := buildEngine(t)
+		bad := NewPolyline(Pt(0, 0))
+		if _, err := eng.Search(ctx, SearchRequest{Query: bad, K: 1}); err == nil {
+			t.Fatal("Search with an invalid query succeeded")
+		}
+		for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
+			req := SearchRequest{Sketch: []Shape{q, bad}, K: 1, Mode: ModeSketch, Exec: exec, MaxWorkers: 2}
+			if _, err := eng.Search(ctx, req); err == nil {
+				t.Fatalf("Search %v with an invalid sketch shape succeeded", exec)
+			}
 		}
 	})
 
@@ -108,48 +111,10 @@ func TestSearchContextCancelled(t *testing.T) {
 	if _, err := eng.Search(ctx, SearchRequest{Query: square(0, 0, 1), K: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-}
-
-// TestSearchMatchesDeprecatedWrappers proves each deprecated variant is
-// a faithful view of the unified Search — same results, byte for byte.
-func TestSearchMatchesDeprecatedWrappers(t *testing.T) {
-	eng := buildEngine(t)
-	ctx := context.Background()
-	q := square(0.1, -0.1, 1.9)
-
-	wantMs, wantStats, err := eng.FindSimilar(q, 3)
-	if err != nil {
-		t.Fatal(err)
+	sketch := SearchRequest{Sketch: buildSketch(), K: 3, Mode: ModeSketch, Exec: ExecFanout, MaxWorkers: 2}
+	if _, err := eng.Search(ctx, sketch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sketch: got %v, want context.Canceled", err)
 	}
-	resp, err := eng.Search(ctx, SearchRequest{Query: q, K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesEqual(t, "FindSimilar vs Search", wantMs, resp.Matches)
-	if resp.Stats != wantStats {
-		t.Fatalf("stats diverge: %+v vs %+v", resp.Stats, wantStats)
-	}
-
-	wantApprox, err := eng.FindApproximate(q, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = eng.Search(ctx, SearchRequest{Query: q, K: 3, Mode: ModeApproximate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesEqual(t, "FindApproximate vs Search", wantApprox, resp.Matches)
-
-	sketch := []Shape{square(0, 0, 19), triangle(5, 5, 2.9)}
-	wantSketch, err := eng.FindBySketch(sketch, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = eng.Search(ctx, SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSketchEqual(t, "FindBySketch vs Search", wantSketch, resp.SketchMatches)
 }
 
 func TestModeStringParseRoundTrip(t *testing.T) {
