@@ -29,7 +29,7 @@ race:
 # bound its sibling parts publish concurrently, and a request's distance
 # field is built once and read by every shard goroutine — the same class.
 # Run the affected suites at both settings.
-PROCS_RUN := 'Equivalence|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst'
+PROCS_RUN := 'Equivalence|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst|Scan|Seed'
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest
 	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest

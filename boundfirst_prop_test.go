@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -96,6 +97,65 @@ func assertBoundFirst(t *testing.T, label string, s Searcher, v searchView, q Sh
 	}
 }
 
+// assertHandOver runs the exact phase of (q, k) over the parts twice under
+// one seed — the frozen parts taking what the seed pass proved about their
+// bucket shapes, and every part scoring its bucket again — at GOMAXPROCS 1
+// and 2, on one worker and on one per part (the hand-over reads a bound
+// siblings publish concurrently): the two cannot be told apart in the
+// matches or in Converged, and on the deterministic width-1 walk the
+// hand-over never sends more copies to the exact evaluator. It reports
+// whether the request was seeded at all, and how many tombstoned shapes of
+// frozen parts sit on the query's hash curves.
+func assertHandOver(t *testing.T, label string, parts []part, q Shape, k int) (seeded bool, deadInBucket int) {
+	t.Helper()
+	ctx := context.Background()
+	pq, err := core.PrepareQuery(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	buckets := hashBuckets(parts, pq)
+	quad := parts[0].family().Characteristic(pq.Entry().Poly.Pts)
+	for _, p := range parts {
+		if fp, ok := p.(*frozenPart); ok {
+			for _, id := range fp.e.table.Lookup(quad, 0) {
+				if fp.dead[id] {
+					deadInBucket++
+				}
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, mode := range []Mode{ModeExact, ModeAuto} {
+			for _, width := range []int{1, len(parts)} {
+				l := fmt.Sprintf("%s procs=%d %v width=%d", label, procs, mode, width)
+				req := SearchRequest{Query: q, K: k, Mode: mode}
+				on := scoreSeed(parts, pq, buckets, k)
+				seeded = on.bound() != nil
+				got, gst, err := exactSeeded(ctx, parts, pq, req, width, on)
+				if err != nil {
+					t.Fatalf("%s: %v", l, err)
+				}
+				off := scoreSeed(parts, pq, buckets, k)
+				off.scored = nil
+				want, wst, err := exactSeeded(ctx, parts, pq, req, width, off)
+				if err != nil {
+					t.Fatalf("%s: %v", l, err)
+				}
+				assertMatchesEqual(t, l+" hand-over", want, got)
+				if gst.Converged != wst.Converged {
+					t.Fatalf("%s: Converged %v with the hand-over, %v without", l, gst.Converged, wst.Converged)
+				}
+				if width == 1 && gst.Candidates > wst.Candidates {
+					t.Fatalf("%s: %d candidates with the hand-over, %d without", l, gst.Candidates, wst.Candidates)
+				}
+			}
+		}
+	}
+	return seeded, deadInBucket
+}
+
 // annApproxUnshared is the ann:approx answer with no bound shared: every
 // frozen part's probed candidates and every delta's shapes scored on
 // their own, then merged.
@@ -173,6 +233,7 @@ func TestBoundFirstEquivalence(t *testing.T) {
 	for qi, q := range queries {
 		for _, k := range ks {
 			assertBoundFirst(t, fmt.Sprintf("engine q%d k=%d", qi, k), single, single.searchView(), q, k)
+			assertHandOver(t, fmt.Sprintf("engine q%d k=%d", qi, k), single.searchView().parts, q, k)
 			for _, mode := range []Mode{ModeExact, ModeAuto} {
 				label := fmt.Sprintf("engine q%d k=%d %v", qi, k, mode)
 				got, err := single.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
@@ -229,7 +290,8 @@ func TestBoundFirstEquivalence(t *testing.T) {
 				v := se.searchView()
 				// k = 1 always finds its seed (the source's bucket is not
 				// empty); k beyond the base never does.
-				if on := seeded(t, v.parts, q, k); (k == 1 && !on) || (k > many && on) {
+				// A bucket short of k live shapes hands nothing over either.
+				if on, _ := assertHandOver(t, label, v.parts, q, k); (k == 1 && !on) || (k > many && on) {
 					t.Fatalf("%s: seeded = %v", label, on)
 				}
 				assertBoundFirst(t, label, se, v, q, k)
@@ -266,6 +328,11 @@ func TestBoundFirstEquivalence(t *testing.T) {
 			for _, k := range ks {
 				label := fmt.Sprintf("shards=%d live q%d k=%d", shards, qi, k)
 				assertBoundFirst(t, label, se, se.searchView(), q, k)
+				// The tombstoned shapes sit in a frozen part's bucket: neither
+				// the seed pass nor the scan it hands over to may count them.
+				if _, dead := assertHandOver(t, label, se.searchView().parts, q, k); qi == 0 && dead == 0 {
+					t.Fatalf("%s: no tombstoned shape on the query's hash curves", label)
+				}
 			}
 		}
 		got, err := se.Search(ctx, SearchRequest{Query: queries[1], K: 1, Mode: ModeExact})
@@ -354,6 +421,61 @@ func TestBoundFirstEquivalence(t *testing.T) {
 			t.Fatalf("shards=%d: the mid-compaction sweep never ran", shards)
 		}
 		sweep("compacted")
+	}
+}
+
+// TestSeededSearchIsOneScan pins what a fitting seed makes of an exact
+// search, on a 200-image base (the benchmark's size) over a list of
+// queries the hash tier seeds: the kernel call Engine.Search makes issues
+// no triangle query and is handed no vertex by a range search, reads every
+// copy the seed pass has not scored already and none it has, and Search
+// reports exactly that call's work.
+func TestSeededSearchIsOneScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 200-image base")
+	}
+	ctx := context.Background()
+	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
+	eng := buildSingle(t, images)
+	base, parts := eng.Base(), eng.searchView().parts
+	const k = 5
+	tested := 0
+	for qi, q := range synth.Queries(rand.New(rand.NewSource(131)), images, 40, 0.01) {
+		pq, err := core.PrepareQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := scoreSeed(parts, pq, hashBuckets(parts, pq), k)
+		shared := seed.bound()
+		if shared == nil {
+			continue
+		}
+		tested++
+		_, st, err := base.MatchPrepared(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true, Scored: seed.scored[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.TrianglesQueried != 0 || st.VerticesReported != 0 || st.Iterations != 1 || !st.Converged {
+			t.Fatalf("q%d: %d triangle queries, %d vertices reported, %d iterations, converged=%v under a fitting seed",
+				qi, st.TrianglesQueried, st.VerticesReported, st.Iterations, st.Converged)
+		}
+		unscored := base.NumEntries()
+		for id := range seed.scored[0] {
+			unscored -= len(base.EntriesOfShape(id))
+		}
+		if st.VerticesCounted != unscored {
+			t.Fatalf("q%d: the scan read %d copies, want the %d the seed pass left unscored", qi, st.VerticesCounted, unscored)
+		}
+		resp, err := eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gs := resp.Stats; gs.Iterations != 1 || !gs.Converged || gs.VerticesCounted != st.VerticesCounted || gs.Candidates != st.Candidates {
+			t.Fatalf("q%d: Search reports %+v, its kernel call %+v", qi, gs, st)
+		}
+	}
+	if tested < 30 {
+		t.Fatalf("only %d of 40 queries were seeded", tested)
 	}
 }
 

@@ -98,12 +98,20 @@ type Match struct {
 
 // Stats reports retrieval work (see §2.5's complexity analysis).
 type Stats struct {
-	Iterations      int
-	FinalEpsilon    float64
+	// Iterations counts envelope fattenings and FinalEpsilon is the last
+	// width. An exact search whose hash-tier seed fits opens none: it is
+	// one bounded scan (DESIGN.md §4.9), reported as 1 iteration at the
+	// width the seed stands for.
+	Iterations   int
+	FinalEpsilon float64
+	// VerticesCounted counts the vertices that entered the fattening
+	// search's counters; under a fitting seed, the normalized copies the
+	// scan read (no range search runs, no vertex is reported).
 	VerticesCounted int
 	// Candidates counts the normalized copies that reached the exact
-	// evaluator — not those a geometric bound or the query's distance
-	// field rejected first (DESIGN.md §4.9).
+	// evaluator — not those the query's distance field rejected first,
+	// nor, under a fitting seed, the copies of frozen shapes the seed pass
+	// had already scored (DESIGN.md §4.9).
 	Candidates  int
 	Converged   bool
 	UsedHashing bool

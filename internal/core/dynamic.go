@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 )
@@ -114,68 +113,31 @@ func (d *Dynamic) Shape(id int) (Shape, error) {
 // MatchPrepared retrieves the k live shapes nearest the prepared query —
 // fewer when fewer are live or the shared bound proves the rest outside
 // the merged result — sorted by (DistVertex, ShapeID), under the part
-// contract of Base.MatchPrepared: of the options, Shared is consumed and,
-// with Publish, tightened to the scan's own k-th best (which exists only
-// once k live shapes are scored, so a part short of k never publishes).
-// Every normalized copy is evaluated under the tightest proven cutoff —
-// its shape's best so far, the running k-th, the shared bound — and
-// aborted only when a partial sum proves it strictly above it, so ties
-// survive and the matches are byte-identical to the exhaustive scan's
-// wherever the bound is admissible (DESIGN.md §4.9). Stats.Candidates
-// counts the copies that reached the exact evaluator — the tighter the
-// cutoff, the fewer. EntryID is -(copy+1), the negated ordinal
-// of the lowest copy realizing the distance (negative, so it cannot
-// collide with a frozen entry id). DistContinuous is filled for the
-// returned matches when continuous is set, by the float operations a
-// frozen Base uses for its top-k.
-//
-// ctx is checked every 32 shapes — each costs a few oracle-grid probes,
-// so the cancellation latency stays well under a millisecond; a
-// cancelled scan returns ctx's error and no matches.
+// contract of Base.MatchPrepared: it is the bounded scan a frozen Base
+// runs under a fitting bound (boundedScan), over the overflow, under
+// whatever bound o.Shared holds — none included. Stats.Candidates counts
+// the copies that reached the exact evaluator — the tighter the cutoff,
+// the fewer. EntryID is -(copy+1), the negated ordinal of the lowest copy
+// realizing the distance (negative, so it cannot collide with a frozen
+// entry id). DistContinuous is filled for the returned matches when
+// continuous is set, by the float operations a frozen Base uses for its
+// top-k. A cancelled scan returns ctx's error and no matches.
 func (d *Dynamic) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, continuous bool) ([]Match, Stats, error) {
-	stats := Stats{Converged: true}
 	if k <= 0 {
-		return nil, stats, fmt.Errorf("core: k must be positive, got %d", k)
+		return nil, Stats{Converged: true}, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	topk := newBoundedTopK(k)
-	var out []Match
-	for i := range d.overflow {
-		if i&31 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-		}
-		s := &d.overflow[i]
-		cutoff := topk.Kth()
-		if o.Shared != nil {
-			cutoff = math.Min(cutoff, o.Shared.Load())
-		}
-		best, bestEi, scored := s.nearest(pq, cutoff)
-		stats.Candidates += scored
-		if bestEi < 0 || best > cutoff {
-			continue // proven strictly outside the merged result
-		}
-		out = append(out, Match{ShapeID: s.shape.ID, EntryID: -(bestEi + 1), DistVertex: best})
-		topk.Update(s.shape.ID, best)
-		if o.Publish && o.Shared != nil {
-			if kv := topk.Kth(); !math.IsInf(kv, 1) {
-				o.Shared.Tighten(kv)
-			}
-		}
+	out, stats, err := boundedScan(ctx, pq, k, o, len(d.overflow), func(i int) scanShape {
+		return d.overflow[i].scan()
+	}, d.opts.Samples, continuous)
+	for i := range out {
+		out[i].EntryID = -(out[i].EntryID + 1)
 	}
-	sortMatches(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	if continuous {
-		for i := range out {
-			s := &d.overflow[d.slot[out[i].ShapeID]]
-			ei := -out[i].EntryID - 1
-			out[i].DistContinuous = (AvgMinDistTo(s.entries[ei].Poly, pq.oracle, d.opts.Samples) +
-				AvgMinDistTo(pq.entry.Poly, s.oracles[ei], d.opts.Samples)) / 2
-		}
-	}
-	return out, stats, nil
+	return out, stats, err
+}
+
+// scan is the shape as the bounded evaluators walk it.
+func (s *overflowShape) scan() scanShape {
+	return scanShape{id: s.shape.ID, entries: s.entries, oracles: s.oracles}
 }
 
 // ShapeDistancePreparedBounded scores one live shape against a prepared
@@ -190,25 +152,7 @@ func (d *Dynamic) ShapeDistancePreparedBounded(id int, pq *PreparedQuery, cutoff
 	if err != nil {
 		return 0, false, err
 	}
-	best, _, _ := s.nearest(pq, cutoff)
+	sc := s.scan()
+	best, _, _, _ := sc.nearest(pq, cutoff, nil)
 	return best, best <= cutoff, nil
-}
-
-// nearest evaluates the shape's copies against the query under cutoff and
-// the best so far: it returns the smallest distance found, the lowest
-// copy realizing it (-1 when every copy was proven strictly above cutoff)
-// and how many copies reached the exact evaluator. A distance ≤ cutoff is
-// the shape's exact distance.
-func (s *overflowShape) nearest(pq *PreparedQuery, cutoff float64) (best float64, bestEi, scored int) {
-	best, bestEi = math.Inf(1), -1
-	for ei := range s.entries {
-		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, s.oracles[ei], math.Min(cutoff, best))
-		if reached {
-			scored++
-		}
-		if ok && dv < best {
-			best, bestEi = dv, ei
-		}
-	}
-	return best, bestEi, scored
 }

@@ -268,7 +268,7 @@ func TestDynamicShapeDistancePreparedBounded(t *testing.T) {
 		}
 		for i := range dynIDs {
 			for _, cut := range []float64{math.Inf(1), 0.5, 0.01} {
-				wantD, wantOK, err := b.ShapeDistancePreparedBounded(baseIDs[i], pq, cut)
+				wantM, wantOK, err := b.ShapeDistancePreparedBounded(baseIDs[i], pq, cut)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,6 +276,7 @@ func TestDynamicShapeDistancePreparedBounded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				wantD := wantM.DistVertex
 				if gotOK != wantOK || (wantOK && gotD != wantD) {
 					t.Fatalf("shape %d cut %v: dynamic (%v,%v) != base (%v,%v)",
 						i, cut, gotD, gotOK, wantD, wantOK)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -25,18 +26,19 @@ type Match struct {
 }
 
 // Stats records the work a retrieval performed (the quantities of the
-// paper's complexity analysis in §2.5). An iteration that starts under a
-// finite cutoff marks entries at first touch and settles them in index
-// order (DESIGN.md §4.9, bound-first search) and counts differently, as
-// noted per field.
+// paper's complexity analysis in §2.5). A search that starts under a
+// fitting bound opens no envelope — it is one bounded scan (DESIGN.md
+// §4.9, "The seeded search is a scan") — and a climbing iteration that
+// starts under a finite cutoff marks entries at first touch and settles
+// them in index order; both count differently, as noted per field.
 type Stats struct {
-	Iterations       int     // r: number of envelope fattenings (1 under a fitting seed)
-	FinalEpsilon     float64 // ε at termination
+	Iterations       int     // r: number of envelope fattenings (the scan counts as 1)
+	FinalEpsilon     float64 // ε at termination (the scan: the width 2·bound·1.0001 its bound stands for)
 	EpsilonMax       float64 // the stopping threshold (A/2p·l_Q)·log³n
-	TrianglesQueried int     // simplex range queries issued (entry-first: until every entry is marked)
-	VerticesReported int     // vertices the triangle covers reported, duplicates included
-	VerticesCounted  int     // K: vertices that entered counters; entry-first, the first reported vertex of each touched entry
-	Candidates       int     // entries that reached the exact evaluator (not those the geometric bound or the distance field rejected first)
+	TrianglesQueried int     // simplex range queries issued (the scan: 0; entry-first: until every entry is marked)
+	VerticesReported int     // vertices the triangle covers reported, duplicates included (the scan: 0)
+	VerticesCounted  int     // K: vertices that entered counters; entry-first, the first reported vertex of each touched entry; the scan, the entries it scanned
+	Candidates       int     // entries that reached the exact evaluator (not those the distance field rejected first, nor those MatchOpts.Scored had scored already)
 	BlocksRead       int     // page-granular storage of the entries whose vertices were read, field-rejected included (§4 block accounting)
 	Converged        bool    // true: stopped via the similarity bound
 }
@@ -72,6 +74,14 @@ type MatchOpts struct {
 	// partition): they never enter the top-k, so the k-th best — and any
 	// bound published from it — reflects live shapes only.
 	Dead map[int]bool
+	// Scored holds shapes the caller has already scored against this query
+	// under cutoffs no lower than Shared is at entry: the shape's Match
+	// (DistVertex and EntryID) when the distance came back, EntryID -1 when
+	// it was proven strictly above its cutoff. The bounded scan takes these
+	// as its own evaluations — nothing in Scored is scored twice; a search
+	// that climbs ignores them. Admissible only together with such a Shared:
+	// a proof against a cutoff the bound does not cover proves nothing here.
+	Scored map[int]Match
 
 	// threshold switches from top-k to "every shape within tau".
 	threshold bool
@@ -110,12 +120,13 @@ func (b *Base) MatchShared(q geom.Poly, k int, shared *SharedBound, publish bool
 
 // MatchPrepared is Match against a query prepared once (PrepareQuery)
 // and shared by every partition's search, under the given options. The
-// caller has validated the query shape.
-func (b *Base) MatchPrepared(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, error) {
+// caller has validated the query shape. Only the bounded scan a fitting
+// Shared selects can be cancelled (match).
+func (b *Base) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, error) {
 	if err := b.matchable(k); err != nil {
 		return nil, Stats{}, err
 	}
-	return b.match(pq, k, o)
+	return b.match(ctx, pq, k, o)
 }
 
 // SimilarShapes returns every shape whose vertex-averaged distance to q
@@ -160,7 +171,7 @@ func (b *Base) matchPoly(q geom.Poly, k int, o MatchOpts) ([]Match, Stats, error
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return b.match(pq, k, o)
+	return b.match(context.Background(), pq, k, o)
 }
 
 // match is the shared driver. In top-k mode it honors the ε_max stopping
@@ -175,9 +186,19 @@ func (b *Base) matchPoly(q geom.Poly, k int, o MatchOpts) ([]Match, Stats, error
 // as possible; and entries proven outside every cutoff are stamped dead
 // exactly once (all cutoffs are monotone non-increasing, so a ruling
 // never has to be revisited).
-func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, error) {
+//
+// A top-k search that starts under a finite shared bound sv whose envelope
+// 2·sv·1.0001 fits ε_max never climbs: §2.4 pins two vertices of every
+// stored copy on two of the query's own, so that envelope — any envelope —
+// reaches every entry, and what is left of the algorithm is settling each
+// entry under the bound: the bounded scan, over the base's shapes in id
+// order — ascending entry index, the order entries, their vertices and
+// their oracles lie in memory. The climb below runs when there is no such
+// bound: the unseeded search, a seed too wide for ε_max, the threshold
+// query.
+func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, error) {
 	var stats Stats
-	qe, env, oracle, qBound := pq.entry, pq.env, pq.oracle, pq.bound
+	qe, env, oracle := pq.entry, pq.env, pq.oracle
 	shared, publish, rank, onAccess := o.Shared, o.Publish, o.Rank, o.onAccess
 	lQ := qe.Poly.Perimeter()
 	epsMax := b.EpsilonMax(lQ)
@@ -185,6 +206,13 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 	thresholdEps := epsMax
 	topkMode := !o.threshold
 	tau := o.tau
+	if topkMode && shared != nil {
+		if open := 2 * shared.Load() * 1.0001; open <= epsMax && !math.IsInf(open, 1) {
+			out, stats, err := boundedScan(ctx, pq, k, o, len(b.shapes), b.scanShape, b.opts.Samples, true)
+			stats.Iterations, stats.FinalEpsilon, stats.EpsilonMax = 1, open, epsMax
+			return out, stats, err
+		}
+	}
 	if !topkMode {
 		// Completeness for the threshold query requires the ε/2 bound on
 		// untouched entries to pass tau.
@@ -211,19 +239,11 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 	// populated (the O(log n) presence probes of the paper).
 	epsPrev := 0.0
 	eps := b.InitialEpsilon(lQ)
-	if open := openingEpsilon(shared); open > eps && open <= thresholdEps {
-		// A sibling already published a bound: one envelope just wide
-		// enough to see past it replaces the climb to that width (one
-		// triangle cover, no overshoot by the growth factor). If it is
-		// empty, the merged-bound exit below fires all the same.
-		eps = open
-	} else {
-		for probe := 0; probe < 64 && eps < thresholdEps; probe++ {
-			if b.probeEnvelope(env, eps) {
-				break
-			}
-			eps *= grow
+	for probe := 0; probe < 64 && eps < thresholdEps; probe++ {
+		if b.probeEnvelope(env, eps) {
+			break
 		}
+		eps *= grow
 	}
 
 	// kthBound reads the incremental bound: the k-th smallest per-shape
@@ -235,16 +255,11 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 
 	// entryBound returns the proven lower bound on DistVertex for an
 	// unevaluated entry: the counting bound with the current counters at
-	// envelope width eps, and the O(1) geometric bound against the
-	// query's summary.
+	// envelope width eps.
 	entryBound := func(ei int32, eps float64) float64 {
 		v := float64(b.entryVertexCount(ei))
 		c := float64(scratch.count(ei))
-		lb := (scratch.sum(ei) + (v-c)*eps) / v / 2
-		if g := qBound.LowerBound(&b.geomBounds[ei]); g > lb {
-			lb = g
-		}
-		return lb
+		return (scratch.sum(ei) + (v-c)*eps) / v / 2
 	}
 
 	// evaluate resolves one entry under the tightest proven cutoff
@@ -449,8 +464,10 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 		// reach: then the pass runs on the shared test alone.
 		//
 		// An entry-first iteration instead settles every touched entry —
-		// tombstoned, ruled out by the O(1) geometric bound, or evaluated
-		// under the cutoff — in entry-index order: the cutoff is already
+		// tombstoned, or evaluated under the cutoff (no lower bound is
+		// known for it: it is inside the envelope, and the distance field
+		// in front of the evaluator is the filter) — in entry-index order:
+		// the cutoff is already
 		// tight, so best-first buys nothing, while index order walks the
 		// entries, their vertices and their bounds the way they lie in
 		// memory. (Settled in kd-tree report order, every entry starts
@@ -465,7 +482,8 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 					scratch.setResolved(ei)
 					continue
 				}
-				resolve(ei, qBound.LowerBound(&b.geomBounds[ei]))
+				evaluate(ei)
+				kth, have = kthBound()
 			}
 		} else if !topkMode || have >= k || sv < eps/2 {
 			scratch.orderEnt = scratch.orderEnt[:0]
@@ -555,30 +573,15 @@ func (b *Base) match(pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, err
 		ei := out[i].EntryID
 		e := &b.entries[ei]
 		stats.BlocksRead += b.blockCost(int32(ei))
-		out[i].DistContinuous = (b.avgMinDistToScratch(e.Poly, oracle, scratch) +
-			b.avgMinDistToScratch(qe.Poly, b.entryOracle(int32(ei)), scratch)) / 2
+		out[i].DistContinuous = (avgMinDistToInto(e.Poly, oracle, b.opts.Samples, &scratch.resample) +
+			avgMinDistToInto(qe.Poly, b.entryOracle(int32(ei)), b.opts.Samples, &scratch.resample)) / 2
 	}
 	return out, stats, nil
 }
 
-// avgMinDistToScratch is AvgMinDistTo at the base's configured sampling
-// density, resampling into the pooled scratch buffer so the final
-// continuous-measure fill allocates nothing. The produced values are
-// identical to AvgMinDistTo's (same sample points, same accumulation).
-func (b *Base) avgMinDistToScratch(a geom.Poly, o *BoundaryDist, scratch *matchScratch) float64 {
-	samples := b.opts.Samples
-	if samples <= 0 {
-		samples = DefaultSamples(a.NumVertices())
-	}
-	scratch.resample = a.ResampleInto(scratch.resample, samples)
-	if len(scratch.resample) == 0 {
-		return math.Inf(1)
-	}
-	var sum float64
-	for _, p := range scratch.resample {
-		sum += o.Dist(p)
-	}
-	return sum / float64(len(scratch.resample))
+// scanShape is a stored shape as the bounded evaluators walk it.
+func (b *Base) scanShape(id int) scanShape {
+	return scanShape{id: id, entries: b.entries, oracles: b.oracles, idx: b.shapeEntries[id], cost: b.entryCost}
 }
 
 // growEpsilon returns the next envelope width of the schedule: eps·grow,
@@ -593,20 +596,6 @@ func growEpsilon(eps, grow, limit, kth float64, full bool) float64 {
 		next = math.Min(next, 2*kth*1.0001)
 	}
 	return math.Min(next, limit)
-}
-
-// openingEpsilon returns the narrowest envelope width whose ε/2 reach
-// strictly exceeds the shared bound's current value, or 0 when there is
-// no finite bound to open at.
-func openingEpsilon(shared *SharedBound) float64 {
-	if shared == nil {
-		return 0
-	}
-	sv := shared.Load()
-	if math.IsInf(sv, 1) {
-		return 0
-	}
-	return 2 * sv * 1.0001
 }
 
 // probeEnvelope cheaply checks whether any base vertex lies within eps of

@@ -61,18 +61,25 @@ func AvgMinDist(a, b geom.Poly, samples int) float64 {
 
 // AvgMinDistTo is AvgMinDist against a prebuilt distance oracle.
 func AvgMinDistTo(a geom.Poly, b *BoundaryDist, samples int) float64 {
+	var buf []geom.Point
+	return avgMinDistToInto(a, b, samples, &buf)
+}
+
+// avgMinDistToInto is AvgMinDistTo resampling into *buf, so a run of
+// evaluations allocates one buffer.
+func avgMinDistToInto(a geom.Poly, b *BoundaryDist, samples int, buf *[]geom.Point) float64 {
 	if samples <= 0 {
 		samples = DefaultSamples(a.NumVertices())
 	}
-	pts := a.Resample(samples)
-	if len(pts) == 0 {
+	*buf = a.ResampleInto(*buf, samples)
+	if len(*buf) == 0 {
 		return math.Inf(1)
 	}
 	var sum float64
-	for _, p := range pts {
+	for _, p := range *buf {
 		sum += b.Dist(p)
 	}
-	return sum / float64(len(pts))
+	return sum / float64(len(*buf))
 }
 
 // AvgMinDistSym is the symmetrized continuous measure
@@ -208,8 +215,7 @@ func directedKth(a, b geom.Poly, k int) float64 {
 
 // PreparedQuery caches the per-query work of the fattening search and
 // the direct similarity checks: the canonical normalization, its
-// boundary-distance oracle and geometric summary, and the ε-envelope the
-// search fattens. Preparing once and reusing across many
+// boundary-distance oracle, and the ε-envelope the search fattens. Preparing once and reusing across many
 // ShapeDistancePrepared calls — or across the MatchPrepared calls of
 // every shard of a partitioned base — hoists the normalization and grid
 // builds out of candidate and shard loops. A PreparedQuery is safe for
@@ -218,7 +224,6 @@ func directedKth(a, b geom.Poly, k int) float64 {
 type PreparedQuery struct {
 	entry  Entry
 	oracle *BoundaryDist
-	bound  GeomBound
 	env    *envelope.Envelope
 
 	// blocks, when attached, accumulates the page-granular cost of every
@@ -247,7 +252,6 @@ func PrepareQuery(q geom.Poly) (*PreparedQuery, error) {
 	return &PreparedQuery{
 		entry:  qe,
 		oracle: NewBoundaryDist(qe.Poly),
-		bound:  GeomBoundOf(qe.Poly.Pts),
 		env:    env,
 	}, nil
 }

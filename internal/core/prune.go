@@ -9,32 +9,31 @@ import (
 )
 
 // This file holds the admissible pruning primitives of the prune-first
-// match kernel (DESIGN.md §4.9): per-entry O(1) geometric lower bounds
-// precomputed at Freeze, and the atomic shared top-k bound that lets the
-// shards of a ShardedEngine prune against each other mid-flight.
+// match kernel (DESIGN.md §4.9): the atomic shared top-k bound that lets
+// the parts of a request prune against each other mid-flight, the query's
+// distance field and the one bounded evaluator behind it.
 
-// geomBoundSlack absorbs the floating-point error of the geometric
-// lower-bound construction. The bound is derived in real arithmetic;
-// evaluated in floats it can overshoot the true separation by a few ulps,
+// geomBoundSlack absorbs the floating-point error of a lower bound derived
+// in real arithmetic: evaluated in floats it can overshoot by a few ulps,
 // so it is slackened before use. Shapes are diameter-normalized (every
 // coordinate is O(1), inside the lune), so an absolute margin of 1e-9 is
 // ~6 orders of magnitude above the accumulated rounding error while
 // costing nothing against the distances the engine ranks (~1e-2 scale).
 const geomBoundSlack = 1e-9
 
-// GeomBound is the O(1) summary of a vertex set used for constant-time
-// lower bounds on the symmetric vertex-averaged distance between two
-// shapes: the vertex centroid with an enclosing radius, and the bounding
-// box. Both regions contain every vertex — and, being convex, the whole
-// boundary (each boundary point is a convex combination of two vertices).
+// GeomBound is the O(1) summary of an entry's vertex set — the vertex
+// centroid with an enclosing radius, and the bounding box — computed at
+// Freeze and persisted (GSIR3's GBND section). No search consults it: two
+// normalized shapes always share (0,0) and (1,0) (§2.4), so their boxes
+// and balls always intersect and the separation the summary was built to
+// bound from below is identically 0 (DESIGN.md §4.9).
 type GeomBound struct {
 	CX, CY                 float64 // vertex centroid
 	R                      float64 // enclosing radius about the centroid
 	MinX, MinY, MaxX, MaxY float64
 }
 
-// GeomBoundOf summarizes a vertex set. An empty set yields a bound that
-// never prunes (LowerBound returns 0).
+// GeomBoundOf summarizes a vertex set.
 func GeomBoundOf(pts []geom.Point) GeomBound {
 	if len(pts) == 0 {
 		return GeomBound{R: math.Inf(1), MinX: math.Inf(-1), MinY: math.Inf(-1),
@@ -61,26 +60,6 @@ func GeomBoundOf(pts []geom.Point) GeomBound {
 		}
 	}
 	return g
-}
-
-// LowerBound returns a proven lower bound on the symmetric vertex-
-// averaged distance between the two summarized shapes. Every vertex of
-// one shape is at least D away from every boundary point of the other,
-// where D is the larger of the ball separation |c₁c₂| − r₁ − r₂ and the
-// bounding-box gap; hence both directed averages — and their mean — are
-// at least D. The result is slackened by geomBoundSlack and clamped at 0.
-func (g *GeomBound) LowerBound(o *GeomBound) float64 {
-	d := math.Hypot(o.CX-g.CX, o.CY-g.CY) - g.R - o.R
-	gx := math.Max(math.Max(g.MinX-o.MaxX, o.MinX-g.MaxX), 0)
-	gy := math.Max(math.Max(g.MinY-o.MaxY, o.MinY-g.MaxY), 0)
-	if rd := math.Hypot(gx, gy); rd > d {
-		d = rd
-	}
-	d -= geomBoundSlack
-	if d < 0 || math.IsNaN(d) {
-		return 0
-	}
-	return d
 }
 
 // SharedBound is an atomic, monotonically non-increasing distance bound
@@ -330,30 +309,26 @@ func AvgMinDistToBounded(a geom.Poly, b *BoundaryDist, samples int, cutoff float
 }
 
 // ShapeDistancePreparedBounded is ShapeDistancePrepared with an
-// admissible cutoff: it returns the exact shape distance and true when
-// the distance is ≤ cutoff, and (+Inf, false) once every normalized copy
-// is proven to exceed cutoff — via the O(1) geometric lower bound first,
-// then the bounded evaluator (distWithin). The pruning is exact: a copy is
-// discarded only when the value the unpruned evaluation would have
+// admissible cutoff: it returns the shape's Match — its exact distance and
+// the lowest normalized copy realizing it — and true when the distance is
+// ≤ cutoff, and false (DistVertex +Inf, EntryID -1) once every copy is
+// proven to exceed cutoff. The pruning is exact (scanShape.nearest): a
+// copy is discarded only when the value the unpruned evaluation would have
 // produced is strictly above both cutoff and the running best, so the
-// minimum over surviving copies equals the unpruned minimum whenever
-// that minimum is ≤ cutoff.
-func (b *Base) ShapeDistancePreparedBounded(shapeID int, pq *PreparedQuery, cutoff float64) (float64, bool, error) {
+// minimum over surviving copies equals the unpruned minimum whenever that
+// minimum is ≤ cutoff. The query's block counter is charged once, with
+// every copy of the shape.
+func (b *Base) ShapeDistancePreparedBounded(shapeID int, pq *PreparedQuery, cutoff float64) (Match, bool, error) {
+	if !b.frozen {
+		return Match{}, false, fmt.Errorf("core: base must be frozen before matching")
+	}
 	if shapeID < 0 || shapeID >= len(b.shapes) {
-		return 0, false, fmt.Errorf("core: shape id %d out of range", shapeID)
+		return Match{}, false, fmt.Errorf("core: shape id %d out of range", shapeID)
 	}
-	best := math.Inf(1)
-	for _, ei := range b.shapeEntries[shapeID] {
-		cut := math.Min(cutoff, best)
-		if b.geomBounds != nil && pq.bound.LowerBound(&b.geomBounds[ei]) > cut {
-			continue
-		}
-		if pq.blocks != nil {
-			pq.blocks.Add(int64(b.blockCost(ei)))
-		}
-		if d, ok, _ := pq.distWithin(b.entries[ei].Poly, b.entryOracle(ei), cut); ok && d < best {
-			best = d
-		}
+	s := b.scanShape(shapeID)
+	best, ei, _, blocks := s.nearest(pq, cutoff, nil)
+	if pq.blocks != nil {
+		pq.blocks.Add(int64(blocks))
 	}
-	return best, best <= cutoff, nil
+	return Match{ShapeID: shapeID, EntryID: ei, DistVertex: best}, best <= cutoff, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -117,51 +119,51 @@ func TestBoundedMeasureEdgeCases(t *testing.T) {
 	}
 }
 
-// TestGeomBoundAdmissible checks the O(1) lower bound against the exact
-// symmetric vertex-averaged measure on random shape pairs: it must never
-// exceed the true distance (that would prune true matches), and it must
-// be strictly positive for well-separated shapes (otherwise it prunes
-// nothing).
-func TestGeomBoundAdmissible(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 200; trial++ {
-		a := randBlob(rng, rng.Float64()*4-2, rng.Float64()*4-2)
-		b := randBlob(rng, rng.Float64()*8-4, rng.Float64()*8-4)
-		ga := GeomBoundOf(a.Pts)
-		gb := GeomBoundOf(b.Pts)
-		lb := ga.LowerBound(&gb)
-		true1 := AvgMinDistVerticesSym(a, b)
-		if lb > true1 {
-			t.Fatalf("trial %d: lower bound %v exceeds true distance %v", trial, lb, true1)
+// TestNormalizedCopiesPinDiameter pins the premise of the bounded scan
+// (DESIGN.md §4.9, the pinned-vertex observation): every stored copy, at
+// any α, and every canonical query has a vertex on (0,0) and one on (1,0).
+// So every entry has a vertex on the query's boundary — it is inside every
+// ε-envelope, which is what lets a search under a fitting bound mark the
+// whole base without a range search — and any two normalized shapes'
+// bounding boxes and enclosing balls intersect, which is why no geometric
+// lower bound is consulted: it is identically 0.
+func TestNormalizedCopiesPinDiameter(t *testing.T) {
+	pinned := func(label string, e Entry) {
+		t.Helper()
+		for vi, want := range map[int]geom.Point{e.DiamI: geom.Pt(0, 0), e.DiamJ: geom.Pt(1, 0)} {
+			if got := e.Poly.Pts[vi]; math.Hypot(got.X-want.X, got.Y-want.Y) > 1e-12 {
+				t.Fatalf("%s: vertex %d at %v, want %v", label, vi, got, want)
+			}
 		}
 	}
-	// Far-apart shapes must produce a useful (positive) bound.
-	a := randBlob(rng, 0, 0)
-	b := randBlob(rng, 50, 0)
-	ga, gb := GeomBoundOf(a.Pts), GeomBoundOf(b.Pts)
-	if lb := ga.LowerBound(&gb); lb < 40 {
-		t.Fatalf("distant shapes: bound %v too weak", lb)
+	rng := rand.New(rand.NewSource(23))
+	shapes := []geom.Poly{geom.NewPolyline(geom.Pt(3, 4), geom.Pt(-2, 9)), unitSquare()}
+	for i := 0; i < 60; i++ {
+		p := synth.Prototype(rng, i, 4+rng.Intn(30), i%3 == 0)
+		// Image coordinates: somewhere, at some scale, at some angle.
+		shapes = append(shapes, p.Transform(geom.Transform{S: 1 + rng.Float64()*500, Theta: rng.Float64() * 6, T: geom.Pt(rng.Float64()*900, rng.Float64()*900)}))
 	}
-	// The empty summary never prunes.
-	e := GeomBoundOf(nil)
-	if lb := e.LowerBound(&ga); lb != 0 {
-		t.Fatalf("empty bound: got %v, want 0", lb)
+	copies := 0
+	for si, p := range shapes {
+		qe, err := NormalizeCanonical(p)
+		if err != nil {
+			t.Fatalf("shape %d: %v", si, err)
+		}
+		pinned(fmt.Sprintf("shape %d canonical", si), qe)
+		for _, alpha := range []float64{0, 0.1, 0.3} {
+			entries, err := Normalize(p, alpha)
+			if err != nil {
+				t.Fatalf("shape %d α=%v: %v", si, alpha, err)
+			}
+			for _, e := range entries {
+				pinned(fmt.Sprintf("shape %d α=%v copy %d", si, alpha, e.Copy), e)
+			}
+			copies += len(entries)
+		}
 	}
-	if lb := ga.LowerBound(&e); lb != 0 {
-		t.Fatalf("vs empty bound: got %v, want 0", lb)
+	if copies < 6*len(shapes) {
+		t.Fatalf("only %d copies of %d shapes checked", copies, len(shapes))
 	}
-}
-
-// randBlob returns a small random closed polygon around (cx, cy).
-func randBlob(rng *rand.Rand, cx, cy float64) geom.Poly {
-	n := 4 + rng.Intn(6)
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		ang := (float64(i) + rng.Float64()*0.5) / float64(n) * 2 * math.Pi
-		r := 0.5 + rng.Float64()
-		pts[i] = geom.Pt(cx+r*math.Cos(ang), cy+r*math.Sin(ang))
-	}
-	return geom.Poly{Pts: pts, Closed: true}
 }
 
 // TestSharedBound exercises the atomic min: monotone tightening,
@@ -238,14 +240,14 @@ func TestShapeDistancePreparedBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, ok, err := b.ShapeDistancePreparedBounded(sid, pq, math.Inf(1))
-		if err != nil || !ok || got != want {
+		if err != nil || !ok || got.DistVertex != want || got.ShapeID != sid || b.Entry(got.EntryID).ShapeID != sid {
 			t.Fatalf("shape %d: unbounded: got (%v, %v, %v), want (%v, true, nil)", sid, got, ok, err, want)
 		}
-		if got, ok, _ := b.ShapeDistancePreparedBounded(sid, pq, want); !ok || got != want {
+		if got, ok, _ := b.ShapeDistancePreparedBounded(sid, pq, want); !ok || got.DistVertex != want {
 			t.Fatalf("shape %d: cutoff==value: got (%v, %v), want (%v, true)", sid, got, ok, want)
 		}
 		if want > 0 {
-			if _, ok, _ := b.ShapeDistancePreparedBounded(sid, pq, want/2); ok {
+			if got, ok, _ := b.ShapeDistancePreparedBounded(sid, pq, want/2); ok || got.EntryID != -1 {
 				t.Fatalf("shape %d: cutoff %v below value %v not rejected", sid, want/2, want)
 			}
 		}
@@ -550,11 +552,10 @@ func pruneTestBase(t *testing.T, spec synth.BaseSpec) *Base {
 
 // TestBoundFirstOneEnvelope pins the bound-first path of the kernel
 // (DESIGN.md §4.9): a search that starts under a bound tightened to the
-// true k-th best — what the hash-tier seed hands it, at best — opens one
-// envelope, marks every entry it touches by the first of its vertices
-// reported (so it counts at most one vertex per entry, not every vertex
-// in the envelope), settles them in entry-index order, stops Converged
-// on the merged-bound exit and returns the bytes of the unshared search.
+// true k-th best — what the hash-tier seed hands it, at best — opens no
+// envelope: it scans every entry once, in entry-index order, lets through
+// to the exact evaluator only what the distance field cannot turn away,
+// stops Converged and returns the bytes of the unshared search.
 func TestBoundFirstOneEnvelope(t *testing.T) {
 	b := pruneTestBase(t, synth.BaseSpec{
 		Images: 40, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
@@ -583,7 +584,7 @@ func TestBoundFirstOneEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		var accessed []int
-		got, gst, err := b.MatchPrepared(pq, k, MatchOpts{Shared: sb, onAccess: func(ei int) { accessed = append(accessed, ei) }})
+		got, gst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: sb, onAccess: func(ei int) { accessed = append(accessed, ei) }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -592,15 +593,14 @@ func TestBoundFirstOneEnvelope(t *testing.T) {
 		if evaluated := accessed[:len(accessed)-len(got)]; !sort.IntsAreSorted(evaluated) {
 			t.Fatalf("trial %d (k=%d): entries evaluated out of index order: %v", trial, k, evaluated)
 		}
-		if gst.Iterations != 1 || !gst.Converged {
-			t.Fatalf("trial %d (k=%d): %d iterations, converged=%v; want one envelope, converged",
-				trial, k, gst.Iterations, gst.Converged)
+		if gst.Iterations != 1 || !gst.Converged || gst.TrianglesQueried != 0 {
+			t.Fatalf("trial %d (k=%d): %d iterations, %d triangle queries, converged=%v; want one scan, converged",
+				trial, k, gst.Iterations, gst.TrianglesQueried, gst.Converged)
 		}
-		// One vertex counted per marked entry; of the marked, only those the
-		// geometric bound and the distance field let through are candidates —
-		// the k matches among them.
-		if gst.VerticesCounted > b.NumEntries() || gst.Candidates > gst.VerticesCounted || gst.Candidates < len(got) {
-			t.Fatalf("trial %d (k=%d): marked %d entries of %d and scored %d for %d matches (alone: %d vertices)",
+		// Every entry scanned once; of them, only those the distance field
+		// lets through are candidates — the k matches among them.
+		if gst.VerticesCounted != b.NumEntries() || gst.Candidates > gst.VerticesCounted || gst.Candidates < len(got) {
+			t.Fatalf("trial %d (k=%d): scanned %d entries of %d and scored %d for %d matches (alone: %d vertices)",
 				trial, k, gst.VerticesCounted, b.NumEntries(), gst.Candidates, len(got), st.VerticesCounted)
 		}
 		if !reflect.DeepEqual(got, exact) {
@@ -639,7 +639,7 @@ func TestGrowthClamp(t *testing.T) {
 			t.Fatal(err)
 		}
 		prevEps, prevKth := 0.0, math.Inf(1)
-		got, st, err := b.match(pq, k, MatchOpts{onIteration: func(eps, kth float64) {
+		got, st, err := b.match(context.Background(), pq, k, MatchOpts{onIteration: func(eps, kth float64) {
 			if limit := 2 * prevKth * 1.0001; eps > limit {
 				t.Errorf("trial %d (k=%d): envelope %g after a proven k-th best of %g (limit %g)",
 					trial, k, eps, prevKth, limit)

@@ -132,10 +132,11 @@ func TestDeltaCandidatesMatchFrozenBuckets(t *testing.T) {
 	if err := b.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	want, wantOK, err := b.ShapeDistancePreparedBounded(bid, pq, 0.8)
+	wantM, wantOK, err := b.ShapeDistancePreparedBounded(bid, pq, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantM.DistVertex
 	var got Match
 	var gotOK bool
 	for _, id := range d.Candidates(quad, 1) {

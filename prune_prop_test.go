@@ -65,7 +65,7 @@ func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k, width i
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ms, st, err := exactScatter(context.Background(), parts, pq, k, width, shared, false, AnnOff)
+	ms, st, err := exactScatter(context.Background(), parts, pq, k, width, shared, false, AnnOff, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

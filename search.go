@@ -226,8 +226,10 @@ type part interface {
 	liveBucket(quad geohash.Quadruple, radius int) []int
 	// scoreBounded scores one liveBucket / annOrder candidate under an
 	// admissible cutoff; false when it is proven strictly above cutoff
-	// (or has since been deleted).
-	scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, bool)
+	// (or has since been deleted). entry is the part-local normalized copy
+	// realizing the distance — what exact's scored takes; -1 when there is
+	// no distance, and on a part whose exact ignores scored.
+	scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (m Match, entry int, ok bool)
 	// annOrder reorders candidates best-first by ANN agreement.
 	annOrder(pq *core.PreparedQuery, ids []int) ([]int, Stats)
 	// epsilonMax is the widest envelope the part's exact search opens for
@@ -235,8 +237,11 @@ type part interface {
 	epsilonMax(pq *core.PreparedQuery) float64
 	// exact is the part's top-k under the exact measure, consuming shared
 	// and publishing its own k-th best into it when that bounds the merged
-	// k-th best. ann orders the work, never the result.
-	exact(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode, shared *core.SharedBound) ([]Match, Stats, error)
+	// k-th best. ann orders the work, never the result. scored, when not
+	// nil, is what the seed pass behind shared already proved about the
+	// part's shapes (core.MatchOpts.Scored, part-local ids); a part whose
+	// shapes can change under the request scores them again.
+	exact(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode, shared *core.SharedBound, scored map[int]core.Match) ([]Match, Stats, error)
 	// annApprox is the sublinear path: the part's top-k over its ANN
 	// candidates alone, scored exactly. Each part applies the full
 	// annMinShapes floor, so the union over N parts is at least as wide as
@@ -409,9 +414,13 @@ func scatter(ctx context.Context, parts []part, k, width int, shared *core.Share
 // (scatter). Because per-shape distances are intrinsic to (query, shape)
 // and every shape lives on exactly one part, the merged top-k of
 // converged parts is the true global top-k.
-func exactScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, shared *core.SharedBound, share bool, ann AnnMode) ([]Match, Stats, error) {
+func exactScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, shared *core.SharedBound, share bool, ann AnnMode, scored []map[int]core.Match) ([]Match, Stats, error) {
 	ms, stats, err := scatter(ctx, parts, k, width, shared, share, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
-		return parts[i].exact(ctx, pq, k, ann, shared)
+		var known map[int]core.Match
+		if scored != nil {
+			known = scored[i]
+		}
+		return parts[i].exact(ctx, pq, k, ann, shared, known)
 	})
 	if err != nil {
 		return nil, Stats{}, err
@@ -430,10 +439,12 @@ func exactScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, k, 
 }
 
 // exactSeeded is the exact phase of a request, bound first: a seed that
-// fits every part (hashSeed.bound) makes each of them converge on its
-// first envelope whatever its siblings publish meanwhile, so both modes
-// share it. Without one, Converged depends on which part publishes first
-// — reporting in ModeExact, which still shares a fresh bound, but control
+// fits every part (hashSeed.bound) makes each of them one bounded scan
+// that converges whatever its siblings publish meanwhile, so both modes
+// share it — and each frozen part takes what the seed pass proved about
+// its bucket shapes instead of scoring them again (hashSeed.scored).
+// Without one, Converged depends on which part publishes first —
+// reporting in ModeExact, which still shares a fresh bound, but control
 // flow for ModeAuto's fallback, which then searches unshared.
 //
 // The seed is admissible for the shapes that were live when it was
@@ -445,16 +456,19 @@ func exactScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, k, 
 // runs again unseeded.
 func exactSeeded(ctx context.Context, parts []part, pq *core.PreparedQuery, req SearchRequest, width int, seed *hashSeed) ([]Match, Stats, error) {
 	k := req.K
-	shared := seed.bound()
+	shared, scored := seed.bound(), seed.scored
+	if shared == nil {
+		scored = nil // what the pass proved, it proved against the seed
+	}
 	for {
-		ms, stats, err := exactScatter(ctx, parts, pq, k, width, shared, req.Mode == ModeExact, req.Ann)
+		ms, stats, err := exactScatter(ctx, parts, pq, k, width, shared, req.Mode == ModeExact, req.Ann, scored)
 		if err != nil {
 			return nil, Stats{}, err
 		}
 		if shared == nil || (len(ms) == k && ms[k-1].Distance <= seed.kth.Kth()) {
 			return ms, stats, nil
 		}
-		shared = nil
+		shared, scored = nil, nil
 	}
 }
 
@@ -489,10 +503,15 @@ func hashBuckets(parts []part, pq *core.PreparedQuery) [][]int {
 // before the fattening search, the query's hash buckets are scored with
 // the bounded evaluators, and the k-th smallest distance among their live
 // shapes — any k live shapes bound the merged k-th best from above —
-// becomes the bound every part's search opens at.
+// becomes the bound every part's search scans under.
 type hashSeed struct {
-	kth    *distTopK
+	kth    *core.DistTopK
 	epsMax float64 // smallest ε_max among the parts
+	// scored is, per part, what the pass proved about each bucket shape: its
+	// distance and realizing copy, or (EntryID -1) that it lies strictly
+	// above the k-th running when it was scored — which the final k-th, the
+	// seed, only undercuts. Nil switches the hand-over off.
+	scored []map[int]core.Match
 }
 
 // scoreSeed scores the request's hash buckets, once and over every part,
@@ -500,26 +519,29 @@ type hashSeed struct {
 // lower it. Every part will search under the seed, so its ε_max joins the
 // fit rule (bound).
 func scoreSeed(parts []part, pq *core.PreparedQuery, buckets [][]int, k int) *hashSeed {
-	s := &hashSeed{kth: newDistTopK(k), epsMax: math.Inf(1)}
+	s := &hashSeed{kth: core.NewDistTopK(k), epsMax: math.Inf(1), scored: make([]map[int]core.Match, len(parts))}
 	for i, p := range parts {
 		s.epsMax = min(s.epsMax, p.epsilonMax(pq))
+		s.scored[i] = make(map[int]core.Match, len(buckets[i]))
 		for _, id := range buckets[i] {
-			if m, ok := p.scoreBounded(id, pq, s.kth.Kth()); ok {
+			m, entry, ok := p.scoreBounded(id, pq, s.kth.Kth())
+			if ok {
 				s.kth.Add(m.Distance)
 			}
+			s.scored[i][id] = core.Match{ShapeID: id, EntryID: entry, DistVertex: m.Distance}
 		}
 	}
 	return s
 }
 
 // bound returns a shared bound tightened to the seed, or nil when there
-// is none to use: the buckets held fewer than k live shapes, or the one
-// envelope a search under the seed opens with (core's openingEpsilon
-// width) does not fit under the ε_max of every part that would consume
-// it. Under a fitting seed every part converges on that first envelope,
-// so Converged — and ModeAuto's fallback decision — does not depend on
-// which sibling publishes first, and a search that converges without the
-// seed returns the same bytes with it.
+// is none to use: the buckets held fewer than k live shapes, or the
+// envelope the seed stands for (2·seed·1.0001, core's fit test) does not
+// fit under the ε_max of every part that would consume it. Under a
+// fitting seed every part is one bounded scan and converges, so Converged
+// — and ModeAuto's fallback decision — does not depend on which sibling
+// publishes first, and a search that converges without the seed returns
+// the same bytes with it.
 func (s *hashSeed) bound() *core.SharedBound {
 	sv := s.kth.Kth()
 	if math.IsInf(sv, 1) || 2*sv*1.0001 > s.epsMax {
@@ -560,7 +582,7 @@ func approxScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, bu
 // appear in the final answer.
 func scoreCandidates(p part, pq *core.PreparedQuery, ids []int, k int, shared *core.SharedBound) []Match {
 	out := make([]Match, 0, len(ids))
-	kth := newDistTopK(k)
+	kth := core.NewDistTopK(k)
 	for _, id := range ids {
 		cut := kth.Kth()
 		if shared != nil {
@@ -568,7 +590,7 @@ func scoreCandidates(p part, pq *core.PreparedQuery, ids []int, k int, shared *c
 				cut = sv
 			}
 		}
-		m, ok := p.scoreBounded(id, pq, cut)
+		m, _, ok := p.scoreBounded(id, pq, cut)
 		if !ok {
 			continue
 		}
@@ -627,20 +649,21 @@ func (p *frozenPart) liveBucket(quad geohash.Quadruple, radius int) []int {
 	return p.live(p.e.table.Lookup(quad, radius))
 }
 
-func (p *frozenPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, bool) {
+func (p *frozenPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
 	base := p.e.db.Base()
-	d, ok, err := base.ShapeDistancePreparedBounded(id, pq, cutoff)
+	m, ok, err := base.ShapeDistancePreparedBounded(id, pq, cutoff)
 	if err != nil || !ok {
-		return Match{}, false
+		return Match{}, -1, false
 	}
-	return Match{ShapeID: p.global(id), ImageID: base.Shape(id).Image, Distance: d, Approximate: true}, true
+	return Match{ShapeID: p.global(id), ImageID: base.Shape(id).Image, Distance: m.DistVertex, Approximate: true}, m.EntryID, true
 }
 
 func (p *frozenPart) epsilonMax(pq *core.PreparedQuery) float64 {
 	return p.e.db.Base().EpsilonMax(pq.Entry().Poly.Perimeter())
 }
 
-// exact is the fattening search (§2.5) for min(k, live shapes) matches,
+// exact is the exact search — one bounded scan under a fitting seed, the
+// fattening climb (§2.5) otherwise — for min(k, live shapes) matches,
 // skipping tombstoned shapes inside the kernel, before they are scored: a
 // part cannot supply more than it holds, and capping lets a small part
 // reach the convergence condition (the k-th best must exist to be proven
@@ -649,14 +672,14 @@ func (p *frozenPart) epsilonMax(pq *core.PreparedQuery) float64 {
 // proven outside the merged top-k (DESIGN.md §4.9). The part ranks its
 // bootstrap candidates against its own ANN index — a visit-order change,
 // so the matches are byte-identical to AnnOff.
-func (p *frozenPart) exact(_ context.Context, pq *core.PreparedQuery, k int, ann AnnMode, shared *core.SharedBound) ([]Match, Stats, error) {
+func (p *frozenPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode, shared *core.SharedBound, scored map[int]core.Match) ([]Match, Stats, error) {
 	kk := min(k, p.liveShapes())
 	if kk == 0 {
 		return nil, Stats{Converged: true}, nil // every shape tombstoned
 	}
 	rank, stats := p.e.annRank(pq, ann)
 	base := p.e.db.Base()
-	ms, st, err := base.MatchPrepared(pq, kk, core.MatchOpts{Rank: rank, Shared: shared, Publish: kk == k, Dead: p.dead})
+	ms, st, err := base.MatchPrepared(ctx, pq, kk, core.MatchOpts{Rank: rank, Shared: shared, Publish: kk == k, Dead: p.dead, Scored: scored})
 	if err != nil {
 		if p.smap != nil {
 			err = fmt.Errorf("geosir: shard %d: %w", p.shard, err)
@@ -692,7 +715,7 @@ func (p *frozenPart) annApprox(_ context.Context, pq *core.PreparedQuery, k int,
 // per live image. Under AnnApprox only the ANN candidates are scored
 // (exactly); images whose every shape went unprobed are absent — the
 // sketch ranking's recall cost, measured by BenchmarkAnnSketchApprox.
-func (p *frozenPart) sketchTable(_ context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error) {
+func (p *frozenPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error) {
 	base := p.e.db.Base()
 	best := make(map[int]float64)
 	keep := func(sid int, d float64) {
@@ -705,13 +728,13 @@ func (p *frozenPart) sketchTable(_ context.Context, pq *core.PreparedQuery, k in
 	if ann == AnnApprox {
 		shapes, probes := p.e.annCandidates(pq, annSketchMinShapes(k))
 		for _, sid := range shapes {
-			if d, _, err := base.ShapeDistancePreparedBounded(sid, pq, math.Inf(1)); err == nil {
-				keep(sid, d)
+			if m, _, err := base.ShapeDistancePreparedBounded(sid, pq, math.Inf(1)); err == nil {
+				keep(sid, m.DistVertex)
 			}
 		}
 		stats = annStats(probes, len(shapes))
 	} else {
-		ms, st, err := base.MatchPrepared(pq, base.NumShapes(), core.MatchOpts{})
+		ms, st, err := base.MatchPrepared(ctx, pq, base.NumShapes(), core.MatchOpts{})
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -741,9 +764,9 @@ func (p deltaPart) liveBucket(quad geohash.Quadruple, radius int) []int {
 	return p.d.Candidates(quad, radius)
 }
 
-func (p deltaPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, bool) {
+func (p deltaPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
 	m, ok := p.d.ScoreBounded(id, pq, cutoff)
-	return Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, Approximate: true}, ok
+	return Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, Approximate: true}, -1, ok
 }
 
 func (p deltaPart) annOrder(_ *core.PreparedQuery, ids []int) ([]int, Stats) { return ids, Stats{} }
@@ -764,7 +787,9 @@ func (p deltaPart) scan(ctx context.Context, pq *core.PreparedQuery, k int, shar
 	return out, Stats{Converged: true, Candidates: evaluated}, nil
 }
 
-func (p deltaPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, _ AnnMode, shared *core.SharedBound) ([]Match, Stats, error) {
+// exact scores every live shape itself, the seed's bucket included: a
+// delete can reach the delta between the seed pass and this scan.
+func (p deltaPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, _ AnnMode, shared *core.SharedBound, _ map[int]core.Match) ([]Match, Stats, error) {
 	return p.scan(ctx, pq, k, shared, false)
 }
 
@@ -776,57 +801,6 @@ func (p deltaPart) annApprox(ctx context.Context, pq *core.PreparedQuery, k int,
 func (p deltaPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, _ int, _ AnnMode) (map[int]float64, Stats, error) {
 	best, err := p.d.SketchTable(ctx, pq)
 	return best, Stats{}, err
-}
-
-// distTopK tracks the k-th smallest of a distance stream with a size-
-// bounded max-heap: Kth is +Inf until k distances have been seen, so the
-// cutoff it feeds never prunes while the top-k is under-filled.
-type distTopK struct {
-	k int
-	h []float64 // max-heap
-}
-
-func newDistTopK(k int) *distTopK { return &distTopK{k: k} }
-
-func (t *distTopK) Kth() float64 {
-	if t.k <= 0 || len(t.h) < t.k {
-		return math.Inf(1)
-	}
-	return t.h[0]
-}
-
-func (t *distTopK) Add(d float64) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, d)
-		for i := len(t.h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if t.h[p] >= t.h[i] {
-				break
-			}
-			t.h[p], t.h[i] = t.h[i], t.h[p]
-			i = p
-		}
-		return
-	}
-	if t.k == 0 || d >= t.h[0] {
-		return
-	}
-	t.h[0] = d
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(t.h) && t.h[l] > t.h[big] {
-			big = l
-		}
-		if r < len(t.h) && t.h[r] > t.h[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		t.h[i], t.h[big] = t.h[big], t.h[i]
-		i = big
-	}
 }
 
 // validateSketch applies the shared sketch preconditions.

@@ -117,6 +117,42 @@ func TestSearchContextCancelled(t *testing.T) {
 	}
 }
 
+// errAfterCtx is a context that reads cancelled from its after+1-th Err
+// call on: a cancel that lands at a known point of a single-goroutine
+// search.
+type errAfterCtx struct {
+	context.Context
+	calls, after int
+}
+
+func (c *errAfterCtx) Err() error {
+	if c.calls++; c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExactScanCancelled cancels a single Engine's ModeExact search while
+// its one part is mid-scan: the request's entry check and the scatter's
+// claim of the part have passed, the scan's first check too, and the
+// second — 32 shapes in — sees the cancel.
+func TestExactScanCancelled(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	eng := buildSingle(t, images)
+	req := SearchRequest{Query: queries[0], K: 1, Mode: ModeExact}
+	if eng.NumShapes() <= 32 || !seeded(t, eng.searchView().parts, req.Query, req.K) {
+		t.Fatalf("want a seeded search over more than 32 shapes (have %d)", eng.NumShapes())
+	}
+	ctx := &errAfterCtx{Context: context.Background(), after: 3}
+	resp, err := eng.Search(ctx, req)
+	if !errors.Is(err, context.Canceled) || resp != nil {
+		t.Fatalf("got (%v, %v), want context.Canceled and no response", resp, err)
+	}
+	if ctx.calls != 4 {
+		t.Fatalf("the search consulted its context %d times, want the cancel seen on the 4th", ctx.calls)
+	}
+}
+
 func TestModeStringParseRoundTrip(t *testing.T) {
 	for _, mode := range []Mode{ModeAuto, ModeExact, ModeApproximate, ModeSketch} {
 		got, err := ParseMode(mode.String())
