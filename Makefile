@@ -27,12 +27,14 @@ race:
 # first: a tier-1 failure (TestShardedMmapEquivalence's stats) showed
 # only with >= 2 cores, which the CI box does not have. The delta reads a
 # bound its sibling parts publish concurrently, and a request's distance
-# field is built once and read by every shard goroutine — the same class.
-# Run the affected suites at both settings.
-PROCS_RUN := 'Equivalence|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst|Scan|Seed'
+# field is built once and read by every shard goroutine — the same class,
+# as are the stored vertices' field cells and the oracle grids' one walk,
+# which every shard goroutine reads. Run the affected suites at both
+# settings.
+PROCS_RUN := 'Equivalence|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst|Scan|Seed|SegmentGridDist'
 test-procs:
-	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest
-	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest
+	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex
+	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex
 
 # The repo's one benchmark (bench/README.md, declared in BENCHMARK.json):
 # without ARGS a full set — four workloads, each untraced then traced,
@@ -67,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadV3$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzConvexHull$$' -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzPointInPolygon$$' -fuzztime $(FUZZTIME) ./internal/geom
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentGridDist$$' -fuzztime $(FUZZTIME) ./internal/shapeindex
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) ./internal/qcache
 
 # The daemon smokes share one recipe: build geosir, geosird and

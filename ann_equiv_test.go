@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/synth"
 )
 
@@ -81,6 +82,59 @@ func TestAnnVerifyEquivalence(t *testing.T) {
 			}
 			assertSketchEqual(t, e.name+"/sketch/verify", want.SketchMatches, got.SketchMatches)
 		}
+	}
+}
+
+// TestSeededExactBuildsNoRank pins that the ANN ordering of an exact search
+// is paid for only by a search that has an order to change: under AnnVerify
+// a request whose hash seed fits runs every part as one bounded scan, which
+// visits in index order — no signature, no probe, and the stats say so —
+// while a request without a fitting seed climbs and ranks as before. The
+// matches are the tier-off search's either way.
+func TestSeededExactBuildsNoRank(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	ctx := context.Background()
+	seeded, climbed := 0, 0
+	single, sharded := buildSingle(t, images), buildShardedFrom(t, images, 7)
+	for _, e := range []struct {
+		name string
+		eng  searcher
+		view func() searchView
+	}{{"single", single, single.searchView}, {"sharded-7", sharded, sharded.searchView}} {
+		for _, k := range []int{1, 3, e.eng.NumShapes() + 5} {
+			for qi, q := range queries {
+				pq, err := core.PrepareQuery(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts := e.view().parts
+				fits := scoreSeed(parts, pq, hashBuckets(parts, pq), k).bound() != nil
+				want, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
+				if err != nil {
+					t.Fatalf("%s q%d k=%d off: %v", e.name, qi, k, err)
+				}
+				got, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact, Ann: AnnVerify})
+				if err != nil {
+					t.Fatalf("%s q%d k=%d verify: %v", e.name, qi, k, err)
+				}
+				assertMatchesEqual(t, e.name+"/exact/verify", want.Matches, got.Matches)
+				st := got.Stats
+				if fits {
+					seeded++
+					if st.UsedANN || st.ANNProbes != 0 || st.ANNCandidates != 0 {
+						t.Fatalf("%s q%d k=%d: a seeded exact search reports ANN work: %+v", e.name, qi, k, st)
+					}
+				} else {
+					climbed++
+					if !st.UsedANN || st.ANNProbes == 0 {
+						t.Fatalf("%s q%d k=%d: an exact search that climbs reports no ANN ordering: %+v", e.name, qi, k, st)
+					}
+				}
+			}
+		}
+	}
+	if seeded == 0 || climbed == 0 {
+		t.Fatalf("%d seeded and %d climbing searches; the test wants both", seeded, climbed)
 	}
 }
 

@@ -300,10 +300,10 @@ func BenchmarkFig10_Selectivity(b *testing.B) {
 // --- §2.5: retrieval scaling (polylog claim) ------------------------------
 
 // benchmarkMatchAtScale times the exact search as it is served —
-// Engine.Search in ModeExact: hash seed, one envelope, settle — over bases
-// of growing size, and reports what the base-size question needs: the
-// share of stored copies that reach the exact evaluator and the time per
-// stored copy.
+// Engine.Search in ModeExact: hash seed, then one bounded scan behind the
+// distance-field reject — over bases of growing size, and reports what the
+// base-size question needs: the share of stored copies that reach the
+// exact evaluator and the time per stored copy.
 func benchmarkMatchAtScale(b *testing.B, scale float64) {
 	images := synth.GenerateBase(synth.PaperSpec(scale, 1))
 	eng := buildSingle(b, images)

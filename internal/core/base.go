@@ -80,6 +80,12 @@ type Base struct {
 	vertEntry []int32 // vertex id → entry index
 	entryOff  []int32 // entry index → first vertex id (len = len(entries)+1)
 
+	// fieldCells holds, parallel to verts, the distance-field cell each
+	// vertex falls in (fieldCell): what the reject in front of the bounded
+	// evaluator reads of a copy. Derived wherever the oracles are built or
+	// adopted (Freeze, BaseFromParts), never persisted.
+	fieldCells []uint16
+
 	// oracles holds one boundary-distance oracle per entry, built at
 	// Freeze. The base is immutable afterward, so the oracles are shared
 	// by every query instead of being rebuilt per candidate evaluation.
@@ -172,6 +178,7 @@ func (b *Base) Freeze() error {
 		b.backend = rangesearch.New(b.opts.Backend, b.verts)
 	}
 	b.buildOracles()
+	b.fieldCells = appendFieldCells(make([]uint16, 0, len(b.verts)), b.verts)
 	b.computeEntryCosts()
 	b.frozen = true
 	return nil
@@ -262,6 +269,11 @@ func (b *Base) Shapes() []Shape { return b.shapes }
 // entryVertexCount returns the number of vertices of entry ei.
 func (b *Base) entryVertexCount(ei int32) int32 {
 	return b.entryOff[ei+1] - b.entryOff[ei]
+}
+
+// entryCells returns the distance-field cells of entry ei's vertices.
+func (b *Base) entryCells(ei int32) []uint16 {
+	return b.fieldCells[b.entryOff[ei]:b.entryOff[ei+1]]
 }
 
 // EpsilonMax returns the stopping threshold of step 5 (§2.5):

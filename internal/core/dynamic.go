@@ -28,11 +28,14 @@ type Dynamic struct {
 }
 
 // overflowShape is one live shape: its normalized copies and, per copy,
-// the boundary oracle the back direction of the measure is read from.
+// the boundary oracle the back direction of the measure is read from and
+// the distance-field cells of its vertices, cells[off[i]:off[i+1]].
 type overflowShape struct {
 	shape   Shape
 	entries []Entry
 	oracles []*BoundaryDist
+	cells   []uint16
+	off     []int32
 }
 
 // NewDynamic creates an empty dynamic base.
@@ -56,17 +59,23 @@ func (d *Dynamic) Insert(image int, p geom.Poly) (int, error) {
 		return 0, err
 	}
 	id := len(d.slot)
-	// Build the copies' oracles once at insert: every query scans them
-	// until the shape is compacted away.
+	// Build the copies' oracles and field cells once at insert: every query
+	// scans them until the shape is compacted away.
 	oracles := make([]*BoundaryDist, len(entries))
+	off := make([]int32, len(entries)+1)
+	var cells []uint16
 	for i := range entries {
 		oracles[i] = NewBoundaryDist(entries[i].Poly)
+		cells = appendFieldCells(cells, entries[i].Poly.Pts)
+		off[i+1] = int32(len(cells))
 	}
 	d.slot = append(d.slot, len(d.overflow))
 	d.overflow = append(d.overflow, overflowShape{
 		shape:   Shape{ID: id, Image: image, Poly: p.Clone()},
 		entries: entries,
 		oracles: oracles,
+		cells:   cells,
+		off:     off,
 	})
 	d.copies += len(entries)
 	return id, nil
@@ -137,7 +146,7 @@ func (d *Dynamic) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o
 
 // scan is the shape as the bounded evaluators walk it.
 func (s *overflowShape) scan() scanShape {
-	return scanShape{id: s.shape.ID, entries: s.entries, oracles: s.oracles}
+	return scanShape{id: s.shape.ID, entries: s.entries, oracles: s.oracles, cells: s.cells, off: s.off}
 }
 
 // ShapeDistancePreparedBounded scores one live shape against a prepared

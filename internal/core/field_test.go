@@ -2,15 +2,53 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mmap"
 	"repro/internal/synth"
 )
+
+// fieldAtPoint reads the field at p the way the search did before the cell
+// ids existed — the table index from the point's two float64s, 0 outside the
+// box — and fieldSumPoints is the reject loop over those reads: the
+// references the cell-id form is held to, bit for bit.
+func fieldAtPoint(f *distField, p geom.Point) float64 {
+	fx, fy := (p.X-fieldX0)*fieldRes, (p.Y-fieldY0)*fieldRes
+	if !(fx >= 0 && fx < fieldNX && fy >= 0 && fy < fieldNY) {
+		return 0
+	}
+	return float64(f[int(fy)*fieldNX+int(fx)])
+}
+
+func fieldSumPoints(f *distField, pts []geom.Point, cut float64) (rejected bool, sum float64) {
+	trigger := 2 * cut * float64(len(pts)) * (1 + fieldGuard)
+	for _, p := range pts {
+		if sum += fieldAtPoint(f, p); sum > trigger {
+			return true, sum
+		}
+	}
+	return false, sum
+}
+
+// fieldSumCells is ruledOut's loop returning the partial sum it stopped at.
+func fieldSumCells(f *distField, cells []uint16, cut float64) (rejected bool, sum float64) {
+	trigger := 2 * cut * float64(len(cells)) * (1 + fieldGuard)
+	for _, id := range cells {
+		if sum += float64(f[id]); sum > trigger {
+			return true, sum
+		}
+	}
+	return false, sum
+}
 
 // fieldTestShapes are the query boundaries the distance-field properties
 // are checked against: random polygons and open polylines, and the
@@ -42,9 +80,16 @@ func TestDistFieldAdmissible(t *testing.T) {
 	for si, shape := range fieldTestShapes(rng) {
 		oracle := NewBoundaryDist(shape)
 		f := newDistField(oracle)
+		if f[fieldOff] != 0 {
+			t.Fatalf("shape %d: the slot of points outside the box holds %v", si, f[fieldOff])
+		}
+		at := func(p geom.Point) float64 { return float64(f[fieldCell(p)]) }
 		check := func(p geom.Point) {
 			t.Helper()
-			lb := f.at(p)
+			lb := at(p)
+			if ref := fieldAtPoint(f, p); lb != ref {
+				t.Fatalf("shape %d: field at %v = %v through cell %d, %v from the point", si, p, lb, fieldCell(p), ref)
+			}
 			if !(lb >= 0) || math.IsInf(lb, 0) {
 				t.Fatalf("shape %d: field at %v = %v", si, p, lb)
 			}
@@ -61,7 +106,7 @@ func TestDistFieldAdmissible(t *testing.T) {
 		positive := 0
 		for i := 0; i < 4000; i++ {
 			p := geom.Pt(fieldX0+rng.Float64()*(xMax-fieldX0), fieldY0+rng.Float64()*(yMax-fieldY0))
-			if f.at(p) > 0 {
+			if at(p) > 0 {
 				positive++
 			}
 			check(p)
@@ -85,8 +130,8 @@ func TestDistFieldAdmissible(t *testing.T) {
 		for _, x := range []float64{0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
 			for _, y := range []float64{0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
 				if x != 0.5 || y != 0.5 {
-					if lb := f.at(geom.Pt(x, y)); lb != 0 {
-						t.Fatalf("shape %d: field at (%v,%v) = %v, want 0", si, x, y, lb)
+					if id := fieldCell(geom.Pt(x, y)); id != fieldOff {
+						t.Fatalf("shape %d: (%v,%v) falls in cell %d, want none (%d)", si, x, y, id, fieldOff)
 					}
 				}
 			}
@@ -108,20 +153,91 @@ func unfielded(pq *PreparedQuery, cp geom.Poly, back *BoundaryDist, cut float64)
 	return (dir + bk) / 2, true
 }
 
+// fieldSliverBase is a small base at α = 0.6 holding a sliver: copies
+// normalized about pairs as short as 0.4 of the diameter leave the lune,
+// and the sliver's far corner lands at x ≈ 2, outside the field's box.
+func fieldSliverBase(t *testing.T) *Base {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Alpha = 0.6
+	b := NewBase(opts)
+	shapes := []geom.Poly{geom.NewPolygon(geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 1))}
+	for _, img := range synth.GenerateBase(synth.BaseSpec{
+		Images: 8, MeanShapes: 2, MeanVertices: 9, Prototypes: 4,
+		Distortion: 0.02, OpenFraction: 0.3, Seed: 19}) {
+		shapes = append(shapes, img.Shapes...)
+	}
+	for i, s := range shapes {
+		if _, err := b.AddShape(i, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkCellReject holds the reject over b's stored cell ids to the reject
+// over the vertices themselves for one query — slot by slot, then decision
+// and partial sum at 0.5×, 1× and 2× the true k-th best (wants are the
+// entries' exact distances) — and returns how many copies were rejected.
+func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) (rejects int) {
+	t.Helper()
+	f := pq.distField()
+	for vid, p := range b.verts {
+		if got, want := float64(f[b.fieldCells[vid]]), fieldAtPoint(f, p); got != want {
+			t.Fatalf("vertex %d %v: cell %d holds %v, the point reads %v", vid, p, b.fieldCells[vid], got, want)
+		}
+	}
+	const k = 3
+	byShape := make([]float64, 0, b.NumShapes())
+	for sid := 0; sid < b.NumShapes(); sid++ {
+		best := math.Inf(1)
+		for _, ei := range b.shapeEntries[sid] {
+			best = math.Min(best, wants[ei])
+		}
+		byShape = append(byShape, best)
+	}
+	sort.Float64s(byShape)
+	for _, scale := range []float64{0.5, 1, 2} {
+		cut := scale * byShape[k-1]
+		for ei := range b.entries {
+			cells := b.entryCells(int32(ei))
+			rej, sum := fieldSumCells(f, cells, cut)
+			refRej, refSum := fieldSumPoints(f, b.entries[ei].Poly.Pts, cut)
+			if rej != refRej || math.Float64bits(sum) != math.Float64bits(refSum) {
+				t.Fatalf("entry %d cut %v: cells (%v, %v), points (%v, %v)", ei, cut, rej, sum, refRej, refSum)
+			}
+			if got := f.ruledOut(cells, cut); got != refRej {
+				t.Fatalf("entry %d cut %v: ruledOut = %v, the loop over the points %v", ei, cut, got, refRej)
+			}
+			if rej {
+				rejects++
+			}
+		}
+	}
+	return rejects
+}
+
 // TestFieldRejectIsExact pins that the field only ever anticipates the
 // exact evaluator: whatever it rejects the two directed passes reject
 // too, whatever it lets through comes back with the same bytes, and the
 // reject is strict — a copy whose distance is exactly the cutoff (a tie
 // at the k-th) survives, as it does one ulp above; one ulp below, the field
 // still only follows the exact passes. With no finite cutoff the field is
-// not even built.
+// not even built. And the reject reads the table through the stored
+// vertices' cell ids exactly as it would through the vertices themselves:
+// the same slot per vertex, the slot of "outside the box" included, hence
+// the same decision at the same partial sum — at half, once and twice the
+// true k-th best, where a search's cutoffs lie.
 func TestFieldRejectIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	b := pruneTestBase(t, synth.BaseSpec{
 		Images: 25, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
 		Distortion: 0.05, OpenFraction: 0.3, Seed: 107,
 	})
-	rejected, passed := 0, 0
+	rejected, passed, cellRejects := 0, 0, 0
 	for trial := 0; trial < 12; trial++ {
 		q := synth.Distort(rng, b.Shape(rng.Intn(b.NumShapes())).Poly, 0.03)
 		if q.Validate() != nil {
@@ -135,13 +251,14 @@ func TestFieldRejectIsExact(t *testing.T) {
 		for ei := range b.entries {
 			cp, back := b.entries[ei].Poly, b.entryOracle(int32(ei))
 			wants[ei], _ = unfielded(pq, cp, back, math.Inf(1))
-			if got, ok, scored := pq.distWithin(cp, back, math.Inf(1)); !ok || !scored || got != wants[ei] {
+			if got, ok, scored := pq.distWithin(cp, b.entryCells(int32(ei)), back, math.Inf(1)); !ok || !scored || got != wants[ei] {
 				t.Fatalf("trial %d entry %d: no cutoff: (%v, %v, %v), want %v", trial, ei, got, ok, scored, wants[ei])
 			}
 			if pq.field != nil {
 				t.Fatalf("trial %d entry %d: the field was built with no finite cutoff", trial, ei)
 			}
 		}
+		cellRejects += checkCellReject(t, b, pq, wants)
 		for ei, want := range wants {
 			cp, back := b.entries[ei].Poly, b.entryOracle(int32(ei))
 			cuts := []float64{want, math.Nextafter(want, 2), math.Nextafter(want, -1),
@@ -150,7 +267,7 @@ func TestFieldRejectIsExact(t *testing.T) {
 				if cut < 0 {
 					continue
 				}
-				got, ok, scored := pq.distWithin(cp, back, cut)
+				got, ok, scored := pq.distWithin(cp, b.entryCells(int32(ei)), back, cut)
 				ref, refOK := unfielded(pq, cp, back, cut)
 				if ok != refOK || (ok && got != ref) {
 					t.Fatalf("trial %d entry %d cut %v: (%v, %v), un-fielded (%v, %v)", trial, ei, cut, got, ok, ref, refOK)
@@ -171,8 +288,29 @@ func TestFieldRejectIsExact(t *testing.T) {
 			}
 		}
 	}
-	if rejected < 1000 || passed < 1000 {
-		t.Fatalf("the field rejected %d and passed %d evaluations; the test wants plenty of both", rejected, passed)
+	// Vertices outside the table's box — a sliver's far corner under a wide α
+	// — read the slot that holds 0.
+	wide, outside := fieldSliverBase(t), 0
+	for _, id := range wide.fieldCells {
+		if id == fieldOff {
+			outside++
+		}
+	}
+	if outside == 0 {
+		t.Fatal("no stored vertex leaves the distance field's box")
+	}
+	pq, err := PrepareQuery(wide.Shape(0).Poly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := make([]float64, len(wide.entries))
+	for ei := range wide.entries {
+		wants[ei], _ = unfielded(pq, wide.entries[ei].Poly, wide.entryOracle(int32(ei)), math.Inf(1))
+	}
+	checkCellReject(t, wide, pq, wants)
+	if rejected < 1000 || passed < 1000 || cellRejects < 1000 {
+		t.Fatalf("the field rejected %d and passed %d evaluations, %d rejects around the k-th; the test wants plenty of each",
+			rejected, passed, cellRejects)
 	}
 }
 
@@ -267,7 +405,7 @@ func TestFieldBuiltOncePerRequest(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, ei := range bases[0].shapeEntries[sid] {
-				unbounded.distWithin(bases[0].entries[ei].Poly, bases[0].entryOracle(ei), math.Inf(1))
+				unbounded.distWithin(bases[0].entries[ei].Poly, bases[0].entryCells(ei), bases[0].entryOracle(ei), math.Inf(1))
 			}
 		}
 		if unbounded.field != nil {
@@ -338,4 +476,150 @@ func TestEntryFirstStopsRangeSearch(t *testing.T) {
 		t.Errorf("%.1f%% of the entries reached the exact evaluator, want under 5%%", 100*share)
 	}
 	t.Logf("%d queries: %.2f%% of %d entries evaluated", tested, 100*float64(candidates)/float64(tested*b.NumEntries()), b.NumEntries())
+}
+
+// reassemble rebuilds b through BaseFromParts, as a snapshot load does,
+// over the given vertex array (b's own, or bytes of it mapped from a file).
+func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
+	t.Helper()
+	parts, err := b.FrozenParts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := BaseSpec{
+		Opts: b.opts, Shapes: b.shapes, Verts: verts, VertEntry: parts.VertEntry,
+		EntryOff: parts.EntryOff, GeomBounds: parts.GeomBounds, Backend: parts.Backend,
+	}
+	for i, e := range parts.Entries {
+		spec.EntryMeta = append(spec.EntryMeta, EntryMeta{
+			ShapeID: int32(e.ShapeID), Copy: int32(e.Copy), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)})
+		spec.EntryTrans = append(spec.EntryTrans, e.Norm, e.Inv)
+		spec.Grids = append(spec.Grids, parts.Oracles[i].Grid())
+	}
+	re, err := BaseFromParts(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re
+}
+
+// TestFieldCellsFollowTheBase pins that a stored vertex's cell id is a
+// property of the vertex, whichever way its copy came to be searchable: a
+// base frozen from shapes, one reassembled from parts over heap slices and
+// over a read-only file mapping, a live shape at insert, and the base a
+// compaction freezes from the live shapes all hold fieldCell of every
+// vertex, in vertex order — the sliver's vertices outside the box included.
+func TestFieldCellsFollowTheBase(t *testing.T) {
+	frozen := fieldSliverBase(t)
+	want := make([]uint16, 0, len(frozen.verts))
+	for _, e := range frozen.entries {
+		for _, p := range e.Poly.Pts {
+			want = append(want, fieldCell(p))
+		}
+	}
+	if !reflect.DeepEqual(frozen.fieldCells, want) {
+		t.Fatal("Freeze: field cells are not fieldCell of the entries' vertices, in order")
+	}
+
+	if heap := reassemble(t, frozen, frozen.verts); !reflect.DeepEqual(heap.fieldCells, want) {
+		t.Fatal("BaseFromParts over heap slices: field cells differ from the frozen base's")
+	}
+	if mmap.Supported() && mmap.CanCast() {
+		raw := make([]byte, 0, 16*len(frozen.verts))
+		for _, p := range frozen.verts {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(p.X))
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(p.Y))
+		}
+		path := filepath.Join(t.TempDir(), "evtx")
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		m, err := mmap.Map(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		verts, ok := mmap.Cast[geom.Point](m.Data())
+		if !ok {
+			t.Fatal("mapped vertex bytes do not cast")
+		}
+		if mapped := reassemble(t, frozen, verts); !reflect.DeepEqual(mapped.fieldCells, want) {
+			t.Fatal("BaseFromParts over a mapping: field cells differ from the frozen base's")
+		}
+	}
+
+	d := NewDynamic(frozen.opts)
+	compacted := NewBase(frozen.opts)
+	for _, s := range frozen.shapes {
+		id, err := d.Insert(s.Image, s.Poly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := d.overflow[d.slot[id]]
+		eis := frozen.shapeEntries[s.ID]
+		lo, hi := frozen.entryOff[eis[0]], frozen.entryOff[eis[len(eis)-1]+1]
+		if !reflect.DeepEqual(live.cells, want[lo:hi]) || int(live.off[len(live.entries)]) != len(live.cells) {
+			t.Fatalf("Insert: live shape %d holds cells %v, the frozen base %v", id, live.cells, want[lo:hi])
+		}
+		for c := range live.entries {
+			if got := live.cells[live.off[c]:live.off[c+1]]; !reflect.DeepEqual(got, frozen.entryCells(eis[c])) {
+				t.Fatalf("Insert: live shape %d copy %d holds cells %v, the frozen entry %v", id, c, got, frozen.entryCells(eis[c]))
+			}
+		}
+		ls, err := d.Shape(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := compacted.AddShape(ls.Image, ls.Poly); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := compacted.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(compacted.fieldCells, want) {
+		t.Fatal("compaction: the base frozen from the live shapes holds other field cells")
+	}
+}
+
+// BenchmarkFieldReject times the reject loop in front of the bounded
+// evaluator the way a seeded scan runs it: every copy of a 100-image base
+// under the true 5th-best distance of a query, cell ids and table as the
+// search holds them. ns/vertex is per stored vertex of the copies visited,
+// rejected reports the share of copies the field turned away.
+func BenchmarkFieldReject(b *testing.B) {
+	spec := synth.PaperSpec(0.01, 1)
+	base := NewBase(DefaultOptions())
+	for _, img := range synth.GenerateBase(spec) {
+		for _, s := range img.Shapes {
+			if _, err := base.AddShape(img.ID, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := base.Freeze(); err != nil {
+		b.Fatal(err)
+	}
+	q := synth.Distort(rand.New(rand.NewSource(131)), base.Shape(7).Poly, 0.01)
+	ms, _, err := base.Match(q, 5)
+	if err != nil || len(ms) < 5 {
+		b.Fatalf("%d matches, %v", len(ms), err)
+	}
+	pq, err := PrepareQuery(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, cut := pq.distField(), ms[4].DistVertex
+	b.ResetTimer()
+	rejected := 0
+	for i := 0; i < b.N; i++ {
+		rejected = 0
+		for ei := range base.entries {
+			if f.ruledOut(base.entryCells(int32(ei)), cut) {
+				rejected++
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(base.verts)), "ns/vertex")
+	b.ReportMetric(float64(rejected)/float64(len(base.entries)), "rejected")
 }

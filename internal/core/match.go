@@ -46,8 +46,8 @@ type Stats struct {
 // MatchOpts are the knobs of one fattening search beyond (query, k).
 // The zero value is a plain top-k Match.
 type MatchOpts struct {
-	// Rank is an a-priori candidate ranking: it maps entry ids to a
-	// promisingness score (higher is more promising; missing means 0),
+	// Rank supplies an a-priori candidate ranking: a map from entry ids to
+	// a promisingness score (higher is more promising; missing means 0),
 	// and the bootstrap evaluations that seed the top-k visit
 	// higher-ranked candidates first. The ranking changes only the order
 	// in which the envelope's own candidates are evaluated — never which
@@ -55,8 +55,10 @@ type MatchOpts struct {
 	// admissible — so the returned matches are byte-identical for any
 	// rank; a good ranking (e.g. the ANN tier's signature agreement,
 	// DESIGN.md §4.10) merely tightens the k-th-best cutoff sooner.
-	// Stats may differ (fewer candidates paid for).
-	Rank map[int32]int32
+	// Stats may differ (fewer candidates paid for). It is called once, and
+	// only by a search that climbs: the bounded scan visits in index order
+	// and never asks for it.
+	Rank func() map[int32]int32
 	// Shared is a bound shared with concurrent searches over disjoint
 	// partitions of one logical base. Candidates proven strictly worse
 	// than it are discarded — admissible because the bound only ever
@@ -199,7 +201,7 @@ func (b *Base) matchPoly(q geom.Poly, k int, o MatchOpts) ([]Match, Stats, error
 func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, error) {
 	var stats Stats
 	qe, env, oracle := pq.entry, pq.env, pq.oracle
-	shared, publish, rank, onAccess := o.Shared, o.Publish, o.Rank, o.onAccess
+	shared, publish, onAccess := o.Shared, o.Publish, o.onAccess
 	lQ := qe.Poly.Perimeter()
 	epsMax := b.EpsilonMax(lQ)
 	stats.EpsilonMax = epsMax
@@ -217,6 +219,10 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 		// Completeness for the threshold query requires the ε/2 bound on
 		// untouched entries to pass tau.
 		thresholdEps = math.Max(thresholdEps, 2*tau*1.0001)
+	}
+	var rank map[int32]int32
+	if o.Rank != nil {
+		rank = o.Rank()
 	}
 
 	// The per-entry counters and distance sums implement the "bounds on
@@ -290,7 +296,7 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 				cut = sv
 			}
 		}
-		dv, ok, scored := pq.distWithin(e.Poly, b.entryOracle(ei), cut)
+		dv, ok, scored := pq.distWithin(e.Poly, b.entryCells(ei), b.entryOracle(ei), cut)
 		if scored {
 			stats.Candidates++
 		}
@@ -581,7 +587,8 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 
 // scanShape is a stored shape as the bounded evaluators walk it.
 func (b *Base) scanShape(id int) scanShape {
-	return scanShape{id: id, entries: b.entries, oracles: b.oracles, idx: b.shapeEntries[id], cost: b.entryCost}
+	return scanShape{id: id, entries: b.entries, oracles: b.oracles, cells: b.fieldCells, off: b.entryOff,
+		idx: b.shapeEntries[id], cost: b.entryCost}
 }
 
 // growEpsilon returns the next envelope width of the schedule: eps·grow,

@@ -65,13 +65,13 @@ func (b *BoundaryDist) Grid() *shapeindex.SegmentGrid { return b.grid }
 // read-only memory mapping, in which case the Base must not outlive it.
 type BaseSpec struct {
 	Opts       Options
-	Shapes     []Shape          // fully formed, ids 0..n-1 in order
-	EntryMeta  []EntryMeta      // one per entry
-	EntryTrans []geom.Transform // 2 per entry: Norm then Inv
-	Verts      []geom.Point     // flattened entry vertices
-	VertEntry  []int32          // vertex id → entry index
-	EntryOff   []int32          // entry index → first vertex id (len entries+1)
-	GeomBounds []GeomBound      // one per entry
+	Shapes     []Shape                   // fully formed, ids 0..n-1 in order
+	EntryMeta  []EntryMeta               // one per entry
+	EntryTrans []geom.Transform          // 2 per entry: Norm then Inv
+	Verts      []geom.Point              // flattened entry vertices
+	VertEntry  []int32                   // vertex id → entry index
+	EntryOff   []int32                   // entry index → first vertex id (len entries+1)
+	GeomBounds []GeomBound               // one per entry
 	Grids      []*shapeindex.SegmentGrid // one per entry: its oracle grid
 	Backend    rangesearch.Backend
 }
@@ -80,8 +80,8 @@ type BaseSpec struct {
 // result answers every query identically to the Base whose parts were
 // serialized: entries, bounds, oracles, and the range-search backend
 // are adopted as-is, and only O(n) bookkeeping (entry polygons aliasing
-// the vertex array, the shape→entries index, block-cost accounting) is
-// rebuilt.
+// the vertex array, the shape→entries index, the vertices' distance-field
+// cells, block-cost accounting) is rebuilt.
 func BaseFromParts(s BaseSpec) (*Base, error) {
 	ne := len(s.EntryMeta)
 	if ne == 0 {
@@ -155,6 +155,7 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 		}
 		b.oracles[i] = &BoundaryDist{shape: b.entries[i].Poly, grid: g}
 	}
+	b.fieldCells = appendFieldCells(make([]uint16, 0, len(b.verts)), b.verts)
 	b.backend = s.Backend
 	b.frozen = true
 	b.computeEntryCosts()

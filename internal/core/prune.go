@@ -163,8 +163,34 @@ const (
 // holds max(0, Dist(centre) − half-diagonal − geomBoundSlack). The slack
 // covers the oracle's rounding and a point the float cell index puts one
 // ulp outside its cell. float32, rounded toward zero, halves the table's
-// cache footprint. See DESIGN.md §4.9, "Distance-field reject".
-type distField [fieldNX * fieldNY]float32
+// cache footprint. The slot past the last cell, fieldOff, holds 0: it is
+// the cell of every point the table says nothing about. See DESIGN.md §4.9,
+// "Distance-field reject".
+type distField [fieldNX*fieldNY + 1]float32
+
+// fieldOff is the cell id of a point outside the table's box.
+const fieldOff = fieldNX * fieldNY
+
+// fieldCell returns the id of the table cell p falls in: fieldOff outside
+// the box and for non-finite coordinates (every comparison with NaN is
+// false). The box and the resolution are constants, so the id is a property
+// of the point alone — a stored vertex's is computed once, when its copy's
+// oracle is built, and every query's table is read through it.
+func fieldCell(p geom.Point) uint16 {
+	fx, fy := (p.X-fieldX0)*fieldRes, (p.Y-fieldY0)*fieldRes
+	if !(fx >= 0 && fx < fieldNX && fy >= 0 && fy < fieldNY) {
+		return fieldOff
+	}
+	return uint16(int(fy)*fieldNX + int(fx))
+}
+
+// appendFieldCells appends the cell id of every point of pts to dst.
+func appendFieldCells(dst []uint16, pts []geom.Point) []uint16 {
+	for _, p := range pts {
+		dst = append(dst, fieldCell(p))
+	}
+	return dst
+}
 
 func newDistField(o *BoundaryDist) *distField {
 	f := new(distField)
@@ -204,24 +230,14 @@ func float32Floor(d float64) float32 {
 	return v
 }
 
-// at returns the field's lower bound on Dist(p): 0 outside the box and for
-// non-finite coordinates (every comparison with NaN is false).
-func (f *distField) at(p geom.Point) float64 {
-	fx, fy := (p.X-fieldX0)*fieldRes, (p.Y-fieldY0)*fieldRes
-	if !(fx >= 0 && fx < fieldNX && fy >= 0 && fy < fieldNY) {
-		return 0
-	}
-	return float64(f[int(fy)*fieldNX+int(fx)])
-}
-
-// ruledOut reports whether the field proves a copy with vertices pts
-// strictly farther than cut: Σlb > 2·cut·n gives dir = ΣDist/n > 2·cut,
-// so DistVertex = (dir+back)/2 ≥ dir/2 > cut whatever back is.
-func (f *distField) ruledOut(pts []geom.Point, cut float64) bool {
-	trigger := 2 * cut * float64(len(pts)) * (1 + fieldGuard)
+// ruledOut reports whether the field proves a copy whose vertices fall in
+// cells strictly farther than cut: Σlb > 2·cut·n gives dir = ΣDist/n >
+// 2·cut, so DistVertex = (dir+back)/2 ≥ dir/2 > cut whatever back is.
+func (f *distField) ruledOut(cells []uint16, cut float64) bool {
+	trigger := 2 * cut * float64(len(cells)) * (1 + fieldGuard)
 	var sum float64
-	for _, p := range pts {
-		if sum += f.at(p); sum > trigger {
+	for _, id := range cells {
+		if sum += float64(f[id]); sum > trigger {
 			return true
 		}
 	}
@@ -238,15 +254,16 @@ func (pq *PreparedQuery) distField() *distField {
 }
 
 // distWithin is the one bounded evaluator of the symmetric vertex-averaged
-// measure between the query and a normalized copy cp whose boundary oracle
-// is back: (DistVertex, true) when it is ≤ cut — bit-identical to the
-// unbounded (dir+back)/2 — and ok = false once it is proven strictly above
-// cut, first by the query's distance field in O(1) per vertex, then by the
-// partial sums of the two directed passes. Both rejects are strict, so a
-// copy tying cut survives. scored is false when the field rejected the
-// copy: its vertices were read, the exact evaluator never ran.
-func (pq *PreparedQuery) distWithin(cp geom.Poly, back *BoundaryDist, cut float64) (dv float64, ok, scored bool) {
-	if cut <= math.MaxFloat64 && pq.distField().ruledOut(cp.Pts, cut) {
+// measure between the query and a normalized copy cp whose vertices fall in
+// the field cells cells and whose boundary oracle is back: (DistVertex,
+// true) when it is ≤ cut — bit-identical to the unbounded (dir+back)/2 —
+// and ok = false once it is proven strictly above cut, first by the query's
+// distance field in one 2-byte id and one table load per vertex, then by
+// the partial sums of the two directed passes. Both rejects are strict, so
+// a copy tying cut survives. scored is false when the field rejected the
+// copy: its cell ids were read, the exact evaluator never ran.
+func (pq *PreparedQuery) distWithin(cp geom.Poly, cells []uint16, back *BoundaryDist, cut float64) (dv float64, ok, scored bool) {
+	if cut <= math.MaxFloat64 && pq.distField().ruledOut(cells, cut) {
 		return 0, false, false
 	}
 	dir, ok := avgMinDistVerticesBoundedAffine(cp, pq.oracle, 0, cut)

@@ -15,11 +15,14 @@ import (
 // scanShape is one shape as the bounded evaluators walk it: its normalized
 // copies are entries[idx[0]], entries[idx[1]], … — the base-wide arrays of
 // a frozen Base — or, with idx nil, all of entries in order (a live
-// shape's own).
+// shape's own). Entry ei's vertices fall in the distance-field cells
+// cells[off[ei]:off[ei+1]].
 type scanShape struct {
 	id      int
 	entries []Entry
 	oracles []*BoundaryDist
+	cells   []uint16
+	off     []int32
 	idx     []int32
 	cost    []int32 // per-entry block cost; nil where storage is not block-accounted
 }
@@ -55,7 +58,7 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 		if best < cut {
 			cut = best
 		}
-		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, s.oracles[ei], cut)
+		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, s.cells[s.off[ei]:s.off[ei+1]], s.oracles[ei], cut)
 		if reached {
 			scored++
 		}

@@ -13,7 +13,8 @@ import (
 )
 
 // SegmentGrid answers nearest-segment queries over a fixed set of
-// segments using a uniform bucket grid with expanding ring search.
+// segments using a uniform bucket grid searched outward from the query
+// point's cell.
 // Build is O(n) for n segments of bounded length; queries on
 // image-extracted shapes (short, evenly sized edges) are O(1) expected.
 //
@@ -151,99 +152,113 @@ func (g *SegmentGrid) Segment(i int) geom.Segment {
 	return geom.Seg(geom.Pt(g.ax[i], g.ay[i]), geom.Pt(g.ax[i]+g.dx[i], g.ay[i]+g.dy[i]))
 }
 
-// scanCell folds every segment of cell idx into the running squared-
-// distance minimum and returns the updated (best index, best distance²).
-func (g *SegmentGrid) scanCell(idx int, px, py float64, best int, best2 float64) (int, float64) {
-	lo, hi := g.cellStart[idx], g.cellStart[idx+1]
-	for _, id := range g.cellIDs[lo:hi] {
-		wx, wy := px-g.ax[id], py-g.ay[id]
-		t := (wx*g.dx[id] + wy*g.dy[id]) * g.invL2[id]
-		if t < 0 {
-			t = 0
-		} else if t > 1 {
-			t = 1
+// nearest2 is the one exact nearest-segment walk: the index of the segment
+// closest to p and the squared distance to it, (-1, +Inf) when nothing is
+// closer than +Inf (a non-finite p), and how many segment evaluations that
+// took.
+//
+// It scans p's own cell, then grows the box of settled cells [x0,x1]×[y0,y1]
+// a side at a time, left, right, down, up in turn, but only on sides that can
+// still matter. Every segment is listed in each cell it touches, so one
+// listed only in cells left of the box lies wholly left of the box's left
+// edge, at least p.X − edge away — likewise on the other three sides — and
+// once that gap squared reaches the best squared distance the side is
+// settled for good (the gap never shrinks, the best never grows). A side
+// where the grid ends has nothing left to scan. The walk ends when all four
+// sides are settled, so by the box reaching the grid's edge if by nothing
+// sooner, whatever the arrays hold and whatever p is: a NaN gap compares
+// false and settles its side.
+//
+// A cell row is one run of cellIDs (cell y·nx+x starts where cell y·nx+x−1
+// ends), so a strip of cells is scanned row by row without a per-cell step;
+// a segment listed in several of the cells is evaluated again, to the same
+// value. The result is the minimum of the one kernel below over a set of
+// segments that holds a nearest one, so any walk with an admissible bound
+// returns the same bits.
+func (g *SegmentGrid) nearest2(p geom.Point) (best int, best2 float64, evals int) {
+	// One length for the five segment arrays: one bounds check per segment.
+	ax := g.ax
+	ay, dx, dy, invL2 := g.ay[:len(ax)], g.dx[:len(ax)], g.dy[:len(ax)], g.invL2[:len(ax)]
+	cellStart, cellIDs := g.cellStart, g.cellIDs
+	px, py := p.X, p.Y
+	minX, minY, cw, ch := g.bounds.Min.X, g.bounds.Min.Y, g.cw, g.ch
+	x0, y0 := g.cellOf(p)
+	x1, y1 := x0, y0
+	best, best2 = -1, math.Inf(1)
+	xa, xb, ya, yb := x0, x0, y0, y0 // the strip of cells to scan: p's own first
+walk:
+	for side := 0; ; {
+		for y := ya; y <= yb; y++ {
+			row := y * g.nx
+			run := cellIDs[cellStart[row+xa]:cellStart[row+xb+1]]
+			evals += len(run)
+			for _, id := range run {
+				wx, wy := px-ax[id], py-ay[id]
+				t := min(max((wx*dx[id]+wy*dy[id])*invL2[id], 0), 1)
+				ex, ey := wx-t*dx[id], wy-t*dy[id]
+				d2 := ex*ex + ey*ey
+				if d2 < best2 {
+					best = int(id)
+				}
+				best2 = min(best2, d2)
+			}
 		}
-		ex, ey := wx-t*g.dx[id], wy-t*g.dy[id]
-		if d2 := ex*ex + ey*ey; d2 < best2 {
-			best2 = d2
-			best = int(id)
+		// The next strip: the box grown by the next side, in turn, that is
+		// not settled. A column spans the box's rows and a row its columns,
+		// so the box stays a box of settled cells.
+		for settled := 0; ; settled++ {
+			if settled == 4 {
+				break walk
+			}
+			s := side
+			side = (side + 1) & 3
+			switch {
+			case s == 0 && x0 > 0 && gapBeats(px-(minX+float64(x0)*cw), best2):
+				x0--
+				xa, xb, ya, yb = x0, x0, y0, y1
+			case s == 1 && x1 < g.nx-1 && gapBeats(minX+float64(x1+1)*cw-px, best2):
+				x1++
+				xa, xb, ya, yb = x1, x1, y0, y1
+			case s == 2 && y0 > 0 && gapBeats(py-(minY+float64(y0)*ch), best2):
+				y0--
+				xa, xb, ya, yb = x0, x1, y0, y0
+			case s == 3 && y1 < g.ny-1 && gapBeats(minY+float64(y1+1)*ch-py, best2):
+				y1++
+				xa, xb, ya, yb = x0, x1, y1, y1
+			default:
+				continue
+			}
+			break
 		}
 	}
-	return best, best2
+	if math.IsNaN(best2) {
+		// min keeps a NaN, which only a non-finite p (or one so far out that
+		// its dot products overflow) produces: no segment is at a distance.
+		return -1, math.Inf(1), evals
+	}
+	return best, best2, evals
+}
+
+// gapBeats reports whether a segment beyond a gap could be nearer than
+// best2, a squared distance. A gap an ulp below zero (cellOf and the cell's
+// edge round apart) is no gap.
+func gapBeats(gap, best2 float64) bool {
+	gap = max(gap, 0)
+	return gap*gap < best2
 }
 
 // Nearest returns the index of the segment closest to p and the distance
-// to it. It searches grid rings outward from p's cell and stops as soon as
-// the best distance found cannot be beaten by any unexplored ring. The
-// ring walk is open-coded (no callback) so the whole query runs without
-// allocating.
+// to it: (-1, +Inf) for a p with a non-finite coordinate. Among segments at
+// the same distance which one is returned is unspecified.
 func (g *SegmentGrid) Nearest(p geom.Point) (int, float64) {
-	cx, cy := g.cellOf(p)
-	px, py := p.X, p.Y
-	best := -1
-	best2 := math.Inf(1)
-	maxRing := g.nx + g.ny // enough to cover the whole grid from any cell
-	for ring := 0; ring <= maxRing; ring++ {
-		// Lower bound on the distance to any cell in this ring.
-		if best >= 0 && ring > 0 {
-			lb := (float64(ring - 1)) * math.Min(g.cw, g.ch)
-			if lb*lb > best2 {
-				break
-			}
-		}
-		if ring == 0 {
-			best, best2 = g.scanCell(g.cellIndex(cx, cy), px, py, best, best2)
-			continue
-		}
-		x0, x1 := cx-ring, cx+ring
-		y0, y1 := cy-ring, cy+ring
-		for x := x0; x <= x1; x++ {
-			if x < 0 || x >= g.nx {
-				continue
-			}
-			if y0 >= 0 && y0 < g.ny {
-				best, best2 = g.scanCell(g.cellIndex(x, y0), px, py, best, best2)
-			}
-			if y1 >= 0 && y1 < g.ny {
-				best, best2 = g.scanCell(g.cellIndex(x, y1), px, py, best, best2)
-			}
-		}
-		for y := y0 + 1; y <= y1-1; y++ {
-			if y < 0 || y >= g.ny {
-				continue
-			}
-			if x0 >= 0 && x0 < g.nx {
-				best, best2 = g.scanCell(g.cellIndex(x0, y), px, py, best, best2)
-			}
-			if x1 >= 0 && x1 < g.nx {
-				best, best2 = g.scanCell(g.cellIndex(x1, y), px, py, best, best2)
-			}
-		}
-	}
-	if best < 0 {
-		// p far outside a sparse grid: fall back to a scan (still correct).
-		for id := range g.ax {
-			wx, wy := px-g.ax[id], py-g.ay[id]
-			t := (wx*g.dx[id] + wy*g.dy[id]) * g.invL2[id]
-			if t < 0 {
-				t = 0
-			} else if t > 1 {
-				t = 1
-			}
-			ex, ey := wx-t*g.dx[id], wy-t*g.dy[id]
-			if d2 := ex*ex + ey*ey; d2 < best2 {
-				best2 = d2
-				best = id
-			}
-		}
-	}
-	return best, math.Sqrt(best2)
+	i, d2, _ := g.nearest2(p)
+	return i, math.Sqrt(d2)
 }
 
 // Dist returns the distance from p to the nearest indexed segment.
 func (g *SegmentGrid) Dist(p geom.Point) float64 {
-	_, d := g.Nearest(p)
-	return d
+	_, d2, _ := g.nearest2(p)
+	return math.Sqrt(d2)
 }
 
 // String implements fmt.Stringer with a capacity summary.

@@ -669,15 +669,21 @@ func (p *frozenPart) epsilonMax(pq *core.PreparedQuery) float64 {
 // reach the convergence condition (the k-th best must exist to be proven
 // within ε/2). A capped part must not publish — its k'-th best does not
 // bound the merged k-th — but may consume, since anything it discards is
-// proven outside the merged top-k (DESIGN.md §4.9). The part ranks its
-// bootstrap candidates against its own ANN index — a visit-order change,
-// so the matches are byte-identical to AnnOff.
+// proven outside the merged top-k (DESIGN.md §4.9). A climb ranks its
+// bootstrap candidates against the part's own ANN index — a visit-order
+// change, so the matches are byte-identical to AnnOff; the scan has no
+// order to change and probes nothing, and the ANN stats say which it was.
 func (p *frozenPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode, shared *core.SharedBound, scored map[int]core.Match) ([]Match, Stats, error) {
 	kk := min(k, p.liveShapes())
 	if kk == 0 {
 		return nil, Stats{Converged: true}, nil // every shape tombstoned
 	}
-	rank, stats := p.e.annRank(pq, ann)
+	var stats Stats
+	rank := func() map[int32]int32 {
+		r, st := p.e.annRank(pq, ann)
+		stats = st
+		return r
+	}
 	base := p.e.db.Base()
 	ms, st, err := base.MatchPrepared(ctx, pq, kk, core.MatchOpts{Rank: rank, Shared: shared, Publish: kk == k, Dead: p.dead, Scored: scored})
 	if err != nil {
