@@ -29,9 +29,9 @@ race:
 # bound its sibling parts publish concurrently, and a request's distance
 # field is built once and read by every shard goroutine — the same class,
 # as are the stored vertices' field cells and the oracle grids' one walk,
-# which every shard goroutine reads. Run the affected suites at both
-# settings.
-PROCS_RUN := 'Equivalence|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst|Scan|Seed|SegmentGridDist'
+# which every shard goroutine reads, and the floors a bucket pass orders
+# itself by. Run the affected suites at both settings.
+PROCS_RUN := 'Equivalence|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst|Scan|Seed|SegmentGridDist|Bucket|Floor'
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex
 	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex
@@ -54,10 +54,12 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of each figure and ANN benchmark (the latter on a
-# 60-image base under -short) — catches benchmarks that no longer compile
-# or panic, without paying for stable timings.
+# 60-image base under -short) and of the two kernel benchmarks (the served
+# exact search at three base sizes, the seed pass alone) — catches
+# benchmarks that no longer compile or panic, without paying for stable
+# timings.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn' -benchtime=1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring' -benchtime=1x .
 
 # Short fuzzing budget per target (Go allows one -fuzz pattern per
 # package invocation, hence one line each). Catches regressions in the

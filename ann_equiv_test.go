@@ -108,7 +108,7 @@ func TestSeededExactBuildsNoRank(t *testing.T) {
 					t.Fatal(err)
 				}
 				parts := e.view().parts
-				fits := scoreSeed(parts, pq, hashBuckets(parts, pq), k).bound() != nil
+				fits := mustSeed(t, parts, pq, hashBuckets(parts, pq), k).bound() != nil
 				want, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
 				if err != nil {
 					t.Fatalf("%s q%d k=%d off: %v", e.name, qi, k, err)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -326,6 +327,56 @@ func benchmarkMatchAtScale(b *testing.B, scale float64) {
 func BenchmarkMatch_Scaling_50images(b *testing.B)  { benchmarkMatchAtScale(b, 0.005) }
 func BenchmarkMatch_Scaling_100images(b *testing.B) { benchmarkMatchAtScale(b, 0.01) }
 func BenchmarkMatch_Scaling_200images(b *testing.B) { benchmarkMatchAtScale(b, 0.02) }
+
+// BenchmarkBucketScoring times the seed pass of that search alone — the
+// query's hash bucket scored best-first (scoreSeed; DESIGN.md §4.9), over
+// the 200-image base and its 64 queries, bucket lookup and distance field
+// outside the clock — and reports what the pass's order is for: how many of
+// the bucket's shapes it scored in full (they came back with a distance)
+// and how many normalized copies reached the exact evaluator, per query.
+func BenchmarkBucketScoring(b *testing.B) {
+	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
+	eng := buildSingle(b, images)
+	parts := eng.searchView().parts
+	ctx := context.Background()
+	var evaluated atomic.Int64
+	type prepared struct {
+		pq      *core.PreparedQuery
+		buckets [][]int
+	}
+	var qs []prepared
+	var bucket, inFull int
+	for _, q := range synth.Queries(rand.New(rand.NewSource(2)), images, 64, 0.01) {
+		pq, err := core.PrepareQuery(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pq.AttachEvalCounter(&evaluated)
+		p := prepared{pq, hashBuckets(parts, pq)}
+		// The pass is deterministic: this one builds the query's distance
+		// field and is the one counted.
+		for _, m := range mustSeed(b, parts, pq, p.buckets, 5).scored[0] {
+			bucket++
+			if m.EntryID >= 0 {
+				inFull++
+			}
+		}
+		qs = append(qs, p)
+	}
+	copies := evaluated.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		if _, err := scoreSeed(ctx, parts, q.pq, q.buckets, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(len(qs))
+	b.ReportMetric(float64(bucket)/n, "bucket/query")
+	b.ReportMetric(float64(inFull)/n, "scored/query")
+	b.ReportMetric(float64(copies)/n, "copies/query")
+}
 
 // --- §3: geometric hashing -------------------------------------------------
 

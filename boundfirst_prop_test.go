@@ -63,6 +63,16 @@ func engineUnseeded(t *testing.T, label string, e *Engine, q Shape, k int, mode 
 	return approx[:min(k, len(approx))]
 }
 
+// mustSeed is the seed pass of a request nobody cancels.
+func mustSeed(t testing.TB, parts []part, pq *core.PreparedQuery, buckets [][]int, k int) *hashSeed {
+	t.Helper()
+	seed, err := scoreSeed(context.Background(), parts, pq, buckets, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seed
+}
+
 // seeded reports whether a Search of (q, k) over the parts runs under a
 // hash-tier seed, so a scenario can assert it exercises the path it is
 // there for.
@@ -72,7 +82,7 @@ func seeded(t *testing.T, parts []part, q Shape, k int) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return scoreSeed(parts, pq, hashBuckets(parts, pq), k).bound() != nil
+	return mustSeed(t, parts, pq, hashBuckets(parts, pq), k).bound() != nil
 }
 
 // assertBoundFirst sweeps modes × exec policies of one (engine, q, k) and
@@ -131,13 +141,13 @@ func assertHandOver(t *testing.T, label string, parts []part, q Shape, k int) (s
 			for _, width := range []int{1, len(parts)} {
 				l := fmt.Sprintf("%s procs=%d %v width=%d", label, procs, mode, width)
 				req := SearchRequest{Query: q, K: k, Mode: mode}
-				on := scoreSeed(parts, pq, buckets, k)
+				on := mustSeed(t, parts, pq, buckets, k)
 				seeded = on.bound() != nil
 				got, gst, err := exactSeeded(ctx, parts, pq, req, width, on)
 				if err != nil {
 					t.Fatalf("%s: %v", l, err)
 				}
-				off := scoreSeed(parts, pq, buckets, k)
+				off := mustSeed(t, parts, pq, buckets, k)
 				off.scored = nil
 				want, wst, err := exactSeeded(ctx, parts, pq, req, width, off)
 				if err != nil {
@@ -445,7 +455,7 @@ func TestSeededSearchIsOneScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed := scoreSeed(parts, pq, hashBuckets(parts, pq), k)
+		seed := mustSeed(t, parts, pq, hashBuckets(parts, pq), k)
 		shared := seed.bound()
 		if shared == nil {
 			continue
@@ -494,7 +504,7 @@ func TestBoundFirstFitRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	buckets := hashBuckets(parts, pq)
-	seed := scoreSeed(parts, pq, buckets, 1)
+	seed := mustSeed(t, parts, pq, buckets, 1)
 	sv, epsMax := seed.kth.Kth(), seed.epsMax
 	for si := 0; si < se.NumShards(); si++ {
 		if em := se.Shard(si).Base().EpsilonMax(pq.Entry().Poly.Perimeter()); em < epsMax {
@@ -504,7 +514,7 @@ func TestBoundFirstFitRule(t *testing.T) {
 	if math.IsInf(sv, 1) || math.IsInf(epsMax, 1) || seed.bound() == nil {
 		t.Fatalf("no k=1 seed for a copy of a stored shape (k-th %g, ε_max %g)", sv, epsMax)
 	}
-	if short := scoreSeed(parts, pq, buckets, se.NumShapes()+1); short.bound() != nil {
+	if short := mustSeed(t, parts, pq, buckets, se.NumShapes()+1); short.bound() != nil {
 		t.Fatalf("a bucket short of k shapes must not seed")
 	}
 	seed.epsMax = 2 * sv * 1.0001
@@ -556,7 +566,7 @@ func TestBoundFirstStaleSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed := scoreSeed(parts, pq, hashBuckets(parts, pq), 1)
+		seed := mustSeed(t, parts, pq, hashBuckets(parts, pq), 1)
 		if seed.kth.Kth() != 0 {
 			t.Fatalf("shards=%d: seed %g, want the inserted copy at 0", shards, seed.kth.Kth())
 		}

@@ -165,3 +165,14 @@ func (d *Dynamic) ShapeDistancePreparedBounded(id int, pq *PreparedQuery, cutoff
 	best, _, _, _ := sc.nearest(pq, cutoff, nil)
 	return best, best <= cutoff, nil
 }
+
+// ShapeFloor is Base.ShapeFloor for a live shape; 0 — no claim — for one
+// that is not (deleted since it was listed).
+func (d *Dynamic) ShapeFloor(id int, pq *PreparedQuery) float64 {
+	s, err := d.live(id)
+	if err != nil {
+		return 0
+	}
+	sc := s.scan()
+	return sc.floor(pq.distField())
+}

@@ -19,8 +19,10 @@ import (
 
 // fieldAtPoint reads the field at p the way the search did before the cell
 // ids existed — the table index from the point's two float64s, 0 outside the
-// box — and fieldSumPoints is the reject loop over those reads: the
-// references the cell-id form is held to, bit for bit.
+// box — and fieldLoopPoints is the reject as the search ran it before the
+// sum form: a loop over those reads that stops at the first partial sum
+// above the trigger. fieldSumPoints is the full sum of those reads. They are
+// the references the cell-id, one-comparison form is held to, bit for bit.
 func fieldAtPoint(f *distField, p geom.Point) float64 {
 	fx, fy := (p.X-fieldX0)*fieldRes, (p.Y-fieldY0)*fieldRes
 	if !(fx >= 0 && fx < fieldNX && fy >= 0 && fy < fieldNY) {
@@ -29,25 +31,22 @@ func fieldAtPoint(f *distField, p geom.Point) float64 {
 	return float64(f[int(fy)*fieldNX+int(fx)])
 }
 
-func fieldSumPoints(f *distField, pts []geom.Point, cut float64) (rejected bool, sum float64) {
+func fieldLoopPoints(f *distField, pts []geom.Point, cut float64) bool {
 	trigger := 2 * cut * float64(len(pts)) * (1 + fieldGuard)
+	var sum float64
 	for _, p := range pts {
 		if sum += fieldAtPoint(f, p); sum > trigger {
-			return true, sum
+			return true
 		}
 	}
-	return false, sum
+	return false
 }
 
-// fieldSumCells is ruledOut's loop returning the partial sum it stopped at.
-func fieldSumCells(f *distField, cells []uint16, cut float64) (rejected bool, sum float64) {
-	trigger := 2 * cut * float64(len(cells)) * (1 + fieldGuard)
-	for _, id := range cells {
-		if sum += float64(f[id]); sum > trigger {
-			return true, sum
-		}
+func fieldSumPoints(f *distField, pts []geom.Point) (sum float64) {
+	for _, p := range pts {
+		sum += fieldAtPoint(f, p)
 	}
-	return false, sum
+	return sum
 }
 
 // fieldTestShapes are the query boundaries the distance-field properties
@@ -179,9 +178,10 @@ func fieldSliverBase(t *testing.T) *Base {
 }
 
 // checkCellReject holds the reject over b's stored cell ids to the reject
-// over the vertices themselves for one query — slot by slot, then decision
-// and partial sum at 0.5×, 1× and 2× the true k-th best (wants are the
-// entries' exact distances) — and returns how many copies were rejected.
+// over the vertices themselves for one query — slot by slot, then the sum,
+// and the one comparison's decision against the early-exit loop's at 0.5×,
+// 1× and 2× the true k-th best (wants are the entries' exact distances) —
+// and returns how many copies were rejected.
 func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) (rejects int) {
 	t.Helper()
 	f := pq.distField()
@@ -203,14 +203,14 @@ func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) 
 	for _, scale := range []float64{0.5, 1, 2} {
 		cut := scale * byShape[k-1]
 		for ei := range b.entries {
-			cells := b.entryCells(int32(ei))
-			rej, sum := fieldSumCells(f, cells, cut)
-			refRej, refSum := fieldSumPoints(f, b.entries[ei].Poly.Pts, cut)
-			if rej != refRej || math.Float64bits(sum) != math.Float64bits(refSum) {
-				t.Fatalf("entry %d cut %v: cells (%v, %v), points (%v, %v)", ei, cut, rej, sum, refRej, refSum)
+			cells, pts := b.entryCells(int32(ei)), b.entries[ei].Poly.Pts
+			sum := f.sum(cells)
+			if ref := fieldSumPoints(f, pts); math.Float64bits(sum) != math.Float64bits(ref) {
+				t.Fatalf("entry %d: the cells sum to %v, the points to %v", ei, sum, ref)
 			}
-			if got := f.ruledOut(cells, cut); got != refRej {
-				t.Fatalf("entry %d cut %v: ruledOut = %v, the loop over the points %v", ei, cut, got, refRej)
+			rej := fieldRejects(sum, len(cells), cut)
+			if ref := fieldLoopPoints(f, pts, cut); rej != ref {
+				t.Fatalf("entry %d cut %v: the sum rejects = %v, the early-exit loop over the points %v", ei, cut, rej, ref)
 			}
 			if rej {
 				rejects++
@@ -225,12 +225,13 @@ func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) 
 // too, whatever it lets through comes back with the same bytes, and the
 // reject is strict — a copy whose distance is exactly the cutoff (a tie
 // at the k-th) survives, as it does one ulp above; one ulp below, the field
-// still only follows the exact passes. With no finite cutoff the field is
-// not even built. And the reject reads the table through the stored
-// vertices' cell ids exactly as it would through the vertices themselves:
-// the same slot per vertex, the slot of "outside the box" included, hence
-// the same decision at the same partial sum — at half, once and twice the
-// true k-th best, where a search's cutoffs lie.
+// still only follows the exact passes. And the reject reads the table
+// through the stored vertices' cell ids exactly as it would through the
+// vertices themselves — the same slot per vertex, the slot of "outside the
+// box" included, hence the same sum — and comparing the full sum once
+// decides what the loop that stopped at the first partial sum above the
+// trigger decided: at half, once and twice the true k-th best, where a
+// search's cutoffs lie.
 func TestFieldRejectIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	b := pruneTestBase(t, synth.BaseSpec{
@@ -251,11 +252,9 @@ func TestFieldRejectIsExact(t *testing.T) {
 		for ei := range b.entries {
 			cp, back := b.entries[ei].Poly, b.entryOracle(int32(ei))
 			wants[ei], _ = unfielded(pq, cp, back, math.Inf(1))
-			if got, ok, scored := pq.distWithin(cp, b.entryCells(int32(ei)), back, math.Inf(1)); !ok || !scored || got != wants[ei] {
+			// No finite cutoff: no sum, however large, rejects.
+			if got, ok, scored := pq.distWithin(cp, math.MaxFloat64, back, math.Inf(1)); !ok || !scored || got != wants[ei] {
 				t.Fatalf("trial %d entry %d: no cutoff: (%v, %v, %v), want %v", trial, ei, got, ok, scored, wants[ei])
-			}
-			if pq.field != nil {
-				t.Fatalf("trial %d entry %d: the field was built with no finite cutoff", trial, ei)
 			}
 		}
 		cellRejects += checkCellReject(t, b, pq, wants)
@@ -267,7 +266,7 @@ func TestFieldRejectIsExact(t *testing.T) {
 				if cut < 0 {
 					continue
 				}
-				got, ok, scored := pq.distWithin(cp, b.entryCells(int32(ei)), back, cut)
+				got, ok, scored := pq.distWithin(cp, pq.distField().sum(b.entryCells(int32(ei))), back, cut)
 				ref, refOK := unfielded(pq, cp, back, cut)
 				if ok != refOK || (ok && got != ref) {
 					t.Fatalf("trial %d entry %d cut %v: (%v, %v), un-fielded (%v, %v)", trial, ei, cut, got, ok, ref, refOK)
@@ -314,11 +313,99 @@ func TestFieldRejectIsExact(t *testing.T) {
 	}
 }
 
+// TestFloorAdmissible is the proof obligation of the best-first bucket pass
+// (DESIGN.md §4.9): a shape's floor never exceeds its exact distance — for
+// every (query, shape) of a 20-image base under 32 queries, and of the
+// sliver base, whose off-table vertices contribute nothing — so a shape the
+// pass stops in front of (floor above the cutoff, at half, once and twice
+// the true k-th) is one the bounded scorer rejects at that cutoff. A live
+// shape's floor is the frozen one's, bit for bit, and a deleted shape's
+// claims nothing.
+func TestFloorAdmissible(t *testing.T) {
+	spec := synth.PaperSpec(0.002, 137)
+	images := synth.GenerateBase(spec)
+	demo := pruneTestBase(t, spec)
+	wide := fieldSliverBase(t)
+	wideQueries := []geom.Poly{wide.Shape(0).Poly}
+	for sid := 1; sid < wide.NumShapes(); sid += 3 {
+		wideQueries = append(wideQueries, wide.Shape(sid).Poly)
+	}
+	positive, stopped := 0, 0
+	for _, tc := range []struct {
+		name    string
+		b       *Base
+		queries []geom.Poly
+	}{
+		{"demo-20", demo, synth.Queries(rand.New(rand.NewSource(139)), images, 32, 0.01)},
+		{"sliver", wide, wideQueries},
+	} {
+		d := NewDynamic(tc.b.opts)
+		for _, s := range tc.b.shapes {
+			if _, err := d.Insert(s.Image, s.Poly); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for qi, q := range tc.queries {
+			pq, err := PrepareQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k = 3
+			floors, dists := make([]float64, tc.b.NumShapes()), make([]float64, tc.b.NumShapes())
+			for sid := range floors {
+				floors[sid] = tc.b.ShapeFloor(sid, pq)
+				if dists[sid], err = tc.b.ShapeDistancePrepared(sid, pq); err != nil {
+					t.Fatal(err)
+				}
+				if !(floors[sid] >= 0) || floors[sid] > dists[sid] {
+					t.Fatalf("%s q%d shape %d: floor %v, exact distance %v", tc.name, qi, sid, floors[sid], dists[sid])
+				}
+				if floors[sid] > 0 {
+					positive++
+				}
+				if live := d.ShapeFloor(sid, pq); math.Float64bits(live) != math.Float64bits(floors[sid]) {
+					t.Fatalf("%s q%d shape %d: live floor %v, frozen %v", tc.name, qi, sid, live, floors[sid])
+				}
+			}
+			sorted := append([]float64(nil), dists...)
+			sort.Float64s(sorted)
+			for _, scale := range []float64{0.5, 1, 2} {
+				cut := scale * sorted[k-1]
+				for sid, floor := range floors {
+					if floor <= cut {
+						continue
+					}
+					stopped++
+					if m, ok, err := tc.b.ShapeDistancePreparedBounded(sid, pq, cut); err != nil || ok || m.EntryID != -1 {
+						t.Fatalf("%s q%d shape %d: floor %v above cutoff %v, yet scored (%+v, %v, %v)", tc.name, qi, sid, floor, cut, m, ok, err)
+					}
+				}
+			}
+		}
+		if err := d.Delete(0); err != nil {
+			t.Fatal(err)
+		}
+		pq, err := PrepareQuery(tc.queries[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.ShapeFloor(0, pq); got != 0 {
+			t.Fatalf("%s: a deleted shape's floor is %v, want 0", tc.name, got)
+		}
+		if got := tc.b.ShapeFloor(tc.b.NumShapes(), pq); got != 0 {
+			t.Fatalf("%s: the floor of a shape id out of range is %v, want 0", tc.name, got)
+		}
+	}
+	if positive < 1000 || stopped < 1000 {
+		t.Fatalf("%d positive floors, %d shapes past a stop; the test wants plenty of each", positive, stopped)
+	}
+}
+
 // TestFieldBuiltOncePerRequest shares one prepared query between 8 parts
 // searched two at a time under a fitting bound, the way a request fans
 // out: every part sees the same table — one build, raced under -race —
 // and the answers are those of a query of their own. A query that is only
-// ever evaluated without a finite cutoff builds none.
+// ever scored unbounded builds none.
 func TestFieldBuiltOncePerRequest(t *testing.T) {
 	images := synth.GenerateBase(synth.BaseSpec{
 		Images: 48, MeanShapes: 3, MeanVertices: 13, Prototypes: 6,
@@ -404,12 +491,9 @@ func TestFieldBuiltOncePerRequest(t *testing.T) {
 			if _, err := bases[0].ShapeDistancePrepared(sid, unbounded); err != nil {
 				t.Fatal(err)
 			}
-			for _, ei := range bases[0].shapeEntries[sid] {
-				unbounded.distWithin(bases[0].entries[ei].Poly, bases[0].entryCells(ei), bases[0].entryOracle(ei), math.Inf(1))
-			}
 		}
 		if unbounded.field != nil {
-			t.Fatalf("trial %d: a query never evaluated under a finite cutoff built its field", trial)
+			t.Fatalf("trial %d: a query never scored under a cutoff built its field", trial)
 		}
 	}
 }
@@ -582,7 +666,7 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 	}
 }
 
-// BenchmarkFieldReject times the reject loop in front of the bounded
+// BenchmarkFieldReject times the reject in front of the bounded
 // evaluator the way a seeded scan runs it: every copy of a 100-image base
 // under the true 5th-best distance of a query, cell ids and table as the
 // search holds them. ns/vertex is per stored vertex of the copies visited,
@@ -615,7 +699,7 @@ func BenchmarkFieldReject(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rejected = 0
 		for ei := range base.entries {
-			if f.ruledOut(base.entryCells(int32(ei)), cut) {
+			if cells := base.entryCells(int32(ei)); fieldRejects(f.sum(cells), len(cells), cut) {
 				rejected++
 			}
 		}

@@ -296,7 +296,7 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 				cut = sv
 			}
 		}
-		dv, ok, scored := pq.distWithin(e.Poly, b.entryCells(ei), b.entryOracle(ei), cut)
+		dv, ok, scored := pq.distWithin(e.Poly, pq.distField().sum(b.entryCells(ei)), b.entryOracle(ei), cut)
 		if scored {
 			stats.Candidates++
 		}

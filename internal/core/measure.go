@@ -220,7 +220,7 @@ func directedKth(a, b geom.Poly, k int) float64 {
 // every shard of a partitioned base — hoists the normalization and grid
 // builds out of candidate and shard loops. A PreparedQuery is safe for
 // concurrent use: immutable but for the distance field, built once at the
-// first evaluation under a finite cutoff.
+// first bounded evaluation.
 type PreparedQuery struct {
 	entry  Entry
 	oracle *BoundaryDist
@@ -231,6 +231,9 @@ type PreparedQuery struct {
 	// block accounting). Atomic because one prepared query fans out
 	// across shard goroutines.
 	blocks *atomic.Int64
+	// evaluated, when attached, counts the copies those checks let through
+	// to the exact evaluator (BenchmarkBucketScoring reads it).
+	evaluated *atomic.Int64
 
 	// field is the lower-bound distance field of the query boundary in
 	// front of every bounded evaluation (distWithin).
@@ -262,6 +265,10 @@ func (pq *PreparedQuery) Entry() Entry { return pq.entry }
 // AttachBlockCounter makes the query charge per-entry block costs into
 // c. Attach before sharing the query across goroutines.
 func (pq *PreparedQuery) AttachBlockCounter(c *atomic.Int64) { pq.blocks = c }
+
+// AttachEvalCounter makes the query count into c the copies its bounded
+// distance checks send to the exact evaluator. Attach before sharing.
+func (pq *PreparedQuery) AttachEvalCounter(c *atomic.Int64) { pq.evaluated = c }
 
 // Oracle returns the query's boundary-distance oracle.
 func (pq *PreparedQuery) Oracle() *BoundaryDist { return pq.oracle }

@@ -230,40 +230,54 @@ func float32Floor(d float64) float32 {
 	return v
 }
 
-// ruledOut reports whether the field proves a copy whose vertices fall in
-// cells strictly farther than cut: Σlb > 2·cut·n gives dir = ΣDist/n >
-// 2·cut, so DistVertex = (dir+back)/2 ≥ dir/2 > cut whatever back is.
-func (f *distField) ruledOut(cells []uint16, cut float64) bool {
-	trigger := 2 * cut * float64(len(cells)) * (1 + fieldGuard)
+// sum is the field's lower bound on ΣDist over a copy's vertices, which
+// fall in cells: every term is non-negative, so the float64 partial sums
+// only grow and the full sum exceeds a trigger exactly when some prefix of
+// it does — comparing it once decides what an early-exit loop would.
+func (f *distField) sum(cells []uint16) float64 {
 	var sum float64
 	for _, id := range cells {
-		if sum += float64(f[id]); sum > trigger {
-			return true
-		}
+		sum += float64(f[id])
 	}
-	return false
+	return sum
 }
 
-// distField returns the query's distance field, built at first use: a
-// request that never evaluates under a finite cutoff never pays for it,
-// and every part and goroutine of one that does shares the one table
-// (immutable once built).
+// fieldRejects is the one field-reject decision: whether fsum, the field's
+// sum over the n vertices of a copy, proves the copy strictly farther than
+// cut. Σlb > 2·cut·n gives dir = ΣDist/n > 2·cut, so DistVertex =
+// (dir+back)/2 ≥ dir/2 > cut whatever back is. Never true at cut = +Inf.
+func fieldRejects(fsum float64, n int, cut float64) bool {
+	return fsum > 2*cut*float64(n)*(1+fieldGuard)
+}
+
+// fieldFloor turns a copy's field sum into a lower bound on its DistVertex,
+// slackened by the reject's own margin: a floor above cut proves the copy
+// strictly farther than cut, as fieldRejects would.
+func fieldFloor(fsum float64, n int) float64 {
+	return fsum / (2 * float64(n) * (1 + fieldGuard))
+}
+
+// distField returns the query's distance field, built at first use — the
+// first floor taken or copy evaluated under a cutoff: a request that only
+// ever scores unbounded (ShapeDistancePrepared) never pays for it, and
+// every part and goroutine of one that does shares the one table (immutable
+// once built).
 func (pq *PreparedQuery) distField() *distField {
 	pq.fieldOnce.Do(func() { pq.field = newDistField(pq.oracle) })
 	return pq.field
 }
 
 // distWithin is the one bounded evaluator of the symmetric vertex-averaged
-// measure between the query and a normalized copy cp whose vertices fall in
-// the field cells cells and whose boundary oracle is back: (DistVertex,
-// true) when it is ≤ cut — bit-identical to the unbounded (dir+back)/2 —
-// and ok = false once it is proven strictly above cut, first by the query's
-// distance field in one 2-byte id and one table load per vertex, then by
-// the partial sums of the two directed passes. Both rejects are strict, so
-// a copy tying cut survives. scored is false when the field rejected the
-// copy: its cell ids were read, the exact evaluator never ran.
-func (pq *PreparedQuery) distWithin(cp geom.Poly, cells []uint16, back *BoundaryDist, cut float64) (dv float64, ok, scored bool) {
-	if cut <= math.MaxFloat64 && pq.distField().ruledOut(cells, cut) {
+// measure between the query and a normalized copy cp whose vertices the
+// query's distance field sums to fsum (0 claims nothing) and whose boundary
+// oracle is back: (DistVertex, true) when it is ≤ cut — bit-identical to the
+// unbounded (dir+back)/2 — and ok = false once it is proven strictly above
+// cut, first by the field's sum in one comparison, then by the partial sums
+// of the two directed passes. Both rejects are strict, so a copy tying cut
+// survives. scored is false when the field rejected the copy: the exact
+// evaluator never ran.
+func (pq *PreparedQuery) distWithin(cp geom.Poly, fsum float64, back *BoundaryDist, cut float64) (dv float64, ok, scored bool) {
+	if fieldRejects(fsum, len(cp.Pts), cut) {
 		return 0, false, false
 	}
 	dir, ok := avgMinDistVerticesBoundedAffine(cp, pq.oracle, 0, cut)
@@ -343,9 +357,25 @@ func (b *Base) ShapeDistancePreparedBounded(shapeID int, pq *PreparedQuery, cuto
 		return Match{}, false, fmt.Errorf("core: shape id %d out of range", shapeID)
 	}
 	s := b.scanShape(shapeID)
-	best, ei, _, blocks := s.nearest(pq, cutoff, nil)
+	best, ei, scored, blocks := s.nearest(pq, cutoff, nil)
 	if pq.blocks != nil {
 		pq.blocks.Add(int64(blocks))
 	}
+	if pq.evaluated != nil {
+		pq.evaluated.Add(int64(scored))
+	}
 	return Match{ShapeID: shapeID, EntryID: ei, DistVertex: best}, best <= cutoff, nil
+}
+
+// ShapeFloor is a lower bound on the shape's distance to the prepared query
+// that costs one table load per stored vertex (the query's distance field
+// summed over each copy, the smallest per-vertex average halved): above a
+// cutoff it proves what ShapeDistancePreparedBounded would report under it,
+// strictly outside. 0 — no claim — for an id out of range.
+func (b *Base) ShapeFloor(shapeID int, pq *PreparedQuery) float64 {
+	if shapeID < 0 || shapeID >= len(b.shapes) {
+		return 0
+	}
+	s := b.scanShape(shapeID)
+	return s.floor(pq.distField())
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -553,9 +552,11 @@ func pruneTestBase(t *testing.T, spec synth.BaseSpec) *Base {
 // TestBoundFirstOneEnvelope pins the bound-first path of the kernel
 // (DESIGN.md §4.9): a search that starts under a bound tightened to the
 // true k-th best — what the hash-tier seed hands it, at best — opens no
-// envelope: it scans every entry once, in entry-index order, lets through
-// to the exact evaluator only what the distance field cannot turn away,
-// stops Converged and returns the bytes of the unshared search.
+// envelope: it scans every entry once — shapes in index order, within a
+// shape the copy with the lowest field floor first and the rest in index
+// order — lets through to the exact evaluator only what the distance field
+// cannot turn away, stops Converged and returns the bytes of the unshared
+// search.
 func TestBoundFirstOneEnvelope(t *testing.T) {
 	b := pruneTestBase(t, synth.BaseSpec{
 		Images: 40, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
@@ -588,10 +589,28 @@ func TestBoundFirstOneEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Entries are evaluated in the order they lie in memory (the
-		// hook's last len(got) calls report the matches).
-		if evaluated := accessed[:len(accessed)-len(got)]; !sort.IntsAreSorted(evaluated) {
-			t.Fatalf("trial %d (k=%d): entries evaluated out of index order: %v", trial, k, evaluated)
+		// Shapes are evaluated in the order they lie in memory, a shape's
+		// most promising copy ahead of its others (the hook's last len(got)
+		// calls report the matches).
+		var order []int
+		for sid := range b.shapes {
+			eis, f := b.shapeEntries[sid], pq.distField()
+			floor := func(ei int32) float64 { return fieldFloor(f.sum(b.entryCells(ei)), int(b.entryVertexCount(ei))) }
+			first := 0
+			for c, ei := range eis {
+				if floor(ei) < floor(eis[first]) {
+					first = c
+				}
+			}
+			order = append(order, int(eis[first]))
+			for c, ei := range eis {
+				if c != first {
+					order = append(order, int(ei))
+				}
+			}
+		}
+		if evaluated := accessed[:len(accessed)-len(got)]; !reflect.DeepEqual(evaluated, order) {
+			t.Fatalf("trial %d (k=%d): entries evaluated in the order %v, want %v", trial, k, evaluated, order)
 		}
 		if gst.Iterations != 1 || !gst.Converged || gst.TrianglesQueried != 0 {
 			t.Fatalf("trial %d (k=%d): %d iterations, %d triangle queries, converged=%v; want one scan, converged",

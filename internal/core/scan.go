@@ -34,35 +34,83 @@ func (s *scanShape) copies() int {
 	return len(s.entries)
 }
 
-// nearest evaluates the shape's copies, in order, under cutoff and the
-// best so far: it returns the smallest distance found, the entry (index
+// entry returns the index into s.entries of the shape's c-th copy.
+func (s *scanShape) entry(c int) int {
+	if s.idx != nil {
+		return int(s.idx[c])
+	}
+	return c
+}
+
+// fieldSum is the query's distance field summed over entry ei's vertices.
+func (s *scanShape) fieldSum(f *distField, ei int) float64 {
+	return f.sum(s.cells[s.off[ei]:s.off[ei+1]])
+}
+
+// floor is the field's lower bound on the shape's distance, the smallest
+// of its copies' (fieldFloor): above a cutoff, it proves every copy — the
+// shape — strictly outside it.
+func (s *scanShape) floor(f *distField) float64 {
+	floor := math.Inf(1)
+	for c, n := 0, s.copies(); c < n; c++ {
+		ei := s.entry(c)
+		floor = min(floor, fieldFloor(s.fieldSum(f, ei), len(s.entries[ei].Poly.Pts)))
+	}
+	return floor
+}
+
+// nearestStack is how many copies' field sums nearest keeps on its stack
+// (the 200-image paper base: median 16 copies a shape, at most 42); a shape
+// with more α-diameter copies than that pays one allocation.
+const nearestStack = 64
+
+// nearest evaluates the shape's copies under cutoff and the best so far,
+// best-first: each copy's field sum is read once, the copy with the lowest
+// floor goes to the evaluator first — the likeliest to set a best that the
+// others' sums then fail against in one comparison — and the rest follow in
+// index order. It returns the smallest distance found, the entry (index
 // into s.entries) of the lowest copy realizing it — -1 when every copy was
 // proven strictly above cutoff — how many copies reached the exact
 // evaluator, and the block cost of the copies read (all of them: a reject
 // reads the copy it rejects). A distance ≤ cutoff is the shape's exact
 // distance. onAccess, when set, sees every entry read.
 func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(entryID int)) (best float64, bestEi, scored, blocks int) {
-	best, bestEi = math.Inf(1), -1
-	for c, n := 0, s.copies(); c < n; c++ {
-		ei := c
-		if s.idx != nil {
-			ei = int(s.idx[c])
+	f, n := pq.distField(), s.copies()
+	var stack [nearestStack]float64
+	sums := stack[:]
+	if n > len(sums) {
+		sums = make([]float64, n)
+	}
+	first, lowest := 0, math.Inf(1)
+	for c := 0; c < n; c++ {
+		ei := s.entry(c)
+		sums[c] = s.fieldSum(f, ei)
+		if fl := fieldFloor(sums[c], len(s.entries[ei].Poly.Pts)); fl < lowest {
+			first, lowest = c, fl
 		}
+	}
+	best, bestEi = math.Inf(1), -1
+	// The lowest-floor copy, then copies 0…n-1 without it.
+	for v := -1; v < n; v++ {
+		c := v
+		if v < 0 {
+			c = first
+		} else if v == first {
+			continue
+		}
+		ei := s.entry(c)
 		if s.cost != nil {
 			blocks += int(s.cost[ei])
 		}
 		if onAccess != nil {
 			onAccess(ei)
 		}
-		cut := cutoff
-		if best < cut {
-			cut = best
-		}
-		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, s.cells[s.off[ei]:s.off[ei+1]], s.oracles[ei], cut)
+		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, sums[c], s.oracles[ei], min(cutoff, best))
 		if reached {
 			scored++
 		}
-		if ok && dv < best {
+		// The lowest copy on ties, whatever order the copies came in.
+		if ok && (dv < best || dv == best && ei < bestEi) {
 			best, bestEi = dv, ei
 		}
 	}
@@ -96,7 +144,7 @@ func boundedScan(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, n i
 		m  Match
 		at int // shapeAt index
 	}
-	var hits []hit
+	hits := make([]hit, 0, min(max(k, 0), 8)) // as NewDistTopK: the usual k without regrowth
 	topk := NewDistTopK(k)
 	for i := 0; i < n; i++ {
 		if i&31 == 0 {
@@ -172,7 +220,11 @@ type DistTopK struct {
 	h []float64 // max-heap
 }
 
-func NewDistTopK(k int) *DistTopK { return &DistTopK{k: k} }
+// NewDistTopK presizes the heap for the k a request usually brings, so
+// filling it does not reallocate its way up.
+func NewDistTopK(k int) *DistTopK {
+	return &DistTopK{k: k, h: make([]float64, 0, min(max(k, 0), 8))}
+}
 
 func (t *DistTopK) Kth() float64 {
 	if t.k <= 0 || len(t.h) < t.k {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -173,5 +174,53 @@ func TestScanEquivalence(t *testing.T) {
 	}
 	if tested < 40 || ties == 0 {
 		t.Fatalf("%d (query, k, bound) rows ran the scan, %d with a tie at the k-th slot; want at least 40 and 1", tested, ties)
+	}
+}
+
+// TestNearestLowestCopyOnTies pins the tie rule of scanShape.nearest where
+// the visit order no longer implies it: three copies of one polygon tie on
+// distance to the bit, and the last of them — its cells read "outside the
+// table", a floor of 0 — is the one nearest evaluates first. Whatever the
+// cutoff lets through, the entry reported is the lowest.
+func TestNearestLowestCopyOnTies(t *testing.T) {
+	es, err := Normalize(unitSquare(), 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poly := es[0].Poly
+	s := scanShape{id: 7, off: []int32{0}}
+	for c := 0; c < 3; c++ {
+		s.entries = append(s.entries, Entry{ShapeID: 7, Copy: c, Poly: poly})
+		s.oracles = append(s.oracles, NewBoundaryDist(poly))
+		if c < 2 {
+			s.cells = appendFieldCells(s.cells, poly.Pts)
+		} else {
+			for range poly.Pts {
+				s.cells = append(s.cells, fieldOff)
+			}
+		}
+		s.off = append(s.off, int32(len(s.cells)))
+	}
+	pq, err := PrepareQuery(geom.NewPolygon(geom.Pt(0, 0), geom.Pt(3, 0), geom.Pt(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := pq.distField()
+	if low, high := s.fieldSum(f, 2), s.fieldSum(f, 0); low != 0 || high <= 0 {
+		t.Fatalf("field sums %v and %v: the last copy must have the lowest floor", high, low)
+	}
+	var order []int
+	want, ei, scored, _ := s.nearest(pq, math.Inf(1), func(ei int) { order = append(order, ei) })
+	if !reflect.DeepEqual(order, []int{2, 0, 1}) || scored != 3 {
+		t.Fatalf("copies visited in the order %v, %d scored; want the lowest floor first, then index order, all three scored", order, scored)
+	}
+	if ei != 0 || want <= 0 {
+		t.Fatalf("three copies tie at %v: entry %d reported, want the lowest", want, ei)
+	}
+	if got, ei, _, _ := s.nearest(pq, want, nil); got != want || ei != 0 {
+		t.Fatalf("cutoff at the distance: (%v, entry %d), want (%v, entry 0)", got, ei, want)
+	}
+	if got, ei, _, _ := s.nearest(pq, math.Nextafter(want, 0), nil); ei != -1 || !math.IsInf(got, 1) {
+		t.Fatalf("cutoff below the distance: (%v, entry %d), want every copy rejected", got, ei)
 	}
 }

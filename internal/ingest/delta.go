@@ -331,6 +331,15 @@ func (d *Delta) ScoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Ma
 	return Match{GID: d.gids[id], ImageID: d.imageOf[id], Distance: dist}, true
 }
 
+// Floor is a lower bound on the distance ScoreBounded would report for
+// the delta shape (core.Dynamic.ShapeFloor): a bucket is scored in floor
+// order. 0 — no claim — for a shape deleted since it was listed.
+func (d *Delta) Floor(id int, pq *core.PreparedQuery) float64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.dyn.ShapeFloor(id, pq)
+}
+
 // GID maps a delta shape id to its global shape id (-1 if unknown).
 func (d *Delta) GID(id int) int {
 	d.mu.RLock()

@@ -1,9 +1,11 @@
 package geosir
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -230,6 +232,10 @@ type part interface {
 	// realizing the distance — what exact's scored takes; -1 when there is
 	// no distance, and on a part whose exact ignores scored.
 	scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (m Match, entry int, ok bool)
+	// floor is a lower bound on the distance scoreBounded would report for
+	// the candidate, at the cost of one table load per stored vertex: above
+	// a cutoff it proves the candidate strictly outside it. 0 claims nothing.
+	floor(id int, pq *core.PreparedQuery) float64
 	// annOrder reorders candidates best-first by ANN agreement.
 	annOrder(pq *core.PreparedQuery, ids []int) ([]int, Stats)
 	// epsilonMax is the widest envelope the part's exact search opens for
@@ -334,7 +340,11 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 			stats.UsedHashing = true
 			return respond(ms, stats)
 		}
-		ms, stats, err := exactSeeded(ctx, v.parts, pq, req, width, scoreSeed(v.parts, pq, buckets, req.K))
+		seed, err := scoreSeed(ctx, v.parts, pq, buckets, req.K)
+		if err != nil {
+			return nil, err
+		}
+		ms, stats, err := exactSeeded(ctx, v.parts, pq, req, width, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -509,29 +519,89 @@ type hashSeed struct {
 	epsMax float64 // smallest ε_max among the parts
 	// scored is, per part, what the pass proved about each bucket shape: its
 	// distance and realizing copy, or (EntryID -1) that it lies strictly
-	// above the k-th running when it was scored — which the final k-th, the
+	// above the k-th running when its turn came — by its score, or by its
+	// floor when the pass stopped in front of it — which the final k-th, the
 	// seed, only undercuts. Nil switches the hand-over off.
 	scored []map[int]core.Match
 }
 
-// scoreSeed scores the request's hash buckets, once and over every part,
-// each shape under the running k-th: a shape proven worse than it cannot
-// lower it. Every part will search under the seed, so its ε_max joins the
-// fit rule (bound).
-func scoreSeed(parts []part, pq *core.PreparedQuery, buckets [][]int, k int) *hashSeed {
+// scoreSeed scores the request's hash buckets, once and best-first over
+// every part at once (scoreBucket), each shape under the running k-th: a
+// shape proven worse than it cannot lower it. Every part will search under
+// the seed, so its ε_max joins the fit rule (bound).
+func scoreSeed(ctx context.Context, parts []part, pq *core.PreparedQuery, buckets [][]int, k int) (*hashSeed, error) {
 	s := &hashSeed{kth: core.NewDistTopK(k), epsMax: math.Inf(1), scored: make([]map[int]core.Match, len(parts))}
+	var stack [bucketStack]bucketShape
+	cands := stack[:0]
 	for i, p := range parts {
 		s.epsMax = min(s.epsMax, p.epsilonMax(pq))
 		s.scored[i] = make(map[int]core.Match, len(buckets[i]))
-		for _, id := range buckets[i] {
-			m, entry, ok := p.scoreBounded(id, pq, s.kth.Kth())
-			if ok {
-				s.kth.Add(m.Distance)
-			}
-			s.scored[i][id] = core.Match{ShapeID: id, EntryID: entry, DistVertex: m.Distance}
-		}
+		cands = appendFloors(cands, p, i, buckets[i], pq)
 	}
-	return s
+	err := scoreBucket(ctx, parts, pq, cands, s.kth.Kth, func(c bucketShape, m Match, entry int, ok bool) {
+		if ok {
+			s.kth.Add(m.Distance)
+		}
+		s.scored[c.part][int(c.id)] = core.Match{ShapeID: int(c.id), EntryID: entry, DistVertex: m.Distance}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// bucketShape is one candidate of a bucket pass: shape id of parts[part],
+// with the floor its part puts under its distance.
+type bucketShape struct {
+	part, id int32
+	floor    float64
+}
+
+// bucketStack is how many candidates a bucket pass lists on its stack (4
+// KiB; the 200-image paper base puts 157 shapes in a query's bucket): a
+// larger bucket moves the list to the heap, once per pass.
+const bucketStack = 256
+
+// appendFloors appends the part's candidates ids, each with its floor.
+func appendFloors(cands []bucketShape, p part, pi int, ids []int, pq *core.PreparedQuery) []bucketShape {
+	for _, id := range ids {
+		cands = append(cands, bucketShape{part: int32(pi), id: int32(id), floor: p.floor(id, pq)})
+	}
+	return cands
+}
+
+// scoreBucket is the one loop that scores hash-bucket (or ANN) candidates,
+// best-first (DESIGN.md §4.9, "The bucket is scored best-first"): cands are
+// sorted by floor — stably, so the order they were listed in survives among
+// equal floors — and each is scored by its part under the cutoff current
+// when its turn comes, which the shapes likeliest to be near have tightened
+// by then. The first candidate whose floor exceeds the cutoff ends the pass:
+// the cutoff only falls and the floors after it only rise, so it and
+// everything behind it is proven strictly outside, unscored. took sees
+// every candidate once, scored or not — ok false, entry -1 for one proven
+// outside. Every reject is strict against a cutoff that never undercuts the
+// final k-th, so what took is shown within the final cutoff does not depend
+// on the order. ctx is checked every 32 candidates, as the scan does.
+func scoreBucket(ctx context.Context, parts []part, pq *core.PreparedQuery, cands []bucketShape,
+	cutoff func() float64, took func(c bucketShape, m Match, entry int, ok bool)) error {
+	slices.SortStableFunc(cands, func(a, b bucketShape) int { return cmp.Compare(a.floor, b.floor) })
+	for i, c := range cands {
+		if i&31 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		cut := cutoff()
+		if c.floor > cut {
+			for _, behind := range cands[i:] {
+				took(behind, Match{}, -1, false)
+			}
+			return nil
+		}
+		m, entry, ok := parts[c.part].scoreBounded(int(c.id), pq, cut)
+		took(c, m, entry, ok)
+	}
+	return nil
 }
 
 // bound returns a shared bound tightened to the seed, or nil when there
@@ -556,8 +626,9 @@ func (s *hashSeed) bound() *core.SharedBound {
 // every part's bucket, ranked with the similarity measure under one
 // shared bound. A non-off ann mode reorders each bucket best-first by ANN
 // agreement before scoring — a pure visit-order change (the admissible
-// cutoffs make the surviving top-k order-invariant), reported in the
-// returned Stats' ANN fields.
+// cutoffs make the surviving top-k order-invariant), kept among candidates
+// of equal floor (scoreBucket) and reported in the returned Stats' ANN
+// fields.
 func approxScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, buckets [][]int, k, width int, ann AnnMode) ([]Match, Stats, error) {
 	return scatter(ctx, parts, k, width, nil, true, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
 		ids := buckets[i]
@@ -565,34 +636,37 @@ func approxScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, bu
 		if ann != AnnOff {
 			ids, st = parts[i].annOrder(pq, ids)
 		}
-		return scoreCandidates(parts[i], pq, ids, k, shared), st, nil
+		ms, err := scoreCandidates(ctx, parts[i], pq, ids, k, shared)
+		return ms, st, err
 	})
 }
 
 // scoreCandidates ranks one part's candidates against a prepared query,
-// skipping shapes proven unable to make the final top-k: every candidate
-// is scored under the tightest currently-proven cutoff — the k-th best
-// distance scored so far, and (when non-nil) the bound shared with the
-// sibling parts — and the bounded evaluation abandons a shape as soon as
-// a partial sum proves its distance strictly above that cutoff. Both
-// cutoffs only ever hold values ≥ the final k-th best, and the skip is
-// strict, so the surviving list truncates to a top-k byte-identical to
-// the exhaustive ranking (DESIGN.md §4.9). Candidates are live when they
-// are listed, so a published bound only ever reflects shapes that can
-// appear in the final answer.
-func scoreCandidates(p part, pq *core.PreparedQuery, ids []int, k int, shared *core.SharedBound) []Match {
+// best-first (scoreBucket), skipping shapes proven unable to make the final
+// top-k: every candidate is scored under the tightest currently-proven
+// cutoff — the k-th best distance scored so far, and (when non-nil) the
+// bound shared with the sibling parts — and the bounded evaluation abandons
+// a shape as soon as its floor or a partial sum proves its distance
+// strictly above that cutoff. Both cutoffs only ever hold values ≥ the
+// final k-th best, and the skip is strict, so the surviving list truncates
+// to a top-k byte-identical to the exhaustive ranking (DESIGN.md §4.9).
+// Candidates are live when they are listed, so a published bound only ever
+// reflects shapes that can appear in the final answer.
+func scoreCandidates(ctx context.Context, p part, pq *core.PreparedQuery, ids []int, k int, shared *core.SharedBound) ([]Match, error) {
 	out := make([]Match, 0, len(ids))
 	kth := core.NewDistTopK(k)
-	for _, id := range ids {
+	cutoff := func() float64 {
 		cut := kth.Kth()
 		if shared != nil {
-			if sv := shared.Load(); sv < cut {
-				cut = sv
-			}
+			cut = min(cut, shared.Load())
 		}
-		m, _, ok := p.scoreBounded(id, pq, cut)
+		return cut
+	}
+	var stack [bucketStack]bucketShape
+	cands := appendFloors(stack[:0], p, 0, ids, pq)
+	err := scoreBucket(ctx, []part{p}, pq, cands, cutoff, func(_ bucketShape, m Match, _ int, ok bool) {
 		if !ok {
-			continue
+			return
 		}
 		kth.Add(m.Distance)
 		if shared != nil {
@@ -601,9 +675,12 @@ func scoreCandidates(p part, pq *core.PreparedQuery, ids []int, k int, shared *c
 			}
 		}
 		out = append(out, m)
+	})
+	if err != nil {
+		return nil, err
 	}
 	sortMatches(out)
-	return out
+	return out, nil
 }
 
 // frozenPart is a frozen Engine as one part of a view: its shapes minus
@@ -658,6 +735,10 @@ func (p *frozenPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64
 	return Match{ShapeID: p.global(id), ImageID: base.Shape(id).Image, Distance: m.DistVertex, Approximate: true}, m.EntryID, true
 }
 
+func (p *frozenPart) floor(id int, pq *core.PreparedQuery) float64 {
+	return p.e.db.Base().ShapeFloor(id, pq)
+}
+
 func (p *frozenPart) epsilonMax(pq *core.PreparedQuery) float64 {
 	return p.e.db.Base().EpsilonMax(pq.Entry().Poly.Perimeter())
 }
@@ -710,10 +791,11 @@ func (p *frozenPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, a
 	return out, stats, nil
 }
 
-func (p *frozenPart) annApprox(_ context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error) {
+func (p *frozenPart) annApprox(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error) {
 	shapes, probes := p.e.annCandidates(pq, annMinShapes(k))
 	shapes = p.live(shapes)
-	return scoreCandidates(p, pq, shapes, k, shared), annStats(probes, len(shapes)), nil
+	ms, err := scoreCandidates(ctx, p, pq, shapes, k, shared)
+	return ms, annStats(probes, len(shapes)), err
 }
 
 // sketchTable retrieves one sketch shape generously (enough shapes to
@@ -774,6 +856,8 @@ func (p deltaPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) 
 	m, ok := p.d.ScoreBounded(id, pq, cutoff)
 	return Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, Approximate: true}, -1, ok
 }
+
+func (p deltaPart) floor(id int, pq *core.PreparedQuery) float64 { return p.d.Floor(id, pq) }
 
 func (p deltaPart) annOrder(_ *core.PreparedQuery, ids []int) ([]int, Stats) { return ids, Stats{} }
 

@@ -3,7 +3,12 @@ package geosir
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/synth"
 )
 
 // TestSentinelErrors pins the errors.Is contract of the unified API:
@@ -133,23 +138,72 @@ func (c *errAfterCtx) Err() error {
 }
 
 // TestExactScanCancelled cancels a single Engine's ModeExact search while
-// its one part is mid-scan: the request's entry check and the scatter's
-// claim of the part have passed, the scan's first check too, and the
-// second — 32 shapes in — sees the cancel.
+// its one part is mid-scan: the request's entry check, the seed pass's
+// checks and the scatter's claim of the part have passed, the scan's first
+// check too, and the second — 32 shapes in — sees the cancel.
 func TestExactScanCancelled(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	eng := buildSingle(t, images)
 	req := SearchRequest{Query: queries[0], K: 1, Mode: ModeExact}
-	if eng.NumShapes() <= 32 || !seeded(t, eng.searchView().parts, req.Query, req.K) {
+	parts := eng.searchView().parts
+	if eng.NumShapes() <= 32 || !seeded(t, parts, req.Query, req.K) {
 		t.Fatalf("want a seeded search over more than 32 shapes (have %d)", eng.NumShapes())
 	}
-	ctx := &errAfterCtx{Context: context.Background(), after: 3}
+	pq, err := core.PrepareQuery(req.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedPass := &errAfterCtx{Context: context.Background(), after: math.MaxInt}
+	if _, err := scoreSeed(seedPass, parts, pq, hashBuckets(parts, pq), req.K); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &errAfterCtx{Context: context.Background(), after: 3 + seedPass.calls}
 	resp, err := eng.Search(ctx, req)
 	if !errors.Is(err, context.Canceled) || resp != nil {
 		t.Fatalf("got (%v, %v), want context.Canceled and no response", resp, err)
 	}
-	if ctx.calls != 4 {
-		t.Fatalf("the search consulted its context %d times, want the cancel seen on the 4th", ctx.calls)
+	if ctx.calls != ctx.after+1 {
+		t.Fatalf("the search consulted its context %d times, want the cancel seen on call %d", ctx.calls, ctx.after+1)
+	}
+}
+
+// TestSeedPassCancelled cancels a single Engine's search while the bucket
+// pass is under way — the seed pass of ModeExact, the hashing stage of
+// ModeApproximate: with k the bucket's size no k-th exists to stop the pass
+// early, so after the checks in front of it (the request's entry; for the
+// hashing stage also the scatter's claim of the part) and its own first one,
+// its second — 32 shapes in — sees the cancel.
+func TestSeedPassCancelled(t *testing.T) {
+	images := synth.GenerateBase(synth.PaperSpec(0.005, 41))
+	eng := buildSingle(t, images)
+	parts := eng.searchView().parts
+	var req SearchRequest
+	for _, q := range synth.Queries(rand.New(rand.NewSource(43)), images, 8, 0.01) {
+		pq, err := core.PrepareQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(hashBuckets(parts, pq)[0]); n > 32 {
+			req = SearchRequest{Query: q, K: n}
+			break
+		}
+	}
+	if req.K == 0 {
+		t.Fatal("no query with more than 32 shapes in its bucket")
+	}
+	for _, tc := range []struct {
+		mode   Mode
+		before int // context checks ahead of the bucket pass
+	}{{ModeExact, 1}, {ModeApproximate, 2}} {
+		req.Mode = tc.mode
+		ctx := &errAfterCtx{Context: context.Background(), after: tc.before + 1}
+		resp, err := eng.Search(ctx, req)
+		if !errors.Is(err, context.Canceled) || resp != nil {
+			t.Fatalf("%v: got (%v, %v), want context.Canceled and no response", tc.mode, resp, err)
+		}
+		if ctx.calls != ctx.after+1 {
+			t.Fatalf("%v: the search consulted its context %d times, want the cancel seen on call %d", tc.mode, ctx.calls, ctx.after+1)
+		}
 	}
 }
 
