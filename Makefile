@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: ci vet build test race test-procs ledger bench-check bench-smoke fuzz-smoke serve-smoke ingest-smoke load-smoke cover clean
+.PHONY: ci vet build test race test-procs purego ledger bench-check bench-smoke fuzz-smoke serve-smoke ingest-smoke load-smoke cover clean
 
 # The gate every PR must pass. Performance is not gated here: it is
 # measured with `make ledger` (the one benchmark, BENCHMARK.json).
-ci: vet build race test-procs bench-check bench-smoke fuzz-smoke serve-smoke ingest-smoke load-smoke
+ci: vet build race test-procs purego bench-check bench-smoke fuzz-smoke serve-smoke ingest-smoke load-smoke
 
 vet:
 	$(GO) vet ./...
@@ -35,6 +35,14 @@ PROCS_RUN := 'Equivalence|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst|
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex
 	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex
+
+# The geosir_purego build links no unsafe code: mmap.Cast always declines,
+# so the snapshot codec's portable branch (encoding/binary) is the only
+# decoder and encoder there, and no other leg compiles cast_purego.go or
+# resident_stub.go. The persistence and serving suites run under it.
+purego:
+	$(GO) vet -tags geosir_purego ./...
+	$(GO) test -tags geosir_purego -run 'GSIR3|V3|Mmap|Persist|Snapshot' . ./internal/server
 
 # The repo's one benchmark (bench/README.md, declared in BENCHMARK.json):
 # without ARGS a full set — four workloads, each untraced then traced,

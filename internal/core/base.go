@@ -91,18 +91,12 @@ type Base struct {
 	// by every query instead of being rebuilt per candidate evaluation.
 	oracles []*BoundaryDist
 
-	// geomBounds holds one O(1) geometric summary per entry (centroid +
-	// enclosing radius, bounding box), built at Freeze. The match kernel
-	// uses them for constant-time admissible lower bounds on the
-	// symmetric vertex-averaged distance (DESIGN.md §4.9).
-	geomBounds []GeomBound
-
 	// scratch recycles per-query working state across Match calls (see
 	// scratch.go). Populated lazily after Freeze.
 	scratch sync.Pool
 
 	// entryCost holds the page-granular storage footprint of each entry
-	// (vertices + transforms + bound + oracle grid), computed at Freeze
+	// (vertices + meta + transforms + oracle grid), computed at Freeze
 	// or reassembly. The match kernel charges it into Stats.BlocksRead
 	// whenever an entry is evaluated (§4 block accounting; see parts.go).
 	entryCost []int32
@@ -168,10 +162,6 @@ func (b *Base) Freeze() error {
 		}
 	}
 	b.entryOff[len(b.entries)] = int32(len(b.verts))
-	b.geomBounds = make([]GeomBound, len(b.entries))
-	for ei := range b.entries {
-		b.geomBounds[ei] = GeomBoundOf(b.entries[ei].Poly.Pts)
-	}
 	if b.opts.BackendFactory != nil {
 		b.backend = b.opts.BackendFactory(b.verts)
 	} else {

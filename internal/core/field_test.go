@@ -572,7 +572,7 @@ func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
 	}
 	spec := BaseSpec{
 		Opts: b.opts, Shapes: b.shapes, Verts: verts, VertEntry: parts.VertEntry,
-		EntryOff: parts.EntryOff, GeomBounds: parts.GeomBounds, Backend: parts.Backend,
+		EntryOff: parts.EntryOff, Backend: parts.Backend,
 	}
 	for i, e := range parts.Entries {
 		spec.EntryMeta = append(spec.EntryMeta, EntryMeta{

@@ -32,13 +32,12 @@ type EntryMeta struct {
 // The slices alias the base's live internals — callers must not mutate
 // them.
 type FrozenParts struct {
-	Entries    []Entry
-	Verts      []geom.Point
-	VertEntry  []int32
-	EntryOff   []int32
-	GeomBounds []GeomBound
-	Oracles    []*BoundaryDist
-	Backend    rangesearch.Backend
+	Entries   []Entry
+	Verts     []geom.Point
+	VertEntry []int32
+	EntryOff  []int32
+	Oracles   []*BoundaryDist
+	Backend   rangesearch.Backend
 }
 
 // FrozenParts returns the flattened state of a frozen base.
@@ -47,13 +46,12 @@ func (b *Base) FrozenParts() (FrozenParts, error) {
 		return FrozenParts{}, fmt.Errorf("core: FrozenParts on an unfrozen base")
 	}
 	return FrozenParts{
-		Entries:    b.entries,
-		Verts:      b.verts,
-		VertEntry:  b.vertEntry,
-		EntryOff:   b.entryOff,
-		GeomBounds: b.geomBounds,
-		Oracles:    b.oracles,
-		Backend:    b.backend,
+		Entries:   b.entries,
+		Verts:     b.verts,
+		VertEntry: b.vertEntry,
+		EntryOff:  b.entryOff,
+		Oracles:   b.oracles,
+		Backend:   b.backend,
 	}, nil
 }
 
@@ -71,17 +69,16 @@ type BaseSpec struct {
 	Verts      []geom.Point              // flattened entry vertices
 	VertEntry  []int32                   // vertex id → entry index
 	EntryOff   []int32                   // entry index → first vertex id (len entries+1)
-	GeomBounds []GeomBound               // one per entry
 	Grids      []*shapeindex.SegmentGrid // one per entry: its oracle grid
 	Backend    rangesearch.Backend
 }
 
 // BaseFromParts reassembles a frozen Base from flattened state. The
 // result answers every query identically to the Base whose parts were
-// serialized: entries, bounds, oracles, and the range-search backend
-// are adopted as-is, and only O(n) bookkeeping (entry polygons aliasing
-// the vertex array, the shape→entries index, the vertices' distance-field
-// cells, block-cost accounting) is rebuilt.
+// serialized: entries, oracles, and the range-search backend are adopted
+// as-is, and only O(n) bookkeeping (entry polygons aliasing the vertex
+// array, the shape→entries index, the vertices' distance-field cells,
+// block-cost accounting) is rebuilt.
 func BaseFromParts(s BaseSpec) (*Base, error) {
 	ne := len(s.EntryMeta)
 	if ne == 0 {
@@ -96,8 +93,8 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 	if len(s.EntryOff) != ne+1 {
 		return nil, fmt.Errorf("core: base parts entryOff len %d, want %d", len(s.EntryOff), ne+1)
 	}
-	if len(s.GeomBounds) != ne || len(s.Grids) != ne {
-		return nil, fmt.Errorf("core: base parts with mismatched per-entry arrays")
+	if len(s.Grids) != ne {
+		return nil, fmt.Errorf("core: base parts with %d oracle grids, want %d", len(s.Grids), ne)
 	}
 	if len(s.VertEntry) != len(s.Verts) {
 		return nil, fmt.Errorf("core: base parts vertEntry len %d, want %d", len(s.VertEntry), len(s.Verts))
@@ -147,7 +144,6 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 	b.verts = s.Verts
 	b.vertEntry = s.VertEntry
 	b.entryOff = s.EntryOff
-	b.geomBounds = s.GeomBounds
 	b.oracles = make([]*BoundaryDist, ne)
 	for i, g := range s.Grids {
 		if g == nil {
@@ -167,17 +163,18 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 // the index by blocks fetched, not CPU.
 var pageSize = os.Getpagesize()
 
-// computeEntryCosts models each entry's storage footprint — its
-// vertices, transforms, geometric bound, and oracle-grid arrays — in
-// pages. The match kernel charges this cost whenever it evaluates the
-// entry, turning the extstore simulation of the paper's §4 block
-// accounting into live counters on the real path.
+// computeEntryCosts models each entry's storage footprint — what a
+// snapshot holds for it: its vertices (EVTX), entry meta and the two
+// transforms (ENTM, ENTT), and its oracle grid's header and arrays
+// (GRDH, GSEG, GCEL, GIDS) — in pages. The match kernel charges this
+// cost whenever it evaluates the entry, turning the extstore simulation
+// of the paper's §4 block accounting into live counters on the real
+// path.
 func (b *Base) computeEntryCosts() {
 	b.entryCost = make([]int32, len(b.entries))
 	for ei := range b.entries {
 		nv := int(b.entryOff[ei+1] - b.entryOff[ei])
 		bytes := nv*16 + // vertices
-			7*8 + // GeomBound
 			2*32 + // Norm + Inv transforms
 			16 // entry meta
 		if o := b.oracles[ei]; o != nil && o.grid != nil {

@@ -13,54 +13,14 @@ import (
 // the parts of a request prune against each other mid-flight, the query's
 // distance field and the one bounded evaluator behind it.
 
-// geomBoundSlack absorbs the floating-point error of a lower bound derived
-// in real arithmetic: evaluated in floats it can overshoot by a few ulps,
+// geomBoundSlack absorbs the floating-point error of the distance
+// field's cells, lower bounds derived in real arithmetic (Dist(centre) −
+// half-diagonal): evaluated in floats one can overshoot by a few ulps,
 // so it is slackened before use. Shapes are diameter-normalized (every
 // coordinate is O(1), inside the lune), so an absolute margin of 1e-9 is
 // ~6 orders of magnitude above the accumulated rounding error while
 // costing nothing against the distances the engine ranks (~1e-2 scale).
 const geomBoundSlack = 1e-9
-
-// GeomBound is the O(1) summary of an entry's vertex set — the vertex
-// centroid with an enclosing radius, and the bounding box — computed at
-// Freeze and persisted (GSIR3's GBND section). No search consults it: two
-// normalized shapes always share (0,0) and (1,0) (§2.4), so their boxes
-// and balls always intersect and the separation the summary was built to
-// bound from below is identically 0 (DESIGN.md §4.9).
-type GeomBound struct {
-	CX, CY                 float64 // vertex centroid
-	R                      float64 // enclosing radius about the centroid
-	MinX, MinY, MaxX, MaxY float64
-}
-
-// GeomBoundOf summarizes a vertex set.
-func GeomBoundOf(pts []geom.Point) GeomBound {
-	if len(pts) == 0 {
-		return GeomBound{R: math.Inf(1), MinX: math.Inf(-1), MinY: math.Inf(-1),
-			MaxX: math.Inf(1), MaxY: math.Inf(1)}
-	}
-	g := GeomBound{
-		MinX: math.Inf(1), MinY: math.Inf(1),
-		MaxX: math.Inf(-1), MaxY: math.Inf(-1),
-	}
-	for _, p := range pts {
-		g.CX += p.X
-		g.CY += p.Y
-		g.MinX = math.Min(g.MinX, p.X)
-		g.MinY = math.Min(g.MinY, p.Y)
-		g.MaxX = math.Max(g.MaxX, p.X)
-		g.MaxY = math.Max(g.MaxY, p.Y)
-	}
-	g.CX /= float64(len(pts))
-	g.CY /= float64(len(pts))
-	for _, p := range pts {
-		dx, dy := p.X-g.CX, p.Y-g.CY
-		if r := math.Hypot(dx, dy); r > g.R {
-			g.R = r
-		}
-	}
-	return g
-}
 
 // SharedBound is an atomic, monotonically non-increasing distance bound
 // shared by concurrent searches: any value ever stored is a proven upper

@@ -13,25 +13,27 @@ import (
 // rebuilds them with Freeze and the reloaded engine answers every query
 // identically.
 //
-// Three stream formats exist. GSIR1 is the legacy format: a bare
-// concatenation of options and shapes with no integrity protection.
-// GSIR2 is the portable format: the same payload split into
-// length-prefixed sections (one for the options, one per image), each
-// followed by a CRC32 of its payload, so truncation and corruption are
-// detected instead of silently loading a skewed image base, and
-// LoadPartial can salvage every image whose section still verifies.
-// GSIR3 (persist_v3.go) additionally serializes the frozen index
-// itself as aligned, checksummed array sections, so opening a snapshot
-// is assembly instead of a geometry rebuild — and on capable
-// platforms the sections are mmap'd and used in place (LoadFileMmap).
-// Save writes GSIR2; Load reads all three.
+// Three stream formats are read, two are written. GSIR1 (persist_v1.go)
+// is the legacy format, read-only: a bare concatenation of options and
+// shapes with no integrity protection. GSIR2 (persist_v2.go) is the
+// portable format, and the one that snapshots an engine frozen or not:
+// the same payload split into length-prefixed sections (one for the
+// options, one per image), each followed by a CRC32 of its payload, so
+// truncation and corruption are detected instead of silently loading a
+// skewed image base, and LoadPartial can salvage every image whose
+// section still verifies. GSIR3 (persist_v3.go) additionally serializes
+// the frozen index itself as aligned, checksummed array sections
+// declared by one section table, so opening a snapshot is assembly
+// instead of a geometry rebuild — and on capable platforms the sections
+// are mmap'd and used in place (LoadFileMmap). Save writes GSIR2; Load,
+// LoadPartial and Peek read all three.
 
 // Format identifies a snapshot stream format.
 type Format int
 
 const (
-	// FormatGSIR1 is the legacy unchecksummed format (read + write kept
-	// for compatibility).
+	// FormatGSIR1 is the legacy unchecksummed format. It is only read:
+	// Peek reports it, SaveAs refuses it.
 	FormatGSIR1 Format = 1
 	// FormatGSIR2 is the portable checksummed, section-framed format.
 	FormatGSIR2 Format = 2
@@ -71,13 +73,10 @@ func freezeLoaded(eng *Engine) error {
 // again reproduces the stream byte for byte.
 func (e *Engine) Save(w io.Writer) error { return e.SaveAs(w, FormatGSIR2) }
 
-// SaveAs writes the engine in the requested stream format. Use
-// FormatGSIR1 only to produce snapshots for pre-GSIR2 readers; it has no
-// checksums.
+// SaveAs writes the engine in the requested stream format: FormatGSIR2
+// (any engine) or FormatGSIR3 (a frozen one).
 func (e *Engine) SaveAs(w io.Writer, f Format) error {
 	switch f {
-	case FormatGSIR1:
-		return e.saveGSIR1(w)
 	case FormatGSIR2:
 		return e.saveGSIR2(w)
 	case FormatGSIR3:
@@ -87,7 +86,7 @@ func (e *Engine) SaveAs(w io.Writer, f Format) error {
 	}
 }
 
-// Load reads an engine saved with Save or SaveAs (either format is
+// Load reads an engine saved with Save or SaveAs (the format is
 // negotiated from the magic), rebuilds every index, and returns it frozen
 // (ready to query). Any truncation, framing damage, or (for GSIR2
 // streams) checksum mismatch fails the load; use LoadPartial to salvage
@@ -130,7 +129,8 @@ type DroppedImage struct {
 
 // Recovery reports what LoadPartial salvaged and what it had to drop.
 type Recovery struct {
-	// Format names the stream format that was read ("GSIR1" or "GSIR2").
+	// Format names the stream format that was read ("GSIR1", "GSIR2" or
+	// "GSIR3").
 	Format string
 	// ImagesExpected is the image count the snapshot header declared.
 	ImagesExpected int
@@ -196,19 +196,19 @@ func LoadPartial(r io.Reader) (*Engine, *Recovery, error) {
 // any point leaves the previous snapshot intact; the new snapshot becomes
 // visible only as a whole.
 func (e *Engine) SaveFile(path string) error {
-	return e.saveFileAtomic(path, nil)
+	return e.saveFileAtomic(path, FormatGSIR2, nil)
 }
 
-// saveFileAtomic implements SaveFile. The wrap hook lets tests interpose
-// a fault-injecting writer between Save and the temp file to exercise
-// every crash point of the write path.
-func (e *Engine) saveFileAtomic(path string, wrap func(io.Writer) io.Writer) error {
-	return saveAtomic(path, e.Save, wrap)
+// SaveFileAs is SaveFile in an explicit stream format.
+func (e *Engine) SaveFileAs(path string, f Format) error {
+	return e.saveFileAtomic(path, f, nil)
 }
 
-// saveAtomic writes whatever save produces to path with the
-// temp-fsync-rename-dirsync discipline shared by every snapshot format.
-func saveAtomic(path string, save func(io.Writer) error, wrap func(io.Writer) io.Writer) error {
+// saveFileAtomic writes the snapshot to path with the
+// temp-fsync-rename-dirsync discipline every format shares. The wrap
+// hook lets tests interpose a fault-injecting writer between SaveAs and
+// the temp file to exercise every crash point of the write path.
+func (e *Engine) saveFileAtomic(path string, f Format, wrap func(io.Writer) io.Writer) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -220,7 +220,7 @@ func saveAtomic(path string, save func(io.Writer) error, wrap func(io.Writer) io
 	if wrap != nil {
 		w = wrap(tmp)
 	}
-	if err := save(w); err != nil {
+	if err := e.SaveAs(w, f); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -257,7 +257,8 @@ func syncDir(dir string) {
 type SnapshotInfo struct {
 	// Format is the stream format the snapshot was written in.
 	Format Format
-	// FormatName is the on-disk magic without the newline ("GSIR1"/"GSIR2").
+	// FormatName is the on-disk magic without the newline ("GSIR1",
+	// "GSIR2" or "GSIR3").
 	FormatName string
 	// Options are the engine options the snapshot declares.
 	Options Options

@@ -75,7 +75,7 @@ func TestSaveFileAtomicUnderWriteFaults(t *testing.T) {
 	next := altEngine(t)
 	size := len(snapshotBytes(t, next))
 	for _, off := range faultOffsets(size) {
-		err := next.saveFileAtomic(path, func(w io.Writer) io.Writer {
+		err := next.saveFileAtomic(path, FormatGSIR2, func(w io.Writer) io.Writer {
 			return iofault.FailWriter(w, int64(off))
 		})
 		if !errors.Is(err, iofault.ErrInjected) {
@@ -130,7 +130,7 @@ func TestSaveFileTornWriteDetected(t *testing.T) {
 	full := snapshotBytes(t, eng)
 	nimg := eng.NumImages()
 	for _, off := range faultOffsets(len(full)) {
-		err := eng.saveFileAtomic(path, func(w io.Writer) io.Writer {
+		err := eng.saveFileAtomic(path, FormatGSIR2, func(w io.Writer) io.Writer {
 			return iofault.TruncWriter(w, int64(off))
 		})
 		if err != nil {
@@ -285,11 +285,7 @@ func TestLoadPartialTruncatedTail(t *testing.T) {
 // stream (no checksums: recovery stops at the first parse error).
 func TestLoadPartialGSIR1Prefix(t *testing.T) {
 	eng := buildEngine(t)
-	var buf bytes.Buffer
-	if err := eng.SaveAs(&buf, FormatGSIR1); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := gsir1Golden(t)
 	eng2, rec, err := LoadPartial(bytes.NewReader(data[:len(data)-20]))
 	if err != nil {
 		t.Fatalf("LoadPartial: %v", err)

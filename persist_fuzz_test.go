@@ -25,16 +25,14 @@ func fuzzSeedEngine() *Engine {
 // fixed point, so no accepted stream can describe an ambiguous base).
 func FuzzLoad(f *testing.F) {
 	eng := fuzzSeedEngine()
-	var v1, v2 bytes.Buffer
-	if err := eng.SaveAs(&v1, FormatGSIR1); err != nil {
-		f.Fatal(err)
-	}
+	v1 := gsir1Golden(f)
+	var v2 bytes.Buffer
 	if err := eng.SaveAs(&v2, FormatGSIR2); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
+	f.Add(v1)
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes()[:v1.Len()/2])
+	f.Add(v1[:len(v1)/2])
 	f.Add(v2.Bytes()[:v2.Len()/2])
 	f.Add([]byte(magicGSIR1))
 	f.Add([]byte(magicGSIR2))

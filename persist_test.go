@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -71,35 +72,25 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestSaveLoadSaveByteIdentity proves both encodings are canonical:
-// saving, loading, and saving again reproduces the stream byte for byte.
+// TestSaveLoadSaveByteIdentity proves the encoding is canonical: saving,
+// loading, and saving again reproduces the stream byte for byte.
 func TestSaveLoadSaveByteIdentity(t *testing.T) {
 	orig := buildEngine(t)
-	for _, f := range []Format{FormatGSIR1, FormatGSIR2} {
-		var b1 bytes.Buffer
-		if err := orig.SaveAs(&b1, f); err != nil {
-			t.Fatalf("format %d: save: %v", f, err)
-		}
-		loaded, err := Load(bytes.NewReader(b1.Bytes()))
-		if err != nil {
-			t.Fatalf("format %d: load: %v", f, err)
-		}
-		if loaded.Options() != orig.Options() {
-			t.Errorf("format %d: options drifted: %+v vs %+v", f, loaded.Options(), orig.Options())
-		}
-		var b2 bytes.Buffer
-		if err := loaded.SaveAs(&b2, f); err != nil {
-			t.Fatalf("format %d: re-save: %v", f, err)
-		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Errorf("format %d: save→load→save is not byte-identical (%d vs %d bytes)",
-				f, b1.Len(), b2.Len())
-		}
+	b1 := snapshotBytes(t, orig)
+	loaded, err := Load(bytes.NewReader(b1))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if loaded.Options() != orig.Options() {
+		t.Errorf("options drifted: %+v vs %+v", loaded.Options(), orig.Options())
+	}
+	if b2 := snapshotBytes(t, loaded); !bytes.Equal(b1, b2) {
+		t.Errorf("save→load→save is not byte-identical (%d vs %d bytes)", len(b1), len(b2))
 	}
 }
 
-// TestReloadedQueryEquivalence proves a reloaded engine (from either
-// format) returns identical rankings for every query family.
+// TestReloadedQueryEquivalence proves a reloaded engine returns
+// identical rankings for every query family.
 func TestReloadedQueryEquivalence(t *testing.T) {
 	orig := buildEngine(t)
 	queries := []Shape{
@@ -108,29 +99,67 @@ func TestReloadedQueryEquivalence(t *testing.T) {
 		square(0, 0, 9).Transform(Similarity(2.0, -0.7, Pt(3, -8))),
 	}
 	sketch := []Shape{square(0, 0, 10), triangle(2, 2, 3)}
-	for _, f := range []Format{FormatGSIR1, FormatGSIR2} {
-		var buf bytes.Buffer
-		if err := orig.SaveAs(&buf, f); err != nil {
-			t.Fatalf("format %d: save: %v", f, err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("format %d: load: %v", f, err)
-		}
-		for qi, q := range queries {
-			for _, mode := range []Mode{ModeAuto, ModeApproximate} {
-				req := SearchRequest{Query: q, K: 4, Mode: mode}
-				r1, r2 := mustSearch(t, orig, req), mustSearch(t, loaded, req)
-				label := fmt.Sprintf("format %d query %d %v", f, qi, mode)
-				if r1.Stats != r2.Stats {
-					t.Fatalf("%s: stats differ: %+v vs %+v", label, r1.Stats, r2.Stats)
-				}
-				assertMatchesEqual(t, label, r1.Matches, r2.Matches)
+	loaded, err := Load(bytes.NewReader(snapshotBytes(t, orig)))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	for qi, q := range queries {
+		for _, mode := range []Mode{ModeAuto, ModeApproximate} {
+			req := SearchRequest{Query: q, K: 4, Mode: mode}
+			r1, r2 := mustSearch(t, orig, req), mustSearch(t, loaded, req)
+			label := fmt.Sprintf("query %d %v", qi, mode)
+			if r1.Stats != r2.Stats {
+				t.Fatalf("%s: stats differ: %+v vs %+v", label, r1.Stats, r2.Stats)
 			}
+			assertMatchesEqual(t, label, r1.Matches, r2.Matches)
 		}
-		req := SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch}
-		assertSketchEqual(t, fmt.Sprintf("format %d sketch", f),
-			mustSearch(t, orig, req).SketchMatches, mustSearch(t, loaded, req).SketchMatches)
+	}
+	req := SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch}
+	assertSketchEqual(t, "sketch",
+		mustSearch(t, orig, req).SketchMatches, mustSearch(t, loaded, req).SketchMatches)
+}
+
+// gsir1Golden is a GSIR1 snapshot of buildEngine's base, written by the
+// last GSIR1 writer this repo had. The format is read-only now, so these
+// bytes are what keeps its readers under test.
+func gsir1Golden(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "gsir1", "base.gsir1"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestLoadGSIR1Golden reads the legacy format from the golden file: Load
+// recovers exactly buildEngine's base (its canonical GSIR2 encoding is
+// the original's, and it answers like the GSIR2 round trip), Peek reads
+// the header. (LoadPartial: TestLoadPartialGSIR1Prefix, on the same
+// bytes.)
+func TestLoadGSIR1Golden(t *testing.T) {
+	orig := buildEngine(t)
+	data := gsir1Golden(t)
+	v1, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Load(golden): %v", err)
+	}
+	want := snapshotBytes(t, orig)
+	if !bytes.Equal(snapshotBytes(t, v1), want) {
+		t.Fatal("the golden GSIR1 snapshot does not decode to buildEngine's base")
+	}
+	v2, err := Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEngineEquivalence(t, v2, v1)
+
+	info, err := Peek(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Peek(golden): %v", err)
+	}
+	if info.Format != FormatGSIR1 || info.FormatName != "GSIR1" ||
+		info.Images != orig.NumImages() || info.Options != orig.Options() {
+		t.Errorf("Peek(golden) = %+v", info)
 	}
 }
 
@@ -153,8 +182,12 @@ func TestPersistEmptyEngine(t *testing.T) {
 
 func TestSaveAsUnknownFormat(t *testing.T) {
 	eng := New(DefaultOptions())
-	if err := eng.SaveAs(&bytes.Buffer{}, Format(99)); err == nil {
-		t.Error("unknown format should fail")
+	// GSIR1 is read-only: asking for it is asking for an unknown format.
+	for _, f := range []Format{Format(99), FormatGSIR1} {
+		err := eng.SaveAs(&bytes.Buffer{}, f)
+		if err == nil || !strings.Contains(err.Error(), "unknown snapshot format") {
+			t.Errorf("SaveAs(format %d) = %v, want the unknown-format error", f, err)
+		}
 	}
 }
 
@@ -179,24 +212,18 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 
 func TestPeek(t *testing.T) {
 	eng := buildEngine(t)
-	for _, f := range []Format{FormatGSIR1, FormatGSIR2} {
-		var buf bytes.Buffer
-		if err := eng.SaveAs(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-		info, err := Peek(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("Peek(%v): %v", f, err)
-		}
-		if info.Format != f {
-			t.Errorf("format = %v, want %v", info.Format, f)
-		}
-		if info.Images != eng.NumImages() {
-			t.Errorf("images = %d, want %d", info.Images, eng.NumImages())
-		}
-		if info.Options != eng.Options() {
-			t.Errorf("options = %+v, want %+v", info.Options, eng.Options())
-		}
+	info, err := Peek(bytes.NewReader(snapshotBytes(t, eng)))
+	if err != nil {
+		t.Fatalf("Peek: %v", err)
+	}
+	if info.Format != FormatGSIR2 {
+		t.Errorf("format = %v, want %v", info.Format, FormatGSIR2)
+	}
+	if info.Images != eng.NumImages() {
+		t.Errorf("images = %d, want %d", info.Images, eng.NumImages())
+	}
+	if info.Options != eng.Options() {
+		t.Errorf("options = %+v, want %+v", info.Options, eng.Options())
 	}
 	if _, err := Peek(bytes.NewReader([]byte("NOPE!\n rest"))); err == nil {
 		t.Error("bad magic should fail Peek")

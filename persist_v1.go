@@ -10,70 +10,9 @@ import (
 
 // GSIR1 is the legacy stream format: magic, 4 float64 options, the hash
 // curve count, then the images as a bare concatenation with no length
-// framing and no checksums. Kept so old snapshots stay loadable and old
-// readers can still be fed (SaveAs(FormatGSIR1)).
-
-// saveGSIR1 writes the legacy format.
-func (e *Engine) saveGSIR1(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magicGSIR1); err != nil {
-		return err
-	}
-	writeF := func(v float64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	writeU := func(v uint32) error {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	for _, v := range []float64{e.opts.Alpha, e.opts.Beta, e.opts.Tau, e.opts.AngleTol} {
-		if err := writeF(v); err != nil {
-			return err
-		}
-	}
-	if err := writeU(uint32(e.opts.HashCurves)); err != nil {
-		return err
-	}
-
-	images := e.imagesInOrder()
-	if err := writeU(uint32(len(images))); err != nil {
-		return err
-	}
-	for _, img := range images {
-		if err := writeU(uint32(img.id)); err != nil {
-			return err
-		}
-		if err := writeU(uint32(len(img.shapes))); err != nil {
-			return err
-		}
-		for _, sh := range img.shapes {
-			flag := uint32(0)
-			if sh.Closed {
-				flag = 1
-			}
-			if err := writeU(flag); err != nil {
-				return err
-			}
-			if err := writeU(uint32(len(sh.Pts))); err != nil {
-				return err
-			}
-			for _, p := range sh.Pts {
-				if err := writeF(p.X); err != nil {
-					return err
-				}
-				if err := writeF(p.Y); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
+// framing and no checksums. Read-only — Load, LoadPartial and Peek keep
+// old snapshots usable (testdata/gsir1/base.gsir1 is one, written by the
+// last writer this repo had); nothing here produces the format.
 
 // savedImage is one image's shapes in snapshot order.
 type savedImage struct {

@@ -318,34 +318,34 @@ func (e *Engine) applyAuxSection(payload []byte) error {
 	return nil
 }
 
+// annParams validates the signature family's persisted header fields,
+// shared by GSIR2's ANN1 section and GSIR3's ANNP.
+func annParams(seed uint64, gridRes, bands, rows, n uint32) (annindex.Params, error) {
+	if gridRes < 1 || gridRes > 4096 || bands < 1 || bands > 4096 || rows < 1 || rows > 64 {
+		return annindex.Params{}, fmt.Errorf("geosir: implausible ANN parameters %d/%d/%d", gridRes, bands, rows)
+	}
+	if n > maxCount {
+		return annindex.Params{}, fmt.Errorf("geosir: implausible ANN entry count %d", n)
+	}
+	return annindex.Params{Seed: seed, GridRes: int(gridRes), Bands: int(bands), Rows: int(rows)}, nil
+}
+
 // parseAnnPayload decodes the ANN signature section (tag already
 // consumed). Counts are validated against the bytes present before any
 // allocation, mirroring parseImagePayload.
 func parseAnnPayload(b []byte) (*annPreload, error) {
 	c := cursor{b: b}
-	var p annindex.Params
-	gridRes := c.u32()
-	bands := c.u32()
-	rows := c.u32()
-	p.Seed = c.u64()
+	gridRes, bands, rows := c.u32(), c.u32(), c.u32()
+	seed := c.u64()
 	n := c.u32()
 	if c.err != nil {
 		return nil, c.err
 	}
-	if gridRes < 1 || gridRes > 4096 {
-		return nil, fmt.Errorf("geosir: implausible ANN grid resolution %d", gridRes)
+	p, err := annParams(seed, gridRes, bands, rows, n)
+	if err != nil {
+		return nil, err
 	}
-	if bands < 1 || bands > 4096 {
-		return nil, fmt.Errorf("geosir: implausible ANN band count %d", bands)
-	}
-	if rows < 1 || rows > 64 {
-		return nil, fmt.Errorf("geosir: implausible ANN row count %d", rows)
-	}
-	if n > maxCount {
-		return nil, fmt.Errorf("geosir: implausible ANN entry count %d", n)
-	}
-	p.GridRes, p.Bands, p.Rows = int(gridRes), int(bands), int(rows)
-	h := int(bands) * int(rows)
+	h := p.Bands * p.Rows
 	if want := int64(n) * int64(h) * 8; want != int64(c.remaining()) {
 		return nil, fmt.Errorf("geosir: ANN section holds %d signature bytes, want %d", c.remaining(), want)
 	}

@@ -2,13 +2,15 @@ package geosir
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 
-	"repro/internal/annindex"
 	"repro/internal/core"
 	"repro/internal/geohash"
 	"repro/internal/geom"
@@ -35,18 +37,23 @@ import (
 // them), so on a little-endian host an mmap'd payload can be
 // reinterpreted in place as the Go slice the engine serves from
 // (internal/mmap.Cast); everywhere else the same payload is decoded
-// element-wise into fresh heap slices with identical results.
+// into fresh heap slices with identical results (view).
 //
-// Two section families exist. The raw family (IMGS, SHPM, RAWV) is the
-// canonical image base — exactly the information GSIR2 stores — so a
-// GSIR3 snapshot with damaged derived sections can still be rebuilt the
-// slow way, and Save/SaveAs round-trips remain canonical. The derived
-// family is the frozen index: entry metadata and transforms (ENTM,
-// ENTT), the flattened vertex arrays (EOFF, VENT, EVTX), per-entry
-// geometric bounds (GBND), the pooled BoundaryDist segment-grid arrays
-// (GRDH, GSEG, GCEL, GIDS), the kd-tree backend (KDTP, KDTI, KDTB),
-// geometric-hash quadruples (QUAD), diameter angles (DANG), image
-// graphs (GRPH), and the ANN signature family (ANNP, ANNS).
+// v3Table declares every section once — tag, family, element size,
+// expected count — and is the only place a section's shape is stated:
+// the writer emits its rows in order, the loader checks every row's
+// presence and length against it before assembly. Two families exist.
+// The raw family (OPTS, IMGS, SHPM, RAWV) is the canonical image base —
+// exactly the information GSIR2 stores — so a GSIR3 snapshot with
+// damaged derived sections can still be rebuilt the slow way. The
+// derived family is the frozen index: entry metadata and transforms
+// (ENTM, ENTT), the flattened vertex arrays (EOFF, VENT, EVTX), the
+// pooled BoundaryDist segment-grid arrays (GRDH, GSEG, GCEL, GIDS), the
+// kd-tree (KDTP, KDTI, KDTB), geometric-hash quadruples (QUAD), diameter
+// angles (DANG), image graphs (GRPH), and the ANN signature family
+// (ANNP, ANNS). Sections are found by tag: one the table does not name
+// (GBND, which earlier writers emitted and nothing read) is checksummed
+// like the rest and otherwise ignored.
 //
 // Integrity: the loader verifies the table checksum and then every
 // section's CRC32 before assembly — corrupt bytes are refused (or, via
@@ -63,179 +70,227 @@ const (
 	v3Align      = 8
 
 	// v3MaxSections bounds the declared section count against corrupt
-	// headers (the writer emits a fixed set of 22).
+	// headers (the writer emits one section per v3Table row).
 	v3MaxSections = 64
-)
 
-// The GSIR3 section tags, in file order.
-var v3Tags = []string{
-	"OPTS", "IMGS", "SHPM", "RAWV",
-	"ENTM", "ENTT", "EOFF", "VENT", "EVTX", "GBND",
-	"GRDH", "GSEG", "GCEL", "GIDS",
-	"KDTP", "KDTI", "KDTB",
-	"QUAD", "DANG", "GRPH",
-	"ANNP", "ANNS",
-}
+	// v3OptsLen is the OPTS payload: 4 float64 options + 8 uint32 words
+	// (hash curves, five counts, the backend word, one reserved).
+	v3OptsLen = 4*8 + 8*4
 
-// v3RawTags is the raw family: sections sufficient (and required) to
-// rebuild the engine from scratch when derived sections are damaged.
-var v3RawTags = map[string]bool{"OPTS": true, "IMGS": true, "SHPM": true, "RAWV": true}
+	// v3KDTree is OPTS's backend word: the range-search structure the
+	// KDT* sections hold. It is the only one an Engine is ever built on,
+	// so the only value written and the only one accepted.
+	v3KDTree = 2
 
-// v3OptsLen is the OPTS payload: 4 float64 options + 8 uint32 counts.
-const v3OptsLen = 4*8 + 8*4
-
-// backend kind enumeration persisted in OPTS.
-const (
-	v3BackendBrute   = 1
-	v3BackendKDTree  = 2
-	v3BackendLayered = 3
-)
-
-func v3BackendCode(k rangesearch.Kind) uint32 {
-	switch k {
-	case rangesearch.KindKDTree:
-		return v3BackendKDTree
-	case rangesearch.KindLayered:
-		return v3BackendLayered
-	case rangesearch.KindBrute:
-		return v3BackendBrute
-	}
-	return 0
-}
-
-func v3BackendKind(code uint32) (rangesearch.Kind, error) {
-	switch code {
-	case v3BackendBrute:
-		return rangesearch.KindBrute, nil
-	case v3BackendKDTree:
-		return rangesearch.KindKDTree, nil
-	case v3BackendLayered:
-		return rangesearch.KindLayered, nil
-	}
-	return "", fmt.Errorf("geosir: unknown backend code %d", code)
-}
-
-// graph edge labels persisted in GRPH.
-const (
+	// graph edge labels persisted in GRPH.
 	v3RelContain = 1
 	v3RelOverlap = 2
 )
+
+// v3Row declares one section.
+type v3Row struct {
+	tag string
+	// raw marks the raw family: the sections sufficient (and required)
+	// to rebuild the engine from scratch when derived ones are damaged.
+	raw bool
+	// elem is the size in bytes of one counted element; 0 marks a framed
+	// stream (IMGS, GRPH), whose parser bounds every count it reads by
+	// the bytes left.
+	elem int
+	// count is how many elements the OPTS counts promise. nil marks a
+	// pooled array — its extent is stated by sibling headers (GRDH for
+	// the grid pools, ANNP for ANNS), which the assembly bounds-checks —
+	// and only whole elements are required of it.
+	count func(o *v3Options) int
+}
+
+const v3Raw, v3Derived = true, false
+
+func v3One(*v3Options) int         { return 1 }
+func v3Shapes(o *v3Options) int    { return o.nShapes }
+func v3Entries(o *v3Options) int   { return o.nEntries }
+func v3Verts(o *v3Options) int     { return o.nVerts }
+func v3RawVerts(o *v3Options) int  { return o.nRawVerts }
+func v3EntryEnds(o *v3Options) int { return o.nEntries + 1 }
+
+// v3Table is the GSIR3 section set, in file order.
+var v3Table = []v3Row{
+	{"OPTS", v3Raw, v3OptsLen, v3One},
+	{"IMGS", v3Raw, 0, nil},             // u32 n | n × { u32 image id | u32 shapes }
+	{"SHPM", v3Raw, 16, v3Shapes},       // i32 flags (bit0 = closed) | RAWV offset | vertices | rsvd
+	{"RAWV", v3Raw, 16, v3RawVerts},     // geom.Point
+	{"ENTM", v3Derived, 16, v3Entries},  // core.EntryMeta
+	{"ENTT", v3Derived, 64, v3Entries},  // geom.Transform × 2: Norm then Inv
+	{"EOFF", v3Derived, 4, v3EntryEnds}, // i32: entry → first vertex
+	{"VENT", v3Derived, 4, v3Verts},     // i32: vertex → entry
+	{"EVTX", v3Derived, 16, v3Verts},    // geom.Point
+	{"GRDH", v3Derived, 80, v3Entries},  // gridHeader
+	{"GSEG", v3Derived, 8, nil},         // f64, per grid: Ax | Ay | Dx | Dy | InvL2
+	{"GCEL", v3Derived, 4, nil},         // i32 cell starts
+	{"GIDS", v3Derived, 4, nil},         // i32 cell segment ids
+	{"KDTP", v3Derived, 16, v3Verts},    // geom.Point, median layout
+	{"KDTI", v3Derived, 4, v3Verts},     // i32 vertex ids
+	{"KDTB", v3Derived, 32, v3Verts},    // geom.Rect subtree bounds
+	{"QUAD", v3Derived, 16, v3Shapes},   // 4 × i32 hash cell, all -1: shape not in the table
+	{"DANG", v3Derived, 8, v3Shapes},    // f64 diameter angle
+	{"GRPH", v3Derived, 0, nil},         // u32 n | n × { image id | shapes | edges }
+	{"ANNP", v3Derived, 24, v3One},      // u64 seed | u32 grid res | bands | rows | entries
+	{"ANNS", v3Derived, 8, nil},         // u64 signatures, entries × bands·rows
+}
+
+// v3RawTags is the raw family, read off the table.
+var v3RawTags = func() map[string]bool {
+	raw := make(map[string]bool)
+	for _, row := range v3Table {
+		raw[row.tag] = row.raw
+	}
+	return raw
+}()
+
+// v3Check is the loader's one shape check, run before any assembly:
+// every row of the table (rawOnly: of the raw family, for the salvage
+// rebuild) is present and holds exactly the bytes the OPTS counts
+// promise.
+func v3Check(sec map[string][]byte, o *v3Options, rawOnly bool) error {
+	for _, row := range v3Table {
+		if rawOnly && !row.raw {
+			continue
+		}
+		b, ok := sec[row.tag]
+		switch {
+		case !ok:
+			return fmt.Errorf("geosir: GSIR3 snapshot missing section %s", row.tag)
+		case row.elem == 0:
+		case row.count == nil:
+			if len(b)%row.elem != 0 {
+				return fmt.Errorf("geosir: section %s is %d bytes, not whole %d-byte elements", row.tag, len(b), row.elem)
+			}
+		default:
+			if want := int64(row.count(o)) * int64(row.elem); int64(len(b)) != want {
+				return fmt.Errorf("geosir: section %s is %d bytes, OPTS counts promise %d", row.tag, len(b), want)
+			}
+		}
+	}
+	return nil
+}
 
 // gridHeader is the fixed 80-byte per-entry descriptor of a pooled
 // BoundaryDist segment grid: geometry first (8-byte fields), then the
 // int32 offsets into the pooled GSEG/GCEL/GIDS arrays. The layout is
 // padding-free, so a GRDH payload casts directly to []gridHeader.
 type gridHeader struct {
-	MinX, MinY, MaxX, MaxY float64
-	Cw, Ch                 float64
-	Nx, Ny                 int32
-	SegOff, NSegs          int32
-	CellOff, NCells        int32
-	IDOff, NIDs            int32
+	Bounds          geom.Rect
+	Cw, Ch          float64
+	Nx, Ny          int32
+	SegOff, NSegs   int32
+	CellOff, NCells int32
+	IDOff, NIDs     int32
 }
 
-// SaveFileAs is SaveFile in an explicit stream format.
-func (e *Engine) SaveFileAs(path string, f Format) error {
-	return e.saveFileAtomicAs(path, f, nil)
-}
-
-func (e *Engine) saveFileAtomicAs(path string, f Format, wrap func(io.Writer) io.Writer) error {
-	if f == FormatGSIR2 {
-		return e.saveFileAtomic(path, wrap)
+// view returns section payload b as a []T, T being the fixed-size,
+// padding-free element type the section's row declares. With alias set
+// (an mmap'd snapshot) the payload is served in place; otherwise the
+// result is a fresh heap slice that outlives b — one bulk copy where
+// mmap.Cast can reinterpret the bytes, an element-wise little-endian
+// decode where it declines (big-endian hosts, the geosir_purego build).
+func view[T any](b []byte, alias bool) []T {
+	if v, ok := mmap.Cast[T](b); ok {
+		if alias {
+			return v
+		}
+		return slices.Clone(v)
 	}
-	save := func(w io.Writer) error { return e.SaveAs(w, f) }
-	return saveAtomic(path, save, wrap)
+	var zero T
+	out := make([]T, len(b)/binary.Size(zero))
+	if err := binary.Read(bytes.NewReader(b), binary.LittleEndian, out); err != nil {
+		panic(err) // only a T that is not fixed-size: a bug, not an input
+	}
+	return out
 }
 
-// v3sec is one section under construction in the writer.
+// put appends vs to b in section layout, the inverse of view: one bulk
+// copy where mmap.Cast can reinterpret the destination, an element-wise
+// little-endian encode where it declines.
+func put[T any](b []byte, vs []T) []byte {
+	n := binary.Size(vs)
+	b = slices.Grow(b, n)
+	if dst, ok := mmap.Cast[T](b[len(b) : len(b)+n]); ok {
+		copy(dst, vs)
+		return b[:len(b)+n]
+	}
+	buf := bytes.NewBuffer(b)
+	if err := binary.Write(buf, binary.LittleEndian, vs); err != nil {
+		panic(err) // as in view
+	}
+	return buf.Bytes()
+}
+
+// v3sec is one section payload on its way to (or back from) a file.
 type v3sec struct {
 	tag     string
 	payload []byte
 }
 
-// saveGSIR3 writes the mmap-friendly format. Unlike GSIR1/2 it requires
-// a frozen engine: the derived sections *are* the frozen index. (Every
-// production write site — SaveDir, compaction commits — saves frozen
-// engines; use SaveAs(w, FormatGSIR2) to snapshot an unfrozen one.)
+// saveGSIR3 writes the mmap-friendly format: the table's rows, in the
+// table's order. Unlike GSIR2 it requires a frozen engine: the derived
+// sections *are* the frozen index. (Every production write site —
+// SaveDir, compaction commits — saves frozen engines; use
+// SaveAs(w, FormatGSIR2) to snapshot an unfrozen one.)
 func (e *Engine) saveGSIR3(w io.Writer) error {
-	secs, err := e.buildV3Sections()
+	built, err := e.buildV3Sections()
 	if err != nil {
 		return err
 	}
-	// Lay out payloads after the header + table + table CRC, each at an
-	// 8-aligned offset, and validate the alignment as we go: a
-	// misaligned section would silently force every reader onto the
-	// copy-decode path.
-	tableLen := len(secs) * v3TableEntry
-	off := uint64(v3HeaderLen + tableLen + 4)
-	off = (off + v3Align - 1) &^ (v3Align - 1)
-	table := make([]byte, 0, tableLen)
-	offs := make([]uint64, len(secs))
-	for i, s := range secs {
-		if off%v3Align != 0 {
-			return fmt.Errorf("geosir: internal error: section %s at misaligned offset %d", s.tag, off)
+	secs := make([]v3sec, len(v3Table))
+	for i, row := range v3Table {
+		payload, ok := built[row.tag]
+		if !ok {
+			return fmt.Errorf("geosir: internal error: section %s not built", row.tag)
 		}
-		offs[i] = off
-		table = append(table, s.tag...)
-		table = appendU32(table, 0)
-		table = appendU64(table, off)
-		table = appendU64(table, uint64(len(s.payload)))
-		table = appendU32(table, crc32.ChecksumIEEE(s.payload))
-		table = appendU32(table, 0)
-		off += uint64(len(s.payload))
-		off = (off + v3Align - 1) &^ (v3Align - 1)
+		secs[i] = v3sec{tag: row.tag, payload: payload}
 	}
-	// The file ends exactly at the end of the last payload (no trailing
-	// padding), so total size is the last section's end.
-	end := uint64(v3HeaderLen + tableLen + 4)
-	if len(secs) > 0 {
-		end = offs[len(secs)-1] + uint64(len(secs[len(secs)-1].payload))
-	}
+	return writeV3(w, secs)
+}
 
+func alignV3(off uint64) uint64 { return (off + v3Align - 1) &^ (v3Align - 1) }
+
+// writeV3 lays the sections out behind the header, the table and its
+// CRC — each payload at an 8-aligned offset, the file ending with the
+// last payload — and writes the image.
+func writeV3(w io.Writer, secs []v3sec) error {
+	head := binary.LittleEndian.AppendUint16([]byte(magicGSIR3), v3Version)
+	head = appendU32(head, uint32(len(secs)))
+	head = appendU32(head, 0)
+	off := alignV3(uint64(v3HeaderLen + len(secs)*v3TableEntry + 4))
+	for _, s := range secs {
+		head = append(head, s.tag...)
+		head = appendU32(head, 0)
+		head = appendU64(head, off)
+		head = appendU64(head, uint64(len(s.payload)))
+		head = appendU32(head, crc32.ChecksumIEEE(s.payload))
+		head = appendU32(head, 0)
+		off = alignV3(off + uint64(len(s.payload)))
+	}
+	head = appendU32(head, crc32.ChecksumIEEE(head[v3HeaderLen:]))
+
+	// A bufio.Writer keeps its first error and returns it from every later
+	// call, Flush included, so only Flush is checked.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magicGSIR3); err != nil {
-		return err
-	}
-	var hdr [10]byte
-	binary.LittleEndian.PutUint16(hdr[0:], v3Version)
-	binary.LittleEndian.PutUint32(hdr[2:], uint32(len(secs)))
-	binary.LittleEndian.PutUint32(hdr[6:], 0)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(table); err != nil {
-		return err
-	}
-	var tcrc [4]byte
-	binary.LittleEndian.PutUint32(tcrc[:], crc32.ChecksumIEEE(table))
-	if _, err := bw.Write(tcrc[:]); err != nil {
-		return err
-	}
-	pos := uint64(v3HeaderLen + tableLen + 4)
+	bw.Write(head)
+	pos := uint64(len(head))
 	var pad [v3Align]byte
-	for i, s := range secs {
-		if offs[i] > pos {
-			if _, err := bw.Write(pad[:offs[i]-pos]); err != nil {
-				return err
-			}
-			pos = offs[i]
-		}
-		if _, err := bw.Write(s.payload); err != nil {
-			return err
-		}
-		pos += uint64(len(s.payload))
-	}
-	if pos != end {
-		return fmt.Errorf("geosir: internal error: wrote %d bytes, want %d", pos, end)
+	for _, s := range secs {
+		bw.Write(pad[:alignV3(pos)-pos])
+		bw.Write(s.payload)
+		pos = alignV3(pos) + uint64(len(s.payload))
 	}
 	return bw.Flush()
 }
 
-// buildV3Sections flattens the frozen engine into the fixed section
-// set. Field-by-field append order must mirror the struct layouts the
-// mmap loader casts to (gridHeader, core.EntryMeta, geom.Point,
-// geom.Transform, geom.Rect, core.GeomBound).
-func (e *Engine) buildV3Sections() ([]v3sec, error) {
+// buildV3Sections flattens the frozen engine into its section payloads,
+// by tag. Array sections are put from the very element types the loader
+// views them as, so the two layouts cannot drift apart.
+func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	if !e.frozen {
 		return nil, fmt.Errorf("geosir: GSIR3 requires a frozen engine (use FormatGSIR2 for unfrozen snapshots)")
 	}
@@ -244,150 +299,88 @@ func (e *Engine) buildV3Sections() ([]v3sec, error) {
 	if err != nil {
 		return nil, err
 	}
+	kd, ok := parts.Backend.(*rangesearch.KDTree)
+	if !ok {
+		return nil, fmt.Errorf("geosir: GSIR3 stores a kd-tree, the engine runs on %T", parts.Backend)
+	}
 	images := e.imagesInOrder()
 	shapes := base.Shapes()
-	nsh := len(shapes)
 	ne := len(parts.Entries)
-
-	out := make(map[string][]byte, len(v3Tags))
+	out := make(map[string][]byte, len(v3Table))
 
 	// IMGS / SHPM / RAWV — the raw image base, shapes in id order
 	// (imagesInOrder groups by image preserving that order).
 	imgs := appendU32(nil, uint32(len(images)))
-	var shpm, rawv []byte
-	rawOff := uint32(0)
+	var shpm []int32
+	var rawv []byte
 	for _, img := range images {
 		imgs = appendU32(imgs, uint32(img.id))
 		imgs = appendU32(imgs, uint32(len(img.shapes)))
 		for _, p := range img.shapes {
-			flags := uint32(0)
+			flags := int32(0)
 			if p.Closed {
 				flags = 1
 			}
-			shpm = appendU32(shpm, flags)
-			shpm = appendU32(shpm, rawOff)
-			shpm = appendU32(shpm, uint32(len(p.Pts)))
-			shpm = appendU32(shpm, 0)
-			for _, pt := range p.Pts {
-				rawv = appendF64(rawv, pt.X)
-				rawv = appendF64(rawv, pt.Y)
-			}
-			rawOff += uint32(len(p.Pts))
+			shpm = append(shpm, flags, int32(len(rawv)/16), int32(len(p.Pts)), 0)
+			rawv = put(rawv, p.Pts)
 		}
 	}
-	out["IMGS"], out["SHPM"], out["RAWV"] = imgs, shpm, rawv
+	out["IMGS"], out["SHPM"], out["RAWV"] = imgs, put(nil, shpm), rawv
 
-	// ENTM / ENTT — entry scalar metadata and transforms.
-	entm := make([]byte, 0, ne*16)
-	entt := make([]byte, 0, ne*2*32)
+	metas := make([]core.EntryMeta, ne)
+	trans := make([]geom.Transform, 0, 2*ne)
 	for i := range parts.Entries {
 		en := &parts.Entries[i]
-		entm = appendU32(entm, uint32(int32(en.ShapeID)))
-		entm = appendU32(entm, uint32(int32(en.Copy)))
-		entm = appendU32(entm, uint32(int32(en.DiamI)))
-		entm = appendU32(entm, uint32(int32(en.DiamJ)))
-		for _, tr := range [2]geom.Transform{en.Norm, en.Inv} {
-			entt = appendF64(entt, tr.S)
-			entt = appendF64(entt, tr.Theta)
-			entt = appendF64(entt, tr.T.X)
-			entt = appendF64(entt, tr.T.Y)
-		}
+		metas[i] = core.EntryMeta{ShapeID: int32(en.ShapeID), Copy: int32(en.Copy),
+			DiamI: int32(en.DiamI), DiamJ: int32(en.DiamJ)}
+		trans = append(trans, en.Norm, en.Inv)
 	}
-	out["ENTM"], out["ENTT"] = entm, entt
+	out["ENTM"], out["ENTT"] = put(nil, metas), put(nil, trans)
+	out["EOFF"] = put(nil, parts.EntryOff)
+	out["VENT"] = put(nil, parts.VertEntry)
+	out["EVTX"] = put(nil, parts.Verts)
 
-	// EOFF / VENT / EVTX — the flattened vertex index.
-	out["EOFF"] = appendI32s(nil, parts.EntryOff)
-	out["VENT"] = appendI32s(nil, parts.VertEntry)
-	evtx := make([]byte, 0, len(parts.Verts)*16)
-	for _, p := range parts.Verts {
-		evtx = appendF64(evtx, p.X)
-		evtx = appendF64(evtx, p.Y)
-	}
-	out["EVTX"] = evtx
-
-	// GBND — per-entry geometric bounds.
-	gbnd := make([]byte, 0, ne*7*8)
-	for _, gb := range parts.GeomBounds {
-		gbnd = appendF64(gbnd, gb.CX)
-		gbnd = appendF64(gbnd, gb.CY)
-		gbnd = appendF64(gbnd, gb.R)
-		gbnd = appendF64(gbnd, gb.MinX)
-		gbnd = appendF64(gbnd, gb.MinY)
-		gbnd = appendF64(gbnd, gb.MaxX)
-		gbnd = appendF64(gbnd, gb.MaxY)
-	}
-	out["GBND"] = gbnd
-
-	// GRDH / GSEG / GCEL / GIDS — the pooled oracle grids.
-	var grdh, gseg, gcel, gids []byte
-	segOff, cellOff, idOff := int32(0), int32(0), int32(0)
+	// GRDH / GSEG / GCEL / GIDS — the oracle grids, pooled.
+	heads := make([]gridHeader, ne)
+	var gseg, gcel, gids []byte
 	for i, o := range parts.Oracles {
 		if o == nil || o.Grid() == nil {
 			return nil, fmt.Errorf("geosir: entry %d has no oracle grid", i)
 		}
 		gp := o.Grid().Parts()
-		n := int32(len(gp.Ax))
-		grdh = appendF64(grdh, gp.Bounds.Min.X)
-		grdh = appendF64(grdh, gp.Bounds.Min.Y)
-		grdh = appendF64(grdh, gp.Bounds.Max.X)
-		grdh = appendF64(grdh, gp.Bounds.Max.Y)
-		grdh = appendF64(grdh, gp.Cw)
-		grdh = appendF64(grdh, gp.Ch)
-		for _, v := range [8]int32{int32(gp.Nx), int32(gp.Ny), segOff, n,
-			cellOff, int32(len(gp.CellStart)), idOff, int32(len(gp.CellIDs))} {
-			grdh = appendU32(grdh, uint32(v))
+		heads[i] = gridHeader{
+			Bounds: gp.Bounds, Cw: gp.Cw, Ch: gp.Ch, Nx: int32(gp.Nx), Ny: int32(gp.Ny),
+			SegOff: int32(len(gseg) / (5 * 8)), NSegs: int32(len(gp.Ax)),
+			CellOff: int32(len(gcel) / 4), NCells: int32(len(gp.CellStart)),
+			IDOff: int32(len(gids) / 4), NIDs: int32(len(gp.CellIDs)),
 		}
 		for _, arr := range [5][]float64{gp.Ax, gp.Ay, gp.Dx, gp.Dy, gp.InvL2} {
-			for _, v := range arr {
-				gseg = appendF64(gseg, v)
-			}
+			gseg = put(gseg, arr)
 		}
-		gcel = appendI32s(gcel, gp.CellStart)
-		gids = appendI32s(gids, gp.CellIDs)
-		segOff += n
-		cellOff += int32(len(gp.CellStart))
-		idOff += int32(len(gp.CellIDs))
+		gcel = put(gcel, gp.CellStart)
+		gids = put(gids, gp.CellIDs)
 	}
-	out["GRDH"], out["GSEG"], out["GCEL"], out["GIDS"] = grdh, gseg, gcel, gids
+	out["GRDH"], out["GSEG"], out["GCEL"], out["GIDS"] = put(nil, heads), gseg, gcel, gids
 
-	// KDTP / KDTI / KDTB — the kd-tree backend in median layout (empty
-	// for other backends, which are rebuilt from EVTX at load).
-	var kdtp, kdti, kdtb []byte
-	if t, ok := parts.Backend.(*rangesearch.KDTree); ok {
-		kp := t.Parts()
-		for _, p := range kp.Pts {
-			kdtp = appendF64(kdtp, p.X)
-			kdtp = appendF64(kdtp, p.Y)
-		}
-		kdti = appendI32s(kdti, kp.IDs)
-		for _, r := range kp.Bounds {
-			kdtb = appendF64(kdtb, r.Min.X)
-			kdtb = appendF64(kdtb, r.Min.Y)
-			kdtb = appendF64(kdtb, r.Max.X)
-			kdtb = appendF64(kdtb, r.Max.Y)
-		}
-	}
-	out["KDTP"], out["KDTI"], out["KDTB"] = kdtp, kdti, kdtb
+	kp := kd.Parts()
+	out["KDTP"], out["KDTI"], out["KDTB"] = put(nil, kp.Pts), put(nil, kp.IDs), put(nil, kp.Bounds)
 
 	// QUAD / DANG — geometric-hash quadruples and diameter angles, per
 	// shape. A shape the hash table skipped (degenerate canonical
 	// normalization) is stored as an all -1 quadruple.
-	quad := make([]byte, 0, nsh*16)
-	dang := make([]byte, 0, nsh*8)
-	for _, s := range shapes {
+	quad := make([]int32, 0, 4*len(shapes))
+	dang := make([]float64, len(shapes))
+	for i, s := range shapes {
 		if q, ok := e.table.Quad(s.ID); ok {
 			for _, c := range q {
-				quad = appendU32(quad, uint32(int32(c)))
+				quad = append(quad, int32(c))
 			}
 		} else {
-			for range [4]int{} {
-				quad = appendU32(quad, ^uint32(0)) // -1 sentinel: shape not in table
-			}
+			quad = append(quad, -1, -1, -1, -1)
 		}
-		ang, _ := e.db.DiamAng(s.ID)
-		dang = appendF64(dang, ang)
+		dang[i], _ = e.db.DiamAng(s.ID)
 	}
-	out["QUAD"], out["DANG"] = quad, dang
+	out["QUAD"], out["DANG"] = put(nil, quad), put(nil, dang)
 
 	// GRPH — per-image topology graphs (vertices + labeled edges).
 	grph := appendU32(nil, uint32(len(images)))
@@ -422,15 +415,8 @@ func (e *Engine) buildV3Sections() ([]v3sec, error) {
 	annp = appendU32(annp, uint32(p.GridRes))
 	annp = appendU32(annp, uint32(p.Bands))
 	annp = appendU32(annp, uint32(p.Rows))
-	annp = appendU32(annp, uint32(n))
-	anns := make([]byte, 0, len(sigs)*8)
-	for _, s := range sigs {
-		anns = appendU64(anns, s)
-	}
-	out["ANNP"], out["ANNS"] = annp, anns
+	out["ANNP"], out["ANNS"] = appendU32(annp, uint32(n)), put(nil, sigs)
 
-	// OPTS — options + counts + backend code, written last so the
-	// counts reflect the arrays above.
 	opt := make([]byte, 0, v3OptsLen)
 	opt = appendF64(opt, e.opts.Alpha)
 	opt = appendF64(opt, e.opts.Beta)
@@ -438,30 +424,13 @@ func (e *Engine) buildV3Sections() ([]v3sec, error) {
 	opt = appendF64(opt, e.opts.AngleTol)
 	opt = appendU32(opt, uint32(e.opts.HashCurves))
 	opt = appendU32(opt, uint32(len(images)))
-	opt = appendU32(opt, uint32(nsh))
+	opt = appendU32(opt, uint32(len(shapes)))
 	opt = appendU32(opt, uint32(ne))
 	opt = appendU32(opt, uint32(len(parts.Verts)))
-	opt = appendU32(opt, rawOff) // total raw vertices
-	opt = appendU32(opt, v3BackendCode(rangesearch.KindOf(parts.Backend)))
-	opt = appendU32(opt, 0)
-	out["OPTS"] = opt
-
-	secs := make([]v3sec, 0, len(v3Tags))
-	for _, tag := range v3Tags {
-		payload, ok := out[tag]
-		if !ok {
-			return nil, fmt.Errorf("geosir: internal error: section %s not built", tag)
-		}
-		secs = append(secs, v3sec{tag: tag, payload: payload})
-	}
-	return secs, nil
-}
-
-func appendI32s(b []byte, vs []int32) []byte {
-	for _, v := range vs {
-		b = appendU32(b, uint32(v))
-	}
-	return b
+	opt = appendU32(opt, uint32(len(rawv)/16))
+	opt = appendU32(opt, v3KDTree)
+	out["OPTS"] = appendU32(opt, 0)
+	return out, nil
 }
 
 // v3Section is one parsed section-table row.
@@ -472,35 +441,30 @@ type v3Section struct {
 	crc uint32
 }
 
-// parseV3Layout validates the header + section table of a complete
-// GSIR3 byte image (magic included) and returns the table rows. Offsets
-// are checked for alignment, bounds, ordering, and exact file-size
-// coverage; payload CRCs are NOT verified here.
-func parseV3Layout(data []byte) ([]v3Section, error) {
-	if len(data) < v3HeaderLen+4 {
-		return nil, fmt.Errorf("geosir: GSIR3 snapshot truncated at %d bytes", len(data))
+// parseV3Header parses the 10 header bytes that follow the magic and
+// returns the declared section count.
+func parseV3Header(hdr []byte) (int, error) {
+	if v := binary.LittleEndian.Uint16(hdr); v != v3Version {
+		return 0, fmt.Errorf("geosir: unsupported GSIR3 version %d", v)
 	}
-	if string(data[:magicLen]) != magicGSIR3 {
-		return nil, fmt.Errorf("geosir: bad magic %q", string(data[:magicLen]))
-	}
-	if v := binary.LittleEndian.Uint16(data[6:]); v != v3Version {
-		return nil, fmt.Errorf("geosir: unsupported GSIR3 version %d", v)
-	}
-	nsec := binary.LittleEndian.Uint32(data[8:])
+	nsec := binary.LittleEndian.Uint32(hdr[2:])
 	if nsec == 0 || nsec > v3MaxSections {
-		return nil, fmt.Errorf("geosir: implausible GSIR3 section count %d", nsec)
+		return 0, fmt.Errorf("geosir: implausible GSIR3 section count %d", nsec)
 	}
-	tableLen := int(nsec) * v3TableEntry
-	if len(data) < v3HeaderLen+tableLen+4 {
-		return nil, fmt.Errorf("geosir: GSIR3 section table truncated")
-	}
-	table := data[v3HeaderLen : v3HeaderLen+tableLen]
-	wantCRC := binary.LittleEndian.Uint32(data[v3HeaderLen+tableLen:])
-	if crc32.ChecksumIEEE(table) != wantCRC {
+	return int(nsec), nil
+}
+
+// parseV3Rows parses a section table (its trailing CRC included) for a
+// file of fileLen bytes — the one table parse, shared by the loaders and
+// Peek. Rows are checked for alignment, order and bounds; payload CRCs
+// are NOT verified here.
+func parseV3Rows(table []byte, fileLen uint64) ([]v3Section, error) {
+	tableLen := len(table) - 4
+	if crc32.ChecksumIEEE(table[:tableLen]) != binary.LittleEndian.Uint32(table[tableLen:]) {
 		return nil, fmt.Errorf("geosir: GSIR3 section table checksum mismatch")
 	}
-	secs := make([]v3Section, nsec)
-	prevEnd := uint64(v3HeaderLen + tableLen + 4)
+	secs := make([]v3Section, tableLen/v3TableEntry)
+	prevEnd := uint64(v3HeaderLen + len(table))
 	for i := range secs {
 		row := table[i*v3TableEntry:]
 		s := v3Section{
@@ -512,25 +476,53 @@ func parseV3Layout(data []byte) ([]v3Section, error) {
 		if s.off%v3Align != 0 {
 			return nil, fmt.Errorf("geosir: section %s at misaligned offset %d", s.tag, s.off)
 		}
-		if s.off < prevEnd || s.off > uint64(len(data)) || s.len > uint64(len(data))-s.off {
+		if s.off < prevEnd || s.off > fileLen || s.len > fileLen-s.off {
 			return nil, fmt.Errorf("geosir: section %s [%d,+%d) outside file of %d bytes",
-				s.tag, s.off, s.len, len(data))
+				s.tag, s.off, s.len, fileLen)
 		}
 		prevEnd = s.off + s.len
 		secs[i] = s
 	}
-	if prevEnd != uint64(len(data)) {
-		return nil, fmt.Errorf("geosir: %d trailing bytes after final section", uint64(len(data))-prevEnd)
+	return secs, nil
+}
+
+// parseV3Layout validates the header + section table of a complete
+// GSIR3 byte image (magic included) and returns the table rows, which
+// must cover the file exactly.
+func parseV3Layout(data []byte) ([]v3Section, error) {
+	if len(data) < v3HeaderLen {
+		return nil, fmt.Errorf("geosir: GSIR3 snapshot truncated at %d bytes", len(data))
+	}
+	if string(data[:magicLen]) != magicGSIR3 {
+		return nil, fmt.Errorf("geosir: bad magic %q", string(data[:magicLen]))
+	}
+	nsec, err := parseV3Header(data[magicLen:v3HeaderLen])
+	if err != nil {
+		return nil, err
+	}
+	tableEnd := v3HeaderLen + nsec*v3TableEntry + 4
+	if len(data) < tableEnd {
+		return nil, fmt.Errorf("geosir: GSIR3 section table truncated")
+	}
+	secs, err := parseV3Rows(data[v3HeaderLen:tableEnd], uint64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	if end := secs[nsec-1].off + secs[nsec-1].len; end != uint64(len(data)) {
+		return nil, fmt.Errorf("geosir: %d trailing bytes after final section", uint64(len(data))-end)
 	}
 	return secs, nil
 }
 
 // v3Reader is the verified section map of a GSIR3 image plus the decode
-// strategy (alias in place vs copy-decode).
+// strategy (alias in place vs copy).
 type v3Reader struct {
 	sec   map[string][]byte
 	alias bool
 }
+
+// v3View is the typed view of one section (see view).
+func v3View[T any](r *v3Reader, tag string) []T { return view[T](r.sec[tag], r.alias) }
 
 // v3Verify checks every section CRC and returns the section map plus
 // the tags that failed. Damage never panics and never reaches assembly.
@@ -548,132 +540,6 @@ func v3Verify(data []byte, secs []v3Section) (map[string][]byte, []string) {
 	return m, bad
 }
 
-func (r *v3Reader) need(tag string) ([]byte, error) {
-	b, ok := r.sec[tag]
-	if !ok {
-		return nil, fmt.Errorf("geosir: GSIR3 snapshot missing section %s", tag)
-	}
-	return b, nil
-}
-
-func (r *v3Reader) f64s(b []byte) []float64 {
-	if r.alias {
-		if v, ok := mmap.Cast[float64](b); ok {
-			return v
-		}
-	}
-	return mmap.F64s(b)
-}
-
-func (r *v3Reader) i32s(b []byte) []int32 {
-	if r.alias {
-		if v, ok := mmap.Cast[int32](b); ok {
-			return v
-		}
-	}
-	return mmap.I32s(b)
-}
-
-func (r *v3Reader) u64s(b []byte) []uint64 {
-	if r.alias {
-		if v, ok := mmap.Cast[uint64](b); ok {
-			return v
-		}
-	}
-	return mmap.U64s(b)
-}
-
-func (r *v3Reader) points(b []byte) []geom.Point {
-	if r.alias {
-		if v, ok := mmap.Cast[geom.Point](b); ok {
-			return v
-		}
-	}
-	f := mmap.F64s(b)
-	out := make([]geom.Point, len(f)/2)
-	for i := range out {
-		out[i] = geom.Pt(f[2*i], f[2*i+1])
-	}
-	return out
-}
-
-func (r *v3Reader) transforms(b []byte) []geom.Transform {
-	if r.alias {
-		if v, ok := mmap.Cast[geom.Transform](b); ok {
-			return v
-		}
-	}
-	f := mmap.F64s(b)
-	out := make([]geom.Transform, len(f)/4)
-	for i := range out {
-		out[i] = geom.Transform{S: f[4*i], Theta: f[4*i+1], T: geom.Pt(f[4*i+2], f[4*i+3])}
-	}
-	return out
-}
-
-func (r *v3Reader) rects(b []byte) []geom.Rect {
-	if r.alias {
-		if v, ok := mmap.Cast[geom.Rect](b); ok {
-			return v
-		}
-	}
-	f := mmap.F64s(b)
-	out := make([]geom.Rect, len(f)/4)
-	for i := range out {
-		out[i] = geom.Rect{Min: geom.Pt(f[4*i], f[4*i+1]), Max: geom.Pt(f[4*i+2], f[4*i+3])}
-	}
-	return out
-}
-
-func (r *v3Reader) geomBounds(b []byte) []core.GeomBound {
-	if r.alias {
-		if v, ok := mmap.Cast[core.GeomBound](b); ok {
-			return v
-		}
-	}
-	f := mmap.F64s(b)
-	out := make([]core.GeomBound, len(f)/7)
-	for i := range out {
-		o := f[7*i : 7*i+7]
-		out[i] = core.GeomBound{CX: o[0], CY: o[1], R: o[2], MinX: o[3], MinY: o[4], MaxX: o[5], MaxY: o[6]}
-	}
-	return out
-}
-
-func (r *v3Reader) entryMeta(b []byte) []core.EntryMeta {
-	if r.alias {
-		if v, ok := mmap.Cast[core.EntryMeta](b); ok {
-			return v
-		}
-	}
-	w := mmap.I32s(b)
-	out := make([]core.EntryMeta, len(w)/4)
-	for i := range out {
-		out[i] = core.EntryMeta{ShapeID: w[4*i], Copy: w[4*i+1], DiamI: w[4*i+2], DiamJ: w[4*i+3]}
-	}
-	return out
-}
-
-func (r *v3Reader) gridHeaders(b []byte) []gridHeader {
-	if r.alias {
-		if v, ok := mmap.Cast[gridHeader](b); ok {
-			return v
-		}
-	}
-	out := make([]gridHeader, len(b)/80)
-	for i := range out {
-		row := b[i*80:]
-		f := mmap.F64s(row[:48])
-		w := mmap.I32s(row[48:80])
-		out[i] = gridHeader{
-			MinX: f[0], MinY: f[1], MaxX: f[2], MaxY: f[3], Cw: f[4], Ch: f[5],
-			Nx: w[0], Ny: w[1], SegOff: w[2], NSegs: w[3],
-			CellOff: w[4], NCells: w[5], IDOff: w[6], NIDs: w[7],
-		}
-	}
-	return out
-}
-
 // v3Options is the parsed OPTS section.
 type v3Options struct {
 	opts      Options
@@ -682,13 +548,9 @@ type v3Options struct {
 	nEntries  int
 	nVerts    int
 	nRawVerts int
-	backend   rangesearch.Kind
 }
 
 func parseV3Options(b []byte) (v3Options, error) {
-	if len(b) != v3OptsLen {
-		return v3Options{}, fmt.Errorf("geosir: OPTS section is %d bytes, want %d", len(b), v3OptsLen)
-	}
 	c := cursor{b: b}
 	var o v3Options
 	o.opts.Alpha = c.f64()
@@ -696,74 +558,52 @@ func parseV3Options(b []byte) (v3Options, error) {
 	o.opts.Tau = c.f64()
 	o.opts.AngleTol = c.f64()
 	hc := c.u32()
-	nimg := c.u32()
-	nsh := c.u32()
-	nent := c.u32()
-	nv := c.u32()
-	nraw := c.u32()
-	bk := c.u32()
+	counts := [5]uint32{c.u32(), c.u32(), c.u32(), c.u32(), c.u32()}
+	backend := c.u32()
 	_ = c.u32()
+	if c.err != nil || c.remaining() != 0 {
+		return v3Options{}, fmt.Errorf("geosir: OPTS section is %d bytes, want %d", len(b), v3OptsLen)
+	}
 	if hc > maxHashCurves {
 		return v3Options{}, fmt.Errorf("geosir: implausible hash-curve count %d", hc)
 	}
-	for _, n := range [5]uint32{nimg, nsh, nent, nv, nraw} {
+	for _, n := range counts {
 		if n > maxCount {
 			return v3Options{}, fmt.Errorf("geosir: implausible count %d in OPTS", n)
 		}
 	}
-	kind, err := v3BackendKind(bk)
-	if err != nil {
-		return v3Options{}, err
+	if backend != v3KDTree {
+		return v3Options{}, fmt.Errorf("geosir: unknown backend code %d", backend)
 	}
 	o.opts.HashCurves = int(hc)
-	o.nImages, o.nShapes, o.nEntries = int(nimg), int(nsh), int(nent)
-	o.nVerts, o.nRawVerts = int(nv), int(nraw)
-	o.backend = kind
+	o.nImages, o.nShapes, o.nEntries = int(counts[0]), int(counts[1]), int(counts[2])
+	o.nVerts, o.nRawVerts = int(counts[3]), int(counts[4])
 	return o, nil
 }
 
-// v3RawImages parses the raw family into per-image shape lists (the
-// same payload a GSIR2 stream carries), for the slow rebuild path and
-// for shape construction during fast assembly.
-func (r *v3Reader) v3RawImages(o v3Options) ([]savedImage, error) {
-	imgsB, err := r.need("IMGS")
-	if err != nil {
-		return nil, err
-	}
-	shpmB, err := r.need("SHPM")
-	if err != nil {
-		return nil, err
-	}
-	rawvB, err := r.need("RAWV")
-	if err != nil {
-		return nil, err
-	}
-	c := cursor{b: imgsB}
+// rawImages parses the raw family into per-image shape lists (the same
+// payload a GSIR2 stream carries), for the slow rebuild path and for
+// shape construction during fast assembly. IMGS is a framed stream: no
+// count it declares is used before the bytes behind it are known to
+// exist.
+func (r *v3Reader) rawImages(o v3Options) ([]savedImage, error) {
+	c := cursor{b: r.sec["IMGS"]}
 	nimg := int(c.u32())
-	if c.err != nil || nimg != o.nImages {
-		return nil, fmt.Errorf("geosir: IMGS declares %d images, OPTS %d", nimg, o.nImages)
+	if c.err != nil || nimg != o.nImages || nimg > c.remaining()/8 {
+		return nil, fmt.Errorf("geosir: IMGS declares %d images in %d bytes, OPTS %d", nimg, c.remaining(), o.nImages)
 	}
-	if len(shpmB) != o.nShapes*16 {
-		return nil, fmt.Errorf("geosir: SHPM is %d bytes for %d shapes", len(shpmB), o.nShapes)
-	}
-	rawv := r.points(rawvB)
-	if len(rawv) != o.nRawVerts {
-		return nil, fmt.Errorf("geosir: RAWV holds %d vertices, OPTS declares %d", len(rawv), o.nRawVerts)
-	}
-	shpm := r.i32s(shpmB)
+	rawv := v3View[geom.Point](r, "RAWV")
+	shpm := v3View[int32](r, "SHPM")
 	out := make([]savedImage, 0, nimg)
 	sid := 0
 	for i := 0; i < nimg; i++ {
 		id := int(int32(c.u32()))
 		nsh := int(c.u32())
-		if c.err != nil {
-			return nil, fmt.Errorf("geosir: IMGS truncated at image %d", i)
+		if nsh < 0 || nsh > o.nShapes-sid {
+			return nil, fmt.Errorf("geosir: IMGS declares more shapes than SHPM holds")
 		}
 		img := savedImage{id: id, shapes: make([]Shape, 0, nsh)}
 		for j := 0; j < nsh; j++ {
-			if sid >= o.nShapes {
-				return nil, fmt.Errorf("geosir: IMGS declares more shapes than SHPM holds")
-			}
 			row := shpm[sid*4 : sid*4+4]
 			flags, off, n := row[0], row[1], row[2]
 			if off < 0 || n < 0 || int(off)+int(n) > len(rawv) {
@@ -786,11 +626,12 @@ func (r *v3Reader) v3RawImages(o v3Options) ([]savedImage, error) {
 	return out, nil
 }
 
-// assembleV3 stitches a frozen engine from verified sections: O(n)
-// slice casts and pointer fills, no geometry. The alias flag decides
-// whether array sections are served in place (mmap) or copied.
+// assembleV3 stitches a frozen engine from sections that are verified
+// and that v3Check has passed: O(n) slice views and pointer fills, no
+// geometry. The reader's alias flag decides whether array sections are
+// served in place (mmap) or copied.
 func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
-	images, err := r.v3RawImages(o)
+	images, err := r.rawImages(o)
 	if err != nil {
 		return nil, err
 	}
@@ -802,69 +643,12 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 		}
 	}
 
-	get := func(tag string) ([]byte, error) { return r.need(tag) }
-	entmB, err := get("ENTM")
-	if err != nil {
-		return nil, err
-	}
-	enttB, err := get("ENTT")
-	if err != nil {
-		return nil, err
-	}
-	eoffB, err := get("EOFF")
-	if err != nil {
-		return nil, err
-	}
-	ventB, err := get("VENT")
-	if err != nil {
-		return nil, err
-	}
-	evtxB, err := get("EVTX")
-	if err != nil {
-		return nil, err
-	}
-	gbndB, err := get("GBND")
-	if err != nil {
-		return nil, err
-	}
-	if len(entmB) != o.nEntries*16 || len(enttB) != o.nEntries*64 ||
-		len(eoffB) != (o.nEntries+1)*4 || len(ventB) != o.nVerts*4 ||
-		len(evtxB) != o.nVerts*16 || len(gbndB) != o.nEntries*56 {
-		return nil, fmt.Errorf("geosir: entry sections disagree with OPTS counts")
-	}
-	metas := r.entryMeta(entmB)
-	trans := r.transforms(enttB)
-	entryOff := r.i32s(eoffB)
-	vertEntry := r.i32s(ventB)
-	verts := r.points(evtxB)
-	gbounds := r.geomBounds(gbndB)
-
 	// Oracle grids from the pooled arrays.
-	grdhB, err := get("GRDH")
-	if err != nil {
-		return nil, err
-	}
-	gsegB, err := get("GSEG")
-	if err != nil {
-		return nil, err
-	}
-	gcelB, err := get("GCEL")
-	if err != nil {
-		return nil, err
-	}
-	gidsB, err := get("GIDS")
-	if err != nil {
-		return nil, err
-	}
-	if len(grdhB) != o.nEntries*80 {
-		return nil, fmt.Errorf("geosir: GRDH is %d bytes for %d entries", len(grdhB), o.nEntries)
-	}
-	heads := r.gridHeaders(grdhB)
-	gseg := r.f64s(gsegB)
-	gcel := r.i32s(gcelB)
-	gids := r.i32s(gidsB)
+	gseg := v3View[float64](r, "GSEG")
+	gcel := v3View[int32](r, "GCEL")
+	gids := v3View[int32](r, "GIDS")
 	grids := make([]*shapeindex.SegmentGrid, o.nEntries)
-	for i, h := range heads {
+	for i, h := range v3View[gridHeader](r, "GRDH") {
 		n := int(h.NSegs)
 		so, co, io_ := int(h.SegOff), int(h.CellOff), int(h.IDOff)
 		if n <= 0 || so < 0 || 5*(so+n) > 5*so+5*n || so+n > len(gseg)/5 ||
@@ -877,7 +661,7 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 		g, err := shapeindex.GridFromParts(shapeindex.GridParts{
 			Ax: seg[0:n:n], Ay: seg[n : 2*n : 2*n], Dx: seg[2*n : 3*n : 3*n],
 			Dy: seg[3*n : 4*n : 4*n], InvL2: seg[4*n : 5*n : 5*n],
-			Bounds: geom.Rect{Min: geom.Pt(h.MinX, h.MinY), Max: geom.Pt(h.MaxX, h.MaxY)},
+			Bounds: h.Bounds,
 			Nx:     int(h.Nx), Ny: int(h.Ny), Cw: h.Cw, Ch: h.Ch,
 			CellStart: gcel[co : co+int(h.NCells) : co+int(h.NCells)],
 			CellIDs:   gids[io_ : io_+int(h.NIDs) : io_+int(h.NIDs)],
@@ -888,45 +672,22 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 		grids[i] = g
 	}
 
-	// Range-search backend: the kd-tree sections when present, a
-	// deterministic rebuild from the vertex array otherwise.
-	var backend rangesearch.Backend
-	if o.backend == rangesearch.KindKDTree {
-		kdtpB, err := get("KDTP")
-		if err != nil {
-			return nil, err
-		}
-		kdtiB, err := get("KDTI")
-		if err != nil {
-			return nil, err
-		}
-		kdtbB, err := get("KDTB")
-		if err != nil {
-			return nil, err
-		}
-		if len(kdtpB) != o.nVerts*16 || len(kdtiB) != o.nVerts*4 || len(kdtbB) != o.nVerts*32 {
-			return nil, fmt.Errorf("geosir: kd-tree sections disagree with vertex count %d", o.nVerts)
-		}
-		t, err := rangesearch.KDTreeFromParts(rangesearch.KDTreeParts{
-			Pts: r.points(kdtpB), IDs: r.i32s(kdtiB), Bounds: r.rects(kdtbB),
-		})
-		if err != nil {
-			return nil, err
-		}
-		backend = t
-	} else {
-		backend = rangesearch.New(o.backend, verts)
+	backend, err := rangesearch.KDTreeFromParts(rangesearch.KDTreeParts{
+		Pts:    v3View[geom.Point](r, "KDTP"),
+		IDs:    v3View[int32](r, "KDTI"),
+		Bounds: v3View[geom.Rect](r, "KDTB"),
+	})
+	if err != nil {
+		return nil, err
 	}
-
 	base, err := core.BaseFromParts(core.BaseSpec{
 		Opts:       coreOptsFor(o.opts),
 		Shapes:     shapes,
-		EntryMeta:  metas,
-		EntryTrans: trans,
-		Verts:      verts,
-		VertEntry:  vertEntry,
-		EntryOff:   entryOff,
-		GeomBounds: gbounds,
+		EntryMeta:  v3View[core.EntryMeta](r, "ENTM"),
+		EntryTrans: v3View[geom.Transform](r, "ENTT"),
+		Verts:      v3View[geom.Point](r, "EVTX"),
+		VertEntry:  v3View[int32](r, "VENT"),
+		EntryOff:   v3View[int32](r, "EOFF"),
 		Grids:      grids,
 		Backend:    backend,
 	})
@@ -935,27 +696,14 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 	}
 
 	// Diameter angles and per-image graphs.
-	dangB, err := get("DANG")
-	if err != nil {
-		return nil, err
-	}
-	if len(dangB) != o.nShapes*8 {
-		return nil, fmt.Errorf("geosir: DANG is %d bytes for %d shapes", len(dangB), o.nShapes)
-	}
-	dang := r.f64s(dangB)
 	diamAng := make(map[int]float64, o.nShapes)
-	for sid, a := range dang {
+	for sid, a := range v3View[float64](r, "DANG") {
 		diamAng[sid] = a
 	}
-	grphB, err := get("GRPH")
+	graphs, imageOrder, err := parseV3Graphs(r.sec["GRPH"], o)
 	if err != nil {
 		return nil, err
 	}
-	graphs, imageOrder, err := parseV3Graphs(grphB, o)
-	if err != nil {
-		return nil, err
-	}
-
 	db, err := query.DBFromParts(query.DBParts{
 		Opts:    queryOptsFor(o.opts),
 		Base:    base,
@@ -972,20 +720,13 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 
 	// Geometric hash table from the persisted quadruples — map inserts
 	// only, no curve geometry.
-	quadB, err := get("QUAD")
-	if err != nil {
-		return nil, err
-	}
-	if len(quadB) != o.nShapes*16 {
-		return nil, fmt.Errorf("geosir: QUAD is %d bytes for %d shapes", len(quadB), o.nShapes)
-	}
-	quads := r.i32s(quadB)
 	family, err := geohash.NewFamily(o.opts.HashCurves)
 	if err != nil {
 		return nil, err
 	}
 	eng.family = family
 	eng.table = geohash.NewTable(family)
+	quads := v3View[int32](r, "QUAD")
 	for sid := 0; sid < o.nShapes; sid++ {
 		row := quads[sid*4 : sid*4+4]
 		if row[0] < 0 {
@@ -998,19 +739,9 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 	}
 
 	// ANN index from the persisted signature family.
-	annpB, err := get("ANNP")
-	if err != nil {
+	if eng.annPre, err = parseV3Ann(r); err != nil {
 		return nil, err
 	}
-	annsB, err := get("ANNS")
-	if err != nil {
-		return nil, err
-	}
-	pre, err := parseV3AnnParams(annpB, annsB, r)
-	if err != nil {
-		return nil, err
-	}
-	eng.annPre = pre
 	eng.buildANN()
 	eng.frozen = true
 	return eng, nil
@@ -1039,6 +770,9 @@ func coreOptsFor(opts Options) core.Options {
 	return queryOptsFor(opts).Core
 }
 
+// parseV3Graphs parses GRPH, a framed stream like IMGS: every count is
+// bounded by the bytes left (4 per shape id, 12 per edge) before it
+// sizes an allocation.
 func parseV3Graphs(b []byte, o v3Options) (map[int]*query.ImageGraph, []int, error) {
 	c := cursor{b: b}
 	nimg := int(c.u32())
@@ -1050,7 +784,7 @@ func parseV3Graphs(b []byte, o v3Options) (map[int]*query.ImageGraph, []int, err
 	for i := 0; i < nimg; i++ {
 		id := int(int32(c.u32()))
 		nsh := int(c.u32())
-		if c.err != nil || nsh < 0 || nsh > o.nShapes {
+		if c.err != nil || nsh < 0 || nsh > c.remaining()/4 {
 			return nil, nil, fmt.Errorf("geosir: GRPH image %d has implausible shape count", i)
 		}
 		shapeIDs := make([]int, nsh)
@@ -1062,7 +796,7 @@ func parseV3Graphs(b []byte, o v3Options) (map[int]*query.ImageGraph, []int, err
 			shapeIDs[j] = sid
 		}
 		nedges := int(c.u32())
-		if c.err != nil || nedges < 0 || nedges > o.nShapes*o.nShapes {
+		if c.err != nil || nedges < 0 || nedges > c.remaining()/12 {
 			return nil, nil, fmt.Errorf("geosir: GRPH image %d has implausible edge count", id)
 		}
 		edges := make([]query.GraphEdge, 0, nedges)
@@ -1081,9 +815,6 @@ func parseV3Graphs(b []byte, o v3Options) (map[int]*query.ImageGraph, []int, err
 			}
 			edges = append(edges, query.GraphEdge{From: from, To: to, Label: rel})
 		}
-		if c.err != nil {
-			return nil, nil, fmt.Errorf("geosir: GRPH truncated in image %d", id)
-		}
 		if _, dup := graphs[id]; dup {
 			return nil, nil, fmt.Errorf("geosir: GRPH repeats image %d", id)
 		}
@@ -1096,49 +827,51 @@ func parseV3Graphs(b []byte, o v3Options) (map[int]*query.ImageGraph, []int, err
 	return graphs, order, nil
 }
 
-func parseV3AnnParams(annp, anns []byte, r *v3Reader) (*annPreload, error) {
-	if len(annp) != 24 {
-		return nil, fmt.Errorf("geosir: ANNP section is %d bytes, want 24", len(annp))
+// parseV3Ann reads the signature family: ANNP states how many signature
+// words ANNS must hold.
+func parseV3Ann(r *v3Reader) (*annPreload, error) {
+	c := cursor{b: r.sec["ANNP"]}
+	seed := c.u64()
+	gridRes, bands, rows, n := c.u32(), c.u32(), c.u32(), c.u32()
+	p, err := annParams(seed, gridRes, bands, rows, n)
+	if err != nil {
+		return nil, err
 	}
-	c := cursor{b: annp}
-	var p annindex.Params
-	p.Seed = c.u64()
-	gridRes := c.u32()
-	bands := c.u32()
-	rows := c.u32()
-	n := c.u32()
-	if gridRes < 1 || gridRes > 4096 || bands < 1 || bands > 4096 || rows < 1 || rows > 64 {
-		return nil, fmt.Errorf("geosir: implausible ANN parameters %d/%d/%d", gridRes, bands, rows)
+	sigs := v3View[uint64](r, "ANNS")
+	if want := int(n) * p.Bands * p.Rows; want != len(sigs) {
+		return nil, fmt.Errorf("geosir: ANNS holds %d signature words, ANNP declares %d", len(sigs), want)
 	}
-	if n > maxCount {
-		return nil, fmt.Errorf("geosir: implausible ANN entry count %d", n)
+	return &annPreload{params: p, sigs: sigs, n: int(n)}, nil
+}
+
+// openV3 is the front half of both loaders: layout, checksums, OPTS.
+// It returns the reader over the sections that verified and the tags of
+// those that did not.
+func openV3(data []byte, alias bool) (*v3Reader, v3Options, []string, error) {
+	secs, err := parseV3Layout(data)
+	if err != nil {
+		return nil, v3Options{}, nil, err
 	}
-	p.GridRes, p.Bands, p.Rows = int(gridRes), int(bands), int(rows)
-	h := int(bands) * int(rows)
-	if want := int(n) * h * 8; want != len(anns) {
-		return nil, fmt.Errorf("geosir: ANNS holds %d bytes of signatures, want %d", len(anns), want)
+	m, bad := v3Verify(data, secs)
+	optsB, ok := m["OPTS"]
+	if !ok {
+		return nil, v3Options{}, nil, fmt.Errorf("geosir: GSIR3 snapshot has no intact OPTS section")
 	}
-	return &annPreload{params: p, sigs: r.u64s(anns), n: int(n)}, nil
+	o, err := parseV3Options(optsB)
+	return &v3Reader{sec: m, alias: alias}, o, bad, err
 }
 
 // loadGSIR3Bytes runs the strict load over a complete byte image: any
 // checksum or framing damage anywhere fails it.
 func loadGSIR3Bytes(data []byte, alias bool) (*Engine, error) {
-	secs, err := parseV3Layout(data)
+	r, o, bad, err := openV3(data, alias)
 	if err != nil {
 		return nil, err
 	}
-	m, bad := v3Verify(data, secs)
 	if len(bad) > 0 {
 		return nil, fmt.Errorf("geosir: section %s checksum mismatch", bad[0])
 	}
-	r := &v3Reader{sec: m, alias: alias && mmap.CanCast()}
-	optsB, err := r.need("OPTS")
-	if err != nil {
-		return nil, err
-	}
-	o, err := parseV3Options(optsB)
-	if err != nil {
+	if err := v3Check(r.sec, &o, false); err != nil {
 		return nil, err
 	}
 	return assembleV3(r, o)
@@ -1150,41 +883,32 @@ func loadGSIR3Bytes(data []byte, alias bool) (*Engine, error) {
 // identically to the original); raw-family or structural damage is
 // unrecoverable.
 func loadPartialGSIR3Bytes(data []byte) (*Engine, *Recovery, error) {
-	secs, err := parseV3Layout(data)
+	// Copy, never alias: a salvage result must not pin the (possibly
+	// temporary) source bytes.
+	r, o, bad, err := openV3(data, false)
 	if err != nil {
-		return nil, nil, fmt.Errorf("geosir: unrecoverable GSIR3 layout: %w", err)
+		return nil, nil, fmt.Errorf("geosir: unrecoverable GSIR3 snapshot: %w", err)
 	}
-	m, bad := v3Verify(data, secs)
 	for _, tag := range bad {
 		if v3RawTags[tag] {
 			return nil, nil, fmt.Errorf("geosir: unrecoverable damage in raw section %s", tag)
 		}
 	}
-	// Copy-decode, never alias: a salvage result must not pin the
-	// (possibly temporary) source bytes.
-	r := &v3Reader{sec: m, alias: false}
-	optsB, err := r.need("OPTS")
-	if err != nil {
-		return nil, nil, err
-	}
-	o, err := parseV3Options(optsB)
-	if err != nil {
-		return nil, nil, err
-	}
 	rec := &Recovery{Format: "GSIR3", ImagesExpected: o.nImages}
-	if len(bad) == 0 {
+	if len(bad) == 0 && v3Check(r.sec, &o, false) == nil {
 		if eng, err := assembleV3(r, o); err == nil {
 			rec.ImagesLoaded = o.nImages
 			return eng, rec, nil
 		}
-		// Fast assembly failed despite verified checksums (e.g. a
-		// writer/reader version skew in a derived section): fall back to
-		// the slow rebuild below and account the loss.
-		rec.AuxDropped++
-	} else {
-		rec.AuxDropped = len(bad)
 	}
-	images, err := r.v3RawImages(o)
+	// Damaged derived sections, or a fast assembly that failed despite
+	// verified checksums (e.g. a writer/reader version skew in a derived
+	// section): account the loss and rebuild the slow way.
+	rec.AuxDropped = max(len(bad), 1)
+	if err := v3Check(r.sec, &o, true); err != nil {
+		return nil, nil, fmt.Errorf("geosir: unrecoverable raw image data: %w", err)
+	}
+	images, err := r.rawImages(o)
 	if err != nil {
 		return nil, nil, fmt.Errorf("geosir: unrecoverable raw image data: %w", err)
 	}
@@ -1218,49 +942,33 @@ func readAllWithMagic(magic string, r io.Reader) ([]byte, error) {
 // checksums. Sequential: pad bytes up to OPTS are discarded, array
 // sections after it are never read.
 func peekGSIR3(r io.Reader) (SnapshotInfo, error) {
-	var hdr [10]byte
+	var hdr [v3HeaderLen - magicLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("geosir: reading GSIR3 header: %w", err)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[0:]); v != v3Version {
-		return SnapshotInfo{}, fmt.Errorf("geosir: unsupported GSIR3 version %d", v)
+	nsec, err := parseV3Header(hdr[:])
+	if err != nil {
+		return SnapshotInfo{}, err
 	}
-	nsec := binary.LittleEndian.Uint32(hdr[2:])
-	if nsec == 0 || nsec > v3MaxSections {
-		return SnapshotInfo{}, fmt.Errorf("geosir: implausible GSIR3 section count %d", nsec)
-	}
-	tableLen := int(nsec) * v3TableEntry
-	buf, err := readCapped(r, tableLen+4)
+	table, err := readCapped(r, nsec*v3TableEntry+4)
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("geosir: reading GSIR3 section table: %w", err)
 	}
-	table := buf[:tableLen]
-	if crc32.ChecksumIEEE(table) != binary.LittleEndian.Uint32(buf[tableLen:]) {
-		return SnapshotInfo{}, fmt.Errorf("geosir: GSIR3 section table checksum mismatch")
+	// The stream's length is unknown, so rows are bounded by nothing but
+	// each other; what is read below is bounded by v3OptsLen.
+	secs, err := parseV3Rows(table, math.MaxInt64)
+	if err != nil {
+		return SnapshotInfo{}, err
 	}
-	var opts *v3Section
-	for i := 0; i < int(nsec); i++ {
-		row := table[i*v3TableEntry:]
-		if string(row[0:4]) == "OPTS" {
-			opts = &v3Section{
-				off: binary.LittleEndian.Uint64(row[8:]),
-				len: binary.LittleEndian.Uint64(row[16:]),
-				crc: binary.LittleEndian.Uint32(row[24:]),
-			}
-			break
-		}
+	i := slices.IndexFunc(secs, func(s v3Section) bool { return s.tag == "OPTS" })
+	if i < 0 || secs[i].len != v3OptsLen {
+		return SnapshotInfo{}, fmt.Errorf("geosir: GSIR3 snapshot has no %d-byte OPTS section", v3OptsLen)
 	}
-	if opts == nil {
-		return SnapshotInfo{}, fmt.Errorf("geosir: GSIR3 snapshot missing OPTS section")
-	}
-	pos := uint64(v3HeaderLen + tableLen + 4)
-	if opts.off < pos || opts.len != v3OptsLen {
-		return SnapshotInfo{}, fmt.Errorf("geosir: implausible OPTS section placement")
-	}
-	if _, err := io.CopyN(io.Discard, r, int64(opts.off-pos)); err != nil {
+	opts := secs[i]
+	if _, err := io.CopyN(io.Discard, r, int64(opts.off)-int64(v3HeaderLen+len(table))); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("geosir: seeking OPTS section: %w", err)
 	}
-	payload, err := readCapped(r, int(opts.len))
+	payload, err := readCapped(r, v3OptsLen)
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("geosir: reading OPTS section: %w", err)
 	}
@@ -1277,7 +985,7 @@ func peekGSIR3(r io.Reader) (SnapshotInfo, error) {
 		Options:    o.opts,
 		Images:     o.nImages,
 		Shapes:     o.nShapes,
-		Sections:   int(nsec),
+		Sections:   nsec,
 	}, nil
 }
 

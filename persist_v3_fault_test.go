@@ -42,7 +42,7 @@ func TestGSIR3SaveAtomicUnderWriteFaults(t *testing.T) {
 	}
 	size := len(gsir3Bytes(t, next))
 	for _, off := range faultOffsets(size) {
-		err := next.saveFileAtomicAs(path, FormatGSIR3, func(w io.Writer) io.Writer {
+		err := next.saveFileAtomic(path, FormatGSIR3, func(w io.Writer) io.Writer {
 			return iofault.FailWriter(w, int64(off))
 		})
 		if !errors.Is(err, iofault.ErrInjected) {
@@ -96,7 +96,7 @@ func TestGSIR3TornWriteDetected(t *testing.T) {
 	eng := buildEngine(t)
 	full := gsir3Bytes(t, eng)
 	for _, off := range faultOffsets(len(full)) {
-		err := eng.saveFileAtomicAs(path, FormatGSIR3, func(w io.Writer) io.Writer {
+		err := eng.saveFileAtomic(path, FormatGSIR3, func(w io.Writer) io.Writer {
 			return iofault.TruncWriter(w, int64(off))
 		})
 		if err != nil {

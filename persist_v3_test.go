@@ -3,8 +3,11 @@ package geosir
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/mmap"
@@ -335,4 +338,139 @@ func TestGSIR3SaveFileAsAtomicity(t *testing.T) {
 	if info.FormatName != "GSIR2" {
 		t.Fatalf("format = %q", info.FormatName)
 	}
+}
+
+// rewriteV3 takes a GSIR3 image apart into its sections, lets edit change
+// them, and writes the result back out with offsets, section CRCs and the
+// table CRC re-summed: a checksum-consistent file that says something the
+// writer never would.
+func rewriteV3(t *testing.T, data []byte, edit func([]v3sec) []v3sec) []byte {
+	t.Helper()
+	rows, err := parseV3Layout(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := make([]v3sec, len(rows))
+	for i, s := range rows {
+		secs[i] = v3sec{tag: s.tag, payload: bytes.Clone(data[s.off : s.off+s.len])}
+	}
+	var buf bytes.Buffer
+	if err := writeV3(&buf, edit(secs)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// editV3Section is the rewriteV3 edit that changes one section's payload.
+func editV3Section(tag string, change func([]byte) []byte) func([]v3sec) []v3sec {
+	return func(secs []v3sec) []v3sec {
+		for i := range secs {
+			if secs[i].tag == tag {
+				secs[i].payload = change(secs[i].payload)
+			}
+		}
+		return secs
+	}
+}
+
+// TestGSIR3FramedCountsBounded: the counts inside the framed streams size
+// allocations, so each must be refused unless the bytes behind it exist.
+// IMGS's per-image shape count set to 0xFFFFFFF0 used to be a 137 GB
+// make() — process death, through Load, LoadPartial and /admin/reload.
+func TestGSIR3FramedCountsBounded(t *testing.T) {
+	data := saveV3(t, buildEngine(t))
+	huge := func(off int) func([]byte) []byte {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[off:], 0xFFFFFFF0)
+			return b
+		}
+	}
+	// IMGS: u32 images | first image { u32 id | u32 shapes ← }.
+	imgs := rewriteV3(t, data, editV3Section("IMGS", huge(8)))
+	if _, err := Load(bytes.NewReader(imgs)); err == nil {
+		t.Error("Load accepted an IMGS shape count beyond SHPM")
+	}
+	if _, _, err := LoadPartial(bytes.NewReader(imgs)); err == nil {
+		t.Error("LoadPartial accepted an IMGS shape count beyond SHPM (IMGS is raw: nothing to rebuild from)")
+	}
+	// GRPH: u32 images | first image { u32 id | u32 shapes=2 | 2 × u32 | u32 edges ← }.
+	// It is derived, so the salvage path rebuilds it and says so.
+	grph := rewriteV3(t, data, editV3Section("GRPH", huge(4+4+4+2*4)))
+	if _, err := Load(bytes.NewReader(grph)); err == nil {
+		t.Error("Load accepted a GRPH edge count beyond the section")
+	}
+	if _, rec, err := LoadPartial(bytes.NewReader(grph)); err != nil || rec.Complete() {
+		t.Errorf("LoadPartial over a bad GRPH edge count: recovery %+v, err %v; want a rebuild that reports the loss", rec, err)
+	}
+}
+
+// TestGSIR3SectionTable drives the loader's one shape check from the
+// table itself: the writer emits exactly the table's rows, every row the
+// OPTS counts size is refused by name when it is an element short, an
+// element long or absent, and a section the table does not know — what
+// every snapshot written while GBND existed carries — is ignored.
+func TestGSIR3SectionTable(t *testing.T) {
+	orig := buildEngine(t)
+	data := saveV3(t, orig)
+	rows, err := parseV3Layout(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(v3Table) {
+		t.Fatalf("writer emitted %d sections, the table has %d rows", len(rows), len(v3Table))
+	}
+	for i, row := range v3Table {
+		if rows[i].tag != row.tag {
+			t.Fatalf("section %d is %s, the table says %s", i, rows[i].tag, row.tag)
+		}
+	}
+
+	for _, row := range v3Table {
+		if row.count == nil {
+			continue
+		}
+		edits := []struct {
+			name string
+			edit func([]v3sec) []v3sec
+		}{
+			{"short", editV3Section(row.tag, func(b []byte) []byte { return b[:len(b)-row.elem] })},
+			{"long", editV3Section(row.tag, func(b []byte) []byte { return append(b, make([]byte, row.elem)...) })},
+			{"absent", func(secs []v3sec) []v3sec {
+				return slices.DeleteFunc(secs, func(s v3sec) bool { return s.tag == row.tag })
+			}},
+		}
+		for _, e := range edits {
+			t.Run(row.tag+"/"+e.name, func(t *testing.T) {
+				_, err := Load(bytes.NewReader(rewriteV3(t, data, e.edit)))
+				if err == nil || !strings.Contains(err.Error(), row.tag) {
+					t.Fatalf("Load = %v, want a refusal naming %s", err, row.tag)
+				}
+			})
+		}
+	}
+
+	t.Run("unknown section ignored", func(t *testing.T) {
+		old := rewriteV3(t, data, func(secs []v3sec) []v3sec {
+			at := slices.IndexFunc(secs, func(s v3sec) bool { return s.tag == "EVTX" }) + 1
+			return slices.Insert(secs, at, v3sec{tag: "GBND", payload: make([]byte, 56*orig.NumEntries())})
+		})
+		heap, err := Load(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("Load with a GBND section: %v", err)
+		}
+		checkEngineEquivalence(t, orig, heap)
+		if !mmap.Supported() || !mmap.CanCast() {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "old.gsir3")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := LoadFileMmap(path)
+		if err != nil {
+			t.Fatalf("LoadFileMmap with a GBND section: %v", err)
+		}
+		defer mapped.Close()
+		checkEngineEquivalence(t, orig, mapped)
+	})
 }
