@@ -23,15 +23,16 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# The shared bound makes per-shard work depend on which shard publishes
-# first: a tier-1 failure (TestShardedMmapEquivalence's stats) showed
-# only with >= 2 cores, which the CI box does not have. The delta reads a
-# bound its sibling parts publish concurrently, and a request's distance
-# field is built once and read by every shard goroutine — the same class,
-# as are the stored vertices' field cells and the oracle grids' one walk,
-# which every shard goroutine reads, and the floors a bucket pass orders
-# itself by. Run the affected suites at both settings.
-PROCS_RUN := 'Equivalence|SharedBound|BoundFirst|Delta|Dynamic|Field|EntryFirst|Scan|Seed|SegmentGridDist|Bucket|Floor'
+# The shared bound makes per-part work — never matches, never Converged —
+# depend on which part publishes first: a tier-1 failure
+# (TestShardedMmapEquivalence's stats) showed only with >= 2 cores, which
+# the CI box does not have. The delta scans under a bound its sibling
+# parts publish concurrently, and a request's distance field is built once
+# and read by every shard goroutine — the same class, as are the stored
+# vertices' field cells and the oracle grids' one walk, which every shard
+# goroutine reads, and the floors a bucket pass orders itself by. Run the
+# affected suites at both settings.
+PROCS_RUN := 'Equivalence|BoundFirst|Delta|Dynamic|Field|Scan|Seed|SegmentGridDist|Bucket|Floor'
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex
 	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex

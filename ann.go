@@ -16,12 +16,13 @@ type AnnMode int
 const (
 	// AnnOff (the zero value) ignores the ANN tier entirely.
 	AnnOff AnnMode = iota
-	// AnnVerify uses the tier only to *order* work: the exact kernel's
-	// bootstrap evaluations and the hashing fallback's candidate scoring
-	// visit ANN-similar shapes first, which tightens the admissible
-	// cutoffs (and the cross-shard shared bound) sooner. Results are
-	// byte-identical to AnnOff — the tier never decides what is
-	// evaluated, only when (DESIGN.md §4.10).
+	// AnnVerify uses the tier only to *order* work, and only in the
+	// hashing stage (ModeApproximate, ModeAuto's fallback): its candidate
+	// scoring visits ANN-similar shapes first, which tightens the
+	// admissible cutoffs (and the cross-shard shared bound) sooner. The
+	// exact search is one scan with no order to change and probes
+	// nothing. Results are byte-identical to AnnOff — the tier never
+	// decides what is evaluated, only when (DESIGN.md §4.10).
 	AnnVerify
 	// AnnApprox answers ModeAuto/ModeApproximate/ModeSketch requests
 	// from the ANN candidate set alone: probed buckets (extended to a
@@ -30,7 +31,7 @@ const (
 	// the base's geometry at a measured recall (BenchmarkAnn*; the ledger's
 	// recall_at_k on approx_zipf_cached).
 	// ModeExact ignores the approximation and degrades to AnnVerify —
-	// its contract is exactness.
+	// its contract is exactness — which is AnnOff there.
 	AnnApprox
 )
 
@@ -145,26 +146,6 @@ func (e *Engine) ANNIndex() *annindex.Index { return e.ann }
 // annStats is the accounting of one probe of the tier.
 func annStats(probes, candidates int) Stats {
 	return Stats{UsedANN: true, ANNProbes: probes, ANNCandidates: candidates}
-}
-
-// annRank probes the tier for verify-mode ordering: a sparse entry→
-// score map the exact kernel uses to evaluate promising bootstrap
-// candidates first. Any non-off mode ranks (AnnApprox degrades to
-// ordering on the exact path). A nil map means no ordering.
-func (e *Engine) annRank(pq *core.PreparedQuery, ann AnnMode) (map[int32]int32, Stats) {
-	if ann == AnnOff {
-		return nil, Stats{}
-	}
-	cand := e.ann.Probe(e.ann.Signature(pq.Entry().Poly), 0)
-	st := annStats(cand.Probes, len(cand.Entries))
-	if len(cand.Entries) == 0 {
-		return nil, st
-	}
-	rank := make(map[int32]int32, len(cand.Entries))
-	for i, ei := range cand.Entries {
-		rank[ei] = cand.Scores[i]
-	}
-	return rank, st
 }
 
 // annOrder reorders candidate shape ids best-first by ANN signature

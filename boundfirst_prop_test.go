@@ -113,7 +113,8 @@ func assertBoundFirst(t *testing.T, label string, s Searcher, v searchView, q Sh
 // and 2, on one worker and on one per part (the hand-over reads a bound
 // siblings publish concurrently): the two cannot be told apart in the
 // matches or in Converged, and on the deterministic width-1 walk the
-// hand-over never sends more copies to the exact evaluator. It reports
+// hand-over never sends more copies to the exact evaluator. (Both modes
+// run this phase alike.) It reports
 // whether the request was seeded at all, and how many tombstoned shapes of
 // frozen parts sit on the query's hash curves.
 func assertHandOver(t *testing.T, label string, parts []part, q Shape, k int) (seeded bool, deadInBucket int) {
@@ -137,29 +138,26 @@ func assertHandOver(t *testing.T, label string, parts []part, q Shape, k int) (s
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		for _, mode := range []Mode{ModeExact, ModeAuto} {
-			for _, width := range []int{1, len(parts)} {
-				l := fmt.Sprintf("%s procs=%d %v width=%d", label, procs, mode, width)
-				req := SearchRequest{Query: q, K: k, Mode: mode}
-				on := mustSeed(t, parts, pq, buckets, k)
-				seeded = on.bound() != nil
-				got, gst, err := exactSeeded(ctx, parts, pq, req, width, on)
-				if err != nil {
-					t.Fatalf("%s: %v", l, err)
-				}
-				off := mustSeed(t, parts, pq, buckets, k)
-				off.scored = nil
-				want, wst, err := exactSeeded(ctx, parts, pq, req, width, off)
-				if err != nil {
-					t.Fatalf("%s: %v", l, err)
-				}
-				assertMatchesEqual(t, l+" hand-over", want, got)
-				if gst.Converged != wst.Converged {
-					t.Fatalf("%s: Converged %v with the hand-over, %v without", l, gst.Converged, wst.Converged)
-				}
-				if width == 1 && gst.Candidates > wst.Candidates {
-					t.Fatalf("%s: %d candidates with the hand-over, %d without", l, gst.Candidates, wst.Candidates)
-				}
+		for _, width := range []int{1, len(parts)} {
+			l := fmt.Sprintf("%s procs=%d width=%d", label, procs, width)
+			on := mustSeed(t, parts, pq, buckets, k)
+			seeded = on.bound() != nil
+			got, gst, err := exactSeeded(ctx, parts, pq, k, width, on)
+			if err != nil {
+				t.Fatalf("%s: %v", l, err)
+			}
+			off := mustSeed(t, parts, pq, buckets, k)
+			off.scored = nil
+			want, wst, err := exactSeeded(ctx, parts, pq, k, width, off)
+			if err != nil {
+				t.Fatalf("%s: %v", l, err)
+			}
+			assertMatchesEqual(t, l+" hand-over", want, got)
+			if gst.Converged != wst.Converged {
+				t.Fatalf("%s: Converged %v with the hand-over, %v without", l, gst.Converged, wst.Converged)
+			}
+			if width == 1 && gst.Candidates > wst.Candidates {
+				t.Fatalf("%s: %d candidates with the hand-over, %d without", l, gst.Candidates, wst.Candidates)
 			}
 		}
 	}
@@ -434,9 +432,9 @@ func TestBoundFirstEquivalence(t *testing.T) {
 	}
 }
 
-// TestSeededSearchIsOneScan pins what a fitting seed makes of an exact
-// search, on a 200-image base (the benchmark's size) over a list of
-// queries the hash tier seeds: the kernel call Engine.Search makes issues
+// TestSeededSearchIsOneScan pins what a seed makes of an exact search, on
+// a 200-image base (the benchmark's size) over a list of queries the hash
+// tier seeds: the kernel call Engine.Search makes issues
 // no triangle query and is handed no vertex by a range search, reads every
 // copy the seed pass has not scored already and none it has, and Search
 // reports exactly that call's work.
@@ -461,12 +459,12 @@ func TestSeededSearchIsOneScan(t *testing.T) {
 			continue
 		}
 		tested++
-		_, st, err := base.MatchPrepared(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true, Scored: seed.scored[0]})
+		_, st, err := base.MatchPrepared(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true, Scored: seed.scored[0]}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.TrianglesQueried != 0 || st.VerticesReported != 0 || st.Iterations != 1 || !st.Converged {
-			t.Fatalf("q%d: %d triangle queries, %d vertices reported, %d iterations, converged=%v under a fitting seed",
+			t.Fatalf("q%d: %d triangle queries, %d vertices reported, %d iterations, converged=%v under a seed",
 				qi, st.TrianglesQueried, st.VerticesReported, st.Iterations, st.Converged)
 		}
 		unscored := base.NumEntries()
@@ -489,10 +487,12 @@ func TestSeededSearchIsOneScan(t *testing.T) {
 	}
 }
 
-// TestBoundFirstFitRule pins when a seed is used at all: only when the
-// bucket held k live shapes and the envelope a search opens with under it
-// fits ε_max. A seed that does not fit leaves the request on the unseeded
-// path, stats and all.
+// TestBoundFirstFitRule pins when a seed is used at all: exactly when the
+// buckets held k live shapes — any k of them bound the merged k-th best.
+// How wide the seed is plays no part: a seed far above the true k-th best,
+// as a poor bucket gives, still makes every part one scan, which proves
+// the top k, and one that would open an envelope wider than the climb's
+// ε_max does too.
 func TestBoundFirstFitRule(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	se := buildShardedFrom(t, images, 2)
@@ -505,45 +505,30 @@ func TestBoundFirstFitRule(t *testing.T) {
 	}
 	buckets := hashBuckets(parts, pq)
 	seed := mustSeed(t, parts, pq, buckets, 1)
-	sv, epsMax := seed.kth.Kth(), seed.epsMax
-	for si := 0; si < se.NumShards(); si++ {
-		if em := se.Shard(si).Base().EpsilonMax(pq.Entry().Poly.Perimeter()); em < epsMax {
-			t.Fatalf("shard %d: ε_max %g below the seed's %g", si, em, epsMax)
-		}
-	}
-	if math.IsInf(sv, 1) || math.IsInf(epsMax, 1) || seed.bound() == nil {
-		t.Fatalf("no k=1 seed for a copy of a stored shape (k-th %g, ε_max %g)", sv, epsMax)
+	sv := seed.kth.Kth()
+	if sb := seed.bound(); math.IsInf(sv, 1) || sb == nil || sb.Load() != sv {
+		t.Fatalf("no k=1 seed for a copy of a stored shape (k-th %g)", sv)
 	}
 	if short := mustSeed(t, parts, pq, buckets, se.NumShapes()+1); short.bound() != nil {
 		t.Fatalf("a bucket short of k shapes must not seed")
 	}
-	seed.epsMax = 2 * sv * 1.0001
-	if sb := seed.bound(); sb == nil || sb.Load() != sv {
-		t.Fatalf("a seed whose opening envelope equals ε_max must be used")
-	}
-	seed.epsMax = 2 * sv
-	if seed.bound() != nil {
-		t.Fatalf("a seed whose opening envelope exceeds ε_max must not be used")
-	}
 
-	req := SearchRequest{Query: q, K: 1, Mode: ModeExact, Exec: ExecSequential}
-	want, wst := exactUnseeded(t, "unseeded", parts, q, 1, 1, core.NewSharedBound())
-	got, gst, err := exactSeeded(ctx, parts, pq, req, 1, seed)
-	if err != nil {
-		t.Fatal(err)
+	want, wst := exactUnseeded(t, "unseeded", parts, q, 1, 1, nil)
+	epsMax := math.Inf(1)
+	for si := 0; si < se.NumShards(); si++ {
+		epsMax = min(epsMax, se.Shard(si).Base().EpsilonMax(pq.Entry().Poly.Perimeter()))
 	}
-	assertMatchesEqual(t, "seed too wide", want, got)
-	if gst != wst {
-		t.Fatalf("a seed that does not fit changed the search:\ngot:  %+v\nwant: %+v", gst, wst)
-	}
-	seed.epsMax = epsMax
-	fit, fst, err := exactSeeded(ctx, parts, pq, req, 1, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesEqual(t, "seed fits", want, fit)
-	if fst.Iterations != 1 || !fst.Converged || fst.VerticesCounted >= wst.VerticesCounted {
-		t.Fatalf("a fitting seed did not open one envelope: %+v (unseeded %+v)", fst, wst)
+	for _, w := range []float64{sv, 10 * sv, epsMax} {
+		wide := &hashSeed{kth: core.NewDistTopK(1)}
+		wide.kth.Add(w)
+		got, gst, err := exactSeeded(ctx, parts, pq, 1, 1, wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesEqual(t, fmt.Sprintf("seed %g", w), want, got)
+		if gst.Iterations != 1 || !gst.Converged || gst.VerticesCounted > wst.VerticesCounted {
+			t.Fatalf("seed %g: not one proven scan: %+v (unseeded %+v)", w, gst, wst)
+		}
 	}
 }
 
@@ -573,19 +558,17 @@ func TestBoundFirstStaleSeed(t *testing.T) {
 		if err := se.DeleteImage(ctx, 9003); err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []Mode{ModeExact, ModeAuto} {
-			want, _ := exactUnseeded(t, "after delete", parts, q, 1, 1, nil)
-			got, st, err := exactSeeded(ctx, parts, pq, SearchRequest{Query: q, K: 1, Mode: mode}, 1, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) != 1 || want[0].ImageID == 9003 {
-				t.Fatalf("shards=%d: reference after the delete: %+v", shards, want)
-			}
-			assertMatchesEqual(t, fmt.Sprintf("shards=%d %v stale seed", shards, mode), want, got)
-			if !st.Converged {
-				t.Fatalf("shards=%d %v: rerun did not converge: %+v", shards, mode, st)
-			}
+		want, _ := exactUnseeded(t, "after delete", parts, q, 1, 1, nil)
+		got, st, err := exactSeeded(ctx, parts, pq, 1, 1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 1 || want[0].ImageID == 9003 {
+			t.Fatalf("shards=%d: reference after the delete: %+v", shards, want)
+		}
+		assertMatchesEqual(t, fmt.Sprintf("shards=%d stale seed", shards), want, got)
+		if !st.Converged {
+			t.Fatalf("shards=%d: rerun did not converge: %+v", shards, st)
 		}
 	}
 }

@@ -220,7 +220,7 @@ func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 	if err != nil {
 		return err
 	}
-	mode := "exact (ε-envelope fattening)"
+	mode := "exact (hash-seeded bounded scan)"
 	switch {
 	case resp.Stats.UsedANN && !resp.Stats.UsedHashing && resp.Stats.Iterations == 0:
 		mode = "approximate (ANN candidate tier)"

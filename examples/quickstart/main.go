@@ -61,8 +61,8 @@ func main() {
 		log.Fatal(err)
 	}
 	matches, stats := resp.Matches, resp.Stats
-	fmt.Printf("retrieval converged=%v after %d envelope fattenings (ε=%.4f)\n",
-		stats.Converged, stats.Iterations, stats.FinalEpsilon)
+	fmt.Printf("retrieval converged=%v, %d copies scored exactly\n",
+		stats.Converged, stats.Candidates)
 	for i, m := range matches {
 		fmt.Printf("  #%d: shape %d in image %d, distance %.4f\n",
 			i+1, m.ShapeID, m.ImageID, m.Distance)

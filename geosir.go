@@ -4,9 +4,10 @@
 //
 // Shapes are simple polygons or polylines extracted from object
 // boundaries. Retrieval uses a similarity criterion based on the average
-// minimum point distance, an incremental ε-envelope "fattening" algorithm
-// over simplex range-search structures with fractional cascading, and a
-// geometric-hashing fallback for approximate matches. A topological query
+// minimum point distance, an exact search seeded by geometric hashing
+// (the paper's incremental ε-envelope "fattening" algorithm over simplex
+// range-search structures is reproduced beside it, in internal/core), and
+// a geometric-hashing fallback for approximate matches. A topological query
 // processor answers compound queries over pairwise shape relations
 // (contain / overlap / disjoint, with diameter angles).
 //
@@ -92,27 +93,30 @@ type Match struct {
 	// ContinuousDistance is the symmetrized continuous-boundary measure.
 	ContinuousDistance float64
 	// Approximate marks results found by the geometric-hashing fallback
-	// rather than the exact fattening search.
+	// (or the ANN tier) rather than the exact search.
 	Approximate bool
 }
 
 // Stats reports retrieval work (see §2.5's complexity analysis).
 type Stats struct {
-	// Iterations counts envelope fattenings and FinalEpsilon is the last
-	// width. An exact search whose hash-tier seed fits opens none: it is
-	// one bounded scan (DESIGN.md §4.9), reported as 1 iteration at the
-	// width the seed stands for.
+	// Iterations and FinalEpsilon are the paper's envelope fattenings and
+	// the last width (§2.5). The exact search opens no envelope: it is one
+	// bounded scan (DESIGN.md §4.9), reported as 1 iteration at the width
+	// its hash-tier seed stands for (2·seed·1.0001; 0 when the bucket held
+	// fewer than K live shapes and nothing seeded it). A request with no
+	// exact stage reports 0 iterations.
 	Iterations   int
 	FinalEpsilon float64
-	// VerticesCounted counts the vertices that entered the fattening
-	// search's counters; under a fitting seed, the normalized copies the
-	// scan read (no range search runs, no vertex is reported).
+	// VerticesCounted counts the normalized copies the exact scan read
+	// (no range search runs, no vertex is reported).
 	VerticesCounted int
 	// Candidates counts the normalized copies that reached the exact
 	// evaluator — not those the query's distance field rejected first,
-	// nor, under a fitting seed, the copies of frozen shapes the seed pass
-	// had already scored (DESIGN.md §4.9).
-	Candidates  int
+	// nor the copies of frozen shapes the seed pass had already scored
+	// (DESIGN.md §4.9).
+	Candidates int
+	// Converged reports that the exact matches are proven the top K: false
+	// only when K exceeds the live shapes.
 	Converged   bool
 	UsedHashing bool
 	// UsedANN reports that the MinHash/LSH candidate tier participated

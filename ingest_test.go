@@ -776,7 +776,7 @@ func TestCloseIngestQuiescesCompaction(t *testing.T) {
 // frozen image tombstoned the delta is the only part that evaluates
 // anything. Asked for more than it holds there is no k-th best, each
 // shape's copies are cut only by the shape's own best so far, and more
-// copies than shapes are scored; under a fitting seed the distance field
+// copies than shapes are scored; under a seed the distance field
 // turns nearly all of them away first. Once compacted away the delta is
 // no part at all.
 func TestIngestDeltaStatsCountCopies(t *testing.T) {

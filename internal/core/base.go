@@ -22,7 +22,8 @@ type Options struct {
 	// candidate once at least a (1-β) fraction of its vertices lies inside
 	// the current ε-envelope.
 	Beta float64
-	// Backend selects the simplex range-search structure.
+	// Backend selects the simplex range-search structure the climb
+	// (Match) searches, built on its first use (BuildRangeIndex).
 	Backend rangesearch.Kind
 	// BackendFactory, when non-nil, overrides Backend with a custom
 	// range-search structure built over the flattened vertex set — e.g.
@@ -64,8 +65,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Base is the shape base: all shapes, their normalized copies, and the
-// vertex-level range-search index over the normalized copies.
+// Base is the shape base: all shapes, their normalized copies, and what
+// the searches over them read.
 type Base struct {
 	opts    Options
 	shapes  []Shape
@@ -76,9 +77,8 @@ type Base struct {
 	shapeEntries [][]int32
 
 	// Flattened index of every vertex of every entry.
-	verts     []geom.Point
-	vertEntry []int32 // vertex id → entry index
-	entryOff  []int32 // entry index → first vertex id (len = len(entries)+1)
+	verts    []geom.Point
+	entryOff []int32 // entry index → first vertex id (len = len(entries)+1)
 
 	// fieldCells holds, parallel to verts, the distance-field cell each
 	// vertex falls in (fieldCell): what the reject in front of the bounded
@@ -101,9 +101,25 @@ type Base struct {
 	// whenever an entry is evaluated (§4 block accounting; see parts.go).
 	entryCost []int32
 
-	backend rangesearch.Backend
-	frozen  bool
+	// rng is the climb's range index, built on its first use.
+	rng    rangeIndex
+	frozen bool
 }
+
+// rangeIndex is what only the paper's §2.5 climb reads: the simplex
+// range-search structure over every stored vertex and the vertex → entry
+// map its reports are read through. No serving search climbs, so neither
+// Freeze nor a snapshot load builds it; the first climb does
+// (BuildRangeIndex).
+type rangeIndex struct {
+	once      sync.Once
+	backend   rangesearch.Backend
+	vertEntry []int32
+}
+
+// rangeIndexBuilds counts range-index builds process-wide, for the tests
+// that pin which paths build one.
+var rangeIndexBuilds atomic.Int64
 
 // NewBase creates an empty shape base with the given options.
 func NewBase(opts Options) *Base {
@@ -138,8 +154,8 @@ func (b *Base) AddShape(image int, p geom.Poly) (int, error) {
 	return id, nil
 }
 
-// Freeze builds the vertex-level range-search index. After Freeze the
-// base is immutable and ready for matching.
+// Freeze flattens the entries' vertices and builds their boundary
+// oracles. After Freeze the base is immutable and ready for matching.
 func (b *Base) Freeze() error {
 	if b.frozen {
 		return nil
@@ -152,21 +168,12 @@ func (b *Base) Freeze() error {
 		total += len(e.Poly.Pts)
 	}
 	b.verts = make([]geom.Point, 0, total)
-	b.vertEntry = make([]int32, 0, total)
 	b.entryOff = make([]int32, len(b.entries)+1)
 	for ei, e := range b.entries {
 		b.entryOff[ei] = int32(len(b.verts))
-		for _, p := range e.Poly.Pts {
-			b.verts = append(b.verts, p)
-			b.vertEntry = append(b.vertEntry, int32(ei))
-		}
+		b.verts = append(b.verts, e.Poly.Pts...)
 	}
 	b.entryOff[len(b.entries)] = int32(len(b.verts))
-	if b.opts.BackendFactory != nil {
-		b.backend = b.opts.BackendFactory(b.verts)
-	} else {
-		b.backend = rangesearch.New(b.opts.Backend, b.verts)
-	}
 	b.buildOracles()
 	b.fieldCells = appendFieldCells(make([]uint16, 0, len(b.verts)), b.verts)
 	b.computeEntryCosts()
@@ -212,6 +219,33 @@ func (b *Base) buildOracles() {
 		}()
 	}
 	wg.Wait()
+}
+
+// BuildRangeIndex builds the climb's range index — Options.BackendFactory's
+// structure, or Options.Backend's, over every stored vertex, and the
+// vertex → entry map — unless it is built already; before Freeze it does
+// nothing. Match and MatchTrace call it on their first climb; a caller that
+// times or meters the climb calls it first, so that its clock or counters
+// see searches and not the build. Safe for concurrent use: one build.
+func (b *Base) BuildRangeIndex() {
+	if !b.frozen {
+		return
+	}
+	b.rng.once.Do(func() {
+		rangeIndexBuilds.Add(1)
+		vertEntry := make([]int32, len(b.verts))
+		for ei := range b.entries {
+			for v := b.entryOff[ei]; v < b.entryOff[ei+1]; v++ {
+				vertEntry[v] = int32(ei)
+			}
+		}
+		b.rng.vertEntry = vertEntry
+		if b.opts.BackendFactory != nil {
+			b.rng.backend = b.opts.BackendFactory(b.verts)
+		} else {
+			b.rng.backend = rangesearch.New(b.opts.Backend, b.verts)
+		}
+	})
 }
 
 // EntryOracle returns the frozen boundary-distance oracle of entry i —

@@ -123,14 +123,13 @@ func (d *Dynamic) Shape(id int) (Shape, error) {
 // fewer when fewer are live or the shared bound proves the rest outside
 // the merged result — sorted by (DistVertex, ShapeID), under the part
 // contract of Base.MatchPrepared: it is the bounded scan a frozen Base
-// runs under a fitting bound (boundedScan), over the overflow, under
-// whatever bound o.Shared holds — none included. Stats.Candidates counts
+// runs (boundedScan), over the overflow, under whatever bound o.Shared
+// holds — none included. Stats.Candidates counts
 // the copies that reached the exact evaluator — the tighter the cutoff,
 // the fewer. EntryID is -(copy+1), the negated ordinal of the lowest copy
 // realizing the distance (negative, so it cannot collide with a frozen
-// entry id). DistContinuous is filled for the returned matches when
-// continuous is set, by the float operations a frozen Base uses for its
-// top-k. A cancelled scan returns ctx's error and no matches.
+// entry id). DistContinuous is filled as Base.MatchPrepared fills it. A
+// cancelled scan returns ctx's error and no matches.
 func (d *Dynamic) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, continuous bool) ([]Match, Stats, error) {
 	if k <= 0 {
 		return nil, Stats{Converged: true}, fmt.Errorf("core: k must be positive, got %d", k)

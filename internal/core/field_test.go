@@ -402,7 +402,7 @@ func TestFloorAdmissible(t *testing.T) {
 }
 
 // TestFieldBuiltOncePerRequest shares one prepared query between 8 parts
-// searched two at a time under a fitting bound, the way a request fans
+// searched two at a time under one bound, the way a request fans
 // out: every part sees the same table — one build, raced under -race —
 // and the answers are those of a query of their own. A query that is only
 // ever scored unbounded builds none.
@@ -464,7 +464,7 @@ func TestFieldBuiltOncePerRequest(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < parts; i += 2 {
-					ms, _, err := bases[i].MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: shared})
+					ms, _, err := bases[i].MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: shared}, true)
 					if err != nil {
 						t.Error(err)
 						return
@@ -498,13 +498,13 @@ func TestFieldBuiltOncePerRequest(t *testing.T) {
 	}
 }
 
-// TestEntryFirstStopsRangeSearch pins that a fitting bound issues no
+// TestEntryFirstStopsRangeSearch pins that a serving search issues no
 // triangle query, on a 200-image base (the benchmark's size): under a
 // bound looser than the true k-th best, as a hash seed is, the search is
 // one scan of every entry — no envelope opened, no vertex reported by a
 // range search — the distance field turns all but a few percent of the
 // entries away before the exact evaluator, and the matches are the
-// unseeded search's, byte for byte.
+// unseeded scan's and the climb's, byte for byte.
 func TestEntryFirstStopsRangeSearch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200-image base")
@@ -518,30 +518,33 @@ func TestEntryFirstStopsRangeSearch(t *testing.T) {
 		if q.Validate() != nil {
 			continue
 		}
-		want, st, err := b.Match(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := 1.5 * want[k-1].DistVertex
-		if !st.Converged || seed == 0 || 2*seed*1.0001 > st.EpsilonMax {
-			continue
-		}
-		tested++
 		pq, err := PrepareQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared := NewSharedBound()
-		shared.Tighten(seed)
-		got, gst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: shared})
+		scanned, _, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seeded search diverges:\ngot:  %+v\nwant: %+v", got, want)
+		seed := 1.5 * scanned[k-1].DistVertex
+		if seed == 0 {
+			continue
+		}
+		tested++
+		shared := NewSharedBound()
+		shared.Tighten(seed)
+		got, gst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: shared}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, scanned) {
+			t.Fatalf("seeded search diverges from the unseeded scan:\ngot:  %+v\nwant: %+v", got, scanned)
+		}
+		if want, st, err := b.Match(q, k); err != nil || (st.Converged && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("seeded search diverges from the climb (%v):\ngot:  %+v\nwant: %+v", err, got, want)
 		}
 		if gst.TrianglesQueried != 0 || gst.VerticesReported != 0 {
-			t.Fatalf("%d triangle queries reporting %d vertices under a fitting bound, want none",
+			t.Fatalf("%d triangle queries reporting %d vertices under a bound, want none",
 				gst.TrianglesQueried, gst.VerticesReported)
 		}
 		if gst.Iterations != 1 || !gst.Converged || gst.VerticesCounted != b.NumEntries() {
@@ -554,7 +557,7 @@ func TestEntryFirstStopsRangeSearch(t *testing.T) {
 		candidates += gst.Candidates
 	}
 	if tested < 6 {
-		t.Fatalf("only %d queries ran under a fitting bound", tested)
+		t.Fatalf("only %d queries ran under a bound", tested)
 	}
 	if share := float64(candidates) / float64(tested*b.NumEntries()); share >= 0.05 {
 		t.Errorf("%.1f%% of the entries reached the exact evaluator, want under 5%%", 100*share)
@@ -570,10 +573,7 @@ func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := BaseSpec{
-		Opts: b.opts, Shapes: b.shapes, Verts: verts, VertEntry: parts.VertEntry,
-		EntryOff: parts.EntryOff, Backend: parts.Backend,
-	}
+	spec := BaseSpec{Opts: b.opts, Shapes: b.shapes, Verts: verts, EntryOff: parts.EntryOff}
 	for i, e := range parts.Entries {
 		spec.EntryMeta = append(spec.EntryMeta, EntryMeta{
 			ShapeID: int32(e.ShapeID), Copy: int32(e.Copy), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)})

@@ -26,46 +26,28 @@ type Match struct {
 }
 
 // Stats records the work a retrieval performed (the quantities of the
-// paper's complexity analysis in §2.5). A search that starts under a
-// fitting bound opens no envelope — it is one bounded scan (DESIGN.md
-// §4.9, "The seeded search is a scan") — and a climbing iteration that
-// starts under a finite cutoff marks entries at first touch and settles
-// them in index order; both count differently, as noted per field.
+// paper's complexity analysis in §2.5). A search through MatchPrepared
+// opens no envelope — it is one bounded scan (DESIGN.md §4.9, "The
+// seeded search is a scan") — and counts differently, as noted per field.
 type Stats struct {
 	Iterations       int     // r: number of envelope fattenings (the scan counts as 1)
-	FinalEpsilon     float64 // ε at termination (the scan: the width 2·bound·1.0001 its bound stands for)
-	EpsilonMax       float64 // the stopping threshold (A/2p·l_Q)·log³n
+	FinalEpsilon     float64 // ε at termination (the scan: the width 2·bound·1.0001 the bound it started under stands for, 0 without one)
+	EpsilonMax       float64 // the stopping threshold (A/2p·l_Q)·log³n (the scan: 0, it has none)
 	TrianglesQueried int     // simplex range queries issued (the scan: 0; entry-first: until every entry is marked)
 	VerticesReported int     // vertices the triangle covers reported, duplicates included (the scan: 0)
 	VerticesCounted  int     // K: vertices that entered counters; entry-first, the first reported vertex of each touched entry; the scan, the entries it scanned
 	Candidates       int     // entries that reached the exact evaluator (not those the distance field rejected first, nor those MatchOpts.Scored had scored already)
 	BlocksRead       int     // page-granular storage of the entries whose vertices were read, field-rejected included (§4 block accounting)
-	Converged        bool    // true: stopped via the similarity bound
+	Converged        bool    // true: the result is proven (the climb: stopped via the similarity bound; the scan: always)
 }
 
-// MatchOpts are the knobs of one fattening search beyond (query, k).
-// The zero value is a plain top-k Match.
+// MatchOpts are the knobs of one bounded scan beyond (query, k). The zero
+// value is a plain top-k MatchPrepared.
 type MatchOpts struct {
-	// Rank supplies an a-priori candidate ranking: a map from entry ids to
-	// a promisingness score (higher is more promising; missing means 0),
-	// and the bootstrap evaluations that seed the top-k visit
-	// higher-ranked candidates first. The ranking changes only the order
-	// in which the envelope's own candidates are evaluated — never which
-	// entries are discovered, and every pruning decision stays
-	// admissible — so the returned matches are byte-identical for any
-	// rank; a good ranking (e.g. the ANN tier's signature agreement,
-	// DESIGN.md §4.10) merely tightens the k-th-best cutoff sooner.
-	// Stats may differ (fewer candidates paid for). It is called once, and
-	// only by a search that climbs: the bounded scan visits in index order
-	// and never asks for it.
-	Rank func() map[int32]int32
 	// Shared is a bound shared with concurrent searches over disjoint
 	// partitions of one logical base. Candidates proven strictly worse
 	// than it are discarded — admissible because the bound only ever
-	// holds values ≥ the merged k-th best distance — and once every
-	// unresolved entry is proven outside it the search stops early with
-	// Converged set: its contribution to the merged result is final.
-	// See DESIGN.md §4.9.
+	// holds values ≥ the merged k-th best distance. See DESIGN.md §4.9.
 	Shared *SharedBound
 	// Publish makes the search tighten Shared with its own live k-th
 	// best. Set it only when k equals the global k over shapes that can
@@ -79,30 +61,26 @@ type MatchOpts struct {
 	// Scored holds shapes the caller has already scored against this query
 	// under cutoffs no lower than Shared is at entry: the shape's Match
 	// (DistVertex and EntryID) when the distance came back, EntryID -1 when
-	// it was proven strictly above its cutoff. The bounded scan takes these
-	// as its own evaluations — nothing in Scored is scored twice; a search
-	// that climbs ignores them. Admissible only together with such a Shared:
-	// a proof against a cutoff the bound does not cover proves nothing here.
+	// it was proven strictly above its cutoff. The scan takes these as its
+	// own evaluations — nothing in Scored is scored twice. Admissible only
+	// together with such a Shared: a proof against a cutoff the bound does
+	// not cover proves nothing here.
 	Scored map[int]Match
 
-	// threshold switches from top-k to "every shape within tau".
-	threshold bool
-	tau       float64
-	// onAccess is MatchTrace's access hook.
+	// onAccess sees every entry the scan reads.
 	onAccess func(entryID int)
-	// onIteration observes each fattening iteration's width and the k-th
-	// best distance proven by its end (+Inf while the top-k is short).
-	onIteration func(eps, kth float64)
 }
 
 // Match retrieves the k most similar shapes to q via the incremental
-// ε-envelope fattening algorithm (§2.5). The returned matches are sorted
-// by increasing DistVertex. Stats.Converged reports whether the algorithm
-// proved optimality of the result (true) or gave up at ε_max (false) —
-// in the latter case the caller is expected to fall back to geometric
-// hashing (§3).
+// ε-envelope fattening algorithm (§2.5) — the paper's algorithm, which the
+// figures and the external-storage experiments reproduce; no serving
+// search runs it (MatchPrepared). The returned matches are sorted by
+// increasing DistVertex. Stats.Converged reports whether the algorithm
+// proved optimality of the result (true) or gave up at ε_max (false) — in
+// the latter case the paper falls back to geometric hashing (§3). The
+// first climb builds the range index (BuildRangeIndex).
 func (b *Base) Match(q geom.Poly, k int) ([]Match, Stats, error) {
-	return b.matchPoly(q, k, MatchOpts{})
+	return b.matchPoly(q, k, nil)
 }
 
 // MatchTrace is Match with an access hook: onAccess is invoked with the
@@ -111,39 +89,51 @@ func (b *Base) Match(q geom.Poly, k int) ([]Match, Stats, error) {
 // continuous measure). The external-storage experiments (§4) replay this
 // trace against a disk layout to count I/O operations.
 func (b *Base) MatchTrace(q geom.Poly, k int, onAccess func(entryID int)) ([]Match, Stats, error) {
-	return b.matchPoly(q, k, MatchOpts{onAccess: onAccess})
+	return b.matchPoly(q, k, onAccess)
 }
 
-// MatchShared is Match pruning against (and, when publish is set,
-// tightening) a shared bound; see MatchOpts.
-func (b *Base) MatchShared(q geom.Poly, k int, shared *SharedBound, publish bool) ([]Match, Stats, error) {
-	return b.matchPoly(q, k, MatchOpts{Shared: shared, Publish: publish})
-}
-
-// MatchPrepared is Match against a query prepared once (PrepareQuery)
-// and shared by every partition's search, under the given options. The
-// caller has validated the query shape. Only the bounded scan a fitting
-// Shared selects can be cancelled (match).
-func (b *Base) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, error) {
+// MatchPrepared retrieves the k shapes nearest a query prepared once
+// (PrepareQuery) and shared by every partition's search — fewer when
+// fewer are live or o.Shared proves the rest outside the merged result —
+// by one bounded scan (boundedScan) under the given options. Every shape is
+// settled exactly — evaluated under the cutoff or proven strictly above it
+// — so the list is final however short it is and Stats.Converged is set.
+// DistContinuous is filled for the returned matches when continuous is
+// set. The caller has validated the query shape. A cancelled scan returns
+// ctx's error and no matches.
+func (b *Base) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, continuous bool) ([]Match, Stats, error) {
 	if err := b.matchable(k); err != nil {
 		return nil, Stats{}, err
 	}
-	return b.match(ctx, pq, k, o)
+	var open float64
+	if o.Shared != nil {
+		if sv := o.Shared.Load(); !math.IsInf(sv, 1) {
+			open = 2 * sv * 1.0001
+		}
+	}
+	out, stats, err := boundedScan(ctx, pq, k, o, len(b.shapes), b.scanShape, b.opts.Samples, continuous)
+	stats.Iterations, stats.FinalEpsilon = 1, open
+	return out, stats, err
 }
 
 // SimilarShapes returns every shape whose vertex-averaged distance to q
-// is at most tau, by fattening envelopes until the ε/2 bound on untouched
-// entries exceeds tau (and bound-forcing every touched entry that might
-// qualify). This is the shape_similar(Q) primitive of the query
+// is at most tau, sorted by (DistVertex, ShapeID): one bounded scan under
+// the cutoff tau. This is the shape_similar(Q) primitive of the query
 // processor (§5).
 func (b *Base) SimilarShapes(q geom.Poly, tau float64) ([]Match, Stats, error) {
-	matches, stats, err := b.matchPoly(q, len(b.shapes), MatchOpts{threshold: true, tau: tau})
+	pq, err := b.prepare(q, 1)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	within := NewSharedBound()
+	within.Tighten(tau)
+	ms, stats, err := b.MatchPrepared(context.Background(), pq, len(b.shapes), MatchOpts{Shared: within}, true)
 	if err != nil {
 		return nil, stats, err
 	}
-	out := matches[:0]
-	for _, m := range matches {
-		if m.DistVertex <= tau {
+	out := ms[:0]
+	for _, m := range ms {
+		if m.DistVertex <= tau { // a negative or NaN tau tightens nothing
 			out = append(out, m)
 		}
 	}
@@ -161,69 +151,48 @@ func (b *Base) matchable(k int) error {
 	return nil
 }
 
-// matchPoly validates and prepares q, then runs the shared driver.
-func (b *Base) matchPoly(q geom.Poly, k int, o MatchOpts) ([]Match, Stats, error) {
+// prepare checks that the base can answer a top-k search, validates q
+// and prepares it.
+func (b *Base) prepare(q geom.Poly, k int) (*PreparedQuery, error) {
 	if err := b.matchable(k); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	if err := q.Validate(); err != nil {
-		return nil, Stats{}, fmt.Errorf("core: invalid query: %w", err)
+		return nil, fmt.Errorf("core: invalid query: %w", err)
 	}
-	pq, err := PrepareQuery(q)
+	return PrepareQuery(q)
+}
+
+// matchPoly validates and prepares q, then climbs.
+func (b *Base) matchPoly(q geom.Poly, k int, onAccess func(entryID int)) ([]Match, Stats, error) {
+	pq, err := b.prepare(q, k)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return b.match(context.Background(), pq, k, o)
+	out, stats := b.climb(pq, k, onAccess, nil)
+	return out, stats, nil
 }
 
-// match is the shared driver. In top-k mode it honors the ε_max stopping
-// rule; in threshold mode it keeps fattening until ε/2 > tau so that the
-// threshold answer is complete.
+// climb is the paper's incremental ε-envelope fattening search (§2.5): it
+// honors the ε_max stopping rule, and onIteration, when set, observes each
+// fattening iteration's width and the k-th best distance proven by its end
+// (+Inf while the top-k is short).
 //
 // The kernel is prune-first (DESIGN.md §4.9): every candidate evaluation
 // runs under the tightest currently-proven cutoff — min of the live k-th
-// distance, its shape's best so far, tau, and the shared cross-shard
-// bound — with an admissible partial-sum early exit; candidates are
-// visited in ascending lower-bound order so the cutoff tightens as fast
-// as possible; and entries proven outside every cutoff are stamped dead
-// exactly once (all cutoffs are monotone non-increasing, so a ruling
-// never has to be revisited).
-//
-// A top-k search that starts under a finite shared bound sv whose envelope
-// 2·sv·1.0001 fits ε_max never climbs: §2.4 pins two vertices of every
-// stored copy on two of the query's own, so that envelope — any envelope —
-// reaches every entry, and what is left of the algorithm is settling each
-// entry under the bound: the bounded scan, over the base's shapes in id
-// order — ascending entry index, the order entries, their vertices and
-// their oracles lie in memory. The climb below runs when there is no such
-// bound: the unseeded search, a seed too wide for ε_max, the threshold
-// query.
-func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts) ([]Match, Stats, error) {
+// distance and its shape's best so far — with an admissible partial-sum
+// early exit; candidates are visited in ascending lower-bound order so the
+// cutoff tightens as fast as possible; and entries proven outside every
+// cutoff are stamped dead exactly once (all cutoffs are monotone
+// non-increasing, so a ruling never has to be revisited).
+func (b *Base) climb(pq *PreparedQuery, k int, onAccess func(entryID int), onIteration func(eps, kth float64)) ([]Match, Stats) {
+	b.BuildRangeIndex()
+	backend, vertEntry := b.rng.backend, b.rng.vertEntry
 	var stats Stats
 	qe, env, oracle := pq.entry, pq.env, pq.oracle
-	shared, publish, onAccess := o.Shared, o.Publish, o.onAccess
 	lQ := qe.Poly.Perimeter()
 	epsMax := b.EpsilonMax(lQ)
 	stats.EpsilonMax = epsMax
-	thresholdEps := epsMax
-	topkMode := !o.threshold
-	tau := o.tau
-	if topkMode && shared != nil {
-		if open := 2 * shared.Load() * 1.0001; open <= epsMax && !math.IsInf(open, 1) {
-			out, stats, err := boundedScan(ctx, pq, k, o, len(b.shapes), b.scanShape, b.opts.Samples, true)
-			stats.Iterations, stats.FinalEpsilon, stats.EpsilonMax = 1, open, epsMax
-			return out, stats, err
-		}
-	}
-	if !topkMode {
-		// Completeness for the threshold query requires the ε/2 bound on
-		// untouched entries to pass tau.
-		thresholdEps = math.Max(thresholdEps, 2*tau*1.0001)
-	}
-	var rank map[int32]int32
-	if o.Rank != nil {
-		rank = o.Rank()
-	}
 
 	// The per-entry counters and distance sums implement the "bounds on
 	// the similarity measure" of the paper's step 4: with c of v vertices
@@ -245,18 +214,11 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 	// populated (the O(log n) presence probes of the paper).
 	epsPrev := 0.0
 	eps := b.InitialEpsilon(lQ)
-	for probe := 0; probe < 64 && eps < thresholdEps; probe++ {
+	for probe := 0; probe < 64 && eps < epsMax; probe++ {
 		if b.probeEnvelope(env, eps) {
 			break
 		}
 		eps *= grow
-	}
-
-	// kthBound reads the incremental bound: the k-th smallest per-shape
-	// best so far (maintained by the bounded heap) and the number of
-	// shapes with an evaluated copy.
-	kthBound := func() (float64, int) {
-		return topk.Kth(), len(bestByShape)
 	}
 
 	// entryBound returns the proven lower bound on DistVertex for an
@@ -283,19 +245,7 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 		if haveCur {
 			curBest = cur.DistVertex
 		}
-		cut := curBest
-		if topkMode {
-			if kv := topk.Kth(); kv < cut {
-				cut = kv
-			}
-		} else if tau < cut {
-			cut = tau
-		}
-		if shared != nil {
-			if sv := shared.Load(); sv < cut {
-				cut = sv
-			}
-		}
+		cut := min(curBest, topk.Kth())
 		dv, ok, scored := pq.distWithin(e.Poly, pq.distField().sum(b.entryCells(ei)), b.entryOracle(ei), cut)
 		if scored {
 			stats.Candidates++
@@ -310,11 +260,6 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 				DistVertex: dv,
 			}
 			topk.Update(e.ShapeID, dv)
-			if publish && shared != nil {
-				if kv := topk.Kth(); !math.IsInf(kv, 1) {
-					shared.Tighten(kv)
-				}
-			}
 		} else if haveCur && dv == curBest && int(ei) < cur.EntryID {
 			// Deterministic tie-break: among copies realizing the same
 			// distance, report the lowest entry id regardless of the
@@ -324,37 +269,15 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 		}
 	}
 
-	// ruledOut reports whether lower bound lb proves an entry irrelevant.
-	// Each cutoff is monotone non-increasing over the query, so a true
-	// result is permanent and the caller stamps the entry resolved. Every
-	// test is strict: an entry that may tie the k-th best is evaluated, so
-	// which of several tied shapes is reported never depends on the order
-	// they were reached in.
-	kth, have := kthBound()
-	ruledOut := func(lb float64) bool {
-		if topkMode {
-			if have >= k && lb > kth {
-				return true
-			}
-		} else if lb > tau {
-			return true
-		}
-		if shared != nil && lb > shared.Load() {
-			return true
-		}
-		return false
-	}
-
-	// resolve settles one unresolved entry on the spot: ruled out by its
-	// proven lower bound lb, or evaluated under the current cutoffs.
-	resolve := func(ei int32, lb float64) {
-		if ruledOut(lb) {
-			scratch.setResolved(ei)
-			return
-		}
-		evaluate(ei)
-		kth, have = kthBound()
-	}
+	// kth and have read the incremental bound: the k-th smallest per-shape
+	// best so far (maintained by the bounded heap) and the number of
+	// shapes with an evaluated copy. A lower bound strictly above kth,
+	// once the top-k is full, proves an entry irrelevant for good — the
+	// cutoff only falls — and the test is strict: an entry that may tie
+	// the k-th best is evaluated, so which of several tied shapes is
+	// reported never depends on the order they were reached in.
+	kth, have := topk.Kth(), 0
+	refresh := func() { kth, have = topk.Kth(), len(bestByShape) }
 
 	// The report callback is allocated once and shared by every triangle
 	// query of every fattening iteration (it reads eps and entryFirst and
@@ -363,10 +286,10 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 	var entryFirst bool
 	reportVertex := func(vid int) {
 		stats.VerticesReported++
-		ei := b.vertEntry[vid]
+		ei := vertEntry[vid]
 		if entryFirst {
-			// The iteration started under a finite cutoff, so every entry
-			// it touches is evaluated or ruled out before it ends and the
+			// The iteration started with a full top-k, so every entry it
+			// touches is evaluated or ruled out before it ends and the
 			// counting bound (≤ ε/2) can rule out next to nothing: the
 			// first of an entry's vertices the cover reports only marks it
 			// for the sweep below, and its other vertices cost one stamp
@@ -393,9 +316,6 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 		scratch.setCounted(vid)
 		stats.VerticesCounted++
 		c := scratch.addVertex(ei, d)
-		if c == 1 && o.Dead != nil && o.Dead[b.entries[ei].ShapeID] {
-			scratch.setResolved(ei) // tombstoned: resolved before it can be scored
-		}
 		need := candidateThreshold(b.entryVertexCount(ei), beta)
 		if c == need && !scratch.resolved(ei) {
 			newCandidates = append(newCandidates, ei)
@@ -406,16 +326,10 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 		stats.Iterations++
 		stats.FinalEpsilon = eps
 
-		// One snapshot sv of the merged bound per iteration. When it is
-		// already inside the envelope's reach, sv < ε/2 — or the local
-		// top-k is full — every entry this iteration touches is marked at
-		// first touch, resolved before the iteration ends (entryFirst), and
-		// the search can stop below.
-		sv := math.Inf(1)
-		if shared != nil {
-			sv = shared.Load()
-		}
-		entryFirst = sv < eps/2 || (topkMode && have >= k)
+		// With the local top-k already full, every entry this iteration
+		// touches is marked at first touch and resolved before the
+		// iteration ends (entryFirst).
+		entryFirst = have >= k
 
 		// Step 2: collect vertices in the envelope difference via simplex
 		// range reporting over the O(m) triangle cover.
@@ -432,31 +346,18 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 				break
 			}
 			stats.TrianglesQueried++
-			b.backend.ReportTriangle(tr, reportVertex)
+			backend.ReportTriangle(tr, reportVertex)
 		}
 
 		// Step 4, bootstrap: β-candidacy (the paper's step 3/4 rule)
-		// seeds the top-k before any bound is meaningful. An a-priori
-		// ranking (the ANN tier) reorders this seeding best-first: the
-		// bootstrap stops once the top-k is filled, so starting from the
-		// likeliest matches fills it with tighter distances and every
-		// later cutoff starts sharper. Candidates not evaluated here are
-		// still evaluated or admissibly ruled out in the bounds pass
-		// below, so the reordering cannot change the result.
-		if topkMode {
-			if rank != nil && len(newCandidates) > 1 {
-				sort.SliceStable(newCandidates, func(i, j int) bool {
-					return rank[newCandidates[i]] > rank[newCandidates[j]]
-				})
+		// seeds the top-k before any bound is meaningful.
+		for _, ei := range newCandidates {
+			if have >= k {
+				break
 			}
-			for _, ei := range newCandidates {
-				if have >= k {
-					break
-				}
-				if !scratch.resolved(ei) {
-					evaluate(ei)
-					kth, have = kthBound()
-				}
+			if !scratch.resolved(ei) {
+				evaluate(ei)
+				refresh()
 			}
 		}
 
@@ -465,33 +366,25 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 		// only tighten) or evaluated, in ascending lower-bound order so
 		// the k-th best tightens as fast as possible and later entries
 		// face the sharpest cutoff. Before the top-k is populated there
-		// is no local bound to undercut, so only the β-candidates above
-		// run — unless the merged bound is already inside the envelope's
-		// reach: then the pass runs on the shared test alone.
+		// is no bound to undercut, so only the β-candidates above run.
 		//
 		// An entry-first iteration instead settles every touched entry —
-		// tombstoned, or evaluated under the cutoff (no lower bound is
-		// known for it: it is inside the envelope, and the distance field
-		// in front of the evaluator is the filter) — in entry-index order:
-		// the cutoff is already
-		// tight, so best-first buys nothing, while index order walks the
-		// entries, their vertices and their bounds the way they lie in
-		// memory. (Settled in kd-tree report order, every entry starts
-		// with cache misses, and the search's time follows the memory
-		// system's load rather than the processor's.)
+		// evaluated under the cutoff (no lower bound is known for it: it
+		// is inside the envelope, and the distance field in front of the
+		// evaluator is the filter) — in entry-index order: the cutoff is
+		// already tight, so best-first buys nothing, while index order
+		// walks the entries, their vertices and their bounds the way they
+		// lie in memory. (Settled in kd-tree report order, every entry
+		// starts with cache misses, and the search's time follows the
+		// memory system's load rather than the processor's.)
 		if entryFirst {
 			for _, ei := range scratch.touchedInOrder() {
-				if scratch.resolved(ei) {
-					continue
+				if !scratch.resolved(ei) {
+					evaluate(ei)
+					refresh()
 				}
-				if o.Dead != nil && o.Dead[b.entries[ei].ShapeID] {
-					scratch.setResolved(ei)
-					continue
-				}
-				evaluate(ei)
-				kth, have = kthBound()
 			}
-		} else if !topkMode || have >= k || sv < eps/2 {
+		} else if have >= k {
 			scratch.orderEnt = scratch.orderEnt[:0]
 			scratch.orderLB = scratch.orderLB[:0]
 			for _, ei := range scratch.touched {
@@ -499,7 +392,7 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 					continue
 				}
 				lb := entryBound(ei, eps)
-				if ruledOut(lb) {
+				if lb > kth {
 					scratch.setResolved(ei)
 					continue
 				}
@@ -508,54 +401,36 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 			}
 			sort.Sort(boundOrder{scratch})
 			for i, ei := range scratch.orderEnt {
-				// The cutoffs may have tightened since the list was
-				// built; re-test the stored bound before paying for the
+				// The cutoff may have tightened since the list was built;
+				// re-test the stored bound before paying for the
 				// evaluation.
-				resolve(ei, scratch.orderLB[i])
+				if scratch.orderLB[i] > kth {
+					scratch.setResolved(ei)
+					continue
+				}
+				evaluate(ei)
+				refresh()
 			}
 		}
 
-		if o.onIteration != nil {
-			o.onIteration(eps, kth)
+		if onIteration != nil {
+			onIteration(eps, kth)
 		}
 
 		// Termination: untouched entries have every vertex farther than ε
 		// (DistVertex ≥ ε/2), and every touched entry is either evaluated
 		// or bounded out; so once the k-th best is ≤ ε/2 the result is
 		// provably final.
-		if topkMode {
-			if have >= k && kth <= eps/2 {
-				stats.Converged = true
-				break
-			}
-			// Merged-bound exit: sv < ε/2 resolved every touched entry in
-			// the pass above, whether or not the local top-k is full: each
-			// is evaluated under the cutoff or proven > sv, and every
-			// untouched entry has DistVertex ≥ ε/2 > sv ≥ the merged k-th
-			// best — nothing this search could still evaluate can enter
-			// the merged result, so its contribution is final even when it
-			// holds fewer than k matches. (Touched entries left below the
-			// β-candidacy threshold would only be guaranteed DistVertex >
-			// β·ε/2, which a bound in (β·ε/2, ε/2) would not dominate.)
-			if sv < eps/2 {
-				stats.Converged = true
-				break
-			}
-		} else if eps/2 > tau {
+		if have >= k && kth <= eps/2 {
 			stats.Converged = true
 			break
 		}
-		// Step 5: grow the envelope or give up at the threshold.
-		if eps >= thresholdEps {
-			if topkMode {
-				stats.Converged = have >= k && kth <= eps/2
-			} else {
-				stats.Converged = eps/2 >= tau
-			}
+		// Step 5: grow the envelope or give up at ε_max.
+		if eps >= epsMax {
 			break
 		}
 		epsPrev = eps
-		eps = growEpsilon(eps, grow, thresholdEps, kth, topkMode && have >= k)
+		eps = growEpsilon(eps, grow, epsMax, kth, have >= k)
 	}
 
 	// Fill in the continuous measure for the reported matches and sort.
@@ -563,12 +438,7 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 	for _, m := range bestByShape {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DistVertex != out[j].DistVertex {
-			return out[i].DistVertex < out[j].DistVertex
-		}
-		return out[i].ShapeID < out[j].ShapeID
-	})
+	sortMatches(out)
 	if len(out) > k {
 		out = out[:k]
 	}
@@ -582,7 +452,7 @@ func (b *Base) match(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts)
 		out[i].DistContinuous = (avgMinDistToInto(e.Poly, oracle, b.opts.Samples, &scratch.resample) +
 			avgMinDistToInto(qe.Poly, b.entryOracle(int32(ei)), b.opts.Samples, &scratch.resample)) / 2
 	}
-	return out, stats, nil
+	return out, stats
 }
 
 // scanShape is a stored shape as the bounded evaluators walk it.
@@ -606,7 +476,7 @@ func growEpsilon(eps, grow, limit, kth float64, full bool) float64 {
 }
 
 // probeEnvelope cheaply checks whether any base vertex lies within eps of
-// the query boundary, using counting queries on the triangle cover.
+// the query boundary, using reporting queries on the triangle cover.
 func (b *Base) probeEnvelope(env *envelope.Envelope, eps float64) bool {
 	found := false
 	probe := func(vid int) {
@@ -618,7 +488,7 @@ func (b *Base) probeEnvelope(env *envelope.Envelope, eps float64) bool {
 		if tr.IsDegenerate() {
 			continue
 		}
-		b.backend.ReportTriangle(tr, probe)
+		b.rng.backend.ReportTriangle(tr, probe)
 		if found {
 			return true
 		}

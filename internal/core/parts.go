@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"repro/internal/geom"
-	"repro/internal/rangesearch"
 	"repro/internal/shapeindex"
 )
 
@@ -32,12 +31,10 @@ type EntryMeta struct {
 // The slices alias the base's live internals — callers must not mutate
 // them.
 type FrozenParts struct {
-	Entries   []Entry
-	Verts     []geom.Point
-	VertEntry []int32
-	EntryOff  []int32
-	Oracles   []*BoundaryDist
-	Backend   rangesearch.Backend
+	Entries  []Entry
+	Verts    []geom.Point
+	EntryOff []int32
+	Oracles  []*BoundaryDist
 }
 
 // FrozenParts returns the flattened state of a frozen base.
@@ -46,12 +43,10 @@ func (b *Base) FrozenParts() (FrozenParts, error) {
 		return FrozenParts{}, fmt.Errorf("core: FrozenParts on an unfrozen base")
 	}
 	return FrozenParts{
-		Entries:   b.entries,
-		Verts:     b.verts,
-		VertEntry: b.vertEntry,
-		EntryOff:  b.entryOff,
-		Oracles:   b.oracles,
-		Backend:   b.backend,
+		Entries:  b.entries,
+		Verts:    b.verts,
+		EntryOff: b.entryOff,
+		Oracles:  b.oracles,
 	}, nil
 }
 
@@ -67,18 +62,17 @@ type BaseSpec struct {
 	EntryMeta  []EntryMeta               // one per entry
 	EntryTrans []geom.Transform          // 2 per entry: Norm then Inv
 	Verts      []geom.Point              // flattened entry vertices
-	VertEntry  []int32                   // vertex id → entry index
 	EntryOff   []int32                   // entry index → first vertex id (len entries+1)
 	Grids      []*shapeindex.SegmentGrid // one per entry: its oracle grid
-	Backend    rangesearch.Backend
 }
 
 // BaseFromParts reassembles a frozen Base from flattened state. The
 // result answers every query identically to the Base whose parts were
-// serialized: entries, oracles, and the range-search backend are adopted
-// as-is, and only O(n) bookkeeping (entry polygons aliasing the vertex
-// array, the shape→entries index, the vertices' distance-field cells,
-// block-cost accounting) is rebuilt.
+// serialized: entries and oracles are adopted as-is, and only O(n)
+// bookkeeping (entry polygons aliasing the vertex array, the shape→entries
+// index, the vertices' distance-field cells, block-cost accounting) is
+// rebuilt. The climb's range index is not part of it: like a frozen
+// Base's, it is built on the first climb (BuildRangeIndex).
 func BaseFromParts(s BaseSpec) (*Base, error) {
 	ne := len(s.EntryMeta)
 	if ne == 0 {
@@ -96,14 +90,8 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 	if len(s.Grids) != ne {
 		return nil, fmt.Errorf("core: base parts with %d oracle grids, want %d", len(s.Grids), ne)
 	}
-	if len(s.VertEntry) != len(s.Verts) {
-		return nil, fmt.Errorf("core: base parts vertEntry len %d, want %d", len(s.VertEntry), len(s.Verts))
-	}
 	if s.EntryOff[0] != 0 || int(s.EntryOff[ne]) != len(s.Verts) {
 		return nil, fmt.Errorf("core: base parts entryOff does not span the vertex array")
-	}
-	if s.Backend == nil {
-		return nil, fmt.Errorf("core: base parts without a backend")
 	}
 	for id, sh := range s.Shapes {
 		if sh.ID != id {
@@ -142,7 +130,6 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 		}
 	}
 	b.verts = s.Verts
-	b.vertEntry = s.VertEntry
 	b.entryOff = s.EntryOff
 	b.oracles = make([]*BoundaryDist, ne)
 	for i, g := range s.Grids {
@@ -152,7 +139,6 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 		b.oracles[i] = &BoundaryDist{shape: b.entries[i].Poly, grid: g}
 	}
 	b.fieldCells = appendFieldCells(make([]uint16, 0, len(b.verts)), b.verts)
-	b.backend = s.Backend
 	b.frozen = true
 	b.computeEntryCosts()
 	return b, nil

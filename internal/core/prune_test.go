@@ -122,8 +122,8 @@ func TestBoundedMeasureEdgeCases(t *testing.T) {
 // (DESIGN.md §4.9, the pinned-vertex observation): every stored copy, at
 // any α, and every canonical query has a vertex on (0,0) and one on (1,0).
 // So every entry has a vertex on the query's boundary — it is inside every
-// ε-envelope, which is what lets a search under a fitting bound mark the
-// whole base without a range search — and any two normalized shapes'
+// ε-envelope, which is what lets every search mark the whole base
+// without a range search — and any two normalized shapes'
 // bounding boxes and enclosing balls intersect, which is why no geometric
 // lower bound is consulted: it is identically 0.
 func TestNormalizedCopiesPinDiameter(t *testing.T) {
@@ -342,21 +342,24 @@ func TestPrunedTopKAgainstScan(t *testing.T) {
 					tc.name, trial, k, fast, ref)
 			}
 
-			// MatchShared over the whole base with a fresh bound must agree
-			// byte for byte with Match: publishing its own k-th best back to
-			// itself never prunes anything the local bound would not. So must
-			// the search that starts under the tightest legal bound, the true
-			// k-th best: whatever ties it survives.
-			shared, sst, err := b.MatchShared(q, k, NewSharedBound(), true)
+			// The scan every serving search is must agree byte for byte with
+			// the climb, publishing into a fresh bound or not, and so must the
+			// scan that starts under the tightest legal bound, the true k-th
+			// best: whatever ties it survives.
+			pq, err := PrepareQuery(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sst.Converged || !reflect.DeepEqual(shared, fast) {
-				t.Fatalf("%s trial %d: MatchShared diverges from Match (converged=%v)", tc.name, trial, sst.Converged)
+			scanned, sst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: NewSharedBound(), Publish: true}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sst.Converged || !reflect.DeepEqual(scanned, fast) {
+				t.Fatalf("%s trial %d: the scan diverges from Match (converged=%v)", tc.name, trial, sst.Converged)
 			}
 			tight := NewSharedBound()
 			tight.Tighten(ref[len(ref)-1].DistVertex)
-			seeded, _, err := b.MatchShared(q, k, tight, false)
+			seeded, _, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: tight}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,32 +374,16 @@ func TestPrunedTopKAgainstScan(t *testing.T) {
 	}
 }
 
-// TestSharedBoundPretightenedExact is the regression test for the
-// shared-bound early exit firing while the local top-k is under-filled.
-// A sibling shard may legally publish any value ≥ the merged k-th best —
-// including one below this shard's current ε/2 while touched entries
-// under the β-candidacy threshold are still unresolved (they are only
-// guaranteed DistVertex > β·ε/2 until the bounds pass has run, which
-// requires a full top-k). Pre-tightening the bound to exactly the true
-// k-th distance — the tightest legal value, injected before the search
-// starts so no goroutine timing is involved — must not change one byte
-// of the result.
+// TestSharedBoundPretightenedExact pins the shared bound at its tightest:
+// a sibling part may legally publish any value ≥ the merged k-th best,
+// including exactly the true k-th distance. Injected before the scan
+// starts — so no goroutine timing is involved — it must not change one
+// byte of the result, ties at the k-th slot included.
 func TestSharedBoundPretightenedExact(t *testing.T) {
-	b := NewBase(DefaultOptions())
-	images := synth.GenerateBase(synth.BaseSpec{
+	b := pruneTestBase(t, synth.BaseSpec{
 		Images: 40, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
 		Distortion: 0.05, OpenFraction: 0.3, Seed: 41,
 	})
-	for _, img := range images {
-		for _, s := range img.Shapes {
-			if _, err := b.AddShape(img.ID, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(43))
 	tested := 0
 	for trial := 0; trial < 40; trial++ {
@@ -413,14 +400,18 @@ func TestSharedBoundPretightenedExact(t *testing.T) {
 			continue
 		}
 		tested++
+		pq, err := PrepareQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sb := NewSharedBound()
 		sb.Tighten(exact[k-1].DistVertex)
-		got, gst, err := b.MatchShared(q, k, sb, false)
+		got, gst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: sb}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !gst.Converged {
-			t.Fatalf("trial %d (k=%d): pre-tightened MatchShared did not converge", trial, k)
+			t.Fatalf("trial %d (k=%d): the pre-tightened scan did not converge", trial, k)
 		}
 		if !reflect.DeepEqual(got, exact) {
 			t.Fatalf("trial %d (k=%d): pre-tightened shared bound changed the result:\ngot:   %+v\nexact: %+v",
@@ -432,14 +423,13 @@ func TestSharedBoundPretightenedExact(t *testing.T) {
 	}
 }
 
-// TestSharedBoundUnfilledTopKStops is the regression test for sharding
-// amplification: a shard that owns fewer than k of the merged top-k can
-// never fill its own heap under a tight shared bound (every candidate
-// worse than the bound is aborted), so its exits must not wait for one.
-// With the bound pre-tightened to the true merged k-th best — the value
-// a width-1 walk hands every shard but the first — such a shard must
-// stop Converged after no more fattening iterations and no more counted
-// vertices than when searched alone, and still contribute exactly its
+// TestSharedBoundUnfilledTopKStops pins the part that owns fewer than k of
+// the merged top-k: under a tight shared bound it can never fill its own
+// heap (every candidate worse than the bound is discarded), and its list
+// must be final anyway. With the bound pre-tightened to the true merged
+// k-th best — the value a width-1 walk hands every part but the first —
+// such a part's scan must stop Converged, send no more copies to the exact
+// evaluator than when searched alone, and still contribute exactly its
 // members of the merged top-k.
 func TestSharedBoundUnfilledTopKStops(t *testing.T) {
 	const shards, k = 8, 5
@@ -473,6 +463,7 @@ func TestSharedBoundUnfilledTopKStops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(59))
 	held := make(map[int]int) // merged top-k members on a shard → shards seen
 	for trial := 0; trial < 12; trial++ {
@@ -480,11 +471,15 @@ func TestSharedBoundUnfilledTopKStops(t *testing.T) {
 		if q.Validate() != nil {
 			continue
 		}
-		merged, st, err := whole.Match(q, k)
+		pq, err := PrepareQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Converged || len(merged) < k {
+		merged, _, err := whole.MatchPrepared(ctx, pq, k, MatchOpts{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(merged) < k {
 			continue
 		}
 		for p, b := range parts {
@@ -498,23 +493,22 @@ func TestSharedBoundUnfilledTopKStops(t *testing.T) {
 				continue // a full heap always could stop
 			}
 			held[len(want)]++
-			_, alone, err := b.Match(q, k)
+			_, alone, err := b.MatchPrepared(ctx, pq, k, MatchOpts{}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sb := NewSharedBound()
 			sb.Tighten(merged[k-1].DistVertex)
-			got, gst, err := b.MatchShared(q, k, sb, false)
+			got, gst, err := b.MatchPrepared(ctx, pq, k, MatchOpts{Shared: sb}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !gst.Converged {
-				t.Fatalf("trial %d shard %d (holds %d/%d): did not converge on the merged bound (%d iterations)",
-					trial, p, len(want), k, gst.Iterations)
+				t.Fatalf("trial %d shard %d (holds %d/%d): did not converge on the merged bound", trial, p, len(want), k)
 			}
-			if gst.Iterations > alone.Iterations || gst.VerticesCounted > alone.VerticesCounted {
-				t.Fatalf("trial %d shard %d (holds %d/%d): bound cost work: %d iterations / %d vertices, alone %d / %d",
-					trial, p, len(want), k, gst.Iterations, gst.VerticesCounted, alone.Iterations, alone.VerticesCounted)
+			if gst.Candidates > alone.Candidates || gst.VerticesCounted != alone.VerticesCounted {
+				t.Fatalf("trial %d shard %d (holds %d/%d): bound cost work: %d candidates of %d copies, alone %d of %d",
+					trial, p, len(want), k, gst.Candidates, gst.VerticesCounted, alone.Candidates, alone.VerticesCounted)
 			}
 			for _, m := range got {
 				if d, ok := want[m.ShapeID]; ok && d == m.DistVertex {
@@ -574,7 +568,7 @@ func TestBoundFirstOneEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Converged || len(exact) < k || 2*exact[k-1].DistVertex*1.0001 > st.EpsilonMax {
+		if !st.Converged || len(exact) < k {
 			continue
 		}
 		tested++
@@ -585,7 +579,7 @@ func TestBoundFirstOneEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		var accessed []int
-		got, gst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: sb, onAccess: func(ei int) { accessed = append(accessed, ei) }})
+		got, gst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: sb, onAccess: func(ei int) { accessed = append(accessed, ei) }}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -658,7 +652,7 @@ func TestGrowthClamp(t *testing.T) {
 			t.Fatal(err)
 		}
 		prevEps, prevKth := 0.0, math.Inf(1)
-		got, st, err := b.match(context.Background(), pq, k, MatchOpts{onIteration: func(eps, kth float64) {
+		got, st := b.climb(pq, k, nil, func(eps, kth float64) {
 			if limit := 2 * prevKth * 1.0001; eps > limit {
 				t.Errorf("trial %d (k=%d): envelope %g after a proven k-th best of %g (limit %g)",
 					trial, k, eps, prevKth, limit)
@@ -666,10 +660,7 @@ func TestGrowthClamp(t *testing.T) {
 				clamped++
 			}
 			prevEps, prevKth = eps, kth
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
 		if !st.Converged {
 			continue
 		}

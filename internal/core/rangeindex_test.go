@@ -1,0 +1,133 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	geosir "repro"
+	"repro/internal/core"
+	"repro/internal/synth"
+)
+
+// TestServingBuildsNoRangeIndex pins that the paper's range index — the
+// kd-tree over every stored vertex and the vertex → entry map — is the
+// climb's alone: no serving path builds one. Every mode × ANN mode × exec
+// policy on an Engine and on 8-shard engines loaded heap-decoded and
+// mapped, a topological query, and a live insert, delete and compaction
+// leave the build count where it was; eight concurrent first climbs on one
+// base then build it exactly once, and agree.
+func TestServingBuildsNoRangeIndex(t *testing.T) {
+	ctx := context.Background()
+	images := synth.GenerateBase(synth.PaperSpec(0.003, 3))
+	queries := synth.Queries(rand.New(rand.NewSource(5)), images, 2, 0.01)
+	before := core.RangeIndexBuilds()
+
+	eng := geosir.New(geosir.DefaultOptions())
+	sharded := geosir.NewSharded(geosir.DefaultOptions(), 8)
+	for _, im := range images {
+		if err := eng.AddImage(im.ID, im.Shapes); err != nil {
+			t.Fatal(err)
+		}
+		if err := sharded.AddImage(im.ID, im.Shapes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := sharded.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	engines := []struct {
+		name string
+		s    geosir.Searcher
+	}{{"engine", eng}}
+	for _, mode := range []geosir.LoadMode{geosir.LoadModeHeap, geosir.LoadModeMmap} {
+		se, _, err := geosir.LoadShardedDirMode(dir, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, struct {
+			name string
+			s    geosir.Searcher
+		}{fmt.Sprintf("8 shards, load mode %d", mode), se})
+	}
+
+	for _, e := range engines {
+		for _, mode := range []geosir.Mode{geosir.ModeAuto, geosir.ModeExact, geosir.ModeApproximate, geosir.ModeSketch} {
+			for _, ann := range []geosir.AnnMode{geosir.AnnOff, geosir.AnnVerify, geosir.AnnApprox} {
+				for _, exec := range []geosir.ExecPolicy{geosir.ExecAuto, geosir.ExecFanout, geosir.ExecSequential} {
+					req := geosir.SearchRequest{Query: queries[0], K: 3, Mode: mode, Ann: ann, Exec: exec}
+					if mode == geosir.ModeSketch {
+						req = geosir.SearchRequest{Sketch: queries, K: 3, Mode: mode, Ann: ann, Exec: exec}
+					}
+					if _, err := e.s.Search(ctx, req); err != nil {
+						t.Fatalf("%s %v %v %v: %v", e.name, mode, ann, exec, err)
+					}
+				}
+			}
+		}
+	}
+	binds := map[string]geosir.Shape{"q": queries[0]}
+	if _, _, err := eng.Query("similar(q)", binds); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := sharded.EnableIngest(geosir.IngestConfig{Dir: t.TempDir(), CompactThreshold: -1, NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.CloseIngest()
+	if err := sharded.InsertImage(ctx, 9001, []geosir.Shape{queries[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.DeleteImage(ctx, images[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []geosir.Mode{geosir.ModeAuto, geosir.ModeExact} {
+		if _, err := sharded.Search(ctx, geosir.SearchRequest{Query: queries[1], K: 3, Mode: mode}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := sharded.Query("similar(q)", binds); err != nil {
+		t.Fatal(err)
+	}
+	if built := core.RangeIndexBuilds() - before; built != 0 {
+		t.Fatalf("serving built the range index %d times, want never", built)
+	}
+
+	base := eng.Base()
+	results := make([][]core.Match, 8)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ms, _, err := base.Match(queries[0], 3)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = ms
+		}(i)
+	}
+	wg.Wait()
+	if built := core.RangeIndexBuilds() - before; built != 1 {
+		t.Fatalf("eight concurrent first climbs built the range index %d times, want once", built)
+	}
+	for i := range results {
+		if !reflect.DeepEqual(results[i], results[0]) {
+			t.Fatalf("climb %d answers %+v, climb 0 %+v", i, results[i], results[0])
+		}
+	}
+}

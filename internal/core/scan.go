@@ -9,8 +9,9 @@ import (
 )
 
 // This file holds the bounded scan (DESIGN.md §4.9, "The seeded search is
-// a scan"): the one loop behind a frozen part's search under a fitting
-// bound and the live delta's search under any.
+// a scan"): the one loop behind every serving search of a frozen base and
+// of the live delta, under whatever bound the request holds — none
+// included.
 
 // scanShape is one shape as the bounded evaluators walk it: its normalized
 // copies are entries[idx[0]], entries[idx[1]], … — the base-wide arrays of

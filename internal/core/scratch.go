@@ -14,7 +14,7 @@ import (
 // per worker goroutine and handed out through a sync.Pool; validity is
 // tracked with epoch stamps so a reset costs O(1) instead of a clear.
 
-// matchScratch is the recyclable working state of one match() call.
+// matchScratch is the recyclable working state of one climb() call.
 // Every per-entry and per-vertex array is paired with a stamp array: a
 // slot is live only when its stamp equals the current epoch, so bumping
 // the epoch invalidates the whole scratch at once. Steady-state matching
@@ -30,9 +30,9 @@ type matchScratch struct {
 	// Per-entry "resolved" flag: the entry needs no further work this
 	// query. Its exact distance is known, or it is proven irrelevant —
 	// strictly above every cutoff that could make it matter (current kth,
-	// its shape's best, tau, the shared cross-shard bound), or tombstoned.
-	// All cutoffs are monotonically non-increasing over a query, so the
-	// ruling is permanent and the entry is skipped by every later pass.
+	// its shape's best). All cutoffs are monotonically non-increasing over
+	// a query, so the ruling is permanent and the entry is skipped by every
+	// later pass.
 	doneStamp []uint32
 
 	// Per-vertex "already counted" flag (each vertex enters the counters

@@ -618,6 +618,7 @@ func ExtIndexIO(f *Fixture, bufferBlocks []int) ([]ExtIndexRow, error) {
 		if err := b.Freeze(); err != nil {
 			return nil, err
 		}
+		b.BuildRangeIndex() // the tree exists from here, its counters start below
 		tree.ResetStats()
 		for _, q := range f.Queries {
 			if _, _, err := b.Match(q, 1); err != nil {

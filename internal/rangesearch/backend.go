@@ -110,18 +110,3 @@ func (b *Brute) ReportTriangle(t geom.Triangle, fn func(id int)) {
 		}
 	}
 }
-
-// KindOf reports which Kind built a backend, or "" for an unknown
-// (custom) implementation. Persistence uses it to record the backend so
-// a reload can reconstruct the same structure.
-func KindOf(b Backend) Kind {
-	switch b.(type) {
-	case *KDTree:
-		return KindKDTree
-	case *Layered:
-		return KindLayered
-	case *Brute:
-		return KindBrute
-	}
-	return ""
-}

@@ -1,7 +1,6 @@
 package rangesearch
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/geom"
@@ -173,30 +172,4 @@ func (t *KDTree) reportTri(lo, hi int, q *geom.TriQuery, fn func(id int)) {
 	}
 	t.reportTri(lo, mid, q, fn)
 	t.reportTri(mid+1, hi, q, fn)
-}
-
-// KDTreeParts is the tree's flattened state (median layout), exposed so
-// a persistence layer can write the arrays verbatim and rebuild — or
-// alias — them without re-sorting the point set. The slices are the
-// tree's live internals; callers must not mutate them.
-type KDTreeParts struct {
-	Pts    []geom.Point
-	IDs    []int32
-	Bounds []geom.Rect
-}
-
-// Parts returns the tree's flattened state.
-func (t *KDTree) Parts() KDTreeParts {
-	return KDTreeParts{Pts: t.pts, IDs: t.ids, Bounds: t.bounds}
-}
-
-// KDTreeFromParts adopts previously flattened tree state. Only shapes
-// are checked; element values are trusted because the GSIR3 loader
-// verifies section checksums before assembly.
-func KDTreeFromParts(p KDTreeParts) (*KDTree, error) {
-	if len(p.IDs) != len(p.Pts) || len(p.Bounds) != len(p.Pts) {
-		return nil, fmt.Errorf("rangesearch: kd-tree parts with mismatched arrays (%d pts, %d ids, %d bounds)",
-			len(p.Pts), len(p.IDs), len(p.Bounds))
-	}
-	return &KDTree{pts: p.Pts, ids: p.IDs, bounds: p.Bounds}, nil
 }

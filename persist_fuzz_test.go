@@ -92,6 +92,8 @@ func FuzzLoadV3(f *testing.F) {
 	// Header claiming an absurd section count.
 	f.Add([]byte("GSIR3\n\x01\x00\xff\xff\xff\xff\x00\x00\x00\x00"))
 	f.Add([]byte{})
+	// An older writer's file, with sections the loader now ignores.
+	f.Add(gsir3KDTreeGolden(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		le, err := Load(bytes.NewReader(data))
 		if err == nil && bytes.HasPrefix(data, []byte(magicGSIR3)) {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mmap"
 	"repro/internal/query"
-	"repro/internal/rangesearch"
 	"repro/internal/shapeindex"
 )
 
@@ -47,13 +46,15 @@ import (
 // exactly the information GSIR2 stores — so a GSIR3 snapshot with
 // damaged derived sections can still be rebuilt the slow way. The
 // derived family is the frozen index: entry metadata and transforms
-// (ENTM, ENTT), the flattened vertex arrays (EOFF, VENT, EVTX), the
-// pooled BoundaryDist segment-grid arrays (GRDH, GSEG, GCEL, GIDS), the
-// kd-tree (KDTP, KDTI, KDTB), geometric-hash quadruples (QUAD), diameter
-// angles (DANG), image graphs (GRPH), and the ANN signature family
-// (ANNP, ANNS). Sections are found by tag: one the table does not name
-// (GBND, which earlier writers emitted and nothing read) is checksummed
-// like the rest and otherwise ignored.
+// (ENTM, ENTT), the flattened vertex arrays (EOFF, EVTX), the pooled
+// BoundaryDist segment-grid arrays (GRDH, GSEG, GCEL, GIDS),
+// geometric-hash quadruples (QUAD), diameter angles (DANG), image graphs
+// (GRPH), and the ANN signature family (ANNP, ANNS). Sections are found
+// by tag: one the table does not name is checksummed like the rest and
+// otherwise ignored — GBND, and the kd-tree (KDTP, KDTI, KDTB) and
+// vertex → entry map (VENT) that only the paper's climb reads, which is
+// built on its first use instead (core.Base.BuildRangeIndex), all of
+// which earlier writers emitted.
 //
 // Integrity: the loader verifies the table checksum and then every
 // section's CRC32 before assembly — corrupt bytes are refused (or, via
@@ -77,9 +78,10 @@ const (
 	// (hash curves, five counts, the backend word, one reserved).
 	v3OptsLen = 4*8 + 8*4
 
-	// v3KDTree is OPTS's backend word: the range-search structure the
-	// KDT* sections hold. It is the only one an Engine is ever built on,
-	// so the only value written and the only one accepted.
+	// v3KDTree is OPTS's backend word, the constant 2 (the kd-tree): the
+	// only value written and the only one accepted. It once named the
+	// range-search structure the KDT* sections held; readers from before
+	// those sections left the format still check it.
 	v3KDTree = 2
 
 	// graph edge labels persisted in GRPH.
@@ -122,15 +124,11 @@ var v3Table = []v3Row{
 	{"ENTM", v3Derived, 16, v3Entries},  // core.EntryMeta
 	{"ENTT", v3Derived, 64, v3Entries},  // geom.Transform × 2: Norm then Inv
 	{"EOFF", v3Derived, 4, v3EntryEnds}, // i32: entry → first vertex
-	{"VENT", v3Derived, 4, v3Verts},     // i32: vertex → entry
 	{"EVTX", v3Derived, 16, v3Verts},    // geom.Point
 	{"GRDH", v3Derived, 80, v3Entries},  // gridHeader
 	{"GSEG", v3Derived, 8, nil},         // f64, per grid: Ax | Ay | Dx | Dy | InvL2
 	{"GCEL", v3Derived, 4, nil},         // i32 cell starts
 	{"GIDS", v3Derived, 4, nil},         // i32 cell segment ids
-	{"KDTP", v3Derived, 16, v3Verts},    // geom.Point, median layout
-	{"KDTI", v3Derived, 4, v3Verts},     // i32 vertex ids
-	{"KDTB", v3Derived, 32, v3Verts},    // geom.Rect subtree bounds
 	{"QUAD", v3Derived, 16, v3Shapes},   // 4 × i32 hash cell, all -1: shape not in the table
 	{"DANG", v3Derived, 8, v3Shapes},    // f64 diameter angle
 	{"GRPH", v3Derived, 0, nil},         // u32 n | n × { image id | shapes | edges }
@@ -299,10 +297,6 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	kd, ok := parts.Backend.(*rangesearch.KDTree)
-	if !ok {
-		return nil, fmt.Errorf("geosir: GSIR3 stores a kd-tree, the engine runs on %T", parts.Backend)
-	}
 	images := e.imagesInOrder()
 	shapes := base.Shapes()
 	ne := len(parts.Entries)
@@ -336,9 +330,7 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 		trans = append(trans, en.Norm, en.Inv)
 	}
 	out["ENTM"], out["ENTT"] = put(nil, metas), put(nil, trans)
-	out["EOFF"] = put(nil, parts.EntryOff)
-	out["VENT"] = put(nil, parts.VertEntry)
-	out["EVTX"] = put(nil, parts.Verts)
+	out["EOFF"], out["EVTX"] = put(nil, parts.EntryOff), put(nil, parts.Verts)
 
 	// GRDH / GSEG / GCEL / GIDS — the oracle grids, pooled.
 	heads := make([]gridHeader, ne)
@@ -361,9 +353,6 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 		gids = put(gids, gp.CellIDs)
 	}
 	out["GRDH"], out["GSEG"], out["GCEL"], out["GIDS"] = put(nil, heads), gseg, gcel, gids
-
-	kp := kd.Parts()
-	out["KDTP"], out["KDTI"], out["KDTB"] = put(nil, kp.Pts), put(nil, kp.IDs), put(nil, kp.Bounds)
 
 	// QUAD / DANG — geometric-hash quadruples and diameter angles, per
 	// shape. A shape the hash table skipped (degenerate canonical
@@ -672,24 +661,14 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 		grids[i] = g
 	}
 
-	backend, err := rangesearch.KDTreeFromParts(rangesearch.KDTreeParts{
-		Pts:    v3View[geom.Point](r, "KDTP"),
-		IDs:    v3View[int32](r, "KDTI"),
-		Bounds: v3View[geom.Rect](r, "KDTB"),
-	})
-	if err != nil {
-		return nil, err
-	}
 	base, err := core.BaseFromParts(core.BaseSpec{
 		Opts:       coreOptsFor(o.opts),
 		Shapes:     shapes,
 		EntryMeta:  v3View[core.EntryMeta](r, "ENTM"),
 		EntryTrans: v3View[geom.Transform](r, "ENTT"),
 		Verts:      v3View[geom.Point](r, "EVTX"),
-		VertEntry:  v3View[int32](r, "VENT"),
 		EntryOff:   v3View[int32](r, "EOFF"),
 		Grids:      grids,
-		Backend:    backend,
 	})
 	if err != nil {
 		return nil, err

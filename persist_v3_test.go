@@ -13,6 +13,24 @@ import (
 	"repro/internal/mmap"
 )
 
+// gsir3KDTreeGolden is a GSIR3 snapshot of buildEngine's base written
+// while the format still carried the climb's range index: besides every
+// section of v3Table it holds v3LegacyTags, which the loader now ignores.
+func gsir3KDTreeGolden(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(gsir3KDTreeGoldenPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+const gsir3KDTreeGoldenPath = "testdata/gsir3/kdtree.gsir3"
+
+// v3LegacyTags are the sections the golden holds and v3Table no longer
+// names: the vertex → entry map and the kd-tree.
+var v3LegacyTags = []string{"VENT", "KDTP", "KDTI", "KDTB"}
+
 func saveV3(t *testing.T, eng *Engine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -240,25 +258,90 @@ func TestGSIR3CrossFormatEquivalence(t *testing.T) {
 	checkEngineEquivalence(t, e2, e3)
 }
 
+// TestGSIR3KDTreeGolden loads a snapshot an older writer produced, with
+// the kd-tree and vertex → entry sections: heap-decoded and mapped, it
+// answers exactly as a fresh build of the same base, and re-saving it
+// drops exactly those four sections and leaves every other payload —
+// OPTS's 64 bytes with the backend word 2 among them — byte-identical.
+func TestGSIR3KDTreeGolden(t *testing.T) {
+	fresh := buildEngine(t)
+	data := gsir3KDTreeGolden(t)
+	heap, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Load(golden): %v", err)
+	}
+	checkEngineEquivalence(t, fresh, heap)
+	if mmap.Supported() && mmap.CanCast() {
+		mapped, err := LoadFileMmap(gsir3KDTreeGoldenPath)
+		if err != nil {
+			t.Fatalf("LoadFileMmap(golden): %v", err)
+		}
+		defer mapped.Close()
+		checkEngineEquivalence(t, fresh, mapped)
+	}
+
+	resaved := saveV3(t, heap)
+	if !bytes.Equal(resaved, saveV3(t, fresh)) {
+		t.Fatal("the re-saved golden is not what a fresh build saves")
+	}
+	payloads := func(data []byte) ([]string, map[string][]byte) {
+		rows, err := parseV3Layout(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags, m := make([]string, len(rows)), make(map[string][]byte, len(rows))
+		for i, r := range rows {
+			tags[i], m[r.tag] = r.tag, data[r.off:r.off+r.len]
+		}
+		return tags, m
+	}
+	oldTags, old := payloads(data)
+	newTags, cur := payloads(resaved)
+	kept := slices.DeleteFunc(slices.Clone(oldTags), func(tag string) bool { return slices.Contains(v3LegacyTags, tag) })
+	if len(kept) != len(oldTags)-len(v3LegacyTags) || !slices.Equal(kept, newTags) {
+		t.Fatalf("re-save holds %v; the golden %v less %v", newTags, oldTags, v3LegacyTags)
+	}
+	for _, tag := range newTags {
+		if !bytes.Equal(cur[tag], old[tag]) {
+			t.Errorf("section %s changed on re-save", tag)
+		}
+	}
+	if opts := cur["OPTS"]; len(opts) != 64 || binary.LittleEndian.Uint32(opts[56:]) != v3KDTree || v3KDTree != 2 {
+		t.Errorf("OPTS is %d bytes with backend word %d, want 64 and 2", len(opts), binary.LittleEndian.Uint32(opts[56:]))
+	}
+}
+
 // TestGSIR3ByteFlipSweep flips one byte in every section payload in
-// turn. Damage to a raw section must refuse recovery; damage to a
-// derived section must salvage an engine that answers identically to
-// the original (the slow rebuild is deterministic). A strict Load must
-// fail on every flip.
+// turn — every section a fresh file holds, and the sections only the
+// golden file of an older writer holds (v3LegacyTags). Damage to a raw
+// section must refuse recovery; damage to any other section must salvage
+// an engine that answers identically to the original (the slow rebuild is
+// deterministic). A strict Load must fail on every flip.
 func TestGSIR3ByteFlipSweep(t *testing.T) {
 	orig := buildEngine(t)
-	data := saveV3(t, orig)
-	secs, err := parseV3Layout(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := lshape(0, 0, 3).Transform(Similarity(1.4, 0.5, Pt(40, 40)))
 	want := mustSearch(t, orig, SearchRequest{Query: q, K: 3})
-	for _, s := range secs {
-		if s.len == 0 {
-			continue
+	type target struct {
+		data []byte
+		sec  v3Section
+	}
+	var targets []target
+	for _, f := range []struct {
+		data []byte
+		only []string // nil: every section
+	}{{saveV3(t, orig), nil}, {gsir3KDTreeGolden(t), v3LegacyTags}} {
+		secs, err := parseV3Layout(f.data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		name := s.tag
+		for _, s := range secs {
+			if s.len > 0 && (f.only == nil || slices.Contains(f.only, s.tag)) {
+				targets = append(targets, target{f.data, s})
+			}
+		}
+	}
+	for _, tg := range targets {
+		data, s, name := tg.data, tg.sec, tg.sec.tag
 		t.Run(name, func(t *testing.T) {
 			mut := bytes.Clone(data)
 			mut[s.off+s.len/2] ^= 0x40
@@ -287,6 +370,9 @@ func TestGSIR3ByteFlipSweep(t *testing.T) {
 			}
 			assertMatchesEqual(t, "salvaged", want.Matches, got.Matches)
 		})
+	}
+	if len(targets) != len(v3Table)+len(v3LegacyTags) {
+		t.Fatalf("swept %d sections, want the table's %d and the golden's %d older ones", len(targets), len(v3Table), len(v3LegacyTags))
 	}
 }
 
@@ -408,7 +494,8 @@ func TestGSIR3FramedCountsBounded(t *testing.T) {
 // table itself: the writer emits exactly the table's rows, every row the
 // OPTS counts size is refused by name when it is an element short, an
 // element long or absent, and a section the table does not know — what
-// every snapshot written while GBND existed carries — is ignored.
+// every snapshot written while GBND or the kd-tree was a row carries — is
+// ignored, short, long or absent.
 func TestGSIR3SectionTable(t *testing.T) {
 	orig := buildEngine(t)
 	data := saveV3(t, orig)
@@ -445,6 +532,30 @@ func TestGSIR3SectionTable(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), row.tag) {
 					t.Fatalf("Load = %v, want a refusal naming %s", err, row.tag)
 				}
+			})
+		}
+	}
+
+	// The golden's sections the table no longer names are ignored whatever
+	// their length, and a file without them is what the writer emits now.
+	golden := gsir3KDTreeGolden(t)
+	for _, tag := range v3LegacyTags {
+		for _, e := range []struct {
+			name string
+			edit func([]v3sec) []v3sec
+		}{
+			{"short", editV3Section(tag, func(b []byte) []byte { return b[:len(b)-4] })},
+			{"long", editV3Section(tag, func(b []byte) []byte { return append(b, make([]byte, 4)...) })},
+			{"absent", func(secs []v3sec) []v3sec {
+				return slices.DeleteFunc(secs, func(s v3sec) bool { return s.tag == tag })
+			}},
+		} {
+			t.Run(tag+"/"+e.name, func(t *testing.T) {
+				eng, err := Load(bytes.NewReader(rewriteV3(t, golden, e.edit)))
+				if err != nil {
+					t.Fatalf("Load with %s %s: %v", e.name, tag, err)
+				}
+				checkEngineEquivalence(t, orig, eng)
 			})
 		}
 	}

@@ -57,7 +57,7 @@ func TestSharedBoundDeterministic(t *testing.T) {
 }
 
 // exactUnseeded is the exact scatter as it runs without a hash-tier seed
-// (unshared, or under the given bound): the reference a bound-first
+// (under a fresh bound, or the given one): the reference a bound-first
 // Search must reproduce.
 func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k, width int, shared *core.SharedBound) ([]Match, Stats) {
 	t.Helper()
@@ -65,7 +65,7 @@ func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k, width i
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ms, st, err := exactScatter(context.Background(), parts, pq, k, width, shared, false, AnnOff, nil)
+	ms, st, err := exactScatter(context.Background(), parts, pq, k, width, shared, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -95,13 +95,13 @@ func autoFrom(t *testing.T, label string, v searchView, q Shape, k int, exact []
 }
 
 // TestSharedBoundTombstoneProperty is the seeded property test of the
-// merged-bound exits (DESIGN.md §4.9) over everything that used to
-// switch the bound off or starve a shard's own top-k: random bases,
+// shared bound (DESIGN.md §4.9) over everything that used to switch it
+// off or starve a shard's own top-k: random bases,
 // shard counts {2, 7, 8}, k ∈ {1, 5, many}, tombstones {none, some, a
 // whole shard's worth} and bounds pre-tightened to the tightest legal
 // value (the true merged k-th best) and looser ones. The merged matches
 // of every shared run — raced fan-out, width-1 walk, pre-tightened —
-// must be byte-identical to the unshared run, and equal (global ids
+// must be byte-identical to the unseeded run, and equal (global ids
 // shift across a rebuild, so on image, distances and order) to a single
 // Engine rebuilt from the live images. Queries include copies of
 // tombstoned shapes, so dead shapes would top the lists if they leaked.

@@ -19,13 +19,15 @@ import (
 type Mode int
 
 const (
-	// ModeAuto runs the exact ε-envelope fattening search and falls back
-	// to geometric hashing when it fails to converge on a sufficiently
-	// close match — the paper's §6 retrieval flow.
+	// ModeAuto runs the exact search and falls back to geometric hashing
+	// when it finds no sufficiently close match — the paper's §6
+	// retrieval flow: when the best exact match is farther than τ, or when
+	// K exceeds the live shapes (Stats.Converged false).
 	ModeAuto Mode = iota
-	// ModeExact runs only the exact fattening search. The response never
-	// contains approximate matches; Stats.Converged reports whether the
-	// result is proven optimal.
+	// ModeExact runs only the exact search: one bounded scan, seeded from
+	// the hash tier (DESIGN.md §4.9). The response never contains
+	// approximate matches; Stats.Converged is false only when K exceeds
+	// the live shapes.
 	ModeExact
 	// ModeApproximate skips the exact search and answers from the
 	// geometric hash table alone (§3).
@@ -161,8 +163,8 @@ type SearchResponse struct {
 	// SketchMatches holds the ranked images of ModeSketch.
 	SketchMatches []SketchMatch
 	// Stats reports the retrieval work. For a ShardedEngine it
-	// aggregates over shards: counters sum, Iterations/FinalEpsilon are
-	// maxima, and Converged is true only if every shard converged.
+	// aggregates over shards: counters sum and Iterations/FinalEpsilon are
+	// maxima.
 	Stats Stats
 }
 
@@ -238,16 +240,13 @@ type part interface {
 	floor(id int, pq *core.PreparedQuery) float64
 	// annOrder reorders candidates best-first by ANN agreement.
 	annOrder(pq *core.PreparedQuery, ids []int) ([]int, Stats)
-	// epsilonMax is the widest envelope the part's exact search opens for
-	// pq; +Inf for a part that opens none.
-	epsilonMax(pq *core.PreparedQuery) float64
-	// exact is the part's top-k under the exact measure, consuming shared
-	// and publishing its own k-th best into it when that bounds the merged
-	// k-th best. ann orders the work, never the result. scored, when not
+	// exact is the part's top-k under the exact measure — one bounded scan
+	// of its live shapes, consuming shared and publishing its own k-th
+	// best into it when that bounds the merged k-th best. scored, when not
 	// nil, is what the seed pass behind shared already proved about the
 	// part's shapes (core.MatchOpts.Scored, part-local ids); a part whose
 	// shapes can change under the request scores them again.
-	exact(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode, shared *core.SharedBound, scored map[int]core.Match) ([]Match, Stats, error)
+	exact(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound, scored map[int]core.Match) ([]Match, Stats, error)
 	// annApprox is the sublinear path: the part's top-k over its ANN
 	// candidates alone, scored exactly. Each part applies the full
 	// annMinShapes floor, so the union over N parts is at least as wide as
@@ -269,7 +268,7 @@ type searchView struct {
 
 // search is the request decision tree, the only one: validation, one
 // query preparation, the fan-out plan, then per mode a scatter over the
-// view's parts (the paper's §6 flow — exact fattening; geometric hashing
+// view's parts (the paper's §6 flow — the exact search; geometric hashing
 // when that finds no close match). The view is taken once per request,
 // so a compaction swapping shards mid-request never mixes two bases in
 // one answer. The context is checked at stage boundaries, so a request
@@ -304,8 +303,8 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		// ModeExact, whose contract is exactness: there it only orders work.
 		annOnly := req.Ann == AnnApprox && req.Mode != ModeExact
 		if req.Mode != ModeApproximate && !annOnly {
-			// Only a request that opens envelopes validates the shape; the
-			// others let normalization reject what it must.
+			// Only an exact request validates the shape; the others let
+			// normalization reject what it must.
 			if err := req.Query.Validate(); err != nil {
 				return nil, fmt.Errorf("core: invalid query: %w", err)
 			}
@@ -321,7 +320,7 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 			return &SearchResponse{Matches: ms, Stats: st}, nil
 		}
 		if annOnly {
-			ms, stats, err := scatter(ctx, v.parts, req.K, width, nil, true, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
+			ms, stats, err := scatter(ctx, v.parts, req.K, width, nil, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
 				return v.parts[i].annApprox(ctx, pq, req.K, shared)
 			})
 			if err != nil {
@@ -344,7 +343,7 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		if err != nil {
 			return nil, err
 		}
-		ms, stats, err := exactSeeded(ctx, v.parts, pq, req, width, seed)
+		ms, stats, err := exactSeeded(ctx, v.parts, pq, req.K, width, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -400,12 +399,12 @@ func exactGoodEnough(ms []Match, tau float64) bool {
 // best bounds the merged k-th best from above, and sharing one bound lets
 // parts abandon each other's hopeless candidates mid-flight without
 // changing the merge (DESIGN.md §4.9). The bound is the caller's when it
-// brings one (the hash seed); otherwise, when share is set, a fresh one —
-// for two or more parts only: a lone part would read back nothing but its
-// own k-th best, which already is its cutoff.
-func scatter(ctx context.Context, parts []part, k, width int, shared *core.SharedBound, share bool,
+// brings one (the hash seed); otherwise a fresh one — for two or more
+// parts only: a lone part would read back nothing but its own k-th best,
+// which already is its cutoff.
+func scatter(ctx context.Context, parts []part, k, width int, shared *core.SharedBound,
 	op func(i int, shared *core.SharedBound) ([]Match, Stats, error)) ([]Match, Stats, error) {
-	if shared == nil && share && len(parts) > 1 {
+	if shared == nil && len(parts) > 1 {
 		shared = core.NewSharedBound()
 	}
 	lists := make([][]Match, len(parts))
@@ -422,40 +421,35 @@ func scatter(ctx context.Context, parts []part, k, width int, shared *core.Share
 
 // exactScatter is the exact measure over every part under one bound
 // (scatter). Because per-shape distances are intrinsic to (query, shape)
-// and every shape lives on exactly one part, the merged top-k of
-// converged parts is the true global top-k.
-func exactScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, shared *core.SharedBound, share bool, ann AnnMode, scored []map[int]core.Match) ([]Match, Stats, error) {
-	ms, stats, err := scatter(ctx, parts, k, width, shared, share, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
+// and every shape lives on exactly one part, the merged top-k of the
+// parts' scans is the true global top-k. It is proven — Converged — unless
+// it asks for more matches than the base holds: the k-th best does not
+// exist, even though every part, capped at what it holds, proved its own
+// list, and ModeAuto must fall back to hashing.
+func exactScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, shared *core.SharedBound, scored []map[int]core.Match) ([]Match, Stats, error) {
+	ms, stats, err := scatter(ctx, parts, k, width, shared, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
 		var known map[int]core.Match
 		if scored != nil {
 			known = scored[i]
 		}
-		return parts[i].exact(ctx, pq, k, ann, shared, known)
+		return parts[i].exact(ctx, pq, k, shared, known)
 	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	// Asking for more matches than the base holds can never converge (the
-	// k-th best does not exist), even though every part, capped at what
-	// it holds, proved its own list — ModeAuto must fall back to hashing.
 	live := 0
 	for _, p := range parts {
 		live += p.liveShapes()
 	}
-	if k > live {
-		stats.Converged = false
-	}
+	stats.Converged = k <= live
 	return ms, stats, nil
 }
 
-// exactSeeded is the exact phase of a request, bound first: a seed that
-// fits every part (hashSeed.bound) makes each of them one bounded scan
-// that converges whatever its siblings publish meanwhile, so both modes
-// share it — and each frozen part takes what the seed pass proved about
-// its bucket shapes instead of scoring them again (hashSeed.scored).
-// Without one, Converged depends on which part publishes first —
-// reporting in ModeExact, which still shares a fresh bound, but control
-// flow for ModeAuto's fallback, which then searches unshared.
+// exactSeeded is the exact phase of a request, bound first: every part
+// scans under the seed (hashSeed.bound) — and each frozen part takes what
+// the seed pass proved about its bucket shapes instead of scoring them
+// again (hashSeed.scored). A bucket short of k live shapes seeds nothing,
+// and the parts scan under a fresh shared bound instead.
 //
 // The seed is admissible for the shapes that were live when it was
 // scored. Frozen parts and their tombstones are fixed by the view, but a
@@ -464,14 +458,13 @@ func exactScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, k, 
 // itself tells: k merged matches within the seed are exactly the top k
 // (everything discarded is proven farther); anything less and the search
 // runs again unseeded.
-func exactSeeded(ctx context.Context, parts []part, pq *core.PreparedQuery, req SearchRequest, width int, seed *hashSeed) ([]Match, Stats, error) {
-	k := req.K
+func exactSeeded(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, seed *hashSeed) ([]Match, Stats, error) {
 	shared, scored := seed.bound(), seed.scored
 	if shared == nil {
 		scored = nil // what the pass proved, it proved against the seed
 	}
 	for {
-		ms, stats, err := exactScatter(ctx, parts, pq, k, width, shared, req.Mode == ModeExact, req.Ann, scored)
+		ms, stats, err := exactScatter(ctx, parts, pq, k, width, shared, scored)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -510,13 +503,12 @@ func hashBuckets(parts []part, pq *core.PreparedQuery) [][]int {
 }
 
 // hashSeed is the bound-first half of an exact request (DESIGN.md §4.9):
-// before the fattening search, the query's hash buckets are scored with
-// the bounded evaluators, and the k-th smallest distance among their live
-// shapes — any k live shapes bound the merged k-th best from above —
-// becomes the bound every part's search scans under.
+// before the scan, the query's hash buckets are scored with the bounded
+// evaluators, and the k-th smallest distance among their live shapes —
+// any k live shapes bound the merged k-th best from above — becomes the
+// bound every part's scan runs under.
 type hashSeed struct {
-	kth    *core.DistTopK
-	epsMax float64 // smallest ε_max among the parts
+	kth *core.DistTopK
 	// scored is, per part, what the pass proved about each bucket shape: its
 	// distance and realizing copy, or (EntryID -1) that it lies strictly
 	// above the k-th running when its turn came — by its score, or by its
@@ -527,14 +519,12 @@ type hashSeed struct {
 
 // scoreSeed scores the request's hash buckets, once and best-first over
 // every part at once (scoreBucket), each shape under the running k-th: a
-// shape proven worse than it cannot lower it. Every part will search under
-// the seed, so its ε_max joins the fit rule (bound).
+// shape proven worse than it cannot lower it.
 func scoreSeed(ctx context.Context, parts []part, pq *core.PreparedQuery, buckets [][]int, k int) (*hashSeed, error) {
-	s := &hashSeed{kth: core.NewDistTopK(k), epsMax: math.Inf(1), scored: make([]map[int]core.Match, len(parts))}
+	s := &hashSeed{kth: core.NewDistTopK(k), scored: make([]map[int]core.Match, len(parts))}
 	var stack [bucketStack]bucketShape
 	cands := stack[:0]
 	for i, p := range parts {
-		s.epsMax = min(s.epsMax, p.epsilonMax(pq))
 		s.scored[i] = make(map[int]core.Match, len(buckets[i]))
 		cands = appendFloors(cands, p, i, buckets[i], pq)
 	}
@@ -604,17 +594,12 @@ func scoreBucket(ctx context.Context, parts []part, pq *core.PreparedQuery, cand
 	return nil
 }
 
-// bound returns a shared bound tightened to the seed, or nil when there
-// is none to use: the buckets held fewer than k live shapes, or the
-// envelope the seed stands for (2·seed·1.0001, core's fit test) does not
-// fit under the ε_max of every part that would consume it. Under a
-// fitting seed every part is one bounded scan and converges, so Converged
-// — and ModeAuto's fallback decision — does not depend on which sibling
-// publishes first, and a search that converges without the seed returns
-// the same bytes with it.
+// bound returns a shared bound tightened to the seed, or nil when the
+// buckets held fewer than k live shapes: any k live shapes seed the scan,
+// and the seed changes how much work it does, never its answer.
 func (s *hashSeed) bound() *core.SharedBound {
 	sv := s.kth.Kth()
-	if math.IsInf(sv, 1) || 2*sv*1.0001 > s.epsMax {
+	if math.IsInf(sv, 1) {
 		return nil
 	}
 	sb := core.NewSharedBound()
@@ -630,7 +615,7 @@ func (s *hashSeed) bound() *core.SharedBound {
 // of equal floor (scoreBucket) and reported in the returned Stats' ANN
 // fields.
 func approxScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, buckets [][]int, k, width int, ann AnnMode) ([]Match, Stats, error) {
-	return scatter(ctx, parts, k, width, nil, true, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
+	return scatter(ctx, parts, k, width, nil, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
 		ids := buckets[i]
 		var st Stats
 		if ann != AnnOff {
@@ -688,11 +673,10 @@ func scoreCandidates(ctx context.Context, p part, pq *core.PreparedQuery, ids []
 // single Engine is the part with neither (smap nil: ids are global
 // already).
 type frozenPart struct {
-	e      *Engine
-	shard  int
-	smap   *core.ShardMap
-	dead   map[int]bool // tombstoned local shape ids
-	deadIn map[int]bool // tombstoned image ids
+	e     *Engine
+	shard int
+	smap  *core.ShardMap
+	dead  map[int]bool // tombstoned local shape ids
 }
 
 func (p *frozenPart) liveShapes() int         { return p.e.NumShapes() - len(p.dead) }
@@ -739,46 +723,32 @@ func (p *frozenPart) floor(id int, pq *core.PreparedQuery) float64 {
 	return p.e.db.Base().ShapeFloor(id, pq)
 }
 
-func (p *frozenPart) epsilonMax(pq *core.PreparedQuery) float64 {
-	return p.e.db.Base().EpsilonMax(pq.Entry().Poly.Perimeter())
-}
-
-// exact is the exact search — one bounded scan under a fitting seed, the
-// fattening climb (§2.5) otherwise — for min(k, live shapes) matches,
-// skipping tombstoned shapes inside the kernel, before they are scored: a
-// part cannot supply more than it holds, and capping lets a small part
-// reach the convergence condition (the k-th best must exist to be proven
-// within ε/2). A capped part must not publish — its k'-th best does not
-// bound the merged k-th — but may consume, since anything it discards is
-// proven outside the merged top-k (DESIGN.md §4.9). A climb ranks its
-// bootstrap candidates against the part's own ANN index — a visit-order
-// change, so the matches are byte-identical to AnnOff; the scan has no
-// order to change and probes nothing, and the ANN stats say which it was.
-func (p *frozenPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode, shared *core.SharedBound, scored map[int]core.Match) ([]Match, Stats, error) {
+// exact is the exact search — one bounded scan — for min(k, live shapes)
+// matches, skipping tombstoned shapes inside the kernel, before they are
+// scored: a part cannot supply more than it holds. A capped part must not
+// publish — its k'-th best does not bound the merged k-th — but may
+// consume, since anything it discards is proven outside the merged top-k
+// (DESIGN.md §4.9).
+func (p *frozenPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound, scored map[int]core.Match) ([]Match, Stats, error) {
 	kk := min(k, p.liveShapes())
 	if kk == 0 {
-		return nil, Stats{Converged: true}, nil // every shape tombstoned
-	}
-	var stats Stats
-	rank := func() map[int32]int32 {
-		r, st := p.e.annRank(pq, ann)
-		stats = st
-		return r
+		return nil, Stats{}, nil // every shape tombstoned
 	}
 	base := p.e.db.Base()
-	ms, st, err := base.MatchPrepared(ctx, pq, kk, core.MatchOpts{Rank: rank, Shared: shared, Publish: kk == k, Dead: p.dead, Scored: scored})
+	ms, st, err := base.MatchPrepared(ctx, pq, kk, core.MatchOpts{Shared: shared, Publish: kk == k, Dead: p.dead, Scored: scored}, true)
 	if err != nil {
 		if p.smap != nil {
 			err = fmt.Errorf("geosir: shard %d: %w", p.shard, err)
 		}
 		return nil, Stats{}, err
 	}
-	stats.Iterations = st.Iterations
-	stats.FinalEpsilon = st.FinalEpsilon
-	stats.VerticesCounted = st.VerticesCounted
-	stats.Candidates = st.Candidates
-	stats.Converged = st.Converged
-	stats.BlockReads = st.BlocksRead
+	stats := Stats{
+		Iterations:      st.Iterations,
+		FinalEpsilon:    st.FinalEpsilon,
+		VerticesCounted: st.VerticesCounted,
+		Candidates:      st.Candidates,
+		BlockReads:      st.BlocksRead,
+	}
 	out := make([]Match, len(ms))
 	for i, m := range ms {
 		out[i] = Match{
@@ -798,11 +768,12 @@ func (p *frozenPart) annApprox(ctx context.Context, pq *core.PreparedQuery, k in
 	return ms, annStats(probes, len(shapes)), err
 }
 
-// sketchTable retrieves one sketch shape generously (enough shapes to
-// cover every image once) and reduces the matches to the best distance
-// per live image. Under AnnApprox only the ANN candidates are scored
-// (exactly); images whose every shape went unprobed are absent — the
-// sketch ranking's recall cost, measured by BenchmarkAnnSketchApprox.
+// sketchTable is the best distance per live image to one sketch shape: a
+// scan of every live shape, tombstones skipped before they are scored —
+// what the delta's sketch table is. Under AnnApprox only the live ANN
+// candidates are scored (exactly); images whose every shape went unprobed
+// are absent — the sketch ranking's recall cost, measured by
+// BenchmarkAnnSketchApprox.
 func (p *frozenPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error) {
 	base := p.e.db.Base()
 	best := make(map[int]float64)
@@ -815,14 +786,15 @@ func (p *frozenPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, k 
 	var stats Stats
 	if ann == AnnApprox {
 		shapes, probes := p.e.annCandidates(pq, annSketchMinShapes(k))
+		shapes = p.live(shapes)
 		for _, sid := range shapes {
 			if m, _, err := base.ShapeDistancePreparedBounded(sid, pq, math.Inf(1)); err == nil {
 				keep(sid, m.DistVertex)
 			}
 		}
 		stats = annStats(probes, len(shapes))
-	} else {
-		ms, st, err := base.MatchPrepared(ctx, pq, base.NumShapes(), core.MatchOpts{})
+	} else if live := p.liveShapes(); live > 0 {
+		ms, st, err := base.MatchPrepared(ctx, pq, live, core.MatchOpts{Dead: p.dead}, false)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -831,18 +803,14 @@ func (p *frozenPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, k 
 		}
 		stats.BlockReads = st.BlocksRead
 	}
-	for img := range p.deadIn {
-		delete(best, img)
-	}
 	return best, stats, nil
 }
 
-// deltaPart is a live delta as a part. It has no index to converge on and
-// no ANN tier: its exact search is a bounded scan of every live shape, so
-// its list is final as it stands, and every live shape is an ANN
-// candidate — strictly better recall than any probe. It publishes its own
-// k-th best, which exists only once it has scored k live shapes (§4.12).
-// Delta matches carry global ids already.
+// deltaPart is a live delta as a part. It has no ANN tier: its exact
+// search is the bounded scan a frozen part runs, over its own live shapes,
+// and every live shape is an ANN candidate — strictly better recall than
+// any probe. It publishes its own k-th best, which exists only once it has
+// scored k live shapes (§4.12). Delta matches carry global ids already.
 type deltaPart struct{ d *ingest.Delta }
 
 func (p deltaPart) liveShapes() int         { return p.d.NumShapes() }
@@ -861,8 +829,6 @@ func (p deltaPart) floor(id int, pq *core.PreparedQuery) float64 { return p.d.Fl
 
 func (p deltaPart) annOrder(_ *core.PreparedQuery, ids []int) ([]int, Stats) { return ids, Stats{} }
 
-func (p deltaPart) epsilonMax(*core.PreparedQuery) float64 { return math.Inf(1) }
-
 // scan is the delta's bounded scan. Exact results carry the continuous
 // measure; approximate ones do not, matching the frozen paths.
 func (p deltaPart) scan(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound, approx bool) ([]Match, Stats, error) {
@@ -874,12 +840,12 @@ func (p deltaPart) scan(ctx context.Context, pq *core.PreparedQuery, k int, shar
 	for i, m := range ms {
 		out[i] = Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, ContinuousDistance: m.Continuous, Approximate: approx}
 	}
-	return out, Stats{Converged: true, Candidates: evaluated}, nil
+	return out, Stats{Candidates: evaluated}, nil
 }
 
 // exact scores every live shape itself, the seed's bucket included: a
 // delete can reach the delta between the seed pass and this scan.
-func (p deltaPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, _ AnnMode, shared *core.SharedBound, _ map[int]core.Match) ([]Match, Stats, error) {
+func (p deltaPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound, _ map[int]core.Match) ([]Match, Stats, error) {
 	return p.scan(ctx, pq, k, shared, false)
 }
 

@@ -102,9 +102,9 @@ type shardView struct {
 
 	// deadShapes marks, per shard, the local shape ids whose frozen copy
 	// is tombstoned (image deleted after its shard froze), for the paths
-	// that filter shapes before scoring them (exact kernel, hashing, ANN).
-	// deadIn is the same set at image granularity, for the paths that
-	// filter whole images (sketch tables, topological queries). Both are
+	// that filter shapes before scoring them (every search). deadIn is the
+	// same set at image granularity, for the paths that filter whole
+	// images (topological queries, image counts). Both are
 	// nil until the first tombstone. An image id may legitimately appear
 	// dead in one shard and live in another — delete then re-insert then
 	// compact — so the per-shard grouping is not redundant with a flat
@@ -181,7 +181,7 @@ func (v *shardView) parts() []part {
 	for i, si := range live {
 		frozen[i] = frozenPart{
 			e: v.shards[si], shard: si, smap: v.smap,
-			dead: deadOf(v.deadShapes, si), deadIn: deadOf(v.deadIn, si),
+			dead: deadOf(v.deadShapes, si),
 		}
 		out = append(out, &frozen[i])
 	}
