@@ -31,11 +31,12 @@ race:
 # and read by every shard goroutine — the same class, as are the stored
 # vertices' field cells and the oracle grids' one walk, which every shard
 # goroutine reads, and the floors a bucket pass orders itself by. Run the
-# affected suites at both settings.
-PROCS_RUN := 'Equivalence|BoundFirst|Delta|Dynamic|Field|Scan|Seed|SegmentGridDist|Bucket|Floor'
+# affected suites at both settings. Topological reads take no lock: every
+# goroutine evaluates its query against the same frozen database.
+PROCS_RUN := 'Equivalence|BoundFirst|Delta|Dynamic|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological'
 test-procs:
-	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex
-	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/shapeindex
+	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex
+	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex
 
 # The geosir_purego build links no unsafe code: mmap.Cast always declines,
 # so the snapshot codec's portable branch (encoding/binary) is the only

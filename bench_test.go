@@ -289,7 +289,7 @@ func BenchmarkFig10_Selectivity(b *testing.B) {
 	var matches int
 	for i := 0; i < b.N; i++ {
 		q := synth.Star(rng, 3+i%10, 0.015)
-		ms, _, err := base.SimilarShapes(q, 0.03)
+		ms, _, err := base.SimilarShapes(context.Background(), q, 0.03)
 		if err != nil {
 			b.Fatal(err)
 		}

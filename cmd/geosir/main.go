@@ -112,7 +112,7 @@ type cliEngine interface {
 	NumImages() int
 	NumShapes() int
 	NumEntries() int
-	Query(src string, binds map[string]geosir.Shape) ([]int, string, error)
+	Query(ctx context.Context, src string, binds map[string]geosir.Shape) ([]int, string, error)
 }
 
 func newEngine(shards int) cliEngine {
@@ -184,7 +184,7 @@ func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 		if err != nil {
 			return err
 		}
-		ids, plan, err := eng.Query(topo, bmap)
+		ids, plan, err := eng.Query(context.Background(), topo, bmap)
 		if err != nil {
 			return err
 		}

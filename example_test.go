@@ -41,9 +41,9 @@ func ExampleEngine_Query() {
 		"sq":  geosir.NewPolygon(geosir.Pt(0, 0), geosir.Pt(1, 0), geosir.Pt(1, 1), geosir.Pt(0, 1)),
 		"tri": geosir.NewPolygon(geosir.Pt(0, 0), geosir.Pt(4, 0), geosir.Pt(0, 7)),
 	}
-	ids, _, _ := eng.Query("contain(sq, tri, any)", binds)
+	ids, _, _ := eng.Query(context.Background(), "contain(sq, tri, any)", binds)
 	fmt.Println(ids)
-	ids, _, _ = eng.Query("similar(tri) AND NOT contain(sq, tri, any)", binds)
+	ids, _, _ = eng.Query(context.Background(), "similar(tri) AND NOT contain(sq, tri, any)", binds)
 	fmt.Println(ids)
 	// Output:
 	// [0]

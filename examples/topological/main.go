@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,7 +66,7 @@ func main() {
 		"NOT (similar(tri) OR overlap(sq, sq, any))",
 	}
 	for _, q := range queries {
-		ids, plan, err := eng.Query(q, binds)
+		ids, plan, err := eng.Query(context.Background(), q, binds)
 		if err != nil {
 			log.Fatalf("%s: %v", q, err)
 		}

@@ -25,6 +25,7 @@
 package geosir
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -137,10 +138,8 @@ type Stats struct {
 // graphs, and the geometric hash table.
 //
 // Concurrency: an Engine is not safe for concurrent mutation, but after
-// Freeze every index structure is immutable and Search may be called
-// from any number of goroutines. Query updates the shared selectivity
-// estimator and should not race with itself; use one goroutine for
-// topological queries.
+// Freeze every index structure is immutable and Search and Query may be
+// called from any number of goroutines.
 type Engine struct {
 	opts   Options
 	db     *query.DB
@@ -253,12 +252,14 @@ func (e *Engine) HashTable() *geohash.Table { return e.table }
 //	similar(a) AND NOT overlap(b, c, any)
 //
 // with binds supplying the named shapes. It returns the matching image
-// ids (sorted) and a rendering of the execution plan.
-func (e *Engine) Query(src string, binds map[string]Shape) ([]int, string, error) {
+// ids (sorted) and a rendering of the execution plan; both depend only on
+// the engine and the query. A cancelled ctx stops the query within one
+// scan chunk and returns ctx's error.
+func (e *Engine) Query(ctx context.Context, src string, binds map[string]Shape) ([]int, string, error) {
 	if !e.frozen {
 		return nil, "", ErrNotFrozen
 	}
-	set, plan, err := e.db.EvalString(src, query.Bindings(binds))
+	set, plan, err := e.db.EvalString(ctx, src, query.Bindings(binds))
 	if err != nil {
 		return nil, "", err
 	}

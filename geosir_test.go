@@ -56,7 +56,7 @@ func TestEngineLifecycle(t *testing.T) {
 	if _, err := eng.Search(context.Background(), SearchRequest{Query: square(0, 0, 1), K: 1}); err == nil {
 		t.Error("unfrozen Search should fail")
 	}
-	if _, _, err := eng.Query("similar(q)", nil); err == nil {
+	if _, _, err := eng.Query(context.Background(), "similar(q)", nil); err == nil {
 		t.Error("unfrozen Query should fail")
 	}
 	eng = buildEngine(t)
@@ -155,7 +155,7 @@ func TestEngineQuery(t *testing.T) {
 		"ell": lshape(0, 0, 2),
 	}
 	// Images with a square containing a triangle: image 0.
-	ids, plan, err := eng.Query("contain(sq, tri, any)", binds)
+	ids, plan, err := eng.Query(context.Background(), "contain(sq, tri, any)", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestEngineQuery(t *testing.T) {
 		t.Error("empty plan")
 	}
 	// The paper's example form: similar(Q1) ∩ COMPLEMENT(overlap(Q2,Q3,any)).
-	ids, _, err = eng.Query("similar(ell) AND NOT overlap(sq, sq, any)", binds)
+	ids, _, err = eng.Query(context.Background(), "similar(ell) AND NOT overlap(sq, sq, any)", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +174,10 @@ func TestEngineQuery(t *testing.T) {
 		t.Errorf("composite = %v, want [3 4]", ids)
 	}
 	// Error paths.
-	if _, _, err := eng.Query("similar(unbound)", binds); err == nil {
+	if _, _, err := eng.Query(context.Background(), "similar(unbound)", binds); err == nil {
 		t.Error("unbound name should fail")
 	}
-	if _, _, err := eng.Query("][", binds); err == nil {
+	if _, _, err := eng.Query(context.Background(), "][", binds); err == nil {
 		t.Error("garbage should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -219,10 +220,53 @@ func TestMatchErrors(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err turns to Canceled after n calls.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSimilarShapesCancelled: a cancelled ctx stops SimilarShapes within
+// one scan chunk of 32 shapes — before any shape when it is cancelled on
+// entry, after exactly the first chunk when it is cancelled at the second
+// check — and returns ctx's error and no matches.
+func TestSimilarShapesCancelled(t *testing.T) {
+	b := NewBase(DefaultOptions())
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100; i++ {
+		if _, err := b.AddShape(i, distort(testShapes()[i%6], 0.02, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	firstChunk := 0
+	for i := 0; i < b.NumEntries(); i++ {
+		if b.Entry(i).ShapeID < 32 {
+			firstChunk++
+		}
+	}
+	for checks, want := range []int{0, firstChunk} {
+		ms, stats, err := b.SimilarShapes(&cancelAfter{context.Background(), checks}, testShapes()[0], 10)
+		if err != context.Canceled || ms != nil || stats.VerticesCounted != want {
+			t.Errorf("cancelled at check %d: (%d matches, %d copies scanned, %v), want (0, %d, %v)",
+				checks, len(ms), stats.VerticesCounted, err, want, context.Canceled)
+		}
+	}
+}
+
 func TestSimilarShapesThreshold(t *testing.T) {
 	b := buildTestBase(t, DefaultOptions())
 	// A tight threshold retrieves only the square itself.
-	ms, _, err := b.SimilarShapes(testShapes()[0], 0.01)
+	ms, _, err := b.SimilarShapes(context.Background(), testShapes()[0], 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +274,7 @@ func TestSimilarShapesThreshold(t *testing.T) {
 		t.Fatalf("tight threshold: %v", ms)
 	}
 	// A huge threshold retrieves everything.
-	ms, _, err = b.SimilarShapes(testShapes()[0], 10)
+	ms, _, err = b.SimilarShapes(context.Background(), testShapes()[0], 10)
 	if err != nil {
 		t.Fatal(err)
 	}

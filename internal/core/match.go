@@ -119,15 +119,15 @@ func (b *Base) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o Ma
 // SimilarShapes returns every shape whose vertex-averaged distance to q
 // is at most tau, sorted by (DistVertex, ShapeID): one bounded scan under
 // the cutoff tau. This is the shape_similar(Q) primitive of the query
-// processor (§5).
-func (b *Base) SimilarShapes(q geom.Poly, tau float64) ([]Match, Stats, error) {
+// processor (§5). A cancelled scan returns ctx's error and no matches.
+func (b *Base) SimilarShapes(ctx context.Context, q geom.Poly, tau float64) ([]Match, Stats, error) {
 	pq, err := b.prepare(q, 1)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	within := NewSharedBound()
 	within.Tighten(tau)
-	ms, stats, err := b.MatchPrepared(context.Background(), pq, len(b.shapes), MatchOpts{Shared: within}, true)
+	ms, stats, err := b.MatchPrepared(ctx, pq, len(b.shapes), MatchOpts{Shared: within}, true)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -78,7 +78,7 @@ func TestServingBuildsNoRangeIndex(t *testing.T) {
 		}
 	}
 	binds := map[string]geosir.Shape{"q": queries[0]}
-	if _, _, err := eng.Query("similar(q)", binds); err != nil {
+	if _, _, err := eng.Query(context.Background(), "similar(q)", binds); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +100,7 @@ func TestServingBuildsNoRangeIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := sharded.Query("similar(q)", binds); err != nil {
+	if _, _, err := sharded.Query(context.Background(), "similar(q)", binds); err != nil {
 		t.Fatal(err)
 	}
 	if built := core.RangeIndexBuilds() - before; built != 0 {

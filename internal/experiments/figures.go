@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -204,11 +205,11 @@ func Fig10(cfg Config, tau float64, queries int) (Fig10Result, error) {
 		if vs <= 0 {
 			continue
 		}
-		m1, _, err := full.SimilarShapes(q, tau)
+		m1, _, err := full.SimilarShapes(context.Background(), q, tau)
 		if err != nil {
 			return res, err
 		}
-		m2, _, err := half.SimilarShapes(q, tau)
+		m2, _, err := half.SimilarShapes(context.Background(), q, tau)
 		if err != nil {
 			return res, err
 		}
@@ -396,7 +397,7 @@ func Plans(f *Fixture) ([]PlanRow, error) {
 	}
 	var out []PlanRow
 	for _, src := range srcs {
-		set, plan, err := db.EvalString(src, binds)
+		set, plan, err := db.EvalString(context.Background(), src, binds)
 		if err != nil {
 			return nil, err
 		}

@@ -82,8 +82,12 @@ func (p Point) Unit() Point {
 	return Point{p.X / n, p.Y / n}
 }
 
-// Lerp returns the point p + t·(q-p); t=0 yields p and t=1 yields q.
+// Lerp returns the point p + t·(q-p); t=0 yields p and t=1 yields q
+// (exactly: p + (q-p) can round away from q).
 func (p Point) Lerp(q Point, t float64) Point {
+	if t == 1 {
+		return q
+	}
 	return Point{p.X + t*(q.X-p.X), p.Y + t*(q.Y-p.Y)}
 }
 

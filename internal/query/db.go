@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -146,9 +147,7 @@ func (db *DB) Freeze() error {
 	if err := db.base.Freeze(); err != nil {
 		return err
 	}
-	if db.est == nil {
-		db.est = NewEstimator(db.base.NumShapes())
-	}
+	db.est = NewEstimator(db.base.NumShapes())
 	db.frozen = true
 	return nil
 }
@@ -175,30 +174,22 @@ func (db *DB) AllImages() ImageSet {
 	return s
 }
 
-// Estimator returns the selectivity estimator.
-func (db *DB) Estimator() *Estimator { return db.est }
-
 // Tau returns the similarity threshold.
 func (db *DB) Tau() float64 { return db.opts.Tau }
 
 // shapeSimilar computes shape_similar(Q): all shape ids within τ of Q.
-// The estimator is updated with the observed result size (§5.2).
-func (db *DB) shapeSimilar(q geom.Poly) ([]core.Match, error) {
-	ms, _, err := db.base.SimilarShapes(q, db.opts.Tau)
-	if err != nil {
-		return nil, err
-	}
-	db.est.Observe(q, len(ms))
-	return ms, nil
+func (db *DB) shapeSimilar(ctx context.Context, q geom.Poly) ([]core.Match, error) {
+	ms, _, err := db.base.SimilarShapes(ctx, q, db.opts.Tau)
+	return ms, err
 }
 
 // Similar evaluates the similarity operator similar(Q): all images
 // containing a shape similar to Q (§5.1).
-func (db *DB) Similar(q geom.Poly) (ImageSet, error) {
+func (db *DB) Similar(ctx context.Context, q geom.Poly) (ImageSet, error) {
 	if !db.frozen {
 		return nil, fmt.Errorf("query: database must be frozen")
 	}
-	ms, err := db.shapeSimilar(q)
+	ms, err := db.shapeSimilar(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +238,7 @@ const (
 // S2 ~ Q2 such that g_r(S1, S2, θ). The strategy is chosen by the
 // selectivity estimates; the chosen strategy is returned for plan
 // inspection.
-func (db *DB) Topological(rel Rel, q1, q2 geom.Poly, theta Angle) (ImageSet, TopoStrategy, error) {
+func (db *DB) Topological(ctx context.Context, rel Rel, q1, q2 geom.Poly, theta Angle) (ImageSet, TopoStrategy, error) {
 	if !db.frozen {
 		return nil, 0, fmt.Errorf("query: database must be frozen")
 	}
@@ -263,19 +254,19 @@ func (db *DB) Topological(rel Rel, q1, q2 geom.Poly, theta Angle) (ImageSet, Top
 	} else {
 		strat = StrategyBoth
 	}
-	set, err := db.topological(rel, q1, q2, theta, strat)
+	set, err := db.topological(ctx, rel, q1, q2, theta, strat)
 	return set, strat, err
 }
 
 // TopologicalWith forces a specific strategy (for the planner ablation).
-func (db *DB) TopologicalWith(rel Rel, q1, q2 geom.Poly, theta Angle, strat TopoStrategy) (ImageSet, error) {
+func (db *DB) TopologicalWith(ctx context.Context, rel Rel, q1, q2 geom.Poly, theta Angle, strat TopoStrategy) (ImageSet, error) {
 	if !db.frozen {
 		return nil, fmt.Errorf("query: database must be frozen")
 	}
-	return db.topological(rel, q1, q2, theta, strat)
+	return db.topological(ctx, rel, q1, q2, theta, strat)
 }
 
-func (db *DB) topological(rel Rel, q1, q2 geom.Poly, theta Angle, strat TopoStrategy) (ImageSet, error) {
+func (db *DB) topological(ctx context.Context, rel Rel, q1, q2 geom.Poly, theta Angle, strat TopoStrategy) (ImageSet, error) {
 	out := make(ImageSet)
 	switch strat {
 	case StrategyDrive:
@@ -286,7 +277,7 @@ func (db *DB) topological(rel Rel, q1, q2 geom.Poly, theta Angle, strat TopoStra
 			driveQ, otherQ = q1, q2
 			swapped = true
 		}
-		ms, err := db.shapeSimilar(driveQ)
+		ms, err := db.shapeSimilar(ctx, driveQ)
 		if err != nil {
 			return nil, err
 		}
@@ -309,11 +300,11 @@ func (db *DB) topological(rel Rel, q1, q2 geom.Poly, theta Angle, strat TopoStra
 		return out, nil
 
 	case StrategyBoth:
-		ms1, err := db.shapeSimilar(q1)
+		ms1, err := db.shapeSimilar(ctx, q1)
 		if err != nil {
 			return nil, err
 		}
-		ms2, err := db.shapeSimilar(q2)
+		ms2, err := db.shapeSimilar(ctx, q2)
 		if err != nil {
 			return nil, err
 		}

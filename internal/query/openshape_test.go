@@ -1,6 +1,8 @@
 package query
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -66,7 +68,7 @@ func TestDBWithOpenShapeQueries(t *testing.T) {
 		"box":  sq(0, 0, 4),
 	}
 	// Lines appear in both images.
-	set, _, err := db.EvalString("similar(line)", binds)
+	set, _, err := db.EvalString(context.Background(), "similar(line)", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestDBWithOpenShapeQueries(t *testing.T) {
 		t.Fatalf("similar(line) = %v", got)
 	}
 	// A box overlapping a line: only image 0.
-	set, _, err = db.EvalString("overlap(box, line, any)", binds)
+	set, _, err = db.EvalString(context.Background(), "overlap(box, line, any)", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,21 +85,22 @@ func TestDBWithOpenShapeQueries(t *testing.T) {
 	}
 }
 
+// TestEstimatorAccessors holds the estimate to a function of (base size,
+// query) only: two estimators over the same base size agree on every
+// query, the estimate is proportional to the base size, and a degenerate
+// query or an empty base still gets a positive, finite estimate.
 func TestEstimatorAccessors(t *testing.T) {
+	q := sq(0, 0, 1)
 	e := NewEstimator(500)
-	if e.C() <= 0 {
-		t.Errorf("C = %v", e.C())
+	if got, again := e.Estimate(q), NewEstimator(500).Estimate(q); got <= 0 || got != again {
+		t.Errorf("Estimate = %v, a second estimator over 500 shapes says %v", got, again)
 	}
-	if e.Observations() != 1 {
-		t.Errorf("seed observations = %d", e.Observations())
+	if got, want := NewEstimator(1000).Estimate(q), 2*e.Estimate(q); got != want {
+		t.Errorf("twice the base estimates %v, want %v", got, want)
 	}
-	e.Observe(sq(0, 0, 1), 10)
-	if e.Observations() != 2 {
-		t.Errorf("after observe = %d", e.Observations())
-	}
-	// Degenerate queries don't poison the estimator.
-	e.Observe(geom.Poly{}, 3)
-	if e.Observations() != 2 {
-		t.Error("degenerate observation should be ignored")
+	for _, est := range []float64{e.Estimate(geom.Poly{}), NewEstimator(0).Estimate(q)} {
+		if !(est > 0) || math.IsInf(est, 1) {
+			t.Errorf("degenerate estimate = %v, want positive and finite", est)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/geom"
@@ -45,7 +46,7 @@ func (p *Plan) String() string {
 // the index, and the remaining literals are checked image-by-image on the
 // driver's result; conjuncts with only negated literals start from the
 // full image set. The conjunct results are united.
-func (db *DB) Eval(e Expr, binds Bindings) (ImageSet, *Plan, error) {
+func (db *DB) Eval(ctx context.Context, e Expr, binds Bindings) (ImageSet, *Plan, error) {
 	if !db.frozen {
 		return nil, nil, fmt.Errorf("query: database must be frozen")
 	}
@@ -59,7 +60,7 @@ func (db *DB) Eval(e Expr, binds Bindings) (ImageSet, *Plan, error) {
 	// memo ensures each distinct operator hits the index at most once.
 	memo := make(map[string]ImageSet)
 	for _, c := range conjuncts {
-		set, cp, err := db.evalConjunct(c, binds, memo)
+		set, cp, err := db.evalConjunct(ctx, c, binds, memo)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -70,24 +71,24 @@ func (db *DB) Eval(e Expr, binds Bindings) (ImageSet, *Plan, error) {
 }
 
 // EvalString parses and evaluates a textual query.
-func (db *DB) EvalString(src string, binds Bindings) (ImageSet, *Plan, error) {
+func (db *DB) EvalString(ctx context.Context, src string, binds Bindings) (ImageSet, *Plan, error) {
 	e, err := Parse(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	return db.Eval(e, binds)
+	return db.Eval(ctx, e, binds)
 }
 
-// literalEstimate returns the §5.4 selectivity estimate of a literal.
+// literalEstimate returns the §5.4 selectivity estimate of a positive
+// literal.
 func (db *DB) literalEstimate(l Literal, binds Bindings) (float64, error) {
-	var est float64
 	switch op := l.Op.(type) {
 	case SimilarOp:
 		q, err := bind(binds, op.Name)
 		if err != nil {
 			return 0, err
 		}
-		est = db.est.Estimate(q)
+		return db.est.Estimate(q), nil
 	case TopoOp:
 		q1, err := bind(binds, op.Name1)
 		if err != nil {
@@ -98,29 +99,22 @@ func (db *DB) literalEstimate(l Literal, binds Bindings) (float64, error) {
 			return 0, err
 		}
 		// min of the two sides (§5.4).
-		est = minF(db.est.Estimate(q1), db.est.Estimate(q2))
+		return minF(db.est.Estimate(q1), db.est.Estimate(q2)), nil
 	default:
 		return 0, fmt.Errorf("query: bad literal %T", l.Op)
 	}
-	if l.Neg {
-		est = float64(db.NumImages()) - est
-		if est < 0 {
-			est = 0
-		}
-	}
-	return est, nil
 }
 
 // evalLiteralFull evaluates a positive literal through the index,
 // memoizing by the operator's rendered form.
-func (db *DB) evalLiteralFull(op Expr, binds Bindings, memo map[string]ImageSet) (ImageSet, error) {
+func (db *DB) evalLiteralFull(ctx context.Context, op Expr, binds Bindings, memo map[string]ImageSet) (ImageSet, error) {
 	key := op.String()
 	if memo != nil {
 		if set, ok := memo[key]; ok {
 			return set, nil
 		}
 	}
-	set, err := db.evalLiteralFullUncached(op, binds)
+	set, err := db.evalLiteralFullUncached(ctx, op, binds)
 	if err != nil {
 		return nil, err
 	}
@@ -130,14 +124,14 @@ func (db *DB) evalLiteralFull(op Expr, binds Bindings, memo map[string]ImageSet)
 	return set, nil
 }
 
-func (db *DB) evalLiteralFullUncached(op Expr, binds Bindings) (ImageSet, error) {
+func (db *DB) evalLiteralFullUncached(ctx context.Context, op Expr, binds Bindings) (ImageSet, error) {
 	switch v := op.(type) {
 	case SimilarOp:
 		q, err := bind(binds, v.Name)
 		if err != nil {
 			return nil, err
 		}
-		return db.Similar(q)
+		return db.Similar(ctx, q)
 	case TopoOp:
 		q1, err := bind(binds, v.Name1)
 		if err != nil {
@@ -147,7 +141,7 @@ func (db *DB) evalLiteralFullUncached(op Expr, binds Bindings) (ImageSet, error)
 		if err != nil {
 			return nil, err
 		}
-		set, _, err := db.Topological(v.Rel, q1, q2, v.Theta)
+		set, _, err := db.Topological(ctx, v.Rel, q1, q2, v.Theta)
 		return set, err
 	default:
 		return nil, fmt.Errorf("query: bad operator %T", op)
@@ -183,7 +177,7 @@ func (db *DB) checkLiteral(l Literal, binds Bindings, imageID int) (bool, error)
 	return ok, nil
 }
 
-func (db *DB) evalConjunct(c Conjunct, binds Bindings, memo map[string]ImageSet) (ImageSet, ConjunctPlan, error) {
+func (db *DB) evalConjunct(ctx context.Context, c Conjunct, binds Bindings, memo map[string]ImageSet) (ImageSet, ConjunctPlan, error) {
 	cp := ConjunctPlan{Term: c.String()}
 	// Choose the positive literal with the smallest estimate as driver.
 	driver := -1
@@ -202,7 +196,7 @@ func (db *DB) evalConjunct(c Conjunct, binds Bindings, memo map[string]ImageSet)
 	}
 	var current ImageSet
 	if driver >= 0 {
-		set, err := db.evalLiteralFull(c[driver].Op, binds, memo)
+		set, err := db.evalLiteralFull(ctx, c[driver].Op, binds, memo)
 		if err != nil {
 			return nil, cp, err
 		}
@@ -224,6 +218,9 @@ func (db *DB) evalConjunct(c Conjunct, binds Bindings, memo map[string]ImageSet)
 		}
 		filtered := make(ImageSet)
 		for img := range current {
+			if err := ctx.Err(); err != nil {
+				return nil, cp, err
+			}
 			ok, err := db.checkLiteral(l, binds, img)
 			if err != nil {
 				return nil, cp, err

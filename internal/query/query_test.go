@@ -1,7 +1,10 @@
 package query
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -146,20 +149,28 @@ func TestSignificantVertices(t *testing.T) {
 	}
 }
 
+// TestEstimatorAdapts holds the estimate to a function of (base size,
+// query) only: the database's estimator agrees with a fresh one over the
+// same number of shapes, and queries through the database leave its
+// estimates unchanged.
 func TestEstimatorAdapts(t *testing.T) {
-	e := NewEstimator(1000)
-	q := sq(0, 0, 1)
-	before := e.Estimate(q)
-	if before <= 0 {
-		t.Fatalf("estimate = %v", before)
+	db, binds := buildTestDB(t)
+	fresh := NewEstimator(db.Base().NumShapes())
+	check := func(when string) {
+		t.Helper()
+		for name, q := range binds {
+			if got, want := db.est.Estimate(q), fresh.Estimate(q); got != want || got <= 0 {
+				t.Errorf("%s: estimate of %s = %v, a fresh estimator says %v", when, name, got, want)
+			}
+		}
 	}
-	// Observing consistently larger results should raise the estimate.
+	check("before any query")
 	for i := 0; i < 10; i++ {
-		e.Observe(q, int(before*10))
+		if _, _, err := db.EvalString(context.Background(), "similar(qtri) OR contain(qsq, qtri, any)", binds); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if after := e.Estimate(q); after <= before {
-		t.Errorf("estimate should grow: %v -> %v", before, after)
-	}
+	check("after 10 queries")
 }
 
 // buildTestDB constructs a small database with known topology:
@@ -195,7 +206,7 @@ func buildTestDB(t *testing.T) (*DB, Bindings) {
 
 func TestSimilarOperator(t *testing.T) {
 	db, binds := buildTestDB(t)
-	set, err := db.Similar(binds["qtri"])
+	set, err := db.Similar(context.Background(), binds["qtri"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +221,7 @@ func TestSimilarOperator(t *testing.T) {
 		}
 	}
 	// Squares appear in images 0,1,3,4.
-	set, err = db.Similar(binds["qsq"])
+	set, err = db.Similar(context.Background(), binds["qsq"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +234,7 @@ func TestTopologicalContain(t *testing.T) {
 	db, binds := buildTestDB(t)
 	// contain(sq, tri): image 0 only.
 	for _, strat := range []TopoStrategy{StrategyDrive, StrategyBoth} {
-		set, err := db.TopologicalWith(RelContain, binds["qsq"], binds["qtri"], AnyAngle(), strat)
+		set, err := db.TopologicalWith(context.Background(), RelContain, binds["qsq"], binds["qtri"], AnyAngle(), strat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +243,7 @@ func TestTopologicalContain(t *testing.T) {
 		}
 	}
 	// contain(sq, sq): image 4 only.
-	set, strat, err := db.Topological(RelContain, binds["qsq"], binds["qsq"], AnyAngle())
+	set, strat, err := db.Topological(context.Background(), RelContain, binds["qsq"], binds["qsq"], AnyAngle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +258,7 @@ func TestTopologicalContain(t *testing.T) {
 func TestTopologicalOverlapDisjoint(t *testing.T) {
 	db, binds := buildTestDB(t)
 	for _, strat := range []TopoStrategy{StrategyDrive, StrategyBoth} {
-		set, err := db.TopologicalWith(RelOverlap, binds["qsq"], binds["qsq"], AnyAngle(), strat)
+		set, err := db.TopologicalWith(context.Background(), RelOverlap, binds["qsq"], binds["qsq"], AnyAngle(), strat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +267,7 @@ func TestTopologicalOverlapDisjoint(t *testing.T) {
 		}
 		// disjoint(sq, tri): image 3 (side by side). Image 0 has the
 		// triangle inside the square (contain, not disjoint).
-		set, err = db.TopologicalWith(RelDisjoint, binds["qsq"], binds["qtri"], AnyAngle(), strat)
+		set, err = db.TopologicalWith(context.Background(), RelDisjoint, binds["qsq"], binds["qtri"], AnyAngle(), strat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +280,7 @@ func TestTopologicalOverlapDisjoint(t *testing.T) {
 func TestParseAndEval(t *testing.T) {
 	db, binds := buildTestDB(t)
 	// Images with a triangle but no square-containing-triangle: 2 and 3.
-	set, plan, err := db.EvalString(
+	set, plan, err := db.EvalString(context.Background(),
 		"similar(qtri) AND NOT contain(qsq, qtri, any)", binds)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +298,7 @@ func TestParseAndEval(t *testing.T) {
 
 func TestEvalUnion(t *testing.T) {
 	db, binds := buildTestDB(t)
-	set, plan, err := db.EvalString("overlap(qsq, qsq, any) OR contain(qsq, qsq, any)", binds)
+	set, plan, err := db.EvalString(context.Background(), "overlap(qsq, qsq, any) OR contain(qsq, qsq, any)", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +312,7 @@ func TestEvalUnion(t *testing.T) {
 
 func TestEvalComplementOnly(t *testing.T) {
 	db, binds := buildTestDB(t)
-	set, _, err := db.EvalString("NOT similar(qtri)", binds)
+	set, _, err := db.EvalString(context.Background(), "NOT similar(qtri)", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +324,11 @@ func TestEvalComplementOnly(t *testing.T) {
 func TestEvalDeMorgan(t *testing.T) {
 	db, binds := buildTestDB(t)
 	// NOT (A OR B) == NOT A AND NOT B.
-	s1, _, err := db.EvalString("NOT (similar(qtri) OR overlap(qsq,qsq,any))", binds)
+	s1, _, err := db.EvalString(context.Background(), "NOT (similar(qtri) OR overlap(qsq,qsq,any))", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := db.EvalString("NOT similar(qtri) AND NOT overlap(qsq,qsq,any)", binds)
+	s2, _, err := db.EvalString(context.Background(), "NOT similar(qtri) AND NOT overlap(qsq,qsq,any)", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +382,7 @@ func TestParseAngles(t *testing.T) {
 
 func TestEvalUnboundName(t *testing.T) {
 	db, _ := buildTestDB(t)
-	if _, _, err := db.EvalString("similar(nope)", Bindings{}); err == nil {
+	if _, _, err := db.EvalString(context.Background(), "similar(nope)", Bindings{}); err == nil {
 		t.Error("unbound name should fail")
 	}
 }
@@ -415,7 +426,7 @@ func TestTopologicalWithAngle(t *testing.T) {
 	}
 	q := sq(0, 0, 6)
 	// Angle 0: only the aligned image.
-	set, _, err := db.Topological(RelContain, q, q, AngleOf(0))
+	set, _, err := db.Topological(context.Background(), RelContain, q, q, AngleOf(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +434,7 @@ func TestTopologicalWithAngle(t *testing.T) {
 		t.Errorf("aligned contain = %v, want [0]", got)
 	}
 	// any: both.
-	set, _, err = db.Topological(RelContain, q, q, AnyAngle())
+	set, _, err = db.Topological(context.Background(), RelContain, q, q, AnyAngle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +445,7 @@ func TestTopologicalWithAngle(t *testing.T) {
 
 func TestDBLifecycleErrors(t *testing.T) {
 	db := NewDB(DefaultOptions())
-	if _, err := db.Similar(sq(0, 0, 1)); err == nil {
+	if _, err := db.Similar(context.Background(), sq(0, 0, 1)); err == nil {
 		t.Error("unfrozen Similar should fail")
 	}
 	if err := db.AddImage(0, nil); err == nil {
@@ -454,20 +465,71 @@ func TestDBLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentTopologicalEval: evaluation reads the frozen database
+// and writes nothing shared, so 16 goroutines evaluating at once (run
+// under -race) each get the sequential images and plan.
+func TestConcurrentTopologicalEval(t *testing.T) {
+	db, binds := buildTestDB(t)
+	srcs := []string{
+		"similar(qtri) AND NOT contain(qsq, qtri, any)",
+		"overlap(qsq, qsq, any) OR disjoint(qsq, qtri, any)",
+		"NOT similar(qsq)",
+	}
+	want := make([]string, len(srcs))
+	for i, src := range srcs {
+		set, plan, err := db.EvalString(context.Background(), src, binds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fmt.Sprint(set.Sorted(), plan)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, src := range srcs {
+				set, plan, err := db.EvalString(context.Background(), src, binds)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := fmt.Sprint(set.Sorted(), plan); got != want[i] {
+					t.Errorf("%s: concurrent %s, sequential %s", src, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestEvalMemoizesRepeatedLiterals holds a driver literal repeated across
+// DNF conjuncts to the per-query memo: with the memo pre-seeded with a
+// sentinel set for similar(qtri), an image id the database does not hold,
+// both conjuncts it drives start from the sentinel instead of the index.
 func TestEvalMemoizesRepeatedLiterals(t *testing.T) {
 	db, binds := buildTestDB(t)
-	before := db.Estimator().Observations()
-	// The same similar(qtri) literal appears in both DNF conjuncts after
-	// distribution; the memo must run it through the index exactly once.
-	_, _, err := db.EvalString(
-		"similar(qtri) AND (similar(qsq) OR overlap(qsq, qsq, any))", binds)
+	const sentinel = 99
+	memo := map[string]ImageSet{"similar(qtri)": NewImageSet(sentinel)}
+	e, err := Parse("similar(qtri) AND (NOT similar(qsq) OR NOT overlap(qsq, qsq, any))")
 	if err != nil {
 		t.Fatal(err)
 	}
-	grew := db.Estimator().Observations() - before
-	// Index retrievals that observe: similar(qtri) once (memoized across
-	// conjuncts) + at most the other drivers once each.
-	if grew > 3 {
-		t.Errorf("estimator observed %d times — memoization not effective", grew)
+	dnf := ToDNF(e)
+	if len(dnf) != 2 {
+		t.Fatalf("DNF terms = %d, want 2", len(dnf))
+	}
+	for _, c := range dnf {
+		// No check holds on an image the database lacks, so each NOT keeps it.
+		set, cp, err := db.evalConjunct(context.Background(), c, binds, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := set.Sorted(); cp.Driver != "similar(qtri)" || len(got) != 1 || got[0] != sentinel {
+			t.Errorf("%s: driver %s gave %v, want the sentinel [%d]", c, cp.Driver, got, sentinel)
+		}
+	}
+	if len(memo) != 1 {
+		t.Errorf("memo holds %d literals, want only the sentinel's", len(memo))
 	}
 }

@@ -56,27 +56,24 @@ func SignificantVertices(q geom.Poly) float64 {
 
 // Estimator predicts the size of shape_similar(Q) as c / V_S(Q) (§5.2:
 // the result size is experimentally inversely proportional to the number
-// of significant vertices). The constant c depends on the shape base and
-// domain and is "adapted statistically every time a query is performed":
-// Observe folds each measured (V_S, result size) pair into a running
-// average of c = size·V_S.
+// of significant vertices). The paper adapts c after every query; here c
+// is fixed when the database is built. Every planner decision compares
+// two estimates, so c cancels out of each of them: adapting it could only
+// change the estimate printed in a plan, and would make a read depend on
+// the reads before it.
 type Estimator struct {
 	c float64
-	n int
 }
 
-// NewEstimator seeds the constant from the base size: a fresh estimator
-// guesses that an average query (V_S ≈ 5) matches about 1% of the base.
+// NewEstimator fixes the constant from the base size: an average query
+// (V_S ≈ 5) is guessed to match about 1% of the base.
 func NewEstimator(baseShapes int) *Estimator {
 	c := 0.01 * float64(baseShapes) * 5
 	if c <= 0 {
 		c = 1
 	}
-	return &Estimator{c: c, n: 1}
+	return &Estimator{c: c}
 }
-
-// C returns the current constant.
-func (e *Estimator) C() float64 { return e.c }
 
 // Estimate returns the predicted size of shape_similar(Q).
 func (e *Estimator) Estimate(q geom.Poly) float64 {
@@ -86,21 +83,3 @@ func (e *Estimator) Estimate(q geom.Poly) float64 {
 	}
 	return e.c / vs
 }
-
-// Observe adapts the constant with the measured result size of a
-// completed query.
-func (e *Estimator) Observe(q geom.Poly, resultSize int) {
-	vs := SignificantVertices(q)
-	if vs <= 0 {
-		return
-	}
-	obs := float64(resultSize) * vs
-	// Running mean over all observations (the seed counts as one).
-	e.c = (e.c*float64(e.n) + obs) / float64(e.n+1)
-	e.n++
-}
-
-// Observations returns how many (seed-inclusive) observations the
-// estimator has folded in — exposed so the planner's memoization can be
-// verified (each index retrieval observes exactly once).
-func (e *Estimator) Observations() int { return e.n }

@@ -158,7 +158,7 @@ func TestCacheAffineEquivalence(t *testing.T) {
 	if _, _, hdr := postRaw(t, ts.URL+"/v1/search", map[string]any{"shape": base, "k": 2}); hdr != "miss" {
 		t.Fatalf("different k = %q, want miss", hdr)
 	}
-	// Topological is stateful and never cached.
+	// Topological is never cached.
 	if _, _, hdr := postRaw(t, ts.URL+"/v1/topological",
 		map[string]any{"query": "similar(a)", "binds": map[string]WireShape{"a": base}}); hdr != "bypass" {
 		t.Fatalf("topological = %q, want bypass", hdr)

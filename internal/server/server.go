@@ -118,7 +118,7 @@ func (c Config) withDefaults() Config {
 // geosir.ShardedEngine satisfy it.
 type Serving interface {
 	geosir.Searcher
-	Query(src string, binds map[string]geosir.Shape) ([]int, string, error)
+	Query(ctx context.Context, src string, binds map[string]geosir.Shape) ([]int, string, error)
 	NumImages() int
 	NumShapes() int
 	NumEntries() int
@@ -159,10 +159,6 @@ type Server struct {
 	cache        *qcache.Cache
 	epochCounter atomic.Uint64
 
-	// topoMu serializes topological queries: Engine.Query updates the
-	// shared selectivity estimator and must not race with itself.
-	// /v1/search stays fully concurrent.
-	topoMu sync.Mutex
 	// reloadMu serializes reloads; traffic keeps flowing off the old
 	// engine while the new one loads outside any request path.
 	reloadMu sync.Mutex
@@ -813,9 +809,9 @@ type topologicalResponse struct {
 	Plan   string `json:"plan"`
 }
 
-// handleTopological never caches: Engine.Query feeds the shared
-// selectivity estimator, so repeated identical queries are not pure
-// reads, and the endpoint is a small fraction of traffic.
+// handleTopological never caches: the endpoint is a small share of
+// traffic, and its binds are a name → shape map that the cache
+// fingerprint does not encode.
 func (s *Server) handleTopological(ctx context.Context, st *engineState, body []byte) (any, qcache.Disposition, error) {
 	var req topologicalRequest
 	if err := decodeStrict(body, &req); err != nil {
@@ -832,17 +828,15 @@ func (s *Server) handleTopological(ctx context.Context, st *engineState, body []
 		}
 		binds[name] = sh
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, qcache.Bypass, err
-	}
-	// Engine.Query mutates the shared selectivity estimator; serialize.
-	s.topoMu.Lock()
-	ids, plan, err := st.serving.Query(req.Query, binds)
-	s.topoMu.Unlock()
+	ids, plan, err := st.serving.Query(ctx, req.Query, binds)
 	if err != nil {
-		// Parse and bind errors are the client's; the engine has no other
-		// failure mode here on a frozen base.
-		return nil, qcache.Bypass, unprocessable(err)
+		// A deadline or cancellation keeps its own status; parse and bind
+		// errors are the client's, the engine has no other failure mode
+		// here on a frozen base.
+		if !errors.Is(err, ctx.Err()) {
+			err = unprocessable(err)
+		}
+		return nil, qcache.Bypass, err
 	}
 	if ids == nil {
 		ids = []int{}

@@ -269,6 +269,93 @@ func TestTopologicalEndpoint(t *testing.T) {
 	}
 }
 
+// gatedServing wraps a real engine and runs gate, with the request's own
+// ctx, before passing each topological Query on to it.
+type gatedServing struct {
+	Serving
+	gate func(ctx context.Context)
+}
+
+func (g gatedServing) Query(ctx context.Context, src string, binds map[string]geosir.Shape) ([]int, string, error) {
+	g.gate(ctx)
+	return g.Serving.Query(ctx, src, binds)
+}
+
+func newGatedServer(t *testing.T, cfg Config, gate func(ctx context.Context)) (*geosir.Engine, *httptest.Server) {
+	t.Helper()
+	eng := testEngine(t)
+	s := New(cfg)
+	if err := s.SetServing(gatedServing{Serving: eng, gate: gate}, "(gated)"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return eng, ts
+}
+
+// TestTopologicalRequestsOverlap: /v1/topological requests are served
+// concurrently. Each one is held in the engine until all n are in flight
+// at once, which a server that serialised them could never reach (each
+// would then time out with 504), and every response equals the engine's
+// own sequential answer.
+func TestTopologicalRequestsOverlap(t *testing.T) {
+	const n = 6
+	var in atomic.Int32
+	all := make(chan struct{})
+	eng, ts := newGatedServer(t, Config{MaxInFlight: n, RequestTimeout: 5 * time.Second}, func(ctx context.Context) {
+		if in.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-ctx.Done():
+		}
+	})
+	const src = "similar(q) OR contain(sq, q, any)"
+	binds := map[string]WireShape{"q": wireL(), "sq": wireSquare()}
+	shapes := map[string]geosir.Shape{}
+	for name, ws := range binds {
+		sh, err := ws.Shape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes[name] = sh
+	}
+	wantIDs, wantPlan, err := eng.Query(context.Background(), src, shapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(topologicalResponse{Images: wantIDs, Plan: wantPlan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, raw := post(t, ts.URL+"/v1/topological", map[string]any{"query": src, "binds": binds})
+			if resp.StatusCode != 200 || string(bytes.TrimSpace(raw)) != string(want) {
+				t.Errorf("status %d: %s, want 200: %s", resp.StatusCode, raw, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestTopologicalDeadline504: a topological request whose deadline passes
+// before the engine runs it is stopped by the engine and answers 504.
+func TestTopologicalDeadline504(t *testing.T) {
+	_, ts := newGatedServer(t, Config{RequestTimeout: 20 * time.Millisecond}, func(ctx context.Context) { <-ctx.Done() })
+	resp, raw := post(t, ts.URL+"/v1/topological", map[string]any{
+		"query": "similar(q)",
+		"binds": map[string]WireShape{"q": wireL()},
+	})
+	if resp.StatusCode != 504 || !strings.Contains(string(raw), context.DeadlineExceeded.Error()) {
+		t.Errorf("status %d: %s, want 504 and the deadline error", resp.StatusCode, raw)
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {

@@ -88,7 +88,8 @@ func NewSegmentGrid(segs []geom.Segment) *SegmentGrid {
 }
 
 // eachCell invokes fn for every (cell, segment) membership: each segment
-// is recorded in every cell of its bounding box that it actually touches.
+// is recorded in every cell of its bounding box that it actually touches,
+// up to rounding (nearest2's slack covers a segment missed by that much).
 func (g *SegmentGrid) eachCell(segs []geom.Segment, fn func(idx int, id int32)) {
 	for i, s := range segs {
 		sb := s.Bounds()
@@ -124,11 +125,25 @@ func (g *SegmentGrid) cellOf(p geom.Point) (int, int) {
 	return cx, cy
 }
 
+// cellRect returns cell (cx, cy): bounded by the grid lines nearest2
+// measures its gaps to, except that the outer cells reach the grid's
+// bounds. The walk counts a side where the grid ends as settled, and at a
+// large magnitude the last line can round well inside the bounds.
 func (g *SegmentGrid) cellRect(cx, cy int) geom.Rect {
-	return geom.Rect{
-		Min: geom.Pt(g.bounds.Min.X+float64(cx)*g.cw, g.bounds.Min.Y+float64(cy)*g.ch),
-		Max: geom.Pt(g.bounds.Min.X+float64(cx+1)*g.cw, g.bounds.Min.Y+float64(cy+1)*g.ch),
+	r := g.bounds
+	if cx > 0 {
+		r.Min.X = g.bounds.Min.X + float64(cx)*g.cw
 	}
+	if cx < g.nx-1 {
+		r.Max.X = g.bounds.Min.X + float64(cx+1)*g.cw
+	}
+	if cy > 0 {
+		r.Min.Y = g.bounds.Min.Y + float64(cy)*g.ch
+	}
+	if cy < g.ny-1 {
+		r.Max.Y = g.bounds.Min.Y + float64(cy+1)*g.ch
+	}
+	return r
 }
 
 func segmentTouchesRect(s geom.Segment, r geom.Rect) bool {
@@ -162,8 +177,13 @@ func (g *SegmentGrid) Segment(i int) geom.Segment {
 // still matter. Every segment is listed in each cell it touches, so one
 // listed only in cells left of the box lies wholly left of the box's left
 // edge, at least p.X − edge away — likewise on the other three sides — and
-// once that gap squared reaches the best squared distance the side is
-// settled for good (the gap never shrinks, the best never grows). A side
+// once that gap, less slack, squared reaches the best squared distance the
+// side is settled for good (the gap never shrinks, the best never grows).
+// The slack bounds what rounding can take off a distance: the kernel's own
+// (its stored direction is B − A rounded, its products round), a segment
+// listed by a rounded cell test, and the gap's. Each is a few units of
+// rounding in the magnitudes involved, and p's offsets from the grid's
+// bounds bound those, so slack is their sum times 2⁻⁴⁶. A side
 // where the grid ends has nothing left to scan. The walk ends when all four
 // sides are settled, so by the box reaching the grid's edge if by nothing
 // sooner, whatever the arrays hold and whatever p is: a NaN gap compares
@@ -182,6 +202,8 @@ func (g *SegmentGrid) nearest2(p geom.Point) (best int, best2 float64, evals int
 	cellStart, cellIDs := g.cellStart, g.cellIDs
 	px, py := p.X, p.Y
 	minX, minY, cw, ch := g.bounds.Min.X, g.bounds.Min.Y, g.cw, g.ch
+	maxX, maxY := g.bounds.Max.X, g.bounds.Max.Y
+	slack := (math.Abs(px-minX) + math.Abs(px-maxX) + math.Abs(py-minY) + math.Abs(py-maxY)) * 0x1p-46
 	x0, y0 := g.cellOf(p)
 	x1, y1 := x0, y0
 	best, best2 = -1, math.Inf(1)
@@ -213,16 +235,16 @@ walk:
 			s := side
 			side = (side + 1) & 3
 			switch {
-			case s == 0 && x0 > 0 && gapBeats(px-(minX+float64(x0)*cw), best2):
+			case s == 0 && x0 > 0 && gapBeats(px-(minX+float64(x0)*cw)-slack, best2):
 				x0--
 				xa, xb, ya, yb = x0, x0, y0, y1
-			case s == 1 && x1 < g.nx-1 && gapBeats(minX+float64(x1+1)*cw-px, best2):
+			case s == 1 && x1 < g.nx-1 && gapBeats(minX+float64(x1+1)*cw-px-slack, best2):
 				x1++
 				xa, xb, ya, yb = x1, x1, y0, y1
-			case s == 2 && y0 > 0 && gapBeats(py-(minY+float64(y0)*ch), best2):
+			case s == 2 && y0 > 0 && gapBeats(py-(minY+float64(y0)*ch)-slack, best2):
 				y0--
 				xa, xb, ya, yb = x0, x1, y0, y0
-			case s == 3 && y1 < g.ny-1 && gapBeats(minY+float64(y1+1)*ch-py, best2):
+			case s == 3 && y1 < g.ny-1 && gapBeats(minY+float64(y1+1)*ch-py-slack, best2):
 				y1++
 				xa, xb, ya, yb = x0, x1, y1, y1
 			default:
@@ -240,8 +262,8 @@ walk:
 }
 
 // gapBeats reports whether a segment beyond a gap could be nearer than
-// best2, a squared distance. A gap an ulp below zero (cellOf and the cell's
-// edge round apart) is no gap.
+// best2, a squared distance. A gap below zero (p is within slack of the
+// edge) is no gap.
 func gapBeats(gap, best2 float64) bool {
 	gap = max(gap, 0)
 	return gap*gap < best2

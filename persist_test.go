@@ -2,6 +2,7 @@ package geosir
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,11 +37,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	assertMatchesEqual(t, "reloaded", r1.Matches, r2.Matches)
 	// Topological queries too.
 	binds := map[string]Shape{"sq": square(0, 0, 7), "tri": triangle(0, 0, 5)}
-	ids1, _, err := orig.Query("contain(sq, tri, any)", binds)
+	ids1, _, err := orig.Query(context.Background(), "contain(sq, tri, any)", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids2, _, err := loaded.Query("contain(sq, tri, any)", binds)
+	ids2, _, err := loaded.Query(context.Background(), "contain(sq, tri, any)", binds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,8 +97,8 @@ func checkEngineEquivalence(t *testing.T, want, got *Engine) {
 	}
 	binds := map[string]Shape{"sq": square(0, 0, 7), "tri": triangle(0, 0, 5)}
 	for _, src := range []string{"contain(sq, tri, any)", "overlap(sq, tri, any)", "similar(sq)"} {
-		ids1, _, err1 := want.Query(src, binds)
-		ids2, _, err2 := got.Query(src, binds)
+		ids1, _, err1 := want.Query(context.Background(), src, binds)
+		ids2, _, err2 := got.Query(context.Background(), src, binds)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("query %q: errors differ: %v vs %v", src, err1, err2)
 		}

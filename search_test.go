@@ -26,7 +26,7 @@ func TestSentinelErrors(t *testing.T) {
 		if _, err := eng.Search(ctx, SearchRequest{Sketch: []Shape{q}, K: 1, Mode: ModeSketch}); !errors.Is(err, ErrNotFrozen) {
 			t.Fatalf("Engine.Search sketch unfrozen: got %v, want ErrNotFrozen", err)
 		}
-		if _, _, err := eng.Query("similar(a)", map[string]Shape{"a": q}); !errors.Is(err, ErrNotFrozen) {
+		if _, _, err := eng.Query(context.Background(), "similar(a)", map[string]Shape{"a": q}); !errors.Is(err, ErrNotFrozen) {
 			t.Fatalf("Query unfrozen: got %v, want ErrNotFrozen", err)
 		}
 		se := NewSharded(DefaultOptions(), 2)

@@ -447,10 +447,9 @@ func (se *ShardedEngine) SchedStats() SchedStats { return schedStatsFrom(se.sche
 // shard, so the per-shard evaluation loses nothing. Images tombstoned
 // after freeze are filtered out; images still in the mutable delta are
 // not yet visible to topological queries (they gain topology graphs at
-// compaction). Like Engine.Query it updates shared selectivity
-// estimators and must not race with itself; use one goroutine for
-// topological queries.
-func (se *ShardedEngine) Query(src string, binds map[string]Shape) ([]int, string, error) {
+// compaction). The shards are queried in turn, ctx checked before each;
+// like Engine.Query it is safe to call from any number of goroutines.
+func (se *ShardedEngine) Query(ctx context.Context, src string, binds map[string]Shape) ([]int, string, error) {
 	if !se.frozen {
 		return nil, "", ErrNotFrozen
 	}
@@ -458,7 +457,10 @@ func (se *ShardedEngine) Query(src string, binds map[string]Shape) ([]int, strin
 	var all []int
 	var plan string
 	for _, si := range v.liveShards() {
-		ids, p, err := v.shards[si].Query(src, binds)
+		if err := ctx.Err(); err != nil {
+			return nil, "", err
+		}
+		ids, p, err := v.shards[si].Query(ctx, src, binds)
 		if err != nil {
 			return nil, "", err
 		}
