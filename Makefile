@@ -73,7 +73,8 @@ bench-smoke:
 
 # Short fuzzing budget per target (Go allows one -fuzz pattern per
 # package invocation, hence one line each). Catches regressions in the
-# snapshot readers and the geometry predicates without a long campaign;
+# snapshot readers, the geometry predicates, the distance oracle, the
+# query's distance field and the evaluator behind it without a long campaign;
 # crashers land in testdata/fuzz/ and re-run as regular tests afterwards.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -82,6 +83,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzConvexHull$$' -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzPointInPolygon$$' -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentGridDist$$' -fuzztime $(FUZZTIME) ./internal/shapeindex
+	$(GO) test -run '^$$' -fuzz '^FuzzDistField$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDistWithin$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) ./internal/qcache
 
 # The daemon smokes share one recipe: build geosir, geosird and

@@ -17,18 +17,26 @@ import (
 	"repro/internal/synth"
 )
 
+// fieldValue is the one fixed-point accessor of the tests: cell id's bound
+// as a distance (every table value times 2⁻¹⁵ is exact in a float64, and so
+// is every sum of fewer than 2³⁸ of them).
+func fieldValue(f *distField, id uint16) float64 {
+	return float64(f[id]) * fieldUnit
+}
+
 // fieldAtPoint reads the field at p the way the search did before the cell
 // ids existed — the table index from the point's two float64s, 0 outside the
 // box — and fieldLoopPoints is the reject as the search ran it before the
-// sum form: a loop over those reads that stops at the first partial sum
-// above the trigger. fieldSumPoints is the full sum of those reads. They are
-// the references the cell-id, one-comparison form is held to, bit for bit.
+// sum form: a float loop over those reads that stops at the first partial
+// sum above the trigger. fieldSumPoints is the full float sum of those
+// reads. They are the references the cell-id, integer, one-comparison form
+// is held to, bit for bit.
 func fieldAtPoint(f *distField, p geom.Point) float64 {
 	fx, fy := (p.X-fieldX0)*fieldRes, (p.Y-fieldY0)*fieldRes
 	if !(fx >= 0 && fx < fieldNX && fy >= 0 && fy < fieldNY) {
 		return 0
 	}
-	return float64(f[int(fy)*fieldNX+int(fx)])
+	return fieldValue(f, uint16(int(fy)*fieldNX+int(fx)))
 }
 
 func fieldLoopPoints(f *distField, pts []geom.Point, cut float64) bool {
@@ -82,7 +90,7 @@ func TestDistFieldAdmissible(t *testing.T) {
 		if f[fieldOff] != 0 {
 			t.Fatalf("shape %d: the slot of points outside the box holds %v", si, f[fieldOff])
 		}
-		at := func(p geom.Point) float64 { return float64(f[fieldCell(p)]) }
+		at := func(p geom.Point) float64 { return fieldValue(f, fieldCell(p)) }
 		check := func(p geom.Point) {
 			t.Helper()
 			lb := at(p)
@@ -186,7 +194,7 @@ func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) 
 	t.Helper()
 	f := pq.distField()
 	for vid, p := range b.verts {
-		if got, want := float64(f[b.fieldCells[vid]]), fieldAtPoint(f, p); got != want {
+		if got, want := fieldValue(f, b.fieldCells[vid]), fieldAtPoint(f, p); got != want {
 			t.Fatalf("vertex %d %v: cell %d holds %v, the point reads %v", vid, p, b.fieldCells[vid], got, want)
 		}
 	}
@@ -205,8 +213,11 @@ func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) 
 		for ei := range b.entries {
 			cells, pts := b.entryCells(int32(ei)), b.entries[ei].Poly.Pts
 			sum := f.sum(cells)
-			if ref := fieldSumPoints(f, pts); math.Float64bits(sum) != math.Float64bits(ref) {
-				t.Fatalf("entry %d: the cells sum to %v, the points to %v", ei, sum, ref)
+			if got, ref := float64(sum)*fieldUnit, fieldSumPoints(f, pts); math.Float64bits(got) != math.Float64bits(ref) {
+				t.Fatalf("entry %d: the cells sum to %v, the points to %v", ei, got, ref)
+			}
+			if trig := fieldTrigger(len(cells), fieldRate(cut)); (f.sumPast(cells, trig) > trig) != fieldRejects(sum, len(cells), cut) || f.sumPast(cells, trig) > sum {
+				t.Fatalf("entry %d cut %v: the early-stopping sum %d decides otherwise than the full sum %d", ei, cut, f.sumPast(cells, trig), sum)
 			}
 			rej := fieldRejects(sum, len(cells), cut)
 			if ref := fieldLoopPoints(f, pts, cut); rej != ref {
@@ -228,10 +239,11 @@ func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) 
 // still only follows the exact passes. And the reject reads the table
 // through the stored vertices' cell ids exactly as it would through the
 // vertices themselves — the same slot per vertex, the slot of "outside the
-// box" included, hence the same sum — and comparing the full sum once
-// decides what the loop that stopped at the first partial sum above the
-// trigger decided: at half, once and twice the true k-th best, where a
-// search's cutoffs lie.
+// box" included, hence the same sum — and comparing the full integer sum
+// once, or the sum that stops early past the trigger, decides what the
+// float loop that stopped at the first partial sum above the trigger
+// decided: at half, once and twice the true k-th best, where a search's
+// cutoffs lie.
 func TestFieldRejectIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	b := pruneTestBase(t, synth.BaseSpec{
@@ -253,7 +265,7 @@ func TestFieldRejectIsExact(t *testing.T) {
 			cp, back := b.entries[ei].Poly, b.entryOracle(int32(ei))
 			wants[ei], _ = unfielded(pq, cp, back, math.Inf(1))
 			// No finite cutoff: no sum, however large, rejects.
-			if got, ok, scored := pq.distWithin(cp, math.MaxFloat64, back, math.Inf(1)); !ok || !scored || got != wants[ei] {
+			if got, ok, scored := pq.distWithin(cp, math.MaxUint64, back, math.Inf(1)); !ok || !scored || got != wants[ei] {
 				t.Fatalf("trial %d entry %d: no cutoff: (%v, %v, %v), want %v", trial, ei, got, ok, scored, wants[ei])
 			}
 		}
@@ -666,15 +678,16 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 	}
 }
 
-// BenchmarkFieldReject times the reject in front of the bounded
-// evaluator the way a seeded scan runs it: every copy of a 100-image base
-// under the true 5th-best distance of a query, cell ids and table as the
-// search holds them. ns/vertex is per stored vertex of the copies visited,
-// rejected reports the share of copies the field turned away.
+// BenchmarkFieldReject times the reject in front of the bounded evaluator
+// on its common path, the shape the field turns away whole: every shape of
+// a 100-image base that no copy of survives under the true 5th-best
+// distance of a query goes through scanShape.nearest as the seeded scan
+// runs it, cell ids and table as the search holds them. ns/vertex is per
+// stored vertex of those shapes' copies, whole reports the share of the
+// base's shapes they are.
 func BenchmarkFieldReject(b *testing.B) {
-	spec := synth.PaperSpec(0.01, 1)
 	base := NewBase(DefaultOptions())
-	for _, img := range synth.GenerateBase(spec) {
+	for _, img := range synth.GenerateBase(synth.PaperSpec(0.01, 1)) {
 		for _, s := range img.Shapes {
 			if _, err := base.AddShape(img.ID, s); err != nil {
 				b.Fatal(err)
@@ -694,16 +707,67 @@ func BenchmarkFieldReject(b *testing.B) {
 		b.Fatal(err)
 	}
 	f, cut := pq.distField(), ms[4].DistVertex
+	var shapes []scanShape
+	vertices := 0
+	for sid := 0; sid < base.NumShapes(); sid++ {
+		s, n, survives := base.scanShape(sid), 0, false
+		for _, ei := range s.idx {
+			cells := base.entryCells(ei)
+			n += len(cells)
+			survives = survives || !fieldRejects(f.sum(cells), len(cells), cut)
+		}
+		if !survives {
+			shapes, vertices = append(shapes, s), vertices+n
+		}
+	}
 	b.ResetTimer()
-	rejected := 0
 	for i := 0; i < b.N; i++ {
-		rejected = 0
-		for ei := range base.entries {
-			if cells := base.entryCells(int32(ei)); fieldRejects(f.sum(cells), len(cells), cut) {
-				rejected++
+		for j := range shapes {
+			if _, ei, _, _ := shapes[j].nearest(pq, cut, nil); ei >= 0 {
+				b.Fatalf("shape %d came back", shapes[j].id)
 			}
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(base.verts)), "ns/vertex")
-	b.ReportMetric(float64(rejected)/float64(len(base.entries)), "rejected")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(vertices), "ns/vertex")
+	b.ReportMetric(float64(len(shapes))/float64(base.NumShapes()), "whole")
+}
+
+// fieldBuildEvals is how many segment evaluations newDistField makes for
+// the oracle o: one per (segment, cell of its band), one per (segment,
+// anchor).
+func fieldBuildEvals(o *BoundaryDist) int {
+	g := o.grid.Parts()
+	evals := len(g.Ax) * (fieldNX / fieldAnchor) * (fieldNY / fieldAnchor)
+	for s := range g.Ax {
+		x0, x1 := bandCells(min(g.Ax[s], g.Ax[s]+g.Dx[s])-fieldX0, max(g.Ax[s], g.Ax[s]+g.Dx[s])-fieldX0, fieldNX)
+		y0, y1 := bandCells(min(g.Ay[s], g.Ay[s]+g.Dy[s])-fieldY0, max(g.Ay[s], g.Ay[s]+g.Dy[s])-fieldY0, fieldNY)
+		evals += max(x1-x0+1, 0) * max(y1-y0+1, 0)
+	}
+	return evals
+}
+
+// fieldSink keeps BenchmarkDistFieldBuild's builds alive.
+var fieldSink *distField
+
+// BenchmarkDistFieldBuild times the build of a query's distance field over
+// 64 queries of the 100-image paper base (the ledger's jitter, 0.01): ns/op
+// is one build, evals/build the segment evaluations it makes.
+func BenchmarkDistFieldBuild(b *testing.B) {
+	images := synth.GenerateBase(synth.PaperSpec(0.01, 1))
+	var oracles []*BoundaryDist
+	evals := 0
+	for _, q := range synth.Queries(rand.New(rand.NewSource(2)), images, 64, 0.01) {
+		pq, err := PrepareQuery(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		oracles = append(oracles, pq.oracle)
+		evals += fieldBuildEvals(pq.oracle)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fieldSink = newDistField(oracles[i%len(oracles)])
+	}
+	b.ReportMetric(float64(evals)/float64(len(oracles)), "evals/build")
 }

@@ -108,25 +108,36 @@ const (
 	fieldRes         = 32
 	fieldX0, fieldY0 = -0.25, -1.1
 	fieldNX, fieldNY = 48, 72
-	// fieldFar is how far from the boundary a 2×2 block's centre must be
-	// for its one distance to stand in for its four cells' own.
+	// fieldFar is the band around each query segment inside which the
+	// build measures cell centres against that segment; a cell whose
+	// centre lies farther from every segment is bounded by the band and
+	// the anchors instead.
 	fieldFar = 0.1
+	// fieldAnchor is the side, in cells, of the square block that one
+	// anchor — the block's centre, measured against every segment — bounds.
+	fieldAnchor = 4
+	// fieldUnit is the value of one step of the table: entries are integers
+	// in units of 2⁻¹⁵, so a copy's field sum is exact and the largest
+	// entry, 65535 units, is just under 2 — more than any cell of the box
+	// lies from a normalized query's boundary.
+	fieldUnit = 0x1p-15
 	// fieldGuard is the relative margin on the reject trigger: it absorbs
-	// the rounding of the two float sums being compared (≤ n·2⁻⁵³ each,
-	// relative), so the reject stays exact for any copy under ~10⁶ vertices.
+	// the rounding of the evaluator's float sum (≤ n·2⁻⁵³, relative) and
+	// of the trigger's own product, so the reject stays exact for any copy
+	// under ~10⁶ vertices.
 	fieldGuard = 1e-9
 )
 
 // distField is a lower bound on the distance to a query's boundary that
 // costs one table load. Distance-to-a-set is 1-Lipschitz, so a distance d
 // measured at c proves Dist(p) ≥ d − r for every p within r of c: a cell
-// holds max(0, Dist(centre) − half-diagonal − geomBoundSlack). The slack
-// covers the oracle's rounding and a point the float cell index puts one
-// ulp outside its cell. float32, rounded toward zero, halves the table's
-// cache footprint. The slot past the last cell, fieldOff, holds 0: it is
-// the cell of every point the table says nothing about. See DESIGN.md §4.9,
-// "Distance-field reject".
-type distField [fieldNX*fieldNY + 1]float32
+// holds max(0, D − half-diagonal − geomBoundSlack) for a lower bound D on
+// the distance at its centre, floored to whole units of fieldUnit and
+// clamped to the largest one. The slack covers the kernel's rounding and a
+// point the float cell index puts one ulp outside its cell. The slot past
+// the last cell, fieldOff, holds 0: it is the cell of every point the table
+// says nothing about. See DESIGN.md §4.9, "Distance-field reject".
+type distField [fieldNX*fieldNY + 1]uint16
 
 // fieldOff is the cell id of a point outside the table's box.
 const fieldOff = fieldNX * fieldNY
@@ -152,27 +163,62 @@ func appendFieldCells(dst []uint16, pts []geom.Point) []uint16 {
 	return dst
 }
 
+// newDistField builds the query's field from the segments of its oracle's
+// grid, with the kernel the oracle's own walk evaluates, and never walks
+// the oracle. Every cell centre within fieldFar of a segment's bounding
+// box is measured against that segment, and a cell keeps the least of its
+// measures: when the centre's distance D is at most fieldFar its nearest
+// segment is among those measured, so min(measured, fieldFar) ≤ D either
+// way. An anchor at the centre of every fieldAnchor² block, measured
+// against all segments, adds D ≥ D(anchor) − |centre − anchor| where the
+// band says only fieldFar.
 func newDistField(o *BoundaryDist) *distField {
-	f := new(distField)
-	const half = math.Sqrt2 / (2 * fieldRes) // a cell's half-diagonal
-	// dist is the oracle at (gx, gy) half-cells from the box's corner.
-	dist := func(gx, gy int) float64 {
-		return o.Dist(geom.Pt(fieldX0+float64(gx)/(2*fieldRes), fieldY0+float64(gy)/(2*fieldRes)))
+	g := o.grid.Parts()
+	// One length for the five segment arrays: one bounds check per segment.
+	ax := g.Ax
+	ay, dx, dy, invL2 := g.Ay[:len(ax)], g.Dx[:len(ax)], g.Dy[:len(ax)], g.InvL2[:len(ax)]
+	kernel := func(px, py float64, s int) float64 {
+		wx, wy := px-ax[s], py-ay[s]
+		t := min(max((wx*dx[s]+wy*dy[s])*invL2[s], 0), 1)
+		ex, ey := wx-t*dx[s], wy-t*dy[s]
+		return ex*ex + ey*ey
 	}
-	// The oracle is slowest far from the boundary, where precision matters
-	// least: there one probe at a 2×2 block's centre bounds the whole block
-	// (radius: two half-diagonals); near the boundary every cell is probed.
-	for by := 0; by < fieldNY; by += 2 {
-		for bx := 0; bx < fieldNX; bx += 2 {
-			block := dist(2*bx+2, 2*by+2)
-			for iy := by; iy < by+2; iy++ {
-				for ix := bx; ix < bx+2; ix++ {
-					d := block - 2*half
-					if block <= fieldFar {
-						d = dist(2*ix+1, 2*iy+1) - half
-					}
-					if d -= geomBoundSlack; d > 0 {
-						f[iy*fieldNX+ix] = float32Floor(d)
+	var near [fieldNX * fieldNY]float64 // least squared distance measured per cell
+	for i := range near {
+		near[i] = fieldFar * fieldFar
+	}
+	for s := range ax {
+		x0, x1 := bandCells(min(ax[s], ax[s]+dx[s])-fieldX0, max(ax[s], ax[s]+dx[s])-fieldX0, fieldNX)
+		y0, y1 := bandCells(min(ay[s], ay[s]+dy[s])-fieldY0, max(ay[s], ay[s]+dy[s])-fieldY0, fieldNY)
+		for iy := y0; iy <= y1; iy++ {
+			cy, row := fieldY0+(float64(iy)+0.5)/fieldRes, near[iy*fieldNX:(iy+1)*fieldNX]
+			for ix := x0; ix <= x1; ix++ {
+				// A NaN measure (a segment with a non-finite coordinate) is
+				// no measure: the comparison drops it.
+				if d2 := kernel(fieldX0+(float64(ix)+0.5)/fieldRes, cy, s); d2 < row[ix] {
+					row[ix] = d2
+				}
+			}
+		}
+	}
+	const half = math.Sqrt2 / (2 * fieldRes) // a cell's half-diagonal
+	f := new(distField)
+	for by := 0; by < fieldNY; by += fieldAnchor {
+		for bx := 0; bx < fieldNX; bx += fieldAnchor {
+			acx := fieldX0 + float64(bx+fieldAnchor/2)/fieldRes
+			acy := fieldY0 + float64(by+fieldAnchor/2)/fieldRes
+			anchor := math.Inf(1)
+			for s := range ax {
+				if d2 := kernel(acx, acy, s); d2 < anchor {
+					anchor = d2
+				}
+			}
+			anchor = math.Sqrt(anchor)
+			for iy := by; iy < by+fieldAnchor; iy++ {
+				for ix := bx; ix < bx+fieldAnchor; ix++ {
+					d := max(math.Sqrt(near[iy*fieldNX+ix]), anchor-anchorReach[iy-by][ix-bx])
+					if d -= half + geomBoundSlack; d > 0 {
+						f[iy*fieldNX+ix] = uint16(min(d/fieldUnit, math.MaxUint16))
 					}
 				}
 			}
@@ -181,40 +227,89 @@ func newDistField(o *BoundaryDist) *distField {
 	return f
 }
 
-// float32Floor converts a positive d rounding toward zero.
-func float32Floor(d float64) float32 {
-	v := float32(d)
-	if float64(v) > d {
-		v = math.Nextafter32(v, 0)
+// anchorReach is the distance from an anchor to the centres of the cells
+// of its block.
+var anchorReach = func() (r [fieldAnchor][fieldAnchor]float64) {
+	for y := range r {
+		for x := range r[y] {
+			r[y][x] = math.Hypot(float64(x)+0.5-fieldAnchor/2, float64(y)+0.5-fieldAnchor/2) / fieldRes
+		}
 	}
-	return v
+	return r
+}()
+
+// bandCells is the range of cells along one axis of the table, n long,
+// whose centres may lie within fieldFar of [lo, hi] (offsets from the
+// table's edge): widened to whole cells past the float rounding, clamped to
+// the table, empty (a > b) when nothing of the table is that near, or an
+// end is NaN. A cell too many only costs a measure: a measure is the
+// distance to one segment, never below the distance to the boundary.
+func bandCells(lo, hi float64, n int) (a, b int) {
+	fa := math.Floor((lo-fieldFar)*fieldRes - 0.5)
+	fb := math.Ceil((hi+fieldFar)*fieldRes - 0.5)
+	if !(fa < float64(n) && fb >= 0) {
+		return 0, -1
+	}
+	return int(max(fa, 0)), int(min(fb, float64(n-1)))
 }
 
 // sum is the field's lower bound on ΣDist over a copy's vertices, which
-// fall in cells: every term is non-negative, so the float64 partial sums
-// only grow and the full sum exceeds a trigger exactly when some prefix of
-// it does — comparing it once decides what an early-exit loop would.
-func (f *distField) sum(cells []uint16) float64 {
-	var sum float64
+// fall in cells, in units of fieldUnit: integers, so the sum is exact
+// whatever the order.
+func (f *distField) sum(cells []uint16) uint64 {
+	return f.sumPast(cells, math.MaxUint64)
+}
+
+// sumPast is sum, except that it may stop at a four-cell boundary once the
+// partial sum exceeds trigger: every term is non-negative, so the result is
+// above trigger exactly when the full sum is, and then it is a lower bound
+// on the full sum — the copy is turned away on either.
+func (f *distField) sumPast(cells []uint16, trigger uint64) uint64 {
+	var sum uint64
+	for ; len(cells) >= 4; cells = cells[4:] {
+		sum += uint64(f[cells[0]]) + uint64(f[cells[1]]) + uint64(f[cells[2]]) + uint64(f[cells[3]])
+		if sum > trigger {
+			return sum
+		}
+	}
 	for _, id := range cells {
-		sum += float64(f[id])
+		sum += uint64(f[id])
 	}
 	return sum
+}
+
+// fieldRate is a cutoff's reject trigger per vertex, in units of the
+// field: 2·cut·(1+fieldGuard) scaled by the unit (a power of two, so
+// exactly). A negative cut, which no search holds, rates 0.
+func fieldRate(cut float64) float64 {
+	return max(2*cut*(1+fieldGuard)/fieldUnit, 0)
+}
+
+// fieldTrigger is the field sum, in units, that a copy of n vertices must
+// exceed to be turned away at rate (fieldRate): rate·n floored — an
+// integer sum exceeds a real exactly when it exceeds its floor. Past any
+// sum (an infinite or NaN cutoff) it is the largest uint64, which nothing
+// exceeds.
+func fieldTrigger(n int, rate float64) uint64 {
+	if t := rate * float64(n); t < 1<<63 {
+		return uint64(int64(t))
+	}
+	return math.MaxUint64
 }
 
 // fieldRejects is the one field-reject decision: whether fsum, the field's
 // sum over the n vertices of a copy, proves the copy strictly farther than
 // cut. Σlb > 2·cut·n gives dir = ΣDist/n > 2·cut, so DistVertex =
 // (dir+back)/2 ≥ dir/2 > cut whatever back is. Never true at cut = +Inf.
-func fieldRejects(fsum float64, n int, cut float64) bool {
-	return fsum > 2*cut*float64(n)*(1+fieldGuard)
+func fieldRejects(fsum uint64, n int, cut float64) bool {
+	return fsum > fieldTrigger(n, fieldRate(cut))
 }
 
 // fieldFloor turns a copy's field sum into a lower bound on its DistVertex,
 // slackened by the reject's own margin: a floor above cut proves the copy
 // strictly farther than cut, as fieldRejects would.
-func fieldFloor(fsum float64, n int) float64 {
-	return fsum / (2 * float64(n) * (1 + fieldGuard))
+func fieldFloor(fsum uint64, n int) float64 {
+	return float64(fsum) * fieldUnit / (2 * float64(n) * (1 + fieldGuard))
 }
 
 // distField returns the query's distance field, built at first use — the
@@ -236,7 +331,7 @@ func (pq *PreparedQuery) distField() *distField {
 // of the two directed passes. Both rejects are strict, so a copy tying cut
 // survives. scored is false when the field rejected the copy: the exact
 // evaluator never ran.
-func (pq *PreparedQuery) distWithin(cp geom.Poly, fsum float64, back *BoundaryDist, cut float64) (dv float64, ok, scored bool) {
+func (pq *PreparedQuery) distWithin(cp geom.Poly, fsum uint64, back *BoundaryDist, cut float64) (dv float64, ok, scored bool) {
 	if fieldRejects(fsum, len(cp.Pts), cut) {
 		return 0, false, false
 	}

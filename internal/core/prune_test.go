@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -546,11 +547,12 @@ func pruneTestBase(t *testing.T, spec synth.BaseSpec) *Base {
 // TestBoundFirstOneEnvelope pins the bound-first path of the kernel
 // (DESIGN.md §4.9): a search that starts under a bound tightened to the
 // true k-th best — what the hash-tier seed hands it, at best — opens no
-// envelope: it scans every entry once — shapes in index order, within a
-// shape the copy with the lowest field floor first and the rest in index
-// order — lets through to the exact evaluator only what the distance field
-// cannot turn away, stops Converged and returns the bytes of the unshared
-// search.
+// envelope: it scans every entry once, shapes in index order. A shape the
+// distance field turns away whole under that bound (no copy's sum within
+// it) is read in index order; a shape with a surviving copy is read
+// lowest-floor survivor first and the rest in index order, as before. The
+// search lets through to the exact evaluator only what the field cannot
+// turn away, stops Converged and returns the bytes of the unshared search.
 func TestBoundFirstOneEnvelope(t *testing.T) {
 	b := pruneTestBase(t, synth.BaseSpec{
 		Images: 40, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
@@ -584,19 +586,23 @@ func TestBoundFirstOneEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Shapes are evaluated in the order they lie in memory, a shape's
-		// most promising copy ahead of its others (the hook's last len(got)
-		// calls report the matches).
+		// most promising surviving copy ahead of its others (the hook's last
+		// len(got) calls report the matches). The cutoff of every shape is
+		// the bound: the running k-th never undercuts the true one.
 		var order []int
+		cut, f := sb.Load(), pq.distField()
 		for sid := range b.shapes {
-			eis, f := b.shapeEntries[sid], pq.distField()
+			eis := b.shapeEntries[sid]
 			floor := func(ei int32) float64 { return fieldFloor(f.sum(b.entryCells(ei)), int(b.entryVertexCount(ei))) }
-			first := 0
+			first := -1
 			for c, ei := range eis {
-				if floor(ei) < floor(eis[first]) {
+				if !fieldRejects(f.sum(b.entryCells(ei)), int(b.entryVertexCount(ei)), cut) && (first < 0 || floor(ei) < floor(eis[first])) {
 					first = c
 				}
 			}
-			order = append(order, int(eis[first]))
+			if first >= 0 {
+				order = append(order, int(eis[first]))
+			}
 			for c, ei := range eis {
 				if c != first {
 					order = append(order, int(ei))
@@ -622,6 +628,72 @@ func TestBoundFirstOneEnvelope(t *testing.T) {
 	}
 	if tested < 20 {
 		t.Errorf("only %d/40 queries exercised the bound-first path", tested)
+	}
+}
+
+// TestWholeShapeRejectChargesEveryCopy pins the whole-shape reject of
+// scanShape.nearest: under a cutoff of half a shape's floor — below every
+// copy's own floor, so the field turns each copy away — the shape comes
+// back proven outside with no copy reaching the exact evaluator, yet every
+// copy is read: in index order through the access hook, its block cost
+// charged by nearest, by ShapeDistancePreparedBounded to the query's block
+// counter, and by the scan to Stats.BlocksRead.
+func TestWholeShapeRejectChargesEveryCopy(t *testing.T) {
+	b := pruneTestBase(t, synth.BaseSpec{
+		Images: 20, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
+		Distortion: 0.05, OpenFraction: 0.3, Seed: 43,
+	})
+	q := synth.Distort(rand.New(rand.NewSource(53)), b.Shape(0).Poly, 0.03)
+	pq, err := PrepareQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks, evaluated atomic.Int64
+	pq.AttachBlockCounter(&blocks)
+	pq.AttachEvalCounter(&evaluated)
+	whole, lowest, total := 0, math.Inf(1), 0
+	for sid := 0; sid < b.NumShapes(); sid++ {
+		var order []int
+		want := 0
+		for _, ei := range b.shapeEntries[sid] {
+			order = append(order, int(ei))
+			want += b.blockCost(ei)
+		}
+		total += want
+		floor := b.ShapeFloor(sid, pq)
+		if floor <= 0 {
+			continue
+		}
+		lowest = min(lowest, floor)
+		cut := floor / 2
+		s := b.scanShape(sid)
+		var accessed []int
+		best, ei, scored, got := s.nearest(pq, cut, func(ei int) { accessed = append(accessed, ei) })
+		if !math.IsInf(best, 1) || ei != -1 || scored != 0 || got != want || !reflect.DeepEqual(accessed, order) {
+			t.Fatalf("shape %d under %v: (%v, entry %d, %d scored, %d blocks) reading %v; want (+Inf, -1, 0, %d) reading %v",
+				sid, cut, best, ei, scored, got, accessed, want, order)
+		}
+		blocks.Store(0)
+		evaluated.Store(0)
+		if m, ok, err := b.ShapeDistancePreparedBounded(sid, pq, cut); err != nil || ok || m.EntryID != -1 ||
+			blocks.Load() != int64(want) || evaluated.Load() != 0 {
+			t.Fatalf("shape %d under %v: (%+v, %v, %v), %d blocks charged, %d copies evaluated; want %d and 0",
+				sid, cut, m, ok, err, blocks.Load(), evaluated.Load(), want)
+		}
+		whole++
+	}
+	if whole < b.NumShapes()/2 {
+		t.Fatalf("only %d of %d shapes have a positive floor", whole, b.NumShapes())
+	}
+	// A scan under a bound below every positive floor reads every copy.
+	sb := NewSharedBound()
+	sb.Tighten(lowest / 2)
+	_, st, err := b.MatchPrepared(context.Background(), pq, 3, MatchOpts{Shared: sb}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BlocksRead != total || st.VerticesCounted != b.NumEntries() {
+		t.Fatalf("scan under %v: %d blocks over %d copies, want %d over %d", lowest/2, st.BlocksRead, st.VerticesCounted, total, b.NumEntries())
 	}
 }
 

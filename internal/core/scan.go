@@ -43,9 +43,9 @@ func (s *scanShape) entry(c int) int {
 	return c
 }
 
-// fieldSum is the query's distance field summed over entry ei's vertices.
-func (s *scanShape) fieldSum(f *distField, ei int) float64 {
-	return f.sum(s.cells[s.off[ei]:s.off[ei+1]])
+// copyCells is the field cells of entry ei's vertices, one per vertex.
+func (s *scanShape) copyCells(ei int) []uint16 {
+	return s.cells[s.off[ei]:s.off[ei+1]]
 }
 
 // floor is the field's lower bound on the shape's distance, the smallest
@@ -54,8 +54,8 @@ func (s *scanShape) fieldSum(f *distField, ei int) float64 {
 func (s *scanShape) floor(f *distField) float64 {
 	floor := math.Inf(1)
 	for c, n := 0, s.copies(); c < n; c++ {
-		ei := s.entry(c)
-		floor = min(floor, fieldFloor(s.fieldSum(f, ei), len(s.entries[ei].Poly.Pts)))
+		cells := s.copyCells(s.entry(c))
+		floor = min(floor, fieldFloor(f.sum(cells), len(cells)))
 	}
 	return floor
 }
@@ -65,30 +65,50 @@ func (s *scanShape) floor(f *distField) float64 {
 // with more α-diameter copies than that pays one allocation.
 const nearestStack = 64
 
-// nearest evaluates the shape's copies under cutoff and the best so far,
-// best-first: each copy's field sum is read once, the copy with the lowest
-// floor goes to the evaluator first — the likeliest to set a best that the
-// others' sums then fail against in one comparison — and the rest follow in
-// index order. It returns the smallest distance found, the entry (index
-// into s.entries) of the lowest copy realizing it — -1 when every copy was
-// proven strictly above cutoff — how many copies reached the exact
-// evaluator, and the block cost of the copies read (all of them: a reject
-// reads the copy it rejects). A distance ≤ cutoff is the shape's exact
-// distance. onAccess, when set, sees every entry read.
+// nearest evaluates the shape's copies under cutoff and the best so far.
+// It first sums the field over every copy, each sum stopping once it
+// proves the copy strictly above cutoff; when that turns every copy away
+// the shape is done, in index order, without a floor, a division or a look
+// at an entry. Otherwise it goes best-first: the surviving copy with the
+// lowest floor goes to the evaluator first — the likeliest to set a best
+// that the others' sums then fail against in one comparison — and the rest
+// follow in index order, a copy the field rejects under min(cutoff, best)
+// skipped before its entry is touched. It returns the smallest distance
+// found, the entry (index into s.entries) of the lowest copy realizing it
+// — -1 when every copy was proven strictly above cutoff — how many copies
+// reached the exact evaluator, and the block cost of the copies read (all
+// of them: a reject reads the copy it rejects). A distance ≤ cutoff is the
+// shape's exact distance. onAccess, when set, sees every entry read.
 func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(entryID int)) (best float64, bestEi, scored, blocks int) {
 	f, n := pq.distField(), s.copies()
-	var stack [nearestStack]float64
+	var stack [nearestStack]uint64
 	sums := stack[:]
 	if n > len(sums) {
-		sums = make([]float64, n)
+		sums = make([]uint64, n)
 	}
-	first, lowest := 0, math.Inf(1)
+	first, lowest, rate := -1, math.Inf(1), fieldRate(cutoff)
 	for c := 0; c < n; c++ {
-		ei := s.entry(c)
-		sums[c] = s.fieldSum(f, ei)
-		if fl := fieldFloor(sums[c], len(s.entries[ei].Poly.Pts)); fl < lowest {
+		cells := s.copyCells(s.entry(c))
+		t := fieldTrigger(len(cells), rate)
+		if sums[c] = f.sumPast(cells, t); sums[c] > t {
+			continue // a partial sum, above the trigger of every cutoff ≤ this one
+		}
+		// A survivor's sum is full: its floor is the one a full pass takes.
+		if fl := fieldFloor(sums[c], len(cells)); first < 0 || fl < lowest {
 			first, lowest = c, fl
 		}
+	}
+	if first < 0 {
+		for c := 0; c < n; c++ {
+			ei := s.entry(c)
+			if s.cost != nil {
+				blocks += int(s.cost[ei])
+			}
+			if onAccess != nil {
+				onAccess(ei)
+			}
+		}
+		return math.Inf(1), -1, 0, blocks
 	}
 	best, bestEi = math.Inf(1), -1
 	// The lowest-floor copy, then copies 0…n-1 without it.
@@ -106,7 +126,11 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 		if onAccess != nil {
 			onAccess(ei)
 		}
-		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, sums[c], s.oracles[ei], min(cutoff, best))
+		cut := min(cutoff, best)
+		if fieldRejects(sums[c], int(s.off[ei+1]-s.off[ei]), cut) {
+			continue
+		}
+		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, sums[c], s.oracles[ei], cut)
 		if reached {
 			scored++
 		}

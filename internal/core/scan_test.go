@@ -197,7 +197,7 @@ func TestNearestLowestCopyOnTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := pq.distField()
-	if low, high := s.fieldSum(f, 2), s.fieldSum(f, 0); low != 0 || high <= 0 {
+	if low, high := f.sum(s.copyCells(2)), f.sum(s.copyCells(0)); low != 0 || high == 0 {
 		t.Fatalf("field sums %v and %v: the last copy must have the lowest floor", high, low)
 	}
 	var order []int
