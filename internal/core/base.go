@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -82,21 +81,16 @@ type Base struct {
 
 	// fieldCells holds, parallel to verts, the distance-field cell each
 	// vertex falls in (fieldCell): what the reject in front of the bounded
-	// evaluator reads of a copy. Derived wherever the oracles are built or
-	// adopted (Freeze, BaseFromParts), never persisted.
+	// evaluator reads of a copy. Derived wherever the vertex array is built
+	// or adopted (Freeze, BaseFromParts), never persisted.
 	fieldCells []uint16
-
-	// oracles holds one boundary-distance oracle per entry, built at
-	// Freeze. The base is immutable afterward, so the oracles are shared
-	// by every query instead of being rebuilt per candidate evaluation.
-	oracles []*BoundaryDist
 
 	// scratch recycles per-query working state across Match calls (see
 	// scratch.go). Populated lazily after Freeze.
 	scratch sync.Pool
 
 	// entryCost holds the page-granular storage footprint of each entry
-	// (vertices + meta + transforms + oracle grid), computed at Freeze
+	// (vertices + meta + transforms), computed at Freeze
 	// or reassembly. The match kernel charges it into Stats.BlocksRead
 	// whenever an entry is evaluated (§4 block accounting; see parts.go).
 	entryCost []int32
@@ -154,8 +148,8 @@ func (b *Base) AddShape(image int, p geom.Poly) (int, error) {
 	return id, nil
 }
 
-// Freeze flattens the entries' vertices and builds their boundary
-// oracles. After Freeze the base is immutable and ready for matching.
+// Freeze flattens the entries' vertices and derives their distance-field
+// cells. After Freeze the base is immutable and ready for matching.
 func (b *Base) Freeze() error {
 	if b.frozen {
 		return nil
@@ -174,51 +168,10 @@ func (b *Base) Freeze() error {
 		b.verts = append(b.verts, e.Poly.Pts...)
 	}
 	b.entryOff[len(b.entries)] = int32(len(b.verts))
-	b.buildOracles()
 	b.fieldCells = appendFieldCells(make([]uint16, 0, len(b.verts)), b.verts)
 	b.computeEntryCosts()
 	b.frozen = true
 	return nil
-}
-
-// buildOracles precomputes one boundary-distance oracle per entry, in
-// parallel: the grids are independent and freeze time is the one moment
-// the base may burn all cores without contending with queries.
-func (b *Base) buildOracles() {
-	b.oracles = make([]*BoundaryDist, len(b.entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(b.entries) {
-		workers = len(b.entries)
-	}
-	if workers <= 1 {
-		for ei := range b.entries {
-			b.oracles[ei] = NewBoundaryDist(b.entries[ei].Poly)
-		}
-		return
-	}
-	const stride = 64
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(next.Add(stride)) - stride
-				if start >= len(b.entries) {
-					return
-				}
-				end := start + stride
-				if end > len(b.entries) {
-					end = len(b.entries)
-				}
-				for ei := start; ei < end; ei++ {
-					b.oracles[ei] = NewBoundaryDist(b.entries[ei].Poly)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // BuildRangeIndex builds the climb's range index — Options.BackendFactory's
@@ -248,24 +201,14 @@ func (b *Base) BuildRangeIndex() {
 	})
 }
 
-// EntryOracle returns the frozen boundary-distance oracle of entry i —
-// the nearest-boundary structure for the entry's normalized polygon,
-// built once at Freeze and safe for concurrent use. It returns nil
-// before Freeze.
+// EntryOracle builds a boundary-distance oracle over entry i's normalized
+// polygon, on demand: the base holds none (the searches read a copy's own
+// edges, shapeindex.Edges, to the same bits). It returns nil before Freeze.
 func (b *Base) EntryOracle(i int) *BoundaryDist {
-	if b.oracles == nil {
+	if !b.frozen {
 		return nil
 	}
-	return b.oracles[i]
-}
-
-// entryOracle returns the cached oracle of entry ei, building one on the
-// fly only when the base is not frozen yet.
-func (b *Base) entryOracle(ei int32) *BoundaryDist {
-	if b.oracles != nil {
-		return b.oracles[ei]
-	}
-	return NewBoundaryDist(b.entries[ei].Poly)
+	return NewBoundaryDist(b.entries[i].Poly)
 }
 
 // NumShapes returns the number of stored shapes.

@@ -42,16 +42,14 @@ func (s *ScanMatcher) Match(q geom.Poly, k int) ([]Match, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	qe, err := NormalizeCanonical(q)
+	pq, err := PrepareQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	oracle := NewBoundaryDist(qe.Poly)
 	bestByShape := make(map[int]Match)
 	for ei := range s.base.entries {
 		e := &s.base.entries[ei]
-		dv := (AvgMinDistVertices(e.Poly, oracle) +
-			AvgMinDistVertices(qe.Poly, s.base.entryOracle(int32(ei)))) / 2
+		dv, _, _ := pq.distWithin(e.Poly, 0, math.Inf(1))
 		cur, ok := bestByShape[e.ShapeID]
 		if !ok || dv < cur.DistVertex {
 			bestByShape[e.ShapeID] = Match{ShapeID: e.ShapeID, EntryID: ei, DistVertex: dv}
@@ -65,10 +63,9 @@ func (s *ScanMatcher) Match(q geom.Poly, k int) ([]Match, error) {
 	if len(out) > k {
 		out = out[:k]
 	}
+	var resample []geom.Point
 	for i := range out {
-		e := &s.base.entries[out[i].EntryID]
-		out[i].DistContinuous = (AvgMinDistTo(e.Poly, oracle, s.base.opts.Samples) +
-			AvgMinDist(qe.Poly, e.Poly, s.base.opts.Samples)) / 2
+		out[i].DistContinuous = pq.distContinuous(s.base.entries[out[i].EntryID].Poly, s.base.opts.Samples, &resample)
 	}
 	return out, nil
 }

@@ -10,8 +10,8 @@ import (
 // Dynamic is the mutable part of a live base — the dynamic-environment
 // capability the paper's related work ([5, 7]) highlights for similarity
 // search: an overflow area holding the shapes inserted since the last
-// compaction, each as its normalized copies with the boundary oracles
-// built at insert. It has no index; MatchPrepared answers with one linear
+// compaction, each as its normalized copies with the distance-field cells
+// derived at insert. It has no index; MatchPrepared answers with one linear
 // scan whose every evaluation runs under the cutoffs of a frozen part's
 // search (DESIGN.md §4.12). Folding the overflow into a frozen, indexed
 // Base — the §4 "rehashing" moment — is the owner's job (compaction,
@@ -27,13 +27,11 @@ type Dynamic struct {
 	copies   int // normalized copies across the live shapes
 }
 
-// overflowShape is one live shape: its normalized copies and, per copy,
-// the boundary oracle the back direction of the measure is read from and
-// the distance-field cells of its vertices, cells[off[i]:off[i+1]].
+// overflowShape is one live shape: its normalized copies and the
+// distance-field cells of copy i's vertices, cells[off[i]:off[i+1]].
 type overflowShape struct {
 	shape   Shape
 	entries []Entry
-	oracles []*BoundaryDist
 	cells   []uint16
 	off     []int32
 }
@@ -59,13 +57,11 @@ func (d *Dynamic) Insert(image int, p geom.Poly) (int, error) {
 		return 0, err
 	}
 	id := len(d.slot)
-	// Build the copies' oracles and field cells once at insert: every query
-	// scans them until the shape is compacted away.
-	oracles := make([]*BoundaryDist, len(entries))
+	// Derive the copies' field cells once at insert: every query scans
+	// them until the shape is compacted away.
 	off := make([]int32, len(entries)+1)
 	var cells []uint16
 	for i := range entries {
-		oracles[i] = NewBoundaryDist(entries[i].Poly)
 		cells = appendFieldCells(cells, entries[i].Poly.Pts)
 		off[i+1] = int32(len(cells))
 	}
@@ -73,7 +69,6 @@ func (d *Dynamic) Insert(image int, p geom.Poly) (int, error) {
 	d.overflow = append(d.overflow, overflowShape{
 		shape:   Shape{ID: id, Image: image, Poly: p.Clone()},
 		entries: entries,
-		oracles: oracles,
 		cells:   cells,
 		off:     off,
 	})
@@ -145,7 +140,7 @@ func (d *Dynamic) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o
 
 // scan is the shape as the bounded evaluators walk it.
 func (s *overflowShape) scan() scanShape {
-	return scanShape{id: s.shape.ID, entries: s.entries, oracles: s.oracles, cells: s.cells, off: s.off}
+	return scanShape{id: s.shape.ID, entries: s.entries, cells: s.cells, off: s.off}
 }
 
 // ShapeDistancePreparedBounded scores one live shape against a prepared

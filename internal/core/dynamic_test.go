@@ -28,8 +28,9 @@ func dynMatch(t *testing.T, d *Dynamic, q geom.Poly, k int) []Match {
 
 // exhaustiveOverflow is the reference the bounded scan is compared with:
 // every copy of every live shape scored in full, both directions, no
-// cutoff anywhere; the lowest copy on ties; the continuous measure for
-// the k that are returned.
+// cutoff anywhere, the back direction through a grid oracle built over the
+// copy; the lowest copy on ties; the continuous measure for the k that are
+// returned.
 func exhaustiveOverflow(d *Dynamic, pq *PreparedQuery, k int) []Match {
 	var out []Match
 	for i := range d.overflow {
@@ -37,7 +38,7 @@ func exhaustiveOverflow(d *Dynamic, pq *PreparedQuery, k int) []Match {
 		best, bestEi := math.Inf(1), -1
 		for ei := range s.entries {
 			dv := (AvgMinDistVertices(s.entries[ei].Poly, pq.oracle) +
-				AvgMinDistVertices(pq.entry.Poly, s.oracles[ei])) / 2
+				AvgMinDistVertices(pq.entry.Poly, NewBoundaryDist(s.entries[ei].Poly))) / 2
 			if dv < best {
 				best, bestEi = dv, ei
 			}
@@ -54,7 +55,7 @@ func exhaustiveOverflow(d *Dynamic, pq *PreparedQuery, k int) []Match {
 		s := &d.overflow[d.slot[out[i].ShapeID]]
 		ei := -out[i].EntryID - 1
 		out[i].DistContinuous = (AvgMinDistTo(s.entries[ei].Poly, pq.oracle, d.opts.Samples) +
-			AvgMinDistTo(pq.entry.Poly, s.oracles[ei], d.opts.Samples)) / 2
+			AvgMinDistTo(pq.entry.Poly, NewBoundaryDist(s.entries[ei].Poly), d.opts.Samples)) / 2
 	}
 	return out
 }

@@ -204,12 +204,59 @@ func FuzzDistWithin(f *testing.F) {
 			if cut < 0 {
 				continue
 			}
-			got, ok, _ := pq.distWithin(cp, fsum, back, cut)
+			got, ok, _ := pq.distWithin(cp, fsum, cut)
 			if ok && math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("cutoff %v: %v came back, the unbounded evaluator says %v", cut, got, want)
 			}
 			if want <= cut && !ok {
 				t.Fatalf("cutoff %v: the copy at %v was rejected", cut, want)
+			}
+		}
+	})
+}
+
+// edgeFuzzLimit bounds the vertex coordinates FuzzEdgeDist builds chains
+// from; probes are not bounded.
+const edgeFuzzLimit = 1e6
+
+// FuzzEdgeDist holds the back pass's distance — the kernel's minimum over
+// a copy's own edges, shapeindex.Edges — to the grid oracle's, bit for bit,
+// on arbitrary chains: open or closed (the low bit of the first byte), 2 to
+// 24 vertices as float64 pairs within ±edgeFuzzLimit, repeated vertices
+// (zero-length edges) and edges too short for 1/|d|² included; probed at
+// an arbitrary point — far and non-finite ones included — and at every
+// vertex and edge midpoint.
+func FuzzEdgeDist(f *testing.F) {
+	f.Add(append([]byte{1}, fuzzFloats(0.5, 0.5, 0, 0, 1, 0, 1, 1, 0, 1)...))
+	f.Add(append([]byte{0}, fuzzFloats(math.Inf(-1), 2, 0, 0, 3, 0, 3, 0, 3, 4)...))
+	f.Add(append([]byte{1}, fuzzFloats(1e300, -1e300, -1e6, 1e6, 1e6, -1e6, 2, 2)...))
+	f.Add(append([]byte{0}, fuzzFloats(math.NaN(), 0, 5, 5, 5, 5)...))
+	// An edge of length 1e-160, whose 1/|d|² overflows, probed square to
+	// it from beyond its grid cell.
+	f.Add(append([]byte{0}, fuzzFloats(0, 5, 0, 0, 1e-160, 0, 1, 1)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1+16+32 {
+			return
+		}
+		v := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(data[1+8*i:])) }
+		probes := []geom.Point{geom.Pt(v(0), v(1))}
+		poly := geom.Poly{Closed: data[0]&1 == 1}
+		for i := 2; 1+8*(i+2) <= len(data) && len(poly.Pts) < 24; i += 2 {
+			p := geom.Pt(v(i), v(i+1))
+			if !(math.Abs(p.X) <= edgeFuzzLimit && math.Abs(p.Y) <= edgeFuzzLimit) {
+				return
+			}
+			poly.Pts = append(poly.Pts, p)
+		}
+		for i := 0; i < poly.NumEdges(); i++ {
+			s := poly.Edge(i)
+			probes = append(probes, s.A, s.A.Lerp(s.B, 0.5))
+		}
+		grid, edges := NewBoundaryDist(poly), shapeindex.AppendEdges(nil, poly)
+		for _, p := range probes {
+			if got, want := edges.Dist(p), grid.Dist(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v at %v: the edges say %v (%#x), the grid %v (%#x)",
+					poly, p, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	})

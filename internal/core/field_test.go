@@ -147,13 +147,15 @@ func TestDistFieldAdmissible(t *testing.T) {
 }
 
 // unfielded is the bounded evaluator without the field in front: the two
-// directed passes distWithin runs once the field lets a copy through.
+// directed passes distWithin runs once the field lets a copy through, the
+// back one through back, a grid oracle over the copy — so that distWithin,
+// which reads the copy's own edges, is held to the grid's bits.
 func unfielded(pq *PreparedQuery, cp geom.Poly, back *BoundaryDist, cut float64) (float64, bool) {
-	dir, ok := avgMinDistVerticesBoundedAffine(cp, pq.oracle, 0, cut)
+	dir, ok := avgMinDistVerticesBoundedAffine(cp, pq.oracle.Dist, 0, cut)
 	if !ok {
 		return 0, false
 	}
-	bk, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, back, dir, cut)
+	bk, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, back.Dist, dir, cut)
 	if !ok {
 		return 0, false
 	}
@@ -262,23 +264,23 @@ func TestFieldRejectIsExact(t *testing.T) {
 		}
 		wants := make([]float64, len(b.entries))
 		for ei := range b.entries {
-			cp, back := b.entries[ei].Poly, b.entryOracle(int32(ei))
+			cp, back := b.entries[ei].Poly, b.EntryOracle(ei)
 			wants[ei], _ = unfielded(pq, cp, back, math.Inf(1))
 			// No finite cutoff: no sum, however large, rejects.
-			if got, ok, scored := pq.distWithin(cp, math.MaxUint64, back, math.Inf(1)); !ok || !scored || got != wants[ei] {
+			if got, ok, scored := pq.distWithin(cp, math.MaxUint64, math.Inf(1)); !ok || !scored || got != wants[ei] {
 				t.Fatalf("trial %d entry %d: no cutoff: (%v, %v, %v), want %v", trial, ei, got, ok, scored, wants[ei])
 			}
 		}
 		cellRejects += checkCellReject(t, b, pq, wants)
 		for ei, want := range wants {
-			cp, back := b.entries[ei].Poly, b.entryOracle(int32(ei))
+			cp, back := b.entries[ei].Poly, b.EntryOracle(ei)
 			cuts := []float64{want, math.Nextafter(want, 2), math.Nextafter(want, -1),
 				want * rng.Float64(), want * (1 + rng.Float64()), 0.02 + 0.05*rng.Float64(), 0}
 			for ci, cut := range cuts {
 				if cut < 0 {
 					continue
 				}
-				got, ok, scored := pq.distWithin(cp, pq.distField().sum(b.entryCells(int32(ei))), back, cut)
+				got, ok, scored := pq.distWithin(cp, pq.distField().sum(b.entryCells(int32(ei))), cut)
 				ref, refOK := unfielded(pq, cp, back, cut)
 				if ok != refOK || (ok && got != ref) {
 					t.Fatalf("trial %d entry %d cut %v: (%v, %v), un-fielded (%v, %v)", trial, ei, cut, got, ok, ref, refOK)
@@ -316,7 +318,7 @@ func TestFieldRejectIsExact(t *testing.T) {
 	}
 	wants := make([]float64, len(wide.entries))
 	for ei := range wide.entries {
-		wants[ei], _ = unfielded(pq, wide.entries[ei].Poly, wide.entryOracle(int32(ei)), math.Inf(1))
+		wants[ei], _ = unfielded(pq, wide.entries[ei].Poly, wide.EntryOracle(ei), math.Inf(1))
 	}
 	checkCellReject(t, wide, pq, wants)
 	if rejected < 1000 || passed < 1000 || cellRejects < 1000 {
@@ -586,11 +588,10 @@ func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
 		t.Fatal(err)
 	}
 	spec := BaseSpec{Opts: b.opts, Shapes: b.shapes, Verts: verts, EntryOff: parts.EntryOff}
-	for i, e := range parts.Entries {
+	for _, e := range parts.Entries {
 		spec.EntryMeta = append(spec.EntryMeta, EntryMeta{
 			ShapeID: int32(e.ShapeID), Copy: int32(e.Copy), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)})
 		spec.EntryTrans = append(spec.EntryTrans, e.Norm, e.Inv)
-		spec.Grids = append(spec.Grids, parts.Oracles[i].Grid())
 	}
 	re, err := BaseFromParts(spec)
 	if err != nil {

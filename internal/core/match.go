@@ -163,20 +163,26 @@ func (b *Base) prepare(q geom.Poly, k int) (*PreparedQuery, error) {
 	return PrepareQuery(q)
 }
 
-// matchPoly validates and prepares q, then climbs.
+// matchPoly validates and prepares q, builds the ε-envelope of its
+// canonical normalization — only the climb fattens one — and climbs.
 func (b *Base) matchPoly(q geom.Poly, k int, onAccess func(entryID int)) ([]Match, Stats, error) {
 	pq, err := b.prepare(q, k)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	out, stats := b.climb(pq, k, onAccess, nil)
+	env, err := envelope.New(pq.entry.Poly)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	out, stats := b.climb(pq, env, k, onAccess, nil)
 	return out, stats, nil
 }
 
-// climb is the paper's incremental ε-envelope fattening search (§2.5): it
-// honors the ε_max stopping rule, and onIteration, when set, observes each
-// fattening iteration's width and the k-th best distance proven by its end
-// (+Inf while the top-k is short).
+// climb is the paper's incremental ε-envelope fattening search (§2.5) of
+// env, the envelope of pq's normalization: it honors the ε_max stopping
+// rule, and onIteration, when set, observes each fattening iteration's
+// width and the k-th best distance proven by its end (+Inf while the top-k
+// is short).
 //
 // The kernel is prune-first (DESIGN.md §4.9): every candidate evaluation
 // runs under the tightest currently-proven cutoff — min of the live k-th
@@ -185,12 +191,11 @@ func (b *Base) matchPoly(q geom.Poly, k int, onAccess func(entryID int)) ([]Matc
 // cutoff tightens as fast as possible; and entries proven outside every
 // cutoff are stamped dead exactly once (all cutoffs are monotone
 // non-increasing, so a ruling never has to be revisited).
-func (b *Base) climb(pq *PreparedQuery, k int, onAccess func(entryID int), onIteration func(eps, kth float64)) ([]Match, Stats) {
+func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess func(entryID int), onIteration func(eps, kth float64)) ([]Match, Stats) {
 	b.BuildRangeIndex()
 	backend, vertEntry := b.rng.backend, b.rng.vertEntry
 	var stats Stats
-	qe, env, oracle := pq.entry, pq.env, pq.oracle
-	lQ := qe.Poly.Perimeter()
+	lQ := pq.entry.Poly.Perimeter()
 	epsMax := b.EpsilonMax(lQ)
 	stats.EpsilonMax = epsMax
 
@@ -246,7 +251,7 @@ func (b *Base) climb(pq *PreparedQuery, k int, onAccess func(entryID int), onIte
 			curBest = cur.DistVertex
 		}
 		cut := min(curBest, topk.Kth())
-		dv, ok, scored := pq.distWithin(e.Poly, pq.distField().sum(b.entryCells(ei)), b.entryOracle(ei), cut)
+		dv, ok, scored := pq.distWithin(e.Poly, pq.distField().sum(b.entryCells(ei)), cut)
 		if scored {
 			stats.Candidates++
 		}
@@ -449,15 +454,14 @@ func (b *Base) climb(pq *PreparedQuery, k int, onAccess func(entryID int), onIte
 		ei := out[i].EntryID
 		e := &b.entries[ei]
 		stats.BlocksRead += b.blockCost(int32(ei))
-		out[i].DistContinuous = (avgMinDistToInto(e.Poly, oracle, b.opts.Samples, &scratch.resample) +
-			avgMinDistToInto(qe.Poly, b.entryOracle(int32(ei)), b.opts.Samples, &scratch.resample)) / 2
+		out[i].DistContinuous = pq.distContinuous(e.Poly, b.opts.Samples, &scratch.resample)
 	}
 	return out, stats
 }
 
 // scanShape is a stored shape as the bounded evaluators walk it.
 func (b *Base) scanShape(id int) scanShape {
-	return scanShape{id: id, entries: b.entries, oracles: b.oracles, cells: b.fieldCells, off: b.entryOff,
+	return scanShape{id: id, entries: b.entries, cells: b.fieldCells, off: b.entryOff,
 		idx: b.shapeEntries[id], cost: b.entryCost}
 }
 

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/envelope"
 	"repro/internal/geom"
 	"repro/internal/shapeindex"
 	"repro/internal/voronoi"
@@ -34,14 +33,13 @@ func DefaultSamples(n int) int {
 // It wraps a segment grid so that repeated evaluations against the same
 // shape (the query, during matching) reuse the index.
 type BoundaryDist struct {
-	shape geom.Poly
-	grid  *shapeindex.SegmentGrid
+	grid *shapeindex.SegmentGrid
 }
 
 // NewBoundaryDist builds the oracle. The shape must have at least one
 // edge.
 func NewBoundaryDist(shape geom.Poly) *BoundaryDist {
-	return &BoundaryDist{shape: shape, grid: shapeindex.NewSegmentGrid(shape.Edges())}
+	return &BoundaryDist{grid: shapeindex.NewSegmentGrid(shape.Edges())}
 }
 
 // Dist returns the distance from p to the shape's boundary.
@@ -62,12 +60,12 @@ func AvgMinDist(a, b geom.Poly, samples int) float64 {
 // AvgMinDistTo is AvgMinDist against a prebuilt distance oracle.
 func AvgMinDistTo(a geom.Poly, b *BoundaryDist, samples int) float64 {
 	var buf []geom.Point
-	return avgMinDistToInto(a, b, samples, &buf)
+	return avgMinDistToInto(a, b.Dist, samples, &buf)
 }
 
-// avgMinDistToInto is AvgMinDistTo resampling into *buf, so a run of
-// evaluations allocates one buffer.
-func avgMinDistToInto(a geom.Poly, b *BoundaryDist, samples int, buf *[]geom.Point) float64 {
+// avgMinDistToInto is AvgMinDistTo against the distance dist, resampling
+// into *buf, so a run of evaluations allocates one buffer.
+func avgMinDistToInto(a geom.Poly, dist func(geom.Point) float64, samples int, buf *[]geom.Point) float64 {
 	if samples <= 0 {
 		samples = DefaultSamples(a.NumVertices())
 	}
@@ -77,7 +75,7 @@ func avgMinDistToInto(a geom.Poly, b *BoundaryDist, samples int, buf *[]geom.Poi
 	}
 	var sum float64
 	for _, p := range *buf {
-		sum += b.Dist(p)
+		sum += dist(p)
 	}
 	return sum / float64(len(*buf))
 }
@@ -213,18 +211,17 @@ func directedKth(a, b geom.Poly, k int) float64 {
 	return ds[k-1]
 }
 
-// PreparedQuery caches the per-query work of the fattening search and
-// the direct similarity checks: the canonical normalization, its
-// boundary-distance oracle, and the ε-envelope the search fattens. Preparing once and reusing across many
+// PreparedQuery caches the per-query work of the bounded scan and the
+// direct similarity checks: the canonical normalization and its
+// boundary-distance oracle. Preparing once and reusing across many
 // ShapeDistancePrepared calls — or across the MatchPrepared calls of
 // every shard of a partitioned base — hoists the normalization and grid
-// builds out of candidate and shard loops. A PreparedQuery is safe for
+// build out of candidate and shard loops. A PreparedQuery is safe for
 // concurrent use: immutable but for the distance field, built once at the
 // first bounded evaluation.
 type PreparedQuery struct {
 	entry  Entry
 	oracle *BoundaryDist
-	env    *envelope.Envelope
 
 	// blocks, when attached, accumulates the page-granular cost of every
 	// entry this query evaluates through the bounded distance checks (§4
@@ -241,22 +238,13 @@ type PreparedQuery struct {
 	field     *distField
 }
 
-// PrepareQuery normalizes q canonically and builds its boundary oracle
-// and envelope.
+// PrepareQuery normalizes q canonically and builds its boundary oracle.
 func PrepareQuery(q geom.Poly) (*PreparedQuery, error) {
 	qe, err := NormalizeCanonical(q)
 	if err != nil {
 		return nil, err
 	}
-	env, err := envelope.New(qe.Poly)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedQuery{
-		entry:  qe,
-		oracle: NewBoundaryDist(qe.Poly),
-		env:    env,
-	}, nil
+	return &PreparedQuery{entry: qe, oracle: NewBoundaryDist(qe.Poly)}, nil
 }
 
 // Entry returns the query's canonical normalization.
@@ -293,19 +281,27 @@ func (b *Base) ShapeDistance(shapeID int, q geom.Poly) (float64, error) {
 
 // ShapeDistancePrepared is ShapeDistance against a prepared query. The
 // shape's normalized copies are located through the shape→entries index
-// and their frozen oracles serve the back direction, so the per-call
-// cost is the distance evaluations alone.
+// and each is measured by the unbounded evaluator, so the per-call cost is
+// the distance evaluations alone.
 func (b *Base) ShapeDistancePrepared(shapeID int, pq *PreparedQuery) (float64, error) {
 	if shapeID < 0 || shapeID >= len(b.shapes) {
 		return 0, fmt.Errorf("core: shape id %d out of range", shapeID)
 	}
 	best := math.Inf(1)
 	for _, ei := range b.shapeEntries[shapeID] {
-		d := (AvgMinDistVertices(b.entries[ei].Poly, pq.oracle) +
-			AvgMinDistVertices(pq.entry.Poly, b.entryOracle(ei))) / 2
-		if d < best {
+		if d, _, _ := pq.distWithin(b.entries[ei].Poly, 0, math.Inf(1)); d < best {
 			best = d
 		}
 	}
 	return best, nil
+}
+
+// distContinuous is the symmetrized continuous measure between the query
+// and a normalized copy cp, each boundary resampled into *resample: cp
+// against the query's oracle, the query against cp's own edges.
+func (pq *PreparedQuery) distContinuous(cp geom.Poly, samples int, resample *[]geom.Point) float64 {
+	var buf [edgeStack]shapeindex.Seg
+	back := shapeindex.AppendEdges(buf[:0], cp)
+	return (avgMinDistToInto(cp, pq.oracle.Dist, samples, resample) +
+		avgMinDistToInto(pq.entry.Poly, back.Dist, samples, resample)) / 2
 }

@@ -34,7 +34,6 @@ type FrozenParts struct {
 	Entries  []Entry
 	Verts    []geom.Point
 	EntryOff []int32
-	Oracles  []*BoundaryDist
 }
 
 // FrozenParts returns the flattened state of a frozen base.
@@ -46,11 +45,10 @@ func (b *Base) FrozenParts() (FrozenParts, error) {
 		Entries:  b.entries,
 		Verts:    b.verts,
 		EntryOff: b.entryOff,
-		Oracles:  b.oracles,
 	}, nil
 }
 
-// Grid returns the oracle's segment grid (for persistence).
+// Grid returns the oracle's segment grid.
 func (b *BoundaryDist) Grid() *shapeindex.SegmentGrid { return b.grid }
 
 // BaseSpec carries everything BaseFromParts needs to reassemble a
@@ -58,17 +56,16 @@ func (b *BoundaryDist) Grid() *shapeindex.SegmentGrid { return b.grid }
 // read-only memory mapping, in which case the Base must not outlive it.
 type BaseSpec struct {
 	Opts       Options
-	Shapes     []Shape                   // fully formed, ids 0..n-1 in order
-	EntryMeta  []EntryMeta               // one per entry
-	EntryTrans []geom.Transform          // 2 per entry: Norm then Inv
-	Verts      []geom.Point              // flattened entry vertices
-	EntryOff   []int32                   // entry index → first vertex id (len entries+1)
-	Grids      []*shapeindex.SegmentGrid // one per entry: its oracle grid
+	Shapes     []Shape          // fully formed, ids 0..n-1 in order
+	EntryMeta  []EntryMeta      // one per entry
+	EntryTrans []geom.Transform // 2 per entry: Norm then Inv
+	Verts      []geom.Point     // flattened entry vertices
+	EntryOff   []int32          // entry index → first vertex id (len entries+1)
 }
 
 // BaseFromParts reassembles a frozen Base from flattened state. The
 // result answers every query identically to the Base whose parts were
-// serialized: entries and oracles are adopted as-is, and only O(n)
+// serialized: entries are adopted as-is, and only O(n)
 // bookkeeping (entry polygons aliasing the vertex array, the shape→entries
 // index, the vertices' distance-field cells, block-cost accounting) is
 // rebuilt. The climb's range index is not part of it: like a frozen
@@ -86,9 +83,6 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 	}
 	if len(s.EntryOff) != ne+1 {
 		return nil, fmt.Errorf("core: base parts entryOff len %d, want %d", len(s.EntryOff), ne+1)
-	}
-	if len(s.Grids) != ne {
-		return nil, fmt.Errorf("core: base parts with %d oracle grids, want %d", len(s.Grids), ne)
 	}
 	if s.EntryOff[0] != 0 || int(s.EntryOff[ne]) != len(s.Verts) {
 		return nil, fmt.Errorf("core: base parts entryOff does not span the vertex array")
@@ -131,13 +125,6 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 	}
 	b.verts = s.Verts
 	b.entryOff = s.EntryOff
-	b.oracles = make([]*BoundaryDist, ne)
-	for i, g := range s.Grids {
-		if g == nil {
-			return nil, fmt.Errorf("core: base parts entry %d has no oracle grid", i)
-		}
-		b.oracles[i] = &BoundaryDist{shape: b.entries[i].Poly, grid: g}
-	}
 	b.fieldCells = appendFieldCells(make([]uint16, 0, len(b.verts)), b.verts)
 	b.frozen = true
 	b.computeEntryCosts()
@@ -151,8 +138,7 @@ var pageSize = os.Getpagesize()
 
 // computeEntryCosts models each entry's storage footprint — what a
 // snapshot holds for it: its vertices (EVTX), entry meta and the two
-// transforms (ENTM, ENTT), and its oracle grid's header and arrays
-// (GRDH, GSEG, GCEL, GIDS) — in pages. The match kernel charges this
+// transforms (ENTM, ENTT) — in pages. The match kernel charges this
 // cost whenever it evaluates the entry, turning the extstore simulation
 // of the paper's §4 block accounting into live counters on the real
 // path.
@@ -163,10 +149,6 @@ func (b *Base) computeEntryCosts() {
 		bytes := nv*16 + // vertices
 			2*32 + // Norm + Inv transforms
 			16 // entry meta
-		if o := b.oracles[ei]; o != nil && o.grid != nil {
-			p := o.grid.Parts()
-			bytes += 80 + len(p.Ax)*5*8 + len(p.CellStart)*4 + len(p.CellIDs)*4
-		}
 		blocks := (bytes + pageSize - 1) / pageSize
 		if blocks < 1 {
 			blocks = 1

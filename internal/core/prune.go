@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/shapeindex"
 )
 
 // This file holds the admissible pruning primitives of the prune-first
@@ -65,8 +66,9 @@ func (s *SharedBound) Tighten(v float64) {
 	}
 }
 
-// avgMinDistVerticesBoundedAffine iterates AvgMinDistVertices(a, b) with
-// an admissible early exit: it aborts as soon as the partial sum proves
+// avgMinDistVerticesBoundedAffine iterates AvgMinDistVertices of a against
+// the distance dist with an admissible early exit: it aborts as soon as
+// the partial sum proves
 //
 //	(base + full/n) / 2 > cut
 //
@@ -81,7 +83,7 @@ func (s *SharedBound) Tighten(v float64) {
 // The abort test costs a division, so a cheap product gate (sum >
 // (2·cut − base)·n, exact in the cases that matter and conservative
 // otherwise) guards it.
-func avgMinDistVerticesBoundedAffine(a geom.Poly, b *BoundaryDist, base, cut float64) (float64, bool) {
+func avgMinDistVerticesBoundedAffine(a geom.Poly, dist func(geom.Point) float64, base, cut float64) (float64, bool) {
 	n := len(a.Pts)
 	if n == 0 {
 		return math.Inf(1), true
@@ -92,7 +94,7 @@ func avgMinDistVerticesBoundedAffine(a geom.Poly, b *BoundaryDist, base, cut flo
 	trigger := (2*cut - base) * nf
 	var sum float64
 	for _, p := range a.Pts {
-		sum += b.Dist(p)
+		sum += dist(p)
 		if sum > trigger && (base+sum/nf)/2 > cut {
 			return 0, false
 		}
@@ -145,8 +147,8 @@ const fieldOff = fieldNX * fieldNY
 // fieldCell returns the id of the table cell p falls in: fieldOff outside
 // the box and for non-finite coordinates (every comparison with NaN is
 // false). The box and the resolution are constants, so the id is a property
-// of the point alone — a stored vertex's is computed once, when its copy's
-// oracle is built, and every query's table is read through it.
+// of the point alone — a stored vertex's is computed once, when its copy is
+// frozen or inserted, and every query's table is read through it.
 func fieldCell(p geom.Point) uint16 {
 	fx, fy := (p.X-fieldX0)*fieldRes, (p.Y-fieldY0)*fieldRes
 	if !(fx >= 0 && fx < fieldNX && fy >= 0 && fy < fieldNY) {
@@ -164,12 +166,12 @@ func appendFieldCells(dst []uint16, pts []geom.Point) []uint16 {
 }
 
 // newDistField builds the query's field from the segments of its oracle's
-// grid, with the kernel the oracle's own walk evaluates, and never walks
-// the oracle. Every cell centre within fieldFar of a segment's bounding
-// box is measured against that segment, and a cell keeps the least of its
-// measures: when the centre's distance D is at most fieldFar its nearest
-// segment is among those measured, so min(measured, fieldFar) ≤ D either
-// way. An anchor at the centre of every fieldAnchor² block, measured
+// grid, with the kernel the oracle's own walk evaluates (SegDist2), and
+// never walks the oracle. Every cell centre within fieldFar of a segment's
+// bounding box is measured against that segment, and a cell keeps the least
+// of its measures: when the centre's distance D is at most fieldFar its
+// nearest segment is among those measured, so min(measured, fieldFar) ≤ D
+// either way. An anchor at the centre of every fieldAnchor² block, measured
 // against all segments, adds D ≥ D(anchor) − |centre − anchor| where the
 // band says only fieldFar.
 func newDistField(o *BoundaryDist) *distField {
@@ -178,10 +180,7 @@ func newDistField(o *BoundaryDist) *distField {
 	ax := g.Ax
 	ay, dx, dy, invL2 := g.Ay[:len(ax)], g.Dx[:len(ax)], g.Dy[:len(ax)], g.InvL2[:len(ax)]
 	kernel := func(px, py float64, s int) float64 {
-		wx, wy := px-ax[s], py-ay[s]
-		t := min(max((wx*dx[s]+wy*dy[s])*invL2[s], 0), 1)
-		ex, ey := wx-t*dx[s], wy-t*dy[s]
-		return ex*ex + ey*ey
+		return shapeindex.SegDist2(px, py, ax[s], ay[s], dx[s], dy[s], invL2[s])
 	}
 	var near [fieldNX * fieldNY]float64 // least squared distance measured per cell
 	for i := range near {
@@ -322,24 +321,33 @@ func (pq *PreparedQuery) distField() *distField {
 	return pq.field
 }
 
+// edgeStack is how many edges of a stored copy the back pass sets up on the
+// stack (every served base stores copies of at most 21 vertices); a copy
+// with more pays one allocation.
+const edgeStack = 32
+
 // distWithin is the one bounded evaluator of the symmetric vertex-averaged
 // measure between the query and a normalized copy cp whose vertices the
-// query's distance field sums to fsum (0 claims nothing) and whose boundary
-// oracle is back: (DistVertex, true) when it is ≤ cut — bit-identical to the
-// unbounded (dir+back)/2 — and ok = false once it is proven strictly above
-// cut, first by the field's sum in one comparison, then by the partial sums
-// of the two directed passes. Both rejects are strict, so a copy tying cut
-// survives. scored is false when the field rejected the copy: the exact
-// evaluator never ran.
-func (pq *PreparedQuery) distWithin(cp geom.Poly, fsum uint64, back *BoundaryDist, cut float64) (dv float64, ok, scored bool) {
+// query's distance field sums to fsum (0 claims nothing): (DistVertex, true)
+// when it is ≤ cut — bit-identical to the unbounded (dir+back)/2 — and ok =
+// false once it is proven strictly above cut, first by the field's sum in
+// one comparison, then by the partial sums of the two directed passes. The
+// dir pass reads the query's oracle; the back pass reads cp's own edges,
+// set up once for the pass (shapeindex.Edges: the bits a grid over them
+// would give). Both rejects are strict, so a copy tying cut survives.
+// scored is false when the field rejected the copy: the exact evaluator
+// never ran.
+func (pq *PreparedQuery) distWithin(cp geom.Poly, fsum uint64, cut float64) (dv float64, ok, scored bool) {
 	if fieldRejects(fsum, len(cp.Pts), cut) {
 		return 0, false, false
 	}
-	dir, ok := avgMinDistVerticesBoundedAffine(cp, pq.oracle, 0, cut)
+	dir, ok := avgMinDistVerticesBoundedAffine(cp, pq.oracle.Dist, 0, cut)
 	if !ok {
 		return 0, false, true
 	}
-	bk, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, back, dir, cut)
+	var buf [edgeStack]shapeindex.Seg
+	back := shapeindex.AppendEdges(buf[:0], cp)
+	bk, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, back.Dist, dir, cut)
 	if !ok {
 		return 0, false, true
 	}

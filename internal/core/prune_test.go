@@ -10,7 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/envelope"
 	"repro/internal/geom"
+	"repro/internal/shapeindex"
 	"repro/internal/synth"
 )
 
@@ -723,8 +725,12 @@ func TestGrowthClamp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		env, err := envelope.New(pq.entry.Poly)
+		if err != nil {
+			t.Fatal(err)
+		}
 		prevEps, prevKth := 0.0, math.Inf(1)
-		got, st := b.climb(pq, k, nil, func(eps, kth float64) {
+		got, st := b.climb(pq, env, k, nil, func(eps, kth float64) {
 			if limit := 2 * prevKth * 1.0001; eps > limit {
 				t.Errorf("trial %d (k=%d): envelope %g after a proven k-th best of %g (limit %g)",
 					trial, k, eps, prevKth, limit)
@@ -747,5 +753,51 @@ func TestGrowthClamp(t *testing.T) {
 	}
 	if converged < 20 || clamped < 5 {
 		t.Errorf("%d/30 queries converged, %d clamped envelopes; want at least 20 and 5", converged, clamped)
+	}
+}
+
+// BenchmarkBackPass times one full back pass — a 20-vertex query's
+// vertices against a stored copy's boundary, no cutoff — over 32 copies of
+// n vertices each, n = 8, 21, 64, 256: "edges" as distWithin runs it (the
+// copy's edges set up, then every vertex against every edge, O(n) a term),
+// "grid" through a segment grid built beforehand (the walk, O(1) expected
+// a term, paid for by a build per copy and its bytes). ns/op is one pass.
+func BenchmarkBackPass(b *testing.B) {
+	rng := rand.New(rand.NewSource(29))
+	q, err := NormalizeCanonical(synth.Prototype(rng, 1, 20, true))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{8, 21, 64, 256} {
+		var copies []geom.Poly
+		for len(copies) < 32 {
+			es, err := Normalize(synth.Distort(rng, synth.Prototype(rng, len(copies), n, true), 0.02), DefaultOptions().Alpha)
+			if err != nil {
+				continue
+			}
+			copies = append(copies, es[0].Poly)
+		}
+		grids := make([]*BoundaryDist, len(copies))
+		for i, cp := range copies {
+			grids[i] = NewBoundaryDist(cp)
+		}
+		var sink float64
+		b.Run(fmt.Sprintf("n=%d/edges", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var buf [edgeStack]shapeindex.Seg
+				back := shapeindex.AppendEdges(buf[:0], copies[i%len(copies)])
+				d, _ := avgMinDistVerticesBoundedAffine(q.Poly, back.Dist, 0, math.Inf(1))
+				sink += d
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/grid", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d, _ := avgMinDistVerticesBoundedAffine(q.Poly, grids[i%len(grids)].Dist, 0, math.Inf(1))
+				sink += d
+			}
+		})
+		if math.IsNaN(sink) {
+			b.Fatal("NaN distance")
+		}
 	}
 }

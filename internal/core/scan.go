@@ -21,7 +21,6 @@ import (
 type scanShape struct {
 	id      int
 	entries []Entry
-	oracles []*BoundaryDist
 	cells   []uint16
 	off     []int32
 	idx     []int32
@@ -130,7 +129,7 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 		if fieldRejects(sums[c], int(s.off[ei+1]-s.off[ei]), cut) {
 			continue
 		}
-		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, sums[c], s.oracles[ei], cut)
+		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, sums[c], cut)
 		if reached {
 			scored++
 		}
@@ -160,7 +159,7 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 // Of the stats, VerticesCounted is the copies scanned, Candidates those
 // that reached the exact evaluator, BlocksRead the block cost of both the
 // scan and the final re-reads. ctx is checked every 32 shapes — each costs
-// a table load per stored vertex and a few oracle probes, so the
+// a table load per stored vertex and a few boundary probes, so the
 // cancellation latency stays well under a millisecond; a cancelled scan
 // returns ctx's error and no matches.
 func boundedScan(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, n int, shapeAt func(i int) scanShape, samples int, continuous bool) ([]Match, Stats, error) {
@@ -229,8 +228,7 @@ func boundedScan(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, n i
 		if s.cost != nil {
 			stats.BlocksRead += int(s.cost[ei])
 		}
-		out[i].DistContinuous = (avgMinDistToInto(s.entries[ei].Poly, pq.oracle, samples, &resample) +
-			avgMinDistToInto(pq.entry.Poly, s.oracles[ei], samples, &resample)) / 2
+		out[i].DistContinuous = pq.distContinuous(s.entries[ei].Poly, samples, &resample)
 	}
 	return out, stats, nil
 }

@@ -182,7 +182,6 @@ func TestNearestLowestCopyOnTies(t *testing.T) {
 	s := scanShape{id: 7, off: []int32{0}}
 	for c := 0; c < 3; c++ {
 		s.entries = append(s.entries, Entry{ShapeID: 7, Copy: c, Poly: poly})
-		s.oracles = append(s.oracles, NewBoundaryDist(poly))
 		if c < 2 {
 			s.cells = appendFieldCells(s.cells, poly.Pts)
 		} else {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/shapeindex"
 )
 
 // referenceKth computes the k-th smallest of the per-shape bests by the
@@ -143,11 +144,19 @@ func TestMatchScratchEpochWraparound(t *testing.T) {
 	}
 }
 
-// TestEntryOracleEquivalence asserts the freeze-time cached oracles are
-// bit-for-bit interchangeable with freshly built ones: the same grid over
-// the same normalized polygon, so every distance the matcher computes
-// through the cache equals the rebuild-per-candidate result exactly.
+// TestEntryOracleEquivalence pins EntryOracle's contract: the base holds
+// no oracle per entry, so EntryOracle builds one over the entry's
+// normalized polygon on demand — nil before Freeze — and what the searches
+// read instead, the copy's own edges (shapeindex.Edges), gives that
+// oracle's bits at every query vertex, hence the same directed pass.
 func TestEntryOracleEquivalence(t *testing.T) {
+	unfrozen := NewBase(DefaultOptions())
+	if _, err := unfrozen.AddShape(0, testShapes()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if o := unfrozen.EntryOracle(0); o != nil {
+		t.Fatal("an oracle before Freeze")
+	}
 	b := buildTestBase(t, DefaultOptions())
 	rng := rand.New(rand.NewSource(11))
 	queries := make([]geom.Poly, 0, len(testShapes()))
@@ -160,15 +169,19 @@ func TestEntryOracleEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ei := 0; ei < b.NumEntries(); ei++ {
-			cached := b.EntryOracle(ei)
-			if cached == nil {
+			oracle := b.EntryOracle(ei)
+			if oracle == nil {
 				t.Fatalf("entry %d: nil oracle after Freeze", ei)
 			}
-			fresh := NewBoundaryDist(b.Entry(ei).Poly)
-			got := AvgMinDistVertices(qe.Poly, cached)
-			want := AvgMinDistVertices(qe.Poly, fresh)
-			if got != want {
-				t.Fatalf("query %d entry %d: cached %v != fresh %v", qi, ei, got, want)
+			edges := shapeindex.AppendEdges(nil, b.Entry(ei).Poly)
+			for _, p := range qe.Poly.Pts {
+				if got, want := edges.Dist(p), oracle.Dist(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("query %d entry %d at %v: edges %v, oracle %v", qi, ei, p, got, want)
+				}
+			}
+			got, _ := avgMinDistVerticesBoundedAffine(qe.Poly, edges.Dist, 0, math.Inf(1))
+			if want := AvgMinDistVertices(qe.Poly, oracle); got != want {
+				t.Fatalf("query %d entry %d: edges %v != oracle %v", qi, ei, got, want)
 			}
 		}
 	}

@@ -30,34 +30,28 @@ func bruteDist2(parts shapeindex.GridParts, p geom.Point) float64 {
 }
 
 // checkDistBits compares Dist and Nearest at p with the brute-force
-// minimum, bit for bit, on g and on its reassembly from parts.
+// minimum, bit for bit.
 func checkDistBits(t testing.TB, g *shapeindex.SegmentGrid, p geom.Point) {
 	t.Helper()
 	parts := g.Parts()
-	re, err := shapeindex.GridFromParts(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := math.Sqrt(bruteDist2(parts, p))
-	for _, grid := range []*shapeindex.SegmentGrid{g, re} {
-		got := grid.Dist(p)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%v at %v: Dist = %v (%#x), brute force %v (%#x)",
-				grid, p, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-		i, d := grid.Nearest(p)
-		if math.Float64bits(d) != math.Float64bits(want) {
-			t.Fatalf("%v at %v: Nearest = %v, Dist %v", grid, p, d, got)
-		}
-		if math.IsInf(want, 1) != (i < 0) || i >= grid.NumSegments() {
-			t.Fatalf("%v at %v: Nearest index %d at distance %v", grid, p, i, d)
-		}
-		if i >= 0 {
-			one := shapeindex.GridParts{Ax: parts.Ax[i : i+1], Ay: parts.Ay[i : i+1],
-				Dx: parts.Dx[i : i+1], Dy: parts.Dy[i : i+1], InvL2: parts.InvL2[i : i+1]}
-			if math.Sqrt(bruteDist2(one, p)) != want {
-				t.Fatalf("%v at %v: Nearest index %d is not at the distance %v it reports", grid, p, i, d)
-			}
+	got := g.Dist(p)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%v at %v: Dist = %v (%#x), brute force %v (%#x)",
+			g, p, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	i, d := g.Nearest(p)
+	if math.Float64bits(d) != math.Float64bits(want) {
+		t.Fatalf("%v at %v: Nearest = %v, Dist %v", g, p, d, got)
+	}
+	if math.IsInf(want, 1) != (i < 0) || i >= g.NumSegments() {
+		t.Fatalf("%v at %v: Nearest index %d at distance %v", g, p, i, d)
+	}
+	if i >= 0 {
+		one := shapeindex.GridParts{Ax: parts.Ax[i : i+1], Ay: parts.Ay[i : i+1],
+			Dx: parts.Dx[i : i+1], Dy: parts.Dy[i : i+1], InvL2: parts.InvL2[i : i+1]}
+		if math.Sqrt(bruteDist2(one, p)) != want {
+			t.Fatalf("%v at %v: Nearest index %d is not at the distance %v it reports", g, p, i, d)
 		}
 	}
 }
@@ -99,8 +93,7 @@ func gridProbes(rng *rand.Rand, g *shapeindex.SegmentGrid) []geom.Point {
 // to evaluate, never what a distance is: at every probe of random segment
 // sets and polygon boundaries, and at every stored-copy vertex of a
 // demo-20 base against 32 query oracles — the calls a search makes — Dist
-// is the brute-force minimum of the same kernel, bit for bit, for a built
-// grid and for one reassembled from its parts.
+// is the brute-force minimum of the same kernel, bit for bit.
 func TestSegmentGridDistBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 24; trial++ {
@@ -192,39 +185,23 @@ func TestSegmentGridDistEdgeCases(t *testing.T) {
 		{"1x1 grid, outside", square[:1], geom.Pt(-3, -4), 5},
 		{"degenerate segment", []geom.Segment{geom.Seg(geom.Pt(3, 3), geom.Pt(3, 3))}, geom.Pt(0, 7), 5},
 		{"degenerate among others", append([]geom.Segment{geom.Seg(geom.Pt(2, 2), geom.Pt(2, 2))}, square...), geom.Pt(2, 2.5), 0.5},
+		// A grid 8e-9 tall: the middle row's cells are crossed by the
+		// segment at y = 0, which a tolerance in absolute units missed.
+		{"thin grid", geom.NewPolygon(geom.Pt(0, -4e-9), geom.Pt(16, 0), geom.Pt(0, 0), geom.Pt(0, 4e-9), geom.Pt(0, 0)).Edges(), geom.Pt(8, 0), 0},
+		// 1/|d|² overflows: measured at its start, not as a NaN.
+		{"too short to invert", []geom.Segment{geom.Seg(geom.Pt(0, 0), geom.Pt(1e-160, 0))}, geom.Pt(0, 3), 3},
 		{"empty own cell", corner, geom.Pt(7, 7), 7},
 		{"empty own cell, tie", corner, geom.Pt(5, 5), 5},
 		{"on a segment", corner, geom.Pt(3.5, 0), 0},
 	}
 	for _, tc := range cases {
 		g := shapeindex.NewSegmentGrid(tc.segs)
-		re, err := shapeindex.GridFromParts(g.Parts())
-		if err != nil {
-			t.Fatal(err)
+		if got := g.Dist(tc.p); got != tc.want {
+			t.Errorf("%s: %v Dist(%v) = %v, want %v", tc.name, g, tc.p, got, tc.want)
 		}
-		for _, grid := range []*shapeindex.SegmentGrid{g, re} {
-			if got := grid.Dist(tc.p); got != tc.want {
-				t.Errorf("%s: %v Dist(%v) = %v, want %v", tc.name, grid, tc.p, got, tc.want)
-			}
-			i, d := grid.Nearest(tc.p)
-			if d != tc.want || (i < 0) != math.IsInf(tc.want, 1) {
-				t.Errorf("%s: %v Nearest(%v) = (%d, %v), want distance %v", tc.name, grid, tc.p, i, d, tc.want)
-			}
-		}
-	}
-
-	// GridFromParts trusts element values: with cells that list nothing the
-	// walk still ends, by covering the grid, and reports +Inf.
-	parts := shapeindex.NewSegmentGrid(corner).Parts()
-	parts.CellStart = make([]int32, len(parts.CellStart))
-	parts.CellIDs = nil
-	hollow, err := shapeindex.GridFromParts(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []geom.Point{geom.Pt(1, 1), geom.Pt(-50, 3), geom.Pt(nan, 0)} {
-		if i, d := hollow.Nearest(p); i != -1 || !math.IsInf(d, 1) {
-			t.Errorf("grid listing no segment: Nearest(%v) = (%d, %v), want (-1, +Inf)", p, i, d)
+		i, d := g.Nearest(tc.p)
+		if d != tc.want || (i < 0) != math.IsInf(tc.want, 1) {
+			t.Errorf("%s: %v Nearest(%v) = (%d, %v), want distance %v", tc.name, g, tc.p, i, d, tc.want)
 		}
 	}
 }

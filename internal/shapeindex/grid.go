@@ -66,10 +66,7 @@ func NewSegmentGrid(segs []geom.Segment) *SegmentGrid {
 	}
 	for i, s := range segs {
 		g.ax[i], g.ay[i] = s.A.X, s.A.Y
-		g.dx[i], g.dy[i] = s.B.X-s.A.X, s.B.Y-s.A.Y
-		if l2 := g.dx[i]*g.dx[i] + g.dy[i]*g.dy[i]; l2 > 0 {
-			g.invL2[i] = 1 / l2
-		}
+		g.dx[i], g.dy[i], g.invL2[i] = segSetup(s.A, s.B)
 	}
 	// CSR cell build: count memberships, prefix-sum, then fill.
 	counts := make([]int32, g.nx*g.ny)
@@ -88,16 +85,20 @@ func NewSegmentGrid(segs []geom.Segment) *SegmentGrid {
 }
 
 // eachCell invokes fn for every (cell, segment) membership: each segment
-// is recorded in every cell of its bounding box that it actually touches,
-// up to rounding (nearest2's slack covers a segment missed by that much).
+// is recorded in every cell of its bounding box that it touches, and in
+// those it misses by no more than the rounding of a cell's edges.
 func (g *SegmentGrid) eachCell(segs []geom.Segment, fn func(idx int, id int32)) {
+	// The rounding in which cellOf and cellRect can disagree about where a
+	// cell ends: a few units in the grid's magnitudes.
+	b := g.bounds
+	slack := (math.Abs(b.Min.X) + math.Abs(b.Max.X) + math.Abs(b.Min.Y) + math.Abs(b.Max.Y)) * 0x1p-50
 	for i, s := range segs {
 		sb := s.Bounds()
 		x0, y0 := g.cellOf(sb.Min)
 		x1, y1 := g.cellOf(sb.Max)
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
-				if segmentTouchesRect(s, g.cellRect(cx, cy)) {
+				if segmentTouchesRect(s, g.cellRect(cx, cy), slack) {
 					fn(g.cellIndex(cx, cy), int32(i))
 				}
 			}
@@ -146,17 +147,29 @@ func (g *SegmentGrid) cellRect(cx, cy int) geom.Rect {
 	return r
 }
 
-func segmentTouchesRect(s geom.Segment, r geom.Rect) bool {
-	if r.Contains(s.A) || r.Contains(s.B) {
-		return true
-	}
-	c := r.Corners()
-	for i := 0; i < 4; i++ {
-		if hit, _ := s.Intersect(geom.Seg(c[i], c[(i+1)%4])); hit {
+// segmentTouchesRect reports whether s touches r, a cell of s's bounding
+// box grown by slack on every side: unless the grown cell's corners lie
+// strictly on one side of s's line. A cross product within its own
+// rounding of 0 counts as on the line, so a segment is never left out of a
+// cell it touches, at any scale (a tolerance in absolute units,
+// geom.Orientation's, drops segments crossing a thin grid's cells).
+func segmentTouchesRect(s geom.Segment, r geom.Rect, slack float64) bool {
+	r = geom.Rect{Min: geom.Pt(r.Min.X-slack, r.Min.Y-slack), Max: geom.Pt(r.Max.X+slack, r.Max.Y+slack)}
+	dx, dy := s.B.X-s.A.X, s.B.Y-s.A.Y
+	above, below := false, false
+	for _, c := range r.Corners() {
+		u, v := dx*(c.Y-s.A.Y), dy*(c.X-s.A.X)
+		round := (math.Abs(u) + math.Abs(v)) * 0x1p-50
+		switch d := u - v; {
+		case d > round:
+			above = true
+		case d < -round:
+			below = true
+		default:
 			return true
 		}
 	}
-	return false
+	return above && below
 }
 
 // NumSegments returns the number of indexed segments.
@@ -192,9 +205,10 @@ func (g *SegmentGrid) Segment(i int) geom.Segment {
 // A cell row is one run of cellIDs (cell y·nx+x starts where cell y·nx+x−1
 // ends), so a strip of cells is scanned row by row without a per-cell step;
 // a segment listed in several of the cells is evaluated again, to the same
-// value. The result is the minimum of the one kernel below over a set of
-// segments that holds a nearest one, so any walk with an admissible bound
-// returns the same bits.
+// value. The result is the minimum of the one kernel (SegDist2) over a set
+// of segments that holds a nearest one, so any walk with an admissible
+// bound returns the same bits — Edges.Dist's scan of every segment among
+// them.
 func (g *SegmentGrid) nearest2(p geom.Point) (best int, best2 float64, evals int) {
 	// One length for the five segment arrays: one bounds check per segment.
 	ax := g.ax
@@ -215,10 +229,7 @@ walk:
 			run := cellIDs[cellStart[row+xa]:cellStart[row+xb+1]]
 			evals += len(run)
 			for _, id := range run {
-				wx, wy := px-ax[id], py-ay[id]
-				t := min(max((wx*dx[id]+wy*dy[id])*invL2[id], 0), 1)
-				ex, ey := wx-t*dx[id], wy-t*dy[id]
-				d2 := ex*ex + ey*ey
+				d2 := SegDist2(px, py, ax[id], ay[id], dx[id], dy[id], invL2[id])
 				if d2 < best2 {
 					best = int(id)
 				}
@@ -288,11 +299,9 @@ func (g *SegmentGrid) String() string {
 	return fmt.Sprintf("SegmentGrid{%d segments, %dx%d cells}", len(g.ax), g.nx, g.ny)
 }
 
-// GridParts is the flattened state of a SegmentGrid, exposed so a
-// persistence layer can write the grid's arrays verbatim and rebuild
-// (or alias) them without re-deriving cell memberships from geometry.
-// The slices are the grid's live internals — callers must not mutate
-// them.
+// GridParts is the flattened state of a SegmentGrid: the query's distance
+// field is built from its segment arrays. The slices are the grid's live
+// internals — callers must not mutate them.
 type GridParts struct {
 	Ax, Ay, Dx, Dy []float64 // segment start points and direction vectors
 	InvL2          []float64 // 1 / |d|² (0 for degenerate segments)
@@ -310,38 +319,4 @@ func (g *SegmentGrid) Parts() GridParts {
 		Bounds: g.bounds, Nx: g.nx, Ny: g.ny, Cw: g.cw, Ch: g.ch,
 		CellStart: g.cellStart, CellIDs: g.cellIDs,
 	}
-}
-
-// GridFromParts reassembles a SegmentGrid from previously flattened
-// state, adopting (possibly aliasing) the given slices. Shape checks
-// guard slice-indexing invariants; element values are trusted — the
-// caller is expected to have integrity-checked the bytes (the GSIR3
-// loader verifies every section checksum before assembly).
-func GridFromParts(p GridParts) (*SegmentGrid, error) {
-	n := len(p.Ax)
-	if n == 0 {
-		return nil, fmt.Errorf("shapeindex: grid parts with no segments")
-	}
-	if len(p.Ay) != n || len(p.Dx) != n || len(p.Dy) != n || len(p.InvL2) != n {
-		return nil, fmt.Errorf("shapeindex: grid parts with mismatched segment arrays")
-	}
-	if p.Nx < 1 || p.Ny < 1 || p.Nx > n+1 || p.Ny > n+1 {
-		return nil, fmt.Errorf("shapeindex: grid parts with implausible dimensions %dx%d", p.Nx, p.Ny)
-	}
-	if len(p.CellStart) != p.Nx*p.Ny+1 {
-		return nil, fmt.Errorf("shapeindex: grid parts cellStart len %d, want %d",
-			len(p.CellStart), p.Nx*p.Ny+1)
-	}
-	if !(p.Cw > 0) || !(p.Ch > 0) {
-		return nil, fmt.Errorf("shapeindex: grid parts with non-positive cell size")
-	}
-	if int(p.CellStart[len(p.CellStart)-1]) != len(p.CellIDs) {
-		return nil, fmt.Errorf("shapeindex: grid parts cellIDs len %d, want %d",
-			len(p.CellIDs), p.CellStart[len(p.CellStart)-1])
-	}
-	return &SegmentGrid{
-		ax: p.Ax, ay: p.Ay, dx: p.Dx, dy: p.Dy, invL2: p.InvL2,
-		bounds: p.Bounds, nx: p.Nx, ny: p.Ny, cw: p.Cw, ch: p.Ch,
-		cellStart: p.CellStart, cellIDs: p.CellIDs,
-	}, nil
 }

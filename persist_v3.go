@@ -16,7 +16,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mmap"
 	"repro/internal/query"
-	"repro/internal/shapeindex"
 )
 
 // GSIR3 is the mmap-friendly frozen-shard format: the on-disk form of
@@ -46,15 +45,15 @@ import (
 // exactly the information GSIR2 stores — so a GSIR3 snapshot with
 // damaged derived sections can still be rebuilt the slow way. The
 // derived family is the frozen index: entry metadata and transforms
-// (ENTM, ENTT), the flattened vertex arrays (EOFF, EVTX), the pooled
-// BoundaryDist segment-grid arrays (GRDH, GSEG, GCEL, GIDS),
+// (ENTM, ENTT), the flattened vertex arrays (EOFF, EVTX),
 // geometric-hash quadruples (QUAD), diameter angles (DANG), image graphs
 // (GRPH), and the ANN signature family (ANNP, ANNS). Sections are found
 // by tag: one the table does not name is checksummed like the rest and
-// otherwise ignored — GBND, and the kd-tree (KDTP, KDTI, KDTB) and
-// vertex → entry map (VENT) that only the paper's climb reads, which is
-// built on its first use instead (core.Base.BuildRangeIndex), all of
-// which earlier writers emitted.
+// otherwise ignored. Earlier writers emitted four kinds of these: GBND;
+// the kd-tree (KDTP, KDTI, KDTB) and vertex → entry map (VENT) that only
+// the paper's climb reads, which is built on its first use instead
+// (core.Base.BuildRangeIndex); and a segment grid per entry (GRDH, GSEG,
+// GCEL, GIDS), where a search now reads the copy's own edges.
 //
 // Integrity: the loader verifies the table checksum and then every
 // section's CRC32 before assembly — corrupt bytes are refused (or, via
@@ -100,9 +99,9 @@ type v3Row struct {
 	// the bytes left.
 	elem int
 	// count is how many elements the OPTS counts promise. nil marks a
-	// pooled array — its extent is stated by sibling headers (GRDH for
-	// the grid pools, ANNP for ANNS), which the assembly bounds-checks —
-	// and only whole elements are required of it.
+	// pooled array — its extent is stated by a sibling header (ANNP for
+	// ANNS), which the assembly checks — and only whole elements are
+	// required of it.
 	count func(o *v3Options) int
 }
 
@@ -125,10 +124,6 @@ var v3Table = []v3Row{
 	{"ENTT", v3Derived, 64, v3Entries},  // geom.Transform × 2: Norm then Inv
 	{"EOFF", v3Derived, 4, v3EntryEnds}, // i32: entry → first vertex
 	{"EVTX", v3Derived, 16, v3Verts},    // geom.Point
-	{"GRDH", v3Derived, 80, v3Entries},  // gridHeader
-	{"GSEG", v3Derived, 8, nil},         // f64, per grid: Ax | Ay | Dx | Dy | InvL2
-	{"GCEL", v3Derived, 4, nil},         // i32 cell starts
-	{"GIDS", v3Derived, 4, nil},         // i32 cell segment ids
 	{"QUAD", v3Derived, 16, v3Shapes},   // 4 × i32 hash cell, all -1: shape not in the table
 	{"DANG", v3Derived, 8, v3Shapes},    // f64 diameter angle
 	{"GRPH", v3Derived, 0, nil},         // u32 n | n × { image id | shapes | edges }
@@ -170,19 +165,6 @@ func v3Check(sec map[string][]byte, o *v3Options, rawOnly bool) error {
 		}
 	}
 	return nil
-}
-
-// gridHeader is the fixed 80-byte per-entry descriptor of a pooled
-// BoundaryDist segment grid: geometry first (8-byte fields), then the
-// int32 offsets into the pooled GSEG/GCEL/GIDS arrays. The layout is
-// padding-free, so a GRDH payload casts directly to []gridHeader.
-type gridHeader struct {
-	Bounds          geom.Rect
-	Cw, Ch          float64
-	Nx, Ny          int32
-	SegOff, NSegs   int32
-	CellOff, NCells int32
-	IDOff, NIDs     int32
 }
 
 // view returns section payload b as a []T, T being the fixed-size,
@@ -331,28 +313,6 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	}
 	out["ENTM"], out["ENTT"] = put(nil, metas), put(nil, trans)
 	out["EOFF"], out["EVTX"] = put(nil, parts.EntryOff), put(nil, parts.Verts)
-
-	// GRDH / GSEG / GCEL / GIDS — the oracle grids, pooled.
-	heads := make([]gridHeader, ne)
-	var gseg, gcel, gids []byte
-	for i, o := range parts.Oracles {
-		if o == nil || o.Grid() == nil {
-			return nil, fmt.Errorf("geosir: entry %d has no oracle grid", i)
-		}
-		gp := o.Grid().Parts()
-		heads[i] = gridHeader{
-			Bounds: gp.Bounds, Cw: gp.Cw, Ch: gp.Ch, Nx: int32(gp.Nx), Ny: int32(gp.Ny),
-			SegOff: int32(len(gseg) / (5 * 8)), NSegs: int32(len(gp.Ax)),
-			CellOff: int32(len(gcel) / 4), NCells: int32(len(gp.CellStart)),
-			IDOff: int32(len(gids) / 4), NIDs: int32(len(gp.CellIDs)),
-		}
-		for _, arr := range [5][]float64{gp.Ax, gp.Ay, gp.Dx, gp.Dy, gp.InvL2} {
-			gseg = put(gseg, arr)
-		}
-		gcel = put(gcel, gp.CellStart)
-		gids = put(gids, gp.CellIDs)
-	}
-	out["GRDH"], out["GSEG"], out["GCEL"], out["GIDS"] = put(nil, heads), gseg, gcel, gids
 
 	// QUAD / DANG — geometric-hash quadruples and diameter angles, per
 	// shape. A shape the hash table skipped (degenerate canonical
@@ -632,35 +592,6 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 		}
 	}
 
-	// Oracle grids from the pooled arrays.
-	gseg := v3View[float64](r, "GSEG")
-	gcel := v3View[int32](r, "GCEL")
-	gids := v3View[int32](r, "GIDS")
-	grids := make([]*shapeindex.SegmentGrid, o.nEntries)
-	for i, h := range v3View[gridHeader](r, "GRDH") {
-		n := int(h.NSegs)
-		so, co, io_ := int(h.SegOff), int(h.CellOff), int(h.IDOff)
-		if n <= 0 || so < 0 || 5*(so+n) > 5*so+5*n || so+n > len(gseg)/5 ||
-			co < 0 || int(h.NCells) < 0 || co+int(h.NCells) > len(gcel) ||
-			io_ < 0 || int(h.NIDs) < 0 || io_+int(h.NIDs) > len(gids) {
-			return nil, fmt.Errorf("geosir: entry %d grid header out of bounds", i)
-		}
-		base5 := 5 * so
-		seg := gseg[base5 : base5+5*n]
-		g, err := shapeindex.GridFromParts(shapeindex.GridParts{
-			Ax: seg[0:n:n], Ay: seg[n : 2*n : 2*n], Dx: seg[2*n : 3*n : 3*n],
-			Dy: seg[3*n : 4*n : 4*n], InvL2: seg[4*n : 5*n : 5*n],
-			Bounds: h.Bounds,
-			Nx:     int(h.Nx), Ny: int(h.Ny), Cw: h.Cw, Ch: h.Ch,
-			CellStart: gcel[co : co+int(h.NCells) : co+int(h.NCells)],
-			CellIDs:   gids[io_ : io_+int(h.NIDs) : io_+int(h.NIDs)],
-		})
-		if err != nil {
-			return nil, fmt.Errorf("geosir: entry %d: %w", i, err)
-		}
-		grids[i] = g
-	}
-
 	base, err := core.BaseFromParts(core.BaseSpec{
 		Opts:       coreOptsFor(o.opts),
 		Shapes:     shapes,
@@ -668,7 +599,6 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 		EntryTrans: v3View[geom.Transform](r, "ENTT"),
 		Verts:      v3View[geom.Point](r, "EVTX"),
 		EntryOff:   v3View[int32](r, "EOFF"),
-		Grids:      grids,
 	})
 	if err != nil {
 		return nil, err

@@ -14,8 +14,9 @@ import (
 )
 
 // gsir3KDTreeGolden is a GSIR3 snapshot of buildEngine's base written
-// while the format still carried the climb's range index: besides every
-// section of v3Table it holds v3LegacyTags, which the loader now ignores.
+// while the format still carried the climb's range index and a segment
+// grid per entry: besides every section of v3Table it holds v3LegacyTags,
+// which the loader now ignores.
 func gsir3KDTreeGolden(tb testing.TB) []byte {
 	tb.Helper()
 	data, err := os.ReadFile(gsir3KDTreeGoldenPath)
@@ -28,8 +29,9 @@ func gsir3KDTreeGolden(tb testing.TB) []byte {
 const gsir3KDTreeGoldenPath = "testdata/gsir3/kdtree.gsir3"
 
 // v3LegacyTags are the sections the golden holds and v3Table no longer
-// names: the vertex → entry map and the kd-tree.
-var v3LegacyTags = []string{"VENT", "KDTP", "KDTI", "KDTB"}
+// names: the per-entry segment grids, the vertex → entry map and the
+// kd-tree.
+var v3LegacyTags = []string{"GRDH", "GSEG", "GCEL", "GIDS", "VENT", "KDTP", "KDTI", "KDTB"}
 
 func saveV3(t *testing.T, eng *Engine) []byte {
 	t.Helper()
@@ -163,8 +165,19 @@ func TestGSIR3Peek(t *testing.T) {
 	if info.Images != orig.NumImages() || info.Shapes != orig.NumShapes() {
 		t.Fatalf("peek counts %d/%d, want %d/%d", info.Images, info.Shapes, orig.NumImages(), orig.NumShapes())
 	}
-	if info.Sections == 0 {
-		t.Fatal("peek should report the section count")
+	// A fresh file holds the table's rows and no section of an older
+	// writer's: no segment grid per entry.
+	if info.Sections != len(v3Table) {
+		t.Fatalf("peek reports %d sections, the table has %d rows", info.Sections, len(v3Table))
+	}
+	rows, err := parseV3Layout(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if slices.Contains(v3LegacyTags, r.tag) {
+			t.Fatalf("a fresh file holds section %s", r.tag)
+		}
 	}
 	if info.Options != orig.Options() {
 		t.Fatalf("peek options %+v, want %+v", info.Options, orig.Options())
@@ -259,10 +272,11 @@ func TestGSIR3CrossFormatEquivalence(t *testing.T) {
 }
 
 // TestGSIR3KDTreeGolden loads a snapshot an older writer produced, with
-// the kd-tree and vertex → entry sections: heap-decoded and mapped, it
-// answers exactly as a fresh build of the same base, and re-saving it
-// drops exactly those four sections and leaves every other payload —
-// OPTS's 64 bytes with the backend word 2 among them — byte-identical.
+// the per-entry grid, kd-tree and vertex → entry sections: heap-decoded
+// and mapped, it answers exactly as a fresh build of the same base —
+// matches and stats byte for byte — and re-saving it drops exactly those
+// eight sections and leaves every other payload — OPTS's 64 bytes with
+// the backend word 2 among them — byte-identical.
 func TestGSIR3KDTreeGolden(t *testing.T) {
 	fresh := buildEngine(t)
 	data := gsir3KDTreeGolden(t)
