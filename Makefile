@@ -69,7 +69,7 @@ bench-check:
 # benchmarks that no longer compile or panic, without paying for stable
 # timings.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring' -benchtime=1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchLive' -benchtime=1x .
 
 # Short fuzzing budget per target (Go allows one -fuzz pattern per
 # package invocation, hence one line each). Catches regressions in the

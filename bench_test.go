@@ -301,10 +301,12 @@ func BenchmarkFig10_Selectivity(b *testing.B) {
 // --- §2.5: retrieval scaling (polylog claim) ------------------------------
 
 // benchmarkMatchAtScale times the exact search as it is served —
-// Engine.Search in ModeExact: hash seed, then one bounded scan behind the
-// distance-field reject — over bases of growing size, and reports what the
-// base-size question needs: the share of stored copies that reach the
-// exact evaluator and the time per stored copy.
+// Engine.Search in ModeExact: every stored shape floored by the query's
+// distance field, then shapes scored in floor order until the next floor
+// lies above the k-th best — over bases of growing size, and reports what
+// the base-size question needs: the share of stored copies that reach the
+// exact evaluator, every evaluation of the request counted (~0.0118 on 200
+// images, ~213 copies a search), and the time per stored copy.
 func benchmarkMatchAtScale(b *testing.B, scale float64) {
 	images := synth.GenerateBase(synth.PaperSpec(scale, 1))
 	eng := buildSingle(b, images)
@@ -328,21 +330,22 @@ func BenchmarkMatch_Scaling_50images(b *testing.B)  { benchmarkMatchAtScale(b, 0
 func BenchmarkMatch_Scaling_100images(b *testing.B) { benchmarkMatchAtScale(b, 0.01) }
 func BenchmarkMatch_Scaling_200images(b *testing.B) { benchmarkMatchAtScale(b, 0.02) }
 
-// BenchmarkBucketScoring times the seed pass of that search alone — the
-// query's hash bucket scored best-first (scoreSeed; DESIGN.md §4.9), over
-// the 200-image base and its 64 queries, bucket lookup and distance field
-// outside the clock — and reports what the pass's order is for: how many of
-// the bucket's shapes it scored in full (they came back with a distance)
-// and how many normalized copies reached the exact evaluator, per query.
+// BenchmarkBucketScoring times the approximate bucket pass — the query's
+// hash bucket scored best-first (scoreCandidates; DESIGN.md §4.9), the
+// pass behind ModeApproximate and ModeAuto's fallback — over the 200-image
+// base and its 64 queries, bucket lookup and distance field outside the
+// clock, and reports what the pass's order is for: how many of the
+// bucket's shapes it scored in full (they came back with a distance) and
+// how many normalized copies reached the exact evaluator, per query.
 func BenchmarkBucketScoring(b *testing.B) {
 	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
 	eng := buildSingle(b, images)
-	parts := eng.searchView().parts
+	p := eng.searchView().parts[0]
 	ctx := context.Background()
 	var evaluated atomic.Int64
 	type prepared struct {
-		pq      *core.PreparedQuery
-		buckets [][]int
+		pq     *core.PreparedQuery
+		bucket []int
 	}
 	var qs []prepared
 	var bucket, inFull int
@@ -352,23 +355,23 @@ func BenchmarkBucketScoring(b *testing.B) {
 			b.Fatal(err)
 		}
 		pq.AttachEvalCounter(&evaluated)
-		p := prepared{pq, hashBuckets(parts, pq)}
+		ids := hashBuckets([]part{p}, pq)[0]
 		// The pass is deterministic: this one builds the query's distance
 		// field and is the one counted.
-		for _, m := range mustSeed(b, parts, pq, p.buckets, 5).scored[0] {
-			bucket++
-			if m.EntryID >= 0 {
-				inFull++
-			}
+		ms, err := scoreCandidates(ctx, p, pq, ids, 5, nil)
+		if err != nil {
+			b.Fatal(err)
 		}
-		qs = append(qs, p)
+		bucket += len(ids)
+		inFull += len(ms)
+		qs = append(qs, prepared{pq, ids})
 	}
 	copies := evaluated.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if _, err := scoreSeed(ctx, parts, q.pq, q.buckets, 5); err != nil {
+		if _, err := scoreCandidates(ctx, p, q.pq, q.bucket, 5, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -376,6 +379,70 @@ func BenchmarkBucketScoring(b *testing.B) {
 	b.ReportMetric(float64(bucket)/n, "bucket/query")
 	b.ReportMetric(float64(inFull)/n, "scored/query")
 	b.ReportMetric(float64(copies)/n, "copies/query")
+}
+
+// BenchmarkSearchLive times ModeAuto searches on a live base: 8 shards over
+// demo-200, then 200 fresh images (5 shapes of ~20 vertices each, from 16
+// prototypes of their own) inserted with a compaction after every 40 but
+// the last — so the newest 40 sit in the delta — then 20 of them deleted,
+// spread over the compacted shards and the delta. Queries copied from a
+// fresh image ("fresh") have their match in one small part, the others'
+// shapes far from them; queries from the base ("base") have theirs spread
+// over the 8 shards. It reports candidates per search besides the time.
+func BenchmarkSearchLive(b *testing.B) {
+	ctx := context.Background()
+	base := synth.GenerateBase(synth.PaperSpec(0.02, 1))
+	se := NewSharded(DefaultOptions(), 8)
+	for _, im := range base {
+		if err := se.AddImage(im.ID, im.Shapes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := se.Freeze(); err != nil {
+		b.Fatal(err)
+	}
+	if err := se.EnableIngest(IngestConfig{Dir: b.TempDir(), CompactThreshold: -1, NoSync: true}); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { se.CloseIngest() })
+	fresh := synth.GenerateBase(synth.BaseSpec{Images: 200, MeanShapes: 5, MeanVertices: 20, Prototypes: 16,
+		Distortion: 0.015, OpenFraction: 0.25, Seed: 7})
+	for i := range fresh {
+		fresh[i].ID += 10000
+		if err := se.InsertImage(ctx, fresh[i].ID, fresh[i].Shapes); err != nil {
+			b.Fatal(err)
+		}
+		if (i+1)%40 == 0 && i+1 < len(fresh) {
+			if err := se.Compact(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var live []synth.Image
+	for i, im := range fresh {
+		if i%10 == 9 {
+			if err := se.DeleteImage(ctx, im.ID); err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			live = append(live, im)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []struct {
+		name   string
+		images []synth.Image
+	}{{"fresh", live}, {"base", base}} {
+		queries := synth.Queries(rng, c.images, 64, 0.01)
+		b.Run(c.name, func(b *testing.B) {
+			var candidates int
+			for i := 0; i < b.N; i++ {
+				resp := mustSearch(b, se, SearchRequest{Query: queries[i%len(queries)], K: 5})
+				candidates += resp.Stats.Candidates
+			}
+			b.ReportMetric(float64(candidates)/float64(b.N), "candidates/search")
+		})
+	}
 }
 
 // --- §3: geometric hashing -------------------------------------------------

@@ -3,9 +3,9 @@ package geosir
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -13,14 +13,15 @@ import (
 	"repro/internal/synth"
 )
 
-// The bound-first property (DESIGN.md §4.9): seeding the exact search's
-// bound from the hash tier changes how much work a request does, never
-// its matches. Every Search below — on an Engine and on ShardedEngines —
-// is compared byte for byte with the exact scatter over the same parts
-// called without a seed and, in ModeAuto, with the fallback decision that
-// follows from that unseeded exact phase. The Engine, whose Search is the
-// one-part case of the same code, is anchored on a reference that shares
-// none of it (engineUnseeded).
+// The floor-order property (DESIGN.md §4.9, "The exact search is two
+// passes"): the order the exact search scores shapes in — one heap of
+// floors across the whole view — and where it stops change how much work a
+// request does, never its matches. Every Search below — on an Engine and on
+// ShardedEngines — is compared byte for byte with the exact answer worked
+// out the long way over the same parts (exactUnseeded) and, in ModeAuto,
+// with the fallback decision that follows from it. The Engine, whose Search
+// is the one-part case of the same code, is anchored on a reference that
+// shares none of it (engineUnseeded).
 
 // engineUnseeded answers (q, k, mode) from nothing Search runs: the
 // unseeded climb of Base().Match for the exact phase, and for the hashing
@@ -63,30 +64,8 @@ func engineUnseeded(t *testing.T, label string, e *Engine, q Shape, k int, mode 
 	return approx[:min(k, len(approx))]
 }
 
-// mustSeed is the seed pass of a request nobody cancels.
-func mustSeed(t testing.TB, parts []part, pq *core.PreparedQuery, buckets [][]int, k int) *hashSeed {
-	t.Helper()
-	seed, err := scoreSeed(context.Background(), parts, pq, buckets, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return seed
-}
-
-// seeded reports whether a Search of (q, k) over the parts runs under a
-// hash-tier seed, so a scenario can assert it exercises the path it is
-// there for.
-func seeded(t *testing.T, parts []part, q Shape, k int) bool {
-	t.Helper()
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mustSeed(t, parts, pq, hashBuckets(parts, pq), k).bound() != nil
-}
-
 // assertBoundFirst sweeps modes × exec policies of one (engine, q, k) and
-// compares each Search with the unseeded reference over the engine's view.
+// compares each Search with the reference over the engine's view.
 func assertBoundFirst(t *testing.T, label string, s Searcher, v searchView, q Shape, k int) {
 	t.Helper()
 	ctx := context.Background()
@@ -107,61 +86,61 @@ func assertBoundFirst(t *testing.T, label string, s Searcher, v searchView, q Sh
 	}
 }
 
-// assertHandOver runs the exact phase of (q, k) over the parts twice under
-// one seed — the frozen parts taking what the seed pass proved about their
-// bucket shapes, and every part scoring its bucket again — at GOMAXPROCS 1
-// and 2, on one worker and on one per part (the hand-over reads a bound
-// siblings publish concurrently): the two cannot be told apart in the
-// matches or in Converged, and on the deterministic width-1 walk the
-// hand-over never sends more copies to the exact evaluator. (Both modes
-// run this phase alike.) It reports
-// whether the request was seeded at all, and how many tombstoned shapes of
-// frozen parts sit on the query's hash curves.
-func assertHandOver(t *testing.T, label string, parts []part, q Shape, k int) (seeded bool, deadInBucket int) {
-	t.Helper()
-	ctx := context.Background()
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	buckets := hashBuckets(parts, pq)
-	quad := parts[0].family().Characteristic(pq.Entry().Poly.Pts)
+// liveIn counts the live shapes of a view's parts, and the tombstoned
+// shapes of its frozen parts.
+func liveIn(parts []part) (live, dead int) {
 	for _, p := range parts {
-		if fp, ok := p.(*frozenPart); ok {
-			for _, id := range fp.e.table.Lookup(quad, 0) {
-				if fp.dead[id] {
-					deadInBucket++
-				}
-			}
+		switch p := p.(type) {
+		case *frozenPart:
+			live, dead = live+p.liveShapes(), dead+len(p.dead)
+		case *deltaPart:
+			live += p.d.NumShapes()
 		}
 	}
+	return live, dead
+}
+
+// assertTwoPasses runs the exact search of (q, k) over the parts at
+// GOMAXPROCS 1 and 2, on one worker and on one per part: the matches and
+// Converged are the reference's, pass 1 lists every live shape once — no
+// tombstoned one — and the work is the same at every width (VerticesCounted,
+// BlockReads, and the copies the query's counter sees reach the exact
+// evaluator): pass 2 runs on the request's goroutine over a total order.
+// It reports how many tombstoned shapes the frozen parts hold.
+func assertTwoPasses(t *testing.T, label string, parts []part, q Shape, k int) int {
+	t.Helper()
+	ctx := context.Background()
+	want, wst := exactUnseeded(t, label, parts, q, k, 1, nil)
+	live, dead := liveIn(parts)
+	var first Stats
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
 		for _, width := range []int{1, len(parts)} {
 			l := fmt.Sprintf("%s procs=%d width=%d", label, procs, width)
-			on := mustSeed(t, parts, pq, buckets, k)
-			seeded = on.bound() != nil
-			got, gst, err := exactSeeded(ctx, parts, pq, k, width, on)
+			pq, err := core.PrepareQuery(q)
 			if err != nil {
 				t.Fatalf("%s: %v", l, err)
 			}
-			off := mustSeed(t, parts, pq, buckets, k)
-			off.scored = nil
-			want, wst, err := exactSeeded(ctx, parts, pq, k, width, off)
+			var evaluated atomic.Int64
+			pq.AttachEvalCounter(&evaluated)
+			got, st, err := exactSearch(ctx, parts, pq, k, width)
 			if err != nil {
 				t.Fatalf("%s: %v", l, err)
 			}
-			assertMatchesEqual(t, l+" hand-over", want, got)
-			if gst.Converged != wst.Converged {
-				t.Fatalf("%s: Converged %v with the hand-over, %v without", l, gst.Converged, wst.Converged)
+			assertMatchesEqual(t, l, want, got)
+			if st.Converged != wst.Converged || st.Converged != (k <= live) {
+				t.Fatalf("%s: Converged %v, reference %v, %d live shapes", l, st.Converged, wst.Converged, live)
 			}
-			if width == 1 && gst.Candidates > wst.Candidates {
-				t.Fatalf("%s: %d candidates with the hand-over, %d without", l, gst.Candidates, wst.Candidates)
+			st.Candidates = int(evaluated.Load())
+			if first.Iterations == 0 {
+				first = st
+			} else if st != first {
+				t.Fatalf("%s: stats %+v, at width 1 on one core %+v", l, st, first)
 			}
 		}
 	}
-	return seeded, deadInBucket
+	return dead
 }
 
 // annApproxUnshared is the ann:approx answer with no bound shared: every
@@ -241,7 +220,7 @@ func TestBoundFirstEquivalence(t *testing.T) {
 	for qi, q := range queries {
 		for _, k := range ks {
 			assertBoundFirst(t, fmt.Sprintf("engine q%d k=%d", qi, k), single, single.searchView(), q, k)
-			assertHandOver(t, fmt.Sprintf("engine q%d k=%d", qi, k), single.searchView().parts, q, k)
+			assertTwoPasses(t, fmt.Sprintf("engine q%d k=%d", qi, k), single.searchView().parts, q, k)
 			for _, mode := range []Mode{ModeExact, ModeAuto} {
 				label := fmt.Sprintf("engine q%d k=%d %v", qi, k, mode)
 				got, err := single.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
@@ -249,8 +228,8 @@ func TestBoundFirstEquivalence(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				assertMatchesEqual(t, label, engineUnseeded(t, label, single, q, k, mode), got.Matches)
-				if k == 1 && got.Stats.Iterations != 1 {
-					t.Errorf("%s: %d iterations under a k=1 seed, want 1", label, got.Stats.Iterations)
+				if got.Stats.Iterations != 1 || got.Stats.FinalEpsilon != 0 {
+					t.Errorf("%s: %d iterations at width %g, want the exact search's 1 at 0", label, got.Stats.Iterations, got.Stats.FinalEpsilon)
 				}
 			}
 		}
@@ -296,18 +275,13 @@ func TestBoundFirstEquivalence(t *testing.T) {
 			for _, k := range ks {
 				label := fmt.Sprintf("shards=%d q%d k=%d", shards, qi, k)
 				v := se.searchView()
-				// k = 1 always finds its seed (the source's bucket is not
-				// empty); k beyond the base never does.
-				// A bucket short of k live shapes hands nothing over either.
-				if on, _ := assertHandOver(t, label, v.parts, q, k); (k == 1 && !on) || (k > many && on) {
-					t.Fatalf("%s: seeded = %v", label, on)
-				}
+				assertTwoPasses(t, label, v.parts, q, k)
 				assertBoundFirst(t, label, se, v, q, k)
 			}
 		}
 
-		// Live: the nearest stored shapes of the first query tombstoned (the
-		// seed must not count them), and a copy of the second query's source
+		// Live: the nearest stored shapes of the first query tombstoned (pass
+		// 1 must not list them), and a copy of the second query's source
 		// inserted, so the delta holds its best match.
 		var midCompaction func()
 		enableIngest(t, se, t.TempDir(), IngestConfig{CrashStage: func(stage string) error {
@@ -336,10 +310,8 @@ func TestBoundFirstEquivalence(t *testing.T) {
 			for _, k := range ks {
 				label := fmt.Sprintf("shards=%d live q%d k=%d", shards, qi, k)
 				assertBoundFirst(t, label, se, se.searchView(), q, k)
-				// The tombstoned shapes sit in a frozen part's bucket: neither
-				// the seed pass nor the scan it hands over to may count them.
-				if _, dead := assertHandOver(t, label, se.searchView().parts, q, k); qi == 0 && dead == 0 {
-					t.Fatalf("%s: no tombstoned shape on the query's hash curves", label)
+				if dead := assertTwoPasses(t, label, se.searchView().parts, q, k); dead == 0 {
+					t.Fatalf("%s: no tombstoned shape in the view", label)
 				}
 			}
 		}
@@ -348,7 +320,7 @@ func TestBoundFirstEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got.Matches) != 1 || got.Matches[0].ImageID != 9002 || got.Stats.Iterations > 1 {
-			t.Fatalf("shards=%d: the delta's copy of the query is not the seeded best match: %+v, %d iterations",
+			t.Fatalf("shards=%d: the delta's copy of the query is not the best match: %+v, %d iterations",
 				shards, got.Matches, got.Stats.Iterations)
 		}
 		got, err = se.Search(ctx, SearchRequest{Query: queries[0], K: 5, Mode: ModeExact})
@@ -361,11 +333,12 @@ func TestBoundFirstEquivalence(t *testing.T) {
 			}
 		}
 
-		// The delta as a part like any other (DESIGN.md §4.12): it scans
-		// under the request's bound and publishes into it while holding
-		// none, some or all of the merged top-k, a twin of a frozen shape (a
-		// tie at distance 0 across parts), and — mid-compaction — as two
-		// deltas, sealed and active, at once.
+		// The delta as a part like any other (DESIGN.md §4.12): its shapes
+		// join the one heap of the exact search, and its candidate scan
+		// consumes and publishes the request's bound, while it holds none,
+		// some or all of the merged top-k, a twin of a frozen shape (a tie at
+		// distance 0 across parts), and — mid-compaction — as two deltas,
+		// sealed and active, at once.
 		var frozenTwin Shape
 		for _, im := range images[1 : len(images)-1] {
 			if !gone[im.ID] {
@@ -432,12 +405,13 @@ func TestBoundFirstEquivalence(t *testing.T) {
 	}
 }
 
-// TestSeededSearchIsOneScan pins what a seed makes of an exact search, on
-// a 200-image base (the benchmark's size) over a list of queries the hash
-// tier seeds: the kernel call Engine.Search makes issues
-// no triangle query and is handed no vertex by a range search, reads every
-// copy the seed pass has not scored already and none it has, and Search
-// reports exactly that call's work.
+// TestSeededSearchIsOneScan pins what an exact search's stats say, on a
+// 200-image base (the benchmark's size) over 40 queries: one iteration at
+// width 0, Converged; VerticesCounted every stored copy, each floored once;
+// BlockReads what the unbounded bounded scan charges — every copy once,
+// plus the re-reads of the k matches; and Candidates every copy that
+// reached the exact evaluator, as the query's own counter sees it in a bare
+// run of the two passes. The matches are the unbounded scan's.
 func TestSeededSearchIsOneScan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200-image base")
@@ -447,128 +421,259 @@ func TestSeededSearchIsOneScan(t *testing.T) {
 	eng := buildSingle(t, images)
 	base, parts := eng.Base(), eng.searchView().parts
 	const k = 5
-	tested := 0
 	for qi, q := range synth.Queries(rand.New(rand.NewSource(131)), images, 40, 0.01) {
 		pq, err := core.PrepareQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed := mustSeed(t, parts, pq, hashBuckets(parts, pq), k)
-		shared := seed.bound()
-		if shared == nil {
-			continue
+		var evaluated atomic.Int64
+		pq.AttachEvalCounter(&evaluated)
+		if _, _, err := exactSearch(ctx, parts, pq, k, 1); err != nil {
+			t.Fatal(err)
 		}
-		tested++
-		_, st, err := base.MatchPrepared(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true, Scored: seed.scored[0]}, true)
+		passes := int(evaluated.Load())
+		scan, sst, err := base.MatchPrepared(ctx, pq, k, core.MatchOpts{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.TrianglesQueried != 0 || st.VerticesReported != 0 || st.Iterations != 1 || !st.Converged {
-			t.Fatalf("q%d: %d triangle queries, %d vertices reported, %d iterations, converged=%v under a seed",
-				qi, st.TrianglesQueried, st.VerticesReported, st.Iterations, st.Converged)
-		}
-		unscored := base.NumEntries()
-		for id := range seed.scored[0] {
-			unscored -= len(base.EntriesOfShape(id))
-		}
-		if st.VerticesCounted != unscored {
-			t.Fatalf("q%d: the scan read %d copies, want the %d the seed pass left unscored", qi, st.VerticesCounted, unscored)
+		want := make([]Match, len(scan))
+		for i, m := range scan {
+			want[i] = Match{ShapeID: m.ShapeID, ImageID: base.Shape(m.ShapeID).Image, Distance: m.DistVertex, ContinuousDistance: m.DistContinuous}
 		}
 		resp, err := eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gs := resp.Stats; gs.Iterations != 1 || !gs.Converged || gs.VerticesCounted != st.VerticesCounted || gs.Candidates != st.Candidates {
-			t.Fatalf("q%d: Search reports %+v, its kernel call %+v", qi, gs, st)
+		assertMatchesEqual(t, fmt.Sprintf("q%d", qi), want, resp.Matches)
+		gs := resp.Stats
+		if gs.Iterations != 1 || gs.FinalEpsilon != 0 || !gs.Converged || gs.VerticesCounted != base.NumEntries() ||
+			gs.BlockReads != sst.BlocksRead || gs.Candidates != passes || gs.Candidates < k {
+			t.Fatalf("q%d: Search reports %+v; want 1 iteration at 0, converged, %d copies floored, the unbounded scan's %d blocks and the bare passes' %d candidates",
+				qi, gs, base.NumEntries(), sst.BlocksRead, passes)
 		}
-	}
-	if tested < 30 {
-		t.Fatalf("only %d of 40 queries were seeded", tested)
 	}
 }
 
-// TestBoundFirstFitRule pins when a seed is used at all: exactly when the
-// buckets held k live shapes — any k of them bound the merged k-th best.
-// How wide the seed is plays no part: a seed far above the true k-th best,
-// as a poor bucket gives, still makes every part one scan, which proves
-// the top k, and one that would open an envelope wider than the climb's
-// ε_max does too.
+// TestBoundFirstFitRule pins when the exact answer is proven: exactly when
+// k fits the live shapes pass 1 lists, tombstoned ones not counted. On a
+// live view with an image deleted from a frozen shard and one in the
+// delta, k = live is Converged and returns every live shape; k = live + 1
+// returns the same list unconverged, and ModeAuto then falls back to
+// hashing.
 func TestBoundFirstFitRule(t *testing.T) {
 	images, queries, _ := equivBase(t)
-	se := buildShardedFrom(t, images, 2)
 	ctx := context.Background()
-	parts := se.searchView().parts
-	q := queries[0]
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
+	se := buildShardedFrom(t, images, 2)
+	enableIngest(t, se, t.TempDir(), IngestConfig{})
+	if err := se.DeleteImage(ctx, images[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	buckets := hashBuckets(parts, pq)
-	seed := mustSeed(t, parts, pq, buckets, 1)
-	sv := seed.kth.Kth()
-	if sb := seed.bound(); math.IsInf(sv, 1) || sb == nil || sb.Load() != sv {
-		t.Fatalf("no k=1 seed for a copy of a stored shape (k-th %g)", sv)
+	if err := se.InsertImage(ctx, 9003, []Shape{queries[0].Clone()}); err != nil {
+		t.Fatal(err)
 	}
-	if short := mustSeed(t, parts, pq, buckets, se.NumShapes()+1); short.bound() != nil {
-		t.Fatalf("a bucket short of k shapes must not seed")
+	live := se.searchView().parts
+	n, _ := liveIn(live)
+	if n != se.NumShapes() {
+		t.Fatalf("%d live shapes in the parts, the engine reports %d", n, se.NumShapes())
 	}
-
-	want, wst := exactUnseeded(t, "unseeded", parts, q, 1, 1, nil)
-	epsMax := math.Inf(1)
-	for si := 0; si < se.NumShards(); si++ {
-		epsMax = min(epsMax, se.Shard(si).Base().EpsilonMax(pq.Entry().Poly.Perimeter()))
+	q := queries[0]
+	fit := mustSearch(t, se, SearchRequest{Query: q, K: n, Mode: ModeExact})
+	over := mustSearch(t, se, SearchRequest{Query: q, K: n + 1, Mode: ModeExact})
+	if len(fit.Matches) != n || !fit.Stats.Converged {
+		t.Fatalf("k = %d live shapes: %d matches, converged=%v; want all, proven", n, len(fit.Matches), fit.Stats.Converged)
 	}
-	for _, w := range []float64{sv, 10 * sv, epsMax} {
-		wide := &hashSeed{kth: core.NewDistTopK(1)}
-		wide.kth.Add(w)
-		got, gst, err := exactSeeded(ctx, parts, pq, 1, 1, wide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMatchesEqual(t, fmt.Sprintf("seed %g", w), want, got)
-		if gst.Iterations != 1 || !gst.Converged || gst.VerticesCounted > wst.VerticesCounted {
-			t.Fatalf("seed %g: not one proven scan: %+v (unseeded %+v)", w, gst, wst)
-		}
+	assertMatchesEqual(t, "k past the live shapes", fit.Matches, over.Matches)
+	if over.Stats.Converged {
+		t.Fatalf("k = %d of %d live shapes: converged", n+1, n)
+	}
+	if auto := mustSearch(t, se, SearchRequest{Query: q, K: n + 1}); !auto.Stats.UsedHashing {
+		t.Fatalf("k past the live shapes: ModeAuto did not fall back: %+v", auto.Stats)
 	}
 }
 
-// TestBoundFirstStaleSeed drives the one way a seed can go stale: a
-// delete reaching the active delta between the seed pass and the delta's
-// scan. The seed then undercuts the k-th best of what is left; the short
-// answer gives it away and the search runs again unseeded.
+// hookedPart runs its hooks after the listing of pass 1 and after each
+// score of pass 2.
+type hookedPart struct {
+	part
+	afterFloors func(shapes []bucketShape)
+	afterScore  func(id int)
+}
+
+func (p hookedPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
+	shapes, st, err := p.part.floors(ctx, pq, pi)
+	if p.afterFloors != nil {
+		p.afterFloors(shapes)
+	}
+	return shapes, st, err
+}
+
+func (p hookedPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
+	m, entry, ok := p.part.scoreBounded(id, pq, cutoff)
+	if p.afterScore != nil {
+		p.afterScore(id)
+	}
+	return m, entry, ok
+}
+
+// TestBoundFirstStaleSeed drives a delete into the active delta while an
+// exact search is under way — between its two passes, and after the first
+// score of its refine pass — for a shape pass 1 listed: a copy of the query
+// itself, the best match there is. Either way the answer is a rebuilt
+// engine's over the images before the delete or over those after it
+// (compared on image, distance and continuous distance: global ids shift
+// across a rebuild), and Converged.
 func TestBoundFirstStaleSeed(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	ctx := context.Background()
+	q := queries[0]
+	const k = 3
+	before := mustSearch(t, buildSingle(t, append(images[:len(images):len(images)], synth.Image{ID: 9003, Shapes: []Shape{q.Clone()}})),
+		SearchRequest{Query: q, K: k, Mode: ModeExact}).Matches
+	after := mustSearch(t, buildSingle(t, images), SearchRequest{Query: q, K: k, Mode: ModeExact}).Matches
+	same := func(got, want []Match) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i].ImageID != want[i].ImageID || got[i].Distance != want[i].Distance || got[i].ContinuousDistance != want[i].ContinuousDistance {
+				return false
+			}
+		}
+		return true
+	}
 	for _, shards := range []int{1, 7} {
-		se := buildShardedFrom(t, images, shards)
-		enableIngest(t, se, t.TempDir(), IngestConfig{})
-		q := queries[0]
-		if err := se.InsertImage(ctx, 9003, []Shape{q.Clone()}); err != nil {
-			t.Fatal(err)
-		}
-		parts := se.searchView().parts
-		pq, err := core.PrepareQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := mustSeed(t, parts, pq, hashBuckets(parts, pq), 1)
-		if seed.kth.Kth() != 0 {
-			t.Fatalf("shards=%d: seed %g, want the inserted copy at 0", shards, seed.kth.Kth())
-		}
-		if err := se.DeleteImage(ctx, 9003); err != nil {
-			t.Fatal(err)
-		}
-		want, _ := exactUnseeded(t, "after delete", parts, q, 1, 1, nil)
-		got, st, err := exactSeeded(ctx, parts, pq, 1, 1, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != 1 || want[0].ImageID == 9003 {
-			t.Fatalf("shards=%d: reference after the delete: %+v", shards, want)
-		}
-		assertMatchesEqual(t, fmt.Sprintf("shards=%d stale seed", shards), want, got)
-		if !st.Converged {
-			t.Fatalf("shards=%d: rerun did not converge: %+v", shards, st)
+		for _, when := range []string{"between the passes", "during the refine pass"} {
+			label := fmt.Sprintf("shards=%d delete %s", shards, when)
+			se := buildShardedFrom(t, images, shards)
+			enableIngest(t, se, t.TempDir(), IngestConfig{})
+			if err := se.InsertImage(ctx, 9003, []Shape{q.Clone()}); err != nil {
+				t.Fatal(err)
+			}
+			deleted := false
+			remove := func() {
+				if !deleted {
+					deleted = true
+					if err := se.DeleteImage(ctx, 9003); err != nil {
+						t.Errorf("%s: DeleteImage: %v", label, err)
+					}
+				}
+			}
+			parts := se.searchView().parts
+			for i, p := range parts {
+				if _, live := p.(*deltaPart); live {
+					if when == "between the passes" {
+						parts[i] = hookedPart{part: p, afterFloors: func([]bucketShape) { remove() }}
+					} else {
+						parts[i] = hookedPart{part: p, afterScore: func(int) { remove() }}
+					}
+				}
+			}
+			pq, err := core.PrepareQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st, err := exactSearch(ctx, parts, pq, k, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !deleted || !st.Converged {
+				t.Fatalf("%s: deleted=%v converged=%v", label, deleted, st.Converged)
+			}
+			if !same(got, before) && !same(got, after) {
+				t.Fatalf("%s: %+v is neither the answer before the delete %+v nor after it %+v", label, got, before, after)
+			}
 		}
 	}
 }
+
+// TestFloorOrderIsOptimal pins the stop rule of the exact search's refine
+// pass (DESIGN.md §4.9, "The exact search is two passes"): the shapes it
+// scores are exactly those whose floor is at most the final k-th best. No
+// shape with a floor strictly above it reaches scoreBounded — the k best
+// have floors no higher, so by the time such a shape tops the heap they
+// have all been scored and the running k-th is down to the final one — and
+// none at or below it is skipped. On a single Engine, on 8 shards, and on a
+// live view: tombstones, a compaction, and a delta holding some of the best
+// matches; k ∈ {1, 5, 17}.
+func TestFloorOrderIsOptimal(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	ctx := context.Background()
+	single := buildSingle(t, images)
+	sharded := buildShardedFrom(t, images, 8)
+	live := buildShardedFrom(t, images, 8)
+	enableIngest(t, live, t.TempDir(), IngestConfig{})
+	for _, im := range images[:len(images)/4] {
+		if err := live.DeleteImage(ctx, im.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.InsertImage(ctx, 9100, []Shape{queries[0].Clone()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range queries {
+		if err := live.InsertImage(ctx, 9200+qi, []Shape{synth.Distort(rand.New(rand.NewSource(int64(qi))), q, 0.002)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views := []struct {
+		name string
+		view func() searchView
+	}{{"engine", single.searchView}, {"8 shards", sharded.searchView}, {"live", live.searchView}}
+	inserted, deltas, listed, refined := 0, 0, 0, 0
+	for _, v := range views {
+		for qi, q := range queries {
+			for _, k := range []int{1, 5, 17} {
+				label := fmt.Sprintf("%s q%d k=%d", v.name, qi, k)
+				floors, scored := map[partShape]float64{}, map[partShape]bool{}
+				parts := v.view().parts
+				for i, p := range parts {
+					if _, ok := p.(*deltaPart); ok {
+						deltas++
+					}
+					parts[i] = hookedPart{part: p,
+						afterFloors: func(shapes []bucketShape) {
+							for _, c := range shapes {
+								floors[partShape{c.part, c.id}] = c.floor
+							}
+						},
+						afterScore: func(id int) { scored[partShape{int32(i), int32(id)}] = true },
+					}
+				}
+				pq, err := core.PrepareQuery(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms, _, err := exactSearch(ctx, parts, pq, k, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ms) != k {
+					t.Fatalf("%s: %d matches", label, len(ms))
+				}
+				kth := ms[k-1].Distance
+				listed += len(floors)
+				refined += len(scored)
+				for c, f := range floors {
+					if scored[c] != (f <= kth) {
+						t.Fatalf("%s: shape %d of part %d, floor %g, scored=%v; the final k-th is %g", label, c.id, c.part, f, scored[c], kth)
+					}
+				}
+				for _, m := range ms {
+					if m.ImageID >= 9100 {
+						inserted++
+					}
+				}
+			}
+		}
+	}
+	if inserted == 0 || deltas == 0 || 2*refined > listed {
+		t.Fatalf("%d matches of inserted images, %d searches over a delta, %d of %d listed shapes refined; the test wants both, and the stop to matter",
+			inserted, deltas, refined, listed)
+	}
+}
+
+// partShape names a shape of a view: its part's index and its id there.
+type partShape struct{ part, id int32 }

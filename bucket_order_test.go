@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -15,13 +14,14 @@ import (
 	"repro/internal/synth"
 )
 
-// orderedPart is a part whose bucket passes run in an order of the test's
+// orderedPart is a part whose passes run in an order of the test's
 // choosing: the bucket comes permuted by perm and — flat — every floor
-// reads 0, which claims nothing, leaves the stable sort nothing to reorder
-// and never stops a pass. Flat under the identity is the loop as it ran
-// before the floors: table order, every shape scored. afterFloor, when
-// set, runs once candidate id's floor has been computed — between its floor
-// and its score.
+// reads 0, a bucket floor and every floor pass 1 of the exact search lists
+// alike, which claims nothing, leaves the sorts nothing to reorder and
+// never stops a pass. Flat under the identity is the loop as it ran before
+// the floors: table (or index) order, every shape scored. afterFloor, when
+// set, runs once shape id's floor has been taken — between its floor and
+// its score.
 type orderedPart struct {
 	part
 	perm       func(ids []int)
@@ -35,6 +35,19 @@ func (p orderedPart) liveBucket(quad geohash.Quadruple, radius int) []int {
 		p.perm(ids)
 	}
 	return ids
+}
+
+func (p orderedPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
+	shapes, st, err := p.part.floors(ctx, pq, pi)
+	for i := range shapes {
+		if p.afterFloor != nil {
+			p.afterFloor(int(shapes[i].id))
+		}
+		if p.flat {
+			shapes[i].floor = 0
+		}
+	}
+	return shapes, st, err
 }
 
 func (p orderedPart) floor(id int, pq *core.PreparedQuery) float64 {
@@ -86,61 +99,38 @@ func (o bucketOrder) in(v searchView) searchView {
 	return searchView{parts: parts, tau: v.tau}
 }
 
-// seedVerdict is what a seed pass hands the exact phase, order taken out:
-// the seed's bits and, per frozen part, the bucket shapes within the seed
-// with distance and realizing copy — everything else in the bucket is out,
-// whether a score or a floor proved it. (A delta scores its shapes again.)
-type seedVerdict struct {
-	seed   uint64
-	listed []int
-	within []map[int]core.Match
-}
-
-func verdictOf(t *testing.T, label string, parts []part, pq *core.PreparedQuery, k int) seedVerdict {
+// deadInBucket counts the tombstoned shapes of frozen parts on the query's
+// hash curves.
+func deadInBucket(t *testing.T, parts []part, q Shape) (dead int) {
 	t.Helper()
-	buckets := hashBuckets(parts, pq)
-	seed := mustSeed(t, parts, pq, buckets, k)
-	v := seedVerdict{seed: math.Float64bits(seed.kth.Kth()), within: make([]map[int]core.Match, len(parts))}
-	for i, p := range parts {
-		if len(seed.scored[i]) != len(buckets[i]) {
-			t.Fatalf("%s: part %d: %d of %d bucket shapes recorded", label, i, len(seed.scored[i]), len(buckets[i]))
-		}
-		v.listed = append(v.listed, len(buckets[i]))
-		if _, live := p.(orderedPart).part.(deltaPart); live {
-			continue
-		}
-		v.within[i] = map[int]core.Match{}
-		for id, m := range seed.scored[i] {
-			if m.EntryID >= 0 && m.DistVertex <= seed.kth.Kth() {
-				v.within[i][id] = m
+	pq, err := core.PrepareQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quad := parts[0].family().Characteristic(pq.Entry().Poly.Pts)
+	for _, p := range parts {
+		if fp, ok := p.(*frozenPart); ok {
+			for _, id := range fp.e.table.Lookup(quad, 0) {
+				if fp.dead[id] {
+					dead++
+				}
 			}
 		}
 	}
-	return v
+	return dead
 }
 
-// assertOrderInvariant holds every visiting order of the query's bucket to
-// table order: the seed, what the seed pass hands over, and the answers of
-// the three single-shape modes — and the engine's own Search to all of them.
+// assertOrderInvariant holds every visiting order of the query's bucket —
+// and, flat, of the exact search's heap — to table order: the answers of
+// the three single-shape modes, and the engine's own Search to all of them.
 func assertOrderInvariant(t *testing.T, label string, s Searcher, view func() searchView, q Shape, k int) {
 	t.Helper()
 	ctx := context.Background()
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
 	var pl sched.Planner
-	var wantSeed seedVerdict
 	want := map[string][]Match{}
 	for _, o := range bucketOrders() {
 		ordered := func() searchView { return o.in(view()) }
 		l := fmt.Sprintf("%s order=%s", label, o.name)
-		got := verdictOf(t, l, ordered().parts, pq, k)
-		if o.name == "table" {
-			wantSeed = got
-		} else if !reflect.DeepEqual(got, wantSeed) {
-			t.Fatalf("%s: the seed pass diverges from table order\ngot:  %+v\nwant: %+v", l, got, wantSeed)
-		}
 		for _, mode := range []Mode{ModeExact, ModeAuto, ModeApproximate} {
 			for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
 				for _, ann := range []AnnMode{AnnOff, AnnVerify} {
@@ -193,19 +183,21 @@ func copyTies(t *testing.T, p *frozenPart, pq *core.PreparedQuery, ids []int) (t
 	return ties
 }
 
-// TestBucketOrderInvariance is the property the best-first bucket pass
-// rests on (DESIGN.md §4.9, "The bucket is scored best-first"): the order a
-// bucket is visited in — table order, reversed, shuffled, by floor — and
-// where the pass stops change how much is scored, never what comes out. For
-// every order: the seed to the bit, which bucket shapes the hand-over calls
-// within it and with which distance and copy, and the matches of
-// ModeExact, ModeAuto and ModeApproximate (ContinuousDistance follows from
-// the copy chosen) — on an Engine and on 1, 2, 7 and 8 shards, static and
-// live: a bucket shape tombstoned, shapes in the delta, one of them deleted
-// between its floor and its score. A rectangle stored twice ties two shapes
-// on distance; the rhombus and the segment among the queries are centrally
-// symmetric, so a stored copy and its reverse — a half turn apart — tie on
-// distance within a shape (the test counts those that do to the bit).
+// TestBucketOrderInvariance is the property the best-first passes rest on
+// (DESIGN.md §4.9, "The bucket is scored best-first" and "The exact search
+// is two passes"): the order a bucket is visited in — table order,
+// reversed, shuffled, by floor — the order the exact search pops its shapes
+// in — by floor, or by index with every floor 0 — and where either pass
+// stops change how much is scored, never what comes out. For every order
+// the matches of ModeExact, ModeAuto and ModeApproximate are the same
+// (ContinuousDistance follows from the copy chosen) — on an Engine and on
+// 1, 2, 7 and 8 shards, static and live: a bucket shape tombstoned, shapes
+// in the delta, one of them deleted between its floor and its score (for
+// the exact search, between its two passes). A rectangle stored twice ties
+// two shapes on distance; the rhombus and the segment among the queries are
+// centrally symmetric, so a stored copy and its reverse — a half turn apart
+// — tie on distance within a shape (the test counts those that do to the
+// bit).
 func TestBucketOrderInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property soak")
@@ -274,7 +266,7 @@ func TestBucketOrderInvariance(t *testing.T) {
 		for qi, q := range queries {
 			for _, k := range ks {
 				label := fmt.Sprintf("shards=%d live q%d k=%d", shards, qi, k)
-				if _, dead := assertHandOver(t, label, se.searchView().parts, q, k); qi == 0 && dead == 0 {
+				if dead := deadInBucket(t, se.searchView().parts, q); qi == 0 && dead == 0 {
 					t.Fatalf("%s: no tombstoned shape on the query's hash curves", label)
 				}
 				assertOrderInvariant(t, label, se, se.searchView, q, k)
@@ -283,7 +275,8 @@ func TestBucketOrderInvariance(t *testing.T) {
 
 		// A delta shape deleted between its floor and its score: the pass
 		// listed it, took its floor — the lowest there is, it is the query —
-		// and finds it gone. The answer is the one a search gives after the
+		// and finds it gone (the exact search, which sees the delete, runs
+		// its passes again). The answer is the one a search gives after the
 		// delete, in any order.
 		q := queries[2]
 		for mi, mode := range []Mode{ModeExact, ModeAuto, ModeApproximate} {
@@ -295,7 +288,7 @@ func TestBucketOrderInvariance(t *testing.T) {
 			hooked := func() searchView {
 				v := se.searchView()
 				for i, p := range v.parts {
-					if dp, live := p.(deltaPart); live {
+					if dp, live := p.(*deltaPart); live {
 						v.parts[i] = orderedPart{part: p, afterFloor: func(id int) {
 							if !deleted && dp.d.ImageOf(id) == victim {
 								deleted = true

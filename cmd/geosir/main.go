@@ -220,15 +220,14 @@ func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 	if err != nil {
 		return err
 	}
-	mode := "exact (hash-seeded bounded scan)"
+	mode := "exact (floor-ordered search)"
 	switch {
 	case resp.Stats.UsedANN && !resp.Stats.UsedHashing && resp.Stats.Iterations == 0:
 		mode = "approximate (ANN candidate tier)"
 	case resp.Stats.UsedHashing:
 		mode = "approximate (geometric hashing)"
 	}
-	fmt.Printf("retrieval: %s — %d iterations, ε=%.4g, %d candidates\n",
-		mode, resp.Stats.Iterations, resp.Stats.FinalEpsilon, resp.Stats.Candidates)
+	fmt.Printf("retrieval: %s — %d candidates\n", mode, resp.Stats.Candidates)
 	if resp.Stats.UsedANN {
 		fmt.Printf("ann tier: %d bucket probes, %d candidates\n",
 			resp.Stats.ANNProbes, resp.Stats.ANNCandidates)

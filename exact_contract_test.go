@@ -11,10 +11,10 @@ import (
 	"repro/internal/synth"
 )
 
-// The exact search's contract (DESIGN.md §4.9): every exact request is one
-// bounded scan, so its answer is the proven top k however full the query's
-// hash bucket was, and a frozen part's sketch table is what a live delta's
-// is. The base below — 4,000 small random quadrilaterals — puts the
+// The exact search's contract (DESIGN.md §4.9): every exact request is the
+// two floor-ordered passes over every live shape, so its answer is the
+// proven top k however full the query's hash bucket is, and a frozen part's
+// sketch table is what a live delta's is. The base below — 4,000 small random quadrilaterals — puts the
 // paper's stopping width ε_max at 0.2–0.3, so a k-th best farther than
 // ε_max/2 is one its fattening climb cannot prove, and a shape with two
 // vertices that far from the query's boundary one it never evaluates.
@@ -48,12 +48,12 @@ func quadImages(n int, seed int64) []synth.Image {
 	return images
 }
 
-// TestShortBucketExactIsScanTopK: a query whose hash bucket holds fewer
-// than k live shapes — one fewer, here — seeds nothing, and its exact
-// answer, ModeExact and ModeAuto, on an Engine and on 8 shards, is still
-// the exhaustive ScanMatcher's top k, proven (Converged) — including for
-// queries whose k-th best lies beyond what the climb could prove within
-// ε_max.
+// TestShortBucketExactIsScanTopK: for k past the query's hash bucket — a
+// bucket once had to hold k live shapes for the exact search to start
+// under a bound — the exact answer, ModeExact and ModeAuto, on an Engine
+// and on 8 shards, is the exhaustive ScanMatcher's top k, proven
+// (Converged) and with no hashing — including for queries whose k-th best
+// lies beyond what the climb could prove within ε_max.
 func TestShortBucketExactIsScanTopK(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 4,000-shape base")

@@ -4,8 +4,8 @@
 //
 // Shapes are simple polygons or polylines extracted from object
 // boundaries. Retrieval uses a similarity criterion based on the average
-// minimum point distance, an exact search seeded by geometric hashing
-// (the paper's incremental ε-envelope "fattening" algorithm over simplex
+// minimum point distance, an exact search that refines shapes in the order
+// of a cheap lower bound (the paper's incremental ε-envelope "fattening" algorithm over simplex
 // range-search structures is reproduced beside it, in internal/core), and
 // a geometric-hashing fallback for approximate matches. A topological query
 // processor answers compound queries over pairwise shape relations
@@ -101,20 +101,18 @@ type Match struct {
 // Stats reports retrieval work (see §2.5's complexity analysis).
 type Stats struct {
 	// Iterations and FinalEpsilon are the paper's envelope fattenings and
-	// the last width (§2.5). The exact search opens no envelope: it is one
-	// bounded scan (DESIGN.md §4.9), reported as 1 iteration at the width
-	// its hash-tier seed stands for (2·seed·1.0001; 0 when the bucket held
-	// fewer than K live shapes and nothing seeded it). A request with no
-	// exact stage reports 0 iterations.
+	// the last width (§2.5). The exact search opens no envelope (DESIGN.md
+	// §4.9): it reports 1 iteration at width 0. A request with no exact
+	// stage reports 0 iterations.
 	Iterations   int
 	FinalEpsilon float64
-	// VerticesCounted counts the normalized copies the exact scan read
-	// (no range search runs, no vertex is reported).
+	// VerticesCounted counts the normalized copies the exact search
+	// floored: every live copy, once (no range search runs, no vertex is
+	// reported).
 	VerticesCounted int
 	// Candidates counts the normalized copies that reached the exact
-	// evaluator — not those the query's distance field rejected first,
-	// nor the copies of frozen shapes the seed pass had already scored
-	// (DESIGN.md §4.9).
+	// evaluator in any stage of the request — not those the query's
+	// distance field rejected first (DESIGN.md §4.9).
 	Candidates int
 	// Converged reports that the exact matches are proven the top K: false
 	// only when K exceeds the live shapes.

@@ -167,11 +167,8 @@ func TestIngestDeleteEquivalence(t *testing.T) {
 			label := fmt.Sprintf("shards=%d compacted=%v", shards, compacted)
 			for _, k := range []int{1, 3, se.NumShapes() + 5} {
 				for qi, q := range queries {
-					// ModeExact and ModeAuto run under the cross-shard bound
-					// (seeded from the hash tier when it can be) with the
-					// tombstone present: once as a width-1 walk (every shard
-					// but the first starts under a published bound), once
-					// raced.
+					// ModeExact and ModeAuto run with the tombstone present:
+					// once as a width-1 walk, once with pass 1 fanned out.
 					for _, c := range []struct {
 						mode Mode
 						exec ExecPolicy
@@ -774,11 +771,11 @@ func TestCloseIngestQuiescesCompaction(t *testing.T) {
 // delta's share of Stats.Candidates: normalized copies that reached the
 // exact evaluator, as on a frozen shard — not shapes held. With every
 // frozen image tombstoned the delta is the only part that evaluates
-// anything. Asked for more than it holds there is no k-th best, each
-// shape's copies are cut only by the shape's own best so far, and more
-// copies than shapes are scored; under a seed the distance field
-// turns nearly all of them away first. Once compacted away the delta is
-// no part at all.
+// anything. Asked for more than it holds there is no k-th best, pass 2
+// scores every shape, each shape's copies are cut only by the shape's own
+// best so far, and more copies than shapes are scored; under the running
+// k-th of k = 3 the floors stop pass 2 early and the distance field turns
+// most of the rest away. Once compacted away the delta is no part at all.
 func TestIngestDeltaStatsCountCopies(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	frozenImgs, liveImgs := splitBase(images)

@@ -93,7 +93,9 @@ type Base struct {
 	// (vertices + meta + transforms), computed at Freeze
 	// or reassembly. The match kernel charges it into Stats.BlocksRead
 	// whenever an entry is evaluated (§4 block accounting; see parts.go).
+	// totalCost is their sum, what the exact search's floor pass charges.
 	entryCost []int32
+	totalCost int
 
 	// rng is the climb's range index, built on its first use.
 	rng    rangeIndex

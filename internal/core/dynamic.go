@@ -145,19 +145,41 @@ func (s *overflowShape) scan() scanShape {
 
 // ShapeDistancePreparedBounded scores one live shape against a prepared
 // query with an admissible cutoff, mirroring Base's method of the same
-// name: the returned value is bit-identical to the one a frozen Base
-// holding the same shape would produce (the cutoff only skips copies
-// that provably cannot improve the minimum). This is what lets a mutable
-// delta shard participate in the hash-candidate paths with the same
-// distance bytes as a freshly frozen engine.
-func (d *Dynamic) ShapeDistancePreparedBounded(id int, pq *PreparedQuery, cutoff float64) (float64, bool, error) {
+// name: the distance is bit-identical to the one a frozen Base holding the
+// same shape would produce (the cutoff only skips copies that provably
+// cannot improve the minimum), and EntryID is the ordinal of the lowest
+// copy realizing it (-1 when every copy is proven above cutoff). This is
+// what lets a mutable delta shard take part in the exact search and the
+// hash-candidate paths with the same distance bytes as a freshly frozen
+// engine.
+func (d *Dynamic) ShapeDistancePreparedBounded(id int, pq *PreparedQuery, cutoff float64) (Match, bool, error) {
 	s, err := d.live(id)
 	if err != nil {
-		return 0, false, err
+		return Match{}, false, err
 	}
 	sc := s.scan()
-	best, _, _, _ := sc.nearest(pq, cutoff, nil)
-	return best, best <= cutoff, nil
+	best, ei, _, _ := sc.nearest(pq, cutoff, nil)
+	return Match{ShapeID: id, EntryID: ei, DistVertex: best}, best <= cutoff, nil
+}
+
+// Floors is Base.Floors over the live shapes, in no particular order; it
+// returns the copies floored.
+func (d *Dynamic) Floors(ctx context.Context, pq *PreparedQuery, visit func(id int, floor float64)) (int, error) {
+	err := floorAll(ctx, pq, len(d.overflow), func(i int) scanShape {
+		return d.overflow[i].scan()
+	}, nil, visit)
+	return d.copies, err
+}
+
+// Continuous is Base.Continuous for copy c of a live shape — the EntryID
+// ShapeDistancePreparedBounded returned.
+func (d *Dynamic) Continuous(id, c int, pq *PreparedQuery) (float64, error) {
+	s, err := d.live(id)
+	if err != nil {
+		return 0, err
+	}
+	var resample []geom.Point
+	return pq.distContinuous(s.entries[c].Poly, d.opts.Samples, &resample), nil
 }
 
 // ShapeFloor is Base.ShapeFloor for a live shape; 0 — no claim — for one

@@ -273,11 +273,11 @@ func TestDynamicShapeDistancePreparedBounded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotD, gotOK, err := d.ShapeDistancePreparedBounded(dynIDs[i], pq, cut)
+				gotM, gotOK, err := d.ShapeDistancePreparedBounded(dynIDs[i], pq, cut)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantD := wantM.DistVertex
+				gotD, wantD := gotM.DistVertex, wantM.DistVertex
 				if gotOK != wantOK || (wantOK && gotD != wantD) {
 					t.Fatalf("shape %d cut %v: dynamic (%v,%v) != base (%v,%v)",
 						i, cut, gotD, gotOK, wantD, wantOK)
@@ -293,9 +293,8 @@ func TestDynamicShapeDistancePreparedBounded(t *testing.T) {
 // scan order is not the insert order — the scan under any admissible
 // shared bound returns the exhaustive reference byte for byte, continuous
 // measure included. The bounds run from none down to exactly the true
-// k-th best (ties at the k-th slot must survive), consumed only and
-// published into; one below every shape must leave an empty list, not a
-// wrong one.
+// k-th best (ties at the k-th slot must survive), and the scan only reads
+// them; one below every shape must leave an empty list, not a wrong one.
 func TestDynamicBoundedScanProperty(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{31, 32} {
@@ -334,34 +333,30 @@ func TestDynamicBoundedScanProperty(t *testing.T) {
 				}
 				kth := want[len(want)-1].DistVertex
 				for _, factor := range []float64{math.Inf(1), 1.5, 1.0001, 1} {
-					for _, publish := range []bool{false, true} {
-						bound := math.Inf(1) // also when the k-th best is 0
-						if k <= d.Len() && !math.IsInf(factor, 1) {
-							bound = kth * factor
-						}
-						shared := NewSharedBound()
-						shared.Tighten(bound)
-						got, st, err := d.MatchPrepared(ctx, pq, k, MatchOpts{Shared: shared, Publish: publish}, true)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("seed %d q%d k=%d bound %g×k-th publish=%v:\ngot:  %+v\nwant: %+v",
-								seed, qi, k, factor, publish, got, want)
-						}
-						// Candidates are copies past the distance field: never more
-						// than the delta holds, each returned shape's at least, and
-						// with nothing to cut against but the shape's own best so
-						// far, every shape's first copy.
-						unbounded := math.IsInf(bound, 1) && k >= d.Len()
-						if st.Candidates > d.NumEntries() || st.Candidates < len(got) || (unbounded && st.Candidates < d.Len()) || !st.Converged {
-							t.Fatalf("seed %d q%d k=%d: stats %+v over %d copies of %d shapes", seed, qi, k, st, d.NumEntries(), d.Len())
-						}
-						if after := shared.Load(); publish && k <= d.Len() && after != kth {
-							t.Fatalf("seed %d q%d k=%d bound %g×k-th: published %g, k-th best %g", seed, qi, k, factor, after, kth)
-						} else if !publish && after != bound {
-							t.Fatalf("seed %d q%d k=%d: a consuming scan moved the bound to %g", seed, qi, k, after)
-						}
+					bound := math.Inf(1) // also when the k-th best is 0
+					if k <= d.Len() && !math.IsInf(factor, 1) {
+						bound = kth * factor
+					}
+					shared := NewSharedBound()
+					shared.Tighten(bound)
+					got, st, err := d.MatchPrepared(ctx, pq, k, MatchOpts{Shared: shared}, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d q%d k=%d bound %g×k-th:\ngot:  %+v\nwant: %+v",
+							seed, qi, k, factor, got, want)
+					}
+					// Candidates are copies past the distance field: never more
+					// than the delta holds, each returned shape's at least, and
+					// with nothing to cut against but the shape's own best so
+					// far, every shape's first copy.
+					unbounded := math.IsInf(bound, 1) && k >= d.Len()
+					if st.Candidates > d.NumEntries() || st.Candidates < len(got) || (unbounded && st.Candidates < d.Len()) || !st.Converged {
+						t.Fatalf("seed %d q%d k=%d: stats %+v over %d copies of %d shapes", seed, qi, k, st, d.NumEntries(), d.Len())
+					}
+					if after := shared.Load(); after != bound {
+						t.Fatalf("seed %d q%d k=%d: the scan moved the bound to %g", seed, qi, k, after)
 					}
 				}
 			}
@@ -372,7 +367,7 @@ func TestDynamicBoundedScanProperty(t *testing.T) {
 			}
 			shared := NewSharedBound()
 			shared.Tighten(nearest * 0.999)
-			got, _, err := d.MatchPrepared(ctx, pq, 3, MatchOpts{Shared: shared, Publish: true}, true)
+			got, _, err := d.MatchPrepared(ctx, pq, 3, MatchOpts{Shared: shared}, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,16 +27,16 @@ type Match struct {
 
 // Stats records the work a retrieval performed (the quantities of the
 // paper's complexity analysis in §2.5). A search through MatchPrepared
-// opens no envelope — it is one bounded scan (DESIGN.md §4.9, "The
-// seeded search is a scan") — and counts differently, as noted per field.
+// opens no envelope — it is one bounded scan (DESIGN.md §4.9) — and
+// counts differently, as noted per field.
 type Stats struct {
 	Iterations       int     // r: number of envelope fattenings (the scan counts as 1)
-	FinalEpsilon     float64 // ε at termination (the scan: the width 2·bound·1.0001 the bound it started under stands for, 0 without one)
+	FinalEpsilon     float64 // ε at termination (the scan: 0, it opens none)
 	EpsilonMax       float64 // the stopping threshold (A/2p·l_Q)·log³n (the scan: 0, it has none)
 	TrianglesQueried int     // simplex range queries issued (the scan: 0; entry-first: until every entry is marked)
 	VerticesReported int     // vertices the triangle covers reported, duplicates included (the scan: 0)
 	VerticesCounted  int     // K: vertices that entered counters; entry-first, the first reported vertex of each touched entry; the scan, the entries it scanned
-	Candidates       int     // entries that reached the exact evaluator (not those the distance field rejected first, nor those MatchOpts.Scored had scored already)
+	Candidates       int     // entries that reached the exact evaluator (not those the distance field rejected first)
 	BlocksRead       int     // page-granular storage of the entries whose vertices were read, field-rejected included (§4 block accounting)
 	Converged        bool    // true: the result is proven (the climb: stopped via the similarity bound; the scan: always)
 }
@@ -49,23 +49,10 @@ type MatchOpts struct {
 	// than it are discarded — admissible because the bound only ever
 	// holds values ≥ the merged k-th best distance. See DESIGN.md §4.9.
 	Shared *SharedBound
-	// Publish makes the search tighten Shared with its own live k-th
-	// best. Set it only when k equals the global k over shapes that can
-	// all appear in the merged result (a capped search's k-th best does
-	// not bound the merged k-th best).
-	Publish bool
 	// Dead marks shape ids the search must skip (tombstoned shapes of a
-	// partition): they never enter the top-k, so the k-th best — and any
-	// bound published from it — reflects live shapes only.
+	// partition): they never enter the top-k, so the k-th best reflects
+	// live shapes only.
 	Dead map[int]bool
-	// Scored holds shapes the caller has already scored against this query
-	// under cutoffs no lower than Shared is at entry: the shape's Match
-	// (DistVertex and EntryID) when the distance came back, EntryID -1 when
-	// it was proven strictly above its cutoff. The scan takes these as its
-	// own evaluations — nothing in Scored is scored twice. Admissible only
-	// together with such a Shared: a proof against a cutoff the bound does
-	// not cover proves nothing here.
-	Scored map[int]Match
 
 	// onAccess sees every entry the scan reads.
 	onAccess func(entryID int)
@@ -105,14 +92,8 @@ func (b *Base) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o Ma
 	if err := b.matchable(k); err != nil {
 		return nil, Stats{}, err
 	}
-	var open float64
-	if o.Shared != nil {
-		if sv := o.Shared.Load(); !math.IsInf(sv, 1) {
-			open = 2 * sv * 1.0001
-		}
-	}
 	out, stats, err := boundedScan(ctx, pq, k, o, len(b.shapes), b.scanShape, b.opts.Samples, continuous)
-	stats.Iterations, stats.FinalEpsilon = 1, open
+	stats.Iterations = 1
 	return out, stats, err
 }
 

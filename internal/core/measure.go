@@ -229,7 +229,8 @@ type PreparedQuery struct {
 	// across shard goroutines.
 	blocks *atomic.Int64
 	// evaluated, when attached, counts the copies those checks let through
-	// to the exact evaluator (BenchmarkBucketScoring reads it).
+	// to the exact evaluator — every check, whoever makes it (a request's
+	// Stats.Candidates).
 	evaluated *atomic.Int64
 
 	// field is the lower-bound distance field of the query boundary in

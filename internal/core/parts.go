@@ -144,6 +144,7 @@ var pageSize = os.Getpagesize()
 // path.
 func (b *Base) computeEntryCosts() {
 	b.entryCost = make([]int32, len(b.entries))
+	b.totalCost = 0
 	for ei := range b.entries {
 		nv := int(b.entryOff[ei+1] - b.entryOff[ei])
 		bytes := nv*16 + // vertices
@@ -154,6 +155,7 @@ func (b *Base) computeEntryCosts() {
 			blocks = 1
 		}
 		b.entryCost[ei] = int32(blocks)
+		b.totalCost += blocks
 	}
 }
 

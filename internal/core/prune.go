@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -411,7 +412,8 @@ func AvgMinDistToBounded(a geom.Poly, b *BoundaryDist, samples int, cutoff float
 // produced is strictly above both cutoff and the running best, so the
 // minimum over surviving copies equals the unpruned minimum whenever that
 // minimum is ≤ cutoff. The query's block counter is charged once, with
-// every copy of the shape.
+// every copy of the shape; its evaluation counter with the copies that
+// reached the exact evaluator.
 func (b *Base) ShapeDistancePreparedBounded(shapeID int, pq *PreparedQuery, cutoff float64) (Match, bool, error) {
 	if !b.frozen {
 		return Match{}, false, fmt.Errorf("core: base must be frozen before matching")
@@ -420,12 +422,9 @@ func (b *Base) ShapeDistancePreparedBounded(shapeID int, pq *PreparedQuery, cuto
 		return Match{}, false, fmt.Errorf("core: shape id %d out of range", shapeID)
 	}
 	s := b.scanShape(shapeID)
-	best, ei, scored, blocks := s.nearest(pq, cutoff, nil)
+	best, ei, _, blocks := s.nearest(pq, cutoff, nil)
 	if pq.blocks != nil {
 		pq.blocks.Add(int64(blocks))
-	}
-	if pq.evaluated != nil {
-		pq.evaluated.Add(int64(scored))
 	}
 	return Match{ShapeID: shapeID, EntryID: ei, DistVertex: best}, best <= cutoff, nil
 }
@@ -441,4 +440,29 @@ func (b *Base) ShapeFloor(shapeID int, pq *PreparedQuery) float64 {
 	}
 	s := b.scanShape(shapeID)
 	return s.floor(pq.distField())
+}
+
+// Floors is pass 1 of the exact search over the base (floorAll): visit
+// sees every shape not in dead, in id order, with its floor (ShapeFloor),
+// and Floors returns the copies floored and their block cost — the one
+// charge the exact search makes for a copy it does not re-read.
+func (b *Base) Floors(ctx context.Context, pq *PreparedQuery, dead map[int]bool, visit func(id int, floor float64)) (copies, blocks int, err error) {
+	if err := floorAll(ctx, pq, len(b.shapes), b.scanShape, dead, visit); err != nil {
+		return 0, 0, err
+	}
+	copies, blocks = len(b.entries), b.totalCost
+	for id := range dead {
+		for _, ei := range b.shapeEntries[id] {
+			copies, blocks = copies-1, blocks-b.blockCost(ei)
+		}
+	}
+	return copies, blocks, nil
+}
+
+// Continuous is the continuous measure between the query and stored copy
+// ei — the EntryID ShapeDistancePreparedBounded returned — and the copy's
+// block cost: the final re-read of an exact match.
+func (b *Base) Continuous(ei int, pq *PreparedQuery) (float64, int) {
+	var resample []geom.Point
+	return pq.distContinuous(b.entries[ei].Poly, b.opts.Samples, &resample), b.blockCost(int32(ei))
 }

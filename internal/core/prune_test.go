@@ -345,15 +345,14 @@ func TestPrunedTopKAgainstScan(t *testing.T) {
 					tc.name, trial, k, fast, ref)
 			}
 
-			// The scan every serving search is must agree byte for byte with
-			// the climb, publishing into a fresh bound or not, and so must the
-			// scan that starts under the tightest legal bound, the true k-th
-			// best: whatever ties it survives.
+			// The bounded scan must agree byte for byte with the climb under a
+			// fresh bound, and so must the scan that starts under the tightest
+			// legal bound, the true k-th best: whatever ties it survives.
 			pq, err := PrepareQuery(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scanned, sst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: NewSharedBound(), Publish: true}, true)
+			scanned, sst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: NewSharedBound()}, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/geom"
 )
 
-// This file holds the bounded scan (DESIGN.md §4.9, "The seeded search is
-// a scan"): the one loop behind every serving search of a frozen base and
-// of the live delta, under whatever bound the request holds — none
-// included.
+// This file holds the per-shape loops of every serving search (DESIGN.md
+// §4.9): the floor pass of the exact search ("The exact search is two
+// passes"), the bounded evaluation of one shape, and the bounded scan
+// behind the sketch tables (frozen and live) and SimilarShapes.
 
 // scanShape is one shape as the bounded evaluators walk it: its normalized
 // copies are entries[idx[0]], entries[idx[1]], … — the base-wide arrays of
@@ -49,14 +49,39 @@ func (s *scanShape) copyCells(ei int) []uint16 {
 
 // floor is the field's lower bound on the shape's distance, the smallest
 // of its copies' (fieldFloor): above a cutoff, it proves every copy — the
-// shape — strictly outside it.
+// shape — strictly outside it. Every copy of a shape has the shape's
+// vertex count and fieldFloor is monotone in the sum for a fixed count, so
+// the least sum gives the least floor, with one division: a copy's sum
+// stops once it passes the least so far.
 func (s *scanShape) floor(f *distField) float64 {
-	floor := math.Inf(1)
-	for c, n := 0, s.copies(); c < n; c++ {
-		cells := s.copyCells(s.entry(c))
-		floor = min(floor, fieldFloor(f.sum(cells), len(cells)))
+	n := s.copies()
+	if n == 0 {
+		return math.Inf(1)
 	}
-	return floor
+	least := uint64(math.MaxUint64)
+	for c := 0; c < n; c++ {
+		least = min(least, f.sumPast(s.copyCells(s.entry(c)), least))
+	}
+	return fieldFloor(least, len(s.copyCells(s.entry(0))))
+}
+
+// floorAll is pass 1 of the exact search (DESIGN.md §4.9, "The exact
+// search is two passes") over shapeAt(0..n-1): visit sees every shape not
+// in dead, in index order, with its floor. ctx is checked every 32 shapes;
+// a cancelled pass returns ctx's error.
+func floorAll(ctx context.Context, pq *PreparedQuery, n int, shapeAt func(i int) scanShape, dead map[int]bool, visit func(id int, floor float64)) error {
+	f := pq.distField()
+	for i := 0; i < n; i++ {
+		if i&31 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if s := shapeAt(i); !dead[s.id] {
+			visit(s.id, s.floor(f))
+		}
+	}
+	return nil
 }
 
 // nearestStack is how many copies' field sums nearest keeps on its stack
@@ -77,7 +102,8 @@ const nearestStack = 64
 // — -1 when every copy was proven strictly above cutoff — how many copies
 // reached the exact evaluator, and the block cost of the copies read (all
 // of them: a reject reads the copy it rejects). A distance ≤ cutoff is the
-// shape's exact distance. onAccess, when set, sees every entry read.
+// shape's exact distance. onAccess, when set, sees every entry read. The
+// query's evaluation counter, when attached, is charged with scored.
 func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(entryID int)) (best float64, bestEi, scored, blocks int) {
 	f, n := pq.distField(), s.copies()
 	var stack [nearestStack]uint64
@@ -138,6 +164,9 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 			best, bestEi = dv, ei
 		}
 	}
+	if pq.evaluated != nil {
+		pq.evaluated.Add(int64(scored))
+	}
 	return best, bestEi, scored, blocks
 }
 
@@ -148,13 +177,9 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 // the one bounded evaluator under the tightest proven cutoff: its shape's
 // best so far, the running k-th, o.Shared. Every reject is strict, so a
 // shape tying the cutoff survives and the matches are byte-identical to
-// the exhaustive scan's wherever the bound is admissible; with o.Publish
-// the scan's own k-th best tightens o.Shared (it exists only once k shapes
-// are in, so a part short of k never publishes). Shapes in o.Dead are
-// skipped; a shape in o.Scored is not scored again — it enters with the
-// distance and entry recorded there if that is within the cutoff, exactly
-// as its own evaluation would have decided. DistContinuous is filled for
-// the returned matches when continuous is set.
+// the exhaustive scan's wherever the bound is admissible. Shapes in o.Dead
+// are skipped. DistContinuous is filled for the returned matches when
+// continuous is set.
 //
 // Of the stats, VerticesCounted is the copies scanned, Candidates those
 // that reached the exact evaluator, BlocksRead the block cost of both the
@@ -186,24 +211,16 @@ func boundedScan(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, n i
 				cutoff = sv
 			}
 		}
-		m, known := o.Scored[s.id]
-		if !known {
-			best, ei, scored, blocks := s.nearest(pq, cutoff, o.onAccess)
-			m = Match{ShapeID: s.id, EntryID: ei, DistVertex: best}
-			stats.VerticesCounted += s.copies()
-			stats.Candidates += scored
-			stats.BlocksRead += blocks
-		}
+		best, ei, scored, blocks := s.nearest(pq, cutoff, o.onAccess)
+		m := Match{ShapeID: s.id, EntryID: ei, DistVertex: best}
+		stats.VerticesCounted += s.copies()
+		stats.Candidates += scored
+		stats.BlocksRead += blocks
 		if m.EntryID < 0 || m.DistVertex > cutoff {
 			continue // proven strictly outside the merged result
 		}
 		hits = append(hits, hit{m, i})
 		topk.Add(m.DistVertex)
-		if o.Publish && o.Shared != nil {
-			if kv := topk.Kth(); !math.IsInf(kv, 1) {
-				o.Shared.Tighten(kv)
-			}
-		}
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].m.DistVertex != hits[j].m.DistVertex {
@@ -236,8 +253,8 @@ func boundedScan(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, n i
 // DistTopK tracks the k-th smallest of a distance stream with a size-
 // bounded max-heap: Kth is +Inf until k distances have been seen, so the
 // cutoff it feeds never prunes while the top-k is under-filled. It is the
-// tracker of every pass that adds each shape once (the bounded scan, the
-// hash-seed pass, candidate scoring).
+// tracker of every pass that adds each shape once (the exact search's
+// refine pass, the bounded scan, candidate scoring).
 type DistTopK struct {
 	k int
 	h []float64 // max-heap

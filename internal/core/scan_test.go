@@ -5,23 +5,28 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/synth"
 )
 
-// TestScanEquivalence is the admissibility property of the bounded scan
-// every serving search of a frozen base is (DESIGN.md §4.9, "The seeded
-// search is a scan"): over seeded bases — with a shape stored twice, so
-// its query ties the pair at the k-th slot for k = 1 — the scan under any
-// admissible bound returns the exhaustive ScanMatcher's matches over the
-// live shapes, byte for byte, EntryID and DistContinuous included. The bounds are the true k-th best itself (ties
-// at the cutoff must survive) and 1.5× and 3× it, consumed only and
-// published into; a part capped below k keeps the head of the list; a
+// TestScanEquivalence is the admissibility property of the two ways a
+// frozen base is searched (DESIGN.md §4.9, "The exact search is two
+// passes"): over seeded bases — with a shape stored twice, so its query
+// ties the pair at the k-th slot for k = 1 — both return the exhaustive
+// ScanMatcher's matches over the live shapes, byte for byte, EntryID and
+// DistContinuous included. The bounded scan (MatchPrepared, behind
+// sketches and SimilarShapes) does so under any admissible bound, which it
+// only reads: the true k-th best itself (ties at the cutoff must survive)
+// and 1.5× and 3× it; a part capped below k keeps the head of the list; a
 // sibling's bound below the part's own k-th keeps exactly what lies within
-// it; and shapes handed over already scored (MatchOpts.Scored) are neither
-// scanned again nor told apart in the answer.
+// it. The exact search's two passes over the base's own
+// primitives (floorOrdered: Floors, then ShapeDistancePreparedBounded in
+// floor order, then Continuous) do so too, floor every live copy once, and
+// charge the blocks the unbounded scan charges: every live copy, plus the
+// k re-reads.
 func TestScanEquivalence(t *testing.T) {
 	ctx := context.Background()
 	tested, ties := 0, 0
@@ -98,10 +103,8 @@ func TestScanEquivalence(t *testing.T) {
 						if st.TrianglesQueried != 0 || st.Iterations != 1 || !st.Converged {
 							t.Fatalf("seed %d q%d k=%d %s: not the scan: %+v", seed, qi, k, label, st)
 						}
-						if after := o.Shared.Load(); o.Publish && after != min(sv, kth) {
-							t.Fatalf("seed %d q%d k=%d %s: published %g, k-th best %g", seed, qi, k, label, after, kth)
-						} else if !o.Publish && after != sv {
-							t.Fatalf("seed %d q%d k=%d %s: a consuming scan moved the bound to %g", seed, qi, k, label, after)
+						if after := o.Shared.Load(); after != sv {
+							t.Fatalf("seed %d q%d k=%d %s: the scan moved the bound to %g", seed, qi, k, label, after)
 						}
 						return got, st
 					}
@@ -114,38 +117,26 @@ func TestScanEquivalence(t *testing.T) {
 					for _, factor := range []float64{1, 1.5, 3} {
 						sv := kth * factor
 						tested++
-						for _, publish := range []bool{false, true} {
-							got, st := scan("consume/publish", sv, k, MatchOpts{Publish: publish})
-							equal("under an admissible bound", got, want)
-							if st.VerticesCounted != b.NumEntries()-deadCopies || st.Candidates > st.VerticesCounted || st.Candidates < len(got) {
-								t.Fatalf("seed %d q%d k=%d: stats %+v over %d live copies", seed, qi, k, st, b.NumEntries()-deadCopies)
-							}
+						got, st := scan("admissible", sv, k, MatchOpts{})
+						equal("under an admissible bound", got, want)
+						if st.VerticesCounted != b.NumEntries()-deadCopies || st.Candidates > st.VerticesCounted || st.Candidates < len(got) {
+							t.Fatalf("seed %d q%d k=%d: stats %+v over %d live copies", seed, qi, k, st, b.NumEntries()-deadCopies)
 						}
 						// A part capped below k consumes the bound of the merged k.
 						if k > 2 {
 							got, _ := scan("capped", sv, k-2, MatchOpts{})
 							equal("capped below k", got, want[:k-2])
 						}
-						// Every third live shape handed over as the seed pass
-						// would have left it: scored under sv, or proven above it.
-						scored, scoredCopies := map[int]Match{}, 0
-						for id := 1; id < b.NumShapes(); id += 3 {
-							if dead[id] {
-								continue
-							}
-							m, _, err := b.ShapeDistancePreparedBounded(id, pq, sv)
-							if err != nil {
-								t.Fatal(err)
-							}
-							scored[id] = m
-							scoredCopies += len(b.shapeEntries[id])
-						}
-						got, st := scan("handed over", sv, k, MatchOpts{Scored: scored})
-						equal("with a third of the shapes handed over", got, want)
-						if st.VerticesCounted != b.NumEntries()-deadCopies-scoredCopies {
-							t.Fatalf("seed %d q%d k=%d: %d copies scanned, want %d (handed-over shapes are not scanned again)",
-								seed, qi, k, st.VerticesCounted, b.NumEntries()-deadCopies-scoredCopies)
-						}
+					}
+					got, copies, blocks := floorOrdered(t, b, pq, k, dead)
+					equal("floor-ordered", got, want)
+					_, unbounded, err := b.MatchPrepared(ctx, pq, k, MatchOpts{Dead: dead}, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if copies != b.NumEntries()-deadCopies || blocks != unbounded.BlocksRead {
+						t.Fatalf("seed %d q%d k=%d: floored %d copies charging %d blocks, want %d and the unbounded scan's %d",
+							seed, qi, k, copies, blocks, b.NumEntries()-deadCopies, unbounded.BlocksRead)
 					}
 					// A sibling's bound below this part's own k-th best keeps
 					// what lies within it, ties at the bound included.
@@ -166,6 +157,94 @@ func TestScanEquivalence(t *testing.T) {
 	if tested < 40 || ties == 0 {
 		t.Fatalf("%d (query, k, bound) rows ran the scan, %d with a tie at the k-th slot; want at least 40 and 1", tested, ties)
 	}
+}
+
+// TestCopiesShareVertexCount pins what scanShape.floor's one division rests
+// on: every normalized copy of a shape has the shape's vertex count — in a
+// frozen Base, in one reassembled from its parts, and in the live overflow
+// — at the default α and at α = 0.6, whose copies leave the lune.
+func TestCopiesShareVertexCount(t *testing.T) {
+	images := synth.GenerateBase(synth.PaperSpec(0.002, 67))
+	sliver := geom.NewPolygon(geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 1))
+	for _, alpha := range []float64{DefaultOptions().Alpha, 0.6} {
+		opts := DefaultOptions()
+		opts.Alpha = alpha
+		b, d := NewBase(opts), NewDynamic(opts)
+		for _, img := range images {
+			for _, s := range append(img.Shapes, sliver) {
+				if _, err := b.AddShape(img.ID, s); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Insert(img.ID, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := b.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []*Base{b, reassemble(t, b, b.verts)} {
+			for id := range base.NumShapes() {
+				s, n := base.scanShape(id), len(base.Shape(id).Poly.Pts)
+				for c := range s.copies() {
+					if got := len(s.copyCells(s.entry(c))); got != n || len(s.entries[s.entry(c)].Poly.Pts) != n {
+						t.Fatalf("α=%g: frozen shape %d of %d vertices: copy %d has %d cells", alpha, id, n, c, got)
+					}
+				}
+			}
+		}
+		for i := range d.overflow {
+			s, n := d.overflow[i].scan(), len(d.overflow[i].shape.Poly.Pts)
+			for c := range s.copies() {
+				if got := len(s.copyCells(s.entry(c))); got != n || len(s.entries[c].Poly.Pts) != n {
+					t.Fatalf("α=%g: live shape %d of %d vertices: copy %d has %d cells", alpha, s.id, n, c, got)
+				}
+			}
+		}
+	}
+}
+
+// floorOrdered is the exact search's two passes over one base: Floors
+// lists the live shapes with their floors, which are scored with
+// ShapeDistancePreparedBounded in ascending floor order under the running
+// k-th until a floor lies strictly above it; the k best survivors get their
+// continuous measure from Continuous. It returns the copies floored and the
+// blocks charged by the floors and the re-reads.
+func floorOrdered(t *testing.T, b *Base, pq *PreparedQuery, k int, dead map[int]bool) (out []Match, copies, blocks int) {
+	t.Helper()
+	type floored struct {
+		id    int
+		floor float64
+	}
+	var list []floored
+	copies, blocks, err := b.Floors(context.Background(), pq, dead, func(id int, floor float64) {
+		list = append(list, floored{id, floor})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(list, func(i, j int) bool { return list[i].floor < list[j].floor })
+	kth := NewDistTopK(k)
+	for _, s := range list {
+		if s.floor > kth.Kth() {
+			break
+		}
+		m, ok, err := b.ShapeDistancePreparedBounded(s.id, pq, kth.Kth())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			out = append(out, m)
+			kth.Add(m.DistVertex)
+		}
+	}
+	sortMatches(out)
+	out = out[:min(k, len(out))]
+	for i := range out {
+		d, cost := b.Continuous(out[i].EntryID, pq)
+		out[i].DistContinuous, blocks = d, blocks+cost
+	}
+	return out, copies, blocks
 }
 
 // TestNearestLowestCopyOnTies pins the tie rule of scanShape.nearest where

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geohash"
@@ -42,6 +43,9 @@ type Delta struct {
 	liveShapes int
 	nextGID    int
 	sealed     bool
+	// deletes counts the deletes and rollbacks that removed live shapes
+	// (Deletes). Written under mu.
+	deletes atomic.Uint64
 }
 
 // imageRec is one Insert call, in order — the delta's slice of the
@@ -64,12 +68,14 @@ type ImageState struct {
 	Shapes    []geom.Poly // nil when Deleted
 }
 
-// Match is one delta query result, already in global id space.
+// Match is one delta shape scored against a query, in global id space.
 type Match struct {
-	GID        int
-	ImageID    int
-	Distance   float64
-	Continuous float64
+	GID      int
+	ImageID  int
+	Distance float64
+	// Copy is the ordinal of the shape's normalized copy realizing Distance
+	// (ScoreBounded; Continuous measures it).
+	Copy int
 }
 
 // NewDelta creates an empty delta. gidBase is the engine's current
@@ -174,6 +180,7 @@ func (d *Delta) RollbackLast(image int) {
 		return
 	}
 	rec := d.images[n-1]
+	d.deletes.Add(1)
 	for _, id := range rec.DynIDs {
 		_ = d.dyn.Delete(id)
 		d.deletedDyn[id] = true
@@ -215,6 +222,7 @@ func (d *Delta) Delete(image int) (int, bool, error) {
 		d.deletedDyn[id] = true
 	}
 	rec.Deleted = true
+	d.deletes.Add(1)
 	d.liveImages--
 	d.liveShapes -= len(rec.DynIDs)
 	return len(rec.DynIDs), true, nil
@@ -266,34 +274,6 @@ func (d *Delta) Seal() {
 	d.mu.Unlock()
 }
 
-// Match answers a prepared single-shape query against the delta's live
-// shapes under the part contract of a frozen shard's search: o.Shared is
-// consumed and, with o.Publish, tightened (core.Dynamic.MatchPrepared).
-// Matches are in global id space, sorted by (Distance, GID); the int is
-// the number of normalized copies that reached the exact evaluator
-// (core.Stats.Candidates). withContinuous
-// additionally scores the returned matches' continuous measure — the
-// exact path needs it (frozen shards report it for their local top-k),
-// the hashing paths do not.
-func (d *Delta) Match(ctx context.Context, pq *core.PreparedQuery, k int, o core.MatchOpts, withContinuous bool) ([]Match, int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.liveShapes == 0 {
-		return nil, 0, nil
-	}
-	ms, st, err := d.dyn.MatchPrepared(ctx, pq, k, o, withContinuous)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Dyn ids and gids grow together, so the (DistVertex, ShapeID) order
-	// of ms is already the (Distance, GID) order the k-way merge expects.
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{GID: d.gids[m.ShapeID], ImageID: d.imageOf[m.ShapeID], Distance: m.DistVertex, Continuous: m.DistContinuous}
-	}
-	return out, st.Candidates, nil
-}
-
 // Family returns the delta's curve family (identical across all shards).
 func (d *Delta) Family() *geohash.Family { return d.family }
 
@@ -315,20 +295,45 @@ func (d *Delta) Candidates(quad geohash.Quadruple, radius int) []int {
 }
 
 // ScoreBounded scores one delta shape (by dyn id, as returned from
-// Candidates) against a prepared query under an admissible cutoff,
-// bit-identical to a frozen shard's scorer. The returned Match carries
-// no continuous measure (the hashing paths never report one).
+// Candidates or Floors) against a prepared query under an admissible
+// cutoff, bit-identical to a frozen shard's scorer. The returned Match
+// carries no continuous measure (Continuous gives it) and false for a shape
+// deleted since it was listed.
 func (d *Delta) ScoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if id < 0 || id >= len(d.deletedDyn) || d.deletedDyn[id] {
 		return Match{}, false
 	}
-	dist, ok, err := d.dyn.ShapeDistancePreparedBounded(id, pq, cutoff)
+	m, ok, err := d.dyn.ShapeDistancePreparedBounded(id, pq, cutoff)
 	if err != nil || !ok {
 		return Match{}, false
 	}
-	return Match{GID: d.gids[id], ImageID: d.imageOf[id], Distance: dist}, true
+	return Match{GID: d.gids[id], ImageID: d.imageOf[id], Distance: m.DistVertex, Copy: m.EntryID}, true
+}
+
+// Floors is pass 1 of the exact search over the delta
+// (core.Dynamic.Floors): visit sees every live shape, by dyn id, with its
+// floor. It returns the copies floored.
+func (d *Delta) Floors(ctx context.Context, pq *core.PreparedQuery, visit func(id int, floor float64)) (int, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.dyn.Floors(ctx, pq, visit)
+}
+
+// Deletes counts the deletes (and rolled-back inserts) that have removed
+// live shapes from the delta: a reader that reads it before listing the
+// shapes and again later knows whether one it listed may be gone.
+func (d *Delta) Deletes() uint64 { return d.deletes.Load() }
+
+// Continuous is the continuous measure of the delta shape's copy c (the
+// Copy ScoreBounded returned) against the query; false for a shape deleted
+// since.
+func (d *Delta) Continuous(id, c int, pq *core.PreparedQuery) (float64, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	dist, err := d.dyn.Continuous(id, c, pq)
+	return dist, err == nil
 }
 
 // Floor is a lower bound on the distance ScoreBounded would report for

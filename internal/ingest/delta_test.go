@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -14,18 +16,31 @@ func square(dx float64) geom.Poly {
 	return geom.NewPolygon(geom.Pt(dx, 0), geom.Pt(dx+1, 0), geom.Pt(dx+1, 1), geom.Pt(dx, 1))
 }
 
-// matchDelta runs the delta's scan for q with no bound to share.
-func matchDelta(t *testing.T, d *Delta, q geom.Poly, k int, withContinuous bool) []Match {
+// matchDelta is the delta's k nearest live shapes to q, the long way:
+// every shape Floors lists, scored by ScoreBounded with no cutoff, sorted
+// by (distance, gid).
+func matchDelta(t *testing.T, d *Delta, q geom.Poly, k int) []Match {
 	t.Helper()
 	pq, err := core.PrepareQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, _, err := d.Match(context.Background(), pq, k, core.MatchOpts{}, withContinuous)
-	if err != nil {
+	var ids []int
+	if _, err := d.Floors(context.Background(), pq, func(id int, _ float64) { ids = append(ids, id) }); err != nil {
 		t.Fatal(err)
 	}
-	return ms
+	var ms []Match
+	for _, id := range ids {
+		m, ok := d.ScoreBounded(id, pq, math.Inf(1))
+		if !ok {
+			t.Fatalf("listed shape %d scores nothing", id)
+		}
+		ms = append(ms, m)
+	}
+	sort.Slice(ms, func(i, j int) bool {
+		return ms[i].Distance < ms[j].Distance || ms[i].Distance == ms[j].Distance && ms[i].GID < ms[j].GID
+	})
+	return ms[:min(k, len(ms))]
 }
 
 func newTestDelta(t *testing.T, gidBase int) *Delta {
@@ -55,7 +70,7 @@ func TestDeltaInsertMatchDelete(t *testing.T) {
 	if err := d.Insert(100, []geom.Poly{square(2)}); err == nil {
 		t.Fatal("duplicate image insert accepted")
 	}
-	ms := matchDelta(t, d, square(0), 2, true)
+	ms := matchDelta(t, d, square(0), 2)
 	if len(ms) != 2 || ms[0].GID != 10 || ms[0].ImageID != 100 {
 		t.Fatalf("matches %+v", ms)
 	}
@@ -63,7 +78,7 @@ func TestDeltaInsertMatchDelete(t *testing.T) {
 		t.Fatalf("exact copy distance %v", ms[0].Distance)
 	}
 	// Triangle query: both triangles at distance ~0, tie broken by GID.
-	ms = matchDelta(t, d, tri(0), 3, false)
+	ms = matchDelta(t, d, tri(0), 3)
 	if len(ms) != 3 || ms[0].GID >= ms[1].GID && ms[0].Distance == ms[1].Distance {
 		t.Fatalf("order %+v", ms)
 	}
@@ -79,7 +94,7 @@ func TestDeltaInsertMatchDelete(t *testing.T) {
 	if err := d.Insert(102, []geom.Poly{square(9)}); err != nil {
 		t.Fatal(err)
 	}
-	ms = matchDelta(t, d, square(9), 1, false)
+	ms = matchDelta(t, d, square(9), 1)
 	if len(ms) != 1 || ms[0].GID != 13 || ms[0].ImageID != 102 {
 		t.Fatalf("post-delete insert matched %+v", ms)
 	}
@@ -168,7 +183,7 @@ func TestDeltaSealAndSnapshot(t *testing.T) {
 		t.Fatalf("delete in sealed delta: %v", err)
 	}
 	// Sealed deltas still serve queries.
-	if ms := matchDelta(t, d, tri(0), 1, false); len(ms) != 1 {
+	if ms := matchDelta(t, d, tri(0), 1); len(ms) != 1 {
 		t.Fatalf("sealed match: %v", ms)
 	}
 	snap := d.Snapshot()
@@ -208,10 +223,13 @@ func TestDeltaSketchTable(t *testing.T) {
 	}
 }
 
-// The delta under the part contract (DESIGN.md §4.12): it reports the
-// copies that reached the exact evaluator (the fewer the tighter its
-// cutoff), publishes its k-th best only when it holds k live shapes, and
-// keeps doing both across multi-shape deletes and rollbacks.
+// The delta under the exact search's contract (DESIGN.md §4.12), across
+// multi-shape deletes and a rollback: Floors lists exactly the live shapes,
+// with floors under their distances, and reports their copies; Deletes
+// moves with every delete and rollback and with nothing else, so a reader
+// can tell that a listing has gone stale; ScoreBounded and Continuous
+// refuse a removed shape; and the query's counter sees fewer copies reach
+// the exact evaluator under the top-3 cutoff than under none.
 func TestDeltaMatchSharedBound(t *testing.T) {
 	d := newTestDelta(t, 0)
 	for i := 0; i < 6; i++ {
@@ -219,52 +237,50 @@ func TestDeltaMatchSharedBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	before := d.Deletes()
 	if _, found, err := d.Delete(2); err != nil || !found {
 		t.Fatalf("Delete = (%v, %v)", found, err)
 	}
 	d.RollbackLast(5)
-	if d.NumShapes() != 12 || d.NumEntries() < d.NumShapes() {
-		t.Fatalf("shapes=%d entries=%d", d.NumShapes(), d.NumEntries())
+	if d.NumShapes() != 12 || d.NumEntries() < d.NumShapes() || d.Deletes() != before+2 {
+		t.Fatalf("shapes=%d entries=%d deletes %d → %d", d.NumShapes(), d.NumEntries(), before, d.Deletes())
 	}
 	pq, err := core.PrepareQuery(tri(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	want, evaluated, err := d.Match(ctx, pq, 3, core.MatchOpts{}, true)
-	if err != nil || len(want) != 3 || evaluated < len(want) || evaluated > d.NumEntries() {
-		t.Fatalf("unshared scan: %d matches, %d of %d copies, %v", len(want), evaluated, d.NumEntries(), err)
+	var evaluated atomic.Int64
+	pq.AttachEvalCounter(&evaluated)
+	floors := map[int]float64{}
+	copies, err := d.Floors(context.Background(), pq, func(id int, floor float64) { floors[id] = floor })
+	if err != nil || len(floors) != d.NumShapes() || copies != d.NumEntries() {
+		t.Fatalf("Floors listed %d shapes, %d copies (%v); the delta holds %d, %d", len(floors), copies, err, d.NumShapes(), d.NumEntries())
 	}
-	for _, m := range want {
-		if m.ImageID == 2 || m.ImageID == 5 {
-			t.Fatalf("removed image surfaced: %+v", want)
+	var all []float64
+	for id := 0; id < 18; id++ {
+		m, ok := d.ScoreBounded(id, pq, math.Inf(1))
+		_, listed := floors[id]
+		if _, live := d.Continuous(id, m.Copy, pq); ok != listed || live != listed {
+			t.Fatalf("shape %d: listed=%v, scored=%v, re-read=%v", id, listed, ok, live)
 		}
-	}
-	shared := core.NewSharedBound()
-	got, _, err := d.Match(ctx, pq, 3, core.MatchOpts{Shared: shared, Publish: true}, true)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("shared scan: %v %v", got, err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("match %d under a shared bound: %+v, want %+v", i, got[i], want[i])
+		if !listed {
+			continue
 		}
+		if m.ImageID == 2 || m.ImageID == 5 || floors[id] > m.Distance {
+			t.Fatalf("shape %d: %+v under floor %g", id, m, floors[id])
+		}
+		all = append(all, m.Distance)
 	}
-	if shared.Load() != want[2].Distance {
-		t.Fatalf("published %g, k-th best %g", shared.Load(), want[2].Distance)
+	unbounded := evaluated.Load()
+	sort.Float64s(all)
+	evaluated.Store(0)
+	for id := range floors {
+		d.ScoreBounded(id, pq, all[2])
 	}
-	// Asked for more than it holds, the delta has no k-th best to publish.
-	shared = core.NewSharedBound()
-	all, evaluatedAll, err := d.Match(ctx, pq, d.NumShapes()+1, core.MatchOpts{Shared: shared, Publish: true}, false)
-	if err != nil || len(all) != d.NumShapes() {
-		t.Fatalf("k beyond the delta: %d matches of %d shapes, %v", len(all), d.NumShapes(), err)
+	if bounded := evaluated.Load(); bounded < 3 || bounded >= unbounded || unbounded > int64(d.NumEntries()) {
+		t.Fatalf("%d copies evaluated under the top-3 cutoff, %d under none, of %d", bounded, unbounded, d.NumEntries())
 	}
-	// With no k-th best to cut against, every shape's first copy at least
-	// is scored — more copies than under the top-3 cutoff.
-	if evaluatedAll < d.NumShapes() || evaluatedAll <= evaluated || evaluatedAll > d.NumEntries() {
-		t.Fatalf("k beyond the delta: %d copies evaluated (top-3: %d) of %d, %d shapes", evaluatedAll, evaluated, d.NumEntries(), d.NumShapes())
-	}
-	if !math.IsInf(shared.Load(), 1) {
-		t.Fatalf("a delta short of k published %g", shared.Load())
+	if err := d.Insert(7, []geom.Poly{square(7)}); err != nil || d.Deletes() != before+2 {
+		t.Fatalf("an insert moved the delete count to %d (%v)", d.Deletes(), err)
 	}
 }

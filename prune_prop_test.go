@@ -3,8 +3,10 @@ package geosir
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -56,20 +58,55 @@ func TestSharedBoundDeterministic(t *testing.T) {
 	}
 }
 
-// exactUnseeded is the exact scatter as it runs without a hash-tier seed
-// (under a fresh bound, or the given one): the reference a bound-first
-// Search must reproduce.
+// exactUnseeded is the exact answer over the parts worked out the long
+// way, the reference the exact search must reproduce: every shape the
+// parts list is scored by its part under one cutoff — +Inf, or the value
+// of shared, a bound the caller has pre-tightened — and the survivors are
+// sorted by (distance, id), cut to k and re-read for their continuous
+// measure. No floor orders or stops anything, and it runs on one goroutine
+// whatever width says. Converged is k ≤ the shapes listed.
 func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k, width int, shared *core.SharedBound) ([]Match, Stats) {
 	t.Helper()
+	ctx := context.Background()
 	pq, err := core.PrepareQuery(q)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ms, st, err := exactScatter(context.Background(), parts, pq, k, width, shared, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+	cut := math.Inf(1)
+	if shared != nil {
+		cut = shared.Load()
 	}
-	return ms, st
+	type hit struct {
+		m     Match
+		c     bucketShape
+		entry int
+	}
+	var hits []hit
+	listed := 0
+	for pi, p := range parts {
+		shapes, _, err := p.floors(ctx, pq, int32(pi))
+		if err != nil {
+			t.Fatalf("%s: part %d: %v", label, pi, err)
+		}
+		listed += len(shapes)
+		for _, c := range shapes {
+			if m, entry, ok := p.scoreBounded(int(c.id), pq, cut); ok {
+				m.Approximate = false
+				hits = append(hits, hit{m, c, entry})
+			}
+		}
+	}
+	sort.Slice(hits, func(i, j int) bool {
+		a, b := hits[i].m, hits[j].m
+		return a.Distance < b.Distance || a.Distance == b.Distance && a.ShapeID < b.ShapeID
+	})
+	ms := make([]Match, min(k, len(hits)))
+	for i := range ms {
+		h := hits[i]
+		ms[i] = h.m
+		ms[i].ContinuousDistance, _ = parts[h.c.part].continuous(int(h.c.id), h.entry, pq)
+	}
+	return ms, Stats{Converged: k <= listed}
 }
 
 // autoFrom is the ModeAuto answer that follows from an unseeded exact

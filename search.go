@@ -24,10 +24,11 @@ const (
 	// retrieval flow: when the best exact match is farther than τ, or when
 	// K exceeds the live shapes (Stats.Converged false).
 	ModeAuto Mode = iota
-	// ModeExact runs only the exact search: one bounded scan, seeded from
-	// the hash tier (DESIGN.md §4.9). The response never contains
-	// approximate matches; Stats.Converged is false only when K exceeds
-	// the live shapes.
+	// ModeExact runs only the exact search: the query's distance field
+	// floors every live shape, and shapes are scored in ascending floor
+	// order until the next floor lies above the K-th best (DESIGN.md §4.9).
+	// The response never contains approximate matches; Stats.Converged is
+	// false only when K exceeds the live shapes.
 	ModeExact
 	// ModeApproximate skips the exact search and answers from the
 	// geometric hash table alone (§3).
@@ -222,31 +223,33 @@ func (e *Engine) searchView() searchView {
 // hash with one deterministic curve family. Matches a part returns carry
 // global shape ids, in sortMatches order.
 type part interface {
-	// liveShapes is the number of shapes the part can return.
-	liveShapes() int
 	family() *geohash.Family
 	// liveBucket returns the part's live shapes (part-local ids) on the
 	// hash curves of quad, widened by radius.
 	liveBucket(quad geohash.Quadruple, radius int) []int
-	// scoreBounded scores one liveBucket / annOrder candidate under an
-	// admissible cutoff; false when it is proven strictly above cutoff
-	// (or has since been deleted). entry is the part-local normalized copy
-	// realizing the distance — what exact's scored takes; -1 when there is
-	// no distance, and on a part whose exact ignores scored.
+	// scoreBounded scores one shape (a liveBucket, annOrder or floors
+	// candidate) under an admissible cutoff; false when it is proven
+	// strictly above cutoff (or has since been deleted). entry is the
+	// part-local normalized copy realizing the distance, which continuous
+	// reads.
 	scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (m Match, entry int, ok bool)
+	// continuous is the continuous measure of a shape scoreBounded matched,
+	// from its copy entry, and the block cost of re-reading that copy; 0 for
+	// a shape deleted since (stale reports it).
+	continuous(id, entry int, pq *core.PreparedQuery) (float64, int)
 	// floor is a lower bound on the distance scoreBounded would report for
 	// the candidate, at the cost of one table load per stored vertex: above
 	// a cutoff it proves the candidate strictly outside it. 0 claims nothing.
 	floor(id int, pq *core.PreparedQuery) float64
+	// floors is pass 1 of the exact search (exactSearch): every live shape
+	// of the part, as parts[pi], with its floor, and the copies floored and
+	// their block cost in VerticesCounted and BlockReads.
+	floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error)
+	// stale reports whether a shape the last floors listed has been deleted
+	// since: only a live delta's can be.
+	stale() bool
 	// annOrder reorders candidates best-first by ANN agreement.
 	annOrder(pq *core.PreparedQuery, ids []int) ([]int, Stats)
-	// exact is the part's top-k under the exact measure — one bounded scan
-	// of its live shapes, consuming shared and publishing its own k-th
-	// best into it when that bounds the merged k-th best. scored, when not
-	// nil, is what the seed pass behind shared already proved about the
-	// part's shapes (core.MatchOpts.Scored, part-local ids); a part whose
-	// shapes can change under the request scores them again.
-	exact(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound, scored map[int]core.Match) ([]Match, Stats, error)
 	// annApprox is the sublinear path: the part's top-k over its ANN
 	// candidates alone, scored exactly. Each part applies the full
 	// annMinShapes floor, so the union over N parts is at least as wide as
@@ -260,25 +263,27 @@ type part interface {
 }
 
 // searchView is what one request searches: the parts of one consistent
-// snapshot of the base and its similarity threshold τ.
+// snapshot of the base and its similarity threshold τ. The parts are built
+// for the one request: a delta's keeps what its last listing saw (stale).
 type searchView struct {
 	parts []part
 	tau   float64
 }
 
 // search is the request decision tree, the only one: validation, one
-// query preparation, the fan-out plan, then per mode a scatter over the
-// view's parts (the paper's §6 flow — the exact search; geometric hashing
-// when that finds no close match). The view is taken once per request,
-// so a compaction swapping shards mid-request never mixes two bases in
-// one answer. The context is checked at stage boundaries, so a request
+// query preparation, the fan-out plan, then per mode the paper's §6 flow
+// over the view's parts — the exact search (exactSearch); geometric
+// hashing (a scatter) when that finds no close match. The view is taken
+// once per request, so a compaction swapping shards mid-request never
+// mixes two bases in one answer. The context is checked at stage boundaries, so a request
 // whose deadline has passed never pays for the next stage.
 //
 // The width is planned once from req.Exec, the live in-flight gauge and
 // GOMAXPROCS; both stages of a ModeAuto request run under the one plan.
-// Width only changes how fast the answer arrives, never the answer: a
-// sequential plan walks the same parts under the same shared bound and
-// merges identically (DESIGN.md §4.13).
+// Width only changes how fast the answer arrives, never the answer: the
+// exact search refines on the request's goroutine at any width, and a
+// sequential candidate stage walks the same parts under the same shared
+// bound and merges identically (DESIGN.md §4.13).
 func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() searchView, req SearchRequest) (*SearchResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -313,14 +318,33 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		if err != nil {
 			return nil, err
 		}
-		var blocks atomic.Int64
-		pq.AttachBlockCounter(&blocks)
+		var blocks, evaluated atomic.Int64
+		pq.AttachEvalCounter(&evaluated)
 		respond := func(ms []Match, st Stats) (*SearchResponse, error) {
 			st.BlockReads += int(blocks.Load())
+			st.Candidates = int(evaluated.Load())
 			return &SearchResponse{Matches: ms, Stats: st}, nil
 		}
+		var exact []Match
+		var stats Stats
+		if req.Mode != ModeApproximate && !annOnly {
+			ms, st, err := exactSearch(ctx, v.parts, pq, req.K, width)
+			if err != nil {
+				return nil, err
+			}
+			if req.Mode == ModeExact || (st.Converged && exactGoodEnough(ms, v.tau)) {
+				return respond(ms, st)
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			exact, stats = ms, st
+		}
+		// The exact search charged its block reads itself, each copy once;
+		// the candidate stages charge theirs through the query.
+		pq.AttachBlockCounter(&blocks)
 		if annOnly {
-			ms, stats, err := scatter(ctx, v.parts, req.K, width, nil, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
+			ms, stats, err := scatter(ctx, v.parts, req.K, width, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
 				return v.parts[i].annApprox(ctx, pq, req.K, shared)
 			})
 			if err != nil {
@@ -329,38 +353,14 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 			stats.UsedANN = true
 			return respond(ms, stats)
 		}
-		// One bucket lookup serves both the seed pass and the hashing stage.
-		buckets := hashBuckets(v.parts, pq)
-		if req.Mode == ModeApproximate {
-			ms, stats, err := approxScatter(ctx, v.parts, pq, buckets, req.K, width, req.Ann)
-			if err != nil {
-				return nil, err
-			}
-			stats.UsedHashing = true
-			return respond(ms, stats)
-		}
-		seed, err := scoreSeed(ctx, v.parts, pq, buckets, req.K)
-		if err != nil {
-			return nil, err
-		}
-		ms, stats, err := exactSeeded(ctx, v.parts, pq, req.K, width, seed)
-		if err != nil {
-			return nil, err
-		}
-		if req.Mode == ModeExact || (stats.Converged && exactGoodEnough(ms, v.tau)) {
-			return respond(ms, stats)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		approx, astats, err := approxScatter(ctx, v.parts, pq, buckets, req.K, width, req.Ann)
+		approx, astats, err := approxScatter(ctx, v.parts, pq, hashBuckets(v.parts, pq), req.K, width, req.Ann)
 		if err != nil {
 			return nil, err
 		}
 		stats.UsedHashing = true
 		stats.addANN(astats)
-		if len(approx) == 0 {
-			return respond(ms, stats)
+		if len(approx) == 0 && req.Mode == ModeAuto {
+			return respond(exact, stats)
 		}
 		return respond(approx, stats)
 	case ModeSketch:
@@ -398,13 +398,13 @@ func exactGoodEnough(ms []Match, tau float64) bool {
 // mergeStats. Parts hold disjoint live shape sets, so any part's k-th
 // best bounds the merged k-th best from above, and sharing one bound lets
 // parts abandon each other's hopeless candidates mid-flight without
-// changing the merge (DESIGN.md §4.9). The bound is the caller's when it
-// brings one (the hash seed); otherwise a fresh one — for two or more
+// changing the merge (DESIGN.md §4.9). The bound is shared by two or more
 // parts only: a lone part would read back nothing but its own k-th best,
 // which already is its cutoff.
-func scatter(ctx context.Context, parts []part, k, width int, shared *core.SharedBound,
+func scatter(ctx context.Context, parts []part, k, width int,
 	op func(i int, shared *core.SharedBound) ([]Match, Stats, error)) ([]Match, Stats, error) {
-	if shared == nil && len(parts) > 1 {
+	var shared *core.SharedBound
+	if len(parts) > 1 {
 		shared = core.NewSharedBound()
 	}
 	lists := make([][]Match, len(parts))
@@ -419,59 +419,105 @@ func scatter(ctx context.Context, parts []part, k, width int, shared *core.Share
 	return mergeTopK(lists, k), mergeStats(stats), nil
 }
 
-// exactScatter is the exact measure over every part under one bound
-// (scatter). Because per-shape distances are intrinsic to (query, shape)
-// and every shape lives on exactly one part, the merged top-k of the
-// parts' scans is the true global top-k. It is proven — Converged — unless
-// it asks for more matches than the base holds: the k-th best does not
-// exist, even though every part, capped at what it holds, proved its own
-// list, and ModeAuto must fall back to hashing.
-func exactScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, shared *core.SharedBound, scored []map[int]core.Match) ([]Match, Stats, error) {
-	ms, stats, err := scatter(ctx, parts, k, width, shared, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
-		var known map[int]core.Match
-		if scored != nil {
-			known = scored[i]
-		}
-		return parts[i].exact(ctx, pq, k, shared, known)
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	live := 0
-	for _, p := range parts {
-		live += p.liveShapes()
-	}
-	stats.Converged = k <= live
-	return ms, stats, nil
-}
-
-// exactSeeded is the exact phase of a request, bound first: every part
-// scans under the seed (hashSeed.bound) — and each frozen part takes what
-// the seed pass proved about its bucket shapes instead of scoring them
-// again (hashSeed.scored). A bucket short of k live shapes seeds nothing,
-// and the parts scan under a fresh shared bound instead.
-//
-// The seed is admissible for the shapes that were live when it was
-// scored. Frozen parts and their tombstones are fixed by the view, but a
-// delete may reach the active delta between the seed pass and its scan;
-// the bound can then sit below the k-th best of what is left. The answer
-// itself tells: k merged matches within the seed are exactly the top k
-// (everything discarded is proven farther); anything less and the search
-// runs again unseeded.
-func exactSeeded(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, seed *hashSeed) ([]Match, Stats, error) {
-	shared, scored := seed.bound(), seed.scored
-	if shared == nil {
-		scored = nil // what the pass proved, it proved against the seed
+// exactSearch is the exact stage of a request (DESIGN.md §4.9, "The exact
+// search is two passes"). Pass 1 fans out over the parts, each listing
+// every live shape with its floor. Pass 2, on the request's goroutine, pops
+// one heap of (floor, part, id) across all parts and scores each shape
+// under the running k-th best of the whole view, until the next floor lies
+// strictly above it: a shape within the final k-th has a floor no higher,
+// so the k best are the exhaustive ranking's. Only they are re-read for
+// their continuous measure. Converged unless k exceeds the live shapes;
+// each copy's blocks are charged once, at its floor, plus the re-reads.
+// A delete that reaches the active delta after its listing makes the
+// passes run again, so the answer is the view's as of one listing.
+func exactSearch(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int) ([]Match, Stats, error) {
+	type hit struct {
+		m     Match
+		c     bucketShape
+		entry int
 	}
 	for {
-		ms, stats, err := exactScatter(ctx, parts, pq, k, width, shared, scored)
+		lists := make([][]bucketShape, len(parts))
+		stats := make([]Stats, len(parts))
+		err := fanout(ctx, len(parts), width, func(i int) (err error) {
+			lists[i], stats[i], err = parts[i].floors(ctx, pq, int32(i))
+			return err
+		})
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		if shared == nil || (len(ms) == k && ms[k-1].Distance <= seed.kth.Kth()) {
-			return ms, stats, nil
+		var h []bucketShape
+		if len(lists) == 1 {
+			h = lists[0] // slices.Concat would copy it
+		} else {
+			h = slices.Concat(lists...)
 		}
-		shared, scored = nil, nil
+		st := mergeStats(stats)
+		st.Iterations, st.Converged = 1, k <= len(h)
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftFloor(h, i)
+		}
+		kth := core.NewDistTopK(k)
+		var hits []hit
+		for n := 0; len(h) > 0; n++ {
+			if n&31 == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, Stats{}, err
+				}
+			}
+			cut := kth.Kth()
+			c := h[0]
+			if c.floor > cut {
+				break // every floor behind it is higher still
+			}
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			siftFloor(h, 0)
+			if m, entry, ok := parts[c.part].scoreBounded(int(c.id), pq, cut); ok {
+				m.Approximate = false
+				hits = append(hits, hit{m, c, entry})
+				kth.Add(m.Distance)
+			}
+		}
+		slices.SortFunc(hits, func(a, b hit) int {
+			return cmp.Or(cmp.Compare(a.m.Distance, b.m.Distance), cmp.Compare(a.m.ShapeID, b.m.ShapeID))
+		})
+		out := make([]Match, min(k, len(hits)))
+		for i, hit := range hits[:len(out)] {
+			d, blocks := parts[hit.c.part].continuous(int(hit.c.id), hit.entry, pq)
+			out[i] = hit.m
+			out[i].ContinuousDistance = d
+			st.BlockReads += blocks
+		}
+		if !slices.ContainsFunc(parts, part.stale) {
+			return out, st, nil
+		}
+	}
+}
+
+// siftFloor restores the min-heap order of pass 2 below h[i]: by floor,
+// then part, then id — a total order, so which shapes pass 2 scores does
+// not depend on how pass 1 was scheduled.
+func siftFloor(h []bucketShape, i int) {
+	less := func(a, b bucketShape) bool {
+		if a.floor != b.floor {
+			return a.floor < b.floor
+		}
+		return a.part < b.part || a.part == b.part && a.id < b.id
+	}
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && less(h[r], h[l]) {
+			l = r
+		}
+		if !less(h[l], h[i]) {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
 	}
 }
 
@@ -502,46 +548,9 @@ func hashBuckets(parts []part, pq *core.PreparedQuery) [][]int {
 	return cand
 }
 
-// hashSeed is the bound-first half of an exact request (DESIGN.md §4.9):
-// before the scan, the query's hash buckets are scored with the bounded
-// evaluators, and the k-th smallest distance among their live shapes —
-// any k live shapes bound the merged k-th best from above — becomes the
-// bound every part's scan runs under.
-type hashSeed struct {
-	kth *core.DistTopK
-	// scored is, per part, what the pass proved about each bucket shape: its
-	// distance and realizing copy, or (EntryID -1) that it lies strictly
-	// above the k-th running when its turn came — by its score, or by its
-	// floor when the pass stopped in front of it — which the final k-th, the
-	// seed, only undercuts. Nil switches the hand-over off.
-	scored []map[int]core.Match
-}
-
-// scoreSeed scores the request's hash buckets, once and best-first over
-// every part at once (scoreBucket), each shape under the running k-th: a
-// shape proven worse than it cannot lower it.
-func scoreSeed(ctx context.Context, parts []part, pq *core.PreparedQuery, buckets [][]int, k int) (*hashSeed, error) {
-	s := &hashSeed{kth: core.NewDistTopK(k), scored: make([]map[int]core.Match, len(parts))}
-	var stack [bucketStack]bucketShape
-	cands := stack[:0]
-	for i, p := range parts {
-		s.scored[i] = make(map[int]core.Match, len(buckets[i]))
-		cands = appendFloors(cands, p, i, buckets[i], pq)
-	}
-	err := scoreBucket(ctx, parts, pq, cands, s.kth.Kth, func(c bucketShape, m Match, entry int, ok bool) {
-		if ok {
-			s.kth.Add(m.Distance)
-		}
-		s.scored[c.part][int(c.id)] = core.Match{ShapeID: int(c.id), EntryID: entry, DistVertex: m.Distance}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// bucketShape is one candidate of a bucket pass: shape id of parts[part],
-// with the floor its part puts under its distance.
+// bucketShape is a shape of parts[part] with the floor its part puts
+// under its distance: a candidate of a bucket pass, an entry of the exact
+// search's heap.
 type bucketShape struct {
 	part, id int32
 	floor    float64
@@ -552,70 +561,15 @@ type bucketShape struct {
 // larger bucket moves the list to the heap, once per pass.
 const bucketStack = 256
 
-// appendFloors appends the part's candidates ids, each with its floor.
-func appendFloors(cands []bucketShape, p part, pi int, ids []int, pq *core.PreparedQuery) []bucketShape {
-	for _, id := range ids {
-		cands = append(cands, bucketShape{part: int32(pi), id: int32(id), floor: p.floor(id, pq)})
-	}
-	return cands
-}
-
-// scoreBucket is the one loop that scores hash-bucket (or ANN) candidates,
-// best-first (DESIGN.md §4.9, "The bucket is scored best-first"): cands are
-// sorted by floor — stably, so the order they were listed in survives among
-// equal floors — and each is scored by its part under the cutoff current
-// when its turn comes, which the shapes likeliest to be near have tightened
-// by then. The first candidate whose floor exceeds the cutoff ends the pass:
-// the cutoff only falls and the floors after it only rise, so it and
-// everything behind it is proven strictly outside, unscored. took sees
-// every candidate once, scored or not — ok false, entry -1 for one proven
-// outside. Every reject is strict against a cutoff that never undercuts the
-// final k-th, so what took is shown within the final cutoff does not depend
-// on the order. ctx is checked every 32 candidates, as the scan does.
-func scoreBucket(ctx context.Context, parts []part, pq *core.PreparedQuery, cands []bucketShape,
-	cutoff func() float64, took func(c bucketShape, m Match, entry int, ok bool)) error {
-	slices.SortStableFunc(cands, func(a, b bucketShape) int { return cmp.Compare(a.floor, b.floor) })
-	for i, c := range cands {
-		if i&31 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		cut := cutoff()
-		if c.floor > cut {
-			for _, behind := range cands[i:] {
-				took(behind, Match{}, -1, false)
-			}
-			return nil
-		}
-		m, entry, ok := parts[c.part].scoreBounded(int(c.id), pq, cut)
-		took(c, m, entry, ok)
-	}
-	return nil
-}
-
-// bound returns a shared bound tightened to the seed, or nil when the
-// buckets held fewer than k live shapes: any k live shapes seed the scan,
-// and the seed changes how much work it does, never its answer.
-func (s *hashSeed) bound() *core.SharedBound {
-	sv := s.kth.Kth()
-	if math.IsInf(sv, 1) {
-		return nil
-	}
-	sb := core.NewSharedBound()
-	sb.Tighten(sv)
-	return sb
-}
-
 // approxScatter answers from the parts' geometric hash tables alone (§3):
 // every part's bucket, ranked with the similarity measure under one
 // shared bound. A non-off ann mode reorders each bucket best-first by ANN
 // agreement before scoring — a pure visit-order change (the admissible
 // cutoffs make the surviving top-k order-invariant), kept among candidates
-// of equal floor (scoreBucket) and reported in the returned Stats' ANN
+// of equal floor (scoreCandidates) and reported in the returned Stats' ANN
 // fields.
 func approxScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, buckets [][]int, k, width int, ann AnnMode) ([]Match, Stats, error) {
-	return scatter(ctx, parts, k, width, nil, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
+	return scatter(ctx, parts, k, width, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
 		ids := buckets[i]
 		var st Stats
 		if ann != AnnOff {
@@ -626,32 +580,46 @@ func approxScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, bu
 	})
 }
 
-// scoreCandidates ranks one part's candidates against a prepared query,
-// best-first (scoreBucket), skipping shapes proven unable to make the final
-// top-k: every candidate is scored under the tightest currently-proven
-// cutoff — the k-th best distance scored so far, and (when non-nil) the
-// bound shared with the sibling parts — and the bounded evaluation abandons
-// a shape as soon as its floor or a partial sum proves its distance
-// strictly above that cutoff. Both cutoffs only ever hold values ≥ the
-// final k-th best, and the skip is strict, so the surviving list truncates
-// to a top-k byte-identical to the exhaustive ranking (DESIGN.md §4.9).
-// Candidates are live when they are listed, so a published bound only ever
-// reflects shapes that can appear in the final answer.
+// scoreCandidates ranks one part's hash-bucket (or ANN) candidates against
+// a prepared query, best-first (DESIGN.md §4.9, "The bucket is scored
+// best-first"): the candidates are sorted by floor — stably, so the order
+// they were listed in survives among equal floors — and each is scored
+// under the tightest cutoff proven when its turn comes: the k-th best
+// distance scored so far and (when non-nil) the bound shared with the
+// sibling parts. The bounded evaluation abandons a shape as soon as a
+// partial sum proves it strictly above that cutoff, and the first candidate
+// whose floor exceeds the cutoff ends the pass: the cutoff only falls and
+// the floors behind it only rise. Both cutoffs only ever hold values ≥ the
+// final k-th best, and every reject is strict, so the surviving list
+// truncates to a top-k byte-identical to the exhaustive ranking in any
+// order. Candidates are live when they are listed, so a published bound
+// only ever reflects shapes that can appear in the final answer. ctx is
+// checked every 32 candidates.
 func scoreCandidates(ctx context.Context, p part, pq *core.PreparedQuery, ids []int, k int, shared *core.SharedBound) ([]Match, error) {
+	var stack [bucketStack]bucketShape
+	cands := stack[:0]
+	for _, id := range ids {
+		cands = append(cands, bucketShape{id: int32(id), floor: p.floor(id, pq)})
+	}
+	slices.SortStableFunc(cands, func(a, b bucketShape) int { return cmp.Compare(a.floor, b.floor) })
 	out := make([]Match, 0, len(ids))
 	kth := core.NewDistTopK(k)
-	cutoff := func() float64 {
+	for i, c := range cands {
+		if i&31 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		cut := kth.Kth()
 		if shared != nil {
 			cut = min(cut, shared.Load())
 		}
-		return cut
-	}
-	var stack [bucketStack]bucketShape
-	cands := appendFloors(stack[:0], p, 0, ids, pq)
-	err := scoreBucket(ctx, []part{p}, pq, cands, cutoff, func(_ bucketShape, m Match, _ int, ok bool) {
+		if c.floor > cut {
+			break
+		}
+		m, _, ok := p.scoreBounded(int(c.id), pq, cut)
 		if !ok {
-			return
+			continue
 		}
 		kth.Add(m.Distance)
 		if shared != nil {
@@ -660,9 +628,6 @@ func scoreCandidates(ctx context.Context, p part, pq *core.PreparedQuery, ids []
 			}
 		}
 		out = append(out, m)
-	})
-	if err != nil {
-		return nil, err
 	}
 	sortMatches(out)
 	return out, nil
@@ -723,43 +688,19 @@ func (p *frozenPart) floor(id int, pq *core.PreparedQuery) float64 {
 	return p.e.db.Base().ShapeFloor(id, pq)
 }
 
-// exact is the exact search — one bounded scan — for min(k, live shapes)
-// matches, skipping tombstoned shapes inside the kernel, before they are
-// scored: a part cannot supply more than it holds. A capped part must not
-// publish — its k'-th best does not bound the merged k-th — but may
-// consume, since anything it discards is proven outside the merged top-k
-// (DESIGN.md §4.9).
-func (p *frozenPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound, scored map[int]core.Match) ([]Match, Stats, error) {
-	kk := min(k, p.liveShapes())
-	if kk == 0 {
-		return nil, Stats{}, nil // every shape tombstoned
-	}
-	base := p.e.db.Base()
-	ms, st, err := base.MatchPrepared(ctx, pq, kk, core.MatchOpts{Shared: shared, Publish: kk == k, Dead: p.dead, Scored: scored}, true)
-	if err != nil {
-		if p.smap != nil {
-			err = fmt.Errorf("geosir: shard %d: %w", p.shard, err)
-		}
-		return nil, Stats{}, err
-	}
-	stats := Stats{
-		Iterations:      st.Iterations,
-		FinalEpsilon:    st.FinalEpsilon,
-		VerticesCounted: st.VerticesCounted,
-		Candidates:      st.Candidates,
-		BlockReads:      st.BlocksRead,
-	}
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{
-			ShapeID:            p.global(m.ShapeID),
-			ImageID:            base.Shape(m.ShapeID).Image,
-			Distance:           m.DistVertex,
-			ContinuousDistance: m.DistContinuous,
-		}
-	}
-	return out, stats, nil
+func (p *frozenPart) continuous(_, entry int, pq *core.PreparedQuery) (float64, int) {
+	return p.e.db.Base().Continuous(entry, pq)
 }
+
+func (p *frozenPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
+	out := make([]bucketShape, 0, p.liveShapes())
+	copies, blocks, err := p.e.db.Base().Floors(ctx, pq, p.dead, func(id int, floor float64) {
+		out = append(out, bucketShape{part: pi, id: int32(id), floor: floor})
+	})
+	return out, Stats{VerticesCounted: copies, BlockReads: blocks}, err
+}
+
+func (p *frozenPart) stale() bool { return false }
 
 func (p *frozenPart) annApprox(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error) {
 	shapes, probes := p.e.annCandidates(pq, annMinShapes(k))
@@ -806,55 +747,59 @@ func (p *frozenPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, k 
 	return best, stats, nil
 }
 
-// deltaPart is a live delta as a part. It has no ANN tier: its exact
-// search is the bounded scan a frozen part runs, over its own live shapes,
-// and every live shape is an ANN candidate — strictly better recall than
-// any probe. It publishes its own k-th best, which exists only once it has
-// scored k live shapes (§4.12). Delta matches carry global ids already.
-type deltaPart struct{ d *ingest.Delta }
+// deltaPart is a live delta as a part. It has no ANN tier: every live
+// shape is an ANN candidate — strictly better recall than any probe — and
+// its candidate scan publishes its own k-th best, which exists only once it
+// has scored k live shapes (§4.12). Delta matches carry global ids already.
+// listed is the delta's delete count as its last floors found it.
+type deltaPart struct {
+	d      *ingest.Delta
+	listed uint64
+}
 
-func (p deltaPart) liveShapes() int         { return p.d.NumShapes() }
-func (p deltaPart) family() *geohash.Family { return p.d.Family() }
+func (p *deltaPart) family() *geohash.Family { return p.d.Family() }
 
-func (p deltaPart) liveBucket(quad geohash.Quadruple, radius int) []int {
+func (p *deltaPart) liveBucket(quad geohash.Quadruple, radius int) []int {
 	return p.d.Candidates(quad, radius)
 }
 
-func (p deltaPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
+func (p *deltaPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
 	m, ok := p.d.ScoreBounded(id, pq, cutoff)
-	return Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, Approximate: true}, -1, ok
+	return Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, Approximate: true}, m.Copy, ok
 }
 
-func (p deltaPart) floor(id int, pq *core.PreparedQuery) float64 { return p.d.Floor(id, pq) }
+func (p *deltaPart) continuous(id, entry int, pq *core.PreparedQuery) (float64, int) {
+	d, _ := p.d.Continuous(id, entry, pq)
+	return d, 0
+}
 
-func (p deltaPart) annOrder(_ *core.PreparedQuery, ids []int) ([]int, Stats) { return ids, Stats{} }
+func (p *deltaPart) floor(id int, pq *core.PreparedQuery) float64 { return p.d.Floor(id, pq) }
 
-// scan is the delta's bounded scan. Exact results carry the continuous
-// measure; approximate ones do not, matching the frozen paths.
-func (p deltaPart) scan(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound, approx bool) ([]Match, Stats, error) {
-	ms, evaluated, err := p.d.Match(ctx, pq, k, core.MatchOpts{Shared: shared, Publish: true}, !approx)
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("geosir: delta: %w", err)
+func (p *deltaPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
+	var out []bucketShape
+	p.listed = p.d.Deletes()
+	copies, err := p.d.Floors(ctx, pq, func(id int, floor float64) {
+		out = append(out, bucketShape{part: pi, id: int32(id), floor: floor})
+	})
+	return out, Stats{VerticesCounted: copies}, err
+}
+
+func (p *deltaPart) stale() bool { return p.d.Deletes() != p.listed }
+
+func (p *deltaPart) annOrder(_ *core.PreparedQuery, ids []int) ([]int, Stats) { return ids, Stats{} }
+
+// annApprox scores every live shape of the delta — each is an ANN
+// candidate — best-first under the request's shared bound.
+func (p *deltaPart) annApprox(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error) {
+	var ids []int
+	if _, err := p.d.Floors(ctx, pq, func(id int, _ float64) { ids = append(ids, id) }); err != nil {
+		return nil, Stats{}, err
 	}
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, ContinuousDistance: m.Continuous, Approximate: approx}
-	}
-	return out, Stats{Candidates: evaluated}, nil
-}
-
-// exact scores every live shape itself, the seed's bucket included: a
-// delete can reach the delta between the seed pass and this scan.
-func (p deltaPart) exact(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound, _ map[int]core.Match) ([]Match, Stats, error) {
-	return p.scan(ctx, pq, k, shared, false)
-}
-
-func (p deltaPart) annApprox(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error) {
-	ms, _, err := p.scan(ctx, pq, k, shared, true)
+	ms, err := scoreCandidates(ctx, p, pq, ids, k, shared)
 	return ms, Stats{}, err
 }
 
-func (p deltaPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, _ int, _ AnnMode) (map[int]float64, Stats, error) {
+func (p *deltaPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, _ int, _ AnnMode) (map[int]float64, Stats, error) {
 	best, err := p.d.SketchTable(ctx, pq)
 	return best, Stats{}, err
 }

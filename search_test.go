@@ -3,7 +3,6 @@ package geosir
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -137,28 +136,18 @@ func (c *errAfterCtx) Err() error {
 	return nil
 }
 
-// TestExactScanCancelled cancels a single Engine's ModeExact search while
-// its one part is mid-scan: the request's entry check, the seed pass's
-// checks and the scatter's claim of the part have passed, the scan's first
-// check too, and the second — 32 shapes in — sees the cancel.
+// TestExactScanCancelled cancels a single Engine's ModeExact search in its
+// floor pass: the request's entry check, the fan-out's claim of the part
+// and the pass's first check have passed, and its second — 32 shapes in —
+// sees the cancel.
 func TestExactScanCancelled(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	eng := buildSingle(t, images)
-	req := SearchRequest{Query: queries[0], K: 1, Mode: ModeExact}
-	parts := eng.searchView().parts
-	if eng.NumShapes() <= 32 || !seeded(t, parts, req.Query, req.K) {
-		t.Fatalf("want a seeded search over more than 32 shapes (have %d)", eng.NumShapes())
+	if eng.NumShapes() <= 32 {
+		t.Fatalf("want a search over more than 32 shapes (have %d)", eng.NumShapes())
 	}
-	pq, err := core.PrepareQuery(req.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedPass := &errAfterCtx{Context: context.Background(), after: math.MaxInt}
-	if _, err := scoreSeed(seedPass, parts, pq, hashBuckets(parts, pq), req.K); err != nil {
-		t.Fatal(err)
-	}
-	ctx := &errAfterCtx{Context: context.Background(), after: 3 + seedPass.calls}
-	resp, err := eng.Search(ctx, req)
+	ctx := &errAfterCtx{Context: context.Background(), after: 3}
+	resp, err := eng.Search(ctx, SearchRequest{Query: queries[0], K: 1, Mode: ModeExact})
 	if !errors.Is(err, context.Canceled) || resp != nil {
 		t.Fatalf("got (%v, %v), want context.Canceled and no response", resp, err)
 	}
@@ -167,12 +156,13 @@ func TestExactScanCancelled(t *testing.T) {
 	}
 }
 
-// TestSeedPassCancelled cancels a single Engine's search while the bucket
-// pass is under way — the seed pass of ModeExact, the hashing stage of
-// ModeApproximate: with k the bucket's size no k-th exists to stop the pass
-// early, so after the checks in front of it (the request's entry; for the
-// hashing stage also the scatter's claim of the part) and its own first one,
-// its second — 32 shapes in — sees the cancel.
+// TestSeedPassCancelled cancels a single Engine's search while a pass that
+// scores is under way — the refine pass of ModeExact, the hashing stage's
+// bucket pass of ModeApproximate: with k the bucket's size no k-th exists
+// to stop either early, so after the checks in front of it (the request's
+// entry, the fan-out's claim of the part and, for ModeExact, the floor
+// pass's, one per 32 shapes) and its own first one, its second — 32 shapes
+// in — sees the cancel.
 func TestSeedPassCancelled(t *testing.T) {
 	images := synth.GenerateBase(synth.PaperSpec(0.005, 41))
 	eng := buildSingle(t, images)
@@ -193,8 +183,8 @@ func TestSeedPassCancelled(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		mode   Mode
-		before int // context checks ahead of the bucket pass
-	}{{ModeExact, 1}, {ModeApproximate, 2}} {
+		before int // context checks ahead of the pass
+	}{{ModeExact, 2 + (eng.NumShapes()+31)/32}, {ModeApproximate, 2}} {
 		req.Mode = tc.mode
 		ctx := &errAfterCtx{Context: context.Background(), after: tc.before + 1}
 		resp, err := eng.Search(ctx, req)

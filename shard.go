@@ -186,7 +186,7 @@ func (v *shardView) parts() []part {
 		out = append(out, &frozen[i])
 	}
 	for _, d := range deltas {
-		out = append(out, deltaPart{d})
+		out = append(out, &deltaPart{d: d})
 	}
 	return out
 }
