@@ -6,7 +6,9 @@ GO ?= go
 # measured with `make ledger` (the one benchmark, BENCHMARK.json).
 ci: vet build race test-procs purego bench-check bench-smoke fuzz-smoke serve-smoke ingest-smoke load-smoke
 
+# gofmt -l lists every file whose formatting differs; any output fails.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 build:
@@ -23,15 +25,11 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# The shared bound makes per-part work — never matches, never Converged —
-# depend on which part publishes first: a tier-1 failure
-# (TestShardedMmapEquivalence's stats) showed only with >= 2 cores, which
-# the CI box does not have. The delta scans under a bound its sibling
-# parts publish concurrently, and a request's distance field is built once
-# and read by every shard goroutine — the same class, as are the stored
-# vertices' field cells and the oracle grids' one walk, which every shard
-# goroutine reads, and the floors a bucket pass orders itself by. Run the
-# affected suites at both settings. Topological reads take no lock: every
+# Scheduling bugs that show only with >= 2 cores — a tier-1 failure
+# (TestShardedMmapEquivalence's stats) once did, and the CI box has one: a
+# request's distance field is built once and read by every shard
+# goroutine's listing, as are the stored vertices' field cells and the
+# oracle grids' one walk. Run the affected suites at both settings. Topological reads take no lock: every
 # goroutine evaluates its query against the same frozen database.
 PROCS_RUN := 'Equivalence|BoundFirst|Delta|Dynamic|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological'
 test-procs:

@@ -2,7 +2,6 @@ package geosir
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/annindex"
 	"repro/internal/core"
@@ -16,22 +15,14 @@ type AnnMode int
 const (
 	// AnnOff (the zero value) ignores the ANN tier entirely.
 	AnnOff AnnMode = iota
-	// AnnVerify uses the tier only to *order* work, and only in the
-	// hashing stage (ModeApproximate, ModeAuto's fallback): its candidate
-	// scoring visits ANN-similar shapes first, which tightens the
-	// admissible cutoffs (and the cross-shard shared bound) sooner. The
-	// exact search is one scan with no order to change and probes
-	// nothing. Results are byte-identical to AnnOff — the tier never
-	// decides what is evaluated, only when (DESIGN.md §4.10).
-	AnnVerify
 	// AnnApprox answers ModeAuto/ModeApproximate/ModeSketch requests
 	// from the ANN candidate set alone: probed buckets (extended to a
 	// minimum candidate floor by a signature scan) are scored exactly by
 	// the bounded evaluators, unprobed shapes are skipped. Sublinear in
 	// the base's geometry at a measured recall (BenchmarkAnn*; the ledger's
 	// recall_at_k on approx_zipf_cached).
-	// ModeExact ignores the approximation and degrades to AnnVerify —
-	// its contract is exactness — which is AnnOff there.
+	// ModeExact ignores it — its contract is exactness — and answers as
+	// under AnnOff.
 	AnnApprox
 )
 
@@ -40,8 +31,6 @@ func (m AnnMode) String() string {
 	switch m {
 	case AnnOff:
 		return "off"
-	case AnnVerify:
-		return "verify"
 	case AnnApprox:
 		return "approx"
 	}
@@ -53,8 +42,6 @@ func ParseAnnMode(s string) (AnnMode, error) {
 	switch s {
 	case "", "off":
 		return AnnOff, nil
-	case "verify":
-		return AnnVerify, nil
 	case "approx", "approximate":
 		return AnnApprox, nil
 	}
@@ -148,29 +135,6 @@ func annStats(probes, candidates int) Stats {
 	return Stats{UsedANN: true, ANNProbes: probes, ANNCandidates: candidates}
 }
 
-// annOrder reorders candidate shape ids best-first by ANN signature
-// agreement (stable: unprobed shapes keep their relative order after the
-// probed ones). Pure reordering — the §4.9 admissible scoring cutoffs
-// make the surviving top-k independent of visit order — so AnnVerify
-// results stay byte-identical while the k-th-best cutoff tightens sooner.
-func (p *frozenPart) annOrder(pq *core.PreparedQuery, ids []int) ([]int, Stats) {
-	if len(ids) < 2 {
-		return ids, Stats{}
-	}
-	ann := p.e.ann
-	cand := ann.Probe(ann.Signature(pq.Entry().Poly), 0)
-	st := annStats(cand.Probes, len(cand.Shapes))
-	if len(cand.Shapes) == 0 {
-		return ids, st
-	}
-	score := make(map[int]int32, len(cand.Shapes))
-	for i, s := range cand.Shapes {
-		score[s] = cand.ShapeScores[i]
-	}
-	sort.SliceStable(ids, func(i, j int) bool { return score[ids[i]] > score[ids[j]] })
-	return ids, st
-}
-
 // annCandidates is the candidate set of an approximate search: bucket
 // probes plus the signature-scan floor of minShapes, best-first, capped
 // (annCapShapes). It also returns the number of buckets probed.
@@ -183,7 +147,8 @@ func (e *Engine) annCandidates(pq *core.PreparedQuery, minShapes int) ([]int, in
 	return shapes, cand.Probes
 }
 
-// addANN folds another stage's ANN accounting into s.
+// addANN folds another stage's (or part's) ANN accounting and block reads
+// into s.
 func (s *Stats) addANN(o Stats) {
 	s.UsedANN = s.UsedANN || o.UsedANN
 	s.ANNProbes += o.ANNProbes

@@ -17,18 +17,14 @@ type searcher interface {
 	NumShapes() int
 }
 
-// TestAnnVerifyEquivalence is the property the verify-mode contract
-// rests on: with Ann set to AnnVerify the candidate tier may only
-// reorder work inside the exact kernel, so Search must return
-// byte-identical matches and ordering to the same request with the tier
-// off — on the single Engine and on ShardedEngine at shard counts
-// {1, 2, 7}, for every mode, k ∈ {0, 1, 3, many}, and the sketch path.
-// ModeExact with AnnApprox degrades to verify (the mode's exactness
-// contract wins), so it is held to the same identity. Stats are
-// deliberately not compared: UsedANN and the probe counters legitimately
-// differ. Run under -race this also exercises the fan-out concurrency.
+// TestAnnVerifyEquivalence pins the contract the tier keeps in ModeExact:
+// exactness wins, so a ModeExact request with Ann set to AnnApprox returns
+// exactly what the same request with the tier off does — matches, order
+// and Stats — on the single Engine and on ShardedEngine at shard counts
+// {1, 2, 7}, for k ∈ {0, 1, 3, many}. Run under -race this also exercises
+// the fan-out concurrency.
 func TestAnnVerifyEquivalence(t *testing.T) {
-	images, queries, sketch := equivBase(t)
+	images, queries, _ := equivBase(t)
 	ctx := context.Background()
 
 	type namedEngine struct {
@@ -44,50 +40,35 @@ func TestAnnVerifyEquivalence(t *testing.T) {
 		many := e.eng.NumShapes() + 5
 
 		// k = 0 fails identically with and without the tier.
-		_, errOff := e.eng.Search(ctx, SearchRequest{Query: queries[0], K: 0})
-		_, errOn := e.eng.Search(ctx, SearchRequest{Query: queries[0], K: 0, Ann: AnnVerify})
+		_, errOff := e.eng.Search(ctx, SearchRequest{Query: queries[0], K: 0, Mode: ModeExact})
+		_, errOn := e.eng.Search(ctx, SearchRequest{Query: queries[0], K: 0, Mode: ModeExact, Ann: AnnApprox})
 		if !errors.Is(errOff, ErrBadK) || !errors.Is(errOn, ErrBadK) {
-			t.Fatalf("%s: k=0 errors diverge: off %v, verify %v", e.name, errOff, errOn)
+			t.Fatalf("%s: k=0 errors diverge: off %v, approx %v", e.name, errOff, errOn)
 		}
 
 		for _, k := range []int{1, 3, many} {
 			for qi, q := range queries {
-				for _, mode := range []Mode{ModeAuto, ModeExact, ModeApproximate} {
-					want, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
-					if err != nil {
-						t.Fatalf("%s q%d k=%d %v off: %v", e.name, qi, k, mode, err)
-					}
-					got, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Ann: AnnVerify})
-					if err != nil {
-						t.Fatalf("%s q%d k=%d %v verify: %v", e.name, qi, k, mode, err)
-					}
-					assertMatchesEqual(t, e.name+"/"+mode.String()+"/verify", want.Matches, got.Matches)
-					if mode == ModeExact {
-						got, err = e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Ann: AnnApprox})
-						if err != nil {
-							t.Fatalf("%s q%d k=%d exact approx: %v", e.name, qi, k, err)
-						}
-						assertMatchesEqual(t, e.name+"/exact/approx-degraded", want.Matches, got.Matches)
-					}
+				want, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
+				if err != nil {
+					t.Fatalf("%s q%d k=%d off: %v", e.name, qi, k, err)
+				}
+				got, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact, Ann: AnnApprox})
+				if err != nil {
+					t.Fatalf("%s q%d k=%d approx: %v", e.name, qi, k, err)
+				}
+				assertMatchesEqual(t, fmt.Sprintf("%s q%d k=%d exact/approx", e.name, qi, k), want.Matches, got.Matches)
+				if got.Stats != want.Stats {
+					t.Fatalf("%s q%d k=%d: stats %+v, tier off %+v", e.name, qi, k, got.Stats, want.Stats)
 				}
 			}
-			want, err := e.eng.Search(ctx, SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch})
-			if err != nil {
-				t.Fatalf("%s sketch k=%d off: %v", e.name, k, err)
-			}
-			got, err := e.eng.Search(ctx, SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Ann: AnnVerify})
-			if err != nil {
-				t.Fatalf("%s sketch k=%d verify: %v", e.name, k, err)
-			}
-			assertSketchEqual(t, e.name+"/sketch/verify", want.SketchMatches, got.SketchMatches)
 		}
 	}
 }
 
 // TestSeededExactBuildsNoRank pins that an exact search pays for no ANN
-// ordering: under AnnVerify the exact search orders its shapes by floor
-// alone — no signature, no probe, and the stats say so — and the matches
-// are the tier-off search's, for k within the base and past it.
+// work: under AnnApprox, ModeExact computes no signature and probes
+// nothing — and the stats say so — and the matches are the tier-off
+// search's, for k within the base and past it.
 func TestSeededExactBuildsNoRank(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	ctx := context.Background()
@@ -102,11 +83,11 @@ func TestSeededExactBuildsNoRank(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s q%d k=%d off: %v", e.name, qi, k, err)
 				}
-				got, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact, Ann: AnnVerify})
+				got, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact, Ann: AnnApprox})
 				if err != nil {
-					t.Fatalf("%s q%d k=%d verify: %v", e.name, qi, k, err)
+					t.Fatalf("%s q%d k=%d approx: %v", e.name, qi, k, err)
 				}
-				assertMatchesEqual(t, e.name+"/exact/verify", want.Matches, got.Matches)
+				assertMatchesEqual(t, e.name+"/exact/approx", want.Matches, got.Matches)
 				if st := got.Stats; st.UsedANN || st.ANNProbes != 0 || st.ANNCandidates != 0 {
 					t.Fatalf("%s q%d k=%d: an exact search reports ANN work: %+v", e.name, qi, k, st)
 				}

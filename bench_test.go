@@ -330,13 +330,14 @@ func BenchmarkMatch_Scaling_50images(b *testing.B)  { benchmarkMatchAtScale(b, 0
 func BenchmarkMatch_Scaling_100images(b *testing.B) { benchmarkMatchAtScale(b, 0.01) }
 func BenchmarkMatch_Scaling_200images(b *testing.B) { benchmarkMatchAtScale(b, 0.02) }
 
-// BenchmarkBucketScoring times the approximate bucket pass — the query's
-// hash bucket scored best-first (scoreCandidates; DESIGN.md §4.9), the
-// pass behind ModeApproximate and ModeAuto's fallback — over the 200-image
-// base and its 64 queries, bucket lookup and distance field outside the
-// clock, and reports what the pass's order is for: how many of the
-// bucket's shapes it scored in full (they came back with a distance) and
-// how many normalized copies reached the exact evaluator, per query.
+// BenchmarkBucketScoring times the hashing stage's two passes over one
+// part — the query's hash bucket floored, then refined in floor order
+// (refine; DESIGN.md §4.9), the stage behind ModeApproximate and
+// ModeAuto's fallback — over the 200-image base and its 64 queries, bucket
+// lookup and distance field outside the clock, and reports what the floor
+// order is for: how many of the bucket's shapes were scored in full (they
+// came back with a distance) and how many normalized copies reached the
+// exact evaluator, per query.
 func BenchmarkBucketScoring(b *testing.B) {
 	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
 	eng := buildSingle(b, images)
@@ -347,6 +348,12 @@ func BenchmarkBucketScoring(b *testing.B) {
 		pq     *core.PreparedQuery
 		bucket []int
 	}
+	bucketPass := func(p part, q prepared) error {
+		_, _, err := refine(ctx, []part{p}, q.pq, 5, 1, false, func() listing {
+			return func(int) ([]bucketShape, Stats, error) { return floored(p, q.bucket, q.pq, 0), Stats{}, nil }
+		})
+		return err
+	}
 	var qs []prepared
 	var bucket, inFull int
 	for _, q := range synth.Queries(rand.New(rand.NewSource(2)), images, 64, 0.01) {
@@ -356,14 +363,12 @@ func BenchmarkBucketScoring(b *testing.B) {
 		}
 		pq.AttachEvalCounter(&evaluated)
 		ids := hashBuckets([]part{p}, pq)[0]
-		// The pass is deterministic: this one builds the query's distance
-		// field and is the one counted.
-		ms, err := scoreCandidates(ctx, p, pq, ids, 5, nil)
-		if err != nil {
+		// The passes are deterministic: this run builds the query's
+		// distance field and is the one counted.
+		if err := bucketPass(countedPart{p, &inFull}, prepared{pq, ids}); err != nil {
 			b.Fatal(err)
 		}
 		bucket += len(ids)
-		inFull += len(ms)
 		qs = append(qs, prepared{pq, ids})
 	}
 	copies := evaluated.Load()
@@ -371,7 +376,7 @@ func BenchmarkBucketScoring(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if _, err := scoreCandidates(ctx, p, q.pq, q.bucket, 5, nil); err != nil {
+		if err := bucketPass(p, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,6 +384,20 @@ func BenchmarkBucketScoring(b *testing.B) {
 	b.ReportMetric(float64(bucket)/n, "bucket/query")
 	b.ReportMetric(float64(inFull)/n, "scored/query")
 	b.ReportMetric(float64(copies)/n, "copies/query")
+}
+
+// countedPart counts the shapes its part scores in full.
+type countedPart struct {
+	part
+	n *int
+}
+
+func (p countedPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
+	m, entry, ok := p.part.scoreBounded(id, pq, cutoff)
+	if ok {
+		*p.n++
+	}
+	return m, entry, ok
 }
 
 // BenchmarkSearchLive times ModeAuto searches on a live base: 8 shards over

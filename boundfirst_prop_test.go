@@ -3,6 +3,7 @@ package geosir
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -69,7 +70,7 @@ func engineUnseeded(t *testing.T, label string, e *Engine, q Shape, k int, mode 
 func assertBoundFirst(t *testing.T, label string, s Searcher, v searchView, q Shape, k int) {
 	t.Helper()
 	ctx := context.Background()
-	want, wst := exactUnseeded(t, label, v.parts, q, k, 1, nil)
+	want, wst := exactUnseeded(t, label, v.parts, q, k, math.Inf(1))
 	wantAuto := autoFrom(t, label, v, q, k, want, wst)
 	for _, mode := range []Mode{ModeExact, ModeAuto} {
 		for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
@@ -110,7 +111,7 @@ func liveIn(parts []part) (live, dead int) {
 func assertTwoPasses(t *testing.T, label string, parts []part, q Shape, k int) int {
 	t.Helper()
 	ctx := context.Background()
-	want, wst := exactUnseeded(t, label, parts, q, k, 1, nil)
+	want, wst := exactUnseeded(t, label, parts, q, k, math.Inf(1))
 	live, dead := liveIn(parts)
 	var first Stats
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -143,29 +144,35 @@ func assertTwoPasses(t *testing.T, label string, parts []part, q Shape, k int) i
 	return dead
 }
 
-// annApproxUnshared is the ann:approx answer with no bound shared: every
-// frozen part's probed candidates and every delta's shapes scored on
-// their own, then merged.
+// annApproxUnshared is the ann:approx answer worked out the long way:
+// every shape the parts list — a frozen part's probed candidates, a
+// delta's every shape — scored under +Inf, ranked, cut to k.
 func annApproxUnshared(t *testing.T, label string, parts []part, q Shape, k int) []Match {
 	t.Helper()
 	pq, err := core.PrepareQuery(q)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	lists := make([][]Match, len(parts))
+	var ms []Match
 	for i, p := range parts {
-		if lists[i], _, err = p.annApprox(context.Background(), pq, k, nil); err != nil {
+		listed, _, err := p.annFloors(context.Background(), pq, k, int32(i))
+		if err != nil {
 			t.Fatalf("%s: part %d: %v", label, i, err)
 		}
+		for _, c := range listed {
+			if m, _, ok := p.scoreBounded(int(c.id), pq, math.Inf(1)); ok {
+				ms = append(ms, m)
+			}
+		}
 	}
-	return mergeTopK(lists, k)
+	sortMatches(ms)
+	return ms[:min(k, len(ms))]
 }
 
 // assertDeltaParts is assertBoundFirst plus the ann:approx path, whose
-// deltas scan under the same shared bound: every part consuming and
-// publishing it must leave the merged matches where the unshared runs put
-// them. It returns how many of the exact matches are shapes inserted live
-// (image ids above 9001).
+// deltas join the same heap: the matches must be the ones scoring every
+// listed shape puts first. It returns how many of the exact matches are
+// shapes inserted live (image ids above 9001).
 func assertDeltaParts(t *testing.T, label string, se *ShardedEngine, q Shape, k int) int {
 	t.Helper()
 	ctx := context.Background()
@@ -334,11 +341,10 @@ func TestBoundFirstEquivalence(t *testing.T) {
 		}
 
 		// The delta as a part like any other (DESIGN.md §4.12): its shapes
-		// join the one heap of the exact search, and its candidate scan
-		// consumes and publishes the request's bound, while it holds none,
-		// some or all of the merged top-k, a twin of a frozen shape (a tie at
-		// distance 0 across parts), and — mid-compaction — as two deltas,
-		// sealed and active, at once.
+		// join the one heap of the exact search and of the ann:approx
+		// stage, while it holds none, some or all of the top-k, a twin of a
+		// frozen shape (a tie at distance 0 across parts), and —
+		// mid-compaction — as two deltas, sealed and active, at once.
 		var frozenTwin Shape
 		for _, im := range images[1 : len(images)-1] {
 			if !gone[im.ID] {

@@ -17,11 +17,9 @@ import (
 // orderedPart is a part whose passes run in an order of the test's
 // choosing: the bucket comes permuted by perm and — flat — every floor
 // reads 0, a bucket floor and every floor pass 1 of the exact search lists
-// alike, which claims nothing, leaves the sorts nothing to reorder and
-// never stops a pass. Flat under the identity is the loop as it ran before
-// the floors: table (or index) order, every shape scored. afterFloor, when
-// set, runs once shape id's floor has been taken — between its floor and
-// its score.
+// alike, which claims nothing, leaves the heap only (part, id) to order by
+// and never stops a pass. afterFloor, when set, runs once shape id's floor
+// has been taken — between its floor and its score.
 type orderedPart struct {
 	part
 	perm       func(ids []int)
@@ -133,18 +131,16 @@ func assertOrderInvariant(t *testing.T, label string, s Searcher, view func() se
 		l := fmt.Sprintf("%s order=%s", label, o.name)
 		for _, mode := range []Mode{ModeExact, ModeAuto, ModeApproximate} {
 			for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
-				for _, ann := range []AnnMode{AnnOff, AnnVerify} {
-					req := SearchRequest{Query: q, K: k, Mode: mode, Exec: exec, Ann: ann}
-					resp, err := search(ctx, &pl, true, ordered, req)
-					if err != nil {
-						t.Fatalf("%s %v %v ann=%v: %v", l, mode, exec, ann, err)
-					}
-					key := mode.String()
-					if w, ok := want[key]; !ok {
-						want[key] = resp.Matches
-					} else {
-						assertMatchesEqual(t, fmt.Sprintf("%s %v %v ann=%v", l, mode, exec, ann), w, resp.Matches)
-					}
+				req := SearchRequest{Query: q, K: k, Mode: mode, Exec: exec}
+				resp, err := search(ctx, &pl, true, ordered, req)
+				if err != nil {
+					t.Fatalf("%s %v %v: %v", l, mode, exec, err)
+				}
+				key := mode.String()
+				if w, ok := want[key]; !ok {
+					want[key] = resp.Matches
+				} else {
+					assertMatchesEqual(t, fmt.Sprintf("%s %v %v", l, mode, exec), w, resp.Matches)
 				}
 			}
 		}
@@ -183,17 +179,16 @@ func copyTies(t *testing.T, p *frozenPart, pq *core.PreparedQuery, ids []int) (t
 	return ties
 }
 
-// TestBucketOrderInvariance is the property the best-first passes rest on
-// (DESIGN.md §4.9, "The bucket is scored best-first" and "The exact search
-// is two passes"): the order a bucket is visited in — table order,
-// reversed, shuffled, by floor — the order the exact search pops its shapes
-// in — by floor, or by index with every floor 0 — and where either pass
-// stops change how much is scored, never what comes out. For every order
-// the matches of ModeExact, ModeAuto and ModeApproximate are the same
+// TestBucketOrderInvariance is the property the refine pass rests on
+// (DESIGN.md §4.9, "The exact search is two passes"): the order a bucket is
+// listed in — table order, reversed, shuffled — the order the refine pass
+// pops its shapes in — by floor, or by part and id with every floor 0 — and
+// where it stops change how much is scored, never what comes out. For every
+// order the matches of ModeExact, ModeAuto and ModeApproximate are the same
 // (ContinuousDistance follows from the copy chosen) — on an Engine and on
 // 1, 2, 7 and 8 shards, static and live: a bucket shape tombstoned, shapes
-// in the delta, one of them deleted between its floor and its score (for
-// the exact search, between its two passes). A rectangle stored twice ties
+// in the delta, one of them deleted between its floor and its score, which
+// makes either stage run its passes again. A rectangle stored twice ties
 // two shapes on distance; the rhombus and the segment among the queries are
 // centrally symmetric, so a stored copy and its reverse — a half turn apart
 // — tie on distance within a shape (the test counts those that do to the
@@ -273,11 +268,11 @@ func TestBucketOrderInvariance(t *testing.T) {
 			}
 		}
 
-		// A delta shape deleted between its floor and its score: the pass
-		// listed it, took its floor — the lowest there is, it is the query —
-		// and finds it gone (the exact search, which sees the delete, runs
-		// its passes again). The answer is the one a search gives after the
-		// delete, in any order.
+		// A delta shape deleted between its floor and its score: pass 1
+		// listed it and took its floor — the lowest there is, it is the
+		// query — and the stage, which sees the delete, runs its passes
+		// again. The answer is the one a search gives after the delete, in
+		// any order.
 		q := queries[2]
 		for mi, mode := range []Mode{ModeExact, ModeAuto, ModeApproximate} {
 			victim := 9100 + mi

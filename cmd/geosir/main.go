@@ -47,7 +47,7 @@ func main() {
 		dump       = flag.String("dump", "", "write the loaded/demo base to a shape file and exit")
 		snapOut    = flag.String("snapshot-out", "", "freeze the loaded/demo base and write a snapshot for geosird, then exit (with -shards > 1: a snapshot directory)")
 		shards     = flag.Int("shards", 1, "partition the base across N shards")
-		annMode    = flag.String("ann", "off", "ANN candidate tier: off, verify (reorder only, exact results), approx (sublinear)")
+		annMode    = flag.String("ann", "off", "ANN candidate tier: off, approx (sublinear: answers from the tier's candidates alone)")
 	)
 	flag.Parse()
 

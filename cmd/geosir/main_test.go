@@ -147,15 +147,17 @@ func TestRunDemoPath(t *testing.T) {
 		"similar(q)", "q=0,0 1,0 1,1 0,1", false, 2, "off"); err != nil {
 		t.Fatalf("sharded topo run: %v", err)
 	}
-	// ANN candidate tier, both modes, both engine kinds.
-	if err := run("", 15, 3, "", false, 2, 2, "", "", false, 1, "verify"); err != nil {
-		t.Fatalf("ann verify run: %v", err)
+	// ANN candidate tier, both engine kinds.
+	if err := run("", 15, 3, "", false, 2, 2, "", "", false, 1, "approx"); err != nil {
+		t.Fatalf("ann approx run: %v", err)
 	}
 	if err := run("", 15, 3, "", false, 2, 2, "", "", false, 2, "approx"); err != nil {
 		t.Fatalf("sharded ann approx run: %v", err)
 	}
-	if err := run("", 15, 3, "", false, 2, 2, "", "", false, 1, "bogus"); err == nil {
-		t.Error("bad ann mode should fail")
+	for _, bad := range []string{"bogus", "verify"} {
+		if err := run("", 15, 3, "", false, 2, 2, "", "", false, 1, bad); err == nil {
+			t.Errorf("ann mode %q should fail", bad)
+		}
 	}
 	// Error cases.
 	if err := run("", 0, 1, "", false, -1, 1, "", "", false, 1, "off"); err == nil {

@@ -15,10 +15,11 @@ import (
 // engine must return byte-identical matches and ordering under
 // ExecSequential, ExecFanout, a capped ExecFanout, and ExecAuto — for
 // the single Engine and shard counts {1, 2, 7}, every mode,
-// k ∈ {1, many}, and every ann mode. Sequential runs keep the SharedBound cross-shard pruning (its
-// creation does not depend on the width), so this also pins down that a
-// width-1 walk under the shared bound is admissible. Run under -race
-// this exercises the fan-out concurrency against the inline path.
+// k ∈ {1, many}, and every ann mode. A single-shape request's Stats are
+// the same at every width too: only a stage's listing fans out, and its
+// refine pass runs on the request's goroutine over a total order. Run
+// under -race this exercises the fan-out concurrency against the inline
+// path.
 func TestExecEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec equivalence suite is deliberately exhaustive; skipped in -short")
@@ -44,7 +45,7 @@ func TestExecEquivalence(t *testing.T) {
 		}
 		many := se.NumShapes() + 5
 		for _, mode := range []Mode{ModeAuto, ModeExact, ModeApproximate} {
-			for _, ann := range []AnnMode{AnnOff, AnnVerify, AnnApprox} {
+			for _, ann := range []AnnMode{AnnOff, AnnApprox} {
 				for _, k := range []int{1, many} {
 					for qi, q := range queries[:2] {
 						base := SearchRequest{Query: q, K: k, Mode: mode, Ann: ann, Exec: ExecFanout}
@@ -61,6 +62,9 @@ func TestExecEquivalence(t *testing.T) {
 							}
 							label := fmt.Sprintf("shards=%d mode=%v ann=%d k=%d q=%d %s", shards, mode, ann, k, qi, v.name)
 							assertMatchesEqual(t, label, want.Matches, got.Matches)
+							if got.Stats != want.Stats {
+								t.Errorf("%s: stats %+v, at full width %+v", label, got.Stats, want.Stats)
+							}
 						}
 					}
 				}

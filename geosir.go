@@ -20,8 +20,8 @@
 //
 // All retrieval goes through the unified Search method (see Searcher);
 // a ShardedEngine partitions the image base across independent shards
-// and answers the same Search requests by parallel fan-out with an
-// exact top-k merge.
+// and answers the same Search requests byte for byte like one Engine,
+// listing the shards in parallel and refining their shapes in one heap.
 package geosir
 
 import (
@@ -118,10 +118,10 @@ type Stats struct {
 	// only when K exceeds the live shapes.
 	Converged   bool
 	UsedHashing bool
-	// UsedANN reports that the MinHash/LSH candidate tier participated
-	// (ordering in AnnVerify, candidate generation in AnnApprox);
-	// ANNProbes counts LSH buckets probed and ANNCandidates the
-	// candidates the tier emitted, summed over stages and shards.
+	// UsedANN reports that the MinHash/LSH candidate tier generated the
+	// candidates (AnnApprox); ANNProbes counts LSH buckets probed and
+	// ANNCandidates the candidates the tier emitted, summed over stages
+	// and shards.
 	UsedANN       bool
 	ANNProbes     int
 	ANNCandidates int

@@ -17,10 +17,9 @@
 // byte-identical to a persisted one and snapshot round-trips stay
 // canonical.
 //
-// The index never answers a query by itself. In verify mode it only
-// orders the candidates the exact kernel was going to evaluate anyway;
-// in approximate mode it emits a candidate set that the admissible
-// bounded evaluators then verify (DESIGN.md §4.10).
+// The index never answers a query by itself: it emits a candidate set
+// that the admissible bounded evaluators then score exactly (DESIGN.md
+// §4.10).
 package annindex
 
 import (
@@ -275,10 +274,8 @@ type Candidates struct {
 	Entries []int32
 	Scores  []int32
 	// Shapes are the candidates' shape ids, deduplicated in best-first
-	// order (each shape appears at its best entry's position);
-	// ShapeScores holds the aligned best-entry agreement counts.
-	Shapes      []int
-	ShapeScores []int32
+	// order (each shape appears at its best entry's position).
+	Shapes []int
 	// Probes counts the LSH buckets probed.
 	Probes int
 	// Scanned reports that bucket probing fell short of minShapes and
@@ -370,12 +367,11 @@ func (ix *Index) Probe(sig []uint64, minShapes int) Candidates {
 		sort.Sort(byScore{out.Entries, out.Scores})
 	}
 	shapeSeen := make(map[int32]struct{}, len(out.Entries))
-	for i, ei := range out.Entries {
+	for _, ei := range out.Entries {
 		s := ix.shapeOf[ei]
 		if _, dup := shapeSeen[s]; !dup {
 			shapeSeen[s] = struct{}{}
 			out.Shapes = append(out.Shapes, int(s))
-			out.ShapeScores = append(out.ShapeScores, out.Scores[i])
 		}
 	}
 	return out

@@ -54,8 +54,8 @@ func seedPointBytes(pts []Point) []byte {
 // the hull is convex and contains every input point.
 func FuzzConvexHull(f *testing.F) {
 	f.Add(seedPointBytes([]Point{Pt(0, 0), Pt(1, 0), Pt(0, 1), Pt(1, 1), Pt(0.5, 0.5)}))
-	f.Add(seedPointBytes([]Point{Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(3, 3)}))          // collinear
-	f.Add(seedPointBytes([]Point{Pt(2, 2), Pt(2, 2), Pt(2, 2)}))                    // duplicates
+	f.Add(seedPointBytes([]Point{Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(3, 3)})) // collinear
+	f.Add(seedPointBytes([]Point{Pt(2, 2), Pt(2, 2), Pt(2, 2)}))           // duplicates
 	f.Add(seedPointBytes([]Point{Pt(-1024, -1024), Pt(1024, 1024), Pt(1024, -1024)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		raw := fuzzPoints(data, 64)

@@ -54,7 +54,7 @@ func TestFingerprintAffineInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []geosir.Shape{square(0, 0, 12), lshape(0, 0, 2)}
 	modes := []geosir.Mode{geosir.ModeAuto, geosir.ModeExact, geosir.ModeApproximate}
-	anns := []geosir.AnnMode{geosir.AnnOff, geosir.AnnVerify, geosir.AnnApprox}
+	anns := []geosir.AnnMode{geosir.AnnOff, geosir.AnnApprox}
 	for _, base := range shapes {
 		for _, mode := range modes {
 			for _, ann := range anns {

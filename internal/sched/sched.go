@@ -7,9 +7,9 @@
 // concurrent load, every request grabbing all cores just multiplies
 // scheduler churn: the same cores finish the same total work faster when
 // each request walks its parts sequentially and the cores are spent
-// *across* requests instead. Cross-shard pruning (core.SharedBound) is
-// width-independent, so a sequential walk visits the same parts with the
-// same bound exchange and returns byte-identical results.
+// *across* requests instead. Only a stage's listing fans out: the shapes
+// listed are then refined on the request's goroutine in one total order, so
+// a sequential walk returns byte-identical results and does the same work.
 //
 // Signals are deliberately cheap: an in-flight gauge incremented around
 // engine Search calls, the part count, and GOMAXPROCS. No timestamps, no

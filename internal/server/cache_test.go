@@ -76,7 +76,7 @@ func TestCacheEquivalence(t *testing.T) {
 	var probes []probe
 	for _, mode := range []string{"auto", "exact", "approximate"} {
 		for _, k := range []int{1, 3} {
-			for _, ann := range []string{"", "verify", "approx"} {
+			for _, ann := range []string{"", "approx"} {
 				probes = append(probes, probe{
 					name: fmt.Sprintf("search/%s/k%d/ann=%s", mode, k, ann),
 					path: "/v1/search",

@@ -732,7 +732,7 @@ func (s *Server) searchCached(ctx context.Context, st *engineState, req geosir.S
 // searchRequest is the unified /v1/search wire request: one shape (or,
 // for sketch mode, several), k, an optional mode name, an optional
 // execution policy ("auto", "fanout", "sequential") with a worker cap,
-// and an optional ANN tier mode ("off", "verify", "approx").
+// and an optional ANN tier mode ("off", "approx").
 type searchRequest struct {
 	Shape         *WireShape  `json:"shape,omitempty"`
 	Shapes        []WireShape `json:"shapes,omitempty"`

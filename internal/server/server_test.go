@@ -371,6 +371,7 @@ func TestRequestValidation(t *testing.T) {
 		{"k zero", "/v1/search", map[string]any{"shape": wireSquare()}, 422},
 		{"too few vertices", "/v1/search", map[string]any{"shape": WireShape{Points: [][2]float64{{0, 0}, {1, 1}}, Closed: true}, "k": 1}, 422},
 		{"approximate bowtie", "/v1/search", map[string]any{"shape": wireBowtie(), "k": 1, "mode": "approximate"}, 422},
+		{"unknown ann mode", "/v1/search", map[string]any{"shape": wireSquare(), "k": 1, "ann": "verify"}, 422},
 		{"sketch empty", "/v1/search", map[string]any{"shapes": []WireShape{}, "k": 1, "mode": "sketch"}, 422},
 		{"sketch bad shape", "/v1/search", map[string]any{"shapes": []WireShape{wireBowtie()}, "k": 1, "mode": "sketch"}, 422},
 		{"topological empty query", "/v1/topological", map[string]any{"query": ""}, 422},

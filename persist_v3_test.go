@@ -67,7 +67,7 @@ func checkEngineEquivalence(t *testing.T, want, got *Engine) {
 		ann  AnnMode
 	}{
 		{ModeAuto, AnnOff}, {ModeExact, AnnOff}, {ModeApproximate, AnnOff},
-		{ModeAuto, AnnVerify}, {ModeAuto, AnnApprox},
+		{ModeAuto, AnnApprox},
 	}
 	for _, c := range combos {
 		for _, k := range []int{1, 3} {

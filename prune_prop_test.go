@@ -13,14 +13,14 @@ import (
 	"repro/internal/synth"
 )
 
-// TestSharedBoundDeterministic is the property test for the cross-shard
-// shared top-k bound (DESIGN.md §4.9): the bound makes each shard's
-// *work* depend on scheduling — which shard publishes first decides what
-// the others skip — so this test re-runs the same ModeExact and
+// TestSharedBoundDeterministic is the property test for the one bound a
+// stage refines under, the running k-th best of the whole view (DESIGN.md
+// §4.9): pass 1 lists the shards on concurrent goroutines, pass 2 pops
+// their shapes from one heap, so this test re-runs the same ModeExact and
 // ModeApproximate queries many times on multi-shard engines with real
-// fan-out concurrency and demands the matches stay byte-identical to
-// each other and to the single unsharded engine. Run under -race this
-// also checks the bound's atomics.
+// fan-out concurrency and demands the matches stay byte-identical to each
+// other and to the single unsharded engine. Run under -race this also
+// checks that the listings are handed over to the refine pass safely.
 func TestSharedBoundDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property soak")
@@ -60,21 +60,16 @@ func TestSharedBoundDeterministic(t *testing.T) {
 
 // exactUnseeded is the exact answer over the parts worked out the long
 // way, the reference the exact search must reproduce: every shape the
-// parts list is scored by its part under one cutoff — +Inf, or the value
-// of shared, a bound the caller has pre-tightened — and the survivors are
-// sorted by (distance, id), cut to k and re-read for their continuous
-// measure. No floor orders or stops anything, and it runs on one goroutine
-// whatever width says. Converged is k ≤ the shapes listed.
-func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k, width int, shared *core.SharedBound) ([]Match, Stats) {
+// parts list is scored by its part under one cutoff — +Inf, or a bound the
+// caller has pre-tightened — and the survivors are sorted by (distance,
+// id), cut to k and re-read for their continuous measure. No floor orders
+// or stops anything. Converged is k ≤ the shapes listed.
+func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k int, cut float64) ([]Match, Stats) {
 	t.Helper()
 	ctx := context.Background()
 	pq, err := core.PrepareQuery(q)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
-	}
-	cut := math.Inf(1)
-	if shared != nil {
-		cut = shared.Load()
 	}
 	type hit struct {
 		m     Match
@@ -110,8 +105,9 @@ func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k, width i
 }
 
 // autoFrom is the ModeAuto answer that follows from an unseeded exact
-// phase (its merged matches and stats): the exact matches when every part
-// converged on a match within τ, the hashing answer otherwise.
+// phase (its matches and stats): the exact matches when it converged on a
+// match within τ, the hashing answer otherwise — every shape of the
+// view's hash bucket scored under +Inf, ranked, cut to k.
 func autoFrom(t *testing.T, label string, v searchView, q Shape, k int, exact []Match, st Stats) []Match {
 	t.Helper()
 	if st.Converged && exactGoodEnough(exact, v.tau) {
@@ -121,27 +117,32 @@ func autoFrom(t *testing.T, label string, v searchView, q Shape, k int, exact []
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	approx, _, err := approxScatter(context.Background(), v.parts, pq, hashBuckets(v.parts, pq), k, 1, AnnOff)
-	if err != nil {
-		t.Fatalf("%s hashing: %v", label, err)
+	var approx []Match
+	for pi, ids := range hashBuckets(v.parts, pq) {
+		for _, id := range ids {
+			if m, _, ok := v.parts[pi].scoreBounded(id, pq, math.Inf(1)); ok {
+				approx = append(approx, m)
+			}
+		}
 	}
 	if len(approx) == 0 {
 		return exact
 	}
-	return approx
+	sortMatches(approx)
+	return approx[:min(k, len(approx))]
 }
 
 // TestSharedBoundTombstoneProperty is the seeded property test of the
-// shared bound (DESIGN.md §4.9) over everything that used to switch it
-// off or starve a shard's own top-k: random bases,
-// shard counts {2, 7, 8}, k ∈ {1, 5, many}, tombstones {none, some, a
-// whole shard's worth} and bounds pre-tightened to the tightest legal
-// value (the true merged k-th best) and looser ones. The merged matches
-// of every shared run — raced fan-out, width-1 walk, pre-tightened —
-// must be byte-identical to the unseeded run, and equal (global ids
-// shift across a rebuild, so on image, distances and order) to a single
-// Engine rebuilt from the live images. Queries include copies of
-// tombstoned shapes, so dead shapes would top the lists if they leaked.
+// view-wide bound the refine pass scores under (DESIGN.md §4.9), over the
+// cases that can starve a shard of the top-k: random bases, shard counts
+// {2, 7, 8}, k ∈ {1, 5, many}, tombstones {none, some, a whole shard's
+// worth} and cutoffs pre-tightened to the tightest legal value (the true
+// k-th best of the view) and looser ones. The matches of every run —
+// fanned-out listing, width-1 walk, pre-tightened cutoff — must be
+// byte-identical to the unseeded run, and equal (global ids shift across
+// a rebuild, so on image, distances and order) to a single Engine rebuilt
+// from the live images. Queries include copies of tombstoned shapes, so
+// dead shapes would top the lists if they leaked.
 func TestSharedBoundTombstoneProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property soak")
@@ -187,7 +188,7 @@ func TestSharedBoundTombstoneProperty(t *testing.T) {
 				for _, k := range ks {
 					for qi, q := range queries {
 						label := fmt.Sprintf("seed=%d shards=%d dead=%s k=%d q=%d", seed, shards, scenario, k, qi)
-						want, wst := exactUnseeded(t, label, v.parts, q, k, 1, nil)
+						want, wst := exactUnseeded(t, label, v.parts, q, k, math.Inf(1))
 						rebuilt, err := ref.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
 						if err != nil {
 							t.Fatalf("%s rebuilt: %v", label, err)
@@ -217,14 +218,9 @@ func TestSharedBoundTombstoneProperty(t *testing.T) {
 						if len(want) < k {
 							continue // no k-th best to pre-tighten to
 						}
-						for _, c := range []struct {
-							slack float64
-							width int
-						}{{1, 1}, {1, 3}, {1.0001, 1}, {1.5, 3}} {
-							sb := core.NewSharedBound()
-							sb.Tighten(want[k-1].Distance * c.slack)
-							got, st := exactUnseeded(t, label+" pre-tightened", v.parts, q, k, c.width, sb)
-							assertMatchesEqual(t, fmt.Sprintf("%s bound×%g width=%d (converged=%v)", label, c.slack, c.width, st.Converged), want, got)
+						for _, slack := range []float64{1, 1.0001, 1.5} {
+							got, st := exactUnseeded(t, label+" pre-tightened", v.parts, q, k, want[k-1].Distance*slack)
+							assertMatchesEqual(t, fmt.Sprintf("%s bound×%g (converged=%v)", label, slack, st.Converged), want, got)
 						}
 					}
 				}

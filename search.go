@@ -72,8 +72,7 @@ func ParseMode(s string) (Mode, error) {
 // how many goroutines it spends walking its independent parts (shards
 // and delta shards on a ShardedEngine, sketch shapes on an Engine). The
 // width never changes results, only how fast they arrive: every plan
-// visits the same parts with the same cross-shard pruning bound and
-// merges identically (DESIGN.md §4.13).
+// lists the same parts and refines them in one order (DESIGN.md §4.13).
 type ExecPolicy int
 
 const (
@@ -146,9 +145,8 @@ type SearchRequest struct {
 	// Mode selects the retrieval strategy.
 	Mode Mode
 	// Ann selects the MinHash/LSH candidate tier's role: AnnOff (the
-	// zero value) ignores it, AnnVerify uses it to order work without
-	// changing results, AnnApprox answers from its candidate set alone
-	// (sublinear, measured recall). See AnnMode.
+	// zero value) ignores it, AnnApprox answers from its candidate set
+	// alone (sublinear, measured recall). See AnnMode.
 	Ann AnnMode
 
 	// onPrepare observes each query preparation the request performs
@@ -206,8 +204,8 @@ func (e *Engine) SchedStats() SchedStats { return schedStatsFrom(e.sched.Stats()
 
 // Search answers one retrieval request against the frozen engine. It is
 // safe for any number of concurrent callers. An Engine is the one-part
-// case of the scatter–merge every request runs (search): the part is the
-// engine itself, with identity shape ids and no tombstones.
+// case of the passes every request runs (search): the part is the engine
+// itself, with identity shape ids and no tombstones.
 func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
 	return search(ctx, &e.sched, e.frozen, e.searchView, req)
 }
@@ -221,17 +219,17 @@ func (e *Engine) searchView() searchView {
 // (frozenPart), or a live delta (deltaPart). Parts hold disjoint sets of
 // live shapes, every shape of an image lives on one part, and all parts
 // hash with one deterministic curve family. Matches a part returns carry
-// global shape ids, in sortMatches order.
+// global shape ids.
 type part interface {
 	family() *geohash.Family
 	// liveBucket returns the part's live shapes (part-local ids) on the
-	// hash curves of quad, widened by radius.
+	// hash curves of quad, widened by radius: the hashing stage's listing
+	// (hashBuckets), each then floored.
 	liveBucket(quad geohash.Quadruple, radius int) []int
-	// scoreBounded scores one shape (a liveBucket, annOrder or floors
-	// candidate) under an admissible cutoff; false when it is proven
-	// strictly above cutoff (or has since been deleted). entry is the
-	// part-local normalized copy realizing the distance, which continuous
-	// reads.
+	// scoreBounded scores one listed shape under an admissible cutoff;
+	// false when it is proven strictly above cutoff (or has since been
+	// deleted). entry is the part-local normalized copy realizing the
+	// distance, which continuous reads.
 	scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (m Match, entry int, ok bool)
 	// continuous is the continuous measure of a shape scoreBounded matched,
 	// from its copy entry, and the block cost of re-reading that copy; 0 for
@@ -245,18 +243,15 @@ type part interface {
 	// of the part, as parts[pi], with its floor, and the copies floored and
 	// their block cost in VerticesCounted and BlockReads.
 	floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error)
-	// stale reports whether a shape the last floors listed has been deleted
+	// annFloors is the listing of the sublinear ann:approx stage: the
+	// part's ANN candidates for k, each with its floor, and the tier's
+	// accounting. Each part applies the full annMinShapes floor, so the
+	// union over N parts is at least as wide as one part's candidate set —
+	// recall is monotone in the part count.
+	annFloors(ctx context.Context, pq *core.PreparedQuery, k int, pi int32) ([]bucketShape, Stats, error)
+	// stale reports whether a shape the last listing held has been deleted
 	// since: only a live delta's can be.
 	stale() bool
-	// annOrder reorders candidates best-first by ANN agreement.
-	annOrder(pq *core.PreparedQuery, ids []int) ([]int, Stats)
-	// annApprox is the sublinear path: the part's top-k over its ANN
-	// candidates alone, scored exactly. Each part applies the full
-	// annMinShapes floor, so the union over N parts is at least as wide as
-	// one part's candidate set — recall is monotone in the part count.
-	// Matches are marked Approximate: the candidate set, not the
-	// distances, is the approximation.
-	annApprox(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error)
 	// sketchTable is the best distance per live image to one sketch
 	// shape; under AnnApprox, over the ANN candidates alone.
 	sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error)
@@ -273,17 +268,18 @@ type searchView struct {
 // search is the request decision tree, the only one: validation, one
 // query preparation, the fan-out plan, then per mode the paper's §6 flow
 // over the view's parts — the exact search (exactSearch); geometric
-// hashing (a scatter) when that finds no close match. The view is taken
-// once per request, so a compaction swapping shards mid-request never
-// mixes two bases in one answer. The context is checked at stage boundaries, so a request
-// whose deadline has passed never pays for the next stage.
+// hashing when that finds no close match. Every single-shape stage is the
+// same two passes (refine) over its own listing: every live shape, the hash
+// bucket, or the ANN candidates. The view is taken once per request, so a
+// compaction swapping shards mid-request never mixes two bases in one
+// answer. The context is checked at stage boundaries, so a request whose
+// deadline has passed never pays for the next stage.
 //
 // The width is planned once from req.Exec, the live in-flight gauge and
 // GOMAXPROCS; both stages of a ModeAuto request run under the one plan.
-// Width only changes how fast the answer arrives, never the answer: the
-// exact search refines on the request's goroutine at any width, and a
-// sequential candidate stage walks the same parts under the same shared
-// bound and merges identically (DESIGN.md §4.13).
+// Width only changes how fast the answer arrives, never the answer or its
+// Stats: only a stage's listing fans out, and its refine pass runs on the
+// request's goroutine over a total order (DESIGN.md §4.13).
 func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() searchView, req SearchRequest) (*SearchResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -305,7 +301,7 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		}
 		width := pl.Width(len(v.parts), pol, maxw)
 		// AnnApprox answers from the ANN candidates alone — except in
-		// ModeExact, whose contract is exactness: there it only orders work.
+		// ModeExact, whose contract is exactness: there it is AnnOff.
 		annOnly := req.Ann == AnnApprox && req.Mode != ModeExact
 		if req.Mode != ModeApproximate && !annOnly {
 			// Only an exact request validates the shape; the others let
@@ -344,8 +340,8 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		// the candidate stages charge theirs through the query.
 		pq.AttachBlockCounter(&blocks)
 		if annOnly {
-			ms, stats, err := scatter(ctx, v.parts, req.K, width, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
-				return v.parts[i].annApprox(ctx, pq, req.K, shared)
+			ms, stats, err := refine(ctx, v.parts, pq, req.K, width, false, func() listing {
+				return func(i int) ([]bucketShape, Stats, error) { return v.parts[i].annFloors(ctx, pq, req.K, int32(i)) }
 			})
 			if err != nil {
 				return nil, err
@@ -353,12 +349,16 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 			stats.UsedANN = true
 			return respond(ms, stats)
 		}
-		approx, astats, err := approxScatter(ctx, v.parts, pq, hashBuckets(v.parts, pq), req.K, width, req.Ann)
+		approx, _, err := refine(ctx, v.parts, pq, req.K, width, false, func() listing {
+			buckets := hashBuckets(v.parts, pq)
+			return func(i int) ([]bucketShape, Stats, error) {
+				return floored(v.parts[i], buckets[i], pq, int32(i)), Stats{}, nil
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
 		stats.UsedHashing = true
-		stats.addANN(astats)
 		if len(approx) == 0 && req.Mode == ModeAuto {
 			return respond(exact, stats)
 		}
@@ -393,54 +393,47 @@ func exactGoodEnough(ms []Match, tau float64) bool {
 	return len(ms) > 0 && ms[0].Distance <= tau
 }
 
-// scatter runs op on every part, on up to width goroutines, and merges:
-// the sorted per-part top-k lists exactly (mergeTopK), the stats by
-// mergeStats. Parts hold disjoint live shape sets, so any part's k-th
-// best bounds the merged k-th best from above, and sharing one bound lets
-// parts abandon each other's hopeless candidates mid-flight without
-// changing the merge (DESIGN.md §4.9). The bound is shared by two or more
-// parts only: a lone part would read back nothing but its own k-th best,
-// which already is its cutoff.
-func scatter(ctx context.Context, parts []part, k, width int,
-	op func(i int, shared *core.SharedBound) ([]Match, Stats, error)) ([]Match, Stats, error) {
-	var shared *core.SharedBound
-	if len(parts) > 1 {
-		shared = core.NewSharedBound()
-	}
-	lists := make([][]Match, len(parts))
-	stats := make([]Stats, len(parts))
-	err := fanout(ctx, len(parts), width, func(i int) (err error) {
-		lists[i], stats[i], err = op(i, shared)
-		return err
+// exactSearch is the exact stage of a request (DESIGN.md §4.9, "The exact
+// search is two passes"): refine over every live shape of the view, each
+// floored by the query's distance field. Only its k best are re-read for
+// their continuous measure, and they alone are not Approximate. Converged
+// unless k exceeds the live shapes; each copy's blocks are charged once, at
+// its floor, plus the re-reads.
+func exactSearch(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int) ([]Match, Stats, error) {
+	return refine(ctx, parts, pq, k, width, true, func() listing {
+		return func(i int) ([]bucketShape, Stats, error) { return parts[i].floors(ctx, pq, int32(i)) }
 	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return mergeTopK(lists, k), mergeStats(stats), nil
 }
 
-// exactSearch is the exact stage of a request (DESIGN.md §4.9, "The exact
-// search is two passes"). Pass 1 fans out over the parts, each listing
-// every live shape with its floor. Pass 2, on the request's goroutine, pops
-// one heap of (floor, part, id) across all parts and scores each shape
-// under the running k-th best of the whole view, until the next floor lies
-// strictly above it: a shape within the final k-th has a floor no higher,
-// so the k best are the exhaustive ranking's. Only they are re-read for
-// their continuous measure. Converged unless k exceeds the live shapes;
-// each copy's blocks are charged once, at its floor, plus the re-reads.
-// A delete that reaches the active delta after its listing makes the
-// passes run again, so the answer is the view's as of one listing.
-func exactSearch(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int) ([]Match, Stats, error) {
+// listing is pass 1 of a stage over the view's part i: the shapes the
+// stage hands to the refine pass, each with its floor, and the work of
+// listing them.
+type listing func(i int) ([]bucketShape, Stats, error)
+
+// refine runs the two passes of a single-shape stage; a stage is its
+// listing, which stage returns anew for every run. Pass 1 fans the listing
+// out over the parts. Pass 2, on the request's goroutine, pops one heap of
+// (floor, part, id) across all parts and scores each shape under the
+// running k-th best of the whole view, until the next floor lies strictly
+// above it: a listed shape within the final k-th has a floor no higher, so
+// the k best are the exhaustive ranking's of what was listed, at any width.
+// exact marks the exact stage, which re-reads its k best for their
+// continuous measure (exactSearch); a candidate stage's matches stay
+// Approximate. A delete that reaches the active delta after its listing
+// makes the passes run again, so the answer is the view's as of one
+// listing. ctx is checked every 32 shapes.
+func refine(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, exact bool, stage func() listing) ([]Match, Stats, error) {
 	type hit struct {
 		m     Match
 		c     bucketShape
 		entry int
 	}
 	for {
+		list := stage()
 		lists := make([][]bucketShape, len(parts))
 		stats := make([]Stats, len(parts))
 		err := fanout(ctx, len(parts), width, func(i int) (err error) {
-			lists[i], stats[i], err = parts[i].floors(ctx, pq, int32(i))
+			lists[i], stats[i], err = list(i)
 			return err
 		})
 		if err != nil {
@@ -453,7 +446,9 @@ func exactSearch(ctx context.Context, parts []part, pq *core.PreparedQuery, k, w
 			h = slices.Concat(lists...)
 		}
 		st := mergeStats(stats)
-		st.Iterations, st.Converged = 1, k <= len(h)
+		if exact {
+			st.Iterations, st.Converged = 1, k <= len(h)
+		}
 		for i := len(h)/2 - 1; i >= 0; i-- {
 			siftFloor(h, i)
 		}
@@ -474,7 +469,6 @@ func exactSearch(ctx context.Context, parts []part, pq *core.PreparedQuery, k, w
 			h = h[:len(h)-1]
 			siftFloor(h, 0)
 			if m, entry, ok := parts[c.part].scoreBounded(int(c.id), pq, cut); ok {
-				m.Approximate = false
 				hits = append(hits, hit{m, c, entry})
 				kth.Add(m.Distance)
 			}
@@ -484,15 +478,28 @@ func exactSearch(ctx context.Context, parts []part, pq *core.PreparedQuery, k, w
 		})
 		out := make([]Match, min(k, len(hits)))
 		for i, hit := range hits[:len(out)] {
-			d, blocks := parts[hit.c.part].continuous(int(hit.c.id), hit.entry, pq)
 			out[i] = hit.m
-			out[i].ContinuousDistance = d
-			st.BlockReads += blocks
+			if exact {
+				d, blocks := parts[hit.c.part].continuous(int(hit.c.id), hit.entry, pq)
+				out[i].Approximate, out[i].ContinuousDistance = false, d
+				st.BlockReads += blocks
+			}
 		}
 		if !slices.ContainsFunc(parts, part.stale) {
 			return out, st, nil
 		}
 	}
+}
+
+// mergeStats sums the parts' listing stats: the copies floored, their
+// blocks and the ANN tier's accounting.
+func mergeStats(ss []Stats) Stats {
+	var out Stats
+	for _, s := range ss {
+		out.VerticesCounted += s.VerticesCounted
+		out.addANN(s)
+	}
+	return out
 }
 
 // siftFloor restores the min-heap order of pass 2 below h[i]: by floor,
@@ -548,89 +555,22 @@ func hashBuckets(parts []part, pq *core.PreparedQuery) [][]int {
 	return cand
 }
 
+// floored lists ids of part p, the view's parts[pi], each with its floor:
+// the listing of a candidate stage.
+func floored(p part, ids []int, pq *core.PreparedQuery, pi int32) []bucketShape {
+	out := make([]bucketShape, len(ids))
+	for i, id := range ids {
+		out[i] = bucketShape{part: pi, id: int32(id), floor: p.floor(id, pq)}
+	}
+	return out
+}
+
 // bucketShape is a shape of parts[part] with the floor its part puts
-// under its distance: a candidate of a bucket pass, an entry of the exact
-// search's heap.
+// under its distance: one entry of a listing, and of the refine pass's
+// heap.
 type bucketShape struct {
 	part, id int32
 	floor    float64
-}
-
-// bucketStack is how many candidates a bucket pass lists on its stack (4
-// KiB; the 200-image paper base puts 157 shapes in a query's bucket): a
-// larger bucket moves the list to the heap, once per pass.
-const bucketStack = 256
-
-// approxScatter answers from the parts' geometric hash tables alone (§3):
-// every part's bucket, ranked with the similarity measure under one
-// shared bound. A non-off ann mode reorders each bucket best-first by ANN
-// agreement before scoring — a pure visit-order change (the admissible
-// cutoffs make the surviving top-k order-invariant), kept among candidates
-// of equal floor (scoreCandidates) and reported in the returned Stats' ANN
-// fields.
-func approxScatter(ctx context.Context, parts []part, pq *core.PreparedQuery, buckets [][]int, k, width int, ann AnnMode) ([]Match, Stats, error) {
-	return scatter(ctx, parts, k, width, func(i int, shared *core.SharedBound) ([]Match, Stats, error) {
-		ids := buckets[i]
-		var st Stats
-		if ann != AnnOff {
-			ids, st = parts[i].annOrder(pq, ids)
-		}
-		ms, err := scoreCandidates(ctx, parts[i], pq, ids, k, shared)
-		return ms, st, err
-	})
-}
-
-// scoreCandidates ranks one part's hash-bucket (or ANN) candidates against
-// a prepared query, best-first (DESIGN.md §4.9, "The bucket is scored
-// best-first"): the candidates are sorted by floor — stably, so the order
-// they were listed in survives among equal floors — and each is scored
-// under the tightest cutoff proven when its turn comes: the k-th best
-// distance scored so far and (when non-nil) the bound shared with the
-// sibling parts. The bounded evaluation abandons a shape as soon as a
-// partial sum proves it strictly above that cutoff, and the first candidate
-// whose floor exceeds the cutoff ends the pass: the cutoff only falls and
-// the floors behind it only rise. Both cutoffs only ever hold values ≥ the
-// final k-th best, and every reject is strict, so the surviving list
-// truncates to a top-k byte-identical to the exhaustive ranking in any
-// order. Candidates are live when they are listed, so a published bound
-// only ever reflects shapes that can appear in the final answer. ctx is
-// checked every 32 candidates.
-func scoreCandidates(ctx context.Context, p part, pq *core.PreparedQuery, ids []int, k int, shared *core.SharedBound) ([]Match, error) {
-	var stack [bucketStack]bucketShape
-	cands := stack[:0]
-	for _, id := range ids {
-		cands = append(cands, bucketShape{id: int32(id), floor: p.floor(id, pq)})
-	}
-	slices.SortStableFunc(cands, func(a, b bucketShape) int { return cmp.Compare(a.floor, b.floor) })
-	out := make([]Match, 0, len(ids))
-	kth := core.NewDistTopK(k)
-	for i, c := range cands {
-		if i&31 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		cut := kth.Kth()
-		if shared != nil {
-			cut = min(cut, shared.Load())
-		}
-		if c.floor > cut {
-			break
-		}
-		m, _, ok := p.scoreBounded(int(c.id), pq, cut)
-		if !ok {
-			continue
-		}
-		kth.Add(m.Distance)
-		if shared != nil {
-			if v := kth.Kth(); !math.IsInf(v, 1) {
-				shared.Tighten(v)
-			}
-		}
-		out = append(out, m)
-	}
-	sortMatches(out)
-	return out, nil
 }
 
 // frozenPart is a frozen Engine as one part of a view: its shapes minus
@@ -702,11 +642,10 @@ func (p *frozenPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int3
 
 func (p *frozenPart) stale() bool { return false }
 
-func (p *frozenPart) annApprox(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error) {
+func (p *frozenPart) annFloors(_ context.Context, pq *core.PreparedQuery, k int, pi int32) ([]bucketShape, Stats, error) {
 	shapes, probes := p.e.annCandidates(pq, annMinShapes(k))
 	shapes = p.live(shapes)
-	ms, err := scoreCandidates(ctx, p, pq, shapes, k, shared)
-	return ms, annStats(probes, len(shapes)), err
+	return floored(p, shapes, pq, pi), annStats(probes, len(shapes)), nil
 }
 
 // sketchTable is the best distance per live image to one sketch shape: a
@@ -749,9 +688,9 @@ func (p *frozenPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, k 
 
 // deltaPart is a live delta as a part. It has no ANN tier: every live
 // shape is an ANN candidate — strictly better recall than any probe — and
-// its candidate scan publishes its own k-th best, which exists only once it
-// has scored k live shapes (§4.12). Delta matches carry global ids already.
-// listed is the delta's delete count as its last floors found it.
+// its shapes join the refine pass's one heap like any part's (§4.12). Delta
+// matches carry global ids already. listed is the delta's delete count as
+// its last listing found it.
 type deltaPart struct {
 	d      *ingest.Delta
 	listed uint64
@@ -760,6 +699,7 @@ type deltaPart struct {
 func (p *deltaPart) family() *geohash.Family { return p.d.Family() }
 
 func (p *deltaPart) liveBucket(quad geohash.Quadruple, radius int) []int {
+	p.listed = p.d.Deletes()
 	return p.d.Candidates(quad, radius)
 }
 
@@ -786,17 +726,12 @@ func (p *deltaPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int32
 
 func (p *deltaPart) stale() bool { return p.d.Deletes() != p.listed }
 
-func (p *deltaPart) annOrder(_ *core.PreparedQuery, ids []int) ([]int, Stats) { return ids, Stats{} }
-
-// annApprox scores every live shape of the delta — each is an ANN
-// candidate — best-first under the request's shared bound.
-func (p *deltaPart) annApprox(ctx context.Context, pq *core.PreparedQuery, k int, shared *core.SharedBound) ([]Match, Stats, error) {
-	var ids []int
-	if _, err := p.d.Floors(ctx, pq, func(id int, _ float64) { ids = append(ids, id) }); err != nil {
-		return nil, Stats{}, err
-	}
-	ms, err := scoreCandidates(ctx, p, pq, ids, k, shared)
-	return ms, Stats{}, err
+// annFloors lists every live shape of the delta — each is an ANN candidate
+// — as floors does; the copies floored are no exact search's
+// (Stats.VerticesCounted).
+func (p *deltaPart) annFloors(ctx context.Context, pq *core.PreparedQuery, _ int, pi int32) ([]bucketShape, Stats, error) {
+	shapes, _, err := p.floors(ctx, pq, pi)
+	return shapes, Stats{}, err
 }
 
 func (p *deltaPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, _ int, _ AnnMode) (map[int]float64, Stats, error) {

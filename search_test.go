@@ -218,9 +218,9 @@ func TestModeStringParseRoundTrip(t *testing.T) {
 // TestPrepareOncePerRequest pins that a request normalizes its query (and
 // builds its oracle and envelope) once, however many stages and parts
 // then search it: a ModeAuto request that falls back to hashing reuses
-// the exact phase's prepared query, and an AnnVerify request on 7 shards
-// orders every shard's hash bucket by that shard's ANN index with it. A
-// sketch prepares each of its shapes once.
+// the exact phase's prepared query, and an AnnApprox request on 7 shards
+// probes every shard's ANN index with it. A sketch prepares each of its
+// shapes once.
 func TestPrepareOncePerRequest(t *testing.T) {
 	images, queries, sketch := equivBase(t)
 	single := buildSingle(t, images)
@@ -234,10 +234,7 @@ func TestPrepareOncePerRequest(t *testing.T) {
 		fallback bool
 	}{
 		{"engine auto fallback", single, SearchRequest{Query: queries[0], K: many}, 1, true},
-		{"engine auto fallback verify", single, SearchRequest{Query: queries[0], K: many, Ann: AnnVerify}, 1, true},
 		{"7 shards auto fallback", sharded, SearchRequest{Query: queries[0], K: many}, 1, true},
-		{"7 shards verify", sharded, SearchRequest{Query: queries[1], K: 3, Mode: ModeApproximate, Ann: AnnVerify}, 1, true},
-		{"7 shards auto fallback verify", sharded, SearchRequest{Query: queries[1], K: many, Ann: AnnVerify}, 1, true},
 		{"7 shards ann approx", sharded, SearchRequest{Query: queries[1], K: 3, Ann: AnnApprox}, 1, false},
 		{"7 shards sketch", sharded, SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch, Ann: AnnApprox}, len(sketch), false},
 	} {

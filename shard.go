@@ -1,7 +1,6 @@
 package geosir
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -25,10 +24,9 @@ var (
 // each a full Engine with its own fattening index and geometric hash
 // table. Images are routed to shards by a stable hash of their id
 // (core.ShardFor), Freeze builds every shard index in parallel, and
-// Search fans each request out across the shards and merges the
-// per-shard answers with an exact bounded top-k merge — results are
-// identical, byte for byte, to a single Engine over the same base (see
-// DESIGN.md §4.8 for why the merge is exact).
+// Search lists each request's shapes on every shard and refines them in
+// one heap across the shards — results are identical, byte for byte, to a
+// single Engine over the same base (see DESIGN.md §4.8 for why).
 //
 // Shape ids in results are global: the ids a single unpartitioned
 // Engine would have assigned, via the core.ShardMap recorded at
@@ -96,7 +94,7 @@ type shardView struct {
 	// sealed is the delta a running compaction is folding (read-only),
 	// active the delta accepting new writes. Both nil before
 	// EnableIngest; sealed is nil outside a compaction window. sealed
-	// precedes active: its global ids are lower, preserving merge order.
+	// precedes active: its global ids are lower.
 	sealed *ingest.Delta
 	active *ingest.Delta
 
@@ -113,8 +111,8 @@ type shardView struct {
 	deadIn     []map[int]bool
 }
 
-// deltas returns the live mutable parts of the view, sealed first so
-// the k-way merge sees ascending global-id ranges.
+// deltas returns the live mutable parts of the view, sealed first:
+// ascending global-id ranges.
 func (v *shardView) deltas() []*ingest.Delta {
 	out := make([]*ingest.Delta, 0, 2)
 	if v.sealed != nil && v.sealed.NumShapes() > 0 {
@@ -172,7 +170,7 @@ func (v *shardView) markDead(im shardImage, gid int) {
 
 // parts lists what a request searches: the live shards, each behind its
 // tombstones and id map, then the deltas (sealed first) — ascending
-// global-id ranges, which is the order the k-way merge sees them in.
+// global-id ranges.
 func (v *shardView) parts() []part {
 	live := v.liveShards()
 	deltas := v.deltas()
@@ -424,10 +422,9 @@ func (se *ShardedEngine) tau(v *shardView) float64 {
 	return DefaultOptions().Tau // mirror of New()'s defaulting
 }
 
-// Search answers one retrieval request by scattering it across the live
-// shards — and, when ingestion is enabled, the mutable delta(s) — and
-// merging the answers: the request flow of search, over this engine's
-// current view.
+// Search answers one retrieval request over the live shards — and, when
+// ingestion is enabled, the mutable delta(s): the request flow of search,
+// over this engine's current view.
 func (se *ShardedEngine) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
 	return search(ctx, &se.sched, se.frozen, se.searchView, req)
 }
@@ -478,27 +475,6 @@ func (se *ShardedEngine) Query(ctx context.Context, src string, binds map[string
 	}
 	sort.Ints(all)
 	return all, plan, nil
-}
-
-// mergeStats aggregates per-part retrieval stats: work counters sum,
-// the iteration/ε high-water marks are maxima, and the merged result
-// counts as converged only if every part converged (only then is the
-// merged top-k proven to be the true global top-k; no parts prove
-// nothing).
-func mergeStats(ss []Stats) Stats {
-	out := Stats{Converged: len(ss) > 0}
-	for _, s := range ss {
-		out.Iterations = max(out.Iterations, s.Iterations)
-		out.FinalEpsilon = max(out.FinalEpsilon, s.FinalEpsilon)
-		out.VerticesCounted += s.VerticesCounted
-		out.Candidates += s.Candidates
-		out.Converged = out.Converged && s.Converged
-		out.UsedANN = out.UsedANN || s.UsedANN
-		out.ANNProbes += s.ANNProbes
-		out.ANNCandidates += s.ANNCandidates
-		out.BlockReads += s.BlockReads
-	}
-	return out
 }
 
 // fanout runs n independent work items on up to workers goroutines.
@@ -573,63 +549,4 @@ func fanout(ctx context.Context, n, workers int, run func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// mergeHeap is the k-way merge frontier over per-shard match lists,
-// each already sorted by (Distance, ShapeID). The heap orders list
-// indices by their head element under the same comparator, so popping
-// heads yields the globally sorted sequence.
-type mergeHeap struct {
-	lists [][]Match
-	pos   []int // cursor into each list
-	order []int // heap of list indices, keyed by lists[i][pos[i]]
-}
-
-func (h *mergeHeap) Len() int { return len(h.order) }
-
-func (h *mergeHeap) Less(i, j int) bool {
-	a := h.lists[h.order[i]][h.pos[h.order[i]]]
-	b := h.lists[h.order[j]][h.pos[h.order[j]]]
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
-	}
-	return a.ShapeID < b.ShapeID
-}
-
-func (h *mergeHeap) Swap(i, j int) { h.order[i], h.order[j] = h.order[j], h.order[i] }
-
-func (h *mergeHeap) Push(x any) { h.order = append(h.order, x.(int)) }
-
-func (h *mergeHeap) Pop() any {
-	x := h.order[len(h.order)-1]
-	h.order = h.order[:len(h.order)-1]
-	return x
-}
-
-// mergeTopK merges sorted match lists into the k smallest elements
-// under the sortMatches order (Distance, then ShapeID). The merge is
-// exact and bounded: it inspects at most k + len(lists) heads, never
-// materializing the full concatenation.
-func mergeTopK(lists [][]Match, k int) []Match {
-	h := &mergeHeap{lists: lists, pos: make([]int, len(lists))}
-	total := 0
-	for li, l := range lists {
-		if len(l) > 0 {
-			h.order = append(h.order, li)
-			total += len(l)
-		}
-	}
-	heap.Init(h)
-	out := make([]Match, 0, min(k, total))
-	for h.Len() > 0 && len(out) < k {
-		li := h.order[0]
-		out = append(out, h.lists[li][h.pos[li]])
-		h.pos[li]++
-		if h.pos[li] == len(h.lists[li]) {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
-		}
-	}
-	return out
 }

@@ -69,7 +69,7 @@ func TestShardedMmapEquivalence(t *testing.T) {
 			ann  AnnMode
 		}{
 			{ModeAuto, AnnOff}, {ModeExact, AnnOff}, {ModeApproximate, AnnOff},
-			{ModeAuto, AnnVerify}, {ModeAuto, AnnApprox}, {ModeSketch, AnnOff},
+			{ModeAuto, AnnApprox}, {ModeSketch, AnnOff},
 		}
 		engines := []struct {
 			name string

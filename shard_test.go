@@ -176,34 +176,6 @@ func TestShardedGlobalIDsMatchSingle(t *testing.T) {
 	}
 }
 
-func TestMergeTopK(t *testing.T) {
-	m := func(dist float64, id int) Match { return Match{ShapeID: id, Distance: dist} }
-	lists := [][]Match{
-		{m(0.1, 4), m(0.3, 0), m(0.3, 9)},
-		{},
-		{m(0.1, 2), m(0.5, 1)},
-		{m(0.3, 5)},
-	}
-	want := []Match{m(0.1, 2), m(0.1, 4), m(0.3, 0), m(0.3, 5), m(0.3, 9), m(0.5, 1)}
-	for k := 1; k <= len(want)+2; k++ {
-		got := mergeTopK(lists, k)
-		wantK := want
-		if k < len(want) {
-			wantK = want[:k]
-		}
-		if !reflect.DeepEqual(got, wantK) {
-			t.Fatalf("k=%d: got %+v, want %+v", k, got, wantK)
-		}
-		// Inputs must not be consumed across calls.
-		if lists[0][0] != m(0.1, 4) {
-			t.Fatal("mergeTopK mutated its input lists")
-		}
-	}
-	if got := mergeTopK(nil, 3); len(got) != 0 {
-		t.Fatalf("merge of no lists returned %+v", got)
-	}
-}
-
 // TestShardedPersistRoundTrip saves a sharded engine, reloads it, and
 // requires complete recovery plus byte-identical search results.
 func TestShardedPersistRoundTrip(t *testing.T) {
