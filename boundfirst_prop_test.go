@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -414,10 +415,10 @@ func TestBoundFirstEquivalence(t *testing.T) {
 // TestSeededSearchIsOneScan pins what an exact search's stats say, on a
 // 200-image base (the benchmark's size) over 40 queries: one iteration at
 // width 0, Converged; VerticesCounted every stored copy, each floored once;
-// BlockReads what the unbounded bounded scan charges — every copy once,
-// plus the re-reads of the k matches; and Candidates every copy that
+// BlockReads what the fixed-cutoff scan with no cutoff charges — every copy
+// once — plus the re-reads of the k matches; and Candidates every copy that
 // reached the exact evaluator, as the query's own counter sees it in a bare
-// run of the two passes. The matches are the unbounded scan's.
+// run of the two passes. The matches are the k nearest of that scan.
 func TestSeededSearchIsOneScan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200-image base")
@@ -438,13 +439,22 @@ func TestSeededSearchIsOneScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		passes := int(evaluated.Load())
-		scan, sst, err := base.MatchPrepared(ctx, pq, k, core.MatchOpts{}, true)
+		var scan []core.Match
+		_, blocks, err := base.Within(ctx, pq, nil, math.Inf(1), func(m core.Match) { scan = append(scan, m) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]Match, len(scan))
-		for i, m := range scan {
-			want[i] = Match{ShapeID: m.ShapeID, ImageID: base.Shape(m.ShapeID).Image, Distance: m.DistVertex, ContinuousDistance: m.DistContinuous}
+		sort.Slice(scan, func(i, j int) bool {
+			if scan[i].DistVertex != scan[j].DistVertex {
+				return scan[i].DistVertex < scan[j].DistVertex
+			}
+			return scan[i].ShapeID < scan[j].ShapeID
+		})
+		want := make([]Match, k)
+		for i, m := range scan[:k] {
+			d, cost := base.Continuous(m.EntryID, pq)
+			blocks += cost
+			want[i] = Match{ShapeID: m.ShapeID, ImageID: base.Shape(m.ShapeID).Image, Distance: m.DistVertex, ContinuousDistance: d}
 		}
 		resp, err := eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact})
 		if err != nil {
@@ -453,9 +463,9 @@ func TestSeededSearchIsOneScan(t *testing.T) {
 		assertMatchesEqual(t, fmt.Sprintf("q%d", qi), want, resp.Matches)
 		gs := resp.Stats
 		if gs.Iterations != 1 || gs.FinalEpsilon != 0 || !gs.Converged || gs.VerticesCounted != base.NumEntries() ||
-			gs.BlockReads != sst.BlocksRead || gs.Candidates != passes || gs.Candidates < k {
-			t.Fatalf("q%d: Search reports %+v; want 1 iteration at 0, converged, %d copies floored, the unbounded scan's %d blocks and the bare passes' %d candidates",
-				qi, gs, base.NumEntries(), sst.BlocksRead, passes)
+			gs.BlockReads != blocks || gs.Candidates != passes || gs.Candidates < k {
+			t.Fatalf("q%d: Search reports %+v; want 1 iteration at 0, converged, %d copies floored, the scan's and re-reads' %d blocks and the bare passes' %d candidates",
+				qi, gs, base.NumEntries(), blocks, passes)
 		}
 	}
 }

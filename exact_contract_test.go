@@ -1,6 +1,8 @@
 package geosir
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -132,5 +134,100 @@ func TestSketchFrozenEqualsLive(t *testing.T) {
 			}
 			assertSketchEqual(t, fmt.Sprintf("%s k=%d", e.name, k), want, mustSearch(t, e.s, req).SketchMatches)
 		}
+	}
+}
+
+// TestSketchAgainstBruteForce ranks a sketch by brute force, through none
+// of the engine's paths: for each sketch shape, core's ScanMatcher over a
+// base of the live shapes; each image's least distance; the mean over the
+// sketch shapes; the order (Score, ImageID). With k = every live image,
+// ModeSketch must return that ranking byte for byte on one Engine, on 8
+// shards with tombstones, and on a live engine whose delta holds shapes.
+func TestSketchAgainstBruteForce(t *testing.T) {
+	images, _, sketch := equivBase(t)
+	brute := func(live []synth.Image) []SketchMatch {
+		t.Helper()
+		b := core.NewBase(core.DefaultOptions())
+		for _, im := range live {
+			for _, s := range im.Shapes {
+				if _, err := b.AddShape(im.ID, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := b.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		scan, err := core.NewScanMatcher(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perImage := make(map[int][]float64)
+		for si, q := range sketch {
+			ms, err := scan.Match(q, b.NumShapes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range ms {
+				img := b.Shape(m.ShapeID).Image
+				ds := perImage[img]
+				if ds == nil {
+					ds = make([]float64, len(sketch))
+					for i := range ds {
+						ds[i] = math.Inf(1)
+					}
+					perImage[img] = ds
+				}
+				ds[si] = min(ds[si], m.DistVertex)
+			}
+		}
+		var out []SketchMatch
+		for img, ds := range perImage {
+			var sum float64
+			for _, d := range ds {
+				sum += d
+			}
+			out = append(out, SketchMatch{ImageID: img, Score: sum / float64(len(ds)), PerShape: ds})
+		}
+		slices.SortFunc(out, func(a, b SketchMatch) int {
+			if a.Score != b.Score {
+				return cmp.Compare(a.Score, b.Score)
+			}
+			return cmp.Compare(a.ImageID, b.ImageID)
+		})
+		return out
+	}
+
+	ctx := context.Background()
+	tombstoned := buildShardedFrom(t, images, 8)
+	enableIngest(t, tombstoned, t.TempDir(), IngestConfig{})
+	var kept []synth.Image
+	for i, im := range images {
+		if i%4 != 1 {
+			kept = append(kept, im)
+		} else if err := tombstoned.DeleteImage(ctx, im.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frozen, inserted := splitBase(images)
+	live := buildLive(t, frozen, inserted, 2, IngestConfig{})
+	if st := live.IngestStats(); st.DeltaShapes == 0 {
+		t.Fatalf("the live engine's delta is empty: %+v", st)
+	}
+	for _, e := range []struct {
+		name   string
+		s      Searcher
+		images []synth.Image
+	}{
+		{"engine", buildSingle(t, images), images},
+		{"8 shards, tombstones", tombstoned, kept},
+		{"live, delta", live, images},
+	} {
+		want := brute(e.images)
+		if len(want) < 2 {
+			t.Fatalf("%s: the brute-force ranking holds %d images", e.name, len(want))
+		}
+		got := mustSearch(t, e.s, SearchRequest{Sketch: sketch, K: len(e.images), Mode: ModeSketch}).SketchMatches
+		assertSketchEqual(t, e.name, want, got)
 	}
 }

@@ -15,9 +15,10 @@ import (
 // engine must return byte-identical matches and ordering under
 // ExecSequential, ExecFanout, a capped ExecFanout, and ExecAuto — for
 // the single Engine and shard counts {1, 2, 7}, every mode,
-// k ∈ {1, many}, and every ann mode. A single-shape request's Stats are
-// the same at every width too: only a stage's listing fans out, and its
-// refine pass runs on the request's goroutine over a total order. Run
+// k ∈ {1, many}, and every ann mode. A request's Stats are the same at
+// every width too: only a stage's listing — or a sketch's tables — fans
+// out, and what merges them runs on the request's goroutine over a total
+// order; a sketch's Candidates count the copies its tables evaluated. Run
 // under -race this exercises the fan-out concurrency against the inline
 // path.
 func TestExecEquivalence(t *testing.T) {
@@ -70,20 +71,29 @@ func TestExecEquivalence(t *testing.T) {
 				}
 			}
 		}
-		for _, k := range []int{1, 5} {
-			base := SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Exec: ExecFanout}
-			want, err := se.Search(ctx, base)
-			if err != nil {
-				t.Fatalf("shards=%d sketch k=%d fanout: %v", shards, k, err)
-			}
-			for _, v := range variants {
-				req := SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch}
-				v.set(&req)
-				got, err := se.Search(ctx, req)
+		for _, ann := range []AnnMode{AnnOff, AnnApprox} {
+			for _, k := range []int{1, 5} {
+				base := SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Ann: ann, Exec: ExecFanout}
+				want, err := se.Search(ctx, base)
 				if err != nil {
-					t.Fatalf("shards=%d sketch k=%d %s: %v", shards, k, v.name, err)
+					t.Fatalf("shards=%d sketch ann=%d k=%d fanout: %v", shards, ann, k, err)
 				}
-				assertSketchEqual(t, fmt.Sprintf("shards=%d sketch k=%d %s", shards, k, v.name), want.SketchMatches, got.SketchMatches)
+				if want.Stats.Candidates <= 0 {
+					t.Fatalf("shards=%d sketch ann=%d k=%d: %d candidates reported, want the copies evaluated", shards, ann, k, want.Stats.Candidates)
+				}
+				for _, v := range variants {
+					req := SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Ann: ann}
+					v.set(&req)
+					got, err := se.Search(ctx, req)
+					if err != nil {
+						t.Fatalf("shards=%d sketch ann=%d k=%d %s: %v", shards, ann, k, v.name, err)
+					}
+					label := fmt.Sprintf("shards=%d sketch ann=%d k=%d %s", shards, ann, k, v.name)
+					assertSketchEqual(t, label, want.SketchMatches, got.SketchMatches)
+					if got.Stats != want.Stats {
+						t.Errorf("%s: stats %+v, at full width %+v", label, got.Stats, want.Stats)
+					}
+				}
 			}
 		}
 	}

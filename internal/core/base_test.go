@@ -286,6 +286,12 @@ func TestSimilarShapesThreshold(t *testing.T) {
 			t.Errorf("result above threshold: %v", m.DistVertex)
 		}
 	}
+	// No distance is within a NaN or negative threshold.
+	for _, tau := range []float64{math.NaN(), -1, math.Inf(-1)} {
+		if ms, _, err := b.SimilarShapes(context.Background(), testShapes()[0], tau); err != nil || len(ms) != 0 {
+			t.Errorf("threshold %v: (%v, %v), want no matches", tau, ms, err)
+		}
+	}
 }
 
 func TestMatchAcrossBackends(t *testing.T) {

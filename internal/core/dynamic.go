@@ -11,11 +11,11 @@ import (
 // capability the paper's related work ([5, 7]) highlights for similarity
 // search: an overflow area holding the shapes inserted since the last
 // compaction, each as its normalized copies with the distance-field cells
-// derived at insert. It has no index; MatchPrepared answers with one linear
-// scan whose every evaluation runs under the cutoffs of a frozen part's
-// search (DESIGN.md §4.12). Folding the overflow into a frozen, indexed
-// Base — the §4 "rehashing" moment — is the owner's job (compaction,
-// internal/ingest).
+// derived at insert. It has no index: every search is a linear walk over
+// the live shapes — Floors for the exact search's pass 1, Within for a
+// fixed cutoff (DESIGN.md §4.12). Folding the overflow into a frozen,
+// indexed Base — the §4 "rehashing" moment — is the owner's job
+// (compaction, internal/ingest).
 type Dynamic struct {
 	opts Options
 
@@ -114,29 +114,16 @@ func (d *Dynamic) Shape(id int) (Shape, error) {
 	return s.shape, nil
 }
 
-// MatchPrepared retrieves the k live shapes nearest the prepared query —
-// fewer when fewer are live or the shared bound proves the rest outside
-// the merged result — sorted by (DistVertex, ShapeID), under the part
-// contract of Base.MatchPrepared: it is the bounded scan a frozen Base
-// runs (boundedScan), over the overflow, under whatever bound o.Shared
-// holds — none included. Stats.Candidates counts
-// the copies that reached the exact evaluator — the tighter the cutoff,
-// the fewer. EntryID is -(copy+1), the negated ordinal of the lowest copy
-// realizing the distance (negative, so it cannot collide with a frozen
-// entry id). DistContinuous is filled as Base.MatchPrepared fills it. A
-// cancelled scan returns ctx's error and no matches.
-func (d *Dynamic) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, continuous bool) ([]Match, Stats, error) {
-	if k <= 0 {
-		return nil, Stats{Converged: true}, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	out, stats, err := boundedScan(ctx, pq, k, o, len(d.overflow), func(i int) scanShape {
-		return d.overflow[i].scan()
-	}, d.opts.Samples, continuous)
-	for i := range out {
-		out[i].EntryID = -(out[i].EntryID + 1)
-	}
-	return out, stats, err
+// Within is Base.Within over the live shapes, in no particular order,
+// EntryID the ordinal of the lowest copy realizing the distance (what
+// Continuous reads); it returns the copies scanned.
+func (d *Dynamic) Within(ctx context.Context, pq *PreparedQuery, cut float64, visit func(Match)) (int, error) {
+	copies, _, err := within(ctx, pq, len(d.overflow), d.shapeAt, nil, cut, visit)
+	return copies, err
 }
+
+// shapeAt is overflow shape i as the bounded evaluators walk it.
+func (d *Dynamic) shapeAt(i int) scanShape { return d.overflow[i].scan() }
 
 // scan is the shape as the bounded evaluators walk it.
 func (s *overflowShape) scan() scanShape {
@@ -165,9 +152,7 @@ func (d *Dynamic) ShapeDistancePreparedBounded(id int, pq *PreparedQuery, cutoff
 // Floors is Base.Floors over the live shapes, in no particular order; it
 // returns the copies floored.
 func (d *Dynamic) Floors(ctx context.Context, pq *PreparedQuery, visit func(id int, floor float64)) (int, error) {
-	err := floorAll(ctx, pq, len(d.overflow), func(i int) scanShape {
-		return d.overflow[i].scan()
-	}, nil, visit)
+	err := floorAll(ctx, pq, len(d.overflow), d.shapeAt, nil, visit)
 	return d.copies, err
 }
 

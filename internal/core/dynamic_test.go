@@ -6,32 +6,50 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/synth"
 )
 
-// dynMatch runs the overflow scan for q with no bound to share.
+// dynMatch is the k nearest live shapes to q: the overflow scan with no
+// cutoff, cut to its head.
 func dynMatch(t *testing.T, d *Dynamic, q geom.Poly, k int) []Match {
 	t.Helper()
 	pq, err := PrepareQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, _, err := d.MatchPrepared(context.Background(), pq, k, MatchOpts{}, false)
+	ms, _ := dynWithin(t, d, pq, math.Inf(1))
+	return ms[:min(k, len(ms))]
+}
+
+// dynWithin is the overflow's fixed-cutoff scan (Dynamic.Within) under cut
+// as SimilarShapes reads a base's: sorted by (DistVertex, ShapeID), each
+// match's continuous measure filled in. It returns the copies scanned.
+func dynWithin(t *testing.T, d *Dynamic, pq *PreparedQuery, cut float64) ([]Match, int) {
+	t.Helper()
+	var out []Match
+	copies, err := d.Within(context.Background(), pq, cut, func(m Match) { out = append(out, m) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ms
+	sortMatches(out)
+	for i := range out {
+		if out[i].DistContinuous, err = d.Continuous(out[i].ShapeID, out[i].EntryID, pq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out, copies
 }
 
-// exhaustiveOverflow is the reference the bounded scan is compared with:
+// exhaustiveOverflow is the reference the overflow scan is compared with:
 // every copy of every live shape scored in full, both directions, no
 // cutoff anywhere, the back direction through a grid oracle built over the
-// copy; the lowest copy on ties; the continuous measure for the k that are
-// returned.
-func exhaustiveOverflow(d *Dynamic, pq *PreparedQuery, k int) []Match {
+// copy; the lowest copy on ties; the shapes within cut, with their
+// continuous measure.
+func exhaustiveOverflow(d *Dynamic, pq *PreparedQuery, cut float64) []Match {
 	var out []Match
 	for i := range d.overflow {
 		s := &d.overflow[i]
@@ -43,19 +61,16 @@ func exhaustiveOverflow(d *Dynamic, pq *PreparedQuery, k int) []Match {
 				best, bestEi = dv, ei
 			}
 		}
-		if bestEi >= 0 {
-			out = append(out, Match{ShapeID: s.shape.ID, EntryID: -(bestEi + 1), DistVertex: best})
+		if bestEi >= 0 && best <= cut {
+			out = append(out, Match{ShapeID: s.shape.ID, EntryID: bestEi, DistVertex: best})
 		}
 	}
 	sortMatches(out)
-	if len(out) > k {
-		out = out[:k]
-	}
 	for i := range out {
 		s := &d.overflow[d.slot[out[i].ShapeID]]
-		ei := -out[i].EntryID - 1
-		out[i].DistContinuous = (AvgMinDistTo(s.entries[ei].Poly, pq.oracle, d.opts.Samples) +
-			AvgMinDistTo(pq.entry.Poly, NewBoundaryDist(s.entries[ei].Poly), d.opts.Samples)) / 2
+		cp := s.entries[out[i].EntryID].Poly
+		out[i].DistContinuous = (AvgMinDistTo(cp, pq.oracle, d.opts.Samples) +
+			AvgMinDistTo(pq.entry.Poly, NewBoundaryDist(cp), d.opts.Samples)) / 2
 	}
 	return out
 }
@@ -186,13 +201,6 @@ func TestDynamicMatchAgainstStaticOracle(t *testing.T) {
 
 func TestDynamicEmptyAndErrors(t *testing.T) {
 	d := NewDynamic(DefaultOptions())
-	pq, err := PrepareQuery(testShapes()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := d.MatchPrepared(context.Background(), pq, 0, MatchOpts{}, false); err == nil {
-		t.Error("k=0 should fail")
-	}
 	if ms := dynMatch(t, d, testShapes()[0], 3); len(ms) != 0 {
 		t.Errorf("empty dynamic returned %v", ms)
 	}
@@ -215,6 +223,9 @@ func TestDynamicEmptyAndErrors(t *testing.T) {
 	}
 }
 
+// TestDynamicMatchPreparedCancelled pins the overflow scan's cancel: under
+// a context already cancelled, Dynamic.Within visits nothing, scans no copy
+// and returns ctx's error.
 func TestDynamicMatchPreparedCancelled(t *testing.T) {
 	d := NewDynamic(DefaultOptions())
 	for i := 0; i < 100; i++ {
@@ -230,12 +241,13 @@ func TestDynamicMatchPreparedCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ms, _, err := d.MatchPrepared(ctx, pq, 5, MatchOpts{}, true)
+	visited := 0
+	copies, err := d.Within(ctx, pq, math.Inf(1), func(Match) { visited++ })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if ms != nil {
-		t.Fatalf("cancelled scan still returned %d matches", len(ms))
+	if visited != 0 || copies != 0 {
+		t.Fatalf("cancelled scan still visited %d shapes over %d copies", visited, copies)
 	}
 }
 
@@ -290,13 +302,13 @@ func TestDynamicShapeDistancePreparedBounded(t *testing.T) {
 // TestDynamicBoundedScanProperty is the admissibility property of the
 // overflow scan (DESIGN.md §4.12): over seeded overflow sets — with a
 // shape stored twice, so every query ties the pair, and deletes, so the
-// scan order is not the insert order — the scan under any admissible
-// shared bound returns the exhaustive reference byte for byte, continuous
-// measure included. The bounds run from none down to exactly the true
-// k-th best (ties at the k-th slot must survive), and the scan only reads
-// them; one below every shape must leave an empty list, not a wrong one.
+// scan order is not the insert order — the fixed-cutoff scan returns the
+// exhaustive reference's shapes within its cutoff byte for byte, continuous
+// measure included, and scans every live copy. The cutoffs run from none
+// down to exactly the k-th best for several k (ties at the cutoff must
+// survive); one below every shape must leave an empty list, not a wrong
+// one.
 func TestDynamicBoundedScanProperty(t *testing.T) {
-	ctx := context.Background()
 	for _, seed := range []int64{31, 32} {
 		rng := rand.New(rand.NewSource(seed))
 		images := synth.GenerateBase(synth.PaperSpec(0.0006, seed))
@@ -326,53 +338,36 @@ func TestDynamicBoundedScanProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []int{1, 2, 5, d.Len(), d.Len() + 3} {
-				want := exhaustiveOverflow(d, pq, k)
-				if len(want) != min(k, d.Len()) {
-					t.Fatalf("seed %d q%d k=%d: reference holds %d matches", seed, qi, k, len(want))
-				}
-				kth := want[len(want)-1].DistVertex
-				for _, factor := range []float64{math.Inf(1), 1.5, 1.0001, 1} {
-					bound := math.Inf(1) // also when the k-th best is 0
-					if k <= d.Len() && !math.IsInf(factor, 1) {
-						bound = kth * factor
-					}
-					shared := NewSharedBound()
-					shared.Tighten(bound)
-					got, st, err := d.MatchPrepared(ctx, pq, k, MatchOpts{Shared: shared}, true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d q%d k=%d bound %g×k-th:\ngot:  %+v\nwant: %+v",
-							seed, qi, k, factor, got, want)
+			var evaluated atomic.Int64
+			pq.AttachEvalCounter(&evaluated)
+			all := exhaustiveOverflow(d, pq, math.Inf(1))
+			if len(all) != d.Len() {
+				t.Fatalf("seed %d q%d: reference holds %d of %d live shapes", seed, qi, len(all), d.Len())
+			}
+			for _, k := range []int{1, 2, 5, d.Len()} {
+				kth := all[k-1].DistVertex
+				for _, cut := range []float64{math.Inf(1), 1.5 * kth, 1.0001 * kth, kth} {
+					evaluated.Store(0)
+					got, copies := dynWithin(t, d, pq, cut)
+					if want := exhaustiveOverflow(d, pq, cut); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d q%d k=%d cutoff %g:\ngot:  %+v\nwant: %+v", seed, qi, k, cut, got, want)
 					}
 					// Candidates are copies past the distance field: never more
 					// than the delta holds, each returned shape's at least, and
 					// with nothing to cut against but the shape's own best so
 					// far, every shape's first copy.
-					unbounded := math.IsInf(bound, 1) && k >= d.Len()
-					if st.Candidates > d.NumEntries() || st.Candidates < len(got) || (unbounded && st.Candidates < d.Len()) || !st.Converged {
-						t.Fatalf("seed %d q%d k=%d: stats %+v over %d copies of %d shapes", seed, qi, k, st, d.NumEntries(), d.Len())
-					}
-					if after := shared.Load(); after != bound {
-						t.Fatalf("seed %d q%d k=%d: the scan moved the bound to %g", seed, qi, k, after)
+					scored := int(evaluated.Load())
+					if copies != d.NumEntries() || scored > copies || scored < len(got) || (math.IsInf(cut, 1) && scored < d.Len()) {
+						t.Fatalf("seed %d q%d k=%d: %d copies scanned, %d scored; the delta holds %d copies of %d shapes",
+							seed, qi, k, copies, scored, d.NumEntries(), d.Len())
 					}
 				}
 			}
-			// A bound below every live shape: nothing can be proven inside it.
-			nearest := exhaustiveOverflow(d, pq, 1)[0].DistVertex
-			if nearest == 0 {
-				continue
-			}
-			shared := NewSharedBound()
-			shared.Tighten(nearest * 0.999)
-			got, _, err := d.MatchPrepared(ctx, pq, 3, MatchOpts{Shared: shared}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != 0 || shared.Load() != nearest*0.999 {
-				t.Fatalf("seed %d q%d: under a bound below every shape: %+v, bound %g", seed, qi, got, shared.Load())
+			// A cutoff below every live shape: nothing lies within it.
+			if nearest := all[0].DistVertex; nearest > 0 {
+				if got, _ := dynWithin(t, d, pq, nearest*0.999); len(got) != 0 {
+					t.Fatalf("seed %d q%d: under a cutoff below every shape: %+v", seed, qi, got)
+				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -10,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -416,10 +416,10 @@ func TestFloorAdmissible(t *testing.T) {
 }
 
 // TestFieldBuiltOncePerRequest shares one prepared query between 8 parts
-// searched two at a time under one bound, the way a request fans
+// scanned two at a time under one cutoff, the way a sketch request fans
 // out: every part sees the same table — one build, raced under -race —
-// and the answers are those of a query of their own. A query that is only
-// ever scored unbounded builds none.
+// and each part's nearest k are those of a query of its own. A query that
+// is only ever scored unbounded builds none.
 func TestFieldBuiltOncePerRequest(t *testing.T) {
 	images := synth.GenerateBase(synth.BaseSpec{
 		Images: 48, MeanShapes: 3, MeanVertices: 13, Prototypes: 6,
@@ -467,9 +467,7 @@ func TestFieldBuiltOncePerRequest(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every part holds k shapes within bound, so each must return its own
-		// top k whatever its siblings publish.
-		shared := NewSharedBound()
-		shared.Tighten(bound)
+		// top k at the head of what lies within it.
 		got := make([][]Match, parts)
 		fields := make([]*distField, parts)
 		var wg sync.WaitGroup
@@ -478,12 +476,12 @@ func TestFieldBuiltOncePerRequest(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < parts; i += 2 {
-					ms, _, err := bases[i].MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: shared}, true)
+					ms, _, _, err := withinSorted(bases[i], pq, nil, bound)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					got[i], fields[i] = ms, pq.field // built, if at all, before the search returned
+					got[i], fields[i] = ms, pq.field // built, if at all, before the scan returned
 				}
 			}(w)
 		}
@@ -492,7 +490,7 @@ func TestFieldBuiltOncePerRequest(t *testing.T) {
 			if fields[i] == nil || fields[i] != fields[0] {
 				t.Fatalf("trial %d: part %d searched under field %p, part 0 under %p", trial, i, fields[i], fields[0])
 			}
-			if !reflect.DeepEqual(got[i], want[i]) {
+			if len(got[i]) < k || !reflect.DeepEqual(got[i][:k], want[i]) {
 				t.Fatalf("trial %d part %d: shared query diverges:\ngot:  %+v\nwant: %+v", trial, i, got[i], want[i])
 			}
 		}
@@ -514,11 +512,11 @@ func TestFieldBuiltOncePerRequest(t *testing.T) {
 
 // TestEntryFirstStopsRangeSearch pins that a serving search issues no
 // triangle query, on a 200-image base (the benchmark's size): under a
-// bound looser than the true k-th best, as a hash seed is, the search is
-// one scan of every entry — no envelope opened, no vertex reported by a
-// range search — the distance field turns all but a few percent of the
-// entries away before the exact evaluator, and the matches are the
-// unseeded scan's and the climb's, byte for byte.
+// cutoff looser than the true k-th best, as a hash seed is, the search is
+// one fixed-cutoff scan of every entry — no envelope opened, no vertex
+// reported by a range search — the distance field turns all but a few
+// percent of the entries away before the exact evaluator, and the nearest
+// matches are the scan with no cutoff's and the climb's, byte for byte.
 func TestEntryFirstStopsRangeSearch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200-image base")
@@ -536,42 +534,40 @@ func TestEntryFirstStopsRangeSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanned, _, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{}, true)
+		var evaluated atomic.Int64
+		pq.AttachEvalCounter(&evaluated)
+		scanned, _, _, err := withinSorted(b, pq, nil, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
+		scanned = scanned[:k]
 		seed := 1.5 * scanned[k-1].DistVertex
 		if seed == 0 {
 			continue
 		}
 		tested++
-		shared := NewSharedBound()
-		shared.Tighten(seed)
-		got, gst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: shared}, true)
+		evaluated.Store(0)
+		got, copies, _, err := withinSorted(b, pq, nil, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, scanned) {
-			t.Fatalf("seeded search diverges from the unseeded scan:\ngot:  %+v\nwant: %+v", got, scanned)
+		if len(got) < k || !reflect.DeepEqual(got[:k], scanned) {
+			t.Fatalf("scan under a seed diverges from the scan with no cutoff:\ngot:  %+v\nwant: %+v", got, scanned)
 		}
-		if want, st, err := b.Match(q, k); err != nil || (st.Converged && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("seeded search diverges from the climb (%v):\ngot:  %+v\nwant: %+v", err, got, want)
+		if want, st, err := b.Match(q, k); err != nil || (st.Converged && !reflect.DeepEqual(got[:k], want)) {
+			t.Fatalf("scan under a seed diverges from the climb (%v):\ngot:  %+v\nwant: %+v", err, got, want)
 		}
-		if gst.TrianglesQueried != 0 || gst.VerticesReported != 0 {
-			t.Fatalf("%d triangle queries reporting %d vertices under a bound, want none",
-				gst.TrianglesQueried, gst.VerticesReported)
+		scored := int(evaluated.Load())
+		if copies != b.NumEntries() {
+			t.Fatalf("%d of %d entries scanned; want one pass over them all", copies, b.NumEntries())
 		}
-		if gst.Iterations != 1 || !gst.Converged || gst.VerticesCounted != b.NumEntries() {
-			t.Fatalf("%d iterations, converged=%v, %d of %d entries scanned; want one pass over them all",
-				gst.Iterations, gst.Converged, gst.VerticesCounted, b.NumEntries())
+		if scored > copies || scored < len(got) {
+			t.Fatalf("%d candidates of %d scanned entries for %d matches", scored, copies, len(got))
 		}
-		if gst.Candidates > gst.VerticesCounted || gst.Candidates < len(got) {
-			t.Fatalf("%d candidates of %d scanned entries for %d matches", gst.Candidates, gst.VerticesCounted, len(got))
-		}
-		candidates += gst.Candidates
+		candidates += scored
 	}
 	if tested < 6 {
-		t.Fatalf("only %d queries ran under a bound", tested)
+		t.Fatalf("only %d queries ran under a cutoff", tested)
 	}
 	if share := float64(candidates) / float64(tested*b.NumEntries()); share >= 0.05 {
 		t.Errorf("%.1f%% of the entries reached the exact evaluator, want under 5%%", 100*share)

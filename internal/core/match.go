@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/envelope"
 	"repro/internal/geom"
@@ -26,46 +27,29 @@ type Match struct {
 }
 
 // Stats records the work a retrieval performed (the quantities of the
-// paper's complexity analysis in §2.5). A search through MatchPrepared
-// opens no envelope — it is one bounded scan (DESIGN.md §4.9) — and
-// counts differently, as noted per field.
+// paper's complexity analysis in §2.5). SimilarShapes opens no envelope —
+// it is one fixed-cutoff scan (DESIGN.md §4.9) — and counts differently,
+// as noted per field.
 type Stats struct {
-	Iterations       int     // r: number of envelope fattenings (the scan counts as 1)
-	FinalEpsilon     float64 // ε at termination (the scan: 0, it opens none)
-	EpsilonMax       float64 // the stopping threshold (A/2p·l_Q)·log³n (the scan: 0, it has none)
-	TrianglesQueried int     // simplex range queries issued (the scan: 0; entry-first: until every entry is marked)
-	VerticesReported int     // vertices the triangle covers reported, duplicates included (the scan: 0)
-	VerticesCounted  int     // K: vertices that entered counters; entry-first, the first reported vertex of each touched entry; the scan, the entries it scanned
+	Iterations       int     // r: number of envelope fattenings (SimilarShapes: 1)
+	FinalEpsilon     float64 // ε at termination (SimilarShapes: 0, it opens none)
+	EpsilonMax       float64 // the stopping threshold (A/2p·l_Q)·log³n (SimilarShapes: 0, it has none)
+	TrianglesQueried int     // simplex range queries issued (SimilarShapes: 0; entry-first: until every entry is marked)
+	VerticesReported int     // vertices the triangle covers reported, duplicates included (SimilarShapes: 0)
+	VerticesCounted  int     // K: vertices that entered counters; entry-first, the first reported vertex of each touched entry; SimilarShapes, the entries it scanned
 	Candidates       int     // entries that reached the exact evaluator (not those the distance field rejected first)
 	BlocksRead       int     // page-granular storage of the entries whose vertices were read, field-rejected included (§4 block accounting)
-	Converged        bool    // true: the result is proven (the climb: stopped via the similarity bound; the scan: always)
-}
-
-// MatchOpts are the knobs of one bounded scan beyond (query, k). The zero
-// value is a plain top-k MatchPrepared.
-type MatchOpts struct {
-	// Shared is a bound shared with concurrent searches over disjoint
-	// partitions of one logical base. Candidates proven strictly worse
-	// than it are discarded — admissible because the bound only ever
-	// holds values ≥ the merged k-th best distance. See DESIGN.md §4.9.
-	Shared *SharedBound
-	// Dead marks shape ids the search must skip (tombstoned shapes of a
-	// partition): they never enter the top-k, so the k-th best reflects
-	// live shapes only.
-	Dead map[int]bool
-
-	// onAccess sees every entry the scan reads.
-	onAccess func(entryID int)
+	Converged        bool    // true: the result is proven (the climb: stopped via the similarity bound; SimilarShapes: always)
 }
 
 // Match retrieves the k most similar shapes to q via the incremental
 // ε-envelope fattening algorithm (§2.5) — the paper's algorithm, which the
 // figures and the external-storage experiments reproduce; no serving
-// search runs it (MatchPrepared). The returned matches are sorted by
-// increasing DistVertex. Stats.Converged reports whether the algorithm
-// proved optimality of the result (true) or gave up at ε_max (false) — in
-// the latter case the paper falls back to geometric hashing (§3). The
-// first climb builds the range index (BuildRangeIndex).
+// search runs it. The returned matches are sorted by increasing
+// DistVertex. Stats.Converged reports whether the algorithm proved
+// optimality of the result (true) or gave up at ε_max (false) — in the
+// latter case the paper falls back to geometric hashing (§3). The first
+// climb builds the range index (BuildRangeIndex).
 func (b *Base) Match(q geom.Poly, k int) ([]Match, Stats, error) {
 	return b.matchPoly(q, k, nil)
 }
@@ -79,44 +63,35 @@ func (b *Base) MatchTrace(q geom.Poly, k int, onAccess func(entryID int)) ([]Mat
 	return b.matchPoly(q, k, onAccess)
 }
 
-// MatchPrepared retrieves the k shapes nearest a query prepared once
-// (PrepareQuery) and shared by every partition's search — fewer when
-// fewer are live or o.Shared proves the rest outside the merged result —
-// by one bounded scan (boundedScan) under the given options. Every shape is
-// settled exactly — evaluated under the cutoff or proven strictly above it
-// — so the list is final however short it is and Stats.Converged is set.
-// DistContinuous is filled for the returned matches when continuous is
-// set. The caller has validated the query shape. A cancelled scan returns
-// ctx's error and no matches.
-func (b *Base) MatchPrepared(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, continuous bool) ([]Match, Stats, error) {
-	if err := b.matchable(k); err != nil {
-		return nil, Stats{}, err
-	}
-	out, stats, err := boundedScan(ctx, pq, k, o, len(b.shapes), b.scanShape, b.opts.Samples, continuous)
-	stats.Iterations = 1
-	return out, stats, err
-}
-
 // SimilarShapes returns every shape whose vertex-averaged distance to q
-// is at most tau, sorted by (DistVertex, ShapeID): one bounded scan under
-// the cutoff tau. This is the shape_similar(Q) primitive of the query
-// processor (§5). A cancelled scan returns ctx's error and no matches.
+// is at most tau, sorted by (DistVertex, ShapeID), each with its
+// continuous measure: one fixed-cutoff scan (Within) under tau. This is
+// the shape_similar(Q) primitive of the query processor (§5). No distance
+// is within a negative or NaN tau. A cancelled scan returns ctx's error,
+// no matches, and the work done so far.
 func (b *Base) SimilarShapes(ctx context.Context, q geom.Poly, tau float64) ([]Match, Stats, error) {
 	pq, err := b.prepare(q, 1)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	within := NewSharedBound()
-	within.Tighten(tau)
-	ms, stats, err := b.MatchPrepared(ctx, pq, len(b.shapes), MatchOpts{Shared: within}, true)
+	stats := Stats{Iterations: 1, Converged: true}
+	if math.IsNaN(tau) || tau < 0 {
+		return nil, stats, nil
+	}
+	var evaluated atomic.Int64
+	pq.AttachEvalCounter(&evaluated)
+	var out []Match
+	stats.VerticesCounted, stats.BlocksRead, err = b.Within(ctx, pq, nil, tau, func(m Match) { out = append(out, m) })
+	stats.Candidates = int(evaluated.Load())
 	if err != nil {
 		return nil, stats, err
 	}
-	out := ms[:0]
-	for _, m := range ms {
-		if m.DistVertex <= tau { // a negative or NaN tau tightens nothing
-			out = append(out, m)
-		}
+	sortMatches(out)
+	var resample []geom.Point
+	for i := range out {
+		ei := out[i].EntryID
+		out[i].DistContinuous = pq.distContinuous(b.entries[ei].Poly, b.opts.Samples, &resample)
+		stats.BlocksRead += b.blockCost(int32(ei))
 	}
 	return out, stats, nil
 }

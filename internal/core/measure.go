@@ -211,12 +211,12 @@ func directedKth(a, b geom.Poly, k int) float64 {
 	return ds[k-1]
 }
 
-// PreparedQuery caches the per-query work of the bounded scan and the
+// PreparedQuery caches the per-query work of the serving searches and the
 // direct similarity checks: the canonical normalization and its
 // boundary-distance oracle. Preparing once and reusing across many
-// ShapeDistancePrepared calls — or across the MatchPrepared calls of
-// every shard of a partitioned base — hoists the normalization and grid
-// build out of candidate and shard loops. A PreparedQuery is safe for
+// ShapeDistancePrepared calls — or across the passes over every shard of
+// a partitioned base — hoists the normalization and grid build out of
+// candidate and shard loops. A PreparedQuery is safe for
 // concurrent use: immutable but for the distance field, built once at the
 // first bounded evaluation.
 type PreparedQuery struct {

@@ -4,16 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/shapeindex"
 )
 
 // This file holds the admissible pruning primitives of the prune-first
-// match kernel (DESIGN.md §4.9): the atomic shared top-k bound that lets
-// the parts of a request prune against each other mid-flight, the query's
-// distance field and the one bounded evaluator behind it.
+// match kernel (DESIGN.md §4.9): the query's distance field and the one
+// bounded evaluator behind it, and the per-shape and per-base entry points
+// the serving searches call.
 
 // geomBoundSlack absorbs the floating-point error of the distance
 // field's cells, lower bounds derived in real arithmetic (Dist(centre) −
@@ -23,49 +22,6 @@ import (
 // ~6 orders of magnitude above the accumulated rounding error while
 // costing nothing against the distances the engine ranks (~1e-2 scale).
 const geomBoundSlack = 1e-9
-
-// SharedBound is an atomic, monotonically non-increasing distance bound
-// shared by concurrent searches: any value ever stored is a proven upper
-// bound on the k-th best distance of the merged result, so every reader
-// may discard work strictly above the current value. The zero value is
-// not usable; construct with NewSharedBound (which starts at +Inf).
-//
-// Values are non-negative, so their IEEE-754 bit patterns order like the
-// floats themselves and a CAS loop over the raw bits implements an
-// atomic min.
-type SharedBound struct {
-	bits atomic.Uint64
-}
-
-// NewSharedBound returns a bound starting at +Inf (nothing pruned).
-func NewSharedBound() *SharedBound {
-	s := &SharedBound{}
-	s.bits.Store(math.Float64bits(math.Inf(1)))
-	return s
-}
-
-// Load returns the current bound.
-func (s *SharedBound) Load() float64 {
-	return math.Float64frombits(s.bits.Load())
-}
-
-// Tighten lowers the bound to v if v improves it. NaN and negative
-// values are ignored.
-func (s *SharedBound) Tighten(v float64) {
-	if math.IsNaN(v) || v < 0 {
-		return
-	}
-	nb := math.Float64bits(v)
-	for {
-		ob := s.bits.Load()
-		if math.Float64frombits(ob) <= v {
-			return
-		}
-		if s.bits.CompareAndSwap(ob, nb) {
-			return
-		}
-	}
-}
 
 // avgMinDistVerticesBoundedAffine iterates AvgMinDistVertices of a against
 // the distance dist with an admissible early exit: it aborts as soon as
@@ -457,6 +413,17 @@ func (b *Base) Floors(ctx context.Context, pq *PreparedQuery, dead map[int]bool,
 		}
 	}
 	return copies, blocks, nil
+}
+
+// Within is the fixed-cutoff scan over the base (within): visit sees, in
+// id order, every shape not in dead whose distance to the query is ≤ cut,
+// EntryID the lowest copy realizing it (what Continuous reads). Within
+// returns the copies scanned and their block cost; a cancelled scan returns
+// ctx's error with the copies scanned so far. The query's evaluation
+// counter, when attached, is charged with the copies that reached the exact
+// evaluator.
+func (b *Base) Within(ctx context.Context, pq *PreparedQuery, dead map[int]bool, cut float64, visit func(Match)) (copies, blocks int, err error) {
+	return within(ctx, pq, len(b.shapes), b.scanShape, dead, cut, visit)
 }
 
 // Continuous is the continuous measure between the query and stored copy

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -121,7 +120,7 @@ func TestBoundedMeasureEdgeCases(t *testing.T) {
 	}
 }
 
-// TestNormalizedCopiesPinDiameter pins the premise of the bounded scan
+// TestNormalizedCopiesPinDiameter pins the premise of the envelope-free scans
 // (DESIGN.md §4.9, the pinned-vertex observation): every stored copy, at
 // any α, and every canonical query has a vertex on (0,0) and one on (1,0).
 // So every entry has a vertex on the query's boundary — it is inside every
@@ -165,42 +164,6 @@ func TestNormalizedCopiesPinDiameter(t *testing.T) {
 	}
 	if copies < 6*len(shapes) {
 		t.Fatalf("only %d copies of %d shapes checked", copies, len(shapes))
-	}
-}
-
-// TestSharedBound exercises the atomic min: monotone tightening,
-// rejection of NaN and negatives, and a concurrent hammering that -race
-// watches for unsynchronized access.
-func TestSharedBound(t *testing.T) {
-	s := NewSharedBound()
-	if !math.IsInf(s.Load(), 1) {
-		t.Fatalf("fresh bound: got %v, want +Inf", s.Load())
-	}
-	s.Tighten(2)
-	s.Tighten(3) // looser: ignored
-	if got := s.Load(); got != 2 {
-		t.Fatalf("after Tighten(2), Tighten(3): got %v, want 2", got)
-	}
-	s.Tighten(math.NaN())
-	s.Tighten(-1)
-	if got := s.Load(); got != 2 {
-		t.Fatalf("NaN/negative must be ignored: got %v", got)
-	}
-
-	c := NewSharedBound()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 100; i >= 0; i-- {
-				c.Tighten(float64(g*100+i) / 1000)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := c.Load(); got != 0 {
-		t.Fatalf("concurrent min: got %v, want 0", got)
 	}
 }
 
@@ -345,185 +308,34 @@ func TestPrunedTopKAgainstScan(t *testing.T) {
 					tc.name, trial, k, fast, ref)
 			}
 
-			// The bounded scan must agree byte for byte with the climb under a
-			// fresh bound, and so must the scan that starts under the tightest
-			// legal bound, the true k-th best: whatever ties it survives.
+			// The fixed-cutoff scan under the tightest cutoff that keeps the
+			// top k, the true k-th best, returns exactly the scan's shapes
+			// within it, whatever ties it has, headed by the climb's k.
 			pq, err := PrepareQuery(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scanned, sst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: NewSharedBound()}, true)
+			cut := ref[len(ref)-1].DistVertex
+			within, _, _, err := withinSorted(b, pq, nil, cut)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sst.Converged || !reflect.DeepEqual(scanned, fast) {
-				t.Fatalf("%s trial %d: the scan diverges from Match (converged=%v)", tc.name, trial, sst.Converged)
-			}
-			tight := NewSharedBound()
-			tight.Tighten(ref[len(ref)-1].DistVertex)
-			seeded, _, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: tight}, true)
+			all, err := scan.Match(q, b.NumShapes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(seeded, ref) {
-				t.Fatalf("%s trial %d (k=%d): search under the true k-th best diverges from scan:\ngot:  %+v\nscan: %+v",
-					tc.name, trial, k, seeded, ref)
+			n := 0
+			for n < len(all) && all[n].DistVertex <= cut {
+				n++
+			}
+			if len(within) < len(fast) || !reflect.DeepEqual(within, all[:n]) || !reflect.DeepEqual(within[:len(fast)], fast) {
+				t.Fatalf("%s trial %d (k=%d): scan under the true k-th best diverges:\ngot:  %+v\nscan: %+v",
+					tc.name, trial, k, within, all[:n])
 			}
 		}
 		if converged < 2*tc.trials/3 {
 			t.Errorf("%s: only %d/%d queries converged", tc.name, converged, tc.trials)
 		}
-	}
-}
-
-// TestSharedBoundPretightenedExact pins the shared bound at its tightest:
-// a sibling part may legally publish any value ≥ the merged k-th best,
-// including exactly the true k-th distance. Injected before the scan
-// starts — so no goroutine timing is involved — it must not change one
-// byte of the result, ties at the k-th slot included.
-func TestSharedBoundPretightenedExact(t *testing.T) {
-	b := pruneTestBase(t, synth.BaseSpec{
-		Images: 40, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
-		Distortion: 0.05, OpenFraction: 0.3, Seed: 41,
-	})
-	rng := rand.New(rand.NewSource(43))
-	tested := 0
-	for trial := 0; trial < 40; trial++ {
-		q := synth.Distort(rng, b.Shape(rng.Intn(b.NumShapes())).Poly, 0.03)
-		if q.Validate() != nil {
-			continue
-		}
-		k := 1 + rng.Intn(10)
-		exact, st, err := b.Match(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.Converged || len(exact) < k {
-			continue
-		}
-		tested++
-		pq, err := PrepareQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb := NewSharedBound()
-		sb.Tighten(exact[k-1].DistVertex)
-		got, gst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: sb}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gst.Converged {
-			t.Fatalf("trial %d (k=%d): the pre-tightened scan did not converge", trial, k)
-		}
-		if !reflect.DeepEqual(got, exact) {
-			t.Fatalf("trial %d (k=%d): pre-tightened shared bound changed the result:\ngot:   %+v\nexact: %+v",
-				trial, k, got, exact)
-		}
-	}
-	if tested < 20 {
-		t.Errorf("only %d/40 queries exercised the pre-tightened bound", tested)
-	}
-}
-
-// TestSharedBoundUnfilledTopKStops pins the part that owns fewer than k of
-// the merged top-k: under a tight shared bound it can never fill its own
-// heap (every candidate worse than the bound is discarded), and its list
-// must be final anyway. With the bound pre-tightened to the true merged
-// k-th best — the value a width-1 walk hands every part but the first —
-// such a part's scan must stop Converged, send no more copies to the exact
-// evaluator than when searched alone, and still contribute exactly its
-// members of the merged top-k.
-func TestSharedBoundUnfilledTopKStops(t *testing.T) {
-	const shards, k = 8, 5
-	images := synth.GenerateBase(synth.BaseSpec{
-		Images: 120, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
-		Distortion: 0.02, OpenFraction: 0.3, Seed: 53,
-	})
-	whole := NewBase(DefaultOptions())
-	parts := make([]*Base, shards)
-	for i := range parts {
-		parts[i] = NewBase(DefaultOptions())
-	}
-	// owner[g] locates whole-base shape g on its part.
-	type loc struct{ part, local int }
-	var owner []loc
-	for _, img := range images {
-		p := ShardFor(img.ID, shards)
-		for _, s := range img.Shapes {
-			if _, err := whole.AddShape(img.ID, s); err != nil {
-				t.Fatal(err)
-			}
-			local, err := parts[p].AddShape(img.ID, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			owner = append(owner, loc{p, local})
-		}
-	}
-	for _, b := range append([]*Base{whole}, parts...) {
-		if err := b.Freeze(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(59))
-	held := make(map[int]int) // merged top-k members on a shard → shards seen
-	for trial := 0; trial < 12; trial++ {
-		q := synth.Distort(rng, whole.Shape(rng.Intn(whole.NumShapes())).Poly, 0.01)
-		if q.Validate() != nil {
-			continue
-		}
-		pq, err := PrepareQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged, _, err := whole.MatchPrepared(ctx, pq, k, MatchOpts{}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(merged) < k {
-			continue
-		}
-		for p, b := range parts {
-			want := make(map[int]float64) // local shape id → merged distance
-			for _, m := range merged {
-				if o := owner[m.ShapeID]; o.part == p {
-					want[o.local] = m.DistVertex
-				}
-			}
-			if len(want) == k {
-				continue // a full heap always could stop
-			}
-			held[len(want)]++
-			_, alone, err := b.MatchPrepared(ctx, pq, k, MatchOpts{}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb := NewSharedBound()
-			sb.Tighten(merged[k-1].DistVertex)
-			got, gst, err := b.MatchPrepared(ctx, pq, k, MatchOpts{Shared: sb}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !gst.Converged {
-				t.Fatalf("trial %d shard %d (holds %d/%d): did not converge on the merged bound", trial, p, len(want), k)
-			}
-			if gst.Candidates > alone.Candidates || gst.VerticesCounted != alone.VerticesCounted {
-				t.Fatalf("trial %d shard %d (holds %d/%d): bound cost work: %d candidates of %d copies, alone %d of %d",
-					trial, p, len(want), k, gst.Candidates, gst.VerticesCounted, alone.Candidates, alone.VerticesCounted)
-			}
-			for _, m := range got {
-				if d, ok := want[m.ShapeID]; ok && d == m.DistVertex {
-					delete(want, m.ShapeID)
-				}
-			}
-			if len(want) != 0 {
-				t.Fatalf("trial %d shard %d: merged top-k members missing from the shard's answer: %v", trial, p, want)
-			}
-		}
-	}
-	if held[0] == 0 || len(held) < 3 {
-		t.Errorf("shards seen by merged top-k members held: %v; want 0 and at least two other counts", held)
 	}
 }
 
@@ -545,100 +357,13 @@ func pruneTestBase(t *testing.T, spec synth.BaseSpec) *Base {
 	return b
 }
 
-// TestBoundFirstOneEnvelope pins the bound-first path of the kernel
-// (DESIGN.md §4.9): a search that starts under a bound tightened to the
-// true k-th best — what the hash-tier seed hands it, at best — opens no
-// envelope: it scans every entry once, shapes in index order. A shape the
-// distance field turns away whole under that bound (no copy's sum within
-// it) is read in index order; a shape with a surviving copy is read
-// lowest-floor survivor first and the rest in index order, as before. The
-// search lets through to the exact evaluator only what the field cannot
-// turn away, stops Converged and returns the bytes of the unshared search.
-func TestBoundFirstOneEnvelope(t *testing.T) {
-	b := pruneTestBase(t, synth.BaseSpec{
-		Images: 40, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
-		Distortion: 0.05, OpenFraction: 0.3, Seed: 41,
-	})
-	rng := rand.New(rand.NewSource(47))
-	tested := 0
-	for trial := 0; trial < 40; trial++ {
-		q := synth.Distort(rng, b.Shape(rng.Intn(b.NumShapes())).Poly, 0.03)
-		if q.Validate() != nil {
-			continue
-		}
-		k := 1 + rng.Intn(10)
-		exact, st, err := b.Match(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.Converged || len(exact) < k {
-			continue
-		}
-		tested++
-		sb := NewSharedBound()
-		sb.Tighten(exact[k-1].DistVertex)
-		pq, err := PrepareQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var accessed []int
-		got, gst, err := b.MatchPrepared(context.Background(), pq, k, MatchOpts{Shared: sb, onAccess: func(ei int) { accessed = append(accessed, ei) }}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Shapes are evaluated in the order they lie in memory, a shape's
-		// most promising surviving copy ahead of its others (the hook's last
-		// len(got) calls report the matches). The cutoff of every shape is
-		// the bound: the running k-th never undercuts the true one.
-		var order []int
-		cut, f := sb.Load(), pq.distField()
-		for sid := range b.shapes {
-			eis := b.shapeEntries[sid]
-			floor := func(ei int32) float64 { return fieldFloor(f.sum(b.entryCells(ei)), int(b.entryVertexCount(ei))) }
-			first := -1
-			for c, ei := range eis {
-				if !fieldRejects(f.sum(b.entryCells(ei)), int(b.entryVertexCount(ei)), cut) && (first < 0 || floor(ei) < floor(eis[first])) {
-					first = c
-				}
-			}
-			if first >= 0 {
-				order = append(order, int(eis[first]))
-			}
-			for c, ei := range eis {
-				if c != first {
-					order = append(order, int(ei))
-				}
-			}
-		}
-		if evaluated := accessed[:len(accessed)-len(got)]; !reflect.DeepEqual(evaluated, order) {
-			t.Fatalf("trial %d (k=%d): entries evaluated in the order %v, want %v", trial, k, evaluated, order)
-		}
-		if gst.Iterations != 1 || !gst.Converged || gst.TrianglesQueried != 0 {
-			t.Fatalf("trial %d (k=%d): %d iterations, %d triangle queries, converged=%v; want one scan, converged",
-				trial, k, gst.Iterations, gst.TrianglesQueried, gst.Converged)
-		}
-		// Every entry scanned once; of them, only those the distance field
-		// lets through are candidates — the k matches among them.
-		if gst.VerticesCounted != b.NumEntries() || gst.Candidates > gst.VerticesCounted || gst.Candidates < len(got) {
-			t.Fatalf("trial %d (k=%d): scanned %d entries of %d and scored %d for %d matches (alone: %d vertices)",
-				trial, k, gst.VerticesCounted, b.NumEntries(), gst.Candidates, len(got), st.VerticesCounted)
-		}
-		if !reflect.DeepEqual(got, exact) {
-			t.Fatalf("trial %d (k=%d): bound-first result diverges:\ngot:   %+v\nexact: %+v", trial, k, got, exact)
-		}
-	}
-	if tested < 20 {
-		t.Errorf("only %d/40 queries exercised the bound-first path", tested)
-	}
-}
-
 // TestWholeShapeRejectChargesEveryCopy pins the whole-shape reject of
 // scanShape.nearest: under a cutoff of half a shape's floor — below every
 // copy's own floor, so the field turns each copy away — the shape comes
 // back proven outside with no copy reaching the exact evaluator, yet every
 // copy is read: in index order through the access hook, its block cost
 // charged by nearest, by ShapeDistancePreparedBounded to the query's block
-// counter, and by the scan to Stats.BlocksRead.
+// counter, and by the fixed-cutoff scan (Within) to its block count.
 func TestWholeShapeRejectChargesEveryCopy(t *testing.T) {
 	b := pruneTestBase(t, synth.BaseSpec{
 		Images: 20, MeanShapes: 3, MeanVertices: 14, Prototypes: 6,
@@ -686,15 +411,13 @@ func TestWholeShapeRejectChargesEveryCopy(t *testing.T) {
 	if whole < b.NumShapes()/2 {
 		t.Fatalf("only %d of %d shapes have a positive floor", whole, b.NumShapes())
 	}
-	// A scan under a bound below every positive floor reads every copy.
-	sb := NewSharedBound()
-	sb.Tighten(lowest / 2)
-	_, st, err := b.MatchPrepared(context.Background(), pq, 3, MatchOpts{Shared: sb}, false)
+	// A scan under a cutoff below every positive floor reads every copy.
+	copies, scanned, err := b.Within(context.Background(), pq, nil, lowest/2, func(Match) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.BlocksRead != total || st.VerticesCounted != b.NumEntries() {
-		t.Fatalf("scan under %v: %d blocks over %d copies, want %d over %d", lowest/2, st.BlocksRead, st.VerticesCounted, total, b.NumEntries())
+	if scanned != total || copies != b.NumEntries() {
+		t.Fatalf("scan under %v: %d blocks over %d copies, want %d over %d", lowest/2, scanned, copies, total, b.NumEntries())
 	}
 }
 

@@ -3,15 +3,13 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
-
-	"repro/internal/geom"
 )
 
 // This file holds the per-shape loops of every serving search (DESIGN.md
-// §4.9): the floor pass of the exact search ("The exact search is two
-// passes"), the bounded evaluation of one shape, and the bounded scan
-// behind the sketch tables (frozen and live) and SimilarShapes.
+// §4.9): the one walk over the live shapes, which runs the floor pass of
+// the exact search ("The exact search is two passes") and the fixed-cutoff
+// scan behind the sketch tables (frozen and live) and SimilarShapes, and
+// the bounded evaluation of one shape.
 
 // scanShape is one shape as the bounded evaluators walk it: its normalized
 // copies are entries[idx[0]], entries[idx[1]], … — the base-wide arrays of
@@ -65,12 +63,12 @@ func (s *scanShape) floor(f *distField) float64 {
 	return fieldFloor(least, len(s.copyCells(s.entry(0))))
 }
 
-// floorAll is pass 1 of the exact search (DESIGN.md §4.9, "The exact
-// search is two passes") over shapeAt(0..n-1): visit sees every shape not
-// in dead, in index order, with its floor. ctx is checked every 32 shapes;
-// a cancelled pass returns ctx's error.
-func floorAll(ctx context.Context, pq *PreparedQuery, n int, shapeAt func(i int) scanShape, dead map[int]bool, visit func(id int, floor float64)) error {
-	f := pq.distField()
+// eachLive hands visit every shape of shapeAt(0..n-1) not in dead, in
+// index order: the one walk of the floor pass and the fixed-cutoff scan.
+// ctx is checked every 32 shapes — each costs a table load per stored
+// vertex and a few boundary probes, so the cancellation latency stays well
+// under a millisecond; a cancelled walk returns ctx's error.
+func eachLive(ctx context.Context, n int, shapeAt func(i int) scanShape, dead map[int]bool, visit func(s scanShape)) error {
 	for i := 0; i < n; i++ {
 		if i&31 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -78,10 +76,35 @@ func floorAll(ctx context.Context, pq *PreparedQuery, n int, shapeAt func(i int)
 			}
 		}
 		if s := shapeAt(i); !dead[s.id] {
-			visit(s.id, s.floor(f))
+			visit(s)
 		}
 	}
 	return nil
+}
+
+// floorAll is pass 1 of the exact search (DESIGN.md §4.9, "The exact
+// search is two passes") over shapeAt(0..n-1): visit sees every shape not
+// in dead, in index order, with its floor.
+func floorAll(ctx context.Context, pq *PreparedQuery, n int, shapeAt func(i int) scanShape, dead map[int]bool, visit func(id int, floor float64)) error {
+	f := pq.distField()
+	return eachLive(ctx, n, shapeAt, dead, func(s scanShape) { visit(s.id, s.floor(f)) })
+}
+
+// within is the fixed-cutoff scan (DESIGN.md §4.9, "The fixed-cutoff
+// scan") over shapeAt(0..n-1): every shape not in dead goes through
+// nearest under cut, and visit sees, in index order, each whose distance is
+// ≤ cut, EntryID the index into s.entries of the lowest copy realizing it.
+// It returns the copies scanned and their block cost; a cancelled scan
+// returns ctx's error with the copies scanned so far.
+func within(ctx context.Context, pq *PreparedQuery, n int, shapeAt func(i int) scanShape, dead map[int]bool, cut float64, visit func(Match)) (copies, blocks int, err error) {
+	err = eachLive(ctx, n, shapeAt, dead, func(s scanShape) {
+		best, ei, _, cost := s.nearest(pq, cut, nil)
+		copies, blocks = copies+s.copies(), blocks+cost
+		if ei >= 0 && best <= cut {
+			visit(Match{ShapeID: s.id, EntryID: ei, DistVertex: best})
+		}
+	})
+	return copies, blocks, err
 }
 
 // nearestStack is how many copies' field sums nearest keeps on its stack
@@ -170,91 +193,10 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 	return best, bestEi, scored, blocks
 }
 
-// boundedScan retrieves the k nearest of shapeAt(0..n-1) — fewer when
-// fewer are live or the shared bound proves the rest outside the merged
-// result — sorted by (DistVertex, ShapeID), EntryID the index into the
-// shape's entries. Shapes are visited in index order, each copy through
-// the one bounded evaluator under the tightest proven cutoff: its shape's
-// best so far, the running k-th, o.Shared. Every reject is strict, so a
-// shape tying the cutoff survives and the matches are byte-identical to
-// the exhaustive scan's wherever the bound is admissible. Shapes in o.Dead
-// are skipped. DistContinuous is filled for the returned matches when
-// continuous is set.
-//
-// Of the stats, VerticesCounted is the copies scanned, Candidates those
-// that reached the exact evaluator, BlocksRead the block cost of both the
-// scan and the final re-reads. ctx is checked every 32 shapes — each costs
-// a table load per stored vertex and a few boundary probes, so the
-// cancellation latency stays well under a millisecond; a cancelled scan
-// returns ctx's error and no matches.
-func boundedScan(ctx context.Context, pq *PreparedQuery, k int, o MatchOpts, n int, shapeAt func(i int) scanShape, samples int, continuous bool) ([]Match, Stats, error) {
-	stats := Stats{Converged: true}
-	type hit struct {
-		m  Match
-		at int // shapeAt index
-	}
-	hits := make([]hit, 0, min(max(k, 0), 8)) // as NewDistTopK: the usual k without regrowth
-	topk := NewDistTopK(k)
-	for i := 0; i < n; i++ {
-		if i&31 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-		}
-		s := shapeAt(i)
-		if o.Dead[s.id] {
-			continue
-		}
-		cutoff := topk.Kth()
-		if o.Shared != nil {
-			if sv := o.Shared.Load(); sv < cutoff {
-				cutoff = sv
-			}
-		}
-		best, ei, scored, blocks := s.nearest(pq, cutoff, o.onAccess)
-		m := Match{ShapeID: s.id, EntryID: ei, DistVertex: best}
-		stats.VerticesCounted += s.copies()
-		stats.Candidates += scored
-		stats.BlocksRead += blocks
-		if m.EntryID < 0 || m.DistVertex > cutoff {
-			continue // proven strictly outside the merged result
-		}
-		hits = append(hits, hit{m, i})
-		topk.Add(m.DistVertex)
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].m.DistVertex != hits[j].m.DistVertex {
-			return hits[i].m.DistVertex < hits[j].m.DistVertex
-		}
-		return hits[i].m.ShapeID < hits[j].m.ShapeID
-	})
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	out := make([]Match, len(hits))
-	var resample []geom.Point
-	for i, h := range hits {
-		out[i] = h.m
-		if !continuous {
-			continue
-		}
-		s, ei := shapeAt(h.at), h.m.EntryID
-		if o.onAccess != nil {
-			o.onAccess(ei)
-		}
-		if s.cost != nil {
-			stats.BlocksRead += int(s.cost[ei])
-		}
-		out[i].DistContinuous = pq.distContinuous(s.entries[ei].Poly, samples, &resample)
-	}
-	return out, stats, nil
-}
-
 // DistTopK tracks the k-th smallest of a distance stream with a size-
 // bounded max-heap: Kth is +Inf until k distances have been seen, so the
 // cutoff it feeds never prunes while the top-k is under-filled. It is the
-// tracker of every pass that adds each shape once (the exact search's
-// refine pass, the bounded scan, candidate scoring).
+// tracker of the refine pass, which adds each shape once.
 type DistTopK struct {
 	k int
 	h []float64 // max-heap

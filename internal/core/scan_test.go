@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -13,22 +15,21 @@ import (
 )
 
 // TestScanEquivalence is the admissibility property of the two ways a
-// frozen base is searched (DESIGN.md §4.9, "The exact search is two
-// passes"): over seeded bases — with a shape stored twice, so its query
-// ties the pair at the k-th slot for k = 1 — both return the exhaustive
-// ScanMatcher's matches over the live shapes, byte for byte, EntryID and
-// DistContinuous included. The bounded scan (MatchPrepared, behind
-// sketches and SimilarShapes) does so under any admissible bound, which it
-// only reads: the true k-th best itself (ties at the cutoff must survive)
-// and 1.5× and 3× it; a part capped below k keeps the head of the list; a
-// sibling's bound below the part's own k-th keeps exactly what lies within
-// it. The exact search's two passes over the base's own
+// frozen base is searched (DESIGN.md §4.9): over seeded bases — with a
+// shape stored twice, so its query ties the pair at the k-th slot for k = 1
+// — both return the exhaustive ScanMatcher's matches over the live shapes,
+// byte for byte, EntryID and DistContinuous included. The fixed-cutoff scan
+// (Within, behind sketches and SimilarShapes) returns exactly the live
+// shapes within its cutoff, ties at it included — under the true k-th best
+// (ties at the cutoff must survive), 1.5× and 3× it, and the second best, a
+// cutoff below the k-th — visiting them in id order, scanning every live
+// copy, and sending no more copies to the exact evaluator than the scan
+// with no cutoff. The exact search's two passes over the base's own
 // primitives (floorOrdered: Floors, then ShapeDistancePreparedBounded in
 // floor order, then Continuous) do so too, floor every live copy once, and
-// charge the blocks the unbounded scan charges: every live copy, plus the
-// k re-reads.
+// charge the blocks the scan with no cutoff charges: every live copy, plus
+// the k re-reads.
 func TestScanEquivalence(t *testing.T) {
-	ctx := context.Background()
 	tested, ties := 0, 0
 	for _, seed := range []int64{61, 62} {
 		images := synth.GenerateBase(synth.PaperSpec(0.003, seed))
@@ -56,6 +57,8 @@ func TestScanEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var evaluated atomic.Int64
+			pq.AttachEvalCounter(&evaluated)
 			all, err := exhaustive.Match(q, b.NumShapes())
 			if err != nil {
 				t.Fatal(err)
@@ -81,6 +84,37 @@ func TestScanEquivalence(t *testing.T) {
 						live = append(live, m)
 					}
 				}
+				liveCopies := b.NumEntries() - deadCopies
+				equal := func(label string, got, want []Match) {
+					t.Helper()
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("seed %d q%d dead=%v %s:\ngot:  %+v\nwant: %+v", seed, qi, tombstones, label, got, want)
+					}
+				}
+				// scan runs Within under cut and checks it against the
+				// exhaustive matches within cut; it returns the blocks the
+				// scan charged and the copies it sent to the evaluator.
+				scan := func(label string, cut float64) (blocks, scored int) {
+					t.Helper()
+					evaluated.Store(0)
+					got, copies, blocks, err := withinSorted(b, pq, dead, cut)
+					if err != nil {
+						t.Fatalf("seed %d q%d %s: %v", seed, qi, label, err)
+					}
+					var want []Match
+					for _, m := range live {
+						if m.DistVertex <= cut {
+							want = append(want, m)
+						}
+					}
+					equal(label, got, want)
+					scored = int(evaluated.Load())
+					if copies != liveCopies || scored > copies || scored < len(got) {
+						t.Fatalf("seed %d q%d %s: %d copies scanned, %d scored for %d matches; %d live copies", seed, qi, label, copies, scored, len(got), liveCopies)
+					}
+					return blocks, scored
+				}
+				unboundedBlocks, unboundedScored := scan("no cutoff", math.Inf(1))
 				for _, k := range []int{1, 5} {
 					if len(live) < k {
 						continue
@@ -90,73 +124,59 @@ func TestScanEquivalence(t *testing.T) {
 					if !tombstones && k == 1 && kth == 0 {
 						ties++ // the twins, both at 0: the lower id is the answer
 					}
-					// scan searches under a bound pre-tightened to sv and checks
-					// that it was the scan that answered.
-					scan := func(label string, sv float64, kk int, o MatchOpts) ([]Match, Stats) {
-						t.Helper()
-						o.Shared, o.Dead = NewSharedBound(), dead
-						o.Shared.Tighten(sv)
-						got, st, err := b.MatchPrepared(ctx, pq, kk, o, true)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if st.TrianglesQueried != 0 || st.Iterations != 1 || !st.Converged {
-							t.Fatalf("seed %d q%d k=%d %s: not the scan: %+v", seed, qi, k, label, st)
-						}
-						if after := o.Shared.Load(); after != sv {
-							t.Fatalf("seed %d q%d k=%d %s: the scan moved the bound to %g", seed, qi, k, label, after)
-						}
-						return got, st
+					cuts := []float64{kth, 1.5 * kth, 3 * kth}
+					if k > 1 {
+						cuts = append(cuts, want[1].DistVertex) // below the k-th best
 					}
-					equal := func(label string, got, want []Match) {
-						t.Helper()
-						if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-							t.Fatalf("seed %d q%d k=%d dead=%v %s:\ngot:  %+v\nwant: %+v", seed, qi, k, tombstones, label, got, want)
-						}
-					}
-					for _, factor := range []float64{1, 1.5, 3} {
-						sv := kth * factor
+					for _, cut := range cuts {
 						tested++
-						got, st := scan("admissible", sv, k, MatchOpts{})
-						equal("under an admissible bound", got, want)
-						if st.VerticesCounted != b.NumEntries()-deadCopies || st.Candidates > st.VerticesCounted || st.Candidates < len(got) {
-							t.Fatalf("seed %d q%d k=%d: stats %+v over %d live copies", seed, qi, k, st, b.NumEntries()-deadCopies)
-						}
-						// A part capped below k consumes the bound of the merged k.
-						if k > 2 {
-							got, _ := scan("capped", sv, k-2, MatchOpts{})
-							equal("capped below k", got, want[:k-2])
+						if _, scored := scan("under a cutoff", cut); scored > unboundedScored {
+							t.Fatalf("seed %d q%d k=%d: %d copies scored under %g, %d with no cutoff", seed, qi, k, scored, cut, unboundedScored)
 						}
 					}
 					got, copies, blocks := floorOrdered(t, b, pq, k, dead)
 					equal("floor-ordered", got, want)
-					_, unbounded, err := b.MatchPrepared(ctx, pq, k, MatchOpts{Dead: dead}, true)
-					if err != nil {
-						t.Fatal(err)
+					rereads := 0
+					for _, m := range want {
+						rereads += b.blockCost(int32(m.EntryID))
 					}
-					if copies != b.NumEntries()-deadCopies || blocks != unbounded.BlocksRead {
-						t.Fatalf("seed %d q%d k=%d: floored %d copies charging %d blocks, want %d and the unbounded scan's %d",
-							seed, qi, k, copies, blocks, b.NumEntries()-deadCopies, unbounded.BlocksRead)
-					}
-					// A sibling's bound below this part's own k-th best keeps
-					// what lies within it, ties at the bound included.
-					if k > 1 {
-						sv, within := want[1].DistVertex, 0
-						for _, m := range want {
-							if m.DistVertex <= sv {
-								within++
-							}
-						}
-						got, _ := scan("sibling's bound", sv, k, MatchOpts{})
-						equal("under a sibling's tighter bound", got, want[:within])
+					if copies != liveCopies || blocks != unboundedBlocks+rereads {
+						t.Fatalf("seed %d q%d k=%d: floored %d copies charging %d blocks, want %d and the scan's %d plus %d re-read",
+							seed, qi, k, copies, blocks, liveCopies, unboundedBlocks, rereads)
 					}
 				}
 			}
 		}
 	}
 	if tested < 40 || ties == 0 {
-		t.Fatalf("%d (query, k, bound) rows ran the scan, %d with a tie at the k-th slot; want at least 40 and 1", tested, ties)
+		t.Fatalf("%d (query, k, cutoff) rows ran the scan, %d with a tie at the k-th slot; want at least 40 and 1", tested, ties)
 	}
+}
+
+// withinSorted is the fixed-cutoff scan as SimilarShapes reads it, over a
+// base with tombstones: Within under cut, sorted by (DistVertex, ShapeID),
+// each match's continuous measure filled in. It returns the copies scanned
+// and the blocks the scan charged (re-reads not included), and an error if
+// Within visited the shapes out of id order.
+func withinSorted(b *Base, pq *PreparedQuery, dead map[int]bool, cut float64) (out []Match, copies, blocks int, err error) {
+	var order error
+	copies, blocks, err = b.Within(context.Background(), pq, dead, cut, func(m Match) {
+		if len(out) > 0 && m.ShapeID <= out[len(out)-1].ShapeID && order == nil {
+			order = fmt.Errorf("shape %d visited after shape %d", m.ShapeID, out[len(out)-1].ShapeID)
+		}
+		out = append(out, m)
+	})
+	if err == nil {
+		err = order
+	}
+	if err != nil {
+		return nil, copies, blocks, err
+	}
+	sortMatches(out)
+	for i := range out {
+		out[i].DistContinuous, _ = b.Continuous(out[i].EntryID, pq)
+	}
+	return out, copies, blocks, nil
 }
 
 // TestCopiesShareVertexCount pins what scanShape.floor's one division rests

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -365,25 +366,22 @@ func (d *Delta) ImageOf(id int) int {
 	return d.imageOf[id]
 }
 
-// SketchTable reduces a match of one prepared sketch shape against every
-// live shape (k = all of them, no bound) to the best distance per live
-// image — the delta's contribution to the sketch path's per-shape tables.
+// SketchTable is the best distance per live image to one prepared sketch
+// shape, from one scan of every live shape under the fixed cutoff +Inf
+// (core.Dynamic.Within) — the delta's contribution to the sketch path's
+// per-shape tables.
 func (d *Delta) SketchTable(ctx context.Context, pq *core.PreparedQuery) (map[int]float64, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if d.liveShapes == 0 {
-		return nil, nil
-	}
-	ms, _, err := d.dyn.MatchPrepared(ctx, pq, d.liveShapes, core.MatchOpts{}, false)
-	if err != nil {
-		return nil, err
-	}
 	best := make(map[int]float64)
-	for _, m := range ms {
+	_, err := d.dyn.Within(ctx, pq, math.Inf(1), func(m core.Match) {
 		img := d.imageOf[m.ShapeID]
 		if cur, ok := best[img]; !ok || m.DistVertex < cur {
 			best[img] = m.DistVertex
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return best, nil
 }

@@ -649,11 +649,12 @@ func (p *frozenPart) annFloors(_ context.Context, pq *core.PreparedQuery, k int,
 }
 
 // sketchTable is the best distance per live image to one sketch shape: a
-// scan of every live shape, tombstones skipped before they are scored —
-// what the delta's sketch table is. Under AnnApprox only the live ANN
-// candidates are scored (exactly); images whose every shape went unprobed
-// are absent — the sketch ranking's recall cost, measured by
-// BenchmarkAnnSketchApprox.
+// scan of every live shape under the fixed cutoff +Inf (Base.Within),
+// tombstones skipped before they are scored — what the delta's sketch
+// table is. Under AnnApprox only the live ANN candidates are scored
+// (exactly); images whose every shape went unprobed are absent — the
+// sketch ranking's recall cost, measured by BenchmarkAnnSketchApprox. ctx
+// is checked every 32 shapes either way.
 func (p *frozenPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error) {
 	base := p.e.db.Base()
 	best := make(map[int]float64)
@@ -663,27 +664,26 @@ func (p *frozenPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, k 
 			best[img] = d
 		}
 	}
-	var stats Stats
-	if ann == AnnApprox {
-		shapes, probes := p.e.annCandidates(pq, annSketchMinShapes(k))
-		shapes = p.live(shapes)
-		for _, sid := range shapes {
-			if m, _, err := base.ShapeDistancePreparedBounded(sid, pq, math.Inf(1)); err == nil {
-				keep(sid, m.DistVertex)
-			}
-		}
-		stats = annStats(probes, len(shapes))
-	} else if live := p.liveShapes(); live > 0 {
-		ms, st, err := base.MatchPrepared(ctx, pq, live, core.MatchOpts{Dead: p.dead}, false)
+	if ann != AnnApprox {
+		_, blocks, err := base.Within(ctx, pq, p.dead, math.Inf(1), func(m core.Match) { keep(m.ShapeID, m.DistVertex) })
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		for _, m := range ms {
-			keep(m.ShapeID, m.DistVertex)
-		}
-		stats.BlockReads = st.BlocksRead
+		return best, Stats{BlockReads: blocks}, nil
 	}
-	return best, stats, nil
+	shapes, probes := p.e.annCandidates(pq, annSketchMinShapes(k))
+	shapes = p.live(shapes)
+	for i, sid := range shapes {
+		if i&31 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, Stats{}, err
+			}
+		}
+		if m, _, err := base.ShapeDistancePreparedBounded(sid, pq, math.Inf(1)); err == nil {
+			keep(sid, m.DistVertex)
+		}
+	}
+	return best, annStats(probes, len(shapes)), nil
 }
 
 // deltaPart is a live delta as a part. It has no ANN tier: every live
@@ -767,7 +767,7 @@ func sketchScatter(ctx context.Context, parts []part, req SearchRequest, width i
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	var blocks atomic.Int64
+	var blocks, evaluated atomic.Int64
 	pqs := make([]*core.PreparedQuery, len(sketch))
 	for si, q := range sketch {
 		pq, err := req.prepare(q)
@@ -775,6 +775,7 @@ func sketchScatter(ctx context.Context, parts []part, req SearchRequest, width i
 			return nil, Stats{}, fmt.Errorf("geosir: sketch shape %d: %w", si, err)
 		}
 		pq.AttachBlockCounter(&blocks)
+		pq.AttachEvalCounter(&evaluated)
 		pqs[si] = pq
 	}
 	per := len(parts)
@@ -791,7 +792,7 @@ func sketchScatter(ctx context.Context, parts []part, req SearchRequest, width i
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	stats := Stats{BlockReads: int(blocks.Load())}
+	stats := Stats{BlockReads: int(blocks.Load()), Candidates: int(evaluated.Load())}
 	for _, st := range tableStats {
 		stats.addANN(st)
 	}

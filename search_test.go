@@ -156,6 +156,30 @@ func TestExactScanCancelled(t *testing.T) {
 	}
 }
 
+// TestSketchTableCancelled cancels a single Engine's one-shape sketch
+// inside its table, with the ANN tier off (the fixed-cutoff scan of every
+// live shape) and under AnnApprox (the ANN candidates, at least 96): the
+// request's entry check, the sketch's own, the fan-out's claim of the part
+// and the table's first check have passed, and its second — 32 shapes in
+// — sees the cancel.
+func TestSketchTableCancelled(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	eng := buildSingle(t, images)
+	if eng.NumShapes() <= 96 {
+		t.Fatalf("want a table over more than 96 shapes (have %d)", eng.NumShapes())
+	}
+	for _, ann := range []AnnMode{AnnOff, AnnApprox} {
+		ctx := &errAfterCtx{Context: context.Background(), after: 4}
+		resp, err := eng.Search(ctx, SearchRequest{Sketch: []Shape{queries[0]}, K: 1, Mode: ModeSketch, Ann: ann, Exec: ExecSequential})
+		if !errors.Is(err, context.Canceled) || resp != nil {
+			t.Fatalf("ann %v: got (%v, %v), want context.Canceled and no response", ann, resp, err)
+		}
+		if ctx.calls != ctx.after+1 {
+			t.Fatalf("ann %v: the sketch consulted its context %d times, want the cancel seen on call %d", ann, ctx.calls, ctx.after+1)
+		}
+	}
+}
+
 // TestSeedPassCancelled cancels a single Engine's search while a pass that
 // scores is under way — the refine pass of ModeExact, the hashing stage's
 // bucket pass of ModeApproximate: with k the bucket's size no k-th exists
