@@ -62,12 +62,13 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of each figure and ANN benchmark (the latter on a
-# 60-image base under -short), of the two kernel benchmarks (the served
-# exact search at three base sizes, the seed pass alone) and of the
-# exhaustive sketch search — catches benchmarks that no longer compile or
-# panic, without paying for stable timings.
+# 60-image base under -short), of the kernel benchmarks (the served exact
+# search at three base sizes, the hashing stage alone, the approximate
+# search, where the query's distance field build is a large share) and of
+# the exhaustive sketch search — catches benchmarks that no longer compile
+# or panic, without paying for stable timings.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchLive|BenchmarkSearchSketch' -benchtime=1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchApproximate|BenchmarkSearchLive|BenchmarkSearchSketch' -benchtime=1x .
 
 # Short fuzzing budget per target (Go allows one -fuzz pattern per
 # package invocation, hence one line each). Catches regressions in the

@@ -111,6 +111,44 @@ func TestShortBucketExactIsScanTopK(t *testing.T) {
 	}
 }
 
+// TestManySegmentQueryIsScanTopK: a query of more segments than a field
+// cell's list can name reads every stored vertex through the oracle's walk
+// (DESIGN.md §4.9, "Distance-field reject"); its exact answer, ModeExact on
+// an Engine and on 8 shards, is still the exhaustive ScanMatcher's top k,
+// distances and re-read continuous distances to the bit.
+func TestManySegmentQueryIsScanTopK(t *testing.T) {
+	images := synth.GenerateBase(synth.PaperSpec(0.005, 3))
+	single := buildSingle(t, images)
+	sharded := buildShardedFrom(t, images, 8)
+	base := single.Base()
+	scan, err := core.NewScanMatcher(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	for qi, q := range synth.Queries(rand.New(rand.NewSource(13)), images, 3, 0.01) {
+		q = NewPolygon(q.Resample(300)...)
+		if n := q.NumEdges(); n <= math.MaxUint8 {
+			t.Fatalf("q%d has %d segments", qi, n)
+		}
+		all, err := scan.Match(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Match, len(all))
+		for i, m := range all {
+			want[i] = Match{ShapeID: m.ShapeID, ImageID: base.Shape(m.ShapeID).Image, Distance: m.DistVertex, ContinuousDistance: m.DistContinuous}
+		}
+		for _, e := range []struct {
+			name string
+			s    Searcher
+		}{{"engine", single}, {"8 shards", sharded}} {
+			got := mustSearch(t, e.s, SearchRequest{Query: q, K: k, Mode: ModeExact})
+			assertMatchesEqual(t, fmt.Sprintf("q%d %s", qi, e.name), want, got.Matches)
+		}
+	}
+}
+
 // TestSketchFrozenEqualsLive: a sketch ranks every image of a frozen base
 // exactly as it ranks the same images held by a live delta — the frozen
 // engine's table is a scan of every live shape, as the delta's is.

@@ -71,9 +71,11 @@ type Base struct {
 	shapes  []Shape
 	entries []Entry
 
-	// shapeEntries maps a shape id to the indices of its normalized
-	// copies, maintained incrementally by AddShape.
-	shapeEntries [][]int32
+	// shapeOff maps a shape id to its normalized copies: shape s's are
+	// entries shapeOff[s] to shapeOff[s+1]-1 (len = len(shapes)+1), each
+	// with the shape's vertex count — the one strided block of cells a
+	// search reads of the shape (scanShape).
+	shapeOff []int32
 
 	// Flattened index of every vertex of every entry.
 	verts    []geom.Point
@@ -119,7 +121,7 @@ var rangeIndexBuilds atomic.Int64
 
 // NewBase creates an empty shape base with the given options.
 func NewBase(opts Options) *Base {
-	return &Base{opts: opts.withDefaults()}
+	return &Base{opts: opts.withDefaults(), shapeOff: []int32{0}}
 }
 
 // Opts returns the base's effective options.
@@ -140,13 +142,11 @@ func (b *Base) AddShape(image int, p geom.Poly) (int, error) {
 	}
 	id := len(b.shapes)
 	b.shapes = append(b.shapes, Shape{ID: id, Image: image, Poly: p.Clone()})
-	eis := make([]int32, 0, len(entries))
 	for _, e := range entries {
 		e.ShapeID = id
-		eis = append(eis, int32(len(b.entries)))
 		b.entries = append(b.entries, e)
 	}
-	b.shapeEntries = append(b.shapeEntries, eis)
+	b.shapeOff = append(b.shapeOff, int32(len(b.entries)))
 	return id, nil
 }
 
@@ -281,13 +281,12 @@ func (b *Base) InitialEpsilon(queryPerimeter float64) float64 {
 // EntriesOfShape returns the indices of the normalized copies belonging
 // to the given shape id.
 func (b *Base) EntriesOfShape(shapeID int) []int {
-	if shapeID < 0 || shapeID >= len(b.shapeEntries) {
+	if shapeID < 0 || shapeID >= len(b.shapes) {
 		return nil
 	}
-	eis := b.shapeEntries[shapeID]
-	out := make([]int, len(eis))
-	for i, ei := range eis {
-		out[i] = int(ei)
+	out := make([]int, 0, b.shapeOff[shapeID+1]-b.shapeOff[shapeID])
+	for ei := b.shapeOff[shapeID]; ei < b.shapeOff[shapeID+1]; ei++ {
+		out = append(out, int(ei))
 	}
 	return out
 }

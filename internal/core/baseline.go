@@ -49,7 +49,7 @@ func (s *ScanMatcher) Match(q geom.Poly, k int) ([]Match, error) {
 	bestByShape := make(map[int]Match)
 	for ei := range s.base.entries {
 		e := &s.base.entries[ei]
-		dv, _, _ := pq.distWithin(e.Poly, 0, math.Inf(1))
+		dv, _, _ := pq.distWithin(e.Poly, nil, 0, math.Inf(1))
 		cur, ok := bestByShape[e.ShapeID]
 		if !ok || dv < cur.DistVertex {
 			bestByShape[e.ShapeID] = Match{ShapeID: e.ShapeID, EntryID: ei, DistVertex: dv}

@@ -28,12 +28,12 @@ type Dynamic struct {
 }
 
 // overflowShape is one live shape: its normalized copies and the
-// distance-field cells of copy i's vertices, cells[off[i]:off[i+1]].
+// distance-field cells of their vertices, copy after copy — every copy has
+// the shape's vertex count, so the cells are one strided block.
 type overflowShape struct {
 	shape   Shape
 	entries []Entry
 	cells   []uint16
-	off     []int32
 }
 
 // NewDynamic creates an empty dynamic base.
@@ -59,18 +59,15 @@ func (d *Dynamic) Insert(image int, p geom.Poly) (int, error) {
 	id := len(d.slot)
 	// Derive the copies' field cells once at insert: every query scans
 	// them until the shape is compacted away.
-	off := make([]int32, len(entries)+1)
-	var cells []uint16
+	cells := make([]uint16, 0, len(entries)*len(p.Pts))
 	for i := range entries {
 		cells = appendFieldCells(cells, entries[i].Poly.Pts)
-		off[i+1] = int32(len(cells))
 	}
 	d.slot = append(d.slot, len(d.overflow))
 	d.overflow = append(d.overflow, overflowShape{
 		shape:   Shape{ID: id, Image: image, Poly: p.Clone()},
 		entries: entries,
 		cells:   cells,
-		off:     off,
 	})
 	d.copies += len(entries)
 	return id, nil
@@ -127,7 +124,7 @@ func (d *Dynamic) shapeAt(i int) scanShape { return d.overflow[i].scan() }
 
 // scan is the shape as the bounded evaluators walk it.
 func (s *overflowShape) scan() scanShape {
-	return scanShape{id: s.shape.ID, entries: s.entries, cells: s.cells, off: s.off}
+	return scanShape{id: s.shape.ID, entries: s.entries, block: s.cells, nv: len(s.entries[0].Poly.Pts)}
 }
 
 // ShapeDistancePreparedBounded scores one live shape against a prepared

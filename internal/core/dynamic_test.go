@@ -223,10 +223,10 @@ func TestDynamicEmptyAndErrors(t *testing.T) {
 	}
 }
 
-// TestDynamicMatchPreparedCancelled pins the overflow scan's cancel: under
-// a context already cancelled, Dynamic.Within visits nothing, scans no copy
-// and returns ctx's error.
-func TestDynamicMatchPreparedCancelled(t *testing.T) {
+// TestDynamicWithinCancelled pins that the overflow's fixed-cutoff scan
+// honours its context: under a context already cancelled, Dynamic.Within
+// visits nothing, scans no copy and returns ctx's error.
+func TestDynamicWithinCancelled(t *testing.T) {
 	d := NewDynamic(DefaultOptions())
 	for i := 0; i < 100; i++ {
 		for im, p := range testShapes() {

@@ -32,6 +32,11 @@ const fieldFuzzLimit = 1e4
 // positive bound nudged one ulp into it (a cell's farthest points from the
 // centre it was measured at), the field read through fieldCell is at most
 // the brute-force distance to the segments; at a non-finite probe it is 0.
+// And the cell lists hold a nearest segment wherever the float cell index can
+// put a point of their cell: at the centre of every listed cell and at its
+// four corners, each nudged one ulp in and one ulp out, the least kernel
+// value over the list is the least over every segment, bit for bit, and the
+// dir pass's read through the cell is the walk's.
 func FuzzDistField(f *testing.F) {
 	f.Add(fuzzFloats(0.5, 0.5, 0, 0, 1, 0, 1, 0, 0.5, 0.8, 0.5, 0.8, 0, 0))
 	f.Add(fuzzFloats(math.NaN(), 1, 0, 0, 1, 0))
@@ -53,9 +58,10 @@ func FuzzDistField(f *testing.F) {
 			}
 			segs = append(segs, geom.Seg(geom.Pt(v(i), v(i+1)), geom.Pt(v(i+2), v(i+3))))
 		}
-		field := newDistField(&BoundaryDist{grid: shapeindex.NewSegmentGrid(segs)})
-		if field[fieldOff] != 0 {
-			t.Fatalf("the slot of points outside the box holds %d", field[fieldOff])
+		oracle := &BoundaryDist{grid: shapeindex.NewSegmentGrid(segs)}
+		field := newDistField(oracle)
+		if field.lb[fieldOff] != 0 {
+			t.Fatalf("the slot of points outside the box holds %d", field.lb[fieldOff])
 		}
 		check := func(q geom.Point) {
 			t.Helper()
@@ -78,13 +84,53 @@ func FuzzDistField(f *testing.F) {
 		for iy := 0; iy < fieldNY; iy++ {
 			y0, y1 := fieldY0+float64(iy)/fieldRes, fieldY0+float64(iy+1)/fieldRes
 			for ix := 0; ix < fieldNX; ix++ {
-				if field[iy*fieldNX+ix] == 0 {
+				if field.lb[iy*fieldNX+ix] == 0 {
 					continue // claims nothing
 				}
 				x0, x1 := fieldX0+float64(ix)/fieldRes, fieldX0+float64(ix+1)/fieldRes
 				for _, x := range []float64{math.Nextafter(x0, x1), math.Nextafter(x1, x0)} {
 					for _, y := range []float64{math.Nextafter(y0, y1), math.Nextafter(y1, y0)} {
 						check(geom.Pt(x, y))
+					}
+				}
+			}
+		}
+		g := oracle.grid.Parts()
+		least2 := func(q geom.Point, ids []uint8) float64 {
+			d2 := math.Inf(1)
+			for _, s := range ids {
+				d2 = min(d2, shapeindex.SegDist2(q.X, q.Y, g.Ax[s], g.Ay[s], g.Dx[s], g.Dy[s], g.InvL2[s]))
+			}
+			return d2
+		}
+		all := make([]uint8, len(segs))
+		for i := range all {
+			all[i] = uint8(i)
+		}
+		for iy := 0; iy < fieldNY; iy++ {
+			y0, y1 := fieldY0+float64(iy)/fieldRes, fieldY0+float64(iy+1)/fieldRes
+			for ix := 0; ix < fieldNX; ix++ {
+				c := uint16(iy*fieldNX + ix)
+				l := field.lists[c]
+				if l.n == 0 {
+					continue
+				}
+				x0, x1 := fieldX0+float64(ix)/fieldRes, fieldX0+float64(ix+1)/fieldRes
+				probes := []geom.Point{geom.Pt((x0+x1)/2, (y0+y1)/2)}
+				for _, x := range [][2]float64{{x0, x1}, {x1, x0}} {
+					for _, y := range [][2]float64{{y0, y1}, {y1, y0}} {
+						// One ulp into the cell and one out of it.
+						probes = append(probes,
+							geom.Pt(math.Nextafter(x[0], x[1]), math.Nextafter(y[0], y[1])),
+							geom.Pt(math.Nextafter(x[0], 2*x[0]-x[1]), math.Nextafter(y[0], 2*y[0]-y[1])))
+					}
+				}
+				for _, q := range probes {
+					if got, want := least2(q, l.seg[:l.n]), least2(q, all); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("cell %d lists %v: at %v their least is %v, every segment's %v (%v)", c, l.seg[:l.n], q, got, want, segs)
+					}
+					if got, want := field.dist(oracle, q, c), oracle.Dist(q); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("cell %d at %v: %v through the list, %v by the walk", c, q, got, want)
 					}
 				}
 			}
@@ -196,7 +242,8 @@ func FuzzDistWithin(f *testing.F) {
 		if brute := bruteHavg(cp, pq.entry.Poly); !(math.Abs(want-brute) <= 1e-9*(1+brute)) {
 			t.Fatalf("unbounded evaluator %v, brute force %v", want, brute)
 		}
-		fsum := pq.distField().sum(appendFieldCells(nil, cp.Pts))
+		cells := appendFieldCells(nil, cp.Pts)
+		fsum := pq.distField().sum(cells)
 		if lb := fieldFloor(fsum, len(cp.Pts)); lb > want {
 			t.Fatalf("the field's floor %v exceeds the distance %v", lb, want)
 		}
@@ -204,7 +251,7 @@ func FuzzDistWithin(f *testing.F) {
 			if cut < 0 {
 				continue
 			}
-			got, ok, _ := pq.distWithin(cp, fsum, cut)
+			got, ok, _ := pq.distWithin(cp, cells, fsum, cut)
 			if ok && math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("cutoff %v: %v came back, the unbounded evaluator says %v", cut, got, want)
 			}

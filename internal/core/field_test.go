@@ -21,7 +21,7 @@ import (
 // as a distance (every table value times 2⁻¹⁵ is exact in a float64, and so
 // is every sum of fewer than 2³⁸ of them).
 func fieldValue(f *distField, id uint16) float64 {
-	return float64(f[id]) * fieldUnit
+	return float64(f.lb[id]) * fieldUnit
 }
 
 // fieldAtPoint reads the field at p the way the search did before the cell
@@ -87,8 +87,8 @@ func TestDistFieldAdmissible(t *testing.T) {
 	for si, shape := range fieldTestShapes(rng) {
 		oracle := NewBoundaryDist(shape)
 		f := newDistField(oracle)
-		if f[fieldOff] != 0 {
-			t.Fatalf("shape %d: the slot of points outside the box holds %v", si, f[fieldOff])
+		if f.lb[fieldOff] != 0 {
+			t.Fatalf("shape %d: the slot of points outside the box holds %v", si, f.lb[fieldOff])
 		}
 		at := func(p geom.Point) float64 { return fieldValue(f, fieldCell(p)) }
 		check := func(p geom.Point) {
@@ -146,16 +146,22 @@ func TestDistFieldAdmissible(t *testing.T) {
 	}
 }
 
+// boundedOverPoints is the bounded directed pass over a's vertices, each
+// measured by dist.
+func boundedOverPoints(a geom.Poly, dist func(geom.Point) float64, base, cut float64) (float64, bool) {
+	return avgMinDistVerticesBoundedAffine(len(a.Pts), func(i int) float64 { return dist(a.Pts[i]) }, base, cut)
+}
+
 // unfielded is the bounded evaluator without the field in front: the two
 // directed passes distWithin runs once the field lets a copy through, the
 // back one through back, a grid oracle over the copy — so that distWithin,
 // which reads the copy's own edges, is held to the grid's bits.
 func unfielded(pq *PreparedQuery, cp geom.Poly, back *BoundaryDist, cut float64) (float64, bool) {
-	dir, ok := avgMinDistVerticesBoundedAffine(cp, pq.oracle.Dist, 0, cut)
+	dir, ok := boundedOverPoints(cp, pq.oracle.Dist, 0, cut)
 	if !ok {
 		return 0, false
 	}
-	bk, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, back.Dist, dir, cut)
+	bk, ok := boundedOverPoints(pq.entry.Poly, back.Dist, dir, cut)
 	if !ok {
 		return 0, false
 	}
@@ -204,7 +210,7 @@ func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) 
 	byShape := make([]float64, 0, b.NumShapes())
 	for sid := 0; sid < b.NumShapes(); sid++ {
 		best := math.Inf(1)
-		for _, ei := range b.shapeEntries[sid] {
+		for _, ei := range b.EntriesOfShape(sid) {
 			best = math.Min(best, wants[ei])
 		}
 		byShape = append(byShape, best)
@@ -267,7 +273,7 @@ func TestFieldRejectIsExact(t *testing.T) {
 			cp, back := b.entries[ei].Poly, b.EntryOracle(ei)
 			wants[ei], _ = unfielded(pq, cp, back, math.Inf(1))
 			// No finite cutoff: no sum, however large, rejects.
-			if got, ok, scored := pq.distWithin(cp, math.MaxUint64, math.Inf(1)); !ok || !scored || got != wants[ei] {
+			if got, ok, scored := pq.distWithin(cp, b.entryCells(int32(ei)), math.MaxUint64, math.Inf(1)); !ok || !scored || got != wants[ei] {
 				t.Fatalf("trial %d entry %d: no cutoff: (%v, %v, %v), want %v", trial, ei, got, ok, scored, wants[ei])
 			}
 		}
@@ -280,7 +286,7 @@ func TestFieldRejectIsExact(t *testing.T) {
 				if cut < 0 {
 					continue
 				}
-				got, ok, scored := pq.distWithin(cp, pq.distField().sum(b.entryCells(int32(ei))), cut)
+				got, ok, scored := pq.distWithin(cp, b.entryCells(int32(ei)), pq.distField().sum(b.entryCells(int32(ei))), cut)
 				ref, refOK := unfielded(pq, cp, back, cut)
 				if ok != refOK || (ok && got != ref) {
 					t.Fatalf("trial %d entry %d cut %v: (%v, %v), un-fielded (%v, %v)", trial, ei, cut, got, ok, ref, refOK)
@@ -575,6 +581,68 @@ func TestEntryFirstStopsRangeSearch(t *testing.T) {
 	t.Logf("%d queries: %.2f%% of %d entries evaluated", tested, 100*float64(candidates)/float64(tested*b.NumEntries()), b.NumEntries())
 }
 
+// TestCellListsReadTheWalk pins the dir pass's read of a stored vertex
+// through its field cell to the walk it replaces, bit for bit: for 8
+// queries of the demo-200 base, every vertex of every stored copy, through
+// its cell id, is as far from the query's boundary as the oracle's walk
+// says — with lists read for some vertices and the walk for others. And a
+// query with more segments than an id can name lists no cell at all.
+func TestCellListsReadTheWalk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks every stored vertex of the 200-image base 8 times")
+	}
+	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
+	b := NewBase(DefaultOptions())
+	for _, img := range images {
+		for _, s := range img.Shapes {
+			if _, err := b.AddShape(img.ID, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := b.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	listed := 0
+	queries := synth.Queries(rand.New(rand.NewSource(5)), images, 8, 0.01)
+	for qi, q := range queries {
+		pq, err := PrepareQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := pq.distField()
+		for vid, p := range b.verts {
+			c := b.fieldCells[vid]
+			if got, want := f.dist(pq.oracle, p, c), pq.oracle.Dist(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("query %d vertex %d %v (cell %d, %d listed): %v through the cell, %v by the walk", qi, vid, p, c, f.lists[c].n, got, want)
+			}
+			if f.lists[c].n > 0 {
+				listed++
+			}
+		}
+	}
+	if listed == 0 || listed == len(queries)*len(b.verts) {
+		t.Fatalf("%d of %d vertex reads went through a list: both paths must be read", listed, len(queries)*len(b.verts))
+	}
+	many, err := PrepareQuery(geom.NewPolygon(queries[0].Resample(300)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := many.oracle.grid.NumSegments(); n <= math.MaxUint8 {
+		t.Fatalf("the query has %d segments, no more than an id names", n)
+	}
+	for c, l := range many.distField().lists {
+		if l.n != 0 {
+			t.Fatalf("a query of %d segments lists %d of them in cell %d", many.oracle.grid.NumSegments(), l.n, c)
+		}
+	}
+}
+
+// entryMeta is the scalar part of e as a snapshot stores it.
+func entryMeta(e Entry) EntryMeta {
+	return EntryMeta{ShapeID: int32(e.ShapeID), Copy: int32(e.Copy), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)}
+}
+
 // reassemble rebuilds b through BaseFromParts, as a snapshot load does,
 // over the given vertex array (b's own, or bytes of it mapped from a file).
 func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
@@ -585,8 +653,7 @@ func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
 	}
 	spec := BaseSpec{Opts: b.opts, Shapes: b.shapes, Verts: verts, EntryOff: parts.EntryOff}
 	for _, e := range parts.Entries {
-		spec.EntryMeta = append(spec.EntryMeta, EntryMeta{
-			ShapeID: int32(e.ShapeID), Copy: int32(e.Copy), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)})
+		spec.EntryMeta = append(spec.EntryMeta, entryMeta(e))
 		spec.EntryTrans = append(spec.EntryTrans, e.Norm, e.Inv)
 	}
 	re, err := BaseFromParts(spec)
@@ -602,6 +669,9 @@ func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
 // over a read-only file mapping, a live shape at insert, and the base a
 // compaction freezes from the live shapes all hold fieldCell of every
 // vertex, in vertex order — the sliver's vertices outside the box included.
+// And on every one of those paths a shape is read as one strided block
+// (checkStrided): copy c's cells at c·nv, inside the cells its owner holds
+// rather than in a copy of them.
 func TestFieldCellsFollowTheBase(t *testing.T) {
 	frozen := fieldSliverBase(t)
 	want := make([]uint16, 0, len(frozen.verts))
@@ -610,13 +680,18 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 			want = append(want, fieldCell(p))
 		}
 	}
-	if !reflect.DeepEqual(frozen.fieldCells, want) {
-		t.Fatal("Freeze: field cells are not fieldCell of the entries' vertices, in order")
+	check := func(path string, b *Base) {
+		t.Helper()
+		if !reflect.DeepEqual(b.fieldCells, want) {
+			t.Fatalf("%s: field cells are not fieldCell of the entries' vertices, in order", path)
+		}
+		for id := range b.shapes {
+			lo, hi := b.shapeOff[id], b.shapeOff[id+1]
+			checkStrided(t, path, b.scanShape(id), b.fieldCells[b.entryOff[lo]:b.entryOff[hi]], int(lo))
+		}
 	}
-
-	if heap := reassemble(t, frozen, frozen.verts); !reflect.DeepEqual(heap.fieldCells, want) {
-		t.Fatal("BaseFromParts over heap slices: field cells differ from the frozen base's")
-	}
+	check("Freeze", frozen)
+	check("BaseFromParts over heap slices", reassemble(t, frozen, frozen.verts))
 	if mmap.Supported() && mmap.CanCast() {
 		raw := make([]byte, 0, 16*len(frozen.verts))
 		for _, p := range frozen.verts {
@@ -636,9 +711,7 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 		if !ok {
 			t.Fatal("mapped vertex bytes do not cast")
 		}
-		if mapped := reassemble(t, frozen, verts); !reflect.DeepEqual(mapped.fieldCells, want) {
-			t.Fatal("BaseFromParts over a mapping: field cells differ from the frozen base's")
-		}
+		check("BaseFromParts over a mapping", reassemble(t, frozen, verts))
 	}
 
 	d := NewDynamic(frozen.opts)
@@ -649,16 +722,11 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 			t.Fatal(err)
 		}
 		live := d.overflow[d.slot[id]]
-		eis := frozen.shapeEntries[s.ID]
-		lo, hi := frozen.entryOff[eis[0]], frozen.entryOff[eis[len(eis)-1]+1]
-		if !reflect.DeepEqual(live.cells, want[lo:hi]) || int(live.off[len(live.entries)]) != len(live.cells) {
+		lo, hi := frozen.entryOff[frozen.shapeOff[s.ID]], frozen.entryOff[frozen.shapeOff[s.ID+1]]
+		if !reflect.DeepEqual(live.cells, want[lo:hi]) {
 			t.Fatalf("Insert: live shape %d holds cells %v, the frozen base %v", id, live.cells, want[lo:hi])
 		}
-		for c := range live.entries {
-			if got := live.cells[live.off[c]:live.off[c+1]]; !reflect.DeepEqual(got, frozen.entryCells(eis[c])) {
-				t.Fatalf("Insert: live shape %d copy %d holds cells %v, the frozen entry %v", id, c, got, frozen.entryCells(eis[c]))
-			}
-		}
+		checkStrided(t, "Insert", live.scan(), live.cells, 0)
 		ls, err := d.Shape(id)
 		if err != nil {
 			t.Fatal(err)
@@ -670,8 +738,25 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 	if err := compacted.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(compacted.fieldCells, want) {
-		t.Fatal("compaction: the base frozen from the live shapes holds other field cells")
+	check("compaction", compacted)
+}
+
+// checkStrided holds a shape as the searches read it to the layout they
+// stride: its cells are owned — the very cells its owner holds, not a
+// second array — copy c's are the c-th run of nv and those of its vertices,
+// and copy c is reported as entry first + c.
+func checkStrided(t *testing.T, path string, s scanShape, owned []uint16, first int) {
+	t.Helper()
+	if len(s.block) != len(owned) || len(owned) > 0 && &s.block[0] != &owned[0] {
+		t.Fatalf("%s: shape %d reads %d cells apart from the %d its owner holds", path, s.id, len(s.block), len(owned))
+	}
+	if s.first != first || len(s.block) != s.nv*len(s.entries) {
+		t.Fatalf("%s: shape %d has first %d (want %d) and %d cells for %d copies of %d", path, s.id, s.first, first, len(s.block), len(s.entries), s.nv)
+	}
+	for c, e := range s.entries {
+		if got := s.copyCells(c); !reflect.DeepEqual(got, appendFieldCells(nil, e.Poly.Pts)) || &got[0] != &owned[c*s.nv] {
+			t.Fatalf("%s: shape %d copy %d reads cells %v, its vertices fall in %v", path, s.id, c, got, appendFieldCells(nil, e.Poly.Pts))
+		}
 	}
 }
 
@@ -708,8 +793,8 @@ func BenchmarkFieldReject(b *testing.B) {
 	vertices := 0
 	for sid := 0; sid < base.NumShapes(); sid++ {
 		s, n, survives := base.scanShape(sid), 0, false
-		for _, ei := range s.idx {
-			cells := base.entryCells(ei)
+		for c := range s.entries {
+			cells := s.copyCells(c)
 			n += len(cells)
 			survives = survives || !fieldRejects(f.sum(cells), len(cells), cut)
 		}

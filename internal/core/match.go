@@ -207,7 +207,8 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 			curBest = cur.DistVertex
 		}
 		cut := min(curBest, topk.Kth())
-		dv, ok, scored := pq.distWithin(e.Poly, pq.distField().sum(b.entryCells(ei)), cut)
+		cells := b.entryCells(ei)
+		dv, ok, scored := pq.distWithin(e.Poly, cells, pq.distField().sum(cells), cut)
 		if scored {
 			stats.Candidates++
 		}
@@ -415,10 +416,14 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 	return out, stats
 }
 
-// scanShape is a stored shape as the bounded evaluators walk it.
+// scanShape is a stored shape as the bounded evaluators walk it: its
+// copies' cells are the run of fieldCells from its first copy's first
+// vertex to its last copy's last.
 func (b *Base) scanShape(id int) scanShape {
-	return scanShape{id: id, entries: b.entries, cells: b.fieldCells, off: b.entryOff,
-		idx: b.shapeEntries[id], cost: b.entryCost}
+	lo, hi := b.shapeOff[id], b.shapeOff[id+1]
+	v0 := b.entryOff[lo]
+	return scanShape{id: id, entries: b.entries[lo:hi], block: b.fieldCells[v0:b.entryOff[hi]],
+		nv: int(b.entryOff[lo+1] - v0), first: int(lo), cost: b.entryCost[lo:hi]}
 }
 
 // growEpsilon returns the next envelope width of the schedule: eps·grow,

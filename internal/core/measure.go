@@ -289,8 +289,8 @@ func (b *Base) ShapeDistancePrepared(shapeID int, pq *PreparedQuery) (float64, e
 		return 0, fmt.Errorf("core: shape id %d out of range", shapeID)
 	}
 	best := math.Inf(1)
-	for _, ei := range b.shapeEntries[shapeID] {
-		if d, _, _ := pq.distWithin(b.entries[ei].Poly, 0, math.Inf(1)); d < best {
+	for _, e := range b.entries[b.shapeOff[shapeID]:b.shapeOff[shapeID+1]] {
+		if d, _, _ := pq.distWithin(e.Poly, nil, 0, math.Inf(1)); d < best {
 			best = d
 		}
 	}

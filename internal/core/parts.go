@@ -94,7 +94,7 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 	}
 	b := &Base{opts: s.Opts.withDefaults(), shapes: s.Shapes}
 	b.entries = make([]Entry, ne)
-	b.shapeEntries = make([][]int32, len(s.Shapes))
+	b.shapeOff = make([]int32, len(s.Shapes)+1)
 	for i := range b.entries {
 		m := s.EntryMeta[i]
 		lo, hi := s.EntryOff[i], s.EntryOff[i+1]
@@ -103,6 +103,17 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 		}
 		if m.ShapeID < 0 || int(m.ShapeID) >= len(s.Shapes) {
 			return nil, fmt.Errorf("core: base parts entry %d references shape %d of %d", i, m.ShapeID, len(s.Shapes))
+		}
+		// The layout the searches stride (scanShape): each shape's copies one
+		// run of entries, the runs in shape order, a run of one vertex count.
+		if i > 0 {
+			prev := s.EntryMeta[i-1].ShapeID
+			if m.ShapeID < prev {
+				return nil, fmt.Errorf("core: base parts shape %d: its copies are not one run in shape order (entry %d follows shape %d's)", m.ShapeID, i, prev)
+			}
+			if n := s.EntryOff[i] - s.EntryOff[i-1]; m.ShapeID == prev && hi-lo != n {
+				return nil, fmt.Errorf("core: base parts shape %d: copies of %d and %d vertices", m.ShapeID, n, hi-lo)
+			}
 		}
 		b.entries[i] = Entry{
 			ShapeID: int(m.ShapeID),
@@ -116,12 +127,13 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 			DiamI: int(m.DiamI),
 			DiamJ: int(m.DiamJ),
 		}
-		b.shapeEntries[m.ShapeID] = append(b.shapeEntries[m.ShapeID], int32(i))
+		b.shapeOff[m.ShapeID+1]++
 	}
-	for id := range b.shapeEntries {
-		if len(b.shapeEntries[id]) == 0 {
+	for id := range s.Shapes {
+		if b.shapeOff[id+1] == 0 {
 			return nil, fmt.Errorf("core: base parts shape %d has no entries", id)
 		}
+		b.shapeOff[id+1] += b.shapeOff[id]
 	}
 	b.verts = s.Verts
 	b.entryOff = s.EntryOff

@@ -23,9 +23,9 @@ import (
 // costing nothing against the distances the engine ranks (~1e-2 scale).
 const geomBoundSlack = 1e-9
 
-// avgMinDistVerticesBoundedAffine iterates AvgMinDistVertices of a against
-// the distance dist with an admissible early exit: it aborts as soon as
-// the partial sum proves
+// avgMinDistVerticesBoundedAffine iterates AvgMinDistVertices over n
+// vertices, dist(i) the distance of vertex i, with an admissible early
+// exit: it aborts as soon as the partial sum proves
 //
 //	(base + full/n) / 2 > cut
 //
@@ -40,8 +40,7 @@ const geomBoundSlack = 1e-9
 // The abort test costs a division, so a cheap product gate (sum >
 // (2·cut − base)·n, exact in the cases that matter and conservative
 // otherwise) guards it.
-func avgMinDistVerticesBoundedAffine(a geom.Poly, dist func(geom.Point) float64, base, cut float64) (float64, bool) {
-	n := len(a.Pts)
+func avgMinDistVerticesBoundedAffine(n int, dist func(i int) float64, base, cut float64) (float64, bool) {
 	if n == 0 {
 		return math.Inf(1), true
 	}
@@ -50,8 +49,8 @@ func avgMinDistVerticesBoundedAffine(a geom.Poly, dist func(geom.Point) float64,
 	// the loop runs to completion, which is the correct "no cutoff" mode.
 	trigger := (2*cut - base) * nf
 	var sum float64
-	for _, p := range a.Pts {
-		sum += dist(p)
+	for i := 0; i < n; i++ {
+		sum += dist(i)
 		if sum > trigger && (base+sum/nf)/2 > cut {
 			return 0, false
 		}
@@ -95,8 +94,29 @@ const (
 // clamped to the largest one. The slack covers the kernel's rounding and a
 // point the float cell index puts one ulp outside its cell. The slot past
 // the last cell, fieldOff, holds 0: it is the cell of every point the table
-// says nothing about. See DESIGN.md §4.9, "Distance-field reject".
-type distField [fieldNX*fieldNY + 1]uint16
+// says nothing about. A cell near the boundary also lists the query
+// segments that can be nearest to a point of it, so the evaluator's dir
+// pass reads a stored vertex's distance through its cell (dist). See
+// DESIGN.md §4.9, "Distance-field reject".
+type distField struct {
+	lb    [fieldNX*fieldNY + 1]uint16
+	lists [fieldNX*fieldNY + 1]cellList
+	// The query's segments as its oracle's grid holds them: what a list's
+	// ids index.
+	ax, ay, dx, dy, invL2 []float64
+}
+
+// fieldSlots is how many segments a cell's list holds; a cell near more
+// walks.
+const fieldSlots = 4
+
+// cellList is the first n of seg: the query segments, by index, that can be
+// nearest to a point of the cell. n = 0 — no list — sends the cell's
+// vertices to the oracle's walk.
+type cellList struct {
+	n   uint8
+	seg [fieldSlots]uint8
+}
 
 // fieldOff is the cell id of a point outside the table's box.
 const fieldOff = fieldNX * fieldNY
@@ -131,6 +151,14 @@ func appendFieldCells(dst []uint16, pts []geom.Point) []uint16 {
 // either way. An anchor at the centre of every fieldAnchor² block, measured
 // against all segments, adds D ≥ D(anchor) − |centre − anchor| where the
 // band says only fieldFar.
+//
+// A segment nearest to a point of a cell whose centre lies D from the
+// boundary is within D + 2·half-diagonal of the centre, by the same
+// Lipschitz bound both ways. Where D + listReach stays inside the band,
+// every such segment was measured at the centre, and a second pass over
+// the bands, measuring only such cells, lists the segments within
+// D + listReach in the cell's list; a cell farther out, or near more than
+// fieldSlots segments, walks.
 func newDistField(o *BoundaryDist) *distField {
 	g := o.grid.Parts()
 	// One length for the five segment arrays: one bounds check per segment.
@@ -139,13 +167,17 @@ func newDistField(o *BoundaryDist) *distField {
 	kernel := func(px, py float64, s int) float64 {
 		return shapeindex.SegDist2(px, py, ax[s], ay[s], dx[s], dy[s], invL2[s])
 	}
+	bands := func(s int) (x0, x1, y0, y1 int) {
+		x0, x1 = bandCells(min(ax[s], ax[s]+dx[s])-fieldX0, max(ax[s], ax[s]+dx[s])-fieldX0, fieldNX)
+		y0, y1 = bandCells(min(ay[s], ay[s]+dy[s])-fieldY0, max(ay[s], ay[s]+dy[s])-fieldY0, fieldNY)
+		return x0, x1, y0, y1
+	}
 	var near [fieldNX * fieldNY]float64 // least squared distance measured per cell
 	for i := range near {
 		near[i] = fieldFar * fieldFar
 	}
 	for s := range ax {
-		x0, x1 := bandCells(min(ax[s], ax[s]+dx[s])-fieldX0, max(ax[s], ax[s]+dx[s])-fieldX0, fieldNX)
-		y0, y1 := bandCells(min(ay[s], ay[s]+dy[s])-fieldY0, max(ay[s], ay[s]+dy[s])-fieldY0, fieldNY)
+		x0, x1, y0, y1 := bands(s)
 		for iy := y0; iy <= y1; iy++ {
 			cy, row := fieldY0+(float64(iy)+0.5)/fieldRes, near[iy*fieldNX:(iy+1)*fieldNX]
 			for ix := x0; ix <= x1; ix++ {
@@ -157,8 +189,14 @@ func newDistField(o *BoundaryDist) *distField {
 			}
 		}
 	}
-	const half = math.Sqrt2 / (2 * fieldRes) // a cell's half-diagonal
-	f := new(distField)
+	f := &distField{ax: ax, ay: ay, dx: dx, dy: dy, invL2: invL2}
+	// A list names a segment in 8 bits and holds only what the band measured:
+	// a query with more segments, or with one the kernel cannot measure (a
+	// non-finite coordinate), walks every cell.
+	listed := len(ax) <= math.MaxUint8
+	for s := range ax {
+		listed = listed && math.Abs(ax[s]+ay[s]+dx[s]+dy[s]) <= math.MaxFloat64
+	}
 	for by := 0; by < fieldNY; by += fieldAnchor {
 		for bx := 0; bx < fieldNX; bx += fieldAnchor {
 			acx := fieldX0 + float64(bx+fieldAnchor/2)/fieldRes
@@ -172,15 +210,70 @@ func newDistField(o *BoundaryDist) *distField {
 			anchor = math.Sqrt(anchor)
 			for iy := by; iy < by+fieldAnchor; iy++ {
 				for ix := bx; ix < bx+fieldAnchor; ix++ {
-					d := max(math.Sqrt(near[iy*fieldNX+ix]), anchor-anchorReach[iy-by][ix-bx])
-					if d -= half + geomBoundSlack; d > 0 {
-						f[iy*fieldNX+ix] = uint16(min(d/fieldUnit, math.MaxUint16))
+					i := iy*fieldNX + ix
+					d := math.Sqrt(near[i])
+					// From here on near holds what the list pass measures
+					// against: (D + listReach)², or -1 where nothing is listed.
+					near[i] = -1
+					if listed && d <= fieldFar-listReach {
+						near[i] = (d + listReach) * (d + listReach)
+					}
+					if d = max(d, anchor-anchorReach[iy-by][ix-bx]) - (fieldHalf + geomBoundSlack); d > 0 {
+						f.lb[i] = uint16(min(d/fieldUnit, math.MaxUint16))
 					}
 				}
 			}
 		}
 	}
+	for s := range ax {
+		x0, x1, y0, y1 := bands(s)
+		for iy := y0; iy <= y1; iy++ {
+			cy, reach, lists := fieldY0+(float64(iy)+0.5)/fieldRes, near[iy*fieldNX:(iy+1)*fieldNX], f.lists[iy*fieldNX:(iy+1)*fieldNX]
+			for ix := x0; ix <= x1; ix++ {
+				if reach[ix] < 0 {
+					continue
+				}
+				if d2 := kernel(fieldX0+(float64(ix)+0.5)/fieldRes, cy, s); d2 <= reach[ix] {
+					l := &lists[ix]
+					if l.n == fieldSlots {
+						l.n, reach[ix] = 0, -1 // one segment too many: the cell walks
+						continue
+					}
+					l.seg[l.n] = uint8(s)
+					l.n++
+				}
+			}
+		}
+	}
 	return f
+}
+
+const (
+	fieldHalf = math.Sqrt2 / (2 * fieldRes) // a cell's half-diagonal
+	// listReach is how much farther from a cell's centre than its nearest
+	// segment one nearest to a point of the cell can lie, slackened as the
+	// table's bounds are.
+	listReach = 2*fieldHalf + geomBoundSlack
+)
+
+// dist is the distance from p, a point of cell c (fieldCell), to the
+// query's boundary, with the bits of the walk of o, the oracle the field
+// was built from: the least kernel value over the cell's list — a set that
+// holds a nearest segment, which is the walk's contract — or the walk
+// itself where the cell has no list.
+func (f *distField) dist(o *BoundaryDist, p geom.Point, c uint16) float64 {
+	l := &f.lists[c]
+	if l.n == 0 {
+		return o.Dist(p)
+	}
+	best2 := math.Inf(1)
+	for _, s := range l.seg[:l.n] {
+		best2 = min(best2, shapeindex.SegDist2(p.X, p.Y, f.ax[s], f.ay[s], f.dx[s], f.dy[s], f.invL2[s]))
+	}
+	if math.IsNaN(best2) {
+		return math.Inf(1) // as the walk
+	}
+	return math.Sqrt(best2)
 }
 
 // anchorReach is the distance from an anchor to the centres of the cells
@@ -223,13 +316,13 @@ func (f *distField) sum(cells []uint16) uint64 {
 func (f *distField) sumPast(cells []uint16, trigger uint64) uint64 {
 	var sum uint64
 	for ; len(cells) >= 4; cells = cells[4:] {
-		sum += uint64(f[cells[0]]) + uint64(f[cells[1]]) + uint64(f[cells[2]]) + uint64(f[cells[3]])
+		sum += uint64(f.lb[cells[0]]) + uint64(f.lb[cells[1]]) + uint64(f.lb[cells[2]]) + uint64(f.lb[cells[3]])
 		if sum > trigger {
 			return sum
 		}
 	}
 	for _, id := range cells {
-		sum += uint64(f[id])
+		sum += uint64(f.lb[id])
 	}
 	return sum
 }
@@ -284,27 +377,34 @@ func (pq *PreparedQuery) distField() *distField {
 const edgeStack = 32
 
 // distWithin is the one bounded evaluator of the symmetric vertex-averaged
-// measure between the query and a normalized copy cp whose vertices the
-// query's distance field sums to fsum (0 claims nothing): (DistVertex, true)
-// when it is ≤ cut — bit-identical to the unbounded (dir+back)/2 — and ok =
-// false once it is proven strictly above cut, first by the field's sum in
-// one comparison, then by the partial sums of the two directed passes. The
-// dir pass reads the query's oracle; the back pass reads cp's own edges,
-// set up once for the pass (shapeindex.Edges: the bits a grid over them
-// would give). Both rejects are strict, so a copy tying cut survives.
-// scored is false when the field rejected the copy: the exact evaluator
-// never ran.
-func (pq *PreparedQuery) distWithin(cp geom.Poly, fsum uint64, cut float64) (dv float64, ok, scored bool) {
+// measure between the query and a normalized copy cp whose vertices fall in
+// the distance-field cells cells and the query's field sums to fsum (0
+// claims nothing): (DistVertex, true) when it is ≤ cut — bit-identical to
+// the unbounded (dir+back)/2 — and ok = false once it is proven strictly
+// above cut, first by the field's sum in one comparison, then by the
+// partial sums of the two directed passes. The dir pass reads each vertex
+// through its cell (distField.dist), or walks the query's oracle when cells
+// is nil; the back pass reads cp's own edges, set up once for the pass
+// (shapeindex.Edges: the bits a grid over them would give). Both rejects
+// are strict, so a copy tying cut survives. scored is false when the field
+// rejected the copy: the exact evaluator never ran.
+func (pq *PreparedQuery) distWithin(cp geom.Poly, cells []uint16, fsum uint64, cut float64) (dv float64, ok, scored bool) {
 	if fieldRejects(fsum, len(cp.Pts), cut) {
 		return 0, false, false
 	}
-	dir, ok := avgMinDistVerticesBoundedAffine(cp, pq.oracle.Dist, 0, cut)
+	pts, o := cp.Pts, pq.oracle
+	dist := func(i int) float64 { return o.Dist(pts[i]) }
+	if cells != nil {
+		f := pq.distField()
+		dist = func(i int) float64 { return f.dist(o, pts[i], cells[i]) }
+	}
+	dir, ok := avgMinDistVerticesBoundedAffine(len(pts), dist, 0, cut)
 	if !ok {
 		return 0, false, true
 	}
 	var buf [edgeStack]shapeindex.Seg
-	back := shapeindex.AppendEdges(buf[:0], cp)
-	bk, ok := avgMinDistVerticesBoundedAffine(pq.entry.Poly, back.Dist, dir, cut)
+	back, q := shapeindex.AppendEdges(buf[:0], cp), pq.entry.Poly.Pts
+	bk, ok := avgMinDistVerticesBoundedAffine(len(q), func(i int) float64 { return back.Dist(q[i]) }, dir, cut)
 	if !ok {
 		return 0, false, true
 	}
@@ -408,7 +508,7 @@ func (b *Base) Floors(ctx context.Context, pq *PreparedQuery, dead map[int]bool,
 	}
 	copies, blocks = len(b.entries), b.totalCost
 	for id := range dead {
-		for _, ei := range b.shapeEntries[id] {
+		for ei := b.shapeOff[id]; ei < b.shapeOff[id+1]; ei++ {
 			copies, blocks = copies-1, blocks-b.blockCost(ei)
 		}
 	}

@@ -381,9 +381,9 @@ func TestWholeShapeRejectChargesEveryCopy(t *testing.T) {
 	for sid := 0; sid < b.NumShapes(); sid++ {
 		var order []int
 		want := 0
-		for _, ei := range b.shapeEntries[sid] {
-			order = append(order, int(ei))
-			want += b.blockCost(ei)
+		for _, ei := range b.EntriesOfShape(sid) {
+			order = append(order, ei)
+			want += b.blockCost(int32(ei))
 		}
 		total += want
 		floor := b.ShapeFloor(sid, pq)
@@ -508,13 +508,13 @@ func BenchmarkBackPass(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var buf [edgeStack]shapeindex.Seg
 				back := shapeindex.AppendEdges(buf[:0], copies[i%len(copies)])
-				d, _ := avgMinDistVerticesBoundedAffine(q.Poly, back.Dist, 0, math.Inf(1))
+				d, _ := boundedOverPoints(q.Poly, back.Dist, 0, math.Inf(1))
 				sink += d
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/grid", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d, _ := avgMinDistVerticesBoundedAffine(q.Poly, grids[i%len(grids)].Dist, 0, math.Inf(1))
+				d, _ := boundedOverPoints(q.Poly, grids[i%len(grids)].Dist, 0, math.Inf(1))
 				sink += d
 			}
 		})

@@ -12,55 +12,39 @@ import (
 // the bounded evaluation of one shape.
 
 // scanShape is one shape as the bounded evaluators walk it: its normalized
-// copies are entries[idx[0]], entries[idx[1]], … — the base-wide arrays of
-// a frozen Base — or, with idx nil, all of entries in order (a live
-// shape's own). Entry ei's vertices fall in the distance-field cells
-// cells[off[ei]:off[ei+1]].
+// copies are entries, the c-th reported as entry first+c, and every copy has
+// the shape's nv vertices, so copy c's fall in the distance-field cells
+// block[c·nv:(c+1)·nv] — one strided block, a subslice of the frozen base's
+// cell array or of a live shape's own.
 type scanShape struct {
 	id      int
 	entries []Entry
-	cells   []uint16
-	off     []int32
-	idx     []int32
-	cost    []int32 // per-entry block cost; nil where storage is not block-accounted
+	block   []uint16
+	nv      int
+	first   int
+	cost    []int32 // per-copy block cost; nil where storage is not block-accounted
 }
 
-func (s *scanShape) copies() int {
-	if s.idx != nil {
-		return len(s.idx)
-	}
-	return len(s.entries)
-}
-
-// entry returns the index into s.entries of the shape's c-th copy.
-func (s *scanShape) entry(c int) int {
-	if s.idx != nil {
-		return int(s.idx[c])
-	}
-	return c
-}
-
-// copyCells is the field cells of entry ei's vertices, one per vertex.
-func (s *scanShape) copyCells(ei int) []uint16 {
-	return s.cells[s.off[ei]:s.off[ei+1]]
+// copyCells is the field cells of copy c's vertices, one per vertex.
+func (s *scanShape) copyCells(c int) []uint16 {
+	return s.block[c*s.nv : (c+1)*s.nv]
 }
 
 // floor is the field's lower bound on the shape's distance, the smallest
 // of its copies' (fieldFloor): above a cutoff, it proves every copy — the
-// shape — strictly outside it. Every copy of a shape has the shape's
-// vertex count and fieldFloor is monotone in the sum for a fixed count, so
-// the least sum gives the least floor, with one division: a copy's sum
-// stops once it passes the least so far.
+// shape — strictly outside it. Every copy has the shape's vertex count and
+// fieldFloor is monotone in the sum for a fixed count, so the least sum
+// gives the least floor, with one division: a copy's sum stops once it
+// passes the least so far.
 func (s *scanShape) floor(f *distField) float64 {
-	n := s.copies()
-	if n == 0 {
+	if len(s.entries) == 0 {
 		return math.Inf(1)
 	}
 	least := uint64(math.MaxUint64)
-	for c := 0; c < n; c++ {
-		least = min(least, f.sumPast(s.copyCells(s.entry(c)), least))
+	for c := range s.entries {
+		least = min(least, f.sumPast(s.copyCells(c), least))
 	}
-	return fieldFloor(least, len(s.copyCells(s.entry(0))))
+	return fieldFloor(least, s.nv)
 }
 
 // eachLive hands visit every shape of shapeAt(0..n-1) not in dead, in
@@ -93,13 +77,13 @@ func floorAll(ctx context.Context, pq *PreparedQuery, n int, shapeAt func(i int)
 // within is the fixed-cutoff scan (DESIGN.md §4.9, "The fixed-cutoff
 // scan") over shapeAt(0..n-1): every shape not in dead goes through
 // nearest under cut, and visit sees, in index order, each whose distance is
-// ≤ cut, EntryID the index into s.entries of the lowest copy realizing it.
+// ≤ cut, EntryID the lowest copy realizing it (first + its index).
 // It returns the copies scanned and their block cost; a cancelled scan
 // returns ctx's error with the copies scanned so far.
 func within(ctx context.Context, pq *PreparedQuery, n int, shapeAt func(i int) scanShape, dead map[int]bool, cut float64, visit func(Match)) (copies, blocks int, err error) {
 	err = eachLive(ctx, n, shapeAt, dead, func(s scanShape) {
 		best, ei, _, cost := s.nearest(pq, cut, nil)
-		copies, blocks = copies+s.copies(), blocks+cost
+		copies, blocks = copies+len(s.entries), blocks+cost
 		if ei >= 0 && best <= cut {
 			visit(Match{ShapeID: s.id, EntryID: ei, DistVertex: best})
 		}
@@ -121,40 +105,32 @@ const nearestStack = 64
 // that the others' sums then fail against in one comparison — and the rest
 // follow in index order, a copy the field rejects under min(cutoff, best)
 // skipped before its entry is touched. It returns the smallest distance
-// found, the entry (index into s.entries) of the lowest copy realizing it
+// found, the entry (first + its index) of the lowest copy realizing it
 // — -1 when every copy was proven strictly above cutoff — how many copies
 // reached the exact evaluator, and the block cost of the copies read (all
 // of them: a reject reads the copy it rejects). A distance ≤ cutoff is the
 // shape's exact distance. onAccess, when set, sees every entry read. The
 // query's evaluation counter, when attached, is charged with scored.
 func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(entryID int)) (best float64, bestEi, scored, blocks int) {
-	f, n := pq.distField(), s.copies()
+	f, n := pq.distField(), len(s.entries)
 	var stack [nearestStack]uint64
 	sums := stack[:]
 	if n > len(sums) {
 		sums = make([]uint64, n)
 	}
-	first, lowest, rate := -1, math.Inf(1), fieldRate(cutoff)
+	lead, lowest, t := -1, math.Inf(1), fieldTrigger(s.nv, fieldRate(cutoff))
 	for c := 0; c < n; c++ {
-		cells := s.copyCells(s.entry(c))
-		t := fieldTrigger(len(cells), rate)
-		if sums[c] = f.sumPast(cells, t); sums[c] > t {
+		if sums[c] = f.sumPast(s.copyCells(c), t); sums[c] > t {
 			continue // a partial sum, above the trigger of every cutoff ≤ this one
 		}
 		// A survivor's sum is full: its floor is the one a full pass takes.
-		if fl := fieldFloor(sums[c], len(cells)); first < 0 || fl < lowest {
-			first, lowest = c, fl
+		if fl := fieldFloor(sums[c], s.nv); lead < 0 || fl < lowest {
+			lead, lowest = c, fl
 		}
 	}
-	if first < 0 {
+	if lead < 0 {
 		for c := 0; c < n; c++ {
-			ei := s.entry(c)
-			if s.cost != nil {
-				blocks += int(s.cost[ei])
-			}
-			if onAccess != nil {
-				onAccess(ei)
-			}
+			s.access(c, &blocks, onAccess)
 		}
 		return math.Inf(1), -1, 0, blocks
 	}
@@ -163,27 +139,21 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 	for v := -1; v < n; v++ {
 		c := v
 		if v < 0 {
-			c = first
-		} else if v == first {
+			c = lead
+		} else if v == lead {
 			continue
 		}
-		ei := s.entry(c)
-		if s.cost != nil {
-			blocks += int(s.cost[ei])
-		}
-		if onAccess != nil {
-			onAccess(ei)
-		}
+		s.access(c, &blocks, onAccess)
 		cut := min(cutoff, best)
-		if fieldRejects(sums[c], int(s.off[ei+1]-s.off[ei]), cut) {
+		if fieldRejects(sums[c], s.nv, cut) {
 			continue
 		}
-		dv, ok, reached := pq.distWithin(s.entries[ei].Poly, sums[c], cut)
+		dv, ok, reached := pq.distWithin(s.entries[c].Poly, s.copyCells(c), sums[c], cut)
 		if reached {
 			scored++
 		}
 		// The lowest copy on ties, whatever order the copies came in.
-		if ok && (dv < best || dv == best && ei < bestEi) {
+		if ei := s.first + c; ok && (dv < best || dv == best && ei < bestEi) {
 			best, bestEi = dv, ei
 		}
 	}
@@ -191,6 +161,17 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 		pq.evaluated.Add(int64(scored))
 	}
 	return best, bestEi, scored, blocks
+}
+
+// access charges copy c's read: its block cost to *blocks, its entry to
+// onAccess when set.
+func (s *scanShape) access(c int, blocks *int, onAccess func(entryID int)) {
+	if s.cost != nil {
+		*blocks += int(s.cost[c])
+	}
+	if onAccess != nil {
+		onAccess(s.first + c)
+	}
 }
 
 // DistTopK tracks the k-th smallest of a distance stream with a size-

@@ -75,7 +75,7 @@ func TestScanEquivalence(t *testing.T) {
 						dead[id] = true
 					}
 					for id := range dead {
-						deadCopies += len(b.shapeEntries[id])
+						deadCopies += len(b.EntriesOfShape(id))
 					}
 				}
 				var live []Match
@@ -206,8 +206,8 @@ func TestCopiesShareVertexCount(t *testing.T) {
 		for _, base := range []*Base{b, reassemble(t, b, b.verts)} {
 			for id := range base.NumShapes() {
 				s, n := base.scanShape(id), len(base.Shape(id).Poly.Pts)
-				for c := range s.copies() {
-					if got := len(s.copyCells(s.entry(c))); got != n || len(s.entries[s.entry(c)].Poly.Pts) != n {
+				for c := range s.entries {
+					if got := len(s.copyCells(c)); got != n || s.nv != n || len(s.entries[c].Poly.Pts) != n {
 						t.Fatalf("α=%g: frozen shape %d of %d vertices: copy %d has %d cells", alpha, id, n, c, got)
 					}
 				}
@@ -215,8 +215,8 @@ func TestCopiesShareVertexCount(t *testing.T) {
 		}
 		for i := range d.overflow {
 			s, n := d.overflow[i].scan(), len(d.overflow[i].shape.Poly.Pts)
-			for c := range s.copies() {
-				if got := len(s.copyCells(s.entry(c))); got != n || len(s.entries[c].Poly.Pts) != n {
+			for c := range s.entries {
+				if got := len(s.copyCells(c)); got != n || s.nv != n || len(s.entries[c].Poly.Pts) != n {
 					t.Fatalf("α=%g: live shape %d of %d vertices: copy %d has %d cells", alpha, s.id, n, c, got)
 				}
 			}
@@ -278,17 +278,16 @@ func TestNearestLowestCopyOnTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	poly := es[0].Poly
-	s := scanShape{id: 7, off: []int32{0}}
+	s := scanShape{id: 7, nv: len(poly.Pts)}
 	for c := 0; c < 3; c++ {
 		s.entries = append(s.entries, Entry{ShapeID: 7, Copy: c, Poly: poly})
 		if c < 2 {
-			s.cells = appendFieldCells(s.cells, poly.Pts)
+			s.block = appendFieldCells(s.block, poly.Pts)
 		} else {
 			for range poly.Pts {
-				s.cells = append(s.cells, fieldOff)
+				s.block = append(s.block, fieldOff)
 			}
 		}
-		s.off = append(s.off, int32(len(s.cells)))
 	}
 	pq, err := PrepareQuery(geom.NewPolygon(geom.Pt(0, 0), geom.Pt(3, 0), geom.Pt(1, 2)))
 	if err != nil {

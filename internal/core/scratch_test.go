@@ -179,7 +179,7 @@ func TestEntryOracleEquivalence(t *testing.T) {
 					t.Fatalf("query %d entry %d at %v: edges %v, oracle %v", qi, ei, p, got, want)
 				}
 			}
-			got, _ := avgMinDistVerticesBoundedAffine(qe.Poly, edges.Dist, 0, math.Inf(1))
+			got, _ := boundedOverPoints(qe.Poly, edges.Dist, 0, math.Inf(1))
 			if want := AvgMinDistVertices(qe.Poly, oracle); got != want {
 				t.Fatalf("query %d entry %d: edges %v != oracle %v", qi, ei, got, want)
 			}

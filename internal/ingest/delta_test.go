@@ -223,14 +223,15 @@ func TestDeltaSketchTable(t *testing.T) {
 	}
 }
 
-// The delta under the exact search's contract (DESIGN.md §4.12), across
-// multi-shape deletes and a rollback: Floors lists exactly the live shapes,
-// with floors under their distances, and reports their copies; Deletes
-// moves with every delete and rollback and with nothing else, so a reader
-// can tell that a listing has gone stale; ScoreBounded and Continuous
-// refuse a removed shape; and the query's counter sees fewer copies reach
-// the exact evaluator under the top-3 cutoff than under none.
-func TestDeltaMatchSharedBound(t *testing.T) {
+// TestDeltaExactSearchContract pins the delta under the exact search's
+// contract (DESIGN.md §4.12), across multi-shape deletes and a rollback:
+// Floors lists exactly the live shapes, with floors under their distances,
+// and reports their copies; Deletes moves with every delete and rollback
+// and with nothing else, so a reader can tell that a listing has gone
+// stale; ScoreBounded and Continuous refuse a removed shape; and the
+// query's counter sees fewer copies reach the exact evaluator under the
+// top-3 cutoff than under none.
+func TestDeltaExactSearchContract(t *testing.T) {
 	d := newTestDelta(t, 0)
 	for i := 0; i < 6; i++ {
 		if err := d.Insert(i, []geom.Poly{square(float64(i)), tri(float64(i)), tri(float64(i) + 0.5)}); err != nil {

@@ -13,15 +13,15 @@ import (
 	"repro/internal/synth"
 )
 
-// TestSharedBoundDeterministic is the property test for the one bound a
-// stage refines under, the running k-th best of the whole view (DESIGN.md
-// §4.9): pass 1 lists the shards on concurrent goroutines, pass 2 pops
-// their shapes from one heap, so this test re-runs the same ModeExact and
-// ModeApproximate queries many times on multi-shard engines with real
-// fan-out concurrency and demands the matches stay byte-identical to each
-// other and to the single unsharded engine. Run under -race this also
-// checks that the listings are handed over to the refine pass safely.
-func TestSharedBoundDeterministic(t *testing.T) {
+// TestShardedSearchDeterministic pins that a sharded search answers as one
+// engine does, whatever its goroutines do: the same ModeExact and
+// ModeApproximate queries, re-run many times on 2- and 7-shard engines with
+// real fan-out concurrency, return matches byte-identical to each other and
+// to the single unsharded engine's. Pass 1 lists the shards concurrently and
+// pass 2 refines their shapes from one heap under the view's running k-th
+// best (DESIGN.md §4.9); run under -race this also checks that the listings
+// reach the refine pass safely.
+func TestShardedSearchDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property soak")
 	}
@@ -132,18 +132,17 @@ func autoFrom(t *testing.T, label string, v searchView, q Shape, k int, exact []
 	return approx[:min(k, len(approx))]
 }
 
-// TestSharedBoundTombstoneProperty is the seeded property test of the
-// view-wide bound the refine pass scores under (DESIGN.md §4.9), over the
-// cases that can starve a shard of the top-k: random bases, shard counts
-// {2, 7, 8}, k ∈ {1, 5, many}, tombstones {none, some, a whole shard's
-// worth} and cutoffs pre-tightened to the tightest legal value (the true
-// k-th best of the view) and looser ones. The matches of every run —
-// fanned-out listing, width-1 walk, pre-tightened cutoff — must be
-// byte-identical to the unseeded run, and equal (global ids shift across
-// a rebuild, so on image, distances and order) to a single Engine rebuilt
-// from the live images. Queries include copies of tombstoned shapes, so
-// dead shapes would top the lists if they leaked.
-func TestSharedBoundTombstoneProperty(t *testing.T) {
+// TestTombstonedSearchMatchesRebuild is the seeded property test of the
+// exact search over a sharded engine with deleted images: over random bases,
+// shard counts {2, 7, 8}, k ∈ {1, 5, many} and tombstones {none, some, a
+// whole shard's worth}, the exact search over the view answers on image,
+// distances and order as a single engine rebuilt from the live images
+// (global ids shift across a rebuild); the served ModeExact and ModeAuto
+// searches, fanned out and sequential, return its matches byte for byte;
+// and a refine pass started under a bound pre-tightened to the true k-th
+// best, or looser, returns them too. Queries include copies of tombstoned
+// shapes, so dead shapes would top the lists if they leaked.
+func TestTombstonedSearchMatchesRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property soak")
 	}
