@@ -30,8 +30,11 @@ race:
 # request's distance field is built once and read by every shard
 # goroutine's listing, as are the stored vertices' field cells and the
 # oracle grids' one walk. Run the affected suites at both settings. Topological reads take no lock: every
-# goroutine evaluates its query against the same frozen database.
-PROCS_RUN := 'Equivalence|BoundFirst|Delta|Dynamic|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological'
+# goroutine evaluates its query against the same frozen database. Searches
+# read a live delta's version while writers append its successors past
+# the arrays they share (SearchView: a captured view searched beside the
+# writers).
+PROCS_RUN := 'Equivalence|BoundFirst|Delta|SearchView|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological'
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex
 	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex

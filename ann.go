@@ -135,11 +135,12 @@ func annStats(probes, candidates int) Stats {
 	return Stats{UsedANN: true, ANNProbes: probes, ANNCandidates: candidates}
 }
 
-// annCandidates is the candidate set of an approximate search: bucket
-// probes plus the signature-scan floor of minShapes, best-first, capped
-// (annCapShapes). It also returns the number of buckets probed.
-func (e *Engine) annCandidates(pq *core.PreparedQuery, minShapes int) ([]int, int) {
-	cand := e.ann.Probe(e.ann.Signature(pq.Entry().Poly), minShapes)
+// annCandidates is the candidate set of an approximate search over the
+// part's ANN index: bucket probes plus the signature-scan floor of
+// minShapes, best-first, capped (annCapShapes). It also returns the number
+// of buckets probed.
+func (p *part) annCandidates(pq *core.PreparedQuery, minShapes int) ([]int, int) {
+	cand := p.ann.Probe(p.ann.Signature(pq.Entry().Poly), minShapes)
 	shapes := cand.Shapes
 	if max := annCapShapes(minShapes); len(shapes) > max {
 		shapes = shapes[:max]

@@ -348,9 +348,9 @@ func BenchmarkBucketScoring(b *testing.B) {
 		pq     *core.PreparedQuery
 		bucket []int
 	}
-	bucketPass := func(p part, q prepared) error {
-		_, _, err := refine(ctx, []part{p}, q.pq, 5, 1, false, func() listing {
-			return func(int) ([]bucketShape, Stats, error) { return floored(p, q.bucket, q.pq, 0), Stats{}, nil }
+	bucketPass := func(q prepared) error {
+		_, _, err := refine(ctx, []part{p}, q.pq, 5, 1, false, func(int) ([]bucketShape, Stats, error) {
+			return floored(&p, q.bucket, q.pq, 0), Stats{}, nil
 		})
 		return err
 	}
@@ -365,7 +365,13 @@ func BenchmarkBucketScoring(b *testing.B) {
 		ids := hashBuckets([]part{p}, pq)[0]
 		// The passes are deterministic: this run builds the query's
 		// distance field and is the one counted.
-		if err := bucketPass(countedPart{p, &inFull}, prepared{pq, ids}); err != nil {
+		if _, err := rank(ctx, floored(&p, ids, pq, 0), 5, func(c bucketShape, cut float64) (Match, int, bool) {
+			m, entry, ok := p.scoreBounded(int(c.id), pq, cut)
+			if ok {
+				inFull++
+			}
+			return m, entry, ok
+		}); err != nil {
 			b.Fatal(err)
 		}
 		bucket += len(ids)
@@ -376,7 +382,7 @@ func BenchmarkBucketScoring(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if err := bucketPass(p, q); err != nil {
+		if err := bucketPass(q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -384,20 +390,6 @@ func BenchmarkBucketScoring(b *testing.B) {
 	b.ReportMetric(float64(bucket)/n, "bucket/query")
 	b.ReportMetric(float64(inFull)/n, "scored/query")
 	b.ReportMetric(float64(copies)/n, "copies/query")
-}
-
-// countedPart counts the shapes its part scores in full.
-type countedPart struct {
-	part
-	n *int
-}
-
-func (p countedPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
-	m, entry, ok := p.part.scoreBounded(id, pq, cutoff)
-	if ok {
-		*p.n++
-	}
-	return m, entry, ok
 }
 
 // BenchmarkSearchLive times ModeAuto searches on a live base: 8 shards over

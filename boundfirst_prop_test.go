@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/sched"
 	"repro/internal/synth"
 )
 
@@ -88,16 +90,11 @@ func assertBoundFirst(t *testing.T, label string, s Searcher, v searchView, q Sh
 	}
 }
 
-// liveIn counts the live shapes of a view's parts, and the tombstoned
-// shapes of its frozen parts.
+// liveIn counts the live shapes of a view's parts, and their tombstoned
+// ones.
 func liveIn(parts []part) (live, dead int) {
-	for _, p := range parts {
-		switch p := p.(type) {
-		case *frozenPart:
-			live, dead = live+p.liveShapes(), dead+len(p.dead)
-		case *deltaPart:
-			live += p.d.NumShapes()
-		}
+	for i := range parts {
+		live, dead = live+parts[i].liveShapes(), dead+len(parts[i].dead)
 	}
 	return live, dead
 }
@@ -108,7 +105,7 @@ func liveIn(parts []part) (live, dead int) {
 // tombstoned one — and the work is the same at every width (VerticesCounted,
 // BlockReads, and the copies the query's counter sees reach the exact
 // evaluator): pass 2 runs on the request's goroutine over a total order.
-// It reports how many tombstoned shapes the frozen parts hold.
+// It reports how many tombstoned shapes the parts hold.
 func assertTwoPasses(t *testing.T, label string, parts []part, q Shape, k int) int {
 	t.Helper()
 	ctx := context.Background()
@@ -507,45 +504,33 @@ func TestBoundFirstFitRule(t *testing.T) {
 	}
 }
 
-// hookedPart runs its hooks after the listing of pass 1 and after each
-// score of pass 2.
-type hookedPart struct {
-	part
-	afterFloors func(shapes []bucketShape)
-	afterScore  func(id int)
-}
-
-func (p hookedPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
-	shapes, st, err := p.part.floors(ctx, pq, pi)
-	if p.afterFloors != nil {
-		p.afterFloors(shapes)
-	}
-	return shapes, st, err
-}
-
-func (p hookedPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
-	m, entry, ok := p.part.scoreBounded(id, pq, cutoff)
-	if p.afterScore != nil {
-		p.afterScore(id)
-	}
-	return m, entry, ok
-}
-
-// TestBoundFirstStaleSeed drives a delete into the active delta while an
-// exact search is under way — between its two passes, and after the first
-// score of its refine pass — for a shape pass 1 listed: a copy of the query
-// itself, the best match there is. Either way the answer is a rebuilt
-// engine's over the images before the delete or over those after it
-// (compared on image, distance and continuous distance: global ids shift
-// across a rebuild), and Converged.
-func TestBoundFirstStaleSeed(t *testing.T) {
-	images, queries, _ := equivBase(t)
+// TestSearchViewIsASnapshot pins the contract of a request's view: a
+// search answers from the view as of the moment it took it, whatever the
+// writers do after — for the live delta as for the frozen shards. A view
+// is captured on a live engine holding a tombstoned frozen image, a
+// deleted delta image and, in the delta, a copy of the query (the best
+// match there is); then the writers insert images, delete that copy and a
+// frozen image, compact, and insert more. At 1 and 7 shards, searches over
+// the captured view — while the writers run and after — answer in every
+// mode as an engine rebuilt over the images as of capture, compared on
+// image, distance and continuous distance (global ids shift across a
+// rebuild), and the engine's own searches move on.
+func TestSearchViewIsASnapshot(t *testing.T) {
+	images, queries, sketch := equivBase(t)
 	ctx := context.Background()
 	q := queries[0]
 	const k = 3
-	before := mustSearch(t, buildSingle(t, append(images[:len(images):len(images)], synth.Image{ID: 9003, Shapes: []Shape{q.Clone()}})),
-		SearchRequest{Query: q, K: k, Mode: ModeExact}).Matches
-	after := mustSearch(t, buildSingle(t, images), SearchRequest{Query: q, K: k, Mode: ModeExact}).Matches
+	asOfCapture := append(images[1:len(images):len(images)],
+		synth.Image{ID: 9003, Shapes: []Shape{q.Clone()}},
+		synth.Image{ID: 9004, Shapes: []Shape{queries[1].Clone(), synth.Distort(rand.New(rand.NewSource(7)), q, 0.002)}})
+	rebuilt := buildSingle(t, asOfCapture)
+	reqs := []SearchRequest{{Query: q, K: k, Mode: ModeExact}, {Query: q, K: k, Mode: ModeAuto},
+		{Query: queries[1], K: k, Mode: ModeApproximate},
+		{Sketch: sketch, K: k, Mode: ModeSketch}}
+	want := make([]*SearchResponse, len(reqs))
+	for i, req := range reqs {
+		want[i] = mustSearch(t, rebuilt, req)
+	}
 	same := func(got, want []Match) bool {
 		if len(got) != len(want) {
 			return false
@@ -558,53 +543,78 @@ func TestBoundFirstStaleSeed(t *testing.T) {
 		return true
 	}
 	for _, shards := range []int{1, 7} {
-		for _, when := range []string{"between the passes", "during the refine pass"} {
-			label := fmt.Sprintf("shards=%d delete %s", shards, when)
-			se := buildShardedFrom(t, images, shards)
-			enableIngest(t, se, t.TempDir(), IngestConfig{})
-			if err := se.InsertImage(ctx, 9003, []Shape{q.Clone()}); err != nil {
+		se := buildShardedFrom(t, images, shards)
+		enableIngest(t, se, t.TempDir(), IngestConfig{})
+		if err := se.DeleteImage(ctx, images[0].ID); err != nil {
+			t.Fatal(err)
+		}
+		for _, im := range append([]synth.Image{{ID: 9002, Shapes: []Shape{q.Clone()}}}, asOfCapture[len(asOfCapture)-2:]...) {
+			if err := se.InsertImage(ctx, im.ID, im.Shapes); err != nil {
 				t.Fatal(err)
 			}
-			deleted := false
-			remove := func() {
-				if !deleted {
-					deleted = true
-					if err := se.DeleteImage(ctx, 9003); err != nil {
-						t.Errorf("%s: DeleteImage: %v", label, err)
-					}
+		}
+		if err := se.DeleteImage(ctx, 9002); err != nil {
+			t.Fatal(err)
+		}
+		captured := se.searchView()
+		check := func(label string) {
+			var pl sched.Planner
+			for i, req := range reqs {
+				got, err := search(ctx, &pl, true, func() searchView { return captured }, req)
+				if err != nil {
+					t.Errorf("shards=%d %s %v: %v", shards, label, req.Mode, err)
+					return
+				}
+				if !same(got.Matches, want[i].Matches) || !reflect.DeepEqual(got.SketchMatches, want[i].SketchMatches) {
+					t.Errorf("shards=%d %s request %d (%v): the captured view answers\n%+v %+v\nthe images as of capture\n%+v %+v",
+						shards, label, i, req.Mode, got.Matches, got.SketchMatches, want[i].Matches, want[i].SketchMatches)
+					return
 				}
 			}
-			parts := se.searchView().parts
-			for i, p := range parts {
-				if _, live := p.(*deltaPart); live {
-					if when == "between the passes" {
-						parts[i] = hookedPart{part: p, afterFloors: func([]bucketShape) { remove() }}
-					} else {
-						parts[i] = hookedPart{part: p, afterScore: func(int) { remove() }}
-					}
+		}
+		stop, finished := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(finished)
+			for !t.Failed() {
+				check("while the writers run")
+				select {
+				case <-stop:
+					return
+				default:
 				}
 			}
-			pq, err := core.PrepareQuery(q)
-			if err != nil {
-				t.Fatal(err)
+		}()
+		writes := []func() error{
+			func() error { return se.InsertImage(ctx, 9005, []Shape{q.Clone()}) },
+			func() error { return se.DeleteImage(ctx, 9003) },
+			func() error { return se.DeleteImage(ctx, images[1].ID) },
+			se.Compact,
+			func() error { return se.InsertImage(ctx, 9006, []Shape{queries[1].Clone()}) },
+			func() error { return se.DeleteImage(ctx, 9004) },
+		}
+		var werr error
+		for i, w := range writes {
+			if werr = w(); werr != nil {
+				werr = fmt.Errorf("write %d: %w", i, werr)
+				break
 			}
-			got, st, err := exactSearch(ctx, parts, pq, k, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !deleted || !st.Converged {
-				t.Fatalf("%s: deleted=%v converged=%v", label, deleted, st.Converged)
-			}
-			if !same(got, before) && !same(got, after) {
-				t.Fatalf("%s: %+v is neither the answer before the delete %+v nor after it %+v", label, got, before, after)
-			}
+		}
+		close(stop)
+		<-finished
+		if werr != nil {
+			t.Fatalf("shards=%d: %v", shards, werr)
+		}
+		check("after the writes")
+		if got := mustSearch(t, se, reqs[0]).Matches; same(got, want[0].Matches) || got[0].ImageID != 9005 {
+			t.Fatalf("shards=%d: the engine's own search did not move on: %+v", shards, got)
 		}
 	}
 }
 
 // TestFloorOrderIsOptimal pins the stop rule of the exact search's refine
 // pass (DESIGN.md §4.9, "The exact search is two passes"): the shapes it
-// scores are exactly those whose floor is at most the final k-th best. No
+// scores (rank, watched through its scorer after the exact search's own
+// listing) are exactly those whose floor is at most the final k-th best. No
 // shape with a floor strictly above it reaches scoreBounded — the k best
 // have floors no higher, so by the time such a shape tops the heap they
 // have all been scored and the running k-th is down to the final one — and
@@ -645,17 +655,9 @@ func TestFloorOrderIsOptimal(t *testing.T) {
 				label := fmt.Sprintf("%s q%d k=%d", v.name, qi, k)
 				floors, scored := map[partShape]float64{}, map[partShape]bool{}
 				parts := v.view().parts
-				for i, p := range parts {
-					if _, ok := p.(*deltaPart); ok {
+				for _, p := range parts {
+					if p.ann == nil {
 						deltas++
-					}
-					parts[i] = hookedPart{part: p,
-						afterFloors: func(shapes []bucketShape) {
-							for _, c := range shapes {
-								floors[partShape{c.part, c.id}] = c.floor
-							}
-						},
-						afterScore: func(id int) { scored[partShape{int32(i), int32(id)}] = true },
 					}
 				}
 				pq, err := core.PrepareQuery(q)
@@ -668,6 +670,29 @@ func TestFloorOrderIsOptimal(t *testing.T) {
 				}
 				if len(ms) != k {
 					t.Fatalf("%s: %d matches", label, len(ms))
+				}
+				// The same two passes, watched: what pass 1 lists, and what
+				// pass 2 scores.
+				h, _, err := listAll(ctx, len(parts), 1, func(i int) ([]bucketShape, Stats, error) {
+					return parts[i].floors(ctx, pq, int32(i))
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range h {
+					floors[partShape{c.part, c.id}] = c.floor
+				}
+				hits, err := rank(ctx, h, k, func(c bucketShape, cut float64) (Match, int, bool) {
+					scored[partShape{c.part, c.id}] = true
+					return parts[c.part].scoreBounded(int(c.id), pq, cut)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, hit := range hits {
+					if hit.m.ShapeID != ms[i].ShapeID || hit.m.Distance != ms[i].Distance {
+						t.Fatalf("%s: the watched passes rank %+v at %d, the exact search %+v", label, hit.m, i, ms[i])
+					}
 				}
 				kth := ms[k-1].Distance
 				listed += len(floors)

@@ -8,56 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/geohash"
 	"repro/internal/geom"
-	"repro/internal/sched"
 	"repro/internal/synth"
 )
-
-// orderedPart is a part whose passes run in an order of the test's
-// choosing: the bucket comes permuted by perm and — flat — every floor
-// reads 0, a bucket floor and every floor pass 1 of the exact search lists
-// alike, which claims nothing, leaves the heap only (part, id) to order by
-// and never stops a pass. afterFloor, when set, runs once shape id's floor
-// has been taken — between its floor and its score.
-type orderedPart struct {
-	part
-	perm       func(ids []int)
-	flat       bool
-	afterFloor func(id int)
-}
-
-func (p orderedPart) liveBucket(quad geohash.Quadruple, radius int) []int {
-	ids := p.part.liveBucket(quad, radius)
-	if p.perm != nil {
-		p.perm(ids)
-	}
-	return ids
-}
-
-func (p orderedPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
-	shapes, st, err := p.part.floors(ctx, pq, pi)
-	for i := range shapes {
-		if p.afterFloor != nil {
-			p.afterFloor(int(shapes[i].id))
-		}
-		if p.flat {
-			shapes[i].floor = 0
-		}
-	}
-	return shapes, st, err
-}
-
-func (p orderedPart) floor(id int, pq *core.PreparedQuery) float64 {
-	f := p.part.floor(id, pq)
-	if p.afterFloor != nil {
-		p.afterFloor(id)
-	}
-	if p.flat {
-		return 0
-	}
-	return f
-}
 
 // bucketOrder is one visiting order of a bucket.
 type bucketOrder struct {
@@ -88,13 +41,45 @@ func bucketOrders() []bucketOrder {
 	}
 }
 
-// in orders a view's parts.
-func (o bucketOrder) in(v searchView) searchView {
-	parts := make([]part, len(v.parts))
-	for i, p := range v.parts {
-		parts[i] = orderedPart{part: p, perm: o.perm, flat: o.flat}
+// stages runs the two single-shape stages over the view's parts with
+// their listings in this order, on width goroutines: the exact stage
+// (exactSearch's listing, every live shape floored) and the hashing stage
+// (the query's hash bucket, permuted by perm, each shape floored) — every
+// floor read as 0 when flat. It returns their matches and the exact
+// stage's stats.
+func (o bucketOrder) stages(t *testing.T, v searchView, q Shape, k, width int) (exact []Match, st Stats, approx []Match) {
+	t.Helper()
+	ctx := context.Background()
+	pq, err := core.PrepareQuery(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return searchView{parts: parts, tau: v.tau}
+	flatten := func(shapes []bucketShape) []bucketShape {
+		for i := range shapes {
+			if o.flat {
+				shapes[i].floor = 0
+			}
+		}
+		return shapes
+	}
+	exact, st, err = refine(ctx, v.parts, pq, k, width, true, func(i int) ([]bucketShape, Stats, error) {
+		shapes, st, err := v.parts[i].floors(ctx, pq, int32(i))
+		return flatten(shapes), st, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets := hashBuckets(v.parts, pq)
+	approx, _, err = refine(ctx, v.parts, pq, k, width, false, func(i int) ([]bucketShape, Stats, error) {
+		if o.perm != nil {
+			o.perm(buckets[i])
+		}
+		return flatten(floored(&v.parts[i], buckets[i], pq, int32(i))), Stats{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exact, st, approx
 }
 
 // deadInBucket counts the tombstoned shapes of frozen parts on the query's
@@ -105,11 +90,11 @@ func deadInBucket(t *testing.T, parts []part, q Shape) (dead int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quad := parts[0].family().Characteristic(pq.Entry().Poly.Pts)
+	quad := parts[0].family.Characteristic(pq.Entry().Poly.Pts)
 	for _, p := range parts {
-		if fp, ok := p.(*frozenPart); ok {
-			for _, id := range fp.e.table.Lookup(quad, 0) {
-				if fp.dead[id] {
+		if p.ann != nil {
+			for _, id := range p.lookup(quad, 0) {
+				if p.dead[id] {
 					dead++
 				}
 			}
@@ -119,46 +104,41 @@ func deadInBucket(t *testing.T, parts []part, q Shape) (dead int) {
 }
 
 // assertOrderInvariant holds every visiting order of the query's bucket —
-// and, flat, of the exact search's heap — to table order: the answers of
-// the three single-shape modes, and the engine's own Search to all of them.
-func assertOrderInvariant(t *testing.T, label string, s Searcher, view func() searchView, q Shape, k int) {
+// and, flat, of the exact search's heap — to table order, on one worker and
+// on one per part: the answers of the exact and the hashing stage; and the
+// engine's own Search to them in the three single-shape modes (ModeAuto
+// the exact stage's answer when it converged within τ, the hashing stage's
+// when that is not empty, the exact stage's otherwise).
+func assertOrderInvariant(t *testing.T, label string, s Searcher, v searchView, q Shape, k int) {
 	t.Helper()
 	ctx := context.Background()
-	var pl sched.Planner
-	want := map[string][]Match{}
+	exact, st, approx := bucketOrders()[0].stages(t, v, q, k, 1)
 	for _, o := range bucketOrders() {
-		ordered := func() searchView { return o.in(view()) }
-		l := fmt.Sprintf("%s order=%s", label, o.name)
-		for _, mode := range []Mode{ModeExact, ModeAuto, ModeApproximate} {
-			for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
-				req := SearchRequest{Query: q, K: k, Mode: mode, Exec: exec}
-				resp, err := search(ctx, &pl, true, ordered, req)
-				if err != nil {
-					t.Fatalf("%s %v %v: %v", l, mode, exec, err)
-				}
-				key := mode.String()
-				if w, ok := want[key]; !ok {
-					want[key] = resp.Matches
-				} else {
-					assertMatchesEqual(t, fmt.Sprintf("%s %v %v", l, mode, exec), w, resp.Matches)
-				}
-			}
+		for _, width := range []int{1, len(v.parts)} {
+			l := fmt.Sprintf("%s order=%s width=%d", label, o.name, width)
+			e, _, a := o.stages(t, v, q, k, width)
+			assertMatchesEqual(t, l+" exact", exact, e)
+			assertMatchesEqual(t, l+" hashing", approx, a)
 		}
 	}
-	for _, mode := range []Mode{ModeExact, ModeAuto, ModeApproximate} {
+	auto := approx
+	if st.Converged && exactGoodEnough(exact, v.tau) || len(approx) == 0 {
+		auto = exact
+	}
+	for mode, want := range map[Mode][]Match{ModeExact: exact, ModeAuto: auto, ModeApproximate: approx} {
 		resp, err := s.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
 		if err != nil {
 			t.Fatalf("%s %v: %v", label, mode, err)
 		}
-		assertMatchesEqual(t, fmt.Sprintf("%s Search %v", label, mode), want[mode.String()], resp.Matches)
+		assertMatchesEqual(t, fmt.Sprintf("%s Search %v", label, mode), want, resp.Matches)
 	}
 }
 
 // copyTies counts the bucket shapes of a frozen part whose distance to the
 // query two of their normalized copies realize, to the bit.
-func copyTies(t *testing.T, p *frozenPart, pq *core.PreparedQuery, ids []int) (ties int) {
+func copyTies(t *testing.T, p part, pq *core.PreparedQuery, ids []int) (ties int) {
 	t.Helper()
-	base := p.e.Base()
+	base := p.base
 	for _, id := range ids {
 		best, n := math.Inf(1), 0
 		for _, ei := range base.EntriesOfShape(id) {
@@ -184,11 +164,11 @@ func copyTies(t *testing.T, p *frozenPart, pq *core.PreparedQuery, ids []int) (t
 // listed in — table order, reversed, shuffled — the order the refine pass
 // pops its shapes in — by floor, or by part and id with every floor 0 — and
 // where it stops change how much is scored, never what comes out. For every
-// order the matches of ModeExact, ModeAuto and ModeApproximate are the same
-// (ContinuousDistance follows from the copy chosen) — on an Engine and on
-// 1, 2, 7 and 8 shards, static and live: a bucket shape tombstoned, shapes
-// in the delta, one of them deleted between its floor and its score, which
-// makes either stage run its passes again. A rectangle stored twice ties
+// order the matches of the exact and the hashing stage are the same
+// (ContinuousDistance follows from the copy chosen), and so are those of
+// ModeExact, ModeAuto and ModeApproximate — on an Engine and on 1, 2, 7 and
+// 8 shards, static and live: a bucket shape tombstoned, shapes in the
+// delta. A rectangle stored twice ties
 // two shapes on distance; the rhombus and the segment among the queries are
 // centrally symmetric, so a stored copy and its reverse — a half turn apart
 // — tie on distance within a shape (the test counts those that do to the
@@ -220,9 +200,9 @@ func TestBucketOrderInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		parts := single.searchView().parts
-		ties += copyTies(t, parts[0].(*frozenPart), pq, hashBuckets(parts, pq)[0])
+		ties += copyTies(t, parts[0], pq, hashBuckets(parts, pq)[0])
 		for _, k := range ks {
-			assertOrderInvariant(t, fmt.Sprintf("engine q%d k=%d", qi, k), single, single.searchView, q, k)
+			assertOrderInvariant(t, fmt.Sprintf("engine q%d k=%d", qi, k), single, single.searchView(), q, k)
 		}
 		resp, err := single.Search(ctx, SearchRequest{Query: q, K: 2, Mode: ModeExact})
 		if err != nil {
@@ -240,7 +220,7 @@ func TestBucketOrderInvariance(t *testing.T) {
 		se := buildShardedFrom(t, images, shards)
 		for qi, q := range queries {
 			for _, k := range ks {
-				assertOrderInvariant(t, fmt.Sprintf("shards=%d q%d k=%d", shards, qi, k), se, se.searchView, q, k)
+				assertOrderInvariant(t, fmt.Sprintf("shards=%d q%d k=%d", shards, qi, k), se, se.searchView(), q, k)
 			}
 		}
 
@@ -264,57 +244,8 @@ func TestBucketOrderInvariance(t *testing.T) {
 				if dead := deadInBucket(t, se.searchView().parts, q); qi == 0 && dead == 0 {
 					t.Fatalf("%s: no tombstoned shape on the query's hash curves", label)
 				}
-				assertOrderInvariant(t, label, se, se.searchView, q, k)
+				assertOrderInvariant(t, label, se, se.searchView(), q, k)
 			}
-		}
-
-		// A delta shape deleted between its floor and its score: pass 1
-		// listed it and took its floor — the lowest there is, it is the
-		// query — and the stage, which sees the delete, runs its passes
-		// again. The answer is the one a search gives after the delete, in
-		// any order.
-		q := queries[2]
-		for mi, mode := range []Mode{ModeExact, ModeAuto, ModeApproximate} {
-			victim := 9100 + mi
-			if err := se.InsertImage(ctx, victim, []Shape{q.Clone()}); err != nil {
-				t.Fatal(err)
-			}
-			deleted := false
-			hooked := func() searchView {
-				v := se.searchView()
-				for i, p := range v.parts {
-					if dp, live := p.(*deltaPart); live {
-						v.parts[i] = orderedPart{part: p, afterFloor: func(id int) {
-							if !deleted && dp.d.ImageOf(id) == victim {
-								deleted = true
-								if err := se.DeleteImage(ctx, victim); err != nil {
-									t.Errorf("shards=%d %v: DeleteImage mid-pass: %v", shards, mode, err)
-								}
-							}
-						}}
-					}
-				}
-				return v
-			}
-			var pl sched.Planner
-			got, err := search(ctx, &pl, true, hooked, SearchRequest{Query: q, K: 1, Mode: mode, Exec: ExecSequential})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !deleted {
-				t.Fatalf("shards=%d %v: the pass took no floor of the shape to delete", shards, mode)
-			}
-			for _, m := range got.Matches {
-				if m.ImageID == victim {
-					t.Fatalf("shards=%d %v: the deleted shape surfaced: %+v", shards, mode, got.Matches)
-				}
-			}
-			want, err := se.Search(ctx, SearchRequest{Query: q, K: 1, Mode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertMatchesEqual(t, fmt.Sprintf("shards=%d %v deleted mid-pass", shards, mode), want.Matches, got.Matches)
-			assertOrderInvariant(t, fmt.Sprintf("shards=%d %v after the delete", shards, mode), se, se.searchView, q, 1)
 		}
 	}
 }

@@ -163,12 +163,7 @@ func New(opts Options) *Engine {
 		opts.HashCurves = 50
 	}
 	qopts := query.DefaultOptions()
-	if opts.Alpha > 0 {
-		qopts.Core.Alpha = opts.Alpha
-	}
-	if opts.Beta > 0 {
-		qopts.Core.Beta = opts.Beta
-	}
+	qopts.Core = coreOptions(opts)
 	if opts.Tau > 0 {
 		qopts.Tau = opts.Tau
 	}
@@ -176,6 +171,20 @@ func New(opts Options) *Engine {
 		qopts.AngleTol = opts.AngleTol
 	}
 	return &Engine{opts: opts, db: query.NewDB(qopts)}
+}
+
+// coreOptions is the one mapping of an engine's options onto the core
+// options its shapes are stored and searched under — every shard's and
+// the live delta's, which must match bit for bit.
+func coreOptions(o Options) core.Options {
+	c := core.DefaultOptions()
+	if o.Alpha > 0 {
+		c.Alpha = o.Alpha
+	}
+	if o.Beta > 0 {
+		c.Beta = o.Beta
+	}
+	return c
 }
 
 // AddImage registers an image with its object-boundary shapes. Shapes

@@ -10,12 +10,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/ingest"
 )
 
 // Live ingestion (DESIGN.md §4.12). A frozen ShardedEngine becomes
-// mutable by attaching a write-ahead log and a mutable delta shard:
+// mutable by attaching a write-ahead log and a live delta, whose every
+// write publishes a new immutable version:
 //
 //	InsertImage ──▶ delta (queryable immediately) + DELTA.wal record
 //	DeleteImage ──▶ delta tombstone, or manifest tombstone for frozen images
@@ -133,7 +133,6 @@ type ingestor struct {
 	compactMu  sync.Mutex
 	compacting atomic.Bool
 
-	copts   core.Options // delta core options, mirroring the shards'
 	walTorn bool
 	replay  int
 	ins     uint64
@@ -143,17 +142,20 @@ type ingestor struct {
 	lastErr string
 }
 
-// deltaCoreOptions derives the core options the frozen shards run
-// with — the delta must match them exactly for result identity.
-func (se *ShardedEngine) deltaCoreOptions() core.Options {
-	o := core.DefaultOptions()
-	if se.opts.Alpha > 0 {
-		o.Alpha = se.opts.Alpha
-	}
-	if se.opts.Beta > 0 {
-		o.Beta = se.opts.Beta
-	}
-	return o
+// newDelta creates an empty delta whose first global id is gidBase,
+// storing its shapes under the frozen shards' core options (coreOptions)
+// and hashing them with their curve family: the delta must match them
+// exactly for result identity.
+func (g *ingestor) newDelta(gidBase int) (*ingest.Delta, error) {
+	return ingest.NewDelta(coreOptions(g.se.opts), g.se.opts.HashCurves, gidBase)
+}
+
+// publishActive installs the successor of view v whose active delta is d.
+// Caller holds mu (or is still single-threaded in setup).
+func (g *ingestor) publishActive(v *shardView, d *ingest.Delta) {
+	nv := *v
+	nv.active = d
+	g.se.view.Store(&nv)
 }
 
 // IngestEnabled reports whether EnableIngest has completed.
@@ -162,7 +164,7 @@ func (se *ShardedEngine) IngestEnabled() bool { return se.ing.Load() != nil }
 // EnableIngest attaches live ingestion to a frozen engine: it opens (or
 // creates) the snapshot directory's write-ahead log, replays any
 // operations past the manifest's fold watermark, and publishes a view
-// with a mutable delta shard. Call once, after Freeze or load, before
+// with an empty live delta. Call once, after Freeze or load, before
 // serving mutations; it is not safe concurrently with itself.
 func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	if !se.frozen {
@@ -195,7 +197,7 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	if cfg.CompactThreshold == 0 {
 		cfg.CompactThreshold = DefaultCompactThreshold
 	}
-	g := &ingestor{se: se, cfg: cfg, walFloor: man.WALSeq, copts: se.deltaCoreOptions()}
+	g := &ingestor{se: se, cfg: cfg, walFloor: man.WALSeq}
 	wal, ops, torn, err := ingest.OpenWAL(filepath.Join(cfg.Dir, walName), ingest.Options{
 		NoSync:     cfg.NoSync,
 		WrapWriter: cfg.WrapWAL,
@@ -205,16 +207,14 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	}
 	g.wal = wal
 	g.walTorn = torn
-	active, err := ingest.NewDelta(g.copts, se.opts.HashCurves, v.smap.NumGlobal())
+	active, err := g.newDelta(v.smap.NumGlobal())
 	if err != nil {
 		wal.Close()
 		return err
 	}
 	se.ing.Store(g)
-	nv := *v
-	nv.active = active
-	se.view.Store(&nv)
-	g.rebuildIndexLocked(&nv)
+	g.publishActive(v, active)
+	g.rebuildIndexLocked(v)
 
 	// Crash recovery: re-apply every operation past the fold watermark.
 	// Application is idempotent (an insert of an image that is already
@@ -265,11 +265,15 @@ func (g *ingestor) applyReplay(op ingest.Op) error {
 		if g.frozenLive(v, op.Image) || v.active.Has(op.Image) {
 			return nil // already folded or applied
 		}
-		return v.active.Insert(op.Image, op.Shapes)
+		next, err := v.active.Insert(op.Image, op.Shapes)
+		if err == nil {
+			g.publishActive(v, next)
+		}
+		return err
 	case ingest.OpDelete:
-		if v.active.Has(op.Image) {
-			_, _, err := v.active.Delete(op.Image)
-			return err
+		if next, found := v.active.Delete(op.Image); found {
+			g.publishActive(v, next)
+			return nil
 		}
 		if g.frozenLive(v, op.Image) {
 			g.deleteFrozenLocked(op.Image)
@@ -279,11 +283,11 @@ func (g *ingestor) applyReplay(op ingest.Op) error {
 	return fmt.Errorf("unknown op kind %q", string(op.Kind))
 }
 
-// InsertImage adds an image to the live base: validated and indexed
-// into the mutable delta (visible to the next Search), durably logged
-// before acknowledgment. The image id must not be live anywhere —
-// frozen shards, sealed delta, or active delta; re-using the id of a
-// deleted image is allowed and assigns fresh global shape ids.
+// InsertImage adds an image to the live base: validated into a successor
+// of the active delta, durably logged, then published — visible to the
+// next Search — before acknowledgment. The image id must not be live
+// anywhere — frozen shards, sealed delta, or active delta; re-using the id
+// of a deleted image is allowed and assigns fresh global shape ids.
 func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []Shape) error {
 	g := se.ing.Load()
 	if g == nil {
@@ -302,25 +306,26 @@ func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []
 		g.mu.Unlock()
 		return fmt.Errorf("%w: id %d", ErrImageExists, imageID)
 	}
-	// Index first — Insert validates the shapes, and nothing invalid may
-	// reach the log — then append; a failed append rolls the delta back
-	// (including the global-id reservation: the insert was never
-	// acknowledged, so no trace of it may survive).
-	if err := v.active.Insert(imageID, shapes); err != nil {
+	// Build the successor first — Insert validates the shapes, and nothing
+	// invalid may reach the log — then append, then publish: a failed
+	// append publishes nothing, so the unacknowledged insert leaves no
+	// trace, its global-id reservation included.
+	next, err := v.active.Insert(imageID, shapes)
+	if err != nil {
 		g.mu.Unlock()
 		return err
 	}
 	op := ingest.Op{Kind: ingest.OpInsert, Image: imageID, Shapes: shapes}
 	if err := g.wal.Append(&op); err != nil {
-		v.active.RollbackLast(imageID)
 		g.mu.Unlock()
 		return fmt.Errorf("geosir: logging insert: %w", err)
 	}
+	g.publishActive(v, next)
 	g.pending = append(g.pending, op)
 	g.ins++
 	se.mutEpoch.Add(1)
 	trigger := g.cfg.CompactThreshold > 0 &&
-		v.active.NumShapes() >= g.cfg.CompactThreshold &&
+		next.NumShapes() >= g.cfg.CompactThreshold &&
 		!g.compacting.Load()
 	if trigger {
 		g.autos++
@@ -361,14 +366,13 @@ func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 	v := se.view.Load()
 	switch {
 	case v.active.Has(imageID):
+		next, _ := v.active.Delete(imageID)
 		op := ingest.Op{Kind: ingest.OpDelete, Image: imageID}
 		if err := g.wal.Append(&op); err != nil {
 			return fmt.Errorf("geosir: logging delete: %w", err)
 		}
 		g.pending = append(g.pending, op)
-		if _, _, err := v.active.Delete(imageID); err != nil {
-			return err
-		}
+		g.publishActive(v, next)
 	case v.sealed != nil && v.sealed.Has(imageID):
 		return ErrCompacting
 	case g.frozenLive(v, imageID):
@@ -468,9 +472,8 @@ func (se *ShardedEngine) Compact() error {
 			return nil // nothing to fold
 		}
 		sealed = v.active
-		sealed.Seal()
 		g.sealSeq = g.pending[len(g.pending)-1].Seq
-		active, err := ingest.NewDelta(g.copts, se.opts.HashCurves, sealed.NextGID())
+		active, err := g.newDelta(sealed.NextGID())
 		if err != nil {
 			g.mu.Unlock()
 			return err

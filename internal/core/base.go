@@ -133,6 +133,10 @@ func (b *Base) AddShape(image int, p geom.Poly) (int, error) {
 	if b.frozen {
 		return 0, fmt.Errorf("core: base is frozen")
 	}
+	return b.addShape(image, p)
+}
+
+func (b *Base) addShape(image int, p geom.Poly) (int, error) {
 	if err := p.Validate(); err != nil {
 		return 0, fmt.Errorf("core: invalid shape: %w", err)
 	}
@@ -164,16 +168,53 @@ func (b *Base) Freeze() error {
 		total += len(e.Poly.Pts)
 	}
 	b.verts = make([]geom.Point, 0, total)
-	b.entryOff = make([]int32, len(b.entries)+1)
-	for ei, e := range b.entries {
-		b.entryOff[ei] = int32(len(b.verts))
-		b.verts = append(b.verts, e.Poly.Pts...)
-	}
-	b.entryOff[len(b.entries)] = int32(len(b.verts))
-	b.fieldCells = appendFieldCells(make([]uint16, 0, len(b.verts)), b.verts)
-	b.computeEntryCosts()
+	b.fieldCells = make([]uint16, 0, total)
+	b.entryOff = make([]int32, 1, len(b.entries)+1)
+	b.entryCost = make([]int32, 0, len(b.entries))
+	b.flatten()
 	b.frozen = true
 	return nil
+}
+
+// Append returns a frozen successor of b holding b's shapes and then
+// polys, all of image, under the next ids — laid out as Freeze lays out a
+// base, so every search reads it as it reads a frozen one. b must be frozen
+// or empty, and stays as it is: the successor shares b's arrays and
+// appends past their ends, which is why only one successor of b may be
+// kept — a second Append to b overwrites what the first appended. An
+// invalid shape fails the whole call.
+func (b *Base) Append(image int, polys []geom.Poly) (*Base, error) {
+	if !b.frozen && len(b.shapes) > 0 {
+		return nil, fmt.Errorf("core: Append to an unfrozen base")
+	}
+	n := &Base{
+		opts: b.opts, shapes: b.shapes, entries: b.entries, shapeOff: b.shapeOff,
+		verts: b.verts, entryOff: b.entryOff, fieldCells: b.fieldCells,
+		entryCost: b.entryCost, totalCost: b.totalCost, frozen: true,
+	}
+	for _, p := range polys {
+		if _, err := n.addShape(image, p); err != nil {
+			return nil, err
+		}
+	}
+	n.flatten()
+	return n, nil
+}
+
+// flatten lays the entries past the flat ones out after them: their
+// vertices, distance-field cells and block costs.
+func (b *Base) flatten() {
+	if len(b.entryOff) == 0 {
+		b.entryOff = append(b.entryOff, 0)
+	}
+	for ei := len(b.entryOff) - 1; ei < len(b.entries); ei++ {
+		pts := b.entries[ei].Poly.Pts
+		b.verts = append(b.verts, pts...)
+		b.fieldCells = appendFieldCells(b.fieldCells, pts)
+		b.entryOff = append(b.entryOff, int32(len(b.verts)))
+		b.entryCost = append(b.entryCost, entryBlocks(len(pts)))
+		b.totalCost += int(b.entryCost[ei])
+	}
 }
 
 // BuildRangeIndex builds the climb's range index — Options.BackendFactory's

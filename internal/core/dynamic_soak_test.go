@@ -7,9 +7,10 @@ import (
 	"repro/internal/synth"
 )
 
-// TestDynamicInterleavedWorkload soaks the dynamic base with a mixed
-// insert/delete/match stream and cross-checks every converged match
-// against a freshly built static oracle over the current live set.
+// TestDynamicInterleavedWorkload soaks the dynamic base — a Base grown by
+// Append behind a dead set — with a mixed insert/delete/match stream and
+// cross-checks every match against a freshly built static oracle over the
+// current live set.
 func TestDynamicInterleavedWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -17,7 +18,7 @@ func TestDynamicInterleavedWorkload(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	opts := DefaultOptions()
 	opts.Alpha = 0.065
-	d := NewDynamic(opts)
+	d := newDyn(opts)
 
 	type liveShape struct {
 		id   int
@@ -30,7 +31,7 @@ func TestDynamicInterleavedWorkload(t *testing.T) {
 	makeShape := func() (int, error) {
 		c := 3 + rng.Intn(7)
 		s := synth.Star(rng, c, 0.02)
-		id, err := d.Insert(nextImg, s)
+		id, err := d.insert(nextImg, s)
 		if err != nil {
 			return 0, err
 		}
@@ -52,10 +53,7 @@ func TestDynamicInterleavedWorkload(t *testing.T) {
 		ob := NewBase(opts)
 		idOf := make([]int, 0, len(live))
 		for _, ls := range live {
-			s, err := d.Shape(ls.id)
-			if err != nil {
-				t.Fatalf("live shape %d missing: %v", ls.id, err)
-			}
+			s := d.b.Shape(ls.id)
 			if _, err := ob.AddShape(s.Image, s.Poly); err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +67,7 @@ func TestDynamicInterleavedWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := live[rng.Intn(len(live))]
-		s, _ := d.Shape(src.id)
+		s := d.b.Shape(src.id)
 		q := synth.Distort(rng, s.Poly, 0.01)
 		if q.Validate() != nil {
 			return
@@ -98,7 +96,7 @@ func TestDynamicInterleavedWorkload(t *testing.T) {
 			}
 		case rng.Float64() < 0.6:
 			victim := rng.Intn(len(live))
-			if err := d.Delete(live[victim].id); err != nil {
+			if err := d.delete(live[victim].id); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live[:victim], live[victim+1:]...)
@@ -107,7 +105,7 @@ func TestDynamicInterleavedWorkload(t *testing.T) {
 		}
 	}
 	checkOracle()
-	if d.Len() != len(live) {
-		t.Errorf("Len = %d, tracked %d", d.Len(), len(live))
+	if d.live() != len(live) {
+		t.Errorf("%d live shapes, tracked %d", d.live(), len(live))
 	}
 }

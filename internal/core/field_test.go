@@ -338,9 +338,9 @@ func TestFieldRejectIsExact(t *testing.T) {
 // every (query, shape) of a 20-image base under 32 queries, and of the
 // sliver base, whose off-table vertices contribute nothing — so a shape the
 // pass stops in front of (floor above the cutoff, at half, once and twice
-// the true k-th) is one the bounded scorer rejects at that cutoff. A live
-// shape's floor is the frozen one's, bit for bit, and a deleted shape's
-// claims nothing.
+// the true k-th) is one the bounded scorer rejects at that cutoff. A
+// shape's floor in a base grown by Append, as a live delta's is, is the
+// frozen one's, bit for bit, and an id out of range claims nothing.
 func TestFloorAdmissible(t *testing.T) {
 	spec := synth.PaperSpec(0.002, 137)
 	images := synth.GenerateBase(spec)
@@ -359,9 +359,9 @@ func TestFloorAdmissible(t *testing.T) {
 		{"demo-20", demo, synth.Queries(rand.New(rand.NewSource(139)), images, 32, 0.01)},
 		{"sliver", wide, wideQueries},
 	} {
-		d := NewDynamic(tc.b.opts)
+		d := newDyn(tc.b.opts)
 		for _, s := range tc.b.shapes {
-			if _, err := d.Insert(s.Image, s.Poly); err != nil {
+			if _, err := d.insert(s.Image, s.Poly); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -383,7 +383,7 @@ func TestFloorAdmissible(t *testing.T) {
 				if floors[sid] > 0 {
 					positive++
 				}
-				if live := d.ShapeFloor(sid, pq); math.Float64bits(live) != math.Float64bits(floors[sid]) {
+				if live := d.b.ShapeFloor(sid, pq); math.Float64bits(live) != math.Float64bits(floors[sid]) {
 					t.Fatalf("%s q%d shape %d: live floor %v, frozen %v", tc.name, qi, sid, live, floors[sid])
 				}
 			}
@@ -402,15 +402,9 @@ func TestFloorAdmissible(t *testing.T) {
 				}
 			}
 		}
-		if err := d.Delete(0); err != nil {
-			t.Fatal(err)
-		}
 		pq, err := PrepareQuery(tc.queries[0])
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := d.ShapeFloor(0, pq); got != 0 {
-			t.Fatalf("%s: a deleted shape's floor is %v, want 0", tc.name, got)
 		}
 		if got := tc.b.ShapeFloor(tc.b.NumShapes(), pq); got != 0 {
 			t.Fatalf("%s: the floor of a shape id out of range is %v, want 0", tc.name, got)
@@ -666,8 +660,8 @@ func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
 // TestFieldCellsFollowTheBase pins that a stored vertex's cell id is a
 // property of the vertex, whichever way its copy came to be searchable: a
 // base frozen from shapes, one reassembled from parts over heap slices and
-// over a read-only file mapping, a live shape at insert, and the base a
-// compaction freezes from the live shapes all hold fieldCell of every
+// over a read-only file mapping, one grown shape by shape by Append (a live
+// delta's), and the base a compaction freezes from the live shapes all hold fieldCell of every
 // vertex, in vertex order — the sliver's vertices outside the box included.
 // And on every one of those paths a shape is read as one strided block
 // (checkStrided): copy c's cells at c·nv, inside the cells its owner holds
@@ -714,27 +708,24 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 		check("BaseFromParts over a mapping", reassemble(t, frozen, verts))
 	}
 
-	d := NewDynamic(frozen.opts)
+	d := newDyn(frozen.opts)
 	compacted := NewBase(frozen.opts)
 	for _, s := range frozen.shapes {
-		id, err := d.Insert(s.Image, s.Poly)
+		id, err := d.insert(s.Image, s.Poly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := d.overflow[d.slot[id]]
+		live := d.b.scanShape(id)
 		lo, hi := frozen.entryOff[frozen.shapeOff[s.ID]], frozen.entryOff[frozen.shapeOff[s.ID+1]]
-		if !reflect.DeepEqual(live.cells, want[lo:hi]) {
-			t.Fatalf("Insert: live shape %d holds cells %v, the frozen base %v", id, live.cells, want[lo:hi])
+		if !reflect.DeepEqual(live.block, want[lo:hi]) {
+			t.Fatalf("Append: live shape %d holds cells %v, the frozen base %v", id, live.block, want[lo:hi])
 		}
-		checkStrided(t, "Insert", live.scan(), live.cells, 0)
-		ls, err := d.Shape(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ls := d.b.Shape(id)
 		if _, err := compacted.AddShape(ls.Image, ls.Poly); err != nil {
 			t.Fatal(err)
 		}
 	}
+	check("Append", d.b)
 	if err := compacted.Freeze(); err != nil {
 		t.Fatal(err)
 	}

@@ -148,35 +148,29 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 // the index by blocks fetched, not CPU.
 var pageSize = os.Getpagesize()
 
-// computeEntryCosts models each entry's storage footprint — what a
-// snapshot holds for it: its vertices (EVTX), entry meta and the two
-// transforms (ENTM, ENTT) — in pages. The match kernel charges this
+// entryBlocks models the storage footprint of a copy of nv vertices —
+// what a snapshot holds for it: its vertices (EVTX), entry meta and the
+// two transforms (ENTM, ENTT) — in pages. The match kernel charges this
 // cost whenever it evaluates the entry, turning the extstore simulation
 // of the paper's §4 block accounting into live counters on the real
 // path.
+func entryBlocks(nv int) int32 {
+	bytes := nv*16 + // vertices
+		2*32 + // Norm + Inv transforms
+		16 // entry meta
+	return int32(max((bytes+pageSize-1)/pageSize, 1))
+}
+
+// computeEntryCosts derives every entry's block cost (entryBlocks) and
+// their sum.
 func (b *Base) computeEntryCosts() {
 	b.entryCost = make([]int32, len(b.entries))
 	b.totalCost = 0
 	for ei := range b.entries {
-		nv := int(b.entryOff[ei+1] - b.entryOff[ei])
-		bytes := nv*16 + // vertices
-			2*32 + // Norm + Inv transforms
-			16 // entry meta
-		blocks := (bytes + pageSize - 1) / pageSize
-		if blocks < 1 {
-			blocks = 1
-		}
-		b.entryCost[ei] = int32(blocks)
-		b.totalCost += blocks
+		b.entryCost[ei] = entryBlocks(int(b.entryOff[ei+1] - b.entryOff[ei]))
+		b.totalCost += int(b.entryCost[ei])
 	}
 }
 
-// blockCost returns the page-granular cost of touching entry ei. Bases
-// frozen before block accounting existed (or mid-rebuild dynamic
-// overflow entries) charge a flat 1.
-func (b *Base) blockCost(ei int32) int {
-	if b.entryCost == nil || int(ei) >= len(b.entryCost) {
-		return 1
-	}
-	return int(b.entryCost[ei])
-}
+// blockCost returns the page-granular cost of touching entry ei.
+func (b *Base) blockCost(ei int32) int { return int(b.entryCost[ei]) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -496,34 +495,6 @@ func (b *Base) ShapeFloor(shapeID int, pq *PreparedQuery) float64 {
 	}
 	s := b.scanShape(shapeID)
 	return s.floor(pq.distField())
-}
-
-// Floors is pass 1 of the exact search over the base (floorAll): visit
-// sees every shape not in dead, in id order, with its floor (ShapeFloor),
-// and Floors returns the copies floored and their block cost — the one
-// charge the exact search makes for a copy it does not re-read.
-func (b *Base) Floors(ctx context.Context, pq *PreparedQuery, dead map[int]bool, visit func(id int, floor float64)) (copies, blocks int, err error) {
-	if err := floorAll(ctx, pq, len(b.shapes), b.scanShape, dead, visit); err != nil {
-		return 0, 0, err
-	}
-	copies, blocks = len(b.entries), b.totalCost
-	for id := range dead {
-		for ei := b.shapeOff[id]; ei < b.shapeOff[id+1]; ei++ {
-			copies, blocks = copies-1, blocks-b.blockCost(ei)
-		}
-	}
-	return copies, blocks, nil
-}
-
-// Within is the fixed-cutoff scan over the base (within): visit sees, in
-// id order, every shape not in dead whose distance to the query is ≤ cut,
-// EntryID the lowest copy realizing it (what Continuous reads). Within
-// returns the copies scanned and their block cost; a cancelled scan returns
-// ctx's error with the copies scanned so far. The query's evaluation
-// counter, when attached, is charged with the copies that reached the exact
-// evaluator.
-func (b *Base) Within(ctx context.Context, pq *PreparedQuery, dead map[int]bool, cut float64, visit func(Match)) (copies, blocks int, err error) {
-	return within(ctx, pq, len(b.shapes), b.scanShape, dead, cut, visit)
 }
 
 // Continuous is the continuous measure between the query and stored copy

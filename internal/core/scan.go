@@ -6,23 +6,23 @@ import (
 )
 
 // This file holds the per-shape loops of every serving search (DESIGN.md
-// §4.9): the one walk over the live shapes, which runs the floor pass of
-// the exact search ("The exact search is two passes") and the fixed-cutoff
-// scan behind the sketch tables (frozen and live) and SimilarShapes, and
-// the bounded evaluation of one shape.
+// §4.9): the one walk over a base's live shapes, which runs the floor pass
+// of the exact search ("The exact search is two passes") and the
+// fixed-cutoff scan behind the sketch tables and SimilarShapes, and the
+// bounded evaluation of one shape.
 
 // scanShape is one shape as the bounded evaluators walk it: its normalized
 // copies are entries, the c-th reported as entry first+c, and every copy has
 // the shape's nv vertices, so copy c's fall in the distance-field cells
-// block[c·nv:(c+1)·nv] — one strided block, a subslice of the frozen base's
-// cell array or of a live shape's own.
+// block[c·nv:(c+1)·nv] — one strided block, a subslice of the base's cell
+// array.
 type scanShape struct {
 	id      int
 	entries []Entry
 	block   []uint16
 	nv      int
 	first   int
-	cost    []int32 // per-copy block cost; nil where storage is not block-accounted
+	cost    []int32 // per-copy block cost
 }
 
 // copyCells is the field cells of copy c's vertices, one per vertex.
@@ -47,41 +47,53 @@ func (s *scanShape) floor(f *distField) float64 {
 	return fieldFloor(least, s.nv)
 }
 
-// eachLive hands visit every shape of shapeAt(0..n-1) not in dead, in
-// index order: the one walk of the floor pass and the fixed-cutoff scan.
-// ctx is checked every 32 shapes — each costs a table load per stored
-// vertex and a few boundary probes, so the cancellation latency stays well
-// under a millisecond; a cancelled walk returns ctx's error.
-func eachLive(ctx context.Context, n int, shapeAt func(i int) scanShape, dead map[int]bool, visit func(s scanShape)) error {
-	for i := 0; i < n; i++ {
-		if i&31 == 0 {
+// eachLive hands visit every shape of the base not in dead, in id order:
+// the one walk of the floor pass and the fixed-cutoff scan. ctx is checked
+// every 32 shapes — each costs a table load per stored vertex and a few
+// boundary probes, so the cancellation latency stays well under a
+// millisecond; a cancelled walk returns ctx's error.
+func (b *Base) eachLive(ctx context.Context, dead map[int]bool, visit func(s scanShape)) error {
+	for id := range b.shapes {
+		if id&31 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if s := shapeAt(i); !dead[s.id] {
-			visit(s)
+		if !dead[id] {
+			visit(b.scanShape(id))
 		}
 	}
 	return nil
 }
 
-// floorAll is pass 1 of the exact search (DESIGN.md §4.9, "The exact
-// search is two passes") over shapeAt(0..n-1): visit sees every shape not
-// in dead, in index order, with its floor.
-func floorAll(ctx context.Context, pq *PreparedQuery, n int, shapeAt func(i int) scanShape, dead map[int]bool, visit func(id int, floor float64)) error {
+// Floors is pass 1 of the exact search (DESIGN.md §4.9, "The exact search
+// is two passes") over the base: visit sees every shape not in dead, in id
+// order, with its floor (ShapeFloor), and Floors returns the copies floored
+// and their block cost — the one charge the exact search makes for a copy
+// it does not re-read.
+func (b *Base) Floors(ctx context.Context, pq *PreparedQuery, dead map[int]bool, visit func(id int, floor float64)) (copies, blocks int, err error) {
 	f := pq.distField()
-	return eachLive(ctx, n, shapeAt, dead, func(s scanShape) { visit(s.id, s.floor(f)) })
+	if err := b.eachLive(ctx, dead, func(s scanShape) { visit(s.id, s.floor(f)) }); err != nil {
+		return 0, 0, err
+	}
+	copies, blocks = len(b.entries), b.totalCost
+	for id := range dead {
+		for ei := b.shapeOff[id]; ei < b.shapeOff[id+1]; ei++ {
+			copies, blocks = copies-1, blocks-b.blockCost(ei)
+		}
+	}
+	return copies, blocks, nil
 }
 
-// within is the fixed-cutoff scan (DESIGN.md §4.9, "The fixed-cutoff
-// scan") over shapeAt(0..n-1): every shape not in dead goes through
-// nearest under cut, and visit sees, in index order, each whose distance is
-// ≤ cut, EntryID the lowest copy realizing it (first + its index).
-// It returns the copies scanned and their block cost; a cancelled scan
-// returns ctx's error with the copies scanned so far.
-func within(ctx context.Context, pq *PreparedQuery, n int, shapeAt func(i int) scanShape, dead map[int]bool, cut float64, visit func(Match)) (copies, blocks int, err error) {
-	err = eachLive(ctx, n, shapeAt, dead, func(s scanShape) {
+// Within is the fixed-cutoff scan (DESIGN.md §4.9, "The fixed-cutoff
+// scan") over the base: every shape not in dead goes through nearest under
+// cut, and visit sees, in id order, each whose distance is ≤ cut, EntryID
+// the lowest copy realizing it (what Continuous reads). Within returns the
+// copies scanned and their block cost; a cancelled scan returns ctx's error
+// with the copies scanned so far. The query's evaluation counter, when
+// attached, is charged with the copies that reached the exact evaluator.
+func (b *Base) Within(ctx context.Context, pq *PreparedQuery, dead map[int]bool, cut float64, visit func(Match)) (copies, blocks int, err error) {
+	err = b.eachLive(ctx, dead, func(s scanShape) {
 		best, ei, _, cost := s.nearest(pq, cut, nil)
 		copies, blocks = copies+len(s.entries), blocks+cost
 		if ei >= 0 && best <= cut {
@@ -166,9 +178,7 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 // access charges copy c's read: its block cost to *blocks, its entry to
 // onAccess when set.
 func (s *scanShape) access(c int, blocks *int, onAccess func(entryID int)) {
-	if s.cost != nil {
-		*blocks += int(s.cost[c])
-	}
+	*blocks += int(s.cost[c])
 	if onAccess != nil {
 		onAccess(s.first + c)
 	}

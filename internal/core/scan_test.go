@@ -181,21 +181,21 @@ func withinSorted(b *Base, pq *PreparedQuery, dead map[int]bool, cut float64) (o
 
 // TestCopiesShareVertexCount pins what scanShape.floor's one division rests
 // on: every normalized copy of a shape has the shape's vertex count — in a
-// frozen Base, in one reassembled from its parts, and in the live overflow
-// — at the default α and at α = 0.6, whose copies leave the lune.
+// frozen Base, in one reassembled from its parts, and in one grown by
+// Append, as a live delta's is — at the default α and at α = 0.6, whose copies leave the lune.
 func TestCopiesShareVertexCount(t *testing.T) {
 	images := synth.GenerateBase(synth.PaperSpec(0.002, 67))
 	sliver := geom.NewPolygon(geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 1))
 	for _, alpha := range []float64{DefaultOptions().Alpha, 0.6} {
 		opts := DefaultOptions()
 		opts.Alpha = alpha
-		b, d := NewBase(opts), NewDynamic(opts)
+		b, d := NewBase(opts), newDyn(opts)
 		for _, img := range images {
 			for _, s := range append(img.Shapes, sliver) {
 				if _, err := b.AddShape(img.ID, s); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := d.Insert(img.ID, s); err != nil {
+				if _, err := d.insert(img.ID, s); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -203,21 +203,13 @@ func TestCopiesShareVertexCount(t *testing.T) {
 		if err := b.Freeze(); err != nil {
 			t.Fatal(err)
 		}
-		for _, base := range []*Base{b, reassemble(t, b, b.verts)} {
+		for _, base := range []*Base{b, reassemble(t, b, b.verts), d.b} {
 			for id := range base.NumShapes() {
 				s, n := base.scanShape(id), len(base.Shape(id).Poly.Pts)
 				for c := range s.entries {
 					if got := len(s.copyCells(c)); got != n || s.nv != n || len(s.entries[c].Poly.Pts) != n {
 						t.Fatalf("α=%g: frozen shape %d of %d vertices: copy %d has %d cells", alpha, id, n, c, got)
 					}
-				}
-			}
-		}
-		for i := range d.overflow {
-			s, n := d.overflow[i].scan(), len(d.overflow[i].shape.Poly.Pts)
-			for c := range s.entries {
-				if got := len(s.copyCells(c)); got != n || s.nv != n || len(s.entries[c].Poly.Pts) != n {
-					t.Fatalf("α=%g: live shape %d of %d vertices: copy %d has %d cells", alpha, s.id, n, c, got)
 				}
 			}
 		}
@@ -278,7 +270,7 @@ func TestNearestLowestCopyOnTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	poly := es[0].Poly
-	s := scanShape{id: 7, nv: len(poly.Pts)}
+	s := scanShape{id: 7, nv: len(poly.Pts), cost: []int32{1, 1, 1}}
 	for c := 0; c < 3; c++ {
 		s.entries = append(s.entries, Entry{ShapeID: 7, Copy: c, Poly: poly})
 		if c < 2 {

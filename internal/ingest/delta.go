@@ -1,62 +1,50 @@
 package ingest
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
+	"maps"
 
 	"repro/internal/core"
 	"repro/internal/geohash"
 	"repro/internal/geom"
 )
 
-// Delta is the mutable shard of a sharded engine: a core.Dynamic holding
-// the images inserted since the last compaction, plus its own geometric
-// hash table over the shared deterministic curve family so the delta
-// participates in the approximate (hashing) path with the same buckets a
-// frozen shard would hold. All methods are safe for concurrent use.
-// Compaction — freezing the delta into a real immutable shard — is what
-// gives its shapes an index.
+// Delta is the live part of a sharded engine: the images inserted since
+// the last compaction, as one immutable version. Insert and Delete leave
+// the receiver as it is and return its successor, so a reader holding a
+// version reads it unchanged, without a lock, for as long as it holds it;
+// the owner serializes mutations and publishes each successor it keeps
+// (DESIGN.md §4.12). A successor shares its predecessor's arrays — the
+// shapes are a core.Base grown by Append, the image log and the hash
+// quadruples append-only slices — and copies only the dead set, on a
+// delete; so only the latest version may be mutated, and of the successors
+// of one version only one may be kept. Compaction — freezing a version into
+// a real immutable shard — is what gives its shapes an index.
 //
-// Global shape ids are assigned here, at insert time, by the same rule
-// the manifest replay uses after compaction (sequential from the id
-// space's current end, in insert order, with deleted images keeping
-// their reservation), so a shape's id is identical before and after the
-// delta it was born in gets compacted — and identical to what a fresh
-// unpartitioned Engine over the same AddImage sequence would assign.
+// A shape's local id is its place in insert order, deleted shapes
+// included, and its global id is gidBase + local id: the id a fresh
+// unpartitioned Engine over the same AddImage sequence assigns, and the
+// one the manifest replay assigns after compaction (deleted images keep
+// their reservation), so a shape's id is the same before and after the
+// delta it was born in gets compacted.
 type Delta struct {
-	mu     sync.RWMutex
-	opts   core.Options
-	dyn    *core.Dynamic
-	family *geohash.Family
-	table  *geohash.Table
+	base *core.Base
+	// quads holds, per local id, the characteristic quadruple of the
+	// shape's canonical copy over the shared curve family — the zero
+	// quadruple, on no curve, for a shape whose canonical normalization
+	// fails, as Engine.Freeze leaves such a shape out of its table.
+	quads   []geohash.Quadruple
+	dead    map[int]bool // local ids of deleted shapes
+	images  []imageRec   // insert order; an image is deleted when its shapes are
+	family  *geohash.Family
+	gidBase int
 
-	images  []imageRec
-	byImage map[int]int // image id → latest images index
-
-	gids       []int // dyn shape id → global shape id
-	imageOf    []int // dyn shape id → image id
-	deletedDyn []bool
-
-	liveImages int
-	liveShapes int
-	nextGID    int
-	sealed     bool
-	// deletes counts the deletes and rollbacks that removed live shapes
-	// (Deletes). Written under mu.
-	deletes atomic.Uint64
+	liveImages, liveShapes int
 }
 
-// imageRec is one Insert call, in order — the delta's slice of the
-// manifest image log.
-type imageRec struct {
-	ID      int
-	GIDBase int
-	DynIDs  []int
-	Deleted bool
-}
+// imageRec is one Insert, in order — the delta's slice of the manifest
+// image log: the image's shapes are local ids first to first+n-1.
+type imageRec struct{ id, first, n int }
 
 // ImageState is one delta image as seen by compaction: live images
 // carry their original polygons (to be fed to the new shard's
@@ -69,16 +57,6 @@ type ImageState struct {
 	Shapes    []geom.Poly // nil when Deleted
 }
 
-// Match is one delta shape scored against a query, in global id space.
-type Match struct {
-	GID      int
-	ImageID  int
-	Distance float64
-	// Copy is the ordinal of the shape's normalized copy realizing Distance
-	// (ScoreBounded; Continuous measures it).
-	Copy int
-}
-
 // NewDelta creates an empty delta. gidBase is the engine's current
 // global-id high-water mark (core.ShardMap.NumGlobal plus any earlier
 // deltas' reservations); hashCurves sizes the curve family exactly like
@@ -88,336 +66,139 @@ func NewDelta(opts core.Options, hashCurves, gidBase int) (*Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Delta{
-		opts:    opts,
-		dyn:     core.NewDynamic(opts),
-		family:  family,
-		table:   geohash.NewTableWith(family),
-		byImage: make(map[int]int),
-		nextGID: gidBase,
-	}, nil
+	return &Delta{base: core.NewBase(opts), family: family, gidBase: gidBase}, nil
 }
 
-// ErrSealed is returned by mutations against a delta that a compaction
-// has already claimed.
-var ErrSealed = fmt.Errorf("ingest: delta is sealed")
-
-// Insert adds an image's shapes. The insert is atomic: on any shape's
-// validation failure the already-inserted prefix is rolled back and the
-// delta is unchanged. Inserting an image id the delta already holds live
-// is an error (the caller checks the frozen shards).
-func (d *Delta) Insert(image int, shapes []geom.Poly) error {
+// Insert returns the successor holding the image's shapes too. It fails,
+// with no successor, on an invalid shape and on an image id the delta
+// holds live (the caller checks the frozen shards).
+func (d *Delta) Insert(image int, shapes []geom.Poly) (*Delta, error) {
 	if len(shapes) == 0 {
-		return fmt.Errorf("ingest: image %d has no shapes", image)
+		return nil, fmt.Errorf("ingest: image %d has no shapes", image)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.sealed {
-		return ErrSealed
+	if d.Has(image) {
+		return nil, fmt.Errorf("ingest: image %d already present", image)
 	}
-	if i, ok := d.byImage[image]; ok && !d.images[i].Deleted {
-		return fmt.Errorf("ingest: image %d already present", image)
+	base, err := d.base.Append(image, shapes)
+	if err != nil {
+		return nil, err
 	}
-	rec := imageRec{ID: image, GIDBase: d.nextGID, DynIDs: make([]int, 0, len(shapes))}
+	next := *d
+	next.base = base
 	for _, p := range shapes {
-		id, err := d.dyn.Insert(image, p)
-		if err != nil {
-			d.rollbackShapesLocked(rec.DynIDs)
-			return err
-		}
-		rec.DynIDs = append(rec.DynIDs, id)
-		for len(d.gids) <= id {
-			d.gids = append(d.gids, -1)
-			d.imageOf = append(d.imageOf, -1)
-			d.deletedDyn = append(d.deletedDyn, false)
-		}
-		d.gids[id] = d.nextGID + len(rec.DynIDs) - 1
-		d.imageOf[id] = image
-		// Mirror Engine.Freeze: hash the canonical copy; degenerate shapes
-		// that normalization rejects simply stay out of the table.
+		// Mirror Engine.Freeze: hash the canonical copy.
+		var quad geohash.Quadruple
 		if ce, err := core.NormalizeCanonical(p); err == nil {
-			quad := d.family.Characteristic(ce.Poly.Pts)
-			if err := d.table.Insert(id, quad); err != nil {
-				d.rollbackShapesLocked(rec.DynIDs)
-				return fmt.Errorf("ingest: hashing shape %d: %w", id, err)
-			}
+			quad = d.family.Characteristic(ce.Poly.Pts)
+		}
+		next.quads = append(next.quads, quad)
+	}
+	next.images = append(d.images, imageRec{id: image, first: d.base.NumShapes(), n: len(shapes)})
+	next.liveImages++
+	next.liveShapes += len(shapes)
+	return &next, nil
+}
+
+// Delete returns the successor in which an image the delta holds live is
+// deleted, and whether it held it (the receiver itself when not). The
+// image's shapes stay stored, with their global-id reservation (the
+// compacted manifest records the image as deleted), so later shapes' ids
+// never shift.
+func (d *Delta) Delete(image int) (*Delta, bool) {
+	i := d.latest(image)
+	if i < 0 || d.dead[d.images[i].first] {
+		return d, false
+	}
+	rec := d.images[i]
+	next := *d
+	next.dead = maps.Clone(d.dead)
+	if next.dead == nil {
+		next.dead = make(map[int]bool, rec.n)
+	}
+	for id := rec.first; id < rec.first+rec.n; id++ {
+		next.dead[id] = true
+	}
+	next.liveImages--
+	next.liveShapes -= rec.n
+	return &next, true
+}
+
+// latest is the index of the image's last record, -1 for none.
+func (d *Delta) latest(image int) int {
+	for i := len(d.images) - 1; i >= 0; i-- {
+		if d.images[i].id == image {
+			return i
 		}
 	}
-	d.nextGID += len(rec.DynIDs)
-	d.byImage[image] = len(d.images)
-	d.images = append(d.images, rec)
-	d.liveImages++
-	d.liveShapes += len(rec.DynIDs)
-	return nil
-}
-
-// rollbackShapesLocked undoes a failed Insert's already-indexed prefix:
-// the dyn shapes are deleted and their id mappings cleared, so the
-// global ids they briefly held (nextGID never advanced) are free for the
-// next insert with no live phantom claiming them. Any hash-table entries
-// stay behind tombstoned — deletedDyn filters them out of every lookup,
-// exactly as after Delete. Caller holds mu.
-func (d *Delta) rollbackShapesLocked(dynIDs []int) {
-	for _, id := range dynIDs {
-		_ = d.dyn.Delete(id)
-		d.deletedDyn[id] = true
-		d.gids[id] = -1
-		d.imageOf[id] = -1
-	}
-}
-
-// RollbackLast removes the delta's most recent Insert entirely,
-// releasing its global-id reservation. The caller must pass the image
-// id of the insert it is undoing, and must serialize mutations (the
-// ingestion layer does): only then is the record guaranteed to be the
-// delta's last, which is what makes un-reserving the ids safe. Used
-// when the write-ahead append for an insert fails — the insert was
-// never acknowledged, so no trace of it may survive.
-func (d *Delta) RollbackLast(image int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.images)
-	if n == 0 || d.images[n-1].ID != image || d.images[n-1].Deleted {
-		return
-	}
-	rec := d.images[n-1]
-	d.deletes.Add(1)
-	for _, id := range rec.DynIDs {
-		_ = d.dyn.Delete(id)
-		d.deletedDyn[id] = true
-		d.gids[id] = -1
-		d.imageOf[id] = -1
-	}
-	d.images = d.images[:n-1]
-	d.liveImages--
-	d.liveShapes -= len(rec.DynIDs)
-	d.nextGID = rec.GIDBase
-	// Restore the previous record for this image id, if any (an earlier
-	// deleted incarnation), so Has/ShapeCount stay coherent.
-	delete(d.byImage, image)
-	for i := n - 2; i >= 0; i-- {
-		if d.images[i].ID == image {
-			d.byImage[image] = i
-			break
-		}
-	}
-}
-
-// Delete tombstones an image the delta holds live. It reports the
-// image's shape count and whether it was found; the global-id
-// reservation is kept (the compacted manifest records the image as
-// deleted), so later shapes' ids never shift.
-func (d *Delta) Delete(image int) (int, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.sealed {
-		return 0, false, ErrSealed
-	}
-	i, ok := d.byImage[image]
-	if !ok || d.images[i].Deleted {
-		return 0, false, nil
-	}
-	rec := &d.images[i]
-	for _, id := range rec.DynIDs {
-		_ = d.dyn.Delete(id)
-		d.deletedDyn[id] = true
-	}
-	rec.Deleted = true
-	d.deletes.Add(1)
-	d.liveImages--
-	d.liveShapes -= len(rec.DynIDs)
-	return len(rec.DynIDs), true, nil
+	return -1
 }
 
 // Has reports whether the delta holds the image live.
 func (d *Delta) Has(image int) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	i, ok := d.byImage[image]
-	return ok && !d.images[i].Deleted
+	i := d.latest(image)
+	return i >= 0 && !d.dead[d.images[i].first]
 }
 
 // NumImages returns the live image count.
-func (d *Delta) NumImages() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.liveImages
-}
+func (d *Delta) NumImages() int { return d.liveImages }
 
 // NumShapes returns the live shape count.
-func (d *Delta) NumShapes() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.liveShapes
-}
+func (d *Delta) NumShapes() int { return d.liveShapes }
 
-// NumEntries returns the normalized-copy count across live shapes.
-func (d *Delta) NumEntries() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.dyn.NumEntries()
-}
+// NumEntries returns the stored normalized copies, deleted shapes'
+// included — as a frozen shard counts its tombstoned ones.
+func (d *Delta) NumEntries() int { return d.base.NumEntries() }
 
 // NextGID returns the global-id high-water mark after this delta's
 // reservations — the gid base for a successor delta.
-func (d *Delta) NextGID() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.nextGID
-}
+func (d *Delta) NextGID() int { return d.gidBase + d.base.NumShapes() }
 
-// Seal makes the delta read-only. A compaction seals the delta it is
-// folding while a fresh active delta takes over new writes; queries keep
-// reading the sealed delta until the hot-swap.
-func (d *Delta) Seal() {
-	d.mu.Lock()
-	d.sealed = true
-	d.mu.Unlock()
-}
+// GIDBase is the global id of local shape 0.
+func (d *Delta) GIDBase() int { return d.gidBase }
+
+// Base is every shape the delta has stored, under local ids: a frozen
+// base, searched like a shard's.
+func (d *Delta) Base() *core.Base { return d.base }
+
+// Dead is the set of deleted local ids (shared; do not modify).
+func (d *Delta) Dead() map[int]bool { return d.dead }
 
 // Family returns the delta's curve family (identical across all shards).
 func (d *Delta) Family() *geohash.Family { return d.family }
 
-// Candidates returns the live delta shape ids bucketed with the query
-// quadruple at the given curve radius — the delta's contribution to the
-// approximate path's candidate union (and to the global widening
-// decision).
-func (d *Delta) Candidates(quad geohash.Quadruple, radius int) []int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ids := d.table.Lookup(quad, radius)
-	out := ids[:0]
-	for _, id := range ids {
-		if !d.deletedDyn[id] {
-			out = append(out, id)
+// Lookup is geohash.Table.Lookup over the version's stored quadruples —
+// deleted shapes' included, as a frozen shard's table keeps its tombstoned
+// ones: the local ids, ascending, whose curve in some quarter is the
+// query's or within radius of it. One pass over at most a compaction's
+// worth of shapes; no table to keep in step with the versions.
+func (d *Delta) Lookup(quad geohash.Quadruple, radius int) []int {
+	radius = max(radius, 0)
+	var out []int
+	for id, sq := range d.quads {
+		for q, c := range quad {
+			if c > 0 && sq[q] > 0 && sq[q]-c <= radius && c-sq[q] <= radius {
+				out = append(out, id)
+				break
+			}
 		}
 	}
 	return out
-}
-
-// ScoreBounded scores one delta shape (by dyn id, as returned from
-// Candidates or Floors) against a prepared query under an admissible
-// cutoff, bit-identical to a frozen shard's scorer. The returned Match
-// carries no continuous measure (Continuous gives it) and false for a shape
-// deleted since it was listed.
-func (d *Delta) ScoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id < 0 || id >= len(d.deletedDyn) || d.deletedDyn[id] {
-		return Match{}, false
-	}
-	m, ok, err := d.dyn.ShapeDistancePreparedBounded(id, pq, cutoff)
-	if err != nil || !ok {
-		return Match{}, false
-	}
-	return Match{GID: d.gids[id], ImageID: d.imageOf[id], Distance: m.DistVertex, Copy: m.EntryID}, true
-}
-
-// Floors is pass 1 of the exact search over the delta
-// (core.Dynamic.Floors): visit sees every live shape, by dyn id, with its
-// floor. It returns the copies floored.
-func (d *Delta) Floors(ctx context.Context, pq *core.PreparedQuery, visit func(id int, floor float64)) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.dyn.Floors(ctx, pq, visit)
-}
-
-// Deletes counts the deletes (and rolled-back inserts) that have removed
-// live shapes from the delta: a reader that reads it before listing the
-// shapes and again later knows whether one it listed may be gone.
-func (d *Delta) Deletes() uint64 { return d.deletes.Load() }
-
-// Continuous is the continuous measure of the delta shape's copy c (the
-// Copy ScoreBounded returned) against the query; false for a shape deleted
-// since.
-func (d *Delta) Continuous(id, c int, pq *core.PreparedQuery) (float64, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	dist, err := d.dyn.Continuous(id, c, pq)
-	return dist, err == nil
-}
-
-// Floor is a lower bound on the distance ScoreBounded would report for
-// the delta shape (core.Dynamic.ShapeFloor): a bucket is scored in floor
-// order. 0 — no claim — for a shape deleted since it was listed.
-func (d *Delta) Floor(id int, pq *core.PreparedQuery) float64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.dyn.ShapeFloor(id, pq)
-}
-
-// GID maps a delta shape id to its global shape id (-1 if unknown).
-func (d *Delta) GID(id int) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id < 0 || id >= len(d.gids) {
-		return -1
-	}
-	return d.gids[id]
-}
-
-// ImageOf maps a delta shape id to its image id (-1 if unknown).
-func (d *Delta) ImageOf(id int) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id < 0 || id >= len(d.imageOf) {
-		return -1
-	}
-	return d.imageOf[id]
-}
-
-// SketchTable is the best distance per live image to one prepared sketch
-// shape, from one scan of every live shape under the fixed cutoff +Inf
-// (core.Dynamic.Within) — the delta's contribution to the sketch path's
-// per-shape tables.
-func (d *Delta) SketchTable(ctx context.Context, pq *core.PreparedQuery) (map[int]float64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	best := make(map[int]float64)
-	_, err := d.dyn.Within(ctx, pq, math.Inf(1), func(m core.Match) {
-		img := d.imageOf[m.ShapeID]
-		if cur, ok := best[img]; !ok || m.DistVertex < cur {
-			best[img] = m.DistVertex
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return best, nil
 }
 
 // Snapshot returns the delta's image log in insert order, for compaction
 // and for the manifest: live images with their polygons, deleted ones
 // with their shape counts only.
 func (d *Delta) Snapshot() []ImageState {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]ImageState, 0, len(d.images))
-	for _, rec := range d.images {
-		st := ImageState{ID: rec.ID, Deleted: rec.Deleted, NumShapes: len(rec.DynIDs)}
-		if !rec.Deleted {
-			st.Shapes = make([]geom.Poly, 0, len(rec.DynIDs))
-			for _, id := range rec.DynIDs {
-				s, err := d.dyn.Shape(id)
-				if err != nil {
-					continue // unreachable: live images keep live shapes
-				}
-				st.Shapes = append(st.Shapes, s.Poly)
+	out := make([]ImageState, len(d.images))
+	for i, rec := range d.images {
+		st := ImageState{ID: rec.id, Deleted: d.dead[rec.first], NumShapes: rec.n}
+		if !st.Deleted {
+			st.Shapes = make([]geom.Poly, rec.n)
+			for j := range st.Shapes {
+				st.Shapes[j] = d.base.Shape(rec.first + j).Poly
 			}
 		}
-		out = append(out, st)
+		out[i] = st
 	}
 	return out
-}
-
-// ShapeCount returns the shape count of an image the delta holds (live
-// or deleted) — manifest entries for deleted images still need it.
-func (d *Delta) ShapeCount(image int) (int, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	i, ok := d.byImage[image]
-	if !ok {
-		return 0, false
-	}
-	return len(d.images[i].DynIDs), true
 }

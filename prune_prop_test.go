@@ -99,7 +99,7 @@ func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k int, cut
 	for i := range ms {
 		h := hits[i]
 		ms[i] = h.m
-		ms[i].ContinuousDistance, _ = parts[h.c.part].continuous(int(h.c.id), h.entry, pq)
+		ms[i].ContinuousDistance, _ = parts[h.c.part].base.Continuous(h.entry, pq)
 	}
 	return ms, Stats{Converged: k <= listed}
 }

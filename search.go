@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/annindex"
 	"repro/internal/core"
 	"repro/internal/geohash"
 	"repro/internal/ingest"
@@ -161,9 +162,10 @@ type SearchResponse struct {
 	Matches []Match
 	// SketchMatches holds the ranked images of ModeSketch.
 	SketchMatches []SketchMatch
-	// Stats reports the retrieval work. For a ShardedEngine it
-	// aggregates over shards: counters sum and Iterations/FinalEpsilon are
-	// maxima.
+	// Stats reports the retrieval work of the whole request. On a
+	// ShardedEngine every part's counters sum; each stage refines the
+	// whole view at once, so the exact stage reports its 1 iteration at
+	// width 0 whatever the part count.
 	Stats Stats
 }
 
@@ -211,55 +213,154 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse
 }
 
 func (e *Engine) searchView() searchView {
-	return searchView{parts: []part{&frozenPart{e: e}}, tau: e.db.Tau()}
+	return searchView{parts: []part{e.part()}, tau: e.db.Tau()}
 }
 
-// part is one independently searchable slice of a base, as a request
-// sees it: a frozen shard behind its view's tombstones and id map
-// (frozenPart), or a live delta (deltaPart). Parts hold disjoint sets of
-// live shapes, every shape of an image lives on one part, and all parts
-// hash with one deterministic curve family. Matches a part returns carry
-// global shape ids.
-type part interface {
-	family() *geohash.Family
-	// liveBucket returns the part's live shapes (part-local ids) on the
-	// hash curves of quad, widened by radius: the hashing stage's listing
-	// (hashBuckets), each then floored.
-	liveBucket(quad geohash.Quadruple, radius int) []int
-	// scoreBounded scores one listed shape under an admissible cutoff;
-	// false when it is proven strictly above cutoff (or has since been
-	// deleted). entry is the part-local normalized copy realizing the
-	// distance, which continuous reads.
-	scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (m Match, entry int, ok bool)
-	// continuous is the continuous measure of a shape scoreBounded matched,
-	// from its copy entry, and the block cost of re-reading that copy; 0 for
-	// a shape deleted since (stale reports it).
-	continuous(id, entry int, pq *core.PreparedQuery) (float64, int)
-	// floor is a lower bound on the distance scoreBounded would report for
-	// the candidate, at the cost of one table load per stored vertex: above
-	// a cutoff it proves the candidate strictly outside it. 0 claims nothing.
-	floor(id int, pq *core.PreparedQuery) float64
-	// floors is pass 1 of the exact search (exactSearch): every live shape
-	// of the part, as parts[pi], with its floor, and the copies floored and
-	// their block cost in VerticesCounted and BlockReads.
-	floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error)
-	// annFloors is the listing of the sublinear ann:approx stage: the
-	// part's ANN candidates for k, each with its floor, and the tier's
-	// accounting. Each part applies the full annMinShapes floor, so the
-	// union over N parts is at least as wide as one part's candidate set —
-	// recall is monotone in the part count.
-	annFloors(ctx context.Context, pq *core.PreparedQuery, k int, pi int32) ([]bucketShape, Stats, error)
-	// stale reports whether a shape the last listing held has been deleted
-	// since: only a live delta's can be.
-	stale() bool
-	// sketchTable is the best distance per live image to one sketch
-	// shape; under AnnApprox, over the ANN candidates alone.
-	sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error)
+// part is one independently searchable slice of a view, as a request sees
+// it: a frozen shard or a live delta, behind the view's tombstones and id
+// map. Parts hold disjoint sets of live shapes, every shape of an image
+// lives on one part, and all parts hash with one deterministic curve
+// family. Matches a part returns carry global shape ids. Everything a part
+// reads is immutable — a frozen shard, or one version of a delta — so a
+// request answers from its view as of the moment it took it.
+type part struct {
+	base *core.Base
+	dead map[int]bool // tombstoned local shape ids
+	// A local id s maps to the global id smap.Global(shard, s), or, with
+	// smap nil, gidBase + s: gidBase is 0 for a single Engine, whose ids
+	// are global already, and the delta's first global id for a delta.
+	smap    *core.ShardMap
+	shard   int
+	gidBase int
+	family  *geohash.Family
+	// lookup is the hash listing: the local ids on the hash curves of
+	// quad, widened by radius, tombstoned ones included — the frozen
+	// shard's geohash.Table.Lookup, or the delta's.
+	lookup func(quad geohash.Quadruple, radius int) []int
+	// ann is the shard's ANN index; nil for a delta, where every live
+	// shape is an ANN candidate — strictly better recall than any probe.
+	ann *annindex.Index
 }
 
-// searchView is what one request searches: the parts of one consistent
-// snapshot of the base and its similarity threshold τ. The parts are built
-// for the one request: a delta's keeps what its last listing saw (stale).
+// part is the engine as one part: identity ids, no tombstones.
+func (e *Engine) part() part {
+	return part{base: e.db.Base(), family: e.family, lookup: e.table.Lookup, ann: e.ann}
+}
+
+// deltaPart is one version of a live delta as a part.
+func deltaPart(d *ingest.Delta) part {
+	return part{base: d.Base(), dead: d.Dead(), gidBase: d.GIDBase(), family: d.Family(), lookup: d.Lookup}
+}
+
+func (p *part) liveShapes() int { return p.base.NumShapes() - len(p.dead) }
+
+// global maps a local shape id to its global id. Within one part local id
+// order is ascending global id order, so a list sorted by (Distance, local
+// id) is sorted by (Distance, global id).
+func (p *part) global(local int) int {
+	if p.smap == nil {
+		return p.gidBase + local
+	}
+	return p.smap.Global(p.shard, local)
+}
+
+// live drops the tombstoned shape ids, in place.
+func (p *part) live(ids []int) []int {
+	if len(p.dead) == 0 {
+		return ids
+	}
+	out := ids[:0]
+	for _, id := range ids {
+		if !p.dead[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// liveBucket returns the part's live shapes on the hash curves of quad,
+// widened by radius: the hashing stage's listing (hashBuckets), each then
+// floored.
+func (p *part) liveBucket(quad geohash.Quadruple, radius int) []int {
+	return p.live(p.lookup(quad, radius))
+}
+
+// scoreBounded scores one listed shape under an admissible cutoff; false
+// when it is proven strictly above cutoff. entry is the normalized copy
+// realizing the distance, which the exact stage re-reads (Base.Continuous).
+func (p *part) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
+	m, ok, err := p.base.ShapeDistancePreparedBounded(id, pq, cutoff)
+	if err != nil || !ok {
+		return Match{}, -1, false
+	}
+	return Match{ShapeID: p.global(id), ImageID: p.base.Shape(id).Image, Distance: m.DistVertex, Approximate: true}, m.EntryID, true
+}
+
+// floors is pass 1 of the exact search (exactSearch): every live shape of
+// the part, as parts[pi], with its floor, and the copies floored and their
+// block cost in VerticesCounted and BlockReads.
+func (p *part) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
+	out := make([]bucketShape, 0, p.liveShapes())
+	copies, blocks, err := p.base.Floors(ctx, pq, p.dead, func(id int, floor float64) {
+		out = append(out, bucketShape{part: pi, id: int32(id), floor: floor})
+	})
+	return out, Stats{VerticesCounted: copies, BlockReads: blocks}, err
+}
+
+// annFloors is the listing of the sublinear ann:approx stage: the part's
+// live ANN candidates for k, each with its floor, and the tier's
+// accounting. Each part applies the full annMinShapes floor, so the union
+// over N parts is at least as wide as one part's candidate set — recall is
+// monotone in the part count. A delta lists every live shape, as floors
+// does; the copies floored are no exact search's.
+func (p *part) annFloors(ctx context.Context, pq *core.PreparedQuery, k int, pi int32) ([]bucketShape, Stats, error) {
+	if p.ann == nil {
+		shapes, _, err := p.floors(ctx, pq, pi)
+		return shapes, Stats{}, err
+	}
+	shapes, probes := p.annCandidates(pq, annMinShapes(k))
+	shapes = p.live(shapes)
+	return floored(p, shapes, pq, pi), annStats(probes, len(shapes)), nil
+}
+
+// sketchTable is the best distance per live image to one sketch shape: a
+// scan of every live shape under the fixed cutoff +Inf (Base.Within),
+// tombstones skipped before they are scored. Under AnnApprox a shard
+// scores only its live ANN candidates (exactly); images whose every shape
+// went unprobed are absent — the sketch ranking's recall cost, measured by
+// BenchmarkAnnSketchApprox. ctx is checked every 32 shapes either way.
+func (p *part) sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error) {
+	best := make(map[int]float64)
+	keep := func(sid int, d float64) {
+		img := p.base.Shape(sid).Image
+		if cur, ok := best[img]; !ok || d < cur {
+			best[img] = d
+		}
+	}
+	if ann != AnnApprox || p.ann == nil {
+		_, blocks, err := p.base.Within(ctx, pq, p.dead, math.Inf(1), func(m core.Match) { keep(m.ShapeID, m.DistVertex) })
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		return best, Stats{BlockReads: blocks}, nil
+	}
+	shapes, probes := p.annCandidates(pq, annSketchMinShapes(k))
+	shapes = p.live(shapes)
+	for i, sid := range shapes {
+		if i&31 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, Stats{}, err
+			}
+		}
+		if m, _, err := p.base.ShapeDistancePreparedBounded(sid, pq, math.Inf(1)); err == nil {
+			keep(sid, m.DistVertex)
+		}
+	}
+	return best, annStats(probes, len(shapes)), nil
+}
+
+// searchView is what one request searches: the parts of one immutable
+// snapshot of the base and its similarity threshold τ.
 type searchView struct {
 	parts []part
 	tau   float64
@@ -270,9 +371,10 @@ type searchView struct {
 // over the view's parts — the exact search (exactSearch); geometric
 // hashing when that finds no close match. Every single-shape stage is the
 // same two passes (refine) over its own listing: every live shape, the hash
-// bucket, or the ANN candidates. The view is taken once per request, so a
-// compaction swapping shards mid-request never mixes two bases in one
-// answer. The context is checked at stage boundaries, so a request whose
+// bucket, or the ANN candidates. The view is taken once per request and
+// every part of it is immutable, so the request answers from the base as
+// of that moment: neither a write nor a compaction landing mid-request
+// reaches it, and each stage lists each part once. The context is checked at stage boundaries, so a request whose
 // deadline has passed never pays for the next stage.
 //
 // The width is planned once from req.Exec, the live in-flight gauge and
@@ -340,8 +442,8 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		// the candidate stages charge theirs through the query.
 		pq.AttachBlockCounter(&blocks)
 		if annOnly {
-			ms, stats, err := refine(ctx, v.parts, pq, req.K, width, false, func() listing {
-				return func(i int) ([]bucketShape, Stats, error) { return v.parts[i].annFloors(ctx, pq, req.K, int32(i)) }
+			ms, stats, err := refine(ctx, v.parts, pq, req.K, width, false, func(i int) ([]bucketShape, Stats, error) {
+				return v.parts[i].annFloors(ctx, pq, req.K, int32(i))
 			})
 			if err != nil {
 				return nil, err
@@ -349,11 +451,9 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 			stats.UsedANN = true
 			return respond(ms, stats)
 		}
-		approx, _, err := refine(ctx, v.parts, pq, req.K, width, false, func() listing {
-			buckets := hashBuckets(v.parts, pq)
-			return func(i int) ([]bucketShape, Stats, error) {
-				return floored(v.parts[i], buckets[i], pq, int32(i)), Stats{}, nil
-			}
+		buckets := hashBuckets(v.parts, pq)
+		approx, _, err := refine(ctx, v.parts, pq, req.K, width, false, func(i int) ([]bucketShape, Stats, error) {
+			return floored(&v.parts[i], buckets[i], pq, int32(i)), Stats{}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -400,8 +500,8 @@ func exactGoodEnough(ms []Match, tau float64) bool {
 // unless k exceeds the live shapes; each copy's blocks are charged once, at
 // its floor, plus the re-reads.
 func exactSearch(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int) ([]Match, Stats, error) {
-	return refine(ctx, parts, pq, k, width, true, func() listing {
-		return func(i int) ([]bucketShape, Stats, error) { return parts[i].floors(ctx, pq, int32(i)) }
+	return refine(ctx, parts, pq, k, width, true, func(i int) ([]bucketShape, Stats, error) {
+		return parts[i].floors(ctx, pq, int32(i))
 	})
 }
 
@@ -410,85 +510,99 @@ func exactSearch(ctx context.Context, parts []part, pq *core.PreparedQuery, k, w
 // listing them.
 type listing func(i int) ([]bucketShape, Stats, error)
 
-// refine runs the two passes of a single-shape stage; a stage is its
-// listing, which stage returns anew for every run. Pass 1 fans the listing
-// out over the parts. Pass 2, on the request's goroutine, pops one heap of
-// (floor, part, id) across all parts and scores each shape under the
-// running k-th best of the whole view, until the next floor lies strictly
-// above it: a listed shape within the final k-th has a floor no higher, so
-// the k best are the exhaustive ranking's of what was listed, at any width.
-// exact marks the exact stage, which re-reads its k best for their
-// continuous measure (exactSearch); a candidate stage's matches stay
-// Approximate. A delete that reaches the active delta after its listing
-// makes the passes run again, so the answer is the view's as of one
-// listing. ctx is checked every 32 shapes.
-func refine(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, exact bool, stage func() listing) ([]Match, Stats, error) {
-	type hit struct {
-		m     Match
-		c     bucketShape
-		entry int
+// refine runs the two passes of a single-shape stage, which is its
+// listing. Pass 1 fans the listing out over the parts (listAll); pass 2,
+// on the request's goroutine, ranks what was listed (rank). exact marks the
+// exact stage, which re-reads its k best for their continuous measure
+// (exactSearch); a candidate stage's matches stay Approximate. Each part is
+// listed once: the view's parts do not change under the request.
+func refine(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, exact bool, list listing) ([]Match, Stats, error) {
+	h, st, err := listAll(ctx, len(parts), width, list)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	for {
-		list := stage()
-		lists := make([][]bucketShape, len(parts))
-		stats := make([]Stats, len(parts))
-		err := fanout(ctx, len(parts), width, func(i int) (err error) {
-			lists[i], stats[i], err = list(i)
-			return err
-		})
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		var h []bucketShape
-		if len(lists) == 1 {
-			h = lists[0] // slices.Concat would copy it
-		} else {
-			h = slices.Concat(lists...)
-		}
-		st := mergeStats(stats)
+	if exact {
+		st.Iterations, st.Converged = 1, k <= len(h)
+	}
+	hits, err := rank(ctx, h, k, func(c bucketShape, cut float64) (Match, int, bool) {
+		return parts[c.part].scoreBounded(int(c.id), pq, cut)
+	})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	out := make([]Match, len(hits))
+	for i, hit := range hits {
+		out[i] = hit.m
 		if exact {
-			st.Iterations, st.Converged = 1, k <= len(h)
-		}
-		for i := len(h)/2 - 1; i >= 0; i-- {
-			siftFloor(h, i)
-		}
-		kth := core.NewDistTopK(k)
-		var hits []hit
-		for n := 0; len(h) > 0; n++ {
-			if n&31 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, Stats{}, err
-				}
-			}
-			cut := kth.Kth()
-			c := h[0]
-			if c.floor > cut {
-				break // every floor behind it is higher still
-			}
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			siftFloor(h, 0)
-			if m, entry, ok := parts[c.part].scoreBounded(int(c.id), pq, cut); ok {
-				hits = append(hits, hit{m, c, entry})
-				kth.Add(m.Distance)
-			}
-		}
-		slices.SortFunc(hits, func(a, b hit) int {
-			return cmp.Or(cmp.Compare(a.m.Distance, b.m.Distance), cmp.Compare(a.m.ShapeID, b.m.ShapeID))
-		})
-		out := make([]Match, min(k, len(hits)))
-		for i, hit := range hits[:len(out)] {
-			out[i] = hit.m
-			if exact {
-				d, blocks := parts[hit.c.part].continuous(int(hit.c.id), hit.entry, pq)
-				out[i].Approximate, out[i].ContinuousDistance = false, d
-				st.BlockReads += blocks
-			}
-		}
-		if !slices.ContainsFunc(parts, part.stale) {
-			return out, st, nil
+			d, blocks := parts[hit.c.part].base.Continuous(hit.entry, pq)
+			out[i].Approximate, out[i].ContinuousDistance = false, d
+			st.BlockReads += blocks
 		}
 	}
+	return out, st, nil
+}
+
+// listAll is pass 1: the listing of every one of n parts, fanned out on up
+// to width goroutines, concatenated in part order, and their stats summed.
+func listAll(ctx context.Context, n, width int, list listing) ([]bucketShape, Stats, error) {
+	lists := make([][]bucketShape, n)
+	stats := make([]Stats, n)
+	err := fanout(ctx, n, width, func(i int) (err error) {
+		lists[i], stats[i], err = list(i)
+		return err
+	})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if n == 1 {
+		return lists[0], mergeStats(stats), nil // slices.Concat would copy it
+	}
+	return slices.Concat(lists...), mergeStats(stats), nil
+}
+
+// hit is a shape pass 2 scored within its cutoff: its match, its listing
+// entry and the copy realizing the distance.
+type hit struct {
+	m     Match
+	c     bucketShape
+	entry int
+}
+
+// rank is pass 2: it pops one heap of (floor, part, id) across all parts
+// and scores each shape under the running k-th best of the whole view,
+// until the next floor lies strictly above it. A listed shape within the
+// final k-th has a floor no higher, so the k best are the exhaustive
+// ranking's of what was listed, at any width. It returns them ordered by
+// (distance, global id); h is consumed. ctx is checked every 32 shapes.
+func rank(ctx context.Context, h []bucketShape, k int, score func(c bucketShape, cut float64) (Match, int, bool)) ([]hit, error) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftFloor(h, i)
+	}
+	kth := core.NewDistTopK(k)
+	var hits []hit
+	for n := 0; len(h) > 0; n++ {
+		if n&31 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		cut := kth.Kth()
+		c := h[0]
+		if c.floor > cut {
+			break // every floor behind it is higher still
+		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftFloor(h, 0)
+		if m, entry, ok := score(c, cut); ok {
+			hits = append(hits, hit{m, c, entry})
+			kth.Add(m.Distance)
+		}
+	}
+	slices.SortFunc(hits, func(a, b hit) int {
+		return cmp.Or(cmp.Compare(a.m.Distance, b.m.Distance), cmp.Compare(a.m.ShapeID, b.m.ShapeID))
+	})
+	return hits[:min(k, len(hits))], nil
 }
 
 // mergeStats sums the parts' listing stats: the copies floored, their
@@ -541,11 +655,11 @@ func hashBuckets(parts []part, pq *core.PreparedQuery) [][]int {
 	if len(parts) == 0 {
 		return cand
 	}
-	quad := parts[0].family().Characteristic(pq.Entry().Poly.Pts)
+	quad := parts[0].family.Characteristic(pq.Entry().Poly.Pts)
 	for radius := 0; radius <= 1; radius++ {
 		total := 0
-		for i, p := range parts {
-			cand[i] = p.liveBucket(quad, radius)
+		for i := range parts {
+			cand[i] = parts[i].liveBucket(quad, radius)
 			total += len(cand[i])
 		}
 		if total > 0 {
@@ -555,12 +669,12 @@ func hashBuckets(parts []part, pq *core.PreparedQuery) [][]int {
 	return cand
 }
 
-// floored lists ids of part p, the view's parts[pi], each with its floor:
-// the listing of a candidate stage.
-func floored(p part, ids []int, pq *core.PreparedQuery, pi int32) []bucketShape {
+// floored lists ids of part p, the view's parts[pi], each with its floor
+// (Base.ShapeFloor): the listing of a candidate stage.
+func floored(p *part, ids []int, pq *core.PreparedQuery, pi int32) []bucketShape {
 	out := make([]bucketShape, len(ids))
 	for i, id := range ids {
-		out[i] = bucketShape{part: pi, id: int32(id), floor: p.floor(id, pq)}
+		out[i] = bucketShape{part: pi, id: int32(id), floor: p.base.ShapeFloor(id, pq)}
 	}
 	return out
 }
@@ -571,172 +685,6 @@ func floored(p part, ids []int, pq *core.PreparedQuery, pi int32) []bucketShape 
 type bucketShape struct {
 	part, id int32
 	floor    float64
-}
-
-// frozenPart is a frozen Engine as one part of a view: its shapes minus
-// the view's tombstones, its local shape ids mapped to global ones. A
-// single Engine is the part with neither (smap nil: ids are global
-// already).
-type frozenPart struct {
-	e     *Engine
-	shard int
-	smap  *core.ShardMap
-	dead  map[int]bool // tombstoned local shape ids
-}
-
-func (p *frozenPart) liveShapes() int         { return p.e.NumShapes() - len(p.dead) }
-func (p *frozenPart) family() *geohash.Family { return p.e.family }
-
-// global maps a local shape id to its global id. Within one shard local
-// id order is ascending global id order, so a list sorted by (Distance,
-// local id) is sorted by (Distance, global id).
-func (p *frozenPart) global(local int) int {
-	if p.smap == nil {
-		return local
-	}
-	return p.smap.Global(p.shard, local)
-}
-
-// live drops the tombstoned shape ids, in place.
-func (p *frozenPart) live(ids []int) []int {
-	if len(p.dead) == 0 {
-		return ids
-	}
-	out := ids[:0]
-	for _, id := range ids {
-		if !p.dead[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-func (p *frozenPart) liveBucket(quad geohash.Quadruple, radius int) []int {
-	return p.live(p.e.table.Lookup(quad, radius))
-}
-
-func (p *frozenPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
-	base := p.e.db.Base()
-	m, ok, err := base.ShapeDistancePreparedBounded(id, pq, cutoff)
-	if err != nil || !ok {
-		return Match{}, -1, false
-	}
-	return Match{ShapeID: p.global(id), ImageID: base.Shape(id).Image, Distance: m.DistVertex, Approximate: true}, m.EntryID, true
-}
-
-func (p *frozenPart) floor(id int, pq *core.PreparedQuery) float64 {
-	return p.e.db.Base().ShapeFloor(id, pq)
-}
-
-func (p *frozenPart) continuous(_, entry int, pq *core.PreparedQuery) (float64, int) {
-	return p.e.db.Base().Continuous(entry, pq)
-}
-
-func (p *frozenPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
-	out := make([]bucketShape, 0, p.liveShapes())
-	copies, blocks, err := p.e.db.Base().Floors(ctx, pq, p.dead, func(id int, floor float64) {
-		out = append(out, bucketShape{part: pi, id: int32(id), floor: floor})
-	})
-	return out, Stats{VerticesCounted: copies, BlockReads: blocks}, err
-}
-
-func (p *frozenPart) stale() bool { return false }
-
-func (p *frozenPart) annFloors(_ context.Context, pq *core.PreparedQuery, k int, pi int32) ([]bucketShape, Stats, error) {
-	shapes, probes := p.e.annCandidates(pq, annMinShapes(k))
-	shapes = p.live(shapes)
-	return floored(p, shapes, pq, pi), annStats(probes, len(shapes)), nil
-}
-
-// sketchTable is the best distance per live image to one sketch shape: a
-// scan of every live shape under the fixed cutoff +Inf (Base.Within),
-// tombstones skipped before they are scored — what the delta's sketch
-// table is. Under AnnApprox only the live ANN candidates are scored
-// (exactly); images whose every shape went unprobed are absent — the
-// sketch ranking's recall cost, measured by BenchmarkAnnSketchApprox. ctx
-// is checked every 32 shapes either way.
-func (p *frozenPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error) {
-	base := p.e.db.Base()
-	best := make(map[int]float64)
-	keep := func(sid int, d float64) {
-		img := base.Shape(sid).Image
-		if cur, ok := best[img]; !ok || d < cur {
-			best[img] = d
-		}
-	}
-	if ann != AnnApprox {
-		_, blocks, err := base.Within(ctx, pq, p.dead, math.Inf(1), func(m core.Match) { keep(m.ShapeID, m.DistVertex) })
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return best, Stats{BlockReads: blocks}, nil
-	}
-	shapes, probes := p.e.annCandidates(pq, annSketchMinShapes(k))
-	shapes = p.live(shapes)
-	for i, sid := range shapes {
-		if i&31 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, Stats{}, err
-			}
-		}
-		if m, _, err := base.ShapeDistancePreparedBounded(sid, pq, math.Inf(1)); err == nil {
-			keep(sid, m.DistVertex)
-		}
-	}
-	return best, annStats(probes, len(shapes)), nil
-}
-
-// deltaPart is a live delta as a part. It has no ANN tier: every live
-// shape is an ANN candidate — strictly better recall than any probe — and
-// its shapes join the refine pass's one heap like any part's (§4.12). Delta
-// matches carry global ids already. listed is the delta's delete count as
-// its last listing found it.
-type deltaPart struct {
-	d      *ingest.Delta
-	listed uint64
-}
-
-func (p *deltaPart) family() *geohash.Family { return p.d.Family() }
-
-func (p *deltaPart) liveBucket(quad geohash.Quadruple, radius int) []int {
-	p.listed = p.d.Deletes()
-	return p.d.Candidates(quad, radius)
-}
-
-func (p *deltaPart) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Match, int, bool) {
-	m, ok := p.d.ScoreBounded(id, pq, cutoff)
-	return Match{ShapeID: m.GID, ImageID: m.ImageID, Distance: m.Distance, Approximate: true}, m.Copy, ok
-}
-
-func (p *deltaPart) continuous(id, entry int, pq *core.PreparedQuery) (float64, int) {
-	d, _ := p.d.Continuous(id, entry, pq)
-	return d, 0
-}
-
-func (p *deltaPart) floor(id int, pq *core.PreparedQuery) float64 { return p.d.Floor(id, pq) }
-
-func (p *deltaPart) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
-	var out []bucketShape
-	p.listed = p.d.Deletes()
-	copies, err := p.d.Floors(ctx, pq, func(id int, floor float64) {
-		out = append(out, bucketShape{part: pi, id: int32(id), floor: floor})
-	})
-	return out, Stats{VerticesCounted: copies}, err
-}
-
-func (p *deltaPart) stale() bool { return p.d.Deletes() != p.listed }
-
-// annFloors lists every live shape of the delta — each is an ANN candidate
-// — as floors does; the copies floored are no exact search's
-// (Stats.VerticesCounted).
-func (p *deltaPart) annFloors(ctx context.Context, pq *core.PreparedQuery, _ int, pi int32) ([]bucketShape, Stats, error) {
-	shapes, _, err := p.floors(ctx, pq, pi)
-	return shapes, Stats{}, err
-}
-
-func (p *deltaPart) sketchTable(ctx context.Context, pq *core.PreparedQuery, _ int, _ AnnMode) (map[int]float64, Stats, error) {
-	best, err := p.d.SketchTable(ctx, pq)
-	return best, Stats{}, err
 }
 
 // validateSketch applies the shared sketch preconditions.

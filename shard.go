@@ -33,11 +33,11 @@ var (
 // AddImage time. Image ids need no translation (they are caller-chosen
 // and stored verbatim).
 //
-// After Freeze the engine can optionally go live (EnableIngest): a
-// mutable delta shard then accepts InsertImage/DeleteImage without a
-// rebuild, queries union the delta with the frozen shards, and a
-// background compaction folds the delta into a new immutable shard
-// (DESIGN.md §4.12). All of that is coordinated through an immutable
+// After Freeze the engine can optionally go live (EnableIngest): a live
+// delta then takes InsertImage/DeleteImage without a rebuild, each write
+// publishing a new immutable version of it, queries union the delta with
+// the frozen shards, and a background compaction folds the delta into a
+// new immutable shard (DESIGN.md §4.12). All of that is coordinated through an immutable
 // shardView swapped atomically, so Search never takes a lock.
 //
 // Concurrency: not safe for concurrent mutation before Freeze; after
@@ -91,10 +91,11 @@ type shardView struct {
 	order  []shardImage
 	gen    uint64 // compaction generation, for statz and the manifest
 
-	// sealed is the delta a running compaction is folding (read-only),
-	// active the delta accepting new writes. Both nil before
-	// EnableIngest; sealed is nil outside a compaction window. sealed
-	// precedes active: its global ids are lower.
+	// sealed is the delta version a running compaction is folding,
+	// active the latest version of the delta taking new writes — each
+	// write publishes a successor view holding its successor version.
+	// Both nil before EnableIngest; sealed is nil outside a compaction
+	// window. sealed precedes active: its global ids are lower.
 	sealed *ingest.Delta
 	active *ingest.Delta
 
@@ -111,8 +112,8 @@ type shardView struct {
 	deadIn     []map[int]bool
 }
 
-// deltas returns the live mutable parts of the view, sealed first:
-// ascending global-id ranges.
+// deltas returns the view's delta versions that hold live shapes, sealed
+// first: ascending global-id ranges.
 func (v *shardView) deltas() []*ingest.Delta {
 	out := make([]*ingest.Delta, 0, 2)
 	if v.sealed != nil && v.sealed.NumShapes() > 0 {
@@ -174,17 +175,14 @@ func (v *shardView) markDead(im shardImage, gid int) {
 func (v *shardView) parts() []part {
 	live := v.liveShards()
 	deltas := v.deltas()
-	frozen := make([]frozenPart, len(live))
 	out := make([]part, 0, len(live)+len(deltas))
-	for i, si := range live {
-		frozen[i] = frozenPart{
-			e: v.shards[si], shard: si, smap: v.smap,
-			dead: deadOf(v.deadShapes, si),
-		}
-		out = append(out, &frozen[i])
+	for _, si := range live {
+		p := v.shards[si].part()
+		p.smap, p.shard, p.dead = v.smap, si, deadOf(v.deadShapes, si)
+		out = append(out, p)
 	}
 	for _, d := range deltas {
-		out = append(out, &deltaPart{d: d})
+		out = append(out, deltaPart(d))
 	}
 	return out
 }
@@ -391,8 +389,9 @@ func (se *ShardedEngine) NumImages() int {
 func (se *ShardedEngine) NumShapes() int { return se.snapshot().liveShapeCount() }
 
 // NumEntries returns the number of stored normalized copies across all
-// shards and deltas. Tombstoned frozen shapes' copies remain stored
-// until a rebuild and are still counted.
+// shards and deltas. Deleted shapes' copies remain stored — a frozen
+// one's until a rebuild, a delta one's until compaction — and are still
+// counted.
 func (se *ShardedEngine) NumEntries() int {
 	v := se.snapshot()
 	n := 0
@@ -423,7 +422,7 @@ func (se *ShardedEngine) tau(v *shardView) float64 {
 }
 
 // Search answers one retrieval request over the live shards — and, when
-// ingestion is enabled, the mutable delta(s): the request flow of search,
+// ingestion is enabled, the live delta(s): the request flow of search,
 // over this engine's current view.
 func (se *ShardedEngine) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
 	return search(ctx, &se.sched, se.frozen, se.searchView, req)
@@ -442,7 +441,7 @@ func (se *ShardedEngine) SchedStats() SchedStats { return schedStatsFrom(se.sche
 // and unions the matching image ids. Topological predicates relate
 // shapes within one image, and every image lives whole on exactly one
 // shard, so the per-shard evaluation loses nothing. Images tombstoned
-// after freeze are filtered out; images still in the mutable delta are
+// after freeze are filtered out; images still in the live delta are
 // not yet visible to topological queries (they gain topology graphs at
 // compaction). The shards are queried in turn, ctx checked before each;
 // like Engine.Query it is safe to call from any number of goroutines.
