@@ -305,8 +305,8 @@ func BenchmarkFig10_Selectivity(b *testing.B) {
 // distance field, then shapes scored in floor order until the next floor
 // lies above the k-th best — over bases of growing size, and reports what
 // the base-size question needs: the share of stored copies that reach the
-// exact evaluator, every evaluation of the request counted (~0.0118 on 200
-// images, ~213 copies a search), and the time per stored copy.
+// exact evaluator, every evaluation of the request counted (~0.0119 on 200
+// images, ~215 copies a search), and the time per stored copy.
 func benchmarkMatchAtScale(b *testing.B, scale float64) {
 	images := synth.GenerateBase(synth.PaperSpec(scale, 1))
 	eng := buildSingle(b, images)

@@ -101,9 +101,9 @@ type Match struct {
 // Stats reports retrieval work (see §2.5's complexity analysis).
 type Stats struct {
 	// Iterations and FinalEpsilon are the paper's envelope fattenings and
-	// the last width (§2.5). The exact search opens no envelope (DESIGN.md
-	// §4.9): it reports 1 iteration at width 0. A request with no exact
-	// stage reports 0 iterations.
+	// the last envelope's ε (§2.5). The exact search opens no envelope
+	// (DESIGN.md §4.9): it reports 1 iteration and FinalEpsilon 0. A
+	// request with no exact stage reports 0 iterations.
 	Iterations   int
 	FinalEpsilon float64
 	// VerticesCounted counts the normalized copies the exact search

@@ -144,6 +144,9 @@ func (b *Base) addShape(image int, p geom.Poly) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if unpairedCopy(len(entries), func(c int) []geom.Point { return entries[c].Poly.Pts }) >= 0 {
+		return 0, fmt.Errorf("core: shape lies too far from the origin for its size: its normalized copies are not half-turn pairs")
+	}
 	id := len(b.shapes)
 	b.shapes = append(b.shapes, Shape{ID: id, Image: image, Poly: p.Clone()})
 	for _, e := range entries {

@@ -37,11 +37,20 @@ const fieldFuzzLimit = 1e4
 // four corners, each nudged one ulp in and one ulp out, the least kernel
 // value over the list is the least over every segment, bit for bit, and the
 // dir pass's read through the cell is the walk's.
+//
+// The high halves are held to the half turn R(x, y) = (1−x, −y) the same
+// way: mirrorCell is an involution that fixes only fieldOff and takes a
+// cell's centre to the cell R takes it to, every high half is the low half
+// of the mirror cell, and at the probe — also snapped onto a cell border
+// and nudged one ulp either side of it — at the pinned points (0,0) and
+// (1,0), and at the corners of every cell with a positive bound, the high
+// half read through the point's cell is at most the distance at R of the
+// point.
 func FuzzDistField(f *testing.F) {
 	f.Add(fuzzFloats(0.5, 0.5, 0, 0, 1, 0, 1, 0, 0.5, 0.8, 0.5, 0.8, 0, 0))
 	f.Add(fuzzFloats(math.NaN(), 1, 0, 0, 1, 0))
 	f.Add(fuzzFloats(0.3, -0.2, 1e3, 1e3, 1e3+1, 1e3, -7, 2, 9, -3))
-	f.Add(fuzzFloats(1.24, 1.14, 0.2, 0.2, 0.2, 0.2, -0.25, -1.1, 1.25, 1.15))
+	f.Add(fuzzFloats(1.24, 1.12, 0.2, 0.2, 0.2, 0.2, -0.25, -1.125, 1.25, 1.125))
 	f.Add(fuzzFloats(0, 0, -9999, 0.01, 9999, -0.01, 0.5, 3, 0.5, 3.5))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 16+32 {
@@ -63,24 +72,58 @@ func FuzzDistField(f *testing.F) {
 		if field.lb[fieldOff] != 0 {
 			t.Fatalf("the slot of points outside the box holds %d", field.lb[fieldOff])
 		}
-		check := func(q geom.Point) {
-			t.Helper()
-			lb := fieldValue(field, fieldCell(q))
-			if !q.IsFinite() {
-				if lb != 0 {
-					t.Fatalf("field at %v = %v, want 0", q, lb)
-				}
-				return
+		for c := uint16(0); c <= fieldOff; c++ {
+			m := mirrorCell(c)
+			if mirrorCell(m) != c || (m == fieldOff) != (c == fieldOff) {
+				t.Fatalf("mirrorCell takes %d to %d and that to %d", c, m, mirrorCell(m))
 			}
+			if field.lb[c]>>32 != field.lb[m]&math.MaxUint32 {
+				t.Fatalf("cell %d's high half %d is not its mirror %d's low half %d", c, field.lb[c]>>32, m, field.lb[m]&math.MaxUint32)
+			}
+			if c == fieldOff {
+				continue
+			}
+			ix, iy := int(c)%fieldNX, int(c)/fieldNX
+			centre := geom.Pt(fieldX0+(float64(ix)+0.5)/fieldRes, fieldY0+(float64(iy)+0.5)/fieldRes)
+			if got := fieldCell(geom.Pt(1-centre.X, -centre.Y)); got != m {
+				t.Fatalf("R takes cell %d's centre %v to cell %d, mirrorCell to %d", c, centre, got, m)
+			}
+		}
+		dist := func(q geom.Point) float64 {
 			d := math.Inf(1)
 			for _, s := range segs {
 				d = min(d, s.DistToPoint(q))
 			}
-			if lb > d {
-				t.Fatalf("field at %v (cell %d) = %v exceeds the distance %v to %v", q, fieldCell(q), lb, d, segs)
+			return d
+		}
+		check := func(q geom.Point) {
+			t.Helper()
+			c := fieldCell(q)
+			lb, twin := fieldValue(field, c), float64(field.lb[c]>>32)*fieldUnit
+			if !q.IsFinite() {
+				if lb != 0 || twin != 0 {
+					t.Fatalf("field at %v = %v and %v, want 0", q, lb, twin)
+				}
+				return
+			}
+			if d := dist(q); lb > d {
+				t.Fatalf("field at %v (cell %d) = %v exceeds the distance %v to %v", q, c, lb, d, segs)
+			}
+			if r := geom.Pt(1-q.X, -q.Y); twin > dist(r) {
+				t.Fatalf("the high half at %v (cell %d) = %v exceeds the distance %v at its half turn %v to %v", q, c, twin, dist(r), r, segs)
 			}
 		}
-		check(p)
+		// The probe, and the probe snapped onto the nearest cell border in
+		// each coordinate and nudged one ulp to either side of it.
+		bx := fieldX0 + math.Round((p.X-fieldX0)*fieldRes)/fieldRes
+		by := fieldY0 + math.Round((p.Y-fieldY0)*fieldRes)/fieldRes
+		for _, x := range []float64{p.X, bx, math.Nextafter(bx, math.Inf(-1)), math.Nextafter(bx, math.Inf(1))} {
+			for _, y := range []float64{p.Y, by, math.Nextafter(by, math.Inf(-1)), math.Nextafter(by, math.Inf(1))} {
+				check(geom.Pt(x, y))
+			}
+		}
+		check(geom.Pt(0, 0))
+		check(geom.Pt(1, 0))
 		for iy := 0; iy < fieldNY; iy++ {
 			y0, y1 := fieldY0+float64(iy)/fieldRes, fieldY0+float64(iy+1)/fieldRes
 			for ix := 0; ix < fieldNX; ix++ {

@@ -21,7 +21,7 @@ import (
 // as a distance (every table value times 2⁻¹⁵ is exact in a float64, and so
 // is every sum of fewer than 2³⁸ of them).
 func fieldValue(f *distField, id uint16) float64 {
-	return float64(f.lb[id]) * fieldUnit
+	return float64(f.lb[id]&math.MaxUint32) * fieldUnit
 }
 
 // fieldAtPoint reads the field at p the way the search did before the cell
@@ -37,6 +37,12 @@ func fieldAtPoint(f *distField, p geom.Point) float64 {
 		return 0
 	}
 	return fieldValue(f, uint16(int(fy)*fieldNX+int(fx)))
+}
+
+// fieldStopped is the copy's own half of sumPast under trigger.
+func fieldStopped(f *distField, cells []uint16, trigger uint64) uint64 {
+	own, _ := f.sumPast(cells, trigger)
+	return own
 }
 
 func fieldLoopPoints(f *distField, pts []geom.Point, cut float64) bool {
@@ -146,6 +152,48 @@ func TestDistFieldAdmissible(t *testing.T) {
 	}
 }
 
+// TestFieldBoxHoldsEveryCopy pins the field's box against a resize. It is
+// symmetric under the half turn R(x, y) = (1−x, −y), which the pair reads
+// rest on (mirrorCell), and it holds every copy at the default α: a copy's
+// pinned points are (1−α)·diameter or more apart, so its vertices lie
+// within r = 1/(1−α) of both, |y| ≤ √(r² − ¼) and 1 − r ≤ x ≤ r. No stored
+// vertex of the 200-image paper base, nor of the 1000-image pool the
+// benchmark's ingest workload inserts from, falls outside it.
+func TestFieldBoxHoldsEveryCopy(t *testing.T) {
+	const xMax, yMax = fieldX0 + float64(fieldNX)/fieldRes, fieldY0 + float64(fieldNY)/fieldRes
+	if fieldX0+xMax != 1 || fieldY0+yMax != 0 {
+		t.Fatalf("the box [%v, %v] × [%v, %v] is not symmetric about (½, 0)", fieldX0, xMax, fieldY0, yMax)
+	}
+	r := 1 / (1 - DefaultOptions().Alpha)
+	if y := math.Sqrt(r*r - 0.25); !(fieldX0 < 1-r && r < xMax && fieldY0 < -y && y < yMax) {
+		t.Fatalf("copies at α = %v reach [%v, %v] × ±%v, outside the box [%v, %v] × [%v, %v]",
+			DefaultOptions().Alpha, 1-r, r, y, fieldX0, xMax, fieldY0, yMax)
+	}
+	for _, spec := range []synth.BaseSpec{
+		synth.PaperSpec(0.02, 1),
+		{Images: 1000, MeanShapes: 5, MeanVertices: 20, Prototypes: 16, Distortion: 0.015, OpenFraction: 0.25, Seed: 2},
+	} {
+		vertices := 0
+		for _, img := range synth.GenerateBase(spec) {
+			for _, s := range img.Shapes {
+				es, err := Normalize(s, DefaultOptions().Alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range es {
+					for _, p := range e.Poly.Pts {
+						if fieldCell(p) == fieldOff {
+							t.Fatalf("%d images: image %d's vertex %v is outside the box", spec.Images, img.ID, p)
+						}
+					}
+					vertices += len(e.Poly.Pts)
+				}
+			}
+		}
+		t.Logf("%d images: %d stored vertices, all inside the box", spec.Images, vertices)
+	}
+}
+
 // boundedOverPoints is the bounded directed pass over a's vertices, each
 // measured by dist.
 func boundedOverPoints(a geom.Poly, dist func(geom.Point) float64, base, cut float64) (float64, bool) {
@@ -224,8 +272,8 @@ func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) 
 			if got, ref := float64(sum)*fieldUnit, fieldSumPoints(f, pts); math.Float64bits(got) != math.Float64bits(ref) {
 				t.Fatalf("entry %d: the cells sum to %v, the points to %v", ei, got, ref)
 			}
-			if trig := fieldTrigger(len(cells), fieldRate(cut)); (f.sumPast(cells, trig) > trig) != fieldRejects(sum, len(cells), cut) || f.sumPast(cells, trig) > sum {
-				t.Fatalf("entry %d cut %v: the early-stopping sum %d decides otherwise than the full sum %d", ei, cut, f.sumPast(cells, trig), sum)
+			if trig := fieldTrigger(len(cells), fieldRate(cut)); fieldStopped(f, cells, trig) > trig != fieldRejects(sum, len(cells), cut) || fieldStopped(f, cells, trig) > sum {
+				t.Fatalf("entry %d cut %v: the early-stopping sum %d decides otherwise than the full sum %d", ei, cut, fieldStopped(f, cells, trig), sum)
 			}
 			rej := fieldRejects(sum, len(cells), cut)
 			if ref := fieldLoopPoints(f, pts, cut); rej != ref {
@@ -338,7 +386,10 @@ func TestFieldRejectIsExact(t *testing.T) {
 // every (query, shape) of a 20-image base under 32 queries, and of the
 // sliver base, whose off-table vertices contribute nothing — so a shape the
 // pass stops in front of (floor above the cutoff, at half, once and twice
-// the true k-th) is one the bounded scorer rejects at that cutoff. A
+// the true k-th) is one the bounded scorer rejects at that cutoff. The
+// floor is read through half-turn pairs, so each half of a pair's read is
+// held to its own copy too: the floor of copy 2k's sum and of copy 2k+1's,
+// read through copy 2k's cells, is at most that copy's exact distance. A
 // shape's floor in a base grown by Append, as a live delta's is, is the
 // frozen one's, bit for bit, and an id out of range claims nothing.
 func TestFloorAdmissible(t *testing.T) {
@@ -383,6 +434,7 @@ func TestFloorAdmissible(t *testing.T) {
 				if floors[sid] > 0 {
 					positive++
 				}
+				checkPairFloors(t, tc.b, pq, sid)
 				if live := d.b.ShapeFloor(sid, pq); math.Float64bits(live) != math.Float64bits(floors[sid]) {
 					t.Fatalf("%s q%d shape %d: live floor %v, frozen %v", tc.name, qi, sid, live, floors[sid])
 				}
@@ -412,6 +464,23 @@ func TestFloorAdmissible(t *testing.T) {
 	}
 	if positive < 1000 || stopped < 1000 {
 		t.Fatalf("%d positive floors, %d shapes past a stop; the test wants plenty of each", positive, stopped)
+	}
+}
+
+// checkPairFloors holds both halves of each of shape sid's pair reads —
+// copy 2k's cells summed for copies 2k and 2k+1 — to the exact distance of
+// the copy each floors.
+func checkPairFloors(t *testing.T, b *Base, pq *PreparedQuery, sid int) {
+	t.Helper()
+	s, f := b.scanShape(sid), pq.distField()
+	for c := 0; c < len(s.entries); c += 2 {
+		own, twin := f.sumPast(s.copyCells(c), math.MaxUint64)
+		for i, sum := range []uint64{own, twin} {
+			dv, _, _ := pq.distWithin(s.entries[c+i].Poly, nil, 0, math.Inf(1))
+			if fl := fieldFloor(sum, s.nv); fl > dv {
+				t.Fatalf("shape %d copy %d: floor %v read through copy %d's cells, exact distance %v", sid, c+i, fl, c, dv)
+			}
+		}
 	}
 }
 
@@ -657,6 +726,35 @@ func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
 	return re
 }
 
+// mappedVerts is verts written to a file, as a snapshot stores them, and
+// mapped back read-only for the rest of the test — nil where the platform
+// maps or casts no file.
+func mappedVerts(t *testing.T, verts []geom.Point) []geom.Point {
+	t.Helper()
+	if !mmap.Supported() || !mmap.CanCast() {
+		return nil
+	}
+	raw := make([]byte, 0, 16*len(verts))
+	for _, p := range verts {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(p.X))
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(p.Y))
+	}
+	path := filepath.Join(t.TempDir(), "evtx")
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	m, err := mmap.Map(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	mapped, ok := mmap.Cast[geom.Point](m.Data())
+	if !ok {
+		t.Fatal("mapped vertex bytes do not cast")
+	}
+	return mapped
+}
+
 // TestFieldCellsFollowTheBase pins that a stored vertex's cell id is a
 // property of the vertex, whichever way its copy came to be searchable: a
 // base frozen from shapes, one reassembled from parts over heap slices and
@@ -686,25 +784,7 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 	}
 	check("Freeze", frozen)
 	check("BaseFromParts over heap slices", reassemble(t, frozen, frozen.verts))
-	if mmap.Supported() && mmap.CanCast() {
-		raw := make([]byte, 0, 16*len(frozen.verts))
-		for _, p := range frozen.verts {
-			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(p.X))
-			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(p.Y))
-		}
-		path := filepath.Join(t.TempDir(), "evtx")
-		if err := os.WriteFile(path, raw, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		m, err := mmap.Map(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		verts, ok := mmap.Cast[geom.Point](m.Data())
-		if !ok {
-			t.Fatal("mapped vertex bytes do not cast")
-		}
+	if verts := mappedVerts(t, frozen.verts); verts != nil {
 		check("BaseFromParts over a mapping", reassemble(t, frozen, verts))
 	}
 

@@ -14,7 +14,8 @@ import (
 // from such arrays without re-deriving anything from geometry — the
 // decode-free load path of the GSIR3 format. Shape checks in
 // BaseFromParts guard every slice-indexing invariant the match kernel
-// relies on; element values are trusted, because the loader verifies
+// relies on, and a vertex check the half-turn pairs its floors read
+// through; other element values are trusted, because the loader verifies
 // each section's checksum before assembly.
 
 // EntryMeta is the fixed-size scalar part of an Entry (everything but
@@ -134,6 +135,14 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 			return nil, fmt.Errorf("core: base parts shape %d has no entries", id)
 		}
 		b.shapeOff[id+1] += b.shapeOff[id]
+		// The pairs the searches floor through one read (distField.floor):
+		// each copy 2k+1 the half turn of copy 2k.
+		lo, n := int(b.shapeOff[id]), int(b.shapeOff[id+1]-b.shapeOff[id])
+		if c := unpairedCopy(n, func(c int) []geom.Point { return b.entries[lo+c].Poly.Pts }); c == n {
+			return nil, fmt.Errorf("core: base parts shape %d: an odd number of copies (%d)", id, n)
+		} else if c >= 0 {
+			return nil, fmt.Errorf("core: base parts shape %d: copy %d is not the half turn of copy %d", id, c, c-1)
+		}
 	}
 	b.verts = s.Verts
 	b.entryOff = s.EntryOff

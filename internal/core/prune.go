@@ -58,12 +58,14 @@ func avgMinDistVerticesBoundedAffine(n int, dist func(i int) float64, base, cut 
 }
 
 // The distance field's table: cells of side 1/fieldRes over the box
-// [-0.25, 1.25] × [-1.1, 1.15], which holds the lune every diameter-
+// [-0.25, 1.25] × [-1.125, 1.125], which holds the lune every diameter-
 // normalized copy lies in and what an α-diameter copy adds to it at the
-// default α. Constants, not knobs: a vertex outside the box reads 0.
+// default α. The box is symmetric under the half turn about (½, 0) that
+// maps a copy onto its twin (mirrorCell). Constants, not knobs: a vertex
+// outside the box reads 0.
 const (
 	fieldRes         = 32
-	fieldX0, fieldY0 = -0.25, -1.1
+	fieldX0, fieldY0 = -0.25, -1.125
 	fieldNX, fieldNY = 48, 72
 	// fieldFar is the band around each query segment inside which the
 	// build measures cell centres against that segment; a cell whose
@@ -97,8 +99,13 @@ const (
 // segments that can be nearest to a point of it, so the evaluator's dir
 // pass reads a stored vertex's distance through its cell (dist). See
 // DESIGN.md §4.9, "Distance-field reject".
+//
+// An entry of lb packs two bounds: the cell's own in its low 32 bits and
+// its mirror cell's (mirrorCell) in its high 32, so one read of a copy's
+// cells sums the field over the copy and over its half-turn twin
+// (sumPast).
 type distField struct {
-	lb    [fieldNX*fieldNY + 1]uint16
+	lb    [fieldNX*fieldNY + 1]uint64
 	lists [fieldNX*fieldNY + 1]cellList
 	// The query's segments as its oracle's grid holds them: what a list's
 	// ids index.
@@ -131,6 +138,18 @@ func fieldCell(p geom.Point) uint16 {
 		return fieldOff
 	}
 	return uint16(int(fy)*fieldNX + int(fx))
+}
+
+// mirrorCell is the cell that R(x, y) = (1−x, −y), the half turn about
+// (½, 0), maps the closed cell c onto — exactly, because the box is
+// symmetric under R and its edges are multiples of 1/fieldRes: (ix, iy)
+// goes to (fieldNX−1−ix, fieldNY−1−iy), which in row-major ids is
+// fieldOff−1−c. The slot of points outside the box is its own mirror.
+func mirrorCell(c uint16) uint16 {
+	if c >= fieldOff {
+		return fieldOff
+	}
+	return fieldOff - 1 - c
 }
 
 // appendFieldCells appends the cell id of every point of pts to dst.
@@ -218,7 +237,9 @@ func newDistField(o *BoundaryDist) *distField {
 						near[i] = (d + listReach) * (d + listReach)
 					}
 					if d = max(d, anchor-anchorReach[iy-by][ix-bx]) - (fieldHalf + geomBoundSlack); d > 0 {
-						f.lb[i] = uint16(min(d/fieldUnit, math.MaxUint16))
+						v := uint64(min(d/fieldUnit, math.MaxUint16))
+						f.lb[i] |= v
+						f.lb[mirrorCell(uint16(i))] |= v << 32
 					}
 				}
 			}
@@ -305,25 +326,56 @@ func bandCells(lo, hi float64, n int) (a, b int) {
 // fall in cells, in units of fieldUnit: integers, so the sum is exact
 // whatever the order.
 func (f *distField) sum(cells []uint16) uint64 {
-	return f.sumPast(cells, math.MaxUint64)
+	own, _ := f.sumPast(cells, math.MaxUint64)
+	return own
 }
 
-// sumPast is sum, except that it may stop at a four-cell boundary once the
-// partial sum exceeds trigger: every term is non-negative, so the result is
-// above trigger exactly when the full sum is, and then it is a lower bound
-// on the full sum — the copy is turned away on either.
-func (f *distField) sumPast(cells []uint16, trigger uint64) uint64 {
-	var sum uint64
+// sumPast returns the field's sums, in units, over the copy whose vertices
+// fall in cells (own) and over its half-turn twin (twin), both read through
+// cells: the twin's from the high halves of lb. It may stop at a four-cell
+// boundary once both partial sums exceed trigger: every term is
+// non-negative, so a sum at most trigger is full, and one above it is a
+// lower bound on the full sum — the copy is turned away on either. Four
+// terms of at most 0xFFFF cannot carry out of a half.
+//
+// The twin's sum is admissible because the twin is R of the copy, vertex by
+// vertex, to mirrorTol (halfTurnPair): a vertex v read in cell c lies in the
+// closed cell c to the float cell index's ulp, R(v) in the closed cell
+// mirrorCell(c), and the twin's vertex within mirrorTol of R(v) — inside the
+// geomBoundSlack every bound of the table allows beyond its cell. The twin's
+// own cell need not be mirrorCell(c): the pinned points (0,0) and (1,0) sit
+// on cell edges, where the float index picks either side.
+func (f *distField) sumPast(cells []uint16, trigger uint64) (own, twin uint64) {
 	for ; len(cells) >= 4; cells = cells[4:] {
-		sum += uint64(f.lb[cells[0]]) + uint64(f.lb[cells[1]]) + uint64(f.lb[cells[2]]) + uint64(f.lb[cells[3]])
-		if sum > trigger {
-			return sum
+		pair := f.lb[cells[0]] + f.lb[cells[1]] + f.lb[cells[2]] + f.lb[cells[3]]
+		own, twin = own+pair&math.MaxUint32, twin+pair>>32
+		if min(own, twin) > trigger {
+			return own, twin
 		}
 	}
 	for _, id := range cells {
-		sum += uint64(f.lb[id])
+		own, twin = own+f.lb[id]&math.MaxUint32, twin+f.lb[id]>>32
 	}
-	return sum
+	return own, twin
+}
+
+// floor is the field's lower bound on the distance of a shape whose copies,
+// nv vertices each and in half-turn pairs, fall in the cells of block, copy
+// c's at block[c·nv:(c+1)·nv]: the smallest of its copies' fieldFloor. Every
+// copy has the shape's vertex count and fieldFloor is monotone in the sum
+// for a fixed count, so the least sum gives the least floor, with one
+// division; one read of copy 2k's cells sums copies 2k and 2k+1 (sumPast),
+// stopping once both pass the least so far.
+func (f *distField) floor(block []uint16, nv, copies int) float64 {
+	if copies == 0 {
+		return math.Inf(1)
+	}
+	least := uint64(math.MaxUint64)
+	for c := 0; c < copies; c += 2 {
+		own, twin := f.sumPast(block[c*nv:(c+1)*nv], least)
+		least = min(least, own, twin)
+	}
+	return fieldFloor(least, nv)
 }
 
 // fieldRate is a cutoff's reject trigger per vertex, in units of the
@@ -485,16 +537,23 @@ func (b *Base) ShapeDistancePreparedBounded(shapeID int, pq *PreparedQuery, cuto
 }
 
 // ShapeFloor is a lower bound on the shape's distance to the prepared query
-// that costs one table load per stored vertex (the query's distance field
-// summed over each copy, the smallest per-vertex average halved): above a
-// cutoff it proves what ShapeDistancePreparedBounded would report under it,
-// strictly outside. 0 — no claim — for an id out of range.
+// that costs one table load per vertex of every other copy (the query's
+// distance field summed over each copy, the smallest per-vertex average
+// halved): above a cutoff it proves what ShapeDistancePreparedBounded would
+// report under it, strictly outside. 0 — no claim — for an id out of range.
 func (b *Base) ShapeFloor(shapeID int, pq *PreparedQuery) float64 {
 	if shapeID < 0 || shapeID >= len(b.shapes) {
 		return 0
 	}
-	s := b.scanShape(shapeID)
-	return s.floor(pq.distField())
+	return b.shapeFloor(pq.distField(), shapeID)
+}
+
+// shapeFloor is f's floor of shape id (distField.floor) over the shape's
+// strided block of cells, read straight from the base's arrays.
+func (b *Base) shapeFloor(f *distField, id int) float64 {
+	lo, hi := b.shapeOff[id], b.shapeOff[id+1]
+	v0 := b.entryOff[lo]
+	return f.floor(b.fieldCells[v0:b.entryOff[hi]], int(b.entryOff[lo+1]-v0), int(hi-lo))
 }
 
 // Continuous is the continuous measure between the query and stored copy

@@ -30,29 +30,12 @@ func (s *scanShape) copyCells(c int) []uint16 {
 	return s.block[c*s.nv : (c+1)*s.nv]
 }
 
-// floor is the field's lower bound on the shape's distance, the smallest
-// of its copies' (fieldFloor): above a cutoff, it proves every copy — the
-// shape — strictly outside it. Every copy has the shape's vertex count and
-// fieldFloor is monotone in the sum for a fixed count, so the least sum
-// gives the least floor, with one division: a copy's sum stops once it
-// passes the least so far.
-func (s *scanShape) floor(f *distField) float64 {
-	if len(s.entries) == 0 {
-		return math.Inf(1)
-	}
-	least := uint64(math.MaxUint64)
-	for c := range s.entries {
-		least = min(least, f.sumPast(s.copyCells(c), least))
-	}
-	return fieldFloor(least, s.nv)
-}
-
-// eachLive hands visit every shape of the base not in dead, in id order:
-// the one walk of the floor pass and the fixed-cutoff scan. ctx is checked
-// every 32 shapes — each costs a table load per stored vertex and a few
-// boundary probes, so the cancellation latency stays well under a
+// eachLive hands visit the id of every shape of the base not in dead, in
+// id order: the walk of the floor pass and the fixed-cutoff scan. ctx is
+// checked every 32 shapes — each costs at most a table load per stored vertex
+// and a few boundary probes, so the cancellation latency stays well under a
 // millisecond; a cancelled walk returns ctx's error.
-func (b *Base) eachLive(ctx context.Context, dead map[int]bool, visit func(s scanShape)) error {
+func (b *Base) eachLive(ctx context.Context, dead map[int]bool, visit func(id int)) error {
 	for id := range b.shapes {
 		if id&31 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -60,7 +43,7 @@ func (b *Base) eachLive(ctx context.Context, dead map[int]bool, visit func(s sca
 			}
 		}
 		if !dead[id] {
-			visit(b.scanShape(id))
+			visit(id)
 		}
 	}
 	return nil
@@ -73,7 +56,7 @@ func (b *Base) eachLive(ctx context.Context, dead map[int]bool, visit func(s sca
 // it does not re-read.
 func (b *Base) Floors(ctx context.Context, pq *PreparedQuery, dead map[int]bool, visit func(id int, floor float64)) (copies, blocks int, err error) {
 	f := pq.distField()
-	if err := b.eachLive(ctx, dead, func(s scanShape) { visit(s.id, s.floor(f)) }); err != nil {
+	if err := b.eachLive(ctx, dead, func(id int) { visit(id, b.shapeFloor(f, id)) }); err != nil {
 		return 0, 0, err
 	}
 	copies, blocks = len(b.entries), b.totalCost
@@ -93,11 +76,12 @@ func (b *Base) Floors(ctx context.Context, pq *PreparedQuery, dead map[int]bool,
 // with the copies scanned so far. The query's evaluation counter, when
 // attached, is charged with the copies that reached the exact evaluator.
 func (b *Base) Within(ctx context.Context, pq *PreparedQuery, dead map[int]bool, cut float64, visit func(Match)) (copies, blocks int, err error) {
-	err = b.eachLive(ctx, dead, func(s scanShape) {
+	err = b.eachLive(ctx, dead, func(id int) {
+		s := b.scanShape(id)
 		best, ei, _, cost := s.nearest(pq, cut, nil)
 		copies, blocks = copies+len(s.entries), blocks+cost
 		if ei >= 0 && best <= cut {
-			visit(Match{ShapeID: s.id, EntryID: ei, DistVertex: best})
+			visit(Match{ShapeID: id, EntryID: ei, DistVertex: best})
 		}
 	})
 	return copies, blocks, err
@@ -109,8 +93,9 @@ func (b *Base) Within(ctx context.Context, pq *PreparedQuery, dead map[int]bool,
 const nearestStack = 64
 
 // nearest evaluates the shape's copies under cutoff and the best so far.
-// It first sums the field over every copy, each sum stopping once it
-// proves the copy strictly above cutoff; when that turns every copy away
+// It first sums the field over every copy, one read of copy 2k's cells for
+// copies 2k and 2k+1 (sumPast), each read stopping once it proves both
+// strictly above cutoff; when that turns every copy away
 // the shape is done, in index order, without a floor, a division or a look
 // at an entry. Otherwise it goes best-first: the surviving copy with the
 // lowest floor goes to the evaluator first — the likeliest to set a best
@@ -132,7 +117,10 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 	}
 	lead, lowest, t := -1, math.Inf(1), fieldTrigger(s.nv, fieldRate(cutoff))
 	for c := 0; c < n; c++ {
-		if sums[c] = f.sumPast(s.copyCells(c), t); sums[c] > t {
+		if c%2 == 0 {
+			sums[c], sums[c+1] = f.sumPast(s.copyCells(c), t)
+		}
+		if sums[c] > t {
 			continue // a partial sum, above the trigger of every cutoff ≤ this one
 		}
 		// A survivor's sum is full: its floor is the one a full pass takes.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -216,6 +217,89 @@ func TestCopiesShareVertexCount(t *testing.T) {
 	}
 }
 
+// TestCopiesComeInMirroredPairs pins what distField.floor's one read per
+// pair rests on: every shape's copies come in half-turn pairs, copy 2k+1
+// R(x, y) = (1−x, −y) of copy 2k to 1e-12, vertex by vertex — in a frozen
+// paper base, in one grown by Append as a live delta is, and in one
+// reassembled from its parts over heap slices and over a file mapping, at
+// the default α and at α = 0.6. BaseFromParts refuses parts whose odd copy
+// is moved 1e-6, or that drop a shape's last copy, with an error naming the
+// shape; and a shape so far from the origin for its size that Normalize's
+// rounding breaks a pair is refused when it is added.
+func TestCopiesComeInMirroredPairs(t *testing.T) {
+	images := synth.GenerateBase(synth.PaperSpec(0.002, 67))
+	for _, alpha := range []float64{DefaultOptions().Alpha, 0.6} {
+		opts := DefaultOptions()
+		opts.Alpha = alpha
+		b, d := NewBase(opts), newDyn(opts)
+		for _, img := range images {
+			for _, s := range img.Shapes {
+				if _, err := b.AddShape(img.ID, s); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.insert(img.ID, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := b.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		bases := map[string]*Base{"Freeze": b, "Append": d.b, "BaseFromParts over heap slices": reassemble(t, b, b.verts)}
+		if verts := mappedVerts(t, b.verts); verts != nil {
+			bases["BaseFromParts over a mapping"] = reassemble(t, b, verts)
+		}
+		for path, base := range bases {
+			for id := range base.NumShapes() {
+				lo, hi := base.shapeOff[id], base.shapeOff[id+1]
+				if (hi-lo)%2 != 0 {
+					t.Fatalf("α=%g %s: shape %d has %d copies", alpha, path, id, hi-lo)
+				}
+				for c := lo; c < hi; c += 2 {
+					pts, twin := base.entries[c].Poly.Pts, base.entries[c+1].Poly.Pts
+					for i, p := range pts {
+						if dx, dy := math.Abs(1-p.X-twin[i].X), math.Abs(p.Y+twin[i].Y); !(dx <= 1e-12 && dy <= 1e-12) {
+							t.Fatalf("α=%g %s: shape %d copy %d vertex %d is %v, the half turn of copy %d's %v", alpha, path, id, c+1, i, twin[i], c, p)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	b := NewBase(DefaultOptions())
+	for i, p := range testShapes() {
+		if _, err := b.AddShape(i, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	var own []int
+	for ei := range b.entries {
+		own = append(own, ei)
+	}
+	a := b.entries[0].ShapeID
+	ea := b.EntriesOfShape(a)
+	moved := specInOrder(b, own, nil)
+	moved.Verts[moved.EntryOff[ea[1]]].X += 1e-6
+	dropped := specInOrder(b, append(own[:ea[len(ea)-1]:ea[len(ea)-1]], own[ea[len(ea)-1]+1:]...), nil)
+	for name, spec := range map[string]BaseSpec{"odd copy moved 1e-6": moved, "last copy dropped": dropped} {
+		if _, err := BaseFromParts(spec); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("parts shape %d:", a)) {
+			t.Fatalf("%s: BaseFromParts returned %v, want an error naming shape %d", name, err, a)
+		}
+	}
+
+	far := unitSquare().Transform(geom.Transform{S: 1, T: geom.Pt(1e9, 1e9)})
+	if _, err := NewBase(DefaultOptions()).AddShape(0, far); err == nil || !strings.Contains(err.Error(), "half-turn pairs") {
+		t.Fatalf("a unit square 1e9 from the origin was added: %v", err)
+	}
+	if _, err := b.Append(0, []geom.Poly{far}); err == nil {
+		t.Fatal("a unit square 1e9 from the origin was appended")
+	}
+}
+
 // floorOrdered is the exact search's two passes over one base: Floors
 // lists the live shapes with their floors, which are scored with
 // ShapeDistancePreparedBounded in ascending floor order under the running
@@ -260,23 +344,29 @@ func floorOrdered(t *testing.T, b *Base, pq *PreparedQuery, k int, dead map[int]
 }
 
 // TestNearestLowestCopyOnTies pins the tie rule of scanShape.nearest where
-// the visit order no longer implies it: three copies of one polygon tie on
-// distance to the bit, and the last of them — its cells read "outside the
-// table", a floor of 0 — is the one nearest evaluates first. Whatever the
-// cutoff lets through, the entry reported is the lowest.
+// the visit order no longer implies it: two half-turn pairs of one polygon,
+// copies 0 and 2 equal and so are 1 and 3, so each tie on distance to the
+// bit with the other; the second pair's cells read "outside the table", a
+// floor of 0, so copy 2 is the one nearest evaluates first. Whatever the
+// cutoff lets through, the entry reported is the lowest realizing the
+// distance.
 func TestNearestLowestCopyOnTies(t *testing.T) {
 	es, err := Normalize(unitSquare(), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	poly := es[0].Poly
-	s := scanShape{id: 7, nv: len(poly.Pts), cost: []int32{1, 1, 1}}
-	for c := 0; c < 3; c++ {
-		s.entries = append(s.entries, Entry{ShapeID: 7, Copy: c, Poly: poly})
+	twin := geom.Poly{Pts: make([]geom.Point, len(poly.Pts)), Closed: poly.Closed}
+	for i, p := range poly.Pts {
+		twin.Pts[i] = geom.Pt(1-p.X, -p.Y)
+	}
+	s := scanShape{id: 7, nv: len(poly.Pts), cost: []int32{1, 1, 1, 1}}
+	for c, cp := range []geom.Poly{poly, twin, poly, twin} {
+		s.entries = append(s.entries, Entry{ShapeID: 7, Copy: c, Poly: cp})
 		if c < 2 {
-			s.block = appendFieldCells(s.block, poly.Pts)
+			s.block = appendFieldCells(s.block, cp.Pts)
 		} else {
-			for range poly.Pts {
+			for range cp.Pts {
 				s.block = append(s.block, fieldOff)
 			}
 		}
@@ -287,20 +377,62 @@ func TestNearestLowestCopyOnTies(t *testing.T) {
 	}
 	f := pq.distField()
 	if low, high := f.sum(s.copyCells(2)), f.sum(s.copyCells(0)); low != 0 || high == 0 {
-		t.Fatalf("field sums %v and %v: the last copy must have the lowest floor", high, low)
+		t.Fatalf("field sums %v and %v: the last pair must have the lowest floor", high, low)
+	}
+	want, wantEi := math.Inf(1), -1
+	for c := 0; c < 2; c++ {
+		if d, _, _ := pq.distWithin(s.entries[c].Poly, nil, 0, math.Inf(1)); d < want {
+			want, wantEi = d, c
+		}
 	}
 	var order []int
-	want, ei, scored, _ := s.nearest(pq, math.Inf(1), func(ei int) { order = append(order, ei) })
-	if !reflect.DeepEqual(order, []int{2, 0, 1}) || scored != 3 {
-		t.Fatalf("copies visited in the order %v, %d scored; want the lowest floor first, then index order, all three scored", order, scored)
+	got, ei, scored, _ := s.nearest(pq, math.Inf(1), func(ei int) { order = append(order, ei) })
+	if !reflect.DeepEqual(order, []int{2, 0, 1, 3}) || scored < 2 {
+		t.Fatalf("copies visited in the order %v, %d scored; want the lowest floor first, then index order, both ties scored", order, scored)
 	}
-	if ei != 0 || want <= 0 {
-		t.Fatalf("three copies tie at %v: entry %d reported, want the lowest", want, ei)
+	if got != want || ei != wantEi || want <= 0 {
+		t.Fatalf("copies tie at %v: (%v, entry %d) reported, want entry %d", want, got, ei, wantEi)
 	}
-	if got, ei, _, _ := s.nearest(pq, want, nil); got != want || ei != 0 {
-		t.Fatalf("cutoff at the distance: (%v, entry %d), want (%v, entry 0)", got, ei, want)
+	if got, ei, _, _ := s.nearest(pq, want, nil); got != want || ei != wantEi {
+		t.Fatalf("cutoff at the distance: (%v, entry %d), want (%v, entry %d)", got, ei, want, wantEi)
 	}
 	if got, ei, _, _ := s.nearest(pq, math.Nextafter(want, 0), nil); ei != -1 || !math.IsInf(got, 1) {
 		t.Fatalf("cutoff below the distance: (%v, entry %d), want every copy rejected", got, ei)
 	}
+}
+
+// BenchmarkFloors times pass 1 of the exact search alone: Base.Floors over
+// the 200-image paper base, for 64 queries at the ledger's jitter (0.01),
+// each query's distance field built before the clock starts. ns/copy is per
+// stored copy floored.
+func BenchmarkFloors(b *testing.B) {
+	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
+	base := NewBase(DefaultOptions())
+	for _, img := range images {
+		for _, s := range img.Shapes {
+			if _, err := base.AddShape(img.ID, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := base.Freeze(); err != nil {
+		b.Fatal(err)
+	}
+	var pqs []*PreparedQuery
+	for _, q := range synth.Queries(rand.New(rand.NewSource(2)), images, 64, 0.01) {
+		pq, err := PrepareQuery(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pq.distField()
+		pqs = append(pqs, pq)
+	}
+	ctx, least := context.Background(), math.Inf(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := base.Floors(ctx, pqs[i%len(pqs)], nil, func(_ int, floor float64) { least = min(least, floor) }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(base.NumEntries()), "ns/copy")
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -62,6 +63,45 @@ func Normalize(p geom.Poly, alpha float64) ([]Entry, error) {
 		return nil, fmt.Errorf("core: normalization produced no copies")
 	}
 	return out, nil
+}
+
+// mirrorTol is how far, coordinate by coordinate, copy 2k+1 of a shape may
+// lie from the half turn of copy 2k about (½, 0). The two copies map the
+// same α-diameter's endpoints onto (0,0) and (1,0) in opposite orders, so
+// in real arithmetic the second is R(x, y) = (1−x, −y) of the first, vertex
+// by vertex. Normalize's float transforms leave them apart by a rounding
+// that grows with the shape's distance from the origin over its size:
+// under 1e-13 on the paper's synthetic base, ~5e-10 with that base moved
+// 10⁶ units out. The searches floor a twin through its partner's cells
+// (distField.sumPast), which stays admissible for a vertex up to
+// geomBoundSlack off R's image: the tolerance is half of that.
+const mirrorTol = geomBoundSlack / 2
+
+// halfTurnPair reports whether twin is R of pts, vertex by vertex, within
+// mirrorTol — false for a NaN coordinate or a vertex count that differs.
+func halfTurnPair(pts, twin []geom.Point) bool {
+	if len(pts) != len(twin) {
+		return false
+	}
+	for i, p := range pts {
+		if !(math.Abs(1-p.X-twin[i].X) <= mirrorTol && math.Abs(p.Y+twin[i].Y) <= mirrorTol) {
+			return false
+		}
+	}
+	return true
+}
+
+// unpairedCopy is the first copy of a shape's run of n copies, copy c's
+// vertices cp(c), that breaks the layout the searches floor through: an odd
+// last copy, or a copy 2k+1 that is not the half turn of copy 2k
+// (halfTurnPair). -1 when every copy is paired.
+func unpairedCopy(n int, cp func(c int) []geom.Point) int {
+	for c := 0; c < n; c += 2 {
+		if c+1 == n || !halfTurnPair(cp(c), cp(c+1)) {
+			return c + 1
+		}
+	}
+	return -1
 }
 
 // NormalizeCanonical returns the single canonical normalization of p:

@@ -134,9 +134,9 @@ func gsir1Golden(tb testing.TB) []byte {
 
 // TestLoadGSIR1Golden reads the legacy format from the golden file: Load
 // recovers exactly buildEngine's base (its canonical GSIR2 encoding is
-// the original's, and it answers like the GSIR2 round trip), Peek reads
-// the header. (LoadPartial: TestLoadPartialGSIR1Prefix, on the same
-// bytes.)
+// the original's, and it answers like the GSIR2 round trip, its copies in
+// half-turn pairs), Peek reads the header. (LoadPartial:
+// TestLoadPartialGSIR1Prefix, on the same bytes.)
 func TestLoadGSIR1Golden(t *testing.T) {
 	orig := buildEngine(t)
 	data := gsir1Golden(t)
@@ -153,6 +153,7 @@ func TestLoadGSIR1Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEngineEquivalence(t, v2, v1)
+	checkMirroredPairs(t, v1)
 
 	info, err := Peek(bytes.NewReader(data))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -271,10 +272,36 @@ func TestGSIR3CrossFormatEquivalence(t *testing.T) {
 	checkEngineEquivalence(t, e2, e3)
 }
 
+// checkMirroredPairs holds eng's stored copies to the layout the exact
+// search floors through: each shape's copies in pairs, copy 2k+1 the half
+// turn (1−x, −y) of copy 2k to 1e-12, vertex by vertex.
+func checkMirroredPairs(t *testing.T, eng *Engine) {
+	t.Helper()
+	base := eng.db.Base()
+	if base.NumShapes() == 0 {
+		t.Fatal("no shapes to check")
+	}
+	for id := range base.NumShapes() {
+		copies := base.EntriesOfShape(id)
+		if len(copies)%2 != 0 {
+			t.Fatalf("shape %d has %d copies", id, len(copies))
+		}
+		for k := 0; k < len(copies); k += 2 {
+			pts, twin := base.Entry(copies[k]).Poly.Pts, base.Entry(copies[k+1]).Poly.Pts
+			for i, p := range pts {
+				if !(math.Abs(1-p.X-twin[i].X) <= 1e-12 && math.Abs(p.Y+twin[i].Y) <= 1e-12) {
+					t.Fatalf("shape %d: copy %d's vertex %d is %v, not the half turn of %v", id, copies[k+1], i, twin[i], p)
+				}
+			}
+		}
+	}
+}
+
 // TestGSIR3KDTreeGolden loads a snapshot an older writer produced, with
 // the per-entry grid, kd-tree and vertex → entry sections: heap-decoded
 // and mapped, it answers exactly as a fresh build of the same base —
-// matches and stats byte for byte — and re-saving it drops exactly those
+// matches and stats byte for byte — holds its copies in half-turn pairs
+// (checkMirroredPairs), and re-saving it drops exactly those
 // eight sections and leaves every other payload — OPTS's 64 bytes with
 // the backend word 2 among them — byte-identical.
 func TestGSIR3KDTreeGolden(t *testing.T) {
@@ -285,6 +312,7 @@ func TestGSIR3KDTreeGolden(t *testing.T) {
 		t.Fatalf("Load(golden): %v", err)
 	}
 	checkEngineEquivalence(t, fresh, heap)
+	checkMirroredPairs(t, heap)
 	if mmap.Supported() && mmap.CanCast() {
 		mapped, err := LoadFileMmap(gsir3KDTreeGoldenPath)
 		if err != nil {
@@ -292,6 +320,7 @@ func TestGSIR3KDTreeGolden(t *testing.T) {
 		}
 		defer mapped.Close()
 		checkEngineEquivalence(t, fresh, mapped)
+		checkMirroredPairs(t, mapped)
 	}
 
 	resaved := saveV3(t, heap)

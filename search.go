@@ -374,8 +374,9 @@ type searchView struct {
 // bucket, or the ANN candidates. The view is taken once per request and
 // every part of it is immutable, so the request answers from the base as
 // of that moment: neither a write nor a compaction landing mid-request
-// reaches it, and each stage lists each part once. The context is checked at stage boundaries, so a request whose
-// deadline has passed never pays for the next stage.
+// reaches it, and each stage lists each part once. The context is checked
+// at stage boundaries, so a request whose deadline has passed never pays
+// for the next stage.
 //
 // The width is planned once from req.Exec, the live in-flight gauge and
 // GOMAXPROCS; both stages of a ModeAuto request run under the one plan.
