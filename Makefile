@@ -68,13 +68,14 @@ bench-check:
 # 60-image base under -short), of the kernel benchmarks (the served exact
 # search at three base sizes, the hashing stage alone, the approximate
 # search, where the query's distance field build is a large share), of
-# the exhaustive sketch search, and of the core kernel's own (the floor
-# pass alone, the field build, a shape the field turns away whole) —
-# catches benchmarks that no longer compile or panic, without paying for
-# stable timings.
+# the exhaustive sketch search, of the core kernel's own (the floor
+# pass alone, the field build, a shape the field turns away whole), and of
+# the ANN probe alone — catches benchmarks that no longer compile or
+# panic, without paying for stable timings.
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchApproximate|BenchmarkSearchLive|BenchmarkSearchSketch' -benchtime=1x .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFloors|BenchmarkDistFieldBuild|BenchmarkFieldReject' -benchtime=1x ./internal/core
+	$(GO) test -short -run '^$$' -bench 'BenchmarkAnnProbe' -benchtime=1x ./internal/annindex
 
 # Short fuzzing budget per target (Go allows one -fuzz pattern per
 # package invocation, hence one line each). Catches regressions in the

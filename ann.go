@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/annindex"
-	"repro/internal/core"
 	"repro/internal/geom"
 )
 
@@ -18,8 +17,9 @@ const (
 	// AnnApprox answers ModeAuto/ModeApproximate/ModeSketch requests
 	// from the ANN candidate set alone: probed buckets (extended to a
 	// minimum candidate floor by a signature scan) are scored exactly by
-	// the bounded evaluators, unprobed shapes are skipped. Sublinear in
-	// the base's geometry at a measured recall (BenchmarkAnn*; the ledger's
+	// the bounded evaluators, unprobed shapes are skipped. Not sublinear:
+	// the probe compares signatures over its whole bucket union (DESIGN.md
+	// §4.10), at a measured recall (BenchmarkAnn*; the ledger's
 	// recall_at_k on approx_zipf_cached).
 	// ModeExact ignores it — its contract is exactness — and answers as
 	// under AnnOff.
@@ -62,9 +62,9 @@ func annMinShapes(k int) int {
 // search evaluates. Probe returns the *whole* bucket union best-first —
 // on bases dense with near-duplicates that union can approach the full
 // shape count, which would silently degrade the approximate path back
-// to a linear scan. The cap keeps the evaluated set proportional to the
-// floor, preserving the sublinear claim; recall relies on agreement
-// ranking putting the true neighbors in this prefix (BenchmarkAnn*).
+// to a linear scan of the geometry. The cap keeps the exact work
+// proportional to the floor; recall relies on agreement ranking putting
+// the true neighbors in this prefix (BenchmarkAnn*).
 func annCapShapes(minShapes int) int { return 2 * minShapes }
 
 // annSketchMinShapes is the per-sketch-shape candidate floor. Sketch
@@ -135,12 +135,28 @@ func annStats(probes, candidates int) Stats {
 	return Stats{UsedANN: true, ANNProbes: probes, ANNCandidates: candidates}
 }
 
+// querySigs signs a query once per distinct annindex.Params among the parts'
+// ANN indexes (in practice once) and gives each part its own; nil: no index.
+func querySigs(parts []part, poly geom.Poly) [][]uint64 {
+	sigs := make([][]uint64, len(parts))
+	signed := make(map[annindex.Params][]uint64, 1)
+	for i, p := range parts {
+		if p.ann != nil {
+			if _, ok := signed[p.ann.Params()]; !ok {
+				signed[p.ann.Params()] = p.ann.Signature(poly)
+			}
+			sigs[i] = signed[p.ann.Params()]
+		}
+	}
+	return sigs
+}
+
 // annCandidates is the candidate set of an approximate search over the
-// part's ANN index: bucket probes plus the signature-scan floor of
-// minShapes, best-first, capped (annCapShapes). It also returns the number
-// of buckets probed.
-func (p *part) annCandidates(pq *core.PreparedQuery, minShapes int) ([]int, int) {
-	cand := p.ann.Probe(p.ann.Signature(pq.Entry().Poly), minShapes)
+// part's ANN index for the query signature sig (querySigs): bucket probes
+// plus the signature-scan floor of minShapes, best-first, capped
+// (annCapShapes). It also returns the number of buckets probed.
+func (p *part) annCandidates(sig []uint64, minShapes int) ([]int, int) {
+	cand := p.ann.Probe(sig, minShapes)
 	shapes := cand.Shapes
 	if max := annCapShapes(minShapes); len(shapes) > max {
 		shapes = shapes[:max]

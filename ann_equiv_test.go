@@ -4,9 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/annindex"
+	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/synth"
 )
 
@@ -178,4 +183,88 @@ func TestAnnApproxRecallFloor(t *testing.T) {
 	if got < floor {
 		t.Fatalf("sharded recall@%d = %.4f, want >= %.2f", k, got, floor)
 	}
+}
+
+// TestAnnProbesEachPartUnderItsParams pins the signing contract of an
+// AnnApprox request (querySigs): each query shape is signed once per
+// request for every distinct annindex.Params among the view's parts —
+// parts with equal Params share one signature — and each part is probed
+// with the signature of its own Params. A view whose shards were indexed
+// under different Params therefore answers as if every part had signed the
+// query itself: for ModeApproximate, ModeAuto and ModeSketch, each part's
+// listing and its Stats under the shared signature equal those under the
+// part's own Index.Signature, and the matches are the long way's.
+func TestAnnProbesEachPartUnderItsParams(t *testing.T) {
+	images, queries, sketch := equivBase(t)
+	ctx := context.Background()
+	se := buildShardedFrom(t, images, 4)
+	odd := annindex.Params{GridRes: 12, Bands: 8, Rows: 3, Seed: 7}
+	sh := se.shards[se.searchView().parts[1].shard]
+	base := sh.db.Base()
+	sh.ann = annindex.Build(odd, base.NumEntries(), func(i int) (geom.Poly, int32) {
+		en := base.Entry(i)
+		return en.Poly, int32(en.ShapeID)
+	})
+	v := se.searchView()
+	const k = 3
+	for qi, q := range append(queries, sketch...) {
+		label := fmt.Sprintf("q%d", qi)
+		pq, err := core.PrepareQuery(q)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sigs := querySigs(v.parts, pq.Entry().Poly)
+		if len(sigs[1]) != odd.Bands*odd.Rows {
+			t.Fatalf("%s: part 1 signed with %d hashes, its Params have %d", label, len(sigs[1]), odd.Bands*odd.Rows)
+		}
+		for i, p := range v.parts {
+			for j, o := range v.parts[:i] {
+				if shared := &sigs[i][0] == &sigs[j][0]; shared != (p.ann.Params() == o.ann.Params()) {
+					t.Fatalf("%s: parts %d and %d share a signature: %v, Params equal: %v", label, j, i, shared, !shared)
+				}
+			}
+			own := p.ann.Signature(pq.Entry().Poly)
+			got, gst, err := p.annFloors(ctx, pq, sigs[i], k, int32(i))
+			if err != nil {
+				t.Fatalf("%s part %d: %v", label, i, err)
+			}
+			want, wst, _ := p.annFloors(ctx, pq, own, k, int32(i))
+			if !slices.Equal(got, want) || gst != wst {
+				t.Fatalf("%s part %d: listing %v %+v, under its own signature %v %+v", label, i, got, gst, want, wst)
+			}
+			gotT, gst, err := p.sketchTable(ctx, pq, sigs[i], k)
+			if err != nil {
+				t.Fatalf("%s part %d sketch: %v", label, i, err)
+			}
+			wantT, wst, _ := p.sketchTable(ctx, pq, own, k)
+			if !maps.Equal(gotT, wantT) || gst != wst {
+				t.Fatalf("%s part %d: sketch table %v %+v, under its own signature %v %+v", label, i, gotT, gst, wantT, wst)
+			}
+		}
+		want := annApproxUnshared(t, label, v.parts, q, k)
+		for _, mode := range []Mode{ModeApproximate, ModeAuto} {
+			got, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Ann: AnnApprox})
+			if err != nil {
+				t.Fatalf("%s %v: %v", label, mode, err)
+			}
+			assertMatchesEqual(t, fmt.Sprintf("%s %v", label, mode), want, got.Matches)
+		}
+	}
+	perShape := make([]map[int]float64, len(sketch))
+	for si, q := range sketch {
+		pq, err := core.PrepareQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perShape[si] = map[int]float64{}
+		for _, p := range v.parts {
+			table, _, _ := p.sketchTable(ctx, pq, p.ann.Signature(pq.Entry().Poly), k)
+			maps.Copy(perShape[si], table)
+		}
+	}
+	got, err := se.Search(ctx, SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Ann: AnnApprox})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSketchEqual(t, "sketch", scoreSketchTables(perShape, k), got.SketchMatches)
 }

@@ -143,8 +143,9 @@ func assertTwoPasses(t *testing.T, label string, parts []part, q Shape, k int) i
 }
 
 // annApproxUnshared is the ann:approx answer worked out the long way:
-// every shape the parts list — a frozen part's probed candidates, a
-// delta's every shape — scored under +Inf, ranked, cut to k.
+// every shape the parts list — a frozen part's candidates, probed with a
+// signature of its own, a delta's every shape — scored under +Inf,
+// ranked, cut to k.
 func annApproxUnshared(t *testing.T, label string, parts []part, q Shape, k int) []Match {
 	t.Helper()
 	pq, err := core.PrepareQuery(q)
@@ -153,7 +154,11 @@ func annApproxUnshared(t *testing.T, label string, parts []part, q Shape, k int)
 	}
 	var ms []Match
 	for i, p := range parts {
-		listed, _, err := p.annFloors(context.Background(), pq, k, int32(i))
+		var sig []uint64
+		if p.ann != nil {
+			sig = p.ann.Signature(pq.Entry().Poly)
+		}
+		listed, _, err := p.annFloors(context.Background(), pq, sig, k, int32(i))
 		if err != nil {
 			t.Fatalf("%s: part %d: %v", label, i, err)
 		}

@@ -1,5 +1,5 @@
-// Package annindex is the sublinear candidate-generation tier in front
-// of the exact match kernel: a MinHash + LSH-banding index over the
+// Package annindex is the candidate-generation tier in front of the
+// exact match kernel: a MinHash + LSH-banding index over the
 // rasterized boundaries of normalized shape copies, after "Locality
 // Sensitive Hashing for Efficient Similar Polygon Retrieval"
 // (arXiv:2101.04339) and PolyMinHash (arXiv:2511.16576).
@@ -17,13 +17,14 @@
 // byte-identical to a persisted one and snapshot round-trips stay
 // canonical.
 //
-// The index never answers a query by itself: it emits a candidate set
-// that the admissible bounded evaluators then score exactly (DESIGN.md
-// §4.10).
+// The index never answers a query by itself: a probe, linear in signature
+// compares (never geometry), emits a candidate set that the admissible
+// bounded evaluators then score exactly (DESIGN.md §4.10).
 package annindex
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -278,9 +279,6 @@ type Candidates struct {
 	Shapes []int
 	// Probes counts the LSH buckets probed.
 	Probes int
-	// Scanned reports that bucket probing fell short of minShapes and
-	// the floor was met by ranking all signatures directly.
-	Scanned bool
 }
 
 // agreement counts signature positions where entry ei matches sig.
@@ -298,99 +296,80 @@ func (ix *Index) agreement(sig []uint64, ei int32) int32 {
 
 // Probe collects the entries colliding with sig in any band, ranks them
 // by signature agreement, and dedupes to shapes. If the buckets yield
-// fewer than minShapes distinct shapes, the floor is met by ranking
-// every entry's signature directly — a linear pass over cheap integer
-// compares, not geometry, so the expensive exact evaluations stay
-// bounded by the candidate list. The result is deterministic for a
-// given index and signature.
+// fewer than minShapes distinct shapes, it ranks every entry instead and
+// cuts at the first point covering minShapes shapes. Either way it costs
+// one agreement scan of the ranked entries plus O(1) per entry.
 func (ix *Index) Probe(sig []uint64, minShapes int) Candidates {
-	var out Candidates
 	if ix.n == 0 {
-		return out
+		return Candidates{}
 	}
-	if minShapes > ix.nShapes {
-		minShapes = ix.nShapes
-	}
-	seen := make(map[int32]struct{})
+	minShapes = min(minShapes, ix.nShapes)
+	union := make([]uint64, (ix.n+63)/64)
 	for b := 0; b < ix.p.Bands; b++ {
-		out.Probes++
 		for _, ei := range ix.buckets[b][ix.p.bandKey(sig, b)] {
-			if _, dup := seen[ei]; !dup {
-				seen[ei] = struct{}{}
-				out.Entries = append(out.Entries, ei)
+			union[ei>>6] |= 1 << (ei & 63)
+		}
+	}
+	size := 0
+	for _, w := range union {
+		size += bits.OnesCount64(w)
+	}
+	ids := make([]int32, 0, size)
+	seen := make([]bool, ix.nShapes)
+	covered := 0
+	for wi, w := range union {
+		for ; w != 0; w &= w - 1 {
+			ei := int32(wi<<6 + bits.TrailingZeros64(w))
+			ids = append(ids, ei)
+			if s := ix.shapeOf[ei]; !seen[s] {
+				seen[s] = true
+				covered++
 			}
 		}
 	}
-	shapeCount := func(entries []int32) int {
-		hit := make(map[int32]struct{}, len(entries))
-		for _, ei := range entries {
-			hit[ix.shapeOf[ei]] = struct{}{}
+	scan := covered < minShapes
+	if scan {
+		ids = make([]int32, ix.n)
+		for i := range ids {
+			ids[i] = int32(i)
 		}
-		return len(hit)
 	}
-	if shapeCount(out.Entries) < minShapes {
-		// Floor unmet: rank the whole base by agreement and cut at the
-		// first point covering minShapes shapes. The bucket hits are a
-		// subset of this ranking (bucket collision implies agreement), so
-		// nothing found above is lost.
-		out.Scanned = true
-		all := make([]int32, ix.n)
-		for i := range all {
-			all[i] = int32(i)
+	out := Candidates{Probes: ix.p.Bands}
+	out.Entries, out.Scores = ix.rank(sig, ids)
+	clear(seen)
+	for i, ei := range out.Entries {
+		if scan && len(out.Shapes) == minShapes {
+			out.Entries, out.Scores = out.Entries[:i], out.Scores[:i]
+			break
 		}
-		scores := make([]int32, ix.n)
-		for i := range scores {
-			scores[i] = ix.agreement(sig, int32(i))
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if scores[all[i]] != scores[all[j]] {
-				return scores[all[i]] > scores[all[j]]
-			}
-			return all[i] < all[j]
-		})
-		hit := make(map[int32]struct{}, minShapes)
-		cut := 0
-		for cut < len(all) && len(hit) < minShapes {
-			hit[ix.shapeOf[all[cut]]] = struct{}{}
-			cut++
-		}
-		out.Entries = all[:cut]
-		out.Scores = make([]int32, cut)
-		for i, ei := range out.Entries {
-			out.Scores[i] = scores[ei]
-		}
-	} else {
-		out.Scores = make([]int32, len(out.Entries))
-		for i, ei := range out.Entries {
-			out.Scores[i] = ix.agreement(sig, ei)
-		}
-		sort.Sort(byScore{out.Entries, out.Scores})
-	}
-	shapeSeen := make(map[int32]struct{}, len(out.Entries))
-	for _, ei := range out.Entries {
-		s := ix.shapeOf[ei]
-		if _, dup := shapeSeen[s]; !dup {
-			shapeSeen[s] = struct{}{}
+		if s := ix.shapeOf[ei]; !seen[s] {
+			seen[s] = true
 			out.Shapes = append(out.Shapes, int(s))
 		}
 	}
 	return out
 }
 
-// byScore sorts entries by descending score, ascending entry id.
-type byScore struct {
-	ents   []int32
-	scores []int32
-}
-
-func (s byScore) Len() int { return len(s.ents) }
-func (s byScore) Less(i, j int) bool {
-	if s.scores[i] != s.scores[j] {
-		return s.scores[i] > s.scores[j]
+// rank orders ids, which ascend, best-first by agreement with sig: score
+// descending, then id ascending. A stable counting sort over the
+// hashCount()+1 possible scores places each entry in O(1).
+func (ix *Index) rank(sig []uint64, ids []int32) (entries, scores []int32) {
+	h := int32(ix.p.hashCount())
+	scores = make([]int32, len(ids))
+	next := make([]int, h+2) // next[h-s]: where the next entry of score s goes
+	for i, ei := range ids {
+		scores[i] = ix.agreement(sig, ei)
+		next[h-scores[i]+1]++
 	}
-	return s.ents[i] < s.ents[j]
-}
-func (s byScore) Swap(i, j int) {
-	s.ents[i], s.ents[j] = s.ents[j], s.ents[i]
-	s.scores[i], s.scores[j] = s.scores[j], s.scores[i]
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	entries = make([]int32, len(ids))
+	ranked := make([]int32, len(ids))
+	for i, ei := range ids {
+		b := h - scores[i]
+		entries[next[b]], ranked[next[b]] = ei, scores[i]
+		next[b]++
+	}
+	return entries, ranked
 }

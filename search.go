@@ -147,7 +147,7 @@ type SearchRequest struct {
 	Mode Mode
 	// Ann selects the MinHash/LSH candidate tier's role: AnnOff (the
 	// zero value) ignores it, AnnApprox answers from its candidate set
-	// alone (sublinear, measured recall). See AnnMode.
+	// alone (capped exact work, measured recall). See AnnMode.
 	Ann AnnMode
 
 	// onPrepare observes each query preparation the request performs
@@ -307,29 +307,29 @@ func (p *part) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]
 	return out, Stats{VerticesCounted: copies, BlockReads: blocks}, err
 }
 
-// annFloors is the listing of the sublinear ann:approx stage: the part's
-// live ANN candidates for k, each with its floor, and the tier's
-// accounting. Each part applies the full annMinShapes floor, so the union
-// over N parts is at least as wide as one part's candidate set — recall is
-// monotone in the part count. A delta lists every live shape, as floors
-// does; the copies floored are no exact search's.
-func (p *part) annFloors(ctx context.Context, pq *core.PreparedQuery, k int, pi int32) ([]bucketShape, Stats, error) {
-	if p.ann == nil {
+// annFloors is the listing of the ann:approx stage: the part's live ANN
+// candidates for k under the query's signature sig, each with its floor,
+// and the tier's accounting. Each part applies the full annMinShapes floor,
+// so the union over N parts is at least as wide as one part's candidate set
+// — recall is monotone in the part count. A delta (nil sig) lists every
+// live shape, as floors does; the copies floored are no exact search's.
+func (p *part) annFloors(ctx context.Context, pq *core.PreparedQuery, sig []uint64, k int, pi int32) ([]bucketShape, Stats, error) {
+	if sig == nil {
 		shapes, _, err := p.floors(ctx, pq, pi)
 		return shapes, Stats{}, err
 	}
-	shapes, probes := p.annCandidates(pq, annMinShapes(k))
+	shapes, probes := p.annCandidates(sig, annMinShapes(k))
 	shapes = p.live(shapes)
 	return floored(p, shapes, pq, pi), annStats(probes, len(shapes)), nil
 }
 
 // sketchTable is the best distance per live image to one sketch shape: a
 // scan of every live shape under the fixed cutoff +Inf (Base.Within),
-// tombstones skipped before they are scored. Under AnnApprox a shard
-// scores only its live ANN candidates (exactly); images whose every shape
+// tombstones skipped before they are scored. Given an ANN signature sig, a
+// shard scores only its live candidates (exactly); images whose every shape
 // went unprobed are absent — the sketch ranking's recall cost, measured by
 // BenchmarkAnnSketchApprox. ctx is checked every 32 shapes either way.
-func (p *part) sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, ann AnnMode) (map[int]float64, Stats, error) {
+func (p *part) sketchTable(ctx context.Context, pq *core.PreparedQuery, sig []uint64, k int) (map[int]float64, Stats, error) {
 	best := make(map[int]float64)
 	keep := func(sid int, d float64) {
 		img := p.base.Shape(sid).Image
@@ -337,14 +337,14 @@ func (p *part) sketchTable(ctx context.Context, pq *core.PreparedQuery, k int, a
 			best[img] = d
 		}
 	}
-	if ann != AnnApprox || p.ann == nil {
+	if sig == nil {
 		_, blocks, err := p.base.Within(ctx, pq, p.dead, math.Inf(1), func(m core.Match) { keep(m.ShapeID, m.DistVertex) })
 		if err != nil {
 			return nil, Stats{}, err
 		}
 		return best, Stats{BlockReads: blocks}, nil
 	}
-	shapes, probes := p.annCandidates(pq, annSketchMinShapes(k))
+	shapes, probes := p.annCandidates(sig, annSketchMinShapes(k))
 	shapes = p.live(shapes)
 	for i, sid := range shapes {
 		if i&31 == 0 {
@@ -443,8 +443,9 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		// the candidate stages charge theirs through the query.
 		pq.AttachBlockCounter(&blocks)
 		if annOnly {
+			sigs := querySigs(v.parts, pq.Entry().Poly)
 			ms, stats, err := refine(ctx, v.parts, pq, req.K, width, false, func(i int) ([]bucketShape, Stats, error) {
-				return v.parts[i].annFloors(ctx, pq, req.K, int32(i))
+				return v.parts[i].annFloors(ctx, pq, sigs[i], req.K, int32(i))
 			})
 			if err != nil {
 				return nil, err
@@ -717,7 +718,9 @@ func sketchScatter(ctx context.Context, parts []part, req SearchRequest, width i
 		return nil, Stats{}, err
 	}
 	var blocks, evaluated atomic.Int64
+	per := len(parts)
 	pqs := make([]*core.PreparedQuery, len(sketch))
+	sigs := make([][]uint64, len(sketch)*per) // task t's ANN signature, nil without AnnApprox
 	for si, q := range sketch {
 		pq, err := req.prepare(q)
 		if err != nil {
@@ -726,13 +729,15 @@ func sketchScatter(ctx context.Context, parts []part, req SearchRequest, width i
 		pq.AttachBlockCounter(&blocks)
 		pq.AttachEvalCounter(&evaluated)
 		pqs[si] = pq
+		if req.Ann == AnnApprox {
+			copy(sigs[si*per:], querySigs(parts, pq.Entry().Poly))
+		}
 	}
-	per := len(parts)
 	tables := make([]map[int]float64, len(sketch)*per)
 	tableStats := make([]Stats, len(tables))
 	err := fanout(ctx, len(tables), width, func(t int) (err error) {
 		si := t / per
-		tables[t], tableStats[t], err = parts[t%per].sketchTable(ctx, pqs[si], k, req.Ann)
+		tables[t], tableStats[t], err = parts[t%per].sketchTable(ctx, pqs[si], sigs[t], k)
 		if err != nil {
 			return fmt.Errorf("geosir: sketch shape %d: %w", si, err)
 		}
