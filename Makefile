@@ -69,17 +69,19 @@ bench-check:
 # search at three base sizes, the hashing stage alone, the approximate
 # search, where the query's distance field build is a large share), of
 # the exhaustive sketch search, of the core kernel's own (the floor
-# pass alone, the field build, a shape the field turns away whole), and of
-# the ANN probe alone — catches benchmarks that no longer compile or
-# panic, without paying for stable timings.
+# pass alone, the field build, a shape the field turns away whole), of
+# the ANN probe alone, and of a demo-200 snapshot's open (heap and mmap,
+# ns/op and B/op beside the ledger's open_ms) — catches benchmarks that no
+# longer compile or panic, without paying for stable timings.
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchApproximate|BenchmarkSearchLive|BenchmarkSearchSketch' -benchtime=1x .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFloors|BenchmarkDistFieldBuild|BenchmarkFieldReject' -benchtime=1x ./internal/core
 	$(GO) test -short -run '^$$' -bench 'BenchmarkAnnProbe' -benchtime=1x ./internal/annindex
+	$(GO) test -short -run '^$$' -bench 'BenchmarkOpenV3' -benchtime=1x -benchmem .
 
 # Short fuzzing budget per target (Go allows one -fuzz pattern per
 # package invocation, hence one line each). Catches regressions in the
-# snapshot readers, the geometry predicates, the distance oracle, the
+# snapshot readers, the geometry predicates and transforms, the distance oracle, the
 # query's distance field and the evaluator behind it without a long campaign;
 # crashers land in testdata/fuzz/ and re-run as regular tests afterwards.
 FUZZTIME ?= 10s
@@ -88,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadV3$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzConvexHull$$' -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzPointInPolygon$$' -fuzztime $(FUZZTIME) ./internal/geom
+	$(GO) test -run '^$$' -fuzz '^FuzzTransformApplied$$' -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentGridDist$$' -fuzztime $(FUZZTIME) ./internal/shapeindex
 	$(GO) test -run '^$$' -fuzz '^FuzzDistField$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDistWithin$$' -fuzztime $(FUZZTIME) ./internal/core

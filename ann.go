@@ -93,17 +93,15 @@ type annPreload struct {
 func (e *Engine) buildANN() {
 	base := e.db.Base()
 	n := base.NumEntries()
+	// A copy's shape is its meta: no copy is derived for it.
+	shapeOf := make([]int32, n)
+	for i := range shapeOf {
+		shapeOf[i] = int32(base.EntryShape(i))
+	}
 	if pre := e.annPre; pre != nil && pre.n == n {
-		shapeOf := make([]int32, n)
-		for i := 0; i < n; i++ {
-			shapeOf[i] = int32(base.Entry(i).ShapeID)
-		}
 		e.ann = annindex.FromSignatures(pre.params, pre.sigs, shapeOf)
 	} else {
-		e.ann = annindex.Build(annindex.DefaultParams(), n, func(i int) (geom.Poly, int32) {
-			en := base.Entry(i)
-			return en.Poly, int32(en.ShapeID)
-		})
+		e.ann = annindex.Build(annindex.DefaultParams(), shapeOf, func(i int) geom.Poly { return base.Entry(i).Poly })
 	}
 	e.annPre = nil
 }

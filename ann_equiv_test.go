@@ -201,10 +201,11 @@ func TestAnnProbesEachPartUnderItsParams(t *testing.T) {
 	odd := annindex.Params{GridRes: 12, Bands: 8, Rows: 3, Seed: 7}
 	sh := se.shards[se.searchView().parts[1].shard]
 	base := sh.db.Base()
-	sh.ann = annindex.Build(odd, base.NumEntries(), func(i int) (geom.Poly, int32) {
-		en := base.Entry(i)
-		return en.Poly, int32(en.ShapeID)
-	})
+	shapeOf := make([]int32, base.NumEntries())
+	for i := range shapeOf {
+		shapeOf[i] = int32(base.EntryShape(i))
+	}
+	sh.ann = annindex.Build(odd, shapeOf, func(i int) geom.Poly { return base.Entry(i).Poly })
 	v := se.searchView()
 	const k = 3
 	for qi, q := range append(queries, sketch...) {

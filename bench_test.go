@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/extstore"
 	"repro/internal/geohash"
 	"repro/internal/geom"
+	"repro/internal/mmap"
 	"repro/internal/query"
 	"repro/internal/rangesearch"
 	"repro/internal/synth"
@@ -329,6 +331,36 @@ func benchmarkMatchAtScale(b *testing.B, scale float64) {
 func BenchmarkMatch_Scaling_50images(b *testing.B)  { benchmarkMatchAtScale(b, 0.005) }
 func BenchmarkMatch_Scaling_100images(b *testing.B) { benchmarkMatchAtScale(b, 0.01) }
 func BenchmarkMatch_Scaling_200images(b *testing.B) { benchmarkMatchAtScale(b, 0.02) }
+
+// BenchmarkOpenV3 times opening the 200-image demo base's GSIR3 snapshot,
+// heap-decoded (LoadFile) and mapped (LoadFileMmap): the in-process number
+// beside the ledger's open_ms. B/op is what one open allocates; the file
+// is in the page cache after the first.
+func BenchmarkOpenV3(b *testing.B) {
+	eng := buildSingle(b, synth.GenerateBase(synth.PaperSpec(0.02, 1)))
+	path := filepath.Join(b.TempDir(), "demo200.gsir3")
+	if err := eng.SaveFileAs(path, FormatGSIR3); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		open func(string) (*Engine, error)
+	}{{"heap", LoadFile}, {"mmap", LoadFileMmap}} {
+		b.Run(c.name, func(b *testing.B) {
+			if c.name == "mmap" && (!mmap.Supported() || !mmap.CanCast()) {
+				b.Skip("mmap serving unsupported on this platform/build")
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e, err := c.open(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.Close()
+			}
+		})
+	}
+}
 
 // BenchmarkBucketScoring times the hashing stage's two passes over one
 // part — the query's hash bucket floored, then refined in floor order

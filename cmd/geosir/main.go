@@ -20,6 +20,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/sectable"
 	"repro/internal/synth"
 )
 
@@ -157,6 +159,50 @@ func printHashStats(eng cliEngine) {
 	}
 }
 
+// printSections prints the GSIR3 section table a snapshot of eng holds —
+// each section's tag, bytes, share of the file and bytes per image, summed
+// over the shards of a sharded engine — read off the saved file's own
+// table (sectable.Parse).
+func printSections(eng cliEngine) error {
+	var snaps []*geosir.Engine
+	switch e := eng.(type) {
+	case *geosir.Engine:
+		snaps = append(snaps, e)
+	case *geosir.ShardedEngine:
+		for i := 0; i < e.NumShards(); i++ {
+			if sh := e.Shard(i); sh.Frozen() && sh.NumShapes() > 0 {
+				snaps = append(snaps, sh)
+			}
+		}
+	}
+	var tags []string
+	size, total := map[string]int{}, 0
+	for _, sh := range snaps {
+		var buf bytes.Buffer
+		if err := sh.SaveAs(&buf, geosir.FormatGSIR3); err != nil {
+			return err
+		}
+		secs, err := sectable.Parse(buf.Bytes())
+		if err != nil {
+			return err
+		}
+		for _, s := range secs {
+			if _, ok := size[s.Tag]; !ok {
+				tags = append(tags, s.Tag)
+			}
+			size[s.Tag] += int(s.Len)
+		}
+		total += buf.Len()
+	}
+	images := float64(max(eng.NumImages(), 1))
+	fmt.Printf("GSIR3 snapshot: %d bytes, %.1f per image\n", total, float64(total)/images)
+	fmt.Printf("  %-4s %12s %7s %10s\n", "tag", "bytes", "share", "B/image")
+	for _, tag := range tags {
+		fmt.Printf("  %-4s %12d %6.1f%% %10.1f\n", tag, size[tag], 100*float64(size[tag])/float64(total), float64(size[tag])/images)
+	}
+	return nil
+}
+
 func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 	queryShape, k int, topo, binds string, stats bool, shards int, annMode string) error {
 
@@ -176,7 +222,7 @@ func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 
 	if stats {
 		printHashStats(eng)
-		return nil
+		return printSections(eng)
 	}
 
 	if topo != "" {

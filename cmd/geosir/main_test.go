@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro"
@@ -131,12 +133,18 @@ func TestRunDemoPath(t *testing.T) {
 	if err := run("", 15, 3, "", false, 2, 2, "", "", false, 3, "off"); err != nil {
 		t.Fatalf("sharded demo run: %v", err)
 	}
-	// Stats mode, both engine kinds.
-	if err := run("", 10, 3, "", false, -1, 1, "", "", true, 1, "off"); err != nil {
-		t.Fatalf("stats run: %v", err)
-	}
-	if err := run("", 10, 3, "", false, -1, 1, "", "", true, 2, "off"); err != nil {
-		t.Fatalf("sharded stats run: %v", err)
+	// Stats mode, both engine kinds: the GSIR3 section table lists the cell
+	// row, and no copy's vertices, offsets or transforms.
+	for _, shards := range []int{1, 2} {
+		out := captureStdout(t, func() error { return run("", 10, 3, "", false, -1, 1, "", "", true, shards, "off") })
+		if !strings.Contains(out, "\n  ECEL ") || !strings.Contains(out, "\n  ENTM ") {
+			t.Fatalf("stats run (%d shards) lists no ECEL or ENTM section:\n%s", shards, out)
+		}
+		for _, tag := range []string{"EVTX", "EOFF", "ENTT"} {
+			if strings.Contains(out, tag) {
+				t.Fatalf("stats run (%d shards) lists %s:\n%s", shards, tag, out)
+			}
+		}
 	}
 	// Topological query.
 	if err := run("", 10, 3, "", false, -1, 1,
@@ -240,4 +248,29 @@ func TestDumpRoundTrip(t *testing.T) {
 	if err := runDump("", 0, 1, filepath.Join(dir, "x")); err == nil {
 		t.Error("no source should fail")
 	}
+}
+
+// captureStdout runs f with os.Stdout sent to a pipe and returns what it
+// printed; f's error fails the test.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	out := string(<-done)
+	if err != nil {
+		t.Fatalf("%v; printed:\n%s", err, out)
+	}
+	return out
 }

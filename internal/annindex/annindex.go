@@ -209,19 +209,11 @@ type Index struct {
 	buckets []map[uint64][]int32 // per band: bucket key → entry ids (ascending)
 }
 
-// Build computes signatures for n entries and assembles the index.
-// at(i) returns the i-th entry's normalized polygon and its shape id and
-// must be safe for concurrent calls.
-func Build(p Params, n int, at func(i int) (geom.Poly, int32)) *Index {
-	shapeOf := make([]int32, n)
-	for i := 0; i < n; i++ {
-		_, shapeOf[i] = at(i)
-	}
-	sigs := ComputeSignatures(p, n, func(i int) geom.Poly {
-		poly, _ := at(i)
-		return poly
-	})
-	return FromSignatures(p, sigs, shapeOf)
+// Build computes signatures for the entries shapeOf maps to their shape
+// ids and assembles the index. poly(i) returns the i-th entry's
+// normalized polygon and must be safe for concurrent calls.
+func Build(p Params, shapeOf []int32, poly func(i int) geom.Poly) *Index {
+	return FromSignatures(p, ComputeSignatures(p, len(shapeOf), poly), shapeOf)
 }
 
 // FromSignatures assembles an index from precomputed (typically

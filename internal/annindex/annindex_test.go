@@ -53,7 +53,7 @@ func TestSimilarShapesAgreeMoreThanDissimilar(t *testing.T) {
 	far := ngon(rng, 3, 0.5, 0.0, 0.45, 0)
 
 	polys := []geom.Poly{base, near, far}
-	ix := Build(p, len(polys), func(i int) (geom.Poly, int32) { return polys[i], int32(i) })
+	ix := Build(p, []int32{0, 1, 2}, func(i int) geom.Poly { return polys[i] })
 	sig := ix.Signature(base)
 	nearAgree := ix.agreement(sig, 1)
 	farAgree := ix.agreement(sig, 2)
@@ -76,7 +76,11 @@ func TestProbeFloorScansWhenBucketsMiss(t *testing.T) {
 	for i := range polys {
 		polys[i] = ngon(rng, 5+i%5, 0.5, 0.0, 0.3, 0.3)
 	}
-	ix := Build(p, len(polys), func(i int) (geom.Poly, int32) { return polys[i], int32(i) })
+	shapeOf := make([]int32, len(polys))
+	for i := range shapeOf {
+		shapeOf[i] = int32(i)
+	}
+	ix := Build(p, shapeOf, func(i int) geom.Poly { return polys[i] })
 	// A signature of an un-indexed frame corner: buckets will likely
 	// miss, the floor must still be met by the signature scan.
 	probe := ix.Probe(ix.Signature(ngon(rng, 32, -0.3, -0.8, 0.05, 0)), 7)
@@ -95,14 +99,12 @@ func TestProbeDeterministic(t *testing.T) {
 	for i := range polys {
 		polys[i] = ngon(rng, 6+i%7, 0.5, 0.0, 0.4, 0.2)
 	}
-	ix := Build(p, len(polys), func(i int) (geom.Poly, int32) { return polys[i], int32(i / 2) })
-	ix2 := FromSignatures(p, append([]uint64(nil), ix.Signatures()...), func() []int32 {
-		so := make([]int32, len(polys))
-		for i := range so {
-			so[i] = int32(i / 2)
-		}
-		return so
-	}())
+	halves := make([]int32, len(polys))
+	for i := range halves {
+		halves[i] = int32(i / 2)
+	}
+	ix := Build(p, halves, func(i int) geom.Poly { return polys[i] })
+	ix2 := FromSignatures(p, append([]uint64(nil), ix.Signatures()...), append([]int32(nil), halves...))
 	sig := ix.Signature(polys[17])
 	a := ix.Probe(sig, 10)
 	b := ix2.Probe(sig, 10)
@@ -206,7 +208,7 @@ func TestProbeMatchesReferenceRanking(t *testing.T) {
 			polys[i] = ngon(rng, verts, 0.5, 0, 0.25+0.2*rng.Float64(), 0.1)
 			shapeOf[i] = int32(i / copies)
 		}
-		ix := Build(p, n, func(i int) (geom.Poly, int32) { return polys[i], shapeOf[i] })
+		ix := Build(p, shapeOf, func(i int) geom.Poly { return polys[i] })
 		nShapes := (n + copies - 1) / copies
 		for q := 0; q < 6; q++ {
 			var qp geom.Poly

@@ -37,7 +37,7 @@ func probeFixture(b *testing.B, shard int) (*Index, [][]uint64) {
 			shapes++
 		}
 	}
-	ix := Build(DefaultParams(), len(polys), func(i int) (geom.Poly, int32) { return polys[i], shapeOf[i] })
+	ix := Build(DefaultParams(), shapeOf, func(i int) geom.Poly { return polys[i] })
 	var sigs [][]uint64
 	for _, q := range synth.Queries(rand.New(rand.NewSource(7)), images, 64, 0.005) {
 		if en, err := core.NormalizeCanonical(q); err == nil {

@@ -65,26 +65,30 @@ func (o Options) withDefaults() Options {
 }
 
 // Base is the shape base: all shapes, their normalized copies, and what
-// the searches over them read.
+// the searches over them read. A copy is stored as what determines it — its
+// EntryMeta, whose (DiamI, DiamJ) names the α-diameter it is normalized
+// about — and its vertices' distance-field cells; its vertices are derived
+// from its shape when a search reads them (copyPoly).
 type Base struct {
-	opts    Options
-	shapes  []Shape
-	entries []Entry
+	opts   Options
+	shapes []Shape
+
+	// meta holds one EntryMeta per normalized copy, each shape's copies one
+	// run, the runs in shape order.
+	meta []EntryMeta
 
 	// shapeOff maps a shape id to its normalized copies: shape s's are
 	// entries shapeOff[s] to shapeOff[s+1]-1 (len = len(shapes)+1), each
-	// with the shape's vertex count — the one strided block of cells a
-	// search reads of the shape (scanShape).
+	// with the shape's vertex count. cellOff maps it to their cells: the
+	// one strided block fieldCells[cellOff[s]:cellOff[s+1]] a search reads
+	// of the shape (scanShape), copy c's from cellOff[s] + c·nv.
 	shapeOff []int32
+	cellOff  []int32
 
-	// Flattened index of every vertex of every entry.
-	verts    []geom.Point
-	entryOff []int32 // entry index → first vertex id (len = len(entries)+1)
-
-	// fieldCells holds, parallel to verts, the distance-field cell each
-	// vertex falls in (fieldCell): what the reject in front of the bounded
-	// evaluator reads of a copy. Derived wherever the vertex array is built
-	// or adopted (Freeze, BaseFromParts), never persisted.
+	// fieldCells holds, copy by copy, the distance-field cell each vertex
+	// of a copy falls in (fieldCell): what the reject in front of the
+	// bounded evaluator reads of a copy. Computed when a shape is added,
+	// persisted by a snapshot (FrozenParts) and adopted on load.
 	fieldCells []uint16
 
 	// scratch recycles per-query working state across Match calls (see
@@ -92,8 +96,8 @@ type Base struct {
 	scratch sync.Pool
 
 	// entryCost holds the page-granular storage footprint of each entry
-	// (vertices + meta + transforms), computed at Freeze
-	// or reassembly. The match kernel charges it into Stats.BlocksRead
+	// (entryBlocks: its cells and meta), computed as it is added or
+	// reassembled. The match kernel charges it into Stats.BlocksRead
 	// whenever an entry is evaluated (§4 block accounting; see parts.go).
 	// totalCost is their sum, what the exact search's floor pass charges.
 	entryCost []int32
@@ -104,24 +108,29 @@ type Base struct {
 	frozen bool
 }
 
-// rangeIndex is what only the paper's §2.5 climb reads: the simplex
-// range-search structure over every stored vertex and the vertex → entry
-// map its reports are read through. No serving search climbs, so neither
-// Freeze nor a snapshot load builds it; the first climb does
-// (BuildRangeIndex).
+// rangeIndex is what only the paper's §2.5 climb reads: every stored
+// vertex, derived copy by copy in entry order (a vertex's id is its cell's
+// index in fieldCells), the simplex range-search structure over them and
+// the vertex → entry map its reports are read through. No serving search
+// climbs, so neither Freeze nor a snapshot load builds it; the first climb
+// does (BuildRangeIndex).
 type rangeIndex struct {
 	once      sync.Once
+	verts     []geom.Point
 	backend   rangesearch.Backend
 	vertEntry []int32
 }
 
 // rangeIndexBuilds counts range-index builds process-wide, for the tests
-// that pin which paths build one.
-var rangeIndexBuilds atomic.Int64
+// that pin which paths build one. copiesDerived counts the copies derived
+// outside a search's own reads — by Entry, and by a load's checks
+// (BaseFromParts) — for the tests that pin that opening a snapshot
+// derives none.
+var rangeIndexBuilds, copiesDerived atomic.Int64
 
 // NewBase creates an empty shape base with the given options.
 func NewBase(opts Options) *Base {
-	return &Base{opts: opts.withDefaults(), shapeOff: []int32{0}}
+	return &Base{opts: opts.withDefaults(), shapeOff: []int32{0}, cellOff: []int32{0}}
 }
 
 // Opts returns the base's effective options.
@@ -136,6 +145,8 @@ func (b *Base) AddShape(image int, p geom.Poly) (int, error) {
 	return b.addShape(image, p)
 }
 
+// addShape stores p's normalized copies as the base stores a copy: its
+// meta, its vertices' cells and its block cost.
 func (b *Base) addShape(image int, p geom.Poly) (int, error) {
 	if err := p.Validate(); err != nil {
 		return 0, fmt.Errorf("core: invalid shape: %w", err)
@@ -150,99 +161,89 @@ func (b *Base) addShape(image int, p geom.Poly) (int, error) {
 	id := len(b.shapes)
 	b.shapes = append(b.shapes, Shape{ID: id, Image: image, Poly: p.Clone()})
 	for _, e := range entries {
-		e.ShapeID = id
-		b.entries = append(b.entries, e)
+		b.meta = append(b.meta, EntryMeta{ShapeID: int32(id), Copy: int32(e.Copy), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)})
+		b.fieldCells = appendFieldCells(b.fieldCells, e.Poly.Pts)
+		b.entryCost = append(b.entryCost, entryBlocks(len(e.Poly.Pts)))
+		b.totalCost += int(b.entryCost[len(b.entryCost)-1])
 	}
-	b.shapeOff = append(b.shapeOff, int32(len(b.entries)))
+	b.shapeOff = append(b.shapeOff, int32(len(b.meta)))
+	b.cellOff = append(b.cellOff, int32(len(b.fieldCells)))
 	return id, nil
 }
 
-// Freeze flattens the entries' vertices and derives their distance-field
-// cells. After Freeze the base is immutable and ready for matching.
+// Freeze makes the base immutable and ready for matching.
 func (b *Base) Freeze() error {
 	if b.frozen {
 		return nil
 	}
-	if len(b.entries) == 0 {
+	if len(b.meta) == 0 {
 		return fmt.Errorf("core: cannot freeze an empty base")
 	}
-	total := 0
-	for _, e := range b.entries {
-		total += len(e.Poly.Pts)
-	}
-	b.verts = make([]geom.Point, 0, total)
-	b.fieldCells = make([]uint16, 0, total)
-	b.entryOff = make([]int32, 1, len(b.entries)+1)
-	b.entryCost = make([]int32, 0, len(b.entries))
-	b.flatten()
 	b.frozen = true
 	return nil
 }
 
 // Append returns a frozen successor of b holding b's shapes and then
-// polys, all of image, under the next ids — laid out as Freeze lays out a
-// base, so every search reads it as it reads a frozen one. b must be frozen
-// or empty, and stays as it is: the successor shares b's arrays and
-// appends past their ends, which is why only one successor of b may be
-// kept — a second Append to b overwrites what the first appended. An
-// invalid shape fails the whole call.
+// polys, all of image, under the next ids — laid out as a frozen base is,
+// so every search reads it as it reads a frozen one. b must be frozen or
+// empty, and stays as it is: the successor shares b's arrays and appends
+// past their ends, which is why only one successor of b may be kept — a
+// second Append to b overwrites what the first appended. An invalid shape
+// fails the whole call.
 func (b *Base) Append(image int, polys []geom.Poly) (*Base, error) {
 	if !b.frozen && len(b.shapes) > 0 {
 		return nil, fmt.Errorf("core: Append to an unfrozen base")
 	}
 	n := &Base{
-		opts: b.opts, shapes: b.shapes, entries: b.entries, shapeOff: b.shapeOff,
-		verts: b.verts, entryOff: b.entryOff, fieldCells: b.fieldCells,
-		entryCost: b.entryCost, totalCost: b.totalCost, frozen: true,
+		opts: b.opts, shapes: b.shapes, meta: b.meta, shapeOff: b.shapeOff, cellOff: b.cellOff,
+		fieldCells: b.fieldCells, entryCost: b.entryCost, totalCost: b.totalCost, frozen: true,
 	}
 	for _, p := range polys {
 		if _, err := n.addShape(image, p); err != nil {
 			return nil, err
 		}
 	}
-	n.flatten()
 	return n, nil
 }
 
-// flatten lays the entries past the flat ones out after them: their
-// vertices, distance-field cells and block costs.
-func (b *Base) flatten() {
-	if len(b.entryOff) == 0 {
-		b.entryOff = append(b.entryOff, 0)
-	}
-	for ei := len(b.entryOff) - 1; ei < len(b.entries); ei++ {
-		pts := b.entries[ei].Poly.Pts
-		b.verts = append(b.verts, pts...)
-		b.fieldCells = appendFieldCells(b.fieldCells, pts)
-		b.entryOff = append(b.entryOff, int32(len(b.verts)))
-		b.entryCost = append(b.entryCost, entryBlocks(len(pts)))
-		b.totalCost += int(b.entryCost[ei])
-	}
+// appendCopy appends entry ei's normalized vertices to dst (copyOf).
+func (b *Base) appendCopy(dst []geom.Point, ei int) []geom.Point {
+	return copyOf(b.shapes[b.meta[ei].ShapeID].Poly, b.meta[ei], dst).Pts
 }
 
-// BuildRangeIndex builds the climb's range index — Options.BackendFactory's
-// structure, or Options.Backend's, over every stored vertex, and the
-// vertex → entry map — unless it is built already; before Freeze it does
-// nothing. Match and MatchTrace call it on their first climb; a caller that
-// times or meters the climb calls it first, so that its clock or counters
-// see searches and not the build. Safe for concurrent use: one build.
+// copyPoly is entry ei's normalized polygon, derived into dst's storage
+// (copyOf): a search derives the copies it reads into its own scratch, so
+// the base holds no vertex of a copy.
+func (b *Base) copyPoly(ei int, dst []geom.Point) geom.Poly {
+	return copyOf(b.shapes[b.meta[ei].ShapeID].Poly, b.meta[ei], dst[:0])
+}
+
+// BuildRangeIndex builds the climb's range index — every stored vertex,
+// Options.BackendFactory's structure or Options.Backend's over them, and
+// the vertex → entry map — unless it is built already; before Freeze it
+// does nothing. Match and MatchTrace call it on their first climb; a caller
+// that times or meters the climb calls it first, so that its clock or
+// counters see searches and not the build. Safe for concurrent use: one
+// build.
 func (b *Base) BuildRangeIndex() {
 	if !b.frozen {
 		return
 	}
 	b.rng.once.Do(func() {
 		rangeIndexBuilds.Add(1)
-		vertEntry := make([]int32, len(b.verts))
-		for ei := range b.entries {
-			for v := b.entryOff[ei]; v < b.entryOff[ei+1]; v++ {
-				vertEntry[v] = int32(ei)
+		verts := make([]geom.Point, 0, len(b.fieldCells))
+		vertEntry := make([]int32, 0, len(b.fieldCells))
+		for ei := range b.meta {
+			verts = b.appendCopy(verts, ei)
+			for len(vertEntry) < len(verts) {
+				vertEntry = append(vertEntry, int32(ei))
 			}
 		}
-		b.rng.vertEntry = vertEntry
+		b.rng.verts, b.rng.vertEntry = verts, vertEntry
 		if b.opts.BackendFactory != nil {
-			b.rng.backend = b.opts.BackendFactory(b.verts)
+			b.rng.backend = b.opts.BackendFactory(verts)
 		} else {
-			b.rng.backend = rangesearch.New(b.opts.Backend, b.verts)
+			b.rng.backend = rangesearch.New(b.opts.Backend, verts)
 		}
 	})
 }
@@ -254,39 +255,81 @@ func (b *Base) EntryOracle(i int) *BoundaryDist {
 	if !b.frozen {
 		return nil
 	}
-	return NewBoundaryDist(b.entries[i].Poly)
+	return NewBoundaryDist(b.copyPoly(i, nil))
 }
 
 // NumShapes returns the number of stored shapes.
 func (b *Base) NumShapes() int { return len(b.shapes) }
 
 // NumEntries returns the number of normalized copies.
-func (b *Base) NumEntries() int { return len(b.entries) }
+func (b *Base) NumEntries() int { return len(b.meta) }
 
 // NumVertices returns the total vertex count over all normalized copies
 // (the n of the paper's complexity analysis).
-func (b *Base) NumVertices() int { return len(b.verts) }
+func (b *Base) NumVertices() int { return len(b.fieldCells) }
 
 // Shape returns the shape with the given id.
 func (b *Base) Shape(id int) Shape { return b.shapes[id] }
 
-// Entry returns the i-th normalized copy.
-func (b *Base) Entry(i int) Entry { return b.entries[i] }
+// EntryShape returns the id of the shape entry i is a copy of.
+func (b *Base) EntryShape(i int) int { return int(b.meta[i].ShapeID) }
 
-// Entries returns all normalized copies (shared slice; do not modify).
-func (b *Base) Entries() []Entry { return b.entries }
+// Entry returns the i-th normalized copy, derived from its shape: its
+// polygon and transforms are Normalize's, bit for bit.
+func (b *Base) Entry(i int) Entry {
+	copiesDerived.Add(1)
+	m := b.meta[i]
+	p := b.shapes[m.ShapeID].Poly
+	pts, tr, _ := geom.AppendNormalized(nil, p.Pts, int(m.DiamI), int(m.DiamJ))
+	return Entry{
+		ShapeID: int(m.ShapeID),
+		Copy:    int(m.Copy),
+		Poly:    geom.Poly{Pts: pts, Closed: p.Closed},
+		Norm:    tr,
+		Inv:     tr.Inverse(),
+		DiamI:   int(m.DiamI),
+		DiamJ:   int(m.DiamJ),
+	}
+}
+
+// Entries returns all normalized copies, each derived (Entry): a fresh
+// slice the caller owns.
+func (b *Base) Entries() []Entry {
+	out := make([]Entry, len(b.meta))
+	for i := range out {
+		out[i] = b.Entry(i)
+	}
+	return out
+}
 
 // Shapes returns all shapes (shared slice; do not modify).
 func (b *Base) Shapes() []Shape { return b.shapes }
 
-// entryVertexCount returns the number of vertices of entry ei.
+// entryVertexCount returns the number of vertices of entry ei: its
+// shape's.
 func (b *Base) entryVertexCount(ei int32) int32 {
-	return b.entryOff[ei+1] - b.entryOff[ei]
+	return int32(len(b.shapes[b.meta[ei].ShapeID].Poly.Pts))
+}
+
+// entrySpan returns where entry ei's vertices sit in fieldCells, and in
+// the range index's verts: nv of them from lo.
+func (b *Base) entrySpan(ei int32) (lo, nv int32) {
+	id := b.meta[ei].ShapeID
+	nv = b.entryVertexCount(ei)
+	return b.cellOff[id] + (ei-b.shapeOff[id])*nv, nv
 }
 
 // entryCells returns the distance-field cells of entry ei's vertices.
 func (b *Base) entryCells(ei int32) []uint16 {
-	return b.fieldCells[b.entryOff[ei]:b.entryOff[ei+1]]
+	lo, nv := b.entrySpan(ei)
+	return b.fieldCells[lo : lo+nv]
+}
+
+// climbPoly returns entry ei's normalized polygon as the climb's range
+// index holds it, built (BuildRangeIndex).
+func (b *Base) climbPoly(ei int32) geom.Poly {
+	lo, nv := b.entrySpan(ei)
+	return geom.Poly{Pts: b.rng.verts[lo : lo+nv : lo+nv], Closed: b.shapes[b.meta[ei].ShapeID].Poly.Closed}
 }
 
 // EpsilonMax returns the stopping threshold of step 5 (§2.5):
@@ -295,7 +338,7 @@ func (b *Base) entryCells(ei int32) []uint16 {
 // number of vertices, and l_Q the perimeter of the normalized query.
 func (b *Base) EpsilonMax(queryPerimeter float64) float64 {
 	p := float64(len(b.shapes))
-	n := float64(len(b.verts))
+	n := float64(len(b.fieldCells))
 	if p == 0 || n < 2 || queryPerimeter <= 0 {
 		return math.Inf(1)
 	}
@@ -308,13 +351,13 @@ func (b *Base) EpsilonMax(queryPerimeter float64) float64 {
 // envelope is about one query shape's worth, so the first iteration is
 // likely to see at least one shape.
 func (b *Base) InitialEpsilon(queryPerimeter float64) float64 {
-	n := float64(len(b.verts))
+	n := float64(len(b.fieldCells))
 	if n == 0 || queryPerimeter <= 0 {
 		return 1e-3
 	}
 	// Envelope area ≈ 2·ε·l_Q; vertex density ≈ n / LuneArea. Choose ε so
 	// that the envelope holds about the vertex count of an average entry.
-	avgEntry := n / float64(len(b.entries))
+	avgEntry := n / float64(len(b.meta))
 	eps := avgEntry * LuneArea / (2 * queryPerimeter * n)
 	if eps <= 0 || math.IsNaN(eps) {
 		return 1e-3

@@ -47,12 +47,15 @@ func (s *ScanMatcher) Match(q geom.Poly, k int) ([]Match, error) {
 		return nil, err
 	}
 	bestByShape := make(map[int]Match)
-	for ei := range s.base.entries {
-		e := &s.base.entries[ei]
-		dv, _, _ := pq.distWithin(e.Poly, nil, 0, math.Inf(1))
-		cur, ok := bestByShape[e.ShapeID]
+	var buf []geom.Point
+	for ei := range s.base.meta {
+		cp := s.base.copyPoly(ei, buf)
+		buf = cp.Pts
+		dv, _, _ := pq.distWithin(cp, nil, 0, math.Inf(1))
+		sid := s.base.EntryShape(ei)
+		cur, ok := bestByShape[sid]
 		if !ok || dv < cur.DistVertex {
-			bestByShape[e.ShapeID] = Match{ShapeID: e.ShapeID, EntryID: ei, DistVertex: dv}
+			bestByShape[sid] = Match{ShapeID: sid, EntryID: ei, DistVertex: dv}
 		}
 	}
 	out := make([]Match, 0, len(bestByShape))
@@ -65,7 +68,7 @@ func (s *ScanMatcher) Match(q geom.Poly, k int) ([]Match, error) {
 	}
 	var resample []geom.Point
 	for i := range out {
-		out[i].DistContinuous = pq.distContinuous(s.base.entries[out[i].EntryID].Poly, s.base.opts.Samples, &resample)
+		out[i].DistContinuous = pq.distContinuous(s.base.copyPoly(out[i].EntryID, buf), s.base.opts.Samples, &resample)
 	}
 	return out, nil
 }

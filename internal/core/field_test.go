@@ -249,7 +249,7 @@ func fieldSliverBase(t *testing.T) *Base {
 func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) (rejects int) {
 	t.Helper()
 	f := pq.distField()
-	for vid, p := range b.verts {
+	for vid, p := range copyVerts(b) {
 		if got, want := fieldValue(f, b.fieldCells[vid]), fieldAtPoint(f, p); got != want {
 			t.Fatalf("vertex %d %v: cell %d holds %v, the point reads %v", vid, p, b.fieldCells[vid], got, want)
 		}
@@ -266,8 +266,8 @@ func checkCellReject(t *testing.T, b *Base, pq *PreparedQuery, wants []float64) 
 	sort.Float64s(byShape)
 	for _, scale := range []float64{0.5, 1, 2} {
 		cut := scale * byShape[k-1]
-		for ei := range b.entries {
-			cells, pts := b.entryCells(int32(ei)), b.entries[ei].Poly.Pts
+		for ei := range b.meta {
+			cells, pts := b.entryCells(int32(ei)), b.copyPoly(ei, nil).Pts
 			sum := f.sum(cells)
 			if got, ref := float64(sum)*fieldUnit, fieldSumPoints(f, pts); math.Float64bits(got) != math.Float64bits(ref) {
 				t.Fatalf("entry %d: the cells sum to %v, the points to %v", ei, got, ref)
@@ -316,9 +316,9 @@ func TestFieldRejectIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wants := make([]float64, len(b.entries))
-		for ei := range b.entries {
-			cp, back := b.entries[ei].Poly, b.EntryOracle(ei)
+		wants := make([]float64, len(b.meta))
+		for ei := range b.meta {
+			cp, back := b.copyPoly(ei, nil), b.EntryOracle(ei)
 			wants[ei], _ = unfielded(pq, cp, back, math.Inf(1))
 			// No finite cutoff: no sum, however large, rejects.
 			if got, ok, scored := pq.distWithin(cp, b.entryCells(int32(ei)), math.MaxUint64, math.Inf(1)); !ok || !scored || got != wants[ei] {
@@ -327,7 +327,7 @@ func TestFieldRejectIsExact(t *testing.T) {
 		}
 		cellRejects += checkCellReject(t, b, pq, wants)
 		for ei, want := range wants {
-			cp, back := b.entries[ei].Poly, b.EntryOracle(ei)
+			cp, back := b.copyPoly(ei, nil), b.EntryOracle(ei)
 			cuts := []float64{want, math.Nextafter(want, 2), math.Nextafter(want, -1),
 				want * rng.Float64(), want * (1 + rng.Float64()), 0.02 + 0.05*rng.Float64(), 0}
 			for ci, cut := range cuts {
@@ -370,9 +370,9 @@ func TestFieldRejectIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := make([]float64, len(wide.entries))
-	for ei := range wide.entries {
-		wants[ei], _ = unfielded(pq, wide.entries[ei].Poly, wide.EntryOracle(ei), math.Inf(1))
+	wants := make([]float64, len(wide.meta))
+	for ei := range wide.meta {
+		wants[ei], _ = unfielded(pq, wide.copyPoly(ei, nil), wide.EntryOracle(ei), math.Inf(1))
 	}
 	checkCellReject(t, wide, pq, wants)
 	if rejected < 1000 || passed < 1000 || cellRejects < 1000 {
@@ -473,10 +473,10 @@ func TestFloorAdmissible(t *testing.T) {
 func checkPairFloors(t *testing.T, b *Base, pq *PreparedQuery, sid int) {
 	t.Helper()
 	s, f := b.scanShape(sid), pq.distField()
-	for c := 0; c < len(s.entries); c += 2 {
+	for c := 0; c < len(s.meta); c += 2 {
 		own, twin := f.sumPast(s.copyCells(c), math.MaxUint64)
 		for i, sum := range []uint64{own, twin} {
-			dv, _, _ := pq.distWithin(s.entries[c+i].Poly, nil, 0, math.Inf(1))
+			dv, _, _ := pq.distWithin(s.copyPoly(c+i, nil), nil, 0, math.Inf(1))
 			if fl := fieldFloor(sum, s.nv); fl > dv {
 				t.Fatalf("shape %d copy %d: floor %v read through copy %d's cells, exact distance %v", sid, c+i, fl, c, dv)
 			}
@@ -666,7 +666,7 @@ func TestCellListsReadTheWalk(t *testing.T) {
 	if err := b.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	listed := 0
+	listed, verts := 0, copyVerts(b)
 	queries := synth.Queries(rand.New(rand.NewSource(5)), images, 8, 0.01)
 	for qi, q := range queries {
 		pq, err := PrepareQuery(q)
@@ -674,7 +674,7 @@ func TestCellListsReadTheWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := pq.distField()
-		for vid, p := range b.verts {
+		for vid, p := range verts {
 			c := b.fieldCells[vid]
 			if got, want := f.dist(pq.oracle, p, c), pq.oracle.Dist(p); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("query %d vertex %d %v (cell %d, %d listed): %v through the cell, %v by the walk", qi, vid, p, c, f.lists[c].n, got, want)
@@ -684,8 +684,8 @@ func TestCellListsReadTheWalk(t *testing.T) {
 			}
 		}
 	}
-	if listed == 0 || listed == len(queries)*len(b.verts) {
-		t.Fatalf("%d of %d vertex reads went through a list: both paths must be read", listed, len(queries)*len(b.verts))
+	if listed == 0 || listed == len(queries)*len(verts) {
+		t.Fatalf("%d of %d vertex reads went through a list: both paths must be read", listed, len(queries)*len(verts))
 	}
 	many, err := PrepareQuery(geom.NewPolygon(queries[0].Resample(300)...))
 	if err != nil {
@@ -706,18 +706,28 @@ func entryMeta(e Entry) EntryMeta {
 	return EntryMeta{ShapeID: int32(e.ShapeID), Copy: int32(e.Copy), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)}
 }
 
+// copyVerts is every stored copy's vertices, derived, in entry order: the
+// vertex whose cell is fieldCells[vid] is the vid-th.
+func copyVerts(b *Base) []geom.Point {
+	var verts []geom.Point
+	for ei := range b.meta {
+		verts = b.appendCopy(verts, ei)
+	}
+	return verts
+}
+
 // reassemble rebuilds b through BaseFromParts, as a snapshot load does,
-// over the given vertex array (b's own, or bytes of it mapped from a file).
-func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
+// over b's meta and the given cell row (b's own, bytes of it mapped from a
+// file, or nil: derived, as a file without the row loads).
+func reassemble(t *testing.T, b *Base, cells []uint16) *Base {
 	t.Helper()
 	parts, err := b.FrozenParts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := BaseSpec{Opts: b.opts, Shapes: b.shapes, Verts: verts, EntryOff: parts.EntryOff}
-	for _, e := range parts.Entries {
-		spec.EntryMeta = append(spec.EntryMeta, entryMeta(e))
-		spec.EntryTrans = append(spec.EntryTrans, e.Norm, e.Inv)
+	spec := BaseSpec{Opts: b.opts, Shapes: b.shapes, EntryMeta: parts.EntryMeta, Cells: cells}
+	if cells == nil {
+		spec.Cells, spec.DeriveCells = make([]uint16, b.NumVertices()), true
 	}
 	re, err := BaseFromParts(spec)
 	if err != nil {
@@ -726,20 +736,19 @@ func reassemble(t *testing.T, b *Base, verts []geom.Point) *Base {
 	return re
 }
 
-// mappedVerts is verts written to a file, as a snapshot stores them, and
+// mappedCells is cells written to a file, as a snapshot stores them, and
 // mapped back read-only for the rest of the test — nil where the platform
 // maps or casts no file.
-func mappedVerts(t *testing.T, verts []geom.Point) []geom.Point {
+func mappedCells(t *testing.T, cells []uint16) []uint16 {
 	t.Helper()
 	if !mmap.Supported() || !mmap.CanCast() {
 		return nil
 	}
-	raw := make([]byte, 0, 16*len(verts))
-	for _, p := range verts {
-		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(p.X))
-		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(p.Y))
+	raw := make([]byte, 0, 2*len(cells))
+	for _, c := range cells {
+		raw = binary.LittleEndian.AppendUint16(raw, c)
 	}
-	path := filepath.Join(t.TempDir(), "evtx")
+	path := filepath.Join(t.TempDir(), "ecel")
 	if err := os.WriteFile(path, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -748,44 +757,40 @@ func mappedVerts(t *testing.T, verts []geom.Point) []geom.Point {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	mapped, ok := mmap.Cast[geom.Point](m.Data())
+	mapped, ok := mmap.Cast[uint16](m.Data())
 	if !ok {
-		t.Fatal("mapped vertex bytes do not cast")
+		t.Fatal("mapped cell bytes do not cast")
 	}
 	return mapped
 }
 
 // TestFieldCellsFollowTheBase pins that a stored vertex's cell id is a
 // property of the vertex, whichever way its copy came to be searchable: a
-// base frozen from shapes, one reassembled from parts over heap slices and
-// over a read-only file mapping, one grown shape by shape by Append (a live
-// delta's), and the base a compaction freezes from the live shapes all hold fieldCell of every
-// vertex, in vertex order — the sliver's vertices outside the box included.
+// base frozen from shapes, one reassembled from parts over heap slices,
+// over a read-only file mapping and without a cell row (derived), one grown
+// shape by shape by Append (a live delta's), and the base a compaction
+// freezes from the live shapes all hold fieldCell of every vertex, in
+// vertex order — the sliver's vertices outside the box included.
 // And on every one of those paths a shape is read as one strided block
 // (checkStrided): copy c's cells at c·nv, inside the cells its owner holds
 // rather than in a copy of them.
 func TestFieldCellsFollowTheBase(t *testing.T) {
 	frozen := fieldSliverBase(t)
-	want := make([]uint16, 0, len(frozen.verts))
-	for _, e := range frozen.entries {
-		for _, p := range e.Poly.Pts {
-			want = append(want, fieldCell(p))
-		}
-	}
+	want := appendFieldCells(nil, copyVerts(frozen))
 	check := func(path string, b *Base) {
 		t.Helper()
 		if !reflect.DeepEqual(b.fieldCells, want) {
 			t.Fatalf("%s: field cells are not fieldCell of the entries' vertices, in order", path)
 		}
 		for id := range b.shapes {
-			lo, hi := b.shapeOff[id], b.shapeOff[id+1]
-			checkStrided(t, path, b.scanShape(id), b.fieldCells[b.entryOff[lo]:b.entryOff[hi]], int(lo))
+			checkStrided(t, path, b.scanShape(id), b.fieldCells[b.cellOff[id]:b.cellOff[id+1]], int(b.shapeOff[id]))
 		}
 	}
 	check("Freeze", frozen)
-	check("BaseFromParts over heap slices", reassemble(t, frozen, frozen.verts))
-	if verts := mappedVerts(t, frozen.verts); verts != nil {
-		check("BaseFromParts over a mapping", reassemble(t, frozen, verts))
+	check("BaseFromParts over heap slices", reassemble(t, frozen, frozen.fieldCells))
+	check("BaseFromParts without cells", reassemble(t, frozen, nil))
+	if cells := mappedCells(t, frozen.fieldCells); cells != nil {
+		check("BaseFromParts over a mapping", reassemble(t, frozen, cells))
 	}
 
 	d := newDyn(frozen.opts)
@@ -796,7 +801,7 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 			t.Fatal(err)
 		}
 		live := d.b.scanShape(id)
-		lo, hi := frozen.entryOff[frozen.shapeOff[s.ID]], frozen.entryOff[frozen.shapeOff[s.ID+1]]
+		lo, hi := frozen.cellOff[s.ID], frozen.cellOff[s.ID+1]
 		if !reflect.DeepEqual(live.block, want[lo:hi]) {
 			t.Fatalf("Append: live shape %d holds cells %v, the frozen base %v", id, live.block, want[lo:hi])
 		}
@@ -821,12 +826,13 @@ func checkStrided(t *testing.T, path string, s scanShape, owned []uint16, first 
 	if len(s.block) != len(owned) || len(owned) > 0 && &s.block[0] != &owned[0] {
 		t.Fatalf("%s: shape %d reads %d cells apart from the %d its owner holds", path, s.id, len(s.block), len(owned))
 	}
-	if s.first != first || len(s.block) != s.nv*len(s.entries) {
-		t.Fatalf("%s: shape %d has first %d (want %d) and %d cells for %d copies of %d", path, s.id, s.first, first, len(s.block), len(s.entries), s.nv)
+	if s.first != first || len(s.block) != s.nv*len(s.meta) {
+		t.Fatalf("%s: shape %d has first %d (want %d) and %d cells for %d copies of %d", path, s.id, s.first, first, len(s.block), len(s.meta), s.nv)
 	}
-	for c, e := range s.entries {
-		if got := s.copyCells(c); !reflect.DeepEqual(got, appendFieldCells(nil, e.Poly.Pts)) || &got[0] != &owned[c*s.nv] {
-			t.Fatalf("%s: shape %d copy %d reads cells %v, its vertices fall in %v", path, s.id, c, got, appendFieldCells(nil, e.Poly.Pts))
+	for c := range s.meta {
+		pts := s.copyPoly(c, nil).Pts
+		if got := s.copyCells(c); !reflect.DeepEqual(got, appendFieldCells(nil, pts)) || &got[0] != &owned[c*s.nv] {
+			t.Fatalf("%s: shape %d copy %d reads cells %v, its vertices fall in %v", path, s.id, c, got, appendFieldCells(nil, pts))
 		}
 	}
 }
@@ -864,7 +870,7 @@ func BenchmarkFieldReject(b *testing.B) {
 	vertices := 0
 	for sid := 0; sid < base.NumShapes(); sid++ {
 		s, n, survives := base.scanShape(sid), 0, false
-		for c := range s.entries {
+		for c := range s.meta {
 			cells := s.copyCells(c)
 			n += len(cells)
 			survives = survives || !fieldRejects(f.sum(cells), len(cells), cut)

@@ -87,10 +87,10 @@ func (b *Base) SimilarShapes(ctx context.Context, q geom.Poly, tau float64) ([]M
 		return nil, stats, err
 	}
 	sortMatches(out)
-	var resample []geom.Point
+	var resample, buf []geom.Point
 	for i := range out {
 		ei := out[i].EntryID
-		out[i].DistContinuous = pq.distContinuous(b.entries[ei].Poly, b.opts.Samples, &resample)
+		out[i].DistContinuous = pq.distContinuous(b.copyPoly(ei, buf), b.opts.Samples, &resample)
 		stats.BlocksRead += b.blockCost(int32(ei))
 	}
 	return out, stats, nil
@@ -149,7 +149,7 @@ func (b *Base) matchPoly(q geom.Poly, k int, onAccess func(entryID int)) ([]Matc
 // non-increasing, so a ruling never has to be revisited).
 func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess func(entryID int), onIteration func(eps, kth float64)) ([]Match, Stats) {
 	b.BuildRangeIndex()
-	backend, vertEntry := b.rng.backend, b.rng.vertEntry
+	backend, vertEntry, verts := b.rng.backend, b.rng.vertEntry, b.rng.verts
 	var stats Stats
 	lQ := pq.entry.Poly.Perimeter()
 	epsMax := b.EpsilonMax(lQ)
@@ -200,15 +200,15 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 		if onAccess != nil {
 			onAccess(int(ei))
 		}
-		e := &b.entries[ei]
+		sid := int(b.meta[ei].ShapeID)
 		curBest := math.Inf(1)
-		cur, haveCur := bestByShape[e.ShapeID]
+		cur, haveCur := bestByShape[sid]
 		if haveCur {
 			curBest = cur.DistVertex
 		}
 		cut := min(curBest, topk.Kth())
 		cells := b.entryCells(ei)
-		dv, ok, scored := pq.distWithin(e.Poly, cells, pq.distField().sum(cells), cut)
+		dv, ok, scored := pq.distWithin(b.climbPoly(ei), cells, pq.distField().sum(cells), cut)
 		if scored {
 			stats.Candidates++
 		}
@@ -216,18 +216,18 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 			return
 		}
 		if dv < curBest {
-			bestByShape[e.ShapeID] = Match{
-				ShapeID:    e.ShapeID,
+			bestByShape[sid] = Match{
+				ShapeID:    sid,
 				EntryID:    int(ei),
 				DistVertex: dv,
 			}
-			topk.Update(e.ShapeID, dv)
+			topk.Update(sid, dv)
 		} else if haveCur && dv == curBest && int(ei) < cur.EntryID {
 			// Deterministic tie-break: among copies realizing the same
 			// distance, report the lowest entry id regardless of the
 			// order pruning happened to evaluate them in.
 			cur.EntryID = int(ei)
-			bestByShape[e.ShapeID] = cur
+			bestByShape[sid] = cur
 		}
 	}
 
@@ -271,7 +271,7 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 		// Exact filter: the triangle cover may overreach the annulus;
 		// only vertices truly inside the ε-envelope are counted (each
 		// exactly once, in its home iteration).
-		d := env.Dist(b.verts[vid])
+		d := env.Dist(verts[vid])
 		if d > eps {
 			return
 		}
@@ -301,7 +301,7 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 			if tr.IsDegenerate() {
 				continue
 			}
-			if entryFirst && len(scratch.touched) == len(b.entries) {
+			if entryFirst && len(scratch.touched) == len(b.meta) {
 				// Every entry is marked; a further triangle has nothing to
 				// add. §2.4 pins two vertices of every copy where the query
 				// has two of its own, so the first few triangles get here.
@@ -409,9 +409,8 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 			onAccess(out[i].EntryID)
 		}
 		ei := out[i].EntryID
-		e := &b.entries[ei]
 		stats.BlocksRead += b.blockCost(int32(ei))
-		out[i].DistContinuous = pq.distContinuous(e.Poly, b.opts.Samples, &scratch.resample)
+		out[i].DistContinuous = pq.distContinuous(b.climbPoly(int32(ei)), b.opts.Samples, &scratch.resample)
 	}
 	return out, stats
 }
@@ -421,9 +420,8 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 // vertex to its last copy's last.
 func (b *Base) scanShape(id int) scanShape {
 	lo, hi := b.shapeOff[id], b.shapeOff[id+1]
-	v0 := b.entryOff[lo]
-	return scanShape{id: id, entries: b.entries[lo:hi], block: b.fieldCells[v0:b.entryOff[hi]],
-		nv: int(b.entryOff[lo+1] - v0), first: int(lo), cost: b.entryCost[lo:hi]}
+	return scanShape{id: id, shape: b.shapes[id].Poly, meta: b.meta[lo:hi], block: b.fieldCells[b.cellOff[id]:b.cellOff[id+1]],
+		nv: len(b.shapes[id].Poly.Pts), first: int(lo), cost: b.entryCost[lo:hi]}
 }
 
 // growEpsilon returns the next envelope width of the schedule: eps·grow,
@@ -445,7 +443,7 @@ func growEpsilon(eps, grow, limit, kth float64, full bool) float64 {
 func (b *Base) probeEnvelope(env *envelope.Envelope, eps float64) bool {
 	found := false
 	probe := func(vid int) {
-		if !found && env.Dist(b.verts[vid]) <= eps {
+		if !found && env.Dist(b.rng.verts[vid]) <= eps {
 			found = true
 		}
 	}

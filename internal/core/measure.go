@@ -289,8 +289,11 @@ func (b *Base) ShapeDistancePrepared(shapeID int, pq *PreparedQuery) (float64, e
 		return 0, fmt.Errorf("core: shape id %d out of range", shapeID)
 	}
 	best := math.Inf(1)
-	for _, e := range b.entries[b.shapeOff[shapeID]:b.shapeOff[shapeID+1]] {
-		if d, _, _ := pq.distWithin(e.Poly, nil, 0, math.Inf(1)); d < best {
+	var buf []geom.Point
+	for ei := b.shapeOff[shapeID]; ei < b.shapeOff[shapeID+1]; ei++ {
+		cp := b.copyPoly(int(ei), buf)
+		buf = cp.Pts
+		if d, _, _ := pq.distWithin(cp, nil, 0, math.Inf(1)); d < best {
 			best = d
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"repro/internal/geom"
@@ -126,6 +128,24 @@ type cellList struct {
 
 // fieldOff is the cell id of a point outside the table's box.
 const fieldOff = fieldNX * fieldNY
+
+// fieldCellRule numbers fieldCell's rule for FieldLayout: bump it on a
+// change to the rule that keeps the grid's constants.
+const fieldCellRule = 1
+
+// FieldLayout stamps the cell grid fieldCell maps a vertex into, for a
+// persisted cell row: a loader adopts a row only under the stamp it was
+// computed with, and derives the row otherwise. It hashes the rule number
+// and the grid's constants, so moving the box or changing its resolution
+// changes it (TestFieldLayoutPinned). It is never 0, the stamp of a
+// snapshot that records none.
+var FieldLayout = func() uint32 {
+	var b []byte
+	for _, v := range []float64{fieldCellRule, fieldRes, fieldX0, fieldY0, fieldNX, fieldNY} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return crc32.ChecksumIEEE(b) | 1
+}()
 
 // fieldCell returns the id of the table cell p falls in: fieldOff outside
 // the box and for non-finite coordinates (every comparison with NaN is
@@ -551,9 +571,7 @@ func (b *Base) ShapeFloor(shapeID int, pq *PreparedQuery) float64 {
 // shapeFloor is f's floor of shape id (distField.floor) over the shape's
 // strided block of cells, read straight from the base's arrays.
 func (b *Base) shapeFloor(f *distField, id int) float64 {
-	lo, hi := b.shapeOff[id], b.shapeOff[id+1]
-	v0 := b.entryOff[lo]
-	return f.floor(b.fieldCells[v0:b.entryOff[hi]], int(b.entryOff[lo+1]-v0), int(hi-lo))
+	return f.floor(b.fieldCells[b.cellOff[id]:b.cellOff[id+1]], len(b.shapes[id].Poly.Pts), int(b.shapeOff[id+1]-b.shapeOff[id]))
 }
 
 // Continuous is the continuous measure between the query and stored copy
@@ -561,5 +579,6 @@ func (b *Base) shapeFloor(f *distField, id int) float64 {
 // block cost: the final re-read of an exact match.
 func (b *Base) Continuous(ei int, pq *PreparedQuery) (float64, int) {
 	var resample []geom.Point
-	return pq.distContinuous(b.entries[ei].Poly, b.opts.Samples, &resample), b.blockCost(int32(ei))
+	var buf [copyStack]geom.Point
+	return pq.distContinuous(b.copyPoly(ei, buf[:0]), b.opts.Samples, &resample), b.blockCost(int32(ei))
 }

@@ -267,7 +267,7 @@ func TestPrunedTopKAgainstScan(t *testing.T) {
 		}
 		if len(tc.extra) > 0 {
 			outside := 0
-			for _, v := range b.verts {
+			for _, v := range copyVerts(b) {
 				if v.X > fieldX0+float64(fieldNX)/fieldRes {
 					outside++
 				}

@@ -11,6 +11,7 @@ import (
 
 	geosir "repro"
 	"repro/internal/core"
+	"repro/internal/mmap"
 	"repro/internal/synth"
 )
 
@@ -129,5 +130,67 @@ func TestServingBuildsNoRangeIndex(t *testing.T) {
 		if !reflect.DeepEqual(results[i], results[0]) {
 			t.Fatalf("climb %d answers %+v, climb 0 %+v", i, results[i], results[0])
 		}
+	}
+}
+
+// TestOpenDerivesNoCopy pins that opening a snapshot reads what a copy is
+// stored as — its meta and its cells — and derives none of its vertices:
+// Load and LoadFileMmap of a demo-200 snapshot leave the count of copies
+// derived where it was, and their engines answer as the engine saved. A
+// file of an older writer, without the cell row, derives every copy once,
+// for its cells.
+func TestOpenDerivesNoCopy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 200-image demo base")
+	}
+	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
+	eng := geosir.New(geosir.DefaultOptions())
+	for _, im := range images {
+		if err := eng.AddImage(im.ID, im.Shapes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "demo200.gsir3")
+	if err := eng.SaveFileAs(path, geosir.FormatGSIR3); err != nil {
+		t.Fatal(err)
+	}
+	q := synth.Queries(rand.New(rand.NewSource(9)), images, 1, 0.01)[0]
+	want, err := eng.Search(context.Background(), geosir.SearchRequest{Query: q, K: 5, Mode: geosir.ModeExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opens := map[string]func(string) (*geosir.Engine, error){"Load": geosir.LoadFile}
+	if mmap.Supported() && mmap.CanCast() {
+		opens["LoadFileMmap"] = geosir.LoadFileMmap
+	}
+	for name, open := range opens {
+		before := core.CopiesDerived()
+		loaded, err := open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if derived := core.CopiesDerived() - before; derived != 0 {
+			t.Fatalf("%s of a demo-200 snapshot derived %d copies, want none", name, derived)
+		}
+		got, err := loaded.Search(context.Background(), geosir.SearchRequest{Query: q, K: 5, Mode: geosir.ModeExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Matches, want.Matches) || got.Stats != want.Stats {
+			t.Fatalf("%s: the loaded engine answers %+v, the saved one %+v", name, got, want)
+		}
+		loaded.Close()
+	}
+
+	before := core.CopiesDerived()
+	old, err := geosir.LoadFile(filepath.Join("..", "..", "testdata", "gsir3", "kdtree.gsir3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derived := core.CopiesDerived() - before; derived != int64(old.NumEntries()) {
+		t.Fatalf("a file without the cell row derived %d copies on load, want its %d, once each", derived, old.NumEntries())
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math"
+
+	"repro/internal/geom"
 )
 
 // This file holds the per-shape loops of every serving search (DESIGN.md
@@ -12,22 +14,34 @@ import (
 // bounded evaluation of one shape.
 
 // scanShape is one shape as the bounded evaluators walk it: its normalized
-// copies are entries, the c-th reported as entry first+c, and every copy has
-// the shape's nv vertices, so copy c's fall in the distance-field cells
-// block[c·nv:(c+1)·nv] — one strided block, a subslice of the base's cell
-// array.
+// copies are entries, the c-th reported as entry first+c with meta[c], and
+// every copy has the shape's nv vertices, so copy c's fall in the
+// distance-field cells block[c·nv:(c+1)·nv] — one strided block, a
+// subslice of the base's cell array.
 type scanShape struct {
-	id      int
-	entries []Entry
-	block   []uint16
-	nv      int
-	first   int
-	cost    []int32 // per-copy block cost
+	id    int
+	shape geom.Poly
+	meta  []EntryMeta
+	block []uint16
+	nv    int
+	first int
+	cost  []int32 // per-copy block cost
 }
 
 // copyCells is the field cells of copy c's vertices, one per vertex.
 func (s *scanShape) copyCells(c int) []uint16 {
 	return s.block[c*s.nv : (c+1)*s.nv]
+}
+
+// copyStack is how many vertices of a copy a search derives on its stack
+// (every served base stores copies of at most 21 vertices); a copy with
+// more pays one allocation.
+const copyStack = 32
+
+// copyPoly is copy c's normalized polygon, derived into dst's storage
+// (copyOf).
+func (s *scanShape) copyPoly(c int, dst []geom.Point) geom.Poly {
+	return copyOf(s.shape, s.meta[c], dst[:0])
 }
 
 // eachLive hands visit the id of every shape of the base not in dead, in
@@ -59,7 +73,7 @@ func (b *Base) Floors(ctx context.Context, pq *PreparedQuery, dead map[int]bool,
 	if err := b.eachLive(ctx, dead, func(id int) { visit(id, b.shapeFloor(f, id)) }); err != nil {
 		return 0, 0, err
 	}
-	copies, blocks = len(b.entries), b.totalCost
+	copies, blocks = len(b.meta), b.totalCost
 	for id := range dead {
 		for ei := b.shapeOff[id]; ei < b.shapeOff[id+1]; ei++ {
 			copies, blocks = copies-1, blocks-b.blockCost(ei)
@@ -79,7 +93,7 @@ func (b *Base) Within(ctx context.Context, pq *PreparedQuery, dead map[int]bool,
 	err = b.eachLive(ctx, dead, func(id int) {
 		s := b.scanShape(id)
 		best, ei, _, cost := s.nearest(pq, cut, nil)
-		copies, blocks = copies+len(s.entries), blocks+cost
+		copies, blocks = copies+len(s.meta), blocks+cost
 		if ei >= 0 && best <= cut {
 			visit(Match{ShapeID: id, EntryID: ei, DistVertex: best})
 		}
@@ -109,7 +123,7 @@ const nearestStack = 64
 // shape's exact distance. onAccess, when set, sees every entry read. The
 // query's evaluation counter, when attached, is charged with scored.
 func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(entryID int)) (best float64, bestEi, scored, blocks int) {
-	f, n := pq.distField(), len(s.entries)
+	f, n := pq.distField(), len(s.meta)
 	var stack [nearestStack]uint64
 	sums := stack[:]
 	if n > len(sums) {
@@ -135,6 +149,7 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 		return math.Inf(1), -1, 0, blocks
 	}
 	best, bestEi = math.Inf(1), -1
+	var buf [copyStack]geom.Point
 	// The lowest-floor copy, then copies 0…n-1 without it.
 	for v := -1; v < n; v++ {
 		c := v
@@ -148,7 +163,7 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 		if fieldRejects(sums[c], s.nv, cut) {
 			continue
 		}
-		dv, ok, reached := pq.distWithin(s.entries[c].Poly, s.copyCells(c), sums[c], cut)
+		dv, ok, reached := pq.distWithin(s.copyPoly(c, buf[:0]), s.copyCells(c), sums[c], cut)
 		if reached {
 			scored++
 		}

@@ -204,11 +204,11 @@ func TestCopiesShareVertexCount(t *testing.T) {
 		if err := b.Freeze(); err != nil {
 			t.Fatal(err)
 		}
-		for _, base := range []*Base{b, reassemble(t, b, b.verts), d.b} {
+		for _, base := range []*Base{b, reassemble(t, b, b.fieldCells), d.b} {
 			for id := range base.NumShapes() {
 				s, n := base.scanShape(id), len(base.Shape(id).Poly.Pts)
-				for c := range s.entries {
-					if got := len(s.copyCells(c)); got != n || s.nv != n || len(s.entries[c].Poly.Pts) != n {
+				for c := range s.meta {
+					if got := len(s.copyCells(c)); got != n || s.nv != n || len(s.copyPoly(c, nil).Pts) != n {
 						t.Fatalf("α=%g: frozen shape %d of %d vertices: copy %d has %d cells", alpha, id, n, c, got)
 					}
 				}
@@ -222,10 +222,12 @@ func TestCopiesShareVertexCount(t *testing.T) {
 // R(x, y) = (1−x, −y) of copy 2k to 1e-12, vertex by vertex — in a frozen
 // paper base, in one grown by Append as a live delta is, and in one
 // reassembled from its parts over heap slices and over a file mapping, at
-// the default α and at α = 0.6. BaseFromParts refuses parts whose odd copy
-// is moved 1e-6, or that drop a shape's last copy, with an error naming the
-// shape; and a shape so far from the origin for its size that Normalize's
-// rounding breaks a pair is refused when it is added.
+// the default α and at α = 0.6. BaseFromParts refuses parts whose odd copy's
+// meta is not its partner's diameter pair swapped, or that drop a shape's
+// last copy, with an error naming the shape; and a shape so far from the
+// origin for its size that Normalize's rounding breaks a pair is refused
+// when it is added, and when parts that name it are reassembled — its
+// extent is past pairDriftExtent, so its copies are derived and checked.
 func TestCopiesComeInMirroredPairs(t *testing.T) {
 	images := synth.GenerateBase(synth.PaperSpec(0.002, 67))
 	for _, alpha := range []float64{DefaultOptions().Alpha, 0.6} {
@@ -245,9 +247,9 @@ func TestCopiesComeInMirroredPairs(t *testing.T) {
 		if err := b.Freeze(); err != nil {
 			t.Fatal(err)
 		}
-		bases := map[string]*Base{"Freeze": b, "Append": d.b, "BaseFromParts over heap slices": reassemble(t, b, b.verts)}
-		if verts := mappedVerts(t, b.verts); verts != nil {
-			bases["BaseFromParts over a mapping"] = reassemble(t, b, verts)
+		bases := map[string]*Base{"Freeze": b, "Append": d.b, "BaseFromParts over heap slices": reassemble(t, b, b.fieldCells)}
+		if cells := mappedCells(t, b.fieldCells); cells != nil {
+			bases["BaseFromParts over a mapping"] = reassemble(t, b, cells)
 		}
 		for path, base := range bases {
 			for id := range base.NumShapes() {
@@ -256,7 +258,7 @@ func TestCopiesComeInMirroredPairs(t *testing.T) {
 					t.Fatalf("α=%g %s: shape %d has %d copies", alpha, path, id, hi-lo)
 				}
 				for c := lo; c < hi; c += 2 {
-					pts, twin := base.entries[c].Poly.Pts, base.entries[c+1].Poly.Pts
+					pts, twin := base.copyPoly(int(c), nil).Pts, base.copyPoly(int(c+1), nil).Pts
 					for i, p := range pts {
 						if dx, dy := math.Abs(1-p.X-twin[i].X), math.Abs(p.Y+twin[i].Y); !(dx <= 1e-12 && dy <= 1e-12) {
 							t.Fatalf("α=%g %s: shape %d copy %d vertex %d is %v, the half turn of copy %d's %v", alpha, path, id, c+1, i, twin[i], c, p)
@@ -277,27 +279,102 @@ func TestCopiesComeInMirroredPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var own []int
-	for ei := range b.entries {
+	for ei := range b.meta {
 		own = append(own, ei)
 	}
-	a := b.entries[0].ShapeID
+	a := b.EntryShape(0)
 	ea := b.EntriesOfShape(a)
-	moved := specInOrder(b, own, nil)
-	moved.Verts[moved.EntryOff[ea[1]]].X += 1e-6
-	dropped := specInOrder(b, append(own[:ea[len(ea)-1]:ea[len(ea)-1]], own[ea[len(ea)-1]+1:]...), nil)
-	for name, spec := range map[string]BaseSpec{"odd copy moved 1e-6": moved, "last copy dropped": dropped} {
+	swapped := specInOrder(b, own)
+	swapped.EntryMeta[ea[1]].DiamI, swapped.EntryMeta[ea[1]].DiamJ = swapped.EntryMeta[ea[0]].DiamI, swapped.EntryMeta[ea[0]].DiamJ
+	dropped := specInOrder(b, append(own[:ea[len(ea)-1]:ea[len(ea)-1]], own[ea[len(ea)-1]+1:]...))
+	for name, spec := range map[string]BaseSpec{"odd copy's pair not swapped": swapped, "last copy dropped": dropped} {
 		if _, err := BaseFromParts(spec); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("parts shape %d:", a)) {
 			t.Fatalf("%s: BaseFromParts returned %v, want an error naming shape %d", name, err, a)
 		}
 	}
 
 	far := unitSquare().Transform(geom.Transform{S: 1, T: geom.Pt(1e9, 1e9)})
+	farCopies, err := Normalize(far, DefaultOptions().Alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	farSpec := BaseSpec{Opts: DefaultOptions(), Shapes: []Shape{{Poly: far}}}
+	for _, e := range farCopies {
+		farSpec.EntryMeta = append(farSpec.EntryMeta, EntryMeta{Copy: int32(e.Copy), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)})
+	}
+	if _, err := BaseFromParts(farSpec); err == nil || !strings.Contains(err.Error(), "parts shape 0: copy") {
+		t.Fatalf("parts of a unit square 1e9 from the origin, its pairs swapped in meta, reassembled: %v", err)
+	}
 	if _, err := NewBase(DefaultOptions()).AddShape(0, far); err == nil || !strings.Contains(err.Error(), "half-turn pairs") {
 		t.Fatalf("a unit square 1e9 from the origin was added: %v", err)
 	}
 	if _, err := b.Append(0, []geom.Poly{far}); err == nil {
 		t.Fatal("a unit square 1e9 from the origin was appended")
 	}
+}
+
+// TestPairDriftBelowExtentCut pins the bound BaseFromParts' pair check
+// rests on: below pairDriftExtent a check of the meta alone is exact,
+// because a copy derived about its partner's diameter pair swapped lies
+// within mirrorTol/10 of the partner's half turn, vertex by vertex. Every
+// shape of a paper base is centred and moved out along each diagonal until
+// its extent is pairDriftExtent times its shortest α-diameter (and a
+// hundredth, a tenth of that), at the default α and at α = 0.6, and every
+// pair of its copies is held to the bound.
+func TestPairDriftBelowExtentCut(t *testing.T) {
+	images := synth.GenerateBase(synth.PaperSpec(0.002, 71))
+	worst := 0.0
+	for _, alpha := range []float64{DefaultOptions().Alpha, 0.6} {
+		for _, img := range images {
+			for _, s := range img.Shapes {
+				es, err := Normalize(s, alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				minDiam, c := math.Inf(1), geom.Point{}
+				for _, e := range es {
+					minDiam = min(minDiam, s.Pts[e.DiamJ].Sub(s.Pts[e.DiamI]).Norm())
+				}
+				for _, p := range s.Pts {
+					c = c.Add(p.Scale(1 / float64(len(s.Pts))))
+				}
+				r := 0.0
+				for _, p := range s.Pts {
+					r = max(r, math.Abs(p.X-c.X), math.Abs(p.Y-c.Y))
+				}
+				for _, ratio := range []float64{pairDriftExtent / 100, pairDriftExtent / 10, pairDriftExtent} {
+					for _, dir := range []geom.Point{geom.Pt(1, 1), geom.Pt(-1, 1), geom.Pt(-1, -1), geom.Pt(1, -1)} {
+						off := ratio*minDiam - r
+						moved := s.Transform(geom.Transform{S: 1, T: dir.Scale(off).Sub(c)})
+						extent := 0.0
+						for _, p := range moved.Pts {
+							extent = max(extent, math.Abs(p.X), math.Abs(p.Y))
+						}
+						if extent > pairDriftExtent*minDiam*(1+1e-9) {
+							t.Fatalf("shape moved to extent %v, past %v times its α-diameter %v", extent, pairDriftExtent, minDiam)
+						}
+						for _, e := range es {
+							if e.Copy%2 == 1 {
+								continue
+							}
+							pts, _, err1 := geom.AppendNormalized(nil, moved.Pts, e.DiamI, e.DiamJ)
+							twin, _, err2 := geom.AppendNormalized(nil, moved.Pts, e.DiamJ, e.DiamI)
+							if err1 != nil || err2 != nil {
+								t.Fatal(err1, err2)
+							}
+							for i, p := range pts {
+								worst = max(worst, math.Abs(1-p.X-twin[i].X), math.Abs(p.Y+twin[i].Y))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !(worst <= mirrorTol/10) {
+		t.Fatalf("pairs drift %v apart at extents up to %v times the α-diameter, past mirrorTol/10 = %v", worst, float64(pairDriftExtent), mirrorTol/10)
+	}
+	t.Logf("worst pair drift %.3g (mirrorTol/10 = %.3g)", worst, mirrorTol/10)
 }
 
 // floorOrdered is the exact search's two passes over one base: Floors
@@ -355,18 +432,14 @@ func TestNearestLowestCopyOnTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poly := es[0].Poly
-	twin := geom.Poly{Pts: make([]geom.Point, len(poly.Pts)), Closed: poly.Closed}
-	for i, p := range poly.Pts {
-		twin.Pts[i] = geom.Pt(1-p.X, -p.Y)
-	}
-	s := scanShape{id: 7, nv: len(poly.Pts), cost: []int32{1, 1, 1, 1}}
-	for c, cp := range []geom.Poly{poly, twin, poly, twin} {
-		s.entries = append(s.entries, Entry{ShapeID: 7, Copy: c, Poly: cp})
+	s := scanShape{id: 7, shape: unitSquare(), nv: len(es[0].Poly.Pts), cost: []int32{1, 1, 1, 1}}
+	for c := range 4 {
+		e := es[c%2]
+		s.meta = append(s.meta, EntryMeta{ShapeID: 7, Copy: int32(c), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)})
 		if c < 2 {
-			s.block = appendFieldCells(s.block, cp.Pts)
+			s.block = appendFieldCells(s.block, e.Poly.Pts)
 		} else {
-			for range cp.Pts {
+			for range e.Poly.Pts {
 				s.block = append(s.block, fieldOff)
 			}
 		}
@@ -381,7 +454,7 @@ func TestNearestLowestCopyOnTies(t *testing.T) {
 	}
 	want, wantEi := math.Inf(1), -1
 	for c := 0; c < 2; c++ {
-		if d, _, _ := pq.distWithin(s.entries[c].Poly, nil, 0, math.Inf(1)); d < want {
+		if d, _, _ := pq.distWithin(s.copyPoly(c, nil), nil, 0, math.Inf(1)); d < want {
 			want, wantEi = d, c
 		}
 	}

@@ -153,7 +153,7 @@ func (s *matchScratch) setCounted(vid int)   { s.vertStamp[vid] = s.epoch }
 func (b *Base) getScratch() *matchScratch {
 	s, _ := b.scratch.Get().(*matchScratch)
 	if s == nil {
-		s = newMatchScratch(len(b.entries), len(b.verts))
+		s = newMatchScratch(len(b.meta), len(b.fieldCells))
 	}
 	s.reset()
 	return s

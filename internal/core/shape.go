@@ -17,7 +17,9 @@ type Shape struct {
 
 // Entry is one normalized copy of a shape in the shape base. Each shape
 // is stored twice per α-diameter: once for each way of mapping the
-// diameter endpoints onto (0,0) and (1,0) (§2.4).
+// diameter endpoints onto (0,0) and (1,0) (§2.4). A base stores a copy as
+// its EntryMeta and derives the rest from its shape on demand
+// (Base.Entry).
 type Entry struct {
 	ShapeID int            // the shape this copy belongs to
 	Copy    int            // copy ordinal within the shape
@@ -43,14 +45,13 @@ func Normalize(p geom.Poly, alpha float64) ([]Entry, error) {
 	copyOrd := 0
 	for _, pr := range pairs {
 		for _, ord := range [2][2]int{{pr[0], pr[1]}, {pr[1], pr[0]}} {
-			a, b := p.Pts[ord[0]], p.Pts[ord[1]]
-			tr, err := geom.NormalizeOnto(a, b)
+			pts, tr, err := geom.AppendNormalized(nil, p.Pts, ord[0], ord[1])
 			if err != nil {
 				continue
 			}
 			out = append(out, Entry{
 				Copy:  copyOrd,
-				Poly:  p.Transform(tr),
+				Poly:  geom.Poly{Pts: pts, Closed: p.Closed},
 				Norm:  tr,
 				Inv:   tr.Inverse(),
 				DiamI: ord[0],
@@ -63,6 +64,17 @@ func Normalize(p geom.Poly, alpha float64) ([]Entry, error) {
 		return nil, fmt.Errorf("core: normalization produced no copies")
 	}
 	return out, nil
+}
+
+// copyOf is the normalized copy of p that m describes, its vertices
+// appended to dst: geom.AppendNormalized over p and m's (DiamI, DiamJ),
+// the one derivation of a normalized copy — Normalize and
+// NormalizeCanonical make theirs with it — so the bits are those Normalize
+// gave the copy when p was added. It cannot fail on a base that was built
+// or loaded: both refuse a pair NormalizeOnto turns down.
+func copyOf(p geom.Poly, m EntryMeta, dst []geom.Point) geom.Poly {
+	pts, _, _ := geom.AppendNormalized(dst, p.Pts, int(m.DiamI), int(m.DiamJ))
+	return geom.Poly{Pts: pts, Closed: p.Closed}
 }
 
 // mirrorTol is how far, coordinate by coordinate, copy 2k+1 of a shape may
@@ -113,12 +125,12 @@ func NormalizeCanonical(p geom.Poly) (Entry, error) {
 	if d <= geom.Eps {
 		return Entry{}, fmt.Errorf("core: degenerate shape, zero diameter")
 	}
-	tr, err := geom.NormalizeOnto(p.Pts[i], p.Pts[j])
+	pts, tr, err := geom.AppendNormalized(nil, p.Pts, i, j)
 	if err != nil {
 		return Entry{}, err
 	}
 	return Entry{
-		Poly:  p.Transform(tr),
+		Poly:  geom.Poly{Pts: pts, Closed: p.Closed},
 		Norm:  tr,
 		Inv:   tr.Inverse(),
 		DiamI: i,

@@ -162,3 +162,54 @@ func FuzzPointInPolygon(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTransformApplied holds Poly.Transform — one Sincos for the whole
+// chain — to Apply point by point, bit for bit, for arbitrary transforms
+// and points, non-finite coordinates included: the first 32 bytes are the
+// transform (S, Theta, T.X, T.Y), the rest the points. AppendNormalized
+// over the points' first two is held to NormalizeOnto of them applied by
+// Apply, transform included.
+func FuzzTransformApplied(f *testing.F) {
+	f.Add(seedPointBytes([]Point{Pt(2.5, 0.7), Pt(3, -4), Pt(0, 0), Pt(1, 1), Pt(-7.25, 1e9)}))
+	f.Add(seedPointBytes([]Point{Pt(1e-3, -math.Pi), Pt(1e6, -1e6), Pt(math.NaN(), 1), Pt(math.Inf(1), math.Inf(-1))}))
+	f.Add(seedPointBytes([]Point{Pt(math.Inf(1), math.NaN()), Pt(0, 0), Pt(5e-324, -0.0)}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pts := fuzzPoints(data, 64)
+		if len(pts) < 2 {
+			return
+		}
+		tr := Transform{S: pts[0].X, Theta: pts[0].Y, T: pts[1]}
+		pts = pts[2:]
+		poly := Poly{Pts: pts, Closed: true}.Transform(tr)
+		if len(poly.Pts) != len(pts) || !poly.Closed {
+			t.Fatalf("%d points mapped to %d", len(pts), len(poly.Pts))
+		}
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
+		samePt := func(a, b Point) bool { return same(a.X, b.X) && same(a.Y, b.Y) }
+		for i, p := range pts {
+			want := tr.Apply(p)
+			if !samePt(poly.Pts[i], want) {
+				t.Fatalf("%v: point %d %v maps to %v, Apply gives %v", tr, i, p, poly.Pts[i], want)
+			}
+		}
+		if len(pts) < 2 {
+			return
+		}
+		norm, ntr, err := AppendNormalized(nil, pts, 0, 1)
+		wtr, werr := NormalizeOnto(pts[0], pts[1])
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("AppendNormalized error %v, NormalizeOnto's %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !same(ntr.S, wtr.S) || !same(ntr.Theta, wtr.Theta) || !samePt(ntr.T, wtr.T) || len(norm) != len(pts) {
+			t.Fatalf("AppendNormalized's transform %v (%d points), NormalizeOnto's %v", ntr, len(norm), wtr)
+		}
+		for i, p := range pts {
+			if want := wtr.Apply(p); !samePt(norm[i], want) {
+				t.Fatalf("normalized point %d %v is %v, NormalizeOnto applied gives %v", i, p, norm[i], want)
+			}
+		}
+	})
+}

@@ -117,13 +117,11 @@ func (p Poly) Reverse() Poly {
 	return q
 }
 
-// Transform returns p with t applied to every vertex.
+// Transform returns p with t applied to every vertex: Apply's bits, with
+// one Sincos for all of them.
 func (p Poly) Transform(t Transform) Poly {
-	q := p.Clone()
-	for i := range q.Pts {
-		q.Pts[i] = t.Apply(q.Pts[i])
-	}
-	return q
+	s, c := math.Sincos(t.Theta)
+	return Poly{Pts: t.appendApplied(nil, p.Pts, s, c), Closed: p.Closed}
 }
 
 // ContainsPoint reports whether pt lies inside (or on the boundary of) a

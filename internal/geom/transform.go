@@ -1,6 +1,10 @@
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Transform is a direct similarity transform of the plane: a rotation by
 // Theta and uniform scaling by S about the origin, followed by a
@@ -28,6 +32,18 @@ func Scaling(s float64) Transform { return Transform{S: s} }
 // Apply maps the point p through t.
 func (t Transform) Apply(p Point) Point {
 	return p.Rotate(t.Theta).Scale(t.S).Add(t.T)
+}
+
+// appendApplied appends every point of pts mapped through t to dst, s and
+// c the sine and cosine of t.Theta: Apply's per-point expression, bit for
+// bit, with one Sincos for all of the points.
+func (t Transform) appendApplied(dst, pts []Point, s, c float64) []Point {
+	n := len(dst)
+	dst = slices.Grow(dst, len(pts))[:n+len(pts)]
+	for i, p := range pts {
+		dst[n+i] = Point{c*p.X - s*p.Y, s*p.X + c*p.Y}.Scale(t.S).Add(t.T)
+	}
+	return dst
 }
 
 // ApplySegment maps both endpoints of s through t.
@@ -68,16 +84,36 @@ func (t Transform) String() string {
 // pair is positioned at ((0,0),(1,0)). An error is returned if a and b
 // coincide.
 func NormalizeOnto(a, b Point) (Transform, error) {
+	t, _, _, err := normalizeOnto(a, b)
+	return t, err
+}
+
+// AppendNormalized appends the points of pts normalized onto the pair
+// (pts[i], pts[j]) — NormalizeOnto(pts[i], pts[j]) applied to every point
+// — to dst, and returns them with the transform: Apply's bits, with one
+// Sincos for the transform and the points.
+func AppendNormalized(dst, pts []Point, i, j int) ([]Point, Transform, error) {
+	t, s, c, err := normalizeOnto(pts[i], pts[j])
+	if err != nil {
+		return dst, t, err
+	}
+	return t.appendApplied(dst, pts, s, c), t, nil
+}
+
+// normalizeOnto is NormalizeOnto, with the sine and cosine of its rotation.
+func normalizeOnto(a, b Point) (t Transform, s, c float64, err error) {
 	d := b.Sub(a)
 	n := d.Norm()
 	if n <= Eps {
-		return Transform{}, fmt.Errorf("geom: cannot normalize onto coincident points %v, %v", a, b)
+		return Transform{}, 0, 0, fmt.Errorf("geom: cannot normalize onto coincident points %v, %v", a, b)
 	}
-	t := Transform{
+	t = Transform{
 		S:     1 / n,
 		Theta: -d.Angle(),
 	}
-	// After rotation and scaling, a must land on the origin.
-	t.T = a.Rotate(t.Theta).Scale(t.S).Neg()
-	return t, nil
+	// After rotation and scaling, a must land on the origin: a.Rotate(θ),
+	// scaled and negated.
+	s, c = math.Sincos(t.Theta)
+	t.T = Point{c*a.X - s*a.Y, s*a.X + c*a.Y}.Scale(t.S).Neg()
+	return t, s, c, nil
 }

@@ -3,6 +3,8 @@ package geosir
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/sectable"
 )
 
 // fuzzSeedEngine builds a small engine without a *testing.T (f.Add runs
@@ -87,7 +89,7 @@ func FuzzLoadV3(f *testing.F) {
 	}
 	f.Add(v3.Bytes())
 	f.Add(v3.Bytes()[:v3.Len()/2])
-	f.Add(v3.Bytes()[:magicLen+v3HeaderLen])
+	f.Add(v3.Bytes()[:magicLen+sectable.HeaderLen])
 	f.Add([]byte(magicGSIR3))
 	// Header claiming an absurd section count.
 	f.Add([]byte("GSIR3\n\x01\x00\xff\xff\xff\xff\x00\x00\x00\x00"))

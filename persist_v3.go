@@ -1,7 +1,6 @@
 package geosir
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -16,21 +15,18 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mmap"
 	"repro/internal/query"
+	"repro/internal/sectable"
 )
 
 // GSIR3 is the mmap-friendly frozen-shard format: the on-disk form of
 // every hot query-time structure *is* its runtime form, so opening a
-// snapshot is a map + verify + O(n) pointer stitching instead of a
+// snapshot is a map + verify + O(shapes + copies) stitching instead of a
 // geometry rebuild, and the OS page cache becomes the storage
 // hierarchy for bigger-than-RAM bases.
 //
-//	magic "GSIR3\n" | u16 version=1 | u32 nSections | u32 flags    (16 B)
-//	nSections × { tag [4]byte | u32 rsvd | u64 off | u64 len | u32 crc32(payload) | u32 rsvd }
-//	u32 crc32(section table)
-//	payloads, each at an 8-byte-aligned offset, zero padding between;
-//	the file ends exactly at the end of the last payload.
-//
-// Everything is little-endian. Section payloads are contiguous arrays
+// The container — a header, a checksummed table of tagged sections and
+// their 8-aligned payloads — is internal/sectable's. Everything is
+// little-endian. Section payloads are contiguous arrays
 // of fixed-size elements (float64 / int32 / padding-free structs of
 // them), so on a little-endian host an mmap'd payload can be
 // reinterpreted in place as the Go slice the engine serves from
@@ -44,16 +40,20 @@ import (
 // The raw family (OPTS, IMGS, SHPM, RAWV) is the canonical image base —
 // exactly the information GSIR2 stores — so a GSIR3 snapshot with
 // damaged derived sections can still be rebuilt the slow way. The
-// derived family is the frozen index: entry metadata and transforms
-// (ENTM, ENTT), the flattened vertex arrays (EOFF, EVTX),
+// derived family is the frozen index: a normalized copy is stored as what
+// determines it — its shape (RAWV), its α-diameter pair in its meta (ENTM)
+// — plus its vertices' distance-field cells (ECEL, 2 B a vertex), and its
+// vertices are derived from these when a search reads them; then
 // geometric-hash quadruples (QUAD), diameter angles (DANG), image graphs
 // (GRPH), and the ANN signature family (ANNP, ANNS). Sections are found
 // by tag: one the table does not name is checksummed like the rest and
-// otherwise ignored. Earlier writers emitted four kinds of these: GBND;
-// the kd-tree (KDTP, KDTI, KDTB) and vertex → entry map (VENT) that only
-// the paper's climb reads, which is built on its first use instead
-// (core.Base.BuildRangeIndex); and a segment grid per entry (GRDH, GSEG,
-// GCEL, GIDS), where a search now reads the copy's own edges.
+// otherwise ignored, and a file without ECEL — every file written before
+// the row — has its cells derived on load. Earlier writers emitted five
+// kinds of these: GBND; the kd-tree (KDTP, KDTI, KDTB) and vertex → entry
+// map (VENT) that only the paper's climb reads, which is built on its
+// first use instead (core.Base.BuildRangeIndex); a segment grid per entry
+// (GRDH, GSEG, GCEL, GIDS), where a search now reads the copy's own edges;
+// and every copy's vertices, offsets and transforms (EVTX, EOFF, ENTT).
 //
 // Integrity: the loader verifies the table checksum and then every
 // section's CRC32 before assembly — corrupt bytes are refused (or, via
@@ -62,19 +62,12 @@ import (
 // only re-checks the shape invariants slice indexing depends on.
 
 const (
-	magicGSIR3 = "GSIR3\n"
-
-	v3Version    = 1
-	v3HeaderLen  = 16
-	v3TableEntry = 32
-	v3Align      = 8
-
-	// v3MaxSections bounds the declared section count against corrupt
-	// headers (the writer emits one section per v3Table row).
-	v3MaxSections = 64
+	magicGSIR3 = sectable.Magic
 
 	// v3OptsLen is the OPTS payload: 4 float64 options + 8 uint32 words
-	// (hash curves, five counts, the backend word, one reserved).
+	// (hash curves, five counts, the backend word, and the field layout
+	// ECEL's cells were computed under — core.FieldLayout; 0 in files of
+	// earlier writers, whose ECEL, if any, is derived again).
 	v3OptsLen = 4*8 + 8*4
 
 	// v3KDTree is OPTS's backend word, the constant 2 (the kd-tree): the
@@ -103,32 +96,36 @@ type v3Row struct {
 	// ANNS), which the assembly checks — and only whole elements are
 	// required of it.
 	count func(o *v3Options) int
+	// optional marks the row files of earlier writers lack (ECEL): absent,
+	// the loader derives it, over the count those files' copy vertices
+	// (EVTX) vouch for; present, it is checked like any other.
+	optional bool
 }
 
-const v3Raw, v3Derived = true, false
+const (
+	v3Raw, v3Derived     = true, false
+	v3Optional, v3Always = true, false
+)
 
-func v3One(*v3Options) int         { return 1 }
-func v3Shapes(o *v3Options) int    { return o.nShapes }
-func v3Entries(o *v3Options) int   { return o.nEntries }
-func v3Verts(o *v3Options) int     { return o.nVerts }
-func v3RawVerts(o *v3Options) int  { return o.nRawVerts }
-func v3EntryEnds(o *v3Options) int { return o.nEntries + 1 }
+func v3One(*v3Options) int        { return 1 }
+func v3Shapes(o *v3Options) int   { return o.nShapes }
+func v3Entries(o *v3Options) int  { return o.nEntries }
+func v3Verts(o *v3Options) int    { return o.nVerts }
+func v3RawVerts(o *v3Options) int { return o.nRawVerts }
 
 // v3Table is the GSIR3 section set, in file order.
 var v3Table = []v3Row{
-	{"OPTS", v3Raw, v3OptsLen, v3One},
-	{"IMGS", v3Raw, 0, nil},             // u32 n | n × { u32 image id | u32 shapes }
-	{"SHPM", v3Raw, 16, v3Shapes},       // i32 flags (bit0 = closed) | RAWV offset | vertices | rsvd
-	{"RAWV", v3Raw, 16, v3RawVerts},     // geom.Point
-	{"ENTM", v3Derived, 16, v3Entries},  // core.EntryMeta
-	{"ENTT", v3Derived, 64, v3Entries},  // geom.Transform × 2: Norm then Inv
-	{"EOFF", v3Derived, 4, v3EntryEnds}, // i32: entry → first vertex
-	{"EVTX", v3Derived, 16, v3Verts},    // geom.Point
-	{"QUAD", v3Derived, 16, v3Shapes},   // 4 × i32 hash cell, all -1: shape not in the table
-	{"DANG", v3Derived, 8, v3Shapes},    // f64 diameter angle
-	{"GRPH", v3Derived, 0, nil},         // u32 n | n × { image id | shapes | edges }
-	{"ANNP", v3Derived, 24, v3One},      // u64 seed | u32 grid res | bands | rows | entries
-	{"ANNS", v3Derived, 8, nil},         // u64 signatures, entries × bands·rows
+	{"OPTS", v3Raw, v3OptsLen, v3One, v3Always},
+	{"IMGS", v3Raw, 0, nil, v3Always},            // u32 n | n × { u32 image id | u32 shapes }
+	{"SHPM", v3Raw, 16, v3Shapes, v3Always},      // i32 flags (bit0 = closed) | RAWV offset | vertices | rsvd
+	{"RAWV", v3Raw, 16, v3RawVerts, v3Always},    // geom.Point
+	{"ENTM", v3Derived, 16, v3Entries, v3Always}, // core.EntryMeta
+	{"ECEL", v3Derived, 2, v3Verts, v3Optional},  // u16 field cell of every vertex of every copy, copy by copy
+	{"QUAD", v3Derived, 16, v3Shapes, v3Always},  // 4 × i32 hash cell, all -1: shape not in the table
+	{"DANG", v3Derived, 8, v3Shapes, v3Always},   // f64 diameter angle
+	{"GRPH", v3Derived, 0, nil, v3Always},        // u32 n | n × { image id | shapes | edges }
+	{"ANNP", v3Derived, 24, v3One, v3Always},     // u64 seed | u32 grid res | bands | rows | entries
+	{"ANNS", v3Derived, 8, nil, v3Always},        // u64 signatures, entries × bands·rows
 }
 
 // v3RawTags is the raw family, read off the table.
@@ -151,6 +148,10 @@ func v3Check(sec map[string][]byte, o *v3Options, rawOnly bool) error {
 		}
 		b, ok := sec[row.tag]
 		switch {
+		case !ok && row.optional:
+			if want := 16 * int64(row.count(o)); int64(len(sec["EVTX"])) != want {
+				return fmt.Errorf("geosir: GSIR3 snapshot has no section %s, and %d bytes of EVTX where the vertices it is derived for take %d", row.tag, len(sec["EVTX"]), want)
+			}
 		case !ok:
 			return fmt.Errorf("geosir: GSIR3 snapshot missing section %s", row.tag)
 		case row.elem == 0:
@@ -205,12 +206,6 @@ func put[T any](b []byte, vs []T) []byte {
 	return buf.Bytes()
 }
 
-// v3sec is one section payload on its way to (or back from) a file.
-type v3sec struct {
-	tag     string
-	payload []byte
-}
-
 // saveGSIR3 writes the mmap-friendly format: the table's rows, in the
 // table's order. Unlike GSIR2 it requires a frozen engine: the derived
 // sections *are* the frozen index. (Every production write site —
@@ -221,50 +216,15 @@ func (e *Engine) saveGSIR3(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	secs := make([]v3sec, len(v3Table))
+	secs := make([]sectable.Payload, len(v3Table))
 	for i, row := range v3Table {
 		payload, ok := built[row.tag]
 		if !ok {
 			return fmt.Errorf("geosir: internal error: section %s not built", row.tag)
 		}
-		secs[i] = v3sec{tag: row.tag, payload: payload}
+		secs[i] = sectable.Payload{Tag: row.tag, Data: payload}
 	}
-	return writeV3(w, secs)
-}
-
-func alignV3(off uint64) uint64 { return (off + v3Align - 1) &^ (v3Align - 1) }
-
-// writeV3 lays the sections out behind the header, the table and its
-// CRC — each payload at an 8-aligned offset, the file ending with the
-// last payload — and writes the image.
-func writeV3(w io.Writer, secs []v3sec) error {
-	head := binary.LittleEndian.AppendUint16([]byte(magicGSIR3), v3Version)
-	head = appendU32(head, uint32(len(secs)))
-	head = appendU32(head, 0)
-	off := alignV3(uint64(v3HeaderLen + len(secs)*v3TableEntry + 4))
-	for _, s := range secs {
-		head = append(head, s.tag...)
-		head = appendU32(head, 0)
-		head = appendU64(head, off)
-		head = appendU64(head, uint64(len(s.payload)))
-		head = appendU32(head, crc32.ChecksumIEEE(s.payload))
-		head = appendU32(head, 0)
-		off = alignV3(off + uint64(len(s.payload)))
-	}
-	head = appendU32(head, crc32.ChecksumIEEE(head[v3HeaderLen:]))
-
-	// A bufio.Writer keeps its first error and returns it from every later
-	// call, Flush included, so only Flush is checked.
-	bw := bufio.NewWriter(w)
-	bw.Write(head)
-	pos := uint64(len(head))
-	var pad [v3Align]byte
-	for _, s := range secs {
-		bw.Write(pad[:alignV3(pos)-pos])
-		bw.Write(s.payload)
-		pos = alignV3(pos) + uint64(len(s.payload))
-	}
-	return bw.Flush()
+	return sectable.Write(w, secs)
 }
 
 // buildV3Sections flattens the frozen engine into its section payloads,
@@ -281,7 +241,6 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	}
 	images := e.imagesInOrder()
 	shapes := base.Shapes()
-	ne := len(parts.Entries)
 	out := make(map[string][]byte, len(v3Table))
 
 	// IMGS / SHPM / RAWV — the raw image base, shapes in id order
@@ -303,16 +262,7 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	}
 	out["IMGS"], out["SHPM"], out["RAWV"] = imgs, put(nil, shpm), rawv
 
-	metas := make([]core.EntryMeta, ne)
-	trans := make([]geom.Transform, 0, 2*ne)
-	for i := range parts.Entries {
-		en := &parts.Entries[i]
-		metas[i] = core.EntryMeta{ShapeID: int32(en.ShapeID), Copy: int32(en.Copy),
-			DiamI: int32(en.DiamI), DiamJ: int32(en.DiamJ)}
-		trans = append(trans, en.Norm, en.Inv)
-	}
-	out["ENTM"], out["ENTT"] = put(nil, metas), put(nil, trans)
-	out["EOFF"], out["EVTX"] = put(nil, parts.EntryOff), put(nil, parts.Verts)
+	out["ENTM"], out["ECEL"] = put(nil, parts.EntryMeta), put(nil, parts.Cells)
 
 	// QUAD / DANG — geometric-hash quadruples and diameter angles, per
 	// shape. A shape the hash table skipped (degenerate canonical
@@ -374,93 +324,12 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	opt = appendU32(opt, uint32(e.opts.HashCurves))
 	opt = appendU32(opt, uint32(len(images)))
 	opt = appendU32(opt, uint32(len(shapes)))
-	opt = appendU32(opt, uint32(ne))
-	opt = appendU32(opt, uint32(len(parts.Verts)))
+	opt = appendU32(opt, uint32(len(parts.EntryMeta)))
+	opt = appendU32(opt, uint32(len(parts.Cells)))
 	opt = appendU32(opt, uint32(len(rawv)/16))
 	opt = appendU32(opt, v3KDTree)
-	out["OPTS"] = appendU32(opt, 0)
+	out["OPTS"] = appendU32(opt, core.FieldLayout)
 	return out, nil
-}
-
-// v3Section is one parsed section-table row.
-type v3Section struct {
-	tag string
-	off uint64
-	len uint64
-	crc uint32
-}
-
-// parseV3Header parses the 10 header bytes that follow the magic and
-// returns the declared section count.
-func parseV3Header(hdr []byte) (int, error) {
-	if v := binary.LittleEndian.Uint16(hdr); v != v3Version {
-		return 0, fmt.Errorf("geosir: unsupported GSIR3 version %d", v)
-	}
-	nsec := binary.LittleEndian.Uint32(hdr[2:])
-	if nsec == 0 || nsec > v3MaxSections {
-		return 0, fmt.Errorf("geosir: implausible GSIR3 section count %d", nsec)
-	}
-	return int(nsec), nil
-}
-
-// parseV3Rows parses a section table (its trailing CRC included) for a
-// file of fileLen bytes — the one table parse, shared by the loaders and
-// Peek. Rows are checked for alignment, order and bounds; payload CRCs
-// are NOT verified here.
-func parseV3Rows(table []byte, fileLen uint64) ([]v3Section, error) {
-	tableLen := len(table) - 4
-	if crc32.ChecksumIEEE(table[:tableLen]) != binary.LittleEndian.Uint32(table[tableLen:]) {
-		return nil, fmt.Errorf("geosir: GSIR3 section table checksum mismatch")
-	}
-	secs := make([]v3Section, tableLen/v3TableEntry)
-	prevEnd := uint64(v3HeaderLen + len(table))
-	for i := range secs {
-		row := table[i*v3TableEntry:]
-		s := v3Section{
-			tag: string(row[0:4]),
-			off: binary.LittleEndian.Uint64(row[8:]),
-			len: binary.LittleEndian.Uint64(row[16:]),
-			crc: binary.LittleEndian.Uint32(row[24:]),
-		}
-		if s.off%v3Align != 0 {
-			return nil, fmt.Errorf("geosir: section %s at misaligned offset %d", s.tag, s.off)
-		}
-		if s.off < prevEnd || s.off > fileLen || s.len > fileLen-s.off {
-			return nil, fmt.Errorf("geosir: section %s [%d,+%d) outside file of %d bytes",
-				s.tag, s.off, s.len, fileLen)
-		}
-		prevEnd = s.off + s.len
-		secs[i] = s
-	}
-	return secs, nil
-}
-
-// parseV3Layout validates the header + section table of a complete
-// GSIR3 byte image (magic included) and returns the table rows, which
-// must cover the file exactly.
-func parseV3Layout(data []byte) ([]v3Section, error) {
-	if len(data) < v3HeaderLen {
-		return nil, fmt.Errorf("geosir: GSIR3 snapshot truncated at %d bytes", len(data))
-	}
-	if string(data[:magicLen]) != magicGSIR3 {
-		return nil, fmt.Errorf("geosir: bad magic %q", string(data[:magicLen]))
-	}
-	nsec, err := parseV3Header(data[magicLen:v3HeaderLen])
-	if err != nil {
-		return nil, err
-	}
-	tableEnd := v3HeaderLen + nsec*v3TableEntry + 4
-	if len(data) < tableEnd {
-		return nil, fmt.Errorf("geosir: GSIR3 section table truncated")
-	}
-	secs, err := parseV3Rows(data[v3HeaderLen:tableEnd], uint64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	if end := secs[nsec-1].off + secs[nsec-1].len; end != uint64(len(data)) {
-		return nil, fmt.Errorf("geosir: %d trailing bytes after final section", uint64(len(data))-end)
-	}
-	return secs, nil
 }
 
 // v3Reader is the verified section map of a GSIR3 image plus the decode
@@ -475,16 +344,16 @@ func v3View[T any](r *v3Reader, tag string) []T { return view[T](r.sec[tag], r.a
 
 // v3Verify checks every section CRC and returns the section map plus
 // the tags that failed. Damage never panics and never reaches assembly.
-func v3Verify(data []byte, secs []v3Section) (map[string][]byte, []string) {
+func v3Verify(data []byte, secs []sectable.Section) (map[string][]byte, []string) {
 	m := make(map[string][]byte, len(secs))
 	var bad []string
 	for _, s := range secs {
-		payload := data[s.off : s.off+s.len]
-		if crc32.ChecksumIEEE(payload) != s.crc {
-			bad = append(bad, s.tag)
+		payload := data[s.Off : s.Off+s.Len]
+		if crc32.ChecksumIEEE(payload) != s.CRC {
+			bad = append(bad, s.Tag)
 			continue
 		}
-		m[s.tag] = payload
+		m[s.Tag] = payload
 	}
 	return m, bad
 }
@@ -497,6 +366,8 @@ type v3Options struct {
 	nEntries  int
 	nVerts    int
 	nRawVerts int
+	// fieldLayout is the cell grid ECEL was computed under (core.FieldLayout).
+	fieldLayout uint32
 }
 
 func parseV3Options(b []byte) (v3Options, error) {
@@ -509,7 +380,7 @@ func parseV3Options(b []byte) (v3Options, error) {
 	hc := c.u32()
 	counts := [5]uint32{c.u32(), c.u32(), c.u32(), c.u32(), c.u32()}
 	backend := c.u32()
-	_ = c.u32()
+	o.fieldLayout = c.u32()
 	if c.err != nil || c.remaining() != 0 {
 		return v3Options{}, fmt.Errorf("geosir: OPTS section is %d bytes, want %d", len(b), v3OptsLen)
 	}
@@ -592,14 +463,19 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 		}
 	}
 
-	base, err := core.BaseFromParts(core.BaseSpec{
-		Opts:       coreOptsFor(o.opts),
-		Shapes:     shapes,
-		EntryMeta:  v3View[core.EntryMeta](r, "ENTM"),
-		EntryTrans: v3View[geom.Transform](r, "ENTT"),
-		Verts:      v3View[geom.Point](r, "EVTX"),
-		EntryOff:   v3View[int32](r, "EOFF"),
-	})
+	spec := core.BaseSpec{
+		Opts:      coreOptsFor(o.opts),
+		Shapes:    shapes,
+		EntryMeta: v3View[core.EntryMeta](r, "ENTM"),
+	}
+	if _, ok := r.sec["ECEL"]; ok && o.fieldLayout == core.FieldLayout {
+		spec.Cells = v3View[uint16](r, "ECEL")
+	} else {
+		// No row, or one of another cell grid: derived, over the vertex
+		// count that the row or the legacy EVTX holds (v3Check).
+		spec.Cells, spec.DeriveCells = make([]uint16, o.nVerts), true
+	}
+	base, err := core.BaseFromParts(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -757,7 +633,7 @@ func parseV3Ann(r *v3Reader) (*annPreload, error) {
 // It returns the reader over the sections that verified and the tags of
 // those that did not.
 func openV3(data []byte, alias bool) (*v3Reader, v3Options, []string, error) {
-	secs, err := parseV3Layout(data)
+	secs, err := sectable.Parse(data)
 	if err != nil {
 		return nil, v3Options{}, nil, err
 	}
@@ -851,37 +727,37 @@ func readAllWithMagic(magic string, r io.Reader) ([]byte, error) {
 // checksums. Sequential: pad bytes up to OPTS are discarded, array
 // sections after it are never read.
 func peekGSIR3(r io.Reader) (SnapshotInfo, error) {
-	var hdr [v3HeaderLen - magicLen]byte
+	var hdr [sectable.HeaderLen - magicLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("geosir: reading GSIR3 header: %w", err)
 	}
-	nsec, err := parseV3Header(hdr[:])
+	nsec, err := sectable.ParseHeader(hdr[:])
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	table, err := readCapped(r, nsec*v3TableEntry+4)
+	table, err := readCapped(r, nsec*sectable.RowLen+4)
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("geosir: reading GSIR3 section table: %w", err)
 	}
 	// The stream's length is unknown, so rows are bounded by nothing but
 	// each other; what is read below is bounded by v3OptsLen.
-	secs, err := parseV3Rows(table, math.MaxInt64)
+	secs, err := sectable.ParseRows(table, math.MaxInt64)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	i := slices.IndexFunc(secs, func(s v3Section) bool { return s.tag == "OPTS" })
-	if i < 0 || secs[i].len != v3OptsLen {
+	i := slices.IndexFunc(secs, func(s sectable.Section) bool { return s.Tag == "OPTS" })
+	if i < 0 || secs[i].Len != v3OptsLen {
 		return SnapshotInfo{}, fmt.Errorf("geosir: GSIR3 snapshot has no %d-byte OPTS section", v3OptsLen)
 	}
 	opts := secs[i]
-	if _, err := io.CopyN(io.Discard, r, int64(opts.off)-int64(v3HeaderLen+len(table))); err != nil {
+	if _, err := io.CopyN(io.Discard, r, int64(opts.Off)-int64(sectable.HeaderLen+len(table))); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("geosir: seeking OPTS section: %w", err)
 	}
 	payload, err := readCapped(r, v3OptsLen)
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("geosir: reading OPTS section: %w", err)
 	}
-	if crc32.ChecksumIEEE(payload) != opts.crc {
+	if crc32.ChecksumIEEE(payload) != opts.CRC {
 		return SnapshotInfo{}, fmt.Errorf("geosir: OPTS section checksum mismatch")
 	}
 	o, err := parseV3Options(payload)

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mmap"
+	"repro/internal/sectable"
 )
 
 // gsir3KDTreeGolden is a GSIR3 snapshot of buildEngine's base written
@@ -30,9 +32,9 @@ func gsir3KDTreeGolden(tb testing.TB) []byte {
 const gsir3KDTreeGoldenPath = "testdata/gsir3/kdtree.gsir3"
 
 // v3LegacyTags are the sections the golden holds and v3Table no longer
-// names: the per-entry segment grids, the vertex → entry map and the
-// kd-tree.
-var v3LegacyTags = []string{"GRDH", "GSEG", "GCEL", "GIDS", "VENT", "KDTP", "KDTI", "KDTB"}
+// names: the per-entry segment grids, the vertex → entry map, the kd-tree,
+// and every copy's transforms, vertex offsets and vertices.
+var v3LegacyTags = []string{"GRDH", "GSEG", "GCEL", "GIDS", "VENT", "KDTP", "KDTI", "KDTB", "ENTT", "EOFF", "EVTX"}
 
 func saveV3(t *testing.T, eng *Engine) []byte {
 	t.Helper()
@@ -171,13 +173,13 @@ func TestGSIR3Peek(t *testing.T) {
 	if info.Sections != len(v3Table) {
 		t.Fatalf("peek reports %d sections, the table has %d rows", info.Sections, len(v3Table))
 	}
-	rows, err := parseV3Layout(data)
+	rows, err := sectable.Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if slices.Contains(v3LegacyTags, r.tag) {
-			t.Fatalf("a fresh file holds section %s", r.tag)
+		if slices.Contains(v3LegacyTags, r.Tag) {
+			t.Fatalf("a fresh file holds section %s", r.Tag)
 		}
 	}
 	if info.Options != orig.Options() {
@@ -298,12 +300,16 @@ func checkMirroredPairs(t *testing.T, eng *Engine) {
 }
 
 // TestGSIR3KDTreeGolden loads a snapshot an older writer produced, with
-// the per-entry grid, kd-tree and vertex → entry sections: heap-decoded
-// and mapped, it answers exactly as a fresh build of the same base —
-// matches and stats byte for byte — holds its copies in half-turn pairs
-// (checkMirroredPairs), and re-saving it drops exactly those
-// eight sections and leaves every other payload — OPTS's 64 bytes with
-// the backend word 2 among them — byte-identical.
+// the per-entry grid, kd-tree and vertex → entry sections, every copy's
+// vertices, offsets and transforms, and no cell row: heap-decoded and
+// mapped, it answers exactly as a fresh build of the same base — matches
+// and stats byte for byte — and holds its copies in half-turn pairs
+// (checkMirroredPairs). Re-saving it is what a fresh build saves: it drops
+// exactly those eleven sections (v3LegacyTags), adds the cell row ECEL
+// after ENTM, stamps OPTS's last word — 0 in the golden — with the cell
+// grid ECEL is computed under (core.FieldLayout), and leaves every other
+// byte of every other payload — OPTS's backend word 2 and the vertex count
+// the cell row holds among them — as it was.
 func TestGSIR3KDTreeGolden(t *testing.T) {
 	fresh := buildEngine(t)
 	data := gsir3KDTreeGolden(t)
@@ -328,29 +334,37 @@ func TestGSIR3KDTreeGolden(t *testing.T) {
 		t.Fatal("the re-saved golden is not what a fresh build saves")
 	}
 	payloads := func(data []byte) ([]string, map[string][]byte) {
-		rows, err := parseV3Layout(data)
+		rows, err := sectable.Parse(data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tags, m := make([]string, len(rows)), make(map[string][]byte, len(rows))
 		for i, r := range rows {
-			tags[i], m[r.tag] = r.tag, data[r.off:r.off+r.len]
+			tags[i], m[r.Tag] = r.Tag, data[r.Off:r.Off+r.Len]
 		}
 		return tags, m
 	}
 	oldTags, old := payloads(data)
 	newTags, cur := payloads(resaved)
 	kept := slices.DeleteFunc(slices.Clone(oldTags), func(tag string) bool { return slices.Contains(v3LegacyTags, tag) })
-	if len(kept) != len(oldTags)-len(v3LegacyTags) || !slices.Equal(kept, newTags) {
-		t.Fatalf("re-save holds %v; the golden %v less %v", newTags, oldTags, v3LegacyTags)
+	if len(kept) != len(oldTags)-len(v3LegacyTags) || slices.Contains(oldTags, "ECEL") {
+		t.Fatalf("the golden holds %v, want every one of %v and no ECEL", oldTags, v3LegacyTags)
+	}
+	kept = slices.Insert(kept, slices.Index(kept, "ENTM")+1, "ECEL")
+	if !slices.Equal(kept, newTags) {
+		t.Fatalf("re-save holds %v; the golden %v less %v, with ECEL", newTags, oldTags, v3LegacyTags)
 	}
 	for _, tag := range newTags {
-		if !bytes.Equal(cur[tag], old[tag]) {
+		if tag != "ECEL" && tag != "OPTS" && !bytes.Equal(cur[tag], old[tag]) {
 			t.Errorf("section %s changed on re-save", tag)
 		}
 	}
-	if opts := cur["OPTS"]; len(opts) != 64 || binary.LittleEndian.Uint32(opts[56:]) != v3KDTree || v3KDTree != 2 {
+	opts := cur["OPTS"]
+	if len(opts) != 64 || binary.LittleEndian.Uint32(opts[56:]) != v3KDTree || v3KDTree != 2 {
 		t.Errorf("OPTS is %d bytes with backend word %d, want 64 and 2", len(opts), binary.LittleEndian.Uint32(opts[56:]))
+	}
+	if stamp := binary.LittleEndian.Uint32(old["OPTS"][60:]); stamp != 0 || !bytes.Equal(opts[:60], old["OPTS"][:60]) || binary.LittleEndian.Uint32(opts[60:]) != core.FieldLayout {
+		t.Errorf("OPTS re-saved as %x from %x, want its last word 0 → %#x and the rest unchanged", opts, old["OPTS"], core.FieldLayout)
 	}
 }
 
@@ -366,28 +380,28 @@ func TestGSIR3ByteFlipSweep(t *testing.T) {
 	want := mustSearch(t, orig, SearchRequest{Query: q, K: 3})
 	type target struct {
 		data []byte
-		sec  v3Section
+		sec  sectable.Section
 	}
 	var targets []target
 	for _, f := range []struct {
 		data []byte
 		only []string // nil: every section
 	}{{saveV3(t, orig), nil}, {gsir3KDTreeGolden(t), v3LegacyTags}} {
-		secs, err := parseV3Layout(f.data)
+		secs, err := sectable.Parse(f.data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range secs {
-			if s.len > 0 && (f.only == nil || slices.Contains(f.only, s.tag)) {
+			if s.Len > 0 && (f.only == nil || slices.Contains(f.only, s.Tag)) {
 				targets = append(targets, target{f.data, s})
 			}
 		}
 	}
 	for _, tg := range targets {
-		data, s, name := tg.data, tg.sec, tg.sec.tag
+		data, s, name := tg.data, tg.sec, tg.sec.Tag
 		t.Run(name, func(t *testing.T) {
 			mut := bytes.Clone(data)
-			mut[s.off+s.len/2] ^= 0x40
+			mut[s.Off+s.Len/2] ^= 0x40
 			if _, err := Load(bytes.NewReader(mut)); err == nil {
 				t.Fatalf("strict load survived a flip in %s", name)
 			}
@@ -425,7 +439,7 @@ func TestGSIR3ByteFlipSweep(t *testing.T) {
 func TestGSIR3TruncationSweep(t *testing.T) {
 	orig := buildEngine(t)
 	data := saveV3(t, orig)
-	cuts := []int{0, 3, magicLen, v3HeaderLen, v3HeaderLen + 10,
+	cuts := []int{0, 3, magicLen, sectable.HeaderLen, sectable.HeaderLen + 10,
 		len(data) / 4, len(data) / 2, len(data) - 1}
 	for _, n := range cuts {
 		if n > len(data) {
@@ -473,29 +487,29 @@ func TestGSIR3SaveFileAsAtomicity(t *testing.T) {
 // them, and writes the result back out with offsets, section CRCs and the
 // table CRC re-summed: a checksum-consistent file that says something the
 // writer never would.
-func rewriteV3(t *testing.T, data []byte, edit func([]v3sec) []v3sec) []byte {
+func rewriteV3(t *testing.T, data []byte, edit func([]sectable.Payload) []sectable.Payload) []byte {
 	t.Helper()
-	rows, err := parseV3Layout(data)
+	rows, err := sectable.Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := make([]v3sec, len(rows))
+	secs := make([]sectable.Payload, len(rows))
 	for i, s := range rows {
-		secs[i] = v3sec{tag: s.tag, payload: bytes.Clone(data[s.off : s.off+s.len])}
+		secs[i] = sectable.Payload{Tag: s.Tag, Data: bytes.Clone(data[s.Off : s.Off+s.Len])}
 	}
 	var buf bytes.Buffer
-	if err := writeV3(&buf, edit(secs)); err != nil {
+	if err := sectable.Write(&buf, edit(secs)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // editV3Section is the rewriteV3 edit that changes one section's payload.
-func editV3Section(tag string, change func([]byte) []byte) func([]v3sec) []v3sec {
-	return func(secs []v3sec) []v3sec {
+func editV3Section(tag string, change func([]byte) []byte) func([]sectable.Payload) []sectable.Payload {
+	return func(secs []sectable.Payload) []sectable.Payload {
 		for i := range secs {
-			if secs[i].tag == tag {
-				secs[i].payload = change(secs[i].payload)
+			if secs[i].Tag == tag {
+				secs[i].Data = change(secs[i].Data)
 			}
 		}
 		return secs
@@ -536,13 +550,17 @@ func TestGSIR3FramedCountsBounded(t *testing.T) {
 // TestGSIR3SectionTable drives the loader's one shape check from the
 // table itself: the writer emits exactly the table's rows, every row the
 // OPTS counts size is refused by name when it is an element short, an
-// element long or absent, and a section the table does not know — what
-// every snapshot written while GBND or the kd-tree was a row carries — is
-// ignored, short, long or absent.
+// element long or absent — the optional row, ECEL, absent too, since no
+// EVTX vouches for the vertices it would be derived for — and a section the
+// table does not know — what every snapshot written while GBND, the kd-tree
+// or the copies' vertices were rows carries — is ignored, short, long or
+// absent, except the golden's EVTX: in a file without ECEL it holds the
+// vertex count the cells are derived for, and short, long or absent it is
+// refused naming ECEL.
 func TestGSIR3SectionTable(t *testing.T) {
 	orig := buildEngine(t)
 	data := saveV3(t, orig)
-	rows, err := parseV3Layout(data)
+	rows, err := sectable.Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,8 +568,8 @@ func TestGSIR3SectionTable(t *testing.T) {
 		t.Fatalf("writer emitted %d sections, the table has %d rows", len(rows), len(v3Table))
 	}
 	for i, row := range v3Table {
-		if rows[i].tag != row.tag {
-			t.Fatalf("section %d is %s, the table says %s", i, rows[i].tag, row.tag)
+		if rows[i].Tag != row.tag {
+			t.Fatalf("section %d is %s, the table says %s", i, rows[i].Tag, row.tag)
 		}
 	}
 
@@ -561,12 +579,12 @@ func TestGSIR3SectionTable(t *testing.T) {
 		}
 		edits := []struct {
 			name string
-			edit func([]v3sec) []v3sec
+			edit func([]sectable.Payload) []sectable.Payload
 		}{
 			{"short", editV3Section(row.tag, func(b []byte) []byte { return b[:len(b)-row.elem] })},
 			{"long", editV3Section(row.tag, func(b []byte) []byte { return append(b, make([]byte, row.elem)...) })},
-			{"absent", func(secs []v3sec) []v3sec {
-				return slices.DeleteFunc(secs, func(s v3sec) bool { return s.tag == row.tag })
+			{"absent", func(secs []sectable.Payload) []sectable.Payload {
+				return slices.DeleteFunc(secs, func(s sectable.Payload) bool { return s.Tag == row.tag })
 			}},
 		}
 		for _, e := range edits {
@@ -585,16 +603,22 @@ func TestGSIR3SectionTable(t *testing.T) {
 	for _, tag := range v3LegacyTags {
 		for _, e := range []struct {
 			name string
-			edit func([]v3sec) []v3sec
+			edit func([]sectable.Payload) []sectable.Payload
 		}{
 			{"short", editV3Section(tag, func(b []byte) []byte { return b[:len(b)-4] })},
 			{"long", editV3Section(tag, func(b []byte) []byte { return append(b, make([]byte, 4)...) })},
-			{"absent", func(secs []v3sec) []v3sec {
-				return slices.DeleteFunc(secs, func(s v3sec) bool { return s.tag == tag })
+			{"absent", func(secs []sectable.Payload) []sectable.Payload {
+				return slices.DeleteFunc(secs, func(s sectable.Payload) bool { return s.Tag == tag })
 			}},
 		} {
 			t.Run(tag+"/"+e.name, func(t *testing.T) {
 				eng, err := Load(bytes.NewReader(rewriteV3(t, golden, e.edit)))
+				if tag == "EVTX" {
+					if err == nil || !strings.Contains(err.Error(), "ECEL") {
+						t.Fatalf("Load with %s EVTX and no ECEL = %v, want a refusal naming ECEL", e.name, err)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatalf("Load with %s %s: %v", e.name, tag, err)
 				}
@@ -604,9 +628,9 @@ func TestGSIR3SectionTable(t *testing.T) {
 	}
 
 	t.Run("unknown section ignored", func(t *testing.T) {
-		old := rewriteV3(t, data, func(secs []v3sec) []v3sec {
-			at := slices.IndexFunc(secs, func(s v3sec) bool { return s.tag == "EVTX" }) + 1
-			return slices.Insert(secs, at, v3sec{tag: "GBND", payload: make([]byte, 56*orig.NumEntries())})
+		old := rewriteV3(t, data, func(secs []sectable.Payload) []sectable.Payload {
+			at := slices.IndexFunc(secs, func(s sectable.Payload) bool { return s.Tag == "ENTM" }) + 1
+			return slices.Insert(secs, at, sectable.Payload{Tag: "GBND", Data: make([]byte, 56*orig.NumEntries())})
 		})
 		heap, err := Load(bytes.NewReader(old))
 		if err != nil {
@@ -627,4 +651,178 @@ func TestGSIR3SectionTable(t *testing.T) {
 		defer mapped.Close()
 		checkEngineEquivalence(t, orig, mapped)
 	})
+}
+
+// TestGSIR3RefusesInconsistentCopies feeds the loaders checksum-valid files
+// whose copies a search could not read: a cell id past the distance field's
+// last, a diameter vertex past its shape's, and an odd copy whose diameter
+// pair is its partner's, not swapped. Load and LoadFileMmap refuse each;
+// LoadPartial salvages each by the raw rebuild, reports the loss, and
+// answers as the original. A file whose copies declare more vertices than
+// an int32 offset counts is refused by both loads too.
+func TestGSIR3RefusesInconsistentCopies(t *testing.T) {
+	orig := buildEngine(t)
+	data := saveV3(t, orig)
+	q := lshape(0, 0, 3).Transform(Similarity(1.4, 0.5, Pt(40, 40)))
+	want := mustSearch(t, orig, SearchRequest{Query: q, K: 3})
+	for _, c := range []struct {
+		name, tag, want string
+		change          func(b []byte) []byte
+	}{
+		{"cell past the field's", "ECEL", "past the field", func(b []byte) []byte {
+			binary.LittleEndian.PutUint16(b[len(b)/4&^1:], 0xFFFF)
+			return b
+		}},
+		// ENTM rows are { shape | copy | DiamI | DiamJ }, i32 each.
+		{"diameter vertex past the shape's", "ENTM", "outside its", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], 1<<20)
+			return b
+		}},
+		{"odd copy's pair not swapped", "ENTM", "not the half turn", func(b []byte) []byte {
+			copy(b[16+8:16+16], b[8:16])
+			return b
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := rewriteV3(t, data, editV3Section(c.tag, c.change))
+			refusedByBothLoads(t, bad, c.want)
+			eng, rec, err := LoadPartial(bytes.NewReader(bad))
+			if err != nil {
+				t.Fatalf("LoadPartial: %v", err)
+			}
+			if rec.Complete() || rec.AuxDropped == 0 {
+				t.Fatalf("salvage reports %+v, want the derived sections' loss", rec)
+			}
+			got := mustSearch(t, eng, SearchRequest{Query: q, K: 3})
+			if got.Stats != want.Stats {
+				t.Fatalf("salvaged engine answers differently: %+v vs %+v", got.Stats, want.Stats)
+			}
+			assertMatchesEqual(t, "salvaged", want.Matches, got.Matches)
+		})
+	}
+
+	// One shape of 2¹⁷ raw vertices and 2¹⁵ copies — legal diameters,
+	// pairs swapped — declare 2³² copy vertices, which an int32 offset
+	// wraps to 0: with an empty cell row and OPTS's vertex count 0 the
+	// file is a few MB and passes every count check. Refused, not served.
+	one := New(DefaultOptions())
+	if err := one.AddImage(0, []Shape{lshape(0, 0, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	const nv, copies = 1 << 17, 1 << 15
+	rawv := make([]Point, nv)
+	rawv[1] = Pt(1, 0)
+	for i := 2; i < nv; i++ {
+		rawv[i] = Pt(0.5, 0.1)
+	}
+	var entm []core.EntryMeta
+	for c := int32(0); c < copies; c++ {
+		entm = append(entm, core.EntryMeta{Copy: c, DiamI: c % 2, DiamJ: 1 - c%2})
+	}
+	wrap := rewriteV3(t, saveV3(t, one), func(secs []sectable.Payload) []sectable.Payload {
+		secs = editV3Section("RAWV", func([]byte) []byte { return put(nil, rawv) })(secs)
+		secs = editV3Section("SHPM", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], nv)
+			return b
+		})(secs)
+		secs = editV3Section("ENTM", func([]byte) []byte { return put(nil, entm) })(secs)
+		secs = editV3Section("ECEL", func([]byte) []byte { return nil })(secs)
+		// OPTS words: entries at 44, copy vertices at 48, raw vertices at 52.
+		return editV3Section("OPTS", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[44:], copies)
+			binary.LittleEndian.PutUint32(b[48:], 0)
+			binary.LittleEndian.PutUint32(b[52:], nv)
+			return b
+		})(secs)
+	})
+	t.Run("copies of 2³² vertices", func(t *testing.T) { refusedByBothLoads(t, wrap, "more than") })
+}
+
+// TestGSIR3CellRowOfAnotherGridIsDerived pins that a cell row is adopted
+// only under the grid it was computed in: a file whose OPTS stamps ECEL
+// with another field layout than core.FieldLayout, or with none — here
+// with every cell zeroed, ids the range check passes but the floors would
+// misread — loads heap and mapped with every copy's cells derived again,
+// and answers as the original; the same zeroed row under the current
+// stamp is adopted as it stands.
+func TestGSIR3CellRowOfAnotherGridIsDerived(t *testing.T) {
+	orig := buildEngine(t)
+	parts, err := orig.db.Base().FrozenParts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := saveV3(t, orig)
+	for _, c := range []struct {
+		name    string
+		stamp   uint32
+		derived bool
+	}{
+		{"another grid", core.FieldLayout ^ 0x100, true},
+		{"no grid recorded", 0, true},
+		{"this grid", core.FieldLayout, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stale := rewriteV3(t, data, func(secs []sectable.Payload) []sectable.Payload {
+				secs = editV3Section("ECEL", func(b []byte) []byte { return make([]byte, len(b)) })(secs)
+				return editV3Section("OPTS", func(b []byte) []byte {
+					binary.LittleEndian.PutUint32(b[60:], c.stamp)
+					return b
+				})(secs)
+			})
+			want := make([]uint16, len(parts.Cells))
+			if c.derived {
+				want = parts.Cells
+			}
+			opens := map[string]func() (*Engine, error){"Load": func() (*Engine, error) { return Load(bytes.NewReader(stale)) }}
+			if mmap.Supported() && mmap.CanCast() {
+				path := filepath.Join(t.TempDir(), "stale.gsir3")
+				if err := os.WriteFile(path, stale, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				opens["LoadFileMmap"] = func() (*Engine, error) { return LoadFileMmap(path) }
+			}
+			for name, open := range opens {
+				eng, err := open()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := eng.db.Base().FrozenParts()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Cells, want) {
+					t.Fatalf("%s holds cells %v…, want %v…", name, got.Cells[:8], want[:8])
+				}
+				if c.derived {
+					checkEngineEquivalence(t, orig, eng)
+				}
+				eng.Close()
+			}
+		})
+	}
+}
+
+// refusedByBothLoads asserts that Load and, where the platform maps files,
+// LoadFileMmap refuse the GSIR3 image bad with an error containing want.
+func refusedByBothLoads(t *testing.T, bad []byte, want string) {
+	t.Helper()
+	if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Load = %v, want a refusal with %q", err, want)
+	}
+	if !mmap.Supported() || !mmap.CanCast() {
+		return
+	}
+	path := filepath.Join(t.TempDir(), "bad.gsir3")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err := LoadFileMmap(path); err == nil || !strings.Contains(err.Error(), want) {
+		if eng != nil {
+			eng.Close()
+		}
+		t.Fatalf("LoadFileMmap = %v, want a refusal with %q", err, want)
+	}
 }
