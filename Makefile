@@ -30,7 +30,8 @@ race:
 # request's distance field is built once and read by every shard
 # goroutine's listing, as are the stored vertices' field cells and the
 # oracle grids' one walk. Run the affected suites at both settings. Topological reads take no lock: every
-# goroutine evaluates its query against the same frozen database. Searches
+# goroutine evaluates its query against the same frozen databases, and a
+# live delta's version while a writer appends its successor. Searches
 # read a live delta's version while writers append its successors past
 # the arrays they share (SearchView: a captured view searched beside the
 # writers).
@@ -68,13 +69,14 @@ bench-check:
 # 60-image base under -short), of the kernel benchmarks (the served exact
 # search at three base sizes, the hashing stage alone, the approximate
 # search, where the query's distance field build is a large share), of
-# the exhaustive sketch search, of the core kernel's own (the floor
+# the exhaustive sketch search, of the topological read (one Engine, 8
+# shards, 8 shards with a live delta), of the core kernel's own (the floor
 # pass alone, the field build, a shape the field turns away whole), of
 # the ANN probe alone, and of a demo-200 snapshot's open (heap and mmap,
 # ns/op and B/op beside the ledger's open_ms) — catches benchmarks that no
 # longer compile or panic, without paying for stable timings.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchApproximate|BenchmarkSearchLive|BenchmarkSearchSketch' -benchtime=1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchApproximate|BenchmarkSearchLive|BenchmarkSearchSketch|BenchmarkTopological' -benchtime=1x .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFloors|BenchmarkDistFieldBuild|BenchmarkFieldReject' -benchtime=1x ./internal/core
 	$(GO) test -short -run '^$$' -bench 'BenchmarkAnnProbe' -benchtime=1x ./internal/annindex
 	$(GO) test -short -run '^$$' -bench 'BenchmarkOpenV3' -benchtime=1x -benchmem .

@@ -546,6 +546,70 @@ func BenchmarkQueryPlans(b *testing.B) {
 	b.ReportMetric(float64(checks), "checks")
 }
 
+// BenchmarkTopological times one topoQueryA read — an index driver, a
+// per-image check and a relation driver — over demo-200, with bindings
+// drawn as distorted copies of base shapes: on one Engine, on 8 frozen
+// shards, and on 8 shards whose live delta holds 20 inserted images and a
+// tombstone.
+func BenchmarkTopological(b *testing.B) {
+	ctx := context.Background()
+	base := synth.GenerateBase(synth.PaperSpec(0.02, 1))
+	cut := len(base) * 9 / 10
+	live := NewSharded(DefaultOptions(), 8)
+	for _, im := range base[:cut] {
+		if err := live.AddImage(im.ID, im.Shapes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := live.Freeze(); err != nil {
+		b.Fatal(err)
+	}
+	if err := live.EnableIngest(IngestConfig{Dir: b.TempDir(), CompactThreshold: -1, NoSync: true}); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { live.CloseIngest() })
+	for _, im := range base[cut:] {
+		if err := live.InsertImage(ctx, im.ID, im.Shapes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := live.DeleteImage(ctx, base[cut].ID); err != nil {
+		b.Fatal(err)
+	}
+	sharded := NewSharded(DefaultOptions(), 8)
+	for _, im := range base {
+		if err := sharded.AddImage(im.ID, im.Shapes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sharded.Freeze(); err != nil {
+		b.Fatal(err)
+	}
+	qs := synth.Queries(rand.New(rand.NewSource(5)), base, 48, 0.01)
+	var binds []map[string]Shape
+	for i := 0; i+2 < len(qs); i += 3 {
+		binds = append(binds, map[string]Shape{"a": qs[i], "b": qs[i+1], "c": qs[i+2]})
+	}
+	for _, c := range []struct {
+		name string
+		eng  interface {
+			Query(context.Context, string, map[string]Shape) ([]int, string, error)
+		}
+	}{{"engine", buildSingle(b, base)}, {"8shards", sharded}, {"8shards-live", live}} {
+		b.Run(c.name, func(b *testing.B) {
+			images := 0
+			for i := 0; i < b.N; i++ {
+				ids, _, err := c.eng.Query(ctx, topoQueryA, binds[i%len(binds)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				images += len(ids)
+			}
+			b.ReportMetric(float64(images)/float64(b.N), "images/read")
+		})
+	}
+}
+
 // --- Ablations (DESIGN.md §4) ----------------------------------------------
 
 func BenchmarkAblation_RangeBackend(b *testing.B) {

@@ -19,6 +19,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -210,7 +211,7 @@ func runSmoke(client *http.Client, addr string, expShards int, expLoadMode strin
 // runIngestSmoke probes the live-ingestion loop end to end: insert a
 // uniquely shaped image, query it back, fold it with /admin/compact,
 // query it again off the frozen shard, then delete it and verify it is
-// gone. Any prior leftover of the probe id is deleted first so the probe
+// gone — each query both a search and a topological similar(q). Any prior leftover of the probe id is deleted first so the probe
 // is re-runnable against a long-lived server.
 func runIngestSmoke(client *http.Client, addr string) error {
 	const probeID = 987654321
@@ -269,6 +270,29 @@ func runIngestSmoke(client *http.Client, addr string) error {
 		fmt.Printf("%-16s ok\n", step)
 		return nil
 	}
+	// expectTopo asks /v1/topological for similar(q) over the probe shape:
+	// the probe image is in the answer exactly when it is live.
+	expectTopo := func(step string, live bool) error {
+		status, body, err := do(step, http.MethodPost, "/v1/topological",
+			map[string]any{"query": "similar(q)", "binds": map[string]server.WireShape{"q": probeShape}})
+		if err != nil {
+			return err
+		}
+		if status != 200 {
+			return fmt.Errorf("%s: /v1/topological: %d %s", step, status, bytes.TrimSpace(body))
+		}
+		var tr struct {
+			Images []int `json:"images"`
+		}
+		if err := json.Unmarshal(body, &tr); err != nil {
+			return fmt.Errorf("%s: %w", step, err)
+		}
+		if slices.Contains(tr.Images, probeID) != live {
+			return fmt.Errorf("%s: probe image in the topological answer: %v, want %v", step, !live, live)
+		}
+		fmt.Printf("%-16s ok\n", step)
+		return nil
+	}
 
 	do("cleanup", http.MethodDelete, fmt.Sprintf("/v1/images/%d", probeID), nil)
 	status, body, err := do("insert", http.MethodPost, "/v1/images",
@@ -283,6 +307,9 @@ func runIngestSmoke(client *http.Client, addr string) error {
 	if err := expectTop("query-delta", probeID); err != nil {
 		return err
 	}
+	if err := expectTopo("topo-delta", true); err != nil {
+		return err
+	}
 	if status, body, err = do("compact", http.MethodPost, "/admin/compact", nil); err != nil {
 		return err
 	} else if status != 200 {
@@ -292,6 +319,9 @@ func runIngestSmoke(client *http.Client, addr string) error {
 	if err := expectTop("query-frozen", probeID); err != nil {
 		return err
 	}
+	if err := expectTopo("topo-frozen", true); err != nil {
+		return err
+	}
 	if status, body, err = do("delete", http.MethodDelete, fmt.Sprintf("/v1/images/%d", probeID), nil); err != nil {
 		return err
 	} else if status != 200 {
@@ -299,6 +329,9 @@ func runIngestSmoke(client *http.Client, addr string) error {
 	}
 	fmt.Printf("%-16s ok\n", "delete")
 	if err := expectTop("query-deleted", -1); err != nil {
+		return err
+	}
+	if err := expectTopo("topo-deleted", false); err != nil {
 		return err
 	}
 	fmt.Println("ingest smoke ok")

@@ -152,6 +152,9 @@ func printHashStats(eng cliEngine) {
 	case *geosir.ShardedEngine:
 		for i := 0; i < e.NumShards(); i++ {
 			sh := e.Shard(i)
+			if !sh.Frozen() || sh.NumShapes() == 0 {
+				continue // an empty shard is never frozen and has no table
+			}
 			mean, maxB := sh.HashTable().BucketStats()
 			fmt.Printf("shard %d hash table: %d shapes, mean bucket %.2f, max bucket %d\n",
 				i, sh.HashTable().Len(), mean, maxB)

@@ -146,6 +146,11 @@ func TestRunDemoPath(t *testing.T) {
 			}
 		}
 	}
+	// Stats over more shards than images: the empty shards have no hash
+	// table, and are left out of both tables.
+	if err := run("", 3, 3, "", false, -1, 1, "", "", true, 8, "off"); err != nil {
+		t.Fatalf("stats run over empty shards: %v", err)
+	}
 	// Topological query.
 	if err := run("", 10, 3, "", false, -1, 1,
 		"similar(q)", "q=0,0 1,0 1,1 0,1", false, 1, "off"); err != nil {

@@ -162,29 +162,27 @@ func New(opts Options) *Engine {
 	if opts.HashCurves <= 0 {
 		opts.HashCurves = 50
 	}
-	qopts := query.DefaultOptions()
-	qopts.Core = coreOptions(opts)
-	if opts.Tau > 0 {
-		qopts.Tau = opts.Tau
-	}
-	if opts.AngleTol > 0 {
-		qopts.AngleTol = opts.AngleTol
-	}
-	return &Engine{opts: opts, db: query.NewDB(qopts)}
+	return &Engine{opts: opts, db: query.NewDB(queryOptions(opts))}
 }
 
-// coreOptions is the one mapping of an engine's options onto the core
-// options its shapes are stored and searched under — every shard's and
-// the live delta's, which must match bit for bit.
-func coreOptions(o Options) core.Options {
-	c := core.DefaultOptions()
+// queryOptions is the one mapping of an engine's options onto the options
+// its images are stored, searched and read under — every shard's, a
+// loaded one's and the live delta's, which must match bit for bit.
+func queryOptions(o Options) query.Options {
+	q := query.DefaultOptions()
 	if o.Alpha > 0 {
-		c.Alpha = o.Alpha
+		q.Core.Alpha = o.Alpha
 	}
 	if o.Beta > 0 {
-		c.Beta = o.Beta
+		q.Core.Beta = o.Beta
 	}
-	return c
+	if o.Tau > 0 {
+		q.Tau = o.Tau
+	}
+	if o.AngleTol > 0 {
+		q.AngleTol = o.AngleTol
+	}
+	return q
 }
 
 // AddImage registers an image with its object-boundary shapes. Shapes
@@ -263,14 +261,40 @@ func (e *Engine) HashTable() *geohash.Table { return e.table }
 // the engine and the query. A cancelled ctx stops the query within one
 // scan chunk and returns ctx's error.
 func (e *Engine) Query(ctx context.Context, src string, binds map[string]Shape) ([]int, string, error) {
-	if !e.frozen {
+	return topological(ctx, e.frozen, e.searchView, src, binds)
+}
+
+// topological is the one topological read (§5): the query is parsed and
+// its shapes prepared once, then evaluated on each part of the view behind
+// the part's dead shapes. Every shape of an image lives on one part and
+// a topological predicate relates shapes of one image, so the answer is
+// the union of the parts' answers, and the plan sums their counts: the
+// estimator's c cancels out of every planner decision, so each part
+// picks the same drivers. ctx is checked first and then as each part
+// reads.
+func topological(ctx context.Context, frozen bool, view func() searchView, src string, binds map[string]Shape) ([]int, string, error) {
+	if !frozen {
 		return nil, "", ErrNotFrozen
 	}
-	set, plan, err := e.db.EvalString(ctx, src, query.Bindings(binds))
+	if err := ctx.Err(); err != nil {
+		return nil, "", err
+	}
+	q, err := query.Prepare(src, query.Bindings(binds))
 	if err != nil {
 		return nil, "", err
 	}
-	return set.Sorted(), plan.String(), nil
+	var ids []int
+	plan := &query.Plan{}
+	for _, p := range view().parts {
+		set, pp, err := p.db.Without(p.dead).Eval(ctx, q)
+		if err != nil {
+			return nil, "", err
+		}
+		ids = append(ids, set.Sorted()...)
+		plan.Add(pp)
+	}
+	sort.Ints(ids)
+	return ids, plan.String(), nil
 }
 
 // sortMatches orders by increasing distance, breaking ties on ShapeID so

@@ -143,11 +143,11 @@ type ingestor struct {
 }
 
 // newDelta creates an empty delta whose first global id is gidBase,
-// storing its shapes under the frozen shards' core options (coreOptions)
-// and hashing them with their curve family: the delta must match them
-// exactly for result identity.
+// storing its images under the frozen shards' options (queryOptions) and
+// hashing them with their curve family: the delta must match them exactly
+// for result identity.
 func (g *ingestor) newDelta(gidBase int) (*ingest.Delta, error) {
-	return ingest.NewDelta(coreOptions(g.se.opts), g.se.opts.HashCurves, gidBase)
+	return ingest.NewDelta(queryOptions(g.se.opts), g.se.opts.HashCurves, gidBase)
 }
 
 // publishActive installs the successor of view v whose active delta is d.
@@ -394,8 +394,8 @@ func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 }
 
 // deleteFrozenLocked tombstones a frozen image by publishing a
-// successor view: the manifest-log entry flips to Deleted, and the image
-// and its shapes join fresh copies of its shard's dead sets. The shard
+// successor view: the manifest-log entry flips to Deleted, and the
+// image's shapes join a fresh copy of its shard's dead set. The shard
 // file itself is untouched. Caller holds mu and has verified frozenLive.
 func (g *ingestor) deleteFrozenLocked(imageID int) {
 	v := g.se.view.Load()
@@ -407,7 +407,6 @@ func (g *ingestor) deleteFrozenLocked(imageID int) {
 
 	nv := *v
 	nv.order = norder
-	nv.deadIn = cowDead(v.deadIn, len(v.shards), im.Shard)
 	nv.deadShapes = cowDead(v.deadShapes, len(v.shards), im.Shard)
 	nv.markDead(im, g.gidStart[idx])
 	g.se.view.Store(&nv)
@@ -567,7 +566,6 @@ func (se *ShardedEngine) Compact() error {
 		// tombstones, so the sets carry over as they are: deadOf reads a
 		// shard past their end as "no tombstones".
 		deadShapes: cur.deadShapes,
-		deadIn:     cur.deadIn,
 	}
 	if err := writeManifest(filepath.Join(g.cfg.Dir, manifestName), manifestFromView(nv, sealSeq), g.cfg.WrapManifest); err != nil {
 		g.mu.Unlock()

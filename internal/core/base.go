@@ -198,9 +198,9 @@ func (b *Base) Append(image int, polys []geom.Poly) (*Base, error) {
 		opts: b.opts, shapes: b.shapes, meta: b.meta, shapeOff: b.shapeOff, cellOff: b.cellOff,
 		fieldCells: b.fieldCells, entryCost: b.entryCost, totalCost: b.totalCost, frozen: true,
 	}
-	for _, p := range polys {
+	for i, p := range polys {
 		if _, err := n.addShape(image, p); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shape %d: %w", i, err)
 		}
 	}
 	return n, nil

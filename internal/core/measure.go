@@ -262,28 +262,12 @@ func (pq *PreparedQuery) AttachEvalCounter(c *atomic.Int64) { pq.evaluated = c }
 // Oracle returns the query's boundary-distance oracle.
 func (pq *PreparedQuery) Oracle() *BoundaryDist { return pq.oracle }
 
-// ShapeDistance returns the similarity distance between a stored shape
-// and an arbitrary query shape: the minimum, over the shape's normalized
+// ShapeDistancePrepared returns the similarity distance between a stored
+// shape and a prepared query: the minimum, over the shape's normalized
 // copies, of the symmetric vertex-averaged measure against the query's
-// canonical normalization. It is the direct (index-free) evaluation of
-// g_similar used when the query processor checks a single image (§5.3).
-// Callers probing many shapes against one query should PrepareQuery once
-// and use ShapeDistancePrepared.
-func (b *Base) ShapeDistance(shapeID int, q geom.Poly) (float64, error) {
-	if shapeID < 0 || shapeID >= len(b.shapes) {
-		return 0, fmt.Errorf("core: shape id %d out of range", shapeID)
-	}
-	pq, err := PrepareQuery(q)
-	if err != nil {
-		return 0, err
-	}
-	return b.ShapeDistancePrepared(shapeID, pq)
-}
-
-// ShapeDistancePrepared is ShapeDistance against a prepared query. The
-// shape's normalized copies are located through the shape→entries index
-// and each is measured by the unbounded evaluator, so the per-call cost is
-// the distance evaluations alone.
+// canonical normalization, each copy measured by the unbounded evaluator —
+// the reference walk the bounded one (ShapeDistancePreparedBounded) is held
+// to.
 func (b *Base) ShapeDistancePrepared(shapeID int, pq *PreparedQuery) (float64, error) {
 	if shapeID < 0 || shapeID >= len(b.shapes) {
 		return 0, fmt.Errorf("core: shape id %d out of range", shapeID)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geohash"
 	"repro/internal/geom"
+	"repro/internal/query"
 )
 
 // Delta is the live part of a sharded engine: the images inserted since
@@ -15,11 +16,12 @@ import (
 // version reads it unchanged, without a lock, for as long as it holds it;
 // the owner serializes mutations and publishes each successor it keeps
 // (DESIGN.md §4.12). A successor shares its predecessor's arrays — the
-// shapes are a core.Base grown by Append, the image log and the hash
-// quadruples append-only slices — and copies only the dead set, on a
-// delete; so only the latest version may be mutated, and of the successors
-// of one version only one may be kept. Compaction — freezing a version into
-// a real immutable shard — is what gives its shapes an index.
+// images are a query.DB grown by Append (shapes, graphs, diameter angles,
+// in insert order), the hash quadruples an append-only slice — and copies
+// only the dead set, on a delete; so only the latest version may be
+// mutated, and of the successors of one version only one may be kept.
+// Compaction — freezing a version into a real immutable shard — is what
+// gives its shapes an index.
 //
 // A shape's local id is its place in insert order, deleted shapes
 // included, and its global id is gidBase + local id: the id a fresh
@@ -28,23 +30,18 @@ import (
 // their reservation), so a shape's id is the same before and after the
 // delta it was born in gets compacted.
 type Delta struct {
-	base *core.Base
+	db *query.DB
 	// quads holds, per local id, the characteristic quadruple of the
 	// shape's canonical copy over the shared curve family — the zero
 	// quadruple, on no curve, for a shape whose canonical normalization
 	// fails, as Engine.Freeze leaves such a shape out of its table.
 	quads   []geohash.Quadruple
-	dead    map[int]bool // local ids of deleted shapes
-	images  []imageRec   // insert order; an image is deleted when its shapes are
+	dead    map[int]bool // local ids of deleted shapes; an image is deleted when its shapes are
 	family  *geohash.Family
 	gidBase int
 
 	liveImages, liveShapes int
 }
-
-// imageRec is one Insert, in order — the delta's slice of the manifest
-// image log: the image's shapes are local ids first to first+n-1.
-type imageRec struct{ id, first, n int }
 
 // ImageState is one delta image as seen by compaction: live images
 // carry their original polygons (to be fed to the new shard's
@@ -59,32 +56,29 @@ type ImageState struct {
 
 // NewDelta creates an empty delta. gidBase is the engine's current
 // global-id high-water mark (core.ShardMap.NumGlobal plus any earlier
-// deltas' reservations); hashCurves sizes the curve family exactly like
-// the frozen shards' (it must match for bucket identity).
-func NewDelta(opts core.Options, hashCurves, gidBase int) (*Delta, error) {
+// deltas' reservations); opts and hashCurves must be the frozen shards'
+// (for result and bucket identity).
+func NewDelta(opts query.Options, hashCurves, gidBase int) (*Delta, error) {
 	family, err := geohash.NewFamily(hashCurves)
 	if err != nil {
 		return nil, err
 	}
-	return &Delta{base: core.NewBase(opts), family: family, gidBase: gidBase}, nil
+	return &Delta{db: query.NewDB(opts), family: family, gidBase: gidBase}, nil
 }
 
 // Insert returns the successor holding the image's shapes too. It fails,
 // with no successor, on an invalid shape and on an image id the delta
 // holds live (the caller checks the frozen shards).
 func (d *Delta) Insert(image int, shapes []geom.Poly) (*Delta, error) {
-	if len(shapes) == 0 {
-		return nil, fmt.Errorf("ingest: image %d has no shapes", image)
-	}
 	if d.Has(image) {
 		return nil, fmt.Errorf("ingest: image %d already present", image)
 	}
-	base, err := d.base.Append(image, shapes)
+	db, err := d.db.Append(image, shapes)
 	if err != nil {
 		return nil, err
 	}
 	next := *d
-	next.base = base
+	next.db = db
 	for _, p := range shapes {
 		// Mirror Engine.Freeze: hash the canonical copy.
 		var quad geohash.Quadruple
@@ -93,7 +87,6 @@ func (d *Delta) Insert(image int, shapes []geom.Poly) (*Delta, error) {
 		}
 		next.quads = append(next.quads, quad)
 	}
-	next.images = append(d.images, imageRec{id: image, first: d.base.NumShapes(), n: len(shapes)})
 	next.liveImages++
 	next.liveShapes += len(shapes)
 	return &next, nil
@@ -105,38 +98,38 @@ func (d *Delta) Insert(image int, shapes []geom.Poly) (*Delta, error) {
 // compacted manifest records the image as deleted), so later shapes' ids
 // never shift.
 func (d *Delta) Delete(image int) (*Delta, bool) {
-	i := d.latest(image)
-	if i < 0 || d.dead[d.images[i].first] {
+	g := d.latest(image)
+	if g == nil || d.dead[g.Shapes[0]] {
 		return d, false
 	}
-	rec := d.images[i]
 	next := *d
 	next.dead = maps.Clone(d.dead)
 	if next.dead == nil {
-		next.dead = make(map[int]bool, rec.n)
+		next.dead = make(map[int]bool, len(g.Shapes))
 	}
-	for id := rec.first; id < rec.first+rec.n; id++ {
+	for _, id := range g.Shapes {
 		next.dead[id] = true
 	}
 	next.liveImages--
-	next.liveShapes -= rec.n
+	next.liveShapes -= len(g.Shapes)
 	return &next, true
 }
 
-// latest is the index of the image's last record, -1 for none.
-func (d *Delta) latest(image int) int {
-	for i := len(d.images) - 1; i >= 0; i-- {
-		if d.images[i].id == image {
-			return i
+// latest is the graph of the image's last insert, nil for none.
+func (d *Delta) latest(image int) *query.ImageGraph {
+	graphs := d.db.Graphs()
+	for i := len(graphs) - 1; i >= 0; i-- {
+		if graphs[i].Image == image {
+			return graphs[i]
 		}
 	}
-	return -1
+	return nil
 }
 
 // Has reports whether the delta holds the image live.
 func (d *Delta) Has(image int) bool {
-	i := d.latest(image)
-	return i >= 0 && !d.dead[d.images[i].first]
+	g := d.latest(image)
+	return g != nil && !d.dead[g.Shapes[0]]
 }
 
 // NumImages returns the live image count.
@@ -147,18 +140,22 @@ func (d *Delta) NumShapes() int { return d.liveShapes }
 
 // NumEntries returns the stored normalized copies, deleted shapes'
 // included — as a frozen shard counts its tombstoned ones.
-func (d *Delta) NumEntries() int { return d.base.NumEntries() }
+func (d *Delta) NumEntries() int { return d.db.Base().NumEntries() }
 
 // NextGID returns the global-id high-water mark after this delta's
 // reservations — the gid base for a successor delta.
-func (d *Delta) NextGID() int { return d.gidBase + d.base.NumShapes() }
+func (d *Delta) NextGID() int { return d.gidBase + d.db.Base().NumShapes() }
 
 // GIDBase is the global id of local shape 0.
 func (d *Delta) GIDBase() int { return d.gidBase }
 
 // Base is every shape the delta has stored, under local ids: a frozen
 // base, searched like a shard's.
-func (d *Delta) Base() *core.Base { return d.base }
+func (d *Delta) Base() *core.Base { return d.db.Base() }
+
+// DB is every image the delta has stored, under local shape ids: a frozen
+// database, read like a shard's behind Dead.
+func (d *Delta) DB() *query.DB { return d.db }
 
 // Dead is the set of deleted local ids (shared; do not modify).
 func (d *Delta) Dead() map[int]bool { return d.dead }
@@ -189,13 +186,13 @@ func (d *Delta) Lookup(quad geohash.Quadruple, radius int) []int {
 // and for the manifest: live images with their polygons, deleted ones
 // with their shape counts only.
 func (d *Delta) Snapshot() []ImageState {
-	out := make([]ImageState, len(d.images))
-	for i, rec := range d.images {
-		st := ImageState{ID: rec.id, Deleted: d.dead[rec.first], NumShapes: rec.n}
+	out := make([]ImageState, len(d.db.Graphs()))
+	for i, g := range d.db.Graphs() {
+		st := ImageState{ID: g.Image, Deleted: d.dead[g.Shapes[0]], NumShapes: len(g.Shapes)}
 		if !st.Deleted {
-			st.Shapes = make([]geom.Poly, rec.n)
-			for j := range st.Shapes {
-				st.Shapes[j] = d.base.Shape(rec.first + j).Poly
+			st.Shapes = make([]geom.Poly, len(g.Shapes))
+			for j, id := range g.Shapes {
+				st.Shapes[j] = d.db.Base().Shape(id).Poly
 			}
 		}
 		out[i] = st

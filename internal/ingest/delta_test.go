@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geohash"
 	"repro/internal/geom"
+	"repro/internal/query"
 	"repro/internal/synth"
 )
 
@@ -54,7 +55,7 @@ func matchDelta(t *testing.T, d *Delta, q geom.Poly, k int) []deltaMatch {
 
 func newTestDelta(t *testing.T, gidBase int) *Delta {
 	t.Helper()
-	d, err := NewDelta(core.DefaultOptions(), 128, gidBase)
+	d, err := NewDelta(query.Options{Core: core.DefaultOptions()}, 128, gidBase)
 	if err != nil {
 		t.Fatal(err)
 	}

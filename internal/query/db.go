@@ -9,23 +9,14 @@ import (
 	"repro/internal/geom"
 )
 
-// ImageSet is a set of image ids.
-type ImageSet map[int]struct{}
-
-// NewImageSet builds a set from ids.
-func NewImageSet(ids ...int) ImageSet {
-	s := make(ImageSet, len(ids))
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
-}
+// ImageSet is a set of images: each image id with the image's graph.
+type ImageSet map[int]*ImageGraph
 
 // Has reports membership.
 func (s ImageSet) Has(id int) bool { _, ok := s[id]; return ok }
 
-// Add inserts an id.
-func (s ImageSet) Add(id int) { s[id] = struct{}{} }
+// Add inserts an image.
+func (s ImageSet) Add(g *ImageGraph) { s[g.Image] = g }
 
 // Sorted returns the ids in ascending order.
 func (s ImageSet) Sorted() []int {
@@ -44,9 +35,9 @@ func (s ImageSet) Intersect(t ImageSet) ImageSet {
 		small, big = big, small
 	}
 	out := make(ImageSet)
-	for id := range small {
-		if big.Has(id) {
-			out.Add(id)
+	for _, g := range small {
+		if big.Has(g.Image) {
+			out.Add(g)
 		}
 	}
 	return out
@@ -55,11 +46,11 @@ func (s ImageSet) Intersect(t ImageSet) ImageSet {
 // Union returns s ∪ t.
 func (s ImageSet) Union(t ImageSet) ImageSet {
 	out := make(ImageSet, len(s)+len(t))
-	for id := range s {
-		out.Add(id)
+	for _, g := range s {
+		out.Add(g)
 	}
-	for id := range t {
-		out.Add(id)
+	for _, g := range t {
+		out.Add(g)
 	}
 	return out
 }
@@ -82,14 +73,16 @@ func DefaultOptions() Options {
 }
 
 // DB is the queryable image database: the shape base plus per-image
-// graphs and the selectivity estimator.
+// graphs and per-shape diameter angles. A DB read through Without skips a
+// set of dead shapes, and the images they belong to.
 type DB struct {
 	opts    Options
 	base    *core.Base
-	graphs  map[int]*ImageGraph
-	images  []int           // image ids in insertion order
-	diamAng map[int]float64 // shape id → diameter orientation in image frame
-	est     *Estimator
+	graphs  []*ImageGraph // per image, in insertion order
+	graphOf []*ImageGraph // per shape id, its image's graph
+	diamAng []float64     // per shape id, its diameter orientation in the image frame
+	seen    map[int]bool  // image ids added, while the DB is built
+	dead    map[int]bool  // shape ids a read skips (Without)
 	frozen  bool
 }
 
@@ -101,75 +94,105 @@ func NewDB(opts Options) *DB {
 	if opts.AngleTol <= 0 {
 		opts.AngleTol = 0.1
 	}
-	return &DB{
-		opts:    opts,
-		base:    core.NewBase(opts.Core),
-		graphs:  make(map[int]*ImageGraph),
-		diamAng: make(map[int]float64),
-	}
+	return &DB{opts: opts, base: core.NewBase(opts.Core), seen: make(map[int]bool)}
 }
 
 // AddImage registers an image and its shapes, building the image graph.
-// Invalid shapes are rejected; an image must contain at least one valid
-// shape.
+// An invalid shape fails the whole image; an image must contain at least
+// one shape.
 func (db *DB) AddImage(imageID int, shapes []geom.Poly) error {
 	if db.frozen {
 		return fmt.Errorf("query: database is frozen")
 	}
-	if _, dup := db.graphs[imageID]; dup {
+	if db.seen[imageID] {
 		return fmt.Errorf("query: image %d already added", imageID)
 	}
-	var ids []int
-	var polys []geom.Poly
-	for si, p := range shapes {
-		id, err := db.base.AddShape(imageID, p)
-		if err != nil {
-			return fmt.Errorf("query: image %d shape %d: %w", imageID, si, err)
-		}
-		e, err := core.NormalizeCanonical(p)
-		if err != nil {
-			return err
-		}
-		db.diamAng[id] = e.DiameterAngle()
-		ids = append(ids, id)
-		polys = append(polys, p)
+	next, err := db.Append(imageID, shapes)
+	if err != nil {
+		return err
 	}
-	if len(ids) == 0 {
-		return fmt.Errorf("query: image %d has no shapes", imageID)
-	}
-	db.graphs[imageID] = BuildImageGraph(imageID, ids, polys)
-	db.images = append(db.images, imageID)
+	*db = *next
+	db.frozen = false
+	db.seen[imageID] = true
 	return nil
 }
 
-// Freeze builds the retrieval index; the database becomes read-only.
+// Append returns a frozen successor of the database that also holds the
+// image: its shapes (core.Base.Append), their diameter angles and its
+// graph, each appended past the end of an array the successor shares with
+// the receiver. So the receiver reads as it did, and of the successors of
+// one version only one may be kept. The caller keeps the ids of live
+// images distinct.
+func (db *DB) Append(imageID int, shapes []geom.Poly) (*DB, error) {
+	if len(shapes) == 0 {
+		return nil, fmt.Errorf("query: image %d has no shapes", imageID)
+	}
+	base, err := db.base.Append(imageID, shapes)
+	if err != nil {
+		return nil, fmt.Errorf("query: image %d %w", imageID, err)
+	}
+	next := *db
+	next.base, next.frozen = base, true
+	ids := make([]int, len(shapes))
+	for i, p := range shapes {
+		e, err := core.NormalizeCanonical(p)
+		if err != nil {
+			return nil, err
+		}
+		ids[i] = db.base.NumShapes() + i
+		next.diamAng = append(next.diamAng, e.DiameterAngle())
+	}
+	g := BuildImageGraph(imageID, ids, shapes)
+	next.graphs = append(next.graphs, g)
+	for range shapes {
+		next.graphOf = append(next.graphOf, g)
+	}
+	return &next, nil
+}
+
+// Freeze makes the database read-only and queryable.
 func (db *DB) Freeze() error {
 	if err := db.base.Freeze(); err != nil {
 		return err
 	}
-	db.est = NewEstimator(db.base.NumShapes())
 	db.frozen = true
 	return nil
+}
+
+// Without returns the database as a read sees it behind dead, a set of
+// shape ids: those shapes are skipped before they name an image, and an
+// image whose shapes are dead is not in it (an image is deleted whole).
+func (db *DB) Without(dead map[int]bool) *DB {
+	next := *db
+	next.dead = dead
+	return &next
 }
 
 // Base exposes the underlying shape base.
 func (db *DB) Base() *core.Base { return db.base }
 
-// Graph returns the graph of an image.
-func (db *DB) Graph(imageID int) (*ImageGraph, bool) {
-	g, ok := db.graphs[imageID]
-	return g, ok
+// live reports whether an image is in the database a read sees.
+func (db *DB) live(g *ImageGraph) bool { return len(g.Shapes) == 0 || !db.dead[g.Shapes[0]] }
+
+// NumImages returns the number of images a read sees.
+func (db *DB) NumImages() int {
+	n := 0
+	for _, g := range db.graphs {
+		if db.live(g) {
+			n++
+		}
+	}
+	return n
 }
 
-// NumImages returns the number of images.
-func (db *DB) NumImages() int { return len(db.images) }
-
-// AllImages returns the set of all image ids (the DB of §5.1, the
-// universe of COMPLEMENT).
+// AllImages returns the set of all images (the DB of §5.1, the universe
+// of COMPLEMENT).
 func (db *DB) AllImages() ImageSet {
-	s := make(ImageSet, len(db.images))
-	for _, id := range db.images {
-		s.Add(id)
+	s := make(ImageSet, len(db.graphs))
+	for _, g := range db.graphs {
+		if db.live(g) {
+			s.Add(g)
+		}
 	}
 	return s
 }
@@ -177,40 +200,35 @@ func (db *DB) AllImages() ImageSet {
 // Tau returns the similarity threshold.
 func (db *DB) Tau() float64 { return db.opts.Tau }
 
-// shapeSimilar computes shape_similar(Q): all shape ids within τ of Q.
-func (db *DB) shapeSimilar(ctx context.Context, q geom.Poly) ([]core.Match, error) {
-	ms, _, err := db.base.SimilarShapes(ctx, q, db.opts.Tau)
-	return ms, err
+// estimate is the §5.2 estimate of shape_similar(Q) over the live shapes.
+func (db *DB) estimate(q bound) float64 {
+	return NewEstimator(db.base.NumShapes() - len(db.dead)).Estimate(q.vs)
 }
 
-// Similar evaluates the similarity operator similar(Q): all images
+// shapeSimilar computes shape_similar(Q): the live shapes within τ of Q,
+// ascending, by one fixed-cutoff scan.
+func (db *DB) shapeSimilar(ctx context.Context, q bound) ([]int, error) {
+	var out []int
+	_, _, err := db.base.Within(ctx, q.pq, db.dead, db.opts.Tau, func(m core.Match) { out = append(out, m.ShapeID) })
+	return out, err
+}
+
+// similar evaluates the similarity operator similar(Q): all images
 // containing a shape similar to Q (§5.1).
-func (db *DB) Similar(ctx context.Context, q geom.Poly) (ImageSet, error) {
-	if !db.frozen {
-		return nil, fmt.Errorf("query: database must be frozen")
-	}
+func (db *DB) similar(ctx context.Context, q bound) (ImageSet, error) {
 	ms, err := db.shapeSimilar(ctx, q)
-	if err != nil {
-		return nil, err
-	}
 	out := make(ImageSet)
-	for _, m := range ms {
-		out.Add(db.base.Shape(m.ShapeID).Image)
+	for _, s := range ms {
+		out.Add(db.graphOf[s])
 	}
-	return out, nil
+	return out, err
 }
 
-// shapeIsSimilar checks g_similar(S, Q) directly for one stored shape.
-func (db *DB) shapeIsSimilar(shapeID int, q geom.Poly) bool {
-	d, err := db.base.ShapeDistance(shapeID, q)
-	return err == nil && d <= db.opts.Tau
-}
-
-// shapeIsSimilarPrepared is shapeIsSimilar against a prepared query, for
-// the planner loops that probe many stored shapes with the same Q.
-func (db *DB) shapeIsSimilarPrepared(shapeID int, pq *core.PreparedQuery) bool {
-	d, err := db.base.ShapeDistancePrepared(shapeID, pq)
-	return err == nil && d <= db.opts.Tau
+// isSimilar checks g_similar(S, Q) directly for one stored shape, through
+// the bounded evaluator the scan runs.
+func (db *DB) isSimilar(shapeID int, pq *core.PreparedQuery) bool {
+	_, ok, err := db.base.ShapeDistancePreparedBounded(shapeID, pq, db.opts.Tau)
+	return err == nil && ok
 }
 
 // angleBetween returns the ordered signed diameter angle between two
@@ -234,46 +252,28 @@ const (
 	StrategyBoth TopoStrategy = 2
 )
 
-// Topological evaluates r(Q1, Q2, θ): all images with shapes S1 ~ Q1 and
-// S2 ~ Q2 such that g_r(S1, S2, θ). The strategy is chosen by the
-// selectivity estimates; the chosen strategy is returned for plan
-// inspection.
-func (db *DB) Topological(ctx context.Context, rel Rel, q1, q2 geom.Poly, theta Angle) (ImageSet, TopoStrategy, error) {
-	if !db.frozen {
-		return nil, 0, fmt.Errorf("query: database must be frozen")
+// strategy picks the execution strategy of r(Q1, Q2, θ) from the
+// selectivity estimates. Method 2 pays for two index retrievals but prunes
+// with the image intersection; it wins when both sides are selective.
+// Method 1 wins when one side is clearly smaller. The crossover used here:
+// drive when the smaller side is under half of the larger.
+func (db *DB) strategy(q1, q2 bound) TopoStrategy {
+	if sel1, sel2 := db.estimate(q1), db.estimate(q2); min(sel1, sel2) < 0.5*max(sel1, sel2) {
+		return StrategyDrive
 	}
-	sel1 := db.est.Estimate(q1)
-	sel2 := db.est.Estimate(q2)
-	// Method 2 pays for two index retrievals but prunes with the image
-	// intersection; it wins when both sides are selective. Method 1 wins
-	// when one side is clearly smaller. The crossover used here: drive
-	// when the smaller side is under half of the larger.
-	var strat TopoStrategy
-	if minF(sel1, sel2) < 0.5*maxF(sel1, sel2) {
-		strat = StrategyDrive
-	} else {
-		strat = StrategyBoth
-	}
-	set, err := db.topological(ctx, rel, q1, q2, theta, strat)
-	return set, strat, err
+	return StrategyBoth
 }
 
-// TopologicalWith forces a specific strategy (for the planner ablation).
-func (db *DB) TopologicalWith(ctx context.Context, rel Rel, q1, q2 geom.Poly, theta Angle, strat TopoStrategy) (ImageSet, error) {
-	if !db.frozen {
-		return nil, fmt.Errorf("query: database must be frozen")
-	}
-	return db.topological(ctx, rel, q1, q2, theta, strat)
-}
-
-func (db *DB) topological(ctx context.Context, rel Rel, q1, q2 geom.Poly, theta Angle, strat TopoStrategy) (ImageSet, error) {
+// topological evaluates r(Q1, Q2, θ) by strategy strat: all images with
+// shapes S1 ~ Q1 and S2 ~ Q2 such that g_r(S1, S2, θ).
+func (db *DB) topological(ctx context.Context, rel Rel, q1, q2 bound, theta Angle, strat TopoStrategy) (ImageSet, error) {
 	out := make(ImageSet)
 	switch strat {
 	case StrategyDrive:
 		// Drive from the more selective (smaller estimated) side.
 		driveQ, otherQ := q2, q1
 		swapped := false
-		if db.est.Estimate(q1) < db.est.Estimate(q2) {
+		if db.estimate(q1) < db.estimate(q2) {
 			driveQ, otherQ = q1, q2
 			swapped = true
 		}
@@ -281,20 +281,10 @@ func (db *DB) topological(ctx context.Context, rel Rel, q1, q2 geom.Poly, theta 
 		if err != nil {
 			return nil, err
 		}
-		// The partner side is probed once per graph edge with the same
-		// query: normalize it and build its oracle exactly once.
-		otherPQ, err := core.PrepareQuery(otherQ)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range ms {
-			img := db.base.Shape(m.ShapeID).Image
-			if out.Has(img) {
-				continue
-			}
-			g := db.graphs[img]
-			if db.driveCheck(g, m.ShapeID, rel, otherPQ, theta, swapped) {
-				out.Add(img)
+		for _, s := range ms {
+			g := db.graphOf[s]
+			if !out.Has(g.Image) && db.driveCheck(g, s, rel, otherQ.pq, theta, swapped) {
+				out.Add(g)
 			}
 		}
 		return out, nil
@@ -311,23 +301,22 @@ func (db *DB) topological(ctx context.Context, rel Rel, q1, q2 geom.Poly, theta 
 		sim2 := make(map[int]bool, len(ms2))
 		img1 := make(ImageSet)
 		img2 := make(ImageSet)
-		for _, m := range ms1 {
-			img1.Add(db.base.Shape(m.ShapeID).Image)
+		for _, s := range ms1 {
+			img1.Add(db.graphOf[s])
 		}
-		for _, m := range ms2 {
-			sim2[m.ShapeID] = true
-			img2.Add(db.base.Shape(m.ShapeID).Image)
+		for _, s := range ms2 {
+			sim2[s] = true
+			img2.Add(db.graphOf[s])
 		}
 		si := img1.Intersect(img2)
-		for _, m := range ms1 {
-			img := db.base.Shape(m.ShapeID).Image
-			if !si.Has(img) || out.Has(img) {
+		for _, s := range ms1 {
+			g := db.graphOf[s]
+			if !si.Has(g.Image) || out.Has(g.Image) {
 				continue
 			}
-			g := db.graphs[img]
-			for _, s2 := range db.partners(g, m.ShapeID, rel, false) {
-				if sim2[s2] && theta.Matches(db.angleBetween(m.ShapeID, s2), db.opts.AngleTol) {
-					out.Add(img)
+			for _, s2 := range db.partners(g, s, rel, false) {
+				if sim2[s2] && theta.Matches(db.angleBetween(s, s2), db.opts.AngleTol) {
+					out.Add(g)
 					break
 				}
 			}
@@ -379,7 +368,7 @@ func (db *DB) partners(g *ImageGraph, s int, rel Rel, reversed bool) []int {
 // swapped=true means the driving shape plays the S1 role.
 func (db *DB) driveCheck(g *ImageGraph, drive int, rel Rel, otherPQ *core.PreparedQuery, theta Angle, swapped bool) bool {
 	for _, p := range db.partners(g, drive, rel, !swapped) {
-		if !db.shapeIsSimilarPrepared(p, otherPQ) {
+		if !db.isSimilar(p, otherPQ) {
 			continue
 		}
 		var ang float64
@@ -395,64 +384,30 @@ func (db *DB) driveCheck(g *ImageGraph, drive int, rel Rel, otherPQ *core.Prepar
 	return false
 }
 
-// CheckSimilarOnImage tests similar(Q) restricted to one image, scanning
-// only that image's shapes (used by the planner to filter a small driver
-// set without a second index retrieval).
-func (db *DB) CheckSimilarOnImage(imageID int, q geom.Poly) bool {
-	g, ok := db.graphs[imageID]
-	if !ok {
-		return false
-	}
-	pq, err := core.PrepareQuery(q)
-	if err != nil {
-		return false
-	}
+// similarOn tests similar(Q) restricted to one image, scanning only that
+// image's shapes (used by the planner to filter a small driver set without
+// a second index retrieval).
+func (db *DB) similarOn(g *ImageGraph, pq *core.PreparedQuery) bool {
 	for _, s := range g.Shapes {
-		if db.shapeIsSimilarPrepared(s, pq) {
+		if db.isSimilar(s, pq) {
 			return true
 		}
 	}
 	return false
 }
 
-// CheckTopologicalOnImage tests r(Q1,Q2,θ) restricted to one image.
-func (db *DB) CheckTopologicalOnImage(imageID int, rel Rel, q1, q2 geom.Poly, theta Angle) bool {
-	g, ok := db.graphs[imageID]
-	if !ok {
-		return false
-	}
-	pq1, err := core.PrepareQuery(q1)
-	if err != nil {
-		return false
-	}
-	pq2, err := core.PrepareQuery(q2)
-	if err != nil {
-		return false
-	}
+// topologicalOn tests r(Q1,Q2,θ) restricted to one image.
+func (db *DB) topologicalOn(g *ImageGraph, rel Rel, pq1, pq2 *core.PreparedQuery, theta Angle) bool {
 	for _, s1 := range g.Shapes {
-		if !db.shapeIsSimilarPrepared(s1, pq1) {
+		if !db.isSimilar(s1, pq1) {
 			continue
 		}
 		for _, s2 := range db.partners(g, s1, rel, false) {
-			if db.shapeIsSimilarPrepared(s2, pq2) &&
+			if db.isSimilar(s2, pq2) &&
 				theta.Matches(db.angleBetween(s1, s2), db.opts.AngleTol) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

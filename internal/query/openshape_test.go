@@ -90,7 +90,7 @@ func TestDBWithOpenShapeQueries(t *testing.T) {
 // query, the estimate is proportional to the base size, and a degenerate
 // query or an empty base still gets a positive, finite estimate.
 func TestEstimatorAccessors(t *testing.T) {
-	q := sq(0, 0, 1)
+	q := SignificantVertices(sq(0, 0, 1))
 	e := NewEstimator(500)
 	if got, again := e.Estimate(q), NewEstimator(500).Estimate(q); got <= 0 || got != again {
 		t.Errorf("Estimate = %v, a second estimator over 500 shapes says %v", got, again)
@@ -98,7 +98,7 @@ func TestEstimatorAccessors(t *testing.T) {
 	if got, want := NewEstimator(1000).Estimate(q), 2*e.Estimate(q); got != want {
 		t.Errorf("twice the base estimates %v, want %v", got, want)
 	}
-	for _, est := range []float64{e.Estimate(geom.Poly{}), NewEstimator(0).Estimate(q)} {
+	for _, est := range []float64{e.Estimate(SignificantVertices(geom.Poly{})), NewEstimator(0).Estimate(q)} {
 		if !(est > 0) || math.IsInf(est, 1) {
 			t.Errorf("degenerate estimate = %v, want positive and finite", est)
 		}

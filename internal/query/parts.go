@@ -7,20 +7,18 @@ import (
 )
 
 // This file is the persistence seam of the frozen database: accessors
-// for the state a snapshot writer needs beyond the core base (image
-// order, per-shape diameter angles, graph edge lists), and DBFromParts
-// to reassemble a frozen DB around an already-reassembled base without
-// re-running the O(shapes²) graph geometry.
+// for the state a snapshot writer needs beyond the core base (per-shape
+// diameter angles, per-image graphs), and DBFromParts to reassemble a
+// frozen DB around an already-reassembled base without re-running the
+// O(shapes²) graph geometry.
 
-// Images returns the image ids in insertion order (the live slice —
+// Graphs returns the image graphs in insertion order (the live slice —
 // callers must not mutate).
-func (db *DB) Images() []int { return db.images }
+func (db *DB) Graphs() []*ImageGraph { return db.graphs }
 
-// DiamAng returns a shape's diameter orientation in the image frame.
-func (db *DB) DiamAng(shapeID int) (float64, bool) {
-	a, ok := db.diamAng[shapeID]
-	return a, ok
-}
+// DiamAngles returns each shape's diameter orientation in the image frame,
+// by shape id (the live slice — callers must not mutate).
+func (db *DB) DiamAngles() []float64 { return db.diamAng }
 
 // GraphFromParts reassembles an image graph from its persisted vertex
 // and edge lists, rebuilding the adjacency index.
@@ -40,44 +38,36 @@ func GraphFromParts(image int, shapeIDs []int, edges []GraphEdge) *ImageGraph {
 // database.
 type DBParts struct {
 	Opts    Options
-	Base    *core.Base // already reassembled and frozen
-	Images  []int      // image ids in insertion order
-	Graphs  map[int]*ImageGraph
-	DiamAng map[int]float64 // shape id → diameter orientation
+	Base    *core.Base    // already reassembled and frozen
+	Graphs  []*ImageGraph // per image, in insertion order
+	DiamAng []float64     // per shape id, its diameter orientation
 }
 
-// DBFromParts reassembles a frozen DB. The estimator is rebuilt fresh
-// (it is query-time-only state); everything else is adopted as-is.
+// DBFromParts reassembles a frozen DB; everything is adopted as-is. Every
+// shape must be in exactly one graph.
 func DBFromParts(p DBParts) (*DB, error) {
 	if p.Base == nil {
 		return nil, fmt.Errorf("query: db parts without a base")
-	}
-	if len(p.Images) != len(p.Graphs) {
-		return nil, fmt.Errorf("query: db parts with %d images but %d graphs", len(p.Images), len(p.Graphs))
-	}
-	for _, id := range p.Images {
-		if p.Graphs[id] == nil {
-			return nil, fmt.Errorf("query: db parts image %d has no graph", id)
-		}
 	}
 	if len(p.DiamAng) != p.Base.NumShapes() {
 		return nil, fmt.Errorf("query: db parts with %d diameter angles for %d shapes",
 			len(p.DiamAng), p.Base.NumShapes())
 	}
-	opts := p.Opts
-	if opts.Tau <= 0 {
-		opts.Tau = 0.05
+	graphOf := make([]*ImageGraph, p.Base.NumShapes())
+	placed := 0
+	for _, g := range p.Graphs {
+		for _, s := range g.Shapes {
+			if s < 0 || s >= len(graphOf) || graphOf[s] != nil {
+				return nil, fmt.Errorf("query: db parts place shape %d in image %d", s, g.Image)
+			}
+			graphOf[s] = g
+			placed++
+		}
 	}
-	if opts.AngleTol <= 0 {
-		opts.AngleTol = 0.1
+	if placed != len(graphOf) {
+		return nil, fmt.Errorf("query: db parts place %d of %d shapes in an image", placed, len(graphOf))
 	}
-	return &DB{
-		opts:    opts,
-		base:    p.Base,
-		graphs:  p.Graphs,
-		images:  p.Images,
-		diamAng: p.DiamAng,
-		est:     NewEstimator(p.Base.NumShapes()),
-		frozen:  true,
-	}, nil
+	db := NewDB(p.Opts)
+	db.base, db.graphs, db.graphOf, db.diamAng, db.frozen = p.Base, p.Graphs, graphOf, p.DiamAng, true
+	return db, nil
 }

@@ -159,7 +159,7 @@ func TestEstimatorAdapts(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		for name, q := range binds {
-			if got, want := db.est.Estimate(q), fresh.Estimate(q); got != want || got <= 0 {
+			if got, want := db.estimate(prep(t, q)), fresh.Estimate(SignificantVertices(q)); got != want || got <= 0 {
 				t.Errorf("%s: estimate of %s = %v, a fresh estimator says %v", when, name, got, want)
 			}
 		}
@@ -171,6 +171,16 @@ func TestEstimatorAdapts(t *testing.T) {
 		}
 	}
 	check("after 10 queries")
+}
+
+// prep prepares one query shape as Prepare does.
+func prep(t *testing.T, q geom.Poly) bound {
+	t.Helper()
+	p, err := Prepare("similar(q)", Bindings{"q": q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.shapes["q"]
 }
 
 // buildTestDB constructs a small database with known topology:
@@ -206,7 +216,7 @@ func buildTestDB(t *testing.T) (*DB, Bindings) {
 
 func TestSimilarOperator(t *testing.T) {
 	db, binds := buildTestDB(t)
-	set, err := db.Similar(context.Background(), binds["qtri"])
+	set, err := db.similar(context.Background(), prep(t, binds["qtri"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +231,7 @@ func TestSimilarOperator(t *testing.T) {
 		}
 	}
 	// Squares appear in images 0,1,3,4.
-	set, err = db.Similar(context.Background(), binds["qsq"])
+	set, err = db.similar(context.Background(), prep(t, binds["qsq"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +244,7 @@ func TestTopologicalContain(t *testing.T) {
 	db, binds := buildTestDB(t)
 	// contain(sq, tri): image 0 only.
 	for _, strat := range []TopoStrategy{StrategyDrive, StrategyBoth} {
-		set, err := db.TopologicalWith(context.Background(), RelContain, binds["qsq"], binds["qtri"], AnyAngle(), strat)
+		set, err := db.topological(context.Background(), RelContain, prep(t, binds["qsq"]), prep(t, binds["qtri"]), AnyAngle(), strat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +253,9 @@ func TestTopologicalContain(t *testing.T) {
 		}
 	}
 	// contain(sq, sq): image 4 only.
-	set, strat, err := db.Topological(context.Background(), RelContain, binds["qsq"], binds["qsq"], AnyAngle())
+	qsq := prep(t, binds["qsq"])
+	strat := db.strategy(qsq, qsq)
+	set, err := db.topological(context.Background(), RelContain, qsq, qsq, AnyAngle(), strat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +270,7 @@ func TestTopologicalContain(t *testing.T) {
 func TestTopologicalOverlapDisjoint(t *testing.T) {
 	db, binds := buildTestDB(t)
 	for _, strat := range []TopoStrategy{StrategyDrive, StrategyBoth} {
-		set, err := db.TopologicalWith(context.Background(), RelOverlap, binds["qsq"], binds["qsq"], AnyAngle(), strat)
+		set, err := db.topological(context.Background(), RelOverlap, prep(t, binds["qsq"]), prep(t, binds["qsq"]), AnyAngle(), strat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +279,7 @@ func TestTopologicalOverlapDisjoint(t *testing.T) {
 		}
 		// disjoint(sq, tri): image 3 (side by side). Image 0 has the
 		// triangle inside the square (contain, not disjoint).
-		set, err = db.TopologicalWith(context.Background(), RelDisjoint, binds["qsq"], binds["qtri"], AnyAngle(), strat)
+		set, err = db.topological(context.Background(), RelDisjoint, prep(t, binds["qsq"]), prep(t, binds["qtri"]), AnyAngle(), strat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,9 +436,9 @@ func TestTopologicalWithAngle(t *testing.T) {
 	if err := db.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	q := sq(0, 0, 6)
+	q := prep(t, sq(0, 0, 6))
 	// Angle 0: only the aligned image.
-	set, _, err := db.Topological(context.Background(), RelContain, q, q, AngleOf(0))
+	set, err := db.topological(context.Background(), RelContain, q, q, AngleOf(0), db.strategy(q, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +446,7 @@ func TestTopologicalWithAngle(t *testing.T) {
 		t.Errorf("aligned contain = %v, want [0]", got)
 	}
 	// any: both.
-	set, _, err = db.Topological(context.Background(), RelContain, q, q, AnyAngle())
+	set, err = db.topological(context.Background(), RelContain, q, q, AnyAngle(), db.strategy(q, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,8 +457,8 @@ func TestTopologicalWithAngle(t *testing.T) {
 
 func TestDBLifecycleErrors(t *testing.T) {
 	db := NewDB(DefaultOptions())
-	if _, err := db.Similar(context.Background(), sq(0, 0, 1)); err == nil {
-		t.Error("unfrozen Similar should fail")
+	if _, _, err := db.EvalString(context.Background(), "similar(q)", Bindings{"q": sq(0, 0, 1)}); err == nil {
+		t.Error("unfrozen Eval should fail")
 	}
 	if err := db.AddImage(0, nil); err == nil {
 		t.Error("empty image should fail")
@@ -510,18 +522,18 @@ func TestConcurrentTopologicalEval(t *testing.T) {
 func TestEvalMemoizesRepeatedLiterals(t *testing.T) {
 	db, binds := buildTestDB(t)
 	const sentinel = 99
-	memo := map[string]ImageSet{"similar(qtri)": NewImageSet(sentinel)}
-	e, err := Parse("similar(qtri) AND (NOT similar(qsq) OR NOT overlap(qsq, qsq, any))")
+	memo := map[string]ImageSet{"similar(qtri)": {sentinel: &ImageGraph{Image: sentinel}}}
+	q, err := Prepare("similar(qtri) AND (NOT similar(qsq) OR NOT overlap(qsq, qsq, any))", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dnf := ToDNF(e)
+	dnf := q.terms
 	if len(dnf) != 2 {
 		t.Fatalf("DNF terms = %d, want 2", len(dnf))
 	}
 	for _, c := range dnf {
 		// No check holds on an image the database lacks, so each NOT keeps it.
-		set, cp, err := db.evalConjunct(context.Background(), c, binds, memo)
+		set, cp, err := db.evalConjunct(context.Background(), q, c, memo)
 		if err != nil {
 			t.Fatal(err)
 		}

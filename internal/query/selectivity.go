@@ -75,9 +75,8 @@ func NewEstimator(baseShapes int) *Estimator {
 	return &Estimator{c: c}
 }
 
-// Estimate returns the predicted size of shape_similar(Q).
-func (e *Estimator) Estimate(q geom.Poly) float64 {
-	vs := SignificantVertices(q)
+// Estimate returns the predicted size of shape_similar(Q), given V_S(Q).
+func (e *Estimator) Estimate(vs float64) float64 {
 	if vs <= 0 {
 		return e.c
 	}

@@ -268,8 +268,7 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	// shape. A shape the hash table skipped (degenerate canonical
 	// normalization) is stored as an all -1 quadruple.
 	quad := make([]int32, 0, 4*len(shapes))
-	dang := make([]float64, len(shapes))
-	for i, s := range shapes {
+	for _, s := range shapes {
 		if q, ok := e.table.Quad(s.ID); ok {
 			for _, c := range q {
 				quad = append(quad, int32(c))
@@ -277,18 +276,14 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 		} else {
 			quad = append(quad, -1, -1, -1, -1)
 		}
-		dang[i], _ = e.db.DiamAng(s.ID)
 	}
-	out["QUAD"], out["DANG"] = put(nil, quad), put(nil, dang)
+	out["QUAD"], out["DANG"] = put(nil, quad), put(nil, e.db.DiamAngles())
 
-	// GRPH — per-image topology graphs (vertices + labeled edges).
-	grph := appendU32(nil, uint32(len(images)))
-	for _, img := range images {
-		g, ok := e.db.Graph(img.id)
-		if !ok {
-			return nil, fmt.Errorf("geosir: image %d has no graph", img.id)
-		}
-		grph = appendU32(grph, uint32(img.id))
+	// GRPH — per-image topology graphs (vertices + labeled edges), in the
+	// images' order.
+	grph := appendU32(nil, uint32(len(e.db.Graphs())))
+	for _, g := range e.db.Graphs() {
+		grph = appendU32(grph, uint32(g.Image))
 		grph = appendU32(grph, uint32(len(g.Shapes)))
 		for _, sid := range g.Shapes {
 			grph = appendU32(grph, uint32(sid))
@@ -299,7 +294,7 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 			if ed.Label == query.RelOverlap {
 				lbl = v3RelOverlap
 			} else if ed.Label != query.RelContain {
-				return nil, fmt.Errorf("geosir: image %d has unknown edge label %q", img.id, ed.Label)
+				return nil, fmt.Errorf("geosir: image %d has unknown edge label %q", g.Image, ed.Label)
 			}
 			grph = appendU32(grph, uint32(ed.From))
 			grph = appendU32(grph, uint32(ed.To))
@@ -464,7 +459,7 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 	}
 
 	spec := core.BaseSpec{
-		Opts:      coreOptsFor(o.opts),
+		Opts:      queryOptions(o.opts).Core,
 		Shapes:    shapes,
 		EntryMeta: v3View[core.EntryMeta](r, "ENTM"),
 	}
@@ -481,20 +476,15 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 	}
 
 	// Diameter angles and per-image graphs.
-	diamAng := make(map[int]float64, o.nShapes)
-	for sid, a := range v3View[float64](r, "DANG") {
-		diamAng[sid] = a
-	}
-	graphs, imageOrder, err := parseV3Graphs(r.sec["GRPH"], o)
+	graphs, err := parseV3Graphs(r.sec["GRPH"], o)
 	if err != nil {
 		return nil, err
 	}
 	db, err := query.DBFromParts(query.DBParts{
-		Opts:    queryOptsFor(o.opts),
+		Opts:    queryOptions(o.opts),
 		Base:    base,
-		Images:  imageOrder,
 		Graphs:  graphs,
-		DiamAng: diamAng,
+		DiamAng: v3View[float64](r, "DANG"),
 	})
 	if err != nil {
 		return nil, err
@@ -532,57 +522,34 @@ func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
 	return eng, nil
 }
 
-// coreOptsFor / queryOptsFor mirror New's option derivation so an
-// assembled engine reports identical effective options.
-func queryOptsFor(opts Options) query.Options {
-	qopts := query.DefaultOptions()
-	if opts.Alpha > 0 {
-		qopts.Core.Alpha = opts.Alpha
-	}
-	if opts.Beta > 0 {
-		qopts.Core.Beta = opts.Beta
-	}
-	if opts.Tau > 0 {
-		qopts.Tau = opts.Tau
-	}
-	if opts.AngleTol > 0 {
-		qopts.AngleTol = opts.AngleTol
-	}
-	return qopts
-}
-
-func coreOptsFor(opts Options) core.Options {
-	return queryOptsFor(opts).Core
-}
-
 // parseV3Graphs parses GRPH, a framed stream like IMGS: every count is
 // bounded by the bytes left (4 per shape id, 12 per edge) before it
 // sizes an allocation.
-func parseV3Graphs(b []byte, o v3Options) (map[int]*query.ImageGraph, []int, error) {
+func parseV3Graphs(b []byte, o v3Options) ([]*query.ImageGraph, error) {
 	c := cursor{b: b}
 	nimg := int(c.u32())
 	if c.err != nil || nimg != o.nImages {
-		return nil, nil, fmt.Errorf("geosir: GRPH declares %d images, OPTS %d", nimg, o.nImages)
+		return nil, fmt.Errorf("geosir: GRPH declares %d images, OPTS %d", nimg, o.nImages)
 	}
-	graphs := make(map[int]*query.ImageGraph, nimg)
-	order := make([]int, 0, nimg)
+	graphs := make([]*query.ImageGraph, 0, nimg)
+	seen := make(map[int]bool, nimg)
 	for i := 0; i < nimg; i++ {
 		id := int(int32(c.u32()))
 		nsh := int(c.u32())
 		if c.err != nil || nsh < 0 || nsh > c.remaining()/4 {
-			return nil, nil, fmt.Errorf("geosir: GRPH image %d has implausible shape count", i)
+			return nil, fmt.Errorf("geosir: GRPH image %d has implausible shape count", i)
 		}
 		shapeIDs := make([]int, nsh)
 		for j := range shapeIDs {
 			sid := int(int32(c.u32()))
 			if sid < 0 || sid >= o.nShapes {
-				return nil, nil, fmt.Errorf("geosir: GRPH image %d references shape %d of %d", id, sid, o.nShapes)
+				return nil, fmt.Errorf("geosir: GRPH image %d references shape %d of %d", id, sid, o.nShapes)
 			}
 			shapeIDs[j] = sid
 		}
 		nedges := int(c.u32())
 		if c.err != nil || nedges < 0 || nedges > c.remaining()/12 {
-			return nil, nil, fmt.Errorf("geosir: GRPH image %d has implausible edge count", id)
+			return nil, fmt.Errorf("geosir: GRPH image %d has implausible edge count", id)
 		}
 		edges := make([]query.GraphEdge, 0, nedges)
 		for j := 0; j < nedges; j++ {
@@ -596,20 +563,20 @@ func parseV3Graphs(b []byte, o v3Options) (map[int]*query.ImageGraph, []int, err
 			case v3RelOverlap:
 				rel = query.RelOverlap
 			default:
-				return nil, nil, fmt.Errorf("geosir: GRPH image %d edge %d has unknown label %d", id, j, lbl)
+				return nil, fmt.Errorf("geosir: GRPH image %d edge %d has unknown label %d", id, j, lbl)
 			}
 			edges = append(edges, query.GraphEdge{From: from, To: to, Label: rel})
 		}
-		if _, dup := graphs[id]; dup {
-			return nil, nil, fmt.Errorf("geosir: GRPH repeats image %d", id)
+		if seen[id] {
+			return nil, fmt.Errorf("geosir: GRPH repeats image %d", id)
 		}
-		graphs[id] = query.GraphFromParts(id, shapeIDs, edges)
-		order = append(order, id)
+		seen[id] = true
+		graphs = append(graphs, query.GraphFromParts(id, shapeIDs, edges))
 	}
 	if c.remaining() != 0 {
-		return nil, nil, fmt.Errorf("geosir: %d trailing bytes in GRPH", c.remaining())
+		return nil, fmt.Errorf("geosir: %d trailing bytes in GRPH", c.remaining())
 	}
-	return graphs, order, nil
+	return graphs, nil
 }
 
 // parseV3Ann reads the signature family: ANNP states how many signature

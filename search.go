@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geohash"
 	"repro/internal/ingest"
+	"repro/internal/query"
 	"repro/internal/sched"
 )
 
@@ -224,6 +225,7 @@ func (e *Engine) searchView() searchView {
 // reads is immutable — a frozen shard, or one version of a delta — so a
 // request answers from its view as of the moment it took it.
 type part struct {
+	db   *query.DB // the images, read behind dead (topological)
 	base *core.Base
 	dead map[int]bool // tombstoned local shape ids
 	// A local id s maps to the global id smap.Global(shard, s), or, with
@@ -244,12 +246,12 @@ type part struct {
 
 // part is the engine as one part: identity ids, no tombstones.
 func (e *Engine) part() part {
-	return part{base: e.db.Base(), family: e.family, lookup: e.table.Lookup, ann: e.ann}
+	return part{db: e.db, base: e.db.Base(), family: e.family, lookup: e.table.Lookup, ann: e.ann}
 }
 
 // deltaPart is one version of a live delta as a part.
 func deltaPart(d *ingest.Delta) part {
-	return part{base: d.Base(), dead: d.Dead(), gidBase: d.GIDBase(), family: d.Family(), lookup: d.Lookup}
+	return part{db: d.DB(), base: d.Base(), dead: d.Dead(), gidBase: d.GIDBase(), family: d.Family(), lookup: d.Lookup}
 }
 
 func (p *part) liveShapes() int { return p.base.NumShapes() - len(p.dead) }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -100,16 +99,12 @@ type shardView struct {
 	active *ingest.Delta
 
 	// deadShapes marks, per shard, the local shape ids whose frozen copy
-	// is tombstoned (image deleted after its shard froze), for the paths
-	// that filter shapes before scoring them (every search). deadIn is the
-	// same set at image granularity, for the paths that filter whole
-	// images (topological queries, image counts). Both are
-	// nil until the first tombstone. An image id may legitimately appear
-	// dead in one shard and live in another — delete then re-insert then
-	// compact — so the per-shard grouping is not redundant with a flat
-	// image set.
+	// is tombstoned (image deleted after its shard froze): every read skips
+	// them before they are scored or name an image. Nil until the first
+	// tombstone. An image id may legitimately be dead in one shard and
+	// live in another — delete then re-insert then compact — so the sets
+	// are per shard, and of shapes, not images.
 	deadShapes []map[int]bool
-	deadIn     []map[int]bool
 }
 
 // deltas returns the view's delta versions that hold live shapes, sealed
@@ -138,30 +133,27 @@ func (v *shardView) liveShards() []int {
 	return out
 }
 
-// deadOf returns one shard's set from the view's per-shard dead sets
-// (deadIn or deadShapes), nil when it has none: the slices are nil until
-// the first tombstone and stop short of shards a compaction added since.
-func deadOf(sets []map[int]bool, shard int) map[int]bool {
-	if shard < len(sets) {
-		return sets[shard]
+// deadOf returns one shard's dead shapes, nil when it has none: the view's
+// sets are nil until the first tombstone and stop short of shards a
+// compaction added since.
+func (v *shardView) deadOf(shard int) map[int]bool {
+	if shard < len(v.deadShapes) {
+		return v.deadShapes[shard]
 	}
 	return nil
 }
 
-// markDead records frozen image im, whose first global shape id is gid,
-// as tombstoned on its shard. It writes in place: the caller owns v's
-// dead sets (a view not yet published, over fresh copies of the shard's
-// sets when it succeeds a published one).
+// markDead records the shapes of frozen image im, whose first global
+// shape id is gid, as tombstoned on its shard. It writes in place: the
+// caller owns v's dead sets (a view not yet published, over a fresh copy
+// of the shard's set when it succeeds a published one).
 func (v *shardView) markDead(im shardImage, gid int) {
-	if v.deadIn == nil {
-		v.deadIn = make([]map[int]bool, len(v.shards))
+	if v.deadShapes == nil {
 		v.deadShapes = make([]map[int]bool, len(v.shards))
 	}
-	if v.deadIn[im.Shard] == nil {
-		v.deadIn[im.Shard] = make(map[int]bool)
+	if v.deadShapes[im.Shard] == nil {
 		v.deadShapes[im.Shard] = make(map[int]bool)
 	}
-	v.deadIn[im.Shard][im.ID] = true
 	for g := gid; g < gid+im.Shapes; g++ {
 		if _, local, ok := v.smap.Locate(g); ok {
 			v.deadShapes[im.Shard][local] = true
@@ -178,7 +170,7 @@ func (v *shardView) parts() []part {
 	out := make([]part, 0, len(live)+len(deltas))
 	for _, si := range live {
 		p := v.shards[si].part()
-		p.smap, p.shard, p.dead = v.smap, si, deadOf(v.deadShapes, si)
+		p.smap, p.shard, p.dead = v.smap, si, v.deadOf(si)
 		out = append(out, p)
 	}
 	for _, d := range deltas {
@@ -365,22 +357,16 @@ func (se *ShardedEngine) MutationEpoch() uint64 { return se.mutEpoch.Load() }
 // Generation returns the compaction generation of the current view.
 func (se *ShardedEngine) Generation() uint64 { return se.snapshot().gen }
 
-// NumImages returns the number of live images: frozen images minus
+// NumImages returns the number of live images: each shard's behind its
 // tombstones plus the deltas' live images.
 func (se *ShardedEngine) NumImages() int {
 	v := se.snapshot()
 	n := 0
-	for _, sh := range v.shards {
-		n += sh.NumImages()
+	for i, sh := range v.shards {
+		n += sh.db.Without(v.deadOf(i)).NumImages()
 	}
-	for _, dead := range v.deadIn {
-		n -= len(dead)
-	}
-	if v.sealed != nil {
-		n += v.sealed.NumImages()
-	}
-	if v.active != nil {
-		n += v.active.NumImages()
+	for _, d := range v.deltas() {
+		n += d.NumImages()
 	}
 	return n
 }
@@ -437,43 +423,14 @@ func (se *ShardedEngine) searchView() searchView {
 // in-flight request gauge and the fan-out/sequential plan counts.
 func (se *ShardedEngine) SchedStats() SchedStats { return schedStatsFrom(se.sched.Stats()) }
 
-// Query evaluates a topological query (§5) against every live shard
-// and unions the matching image ids. Topological predicates relate
-// shapes within one image, and every image lives whole on exactly one
-// shard, so the per-shard evaluation loses nothing. Images tombstoned
-// after freeze are filtered out; images still in the live delta are
-// not yet visible to topological queries (they gain topology graphs at
-// compaction). The shards are queried in turn, ctx checked before each;
-// like Engine.Query it is safe to call from any number of goroutines.
+// Query evaluates a topological query (§5) over the request's view —
+// the live shards behind their tombstones and, when ingestion is
+// enabled, the live delta(s) — as Engine.Query does over its one part
+// (topological): the images a single Engine over the live images
+// answers, with a plan whose counts sum the parts'. Like Search it takes
+// no lock and is safe to call from any number of goroutines.
 func (se *ShardedEngine) Query(ctx context.Context, src string, binds map[string]Shape) ([]int, string, error) {
-	if !se.frozen {
-		return nil, "", ErrNotFrozen
-	}
-	v := se.snapshot()
-	var all []int
-	var plan string
-	for _, si := range v.liveShards() {
-		if err := ctx.Err(); err != nil {
-			return nil, "", err
-		}
-		ids, p, err := v.shards[si].Query(ctx, src, binds)
-		if err != nil {
-			return nil, "", err
-		}
-		if dead := deadOf(v.deadIn, si); len(dead) > 0 {
-			kept := ids[:0]
-			for _, id := range ids {
-				if !dead[id] {
-					kept = append(kept, id)
-				}
-			}
-			ids = kept
-		}
-		all = append(all, ids...)
-		plan = p
-	}
-	sort.Ints(all)
-	return all, plan, nil
+	return topological(ctx, se.frozen, se.searchView, src, binds)
 }
 
 // fanout runs n independent work items on up to workers goroutines.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -80,19 +81,45 @@ func TestTopologicalPlanIgnoresHistory(t *testing.T) {
 // TestConcurrentTopologicalQuery: Engine.Query and ShardedEngine.Query
 // take no lock and share no mutable state, so 16 goroutines querying an
 // Engine and 7 shards at once (run under -race) each see the sequential
-// answers.
+// answers — and on a live 7-shard engine whose writer meanwhile inserts
+// and deletes an image holding the bound shapes, each read answers from
+// one view: the sequential answer with the image, or the one without it.
 func TestConcurrentTopologicalQuery(t *testing.T) {
 	all, shapes := topoFixture(t)
-	engines := map[string]topoQueryer{"engine": all["engine"], "7 shards": all["7 shards"]}
-	srcs := []string{topoQueryA, "overlap(c, a, any)"}
+	images, _, _ := equivBase(t)
+	live := buildShardedFrom(t, images, 7)
+	enableIngest(t, live, t.TempDir(), IngestConfig{})
+	engines := map[string]topoQueryer{"engine": all["engine"], "7 shards": all["7 shards"], "live": live}
+	srcs := []string{topoQueryA, "overlap(c, a, any)", "NOT similar(a)"}
 	binds := map[string]Shape{"a": shapes[0], "b": shapes[1], "c": shapes[2]}
-	want := map[string]topoAnswer{}
-	for name, eng := range engines {
-		for _, src := range srcs {
-			want[name+"|"+src] = runTopo(t, eng, src, binds)
+	const toggled = 1 << 20
+	ctx := context.Background()
+	toggle := func(insert bool) {
+		if insert {
+			if err := live.InsertImage(ctx, toggled, shapes[:3]); err != nil {
+				t.Error(err)
+			}
+		} else if err := live.DeleteImage(ctx, toggled); err != nil {
+			t.Error(err)
 		}
 	}
+	want := map[string][]topoAnswer{}
+	for _, insert := range []bool{false, true} {
+		for name, eng := range engines {
+			for _, src := range srcs {
+				want[name+"|"+src] = append(want[name+"|"+src], runTopo(t, eng, src, binds))
+			}
+		}
+		toggle(!insert)
+	}
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			toggle(i%2 == 0)
+		}
+	}()
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
@@ -100,14 +127,18 @@ func TestConcurrentTopologicalQuery(t *testing.T) {
 			for name, eng := range engines {
 				for _, src := range srcs {
 					ids, plan, err := eng.Query(context.Background(), src, binds)
-					if got := (topoAnswer{ids, plan}); err != nil || !reflect.DeepEqual(got, want[name+"|"+src]) {
-						t.Errorf("%s %s: concurrent (%+v, %v), sequential %+v", name, src, got, err, want[name+"|"+src])
+					got, w := topoAnswer{ids, plan}, want[name+"|"+src]
+					if err != nil || !reflect.DeepEqual(got, w[0]) && !reflect.DeepEqual(got, w[1]) {
+						t.Errorf("%s %s: concurrent (%+v, %v), sequential %+v", name, src, got, err, w)
 					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if w := want["live|NOT similar(a)"]; reflect.DeepEqual(w[0], w[1]) {
+		t.Errorf("the toggled image does not change the live answers: %+v", w)
+	}
 }
 
 // TestTopologicalQueryCancelled: a cancelled or expired ctx fails Query
@@ -127,6 +158,114 @@ func TestTopologicalQueryCancelled(t *testing.T) {
 				if !errors.Is(err, ctx.Err()) || ids != nil {
 					t.Errorf("%s %s: (%v, %v), want ctx's error %v", name, src, ids, err, ctx.Err())
 				}
+			}
+		}
+	}
+}
+
+// topoBinds draws query bindings a, b, c from one image's shapes (so its
+// overlap and contain edges come into play), one triple per image.
+func topoBinds(images ...synth.Image) []map[string]Shape {
+	var out []map[string]Shape
+	for _, im := range images {
+		n := len(im.Shapes)
+		out = append(out, map[string]Shape{"a": im.Shapes[0], "b": im.Shapes[1%n], "c": im.Shapes[2%n]})
+	}
+	return out
+}
+
+// topoSrcs are the reads the live = rebuilt check sweeps: an indexed
+// driver with per-image checks, the index alone, the universe filtered,
+// and two relation drivers — the equivalence base has no overlap edge, so
+// disjoint is the one that walks the image graphs.
+var topoSrcs = []string{topoQueryA, "similar(a)", "NOT similar(a)", "overlap(a, b, any)", "disjoint(a, b, any)"}
+
+// TestTopologicalLiveEqualsRebuilt: a live engine's topological read
+// answers from its whole view — frozen shards behind their tombstones and
+// the live delta — so its image ids equal those of an engine rebuilt over
+// the live images, before and after a compaction. The history holds a
+// frozen tombstone, delta inserts and a delta delete, an image deleted
+// and re-inserted (with other shapes) inside one delta, and a frozen image
+// deleted and re-inserted live. A part skips dead shapes before they name
+// an image; filtering dead image ids afterwards would drop the re-inserted
+// ids, and reading dead shapes would return their images for their old
+// shapes.
+func TestTopologicalLiveEqualsRebuilt(t *testing.T) {
+	images, _, _ := equivBase(t)
+	frozenImgs, liveImgs := splitBase(images)
+	ctx := context.Background()
+	tomb, frozenRe := frozenImgs[1], frozenImgs[3]
+	deltaDel, deltaRe := liveImgs[2], liveImgs[4]
+	// The re-inserts take another image's shapes: the deleted ones'.
+	reshaped := map[int][]Shape{frozenRe.ID: deltaDel.Shapes, deltaRe.ID: tomb.Shapes}
+	var want []synth.Image
+	for _, im := range images {
+		if shapes, ok := reshaped[im.ID]; ok {
+			im.Shapes = shapes
+		}
+		if im.ID != tomb.ID && im.ID != deltaDel.ID {
+			want = append(want, im)
+		}
+	}
+	ref := buildSingle(t, want)
+	binds := topoBinds(frozenImgs[0], frozenImgs[5], liveImgs[0], liveImgs[len(liveImgs)-1], tomb, frozenRe, deltaDel, deltaRe)
+
+	for _, shards := range []int{1, 7} {
+		se := buildShardedFrom(t, frozenImgs, shards)
+		enableIngest(t, se, t.TempDir(), IngestConfig{})
+		step := func(what string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("shards=%d: %s: %v", shards, what, err)
+			}
+		}
+		step("delete frozen", se.DeleteImage(ctx, tomb.ID))
+		step("delete frozen to re-insert", se.DeleteImage(ctx, frozenRe.ID))
+		for _, im := range liveImgs {
+			step("insert", se.InsertImage(ctx, im.ID, im.Shapes))
+		}
+		step("re-insert frozen", se.InsertImage(ctx, frozenRe.ID, reshaped[frozenRe.ID]))
+		step("delete delta", se.DeleteImage(ctx, deltaDel.ID))
+		step("delete delta to re-insert", se.DeleteImage(ctx, deltaRe.ID))
+		step("re-insert delta", se.InsertImage(ctx, deltaRe.ID, reshaped[deltaRe.ID]))
+
+		for _, compacted := range []bool{false, true} {
+			if compacted {
+				step("compact", se.Compact())
+			}
+			if se.NumImages() != ref.NumImages() {
+				t.Fatalf("shards=%d compacted=%v: %d images, rebuilt %d", shards, compacted, se.NumImages(), ref.NumImages())
+			}
+			sawLive := false
+			for bi, b := range binds {
+				for _, src := range topoSrcs {
+					got, w := runTopo(t, se, src, b).IDs, runTopo(t, ref, src, b).IDs
+					if !slices.Equal(got, w) {
+						t.Errorf("shards=%d compacted=%v binds %d %s: %v, rebuilt %v", shards, compacted, bi, src, got, w)
+					}
+					for _, id := range got {
+						sawLive = sawLive || id == liveImgs[0].ID || id == frozenRe.ID || id == deltaRe.ID
+					}
+				}
+			}
+			if !sawLive {
+				t.Errorf("shards=%d compacted=%v: no read returned a live-inserted image", shards, compacted)
+			}
+		}
+	}
+}
+
+// TestTopologicalShardedPlanEqualsEngine: a frozen 7-shard engine sums
+// its parts' plans into the single Engine's plan string — the same drivers,
+// estimates and counts — on topoFixture's reads.
+func TestTopologicalShardedPlanEqualsEngine(t *testing.T) {
+	engines, shapes := topoFixture(t)
+	single, sharded := engines["engine"], engines["7 shards"]
+	for i := 0; i+2 < len(shapes); i += 3 {
+		binds := map[string]Shape{"a": shapes[i], "b": shapes[i+1], "c": shapes[i+2]}
+		for _, src := range topoSrcs {
+			if got, want := runTopo(t, sharded, src, binds), runTopo(t, single, src, binds); !slices.Equal(got.IDs, want.IDs) || got.Plan != want.Plan {
+				t.Errorf("shapes %d.. %s: 7 shards %+v, engine %+v", i, src, got, want)
 			}
 		}
 	}
