@@ -43,10 +43,12 @@ test-procs:
 # The geosir_purego build links no unsafe code: mmap.Cast always declines,
 # so the snapshot codec's portable branch (encoding/binary) is the only
 # decoder and encoder there, and no other leg compiles cast_purego.go or
-# resident_stub.go. The persistence and serving suites run under it.
+# resident_stub.go. The persistence and serving suites run under it —
+# every snapshot Save writes is GSIR3, so the salvage, corruption and
+# atomic-write suites exercise that branch too.
 purego:
 	$(GO) vet -tags geosir_purego ./...
-	$(GO) test -tags geosir_purego -run 'GSIR3|V3|Mmap|Persist|Snapshot' . ./internal/server
+	$(GO) test -tags geosir_purego -run 'GSIR|V3|Mmap|Persist|Snapshot|LoadPartial|Corruption|SaveFile' . ./internal/server
 
 # The repo's one benchmark (bench/README.md, declared in BENCHMARK.json):
 # without ARGS a full set — four workloads, each untraced then traced,

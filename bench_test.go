@@ -339,7 +339,7 @@ func BenchmarkMatch_Scaling_200images(b *testing.B) { benchmarkMatchAtScale(b, 0
 func BenchmarkOpenV3(b *testing.B) {
 	eng := buildSingle(b, synth.GenerateBase(synth.PaperSpec(0.02, 1)))
 	path := filepath.Join(b.TempDir(), "demo200.gsir3")
-	if err := eng.SaveFileAs(path, FormatGSIR3); err != nil {
+	if err := eng.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
 	for _, c := range []struct {

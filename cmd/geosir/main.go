@@ -182,7 +182,7 @@ func printSections(eng cliEngine) error {
 	size, total := map[string]int{}, 0
 	for _, sh := range snaps {
 		var buf bytes.Buffer
-		if err := sh.SaveAs(&buf, geosir.FormatGSIR3); err != nil {
+		if err := sh.Save(&buf); err != nil {
 			return err
 		}
 		secs, err := sectable.Parse(buf.Bytes())
@@ -342,7 +342,7 @@ func runSnapshot(basePath string, demo int, seed int64, shards int, out string) 
 		fmt.Printf("wrote sharded snapshot %s (%d shards, %d images, %d shapes, %d entries)\n",
 			out, e.NumShards(), e.NumImages(), e.NumShapes(), e.NumEntries())
 	case *geosir.Engine:
-		if err := e.SaveFileAs(out, geosir.FormatGSIR3); err != nil {
+		if err := e.SaveFile(out); err != nil {
 			return err
 		}
 		fmt.Printf("wrote snapshot %s (%d images, %d shapes, %d entries)\n",

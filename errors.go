@@ -8,7 +8,8 @@ import "errors"
 // message strings, and the HTTP layer maps them to statuses uniformly.
 var (
 	// ErrNotFrozen is returned by query entry points invoked before
-	// Freeze built the retrieval indexes.
+	// Freeze built the retrieval indexes, and by Save of an engine that
+	// has shapes but no index to write.
 	ErrNotFrozen = errors.New("geosir: engine must be frozen")
 	// ErrFrozen is returned by mutating entry points (AddImage) invoked
 	// after Freeze made the engine read-only.

@@ -516,10 +516,9 @@ func (se *ShardedEngine) Compact() error {
 	}
 	newShard := len(v.shards)
 	if eng != nil {
-		// The compacted shard is frozen, so commit it in the GSIR3
-		// frozen-shard format: the next reload assembles (or mmaps) it
-		// instead of re-deriving the index.
-		if err := eng.SaveFileAs(filepath.Join(g.cfg.Dir, shardFileName(newShard)), FormatGSIR3); err != nil {
+		// The compacted shard is frozen, so the next reload assembles
+		// (or mmaps) it instead of re-deriving the index.
+		if err := eng.SaveFile(filepath.Join(g.cfg.Dir, shardFileName(newShard))); err != nil {
 			return fmt.Errorf("geosir: saving compacted shard: %w", err)
 		}
 	}

@@ -154,7 +154,7 @@ func TestOpenDerivesNoCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "demo200.gsir3")
-	if err := eng.SaveFileAs(path, geosir.FormatGSIR3); err != nil {
+	if err := eng.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	q := synth.Queries(rand.New(rand.NewSource(9)), images, 1, 0.01)[0]

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 )
 
 // The container's framing: its magic and version, the header's and a table
@@ -96,11 +97,11 @@ func ParseHeader(hdr []byte) (int, error) {
 	return int(nsec), nil
 }
 
-// ParseRows parses a section table (its trailing CRC included) for a file
-// of fileLen bytes — the one table parse, shared by Parse and a reader of
-// a stream's prefix. Rows are checked for alignment, order and bounds;
-// payload CRCs are NOT verified here.
-func ParseRows(table []byte, fileLen uint64) ([]Section, error) {
+// ParseRows parses a section table (its trailing CRC included) — the one
+// table parse, shared by Parse and a reader of a stream's prefix. Rows are
+// checked for alignment and order, and bounded by each other and by
+// math.MaxInt64, not by any file; payload CRCs are NOT verified here.
+func ParseRows(table []byte) ([]Section, error) {
 	tableLen := len(table) - 4
 	if crc32.ChecksumIEEE(table[:tableLen]) != binary.LittleEndian.Uint32(table[tableLen:]) {
 		return nil, fmt.Errorf("geosir: GSIR3 section table checksum mismatch")
@@ -118,9 +119,9 @@ func ParseRows(table []byte, fileLen uint64) ([]Section, error) {
 		if s.Off%Align != 0 {
 			return nil, fmt.Errorf("geosir: section %s at misaligned offset %d", s.Tag, s.Off)
 		}
-		if s.Off < prevEnd || s.Off > fileLen || s.Len > fileLen-s.Off {
-			return nil, fmt.Errorf("geosir: section %s [%d,+%d) outside file of %d bytes",
-				s.Tag, s.Off, s.Len, fileLen)
+		if s.Off < prevEnd || s.Off > math.MaxInt64 || s.Len > math.MaxInt64-s.Off {
+			return nil, fmt.Errorf("geosir: section %s at [%d,+%d) overlaps the table or the section before it, or overflows",
+				s.Tag, s.Off, s.Len)
 		}
 		prevEnd = s.Off + s.Len
 		secs[i] = s
@@ -128,9 +129,11 @@ func ParseRows(table []byte, fileLen uint64) ([]Section, error) {
 	return secs, nil
 }
 
-// Parse validates the header and section table of a complete GSIR3 byte
-// image (magic included) and returns the table rows, which must cover the
-// file exactly.
+// Parse validates the header and section table of a GSIR3 byte image
+// (magic included) and returns the table rows. A file that runs past the
+// end of its last payload is refused; one that ends early is not — its
+// rows are returned as the table states them, and a payload that reaches
+// past len(data) is the caller's to find torn.
 func Parse(data []byte) ([]Section, error) {
 	if len(data) < HeaderLen {
 		return nil, fmt.Errorf("geosir: GSIR3 snapshot truncated at %d bytes", len(data))
@@ -146,11 +149,11 @@ func Parse(data []byte) ([]Section, error) {
 	if len(data) < tableEnd {
 		return nil, fmt.Errorf("geosir: GSIR3 section table truncated")
 	}
-	secs, err := ParseRows(data[HeaderLen:tableEnd], uint64(len(data)))
+	secs, err := ParseRows(data[HeaderLen:tableEnd])
 	if err != nil {
 		return nil, err
 	}
-	if end := secs[nsec-1].Off + secs[nsec-1].Len; end != uint64(len(data)) {
+	if end := secs[nsec-1].Off + secs[nsec-1].Len; end < uint64(len(data)) {
 		return nil, fmt.Errorf("geosir: %d trailing bytes after final section", uint64(len(data))-end)
 	}
 	return secs, nil

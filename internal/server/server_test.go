@@ -579,7 +579,7 @@ func TestReloadEndpoint(t *testing.T) {
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Images != 5 || out.Shapes != 8 || out.Format != "GSIR2" {
+	if out.Images != 5 || out.Shapes != 8 || out.Format != "GSIR3" {
 		t.Errorf("reload response = %+v", out)
 	}
 	if resp, _ := get(t, ts.URL+"/readyz"); resp.StatusCode != 200 {

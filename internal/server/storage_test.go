@@ -19,7 +19,7 @@ func TestLoadModeMmapServing(t *testing.T) {
 		t.Skip("mmap serving not supported on this platform/build")
 	}
 	path := filepath.Join(t.TempDir(), "base.gsir3")
-	if err := testEngine(t).SaveFileAs(path, geosir.FormatGSIR3); err != nil {
+	if err := testEngine(t).SaveFile(path); err != nil {
 		t.Fatalf("SaveFileAs: %v", err)
 	}
 

@@ -7,38 +7,35 @@ import (
 	"path/filepath"
 )
 
-// Save / Load persist an engine's image base. The format stores the
-// options and the raw shapes; indices (normalized copies, range
-// structures, hash table) are deterministic functions of those, so Load
-// rebuilds them with Freeze and the reloaded engine answers every query
-// identically.
+// Save / Load persist an engine's image base.
 //
-// Three stream formats are read, two are written. GSIR1 (persist_v1.go)
-// is the legacy format, read-only: a bare concatenation of options and
-// shapes with no integrity protection. GSIR2 (persist_v2.go) is the
-// portable format, and the one that snapshots an engine frozen or not:
-// the same payload split into length-prefixed sections (one for the
-// options, one per image), each followed by a CRC32 of its payload, so
-// truncation and corruption are detected instead of silently loading a
-// skewed image base, and LoadPartial can salvage every image whose
-// section still verifies. GSIR3 (persist_v3.go) additionally serializes
-// the frozen index itself as aligned, checksummed array sections
-// declared by one section table, so opening a snapshot is assembly
-// instead of a geometry rebuild — and on capable platforms the sections
-// are mmap'd and used in place (LoadFileMmap). Save writes GSIR2; Load,
-// LoadPartial and Peek read all three.
+// Three stream formats are read, one is written. GSIR3 (persist_v3.go) is
+// the format every writer produces: the raw shapes plus the frozen index
+// as aligned, checksummed array sections declared by one section table, so
+// opening a snapshot is assembly instead of a geometry rebuild — and on
+// capable platforms the sections are mmap'd and used in place
+// (LoadFileMmap). GSIR1 (persist_v1.go) and GSIR2 (persist_v2.go) are the
+// formats of earlier writers, kept readable: GSIR1 a bare concatenation of
+// options and shapes, GSIR2 the same payload in length-prefixed sections,
+// each followed by a CRC32. They store no index, so their loader rebuilds
+// it with Freeze — deterministically, so the engine answers as the one
+// saved.
+//
+// Each format has one decoder, and it salvages: LoadPartial returns what
+// it proved intact and a Recovery saying what it dropped. Load is that
+// decoder refusing any recovery that is not complete.
 
 // Format identifies a snapshot stream format.
 type Format int
 
 const (
-	// FormatGSIR1 is the legacy unchecksummed format. It is only read:
-	// Peek reports it, SaveAs refuses it.
+	// FormatGSIR1 is the legacy unchecksummed format, read only.
 	FormatGSIR1 Format = 1
-	// FormatGSIR2 is the portable checksummed, section-framed format.
+	// FormatGSIR2 is the checksummed, section-framed format of earlier
+	// writers, read only.
 	FormatGSIR2 Format = 2
-	// FormatGSIR3 is the mmap-friendly frozen-shard format: raw shapes
-	// plus every derived query-time structure as aligned array sections.
+	// FormatGSIR3 is the format Save writes: raw shapes plus every derived
+	// query-time structure as aligned array sections.
 	FormatGSIR3 Format = 3
 )
 
@@ -67,49 +64,20 @@ func freezeLoaded(eng *Engine) error {
 	return eng.Freeze()
 }
 
-// Save writes the engine's configuration and image base to w in the
-// current (GSIR2, checksummed) format. The engine may be saved before or
-// after Freeze. The encoding is canonical: saving, loading, and saving
-// again reproduces the stream byte for byte.
-func (e *Engine) Save(w io.Writer) error { return e.SaveAs(w, FormatGSIR2) }
-
-// SaveAs writes the engine in the requested stream format: FormatGSIR2
-// (any engine) or FormatGSIR3 (a frozen one).
-func (e *Engine) SaveAs(w io.Writer, f Format) error {
-	switch f {
-	case FormatGSIR2:
-		return e.saveGSIR2(w)
-	case FormatGSIR3:
-		return e.saveGSIR3(w)
-	default:
-		return fmt.Errorf("geosir: unknown snapshot format %d", f)
-	}
-}
-
-// Load reads an engine saved with Save or SaveAs (the format is
-// negotiated from the magic), rebuilds every index, and returns it frozen
-// (ready to query). Any truncation, framing damage, or (for GSIR2
-// streams) checksum mismatch fails the load; use LoadPartial to salvage
-// what survives from a damaged snapshot.
+// Load reads an engine saved in any of the three formats (negotiated from
+// the magic) and returns it frozen, ready to query — or, for a snapshot of
+// no shapes, empty and unfrozen. It is LoadPartial refusing every recovery
+// that is not complete: any truncation, framing damage or checksum
+// mismatch fails it with the first damage met (Recovery.Err).
 func Load(r io.Reader) (*Engine, error) {
-	cr := &countReader{r: r}
-	magic, err := readMagic(cr)
+	eng, rec, err := LoadPartial(r)
 	if err != nil {
 		return nil, err
 	}
-	switch magic {
-	case magicGSIR1:
-		return loadGSIR1(cr)
-	case magicGSIR2:
-		return loadGSIR2(cr)
-	case magicGSIR3:
-		data, err := readAllWithMagic(magic, cr)
-		if err != nil {
-			return nil, err
-		}
-		return loadGSIR3Bytes(data, false)
+	if rec.Err != nil {
+		return nil, rec.Err
 	}
-	return nil, fmt.Errorf("geosir: bad magic %q", magic)
+	return eng, nil
 }
 
 // DroppedImage describes one image section that LoadPartial could not
@@ -149,26 +117,38 @@ type Recovery struct {
 	// mangled length prefix) before the declared image count was reached.
 	Truncated bool
 	// AuxDropped counts declared auxiliary sections (derived data such
-	// as the ANN signatures) that failed verification or were never
-	// reached. The engine is unaffected — Freeze rebuilds derived
-	// structures deterministically — but the snapshot was damaged.
+	// as the ANN signatures, or a GSIR3 file's frozen index) that failed
+	// verification or were never reached. The engine is unaffected —
+	// derived structures are rebuilt deterministically — but the snapshot
+	// was damaged.
 	AuxDropped int
+	// Err is the first damage the decoder met, nil when it met none: a
+	// dropped or unread image, lost framing, a dropped auxiliary section,
+	// or bytes past a GSIR2 stream's final section. Load returns it.
+	Err error
 }
 
-// Complete reports whether the snapshot was recovered in full — in that
-// case the engine is identical to a plain Load.
-func (rec *Recovery) Complete() bool {
-	return rec != nil && len(rec.Dropped) == 0 && rec.ImagesUnread == 0 && !rec.Truncated &&
-		rec.AuxDropped == 0
+// Complete reports whether the snapshot was recovered in full — exactly
+// when Err is nil, and exactly when a plain Load of the same bytes
+// succeeds with the same engine.
+func (rec *Recovery) Complete() bool { return rec != nil && rec.Err == nil }
+
+// damage records err as the first damage met, unless one is recorded.
+func (rec *Recovery) damage(err error) {
+	if rec.Err == nil {
+		rec.Err = err
+	}
 }
 
 // LoadPartial reads a possibly damaged snapshot and salvages every image
-// whose bytes still verify, returning the frozen engine plus a Recovery
-// describing exactly what was dropped. For GSIR2 streams each image
-// section is independently CRC-protected, so a single corrupted image
-// costs only that image; for GSIR1 streams (no framing) the undamaged
-// prefix is salvaged. The options section/header must be intact — without
-// it no engine can be constructed and an error is returned.
+// whose bytes still verify, returning the engine (frozen unless it holds no
+// shapes) plus a Recovery describing exactly what was dropped. For GSIR2
+// streams each image section is independently CRC-protected, so a single
+// corrupted image costs only that image; for GSIR1 streams (no framing)
+// the undamaged prefix is salvaged; a GSIR3 file whose derived sections
+// are damaged or torn off is rebuilt from its raw sections. The options
+// section/header — and for GSIR3 the raw sections — must be intact:
+// without them no engine can be constructed and an error is returned.
 func LoadPartial(r io.Reader) (*Engine, *Recovery, error) {
 	cr := &countReader{r: r}
 	magic, err := readMagic(cr)
@@ -177,15 +157,15 @@ func LoadPartial(r io.Reader) (*Engine, *Recovery, error) {
 	}
 	switch magic {
 	case magicGSIR1:
-		return loadPartialGSIR1(cr)
+		return loadGSIR1(cr)
 	case magicGSIR2:
-		return loadPartialGSIR2(cr)
+		return loadGSIR2(cr)
 	case magicGSIR3:
 		data, err := readAllWithMagic(magic, cr)
 		if err != nil {
 			return nil, nil, err
 		}
-		return loadPartialGSIR3Bytes(data)
+		return loadGSIR3(data, false)
 	}
 	return nil, nil, fmt.Errorf("geosir: bad magic %q", magic)
 }
@@ -196,19 +176,14 @@ func LoadPartial(r io.Reader) (*Engine, *Recovery, error) {
 // any point leaves the previous snapshot intact; the new snapshot becomes
 // visible only as a whole.
 func (e *Engine) SaveFile(path string) error {
-	return e.saveFileAtomic(path, FormatGSIR2, nil)
-}
-
-// SaveFileAs is SaveFile in an explicit stream format.
-func (e *Engine) SaveFileAs(path string, f Format) error {
-	return e.saveFileAtomic(path, f, nil)
+	return e.saveFileAtomic(path, nil)
 }
 
 // saveFileAtomic writes the snapshot to path with the
-// temp-fsync-rename-dirsync discipline every format shares. The wrap
-// hook lets tests interpose a fault-injecting writer between SaveAs and
-// the temp file to exercise every crash point of the write path.
-func (e *Engine) saveFileAtomic(path string, f Format, wrap func(io.Writer) io.Writer) error {
+// temp-fsync-rename-dirsync discipline. The wrap hook lets tests
+// interpose a fault-injecting writer between Save and the temp file to
+// exercise every crash point of the write path.
+func (e *Engine) saveFileAtomic(path string, wrap func(io.Writer) io.Writer) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -220,7 +195,7 @@ func (e *Engine) saveFileAtomic(path string, f Format, wrap func(io.Writer) io.W
 	if wrap != nil {
 		w = wrap(tmp)
 	}
-	if err := e.SaveAs(w, f); err != nil {
+	if err := e.Save(w); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -274,9 +249,9 @@ type SnapshotInfo struct {
 }
 
 // Peek reads only the snapshot header — magic plus the options section —
-// and returns its metadata. For GSIR2 streams the options section's CRC
-// is verified, so a Peek that succeeds on a GSIR2 snapshot also proves
-// the header is intact; shape sections are not read.
+// and returns its metadata. In GSIR2 and GSIR3 snapshots the options
+// section's CRC (and GSIR3's section table's) is verified, so a Peek that
+// succeeds also proves the header is intact; shape sections are not read.
 func Peek(r io.Reader) (SnapshotInfo, error) {
 	magic, err := readMagic(r)
 	if err != nil {

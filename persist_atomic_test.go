@@ -11,11 +11,12 @@ import (
 	"testing"
 
 	"repro/internal/iofault"
+	"repro/internal/mmap"
 )
 
-// altEngine builds an engine whose snapshot differs from buildEngine's,
-// so an atomicity violation (new bytes leaking into the old snapshot)
-// cannot go unnoticed.
+// altEngine builds a frozen engine whose snapshot differs from
+// buildEngine's, so an atomicity violation (new bytes leaking into the old
+// snapshot) cannot go unnoticed.
 func altEngine(t *testing.T) *Engine {
 	t.Helper()
 	eng := New(DefaultOptions())
@@ -28,10 +29,13 @@ func altEngine(t *testing.T) *Engine {
 			t.Fatalf("AddImage(%d): %v", id, err)
 		}
 	}
+	if err := eng.Freeze(); err != nil {
+		t.Fatal(err)
+	}
 	return eng
 }
 
-// snapshotBytes returns the canonical GSIR2 encoding of eng.
+// snapshotBytes returns the canonical encoding of eng: what Save writes.
 func snapshotBytes(t *testing.T, eng *Engine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -59,8 +63,8 @@ func faultOffsets(size int) []int {
 }
 
 // TestSaveFileAtomicUnderWriteFaults kills SaveFile at every grid offset
-// and checks the previous snapshot survives byte-identical, loadable, and
-// without temp-file litter.
+// and checks the previous snapshot survives byte-identical, loadable (heap
+// and mapped), and without temp-file litter.
 func TestSaveFileAtomicUnderWriteFaults(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "base.gsir")
@@ -75,7 +79,7 @@ func TestSaveFileAtomicUnderWriteFaults(t *testing.T) {
 	next := altEngine(t)
 	size := len(snapshotBytes(t, next))
 	for _, off := range faultOffsets(size) {
-		err := next.saveFileAtomic(path, FormatGSIR2, func(w io.Writer) io.Writer {
+		err := next.saveFileAtomic(path, func(w io.Writer) io.Writer {
 			return iofault.FailWriter(w, int64(off))
 		})
 		if !errors.Is(err, iofault.ErrInjected) {
@@ -100,9 +104,16 @@ func TestSaveFileAtomicUnderWriteFaults(t *testing.T) {
 			t.Fatalf("offset %d: temp litter left behind: %v", off, names)
 		}
 	}
-	// The prior snapshot must still load and answer queries.
+	// The prior snapshot must still load — in both modes.
 	if _, err := LoadFile(path); err != nil {
 		t.Fatalf("prior snapshot no longer loads: %v", err)
+	}
+	if mmap.Supported() && mmap.CanCast() {
+		m, err := LoadFileMmap(path)
+		if err != nil {
+			t.Fatalf("prior snapshot no longer maps: %v", err)
+		}
+		m.Close()
 	}
 	// A clean save finally replaces it.
 	if err := next.SaveFile(path); err != nil {
@@ -120,17 +131,20 @@ func TestSaveFileAtomicUnderWriteFaults(t *testing.T) {
 // TestSaveFileTornWriteDetected models the one failure rename-based
 // atomicity cannot prevent: the writer lies about success (lost page
 // cache without the fsync taking effect), publishing a truncated
-// snapshot. The format must then detect the damage on load — never
-// produce a silently smaller image base — and LoadPartial must salvage
-// the verified prefix.
+// snapshot. The format must then detect the damage on load — Load and
+// LoadFileMmap refuse every cut, never a silently smaller image base — and
+// LoadPartial, which needs the raw sections whole, must refuse every cut
+// inside them and salvage every image from every cut past them, the torn
+// derived sections counted in AuxDropped.
 func TestSaveFileTornWriteDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "base.gsir")
 	eng := buildEngine(t)
 	full := snapshotBytes(t, eng)
+	rawEnd := v3SectionEnd(t, full, "RAWV")
 	nimg := eng.NumImages()
 	for _, off := range faultOffsets(len(full)) {
-		err := eng.saveFileAtomic(path, FormatGSIR2, func(w io.Writer) io.Writer {
+		err := eng.saveFileAtomic(path, func(w io.Writer) io.Writer {
 			return iofault.TruncWriter(w, int64(off))
 		})
 		if err != nil {
@@ -141,39 +155,41 @@ func TestSaveFileTornWriteDetected(t *testing.T) {
 		if _, err := LoadFile(path); err == nil {
 			t.Fatalf("offset %d: truncated snapshot loaded without error", off)
 		}
+		if _, err := LoadFileMmap(path); err == nil {
+			t.Fatalf("offset %d: truncated snapshot mmap-loaded without error", off)
+		}
 		eng2, rec, err := LoadPartialFile(path)
+		if (err != nil) != (off < rawEnd) {
+			t.Fatalf("offset %d (raw sections end at %d): LoadPartial error %v", off, rawEnd, err)
+		}
 		if err != nil {
-			// Unrecoverable only while the options section is incomplete.
-			if off >= magicLen+4+optionsSectionLen+4 {
-				t.Fatalf("offset %d: recovery failed past options section: %v", off, err)
-			}
 			continue
 		}
-		if rec.Complete() {
-			t.Fatalf("offset %d: truncated snapshot reported complete", off)
+		if rec.Complete() || rec.AuxDropped == 0 {
+			t.Fatalf("offset %d: truncated snapshot reported %+v, want the torn sections counted", off, rec)
 		}
-		if got := rec.ImagesLoaded + len(rec.Dropped) + rec.ImagesUnread; got != nimg {
-			t.Fatalf("offset %d: %d loaded + %d dropped + %d unread ≠ %d expected",
-				off, rec.ImagesLoaded, len(rec.Dropped), rec.ImagesUnread, nimg)
-		}
-		if eng2.NumImages() != rec.ImagesLoaded {
-			t.Fatalf("offset %d: engine has %d images, report says %d",
-				off, eng2.NumImages(), rec.ImagesLoaded)
+		if rec.ImagesLoaded != nimg || eng2.NumImages() != nimg {
+			t.Fatalf("offset %d: engine has %d images, report says %d, want %d",
+				off, eng2.NumImages(), rec.ImagesLoaded, nimg)
 		}
 	}
 }
 
-// TestCorruptionFlipSweep flips every byte of a GSIR2 snapshot (two bit
+// TestCorruptionFlipSweep flips every byte of the GSIR2 golden (two bit
 // patterns) and checks the acceptance contract: each flip is either
-// caught (Load fails) or harmless (identical image base) — and
-// LoadPartial either reports the damaged images or recovers a base
-// identical to the original. Never a silently different image base.
+// caught (Load fails) or harmless (the engine re-saves to the bytes the
+// pristine golden's does) — and LoadPartial either reports the damage or
+// recovers that same base. Never a silently different image base.
 func TestCorruptionFlipSweep(t *testing.T) {
-	eng := buildEngine(t)
+	golden := gsir2Golden(t)
+	eng, err := Load(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pristine := snapshotBytes(t, eng)
 	for _, xor := range []byte{0xFF, 0x01} {
-		for off := 0; off < len(pristine); off++ {
-			mut := append([]byte(nil), pristine...)
+		for off := 0; off < len(golden); off++ {
+			mut := bytes.Clone(golden)
 			mut[off] ^= xor
 			if le, err := Load(bytes.NewReader(mut)); err == nil {
 				resaved := snapshotBytes(t, le)
@@ -191,7 +207,7 @@ func TestCorruptionFlipSweep(t *testing.T) {
 					t.Fatalf("offset %d xor %#x: LoadPartial claimed complete recovery of a different base", off, xor)
 				}
 			} else if len(rec.Dropped) == 0 && rec.ImagesUnread == 0 && rec.AuxDropped == 0 {
-				t.Fatalf("offset %d xor %#x: incomplete recovery with no damage reported", off, xor)
+				t.Fatalf("offset %d xor %#x: incomplete recovery (%v) with no loss reported", off, xor, rec.Err)
 			}
 		}
 	}
@@ -218,10 +234,11 @@ func sectionOffsets(t *testing.T, data []byte) []int {
 }
 
 // TestLoadPartialSalvagesVerifiedImages corrupts exactly one image
-// section and checks every other image survives with the damage reported.
+// section of the GSIR2 golden and checks every other image survives, with
+// the damage reported and Load refusing the stream.
 func TestLoadPartialSalvagesVerifiedImages(t *testing.T) {
 	eng := buildEngine(t)
-	data := snapshotBytes(t, eng)
+	data := gsir2Golden(t)
 	offs := sectionOffsets(t, data)
 	nimg := eng.NumImages()
 	// Options, one per image, and the trailing ANN auxiliary section.
@@ -232,12 +249,13 @@ func TestLoadPartialSalvagesVerifiedImages(t *testing.T) {
 	mut := append([]byte(nil), data...)
 	target := offs[2] + 4 + 5 // inside the payload
 	mut[target] ^= 0xFF
-	if _, err := Load(bytes.NewReader(mut)); err == nil {
-		t.Fatal("Load accepted a corrupt section")
-	}
+	_, lerr := Load(bytes.NewReader(mut))
 	eng2, rec, err := LoadPartial(bytes.NewReader(mut))
 	if err != nil {
 		t.Fatalf("LoadPartial: %v", err)
+	}
+	if lerr == nil || rec.Err == nil || lerr.Error() != rec.Err.Error() || !errors.Is(lerr, errBadCRC) {
+		t.Fatalf("Load = %v, want the report's first damage %v", lerr, rec.Err)
 	}
 	if rec.Format != "GSIR2" || rec.Truncated {
 		t.Fatalf("unexpected report: %+v", rec)
@@ -257,11 +275,12 @@ func TestLoadPartialSalvagesVerifiedImages(t *testing.T) {
 	mustSearch(t, eng2, SearchRequest{Query: q, K: 3})
 }
 
-// TestLoadPartialTruncatedTail truncates mid-stream: the verified prefix
-// is salvaged, the remainder is reported dropped with Truncated set.
+// TestLoadPartialTruncatedTail truncates the GSIR2 golden mid-stream: the
+// verified prefix is salvaged, the remainder is reported dropped with
+// Truncated set.
 func TestLoadPartialTruncatedTail(t *testing.T) {
 	eng := buildEngine(t)
-	data := snapshotBytes(t, eng)
+	data := gsir2Golden(t)
 	offs := sectionOffsets(t, data)
 	nimg := eng.NumImages()
 	cut := offs[3] + 6 // mid-way through the third image's section
@@ -311,11 +330,10 @@ func TestLoadPartialGSIR1Prefix(t *testing.T) {
 }
 
 // TestLoadPartialUnrecoverableOptions verifies the documented failure
-// mode: a destroyed options section cannot be recovered from.
+// mode: a destroyed options section of the GSIR2 golden cannot be
+// recovered from.
 func TestLoadPartialUnrecoverableOptions(t *testing.T) {
-	eng := buildEngine(t)
-	data := snapshotBytes(t, eng)
-	mut := append([]byte(nil), data...)
+	mut := gsir2Golden(t)
 	mut[magicLen+4+3] ^= 0xFF // inside the options payload
 	_, _, err := LoadPartial(bytes.NewReader(mut))
 	if err == nil || !strings.Contains(err.Error(), "options") {

@@ -21,27 +21,43 @@ func fuzzSeedEngine() *Engine {
 	return eng
 }
 
-// FuzzLoad feeds arbitrary bytes to the snapshot readers. Invariants:
-// neither Load nor LoadPartial may panic or over-allocate, and anything
-// Load accepts must re-save canonically (save → load → save is a byte
-// fixed point, so no accepted stream can describe an ambiguous base).
-func FuzzLoad(f *testing.F) {
-	eng := fuzzSeedEngine()
-	v1 := gsir1Golden(f)
-	var v2 bytes.Buffer
-	if err := eng.SaveAs(&v2, FormatGSIR2); err != nil {
-		f.Fatal(err)
+// checkCompleteMeansLoad is the fuzz targets' shared rule: LoadPartial
+// reports Complete() exactly when Load succeeds (an error from LoadPartial
+// counts as not complete), and its accounting covers every declared image.
+func checkCompleteMeansLoad(t *testing.T, data []byte, lerr error) {
+	t.Helper()
+	_, rec, err := LoadPartial(bytes.NewReader(data))
+	if complete := err == nil && rec.Complete(); complete != (lerr == nil) {
+		t.Fatalf("LoadPartial complete = %v (err %v), Load error %v", complete, err, lerr)
 	}
+	if err != nil {
+		return
+	}
+	if got := rec.ImagesLoaded + len(rec.Dropped) + rec.ImagesUnread; got != rec.ImagesExpected {
+		t.Fatalf("recovery accounting: %d loaded + %d dropped + %d unread ≠ %d expected",
+			rec.ImagesLoaded, len(rec.Dropped), rec.ImagesUnread, rec.ImagesExpected)
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the snapshot readers, seeded from the
+// GSIR1 and GSIR2 goldens. Invariants: neither Load nor LoadPartial may
+// panic or over-allocate, LoadPartial reports Complete() exactly when Load
+// succeeds, and anything Load accepts must re-save canonically (save →
+// load → save is a byte fixed point, so no accepted stream can describe an
+// ambiguous base).
+func FuzzLoad(f *testing.F) {
+	v1, v2 := gsir1Golden(f), gsir2Golden(f)
 	f.Add(v1)
-	f.Add(v2.Bytes())
+	f.Add(v2)
 	f.Add(v1[:len(v1)/2])
-	f.Add(v2.Bytes()[:v2.Len()/2])
+	f.Add(v2[:len(v2)/2])
 	f.Add([]byte(magicGSIR1))
 	f.Add([]byte(magicGSIR2))
 	f.Add([]byte("GSIR2\n\xff\xff\xff\xff"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if le, err := Load(bytes.NewReader(data)); err == nil {
+		le, err := Load(bytes.NewReader(data))
+		if err == nil {
 			var b1 bytes.Buffer
 			if err := le.Save(&b1); err != nil {
 				t.Fatalf("accepted stream failed to re-save: %v", err)
@@ -62,29 +78,22 @@ func FuzzLoad(f *testing.F) {
 					le2.NumImages(), le2.NumShapes(), le.NumImages(), le.NumShapes())
 			}
 		}
-		// The salvage path must hold the same no-panic guarantee, and its
-		// accounting must cover every declared image.
-		if _, rec, err := LoadPartial(bytes.NewReader(data)); err == nil {
-			if got := rec.ImagesLoaded + len(rec.Dropped) + rec.ImagesUnread; got != rec.ImagesExpected {
-				t.Fatalf("recovery accounting: %d loaded + %d dropped + %d unread ≠ %d expected",
-					rec.ImagesLoaded, len(rec.Dropped), rec.ImagesUnread, rec.ImagesExpected)
-			}
-		}
+		checkCompleteMeansLoad(t, data, err)
 	})
 }
 
-// FuzzLoadV3 feeds arbitrary bytes to the GSIR3 section readers (strict
-// and salvage). Invariants: no panic, no over-allocation, anything the
-// strict loader accepts re-saves canonically as GSIR3 (save → load →
-// save is a byte fixed point), and the salvage accounting covers every
-// declared image — salvage-or-refuse, never a silently wrong base.
+// FuzzLoadV3 feeds arbitrary bytes to the GSIR3 decoder. Invariants: no
+// panic, no over-allocation, anything Load accepts re-saves canonically
+// (save → load → save is a byte fixed point), LoadPartial reports
+// Complete() exactly when Load succeeds, and the salvage accounting covers
+// every declared image — salvage-or-refuse, never a silently wrong base.
 func FuzzLoadV3(f *testing.F) {
 	eng := fuzzSeedEngine()
 	if err := eng.Freeze(); err != nil {
 		f.Fatal(err)
 	}
 	var v3 bytes.Buffer
-	if err := eng.SaveAs(&v3, FormatGSIR3); err != nil {
+	if err := eng.Save(&v3); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v3.Bytes())
@@ -99,10 +108,8 @@ func FuzzLoadV3(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		le, err := Load(bytes.NewReader(data))
 		if err == nil && bytes.HasPrefix(data, []byte(magicGSIR3)) {
-			// A GSIR3 stream always assembles a frozen engine, so it must
-			// round-trip through the canonical v3 writer.
 			var b1 bytes.Buffer
-			if err := le.SaveAs(&b1, FormatGSIR3); err != nil {
+			if err := le.Save(&b1); err != nil {
 				t.Fatalf("accepted GSIR3 stream failed to re-save: %v", err)
 			}
 			le2, err := Load(bytes.NewReader(b1.Bytes()))
@@ -110,7 +117,7 @@ func FuzzLoadV3(f *testing.F) {
 				t.Fatalf("canonical re-save failed to load: %v", err)
 			}
 			var b2 bytes.Buffer
-			if err := le2.SaveAs(&b2, FormatGSIR3); err != nil {
+			if err := le2.Save(&b2); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
@@ -122,11 +129,6 @@ func FuzzLoadV3(f *testing.F) {
 					le.NumImages(), le.NumShapes(), le.NumEntries())
 			}
 		}
-		if _, rec, err := LoadPartial(bytes.NewReader(data)); err == nil {
-			if got := rec.ImagesLoaded + len(rec.Dropped) + rec.ImagesUnread; got != rec.ImagesExpected {
-				t.Fatalf("recovery accounting: %d loaded + %d dropped + %d unread ≠ %d expected",
-					rec.ImagesLoaded, len(rec.Dropped), rec.ImagesUnread, rec.ImagesExpected)
-			}
-		}
+		checkCompleteMeansLoad(t, data, err)
 	})
 }

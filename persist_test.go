@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -124,8 +123,19 @@ func TestReloadedQueryEquivalence(t *testing.T) {
 // last GSIR1 writer this repo had. The format is read-only now, so these
 // bytes are what keeps its readers under test.
 func gsir1Golden(tb testing.TB) []byte {
+	return testdataBytes(tb, filepath.Join("testdata", "gsir1", "base.gsir1"))
+}
+
+// gsir2Golden is a GSIR2 snapshot of the same base, with its ANN1
+// section, written by the last GSIR2 writer this repo had: what keeps the
+// GSIR2 reader under test now that nothing writes the format.
+func gsir2Golden(tb testing.TB) []byte {
+	return testdataBytes(tb, filepath.Join("testdata", "gsir2", "base.gsir2"))
+}
+
+func testdataBytes(tb testing.TB, path string) []byte {
 	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "gsir1", "base.gsir1"))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -133,8 +143,8 @@ func gsir1Golden(tb testing.TB) []byte {
 }
 
 // TestLoadGSIR1Golden reads the legacy format from the golden file: Load
-// recovers exactly buildEngine's base (its canonical GSIR2 encoding is
-// the original's, and it answers like the GSIR2 round trip, its copies in
+// recovers exactly buildEngine's base (it re-saves to the original's
+// bytes, and answers like the original's round trip, its copies in
 // half-turn pairs), Peek reads the header. (LoadPartial:
 // TestLoadPartialGSIR1Prefix, on the same bytes.)
 func TestLoadGSIR1Golden(t *testing.T) {
@@ -148,11 +158,11 @@ func TestLoadGSIR1Golden(t *testing.T) {
 	if !bytes.Equal(snapshotBytes(t, v1), want) {
 		t.Fatal("the golden GSIR1 snapshot does not decode to buildEngine's base")
 	}
-	v2, err := Load(bytes.NewReader(want))
+	v3, err := Load(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEngineEquivalence(t, v2, v1)
+	checkEngineEquivalence(t, v3, v1)
 	checkMirroredPairs(t, v1)
 
 	info, err := Peek(bytes.NewReader(data))
@@ -162,6 +172,83 @@ func TestLoadGSIR1Golden(t *testing.T) {
 	if info.Format != FormatGSIR1 || info.FormatName != "GSIR1" ||
 		info.Images != orig.NumImages() || info.Options != orig.Options() {
 		t.Errorf("Peek(golden) = %+v", info)
+	}
+}
+
+// TestLoadGSIR2Golden reads the GSIR2 golden: Load recovers exactly
+// buildEngine's base — it answers as buildEngine does, and its re-save is
+// a GSIR3 file, byte for byte the one buildEngine saves — and Peek reads
+// the header. (The GSIR2 salvage paths: TestLoadPartialSalvagesVerifiedImages,
+// TestLoadPartialTruncatedTail and TestCorruptionFlipSweep, on the same
+// bytes.)
+func TestLoadGSIR2Golden(t *testing.T) {
+	orig := buildEngine(t)
+	data := gsir2Golden(t)
+	v2, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Load(golden): %v", err)
+	}
+	checkEngineEquivalence(t, orig, v2)
+	checkMirroredPairs(t, v2)
+	resaved := snapshotBytes(t, v2)
+	if !bytes.Equal(resaved, snapshotBytes(t, orig)) {
+		t.Fatal("the golden GSIR2 snapshot does not re-save to buildEngine's bytes")
+	}
+	if info, err := Peek(bytes.NewReader(resaved)); err != nil || info.Format != FormatGSIR3 {
+		t.Fatalf("Peek(re-save) = %+v, %v; want GSIR3", info, err)
+	}
+
+	info, err := Peek(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Peek(golden): %v", err)
+	}
+	if info.Format != FormatGSIR2 || info.FormatName != "GSIR2" ||
+		info.Images != orig.NumImages() || info.Options != orig.Options() {
+		t.Errorf("Peek(golden) = %+v", info)
+	}
+}
+
+// TestPersistCompleteMeansLoad holds every decoder to one rule: LoadPartial
+// reports Complete() exactly when Load succeeds — an error from LoadPartial
+// counts as not complete — and where both succeed the two engines answer
+// alike. It runs over a file of each format read (the GSIR1 and GSIR2
+// goldens, a fresh GSIR3 file and the older writer's GSIR3 golden), each
+// clean, with 4 trailing bytes, with one payload byte flipped (the 5th
+// from the end: inside the last payload of every format), and cut in half.
+func TestPersistCompleteMeansLoad(t *testing.T) {
+	files := []struct {
+		name string
+		data []byte
+	}{
+		{"GSIR1", gsir1Golden(t)},
+		{"GSIR2", gsir2Golden(t)},
+		{"GSIR3", snapshotBytes(t, buildEngine(t))},
+		{"GSIR3 golden", gsir3KDTreeGolden(t)},
+	}
+	for _, f := range files {
+		flipped := bytes.Clone(f.data)
+		flipped[len(flipped)-5] ^= 0x10
+		for _, c := range []struct {
+			name string
+			data []byte
+		}{
+			{"clean", f.data},
+			{"trailing", append(bytes.Clone(f.data), 0, 0, 0, 0)},
+			{"flipped", flipped},
+			{"half", f.data[:len(f.data)/2]},
+		} {
+			t.Run(f.name+"/"+c.name, func(t *testing.T) {
+				loaded, lerr := Load(bytes.NewReader(c.data))
+				partial, rec, perr := LoadPartial(bytes.NewReader(c.data))
+				complete := perr == nil && rec.Complete()
+				if complete != (lerr == nil) {
+					t.Fatalf("LoadPartial complete = %v (err %v, report %+v), Load error %v", complete, perr, rec, lerr)
+				}
+				if complete {
+					checkEngineEquivalence(t, loaded, partial)
+				}
+			})
+		}
 	}
 }
 
@@ -179,17 +266,6 @@ func TestPersistEmptyEngine(t *testing.T) {
 	if loaded.NumImages() != 0 || loaded.NumShapes() != 0 {
 		t.Errorf("empty engine gained content: %d images, %d shapes",
 			loaded.NumImages(), loaded.NumShapes())
-	}
-}
-
-func TestSaveAsUnknownFormat(t *testing.T) {
-	eng := New(DefaultOptions())
-	// GSIR1 is read-only: asking for it is asking for an unknown format.
-	for _, f := range []Format{Format(99), FormatGSIR1} {
-		err := eng.SaveAs(&bytes.Buffer{}, f)
-		if err == nil || !strings.Contains(err.Error(), "unknown snapshot format") {
-			t.Errorf("SaveAs(format %d) = %v, want the unknown-format error", f, err)
-		}
 	}
 }
 
@@ -218,8 +294,8 @@ func TestPeek(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Peek: %v", err)
 	}
-	if info.Format != FormatGSIR2 {
-		t.Errorf("format = %v, want %v", info.Format, FormatGSIR2)
+	if info.Format != FormatGSIR3 {
+		t.Errorf("format = %v, want %v", info.Format, FormatGSIR3)
 	}
 	if info.Images != eng.NumImages() {
 		t.Errorf("images = %d, want %d", info.Images, eng.NumImages())
@@ -242,7 +318,7 @@ func TestPeekFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.FormatName != "GSIR2" || info.Images != eng.NumImages() || info.Size <= 0 {
+	if info.FormatName != "GSIR3" || info.Images != eng.NumImages() || info.Size <= 0 {
 		t.Errorf("info = %+v", info)
 	}
 	// A flipped byte inside the options section must fail the peek (CRC).
@@ -250,7 +326,7 @@ func TestPeekFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[magicLen+4+8] ^= 0xFF
+	raw[v3SectionEnd(t, raw, "OPTS")-8] ^= 0xFF
 	bad := filepath.Join(t.TempDir(), "bad.gsir")
 	if err := os.WriteFile(bad, raw, 0o644); err != nil {
 		t.Fatal(err)

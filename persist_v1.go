@@ -12,32 +12,8 @@ import (
 // curve count, then the images as a bare concatenation with no length
 // framing and no checksums. Read-only — Load, LoadPartial and Peek keep
 // old snapshots usable (testdata/gsir1/base.gsir1 is one, written by the
-// last writer this repo had); nothing here produces the format.
-
-// savedImage is one image's shapes in snapshot order.
-type savedImage struct {
-	id     int
-	shapes []Shape
-}
-
-// imagesInOrder groups the base's shapes by image, preserving first-seen
-// image order so the encoding is deterministic (and canonical for the
-// byte-identity guarantee).
-func (e *Engine) imagesInOrder() []savedImage {
-	base := e.db.Base()
-	byImage := make(map[int]int) // image id → index into out
-	var out []savedImage
-	for _, s := range base.Shapes() {
-		i, seen := byImage[s.Image]
-		if !seen {
-			i = len(out)
-			byImage[s.Image] = i
-			out = append(out, savedImage{id: s.Image})
-		}
-		out[i].shapes = append(out[i].shapes, s.Poly)
-	}
-	return out
-}
+// last writer this repo had); nothing here produces the format. Bytes
+// past the last declared image are not read.
 
 // v1Reader decodes the legacy stream after the magic.
 type v1Reader struct {
@@ -141,35 +117,11 @@ func (d *v1Reader) readImage() (int, []Shape, error) {
 	return int(imgID), shapes, nil
 }
 
-// loadGSIR1 reads a legacy stream (magic already consumed) and returns
-// the frozen engine. Any damage fails the load.
-func loadGSIR1(r io.Reader) (*Engine, error) {
-	d := newV1Reader(r)
-	opts, nimg, err := d.readOptions()
-	if err != nil {
-		return nil, err
-	}
-	eng := New(opts)
-	for i := uint32(0); i < nimg; i++ {
-		imgID, shapes, err := d.readImage()
-		if err != nil {
-			return nil, err
-		}
-		if err := eng.AddImage(imgID, shapes); err != nil {
-			return nil, fmt.Errorf("geosir: image %d: %w", imgID, err)
-		}
-	}
-	if err := freezeLoaded(eng); err != nil {
-		return nil, err
-	}
-	return eng, nil
-}
-
-// loadPartialGSIR1 salvages the undamaged prefix of a legacy stream.
-// GSIR1 has no section framing or checksums, so the first parse error
-// ends recovery: every fully parsed image before it is kept, everything
-// after is reported dropped.
-func loadPartialGSIR1(cr *countReader) (*Engine, *Recovery, error) {
+// loadGSIR1 is the GSIR1 decoder (magic already consumed): it salvages
+// the undamaged prefix of a legacy stream. GSIR1 has no section framing
+// or checksums, so the first parse error ends recovery: every fully
+// parsed image before it is kept, everything after is reported dropped.
+func loadGSIR1(cr *countReader) (*Engine, *Recovery, error) {
 	d := newV1Reader(cr)
 	opts, nimg, err := d.readOptions()
 	if err != nil {
@@ -190,6 +142,7 @@ func loadPartialGSIR1(cr *countReader) (*Engine, *Recovery, error) {
 				Err:     err,
 			})
 			rec.ImagesUnread = int(nimg) - int(i) - 1
+			rec.damage(fmt.Errorf("geosir: image %d of %d: %w", i+1, nimg, err))
 			break
 		}
 		// A decoded but invalid image (corrupt coordinate bytes still
@@ -200,6 +153,7 @@ func loadPartialGSIR1(cr *countReader) (*Engine, *Recovery, error) {
 				ImageID: imgID,
 				Err:     err,
 			})
+			rec.damage(fmt.Errorf("geosir: image %d: %w", imgID, err))
 			continue
 		}
 		rec.ImagesLoaded++

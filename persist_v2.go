@@ -1,7 +1,6 @@
 package geosir
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,7 +11,7 @@ import (
 	"repro/internal/annindex"
 )
 
-// GSIR2 is the current stream format:
+// GSIR2 is the stream format of earlier writers, read only:
 //
 //	magic "GSIR2\n"
 //	section := u32 payloadLen | payload | u32 crc32(payload)   (little-endian, IEEE CRC)
@@ -24,19 +23,18 @@ import (
 //	    tag "ANN1": u32 gridRes | u32 bands | u32 rows | u64 seed | u32 nEntries | nEntries × bands·rows × u64 signature
 //
 // Version negotiation: a 40-byte options payload (written before
-// auxiliary sections existed) implies nAux = 0, so old snapshots load
-// unchanged and Freeze rebuilds the ANN index from the shapes —
-// deterministically, so the rebuilt index matches what the snapshot
-// would have carried. Unknown auxiliary tags from newer writers are
+// auxiliary sections existed) implies nAux = 0, and Freeze rebuilds the
+// ANN index from the shapes — deterministically, so the rebuilt index
+// matches what the snapshot would have carried. Unknown auxiliary tags are
 // framed and checksummed like any section and are skipped.
 //
 // Every section is independently framed and checksummed: truncation, a
 // torn tail, or a flipped byte anywhere in a section surfaces as a CRC or
-// framing error rather than a silently different image base, and
-// LoadPartial can drop exactly the damaged sections while keeping the
-// rest. Declaring nAux up front keeps truncation detection airtight: a
-// tear at the auxiliary-section boundary cannot masquerade as a shorter
-// valid stream.
+// framing error rather than a silently different image base, and the
+// decoder drops exactly the damaged sections while keeping the rest.
+// Declaring nAux up front keeps truncation detection airtight: a tear at
+// the auxiliary-section boundary cannot masquerade as a shorter valid
+// stream; bytes past the final section are damage too.
 
 // maxSectionLen bounds a section length prefix against corrupt framing.
 const maxSectionLen = 1 << 30
@@ -75,22 +73,6 @@ func appendF64(b []byte, v float64) []byte {
 	return appendU64(b, math.Float64bits(v))
 }
 
-// writeSection frames payload with its length prefix and CRC32 trailer.
-func writeSection(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crc[:])
-	return err
-}
-
 // readSection reads one framed section. It returns errBadCRC (with the
 // suspect payload, for best-effort reporting) when the bytes read fully
 // but the checksum disagrees; any other error means framing itself is
@@ -114,70 +96,6 @@ func readSection(r io.Reader) ([]byte, error) {
 		return payload, errBadCRC
 	}
 	return payload, nil
-}
-
-// saveGSIR2 writes the checksummed format.
-func (e *Engine) saveGSIR2(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magicGSIR2); err != nil {
-		return err
-	}
-	images := e.imagesInOrder()
-	opt := make([]byte, 0, optionsSectionLen)
-	opt = appendF64(opt, e.opts.Alpha)
-	opt = appendF64(opt, e.opts.Beta)
-	opt = appendF64(opt, e.opts.Tau)
-	opt = appendF64(opt, e.opts.AngleTol)
-	opt = appendU32(opt, uint32(e.opts.HashCurves))
-	opt = appendU32(opt, uint32(len(images)))
-	opt = appendU32(opt, 1) // auxiliary sections: the ANN signatures
-	if err := writeSection(bw, opt); err != nil {
-		return err
-	}
-	var buf []byte
-	for _, img := range images {
-		buf = buf[:0]
-		buf = appendU32(buf, uint32(img.id))
-		buf = appendU32(buf, uint32(len(img.shapes)))
-		for _, sh := range img.shapes {
-			flags := uint32(0)
-			if sh.Closed {
-				flags = 1
-			}
-			buf = appendU32(buf, flags)
-			buf = appendU32(buf, uint32(len(sh.Pts)))
-			for _, p := range sh.Pts {
-				buf = appendF64(buf, p.X)
-				buf = appendF64(buf, p.Y)
-			}
-		}
-		if err := writeSection(bw, buf); err != nil {
-			return err
-		}
-	}
-	if err := writeSection(bw, e.annSectionPayload()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// annSectionPayload encodes the ANN auxiliary section. Signature
-// construction is deterministic, so a loaded-and-resaved snapshot
-// reproduces this section byte for byte whether or not the engine was
-// ever frozen.
-func (e *Engine) annSectionPayload() []byte {
-	p, sigs, n := e.annSignatures()
-	buf := make([]byte, 0, 4+3*4+8+4+len(sigs)*8)
-	buf = append(buf, auxTagANN...)
-	buf = appendU32(buf, uint32(p.GridRes))
-	buf = appendU32(buf, uint32(p.Bands))
-	buf = appendU32(buf, uint32(p.Rows))
-	buf = appendU64(buf, p.Seed)
-	buf = appendU32(buf, uint32(n))
-	for _, s := range sigs {
-		buf = appendU64(buf, s)
-	}
-	return buf
 }
 
 // cursor is a bounds-checked little-endian reader over a section payload.
@@ -365,52 +283,12 @@ func bestEffortImageID(payload []byte) int {
 	return -1
 }
 
-// loadGSIR2 reads a checksummed stream (magic already consumed) and
-// returns the frozen engine. Any framing damage, checksum mismatch, or
-// trailing garbage fails the load.
-func loadGSIR2(r io.Reader) (*Engine, error) {
-	opts, nimg, naux, err := readOptionsSection(r)
-	if err != nil {
-		return nil, err
-	}
-	eng := New(opts)
-	for i := 0; i < nimg; i++ {
-		payload, err := readSection(r)
-		if err != nil {
-			return nil, fmt.Errorf("geosir: image section %d: %w", i+1, err)
-		}
-		imgID, shapes, err := parseImagePayload(payload)
-		if err != nil {
-			return nil, fmt.Errorf("geosir: image section %d: %w", i+1, err)
-		}
-		if err := eng.AddImage(imgID, shapes); err != nil {
-			return nil, fmt.Errorf("geosir: image %d: %w", imgID, err)
-		}
-	}
-	for a := 0; a < naux; a++ {
-		payload, err := readSection(r)
-		if err != nil {
-			return nil, fmt.Errorf("geosir: auxiliary section %d: %w", a+1, err)
-		}
-		if err := eng.applyAuxSection(payload); err != nil {
-			return nil, fmt.Errorf("geosir: auxiliary section %d: %w", a+1, err)
-		}
-	}
-	var tail [1]byte
-	if _, err := io.ReadFull(r, tail[:]); err != io.EOF {
-		return nil, fmt.Errorf("geosir: trailing bytes after final section")
-	}
-	if err := freezeLoaded(eng); err != nil {
-		return nil, err
-	}
-	return eng, nil
-}
-
-// loadPartialGSIR2 salvages every image section that still verifies. A
-// checksum mismatch costs only that section (framing stays intact); a
-// framing error (truncation, mangled length prefix) ends recovery, and
-// every unread section is reported dropped.
-func loadPartialGSIR2(cr *countReader) (*Engine, *Recovery, error) {
+// loadGSIR2 is the GSIR2 decoder (magic already consumed): it salvages
+// every image section that still verifies. A checksum mismatch costs only
+// that section (framing stays intact); a framing error (truncation,
+// mangled length prefix) ends recovery, and every unread section is
+// reported dropped.
+func loadGSIR2(cr *countReader) (*Engine, *Recovery, error) {
 	opts, nimg, naux, err := readOptionsSection(cr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("geosir: unrecoverable options section: %w", err)
@@ -420,65 +298,56 @@ func loadPartialGSIR2(cr *countReader) (*Engine, *Recovery, error) {
 	for i := 0; i < nimg; i++ {
 		off := cr.off
 		payload, err := readSection(cr)
-		if err != nil && !errors.Is(err, errBadCRC) {
-			// Framing lost: report the section where it broke and count
-			// the unreadable tail rather than enumerating it.
-			rec.Truncated = true
-			rec.Dropped = append(rec.Dropped, DroppedImage{
-				Section: i + 1,
-				ImageID: -1,
-				Offset:  off,
-				Err:     err,
-			})
-			rec.ImagesUnread = nimg - i - 1
+		framed := err == nil || errors.Is(err, errBadCRC)
+		if err == nil { // a checksum mismatch costs just this section
+			var id int
+			var shapes []Shape
+			if id, shapes, err = parseImagePayload(payload); err == nil {
+				err = eng.AddImage(id, shapes)
+			}
+		}
+		if err == nil {
+			rec.ImagesLoaded++
+			continue
+		}
+		rec.Dropped = append(rec.Dropped, DroppedImage{
+			Section: i + 1,
+			ImageID: bestEffortImageID(payload),
+			Offset:  off,
+			Err:     err,
+		})
+		rec.damage(fmt.Errorf("geosir: image section %d: %w", i+1, err))
+		if !framed {
+			// Framing lost: the section where it broke is reported, the
+			// unreadable tail counted rather than enumerated.
+			rec.Truncated, rec.ImagesUnread = true, nimg-i-1
 			break
 		}
-		if err != nil { // checksum mismatch: skip just this section
-			rec.Dropped = append(rec.Dropped, DroppedImage{
-				Section: i + 1,
-				ImageID: bestEffortImageID(payload),
-				Offset:  off,
-				Err:     err,
-			})
-			continue
-		}
-		imgID, shapes, perr := parseImagePayload(payload)
-		if perr == nil {
-			perr = eng.AddImage(imgID, shapes)
-		} else {
-			imgID = bestEffortImageID(payload)
-		}
-		if perr != nil {
-			rec.Dropped = append(rec.Dropped, DroppedImage{
-				Section: i + 1,
-				ImageID: imgID,
-				Offset:  off,
-				Err:     perr,
-			})
-			continue
-		}
-		rec.ImagesLoaded++
 	}
 	// Auxiliary sections are derived data: read them best-effort (a
 	// verified ANN section spares Freeze the signature recomputation),
-	// and on any damage just count the loss and let Freeze rebuild
-	// deterministically.
-	if rec.Truncated {
-		rec.AuxDropped = naux
-	} else {
-		for a := 0; a < naux; a++ {
-			payload, err := readSection(cr)
-			if err != nil {
-				rec.AuxDropped++
-				if errors.Is(err, errBadCRC) {
-					continue // next section is still framed
-				}
-				rec.AuxDropped += naux - a - 1
-				break
-			}
-			if eng.applyAuxSection(payload) != nil {
-				rec.AuxDropped++
-			}
+	// and on any damage count the loss and let Freeze rebuild
+	// deterministically. Past them the stream must end.
+	framed := !rec.Truncated
+	for a := 0; a < naux; a++ {
+		if !framed {
+			rec.AuxDropped += naux - a
+			break
+		}
+		payload, err := readSection(cr)
+		framed = err == nil || errors.Is(err, errBadCRC)
+		if err == nil {
+			err = eng.applyAuxSection(payload)
+		}
+		if err != nil {
+			rec.AuxDropped++
+			rec.damage(fmt.Errorf("geosir: auxiliary section %d: %w", a+1, err))
+		}
+	}
+	if framed {
+		var tail [1]byte
+		if _, err := io.ReadFull(cr, tail[:]); err != io.EOF {
+			rec.damage(errors.New("geosir: trailing bytes after final section"))
 		}
 	}
 	if err := freezeLoaded(eng); err != nil {

@@ -3,10 +3,10 @@ package geosir
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"runtime"
 	"slices"
 
@@ -55,11 +55,14 @@ import (
 // (GRDH, GSEG, GCEL, GIDS), where a search now reads the copy's own edges;
 // and every copy's vertices, offsets and transforms (EVTX, EOFF, ENTT).
 //
-// Integrity: the loader verifies the table checksum and then every
-// section's CRC32 before assembly — corrupt bytes are refused (or, via
-// LoadPartial, salvaged by rebuilding from the intact raw family),
-// never served. Assembly after verification trusts element values and
-// only re-checks the shape invariants slice indexing depends on.
+// Integrity: the decoder verifies the table checksum and then every
+// section's CRC32 before assembly — corrupt bytes are never served. A
+// section that fails its CRC, or whose payload a short file tore off (the
+// table's own CRC still vouches for its row), is damage: in the raw
+// family it is unrecoverable, anywhere else the engine is rebuilt from the
+// intact raw family and the report counts the loss (Load refuses it).
+// Assembly after verification trusts element values and only re-checks
+// the shape invariants slice indexing depends on.
 
 const (
 	magicGSIR3 = sectable.Magic
@@ -206,12 +209,13 @@ func put[T any](b []byte, vs []T) []byte {
 	return buf.Bytes()
 }
 
-// saveGSIR3 writes the mmap-friendly format: the table's rows, in the
-// table's order. Unlike GSIR2 it requires a frozen engine: the derived
-// sections *are* the frozen index. (Every production write site —
-// SaveDir, compaction commits — saves frozen engines; use
-// SaveAs(w, FormatGSIR2) to snapshot an unfrozen one.)
-func (e *Engine) saveGSIR3(w io.Writer) error {
+// Save writes the engine's configuration, image base and frozen index to w
+// as GSIR3: the table's rows, in the table's order. The encoding is
+// canonical: saving, loading, and saving again reproduces the stream byte
+// for byte. The derived sections *are* the frozen index, so an engine
+// with shapes must be frozen (else ErrNotFrozen); one with none is written
+// as a file of zero counts, which loads empty and unfrozen.
+func (e *Engine) Save(w io.Writer) error {
 	built, err := e.buildV3Sections()
 	if err != nil {
 		return err
@@ -227,17 +231,44 @@ func (e *Engine) saveGSIR3(w io.Writer) error {
 	return sectable.Write(w, secs)
 }
 
+// savedImage is one image's shapes in snapshot order.
+type savedImage struct {
+	id     int
+	shapes []Shape
+}
+
+// imagesInOrder groups the base's shapes by image, preserving first-seen
+// image order so the encoding is deterministic (and canonical for the
+// byte-identity guarantee).
+func (e *Engine) imagesInOrder() []savedImage {
+	base := e.db.Base()
+	byImage := make(map[int]int) // image id → index into out
+	var out []savedImage
+	for _, s := range base.Shapes() {
+		i, seen := byImage[s.Image]
+		if !seen {
+			i = len(out)
+			byImage[s.Image] = i
+			out = append(out, savedImage{id: s.Image})
+		}
+		out[i].shapes = append(out[i].shapes, s.Poly)
+	}
+	return out
+}
+
 // buildV3Sections flattens the frozen engine into its section payloads,
 // by tag. Array sections are put from the very element types the loader
 // views them as, so the two layouts cannot drift apart.
 func (e *Engine) buildV3Sections() (map[string][]byte, error) {
-	if !e.frozen {
-		return nil, fmt.Errorf("geosir: GSIR3 requires a frozen engine (use FormatGSIR2 for unfrozen snapshots)")
-	}
 	base := e.db.Base()
-	parts, err := base.FrozenParts()
-	if err != nil {
-		return nil, err
+	var parts core.FrozenParts
+	if e.frozen {
+		var err error
+		if parts, err = base.FrozenParts(); err != nil {
+			return nil, err
+		}
+	} else if base.NumShapes() > 0 {
+		return nil, ErrNotFrozen
 	}
 	images := e.imagesInOrder()
 	shapes := base.Shapes()
@@ -337,20 +368,30 @@ type v3Reader struct {
 // v3View is the typed view of one section (see view).
 func v3View[T any](r *v3Reader, tag string) []T { return view[T](r.sec[tag], r.alias) }
 
-// v3Verify checks every section CRC and returns the section map plus
-// the tags that failed. Damage never panics and never reaches assembly.
-func v3Verify(data []byte, secs []sectable.Section) (map[string][]byte, []string) {
+// v3Verify checks every section against the bytes present and its CRC32,
+// and returns the sections that verify, by tag, the tags of those that do
+// not, and the first one's fault. Damage never panics and never reaches
+// assembly.
+func v3Verify(data []byte, secs []sectable.Section) (map[string][]byte, []string, error) {
 	m := make(map[string][]byte, len(secs))
 	var bad []string
+	var first error
 	for _, s := range secs {
-		payload := data[s.Off : s.Off+s.Len]
-		if crc32.ChecksumIEEE(payload) != s.CRC {
-			bad = append(bad, s.Tag)
+		var fault error
+		if end := s.Off + s.Len; end > uint64(len(data)) {
+			fault = fmt.Errorf("geosir: section %s [%d,+%d) runs past the end of the file (%d bytes)", s.Tag, s.Off, s.Len, len(data))
+		} else if payload := data[s.Off:end]; crc32.ChecksumIEEE(payload) != s.CRC {
+			fault = fmt.Errorf("geosir: section %s checksum mismatch", s.Tag)
+		} else {
+			m[s.Tag] = payload
 			continue
 		}
-		m[s.Tag] = payload
+		bad = append(bad, s.Tag)
+		if first == nil {
+			first = fault
+		}
 	}
-	return m, bad
+	return m, bad, first
 }
 
 // v3Options is the parsed OPTS section.
@@ -445,11 +486,7 @@ func (r *v3Reader) rawImages(o v3Options) ([]savedImage, error) {
 // and that v3Check has passed: O(n) slice views and pointer fills, no
 // geometry. The reader's alias flag decides whether array sections are
 // served in place (mmap) or copied.
-func assembleV3(r *v3Reader, o v3Options) (*Engine, error) {
-	images, err := r.rawImages(o)
-	if err != nil {
-		return nil, err
-	}
+func assembleV3(r *v3Reader, o v3Options, images []savedImage) (*Engine, error) {
 	// Shapes, in id order (= image-group order).
 	shapes := make([]core.Shape, 0, o.nShapes)
 	for _, img := range images {
@@ -596,82 +633,79 @@ func parseV3Ann(r *v3Reader) (*annPreload, error) {
 	return &annPreload{params: p, sigs: sigs, n: int(n)}, nil
 }
 
-// openV3 is the front half of both loaders: layout, checksums, OPTS.
-// It returns the reader over the sections that verified and the tags of
-// those that did not.
-func openV3(data []byte, alias bool) (*v3Reader, v3Options, []string, error) {
+// loadGSIR3 is the GSIR3 decoder, over a complete byte image. A file
+// that verifies and passes v3Check is assembled, its array sections served
+// in place from data when alias is set. Damage to the container, OPTS or
+// the raw family is unrecoverable. Damage anywhere else — a section that
+// fails its checksum or was torn off, one the table's shape check
+// refuses, an assembly that fails — costs only the derived index: the
+// engine is rebuilt from the raw family (deterministically, so it answers
+// as the original, and never aliasing data), and the report counts the
+// loss in AuxDropped. A file of no shapes is built the same way, without
+// loss, and loads unfrozen. The engine aliases data exactly when it is
+// complete and frozen.
+func loadGSIR3(data []byte, alias bool) (*Engine, *Recovery, error) {
 	secs, err := sectable.Parse(data)
 	if err != nil {
-		return nil, v3Options{}, nil, err
+		return nil, nil, fmt.Errorf("geosir: unrecoverable GSIR3 snapshot: %w", err)
 	}
-	m, bad := v3Verify(data, secs)
-	optsB, ok := m["OPTS"]
+	sec, bad, verr := v3Verify(data, secs)
+	optsB, ok := sec["OPTS"]
 	if !ok {
-		return nil, v3Options{}, nil, fmt.Errorf("geosir: GSIR3 snapshot has no intact OPTS section")
+		return nil, nil, fmt.Errorf("geosir: GSIR3 snapshot has no intact OPTS section")
 	}
 	o, err := parseV3Options(optsB)
-	return &v3Reader{sec: m, alias: alias}, o, bad, err
-}
-
-// loadGSIR3Bytes runs the strict load over a complete byte image: any
-// checksum or framing damage anywhere fails it.
-func loadGSIR3Bytes(data []byte, alias bool) (*Engine, error) {
-	r, o, bad, err := openV3(data, alias)
 	if err != nil {
-		return nil, err
-	}
-	if len(bad) > 0 {
-		return nil, fmt.Errorf("geosir: section %s checksum mismatch", bad[0])
-	}
-	if err := v3Check(r.sec, &o, false); err != nil {
-		return nil, err
-	}
-	return assembleV3(r, o)
-}
-
-// loadPartialGSIR3Bytes salvages what a damaged GSIR3 image still
-// proves intact. Derived-section damage falls back to the slow rebuild
-// from the raw family (deterministic, so the rebuilt engine answers
-// identically to the original); raw-family or structural damage is
-// unrecoverable.
-func loadPartialGSIR3Bytes(data []byte) (*Engine, *Recovery, error) {
-	// Copy, never alias: a salvage result must not pin the (possibly
-	// temporary) source bytes.
-	r, o, bad, err := openV3(data, false)
-	if err != nil {
-		return nil, nil, fmt.Errorf("geosir: unrecoverable GSIR3 snapshot: %w", err)
+		return nil, nil, err
 	}
 	for _, tag := range bad {
 		if v3RawTags[tag] {
 			return nil, nil, fmt.Errorf("geosir: unrecoverable damage in raw section %s", tag)
 		}
 	}
-	rec := &Recovery{Format: "GSIR3", ImagesExpected: o.nImages}
-	if len(bad) == 0 && v3Check(r.sec, &o, false) == nil {
-		if eng, err := assembleV3(r, o); err == nil {
-			rec.ImagesLoaded = o.nImages
-			return eng, rec, nil
-		}
-	}
-	// Damaged derived sections, or a fast assembly that failed despite
-	// verified checksums (e.g. a writer/reader version skew in a derived
-	// section): account the loss and rebuild the slow way.
-	rec.AuxDropped = max(len(bad), 1)
-	if err := v3Check(r.sec, &o, true); err != nil {
+	r := &v3Reader{sec: sec, alias: alias}
+	if err := v3Check(sec, &o, true); err != nil {
 		return nil, nil, fmt.Errorf("geosir: unrecoverable raw image data: %w", err)
 	}
 	images, err := r.rawImages(o)
 	if err != nil {
 		return nil, nil, fmt.Errorf("geosir: unrecoverable raw image data: %w", err)
 	}
+
+	rec := &Recovery{Format: "GSIR3", ImagesExpected: o.nImages, Err: verr}
+	if rec.Err == nil {
+		rec.Err = v3Check(sec, &o, false)
+	}
+	if rec.Err == nil && o.nShapes > 0 {
+		eng, err := assembleV3(r, o, images)
+		if err == nil {
+			rec.ImagesLoaded = o.nImages
+			return eng, rec, nil
+		}
+		rec.Err = err
+	}
+	if rec.Err != nil {
+		rec.AuxDropped = max(len(bad), 1)
+	}
+	if alias { // the rebuilt engine holds its shapes on the heap
+		r.alias = false
+		images, _ = r.rawImages(o) // it parsed these bytes above
+	}
 	eng := New(o.opts)
 	for _, img := range images {
-		if err := eng.AddImage(img.id, img.shapes); err != nil {
-			return nil, nil, fmt.Errorf("geosir: image %d: %w", img.id, err)
+		if err = eng.AddImage(img.id, img.shapes); err != nil {
+			err = fmt.Errorf("geosir: image %d: %w", img.id, err)
+			break
 		}
 		rec.ImagesLoaded++
 	}
-	if err := freezeLoaded(eng); err != nil {
+	if err == nil {
+		err = freezeLoaded(eng)
+	}
+	if err != nil {
+		if rec.Err != nil { // what a read that does not rebuild stops at
+			err = fmt.Errorf("%w (and the raw sections do not rebuild: %v)", rec.Err, err)
+		}
 		return nil, nil, err
 	}
 	return eng, rec, nil
@@ -706,9 +740,8 @@ func peekGSIR3(r io.Reader) (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("geosir: reading GSIR3 section table: %w", err)
 	}
-	// The stream's length is unknown, so rows are bounded by nothing but
-	// each other; what is read below is bounded by v3OptsLen.
-	secs, err := sectable.ParseRows(table, math.MaxInt64)
+	// What is read below is bounded by v3OptsLen.
+	secs, err := sectable.ParseRows(table)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
@@ -789,24 +822,50 @@ func (e *Engine) Close() error {
 
 // LoadFileMmap opens a GSIR3 snapshot by mapping it and serving the
 // array sections in place: open cost is CRC verification plus O(n)
-// pointer stitching — no geometry, no per-element decode — and the
-// page cache decides residency. Falls back with an error (it does NOT
-// silently heap-load) when the file is not GSIR3 or the platform/build
-// cannot map or cast; callers wanting the fallback use LoadAnyMode.
+// pointer stitching — no geometry, no per-element decode — and the page
+// cache decides residency. It refuses, with an error, a file that is not
+// GSIR3, any damage, and a platform or build that cannot map or cast — it
+// does NOT silently heap-load (callers wanting the fallback use
+// LoadAnyMode) — except a file of no shapes, which has nothing to serve in
+// place and loads empty onto the heap.
 func LoadFileMmap(path string) (*Engine, error) {
+	eng, rec, err := mapGSIR3(path)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Err != nil {
+		return nil, rec.Err
+	}
+	return eng, nil
+}
+
+// errNotMapped marks a file mapGSIR3 left undecoded.
+var errNotMapped = errors.New("geosir: not mapped")
+
+// mapGSIR3 maps path and runs the GSIR3 decoder over the mapping. A
+// complete, frozen engine keeps the mapping and serves from it; any other
+// result — a salvage, an empty base — is on the heap and the mapping is
+// released. A platform or build that cannot map and cast, a file that does
+// not map, and a file that is not GSIR3 are refused with errNotMapped,
+// undecoded.
+func mapGSIR3(path string) (*Engine, *Recovery, error) {
 	if !mmap.Supported() || !mmap.CanCast() {
-		return nil, fmt.Errorf("geosir: mmap load unsupported on this platform/build: %w", mmap.ErrUnsupported)
+		return nil, nil, fmt.Errorf("%w: mmap load unsupported on this platform/build: %w", errNotMapped, mmap.ErrUnsupported)
 	}
 	m, err := mmap.Map(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("%w: %w", errNotMapped, err)
 	}
-	eng, err := loadGSIR3Bytes(m.Data(), true)
-	if err != nil {
+	if !bytes.HasPrefix(m.Data(), []byte(magicGSIR3)) {
 		m.Close()
-		return nil, err
+		return nil, nil, fmt.Errorf("%w: %s is not a GSIR3 snapshot", errNotMapped, path)
+	}
+	eng, rec, err := loadGSIR3(m.Data(), true)
+	if err != nil || !rec.Complete() || !eng.frozen {
+		m.Close()
+		return eng, rec, err
 	}
 	eng.stor = &engineStorage{mapping: m}
 	runtime.SetFinalizer(eng, func(e *Engine) { e.Close() })
-	return eng, nil
+	return eng, rec, nil
 }

@@ -11,38 +11,35 @@ import (
 	"repro/internal/iofault"
 )
 
-// gsir3Bytes returns the canonical GSIR3 encoding of eng.
-func gsir3Bytes(t *testing.T, eng *Engine) []byte {
+// dirNames lists the entries of dir, for the temp-litter checks.
+func dirNames(t *testing.T, dir string) []string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := eng.SaveAs(&buf, FormatGSIR3); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestGSIR3SaveAtomicUnderWriteFaults kills the GSIR3 writer at every
-// grid offset and checks the previous snapshot survives byte-identical,
-// loadable, and without temp-file litter — the same guarantee the GSIR2
-// atomic writer gives, now through the section writer.
-func TestGSIR3SaveAtomicUnderWriteFaults(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "base.gsir3")
-	old := buildEngine(t)
-	if err := old.SaveFileAs(path, FormatGSIR3); err != nil {
-		t.Fatal(err)
-	}
-	prior, err := os.ReadFile(path)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := altEngine(t)
-	if err := next.Freeze(); err != nil {
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestGSIR3SaveAtomicUnderWriteFaults upgrades a GSIR2 snapshot in place:
+// the GSIR3 writer is killed at every grid offset over the golden GSIR2
+// file, which must survive byte-identical, still read as GSIR2 and load,
+// without temp-file litter. A clean save then replaces it with GSIR3.
+func TestGSIR3SaveAtomicUnderWriteFaults(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "base.gsir")
+	prior := gsir2Golden(t)
+	if err := os.WriteFile(path, prior, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	size := len(gsir3Bytes(t, next))
+	next := buildEngine(t)
+	size := len(snapshotBytes(t, next))
 	for _, off := range faultOffsets(size) {
-		err := next.saveFileAtomic(path, FormatGSIR3, func(w io.Writer) io.Writer {
+		err := next.saveFileAtomic(path, func(w io.Writer) io.Writer {
 			return iofault.FailWriter(w, int64(off))
 		})
 		if !errors.Is(err, iofault.ErrInjected) {
@@ -55,48 +52,94 @@ func TestGSIR3SaveAtomicUnderWriteFaults(t *testing.T) {
 		if !bytes.Equal(cur, prior) {
 			t.Fatalf("offset %d: prior snapshot modified by failed save", off)
 		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != 1 {
-			var names []string
-			for _, e := range entries {
-				names = append(names, e.Name())
-			}
+		if names := dirNames(t, dir); len(names) != 1 {
 			t.Fatalf("offset %d: temp litter left behind: %v", off, names)
 		}
 	}
-	// The prior snapshot must still load — in both modes.
-	if _, err := LoadFile(path); err != nil {
+	if info, err := PeekFile(path); err != nil || info.Format != FormatGSIR2 {
+		t.Fatalf("prior snapshot peeks as %+v, %v; want GSIR2", info, err)
+	}
+	old, err := LoadFile(path)
+	if err != nil {
 		t.Fatalf("prior snapshot no longer loads: %v", err)
 	}
-	// A clean save finally replaces it.
-	if err := next.SaveFileAs(path, FormatGSIR3); err != nil {
+	checkEngineEquivalence(t, next, old)
+	// A clean save finally replaces it, as GSIR3.
+	if err := next.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	cur, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(cur, gsir3Bytes(t, next)) {
+	if !bytes.Equal(cur, snapshotBytes(t, next)) {
 		t.Fatal("clean save did not publish the new snapshot")
+	}
+	if info, err := PeekFile(path); err != nil || info.Format != FormatGSIR3 {
+		t.Fatalf("clean save peeks as %+v, %v; want GSIR3", info, err)
 	}
 }
 
-// TestGSIR3TornWriteDetected models the failure rename-based atomicity
-// cannot prevent: the writer lies about success and publishes a
-// truncated GSIR3 file. The section table's exact-coverage rule must
-// catch every cut — strict Load always fails, and LoadPartial either
-// refuses outright or salvages with the loss reported. Never a silently
-// smaller or different base.
+// TestGSIR3SaveFileAsAtomicity: SaveFile publishes GSIR3 — for a frozen
+// engine and for one with no shapes — and leaves no temp file behind. An
+// unfrozen engine with shapes is refused with ErrNotFrozen before
+// anything is published: the prior file stays as it was, again without
+// litter.
+func TestGSIR3SaveFileAsAtomicity(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap")
+	for _, eng := range []*Engine{New(DefaultOptions()), buildEngine(t)} {
+		if err := eng.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if names := dirNames(t, dir); len(names) != 1 {
+			t.Fatalf("directory holds %v, want the snapshot only", names)
+		}
+		info, err := PeekFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.FormatName != "GSIR3" || info.Images != eng.NumImages() {
+			t.Fatalf("SaveFile of %d images peeks as %+v, want GSIR3", eng.NumImages(), info)
+		}
+	}
+	prior, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unfrozen := New(DefaultOptions())
+	if err := unfrozen.AddImage(0, []Shape{square(0, 0, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := unfrozen.SaveFile(path); !errors.Is(err, ErrNotFrozen) {
+		t.Fatalf("SaveFile of an unfrozen engine = %v, want ErrNotFrozen", err)
+	}
+	cur, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cur, prior) {
+		t.Fatal("a refused save modified the prior snapshot")
+	}
+	if names := dirNames(t, dir); len(names) != 1 {
+		t.Fatalf("a refused save left %v behind", names)
+	}
+}
+
+// TestGSIR3TornWriteDetected publishes a torn GSIR3 file — the writer
+// claims success but stops at every grid offset — of a second base,
+// altEngine's. Load and LoadFileMmap refuse every cut. LoadPartialFile
+// refuses every cut inside the raw sections, and from every cut past them
+// recovers the base itself: every image, answering as the original, the
+// torn derived sections counted. Never a silently different base.
 func TestGSIR3TornWriteDetected(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "base.gsir3")
-	eng := buildEngine(t)
-	full := gsir3Bytes(t, eng)
+	path := filepath.Join(dir, "base.gsir")
+	eng := altEngine(t)
+	full := snapshotBytes(t, eng)
+	rawEnd := v3SectionEnd(t, full, "RAWV")
 	for _, off := range faultOffsets(len(full)) {
-		err := eng.saveFileAtomic(path, FormatGSIR3, func(w io.Writer) io.Writer {
+		err := eng.saveFileAtomic(path, func(w io.Writer) io.Writer {
 			return iofault.TruncWriter(w, int64(off))
 		})
 		if err != nil {
@@ -109,15 +152,16 @@ func TestGSIR3TornWriteDetected(t *testing.T) {
 			t.Fatalf("offset %d: truncated GSIR3 snapshot mmap-loaded without error", off)
 		}
 		eng2, rec, err := LoadPartialFile(path)
+		if (err != nil) != (off < rawEnd) {
+			t.Fatalf("offset %d (raw sections end at %d): LoadPartial error %v", off, rawEnd, err)
+		}
 		if err != nil {
-			continue // refused outright: detection, not silence
+			continue
 		}
-		if rec.Complete() {
-			t.Fatalf("offset %d: truncated snapshot reported complete", off)
+		if rec.Complete() || rec.AuxDropped == 0 || rec.ImagesLoaded != eng.NumImages() {
+			t.Fatalf("offset %d: report %+v, want all %d images and the torn sections counted",
+				off, rec, eng.NumImages())
 		}
-		if eng2.NumImages() != rec.ImagesLoaded {
-			t.Fatalf("offset %d: engine has %d images, report says %d",
-				off, eng2.NumImages(), rec.ImagesLoaded)
-		}
+		checkEngineEquivalence(t, eng, eng2)
 	}
 }

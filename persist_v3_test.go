@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -20,14 +21,7 @@ import (
 // while the format still carried the climb's range index and a segment
 // grid per entry: besides every section of v3Table it holds v3LegacyTags,
 // which the loader now ignores.
-func gsir3KDTreeGolden(tb testing.TB) []byte {
-	tb.Helper()
-	data, err := os.ReadFile(gsir3KDTreeGoldenPath)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
-}
+func gsir3KDTreeGolden(tb testing.TB) []byte { return testdataBytes(tb, gsir3KDTreeGoldenPath) }
 
 const gsir3KDTreeGoldenPath = "testdata/gsir3/kdtree.gsir3"
 
@@ -35,15 +29,6 @@ const gsir3KDTreeGoldenPath = "testdata/gsir3/kdtree.gsir3"
 // names: the per-entry segment grids, the vertex → entry map, the kd-tree,
 // and every copy's transforms, vertex offsets and vertices.
 var v3LegacyTags = []string{"GRDH", "GSEG", "GCEL", "GIDS", "VENT", "KDTP", "KDTI", "KDTB", "ENTT", "EOFF", "EVTX"}
-
-func saveV3(t *testing.T, eng *Engine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := eng.SaveAs(&buf, FormatGSIR3); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // checkEngineEquivalence asserts two engines answer identically across
 // exact, sketch, and approximate searches plus topological queries.
@@ -120,7 +105,7 @@ func checkEngineEquivalence(t *testing.T, want, got *Engine) {
 
 func TestGSIR3RoundTrip(t *testing.T) {
 	orig := buildEngine(t)
-	data := saveV3(t, orig)
+	data := snapshotBytes(t, orig)
 	loaded, err := Load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -133,31 +118,32 @@ func TestGSIR3RoundTrip(t *testing.T) {
 
 func TestGSIR3SaveLoadSaveByteIdentity(t *testing.T) {
 	orig := buildEngine(t)
-	first := saveV3(t, orig)
+	first := snapshotBytes(t, orig)
 	loaded, err := Load(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := saveV3(t, loaded)
+	second := snapshotBytes(t, loaded)
 	if !bytes.Equal(first, second) {
 		t.Fatalf("GSIR3 encoding is not canonical: %d vs %d bytes", len(first), len(second))
 	}
 }
 
+// TestGSIR3RequiresFrozen: the derived sections are the frozen index, so
+// an unfrozen engine with shapes is not saved.
 func TestGSIR3RequiresFrozen(t *testing.T) {
 	eng := New(DefaultOptions())
 	if err := eng.AddImage(0, []Shape{square(0, 0, 5)}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := eng.SaveAs(&buf, FormatGSIR3); err == nil {
-		t.Fatal("GSIR3 save of an unfrozen engine should fail")
+	if err := eng.Save(&bytes.Buffer{}); !errors.Is(err, ErrNotFrozen) {
+		t.Fatalf("Save of an unfrozen engine = %v, want ErrNotFrozen", err)
 	}
 }
 
 func TestGSIR3Peek(t *testing.T) {
 	orig := buildEngine(t)
-	data := saveV3(t, orig)
+	data := snapshotBytes(t, orig)
 	info, err := Peek(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +174,7 @@ func TestGSIR3Peek(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.gsir3")
-	if err := orig.SaveFileAs(path, FormatGSIR3); err != nil {
+	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	finfo, err := PeekFile(path)
@@ -206,7 +192,7 @@ func TestGSIR3MmapEquivalence(t *testing.T) {
 	}
 	orig := buildEngine(t)
 	path := filepath.Join(t.TempDir(), "snap.gsir3")
-	if err := orig.SaveFileAs(path, FormatGSIR3); err != nil {
+	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	m, err := LoadFileMmap(path)
@@ -235,7 +221,7 @@ func TestGSIR3MmapClose(t *testing.T) {
 	}
 	orig := buildEngine(t)
 	path := filepath.Join(t.TempDir(), "snap.gsir3")
-	if err := orig.SaveFileAs(path, FormatGSIR3); err != nil {
+	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	m, err := LoadFileMmap(path)
@@ -258,16 +244,11 @@ func TestGSIR3MmapClose(t *testing.T) {
 }
 
 func TestGSIR3CrossFormatEquivalence(t *testing.T) {
-	orig := buildEngine(t)
-	var v2 bytes.Buffer
-	if err := orig.SaveAs(&v2, FormatGSIR2); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Load(&v2)
+	e2, err := Load(bytes.NewReader(gsir2Golden(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e3, err := Load(bytes.NewReader(saveV3(t, orig)))
+	e3, err := Load(bytes.NewReader(snapshotBytes(t, buildEngine(t))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +310,8 @@ func TestGSIR3KDTreeGolden(t *testing.T) {
 		checkMirroredPairs(t, mapped)
 	}
 
-	resaved := saveV3(t, heap)
-	if !bytes.Equal(resaved, saveV3(t, fresh)) {
+	resaved := snapshotBytes(t, heap)
+	if !bytes.Equal(resaved, snapshotBytes(t, fresh)) {
 		t.Fatal("the re-saved golden is not what a fresh build saves")
 	}
 	payloads := func(data []byte) ([]string, map[string][]byte) {
@@ -386,7 +367,7 @@ func TestGSIR3ByteFlipSweep(t *testing.T) {
 	for _, f := range []struct {
 		data []byte
 		only []string // nil: every section
-	}{{saveV3(t, orig), nil}, {gsir3KDTreeGolden(t), v3LegacyTags}} {
+	}{{snapshotBytes(t, orig), nil}, {gsir3KDTreeGolden(t), v3LegacyTags}} {
 		secs, err := sectable.Parse(f.data)
 		if err != nil {
 			t.Fatal(err)
@@ -433,53 +414,80 @@ func TestGSIR3ByteFlipSweep(t *testing.T) {
 	}
 }
 
-// TestGSIR3TruncationSweep cuts the file at a range of lengths; every
-// prefix must either refuse cleanly or salvage — never panic, never
-// load silently wrong data.
-func TestGSIR3TruncationSweep(t *testing.T) {
+// v3SectionEnd is the offset one past section tag's payload in the GSIR3
+// image data.
+func v3SectionEnd(t *testing.T, data []byte, tag string) int {
+	t.Helper()
+	rows, err := sectable.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(rows, func(s sectable.Section) bool { return s.Tag == tag })
+	if i < 0 {
+		t.Fatalf("no section %s", tag)
+	}
+	return int(rows[i].Off + rows[i].Len)
+}
+
+// checkTornSalvage asserts that LoadPartial salvages every image of orig
+// from the GSIR3 image cut, counting the torn derived sections, that it
+// answers as orig, and that Load refuses the cut.
+func checkTornSalvage(t *testing.T, orig *Engine, cut []byte) {
+	t.Helper()
+	if _, err := Load(bytes.NewReader(cut)); err == nil {
+		t.Fatalf("Load survived a cut to %d bytes", len(cut))
+	}
+	eng, rec, err := LoadPartial(bytes.NewReader(cut))
+	if err != nil {
+		t.Fatalf("LoadPartial of a cut to %d bytes: %v", len(cut), err)
+	}
+	if rec.Complete() || rec.AuxDropped == 0 || rec.ImagesLoaded != orig.NumImages() {
+		t.Fatalf("cut to %d bytes: report %+v, want all %d images and the torn sections counted", len(cut), rec, orig.NumImages())
+	}
+	checkEngineEquivalence(t, orig, eng)
+}
+
+// TestGSIR3TornTailSalvages cuts a GSIR3 file inside its last section,
+// ANNS — at len−1 and midway into the section. The raw sections are whole
+// and verify, so LoadPartial rebuilds from them: every image, answering as
+// the original, the loss reported.
+func TestGSIR3TornTailSalvages(t *testing.T) {
 	orig := buildEngine(t)
-	data := saveV3(t, orig)
-	cuts := []int{0, 3, magicLen, sectable.HeaderLen, sectable.HeaderLen + 10,
-		len(data) / 4, len(data) / 2, len(data) - 1}
-	for _, n := range cuts {
-		if n > len(data) {
-			continue
-		}
-		if _, err := Load(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("strict load survived truncation to %d bytes", n)
-		}
-		eng, _, err := LoadPartial(bytes.NewReader(data[:n]))
-		if err == nil && eng == nil {
-			t.Fatalf("truncation to %d: nil engine without error", n)
-		}
+	data := snapshotBytes(t, orig)
+	rows, err := sectable.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anns := rows[len(rows)-1]
+	if anns.Tag != "ANNS" || anns.Len < 2 {
+		t.Fatalf("last section is %s of %d bytes, want ANNS", anns.Tag, anns.Len)
+	}
+	for _, n := range []int{len(data) - 1, int(anns.Off + anns.Len/2)} {
+		checkTornSalvage(t, orig, data[:n])
 	}
 }
 
-func TestGSIR3SaveFileAsAtomicity(t *testing.T) {
+// TestGSIR3TruncationSweep cuts the file at a range of lengths. Load
+// refuses every cut. A cut inside the raw sections — they run up to
+// RAWV's end — is refused by LoadPartial too; every cut past them salvages
+// every image (checkTornSalvage). Never a panic, never silently wrong data.
+func TestGSIR3TruncationSweep(t *testing.T) {
 	orig := buildEngine(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap")
-	if err := orig.SaveFileAs(path, FormatGSIR3); err != nil {
-		t.Fatal(err)
-	}
-	// No temp droppings.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries, want 1", len(entries))
-	}
-	// Explicit GSIR2 via SaveFileAs still round-trips.
-	if err := orig.SaveFileAs(path, FormatGSIR2); err != nil {
-		t.Fatal(err)
-	}
-	info, err := PeekFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.FormatName != "GSIR2" {
-		t.Fatalf("format = %q", info.FormatName)
+	data := snapshotBytes(t, orig)
+	rawEnd := v3SectionEnd(t, data, "RAWV")
+	cuts := []int{0, 3, magicLen, sectable.HeaderLen, sectable.HeaderLen + 10,
+		rawEnd - 1, rawEnd, len(data) / 4, len(data) / 2, len(data) * 3 / 4, len(data) - 1}
+	for _, n := range cuts {
+		if n >= rawEnd {
+			checkTornSalvage(t, orig, data[:n])
+			continue
+		}
+		if _, err := Load(bytes.NewReader(data[:n])); err == nil {
+			t.Fatalf("Load survived truncation to %d bytes", n)
+		}
+		if _, _, err := LoadPartial(bytes.NewReader(data[:n])); err == nil {
+			t.Fatalf("LoadPartial salvaged a cut to %d bytes, inside the raw sections (they end at %d)", n, rawEnd)
+		}
 	}
 }
 
@@ -521,7 +529,7 @@ func editV3Section(tag string, change func([]byte) []byte) func([]sectable.Paylo
 // IMGS's per-image shape count set to 0xFFFFFFF0 used to be a 137 GB
 // make() — process death, through Load, LoadPartial and /admin/reload.
 func TestGSIR3FramedCountsBounded(t *testing.T) {
-	data := saveV3(t, buildEngine(t))
+	data := snapshotBytes(t, buildEngine(t))
 	huge := func(off int) func([]byte) []byte {
 		return func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[off:], 0xFFFFFFF0)
@@ -559,7 +567,7 @@ func TestGSIR3FramedCountsBounded(t *testing.T) {
 // refused naming ECEL.
 func TestGSIR3SectionTable(t *testing.T) {
 	orig := buildEngine(t)
-	data := saveV3(t, orig)
+	data := snapshotBytes(t, orig)
 	rows, err := sectable.Parse(data)
 	if err != nil {
 		t.Fatal(err)
@@ -662,7 +670,7 @@ func TestGSIR3SectionTable(t *testing.T) {
 // an int32 offset counts is refused by both loads too.
 func TestGSIR3RefusesInconsistentCopies(t *testing.T) {
 	orig := buildEngine(t)
-	data := saveV3(t, orig)
+	data := snapshotBytes(t, orig)
 	q := lshape(0, 0, 3).Transform(Similarity(1.4, 0.5, Pt(40, 40)))
 	want := mustSearch(t, orig, SearchRequest{Query: q, K: 3})
 	for _, c := range []struct {
@@ -722,7 +730,7 @@ func TestGSIR3RefusesInconsistentCopies(t *testing.T) {
 	for c := int32(0); c < copies; c++ {
 		entm = append(entm, core.EntryMeta{Copy: c, DiamI: c % 2, DiamJ: 1 - c%2})
 	}
-	wrap := rewriteV3(t, saveV3(t, one), func(secs []sectable.Payload) []sectable.Payload {
+	wrap := rewriteV3(t, snapshotBytes(t, one), func(secs []sectable.Payload) []sectable.Payload {
 		secs = editV3Section("RAWV", func([]byte) []byte { return put(nil, rawv) })(secs)
 		secs = editV3Section("SHPM", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[8:], nv)
@@ -754,7 +762,7 @@ func TestGSIR3CellRowOfAnotherGridIsDerived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := saveV3(t, orig)
+	data := snapshotBytes(t, orig)
 	for _, c := range []struct {
 		name    string
 		stamp   uint32

@@ -3,10 +3,12 @@ package geosir
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -368,7 +370,10 @@ func TestLoadAny(t *testing.T) {
 }
 
 // TestShardedEmptyShards: more shards than images leaves some shards
-// empty; they must be skipped, not break Freeze or Search.
+// empty; they must be skipped, not break Freeze or Search — nor a save:
+// SaveDir writes every shard, empty ones included, as GSIR3, and the
+// directory reloads, heap and mapped, to an engine whose matches are the
+// original's.
 func TestShardedEmptyShards(t *testing.T) {
 	se := NewSharded(DefaultOptions(), 16)
 	if err := se.AddImage(1, []Shape{square(0, 0, 2), triangle(4, 4, 1)}); err != nil {
@@ -380,11 +385,91 @@ func TestShardedEmptyShards(t *testing.T) {
 	if err := se.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := se.Search(context.Background(), SearchRequest{Query: square(0.1, 0.1, 2), K: 5, Mode: ModeExact})
+	req := SearchRequest{Query: square(0.1, 0.1, 2), K: 5, Mode: ModeExact}
+	resp, err := se.Search(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Matches) == 0 {
 		t.Fatal("no matches from a sharded engine with empty shards")
+	}
+
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := se.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < se.NumShards(); i++ {
+		if info, err := PeekFile(filepath.Join(dir, shardFileName(i))); err != nil || info.Format != FormatGSIR3 {
+			t.Fatalf("shard %d: PeekFile = %+v, %v; want GSIR3", i, info, err)
+		}
+	}
+	for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+		re, rec, err := LoadShardedDirMode(dir, mode)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !rec.Complete() || re.NumImages() != se.NumImages() {
+			t.Fatalf("%v: %d images, recovery %+v", mode, re.NumImages(), rec)
+		}
+		got, err := re.Search(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		assertMatchesEqual(t, mode.String(), resp.Matches, got.Matches)
+		re.Close()
+	}
+}
+
+// TestShardedMixedOptionsShardDropped swaps one shard file of a 3-shard
+// directory for the same shard saved under other options (α and τ). Its
+// images would be scored under options the directory's other shards do
+// not use, so the load drops it as it drops a manifest-inconsistent
+// shard, with an error naming both option sets.
+func TestShardedMixedOptionsShardDropped(t *testing.T) {
+	images, _, _ := equivBase(t)
+	const shards, odd = 3, 1
+	se := buildShardedFrom(t, images, shards)
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := se.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	other := se.Options()
+	other.Alpha, other.Tau = 0.3, 0.2
+	alt := NewSharded(other, shards)
+	for _, im := range images {
+		if err := alt.AddImage(im.ID, im.Shapes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := alt.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	altDir := filepath.Join(t.TempDir(), "alt")
+	if err := alt.SaveDir(altDir); err != nil {
+		t.Fatal(err)
+	}
+	swapped, err := os.ReadFile(filepath.Join(altDir, shardFileName(odd)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, shardFileName(odd)), swapped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+		re, rec, err := LoadShardedDirMode(dir, mode)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		sr := rec.Shards[odd]
+		if rec.Complete() || !sr.Dropped || sr.Err == nil ||
+			!strings.Contains(sr.Err.Error(), fmt.Sprintf("%+v", other)) ||
+			!strings.Contains(sr.Err.Error(), fmt.Sprintf("%+v", se.Options())) {
+			t.Fatalf("%v: shard %d recovered as %+v, want it dropped naming both option sets", mode, odd, sr)
+		}
+		if re.Options() != se.Options() {
+			t.Fatalf("%v: loaded under %+v, want %+v", mode, re.Options(), se.Options())
+		}
+		re.Close()
 	}
 }
