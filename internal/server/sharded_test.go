@@ -133,8 +133,10 @@ func TestSentinelStatusMapping(t *testing.T) {
 }
 
 // TestShardedSnapshotReloadAndStatz saves a sharded snapshot directory,
-// reloads it over /admin/reload, and checks /statz gains per-shard rows
-// — including a dropped row after a shard file is destroyed.
+// reloads it over /admin/reload, and checks that the reload and /statz
+// report the format its shard files hold (GSIR3-SHARDED for SaveDir's)
+// and that /statz gains per-shard rows — including a dropped row after a
+// shard file is destroyed.
 func TestShardedSnapshotReloadAndStatz(t *testing.T) {
 	se := testSharded(t, 3)
 	dir := filepath.Join(t.TempDir(), "snap")
@@ -151,13 +153,19 @@ func TestShardedSnapshotReloadAndStatz(t *testing.T) {
 	if err := json.Unmarshal(body, &rl); err != nil {
 		t.Fatal(err)
 	}
-	if rl.Shards != 3 || rl.Shapes != se.NumShapes() || rl.Format != shardedFormatName {
+	if rl.Shards != 3 || rl.Shapes != se.NumShapes() || rl.Format != "GSIR3-SHARDED" {
 		t.Fatalf("reload response: %+v", rl)
+	}
+	if f := s.state.Load().info.Format; f != geosir.FormatGSIR3 {
+		t.Fatalf("serving format %d, want FormatGSIR3", f)
 	}
 
 	stz := s.Statz()
 	if stz.Snapshot == nil || len(stz.Snapshot.Shards) != 3 {
 		t.Fatalf("statz lacks per-shard rows: %+v", stz.Snapshot)
+	}
+	if stz.Snapshot.Format != "GSIR3-SHARDED" {
+		t.Fatalf("statz format %q, want GSIR3-SHARDED", stz.Snapshot.Format)
 	}
 	for _, row := range stz.Snapshot.Shards {
 		if row.Dropped || (row.Shapes > 0 && !row.Live) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -276,6 +277,61 @@ func TestPrepareOncePerRequest(t *testing.T) {
 		}
 		if prepared != tc.want {
 			t.Errorf("%s: the query was prepared %d times, want %d", tc.name, prepared, tc.want)
+		}
+	}
+}
+
+// TestAutoIsExact pins ModeAuto's contract: it answers what ModeExact
+// answers, and the hash table never answers it. On demo-200 the queries
+// are 30 unmatched stars (3–12 points, noise 0.3: no stored shape lies
+// near them), 30 stored shapes distorted 0.02, and one k larger than the
+// live shapes; the engines are an Engine, 8 shards, and 8 shards with a
+// live delta (an inserted image and a tombstoned frozen one).
+func TestAutoIsExact(t *testing.T) {
+	ctx := context.Background()
+	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
+	rng := rand.New(rand.NewSource(41))
+	var queries []Shape
+	for range 30 {
+		queries = append(queries, synth.Star(rng, 3+rng.Intn(10), 0.3))
+	}
+	queries = append(queries, synth.Queries(rng, images, 30, 0.02)...)
+	live := buildShardedFrom(t, images, 8)
+	enableIngest(t, live, t.TempDir(), IngestConfig{})
+	if err := live.DeleteImage(ctx, images[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.InsertImage(ctx, 9001, []Shape{synth.Distort(rng, queries[30], 0.005)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		eng  interface {
+			Searcher
+			NumShapes() int
+		}
+	}{
+		{"engine", buildSingle(t, images)},
+		{"8 shards", buildShardedFrom(t, images, 8)},
+		{"8 shards live", live},
+	} {
+		diverged := 0
+		for qi, q := range queries {
+			ks := []int{5}
+			if qi == 30 {
+				ks = append(ks, tc.eng.NumShapes()+1)
+			}
+			for _, k := range ks {
+				exact := mustSearch(t, tc.eng, SearchRequest{Query: q, K: k, Mode: ModeExact})
+				auto := mustSearch(t, tc.eng, SearchRequest{Query: q, K: k, Mode: ModeAuto})
+				if auto.Stats.UsedHashing || !reflect.DeepEqual(auto.Matches, exact.Matches) {
+					diverged++
+					t.Errorf("%s q%d k=%d: ModeAuto (used hashing %v) diverges from ModeExact", tc.name, qi, k, auto.Stats.UsedHashing)
+				}
+			}
+		}
+		if diverged > 0 {
+			t.Errorf("%s: %d of %d requests diverge", tc.name, diverged, len(queries)+1)
 		}
 	}
 }
