@@ -332,6 +332,44 @@ func BenchmarkMatch_Scaling_50images(b *testing.B)  { benchmarkMatchAtScale(b, 0
 func BenchmarkMatch_Scaling_100images(b *testing.B) { benchmarkMatchAtScale(b, 0.01) }
 func BenchmarkMatch_Scaling_200images(b *testing.B) { benchmarkMatchAtScale(b, 0.02) }
 
+// BenchmarkSearchDistance times the exact search as it is served —
+// Engine.Search in ModeExact, k = 5, over the 200-image base — by how far
+// the query's neighbours lie: 64 fixed queries a row, stored shapes
+// distorted 0.01 and 0.05, and unmatched stars (3–12 points, noise 0.3).
+// The search's cost follows the k-th neighbour's distance, so each row
+// reports ns/op and the copies that reached the exact evaluator
+// (candidates/op).
+func BenchmarkSearchDistance(b *testing.B) {
+	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
+	eng := buildSingle(b, images)
+	rng := rand.New(rand.NewSource(2))
+	stars := make([]Shape, 64)
+	for i := range stars {
+		stars[i] = synth.Star(rng, 3+rng.Intn(10), 0.3)
+	}
+	for _, row := range []struct {
+		name    string
+		queries []Shape
+	}{
+		{"distortion0.01", synth.Queries(rng, images, 64, 0.01)},
+		{"distortion0.05", synth.Queries(rng, images, 64, 0.05)},
+		{"star", stars},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			ctx := context.Background()
+			var candidates int
+			for i := 0; i < b.N; i++ {
+				resp, err := eng.Search(ctx, SearchRequest{Query: row.queries[i%len(row.queries)], K: 5, Mode: ModeExact})
+				if err != nil {
+					b.Fatal(err)
+				}
+				candidates += resp.Stats.Candidates
+			}
+			b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+		})
+	}
+}
+
 // BenchmarkOpenV3 times opening the 200-image demo base's GSIR3 snapshot,
 // heap-decoded (LoadFile) and mapped (LoadFileMmap): the in-process number
 // beside the ledger's open_ms. B/op is what one open allocates; the file
@@ -364,8 +402,8 @@ func BenchmarkOpenV3(b *testing.B) {
 
 // BenchmarkBucketScoring times the hashing stage's two passes over one
 // part — the query's hash bucket floored, then refined in floor order
-// (refine; DESIGN.md §4.9), the stage behind ModeApproximate and
-// ModeAuto's fallback — over the 200-image base and its 64 queries, bucket
+// (refine; DESIGN.md §4.9), the stage behind ModeApproximate — over the
+// 200-image base and its 64 queries, bucket
 // lookup and distance field outside the clock, and reports what the floor
 // order is for: how many of the bucket's shapes were scored in full (they
 // came back with a distance) and how many normalized copies reached the

@@ -21,27 +21,28 @@ import (
 // passes"): the order the exact search scores shapes in — one heap of
 // floors across the whole view — and where it stops change how much work a
 // request does, never its matches. Every Search below — on an Engine and on
-// ShardedEngines — is compared byte for byte with the exact answer worked
-// out the long way over the same parts (exactUnseeded) and, in ModeAuto,
-// with the fallback decision that follows from it. The Engine, whose Search
-// is the one-part case of the same code, is anchored on a reference that
-// shares none of it (engineUnseeded).
+// ShardedEngines, in ModeExact and in ModeAuto, which answers what
+// ModeExact answers — is compared byte for byte with the exact answer
+// worked out the long way over the same parts (exactUnseeded). The Engine,
+// whose Search is the one-part case of the same code, is anchored on a
+// reference that shares none of it (engineUnseeded), in ModeApproximate
+// too.
 
-// engineUnseeded answers (q, k, mode) from nothing Search runs: the
-// unseeded climb of Base().Match for the exact phase, and for the hashing
-// stage an exhaustive, unbounded ranking of the hash table's bucket.
+// engineUnseeded answers (q, k, mode) from nothing Search runs: in
+// ModeApproximate an exhaustive, unbounded ranking of the hash table's
+// bucket, in every other mode the unseeded climb of Base().Match.
 func engineUnseeded(t *testing.T, label string, e *Engine, q Shape, k int, mode Mode) []Match {
 	t.Helper()
 	base := e.Base()
-	ms, st, err := base.Match(q, k)
-	if err != nil {
-		t.Fatalf("%s: unseeded: %v", label, err)
-	}
-	exact := make([]Match, len(ms))
-	for i, m := range ms {
-		exact[i] = Match{ShapeID: m.ShapeID, ImageID: base.Shape(m.ShapeID).Image, Distance: m.DistVertex, ContinuousDistance: m.DistContinuous}
-	}
-	if mode == ModeExact || (st.Converged && len(exact) > 0 && exact[0].Distance <= e.DB().Tau()) {
+	if mode != ModeApproximate {
+		ms, _, err := base.Match(q, k)
+		if err != nil {
+			t.Fatalf("%s: unseeded: %v", label, err)
+		}
+		exact := make([]Match, len(ms))
+		for i, m := range ms {
+			exact[i] = Match{ShapeID: m.ShapeID, ImageID: base.Shape(m.ShapeID).Image, Distance: m.DistVertex, ContinuousDistance: m.DistContinuous}
+		}
 		return exact
 	}
 	pq, err := core.PrepareQuery(q)
@@ -61,31 +62,24 @@ func engineUnseeded(t *testing.T, label string, e *Engine, q Shape, k int, mode 
 		}
 		approx = append(approx, Match{ShapeID: sid, ImageID: base.Shape(sid).Image, Distance: d, Approximate: true})
 	}
-	if len(approx) == 0 {
-		return exact
-	}
 	sortMatches(approx)
 	return approx[:min(k, len(approx))]
 }
 
 // assertBoundFirst sweeps modes × exec policies of one (engine, q, k) and
-// compares each Search with the reference over the engine's view.
+// compares each Search with the reference over the engine's view: ModeAuto
+// as ModeExact.
 func assertBoundFirst(t *testing.T, label string, s Searcher, v searchView, q Shape, k int) {
 	t.Helper()
 	ctx := context.Background()
-	want, wst := exactUnseeded(t, label, v.parts, q, k, math.Inf(1))
-	wantAuto := autoFrom(t, label, v, q, k, want, wst)
+	want, _ := exactUnseeded(t, label, v.parts, q, k, math.Inf(1))
 	for _, mode := range []Mode{ModeExact, ModeAuto} {
 		for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
 			got, err := s.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Exec: exec})
 			if err != nil {
 				t.Fatalf("%s %v %v: %v", label, mode, exec, err)
 			}
-			w := want
-			if mode == ModeAuto {
-				w = wantAuto
-			}
-			assertMatchesEqual(t, fmt.Sprintf("%s %v %v", label, mode, exec), w, got.Matches)
+			assertMatchesEqual(t, fmt.Sprintf("%s %v %v", label, mode, exec), want, got.Matches)
 		}
 	}
 }
@@ -231,14 +225,14 @@ func TestBoundFirstEquivalence(t *testing.T) {
 		for _, k := range ks {
 			assertBoundFirst(t, fmt.Sprintf("engine q%d k=%d", qi, k), single, single.searchView(), q, k)
 			assertTwoPasses(t, fmt.Sprintf("engine q%d k=%d", qi, k), single.searchView().parts, q, k)
-			for _, mode := range []Mode{ModeExact, ModeAuto} {
+			for _, mode := range []Mode{ModeExact, ModeAuto, ModeApproximate} {
 				label := fmt.Sprintf("engine q%d k=%d %v", qi, k, mode)
 				got, err := single.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				assertMatchesEqual(t, label, engineUnseeded(t, label, single, q, k, mode), got.Matches)
-				if got.Stats.Iterations != 1 || got.Stats.FinalEpsilon != 0 {
+				if mode != ModeApproximate && (got.Stats.Iterations != 1 || got.Stats.FinalEpsilon != 0) {
 					t.Errorf("%s: %d iterations at width %g, want the exact search's 1 at 0", label, got.Stats.Iterations, got.Stats.FinalEpsilon)
 				}
 			}
@@ -268,7 +262,7 @@ func TestBoundFirstEquivalence(t *testing.T) {
 	for qi, q := range append(synth.Queries(wrng, wideImages[:len(wideImages)-2], 2, 0.01), sliver, synth.Distort(wrng, sliver, 0.01)) {
 		for _, k := range []int{1, 4} {
 			assertBoundFirst(t, fmt.Sprintf("wide-alpha engine q%d k=%d", qi, k), wide, wide.searchView(), q, k)
-			for _, mode := range []Mode{ModeExact, ModeAuto} {
+			for _, mode := range []Mode{ModeExact, ModeAuto, ModeApproximate} {
 				label := fmt.Sprintf("wide-alpha engine q%d k=%d %v", qi, k, mode)
 				got, err := wide.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
 				if err != nil {
@@ -476,8 +470,8 @@ func TestSeededSearchIsOneScan(t *testing.T) {
 // k fits the live shapes pass 1 lists, tombstoned ones not counted. On a
 // live view with an image deleted from a frozen shard and one in the
 // delta, k = live is Converged and returns every live shape; k = live + 1
-// returns the same list unconverged, and ModeAuto then falls back to
-// hashing.
+// returns the same list unconverged, in ModeExact and in ModeAuto alike,
+// and the hash table does not answer.
 func TestBoundFirstFitRule(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	ctx := context.Background()
@@ -504,8 +498,10 @@ func TestBoundFirstFitRule(t *testing.T) {
 	if over.Stats.Converged {
 		t.Fatalf("k = %d of %d live shapes: converged", n+1, n)
 	}
-	if auto := mustSearch(t, se, SearchRequest{Query: q, K: n + 1}); !auto.Stats.UsedHashing {
-		t.Fatalf("k past the live shapes: ModeAuto did not fall back: %+v", auto.Stats)
+	auto := mustSearch(t, se, SearchRequest{Query: q, K: n + 1})
+	assertMatchesEqual(t, "k past the live shapes, ModeAuto", over.Matches, auto.Matches)
+	if auto.Stats.Converged || auto.Stats.UsedHashing {
+		t.Fatalf("k past the live shapes: ModeAuto converged=%v, used hashing=%v; want ModeExact's unconverged list", auto.Stats.Converged, auto.Stats.UsedHashing)
 	}
 }
 

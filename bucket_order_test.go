@@ -45,9 +45,8 @@ func bucketOrders() []bucketOrder {
 // their listings in this order, on width goroutines: the exact stage
 // (exactSearch's listing, every live shape floored) and the hashing stage
 // (the query's hash bucket, permuted by perm, each shape floored) — every
-// floor read as 0 when flat. It returns their matches and the exact
-// stage's stats.
-func (o bucketOrder) stages(t *testing.T, v searchView, q Shape, k, width int) (exact []Match, st Stats, approx []Match) {
+// floor read as 0 when flat. It returns their matches.
+func (o bucketOrder) stages(t *testing.T, v searchView, q Shape, k, width int) (exact, approx []Match) {
 	t.Helper()
 	ctx := context.Background()
 	pq, err := core.PrepareQuery(q)
@@ -62,7 +61,7 @@ func (o bucketOrder) stages(t *testing.T, v searchView, q Shape, k, width int) (
 		}
 		return shapes
 	}
-	exact, st, err = refine(ctx, v.parts, pq, k, width, true, func(i int) ([]bucketShape, Stats, error) {
+	exact, _, err = refine(ctx, v.parts, pq, k, width, true, func(i int) ([]bucketShape, Stats, error) {
 		shapes, st, err := v.parts[i].floors(ctx, pq, int32(i))
 		return flatten(shapes), st, err
 	})
@@ -79,7 +78,7 @@ func (o bucketOrder) stages(t *testing.T, v searchView, q Shape, k, width int) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exact, st, approx
+	return exact, approx
 }
 
 // deadInBucket counts the tombstoned shapes of frozen parts on the query's
@@ -106,26 +105,22 @@ func deadInBucket(t *testing.T, parts []part, q Shape) (dead int) {
 // assertOrderInvariant holds every visiting order of the query's bucket —
 // and, flat, of the exact search's heap — to table order, on one worker and
 // on one per part: the answers of the exact and the hashing stage; and the
-// engine's own Search to them in the three single-shape modes (ModeAuto
-// the exact stage's answer when it converged within τ, the hashing stage's
-// when that is not empty, the exact stage's otherwise).
+// engine's own Search to them in the three single-shape modes (ModeExact
+// and ModeAuto the exact stage's answer, ModeApproximate the hashing
+// stage's).
 func assertOrderInvariant(t *testing.T, label string, s Searcher, v searchView, q Shape, k int) {
 	t.Helper()
 	ctx := context.Background()
-	exact, st, approx := bucketOrders()[0].stages(t, v, q, k, 1)
+	exact, approx := bucketOrders()[0].stages(t, v, q, k, 1)
 	for _, o := range bucketOrders() {
 		for _, width := range []int{1, len(v.parts)} {
 			l := fmt.Sprintf("%s order=%s width=%d", label, o.name, width)
-			e, _, a := o.stages(t, v, q, k, width)
+			e, a := o.stages(t, v, q, k, width)
 			assertMatchesEqual(t, l+" exact", exact, e)
 			assertMatchesEqual(t, l+" hashing", approx, a)
 		}
 	}
-	auto := approx
-	if st.Converged && exactGoodEnough(exact, v.tau) || len(approx) == 0 {
-		auto = exact
-	}
-	for mode, want := range map[Mode][]Match{ModeExact: exact, ModeAuto: auto, ModeApproximate: approx} {
+	for mode, want := range map[Mode][]Match{ModeExact: exact, ModeAuto: exact, ModeApproximate: approx} {
 		resp, err := s.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
 		if err != nil {
 			t.Fatalf("%s %v: %v", label, mode, err)

@@ -270,11 +270,8 @@ func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 		return err
 	}
 	mode := "exact (floor-ordered search)"
-	switch {
-	case resp.Stats.UsedANN && !resp.Stats.UsedHashing && resp.Stats.Iterations == 0:
+	if resp.Stats.UsedANN {
 		mode = "approximate (ANN candidate tier)"
-	case resp.Stats.UsedHashing:
-		mode = "approximate (geometric hashing)"
 	}
 	fmt.Printf("retrieval: %s — %d candidates\n", mode, resp.Stats.Candidates)
 	if resp.Stats.UsedANN {

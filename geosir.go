@@ -7,7 +7,7 @@
 // minimum point distance, an exact search that refines shapes in the order
 // of a cheap lower bound (the paper's incremental ε-envelope "fattening" algorithm over simplex
 // range-search structures is reproduced beside it, in internal/core), and
-// a geometric-hashing fallback for approximate matches. A topological query
+// geometric hashing for approximate matches. A topological query
 // processor answers compound queries over pairwise shape relations
 // (contain / overlap / disjoint, with diameter angles).
 //
@@ -93,8 +93,8 @@ type Match struct {
 	Distance float64
 	// ContinuousDistance is the symmetrized continuous-boundary measure.
 	ContinuousDistance float64
-	// Approximate marks results found by the geometric-hashing fallback
-	// (or the ANN tier) rather than the exact search.
+	// Approximate marks results found by geometric hashing (or the ANN
+	// tier) rather than the exact search.
 	Approximate bool
 }
 
@@ -116,7 +116,9 @@ type Stats struct {
 	Candidates int
 	// Converged reports that the exact matches are proven the top K: false
 	// only when K exceeds the live shapes.
-	Converged   bool
+	Converged bool
+	// UsedHashing reports that the geometric hash table answered: the
+	// request was ModeApproximate without AnnApprox.
 	UsedHashing bool
 	// UsedANN reports that the MinHash/LSH candidate tier generated the
 	// candidates (AnnApprox); ANNProbes counts LSH buckets probed and

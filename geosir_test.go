@@ -91,17 +91,18 @@ func TestSearchAutoExact(t *testing.T) {
 		t.Errorf("expected images 3 and 4, got %v", gotImages)
 	}
 	if stats.UsedHashing {
-		t.Error("exact search should not fall back")
+		t.Error("the hash table answered an auto request")
 	}
 	if ms[0].Approximate {
 		t.Error("exact result flagged approximate")
 	}
 }
 
-func TestSearchAutoFallsBackToHashing(t *testing.T) {
+// TestSearchApproximateStar: a query far from every stored shape, a
+// 12-armed star, in ModeApproximate is answered by geometric hashing, and
+// every match it returns is flagged Approximate.
+func TestSearchApproximateStar(t *testing.T) {
 	eng := buildEngine(t)
-	// A very dissimilar query: a 12-armed star. The fattening search will
-	// not find anything within τ, so hashing must kick in.
 	var pts []Point
 	for i := 0; i < 24; i++ {
 		r := 1.0
@@ -112,17 +113,17 @@ func TestSearchAutoFallsBackToHashing(t *testing.T) {
 		pts = append(pts, Pt(r*math.Cos(a), r*math.Sin(a)))
 	}
 	star := NewPolygon(pts...)
-	resp := mustSearch(t, eng, SearchRequest{Query: star, K: 3})
+	resp := mustSearch(t, eng, SearchRequest{Query: star, K: 3, Mode: ModeApproximate})
 	ms, stats := resp.Matches, resp.Stats
 	if !stats.UsedHashing {
-		t.Errorf("expected hashing fallback (best distance would be large)")
+		t.Errorf("ModeApproximate did not report hashing: %+v", stats)
 	}
 	if len(ms) == 0 {
-		t.Fatal("fallback returned nothing")
+		t.Fatal("hashing returned nothing")
 	}
 	for _, m := range ms {
 		if !m.Approximate {
-			t.Error("fallback results must be flagged approximate")
+			t.Error("hashing results must be flagged approximate")
 		}
 	}
 }

@@ -184,9 +184,9 @@ type errString string
 func (e errString) Error() string { return string(e) }
 
 // TestHashingFallbackAgreesWithScan: on a base where the query has no
-// close match, the hash fallback's best candidate should be a reasonable
-// shape — its distance within a small factor of the true best found by
-// exhaustive scan.
+// close match, ModeApproximate's best candidate from the hash bucket
+// should be a reasonable shape — its distance within a small factor of the
+// true best found by exhaustive scan.
 func TestHashingFallbackAgreesWithScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	eng := New(DefaultOptions())
@@ -224,7 +224,7 @@ func TestHashingFallbackAgreesWithScan(t *testing.T) {
 		t.Fatalf("approximate (%v) beat exact (%v)?", approx[0].Distance, exact[0].DistVertex)
 	}
 	if approx[0].Distance > 5*exact[0].DistVertex+0.1 {
-		t.Errorf("hash fallback too far off: approx %v vs exact %v",
+		t.Errorf("hashing too far off: approx %v vs exact %v",
 			approx[0].Distance, exact[0].DistVertex)
 	}
 }

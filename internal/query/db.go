@@ -197,9 +197,6 @@ func (db *DB) AllImages() ImageSet {
 	return s
 }
 
-// Tau returns the similarity threshold.
-func (db *DB) Tau() float64 { return db.opts.Tau }
-
 // estimate is the §5.2 estimate of shape_similar(Q) over the live shapes.
 func (db *DB) estimate(q bound) float64 {
 	return NewEstimator(db.base.NumShapes() - len(db.dead)).Estimate(q.vs)

@@ -291,6 +291,10 @@ func (s *Server) loadState(path string) (*engineState, error) {
 		if !se.Frozen() || se.NumShapes() == 0 {
 			return nil, fmt.Errorf("server: snapshot %s holds no shapes", path)
 		}
+		info, err := shardedInfo(se, rec)
+		if err != nil {
+			return nil, fmt.Errorf("server: snapshot header: %w", err)
+		}
 		if s.cfg.Ingest != nil {
 			if err := se.EnableIngest(geosir.IngestConfig{
 				Dir:              path,
@@ -301,14 +305,9 @@ func (s *Server) loadState(path string) (*engineState, error) {
 			}
 		}
 		return &engineState{
-			serving: se,
-			source:  path,
-			info: geosir.SnapshotInfo{
-				Format:     geosir.FormatGSIR2,
-				FormatName: shardedFormatName,
-				Options:    se.Options(),
-				Images:     se.NumImages(),
-			},
+			serving:  se,
+			source:   path,
+			info:     info,
 			loadedAt: time.Now(),
 			shards:   shardStatz(se, rec),
 		}, nil
@@ -337,9 +336,27 @@ func (s *Server) loadState(path string) (*engineState, error) {
 	return &engineState{serving: eng, source: path, info: info, loadedAt: time.Now()}, nil
 }
 
-// shardedFormatName is the FormatName /statz and reload responses
-// report for sharded snapshot directories.
-const shardedFormatName = "GSIR2-SHARDED"
+// shardedInfo describes a loaded snapshot directory: the format its first
+// live shard's file holds, named <FORMAT>-SHARDED, and the engine's
+// options and image count.
+func shardedInfo(se *geosir.ShardedEngine, rec *geosir.ShardRecovery) (geosir.SnapshotInfo, error) {
+	for i, fr := range rec.Shards {
+		if sh := se.Shard(i); !sh.Frozen() || sh.NumShapes() == 0 {
+			continue // dropped or empty
+		}
+		peek, err := geosir.PeekFile(fr.Path)
+		if err != nil {
+			return geosir.SnapshotInfo{}, err
+		}
+		return geosir.SnapshotInfo{
+			Format:     peek.Format,
+			FormatName: peek.FormatName + "-SHARDED",
+			Options:    se.Options(),
+			Images:     se.NumImages(),
+		}, nil
+	}
+	return geosir.SnapshotInfo{}, errors.New("no live shard")
+}
 
 // shardStatz builds the per-shard status rows, folding in the load-time
 // recovery report when the engine came from a snapshot directory.

@@ -21,10 +21,11 @@ import (
 type Mode int
 
 const (
-	// ModeAuto runs the exact search and falls back to geometric hashing
-	// when it finds no sufficiently close match — the paper's §6
-	// retrieval flow: when the best exact match is farther than τ, or when
-	// K exceeds the live shapes (Stats.Converged false).
+	// ModeAuto (the zero value) answers what ModeExact answers. The
+	// paper's §6 flow fell back to geometric hashing past its ε-climb's
+	// reach; the exact search reaches every distance, and a hash bucket
+	// is a subset of the live shapes, so hashing could only answer
+	// farther. With AnnApprox it answers from the ANN tier.
 	ModeAuto Mode = iota
 	// ModeExact runs only the exact search: the query's distance field
 	// floors every live shape, and shapes are scored in ascending floor
@@ -214,7 +215,7 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse
 }
 
 func (e *Engine) searchView() searchView {
-	return searchView{parts: []part{e.part()}, tau: e.db.Tau()}
+	return searchView{parts: []part{e.part()}}
 }
 
 // part is one independently searchable slice of a view, as a request sees
@@ -362,29 +363,26 @@ func (p *part) sketchTable(ctx context.Context, pq *core.PreparedQuery, sig []ui
 }
 
 // searchView is what one request searches: the parts of one immutable
-// snapshot of the base and its similarity threshold τ.
+// snapshot of the base.
 type searchView struct {
 	parts []part
-	tau   float64
 }
 
 // search is the request decision tree, the only one: validation, one
-// query preparation, the fan-out plan, then per mode the paper's §6 flow
-// over the view's parts — the exact search (exactSearch); geometric
-// hashing when that finds no close match. Every single-shape stage is the
-// same two passes (refine) over its own listing: every live shape, the hash
-// bucket, or the ANN candidates. The view is taken once per request and
-// every part of it is immutable, so the request answers from the base as
-// of that moment: neither a write nor a compaction landing mid-request
-// reaches it, and each stage lists each part once. The context is checked
-// at stage boundaries, so a request whose deadline has passed never pays
-// for the next stage.
+// query preparation, the fan-out plan, then one stage over the view's
+// parts. A single-shape request has three: ModeApproximate answers from
+// the geometric hash buckets, AnnApprox (outside ModeExact) from the ANN
+// candidates, and every other request from the exact search over every
+// live shape (exactSearch). Each is the same two passes (refine) over its
+// own listing. The view is taken once per request and every part of it
+// is immutable, so the request answers from the base as of that moment:
+// neither a write nor a compaction landing mid-request reaches it.
 //
 // The width is planned once from req.Exec, the live in-flight gauge and
-// GOMAXPROCS; both stages of a ModeAuto request run under the one plan.
-// Width only changes how fast the answer arrives, never the answer or its
-// Stats: only a stage's listing fans out, and its refine pass runs on the
-// request's goroutine over a total order (DESIGN.md §4.13).
+// GOMAXPROCS. Width only changes how fast the answer arrives, never the
+// answer or its Stats: only a stage's listing fans out, and its refine
+// pass runs on the request's goroutine over a total order (DESIGN.md
+// §4.13).
 func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() searchView, req SearchRequest) (*SearchResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -408,7 +406,8 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		// AnnApprox answers from the ANN candidates alone — except in
 		// ModeExact, whose contract is exactness: there it is AnnOff.
 		annOnly := req.Ann == AnnApprox && req.Mode != ModeExact
-		if req.Mode != ModeApproximate && !annOnly {
+		exact := req.Mode != ModeApproximate && !annOnly
+		if exact {
 			// Only an exact request validates the shape; the others let
 			// normalization reject what it must.
 			if err := req.Query.Validate(); err != nil {
@@ -421,52 +420,34 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		}
 		var blocks, evaluated atomic.Int64
 		pq.AttachEvalCounter(&evaluated)
-		respond := func(ms []Match, st Stats) (*SearchResponse, error) {
-			st.BlockReads += int(blocks.Load())
-			st.Candidates = int(evaluated.Load())
-			return &SearchResponse{Matches: ms, Stats: st}, nil
-		}
-		var exact []Match
-		var stats Stats
-		if req.Mode != ModeApproximate && !annOnly {
-			ms, st, err := exactSearch(ctx, v.parts, pq, req.K, width)
-			if err != nil {
-				return nil, err
-			}
-			if req.Mode == ModeExact || (st.Converged && exactGoodEnough(ms, v.tau)) {
-				return respond(ms, st)
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			exact, stats = ms, st
-		}
-		// The exact search charged its block reads itself, each copy once;
-		// the candidate stages charge theirs through the query.
-		pq.AttachBlockCounter(&blocks)
-		if annOnly {
+		var ms []Match
+		var st Stats
+		switch {
+		case exact:
+			// The exact search charges its block reads itself, each copy
+			// once; the candidate stages charge theirs through the query.
+			ms, st, err = exactSearch(ctx, v.parts, pq, req.K, width)
+		case annOnly:
+			pq.AttachBlockCounter(&blocks)
 			sigs := querySigs(v.parts, pq.Entry().Poly)
-			ms, stats, err := refine(ctx, v.parts, pq, req.K, width, false, func(i int) ([]bucketShape, Stats, error) {
+			ms, st, err = refine(ctx, v.parts, pq, req.K, width, false, func(i int) ([]bucketShape, Stats, error) {
 				return v.parts[i].annFloors(ctx, pq, sigs[i], req.K, int32(i))
 			})
-			if err != nil {
-				return nil, err
-			}
-			stats.UsedANN = true
-			return respond(ms, stats)
+			st.UsedANN = true
+		default:
+			pq.AttachBlockCounter(&blocks)
+			buckets := hashBuckets(v.parts, pq)
+			ms, st, err = refine(ctx, v.parts, pq, req.K, width, false, func(i int) ([]bucketShape, Stats, error) {
+				return floored(&v.parts[i], buckets[i], pq, int32(i)), Stats{}, nil
+			})
+			st.UsedHashing = true
 		}
-		buckets := hashBuckets(v.parts, pq)
-		approx, _, err := refine(ctx, v.parts, pq, req.K, width, false, func(i int) ([]bucketShape, Stats, error) {
-			return floored(&v.parts[i], buckets[i], pq, int32(i)), Stats{}, nil
-		})
 		if err != nil {
 			return nil, err
 		}
-		stats.UsedHashing = true
-		if len(approx) == 0 && req.Mode == ModeAuto {
-			return respond(exact, stats)
-		}
-		return respond(approx, stats)
+		st.BlockReads += int(blocks.Load())
+		st.Candidates = int(evaluated.Load())
+		return &SearchResponse{Matches: ms, Stats: st}, nil
 	case ModeSketch:
 		// Sketch work items are (sketch shape × part) pairs, so the plan
 		// covers the full task count.
@@ -488,13 +469,6 @@ func (r SearchRequest) prepare(q Shape) (*core.PreparedQuery, error) {
 		r.onPrepare()
 	}
 	return core.PrepareQuery(q)
-}
-
-// exactGoodEnough reports whether the exact result is close enough to
-// skip the hashing fallback: the best match is within the τ similarity
-// threshold.
-func exactGoodEnough(ms []Match, tau float64) bool {
-	return len(ms) > 0 && ms[0].Distance <= tau
 }
 
 // exactSearch is the exact stage of a request (DESIGN.md §4.9, "The exact

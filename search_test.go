@@ -241,25 +241,24 @@ func TestModeStringParseRoundTrip(t *testing.T) {
 }
 
 // TestPrepareOncePerRequest pins that a request normalizes its query (and
-// builds its oracle and envelope) once, however many stages and parts
-// then search it: a ModeAuto request that falls back to hashing reuses
-// the exact phase's prepared query, and an AnnApprox request on 7 shards
+// builds its oracle and envelope) once, however many parts then search
+// it: a ModeApproximate request looks up and scores every part's hash
+// bucket with the one prepared query, and an AnnApprox request on 7 shards
 // probes every shard's ANN index with it. A sketch prepares each of its
 // shapes once.
 func TestPrepareOncePerRequest(t *testing.T) {
 	images, queries, sketch := equivBase(t)
 	single := buildSingle(t, images)
 	sharded := buildShardedFrom(t, images, 7)
-	many := single.NumShapes() + 5 // never converges: ModeAuto falls back
 	for _, tc := range []struct {
-		name     string
-		eng      Searcher
-		req      SearchRequest
-		want     int
-		fallback bool
+		name    string
+		eng     Searcher
+		req     SearchRequest
+		want    int
+		hashing bool
 	}{
-		{"engine auto fallback", single, SearchRequest{Query: queries[0], K: many}, 1, true},
-		{"7 shards auto fallback", sharded, SearchRequest{Query: queries[0], K: many}, 1, true},
+		{"engine approximate", single, SearchRequest{Query: queries[0], K: 3, Mode: ModeApproximate}, 1, true},
+		{"7 shards approximate", sharded, SearchRequest{Query: queries[0], K: 3, Mode: ModeApproximate}, 1, true},
 		{"7 shards ann approx", sharded, SearchRequest{Query: queries[1], K: 3, Ann: AnnApprox}, 1, false},
 		{"7 shards sketch", sharded, SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch, Ann: AnnApprox}, len(sketch), false},
 	} {
@@ -269,8 +268,8 @@ func TestPrepareOncePerRequest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if resp.Stats.UsedHashing != tc.fallback {
-			t.Fatalf("%s: UsedHashing = %v, want %v", tc.name, resp.Stats.UsedHashing, tc.fallback)
+		if resp.Stats.UsedHashing != tc.hashing {
+			t.Fatalf("%s: UsedHashing = %v, want %v", tc.name, resp.Stats.UsedHashing, tc.hashing)
 		}
 		if tc.req.Ann != AnnOff && !resp.Stats.UsedANN {
 			t.Fatalf("%s: the ANN tier did not engage", tc.name)

@@ -395,18 +395,6 @@ func (se *ShardedEngine) NumEntries() int {
 	return n
 }
 
-// tau returns the shared similarity threshold, used by the ModeAuto
-// fallback decision.
-func (se *ShardedEngine) tau(v *shardView) float64 {
-	for _, si := range v.liveShards() {
-		return v.shards[si].db.Tau()
-	}
-	if se.opts.Tau > 0 {
-		return se.opts.Tau
-	}
-	return DefaultOptions().Tau // mirror of New()'s defaulting
-}
-
 // Search answers one retrieval request over the live shards — and, when
 // ingestion is enabled, the live delta(s): the request flow of search,
 // over this engine's current view.
@@ -415,8 +403,7 @@ func (se *ShardedEngine) Search(ctx context.Context, req SearchRequest) (*Search
 }
 
 func (se *ShardedEngine) searchView() searchView {
-	v := se.snapshot()
-	return searchView{parts: v.parts(), tau: se.tau(v)}
+	return searchView{parts: se.snapshot().parts()}
 }
 
 // SchedStats reports the engine's execution-scheduler counters: the

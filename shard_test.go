@@ -135,7 +135,7 @@ func TestShardedEquivalence(t *testing.T) {
 					label := mode.String()
 					assertMatchesEqual(t, label, want.Matches, got.Matches)
 					if got.Stats.UsedHashing != want.Stats.UsedHashing {
-						t.Fatalf("shards=%d q%d k=%d %s: UsedHashing diverges (%v vs %v) — the auto fallback decision is not mirrored",
+						t.Fatalf("shards=%d q%d k=%d %s: UsedHashing diverges (%v vs %v)",
 							shards, qi, k, label, got.Stats.UsedHashing, want.Stats.UsedHashing)
 					}
 				}
