@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	geosir "repro"
+	"repro/internal/sectable"
 )
 
 // testSharded builds the same base as testEngine, partitioned.
@@ -195,5 +197,115 @@ func TestShardedSnapshotReloadAndStatz(t *testing.T) {
 	}
 	if resp, body := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 2}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("search on degraded snapshot: %d (%s)", resp.StatusCode, body)
+	}
+}
+
+// TestSingleFileServesAsOneShard: a snapshot file serves as a one-shard
+// engine. One base is saved as a file and as a one-shard directory, and
+// each is installed through LoadSnapshot, heap and mapped: every search
+// mode answers byte-identical bodies (stats included), the topological
+// read the same ids and plan, and /statz lists one live shard row for
+// each — format GSIR3 for the file, GSIR3-SHARDED for the directory. A
+// flipped byte in a derived section is still refused in the file, as
+// LoadFile refuses it, while the directory degrades: its shard is
+// rebuilt from the raw sections and serves.
+func TestSingleFileServesAsOneShard(t *testing.T) {
+	tmp := t.TempDir()
+	file := filepath.Join(tmp, "base.gsir")
+	if err := testEngine(t).SaveFile(file); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(tmp, "snap")
+	if err := testSharded(t, 1).SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	probes := []struct {
+		path string
+		body any
+	}{
+		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "auto"}},
+		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact"}},
+		{"/v1/search", map[string]any{"shape": wireL(), "k": 3, "mode": "approximate"}},
+		{"/v1/search", map[string]any{"shape": wireL(), "k": 3, "ann": "approx"}},
+		{"/v1/search", map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": 3, "mode": "sketch"}},
+		{"/v1/topological", map[string]any{"query": "similar(q) OR contain(sq, q, any)",
+			"binds": map[string]WireShape{"q": wireL(), "sq": wireSquare()}}},
+	}
+	modes := []geosir.LoadMode{geosir.LoadModeHeap, geosir.LoadModeMmap}
+	var exact string // the undamaged base's exact search body
+	serve := func(t *testing.T, mode geosir.LoadMode, path string) (*Server, *httptest.Server, error) {
+		t.Helper()
+		s := New(Config{LoadMode: mode})
+		if _, err := s.LoadSnapshot(path); err != nil {
+			return nil, nil, err
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return s, ts, nil
+	}
+	for _, mode := range modes {
+		var bodies [2][]string
+		for i, path := range []string{file, dir} {
+			s, ts, err := serve(t, mode, path)
+			if err != nil {
+				t.Fatalf("%v %s: %v", mode, path, err)
+			}
+			for _, p := range probes {
+				resp, raw := post(t, ts.URL+p.path, p.body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%v %s %s: %d %s", mode, path, p.path, resp.StatusCode, raw)
+				}
+				bodies[i] = append(bodies[i], string(raw))
+			}
+			stz := s.Statz().Snapshot
+			if want := []string{"GSIR3", "GSIR3-SHARDED"}[i]; stz == nil || stz.Format != want {
+				t.Fatalf("%v %s: statz snapshot %+v, want format %s", mode, path, stz, want)
+			}
+			if rows := stz.Shards; len(rows) != 1 || !rows[0].Live || rows[0].Dropped || rows[0].Images != 5 || rows[0].Shapes != 8 {
+				t.Fatalf("%v %s: shard rows %+v, want one live row of 5 images and 8 shapes", mode, path, rows)
+			}
+		}
+		exact = bodies[1][1]
+		for j, p := range probes {
+			if bodies[0][j] != bodies[1][j] {
+				t.Errorf("%v %s %v: file and one-shard directory answer differently\nfile: %s\ndir:  %s",
+					mode, p.path, p.body, bodies[0][j], bodies[1][j])
+			}
+		}
+	}
+
+	// One flipped byte in the hash quadruples, a derived section.
+	for _, path := range []string{file, filepath.Join(dir, "shard-000.gsir2")} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := sectable.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(rows, func(s sectable.Section) bool { return s.Tag == "QUAD" })
+		if i < 0 || rows[i].Len == 0 {
+			t.Fatalf("%s: no QUAD payload", path)
+		}
+		data[rows[i].Off+rows[i].Len/2] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mode := range modes {
+		if _, _, err := serve(t, mode, file); err == nil {
+			t.Errorf("%v: a damaged snapshot file was installed", mode)
+		}
+		s, ts, err := serve(t, mode, dir)
+		if err != nil {
+			t.Fatalf("%v: the damaged one-shard directory was refused: %v", mode, err)
+		}
+		if rows := s.Statz().Snapshot.Shards; len(rows) != 1 || !rows[0].Live {
+			t.Errorf("%v: damaged one-shard directory rows %+v, want one live row", mode, rows)
+		}
+		if resp, raw := post(t, ts.URL+"/v1/search", probes[1].body); resp.StatusCode != http.StatusOK || string(raw) != exact {
+			t.Errorf("%v: damaged one-shard directory answers %d %s, want %s", mode, resp.StatusCode, raw, exact)
+		}
 	}
 }
