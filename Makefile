@@ -125,10 +125,11 @@ done
 done; rm -rf $(SMOKE_DIR); exit $$rc
 endef
 
-# Every query endpoint over a single-engine snapshot file, then over a
-# 4-shard snapshot directory (also asserting per-shard health via /statz).
+# Every query endpoint over a snapshot file, then over a 4-shard snapshot
+# directory, each also asserting per-shard health via /statz: the file
+# serves as a one-shard engine.
 serve-smoke:
-	$(call daemon_smoke,"||-smoke" "-shards 4||-smoke -expect-shards 4")
+	$(call daemon_smoke,"||-smoke -expect-shards 1" "-shards 4||-smoke -expect-shards 4")
 
 # The live write path (insert → query → compact → query → delete) against
 # a geosird started with -ingest; manual compaction keeps the sequence

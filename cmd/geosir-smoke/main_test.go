@@ -84,8 +84,11 @@ func TestSmokeAgainstShardedServer(t *testing.T) {
 	}
 }
 
+// TestCheckShardsRejectsUnsharded: a server of one shard — what a
+// snapshot file serves as — reports one shard row, so it fails a
+// two-shard expectation and passes a one-shard one.
 func TestCheckShardsRejectsUnsharded(t *testing.T) {
-	eng := geosir.New(geosir.DefaultOptions())
+	eng := geosir.NewSharded(geosir.DefaultOptions(), 1)
 	spec := synth.PaperSpec(0.002, 11)
 	spec.Images = 6
 	for _, img := range synth.GenerateBase(spec) {
@@ -106,7 +109,7 @@ func TestCheckShardsRejectsUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := server.New(server.Config{})
-	if err := s.SetEngine(eng, "(single)"); err != nil {
+	if err := s.SetServing(eng, "(single)"); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -116,7 +119,10 @@ func TestCheckShardsRejectsUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := checkShards(st, 2); err == nil {
-		t.Fatal("single-engine server should fail a shard expectation")
+		t.Fatal("a one-shard server should fail a two-shard expectation")
+	}
+	if err := checkShards(st, 1); err != nil {
+		t.Fatalf("a one-shard server fails a one-shard expectation: %v", err)
 	}
 }
 

@@ -79,7 +79,7 @@ type imageAdder interface {
 	AddImage(imageID int, shapes []geosir.Shape) error
 }
 
-// fillBase populates any engine kind from -demo or -base.
+// fillBase populates an engine from -demo or -base.
 func fillBase(adder imageAdder, basePath string, demo int, seed int64) error {
 	switch {
 	case demo > 0:
@@ -106,81 +106,34 @@ func fillBase(adder imageAdder, basePath string, demo int, seed int64) error {
 	return fmt.Errorf("need -base FILE or -demo N")
 }
 
-// cliEngine is the surface run() needs from either engine kind.
-type cliEngine interface {
-	geosir.Searcher
-	imageAdder
-	Freeze() error
-	NumImages() int
-	NumShapes() int
-	NumEntries() int
-	Query(ctx context.Context, src string, binds map[string]geosir.Shape) ([]int, string, error)
-}
-
-func newEngine(shards int) cliEngine {
-	if shards > 1 {
-		return geosir.NewSharded(geosir.DefaultOptions(), shards)
-	}
-	return geosir.New(geosir.DefaultOptions())
-}
-
-// storedPoly fetches a stored shape's polygon by global shape id from
-// either engine kind.
-func storedPoly(eng cliEngine, id int) (geosir.Shape, error) {
+// storedPoly fetches a stored shape's polygon by global shape id.
+func storedPoly(eng *geosir.ShardedEngine, id int) (geosir.Shape, error) {
 	if id < 0 || id >= eng.NumShapes() {
 		return geosir.Shape{}, fmt.Errorf("shape id %d out of range [0,%d)", id, eng.NumShapes())
 	}
-	switch e := eng.(type) {
-	case *geosir.Engine:
-		return e.Base().Shape(id).Poly, nil
-	case *geosir.ShardedEngine:
-		shard, local, ok := e.IDMap().Locate(id)
-		if !ok {
-			return geosir.Shape{}, fmt.Errorf("shape id %d not present (dropped shard?)", id)
-		}
-		return e.Shard(shard).Base().Shape(int(local)).Poly, nil
+	shard, local, ok := eng.IDMap().Locate(id)
+	if !ok {
+		return geosir.Shape{}, fmt.Errorf("shape id %d not present (dropped shard?)", id)
 	}
-	return geosir.Shape{}, fmt.Errorf("unknown engine kind %T", eng)
+	return eng.Shard(shard).Base().Shape(int(local)).Poly, nil
 }
 
-func printHashStats(eng cliEngine) {
-	switch e := eng.(type) {
-	case *geosir.Engine:
-		mean, maxB := e.HashTable().BucketStats()
-		fmt.Printf("hash table: %d shapes, mean bucket %.2f, max bucket %d\n",
-			e.HashTable().Len(), mean, maxB)
-	case *geosir.ShardedEngine:
-		for i := 0; i < e.NumShards(); i++ {
-			sh := e.Shard(i)
-			if !sh.Frozen() || sh.NumShapes() == 0 {
-				continue // an empty shard is never frozen and has no table
-			}
-			mean, maxB := sh.HashTable().BucketStats()
-			fmt.Printf("shard %d hash table: %d shapes, mean bucket %.2f, max bucket %d\n",
-				i, sh.HashTable().Len(), mean, maxB)
-		}
-	}
-}
-
-// printSections prints the GSIR3 section table a snapshot of eng holds —
-// each section's tag, bytes, share of the file and bytes per image, summed
-// over the shards of a sharded engine — read off the saved file's own
-// table (sectable.Parse).
-func printSections(eng cliEngine) error {
-	var snaps []*geosir.Engine
-	switch e := eng.(type) {
-	case *geosir.Engine:
-		snaps = append(snaps, e)
-	case *geosir.ShardedEngine:
-		for i := 0; i < e.NumShards(); i++ {
-			if sh := e.Shard(i); sh.Frozen() && sh.NumShapes() > 0 {
-				snaps = append(snaps, sh)
-			}
-		}
-	}
+// printStats prints each shard's hash table, then the GSIR3 section table
+// a snapshot of eng holds — each section's tag, bytes, share of the file
+// and bytes per image, summed over the shards — read off the saved files'
+// own tables (sectable.Parse). An empty shard is never frozen and has
+// neither, so it is left out of both.
+func printStats(eng *geosir.ShardedEngine) error {
 	var tags []string
 	size, total := map[string]int{}, 0
-	for _, sh := range snaps {
+	for i := 0; i < eng.NumShards(); i++ {
+		sh := eng.Shard(i)
+		if !sh.Frozen() || sh.NumShapes() == 0 {
+			continue
+		}
+		mean, maxB := sh.HashTable().BucketStats()
+		fmt.Printf("shard %d hash table: %d shapes, mean bucket %.2f, max bucket %d\n",
+			i, sh.HashTable().Len(), mean, maxB)
 		var buf bytes.Buffer
 		if err := sh.Save(&buf); err != nil {
 			return err
@@ -213,7 +166,7 @@ func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 	if err != nil {
 		return err
 	}
-	eng := newEngine(shards)
+	eng := geosir.NewSharded(geosir.DefaultOptions(), shards)
 	if err := fillBase(eng, basePath, demo, seed); err != nil {
 		return err
 	}
@@ -224,8 +177,7 @@ func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 		eng.NumImages(), eng.NumShapes(), eng.NumEntries())
 
 	if stats {
-		printHashStats(eng)
-		return printSections(eng)
+		return printStats(eng)
 	}
 
 	if topo != "" {
@@ -320,31 +272,30 @@ func runDump(basePath string, demo int, seed int64, out string) error {
 // runSnapshot materializes a base (demo or loaded), freezes it, and
 // writes a GSIR snapshot ready to serve with geosird -snapshot. The base
 // is frozen, so the snapshot is GSIR3 — reloads assemble (or, with
-// geosird -load-mode mmap, map) the sections instead of rebuilding. With
-// shards > 1 the snapshot is a directory of per-shard files plus a
-// manifest.
+// geosird -load-mode mmap, map) the sections instead of rebuilding. One
+// shard is written as a single file, the one a single Engine over the
+// base writes; more as a directory of per-shard files plus a manifest.
 func runSnapshot(basePath string, demo int, seed int64, shards int, out string) error {
-	eng := newEngine(shards)
+	eng := geosir.NewSharded(geosir.DefaultOptions(), shards)
 	if err := fillBase(eng, basePath, demo, seed); err != nil {
 		return err
 	}
 	if err := eng.Freeze(); err != nil {
 		return err
 	}
-	switch e := eng.(type) {
-	case *geosir.ShardedEngine:
-		if err := e.SaveDir(out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote sharded snapshot %s (%d shards, %d images, %d shapes, %d entries)\n",
-			out, e.NumShards(), e.NumImages(), e.NumShapes(), e.NumEntries())
-	case *geosir.Engine:
-		if err := e.SaveFile(out); err != nil {
+	if eng.NumShards() == 1 {
+		if err := eng.Shard(0).SaveFile(out); err != nil {
 			return err
 		}
 		fmt.Printf("wrote snapshot %s (%d images, %d shapes, %d entries)\n",
-			out, e.NumImages(), e.NumShapes(), e.NumEntries())
+			out, eng.NumImages(), eng.NumShapes(), eng.NumEntries())
+		return nil
 	}
+	if err := eng.SaveDir(out); err != nil {
+		return err
+	}
+	fmt.Printf("wrote sharded snapshot %s (%d shards, %d images, %d shapes, %d entries)\n",
+		out, eng.NumShards(), eng.NumImages(), eng.NumShapes(), eng.NumEntries())
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"os"
@@ -184,22 +185,21 @@ func TestRunDemoPath(t *testing.T) {
 	}
 }
 
+// TestRunSnapshotSharded: -shards 3 writes a directory that loads as three
+// shards; -shards 1 writes one file, byte for byte the one a single Engine
+// over the base saves, which loads completely as one shard.
 func TestRunSnapshotSharded(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "snapdir")
 	if err := runSnapshot("", 12, 3, 3, out); err != nil {
 		t.Fatal(err)
 	}
-	sv, rec, err := geosir.LoadAny(out)
+	se, rec, err := geosir.LoadShardedDir(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec != nil && !rec.Complete() {
+	if !rec.Complete() {
 		t.Fatalf("fresh sharded snapshot incomplete: %+v", rec)
-	}
-	se, ok := sv.(*geosir.ShardedEngine)
-	if !ok {
-		t.Fatalf("LoadAny(dir) = %T, want *ShardedEngine", sv)
 	}
 	if se.NumShards() != 3 || se.NumImages() == 0 {
 		t.Fatalf("loaded %d shards / %d images", se.NumShards(), se.NumImages())
@@ -210,10 +210,32 @@ func TestRunSnapshotSharded(t *testing.T) {
 	if err := runSnapshot("", 12, 3, 1, file); err != nil {
 		t.Fatal(err)
 	}
-	if sv, _, err := geosir.LoadAny(file); err != nil {
+	single := geosir.New(geosir.DefaultOptions())
+	if err := fillBase(single, "", 12, 3); err != nil {
 		t.Fatal(err)
-	} else if _, ok := sv.(*geosir.Engine); !ok {
-		t.Fatalf("LoadAny(file) = %T, want *Engine", sv)
+	}
+	if err := single.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	ref := filepath.Join(dir, "ref.gsir")
+	if err := single.SaveFile(ref); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("-shards 1 wrote %d bytes, not the %d a single Engine saves", len(got), len(want))
+	}
+	if _, rec, err := geosir.LoadAny(file); err != nil {
+		t.Fatal(err)
+	} else if !rec.Complete() || len(rec.Shards) != 1 || rec.ImagesLoaded != single.NumImages() {
+		t.Fatalf("LoadAny(file) recovery %+v, want one complete shard of %d images", rec, single.NumImages())
 	}
 }
 

@@ -5,9 +5,10 @@
 //	geosird -snapshot sharded-snapshot-dir/ -addr :8080
 //	geosird -snapshot sharded-snapshot-dir/ -load-mode mmap -addr :8080
 //
-// A file path serves a single engine; a directory path serves a
-// ShardedEngine from per-shard snapshot files (a damaged shard degrades
-// to partial results and is reported in /statz). -load-mode mmap maps
+// A directory path serves a ShardedEngine from per-shard snapshot files
+// (a damaged shard degrades to partial results and is reported in
+// /statz); a file path serves as a one-shard engine, and any damage in it
+// fails the load. -load-mode mmap maps
 // GSIR3 snapshots and serves the hot sections straight off the page
 // cache — open is O(1) in base size and the base may exceed RAM;
 // non-GSIR3 snapshots silently fall back to a heap load per file.
@@ -64,7 +65,7 @@ func main() {
 		accessLog   = flag.Bool("access-log", false, "write JSON access logs to stderr")
 		drainWait   = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty = disabled)")
-		ingest      = flag.Bool("ingest", false, "enable live ingestion on a sharded snapshot directory (POST/DELETE /v1/images, background compaction)")
+		ingest      = flag.Bool("ingest", false, "enable live ingestion on a snapshot directory (POST/DELETE /v1/images, background compaction); a snapshot file is refused")
 		compactAt   = flag.Int("compact-threshold", 0, "delta shape count that triggers background compaction (0 = default, negative = manual /admin/compact only; needs -ingest)")
 		execPolicy  = flag.String("exec", "auto", "default execution policy for requests that do not set one: auto (adapt fan-out to load), fanout, sequential")
 		loadMode    = flag.String("load-mode", "heap", "snapshot load mode: heap (decode into memory) or mmap (serve GSIR3 sections off the page cache; non-GSIR3 files fall back to heap)")
@@ -122,7 +123,7 @@ func run(snapshot, addr string, cfg server.Config, drainWait time.Duration, ppro
 	logger.Printf("loaded %s (%s, %d images, %d shapes, %d entries) in %v",
 		snapshot, info.FormatName, sv.NumImages(), sv.NumShapes(), sv.NumEntries(),
 		time.Since(start).Round(time.Millisecond))
-	if cfg.Ingest != nil {
+	if sv.IngestEnabled() {
 		logger.Printf("live ingestion on: /v1/images accepts writes (compact threshold %d)",
 			cfg.Ingest.CompactThreshold)
 	}

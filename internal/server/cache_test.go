@@ -50,19 +50,19 @@ func transformWire(ws WireShape, theta, scale, dx, dy float64) WireShape {
 // TestCacheEquivalence is the core acceptance property: for every mode ×
 // k × ann combination, the cached server's responses (miss, then hit)
 // are byte-identical to an uncached server's response over the same
-// engine. Run under -race in CI.
+// one-shard engine. Run under -race in CI.
 func TestCacheEquivalence(t *testing.T) {
-	eng := testEngine(t)
+	eng := testSharded(t, 1)
 
 	plain := New(Config{})
-	if err := plain.SetEngine(eng, "(plain)"); err != nil {
+	if err := plain.SetServing(eng, "(plain)"); err != nil {
 		t.Fatal(err)
 	}
 	tsPlain := httptest.NewServer(plain.Handler())
 	defer tsPlain.Close()
 
 	cached := New(cacheOn())
-	if err := cached.SetEngine(eng, "(cached)"); err != nil {
+	if err := cached.SetServing(eng, "(cached)"); err != nil {
 		t.Fatal(err)
 	}
 	tsCached := httptest.NewServer(cached.Handler())
@@ -121,11 +121,12 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestCacheAffineEquivalence: similarity-transformed placements of one
-// query are one cache entry; genuinely different queries are not.
+// TestCacheAffineEquivalence: over a one-shard engine,
+// similarity-transformed placements of one query are one cache entry;
+// genuinely different queries are not.
 func TestCacheAffineEquivalence(t *testing.T) {
 	s := New(cacheOn())
-	if err := s.SetEngine(testEngine(t), "(test)"); err != nil {
+	if err := s.SetServing(testSharded(t, 1), "(test)"); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -165,9 +166,9 @@ func TestCacheAffineEquivalence(t *testing.T) {
 	}
 }
 
-// countingServing wraps a real engine, counting Search calls and
+// countingServing wraps a one-shard engine, counting Search calls and
 // (optionally) blocking them until released — the observable the
-// coalescing test needs.
+// coalescing test needs; everything else is the engine's own.
 type countingServing struct {
 	Serving
 	calls atomic.Int64
@@ -187,9 +188,10 @@ func (c *countingServing) Search(ctx context.Context, req geosir.SearchRequest) 
 }
 
 // TestCacheCoalescing: M concurrent identical requests cause exactly one
-// engine Search; every client receives the full, identical response.
+// Search of the one-shard engine behind countingServing; every client
+// receives the full, identical response.
 func TestCacheCoalescing(t *testing.T) {
-	stub := &countingServing{Serving: testEngine(t), block: make(chan struct{})}
+	stub := &countingServing{Serving: testSharded(t, 1), block: make(chan struct{})}
 	s := New(cacheOn())
 	if err := s.SetServing(stub, "(stub)"); err != nil {
 		t.Fatal(err)
@@ -262,11 +264,11 @@ func TestCacheCoalescing(t *testing.T) {
 }
 
 // TestCacheLeaderDisconnectDoesNotPoisonWaiters: the computing leader's
-// client hangs up mid-search; the coalesced waiter must still receive
-// the complete result (the compute context is detached from the
-// leader's request).
+// client hangs up mid-search of the one-shard engine behind
+// countingServing; the coalesced waiter must still receive the complete
+// result (the compute context is detached from the leader's request).
 func TestCacheLeaderDisconnectDoesNotPoisonWaiters(t *testing.T) {
-	stub := &countingServing{Serving: testEngine(t), block: make(chan struct{})}
+	stub := &countingServing{Serving: testSharded(t, 1), block: make(chan struct{})}
 	s := New(cacheOn())
 	if err := s.SetServing(stub, "(stub)"); err != nil {
 		t.Fatal(err)
@@ -350,9 +352,9 @@ type result2 struct {
 
 // TestCacheInvalidationUnderReload hammers a cached server while
 // snapshots hot-swap: every response must be byte-identical to one of
-// the two engines' canonical answers (no stale serving, no epoch
-// mixing), and a failed reload must leave both the engine and the cache
-// intact.
+// the two snapshots' canonical answers, each served by an uncached
+// server loading that snapshot file (no stale serving, no epoch mixing),
+// and a failed reload must leave both the engine and the cache intact.
 func TestCacheInvalidationUnderReload(t *testing.T) {
 	engA := testEngine(t) // 5 images
 	engB := geosir.New(geosir.DefaultOptions())
@@ -368,9 +370,9 @@ func TestCacheInvalidationUnderReload(t *testing.T) {
 	snapB := saveSnapshot(t, engB, "b.gsir")
 
 	// Canonical answers, computed once against dedicated plain servers.
-	canonical := func(eng *geosir.Engine) []byte {
+	canonical := func(snap string) []byte {
 		p := New(Config{})
-		if err := p.SetEngine(eng, "(ref)"); err != nil {
+		if _, err := p.LoadSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}
 		ref := httptest.NewServer(p.Handler())
@@ -381,8 +383,8 @@ func TestCacheInvalidationUnderReload(t *testing.T) {
 		}
 		return body
 	}
-	bodyA := canonical(engA)
-	bodyB := canonical(engB)
+	bodyA := canonical(snapA)
+	bodyB := canonical(snapB)
 	if bytes.Equal(bodyA, bodyB) {
 		t.Fatal("test engines must answer distinguishably")
 	}
@@ -475,11 +477,11 @@ func TestCacheInvalidationUnderReload(t *testing.T) {
 	}
 }
 
-// TestCacheStatzAndMetrics: the cache surfaces in /statz (stats +
-// epoch) and per-endpoint counters.
+// TestCacheStatzAndMetrics: over a one-shard engine, the cache surfaces
+// in /statz (stats + epoch) and per-endpoint counters.
 func TestCacheStatzAndMetrics(t *testing.T) {
 	s := New(cacheOn())
-	if err := s.SetEngine(testEngine(t), "(test)"); err != nil {
+	if err := s.SetServing(testSharded(t, 1), "(test)"); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -518,7 +520,7 @@ func TestCacheStatzAndMetrics(t *testing.T) {
 
 	// A cache-off server reports no cache section and no header.
 	off := New(Config{})
-	if err := off.SetEngine(testEngine(t), "(off)"); err != nil {
+	if err := off.SetServing(testSharded(t, 1), "(off)"); err != nil {
 		t.Fatal(err)
 	}
 	tsOff := httptest.NewServer(off.Handler())

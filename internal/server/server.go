@@ -17,12 +17,11 @@
 //	POST /admin/compact    (fold the live delta into a frozen shard)
 //	GET  /healthz /readyz /metrics /statz
 //
-// The server is engine-kind agnostic: every query flows through the
-// unified geosir.Searcher interface, so a snapshot may be a single
-// engine (a .gsir2 file) or a ShardedEngine (a snapshot directory with
-// per-shard files); /statz reports per-shard rows for the latter.
-// Engine failures map to HTTP statuses via the geosir sentinel errors
-// (errors.Is), not string matching.
+// Every snapshot serves as a ShardedEngine: a directory of per-shard
+// files, or a single file as a one-shard engine; /statz reports a row per
+// shard either way. Every /v1 and /admin request runs one pipeline
+// (serve), and engine failures map to HTTP statuses through one table of
+// the geosir sentinel errors (errors.Is), not string matching.
 //
 // Engines are immutable after Freeze, so a request loads the engine
 // pointer once at admission and keeps answering from that engine even if
@@ -76,10 +75,11 @@ type Config struct {
 	CacheEntries int
 	// AccessLog, when non-nil, receives one JSON line per request.
 	AccessLog io.Writer
-	// Ingest, when non-nil, enables live ingestion on sharded snapshot
+	// Ingest, when non-nil, enables live ingestion on the snapshot
 	// directories the server installs: /v1/images accepts writes, the
 	// delta WAL lives next to the shard files, and /admin/compact (or
-	// the threshold) folds the delta. File snapshots stay read-only.
+	// the threshold) folds the delta. A snapshot file has no place for
+	// the WAL and is refused.
 	Ingest *IngestOptions
 	// DefaultExec is the execution policy applied to requests that do
 	// not set one ("exec" in the /v1/search body). The zero value is
@@ -113,9 +113,10 @@ func (c Config) withDefaults() Config {
 }
 
 // Serving is what the server needs from an engine: the unified Search
-// surface, the topological query entry point, and the size accessors
-// the status endpoints report. Both geosir.Engine and
-// geosir.ShardedEngine satisfy it.
+// surface, the topological query entry point, the size accessors and
+// shards the status endpoints report, and live ingestion.
+// geosir.ShardedEngine, the one engine kind the server loads, satisfies
+// it; it stays an interface so tests can wrap an engine.
 type Serving interface {
 	geosir.Searcher
 	Query(ctx context.Context, src string, binds map[string]geosir.Shape) ([]int, string, error)
@@ -125,7 +126,21 @@ type Serving interface {
 	Frozen() bool
 	SchedStats() geosir.SchedStats
 	StorageStats() geosir.StorageStats
+	NumShards() int
+	Shard(i int) *geosir.Engine
+
+	EnableIngest(cfg geosir.IngestConfig) error
+	IngestEnabled() bool
+	InsertImage(ctx context.Context, imageID int, shapes []geosir.Shape) error
+	DeleteImage(ctx context.Context, imageID int) error
+	Compact() error
+	IngestStats() geosir.IngestStats
+	// MutationEpoch advances on every acknowledged write (see cacheEpoch).
+	MutationEpoch() uint64
+	CloseIngest() error
 }
+
+var _ Serving = (*geosir.ShardedEngine)(nil)
 
 // engineState is what the atomic pointer swaps: the frozen engine plus
 // the provenance the status endpoints report.
@@ -140,13 +155,12 @@ type engineState struct {
 	// exact engine — a hot-swap bumps the epoch and thereby makes every
 	// older entry unreachable atomically with the pointer store.
 	epoch uint64
-	// shards holds per-shard status rows when serving a ShardedEngine
-	// (nil for a single engine).
+	// shards holds the per-shard status rows.
 	shards []ShardStatz
 }
 
 // Server serves a frozen engine over HTTP. Create with New, install an
-// engine with LoadSnapshot or SetEngine, and mount Handler.
+// engine with LoadSnapshot or SetServing, and mount Handler.
 type Server struct {
 	cfg     Config
 	state   atomic.Pointer[engineState]
@@ -170,7 +184,7 @@ type Server struct {
 
 // New creates a server with no engine installed: /healthz answers 200,
 // /readyz answers 503, and query endpoints answer 503 until LoadSnapshot
-// or SetEngine succeeds.
+// or SetServing succeeds.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -190,21 +204,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Ready reports whether an engine is installed and queryable.
 func (s *Server) Ready() bool { return s.state.Load() != nil }
 
-// Engine returns the currently serving single engine (nil before the
-// first load, and nil when a ShardedEngine is serving — use Serving for
-// kind-agnostic access). The returned engine is frozen and safe for
-// concurrent reads.
-func (s *Server) Engine() *geosir.Engine {
-	if st := s.state.Load(); st != nil {
-		if eng, ok := st.serving.(*geosir.Engine); ok {
-			return eng
-		}
-	}
-	return nil
-}
-
-// Serving returns whatever engine kind currently serves (nil before the
-// first load).
+// Serving returns the engine currently serving (nil before the first
+// load).
 func (s *Server) Serving() Serving {
 	if st := s.state.Load(); st != nil {
 		return st.serving
@@ -212,24 +213,12 @@ func (s *Server) Serving() Serving {
 	return nil
 }
 
-// SetEngine installs an already-built frozen engine (tests, demo bases).
-func (s *Server) SetEngine(eng *geosir.Engine, source string) error {
-	if eng == nil {
-		return errors.New("server: engine must be non-nil and frozen")
-	}
-	return s.SetServing(eng, source)
-}
-
-// SetServing installs any frozen engine kind.
+// SetServing installs an already-built frozen engine (tests, demo bases).
 func (s *Server) SetServing(sv Serving, source string) error {
 	if sv == nil || !sv.Frozen() {
 		return errors.New("server: engine must be non-nil and frozen")
 	}
-	st := &engineState{serving: sv, source: source, loadedAt: time.Now()}
-	if se, ok := sv.(*geosir.ShardedEngine); ok {
-		st.shards = shardStatz(se, nil)
-	}
-	s.installState(st)
+	s.installState(&engineState{serving: sv, source: source, loadedAt: time.Now(), shards: shardStatz(sv, nil)})
 	return nil
 }
 
@@ -248,30 +237,23 @@ func (s *Server) installState(st *engineState) {
 		// The outgoing engine must release its WAL handle: the incoming
 		// one may have (re)opened the same log, and two appenders on one
 		// log would interleave. In-flight queries on the old engine are
-		// unaffected — only its mutations are fenced off.
-		closeIngest(old)
+		// unaffected — only its mutations are fenced off. A close error
+		// has no one to report to: the swap is done either way.
+		_ = old.serving.CloseIngest()
 	}
 }
 
-// LoadSnapshot loads a snapshot and atomically swaps it in. A file path
-// loads a single engine strictly (any damage fails the load and leaves
-// the serving engine untouched); a directory path loads a sharded
-// snapshot, where damage degrades — a corrupt image or a dead shard
-// file costs that much data, the rest serves, and /statz reports what
-// was dropped. The old engine keeps serving every request admitted
-// before the swap; the swap itself is a single pointer store. Only one
-// load runs at a time.
+// LoadSnapshot loads a snapshot through geosir.LoadAnyMode and atomically
+// swaps it in. A directory loads as a sharded engine whose damage
+// degrades — a corrupt image or a dead shard file costs that much data,
+// the rest serves, and /statz reports what was dropped; a file loads as a
+// one-shard engine strictly, as LoadFile does: any damage fails the load
+// and leaves the serving engine untouched. The old engine keeps serving
+// every request admitted before the swap; the swap itself is a single
+// pointer store. Only one load runs at a time.
 func (s *Server) LoadSnapshot(path string) (geosir.SnapshotInfo, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if s.cfg.Ingest != nil {
-		// Quiesce writes before the new engine replays the directory's
-		// WAL: an append landing after the replay read it would be
-		// invisible to the incoming engine. Queries keep flowing; writes
-		// answer 409 until the reload completes (or until the next
-		// successful reload, if this one fails).
-		closeIngest(s.state.Load())
-	}
 	st, err := s.loadState(path)
 	if err != nil {
 		s.metrics.reloadFails.Add(1)
@@ -283,87 +265,88 @@ func (s *Server) LoadSnapshot(path string) (geosir.SnapshotInfo, error) {
 }
 
 func (s *Server) loadState(path string) (*engineState, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		se, rec, err := geosir.LoadShardedDirMode(path, s.cfg.LoadMode)
-		if err != nil {
-			return nil, fmt.Errorf("server: loading sharded snapshot: %w", err)
-		}
-		if !se.Frozen() || se.NumShapes() == 0 {
-			return nil, fmt.Errorf("server: snapshot %s holds no shapes", path)
-		}
-		info, err := shardedInfo(se, rec)
-		if err != nil {
-			return nil, fmt.Errorf("server: snapshot header: %w", err)
-		}
-		if s.cfg.Ingest != nil {
-			if err := se.EnableIngest(geosir.IngestConfig{
-				Dir:              path,
-				CompactThreshold: s.cfg.Ingest.CompactThreshold,
-				NoSync:           s.cfg.Ingest.NoSync,
-			}); err != nil {
-				return nil, fmt.Errorf("server: enabling ingestion: %w", err)
-			}
-		}
-		return &engineState{
-			serving:  se,
-			source:   path,
-			info:     info,
-			loadedAt: time.Now(),
-			shards:   shardStatz(se, rec),
-		}, nil
-	}
-	info, err := geosir.PeekFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("server: snapshot header: %w", err)
-	}
-	var eng *geosir.Engine
-	if s.cfg.LoadMode == geosir.LoadModeMmap {
-		// Serve the sections in place when the snapshot and platform
-		// allow it; anything else (GSIR2 file, no mmap support) falls
-		// back to the strict heap load below.
-		eng, err = geosir.LoadFileMmap(path)
-	}
-	if eng == nil {
-		eng, err = geosir.LoadFile(path)
-	}
+	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: loading snapshot: %w", err)
 	}
-	if !eng.Frozen() {
-		// An empty snapshot loads as an unfrozen engine; it cannot serve.
+	dir := fi.IsDir()
+	if s.cfg.Ingest != nil {
+		if !dir {
+			return nil, fmt.Errorf("server: live ingestion needs a snapshot directory, and %s is a file", path)
+		}
+		// Quiesce writes before the new engine replays the directory's
+		// WAL: an append landing after the replay read it would be
+		// invisible to the incoming engine. Queries keep flowing; writes
+		// answer 409 until the reload completes (or until the next
+		// successful reload, if this one fails). A close error does not
+		// stop the load: the fresh engine opens the log anew.
+		if old := s.state.Load(); old != nil {
+			_ = old.serving.CloseIngest()
+		}
+	}
+	loaded, rec, err := geosir.LoadAnyMode(path, s.cfg.LoadMode)
+	if err != nil {
+		return nil, fmt.Errorf("server: loading snapshot: %w", err)
+	}
+	// LoadAnyMode loads every path as a *geosir.ShardedEngine.
+	sv, ok := loaded.(Serving)
+	if !ok {
+		return nil, fmt.Errorf("server: a %T cannot serve", loaded)
+	}
+	// A file is all or nothing, as LoadFile has it; only a directory
+	// degrades, shard by shard.
+	if !dir && !rec.Complete() {
+		return nil, fmt.Errorf("server: loading snapshot: %w", rec.Shards[0].Recovery.Err)
+	}
+	if sv.NumShapes() == 0 {
+		// An empty snapshot cannot serve.
 		return nil, fmt.Errorf("server: snapshot %s holds no shapes", path)
 	}
-	return &engineState{serving: eng, source: path, info: info, loadedAt: time.Now()}, nil
+	info, err := snapshotInfo(sv, rec, dir)
+	if err != nil {
+		return nil, fmt.Errorf("server: snapshot header: %w", err)
+	}
+	if s.cfg.Ingest != nil {
+		if err := sv.EnableIngest(geosir.IngestConfig{
+			Dir:              path,
+			CompactThreshold: s.cfg.Ingest.CompactThreshold,
+			NoSync:           s.cfg.Ingest.NoSync,
+		}); err != nil {
+			return nil, fmt.Errorf("server: enabling ingestion: %w", err)
+		}
+	}
+	return &engineState{serving: sv, source: path, info: info, loadedAt: time.Now(), shards: shardStatz(sv, rec)}, nil
 }
 
-// shardedInfo describes a loaded snapshot directory: the format its first
-// live shard's file holds, named <FORMAT>-SHARDED, and the engine's
-// options and image count.
-func shardedInfo(se *geosir.ShardedEngine, rec *geosir.ShardRecovery) (geosir.SnapshotInfo, error) {
+// snapshotInfo describes a loaded snapshot by its first live shard
+// file's header: a file as the header has it; a directory as the format
+// its shard files hold, named <FORMAT>-SHARDED, with the engine's image
+// count.
+func snapshotInfo(sv Serving, rec *geosir.ShardRecovery, dir bool) (geosir.SnapshotInfo, error) {
 	for i, fr := range rec.Shards {
-		if sh := se.Shard(i); !sh.Frozen() || sh.NumShapes() == 0 {
+		if sh := sv.Shard(i); !sh.Frozen() || sh.NumShapes() == 0 {
 			continue // dropped or empty
 		}
-		peek, err := geosir.PeekFile(fr.Path)
-		if err != nil {
-			return geosir.SnapshotInfo{}, err
+		info, err := geosir.PeekFile(fr.Path)
+		if err != nil || !dir {
+			return info, err
 		}
 		return geosir.SnapshotInfo{
-			Format:     peek.Format,
-			FormatName: peek.FormatName + "-SHARDED",
-			Options:    se.Options(),
-			Images:     se.NumImages(),
+			Format:     info.Format,
+			FormatName: info.FormatName + "-SHARDED",
+			Options:    info.Options,
+			Images:     sv.NumImages(),
 		}, nil
 	}
 	return geosir.SnapshotInfo{}, errors.New("no live shard")
 }
 
 // shardStatz builds the per-shard status rows, folding in the load-time
-// recovery report when the engine came from a snapshot directory.
-func shardStatz(se *geosir.ShardedEngine, rec *geosir.ShardRecovery) []ShardStatz {
-	out := make([]ShardStatz, se.NumShards())
+// recovery report when the engine came from a snapshot.
+func shardStatz(sv Serving, rec *geosir.ShardRecovery) []ShardStatz {
+	out := make([]ShardStatz, sv.NumShards())
 	for i := range out {
-		sh := se.Shard(i)
+		sh := sv.Shard(i)
 		out[i] = ShardStatz{
 			Shard:  i,
 			Live:   sh.Frozen() && sh.NumShapes() > 0,
@@ -405,21 +388,32 @@ func unprocessable(err error) *apiError {
 	return &apiError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 }
 
-// routes is the one route table. Wrapping a handler (instrument, query,
-// mutate) registers its metric row under the given name, so /statz lists
-// exactly the endpoints registered here, from the first scrape.
+// routes is the one route table. Every /v1 and /admin route runs the one
+// pipeline (serve), its method enforced by the pattern, and registers its
+// metric row under the given name, so /statz lists exactly the endpoints
+// registered here, from the first scrape. The admin routes do not admit:
+// a reload or a compaction is maintenance, not query traffic, and must
+// neither wait for nor hold a query slot.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/statz", s.handleStatz)
-	mux.HandleFunc("/admin/reload", s.instrument("admin_reload", s.handleReload))
-	mux.HandleFunc("/admin/compact", s.instrument("admin_compact", s.handleCompact))
-	mux.HandleFunc("/v1/search", s.query("search", s.handleSearch))
-	mux.HandleFunc("/v1/topological", s.query("topological", s.handleTopological))
-	mux.HandleFunc("POST /v1/images", s.mutate("images_insert", s.handleInsertImage))
-	mux.HandleFunc("DELETE /v1/images/{id}", s.mutate("images_delete", s.handleDeleteImage))
+	for _, rt := range []struct {
+		pattern, name string
+		admit         bool
+		h             handler
+	}{
+		{"POST /admin/reload", "admin_reload", false, s.handleReload},
+		{"POST /admin/compact", "admin_compact", false, s.handleCompact},
+		{"POST /v1/search", "search", true, s.handleSearch},
+		{"POST /v1/topological", "topological", true, s.handleTopological},
+		{"POST /v1/images", "images_insert", true, s.handleInsertImage},
+		{"DELETE /v1/images/{id}", "images_delete", true, s.handleDeleteImage},
+	} {
+		mux.HandleFunc(rt.pattern, s.handle(rt.name, rt.admit, rt.h))
+	}
 	return mux
 }
 
@@ -476,22 +470,6 @@ func (s *Server) accessLog(r *http.Request, status, bytes int, d time.Duration) 
 	s.accessMu.Unlock()
 }
 
-// instrument wraps a handler with metrics and access logging (no
-// admission control — used for admin endpoints).
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	em := s.metrics.endpoint(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w}
-		start := time.Now()
-		h(rec, r)
-		d := time.Since(start)
-		em.requests.Add(1)
-		em.latency.observe(d)
-		countStatus(em, rec.status)
-		s.accessLog(r, rec.status, rec.bytes, d)
-	}
-}
-
 func countStatus(em *endpointMetrics, status int) {
 	switch {
 	case status >= 500:
@@ -501,97 +479,83 @@ func countStatus(em *endpointMetrics, status int) {
 	}
 }
 
-// queryHandler is one endpoint's decode-and-dispatch step. It receives
-// the engine state loaded once at admission (engine + snapshot epoch —
-// the pair the cache fingerprint must be consistent with) and reports
-// how the cache participated, so the pipeline can record it.
-type queryHandler func(ctx context.Context, st *engineState, body []byte) (any, qcache.Disposition, error)
+// handler is one endpoint's decode-and-dispatch step. It receives the
+// engine state loaded once for the request (engine + snapshot epoch — the
+// pair the cache fingerprint must be consistent with; nil only on a route
+// that does not admit, before the first load), the request and its body,
+// and reports how the cache participated, so the pipeline can record it.
+type handler func(ctx context.Context, st *engineState, r *http.Request, body []byte) (any, qcache.Disposition, error)
 
-// query wraps a query handler with the full serving pipeline: method
-// check, readiness, admission control, per-request deadline, body
-// decoding limits, error mapping, metrics, and access logging. The
-// engine pointer is loaded exactly once per request.
-func (s *Server) query(name string, h queryHandler) http.HandlerFunc {
+// handle wraps a handler in the pipeline (serve) plus the access log.
+func (s *Server) handle(name string, admit bool, h handler) http.HandlerFunc {
 	em := s.metrics.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
-		s.serveQuery(rec, r, em, h)
+		s.serve(rec, r, em, admit, h)
 		s.accessLog(r, rec.status, rec.bytes, time.Since(start))
 	}
 }
 
-func (s *Server) serveQuery(w *statusRecorder, r *http.Request, em *endpointMetrics, h queryHandler) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
+// serve is the one request pipeline: on a route that admits, readiness
+// and admission control (a shed request is counted as shed, nothing
+// else); then the request count and latency, the per-request deadline,
+// the body read, the handler, its cache disposition, and the status
+// table. The engine pointer is loaded exactly once per request.
+func (s *Server) serve(w *statusRecorder, r *http.Request, em *endpointMetrics, admit bool, h handler) {
 	st := s.state.Load()
-	if st == nil {
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, "no snapshot loaded")
-		return
-	}
-	if err := s.limiter.acquire(r.Context()); err != nil {
-		var shed *shedError
-		if errors.As(err, &shed) {
-			em.shed.Add(1)
-			w.Header().Set("Retry-After", retryAfter(shed.retryAfter))
-			s.writeError(w, shed.status, shed.reason)
+	if admit {
+		if st == nil {
+			w.Header().Set("Retry-After", "1")
+			s.writeError(w, http.StatusServiceUnavailable, "no snapshot loaded")
 			return
 		}
-		// Client went away while queued; nothing useful to send.
-		s.writeError(w, 499, "client closed request")
-		return
+		if err := s.limiter.acquire(r.Context()); err != nil {
+			var shed *shedError
+			if errors.As(err, &shed) {
+				em.shed.Add(1)
+				w.Header().Set("Retry-After", retryAfter(shed.retryAfter))
+				s.writeError(w, shed.status, shed.reason)
+				return
+			}
+			// Client went away while queued; nothing useful to send.
+			s.writeError(w, 499, "client closed request")
+			return
+		}
+		defer s.limiter.release()
 	}
-	defer s.limiter.release()
 	em.requests.Add(1)
-	qstart := time.Now()
-	defer func() { em.latency.observe(time.Since(qstart)) }()
+	start := time.Now()
+	defer func() { em.latency.observe(time.Since(start)) }()
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	body, ok := s.readBody(w, r, em)
-	if !ok {
-		return
-	}
-	resp, disp, err := h(ctx, st, body)
-	if s.cache != nil {
-		// The disposition is a response *header*, never a body field: the
-		// correctness contract is that cached and uncached serving produce
-		// byte-identical bodies, so the diagnostic must ride outside them.
-		w.Header().Set(cacheHeader, disp.String())
-		switch disp {
-		case qcache.Hit:
-			em.cacheHits.Add(1)
-		case qcache.Miss:
-			em.cacheMisses.Add(1)
-		case qcache.Coalesced:
-			em.cacheCoalesced.Add(1)
+	body, err := s.readBody(w, r)
+	var resp any
+	if err == nil {
+		var disp qcache.Disposition
+		resp, disp, err = h(ctx, st, r, body)
+		if s.cache != nil {
+			// The disposition is a response *header*, never a body field:
+			// the correctness contract is that cached and uncached serving
+			// produce byte-identical bodies, so the diagnostic must ride
+			// outside them.
+			w.Header().Set(cacheHeader, disp.String())
+			switch disp {
+			case qcache.Hit:
+				em.cacheHits.Add(1)
+			case qcache.Miss:
+				em.cacheMisses.Add(1)
+			case qcache.Coalesced:
+				em.cacheCoalesced.Add(1)
+			}
 		}
 	}
 	if err != nil {
-		status := http.StatusInternalServerError
-		var ae *apiError
-		switch {
-		case errors.As(err, &ae):
-			status = ae.status
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			status = 499
-		// The geosir sentinels carry the client/server distinction:
-		// argument problems (bad k, empty query, frozen-state misuse) are
-		// the request's fault, an unfrozen engine is a serving-side
-		// sequencing bug.
-		case errors.Is(err, geosir.ErrBadK),
-			errors.Is(err, geosir.ErrEmptyQuery),
-			errors.Is(err, geosir.ErrFrozen):
-			status = http.StatusUnprocessableEntity
-		case errors.Is(err, geosir.ErrNotFrozen):
-			status = http.StatusServiceUnavailable
+		status, retry := statusOf(err)
+		if retry {
+			w.Header().Set("Retry-After", "1")
 		}
 		countStatus(em, status)
 		s.writeError(w, status, err.Error())
@@ -600,10 +564,9 @@ func (s *Server) serveQuery(w *statusRecorder, r *http.Request, em *endpointMetr
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// readBody reads a request body under Config.MaxBodyBytes. On failure it
-// answers the request itself — 413 for a body over the limit, 400 for any
-// other read error — and reports false.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, em *endpointMetrics) ([]byte, bool) {
+// readBody reads a request body under Config.MaxBodyBytes: a body over
+// the limit is a 413, any other read failure a 400.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
@@ -611,11 +574,49 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, em *endpointMe
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		em.status4x.Add(1)
-		s.writeError(w, status, fmt.Sprintf("reading body: %v", err))
-		return nil, false
+		return nil, &apiError{status: status, msg: fmt.Sprintf("reading body: %v", err)}
 	}
-	return body, true
+	return body, nil
+}
+
+// statusTable maps the request context's errors and the geosir
+// sentinels to HTTP statuses; retry marks a transient failure, answered
+// with Retry-After. The sentinels carry the client/server distinction:
+// argument problems (bad k, empty query, frozen-state misuse) are the
+// request's fault, an unfrozen engine is a serving-side sequencing bug,
+// and a write meets a conflict, a missing image, a running compaction or
+// a read-only snapshot.
+var statusTable = []struct {
+	err    error
+	status int
+	retry  bool
+}{
+	{context.DeadlineExceeded, http.StatusGatewayTimeout, false},
+	{context.Canceled, 499, false},
+	{geosir.ErrBadK, http.StatusUnprocessableEntity, false},
+	{geosir.ErrEmptyQuery, http.StatusUnprocessableEntity, false},
+	{geosir.ErrFrozen, http.StatusUnprocessableEntity, false},
+	{geosir.ErrNotFrozen, http.StatusServiceUnavailable, false},
+	{geosir.ErrImageExists, http.StatusConflict, false},
+	{geosir.ErrNoImage, http.StatusNotFound, false},
+	// Transient: the fold finishes and the write becomes possible.
+	{geosir.ErrCompacting, http.StatusConflict, true},
+	{geosir.ErrIngestOff, http.StatusConflict, false},
+}
+
+// statusOf maps a handler's error to its status: an apiError's own, else
+// the first statusTable row it matches, else 500.
+func statusOf(err error) (status int, retry bool) {
+	var ae *apiError
+	if errors.As(err, &ae) {
+		return ae.status, false
+	}
+	for _, row := range statusTable {
+		if errors.Is(err, row.err) {
+			return row.status, row.retry
+		}
+	}
+	return http.StatusInternalServerError, false
 }
 
 func retryAfter(d time.Duration) string {
@@ -658,7 +659,7 @@ var errUncacheable = errors.New("server: response not cacheable")
 
 // runSearch answers a /v1/search request through the unified Search API
 // — through the query-result cache when one is configured — leaving the
-// engine's sentinel failures to serveQuery's error switch, and folds the
+// engine's sentinel failures to the pipeline's status table, and folds the
 // response's ANN and block accounting into the cumulative /statz
 // counters. Both track engine work actually performed, so cache hits and
 // coalesced waits (which run no engine search of their own) do not
@@ -767,7 +768,7 @@ type searchResponse struct {
 	Stats         StatsJSON         `json:"stats"`
 }
 
-func (s *Server) handleSearch(ctx context.Context, st *engineState, body []byte) (any, qcache.Disposition, error) {
+func (s *Server) handleSearch(ctx context.Context, st *engineState, _ *http.Request, body []byte) (any, qcache.Disposition, error) {
 	var req searchRequest
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, qcache.Bypass, err
@@ -829,7 +830,7 @@ type topologicalResponse struct {
 // handleTopological never caches: the endpoint is a small share of
 // traffic, and its binds are a name → shape map that the cache
 // fingerprint does not encode.
-func (s *Server) handleTopological(ctx context.Context, st *engineState, body []byte) (any, qcache.Disposition, error) {
+func (s *Server) handleTopological(ctx context.Context, st *engineState, _ *http.Request, body []byte) (any, qcache.Disposition, error) {
 	var req topologicalRequest
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, qcache.Bypass, err
@@ -876,49 +877,35 @@ type reloadResponse struct {
 	LoadMs float64 `json:"load_ms"`
 }
 
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
-		return
-	}
+// handleReload loads the snapshot at the body's path, or — for an empty
+// body — reloads the current source.
+func (s *Server) handleReload(_ context.Context, st *engineState, _ *http.Request, body []byte) (any, qcache.Disposition, error) {
 	var req reloadRequest
 	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed JSON: %v", err))
-			return
+		if err := decodeStrict(body, &req); err != nil {
+			return nil, qcache.Bypass, err
 		}
 	}
-	path := req.Path
-	if path == "" {
-		if st := s.state.Load(); st != nil {
-			path = st.source
-		}
+	if req.Path == "" && st != nil {
+		req.Path = st.source
 	}
-	if path == "" {
-		s.writeError(w, http.StatusBadRequest, "no path given and no snapshot previously loaded")
-		return
+	if req.Path == "" {
+		return nil, qcache.Bypass, badRequest("no path given and no snapshot previously loaded")
 	}
 	start := time.Now()
-	info, err := s.LoadSnapshot(path)
+	info, err := s.LoadSnapshot(req.Path)
 	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
+		return nil, qcache.Bypass, unprocessable(err)
 	}
-	st := s.state.Load()
-	s.writeJSON(w, http.StatusOK, reloadResponse{
-		Source: path,
+	st = s.state.Load()
+	return reloadResponse{
+		Source: req.Path,
 		Format: info.FormatName,
 		Images: st.serving.NumImages(),
 		Shapes: st.serving.NumShapes(),
 		Shards: len(st.shards),
 		LoadMs: ms(time.Since(start)),
-	})
+	}, qcache.Bypass, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -936,7 +923,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// ShardStatz is one shard's row in /statz when a ShardedEngine serves.
+// ShardStatz is one shard's row in /statz.
 type ShardStatz struct {
 	Shard   int  `json:"shard"`
 	Live    bool `json:"live"`
@@ -961,7 +948,7 @@ type SnapshotStatz struct {
 	Images    int       `json:"images"`
 	Shapes    int       `json:"shapes"`
 	Entries   int       `json:"entries"`
-	// Shards holds per-shard rows when serving a sharded snapshot.
+	// Shards holds one row per shard (one for a snapshot file).
 	Shards []ShardStatz `json:"shards,omitempty"`
 }
 

@@ -429,10 +429,11 @@ func engineImageGroups(eng *Engine) []shardImage {
 	return out
 }
 
-// LoadAny loads a snapshot path of either kind: a single GSIR file or a
-// sharded snapshot directory (detected by it being a directory). The
-// recovery report uses the sharded shape in both cases — a single file
-// loads as one "shard" entry — so callers handle degradation uniformly.
+// LoadAny loads a snapshot path of either kind as a ShardedEngine: a
+// sharded snapshot directory (detected by it being a directory), or a
+// single GSIR file as a one-shard engine whose global shape ids are the
+// file's own. The recovery report has one entry per shard file either
+// way, so callers handle degradation uniformly.
 func LoadAny(path string) (Searcher, *ShardRecovery, error) {
 	return LoadAnyMode(path, LoadModeHeap)
 }
@@ -455,7 +456,12 @@ func LoadAnyMode(path string, mode LoadMode) (Searcher, *ShardRecovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return eng, &ShardRecovery{
+	order := engineImageGroups(eng)
+	smap := core.NewShardMap(1)
+	for _, im := range order {
+		smap.AssignImage(0, im.Shapes)
+	}
+	return newShardedFromParts(eng.Options(), []*Engine{eng}, smap, order, 0), &ShardRecovery{
 		Shards:         []ShardFileRecovery{{Path: path, Recovery: frec}},
 		ImagesExpected: frec.ImagesExpected,
 		ImagesLoaded:   frec.ImagesLoaded,

@@ -324,7 +324,8 @@ func TestLoadShardedDirMissingManifest(t *testing.T) {
 }
 
 // TestLoadAny covers both snapshot kinds through the one entry point
-// the serving layer uses.
+// the serving layer uses: a file loads as a one-shard engine with the
+// file's own ids, a directory as its shards.
 func TestLoadAny(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	ctx := context.Background()
@@ -341,6 +342,9 @@ func TestLoadAny(t *testing.T) {
 	}
 	if !rec1.Complete() || len(rec1.Shards) != 1 {
 		t.Fatalf("file recovery: %+v", rec1)
+	}
+	if se, ok := s1.(*ShardedEngine); !ok || se.NumShards() != 1 || se.NumShapes() != single.NumShapes() {
+		t.Fatalf("LoadAny(file) = %T, want a one-shard *ShardedEngine of %d shapes", s1, single.NumShapes())
 	}
 
 	se := buildShardedFrom(t, images, 4)
