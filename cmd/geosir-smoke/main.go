@@ -1,7 +1,8 @@
 // Command geosir-smoke probes a running geosird end to end for the
 // Makefile's daemon smoke legs: liveness, readiness, one /v1/search per
-// mode plus /v1/topological, optional /statz assertions (shard health,
-// load mode), and the live-ingestion loop. It exits 0 when every probe
+// mode plus /v1/topological, a wrong method answered as a JSON 405,
+// optional /statz assertions (shard health, load mode), and the
+// live-ingestion loop. It exits 0 when every probe
 // passes and 1 otherwise. Performance is measured by the benchmark
 // (bench/), not here.
 //
@@ -30,7 +31,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "http://127.0.0.1:8080", "geosird base URL")
 		wait        = flag.Duration("wait", 0, "poll /readyz up to this long before starting")
-		smoke       = flag.Bool("smoke", false, "probe healthz, readyz, /v1/search in every mode and /v1/topological; exit 0/1")
+		smoke       = flag.Bool("smoke", false, "probe healthz, readyz, /v1/search in every mode, /v1/topological and a GET /v1/search 405; exit 0/1")
 		expShards   = flag.Int("expect-shards", 0, "with -smoke: require /statz to report exactly N live shards")
 		expLoadMode = flag.String("expect-load-mode", "", "with -smoke: require /statz storage to report this load mode (heap or mmap; mmap also requires mapped bytes)")
 		ingestSmoke = flag.Bool("ingest-smoke", false, "probe live ingestion: insert → query → compact → query → delete; exit 0/1")
@@ -188,6 +189,9 @@ func runSmoke(client *http.Client, addr string, expShards int, expLoadMode strin
 		}
 		fmt.Printf("%-16s ok (%d bytes)\n", p.name, len(body))
 	}
+	if err := checkWrongMethod(client, addr); err != nil {
+		return err
+	}
 	if expShards > 0 || expLoadMode != "" {
 		st, err := getStatz(client, addr)
 		if err != nil {
@@ -205,6 +209,27 @@ func runSmoke(client *http.Client, addr string, expShards int, expLoadMode strin
 		}
 	}
 	fmt.Println("smoke ok")
+	return nil
+}
+
+// checkWrongMethod asserts that a GET of /v1/search answers what every
+// failure answers: a JSON error, here a 405 that allows POST.
+func checkWrongMethod(client *http.Client, addr string) error {
+	resp, err := client.Get(addr + "/v1/search")
+	if err != nil {
+		return fmt.Errorf("GET /v1/search: %w", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" ||
+		json.Unmarshal(body, &e) != nil || e.Error == "" {
+		return fmt.Errorf("GET /v1/search: %d Allow=%q %s, want a JSON 405 allowing POST",
+			resp.StatusCode, resp.Header.Get("Allow"), bytes.TrimSpace(body))
+	}
+	fmt.Printf("%-16s ok (405)\n", "wrong method")
 	return nil
 }
 

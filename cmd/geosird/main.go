@@ -67,15 +67,9 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty = disabled)")
 		ingest      = flag.Bool("ingest", false, "enable live ingestion on a snapshot directory (POST/DELETE /v1/images, background compaction); a snapshot file is refused")
 		compactAt   = flag.Int("compact-threshold", 0, "delta shape count that triggers background compaction (0 = default, negative = manual /admin/compact only; needs -ingest)")
-		execPolicy  = flag.String("exec", "auto", "default execution policy for requests that do not set one: auto (adapt fan-out to load), fanout, sequential")
 		loadMode    = flag.String("load-mode", "heap", "snapshot load mode: heap (decode into memory) or mmap (serve GSIR3 sections off the page cache; non-GSIR3 files fall back to heap)")
 	)
 	flag.Parse()
-	defaultExec, err := geosir.ParseExecPolicy(*execPolicy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "geosird:", err)
-		os.Exit(2)
-	}
 	mode, err := geosir.ParseLoadMode(*loadMode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "geosird:", err)
@@ -89,7 +83,6 @@ func main() {
 		MaxBodyBytes:   *maxBody,
 		CacheBytes:     *cacheBytes,
 		CacheEntries:   *cacheEnts,
-		DefaultExec:    defaultExec,
 		LoadMode:       mode,
 	}
 	if *accessLog {

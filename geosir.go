@@ -84,54 +84,55 @@ func DefaultOptions() Options {
 	return Options{Alpha: 0.1, Beta: 0.25, Tau: 0.05, AngleTol: 0.1, HashCurves: 50}
 }
 
-// Match is one retrieved shape.
+// Match is one retrieved shape. Its JSON form is the daemon's wire form.
 type Match struct {
-	ShapeID int
-	ImageID int
+	ShapeID int `json:"shape_id"`
+	ImageID int `json:"image_id"`
 	// Distance is the similarity distance (symmetric vertex-averaged
 	// h_avg), in diameter-normalized units; smaller is more similar.
-	Distance float64
+	Distance float64 `json:"distance"`
 	// ContinuousDistance is the symmetrized continuous-boundary measure.
-	ContinuousDistance float64
+	ContinuousDistance float64 `json:"continuous_distance,omitempty"`
 	// Approximate marks results found by geometric hashing (or the ANN
 	// tier) rather than the exact search.
-	Approximate bool
+	Approximate bool `json:"approximate,omitempty"`
 }
 
-// Stats reports retrieval work (see §2.5's complexity analysis).
+// Stats reports retrieval work (see §2.5's complexity analysis). Its JSON
+// form is the daemon's wire form, BlockReads left out.
 type Stats struct {
 	// Iterations and FinalEpsilon are the paper's envelope fattenings and
 	// the last envelope's ε (§2.5). The exact search opens no envelope
 	// (DESIGN.md §4.9): it reports 1 iteration and FinalEpsilon 0. A
 	// request with no exact stage reports 0 iterations.
-	Iterations   int
-	FinalEpsilon float64
+	Iterations   int     `json:"iterations"`
+	FinalEpsilon float64 `json:"final_epsilon"`
 	// VerticesCounted counts the normalized copies the exact search
 	// floored: every live copy, once (no range search runs, no vertex is
 	// reported).
-	VerticesCounted int
+	VerticesCounted int `json:"vertices_counted"`
 	// Candidates counts the normalized copies that reached the exact
 	// evaluator in any stage of the request — not those the query's
 	// distance field rejected first (DESIGN.md §4.9).
-	Candidates int
+	Candidates int `json:"candidates"`
 	// Converged reports that the exact matches are proven the top K: false
 	// only when K exceeds the live shapes.
-	Converged bool
+	Converged bool `json:"converged"`
 	// UsedHashing reports that the geometric hash table answered: the
 	// request was ModeApproximate without AnnApprox.
-	UsedHashing bool
+	UsedHashing bool `json:"used_hashing"`
 	// UsedANN reports that the MinHash/LSH candidate tier generated the
 	// candidates (AnnApprox); ANNProbes counts LSH buckets probed and
 	// ANNCandidates the candidates the tier emitted, summed over stages
 	// and shards.
-	UsedANN       bool
-	ANNProbes     int
-	ANNCandidates int
+	UsedANN       bool `json:"used_ann,omitempty"`
+	ANNProbes     int  `json:"ann_probes,omitempty"`
+	ANNCandidates int  `json:"ann_candidates,omitempty"`
 	// BlockReads is the page-granular storage footprint of the entries
 	// whose vertices this search read (the paper's §4 block-access measure, live on
 	// the real path instead of the extstore simulation). Under mmap
 	// serving it estimates the pages the query could fault in.
-	BlockReads int
+	BlockReads int `json:"-"`
 }
 
 // Engine is a GeoSIR instance: the shape base, the per-image topology
@@ -312,11 +313,11 @@ func sortMatches(ms []Match) {
 
 // SketchMatch is one image retrieved by a multi-shape sketch.
 type SketchMatch struct {
-	ImageID int
+	ImageID int `json:"image_id"`
 	// Score is the mean, over the sketch's shapes, of the distance to
 	// the best-matching shape in the image; smaller is better.
-	Score float64
+	Score float64 `json:"score"`
 	// PerShape holds the per-sketch-shape best distances (aligned with
 	// the query slice).
-	PerShape []float64
+	PerShape []float64 `json:"per_shape"`
 }

@@ -82,7 +82,7 @@ type entry struct {
 	body []byte
 }
 
-// Cache is a sharded, byte- and entry-bounded LRU over marshaled search
+// Cache is a sharded, byte- and entry-bounded LRU over encoded search
 // responses, with singleflight coalescing of concurrent identical
 // lookups. All methods are safe for concurrent use; all methods on a
 // nil *Cache are no-op bypasses, so callers need no "is caching on"

@@ -1,14 +1,14 @@
 // Package qcache is the serving tier's query-result cache: a canonical
-// query fingerprint, a sharded byte-bounded LRU over marshaled search
+// query fingerprint, a sharded byte-bounded LRU over encoded search
 // responses, and singleflight coalescing of concurrent identical
 // requests.
 //
 // The design splits correctness from freshness:
 //
 //   - Correctness is byte-identity, not TTL. A cache entry is the exact
-//     marshaled SearchResponse the engine produced for the fingerprint's
-//     equivalence class, and the fingerprint includes the snapshot epoch,
-//     so an entry can never be served against a different engine state.
+//     response body the server wrote for the fingerprint's equivalence
+//     class, and the fingerprint includes the snapshot epoch, so an
+//     entry can never be served against a different engine state.
 //     Entries therefore never expire by time — they are valid for as
 //     long as their epoch's engine is the serving engine, and they become
 //     unreachable (wrong epoch, hence wrong fingerprint) the instant a

@@ -540,3 +540,95 @@ func TestCacheStatzAndMetrics(t *testing.T) {
 		t.Fatalf("cache-off statz reports a cache section: %+v", offStatz.Cache)
 	}
 }
+
+// TestCacheHoldsServedBody: the cache stores the body the server writes.
+// After a miss, the entry under the request's fingerprint is exactly the
+// response body, trailing newline included, and the next hit answers the
+// same bytes — for a single-shape mode and for a sketch.
+func TestCacheHoldsServedBody(t *testing.T) {
+	s := New(cacheOn())
+	if err := s.SetServing(testSharded(t, 1), "(test)"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	square, err := wireSquare().Shape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wireL().Shape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body map[string]any
+		req  geosir.SearchRequest
+	}{
+		{"exact", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact"},
+			geosir.SearchRequest{Query: square, K: 3, Mode: geosir.ModeExact}},
+		{"sketch", map[string]any{"shapes": []WireShape{wireSquare(), wireL()}, "k": 2, "mode": "sketch"},
+			geosir.SearchRequest{Sketch: []geosir.Shape{square, l}, K: 2, Mode: geosir.ModeSketch}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st1, body1, hdr1 := postRaw(t, ts.URL+"/v1/search", tc.body)
+			if st1 != 200 || hdr1 != "miss" {
+				t.Fatalf("first search: %d %q %s", st1, hdr1, body1)
+			}
+			fp, ok := qcache.SearchFingerprint(tc.req, cacheEpoch(s.state.Load()))
+			if !ok {
+				t.Fatal("request has no fingerprint")
+			}
+			stored, ok := s.cache.Get(fp)
+			if !ok {
+				t.Fatal("the miss stored no entry under the request's fingerprint")
+			}
+			if !bytes.Equal(stored, body1) {
+				t.Fatalf("stored entry is not the served body:\n  stored: %q\n  served: %q", stored, body1)
+			}
+			st2, body2, hdr2 := postRaw(t, ts.URL+"/v1/search", tc.body)
+			if st2 != 200 || hdr2 != "hit" || !bytes.Equal(body2, body1) {
+				t.Fatalf("hit: %d %q, body equal to the miss's: %v", st2, hdr2, bytes.Equal(body2, body1))
+			}
+		})
+	}
+}
+
+// TestCacheChargesEngineWorkOnce: /statz's ANN and block counters count
+// engine work, so one ann:approx miss and two hits of it read as the one
+// search an uncached server runs.
+func TestCacheChargesEngineWorkOnce(t *testing.T) {
+	eng := testSharded(t, 1)
+	body := map[string]any{"shape": wireL(), "k": 3, "ann": "approx"}
+	statz := func(cfg Config, searches int) Statz {
+		t.Helper()
+		s := New(cfg)
+		if err := s.SetServing(eng, "(test)"); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		for i := 0; i < searches; i++ {
+			if st, raw, _ := postRaw(t, ts.URL+"/v1/search", body); st != 200 {
+				t.Fatalf("search %d: %d %s", i, st, raw)
+			}
+		}
+		return s.Statz()
+	}
+	plain, cached := statz(Config{}, 1), statz(cacheOn(), 3)
+
+	if cached.Cache.Hits != 2 || cached.Cache.Misses != 1 {
+		t.Fatalf("cache = %+v, want 1 miss and 2 hits", cached.Cache)
+	}
+	if plain.ANN == nil || cached.ANN == nil {
+		t.Fatalf("ann sections: uncached %+v, cached %+v", plain.ANN, cached.ANN)
+	}
+	if cached.ANN.Queries != 1 || *cached.ANN != *plain.ANN {
+		t.Errorf("cached ann = %+v, want the uncached server's %+v with 1 query", *cached.ANN, *plain.ANN)
+	}
+	want := plain.Endpoints["search"].BlockReads
+	if got := cached.Endpoints["search"].BlockReads; want <= 0 || got != want {
+		t.Errorf("search block_reads = %d cached, %d uncached; want equal and positive", got, want)
+	}
+}

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -259,25 +261,75 @@ func TestIngestSurvivesReload(t *testing.T) {
 	}
 }
 
-// TestMethodPatterns verifies the mux enforces methods on the image
-// endpoints (405 with Allow, per the go 1.22 pattern registration).
+// TestMethodPatterns verifies the mux enforces methods by route pattern,
+// and that a request no route serves — a wrong method (405, with the
+// route's Allow header) or an unknown path (404) — is answered like any
+// other failure: a JSON error body and one access-log line.
 func TestMethodPatterns(t *testing.T) {
-	_, ts, _ := newIngestTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/images")
-	if err != nil {
-		t.Fatal(err)
+	var log lockedBuffer
+	_, ts, _ := newIngestTestServer(t, Config{AccessLog: &log})
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{http.MethodGet, "/v1/images", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodPut, "/v1/images/3", http.StatusMethodNotAllowed, "DELETE"},
+		{http.MethodGet, "/v1/search", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodGet, "/admin/reload", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodPost, "/v1/nowhere", http.StatusNotFound, ""},
+	} {
+		log.reset()
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		what := tc.method + " " + tc.path
+		if resp.StatusCode != tc.status || resp.Header.Get("Allow") != tc.allow {
+			t.Errorf("%s: %d Allow=%q, want %d Allow=%q", what, resp.StatusCode, resp.Header.Get("Allow"), tc.status, tc.allow)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" || json.Unmarshal(raw, &body) != nil || body.Error == "" {
+			t.Errorf("%s: %s body %q, want a JSON error", what, ct, raw)
+		}
+		var line struct {
+			Method string `json:"method"`
+			Path   string `json:"path"`
+			Status int    `json:"status"`
+		}
+		lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+		if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &line) != nil ||
+			line.Method != tc.method || line.Path != tc.path || line.Status != tc.status {
+			t.Errorf("%s: access log %q, want one line of this request", what, log.String())
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/images: %d", resp.StatusCode)
-	}
-	req, _ := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/v1/images/3", ts.URL), nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("PUT /v1/images/3: %d", resp.StatusCode)
-	}
+}
+
+// lockedBuffer is an access-log sink safe to read while the server writes.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+func (b *lockedBuffer) reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.buf.Reset()
 }

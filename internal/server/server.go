@@ -65,10 +65,10 @@ type Config struct {
 	// MaxBodyBytes bounds a request body (default 8 MiB).
 	MaxBodyBytes int64
 	// CacheBytes bounds the query-result cache (internal/qcache); 0
-	// disables caching entirely. The cache holds marshaled
-	// SearchResponses keyed by canonical query fingerprint + snapshot
-	// epoch, and coalesces concurrent identical requests onto one
-	// engine search.
+	// disables caching entirely. The cache holds the /v1/search response
+	// bodies the server writes, keyed by canonical query fingerprint +
+	// snapshot epoch, and coalesces concurrent identical requests onto
+	// one engine search.
 	CacheBytes int64
 	// CacheEntries bounds the cache entry count (0 = derived from
 	// CacheBytes).
@@ -81,10 +81,6 @@ type Config struct {
 	// the threshold) folds the delta. A snapshot file has no place for
 	// the WAL and is refused.
 	Ingest *IngestOptions
-	// DefaultExec is the execution policy applied to requests that do
-	// not set one ("exec" in the /v1/search body). The zero value is
-	// geosir.ExecAuto: fan out at idle, go sequential under load.
-	DefaultExec geosir.ExecPolicy
 	// LoadMode selects how snapshots install: the zero value
 	// (geosir.LoadModeHeap) decodes into the heap; geosir.LoadModeMmap
 	// maps GSIR3 files and serves the hot sections straight off the page
@@ -401,20 +397,37 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/statz", s.handleStatz)
 	for _, rt := range []struct {
-		pattern, name string
-		admit         bool
-		h             handler
+		method, path, name string
+		admit              bool
+		h                  handler
 	}{
-		{"POST /admin/reload", "admin_reload", false, s.handleReload},
-		{"POST /admin/compact", "admin_compact", false, s.handleCompact},
-		{"POST /v1/search", "search", true, s.handleSearch},
-		{"POST /v1/topological", "topological", true, s.handleTopological},
-		{"POST /v1/images", "images_insert", true, s.handleInsertImage},
-		{"DELETE /v1/images/{id}", "images_delete", true, s.handleDeleteImage},
+		{"POST", "/admin/reload", "admin_reload", false, s.handleReload},
+		{"POST", "/admin/compact", "admin_compact", false, s.handleCompact},
+		{"POST", "/v1/search", "search", true, s.handleSearch},
+		{"POST", "/v1/topological", "topological", true, s.handleTopological},
+		{"POST", "/v1/images", "images_insert", true, s.handleInsertImage},
+		{"DELETE", "/v1/images/{id}", "images_delete", true, s.handleDeleteImage},
 	} {
-		mux.HandleFunc(rt.pattern, s.handle(rt.name, rt.admit, rt.h))
+		mux.HandleFunc(rt.method+" "+rt.path, s.handle(rt.name, rt.admit, rt.h))
+		// The route's path under any other method: a 405 naming the one
+		// method allowed, as the mux's own would.
+		mux.HandleFunc(rt.path, s.unrouted(http.StatusMethodNotAllowed, rt.method))
 	}
+	mux.HandleFunc("/", s.unrouted(http.StatusNotFound, ""))
 	return mux
+}
+
+// unrouted answers a request no route serves — a wrong method (405, with
+// its Allow header) or an unknown path (404) — with a JSON error and an
+// access-log line, as the pipeline answers a failure, but moves no
+// /statz counter.
+func (s *Server) unrouted(status int, allow string) http.HandlerFunc {
+	return s.logged(func(w http.ResponseWriter, r *http.Request) {
+		if allow != "" {
+			w.Header().Set("Allow", allow)
+		}
+		s.writeError(w, status, fmt.Sprintf("%s %s: %s", r.Method, r.URL.Path, http.StatusText(status)))
+	})
 }
 
 // statusRecorder captures the response status for logs and metrics.
@@ -438,11 +451,16 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// writeJSON writes v as a JSON body; a []byte is a body already encoded
+// (a search answer, see search) and is written unchanged.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	if body, ok := v.([]byte); ok {
+		_, _ = w.Write(body)
+		return
+	}
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
@@ -489,10 +507,15 @@ type handler func(ctx context.Context, st *engineState, r *http.Request, body []
 // handle wraps a handler in the pipeline (serve) plus the access log.
 func (s *Server) handle(name string, admit bool, h handler) http.HandlerFunc {
 	em := s.metrics.endpoint(name)
+	return s.logged(func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, em, admit, h) })
+}
+
+// logged writes one access-log line per request h answers.
+func (s *Server) logged(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
-		s.serve(rec, r, em, admit, h)
+		h(rec, r)
 		s.accessLog(r, rec.status, rec.bytes, time.Since(start))
 	}
 }
@@ -502,7 +525,7 @@ func (s *Server) handle(name string, admit bool, h handler) http.HandlerFunc {
 // else); then the request count and latency, the per-request deadline,
 // the body read, the handler, its cache disposition, and the status
 // table. The engine pointer is loaded exactly once per request.
-func (s *Server) serve(w *statusRecorder, r *http.Request, em *endpointMetrics, admit bool, h handler) {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, em *endpointMetrics, admit bool, h handler) {
 	st := s.state.Load()
 	if admit {
 		if st == nil {
@@ -652,40 +675,12 @@ func decodeStrict(body []byte, v any) error {
 // between cached and uncached serving.
 const cacheHeader = "X-Geosir-Cache"
 
-// errUncacheable marks a search response that could not be marshaled
-// for storage (a non-finite float somewhere); the response is served,
-// just never cached.
-var errUncacheable = errors.New("server: response not cacheable")
-
-// runSearch answers a /v1/search request through the unified Search API
-// — through the query-result cache when one is configured — leaving the
-// engine's sentinel failures to the pipeline's status table, and folds the
-// response's ANN and block accounting into the cumulative /statz
-// counters. Both track engine work actually performed, so cache hits and
-// coalesced waits (which run no engine search of their own) do not
-// advance them.
-func (s *Server) runSearch(ctx context.Context, st *engineState, req geosir.SearchRequest) (*geosir.SearchResponse, qcache.Disposition, error) {
-	resp, disp, err := s.searchCached(ctx, st, req)
-	if err != nil {
-		return nil, disp, err
-	}
-	if disp != qcache.Hit && disp != qcache.Coalesced {
-		if resp.Stats.UsedANN {
-			s.metrics.annQueries.Add(1)
-			s.metrics.annProbes.Add(int64(resp.Stats.ANNProbes))
-			s.metrics.annCandidates.Add(int64(resp.Stats.ANNCandidates))
-		}
-		if resp.Stats.BlockReads > 0 {
-			s.metrics.endpoint("search").blockReads.Add(int64(resp.Stats.BlockReads))
-		}
-	}
-	return resp, disp, nil
-}
-
-// searchCached answers a search through the result cache. The cached
-// value is the engine response marshaled once; hits, coalesced waiters,
-// AND the miss that computed it all decode the same stored bytes, so
-// every disposition renders identical wire bytes by construction.
+// runSearch answers a /v1/search request with its response body: from
+// the engine (search) on the request's context when caching is off or the
+// request has no fingerprint, else through the result cache. The cache
+// stores the body search encoded, and a hit, a coalesced waiter and the
+// miss that computed it all write those bytes, so every disposition
+// answers identical bytes by construction.
 //
 // Caching keys on the canonical query fingerprint bound to this
 // request's cache epoch (cacheEpoch: install epoch composed with the
@@ -695,56 +690,56 @@ func (s *Server) runSearch(ctx context.Context, st *engineState, req geosir.Sear
 // epoch's entries.
 // The scheduling knobs (exec policy, max-workers cap) are deliberately
 // outside the fingerprint — they schedule work, they never change
-// results (PR 4/5 and the PR 9 exec equivalence suite).
-func (s *Server) searchCached(ctx context.Context, st *engineState, req geosir.SearchRequest) (*geosir.SearchResponse, qcache.Disposition, error) {
+// results (the exec equivalence suite pins it).
+func (s *Server) runSearch(ctx context.Context, st *engineState, req geosir.SearchRequest) ([]byte, qcache.Disposition, error) {
 	if s.cache == nil {
-		resp, err := st.serving.Search(ctx, req)
-		return resp, qcache.Bypass, err
+		body, err := s.search(ctx, st, req)
+		return body, qcache.Bypass, err
 	}
 	fp, ok := qcache.SearchFingerprint(req, cacheEpoch(st))
 	if !ok {
 		// Unfingerprintable (degenerate shape, bad mode): let the engine
 		// produce its usual error or result, uncached.
 		s.cache.Bypassed()
-		resp, err := st.serving.Search(ctx, req)
-		return resp, qcache.Bypass, err
+		body, err := s.search(ctx, st, req)
+		return body, qcache.Bypass, err
 	}
-	var uncacheable *geosir.SearchResponse
-	body, disp, err := s.cache.Do(ctx, fp, func() ([]byte, error) {
+	return s.cache.Do(ctx, fp, func() ([]byte, error) {
 		// Detach the computation from this requester's cancellation: any
 		// number of coalesced waiters may be depending on it, so one
 		// client hanging up must not abort the shared search. The
 		// configured request timeout still bounds it.
 		dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
 		defer cancel()
-		resp, err := st.serving.Search(dctx, req)
-		if err != nil {
-			return nil, err
-		}
-		blob, err := json.Marshal(resp)
-		if err != nil {
-			uncacheable = resp
-			return nil, errUncacheable
-		}
-		return blob, nil
+		return s.search(dctx, st, req)
 	})
+}
+
+// search is the one place a /v1/search request runs the engine: it
+// searches, folds the response's ANN and block accounting into the
+// cumulative /statz counters — so they count engine work actually
+// performed, never a cache hit or a coalesced wait — and encodes the
+// response body, trailing newline included. A response that cannot be
+// encoded (a non-finite float) is an error, answered 500 and never
+// cached.
+func (s *Server) search(ctx context.Context, st *engineState, req geosir.SearchRequest) ([]byte, error) {
+	resp, err := st.serving.Search(ctx, req)
 	if err != nil {
-		if errors.Is(err, errUncacheable) {
-			if uncacheable != nil {
-				return uncacheable, qcache.Bypass, nil
-			}
-			// A coalesced waiter saw the leader's uncacheable marker but
-			// holds no response object; run the search itself.
-			resp, serr := st.serving.Search(ctx, req)
-			return resp, qcache.Bypass, serr
-		}
-		return nil, disp, err
+		return nil, err
 	}
-	resp := new(geosir.SearchResponse)
-	if err := json.Unmarshal(body, resp); err != nil {
-		return nil, disp, fmt.Errorf("server: decoding cached response: %w", err)
+	if resp.Stats.UsedANN {
+		s.metrics.annQueries.Add(1)
+		s.metrics.annProbes.Add(int64(resp.Stats.ANNProbes))
+		s.metrics.annCandidates.Add(int64(resp.Stats.ANNCandidates))
 	}
-	return resp, disp, nil
+	if resp.Stats.BlockReads > 0 {
+		s.metrics.endpoint("search").blockReads.Add(int64(resp.Stats.BlockReads))
+	}
+	body, err := json.Marshal(searchResponse{req.Mode.String(), resp.Matches, resp.SketchMatches, resp.Stats})
+	if err != nil {
+		return nil, fmt.Errorf("server: encoding the search response: %w", err)
+	}
+	return append(body, '\n'), nil
 }
 
 // searchRequest is the unified /v1/search wire request: one shape (or,
@@ -761,11 +756,13 @@ type searchRequest struct {
 	Ann           string      `json:"ann,omitempty"`
 }
 
+// searchResponse is the /v1/search wire response: the mode that answered
+// and the engine's answer in the library's own JSON form.
 type searchResponse struct {
-	Mode          string            `json:"mode"`
-	Matches       []MatchJSON       `json:"matches,omitempty"`
-	SketchMatches []SketchMatchJSON `json:"sketch_matches,omitempty"`
-	Stats         StatsJSON         `json:"stats"`
+	Mode          string               `json:"mode"`
+	Matches       []geosir.Match       `json:"matches,omitempty"`
+	SketchMatches []geosir.SketchMatch `json:"sketch_matches,omitempty"`
+	Stats         geosir.Stats         `json:"stats"`
 }
 
 func (s *Server) handleSearch(ctx context.Context, st *engineState, _ *http.Request, body []byte) (any, qcache.Disposition, error) {
@@ -781,14 +778,11 @@ func (s *Server) handleSearch(ctx context.Context, st *engineState, _ *http.Requ
 	if err != nil {
 		return nil, qcache.Bypass, unprocessable(err)
 	}
-	greq := geosir.SearchRequest{K: req.K, Mode: mode, Ann: ann, MaxWorkers: req.MaxWorkersCap}
-	greq.Exec = s.cfg.DefaultExec
-	if req.Exec != "" {
-		greq.Exec, err = geosir.ParseExecPolicy(req.Exec)
-		if err != nil {
-			return nil, qcache.Bypass, unprocessable(err)
-		}
+	exec, err := geosir.ParseExecPolicy(req.Exec)
+	if err != nil {
+		return nil, qcache.Bypass, unprocessable(err)
 	}
+	greq := geosir.SearchRequest{K: req.K, Mode: mode, Ann: ann, Exec: exec, MaxWorkers: req.MaxWorkersCap}
 	if req.Shape != nil {
 		q, err := req.Shape.Shape()
 		if err != nil {
@@ -803,18 +797,8 @@ func (s *Server) handleSearch(ctx context.Context, st *engineState, _ *http.Requ
 		}
 		greq.Sketch = shapes
 	}
-	resp, disp, err := s.runSearch(ctx, st, greq)
-	if err != nil {
-		return nil, disp, err
-	}
-	out := searchResponse{Mode: mode.String(), Stats: statsJSON(resp.Stats)}
-	if resp.Matches != nil {
-		out.Matches = matchesJSON(resp.Matches)
-	}
-	if resp.SketchMatches != nil {
-		out.SketchMatches = sketchMatchesJSON(resp.SketchMatches)
-	}
-	return out, disp, nil
+	body, disp, err := s.runSearch(ctx, st, greq)
+	return body, disp, err
 }
 
 type topologicalRequest struct {
@@ -961,15 +945,6 @@ type ANNStatz struct {
 	Candidates int64 `json:"candidates"`
 }
 
-// SchedStatz is the engine execution scheduler's section of /statz:
-// the engine-side in-flight gauge and how many request plans chose
-// fan-out versus sequential execution since the engine was installed.
-type SchedStatz struct {
-	InFlight        int64  `json:"in_flight"`
-	PlansFanout     uint64 `json:"plans_fanout"`
-	PlansSequential uint64 `json:"plans_sequential"`
-}
-
 // StatzSchema is the version of the /statz document shape, bumped
 // whenever a field is renamed, removed, or changes meaning (additions
 // alone do not bump it). Schema 2 added this field itself and the
@@ -1006,8 +981,8 @@ type Statz struct {
 	ReloadFails int64   `json:"reload_fails"`
 	// Sched reports the serving engine's execution scheduler (absent
 	// until an engine is installed).
-	Sched *SchedStatz `json:"sched,omitempty"`
-	ANN   *ANNStatz   `json:"ann,omitempty"`
+	Sched *geosir.SchedStats `json:"sched,omitempty"`
+	ANN   *ANNStatz          `json:"ann,omitempty"`
 	// Cache reports the query-result cache (absent when caching is off);
 	// Epoch is the serving snapshot's cache generation.
 	Cache *qcache.Stats `json:"cache,omitempty"`
@@ -1055,11 +1030,7 @@ func (s *Server) Statz() Statz {
 	if st := s.state.Load(); st != nil {
 		out.Epoch = st.epoch
 		ss := st.serving.SchedStats()
-		out.Sched = &SchedStatz{
-			InFlight:        ss.InFlight,
-			PlansFanout:     ss.PlansFanout,
-			PlansSequential: ss.PlansSequential,
-		}
+		out.Sched = &ss
 		out.Ingest = ingestStatz(st)
 		ts := st.serving.StorageStats()
 		out.Storage = &StorageStatz{

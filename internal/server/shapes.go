@@ -46,67 +46,9 @@ func shapesOf(ws []WireShape) ([]geosir.Shape, error) {
 	return out, nil
 }
 
-// MatchJSON is one retrieved shape on the wire.
-type MatchJSON struct {
-	ShapeID            int     `json:"shape_id"`
-	ImageID            int     `json:"image_id"`
-	Distance           float64 `json:"distance"`
-	ContinuousDistance float64 `json:"continuous_distance,omitempty"`
-	Approximate        bool    `json:"approximate,omitempty"`
-}
-
-// StatsJSON mirrors geosir.Stats on the wire.
-type StatsJSON struct {
-	Iterations      int     `json:"iterations"`
-	FinalEpsilon    float64 `json:"final_epsilon"`
-	VerticesCounted int     `json:"vertices_counted"`
-	Candidates      int     `json:"candidates"`
-	Converged       bool    `json:"converged"`
-	UsedHashing     bool    `json:"used_hashing"`
-	UsedANN         bool    `json:"used_ann,omitempty"`
-	ANNProbes       int     `json:"ann_probes,omitempty"`
-	ANNCandidates   int     `json:"ann_candidates,omitempty"`
-}
-
-// SketchMatchJSON is one image retrieved by a multi-shape sketch.
-type SketchMatchJSON struct {
-	ImageID  int       `json:"image_id"`
-	Score    float64   `json:"score"`
-	PerShape []float64 `json:"per_shape"`
-}
-
-func matchesJSON(ms []geosir.Match) []MatchJSON {
-	out := make([]MatchJSON, len(ms))
-	for i, m := range ms {
-		out[i] = MatchJSON{
-			ShapeID:            m.ShapeID,
-			ImageID:            m.ImageID,
-			Distance:           m.Distance,
-			ContinuousDistance: m.ContinuousDistance,
-			Approximate:        m.Approximate,
-		}
-	}
-	return out
-}
-
-func statsJSON(st geosir.Stats) StatsJSON {
-	return StatsJSON{
-		Iterations:      st.Iterations,
-		FinalEpsilon:    st.FinalEpsilon,
-		VerticesCounted: st.VerticesCounted,
-		Candidates:      st.Candidates,
-		Converged:       st.Converged,
-		UsedHashing:     st.UsedHashing,
-		UsedANN:         st.UsedANN,
-		ANNProbes:       st.ANNProbes,
-		ANNCandidates:   st.ANNCandidates,
-	}
-}
-
-func sketchMatchesJSON(ms []geosir.SketchMatch) []SketchMatchJSON {
-	out := make([]SketchMatchJSON, len(ms))
-	for i, m := range ms {
-		out[i] = SketchMatchJSON{ImageID: m.ImageID, Score: m.Score, PerShape: m.PerShape}
-	}
-	return out
-}
+// MatchJSON and StatsJSON name the library's types, which carry the wire
+// form themselves, for clients that decode /v1/search answers.
+type (
+	MatchJSON = geosir.Match
+	StatsJSON = geosir.Stats
+)

@@ -123,9 +123,9 @@ func ParseExecPolicy(s string) (ExecPolicy, error) {
 // sequential execution since startup. Served under /statz's "sched"
 // section (schema 2).
 type SchedStats struct {
-	InFlight        int64
-	PlansFanout     uint64
-	PlansSequential uint64
+	InFlight        int64  `json:"in_flight"`
+	PlansFanout     uint64 `json:"plans_fanout"`
+	PlansSequential uint64 `json:"plans_sequential"`
 }
 
 // SearchRequest is one parameterized retrieval. The zero Mode is
