@@ -78,7 +78,7 @@ bench-check:
 # ns/op and B/op beside the ledger's open_ms) — catches benchmarks that no
 # longer compile or panic, without paying for stable timings.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchApproximate|BenchmarkSearchDistance|BenchmarkSearchLive|BenchmarkSearchSketch|BenchmarkTopological' -benchtime=1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchApproximate|BenchmarkSearchDistance|BenchmarkSearchLive|BenchmarkSearchSketch|BenchmarkTopological' -benchtime=1x -benchmem .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFloors|BenchmarkDistFieldBuild|BenchmarkFieldReject' -benchtime=1x ./internal/core
 	$(GO) test -short -run '^$$' -bench 'BenchmarkAnnProbe' -benchtime=1x ./internal/annindex
 	$(GO) test -short -run '^$$' -bench 'BenchmarkOpenV3' -benchtime=1x -benchmem .

@@ -2,13 +2,14 @@ package geosir
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/annindex"
 	"repro/internal/geom"
 )
 
 // AnnMode selects how the MinHash/LSH candidate tier (internal/annindex,
-// built at Freeze) participates in a Search.
+// derived on an engine's first probe) participates in a Search.
 type AnnMode int
 
 const (
@@ -78,83 +79,53 @@ func annSketchMinShapes(k int) int {
 	return 96
 }
 
-// annPreload carries a persisted ANN section from Load to Freeze, where
-// it is adopted (skipping signature computation) if it still matches
-// the rebuilt entry count.
-type annPreload struct {
-	params annindex.Params
-	sigs   []uint64
-	n      int
-}
-
-// buildANN builds (or adopts the preloaded) candidate-generation index.
-// Called under Freeze, after the core base froze; deterministic, so a
-// rebuilt index is identical to a persisted one.
+// buildANN derives the engine's candidate-generation index from its frozen
+// base: on the first ANNIndex call, never at Freeze or at a snapshot's open,
+// and never stored — it is deterministic, so every derivation is the same.
 func (e *Engine) buildANN() {
 	base := e.db.Base()
-	n := base.NumEntries()
 	// A copy's shape is its meta: no copy is derived for it.
-	shapeOf := make([]int32, n)
+	shapeOf := make([]int32, base.NumEntries())
 	for i := range shapeOf {
 		shapeOf[i] = int32(base.EntryShape(i))
 	}
-	if pre := e.annPre; pre != nil && pre.n == n {
-		e.ann = annindex.FromSignatures(pre.params, pre.sigs, shapeOf)
-	} else {
-		e.ann = annindex.Build(annindex.DefaultParams(), shapeOf, func(i int) geom.Poly { return base.Entry(i).Poly })
-	}
-	e.annPre = nil
+	e.ann = annindex.Build(shapeOf, func(i int) geom.Poly { return base.Entry(i).Poly })
+	annBuilds.Add(1)
 }
 
-// annSignatures returns the signature family to persist: the frozen
-// index's if one exists, a preloaded section's if the engine was loaded
-// but never frozen, and otherwise a transient recomputation — so the
-// snapshot encoding stays canonical whether or not Freeze ran.
-func (e *Engine) annSignatures() (annindex.Params, []uint64, int) {
-	if e.ann != nil {
-		return e.ann.Params(), e.ann.Signatures(), e.ann.NumEntries()
-	}
-	if pre := e.annPre; pre != nil {
-		return pre.params, pre.sigs, pre.n
-	}
-	base := e.db.Base()
-	n := base.NumEntries()
-	p := annindex.DefaultParams()
-	sigs := annindex.ComputeSignatures(p, n, func(i int) geom.Poly { return base.Entry(i).Poly })
-	return p, sigs, n
-}
+// annBuilds and annSigns count the indexes derived and the query shapes
+// signed in this process, for the tests that pin when each happens.
+var annBuilds, annSigns atomic.Int64
 
-// ANNIndex exposes the candidate-generation index for advanced use
-// (nil before Freeze).
-func (e *Engine) ANNIndex() *annindex.Index { return e.ann }
+// ANNIndex returns the candidate-generation index, derived on the first
+// call (nil before Freeze). Safe for concurrent callers: one derives it,
+// the others wait for it.
+func (e *Engine) ANNIndex() *annindex.Index {
+	if !e.frozen {
+		return nil
+	}
+	e.annOnce.Do(e.buildANN)
+	return e.ann
+}
 
 // annStats is the accounting of one probe of the tier.
 func annStats(probes, candidates int) Stats {
 	return Stats{UsedANN: true, ANNProbes: probes, ANNCandidates: candidates}
 }
 
-// querySigs signs a query once per distinct annindex.Params among the parts'
-// ANN indexes (in practice once) and gives each part its own; nil: no index.
-func querySigs(parts []part, poly geom.Poly) [][]uint64 {
-	sigs := make([][]uint64, len(parts))
-	signed := make(map[annindex.Params][]uint64, 1)
-	for i, p := range parts {
-		if p.ann != nil {
-			if _, ok := signed[p.ann.Params()]; !ok {
-				signed[p.ann.Params()] = p.ann.Signature(poly)
-			}
-			sigs[i] = signed[p.ann.Params()]
-		}
-	}
-	return sigs
+// annSign signs a query shape for the ANN tier, once per request (per
+// sketch shape): every part's index is of the one signature family.
+func annSign(poly geom.Poly) []uint64 {
+	annSigns.Add(1)
+	return annindex.Sign(poly)
 }
 
 // annCandidates is the candidate set of an approximate search over the
-// part's ANN index for the query signature sig (querySigs): bucket probes
+// part's ANN index for the query signature sig (annSign): bucket probes
 // plus the signature-scan floor of minShapes, best-first, capped
 // (annCapShapes). It also returns the number of buckets probed.
 func (p *part) annCandidates(sig []uint64, minShapes int) ([]int, int) {
-	cand := p.ann.Probe(sig, minShapes)
+	cand := p.ann().Probe(sig, minShapes)
 	shapes := cand.Shapes
 	if max := annCapShapes(minShapes); len(shapes) > max {
 		shapes = shapes[:max]

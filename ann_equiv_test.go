@@ -9,9 +9,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/annindex"
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/synth"
 )
 
@@ -88,9 +86,13 @@ func TestSeededExactBuildsNoRank(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s q%d k=%d off: %v", e.name, qi, k, err)
 				}
+				signs := annSigns.Load()
 				got, err := e.eng.Search(ctx, SearchRequest{Query: q, K: k, Mode: ModeExact, Ann: AnnApprox})
 				if err != nil {
 					t.Fatalf("%s q%d k=%d approx: %v", e.name, qi, k, err)
+				}
+				if signed := annSigns.Load() - signs; signed != 0 {
+					t.Fatalf("%s q%d k=%d: an exact search signed %d query shapes", e.name, qi, k, signed)
 				}
 				assertMatchesEqual(t, e.name+"/exact/approx", want.Matches, got.Matches)
 				if st := got.Stats; st.UsedANN || st.ANNProbes != 0 || st.ANNCandidates != 0 {
@@ -186,26 +188,17 @@ func TestAnnApproxRecallFloor(t *testing.T) {
 }
 
 // TestAnnProbesEachPartUnderItsParams pins the signing contract of an
-// AnnApprox request (querySigs): each query shape is signed once per
-// request for every distinct annindex.Params among the view's parts —
-// parts with equal Params share one signature — and each part is probed
-// with the signature of its own Params. A view whose shards were indexed
-// under different Params therefore answers as if every part had signed the
-// query itself: for ModeApproximate, ModeAuto and ModeSketch, each part's
-// listing and its Stats under the shared signature equal those under the
-// part's own Index.Signature, and the matches are the long way's.
+// AnnApprox request: every part's index is of the one signature family, so
+// a request signs each query shape once (annSign) — a single-shape request
+// once, a sketch once per sketch shape — whatever the part count, and
+// probes every part with that one signature. Each part's listing and its
+// Stats under it equal those under the part's own Index.Signature, for
+// ModeApproximate, ModeAuto and ModeSketch, and the matches are the long
+// way's.
 func TestAnnProbesEachPartUnderItsParams(t *testing.T) {
 	images, queries, sketch := equivBase(t)
 	ctx := context.Background()
 	se := buildShardedFrom(t, images, 4)
-	odd := annindex.Params{GridRes: 12, Bands: 8, Rows: 3, Seed: 7}
-	sh := se.shards[se.searchView().parts[1].shard]
-	base := sh.db.Base()
-	shapeOf := make([]int32, base.NumEntries())
-	for i := range shapeOf {
-		shapeOf[i] = int32(base.EntryShape(i))
-	}
-	sh.ann = annindex.Build(odd, shapeOf, func(i int) geom.Poly { return base.Entry(i).Poly })
 	v := se.searchView()
 	const k = 3
 	for qi, q := range append(queries, sketch...) {
@@ -214,26 +207,21 @@ func TestAnnProbesEachPartUnderItsParams(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		sigs := querySigs(v.parts, pq.Entry().Poly)
-		if len(sigs[1]) != odd.Bands*odd.Rows {
-			t.Fatalf("%s: part 1 signed with %d hashes, its Params have %d", label, len(sigs[1]), odd.Bands*odd.Rows)
-		}
+		sig := annSign(pq.Entry().Poly)
 		for i, p := range v.parts {
-			for j, o := range v.parts[:i] {
-				if shared := &sigs[i][0] == &sigs[j][0]; shared != (p.ann.Params() == o.ann.Params()) {
-					t.Fatalf("%s: parts %d and %d share a signature: %v, Params equal: %v", label, j, i, shared, !shared)
-				}
+			own := p.ann().Signature(pq.Entry().Poly)
+			if !slices.Equal(own, sig) {
+				t.Fatalf("%s part %d: signs the query %v, the request %v", label, i, own, sig)
 			}
-			own := p.ann.Signature(pq.Entry().Poly)
-			got, gst, err := p.annFloors(ctx, pq, sigs[i], k, int32(i))
+			got, gst, err := p.annFloors(ctx, pq, sig, k, int32(i), nil)
 			if err != nil {
 				t.Fatalf("%s part %d: %v", label, i, err)
 			}
-			want, wst, _ := p.annFloors(ctx, pq, own, k, int32(i))
+			want, wst, _ := p.annFloors(ctx, pq, own, k, int32(i), nil)
 			if !slices.Equal(got, want) || gst != wst {
 				t.Fatalf("%s part %d: listing %v %+v, under its own signature %v %+v", label, i, got, gst, want, wst)
 			}
-			gotT, gst, err := p.sketchTable(ctx, pq, sigs[i], k)
+			gotT, gst, err := p.sketchTable(ctx, pq, sig, k)
 			if err != nil {
 				t.Fatalf("%s part %d sketch: %v", label, i, err)
 			}
@@ -244,9 +232,13 @@ func TestAnnProbesEachPartUnderItsParams(t *testing.T) {
 		}
 		want := annApproxUnshared(t, label, v.parts, q, k)
 		for _, mode := range []Mode{ModeApproximate, ModeAuto} {
+			before := annSigns.Load()
 			got, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Ann: AnnApprox})
 			if err != nil {
 				t.Fatalf("%s %v: %v", label, mode, err)
+			}
+			if signed := annSigns.Load() - before; signed != 1 {
+				t.Fatalf("%s %v: the request signed its query %d times over %d parts, want once", label, mode, signed, len(v.parts))
 			}
 			assertMatchesEqual(t, fmt.Sprintf("%s %v", label, mode), want, got.Matches)
 		}
@@ -259,13 +251,17 @@ func TestAnnProbesEachPartUnderItsParams(t *testing.T) {
 		}
 		perShape[si] = map[int]float64{}
 		for _, p := range v.parts {
-			table, _, _ := p.sketchTable(ctx, pq, p.ann.Signature(pq.Entry().Poly), k)
+			table, _, _ := p.sketchTable(ctx, pq, p.ann().Signature(pq.Entry().Poly), k)
 			maps.Copy(perShape[si], table)
 		}
 	}
+	before := annSigns.Load()
 	got, err := se.Search(ctx, SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Ann: AnnApprox})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if signed := annSigns.Load() - before; signed != int64(len(sketch)) {
+		t.Fatalf("the sketch request signed %d shapes over %d parts, want its %d once each", signed, len(v.parts), len(sketch))
 	}
 	assertSketchEqual(t, "sketch", scoreSketchTables(perShape, k), got.SketchMatches)
 }

@@ -333,12 +333,13 @@ func BenchmarkMatch_Scaling_100images(b *testing.B) { benchmarkMatchAtScale(b, 0
 func BenchmarkMatch_Scaling_200images(b *testing.B) { benchmarkMatchAtScale(b, 0.02) }
 
 // BenchmarkSearchDistance times the exact search as it is served —
-// Engine.Search in ModeExact, k = 5, over the 200-image base — by how far
-// the query's neighbours lie: 64 fixed queries a row, stored shapes
-// distorted 0.01 and 0.05, and unmatched stars (3–12 points, noise 0.3).
-// The search's cost follows the k-th neighbour's distance, so each row
-// reports ns/op and the copies that reached the exact evaluator
-// (candidates/op).
+// Search in ModeExact, k = 5, over the 200-image base — by how far the
+// query's neighbours lie: 64 fixed queries a row, stored shapes distorted
+// 0.01 and 0.05, and unmatched stars (3–12 points, noise 0.3), on one
+// Engine, and the 0.01 row again on 8 shards (the serving default). The
+// search's cost follows the k-th neighbour's distance, so each row reports
+// ns/op and the copies that reached the exact evaluator (candidates/op),
+// and B/op: what a request leaves to the collector.
 func BenchmarkSearchDistance(b *testing.B) {
 	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
 	eng := buildSingle(b, images)
@@ -347,19 +348,23 @@ func BenchmarkSearchDistance(b *testing.B) {
 	for i := range stars {
 		stars[i] = synth.Star(rng, 3+rng.Intn(10), 0.3)
 	}
+	near := synth.Queries(rng, images, 64, 0.01)
 	for _, row := range []struct {
 		name    string
+		s       Searcher
 		queries []Shape
 	}{
-		{"distortion0.01", synth.Queries(rng, images, 64, 0.01)},
-		{"distortion0.05", synth.Queries(rng, images, 64, 0.05)},
-		{"star", stars},
+		{"distortion0.01", eng, near},
+		{"distortion0.05", eng, synth.Queries(rng, images, 64, 0.05)},
+		{"star", eng, stars},
+		{"8shards/distortion0.01", buildShardedFrom(b, images, 8), near},
 	} {
 		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
 			ctx := context.Background()
 			var candidates int
 			for i := 0; i < b.N; i++ {
-				resp, err := eng.Search(ctx, SearchRequest{Query: row.queries[i%len(row.queries)], K: 5, Mode: ModeExact})
+				resp, err := row.s.Search(ctx, SearchRequest{Query: row.queries[i%len(row.queries)], K: 5, Mode: ModeExact})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -419,8 +424,8 @@ func BenchmarkBucketScoring(b *testing.B) {
 		bucket []int
 	}
 	bucketPass := func(q prepared) error {
-		_, _, err := refine(ctx, []part{p}, q.pq, 5, 1, false, func(int) ([]bucketShape, Stats, error) {
-			return floored(&p, q.bucket, q.pq, 0), Stats{}, nil
+		_, _, err := refine(ctx, []part{p}, q.pq, 5, 1, false, func(_ int, dst []bucketShape) ([]bucketShape, Stats, error) {
+			return floored(&p, q.bucket, q.pq, 0, dst), Stats{}, nil
 		})
 		return err
 	}
@@ -435,7 +440,7 @@ func BenchmarkBucketScoring(b *testing.B) {
 		ids := hashBuckets([]part{p}, pq)[0]
 		// The passes are deterministic: this run builds the query's
 		// distance field and is the one counted.
-		if _, err := rank(ctx, floored(&p, ids, pq, 0), 5, func(c bucketShape, cut float64) (Match, int, bool) {
+		if _, err := rank(ctx, floored(&p, ids, pq, 0, nil), 5, func(c bucketShape, cut float64) (Match, int, bool) {
 			m, entry, ok := p.scoreBounded(int(c.id), pq, cut)
 			if ok {
 				inFull++

@@ -150,9 +150,9 @@ func annApproxUnshared(t *testing.T, label string, parts []part, q Shape, k int)
 	for i, p := range parts {
 		var sig []uint64
 		if p.ann != nil {
-			sig = p.ann.Signature(pq.Entry().Poly)
+			sig = p.ann().Signature(pq.Entry().Poly)
 		}
-		listed, _, err := p.annFloors(context.Background(), pq, sig, k, int32(i))
+		listed, _, err := p.annFloors(context.Background(), pq, sig, k, int32(i), nil)
 		if err != nil {
 			t.Fatalf("%s: part %d: %v", label, i, err)
 		}
@@ -448,7 +448,7 @@ func TestSeededSearchIsOneScan(t *testing.T) {
 		})
 		want := make([]Match, k)
 		for i, m := range scan[:k] {
-			d, cost := base.Continuous(m.EntryID, pq)
+			d, cost := base.Continuous(m.EntryID, pq, new([]geom.Point))
 			blocks += cost
 			want[i] = Match{ShapeID: m.ShapeID, ImageID: base.Shape(m.ShapeID).Image, Distance: m.DistVertex, ContinuousDistance: d}
 		}
@@ -674,8 +674,8 @@ func TestFloorOrderIsOptimal(t *testing.T) {
 				}
 				// The same two passes, watched: what pass 1 lists, and what
 				// pass 2 scores.
-				h, _, err := listAll(ctx, len(parts), 1, func(i int) ([]bucketShape, Stats, error) {
-					return parts[i].floors(ctx, pq, int32(i))
+				h, _, err := listAll(ctx, parts, 1, func(i int, dst []bucketShape) ([]bucketShape, Stats, error) {
+					return parts[i].floors(ctx, pq, int32(i), dst)
 				})
 				if err != nil {
 					t.Fatal(err)

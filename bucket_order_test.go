@@ -61,19 +61,19 @@ func (o bucketOrder) stages(t *testing.T, v searchView, q Shape, k, width int) (
 		}
 		return shapes
 	}
-	exact, _, err = refine(ctx, v.parts, pq, k, width, true, func(i int) ([]bucketShape, Stats, error) {
-		shapes, st, err := v.parts[i].floors(ctx, pq, int32(i))
+	exact, _, err = refine(ctx, v.parts, pq, k, width, true, func(i int, dst []bucketShape) ([]bucketShape, Stats, error) {
+		shapes, st, err := v.parts[i].floors(ctx, pq, int32(i), dst)
 		return flatten(shapes), st, err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buckets := hashBuckets(v.parts, pq)
-	approx, _, err = refine(ctx, v.parts, pq, k, width, false, func(i int) ([]bucketShape, Stats, error) {
+	approx, _, err = refine(ctx, v.parts, pq, k, width, false, func(i int, dst []bucketShape) ([]bucketShape, Stats, error) {
 		if o.perm != nil {
 			o.perm(buckets[i])
 		}
-		return flatten(floored(&v.parts[i], buckets[i], pq, int32(i))), Stats{}, nil
+		return flatten(floored(&v.parts[i], buckets[i], pq, int32(i), dst)), Stats{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

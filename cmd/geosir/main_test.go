@@ -135,13 +135,14 @@ func TestRunDemoPath(t *testing.T) {
 		t.Fatalf("sharded demo run: %v", err)
 	}
 	// Stats mode, both engine kinds: the GSIR3 section table lists the cell
-	// row, and no copy's vertices, offsets or transforms.
+	// row, and no copy's vertices, offsets or transforms, and no ANN
+	// signatures (the index is derived at its first probe).
 	for _, shards := range []int{1, 2} {
 		out := captureStdout(t, func() error { return run("", 10, 3, "", false, -1, 1, "", "", true, shards, "off") })
 		if !strings.Contains(out, "\n  ECEL ") || !strings.Contains(out, "\n  ENTM ") {
 			t.Fatalf("stats run (%d shards) lists no ECEL or ENTM section:\n%s", shards, out)
 		}
-		for _, tag := range []string{"EVTX", "EOFF", "ENTT"} {
+		for _, tag := range []string{"EVTX", "EOFF", "ENTT", "ANNP", "ANNS"} {
 			if strings.Contains(out, tag) {
 				t.Fatalf("stats run (%d shards) lists %s:\n%s", shards, tag, out)
 			}

@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/annindex"
 	"repro/internal/core"
@@ -139,16 +140,19 @@ type Stats struct {
 // graphs, and the geometric hash table.
 //
 // Concurrency: an Engine is not safe for concurrent mutation, but after
-// Freeze every index structure is immutable and Search and Query may be
+// Freeze every index structure is immutable — the ANN index is derived at
+// its first probe, once, under a sync.Once — and Search and Query may be
 // called from any number of goroutines.
 type Engine struct {
 	opts   Options
 	db     *query.DB
 	family *geohash.Family
 	table  *geohash.Table
-	ann    *annindex.Index
-	annPre *annPreload
 	frozen bool
+
+	// ann is the ANN tier's index, derived once, by ANNIndex.
+	annOnce sync.Once
+	ann     *annindex.Index
 
 	// stor records how the engine's snapshot is backed (nil = heap).
 	// Set by LoadFileMmap, which also pins the mapping's lifetime to the
@@ -224,7 +228,6 @@ func (e *Engine) Freeze() error {
 			return fmt.Errorf("geosir: hashing shape %d: %w", s.ID, err)
 		}
 	}
-	e.buildANN()
 	e.frozen = true
 	return nil
 }

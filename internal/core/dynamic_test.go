@@ -80,7 +80,7 @@ func dynWithin(t *testing.T, d *dynBase, pq *PreparedQuery, cut float64) ([]Matc
 	}
 	sortMatches(out)
 	for i := range out {
-		out[i].DistContinuous, _ = d.b.Continuous(out[i].EntryID, pq)
+		out[i].DistContinuous, _ = d.b.Continuous(out[i].EntryID, pq, new([]geom.Point))
 	}
 	return out, copies
 }
@@ -359,8 +359,8 @@ func TestDynamicShapeDistancePreparedBounded(t *testing.T) {
 					t.Fatalf("shape %d cut %v: grown (%+v,%v) != frozen (%+v,%v)", id, cut, gotM, gotOK, wantM, wantOK)
 				}
 				if wantOK {
-					gd, gc := d.b.Continuous(gotM.EntryID, pq)
-					wd, wc := b.Continuous(wantM.EntryID, pq)
+					gd, gc := d.b.Continuous(gotM.EntryID, pq, new([]geom.Point))
+					wd, wc := b.Continuous(wantM.EntryID, pq, new([]geom.Point))
 					if math.Float64bits(gd) != math.Float64bits(wd) || gc != wc {
 						t.Fatalf("shape %d: grown re-read (%v, %d), frozen (%v, %d)", id, gd, gc, wd, wc)
 					}

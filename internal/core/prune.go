@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/shapeindex"
@@ -227,7 +228,10 @@ func newDistField(o *BoundaryDist) *distField {
 			}
 		}
 	}
-	f := &distField{ax: ax, ay: ay, dx: dx, dy: dy, invL2: invL2}
+	f := fieldPool.Get().(*distField)
+	clear(f.lb[:])
+	clear(f.lists[:])
+	f.ax, f.ay, f.dx, f.dy, f.invL2 = ax, ay, dx, dy, invL2
 	// A list names a segment in 8 bits and holds only what the band measured:
 	// a query with more segments, or with one the kernel cannot measure (a
 	// non-finite coordinate), walks every cell.
@@ -442,6 +446,21 @@ func (pq *PreparedQuery) distField() *distField {
 	return pq.field
 }
 
+// fieldPool holds the distance fields of released queries (Release), which
+// newDistField builds into instead of allocating ~47 KB.
+var fieldPool = sync.Pool{New: func() any { return new(distField) }}
+
+// Release hands the query's distance field back for a later query to build
+// into. The caller must be done with pq — every evaluation of it returned —
+// and must not use it again. A query never released leaves its field to the
+// collector.
+func (pq *PreparedQuery) Release() {
+	if pq.field != nil {
+		fieldPool.Put(pq.field)
+		pq.field = nil
+	}
+}
+
 // edgeStack is how many edges of a stored copy the back pass sets up on the
 // stack (every served base stores copies of at most 21 vertices); a copy
 // with more pays one allocation.
@@ -577,8 +596,7 @@ func (b *Base) shapeFloor(f *distField, id int) float64 {
 // Continuous is the continuous measure between the query and stored copy
 // ei — the EntryID ShapeDistancePreparedBounded returned — and the copy's
 // block cost: the final re-read of an exact match.
-func (b *Base) Continuous(ei int, pq *PreparedQuery) (float64, int) {
-	var resample []geom.Point
+func (b *Base) Continuous(ei int, pq *PreparedQuery, resample *[]geom.Point) (float64, int) {
 	var buf [copyStack]geom.Point
-	return pq.distContinuous(b.copyPoly(ei, buf[:0]), b.opts.Samples, &resample), b.blockCost(int32(ei))
+	return pq.distContinuous(b.copyPoly(ei, buf[:0]), b.opts.Samples, resample), b.blockCost(int32(ei))
 }

@@ -175,7 +175,7 @@ func withinSorted(b *Base, pq *PreparedQuery, dead map[int]bool, cut float64) (o
 	}
 	sortMatches(out)
 	for i := range out {
-		out[i].DistContinuous, _ = b.Continuous(out[i].EntryID, pq)
+		out[i].DistContinuous, _ = b.Continuous(out[i].EntryID, pq, new([]geom.Point))
 	}
 	return out, copies, blocks, nil
 }
@@ -414,7 +414,7 @@ func floorOrdered(t *testing.T, b *Base, pq *PreparedQuery, k int, dead map[int]
 	sortMatches(out)
 	out = out[:min(k, len(out))]
 	for i := range out {
-		d, cost := b.Continuous(out[i].EntryID, pq)
+		d, cost := b.Continuous(out[i].EntryID, pq, new([]geom.Point))
 		out[i].DistContinuous, blocks = d, blocks+cost
 	}
 	return out, copies, blocks

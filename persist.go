@@ -116,8 +116,8 @@ type Recovery struct {
 	// Truncated reports that section framing was lost (truncation or a
 	// mangled length prefix) before the declared image count was reached.
 	Truncated bool
-	// AuxDropped counts declared auxiliary sections (derived data such
-	// as the ANN signatures, or a GSIR3 file's frozen index) that failed
+	// AuxDropped counts declared auxiliary sections (derived data: a
+	// GSIR2 file's auxiliary sections, a GSIR3 file's frozen index) that failed
 	// verification or were never reached. The engine is unaffected —
 	// derived structures are rebuilt deterministically — but the snapshot
 	// was damaged.

@@ -127,8 +127,9 @@ func gsir1Golden(tb testing.TB) []byte {
 }
 
 // gsir2Golden is a GSIR2 snapshot of the same base, with its ANN1
-// section, written by the last GSIR2 writer this repo had: what keeps the
-// GSIR2 reader under test now that nothing writes the format.
+// section (which the reader skips), written by the last GSIR2 writer this
+// repo had: what keeps the GSIR2 reader under test now that nothing writes
+// the format.
 func gsir2Golden(tb testing.TB) []byte {
 	return testdataBytes(tb, filepath.Join("testdata", "gsir2", "base.gsir2"))
 }

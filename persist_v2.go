@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-
-	"repro/internal/annindex"
 )
 
 // GSIR2 is the stream format of earlier writers, read only:
@@ -20,13 +18,12 @@ import (
 //	    u32 imageID | u32 nShapes | nShapes × { u32 flags (bit0 = closed) | u32 nVerts | nVerts × (f64 x, f64 y) }
 //	sections nImages+1..nImages+nAux (auxiliary, tagged):
 //	    4-byte tag | tag-specific payload
-//	    tag "ANN1": u32 gridRes | u32 bands | u32 rows | u64 seed | u32 nEntries | nEntries × bands·rows × u64 signature
 //
 // Version negotiation: a 40-byte options payload (written before
-// auxiliary sections existed) implies nAux = 0, and Freeze rebuilds the
-// ANN index from the shapes — deterministically, so the rebuilt index
-// matches what the snapshot would have carried. Unknown auxiliary tags are
-// framed and checksummed like any section and are skipped.
+// auxiliary sections existed) implies nAux = 0. Every auxiliary section is
+// framed and checksummed like any section and its payload is skipped —
+// "ANN1", the ANN signatures the writer used to store, included: the index
+// is derived from the shapes at its first probe.
 //
 // Every section is independently framed and checksummed: truncation, a
 // torn tail, or a flipped byte anywhere in a section surfaces as a CRC or
@@ -53,9 +50,6 @@ const (
 // maxAuxSections bounds the declared auxiliary count against corrupt
 // framing.
 const maxAuxSections = 64
-
-// auxTagANN marks the MinHash/LSH signature section.
-const auxTagANN = "ANN1"
 
 func appendU32(b []byte, v uint32) []byte {
 	var buf [4]byte
@@ -219,61 +213,6 @@ func parseImagePayload(b []byte) (int, []Shape, error) {
 	return int(imgID), shapes, nil
 }
 
-// applyAuxSection dispatches one verified auxiliary payload by tag.
-// Unknown tags (from newer writers) are skipped.
-func (e *Engine) applyAuxSection(payload []byte) error {
-	if len(payload) < 4 {
-		return fmt.Errorf("geosir: auxiliary section too short (%d bytes)", len(payload))
-	}
-	switch string(payload[:4]) {
-	case auxTagANN:
-		pre, err := parseAnnPayload(payload[4:])
-		if err != nil {
-			return fmt.Errorf("geosir: ann section: %w", err)
-		}
-		e.annPre = pre
-	}
-	return nil
-}
-
-// annParams validates the signature family's persisted header fields,
-// shared by GSIR2's ANN1 section and GSIR3's ANNP.
-func annParams(seed uint64, gridRes, bands, rows, n uint32) (annindex.Params, error) {
-	if gridRes < 1 || gridRes > 4096 || bands < 1 || bands > 4096 || rows < 1 || rows > 64 {
-		return annindex.Params{}, fmt.Errorf("geosir: implausible ANN parameters %d/%d/%d", gridRes, bands, rows)
-	}
-	if n > maxCount {
-		return annindex.Params{}, fmt.Errorf("geosir: implausible ANN entry count %d", n)
-	}
-	return annindex.Params{Seed: seed, GridRes: int(gridRes), Bands: int(bands), Rows: int(rows)}, nil
-}
-
-// parseAnnPayload decodes the ANN signature section (tag already
-// consumed). Counts are validated against the bytes present before any
-// allocation, mirroring parseImagePayload.
-func parseAnnPayload(b []byte) (*annPreload, error) {
-	c := cursor{b: b}
-	gridRes, bands, rows := c.u32(), c.u32(), c.u32()
-	seed := c.u64()
-	n := c.u32()
-	if c.err != nil {
-		return nil, c.err
-	}
-	p, err := annParams(seed, gridRes, bands, rows, n)
-	if err != nil {
-		return nil, err
-	}
-	h := p.Bands * p.Rows
-	if want := int64(n) * int64(h) * 8; want != int64(c.remaining()) {
-		return nil, fmt.Errorf("geosir: ANN section holds %d signature bytes, want %d", c.remaining(), want)
-	}
-	sigs := make([]uint64, int(n)*h)
-	for i := range sigs {
-		sigs[i] = c.u64()
-	}
-	return &annPreload{params: p, sigs: sigs, n: int(n)}, nil
-}
-
 // bestEffortImageID pulls the image id from a damaged payload when
 // enough bytes exist, purely for the recovery report; -1 otherwise.
 func bestEffortImageID(payload []byte) int {
@@ -324,10 +263,9 @@ func loadGSIR2(cr *countReader) (*Engine, *Recovery, error) {
 			break
 		}
 	}
-	// Auxiliary sections are derived data: read them best-effort (a
-	// verified ANN section spares Freeze the signature recomputation),
-	// and on any damage count the loss and let Freeze rebuild
-	// deterministically. Past them the stream must end.
+	// Auxiliary sections are derived data, which the engine derives again:
+	// each is framed and checked and its payload skipped, and any damage is
+	// counted. Past them the stream must end.
 	framed := !rec.Truncated
 	for a := 0; a < naux; a++ {
 		if !framed {
@@ -336,8 +274,8 @@ func loadGSIR2(cr *countReader) (*Engine, *Recovery, error) {
 		}
 		payload, err := readSection(cr)
 		framed = err == nil || errors.Is(err, errBadCRC)
-		if err == nil {
-			err = eng.applyAuxSection(payload)
+		if err == nil && len(payload) < 4 {
+			err = fmt.Errorf("geosir: auxiliary section too short (%d bytes)", len(payload))
 		}
 		if err != nil {
 			rec.AuxDropped++

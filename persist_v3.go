@@ -44,16 +44,18 @@ import (
 // determines it — its shape (RAWV), its α-diameter pair in its meta (ENTM)
 // — plus its vertices' distance-field cells (ECEL, 2 B a vertex), and its
 // vertices are derived from these when a search reads them; then
-// geometric-hash quadruples (QUAD), diameter angles (DANG), image graphs
-// (GRPH), and the ANN signature family (ANNP, ANNS). Sections are found
-// by tag: one the table does not name is checksummed like the rest and
-// otherwise ignored, and a file without ECEL — every file written before
-// the row — has its cells derived on load. Earlier writers emitted five
-// kinds of these: GBND; the kd-tree (KDTP, KDTI, KDTB) and vertex → entry
-// map (VENT) that only the paper's climb reads, which is built on its
-// first use instead (core.Base.BuildRangeIndex); a segment grid per entry
-// (GRDH, GSEG, GCEL, GIDS), where a search now reads the copy's own edges;
-// and every copy's vertices, offsets and transforms (EVTX, EOFF, ENTT).
+// geometric-hash quadruples (QUAD), diameter angles (DANG) and image graphs
+// (GRPH). Sections are found by tag: one the table does not name is
+// checksummed like the rest and otherwise ignored, and a file without ECEL
+// — every file written before the row — has its cells derived on load.
+// Earlier writers emitted six kinds of these: GBND; the kd-tree (KDTP,
+// KDTI, KDTB) and vertex → entry map (VENT) that only the paper's climb
+// reads, which is built on its first use instead
+// (core.Base.BuildRangeIndex); a segment grid per entry (GRDH, GSEG, GCEL,
+// GIDS), where a search now reads the copy's own edges; every copy's
+// vertices, offsets and transforms (EVTX, EOFF, ENTT); and the ANN
+// signatures (ANNP, ANNS), where the index is derived at its first probe
+// (Engine.ANNIndex).
 //
 // Integrity: the decoder verifies the table checksum and then every
 // section's CRC32 before assembly — corrupt bytes are never served. A
@@ -94,10 +96,8 @@ type v3Row struct {
 	// stream (IMGS, GRPH), whose parser bounds every count it reads by
 	// the bytes left.
 	elem int
-	// count is how many elements the OPTS counts promise. nil marks a
-	// pooled array — its extent is stated by a sibling header (ANNP for
-	// ANNS), which the assembly checks — and only whole elements are
-	// required of it.
+	// count is how many elements the OPTS counts promise (nil for a
+	// framed stream).
 	count func(o *v3Options) int
 	// optional marks the row files of earlier writers lack (ECEL): absent,
 	// the loader derives it, over the count those files' copy vertices
@@ -127,8 +127,6 @@ var v3Table = []v3Row{
 	{"QUAD", v3Derived, 16, v3Shapes, v3Always},  // 4 × i32 hash cell, all -1: shape not in the table
 	{"DANG", v3Derived, 8, v3Shapes, v3Always},   // f64 diameter angle
 	{"GRPH", v3Derived, 0, nil, v3Always},        // u32 n | n × { image id | shapes | edges }
-	{"ANNP", v3Derived, 24, v3One, v3Always},     // u64 seed | u32 grid res | bands | rows | entries
-	{"ANNS", v3Derived, 8, nil, v3Always},        // u64 signatures, entries × bands·rows
 }
 
 // v3RawTags is the raw family, read off the table.
@@ -158,10 +156,6 @@ func v3Check(sec map[string][]byte, o *v3Options, rawOnly bool) error {
 		case !ok:
 			return fmt.Errorf("geosir: GSIR3 snapshot missing section %s", row.tag)
 		case row.elem == 0:
-		case row.count == nil:
-			if len(b)%row.elem != 0 {
-				return fmt.Errorf("geosir: section %s is %d bytes, not whole %d-byte elements", row.tag, len(b), row.elem)
-			}
 		default:
 			if want := int64(row.count(o)) * int64(row.elem); int64(len(b)) != want {
 				return fmt.Errorf("geosir: section %s is %d bytes, OPTS counts promise %d", row.tag, len(b), want)
@@ -333,14 +327,6 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 		}
 	}
 	out["GRPH"] = grph
-
-	// ANNP / ANNS — the MinHash/LSH signature family.
-	p, sigs, n := e.annSignatures()
-	annp := appendU64(nil, p.Seed)
-	annp = appendU32(annp, uint32(p.GridRes))
-	annp = appendU32(annp, uint32(p.Bands))
-	annp = appendU32(annp, uint32(p.Rows))
-	out["ANNP"], out["ANNS"] = appendU32(annp, uint32(n)), put(nil, sigs)
 
 	opt := make([]byte, 0, v3OptsLen)
 	opt = appendF64(opt, e.opts.Alpha)
@@ -549,12 +535,6 @@ func assembleV3(r *v3Reader, o v3Options, images []savedImage) (*Engine, error) 
 			return nil, fmt.Errorf("geosir: rehashing shape %d: %w", sid, err)
 		}
 	}
-
-	// ANN index from the persisted signature family.
-	if eng.annPre, err = parseV3Ann(r); err != nil {
-		return nil, err
-	}
-	eng.buildANN()
 	eng.frozen = true
 	return eng, nil
 }
@@ -614,23 +594,6 @@ func parseV3Graphs(b []byte, o v3Options) ([]*query.ImageGraph, error) {
 		return nil, fmt.Errorf("geosir: %d trailing bytes in GRPH", c.remaining())
 	}
 	return graphs, nil
-}
-
-// parseV3Ann reads the signature family: ANNP states how many signature
-// words ANNS must hold.
-func parseV3Ann(r *v3Reader) (*annPreload, error) {
-	c := cursor{b: r.sec["ANNP"]}
-	seed := c.u64()
-	gridRes, bands, rows, n := c.u32(), c.u32(), c.u32(), c.u32()
-	p, err := annParams(seed, gridRes, bands, rows, n)
-	if err != nil {
-		return nil, err
-	}
-	sigs := v3View[uint64](r, "ANNS")
-	if want := int(n) * p.Bands * p.Rows; want != len(sigs) {
-		return nil, fmt.Errorf("geosir: ANNS holds %d signature words, ANNP declares %d", len(sigs), want)
-	}
-	return &annPreload{params: p, sigs: sigs, n: int(n)}, nil
 }
 
 // loadGSIR3 is the GSIR3 decoder, over a complete byte image. A file

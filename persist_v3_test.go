@@ -18,17 +18,18 @@ import (
 )
 
 // gsir3KDTreeGolden is a GSIR3 snapshot of buildEngine's base written
-// while the format still carried the climb's range index and a segment
-// grid per entry: besides every section of v3Table it holds v3LegacyTags,
-// which the loader now ignores.
+// while the format still carried the climb's range index, a segment grid
+// per entry and the ANN signatures: besides every section of v3Table it
+// holds v3LegacyTags, which the loader now ignores.
 func gsir3KDTreeGolden(tb testing.TB) []byte { return testdataBytes(tb, gsir3KDTreeGoldenPath) }
 
 const gsir3KDTreeGoldenPath = "testdata/gsir3/kdtree.gsir3"
 
 // v3LegacyTags are the sections the golden holds and v3Table no longer
 // names: the per-entry segment grids, the vertex → entry map, the kd-tree,
-// and every copy's transforms, vertex offsets and vertices.
-var v3LegacyTags = []string{"GRDH", "GSEG", "GCEL", "GIDS", "VENT", "KDTP", "KDTI", "KDTB", "ENTT", "EOFF", "EVTX"}
+// every copy's transforms, vertex offsets and vertices, and the ANN
+// signature family, which an engine now derives at its first probe.
+var v3LegacyTags = []string{"GRDH", "GSEG", "GCEL", "GIDS", "VENT", "KDTP", "KDTI", "KDTB", "ENTT", "EOFF", "EVTX", "ANNP", "ANNS"}
 
 // checkEngineEquivalence asserts two engines answer identically across
 // exact, sketch, and approximate searches plus topological queries.
@@ -282,11 +283,12 @@ func checkMirroredPairs(t *testing.T, eng *Engine) {
 
 // TestGSIR3KDTreeGolden loads a snapshot an older writer produced, with
 // the per-entry grid, kd-tree and vertex → entry sections, every copy's
-// vertices, offsets and transforms, and no cell row: heap-decoded and
-// mapped, it answers exactly as a fresh build of the same base — matches
-// and stats byte for byte — and holds its copies in half-turn pairs
+// vertices, offsets and transforms, the ANN signatures, and no cell row:
+// heap-decoded and mapped, it answers exactly as a fresh build of the same
+// base — matches and stats byte for byte, ann:approx included, from an
+// index derived again — and holds its copies in half-turn pairs
 // (checkMirroredPairs). Re-saving it is what a fresh build saves: it drops
-// exactly those eleven sections (v3LegacyTags), adds the cell row ECEL
+// exactly those thirteen sections (v3LegacyTags), adds the cell row ECEL
 // after ENTM, stamps OPTS's last word — 0 in the golden — with the cell
 // grid ECEL is computed under (core.FieldLayout), and leaves every other
 // byte of every other payload — OPTS's backend word 2 and the vertex count
@@ -448,9 +450,9 @@ func checkTornSalvage(t *testing.T, orig *Engine, cut []byte) {
 }
 
 // TestGSIR3TornTailSalvages cuts a GSIR3 file inside its last section,
-// ANNS — at len−1 and midway into the section. The raw sections are whole
-// and verify, so LoadPartial rebuilds from them: every image, answering as
-// the original, the loss reported.
+// GRPH, the image graphs — at len−1 and midway into the section. The raw
+// sections are whole and verify, so LoadPartial rebuilds from them: every
+// image, answering as the original, the loss reported.
 func TestGSIR3TornTailSalvages(t *testing.T) {
 	orig := buildEngine(t)
 	data := snapshotBytes(t, orig)
@@ -458,11 +460,11 @@ func TestGSIR3TornTailSalvages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anns := rows[len(rows)-1]
-	if anns.Tag != "ANNS" || anns.Len < 2 {
-		t.Fatalf("last section is %s of %d bytes, want ANNS", anns.Tag, anns.Len)
+	last := rows[len(rows)-1]
+	if last.Tag != "GRPH" || last.Len < 2 {
+		t.Fatalf("last section is %s of %d bytes, want GRPH", last.Tag, last.Len)
 	}
-	for _, n := range []int{len(data) - 1, int(anns.Off + anns.Len/2)} {
+	for _, n := range []int{len(data) - 1, int(last.Off + last.Len/2)} {
 		checkTornSalvage(t, orig, data[:n])
 	}
 }

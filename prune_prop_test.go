@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/synth"
 )
 
@@ -79,7 +80,7 @@ func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k int, cut
 	var hits []hit
 	listed := 0
 	for pi, p := range parts {
-		shapes, _, err := p.floors(ctx, pq, int32(pi))
+		shapes, _, err := p.floors(ctx, pq, int32(pi), nil)
 		if err != nil {
 			t.Fatalf("%s: part %d: %v", label, pi, err)
 		}
@@ -99,7 +100,7 @@ func exactUnseeded(t *testing.T, label string, parts []part, q Shape, k int, cut
 	for i := range ms {
 		h := hits[i]
 		ms[i] = h.m
-		ms[i].ContinuousDistance, _ = parts[h.c.part].base.Continuous(h.entry, pq)
+		ms[i].ContinuousDistance, _ = parts[h.c.part].base.Continuous(h.entry, pq, new([]geom.Point))
 	}
 	return ms, Stats{Converged: k <= listed}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/annindex"
 	"repro/internal/core"
 	"repro/internal/geohash"
+	"repro/internal/geom"
 	"repro/internal/ingest"
 	"repro/internal/query"
 	"repro/internal/sched"
@@ -240,14 +241,15 @@ type part struct {
 	// quad, widened by radius, tombstoned ones included — the frozen
 	// shard's geohash.Table.Lookup, or the delta's.
 	lookup func(quad geohash.Quadruple, radius int) []int
-	// ann is the shard's ANN index; nil for a delta, where every live
-	// shape is an ANN candidate — strictly better recall than any probe.
-	ann *annindex.Index
+	// ann is the shard's ANN index, derived at its first call
+	// (Engine.ANNIndex); nil for a delta, where every live shape is an ANN
+	// candidate — strictly better recall than any probe.
+	ann func() *annindex.Index
 }
 
 // part is the engine as one part: identity ids, no tombstones.
 func (e *Engine) part() part {
-	return part{db: e.db, base: e.db.Base(), family: e.family, lookup: e.table.Lookup, ann: e.ann}
+	return part{db: e.db, base: e.db.Base(), family: e.family, lookup: e.table.Lookup, ann: e.ANNIndex}
 }
 
 // deltaPart is one version of a live delta as a part.
@@ -300,38 +302,39 @@ func (p *part) scoreBounded(id int, pq *core.PreparedQuery, cutoff float64) (Mat
 }
 
 // floors is pass 1 of the exact search (exactSearch): every live shape of
-// the part, as parts[pi], with its floor, and the copies floored and their
-// block cost in VerticesCounted and BlockReads.
-func (p *part) floors(ctx context.Context, pq *core.PreparedQuery, pi int32) ([]bucketShape, Stats, error) {
-	out := make([]bucketShape, 0, p.liveShapes())
+// the part, as parts[pi], with its floor, appended to dst, and the copies
+// floored and their block cost in VerticesCounted and BlockReads.
+func (p *part) floors(ctx context.Context, pq *core.PreparedQuery, pi int32, dst []bucketShape) ([]bucketShape, Stats, error) {
 	copies, blocks, err := p.base.Floors(ctx, pq, p.dead, func(id int, floor float64) {
-		out = append(out, bucketShape{part: pi, id: int32(id), floor: floor})
+		dst = append(dst, bucketShape{part: pi, id: int32(id), floor: floor})
 	})
-	return out, Stats{VerticesCounted: copies, BlockReads: blocks}, err
+	return dst, Stats{VerticesCounted: copies, BlockReads: blocks}, err
 }
 
 // annFloors is the listing of the ann:approx stage: the part's live ANN
 // candidates for k under the query's signature sig, each with its floor,
-// and the tier's accounting. Each part applies the full annMinShapes floor,
-// so the union over N parts is at least as wide as one part's candidate set
-// — recall is monotone in the part count. A delta (nil sig) lists every
-// live shape, as floors does; the copies floored are no exact search's.
-func (p *part) annFloors(ctx context.Context, pq *core.PreparedQuery, sig []uint64, k int, pi int32) ([]bucketShape, Stats, error) {
-	if sig == nil {
-		shapes, _, err := p.floors(ctx, pq, pi)
+// appended to dst, and the tier's accounting. Each part applies the full
+// annMinShapes floor, so the union over N parts is at least as wide as one
+// part's candidate set — recall is monotone in the part count. A delta (no
+// index) lists every live shape, as floors does; the copies floored are no
+// exact search's.
+func (p *part) annFloors(ctx context.Context, pq *core.PreparedQuery, sig []uint64, k int, pi int32, dst []bucketShape) ([]bucketShape, Stats, error) {
+	if p.ann == nil {
+		shapes, _, err := p.floors(ctx, pq, pi, dst)
 		return shapes, Stats{}, err
 	}
 	shapes, probes := p.annCandidates(sig, annMinShapes(k))
 	shapes = p.live(shapes)
-	return floored(p, shapes, pq, pi), annStats(probes, len(shapes)), nil
+	return floored(p, shapes, pq, pi, dst), annStats(probes, len(shapes)), nil
 }
 
 // sketchTable is the best distance per live image to one sketch shape: a
 // scan of every live shape under the fixed cutoff +Inf (Base.Within),
 // tombstones skipped before they are scored. Given an ANN signature sig, a
-// shard scores only its live candidates (exactly); images whose every shape
-// went unprobed are absent — the sketch ranking's recall cost, measured by
-// BenchmarkAnnSketchApprox. ctx is checked every 32 shapes either way.
+// shard scores only its live candidates (exactly), a delta every live shape;
+// images whose every shape went unprobed are absent — the sketch ranking's
+// recall cost, measured by BenchmarkAnnSketchApprox. ctx is checked every
+// 32 shapes either way.
 func (p *part) sketchTable(ctx context.Context, pq *core.PreparedQuery, sig []uint64, k int) (map[int]float64, Stats, error) {
 	best := make(map[int]float64)
 	keep := func(sid int, d float64) {
@@ -340,7 +343,7 @@ func (p *part) sketchTable(ctx context.Context, pq *core.PreparedQuery, sig []ui
 			best[img] = d
 		}
 	}
-	if sig == nil {
+	if sig == nil || p.ann == nil {
 		_, blocks, err := p.base.Within(ctx, pq, p.dead, math.Inf(1), func(m core.Match) { keep(m.ShapeID, m.DistVertex) })
 		if err != nil {
 			return nil, Stats{}, err
@@ -418,6 +421,7 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 		if err != nil {
 			return nil, err
 		}
+		defer pq.Release() // every pass of the stage is over by then
 		var blocks, evaluated atomic.Int64
 		pq.AttachEvalCounter(&evaluated)
 		var ms []Match
@@ -429,16 +433,16 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 			ms, st, err = exactSearch(ctx, v.parts, pq, req.K, width)
 		case annOnly:
 			pq.AttachBlockCounter(&blocks)
-			sigs := querySigs(v.parts, pq.Entry().Poly)
-			ms, st, err = refine(ctx, v.parts, pq, req.K, width, false, func(i int) ([]bucketShape, Stats, error) {
-				return v.parts[i].annFloors(ctx, pq, sigs[i], req.K, int32(i))
+			sig := annSign(pq.Entry().Poly)
+			ms, st, err = refine(ctx, v.parts, pq, req.K, width, false, func(i int, dst []bucketShape) ([]bucketShape, Stats, error) {
+				return v.parts[i].annFloors(ctx, pq, sig, req.K, int32(i), dst)
 			})
 			st.UsedANN = true
 		default:
 			pq.AttachBlockCounter(&blocks)
 			buckets := hashBuckets(v.parts, pq)
-			ms, st, err = refine(ctx, v.parts, pq, req.K, width, false, func(i int) ([]bucketShape, Stats, error) {
-				return floored(&v.parts[i], buckets[i], pq, int32(i)), Stats{}, nil
+			ms, st, err = refine(ctx, v.parts, pq, req.K, width, false, func(i int, dst []bucketShape) ([]bucketShape, Stats, error) {
+				return floored(&v.parts[i], buckets[i], pq, int32(i), dst), Stats{}, nil
 			})
 			st.UsedHashing = true
 		}
@@ -478,15 +482,16 @@ func (r SearchRequest) prepare(q Shape) (*core.PreparedQuery, error) {
 // unless k exceeds the live shapes; each copy's blocks are charged once, at
 // its floor, plus the re-reads.
 func exactSearch(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int) ([]Match, Stats, error) {
-	return refine(ctx, parts, pq, k, width, true, func(i int) ([]bucketShape, Stats, error) {
-		return parts[i].floors(ctx, pq, int32(i))
+	return refine(ctx, parts, pq, k, width, true, func(i int, dst []bucketShape) ([]bucketShape, Stats, error) {
+		return parts[i].floors(ctx, pq, int32(i), dst)
 	})
 }
 
 // listing is pass 1 of a stage over the view's part i: the shapes the
-// stage hands to the refine pass, each with its floor, and the work of
-// listing them.
-type listing func(i int) ([]bucketShape, Stats, error)
+// stage hands to the refine pass, each with its floor, appended to dst, and
+// the work of listing them. A listing holds live shapes of the part, each
+// once, so it never outgrows the part's liveShapes().
+type listing func(i int, dst []bucketShape) ([]bucketShape, Stats, error)
 
 // refine runs the two passes of a single-shape stage, which is its
 // listing. Pass 1 fans the listing out over the parts (listAll); pass 2,
@@ -495,7 +500,7 @@ type listing func(i int) ([]bucketShape, Stats, error)
 // (exactSearch); a candidate stage's matches stay Approximate. Each part is
 // listed once: the view's parts do not change under the request.
 func refine(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, exact bool, list listing) ([]Match, Stats, error) {
-	h, st, err := listAll(ctx, len(parts), width, list)
+	h, st, err := listAll(ctx, parts, width, list)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -509,10 +514,11 @@ func refine(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width 
 		return nil, Stats{}, err
 	}
 	out := make([]Match, len(hits))
+	var resample []geom.Point // the k re-reads' one buffer
 	for i, hit := range hits {
 		out[i] = hit.m
 		if exact {
-			d, blocks := parts[hit.c.part].base.Continuous(hit.entry, pq)
+			d, blocks := parts[hit.c.part].base.Continuous(hit.entry, pq, &resample)
 			out[i].Approximate, out[i].ContinuousDistance = false, d
 			st.BlockReads += blocks
 		}
@@ -520,22 +526,31 @@ func refine(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width 
 	return out, st, nil
 }
 
-// listAll is pass 1: the listing of every one of n parts, fanned out on up
-// to width goroutines, concatenated in part order, and their stats summed.
-func listAll(ctx context.Context, n, width int, list listing) ([]bucketShape, Stats, error) {
+// listAll is pass 1: the listing of every part, fanned out on up to width
+// goroutines into one slice, where part i appends into a window of its
+// liveShapes() entries; the windows are then closed up in part order, and
+// the parts' stats summed.
+func listAll(ctx context.Context, parts []part, width int, list listing) ([]bucketShape, Stats, error) {
+	n := len(parts)
+	off := make([]int, n+1)
+	for i := range parts {
+		off[i+1] = off[i] + parts[i].liveShapes()
+	}
+	all := make([]bucketShape, off[n])
 	lists := make([][]bucketShape, n)
 	stats := make([]Stats, n)
 	err := fanout(ctx, n, width, func(i int) (err error) {
-		lists[i], stats[i], err = list(i)
+		lists[i], stats[i], err = list(i, all[off[i]:off[i]:off[i+1]])
 		return err
 	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if n == 1 {
-		return lists[0], mergeStats(stats), nil // slices.Concat would copy it
+	h := all[:0]
+	for _, l := range lists {
+		h = append(h, l...) // l starts at or past len(h): it moves down
 	}
-	return slices.Concat(lists...), mergeStats(stats), nil
+	return h, mergeStats(stats), nil
 }
 
 // hit is a shape pass 2 scored within its cutoff: its match, its listing
@@ -647,14 +662,13 @@ func hashBuckets(parts []part, pq *core.PreparedQuery) [][]int {
 	return cand
 }
 
-// floored lists ids of part p, the view's parts[pi], each with its floor
-// (Base.ShapeFloor): the listing of a candidate stage.
-func floored(p *part, ids []int, pq *core.PreparedQuery, pi int32) []bucketShape {
-	out := make([]bucketShape, len(ids))
-	for i, id := range ids {
-		out[i] = bucketShape{part: pi, id: int32(id), floor: p.base.ShapeFloor(id, pq)}
+// floored appends ids of part p, the view's parts[pi], to dst, each with
+// its floor (Base.ShapeFloor): the listing of a candidate stage.
+func floored(p *part, ids []int, pq *core.PreparedQuery, pi int32, dst []bucketShape) []bucketShape {
+	for _, id := range ids {
+		dst = append(dst, bucketShape{part: pi, id: int32(id), floor: p.base.ShapeFloor(id, pq)})
 	}
-	return out
+	return dst
 }
 
 // bucketShape is a shape of parts[part] with the floor its part puts
@@ -696,7 +710,7 @@ func sketchScatter(ctx context.Context, parts []part, req SearchRequest, width i
 	var blocks, evaluated atomic.Int64
 	per := len(parts)
 	pqs := make([]*core.PreparedQuery, len(sketch))
-	sigs := make([][]uint64, len(sketch)*per) // task t's ANN signature, nil without AnnApprox
+	sigs := make([][]uint64, len(sketch)) // sketch shape si's ANN signature, nil without AnnApprox
 	for si, q := range sketch {
 		pq, err := req.prepare(q)
 		if err != nil {
@@ -706,14 +720,14 @@ func sketchScatter(ctx context.Context, parts []part, req SearchRequest, width i
 		pq.AttachEvalCounter(&evaluated)
 		pqs[si] = pq
 		if req.Ann == AnnApprox {
-			copy(sigs[si*per:], querySigs(parts, pq.Entry().Poly))
+			sigs[si] = annSign(pq.Entry().Poly)
 		}
 	}
 	tables := make([]map[int]float64, len(sketch)*per)
 	tableStats := make([]Stats, len(tables))
 	err := fanout(ctx, len(tables), width, func(t int) (err error) {
 		si := t / per
-		tables[t], tableStats[t], err = parts[t%per].sketchTable(ctx, pqs[si], sigs[t], k)
+		tables[t], tableStats[t], err = parts[t%per].sketchTable(ctx, pqs[si], sigs[si], k)
 		if err != nil {
 			return fmt.Errorf("geosir: sketch shape %d: %w", si, err)
 		}

@@ -79,7 +79,7 @@ func buildSingle(t testing.TB, images []synth.Image) *Engine {
 	return eng
 }
 
-func buildShardedFrom(t *testing.T, images []synth.Image, shards int) *ShardedEngine {
+func buildShardedFrom(t testing.TB, images []synth.Image, shards int) *ShardedEngine {
 	t.Helper()
 	se := NewSharded(DefaultOptions(), shards)
 	for _, im := range images {
