@@ -676,7 +676,7 @@ func TestFloorOrderIsOptimal(t *testing.T) {
 				// pass 2 scores.
 				h, _, err := listAll(ctx, parts, 1, func(i int, dst []bucketShape) ([]bucketShape, Stats, error) {
 					return parts[i].floors(ctx, pq, int32(i), dst)
-				})
+				}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/annindex"
@@ -500,7 +501,10 @@ type listing func(i int, dst []bucketShape) ([]bucketShape, Stats, error)
 // (exactSearch); a candidate stage's matches stay Approximate. Each part is
 // listed once: the view's parts do not change under the request.
 func refine(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width int, exact bool, list listing) ([]Match, Stats, error) {
-	h, st, err := listAll(ctx, parts, width, list)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc) // the answer holds nothing of it
+	h, st, err := listAll(ctx, parts, width, list, sc.shapes)
+	sc.shapes = h
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -514,11 +518,10 @@ func refine(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width 
 		return nil, Stats{}, err
 	}
 	out := make([]Match, len(hits))
-	var resample []geom.Point // the k re-reads' one buffer
 	for i, hit := range hits {
 		out[i] = hit.m
 		if exact {
-			d, blocks := parts[hit.c.part].base.Continuous(hit.entry, pq, &resample)
+			d, blocks := parts[hit.c.part].base.Continuous(hit.entry, pq, &sc.resample)
 			out[i].Approximate, out[i].ContinuousDistance = false, d
 			st.BlockReads += blocks
 		}
@@ -526,17 +529,27 @@ func refine(ctx context.Context, parts []part, pq *core.PreparedQuery, k, width 
 	return out, st, nil
 }
 
+// scratch is what a single-shape stage lists into and re-reads through,
+// kept across requests in scratchPool: the listing is 16 B a live shape of
+// the view, most of what a served exact search would otherwise allocate.
+type scratch struct {
+	shapes   []bucketShape
+	resample []geom.Point
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // listAll is pass 1: the listing of every part, fanned out on up to width
-// goroutines into one slice, where part i appends into a window of its
-// liveShapes() entries; the windows are then closed up in part order, and
-// the parts' stats summed.
-func listAll(ctx context.Context, parts []part, width int, list listing) ([]bucketShape, Stats, error) {
+// goroutines into one slice (buf's memory when it is large enough), where
+// part i appends into a window of its liveShapes() entries; the windows
+// are then closed up in part order, and the parts' stats summed.
+func listAll(ctx context.Context, parts []part, width int, list listing, buf []bucketShape) ([]bucketShape, Stats, error) {
 	n := len(parts)
 	off := make([]int, n+1)
 	for i := range parts {
 		off[i+1] = off[i] + parts[i].liveShapes()
 	}
-	all := make([]bucketShape, off[n])
+	all := slices.Grow(buf[:0], off[n])[:off[n]]
 	lists := make([][]bucketShape, n)
 	stats := make([]Stats, n)
 	err := fanout(ctx, n, width, func(i int) (err error) {
