@@ -41,14 +41,14 @@ test-procs:
 	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex
 
 # The geosir_purego build links no unsafe code: mmap.Cast always declines,
-# so the snapshot codec's portable branch (encoding/binary) is the only
-# decoder and encoder there, and no other leg compiles cast_purego.go or
-# resident_stub.go. The persistence and serving suites run under it —
-# every snapshot Save writes is GSIR3, so the salvage, corruption and
-# atomic-write suites exercise that branch too.
+# so the codec's portable branch (encoding/binary) is the only decoder and
+# encoder there (no other leg compiles cast_purego.go or resident_stub.go),
+# and LoadModeMmap falls back to the heap — TestLoadAny and
+# TestSnapshotFormatAndSize hold it to load_mode heap and the heap's
+# answers. The persistence and serving suites run under it.
 purego:
 	$(GO) vet -tags geosir_purego ./...
-	$(GO) test -tags geosir_purego -run 'GSIR|V3|Mmap|Persist|Snapshot|LoadPartial|Corruption|SaveFile' . ./internal/server
+	$(GO) test -tags geosir_purego -run 'GSIR|V3|Mmap|Persist|Snapshot|LoadAny|LoadPartial|Corruption|SaveFile' . ./internal/server
 
 # The repo's one benchmark (bench/README.md, declared in BENCHMARK.json):
 # without ARGS a full set — four workloads, each untraced then traced,

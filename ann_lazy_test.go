@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/mmap"
 	"repro/internal/synth"
 )
 
@@ -34,11 +33,13 @@ func annParts(s Searcher) int {
 }
 
 // TestANNIndexBuiltOnFirstProbe pins when an engine derives its ANN index:
-// at the first ann:approx request, never at Freeze, at an open (LoadFile,
-// LoadFileMmap, LoadShardedDir) or at a compaction. Each path derives none
-// through its open and through exact, hashing and sketch requests without
-// the tier; the first ann:approx request derives one per frozen part, and a
-// second derives none.
+// at the first ann:approx request, never at Freeze, at an open (a file on
+// the heap — "LoadFile" —, a file under LoadModeMmap — "LoadFileMmap",
+// served mapped where mmap can serve it, from the heap elsewhere — and a
+// shard directory — "LoadShardedDir") or at a compaction. Each path
+// derives none through its open and through exact, hashing and sketch
+// requests without the tier; the first ann:approx request derives one per
+// frozen part, and a second derives none.
 func TestANNIndexBuiltOnFirstProbe(t *testing.T) {
 	images, queries, sketch := equivBase(t)
 	q := queries[0]
@@ -64,27 +65,27 @@ func TestANNIndexBuiltOnFirstProbe(t *testing.T) {
 	}{
 		{"Freeze", func(t *testing.T) Searcher { return buildSingle(t, images) }},
 		{"LoadFile", func(t *testing.T) Searcher {
-			eng, err := LoadFile(file)
+			eng, err := openComplete(file, LoadModeHeap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return eng
 		}},
 		{"LoadFileMmap", func(t *testing.T) Searcher {
-			if !mmap.Supported() || !mmap.CanCast() {
-				t.Skip("mmap serving unsupported on this platform/build")
-			}
-			eng, err := LoadFileMmap(file)
+			eng, err := openComplete(file, LoadModeMmap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { eng.Close() })
+			if got, want := eng.StorageStats().LoadMode, servedLoadMode(LoadModeMmap); got != want {
+				t.Fatalf("served from %s, want %s", got, want)
+			}
 			return eng
 		}},
 		{"LoadShardedDir", func(t *testing.T) Searcher {
-			se, _, err := LoadShardedDir(shardDir)
-			if err != nil {
-				t.Fatal(err)
+			se, rec, err := loadShardedDir(shardDir, LoadModeHeap)
+			if err != nil || !rec.Complete() {
+				t.Fatalf("%+v, %v", rec, err)
 			}
 			return se
 		}},
@@ -175,7 +176,7 @@ func TestANNIndexDerivedAnswersAsEager(t *testing.T) {
 		triangle(0, 0, 4),
 	}
 	loaded := func(data []byte) *Engine {
-		eng, err := Load(bytes.NewReader(data))
+		eng, err := loadComplete(data)
 		if err != nil {
 			t.Fatal(err)
 		}

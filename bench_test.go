@@ -375,29 +375,26 @@ func BenchmarkSearchDistance(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenV3 times opening the 200-image demo base's GSIR3 snapshot,
-// heap-decoded (LoadFile) and mapped (LoadFileMmap): the in-process number
-// beside the ledger's open_ms. B/op is what one open allocates; the file
-// is in the page cache after the first.
+// BenchmarkOpenV3 times opening the 200-image demo base's GSIR3 snapshot
+// as LoadAnyMode opens each file (loadShardFile), heap-decoded and mapped:
+// the in-process number beside the ledger's open_ms. B/op is what one open
+// allocates; the file is in the page cache after the first.
 func BenchmarkOpenV3(b *testing.B) {
 	eng := buildSingle(b, synth.GenerateBase(synth.PaperSpec(0.02, 1)))
 	path := filepath.Join(b.TempDir(), "demo200.gsir3")
 	if err := eng.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		open func(string) (*Engine, error)
-	}{{"heap", LoadFile}, {"mmap", LoadFileMmap}} {
-		b.Run(c.name, func(b *testing.B) {
-			if c.name == "mmap" && (!mmap.Supported() || !mmap.CanCast()) {
+	for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+		b.Run(mode.String(), func(b *testing.B) {
+			if mode == LoadModeMmap && (!mmap.Supported() || !mmap.CanCast()) {
 				b.Skip("mmap serving unsupported on this platform/build")
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e, err := c.open(path)
-				if err != nil {
-					b.Fatal(err)
+				e, rec, err := loadShardFile(path, mode)
+				if err != nil || !rec.Complete() {
+					b.Fatal(rec, err)
 				}
 				e.Close()
 			}

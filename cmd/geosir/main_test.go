@@ -195,14 +195,14 @@ func TestRunSnapshotSharded(t *testing.T) {
 	if err := runSnapshot("", 12, 3, 3, out); err != nil {
 		t.Fatal(err)
 	}
-	se, rec, err := geosir.LoadShardedDir(out)
+	s, rec, err := geosir.LoadAnyMode(out, geosir.LoadModeHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rec.Complete() {
 		t.Fatalf("fresh sharded snapshot incomplete: %+v", rec)
 	}
-	if se.NumShards() != 3 || se.NumImages() == 0 {
+	if se := s.(*geosir.ShardedEngine); se.NumShards() != 3 || se.NumImages() == 0 {
 		t.Fatalf("loaded %d shards / %d images", se.NumShards(), se.NumImages())
 	}
 
@@ -233,10 +233,10 @@ func TestRunSnapshotSharded(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("-shards 1 wrote %d bytes, not the %d a single Engine saves", len(got), len(want))
 	}
-	if _, rec, err := geosir.LoadAny(file); err != nil {
+	if _, rec, err := geosir.LoadAnyMode(file, geosir.LoadModeHeap); err != nil {
 		t.Fatal(err)
 	} else if !rec.Complete() || len(rec.Shards) != 1 || rec.ImagesLoaded != single.NumImages() {
-		t.Fatalf("LoadAny(file) recovery %+v, want one complete shard of %d images", rec, single.NumImages())
+		t.Fatalf("LoadAnyMode(file) recovery %+v, want one complete shard of %d images", rec, single.NumImages())
 	}
 }
 

@@ -112,11 +112,10 @@ func run(snapshot, addr string, cfg server.Config, drainWait time.Duration, ppro
 	if err != nil {
 		return err
 	}
-	sv := srv.Serving()
 	logger.Printf("loaded %s (%s, %d images, %d shapes, %d entries) in %v",
-		snapshot, info.FormatName, sv.NumImages(), sv.NumShapes(), sv.NumEntries(),
+		snapshot, info.Format, info.Images, info.Shapes, info.Entries,
 		time.Since(start).Round(time.Millisecond))
-	if sv.IngestEnabled() {
+	if srv.Serving().IngestEnabled() {
 		logger.Printf("live ingestion on: /v1/images accepts writes (compact threshold %d)",
 			cfg.Ingest.CompactThreshold)
 	}

@@ -155,7 +155,7 @@ type Engine struct {
 	ann     *annindex.Index
 
 	// stor records how the engine's snapshot is backed (nil = heap).
-	// Set by LoadFileMmap, which also pins the mapping's lifetime to the
+	// Set by mapGSIR3, which also pins the mapping's lifetime to the
 	// engine; see persist_v3.go.
 	stor *engineStorage
 

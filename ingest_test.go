@@ -325,9 +325,9 @@ func TestIngestRestartReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, rec, err := LoadShardedDir(dir)
+	re, rec, err := loadShardedDir(dir, LoadModeHeap)
 	if err != nil {
-		t.Fatalf("LoadShardedDir: %v", err)
+		t.Fatalf("loadShardedDir: %v", err)
 	}
 	if !rec.Complete() {
 		t.Fatalf("degraded load: %+v", rec)
@@ -353,7 +353,7 @@ func TestIngestRestartReplay(t *testing.T) {
 // TestIngestCrashMidCompaction is the acceptance-criteria test: abort
 // the compaction at every stage of its protocol (plus a manifest-write
 // fault), "crash" by abandoning the engine, recover the directory with
-// LoadShardedDir + EnableIngest, and verify every acknowledged write is
+// loadShardedDir + EnableIngest, and verify every acknowledged write is
 // present and queries answer exactly as before the crash. The recovered
 // state may be pre- or post-compaction — never torn.
 func TestIngestCrashMidCompaction(t *testing.T) {
@@ -416,7 +416,7 @@ func TestIngestCrashMidCompaction(t *testing.T) {
 			}
 			se.CloseIngest() // release the WAL handle; the "crash"
 
-			re, rec, lerr := LoadShardedDir(dir)
+			re, rec, lerr := loadShardedDir(dir, LoadModeHeap)
 			if lerr != nil {
 				t.Fatalf("recovery load: %v", lerr)
 			}
@@ -685,7 +685,7 @@ func TestIngestManifestStability(t *testing.T) {
 		t.Fatalf("wal missing: %v", err)
 	}
 	se.CloseIngest()
-	re, rec, err := LoadShardedDir(dir)
+	re, rec, err := loadShardedDir(dir, LoadModeHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -754,7 +754,7 @@ func TestCloseIngestQuiescesCompaction(t *testing.T) {
 		t.Fatalf("compact after close: %v", err)
 	}
 
-	re, rec, err := LoadShardedDir(dir)
+	re, rec, err := loadShardedDir(dir, LoadModeHeap)
 	if err != nil {
 		t.Fatalf("recovery load: %v", err)
 	}

@@ -53,9 +53,9 @@ func TestServingBuildsNoRangeIndex(t *testing.T) {
 		s    geosir.Searcher
 	}{{"engine", eng}}
 	for _, mode := range []geosir.LoadMode{geosir.LoadModeHeap, geosir.LoadModeMmap} {
-		se, _, err := geosir.LoadShardedDirMode(dir, mode)
-		if err != nil {
-			t.Fatal(err)
+		se, rec, err := geosir.LoadAnyMode(dir, mode)
+		if err != nil || !rec.Complete() {
+			t.Fatal(rec, err)
 		}
 		engines = append(engines, struct {
 			name string
@@ -135,10 +135,10 @@ func TestServingBuildsNoRangeIndex(t *testing.T) {
 
 // TestOpenDerivesNoCopy pins that opening a snapshot reads what a copy is
 // stored as — its meta and its cells — and derives none of its vertices:
-// Load and LoadFileMmap of a demo-200 snapshot leave the count of copies
-// derived where it was, and their engines answer as the engine saved. A
-// file of an older writer, without the cell row, derives every copy once,
-// for its cells.
+// LoadAnyMode of a demo-200 snapshot, heap and mmap (served mapped where
+// mmap can serve it), leaves the count of copies derived where it was,
+// and its engines answer as the engine saved. A file of an older writer,
+// without the cell row, derives every copy once, for its cells.
 func TestOpenDerivesNoCopy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 200-image demo base")
@@ -162,18 +162,23 @@ func TestOpenDerivesNoCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opens := map[string]func(string) (*geosir.Engine, error){"Load": geosir.LoadFile}
-	if mmap.Supported() && mmap.CanCast() {
-		opens["LoadFileMmap"] = geosir.LoadFileMmap
-	}
-	for name, open := range opens {
+	for _, mode := range []geosir.LoadMode{geosir.LoadModeHeap, geosir.LoadModeMmap} {
+		name := mode.String()
 		before := core.CopiesDerived()
-		loaded, err := open(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		s, rec, err := geosir.LoadAnyMode(path, mode)
+		if err != nil || !rec.Complete() {
+			t.Fatalf("%s: %+v, %v", name, rec, err)
 		}
 		if derived := core.CopiesDerived() - before; derived != 0 {
-			t.Fatalf("%s of a demo-200 snapshot derived %d copies, want none", name, derived)
+			t.Fatalf("%s open of a demo-200 snapshot derived %d copies, want none", name, derived)
+		}
+		loaded := s.(*geosir.ShardedEngine)
+		served := "heap"
+		if mode == geosir.LoadModeMmap && mmap.Supported() && mmap.CanCast() {
+			served = "mmap"
+		}
+		if got := loaded.StorageStats().LoadMode; got != served {
+			t.Fatalf("%s: served from %s, want %s", name, got, served)
 		}
 		got, err := loaded.Search(context.Background(), geosir.SearchRequest{Query: q, K: 5, Mode: geosir.ModeExact})
 		if err != nil {
@@ -186,11 +191,11 @@ func TestOpenDerivesNoCopy(t *testing.T) {
 	}
 
 	before := core.CopiesDerived()
-	old, err := geosir.LoadFile(filepath.Join("..", "..", "testdata", "gsir3", "kdtree.gsir3"))
-	if err != nil {
-		t.Fatal(err)
+	old, rec, err := geosir.LoadAnyMode(filepath.Join("..", "..", "testdata", "gsir3", "kdtree.gsir3"), geosir.LoadModeHeap)
+	if err != nil || !rec.Complete() {
+		t.Fatal(rec, err)
 	}
-	if derived := core.CopiesDerived() - before; derived != int64(old.NumEntries()) {
-		t.Fatalf("a file without the cell row derived %d copies on load, want its %d, once each", derived, old.NumEntries())
+	if derived := core.CopiesDerived() - before; derived != int64(old.(*geosir.ShardedEngine).NumEntries()) {
+		t.Fatalf("a file without the cell row derived %d copies on load, want its %d, once each", derived, old.(*geosir.ShardedEngine).NumEntries())
 	}
 }

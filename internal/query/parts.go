@@ -43,8 +43,10 @@ type DBParts struct {
 	DiamAng []float64     // per shape id, its diameter orientation
 }
 
-// DBFromParts reassembles a frozen DB; everything is adopted as-is. Every
-// shape must be in exactly one graph.
+// DBFromParts reassembles a frozen DB; everything is adopted as-is. The
+// graphs must list the base's shapes as AddImage left them: in id order,
+// each under its own image, no graph empty — so the graphs are the
+// images' insertion order.
 func DBFromParts(p DBParts) (*DB, error) {
 	if p.Base == nil {
 		return nil, fmt.Errorf("query: db parts without a base")
@@ -53,11 +55,15 @@ func DBFromParts(p DBParts) (*DB, error) {
 		return nil, fmt.Errorf("query: db parts with %d diameter angles for %d shapes",
 			len(p.DiamAng), p.Base.NumShapes())
 	}
-	graphOf := make([]*ImageGraph, p.Base.NumShapes())
+	shapes := p.Base.Shapes()
+	graphOf := make([]*ImageGraph, len(shapes))
 	placed := 0
 	for _, g := range p.Graphs {
+		if len(g.Shapes) == 0 {
+			return nil, fmt.Errorf("query: db parts give image %d no shapes", g.Image)
+		}
 		for _, s := range g.Shapes {
-			if s < 0 || s >= len(graphOf) || graphOf[s] != nil {
+			if s != placed || s >= len(shapes) || shapes[s].Image != g.Image {
 				return nil, fmt.Errorf("query: db parts place shape %d in image %d", s, g.Image)
 			}
 			graphOf[s] = g

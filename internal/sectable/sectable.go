@@ -84,32 +84,38 @@ func Write(w io.Writer, secs []Payload) error {
 	return bw.Flush()
 }
 
-// ParseHeader parses the 10 header bytes that follow the magic and
-// returns the declared section count.
-func ParseHeader(hdr []byte) (int, error) {
-	if v := binary.LittleEndian.Uint16(hdr); v != Version {
-		return 0, fmt.Errorf("geosir: unsupported GSIR3 version %d", v)
+// Parse validates the header and section table of a GSIR3 byte image
+// (magic included) and returns the table rows, checked for alignment and
+// order and bounded by each other and by math.MaxInt64; payload CRCs are
+// NOT verified here. A file that runs past the end of its last payload is
+// refused; one that ends early is not — its rows are returned as the
+// table states them, and a payload that reaches past len(data) is the
+// caller's to find torn.
+func Parse(data []byte) ([]Section, error) {
+	if len(data) < HeaderLen {
+		return nil, fmt.Errorf("geosir: GSIR3 snapshot truncated at %d bytes", len(data))
 	}
-	nsec := binary.LittleEndian.Uint32(hdr[2:])
+	if string(data[:len(Magic)]) != Magic {
+		return nil, fmt.Errorf("geosir: bad magic %q", string(data[:len(Magic)]))
+	}
+	if v := binary.LittleEndian.Uint16(data[len(Magic):]); v != Version {
+		return nil, fmt.Errorf("geosir: unsupported GSIR3 version %d", v)
+	}
+	nsec := binary.LittleEndian.Uint32(data[len(Magic)+2:])
 	if nsec == 0 || nsec > MaxSections {
-		return 0, fmt.Errorf("geosir: implausible GSIR3 section count %d", nsec)
+		return nil, fmt.Errorf("geosir: implausible GSIR3 section count %d", nsec)
 	}
-	return int(nsec), nil
-}
-
-// ParseRows parses a section table (its trailing CRC included) — the one
-// table parse, shared by Parse and a reader of a stream's prefix. Rows are
-// checked for alignment and order, and bounded by each other and by
-// math.MaxInt64, not by any file; payload CRCs are NOT verified here.
-func ParseRows(table []byte) ([]Section, error) {
-	tableLen := len(table) - 4
-	if crc32.ChecksumIEEE(table[:tableLen]) != binary.LittleEndian.Uint32(table[tableLen:]) {
+	tableEnd := HeaderLen + int(nsec)*RowLen
+	if len(data) < tableEnd+4 {
+		return nil, fmt.Errorf("geosir: GSIR3 section table truncated")
+	}
+	if crc32.ChecksumIEEE(data[HeaderLen:tableEnd]) != binary.LittleEndian.Uint32(data[tableEnd:]) {
 		return nil, fmt.Errorf("geosir: GSIR3 section table checksum mismatch")
 	}
-	secs := make([]Section, tableLen/RowLen)
-	prevEnd := uint64(HeaderLen + len(table))
+	secs := make([]Section, nsec)
+	prevEnd := uint64(tableEnd + 4)
 	for i := range secs {
-		row := table[i*RowLen:]
+		row := data[HeaderLen+i*RowLen:]
 		s := Section{
 			Tag: string(row[0:4]),
 			Off: binary.LittleEndian.Uint64(row[8:]),
@@ -126,35 +132,8 @@ func ParseRows(table []byte) ([]Section, error) {
 		prevEnd = s.Off + s.Len
 		secs[i] = s
 	}
-	return secs, nil
-}
-
-// Parse validates the header and section table of a GSIR3 byte image
-// (magic included) and returns the table rows. A file that runs past the
-// end of its last payload is refused; one that ends early is not — its
-// rows are returned as the table states them, and a payload that reaches
-// past len(data) is the caller's to find torn.
-func Parse(data []byte) ([]Section, error) {
-	if len(data) < HeaderLen {
-		return nil, fmt.Errorf("geosir: GSIR3 snapshot truncated at %d bytes", len(data))
-	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("geosir: bad magic %q", string(data[:len(Magic)]))
-	}
-	nsec, err := ParseHeader(data[len(Magic):HeaderLen])
-	if err != nil {
-		return nil, err
-	}
-	tableEnd := HeaderLen + nsec*RowLen + 4
-	if len(data) < tableEnd {
-		return nil, fmt.Errorf("geosir: GSIR3 section table truncated")
-	}
-	secs, err := ParseRows(data[HeaderLen:tableEnd])
-	if err != nil {
-		return nil, err
-	}
-	if end := secs[nsec-1].Off + secs[nsec-1].Len; end < uint64(len(data)) {
-		return nil, fmt.Errorf("geosir: %d trailing bytes after final section", uint64(len(data))-end)
+	if prevEnd < uint64(len(data)) {
+		return nil, fmt.Errorf("geosir: %d trailing bytes after final section", uint64(len(data))-prevEnd)
 	}
 	return secs, nil
 }

@@ -158,9 +158,6 @@ func TestShardedSnapshotReloadAndStatz(t *testing.T) {
 	if rl.Shards != 3 || rl.Shapes != se.NumShapes() || rl.Format != "GSIR3-SHARDED" {
 		t.Fatalf("reload response: %+v", rl)
 	}
-	if f := s.state.Load().info.Format; f != geosir.FormatGSIR3 {
-		t.Fatalf("serving format %d, want FormatGSIR3", f)
-	}
 
 	stz := s.Statz()
 	if stz.Snapshot == nil || len(stz.Snapshot.Shards) != 3 {
@@ -206,8 +203,8 @@ func TestShardedSnapshotReloadAndStatz(t *testing.T) {
 // mode answers byte-identical bodies (stats included), the topological
 // read the same ids and plan, and /statz lists one live shard row for
 // each — format GSIR3 for the file, GSIR3-SHARDED for the directory. A
-// flipped byte in a derived section is still refused in the file, as
-// LoadFile refuses it, while the directory degrades: its shard is
+// flipped byte in a derived section is still refused in the file, which
+// serves only complete, while the directory degrades: its shard is
 // rebuilt from the raw sections and serves.
 func TestSingleFileServesAsOneShard(t *testing.T) {
 	tmp := t.TempDir()

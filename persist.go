@@ -7,37 +7,25 @@ import (
 	"path/filepath"
 )
 
-// Save / Load persist an engine's image base.
+// Save and the two loaders persist an engine's image base: LoadPartial
+// decodes a stream, and LoadAnyMode (shard_persist.go) opens a snapshot
+// file or directory, on the heap or mapped.
 //
 // Three stream formats are read, one is written. GSIR3 (persist_v3.go) is
 // the format every writer produces: the raw shapes plus the frozen index
 // as aligned, checksummed array sections declared by one section table, so
 // opening a snapshot is assembly instead of a geometry rebuild — and on
 // capable platforms the sections are mmap'd and used in place
-// (LoadFileMmap). GSIR1 (persist_v1.go) and GSIR2 (persist_v2.go) are the
+// (LoadModeMmap). GSIR1 (persist_v1.go) and GSIR2 (persist_v2.go) are the
 // formats of earlier writers, kept readable: GSIR1 a bare concatenation of
 // options and shapes, GSIR2 the same payload in length-prefixed sections,
 // each followed by a CRC32. They store no index, so their loader rebuilds
 // it with Freeze — deterministically, so the engine answers as the one
 // saved.
 //
-// Each format has one decoder, and it salvages: LoadPartial returns what
-// it proved intact and a Recovery saying what it dropped. Load is that
-// decoder refusing any recovery that is not complete.
-
-// Format identifies a snapshot stream format.
-type Format int
-
-const (
-	// FormatGSIR1 is the legacy unchecksummed format, read only.
-	FormatGSIR1 Format = 1
-	// FormatGSIR2 is the checksummed, section-framed format of earlier
-	// writers, read only.
-	FormatGSIR2 Format = 2
-	// FormatGSIR3 is the format Save writes: raw shapes plus every derived
-	// query-time structure as aligned array sections.
-	FormatGSIR3 Format = 3
-)
+// Each format has one decoder, and it salvages: it returns what it proved
+// intact and a Recovery saying what it dropped, which is Complete exactly
+// when it met no damage.
 
 const (
 	magicGSIR1 = "GSIR1\n"
@@ -50,7 +38,7 @@ const maxCount = 1 << 28
 
 // maxHashCurves bounds the persisted hash-curve count (default is 50;
 // building a family is linear in the count, so a corrupt value must not
-// be allowed to stall Load for minutes).
+// be allowed to stall a load for minutes).
 const maxHashCurves = 1 << 16
 
 // freezeLoaded freezes a just-decoded engine. An engine with no shapes
@@ -62,22 +50,6 @@ func freezeLoaded(eng *Engine) error {
 		return nil
 	}
 	return eng.Freeze()
-}
-
-// Load reads an engine saved in any of the three formats (negotiated from
-// the magic) and returns it frozen, ready to query — or, for a snapshot of
-// no shapes, empty and unfrozen. It is LoadPartial refusing every recovery
-// that is not complete: any truncation, framing damage or checksum
-// mismatch fails it with the first damage met (Recovery.Err).
-func Load(r io.Reader) (*Engine, error) {
-	eng, rec, err := LoadPartial(r)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Err != nil {
-		return nil, rec.Err
-	}
-	return eng, nil
 }
 
 // DroppedImage describes one image section that LoadPartial could not
@@ -124,13 +96,12 @@ type Recovery struct {
 	AuxDropped int
 	// Err is the first damage the decoder met, nil when it met none: a
 	// dropped or unread image, lost framing, a dropped auxiliary section,
-	// or bytes past a GSIR2 stream's final section. Load returns it.
+	// or bytes past a GSIR2 stream's final section.
 	Err error
 }
 
-// Complete reports whether the snapshot was recovered in full — exactly
-// when Err is nil, and exactly when a plain Load of the same bytes
-// succeeds with the same engine.
+// Complete reports whether the snapshot was recovered in full: exactly
+// when Err is nil, and then the engine is the one saved.
 func (rec *Recovery) Complete() bool { return rec != nil && rec.Err == nil }
 
 // damage records err as the first damage met, unless one is recorded.
@@ -223,94 +194,6 @@ func syncDir(dir string) {
 	}
 	defer d.Close()
 	_ = d.Sync()
-}
-
-// SnapshotInfo is the cheap-to-read header metadata of a snapshot: what
-// Peek returns without decoding (or allocating for) any shape data. The
-// serving layer uses it to validate a reload target and to report the
-// active snapshot in its status endpoints.
-type SnapshotInfo struct {
-	// Format is the stream format the snapshot was written in.
-	Format Format
-	// FormatName is the on-disk magic without the newline ("GSIR1",
-	// "GSIR2" or "GSIR3").
-	FormatName string
-	// Options are the engine options the snapshot declares.
-	Options Options
-	// Images is the declared image count.
-	Images int
-	// Shapes is the declared shape count (GSIR3 only, else 0 — earlier
-	// formats do not record it in the header).
-	Shapes int
-	// Sections is the section-table entry count (GSIR3 only, else 0).
-	Sections int
-	// Size is the snapshot size in bytes (PeekFile only, else 0).
-	Size int64
-}
-
-// Peek reads only the snapshot header — magic plus the options section —
-// and returns its metadata. In GSIR2 and GSIR3 snapshots the options
-// section's CRC (and GSIR3's section table's) is verified, so a Peek that
-// succeeds also proves the header is intact; shape sections are not read.
-func Peek(r io.Reader) (SnapshotInfo, error) {
-	magic, err := readMagic(r)
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	switch magic {
-	case magicGSIR1:
-		opts, nimg, err := newV1Reader(r).readOptions()
-		if err != nil {
-			return SnapshotInfo{}, err
-		}
-		return SnapshotInfo{Format: FormatGSIR1, FormatName: "GSIR1", Options: opts, Images: int(nimg)}, nil
-	case magicGSIR2:
-		opts, nimg, _, err := readOptionsSection(r)
-		if err != nil {
-			return SnapshotInfo{}, err
-		}
-		return SnapshotInfo{Format: FormatGSIR2, FormatName: "GSIR2", Options: opts, Images: nimg}, nil
-	case magicGSIR3:
-		return peekGSIR3(r)
-	}
-	return SnapshotInfo{}, fmt.Errorf("geosir: bad magic %q", magic)
-}
-
-// PeekFile runs Peek on a file and fills in the file size.
-func PeekFile(path string) (SnapshotInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	defer f.Close()
-	info, err := Peek(f)
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	if st, err := f.Stat(); err == nil {
-		info.Size = st.Size()
-	}
-	return info, nil
-}
-
-// LoadFile loads an engine from a file.
-func LoadFile(path string) (*Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-// LoadPartialFile runs LoadPartial on a file.
-func LoadPartialFile(path string) (*Engine, *Recovery, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return LoadPartial(f)
 }
 
 // countReader tracks the byte offset of an io.Reader so recovery reports

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/iofault"
-	"repro/internal/mmap"
 )
 
 // altEngine builds a frozen engine whose snapshot differs from
@@ -104,14 +103,15 @@ func TestSaveFileAtomicUnderWriteFaults(t *testing.T) {
 			t.Fatalf("offset %d: temp litter left behind: %v", off, names)
 		}
 	}
-	// The prior snapshot must still load — in both modes.
-	if _, err := LoadFile(path); err != nil {
-		t.Fatalf("prior snapshot no longer loads: %v", err)
-	}
-	if mmap.Supported() && mmap.CanCast() {
-		m, err := LoadFileMmap(path)
+	// The prior snapshot must still load complete — in both modes, mapped
+	// where mmap can serve it.
+	for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+		m, err := openComplete(path, mode)
 		if err != nil {
-			t.Fatalf("prior snapshot no longer maps: %v", err)
+			t.Fatalf("%v: prior snapshot no longer loads: %v", mode, err)
+		}
+		if got, want := m.StorageStats().LoadMode, servedLoadMode(mode); got != want {
+			t.Fatalf("%v: prior snapshot served from %s, want %s", mode, got, want)
 		}
 		m.Close()
 	}
@@ -131,11 +131,12 @@ func TestSaveFileAtomicUnderWriteFaults(t *testing.T) {
 // TestSaveFileTornWriteDetected models the one failure rename-based
 // atomicity cannot prevent: the writer lies about success (lost page
 // cache without the fsync taking effect), publishing a truncated
-// snapshot. The format must then detect the damage on load — Load and
-// LoadFileMmap refuse every cut, never a silently smaller image base — and
-// LoadPartial, which needs the raw sections whole, must refuse every cut
-// inside them and salvage every image from every cut past them, the torn
-// derived sections counted in AuxDropped.
+// snapshot. The format must then detect the damage on load — the file
+// open, heap and mmap, never reads a cut as complete, so never as a
+// silently smaller image base — and the decoder, which needs the raw
+// sections whole, must refuse every cut inside them and salvage every
+// image from every cut past them, the torn derived sections counted in
+// AuxDropped.
 func TestSaveFileTornWriteDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "base.gsir")
@@ -152,13 +153,12 @@ func TestSaveFileTornWriteDetected(t *testing.T) {
 			// should too.
 			t.Fatalf("offset %d: torn save surfaced an error: %v", off, err)
 		}
-		if _, err := LoadFile(path); err == nil {
-			t.Fatalf("offset %d: truncated snapshot loaded without error", off)
+		for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+			if _, err := openComplete(path, mode); err == nil {
+				t.Fatalf("offset %d: %v: truncated snapshot read as complete", off, mode)
+			}
 		}
-		if _, err := LoadFileMmap(path); err == nil {
-			t.Fatalf("offset %d: truncated snapshot mmap-loaded without error", off)
-		}
-		eng2, rec, err := LoadPartialFile(path)
+		eng2, rec, err := loadShardFile(path, LoadModeHeap)
 		if (err != nil) != (off < rawEnd) {
 			t.Fatalf("offset %d (raw sections end at %d): LoadPartial error %v", off, rawEnd, err)
 		}
@@ -176,13 +176,13 @@ func TestSaveFileTornWriteDetected(t *testing.T) {
 }
 
 // TestCorruptionFlipSweep flips every byte of the GSIR2 golden (two bit
-// patterns) and checks the acceptance contract: each flip is either
-// caught (Load fails) or harmless (the engine re-saves to the bytes the
-// pristine golden's does) — and LoadPartial either reports the damage or
-// recovers that same base. Never a silently different image base.
+// patterns) and checks the acceptance contract: the decoder refuses the
+// flip, reports the loss, or recovers completely exactly the pristine
+// base (it re-saves to the bytes the pristine golden's does). Never a
+// silently different image base.
 func TestCorruptionFlipSweep(t *testing.T) {
 	golden := gsir2Golden(t)
-	eng, err := Load(bytes.NewReader(golden))
+	eng, err := loadComplete(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +191,6 @@ func TestCorruptionFlipSweep(t *testing.T) {
 		for off := 0; off < len(golden); off++ {
 			mut := bytes.Clone(golden)
 			mut[off] ^= xor
-			if le, err := Load(bytes.NewReader(mut)); err == nil {
-				resaved := snapshotBytes(t, le)
-				if !bytes.Equal(resaved, pristine) {
-					t.Fatalf("offset %d xor %#x: Load accepted a silently different image base", off, xor)
-				}
-			}
 			pe, rec, err := LoadPartial(bytes.NewReader(mut))
 			if err != nil {
 				continue // refused outright: detection, not silence
@@ -235,7 +229,7 @@ func sectionOffsets(t *testing.T, data []byte) []int {
 
 // TestLoadPartialSalvagesVerifiedImages corrupts exactly one image
 // section of the GSIR2 golden and checks every other image survives, with
-// the damage reported and Load refusing the stream.
+// the damage reported and the recovery not complete.
 func TestLoadPartialSalvagesVerifiedImages(t *testing.T) {
 	eng := buildEngine(t)
 	data := gsir2Golden(t)
@@ -249,13 +243,12 @@ func TestLoadPartialSalvagesVerifiedImages(t *testing.T) {
 	mut := append([]byte(nil), data...)
 	target := offs[2] + 4 + 5 // inside the payload
 	mut[target] ^= 0xFF
-	_, lerr := Load(bytes.NewReader(mut))
 	eng2, rec, err := LoadPartial(bytes.NewReader(mut))
 	if err != nil {
 		t.Fatalf("LoadPartial: %v", err)
 	}
-	if lerr == nil || rec.Err == nil || lerr.Error() != rec.Err.Error() || !errors.Is(lerr, errBadCRC) {
-		t.Fatalf("Load = %v, want the report's first damage %v", lerr, rec.Err)
+	if rec.Complete() || !errors.Is(rec.Err, errBadCRC) {
+		t.Fatalf("first damage %v, want the image's checksum mismatch", rec.Err)
 	}
 	if rec.Format != "GSIR2" || rec.Truncated {
 		t.Fatalf("unexpected report: %+v", rec)

@@ -21,15 +21,14 @@ func fuzzSeedEngine() *Engine {
 	return eng
 }
 
-// checkCompleteMeansLoad is the fuzz targets' shared rule: LoadPartial
-// reports Complete() exactly when Load succeeds (an error from LoadPartial
-// counts as not complete), and its accounting covers every declared image.
-func checkCompleteMeansLoad(t *testing.T, data []byte, lerr error) {
+// checkLoad is the fuzz targets' shared rule over the one stream decoder:
+// LoadPartial never panics or over-allocates; its accounting covers every
+// declared image; and what it reads as Complete() re-saves canonically —
+// the re-save reads back complete, and save → load → save is a byte fixed
+// point, so no stream read as complete can describe an ambiguous base.
+func checkLoad(t *testing.T, data []byte) {
 	t.Helper()
-	_, rec, err := LoadPartial(bytes.NewReader(data))
-	if complete := err == nil && rec.Complete(); complete != (lerr == nil) {
-		t.Fatalf("LoadPartial complete = %v (err %v), Load error %v", complete, err, lerr)
-	}
+	le, rec, err := LoadPartial(bytes.NewReader(data))
 	if err != nil {
 		return
 	}
@@ -37,14 +36,33 @@ func checkCompleteMeansLoad(t *testing.T, data []byte, lerr error) {
 		t.Fatalf("recovery accounting: %d loaded + %d dropped + %d unread ≠ %d expected",
 			rec.ImagesLoaded, len(rec.Dropped), rec.ImagesUnread, rec.ImagesExpected)
 	}
+	if !rec.Complete() {
+		return
+	}
+	var b1 bytes.Buffer
+	if err := le.Save(&b1); err != nil {
+		t.Fatalf("complete stream failed to re-save: %v", err)
+	}
+	le2, err := loadComplete(b1.Bytes())
+	if err != nil {
+		t.Fatalf("canonical re-save does not read back complete: %v", err)
+	}
+	var b2 bytes.Buffer
+	if err := le2.Save(&b2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		t.Fatalf("save→load→save is not a byte fixed point (%d vs %d bytes)", b1.Len(), b2.Len())
+	}
+	if le2.NumImages() != le.NumImages() || le2.NumShapes() != le.NumShapes() || le2.NumEntries() != le.NumEntries() {
+		t.Fatalf("reloaded counts differ: %d/%d/%d vs %d/%d/%d",
+			le2.NumImages(), le2.NumShapes(), le2.NumEntries(),
+			le.NumImages(), le.NumShapes(), le.NumEntries())
+	}
 }
 
-// FuzzLoad feeds arbitrary bytes to the snapshot readers, seeded from the
-// GSIR1 and GSIR2 goldens. Invariants: neither Load nor LoadPartial may
-// panic or over-allocate, LoadPartial reports Complete() exactly when Load
-// succeeds, and anything Load accepts must re-save canonically (save →
-// load → save is a byte fixed point, so no accepted stream can describe an
-// ambiguous base).
+// FuzzLoad feeds arbitrary bytes to the snapshot decoder, seeded from the
+// GSIR1 and GSIR2 goldens, under checkLoad's invariants.
 func FuzzLoad(f *testing.F) {
 	v1, v2 := gsir1Golden(f), gsir2Golden(f)
 	f.Add(v1)
@@ -55,38 +73,12 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(magicGSIR2))
 	f.Add([]byte("GSIR2\n\xff\xff\xff\xff"))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		le, err := Load(bytes.NewReader(data))
-		if err == nil {
-			var b1 bytes.Buffer
-			if err := le.Save(&b1); err != nil {
-				t.Fatalf("accepted stream failed to re-save: %v", err)
-			}
-			le2, err := Load(bytes.NewReader(b1.Bytes()))
-			if err != nil {
-				t.Fatalf("canonical re-save failed to load: %v", err)
-			}
-			var b2 bytes.Buffer
-			if err := le2.Save(&b2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-				t.Fatalf("save→load→save is not a byte fixed point (%d vs %d bytes)", b1.Len(), b2.Len())
-			}
-			if le2.NumImages() != le.NumImages() || le2.NumShapes() != le.NumShapes() {
-				t.Fatalf("reloaded counts differ: %d/%d vs %d/%d",
-					le2.NumImages(), le2.NumShapes(), le.NumImages(), le.NumShapes())
-			}
-		}
-		checkCompleteMeansLoad(t, data, err)
-	})
+	f.Fuzz(checkLoad)
 }
 
-// FuzzLoadV3 feeds arbitrary bytes to the GSIR3 decoder. Invariants: no
-// panic, no over-allocation, anything Load accepts re-saves canonically
-// (save → load → save is a byte fixed point), LoadPartial reports
-// Complete() exactly when Load succeeds, and the salvage accounting covers
-// every declared image — salvage-or-refuse, never a silently wrong base.
+// FuzzLoadV3 feeds arbitrary bytes to the decoder, seeded from GSIR3
+// files, under checkLoad's invariants — salvage-or-refuse, never a
+// silently wrong base.
 func FuzzLoadV3(f *testing.F) {
 	eng := fuzzSeedEngine()
 	if err := eng.Freeze(); err != nil {
@@ -105,30 +97,5 @@ func FuzzLoadV3(f *testing.F) {
 	f.Add([]byte{})
 	// An older writer's file, with sections the loader now ignores.
 	f.Add(gsir3KDTreeGolden(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		le, err := Load(bytes.NewReader(data))
-		if err == nil && bytes.HasPrefix(data, []byte(magicGSIR3)) {
-			var b1 bytes.Buffer
-			if err := le.Save(&b1); err != nil {
-				t.Fatalf("accepted GSIR3 stream failed to re-save: %v", err)
-			}
-			le2, err := Load(bytes.NewReader(b1.Bytes()))
-			if err != nil {
-				t.Fatalf("canonical re-save failed to load: %v", err)
-			}
-			var b2 bytes.Buffer
-			if err := le2.Save(&b2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-				t.Fatalf("GSIR3 save→load→save is not a byte fixed point (%d vs %d bytes)", b1.Len(), b2.Len())
-			}
-			if le2.NumImages() != le.NumImages() || le2.NumShapes() != le.NumShapes() || le2.NumEntries() != le.NumEntries() {
-				t.Fatalf("reloaded counts differ: %d/%d/%d vs %d/%d/%d",
-					le2.NumImages(), le2.NumShapes(), le2.NumEntries(),
-					le.NumImages(), le.NumShapes(), le.NumEntries())
-			}
-		}
-		checkCompleteMeansLoad(t, data, err)
-	})
+	f.Fuzz(checkLoad)
 }

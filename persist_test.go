@@ -7,7 +7,50 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/mmap"
 )
+
+// loadComplete decodes data with LoadPartial and returns the engine only
+// when its recovery is complete; otherwise the error is LoadPartial's or
+// the first damage it met (Recovery.Err). A test that holds the decoder
+// to refusing damage holds it to !Complete() through this, so it never
+// accepts a smaller base.
+func loadComplete(data []byte) (*Engine, error) {
+	eng, rec, err := LoadPartial(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	if !rec.Complete() {
+		return nil, rec.Err
+	}
+	return eng, nil
+}
+
+// openComplete opens the snapshot file at path as LoadAnyMode opens each
+// file (loadShardFile) and returns the engine only when its recovery is
+// complete.
+func openComplete(path string, mode LoadMode) (*Engine, error) {
+	eng, rec, err := loadShardFile(path, mode)
+	if err != nil {
+		return nil, err
+	}
+	if !rec.Complete() {
+		eng.Close()
+		return nil, rec.Err
+	}
+	return eng, nil
+}
+
+// servedLoadMode is what StorageStats().LoadMode reports for a complete,
+// frozen GSIR3 file opened under mode: "mmap" exactly where the platform
+// and build can map and cast, "heap" everywhere else.
+func servedLoadMode(mode LoadMode) string {
+	if mode == LoadModeMmap && mmap.Supported() && mmap.CanCast() {
+		return "mmap"
+	}
+	return "heap"
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	orig := buildEngine(t)
@@ -15,7 +58,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := loadComplete(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,21 +97,28 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveLoadFile: a SaveFile snapshot opens complete under either load
+// mode, served mapped exactly where mmap can serve it, and answers as the
+// engine saved; a missing file fails either open.
 func TestSaveLoadFile(t *testing.T) {
 	orig := buildEngine(t)
 	path := filepath.Join(t.TempDir(), "base.gsir")
 	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumShapes() != orig.NumShapes() {
-		t.Errorf("shapes: %d vs %d", loaded.NumShapes(), orig.NumShapes())
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file should fail")
+	for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+		loaded, err := openComplete(path, mode)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if got, want := loaded.StorageStats().LoadMode, servedLoadMode(mode); got != want {
+			t.Errorf("%v: served from %s, want %s", mode, got, want)
+		}
+		checkEngineEquivalence(t, orig, loaded)
+		loaded.Close()
+		if _, _, err := loadShardFile(filepath.Join(t.TempDir(), "missing"), mode); err == nil {
+			t.Errorf("%v: missing file should fail", mode)
+		}
 	}
 }
 
@@ -77,7 +127,7 @@ func TestSaveLoadFile(t *testing.T) {
 func TestSaveLoadSaveByteIdentity(t *testing.T) {
 	orig := buildEngine(t)
 	b1 := snapshotBytes(t, orig)
-	loaded, err := Load(bytes.NewReader(b1))
+	loaded, err := loadComplete(b1)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -99,7 +149,7 @@ func TestReloadedQueryEquivalence(t *testing.T) {
 		square(0, 0, 9).Transform(Similarity(2.0, -0.7, Pt(3, -8))),
 	}
 	sketch := []Shape{square(0, 0, 10), triangle(2, 2, 3)}
-	loaded, err := Load(bytes.NewReader(snapshotBytes(t, orig)))
+	loaded, err := loadComplete(snapshotBytes(t, orig))
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -143,51 +193,48 @@ func testdataBytes(tb testing.TB, path string) []byte {
 	return data
 }
 
-// TestLoadGSIR1Golden reads the legacy format from the golden file: Load
-// recovers exactly buildEngine's base (it re-saves to the original's
-// bytes, and answers like the original's round trip, its copies in
-// half-turn pairs), Peek reads the header. (LoadPartial:
+// TestLoadGSIR1Golden reads the legacy format from the golden file: the
+// decoder recovers exactly buildEngine's base, completely (it re-saves to
+// the original's bytes, and answers like the original's round trip, its
+// copies in half-turn pairs), and its report names the format, the
+// declared image count and the options. (The salvage:
 // TestLoadPartialGSIR1Prefix, on the same bytes.)
 func TestLoadGSIR1Golden(t *testing.T) {
 	orig := buildEngine(t)
-	data := gsir1Golden(t)
-	v1, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Load(golden): %v", err)
+	v1, rec, err := LoadPartial(bytes.NewReader(gsir1Golden(t)))
+	if err != nil || !rec.Complete() {
+		t.Fatalf("LoadPartial(golden) = %+v, %v; want complete", rec, err)
+	}
+	if rec.Format != "GSIR1" || rec.ImagesExpected != orig.NumImages() || v1.Options() != orig.Options() {
+		t.Errorf("golden read as %s of %d images under %+v", rec.Format, rec.ImagesExpected, v1.Options())
 	}
 	want := snapshotBytes(t, orig)
 	if !bytes.Equal(snapshotBytes(t, v1), want) {
 		t.Fatal("the golden GSIR1 snapshot does not decode to buildEngine's base")
 	}
-	v3, err := Load(bytes.NewReader(want))
+	v3, err := loadComplete(want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkEngineEquivalence(t, v3, v1)
 	checkMirroredPairs(t, v1)
-
-	info, err := Peek(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Peek(golden): %v", err)
-	}
-	if info.Format != FormatGSIR1 || info.FormatName != "GSIR1" ||
-		info.Images != orig.NumImages() || info.Options != orig.Options() {
-		t.Errorf("Peek(golden) = %+v", info)
-	}
 }
 
-// TestLoadGSIR2Golden reads the GSIR2 golden: Load recovers exactly
-// buildEngine's base — it answers as buildEngine does, and its re-save is
-// a GSIR3 file, byte for byte the one buildEngine saves — and Peek reads
-// the header. (The GSIR2 salvage paths: TestLoadPartialSalvagesVerifiedImages,
-// TestLoadPartialTruncatedTail and TestCorruptionFlipSweep, on the same
-// bytes.)
+// TestLoadGSIR2Golden reads the GSIR2 golden: the decoder recovers
+// exactly buildEngine's base, completely — it answers as buildEngine
+// does, and its re-save is a GSIR3 file, byte for byte the one
+// buildEngine saves — and its report names the format, the declared
+// image count and the options. (The GSIR2 salvage paths:
+// TestLoadPartialSalvagesVerifiedImages, TestLoadPartialTruncatedTail and
+// TestCorruptionFlipSweep, on the same bytes.)
 func TestLoadGSIR2Golden(t *testing.T) {
 	orig := buildEngine(t)
-	data := gsir2Golden(t)
-	v2, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Load(golden): %v", err)
+	v2, rec, err := LoadPartial(bytes.NewReader(gsir2Golden(t)))
+	if err != nil || !rec.Complete() {
+		t.Fatalf("LoadPartial(golden) = %+v, %v; want complete", rec, err)
+	}
+	if rec.Format != "GSIR2" || rec.ImagesExpected != orig.NumImages() || v2.Options() != orig.Options() {
+		t.Errorf("golden read as %s of %d images under %+v", rec.Format, rec.ImagesExpected, v2.Options())
 	}
 	checkEngineEquivalence(t, orig, v2)
 	checkMirroredPairs(t, v2)
@@ -195,24 +242,16 @@ func TestLoadGSIR2Golden(t *testing.T) {
 	if !bytes.Equal(resaved, snapshotBytes(t, orig)) {
 		t.Fatal("the golden GSIR2 snapshot does not re-save to buildEngine's bytes")
 	}
-	if info, err := Peek(bytes.NewReader(resaved)); err != nil || info.Format != FormatGSIR3 {
-		t.Fatalf("Peek(re-save) = %+v, %v; want GSIR3", info, err)
-	}
-
-	info, err := Peek(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Peek(golden): %v", err)
-	}
-	if info.Format != FormatGSIR2 || info.FormatName != "GSIR2" ||
-		info.Images != orig.NumImages() || info.Options != orig.Options() {
-		t.Errorf("Peek(golden) = %+v", info)
+	if _, rec, err := LoadPartial(bytes.NewReader(resaved)); err != nil || rec.Format != "GSIR3" {
+		t.Fatalf("LoadPartial(re-save) = %+v, %v; want GSIR3", rec, err)
 	}
 }
 
-// TestPersistCompleteMeansLoad holds every decoder to one rule: LoadPartial
-// reports Complete() exactly when Load succeeds — an error from LoadPartial
-// counts as not complete — and where both succeed the two engines answer
-// alike. It runs over a file of each format read (the GSIR1 and GSIR2
+// TestPersistCompleteMeansLoad holds every way in to one rule: the
+// stream decoder (LoadPartial) and the file open under either load mode
+// (loadShardFile, what LoadAnyMode runs per file) report Complete() on
+// the same bytes or on none — an error counts as not complete — the clean
+// file is complete, and where they all are their engines answer alike. It runs over a file of each format read (the GSIR1 and GSIR2
 // goldens, a fresh GSIR3 file and the older writer's GSIR3 golden), each
 // clean, with 4 trailing bytes, with one payload byte flipped (the 5th
 // from the end: inside the last payload of every format), and cut in half.
@@ -239,14 +278,24 @@ func TestPersistCompleteMeansLoad(t *testing.T) {
 			{"half", f.data[:len(f.data)/2]},
 		} {
 			t.Run(f.name+"/"+c.name, func(t *testing.T) {
-				loaded, lerr := Load(bytes.NewReader(c.data))
 				partial, rec, perr := LoadPartial(bytes.NewReader(c.data))
 				complete := perr == nil && rec.Complete()
-				if complete != (lerr == nil) {
-					t.Fatalf("LoadPartial complete = %v (err %v, report %+v), Load error %v", complete, perr, rec, lerr)
+				if c.name == "clean" && !complete {
+					t.Fatalf("clean file not complete (err %v, report %+v)", perr, rec)
 				}
-				if complete {
-					checkEngineEquivalence(t, loaded, partial)
+				path := filepath.Join(t.TempDir(), "snap")
+				if err := os.WriteFile(path, c.data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+					opened, oerr := openComplete(path, mode)
+					if complete != (oerr == nil) {
+						t.Fatalf("%v: LoadPartial complete = %v, the file open's error %v", mode, complete, oerr)
+					}
+					if complete {
+						checkEngineEquivalence(t, partial, opened)
+						opened.Close()
+					}
 				}
 			})
 		}
@@ -260,7 +309,7 @@ func TestPersistEmptyEngine(t *testing.T) {
 	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := loadComplete(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +319,13 @@ func TestPersistEmptyEngine(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCorrupt: the decoder refuses no input and a bad magic
+// outright, and a snapshot cut in half never reads as complete.
 func TestLoadRejectsCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, _, err := LoadPartial(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input should fail")
 	}
-	if _, err := Load(bytes.NewReader([]byte("NOTGS\n"))); err == nil {
+	if _, _, err := LoadPartial(bytes.NewReader([]byte("NOTGS\n"))); err == nil {
 		t.Error("bad magic should fail")
 	}
 	// Truncated body.
@@ -284,55 +335,7 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Load(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Error("truncated input should fail")
-	}
-}
-
-func TestPeek(t *testing.T) {
-	eng := buildEngine(t)
-	info, err := Peek(bytes.NewReader(snapshotBytes(t, eng)))
-	if err != nil {
-		t.Fatalf("Peek: %v", err)
-	}
-	if info.Format != FormatGSIR3 {
-		t.Errorf("format = %v, want %v", info.Format, FormatGSIR3)
-	}
-	if info.Images != eng.NumImages() {
-		t.Errorf("images = %d, want %d", info.Images, eng.NumImages())
-	}
-	if info.Options != eng.Options() {
-		t.Errorf("options = %+v, want %+v", info.Options, eng.Options())
-	}
-	if _, err := Peek(bytes.NewReader([]byte("NOPE!\n rest"))); err == nil {
-		t.Error("bad magic should fail Peek")
-	}
-}
-
-func TestPeekFile(t *testing.T) {
-	eng := buildEngine(t)
-	path := filepath.Join(t.TempDir(), "snap.gsir")
-	if err := eng.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	info, err := PeekFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.FormatName != "GSIR3" || info.Images != eng.NumImages() || info.Size <= 0 {
-		t.Errorf("info = %+v", info)
-	}
-	// A flipped byte inside the options section must fail the peek (CRC).
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[v3SectionEnd(t, raw, "OPTS")-8] ^= 0xFF
-	bad := filepath.Join(t.TempDir(), "bad.gsir")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PeekFile(bad); err == nil {
-		t.Error("corrupt options section should fail PeekFile")
+	if _, err := loadComplete(data[:len(data)/2]); err == nil {
+		t.Error("truncated input should not read as complete")
 	}
 }

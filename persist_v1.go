@@ -10,7 +10,7 @@ import (
 
 // GSIR1 is the legacy stream format: magic, 4 float64 options, the hash
 // curve count, then the images as a bare concatenation with no length
-// framing and no checksums. Read-only — Load, LoadPartial and Peek keep
+// framing and no checksums. Read-only — LoadPartial and LoadAnyMode keep
 // old snapshots usable (testdata/gsir1/base.gsir1 is one, written by the
 // last writer this repo had); nothing here produces the format. Bytes
 // past the last declared image are not read.

@@ -62,7 +62,7 @@ import (
 // section that fails its CRC, or whose payload a short file tore off (the
 // table's own CRC still vouches for its row), is damage: in the raw
 // family it is unrecoverable, anywhere else the engine is rebuilt from the
-// intact raw family and the report counts the loss (Load refuses it).
+// intact raw family and the report counts the loss (not Complete).
 // Assembly after verification trusts element values and only re-checks
 // the shape invariants slice indexing depends on.
 
@@ -225,29 +225,10 @@ func (e *Engine) Save(w io.Writer) error {
 	return sectable.Write(w, secs)
 }
 
-// savedImage is one image's shapes in snapshot order.
+// savedImage is one image's shapes as IMGS lists them.
 type savedImage struct {
 	id     int
 	shapes []Shape
-}
-
-// imagesInOrder groups the base's shapes by image, preserving first-seen
-// image order so the encoding is deterministic (and canonical for the
-// byte-identity guarantee).
-func (e *Engine) imagesInOrder() []savedImage {
-	base := e.db.Base()
-	byImage := make(map[int]int) // image id → index into out
-	var out []savedImage
-	for _, s := range base.Shapes() {
-		i, seen := byImage[s.Image]
-		if !seen {
-			i = len(out)
-			byImage[s.Image] = i
-			out = append(out, savedImage{id: s.Image})
-		}
-		out[i].shapes = append(out[i].shapes, s.Poly)
-	}
-	return out
 }
 
 // buildV3Sections flattens the frozen engine into its section payloads,
@@ -264,28 +245,47 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	} else if base.NumShapes() > 0 {
 		return nil, ErrNotFrozen
 	}
-	images := e.imagesInOrder()
 	shapes := base.Shapes()
+	graphs := e.db.Graphs()
 	out := make(map[string][]byte, len(v3Table))
 
-	// IMGS / SHPM / RAWV — the raw image base, shapes in id order
-	// (imagesInOrder groups by image preserving that order).
-	imgs := appendU32(nil, uint32(len(images)))
+	// IMGS / SHPM / RAWV — the raw image base — and GRPH, the per-image
+	// topology graphs (vertices + labeled edges), from one walk of the
+	// images in AddImage order: one graph an image, its shape ids in id
+	// order (query.DBFromParts holds a loaded engine's graphs to that).
+	imgs := appendU32(nil, uint32(len(graphs)))
+	grph := appendU32(nil, uint32(len(graphs)))
 	var shpm []int32
 	var rawv []byte
-	for _, img := range images {
-		imgs = appendU32(imgs, uint32(img.id))
-		imgs = appendU32(imgs, uint32(len(img.shapes)))
-		for _, p := range img.shapes {
+	for _, g := range graphs {
+		imgs = appendU32(imgs, uint32(g.Image))
+		imgs = appendU32(imgs, uint32(len(g.Shapes)))
+		grph = appendU32(grph, uint32(g.Image))
+		grph = appendU32(grph, uint32(len(g.Shapes)))
+		for _, sid := range g.Shapes {
+			p := shapes[sid].Poly
 			flags := int32(0)
 			if p.Closed {
 				flags = 1
 			}
 			shpm = append(shpm, flags, int32(len(rawv)/16), int32(len(p.Pts)), 0)
 			rawv = put(rawv, p.Pts)
+			grph = appendU32(grph, uint32(sid))
+		}
+		grph = appendU32(grph, uint32(len(g.Edges)))
+		for _, ed := range g.Edges {
+			lbl := uint32(v3RelContain)
+			if ed.Label == query.RelOverlap {
+				lbl = v3RelOverlap
+			} else if ed.Label != query.RelContain {
+				return nil, fmt.Errorf("geosir: image %d has unknown edge label %q", g.Image, ed.Label)
+			}
+			grph = appendU32(grph, uint32(ed.From))
+			grph = appendU32(grph, uint32(ed.To))
+			grph = appendU32(grph, lbl)
 		}
 	}
-	out["IMGS"], out["SHPM"], out["RAWV"] = imgs, put(nil, shpm), rawv
+	out["IMGS"], out["SHPM"], out["RAWV"], out["GRPH"] = imgs, put(nil, shpm), rawv, grph
 
 	out["ENTM"], out["ECEL"] = put(nil, parts.EntryMeta), put(nil, parts.Cells)
 
@@ -304,37 +304,13 @@ func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	}
 	out["QUAD"], out["DANG"] = put(nil, quad), put(nil, e.db.DiamAngles())
 
-	// GRPH — per-image topology graphs (vertices + labeled edges), in the
-	// images' order.
-	grph := appendU32(nil, uint32(len(e.db.Graphs())))
-	for _, g := range e.db.Graphs() {
-		grph = appendU32(grph, uint32(g.Image))
-		grph = appendU32(grph, uint32(len(g.Shapes)))
-		for _, sid := range g.Shapes {
-			grph = appendU32(grph, uint32(sid))
-		}
-		grph = appendU32(grph, uint32(len(g.Edges)))
-		for _, ed := range g.Edges {
-			lbl := uint32(v3RelContain)
-			if ed.Label == query.RelOverlap {
-				lbl = v3RelOverlap
-			} else if ed.Label != query.RelContain {
-				return nil, fmt.Errorf("geosir: image %d has unknown edge label %q", g.Image, ed.Label)
-			}
-			grph = appendU32(grph, uint32(ed.From))
-			grph = appendU32(grph, uint32(ed.To))
-			grph = appendU32(grph, lbl)
-		}
-	}
-	out["GRPH"] = grph
-
 	opt := make([]byte, 0, v3OptsLen)
 	opt = appendF64(opt, e.opts.Alpha)
 	opt = appendF64(opt, e.opts.Beta)
 	opt = appendF64(opt, e.opts.Tau)
 	opt = appendF64(opt, e.opts.AngleTol)
 	opt = appendU32(opt, uint32(e.opts.HashCurves))
-	opt = appendU32(opt, uint32(len(images)))
+	opt = appendU32(opt, uint32(len(graphs)))
 	opt = appendU32(opt, uint32(len(shapes)))
 	opt = appendU32(opt, uint32(len(parts.EntryMeta)))
 	opt = appendU32(opt, uint32(len(parts.Cells)))
@@ -686,57 +662,6 @@ func readAllWithMagic(magic string, r io.Reader) ([]byte, error) {
 	return append(data, rest...), nil
 }
 
-// peekGSIR3 parses only the header, table, and OPTS payload of a GSIR3
-// stream (magic already consumed), verifying the table and OPTS
-// checksums. Sequential: pad bytes up to OPTS are discarded, array
-// sections after it are never read.
-func peekGSIR3(r io.Reader) (SnapshotInfo, error) {
-	var hdr [sectable.HeaderLen - magicLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return SnapshotInfo{}, fmt.Errorf("geosir: reading GSIR3 header: %w", err)
-	}
-	nsec, err := sectable.ParseHeader(hdr[:])
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	table, err := readCapped(r, nsec*sectable.RowLen+4)
-	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("geosir: reading GSIR3 section table: %w", err)
-	}
-	// What is read below is bounded by v3OptsLen.
-	secs, err := sectable.ParseRows(table)
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	i := slices.IndexFunc(secs, func(s sectable.Section) bool { return s.Tag == "OPTS" })
-	if i < 0 || secs[i].Len != v3OptsLen {
-		return SnapshotInfo{}, fmt.Errorf("geosir: GSIR3 snapshot has no %d-byte OPTS section", v3OptsLen)
-	}
-	opts := secs[i]
-	if _, err := io.CopyN(io.Discard, r, int64(opts.Off)-int64(sectable.HeaderLen+len(table))); err != nil {
-		return SnapshotInfo{}, fmt.Errorf("geosir: seeking OPTS section: %w", err)
-	}
-	payload, err := readCapped(r, v3OptsLen)
-	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("geosir: reading OPTS section: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != opts.CRC {
-		return SnapshotInfo{}, fmt.Errorf("geosir: OPTS section checksum mismatch")
-	}
-	o, err := parseV3Options(payload)
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	return SnapshotInfo{
-		Format:     FormatGSIR3,
-		FormatName: "GSIR3",
-		Options:    o.opts,
-		Images:     o.nImages,
-		Shapes:     o.nShapes,
-		Sections:   nsec,
-	}, nil
-}
-
 // engineStorage records how an engine's snapshot is backed, for /statz
 // reporting and unmap lifecycle. nil means heap-built (AddImage+Freeze
 // or a copy-decode load).
@@ -781,25 +706,6 @@ func (e *Engine) Close() error {
 	m := e.stor.mapping
 	e.stor.mapping = nil
 	return m.Close()
-}
-
-// LoadFileMmap opens a GSIR3 snapshot by mapping it and serving the
-// array sections in place: open cost is CRC verification plus O(n)
-// pointer stitching — no geometry, no per-element decode — and the page
-// cache decides residency. It refuses, with an error, a file that is not
-// GSIR3, any damage, and a platform or build that cannot map or cast — it
-// does NOT silently heap-load (callers wanting the fallback use
-// LoadAnyMode) — except a file of no shapes, which has nothing to serve in
-// place and loads empty onto the heap.
-func LoadFileMmap(path string) (*Engine, error) {
-	eng, rec, err := mapGSIR3(path)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Err != nil {
-		return nil, rec.Err
-	}
-	return eng, nil
 }
 
 // errNotMapped marks a file mapGSIR3 left undecoded.

@@ -56,12 +56,9 @@ func TestGSIR3SaveAtomicUnderWriteFaults(t *testing.T) {
 			t.Fatalf("offset %d: temp litter left behind: %v", off, names)
 		}
 	}
-	if info, err := PeekFile(path); err != nil || info.Format != FormatGSIR2 {
-		t.Fatalf("prior snapshot peeks as %+v, %v; want GSIR2", info, err)
-	}
-	old, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("prior snapshot no longer loads: %v", err)
+	old, rec, err := loadShardFile(path, LoadModeHeap)
+	if err != nil || !rec.Complete() || rec.Format != "GSIR2" {
+		t.Fatalf("prior snapshot loads as %+v, %v; want a complete GSIR2 file", rec, err)
 	}
 	checkEngineEquivalence(t, next, old)
 	// A clean save finally replaces it, as GSIR3.
@@ -75,8 +72,8 @@ func TestGSIR3SaveAtomicUnderWriteFaults(t *testing.T) {
 	if !bytes.Equal(cur, snapshotBytes(t, next)) {
 		t.Fatal("clean save did not publish the new snapshot")
 	}
-	if info, err := PeekFile(path); err != nil || info.Format != FormatGSIR3 {
-		t.Fatalf("clean save peeks as %+v, %v; want GSIR3", info, err)
+	if _, rec, err := loadShardFile(path, LoadModeHeap); err != nil || !rec.Complete() || rec.Format != "GSIR3" {
+		t.Fatalf("clean save loads as %+v, %v; want a complete GSIR3 file", rec, err)
 	}
 }
 
@@ -95,12 +92,12 @@ func TestGSIR3SaveFileAsAtomicity(t *testing.T) {
 		if names := dirNames(t, dir); len(names) != 1 {
 			t.Fatalf("directory holds %v, want the snapshot only", names)
 		}
-		info, err := PeekFile(path)
+		_, rec, err := loadShardFile(path, LoadModeHeap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.FormatName != "GSIR3" || info.Images != eng.NumImages() {
-			t.Fatalf("SaveFile of %d images peeks as %+v, want GSIR3", eng.NumImages(), info)
+		if !rec.Complete() || rec.Format != "GSIR3" || rec.ImagesExpected != eng.NumImages() {
+			t.Fatalf("SaveFile of %d images loads as %+v, want a complete GSIR3 file", eng.NumImages(), rec)
 		}
 	}
 	prior, err := os.ReadFile(path)
@@ -128,10 +125,11 @@ func TestGSIR3SaveFileAsAtomicity(t *testing.T) {
 
 // TestGSIR3TornWriteDetected publishes a torn GSIR3 file — the writer
 // claims success but stops at every grid offset — of a second base,
-// altEngine's. Load and LoadFileMmap refuse every cut. LoadPartialFile
-// refuses every cut inside the raw sections, and from every cut past them
-// recovers the base itself: every image, answering as the original, the
-// torn derived sections counted. Never a silently different base.
+// altEngine's. The file open, heap and mmap, reads no cut as complete.
+// The decoder refuses every cut inside the raw sections, and from every
+// cut past them recovers the base itself: every image, answering as the
+// original, the torn derived sections counted. Never a silently different
+// base.
 func TestGSIR3TornWriteDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "base.gsir")
@@ -145,13 +143,12 @@ func TestGSIR3TornWriteDetected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: torn save surfaced an error: %v", off, err)
 		}
-		if _, err := LoadFile(path); err == nil {
-			t.Fatalf("offset %d: truncated GSIR3 snapshot loaded without error", off)
+		for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+			if _, err := openComplete(path, mode); err == nil {
+				t.Fatalf("offset %d: %v: truncated GSIR3 snapshot read as complete", off, mode)
+			}
 		}
-		if _, err := LoadFileMmap(path); err == nil {
-			t.Fatalf("offset %d: truncated GSIR3 snapshot mmap-loaded without error", off)
-		}
-		eng2, rec, err := LoadPartialFile(path)
+		eng2, rec, err := loadShardFile(path, LoadModeHeap)
 		if (err != nil) != (off < rawEnd) {
 			t.Fatalf("offset %d (raw sections end at %d): LoadPartial error %v", off, rawEnd, err)
 		}

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mmap"
 	"repro/internal/sectable"
 )
 
@@ -107,7 +106,7 @@ func checkEngineEquivalence(t *testing.T, want, got *Engine) {
 func TestGSIR3RoundTrip(t *testing.T) {
 	orig := buildEngine(t)
 	data := snapshotBytes(t, orig)
-	loaded, err := Load(bytes.NewReader(data))
+	loaded, err := loadComplete(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestGSIR3RoundTrip(t *testing.T) {
 func TestGSIR3SaveLoadSaveByteIdentity(t *testing.T) {
 	orig := buildEngine(t)
 	first := snapshotBytes(t, orig)
-	loaded, err := Load(bytes.NewReader(first))
+	loaded, err := loadComplete(first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,66 +141,50 @@ func TestGSIR3RequiresFrozen(t *testing.T) {
 	}
 }
 
+// TestGSIR3Peek: a fresh file's section table (sectable.Parse) holds
+// exactly the table's rows, in order, and no section of an older writer's
+// (v3LegacyTags); the decoder reads it complete as GSIR3, with the image
+// count, shapes and options saved.
 func TestGSIR3Peek(t *testing.T) {
 	orig := buildEngine(t)
 	data := snapshotBytes(t, orig)
-	info, err := Peek(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Format != FormatGSIR3 || info.FormatName != "GSIR3" {
-		t.Fatalf("format = %d %q", info.Format, info.FormatName)
-	}
-	if info.Images != orig.NumImages() || info.Shapes != orig.NumShapes() {
-		t.Fatalf("peek counts %d/%d, want %d/%d", info.Images, info.Shapes, orig.NumImages(), orig.NumShapes())
-	}
-	// A fresh file holds the table's rows and no section of an older
-	// writer's: no segment grid per entry.
-	if info.Sections != len(v3Table) {
-		t.Fatalf("peek reports %d sections, the table has %d rows", info.Sections, len(v3Table))
-	}
 	rows, err := sectable.Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if slices.Contains(v3LegacyTags, r.Tag) {
-			t.Fatalf("a fresh file holds section %s", r.Tag)
+	if len(rows) != len(v3Table) {
+		t.Fatalf("the file holds %d sections, the table has %d rows", len(rows), len(v3Table))
+	}
+	for i, r := range rows {
+		if r.Tag != v3Table[i].tag || slices.Contains(v3LegacyTags, r.Tag) {
+			t.Fatalf("section %d is %s, want %s", i, r.Tag, v3Table[i].tag)
 		}
 	}
-	if info.Options != orig.Options() {
-		t.Fatalf("peek options %+v, want %+v", info.Options, orig.Options())
+	eng, rec, err := LoadPartial(bytes.NewReader(data))
+	if err != nil || !rec.Complete() || rec.Format != "GSIR3" {
+		t.Fatalf("LoadPartial = %+v, %v; want a complete GSIR3 read", rec, err)
 	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.gsir3")
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	finfo, err := PeekFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if finfo.Size != int64(len(data)) {
-		t.Fatalf("peek size %d, want %d", finfo.Size, len(data))
+	if rec.ImagesExpected != orig.NumImages() || eng.NumShapes() != orig.NumShapes() || eng.Options() != orig.Options() {
+		t.Fatalf("read %d images, %d shapes under %+v; want %d, %d under %+v", rec.ImagesExpected, eng.NumShapes(),
+			eng.Options(), orig.NumImages(), orig.NumShapes(), orig.Options())
 	}
 }
 
+// TestGSIR3MmapEquivalence: a GSIR3 file opened under LoadModeMmap is
+// served mapped where mmap can serve it (from the heap elsewhere) and
+// answers as the engine saved and as the same file opened on the heap.
 func TestGSIR3MmapEquivalence(t *testing.T) {
-	if !mmap.Supported() || !mmap.CanCast() {
-		t.Skip("mmap serving unsupported on this platform/build")
-	}
 	orig := buildEngine(t)
 	path := filepath.Join(t.TempDir(), "snap.gsir3")
 	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadFileMmap(path)
+	m, err := openComplete(path, LoadModeMmap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if st := m.StorageStats(); st.LoadMode != "mmap" || st.MappedBytes == 0 {
+	if st := m.StorageStats(); st.LoadMode != servedLoadMode(LoadModeMmap) || (st.LoadMode == "mmap") != (st.MappedBytes > 0) {
 		t.Fatalf("storage stats = %+v", st)
 	}
 	if st := orig.StorageStats(); st.LoadMode != "heap" || st.MappedBytes != 0 {
@@ -209,25 +192,28 @@ func TestGSIR3MmapEquivalence(t *testing.T) {
 	}
 	checkEngineEquivalence(t, orig, m)
 
-	h, err := LoadFile(path)
+	h, err := openComplete(path, LoadModeHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkEngineEquivalence(t, h, m)
 }
 
+// TestGSIR3MmapClose: an engine opened under LoadModeMmap — mapped where
+// mmap can serve it — closes twice without error and reports heap backing
+// after; a heap engine's Close is a no-op.
 func TestGSIR3MmapClose(t *testing.T) {
-	if !mmap.Supported() || !mmap.CanCast() {
-		t.Skip("mmap serving unsupported on this platform/build")
-	}
 	orig := buildEngine(t)
 	path := filepath.Join(t.TempDir(), "snap.gsir3")
 	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadFileMmap(path)
+	m, err := openComplete(path, LoadModeMmap)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := m.StorageStats(); st.LoadMode != servedLoadMode(LoadModeMmap) {
+		t.Fatalf("storage stats = %+v", st)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -245,11 +231,11 @@ func TestGSIR3MmapClose(t *testing.T) {
 }
 
 func TestGSIR3CrossFormatEquivalence(t *testing.T) {
-	e2, err := Load(bytes.NewReader(gsir2Golden(t)))
+	e2, err := loadComplete(gsir2Golden(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e3, err := Load(bytes.NewReader(snapshotBytes(t, buildEngine(t))))
+	e3, err := loadComplete(snapshotBytes(t, buildEngine(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,21 +282,22 @@ func checkMirroredPairs(t *testing.T, eng *Engine) {
 func TestGSIR3KDTreeGolden(t *testing.T) {
 	fresh := buildEngine(t)
 	data := gsir3KDTreeGolden(t)
-	heap, err := Load(bytes.NewReader(data))
+	heap, err := loadComplete(data)
 	if err != nil {
-		t.Fatalf("Load(golden): %v", err)
+		t.Fatalf("golden: %v", err)
 	}
 	checkEngineEquivalence(t, fresh, heap)
 	checkMirroredPairs(t, heap)
-	if mmap.Supported() && mmap.CanCast() {
-		mapped, err := LoadFileMmap(gsir3KDTreeGoldenPath)
-		if err != nil {
-			t.Fatalf("LoadFileMmap(golden): %v", err)
-		}
-		defer mapped.Close()
-		checkEngineEquivalence(t, fresh, mapped)
-		checkMirroredPairs(t, mapped)
+	mapped, err := openComplete(gsir3KDTreeGoldenPath, LoadModeMmap)
+	if err != nil {
+		t.Fatalf("golden, mmap mode: %v", err)
 	}
+	defer mapped.Close()
+	if got := mapped.StorageStats().LoadMode; got != servedLoadMode(LoadModeMmap) {
+		t.Fatalf("golden served from %s, want %s", got, servedLoadMode(LoadModeMmap))
+	}
+	checkEngineEquivalence(t, fresh, mapped)
+	checkMirroredPairs(t, mapped)
 
 	resaved := snapshotBytes(t, heap)
 	if !bytes.Equal(resaved, snapshotBytes(t, fresh)) {
@@ -356,7 +343,7 @@ func TestGSIR3KDTreeGolden(t *testing.T) {
 // golden file of an older writer holds (v3LegacyTags). Damage to a raw
 // section must refuse recovery; damage to any other section must salvage
 // an engine that answers identically to the original (the slow rebuild is
-// deterministic). A strict Load must fail on every flip.
+// deterministic). No flip reads as complete.
 func TestGSIR3ByteFlipSweep(t *testing.T) {
 	orig := buildEngine(t)
 	q := lshape(0, 0, 3).Transform(Similarity(1.4, 0.5, Pt(40, 40)))
@@ -385,8 +372,8 @@ func TestGSIR3ByteFlipSweep(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mut := bytes.Clone(data)
 			mut[s.Off+s.Len/2] ^= 0x40
-			if _, err := Load(bytes.NewReader(mut)); err == nil {
-				t.Fatalf("strict load survived a flip in %s", name)
+			if _, err := loadComplete(mut); err == nil {
+				t.Fatalf("a flip in %s read as complete", name)
 			}
 			eng, rec, err := LoadPartial(bytes.NewReader(mut))
 			if v3RawTags[name] {
@@ -433,11 +420,11 @@ func v3SectionEnd(t *testing.T, data []byte, tag string) int {
 
 // checkTornSalvage asserts that LoadPartial salvages every image of orig
 // from the GSIR3 image cut, counting the torn derived sections, that it
-// answers as orig, and that Load refuses the cut.
+// answers as orig, and that the read is not complete.
 func checkTornSalvage(t *testing.T, orig *Engine, cut []byte) {
 	t.Helper()
-	if _, err := Load(bytes.NewReader(cut)); err == nil {
-		t.Fatalf("Load survived a cut to %d bytes", len(cut))
+	if _, err := loadComplete(cut); err == nil {
+		t.Fatalf("a cut to %d bytes read as complete", len(cut))
 	}
 	eng, rec, err := LoadPartial(bytes.NewReader(cut))
 	if err != nil {
@@ -469,9 +456,9 @@ func TestGSIR3TornTailSalvages(t *testing.T) {
 	}
 }
 
-// TestGSIR3TruncationSweep cuts the file at a range of lengths. Load
-// refuses every cut. A cut inside the raw sections — they run up to
-// RAWV's end — is refused by LoadPartial too; every cut past them salvages
+// TestGSIR3TruncationSweep cuts the file at a range of lengths. No cut
+// reads as complete. A cut inside the raw sections — they run up to
+// RAWV's end — is refused by LoadPartial; every cut past them salvages
 // every image (checkTornSalvage). Never a panic, never silently wrong data.
 func TestGSIR3TruncationSweep(t *testing.T) {
 	orig := buildEngine(t)
@@ -484,8 +471,8 @@ func TestGSIR3TruncationSweep(t *testing.T) {
 			checkTornSalvage(t, orig, data[:n])
 			continue
 		}
-		if _, err := Load(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("Load survived truncation to %d bytes", n)
+		if _, err := loadComplete(data[:n]); err == nil {
+			t.Fatalf("a cut to %d bytes read as complete", n)
 		}
 		if _, _, err := LoadPartial(bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("LoadPartial salvaged a cut to %d bytes, inside the raw sections (they end at %d)", n, rawEnd)
@@ -529,7 +516,7 @@ func editV3Section(tag string, change func([]byte) []byte) func([]sectable.Paylo
 // TestGSIR3FramedCountsBounded: the counts inside the framed streams size
 // allocations, so each must be refused unless the bytes behind it exist.
 // IMGS's per-image shape count set to 0xFFFFFFF0 used to be a 137 GB
-// make() — process death, through Load, LoadPartial and /admin/reload.
+// make() — process death, through LoadPartial and /admin/reload.
 func TestGSIR3FramedCountsBounded(t *testing.T) {
 	data := snapshotBytes(t, buildEngine(t))
 	huge := func(off int) func([]byte) []byte {
@@ -540,8 +527,8 @@ func TestGSIR3FramedCountsBounded(t *testing.T) {
 	}
 	// IMGS: u32 images | first image { u32 id | u32 shapes ← }.
 	imgs := rewriteV3(t, data, editV3Section("IMGS", huge(8)))
-	if _, err := Load(bytes.NewReader(imgs)); err == nil {
-		t.Error("Load accepted an IMGS shape count beyond SHPM")
+	if _, err := loadComplete(imgs); err == nil {
+		t.Error("an IMGS shape count beyond SHPM read as complete")
 	}
 	if _, _, err := LoadPartial(bytes.NewReader(imgs)); err == nil {
 		t.Error("LoadPartial accepted an IMGS shape count beyond SHPM (IMGS is raw: nothing to rebuild from)")
@@ -549,11 +536,52 @@ func TestGSIR3FramedCountsBounded(t *testing.T) {
 	// GRPH: u32 images | first image { u32 id | u32 shapes=2 | 2 × u32 | u32 edges ← }.
 	// It is derived, so the salvage path rebuilds it and says so.
 	grph := rewriteV3(t, data, editV3Section("GRPH", huge(4+4+4+2*4)))
-	if _, err := Load(bytes.NewReader(grph)); err == nil {
-		t.Error("Load accepted a GRPH edge count beyond the section")
+	if _, err := loadComplete(grph); err == nil {
+		t.Error("a GRPH edge count beyond the section read as complete")
 	}
 	if _, rec, err := LoadPartial(bytes.NewReader(grph)); err != nil || rec.Complete() {
 		t.Errorf("LoadPartial over a bad GRPH edge count: recovery %+v, err %v; want a rebuild that reports the loss", rec, err)
+	}
+}
+
+// TestGSIR3GraphsFollowImages: the image graphs are the images' order —
+// Save walks them, and a shard directory's load checks a shard against its
+// manifest by them — so a checksum-valid GRPH that files a graph under
+// another image than its shapes', or an image's shapes out of id order, is
+// damage: the decoder rebuilds from the raw sections, reports the loss, and
+// the engine re-saves to the original's bytes.
+func TestGSIR3GraphsFollowImages(t *testing.T) {
+	orig := buildEngine(t)
+	data := snapshotBytes(t, orig)
+	// GRPH: u32 images | first image { u32 id | u32 shapes=2 | 2 × u32 | ... }.
+	for _, c := range []struct {
+		name   string
+		change func(b []byte) []byte
+	}{
+		{"another image", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[4:], 99)
+			return b
+		}},
+		{"shapes out of order", func(b []byte) []byte {
+			s0, s1 := binary.LittleEndian.Uint32(b[12:]), binary.LittleEndian.Uint32(b[16:])
+			binary.LittleEndian.PutUint32(b[12:], s1)
+			binary.LittleEndian.PutUint32(b[16:], s0)
+			return b
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, rec, err := LoadPartial(bytes.NewReader(rewriteV3(t, data, editV3Section("GRPH", c.change))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Complete() || rec.AuxDropped == 0 {
+				t.Fatalf("report %+v, want the derived sections' loss", rec)
+			}
+			checkEngineEquivalence(t, orig, eng)
+			if !bytes.Equal(snapshotBytes(t, eng), data) {
+				t.Fatal("the rebuilt engine does not re-save to the original's bytes")
+			}
+		})
 	}
 }
 
@@ -599,9 +627,9 @@ func TestGSIR3SectionTable(t *testing.T) {
 		}
 		for _, e := range edits {
 			t.Run(row.tag+"/"+e.name, func(t *testing.T) {
-				_, err := Load(bytes.NewReader(rewriteV3(t, data, e.edit)))
+				_, err := loadComplete(rewriteV3(t, data, e.edit))
 				if err == nil || !strings.Contains(err.Error(), row.tag) {
-					t.Fatalf("Load = %v, want a refusal naming %s", err, row.tag)
+					t.Fatalf("read = %v, want incomplete, naming %s", err, row.tag)
 				}
 			})
 		}
@@ -622,15 +650,15 @@ func TestGSIR3SectionTable(t *testing.T) {
 			}},
 		} {
 			t.Run(tag+"/"+e.name, func(t *testing.T) {
-				eng, err := Load(bytes.NewReader(rewriteV3(t, golden, e.edit)))
+				eng, err := loadComplete(rewriteV3(t, golden, e.edit))
 				if tag == "EVTX" {
 					if err == nil || !strings.Contains(err.Error(), "ECEL") {
-						t.Fatalf("Load with %s EVTX and no ECEL = %v, want a refusal naming ECEL", e.name, err)
+						t.Fatalf("read with %s EVTX and no ECEL = %v, want incomplete, naming ECEL", e.name, err)
 					}
 					return
 				}
 				if err != nil {
-					t.Fatalf("Load with %s %s: %v", e.name, tag, err)
+					t.Fatalf("read with %s %s: %v", e.name, tag, err)
 				}
 				checkEngineEquivalence(t, orig, eng)
 			})
@@ -642,23 +670,23 @@ func TestGSIR3SectionTable(t *testing.T) {
 			at := slices.IndexFunc(secs, func(s sectable.Payload) bool { return s.Tag == "ENTM" }) + 1
 			return slices.Insert(secs, at, sectable.Payload{Tag: "GBND", Data: make([]byte, 56*orig.NumEntries())})
 		})
-		heap, err := Load(bytes.NewReader(old))
+		heap, err := loadComplete(old)
 		if err != nil {
-			t.Fatalf("Load with a GBND section: %v", err)
+			t.Fatalf("read with a GBND section: %v", err)
 		}
 		checkEngineEquivalence(t, orig, heap)
-		if !mmap.Supported() || !mmap.CanCast() {
-			return
-		}
 		path := filepath.Join(t.TempDir(), "old.gsir3")
 		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := LoadFileMmap(path)
+		mapped, err := openComplete(path, LoadModeMmap)
 		if err != nil {
-			t.Fatalf("LoadFileMmap with a GBND section: %v", err)
+			t.Fatalf("mmap-mode open with a GBND section: %v", err)
 		}
 		defer mapped.Close()
+		if got := mapped.StorageStats().LoadMode; got != servedLoadMode(LoadModeMmap) {
+			t.Fatalf("served from %s, want %s", got, servedLoadMode(LoadModeMmap))
+		}
 		checkEngineEquivalence(t, orig, mapped)
 	})
 }
@@ -666,10 +694,11 @@ func TestGSIR3SectionTable(t *testing.T) {
 // TestGSIR3RefusesInconsistentCopies feeds the loaders checksum-valid files
 // whose copies a search could not read: a cell id past the distance field's
 // last, a diameter vertex past its shape's, and an odd copy whose diameter
-// pair is its partner's, not swapped. Load and LoadFileMmap refuse each;
+// pair is its partner's, not swapped. Neither the stream decoder nor the
+// mmap-mode file open reads one as complete (refusedByBothLoads);
 // LoadPartial salvages each by the raw rebuild, reports the loss, and
 // answers as the original. A file whose copies declare more vertices than
-// an int32 offset counts is refused by both loads too.
+// an int32 offset counts is not complete either.
 func TestGSIR3RefusesInconsistentCopies(t *testing.T) {
 	orig := buildEngine(t)
 	data := snapshotBytes(t, orig)
@@ -786,13 +815,13 @@ func TestGSIR3CellRowOfAnotherGridIsDerived(t *testing.T) {
 			if c.derived {
 				want = parts.Cells
 			}
-			opens := map[string]func() (*Engine, error){"Load": func() (*Engine, error) { return Load(bytes.NewReader(stale)) }}
-			if mmap.Supported() && mmap.CanCast() {
-				path := filepath.Join(t.TempDir(), "stale.gsir3")
-				if err := os.WriteFile(path, stale, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				opens["LoadFileMmap"] = func() (*Engine, error) { return LoadFileMmap(path) }
+			path := filepath.Join(t.TempDir(), "stale.gsir3")
+			if err := os.WriteFile(path, stale, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opens := map[string]func() (*Engine, error){
+				"stream":    func() (*Engine, error) { return loadComplete(stale) },
+				"mmap mode": func() (*Engine, error) { return openComplete(path, LoadModeMmap) },
 			}
 			for name, open := range opens {
 				eng, err := open()
@@ -815,24 +844,23 @@ func TestGSIR3CellRowOfAnotherGridIsDerived(t *testing.T) {
 	}
 }
 
-// refusedByBothLoads asserts that Load and, where the platform maps files,
-// LoadFileMmap refuse the GSIR3 image bad with an error containing want.
+// refusedByBothLoads asserts that neither the stream decoder nor the file
+// open under LoadModeMmap (mapped where the platform can map and cast)
+// reads the GSIR3 image bad as complete, each with an error or first
+// damage containing want.
 func refusedByBothLoads(t *testing.T, bad []byte, want string) {
 	t.Helper()
-	if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Load = %v, want a refusal with %q", err, want)
-	}
-	if !mmap.Supported() || !mmap.CanCast() {
-		return
+	if _, err := loadComplete(bad); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("stream read = %v, want incomplete, with %q", err, want)
 	}
 	path := filepath.Join(t.TempDir(), "bad.gsir3")
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if eng, err := LoadFileMmap(path); err == nil || !strings.Contains(err.Error(), want) {
+	if eng, err := openComplete(path, LoadModeMmap); err == nil || !strings.Contains(err.Error(), want) {
 		if eng != nil {
 			eng.Close()
 		}
-		t.Fatalf("LoadFileMmap = %v, want a refusal with %q", err, want)
+		t.Fatalf("mmap-mode open = %v, want incomplete, with %q", err, want)
 	}
 }

@@ -219,7 +219,7 @@ func NewSharded(opts Options, shards int) *ShardedEngine {
 }
 
 // newShardedFromParts assembles a sharded engine from already-loaded
-// shards (see LoadShardedDir). Shards must be frozen or empty.
+// shards (see loadShardedDir). Shards must be frozen or empty.
 func newShardedFromParts(opts Options, shards []*Engine, smap *core.ShardMap, order []shardImage, gen uint64) *ShardedEngine {
 	se := &ShardedEngine{opts: opts, shards: shards, smap: smap, order: order, frozen: true}
 	se.publishBaseView(gen)

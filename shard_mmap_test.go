@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/mmap"
 )
 
 // TestShardedMmapEquivalence is the mmap serving equivalence suite:
@@ -29,25 +27,14 @@ func TestShardedMmapEquivalence(t *testing.T) {
 		if err := orig.SaveDir(dir); err != nil {
 			t.Fatalf("shards=%d: SaveDir: %v", shards, err)
 		}
-		// Every frozen shard must have been written as GSIR3.
-		for i := 0; i < shards; i++ {
-			info, err := PeekFile(filepath.Join(dir, shardFileName(i)))
-			if err != nil {
-				t.Fatalf("shards=%d: peek shard %d: %v", shards, i, err)
-			}
-			if info.FormatName != "GSIR3" {
-				t.Fatalf("shards=%d: shard %d written as %s, want GSIR3", shards, i, info.FormatName)
-			}
-		}
-
-		heap, hrec, err := LoadShardedDirMode(dir, LoadModeHeap)
+		heap, hrec, err := loadShardedDir(dir, LoadModeHeap)
 		if err != nil {
 			t.Fatalf("shards=%d: heap load: %v", shards, err)
 		}
 		if !hrec.Complete() {
 			t.Fatalf("shards=%d: heap load incomplete: %+v", shards, hrec)
 		}
-		mm, mrec, err := LoadShardedDirMode(dir, LoadModeMmap)
+		mm, mrec, err := loadShardedDir(dir, LoadModeMmap)
 		if err != nil {
 			t.Fatalf("shards=%d: mmap load: %v", shards, err)
 		}
@@ -55,12 +42,17 @@ func TestShardedMmapEquivalence(t *testing.T) {
 			t.Fatalf("shards=%d: mmap load incomplete: %+v", shards, mrec)
 		}
 
-		mmapActive := mmap.Supported() && mmap.CanCast()
+		// Every shard was written as GSIR3.
+		for i, sr := range mrec.Shards {
+			if sr.Recovery.Format != "GSIR3" {
+				t.Fatalf("shards=%d: shard %d written as %s, want GSIR3", shards, i, sr.Recovery.Format)
+			}
+		}
 		hst, mst := heap.StorageStats(), mm.StorageStats()
 		if hst.LoadMode != "heap" || hst.MappedBytes != 0 {
 			t.Fatalf("shards=%d: heap storage stats %+v", shards, hst)
 		}
-		if mmapActive && (mst.LoadMode != "mmap" || mst.MappedBytes == 0) {
+		if mst.LoadMode != servedLoadMode(LoadModeMmap) || (mst.LoadMode == "mmap") != (mst.MappedBytes > 0) {
 			t.Fatalf("shards=%d: mmap storage stats %+v", shards, mst)
 		}
 

@@ -166,8 +166,7 @@ func writeManifest(path string, man *shardManifest, wrap func(io.Writer) io.Writ
 	return nil
 }
 
-// ShardFileRecovery reports how one shard file fared during
-// LoadShardedDir.
+// ShardFileRecovery reports how one shard file fared in LoadAnyMode.
 type ShardFileRecovery struct {
 	// Path is the shard file's path.
 	Path string
@@ -181,11 +180,10 @@ type ShardFileRecovery struct {
 	Dropped bool
 }
 
-// ShardRecovery reports what LoadShardedDir salvaged across the
-// snapshot directory.
+// ShardRecovery reports what LoadAnyMode salvaged across a snapshot.
 type ShardRecovery struct {
-	// Shards holds one entry per shard file, in shard order. For a
-	// single-file snapshot loaded through LoadAny it holds one entry.
+	// Shards holds one entry per shard file, in shard order: one for a
+	// snapshot file.
 	Shards []ShardFileRecovery
 	// ImagesExpected is the image count the manifest declares.
 	ImagesExpected int
@@ -254,23 +252,23 @@ func loadShardFile(path string, mode LoadMode) (*Engine, *Recovery, error) {
 			return eng, rec, err
 		}
 	}
-	return LoadPartialFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	return LoadPartial(f)
 }
 
-// LoadShardedDir loads a sharded snapshot directory, salvaging whatever
-// verifies. Damage is contained at two granularities: a corrupted image
-// section costs that image (per-file Recovery), and an unreadable or
-// manifest-inconsistent shard file costs that shard. Surviving shapes
-// keep the global ids the manifest assigns. The manifest itself must be
-// intact — without it no routing can be reconstructed. A DELTA.wal in
-// the directory is not replayed here; EnableIngest owns it.
-func LoadShardedDir(dir string) (*ShardedEngine, *ShardRecovery, error) {
-	return LoadShardedDirMode(dir, LoadModeHeap)
-}
-
-// LoadShardedDirMode is LoadShardedDir with an explicit per-shard open
-// strategy; see LoadMode.
-func LoadShardedDirMode(dir string, mode LoadMode) (*ShardedEngine, *ShardRecovery, error) {
+// loadShardedDir loads a sharded snapshot directory, each shard file
+// opened under mode, salvaging whatever verifies. Damage is contained at
+// two granularities: a corrupted image section costs that image (per-file
+// Recovery), and an unreadable or manifest-inconsistent shard file costs
+// that shard. Surviving shapes keep the global ids the manifest assigns.
+// The manifest itself must be intact — without it no routing can be
+// reconstructed. A DELTA.wal in the directory is not replayed here;
+// EnableIngest owns it.
+func loadShardedDir(dir string, mode LoadMode) (*ShardedEngine, *ShardRecovery, error) {
 	man, err := readManifest(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, nil, err
@@ -413,40 +411,31 @@ func consistentGroups(eng *Engine, man *shardManifest, shard int) (map[int]int, 
 	return counts, true
 }
 
-// engineImageGroups recovers an engine's image insertion order as
-// (image id, shape count) runs by walking shapes in id order — shape
-// ids are assigned sequentially per AddImage, so each image's shapes
-// are consecutive.
+// engineImageGroups lists an engine's images in AddImage order as
+// (image id, shape count) pairs: one query graph an image, as Save walks
+// them.
 func engineImageGroups(eng *Engine) []shardImage {
-	var out []shardImage
-	for _, s := range eng.Base().Shapes() {
-		if n := len(out); n > 0 && out[n-1].ID == s.Image {
-			out[n-1].Shapes++
-		} else {
-			out = append(out, shardImage{ID: s.Image, Shapes: 1})
-		}
+	graphs := eng.db.Graphs()
+	out := make([]shardImage, len(graphs))
+	for i, g := range graphs {
+		out[i] = shardImage{ID: g.Image, Shapes: len(g.Shapes)}
 	}
 	return out
 }
 
-// LoadAny loads a snapshot path of either kind as a ShardedEngine: a
-// sharded snapshot directory (detected by it being a directory), or a
-// single GSIR file as a one-shard engine whose global shape ids are the
-// file's own. The recovery report has one entry per shard file either
-// way, so callers handle degradation uniformly.
-func LoadAny(path string) (Searcher, *ShardRecovery, error) {
-	return LoadAnyMode(path, LoadModeHeap)
-}
-
-// LoadAnyMode is LoadAny with an explicit per-file open strategy; see
-// LoadMode.
+// LoadAnyMode opens a snapshot path of either kind as a ShardedEngine,
+// each file under mode (see LoadMode): a sharded snapshot directory
+// (detected by it being a directory), or a single GSIR file as a one-shard
+// engine whose global shape ids are the file's own. The recovery report
+// has one entry per shard file either way, so callers handle degradation
+// uniformly; the entry's Recovery.Format names the file's format.
 func LoadAnyMode(path string, mode LoadMode) (Searcher, *ShardRecovery, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	if st.IsDir() {
-		eng, rec, err := LoadShardedDirMode(path, mode)
+		eng, rec, err := loadShardedDir(path, mode)
 		if err != nil {
 			return nil, nil, err
 		}
