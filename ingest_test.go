@@ -93,116 +93,6 @@ func assertSearchEquivalent(t *testing.T, label string, want Searcher, got *Shar
 	}
 }
 
-// TestIngestEquivalence pins the delta's exactness: a sharded engine
-// frozen over 70% of the base with the remaining 30% live-inserted
-// answers byte-identically to a single engine built over everything —
-// with the delta live, and again after Compact folds it into a frozen
-// shard. Global shape ids must line up too: the delta reserves them in
-// insertion order exactly as a from-scratch build would.
-func TestIngestEquivalence(t *testing.T) {
-	images, queries, sketch := equivBase(t)
-	frozenImgs, liveImgs := splitBase(images)
-	single := buildSingle(t, images)
-
-	for _, shards := range []int{1, 2, 7} {
-		se := buildLive(t, frozenImgs, liveImgs, shards, IngestConfig{})
-		if se.NumImages() != single.NumImages() || se.NumShapes() != single.NumShapes() {
-			t.Fatalf("shards=%d: size mismatch: %d/%d images, %d/%d shapes",
-				shards, se.NumImages(), single.NumImages(), se.NumShapes(), single.NumShapes())
-		}
-		assertSearchEquivalent(t, fmt.Sprintf("shards=%d delta", shards), single, se, queries, sketch)
-
-		if err := se.Compact(); err != nil {
-			t.Fatalf("shards=%d: Compact: %v", shards, err)
-		}
-		st := se.IngestStats()
-		if st.DeltaShapes != 0 || st.SealedShapes != 0 || st.Compactions != 1 {
-			t.Fatalf("shards=%d: post-compaction stats: %+v", shards, st)
-		}
-		assertSearchEquivalent(t, fmt.Sprintf("shards=%d compacted", shards), single, se, queries, sketch)
-	}
-}
-
-// TestIngestDeleteEquivalence checks deletes against a reference engine
-// built without the deleted images. Global ids shift (the live engine
-// keeps reservations for deleted images), so matches compare on
-// (ImageID, Distance) rather than byte-identity.
-func TestIngestDeleteEquivalence(t *testing.T) {
-	images, queries, _ := equivBase(t)
-	frozenImgs, liveImgs := splitBase(images)
-	ctx := context.Background()
-
-	// Delete one frozen image and one delta image.
-	delFrozen := frozenImgs[len(frozenImgs)/2].ID
-	delDelta := liveImgs[len(liveImgs)/2].ID
-
-	var kept []synth.Image
-	for _, im := range images {
-		if im.ID != delFrozen && im.ID != delDelta {
-			kept = append(kept, im)
-		}
-	}
-	ref := buildSingle(t, kept)
-
-	for _, shards := range []int{1, 2, 7} {
-		se := buildLive(t, frozenImgs, liveImgs, shards, IngestConfig{})
-		for _, id := range []int{delFrozen, delDelta} {
-			if err := se.DeleteImage(ctx, id); err != nil {
-				t.Fatalf("shards=%d: DeleteImage(%d): %v", shards, id, err)
-			}
-		}
-		if err := se.DeleteImage(ctx, delFrozen); !errors.Is(err, ErrNoImage) {
-			t.Fatalf("shards=%d: double delete: got %v, want ErrNoImage", shards, err)
-		}
-		if se.NumImages() != ref.NumImages() || se.NumShapes() != ref.NumShapes() {
-			t.Fatalf("shards=%d: size mismatch after delete: %d/%d images, %d/%d shapes",
-				shards, se.NumImages(), ref.NumImages(), se.NumShapes(), ref.NumShapes())
-		}
-		for _, compacted := range []bool{false, true} {
-			if compacted {
-				if err := se.Compact(); err != nil {
-					t.Fatalf("shards=%d: Compact: %v", shards, err)
-				}
-			}
-			label := fmt.Sprintf("shards=%d compacted=%v", shards, compacted)
-			for _, k := range []int{1, 3, se.NumShapes() + 5} {
-				for qi, q := range queries {
-					// ModeExact and ModeAuto run with the tombstone present:
-					// once as a width-1 walk, once with pass 1 fanned out.
-					for _, c := range []struct {
-						mode Mode
-						exec ExecPolicy
-					}{{ModeExact, ExecSequential}, {ModeExact, ExecFanout}, {ModeAuto, ExecSequential}, {ModeAuto, ExecFanout}, {ModeApproximate, ExecAuto}} {
-						mode := c.mode
-						w, err := ref.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode})
-						if err != nil {
-							t.Fatalf("%s: reference q%d: %v", label, qi, err)
-						}
-						g, err := se.Search(ctx, SearchRequest{Query: q, K: k, Mode: mode, Exec: c.exec})
-						if err != nil {
-							t.Fatalf("%s: live q%d: %v", label, qi, err)
-						}
-						if len(w.Matches) != len(g.Matches) {
-							t.Fatalf("%s q%d k=%d %v: %d vs %d matches", label, qi, k, mode, len(g.Matches), len(w.Matches))
-						}
-						for i := range w.Matches {
-							if w.Matches[i].ImageID != g.Matches[i].ImageID || w.Matches[i].Distance != g.Matches[i].Distance {
-								t.Fatalf("%s q%d k=%d %v: match %d diverges: got (%d, %g), want (%d, %g)",
-									label, qi, k, mode, i,
-									g.Matches[i].ImageID, g.Matches[i].Distance,
-									w.Matches[i].ImageID, w.Matches[i].Distance)
-							}
-							if g.Matches[i].ImageID == delFrozen || g.Matches[i].ImageID == delDelta {
-								t.Fatalf("%s q%d: deleted image %d surfaced", label, qi, g.Matches[i].ImageID)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestIngestReinsertAfterDelete exercises the id-reuse path: a deleted
 // image id may be re-inserted with different shapes, gets fresh global
 // ids, and the stale frozen copy never resurfaces — including after the

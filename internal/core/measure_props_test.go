@@ -118,23 +118,3 @@ func TestGeneralizedHausdorffMonotone(t *testing.T) {
 		}
 	}
 }
-
-// Voronoi-accelerated vertex distances must agree with the direct grid
-// evaluation on degenerate inputs too.
-func TestVoronoiMeasureDegenerate(t *testing.T) {
-	// Collinear target shape.
-	line := geom.NewPolyline(geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0))
-	probe := geom.NewPolyline(geom.Pt(0, 1), geom.Pt(3, 1))
-	direct := AvgMinDistVertices(probe, NewBoundaryDist(line))
-	vor := AvgMinDistVerticesVoronoi(probe, line)
-	if math.Abs(direct-vor) > 1e-9 {
-		t.Errorf("collinear: direct %v != voronoi %v", direct, vor)
-	}
-	// Two-vertex target.
-	seg := geom.NewPolyline(geom.Pt(0, 0), geom.Pt(2, 2))
-	direct = AvgMinDistVertices(probe, NewBoundaryDist(seg))
-	vor = AvgMinDistVerticesVoronoi(probe, seg)
-	if math.Abs(direct-vor) > 1e-9 {
-		t.Errorf("segment: direct %v != voronoi %v", direct, vor)
-	}
-}

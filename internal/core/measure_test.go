@@ -123,19 +123,6 @@ func TestScaleInvarianceAfterNormalization(t *testing.T) {
 	}
 }
 
-func TestVoronoiMeasureMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 20; trial++ {
-		a := randomStar(rng, 5+rng.Intn(15))
-		b := randomStar(rng, 5+rng.Intn(15))
-		direct := AvgMinDistVertices(a, NewBoundaryDist(b))
-		vor := AvgMinDistVerticesVoronoi(a, b)
-		if !almostEq(direct, vor, 1e-6*(1+direct)) {
-			t.Fatalf("trial %d: direct %v != voronoi %v", trial, direct, vor)
-		}
-	}
-}
-
 func TestDirectedHausdorffAsymmetry(t *testing.T) {
 	// A long segment vs a short one: h(long, short) > h(short, long).
 	long := geom.NewPolyline(geom.Pt(0, 0), geom.Pt(10, 0))

@@ -57,9 +57,6 @@ func (s Segment) ClosestPoint(p Point) Point { return s.At(s.ClosestParam(p)) }
 // DistToPoint returns the Euclidean distance from p to segment s.
 func (s Segment) DistToPoint(p Point) float64 { return p.Dist(s.ClosestPoint(p)) }
 
-// Dist2ToPoint returns the squared distance from p to segment s.
-func (s Segment) Dist2ToPoint(p Point) float64 { return p.Dist2(s.ClosestPoint(p)) }
-
 // DistToSegment returns the minimum distance between segments s and t.
 // It is zero when the segments intersect.
 func (s Segment) DistToSegment(t Segment) float64 {

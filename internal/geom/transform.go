@@ -46,11 +46,6 @@ func (t Transform) appendApplied(dst, pts []Point, s, c float64) []Point {
 	return dst
 }
 
-// ApplySegment maps both endpoints of s through t.
-func (t Transform) ApplySegment(s Segment) Segment {
-	return Segment{t.Apply(s.A), t.Apply(s.B)}
-}
-
 // Compose returns the transform equivalent to applying t first and then u:
 // Compose(u, t).Apply(p) == u.Apply(t.Apply(p)).
 func Compose(u, t Transform) Transform {

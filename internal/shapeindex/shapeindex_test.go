@@ -3,7 +3,6 @@ package shapeindex
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -84,101 +83,6 @@ func TestSegmentGridPolygonBoundary(t *testing.T) {
 	if d := g.Dist(geom.Pt(2, 0)); !almostEq(d, 0, 1e-12) {
 		t.Errorf("boundary dist = %v", d)
 	}
-}
-
-func TestPointKDEmptyAndSingle(t *testing.T) {
-	empty := NewPointKD(nil)
-	if i, d := empty.Nearest(geom.Pt(0, 0)); i != -1 || !math.IsInf(d, 1) {
-		t.Errorf("empty Nearest = %d, %v", i, d)
-	}
-	if got := empty.KNearest(geom.Pt(0, 0), 3); got != nil {
-		t.Errorf("empty KNearest = %v", got)
-	}
-	one := NewPointKD([]geom.Point{geom.Pt(1, 1)})
-	if i, d := one.Nearest(geom.Pt(4, 5)); i != 0 || !almostEq(d, 5, 1e-12) {
-		t.Errorf("single Nearest = %d, %v", i, d)
-	}
-}
-
-func TestPointKDMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 8; trial++ {
-		n := 1 + rng.Intn(500)
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			pts[i] = geom.Pt(rng.NormFloat64()*10, rng.NormFloat64()*10)
-		}
-		kd := NewPointKD(pts)
-		for q := 0; q < 100; q++ {
-			p := geom.Pt(rng.NormFloat64()*12, rng.NormFloat64()*12)
-			gi, gd := kd.Nearest(p)
-			_, bd := bruteNearestPt(pts, p)
-			if !almostEq(gd, bd, 1e-9*(1+bd)) {
-				t.Fatalf("trial %d: kd %v != brute %v", trial, gd, bd)
-			}
-			if !almostEq(p.Dist(pts[gi]), gd, 1e-9) {
-				t.Fatalf("trial %d: returned id %d inconsistent", trial, gi)
-			}
-		}
-	}
-}
-
-func TestPointKDKNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	n := 200
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*10, rng.Float64()*10)
-	}
-	kd := NewPointKD(pts)
-	for q := 0; q < 30; q++ {
-		p := geom.Pt(rng.Float64()*10, rng.Float64()*10)
-		k := 1 + rng.Intn(12)
-		got := kd.KNearest(p, k)
-		if len(got) != k {
-			t.Fatalf("KNearest returned %d of %d", len(got), k)
-		}
-		want := bruteKNearest(pts, p, k)
-		for i := range want {
-			// Compare by distance (ties may permute indices).
-			if !almostEq(p.Dist(pts[got[i]]), p.Dist(pts[want[i]]), 1e-9) {
-				t.Fatalf("k=%d position %d: got d=%v want d=%v", k, i,
-					p.Dist(pts[got[i]]), p.Dist(pts[want[i]]))
-			}
-		}
-		// Ordered by increasing distance.
-		for i := 1; i < len(got); i++ {
-			if p.Dist(pts[got[i-1]]) > p.Dist(pts[got[i]])+1e-12 {
-				t.Fatalf("KNearest not sorted at %d", i)
-			}
-		}
-	}
-	// k larger than the tree.
-	if got := kd.KNearest(geom.Pt(0, 0), n+50); len(got) != n {
-		t.Errorf("oversized k returned %d", len(got))
-	}
-}
-
-func bruteNearestPt(pts []geom.Point, q geom.Point) (int, float64) {
-	best, bd := -1, math.Inf(1)
-	for i, p := range pts {
-		if d := q.Dist(p); d < bd {
-			best, bd = i, d
-		}
-	}
-	return best, bd
-}
-
-func bruteKNearest(pts []geom.Point, q geom.Point, k int) []int {
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return q.Dist2(pts[idx[a]]) < q.Dist2(pts[idx[b]]) })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }
 
 // Property: grid nearest distance equals brute force on random inputs.

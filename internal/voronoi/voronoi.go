@@ -1,5 +1,6 @@
-// Package voronoi builds the Voronoi diagram of a set of point sites and
-// answers nearest-site queries on it.
+// Package voronoi builds the Voronoi diagram of a set of point sites,
+// answers nearest-site queries on it, and evaluates the vertex-averaged
+// measure through it (AvgMinDistVertices).
 //
 // The matching algorithm of the paper (§2.5) computes the similarity
 // measure with the help of the Voronoi diagram of the query shape, which

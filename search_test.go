@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/synth"
 )
 
@@ -280,57 +281,92 @@ func TestPrepareOncePerRequest(t *testing.T) {
 	}
 }
 
-// TestAutoIsExact pins ModeAuto's contract: it answers what ModeExact
-// answers, and the hash table never answers it. On demo-200 the queries
-// are 30 unmatched stars (3–12 points, noise 0.3: no stored shape lies
-// near them), 30 stored shapes distorted 0.02, and one k larger than the
-// live shapes; the engines are an Engine, 8 shards, and 8 shards with a
-// live delta (an inserted image and a tombstoned frozen one).
-func TestAutoIsExact(t *testing.T) {
+// TestExecAutoLoadGauge proves the load signal steers the plan: an idle
+// request over several shards fans out, while a request arriving with
+// the engine saturated is planned sequentially — and both return the
+// same matches.
+func TestExecAutoLoadGauge(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	se := buildShardedFrom(t, images, 4)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 	ctx := context.Background()
-	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
-	rng := rand.New(rand.NewSource(41))
-	var queries []Shape
-	for range 30 {
-		queries = append(queries, synth.Star(rng, 3+rng.Intn(10), 0.3))
+	req := SearchRequest{Query: queries[0], K: 3, Mode: ModeExact}
+
+	before := se.SchedStats()
+	if before.InFlight != 0 {
+		t.Fatalf("idle gauge = %d, want 0", before.InFlight)
 	}
-	queries = append(queries, synth.Queries(rng, images, 30, 0.02)...)
-	live := buildShardedFrom(t, images, 8)
-	enableIngest(t, live, t.TempDir(), IngestConfig{})
-	if err := live.DeleteImage(ctx, images[0].ID); err != nil {
+	idle, err := se.Search(ctx, req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.InsertImage(ctx, 9001, []Shape{synth.Distort(rng, queries[30], 0.005)}); err != nil {
+	after := se.SchedStats()
+	if after.PlansFanout != before.PlansFanout+1 || after.PlansSequential != before.PlansSequential {
+		t.Fatalf("idle request planned (%d fanout, %d sequential) → (%d, %d); want a fan-out plan",
+			before.PlansFanout, before.PlansSequential, after.PlansFanout, after.PlansSequential)
+	}
+
+	// Saturate the gauge as 64 concurrent requests would, then search.
+	releases := make([]func(), 64)
+	for i := range releases {
+		releases[i] = se.sched.Enter()
+	}
+	before = se.SchedStats()
+	if before.InFlight != 64 {
+		t.Fatalf("held gauge = %d, want 64", before.InFlight)
+	}
+	loaded, err := se.Search(ctx, req)
+	for _, release := range releases {
+		release()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		eng  interface {
-			Searcher
-			NumShapes() int
-		}
+	after = se.SchedStats()
+	if after.PlansSequential != before.PlansSequential+1 || after.PlansFanout != before.PlansFanout {
+		t.Fatalf("loaded request planned (%d fanout, %d sequential) → (%d, %d); want a sequential plan",
+			before.PlansFanout, before.PlansSequential, after.PlansFanout, after.PlansSequential)
+	}
+	if got := se.SchedStats().InFlight; got != 0 {
+		t.Fatalf("gauge after releases = %d, want 0", got)
+	}
+	assertMatchesEqual(t, "idle vs loaded", idle.Matches, loaded.Matches)
+}
+
+// TestExecPlan pins how a request's knobs resolve to a scheduler plan.
+func TestExecPlan(t *testing.T) {
+	cases := []struct {
+		name    string
+		req     SearchRequest
+		wantPol sched.Policy
+		wantCap int
 	}{
-		{"engine", buildSingle(t, images)},
-		{"8 shards", buildShardedFrom(t, images, 8)},
-		{"8 shards live", live},
-	} {
-		diverged := 0
-		for qi, q := range queries {
-			ks := []int{5}
-			if qi == 30 {
-				ks = append(ks, tc.eng.NumShapes()+1)
-			}
-			for _, k := range ks {
-				exact := mustSearch(t, tc.eng, SearchRequest{Query: q, K: k, Mode: ModeExact})
-				auto := mustSearch(t, tc.eng, SearchRequest{Query: q, K: k, Mode: ModeAuto})
-				if auto.Stats.UsedHashing || !reflect.DeepEqual(auto.Matches, exact.Matches) {
-					diverged++
-					t.Errorf("%s q%d k=%d: ModeAuto (used hashing %v) diverges from ModeExact", tc.name, qi, k, auto.Stats.UsedHashing)
-				}
-			}
+		{"zero request", SearchRequest{}, sched.Auto, 0},
+		{"auto capped", SearchRequest{MaxWorkers: 2}, sched.Auto, 2},
+		{"fanout capped", SearchRequest{Exec: ExecFanout, MaxWorkers: 5}, sched.Fanout, 5},
+		{"sequential", SearchRequest{Exec: ExecSequential, MaxWorkers: 9}, sched.Sequential, 9},
+	}
+	for _, tc := range cases {
+		pol, maxw := tc.req.execPlan()
+		if pol != tc.wantPol || maxw != tc.wantCap {
+			t.Errorf("%s: execPlan() = (%v, %d), want (%v, %d)", tc.name, pol, maxw, tc.wantPol, tc.wantCap)
 		}
-		if diverged > 0 {
-			t.Errorf("%s: %d of %d requests diverge", tc.name, diverged, len(queries)+1)
+	}
+}
+
+// TestParseExecPolicy round-trips the wire names.
+func TestParseExecPolicy(t *testing.T) {
+	for _, pol := range []ExecPolicy{ExecAuto, ExecFanout, ExecSequential} {
+		got, err := ParseExecPolicy(pol.String())
+		if err != nil || got != pol {
+			t.Errorf("ParseExecPolicy(%q) = (%v, %v), want (%v, nil)", pol.String(), got, err, pol)
 		}
+	}
+	if got, err := ParseExecPolicy(""); err != nil || got != ExecAuto {
+		t.Errorf("ParseExecPolicy(\"\") = (%v, %v), want (ExecAuto, nil)", got, err)
+	}
+	if _, err := ParseExecPolicy("bogus"); err == nil {
+		t.Error("ParseExecPolicy(\"bogus\") succeeded, want error")
 	}
 }

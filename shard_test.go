@@ -2,7 +2,6 @@ package geosir
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -91,67 +90,6 @@ func buildShardedFrom(t testing.TB, images []synth.Image, shards int) *ShardedEn
 		t.Fatal(err)
 	}
 	return se
-}
-
-// TestShardedEquivalence is the suite the tentpole's exactness claim
-// rests on: over the same seeded random base, ShardedEngine.Search
-// returns byte-identical matches and ordering to a single Engine, for
-// shard counts {1, 2, 7}, k ∈ {0, 1, many}, and every mode. k = 0 must
-// fail identically (ErrBadK) on both. Run under -race this also
-// exercises the fan-out concurrency.
-func TestShardedEquivalence(t *testing.T) {
-	images, queries, sketch := equivBase(t)
-	single := buildSingle(t, images)
-	ctx := context.Background()
-	many := single.NumShapes() + 5
-	t.Logf("base: %d images, %d shapes", single.NumImages(), single.NumShapes())
-
-	for _, shards := range []int{1, 2, 7} {
-		se := buildShardedFrom(t, images, shards)
-		if se.NumShapes() != single.NumShapes() || se.NumImages() != single.NumImages() {
-			t.Fatalf("shards=%d: size mismatch: %d/%d shapes, %d/%d images",
-				shards, se.NumShapes(), single.NumShapes(), se.NumImages(), single.NumImages())
-		}
-
-		// k = 0 fails identically on both engines.
-		_, errSingle := single.Search(ctx, SearchRequest{Query: queries[0], K: 0})
-		_, errSharded := se.Search(ctx, SearchRequest{Query: queries[0], K: 0})
-		if !errors.Is(errSingle, ErrBadK) || !errors.Is(errSharded, ErrBadK) {
-			t.Fatalf("shards=%d: k=0 errors diverge: single %v, sharded %v", shards, errSingle, errSharded)
-		}
-
-		for _, k := range []int{1, 3, many} {
-			for qi, q := range queries {
-				for _, mode := range []Mode{ModeAuto, ModeExact, ModeApproximate} {
-					req := SearchRequest{Query: q, K: k, Mode: mode}
-					want, err := single.Search(ctx, req)
-					if err != nil {
-						t.Fatalf("single q%d k=%d %v: %v", qi, k, mode, err)
-					}
-					got, err := se.Search(ctx, req)
-					if err != nil {
-						t.Fatalf("shards=%d q%d k=%d %v: %v", shards, qi, k, mode, err)
-					}
-					label := mode.String()
-					assertMatchesEqual(t, label, want.Matches, got.Matches)
-					if got.Stats.UsedHashing != want.Stats.UsedHashing {
-						t.Fatalf("shards=%d q%d k=%d %s: UsedHashing diverges (%v vs %v)",
-							shards, qi, k, label, got.Stats.UsedHashing, want.Stats.UsedHashing)
-					}
-				}
-			}
-			req := SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch}
-			want, err := single.Search(ctx, req)
-			if err != nil {
-				t.Fatalf("single sketch k=%d: %v", k, err)
-			}
-			got, err := se.Search(ctx, req)
-			if err != nil {
-				t.Fatalf("shards=%d sketch k=%d: %v", shards, k, err)
-			}
-			assertSketchEqual(t, "sketch", want.SketchMatches, got.SketchMatches)
-		}
-	}
 }
 
 // TestShardedGlobalIDsMatchSingle verifies the id mapping directly:
