@@ -38,17 +38,23 @@ race:
 # the arrays they share (SearchView: a captured view searched beside the
 # writers).
 #
+# The model harness's tests (PROCS_MODEL, model_test.go) set GOMAXPROCS 1
+# and 2 themselves, so they run once, beside the settings' two runs.
+#
 # `go test -run` passes when nothing matches, so a renamed suite would
 # drop out silently: the target first fails unless every package lists a
-# test the pattern selects.
+# test each pattern selects (-list does not apply -skip, hence the grep).
 PROCS_RUN := 'Equivalence|BoundFirst|Delta|SearchView|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological'
+PROCS_MODEL := '^Test(ExecEquivalence|ShardedEquivalence|ShardedMmapEquivalence|IngestEquivalence|IngestDeleteEquivalence|BoundFirstEquivalence|BucketOrderInvariance|ManySegmentQueryIsScanTopK|ShortBucketExactIsScanTopK)$$'
 PROCS_PKGS := . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex
 test-procs:
 	@for pkg in $(PROCS_PKGS); do \
-		$(GO) test -list $(PROCS_RUN) $$pkg | grep -q '^Test' || { echo "test-procs: no test of $$pkg matches $(PROCS_RUN)"; exit 1; }; \
+		$(GO) test -list $(PROCS_RUN) $$pkg | grep '^Test' | grep -qvE $(PROCS_MODEL) || { echo "test-procs: no test of $$pkg matches $(PROCS_RUN)"; exit 1; }; \
 	done
-	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) $(PROCS_PKGS)
-	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) $(PROCS_PKGS)
+	@$(GO) test -list $(PROCS_MODEL) . | grep -q '^Test' || { echo "test-procs: no test of . matches $(PROCS_MODEL)"; exit 1; }
+	GOMAXPROCS=1 $(GO) test -count=1 -run $(PROCS_RUN) -skip $(PROCS_MODEL) $(PROCS_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=1 -run $(PROCS_RUN) -skip $(PROCS_MODEL) $(PROCS_PKGS)
+	$(GO) test -count=1 -run $(PROCS_MODEL) .
 
 # The geosir_purego build links no unsafe code: mmap.Cast always declines,
 # so the codec's portable branch (encoding/binary) is the only decoder and

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -332,14 +333,17 @@ func BenchmarkMatch_Scaling_50images(b *testing.B)  { benchmarkMatchAtScale(b, 0
 func BenchmarkMatch_Scaling_100images(b *testing.B) { benchmarkMatchAtScale(b, 0.01) }
 func BenchmarkMatch_Scaling_200images(b *testing.B) { benchmarkMatchAtScale(b, 0.02) }
 
-// BenchmarkSearchDistance times the exact search as it is served —
-// Search in ModeExact, k = 5, over the 200-image base — by how far the
-// query's neighbours lie: 64 fixed queries a row, stored shapes distorted
-// 0.01 and 0.05, and unmatched stars (3–12 points, noise 0.3), on one
-// Engine, and the 0.01 row again on 8 shards (the serving default). The
-// search's cost follows the k-th neighbour's distance, so each row reports
-// ns/op and the copies that reached the exact evaluator (candidates/op),
-// and B/op: what a request leaves to the collector.
+// BenchmarkSearchDistance times the search as it is served — Search,
+// k = 5, over the 200-image base — by how far the query's neighbours lie:
+// 64 fixed queries a row, stored shapes distorted 0.01 and 0.05, and
+// unmatched stars (3–12 points, noise 0.3), on one Engine, and the 0.01 row
+// again on 8 shards (the serving default). One op is the row's whole list,
+// so -benchtime=1x runs every query. A row reports ns and the copies that
+// reached the exact evaluator per query, and B/op; ModeExact's cost follows
+// the k-th neighbour's distance. Each row's approximate twin also holds
+// ModeApproximate to ModeExact's answers, worked out off the clock:
+// recall@5, the mean 5th-distance ratio over the answers with five
+// (ratio@5), and the answers with fewer (short).
 func BenchmarkSearchDistance(b *testing.B) {
 	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
 	eng := buildSingle(b, images)
@@ -349,6 +353,7 @@ func BenchmarkSearchDistance(b *testing.B) {
 		stars[i] = synth.Star(rng, 3+rng.Intn(10), 0.3)
 	}
 	near := synth.Queries(rng, images, 64, 0.01)
+	const k = 5
 	for _, row := range []struct {
 		name    string
 		s       Searcher
@@ -359,19 +364,51 @@ func BenchmarkSearchDistance(b *testing.B) {
 		{"star", eng, stars},
 		{"8shards/distortion0.01", buildShardedFrom(b, images, 8), near},
 	} {
-		b.Run(row.name, func(b *testing.B) {
-			b.ReportAllocs()
-			ctx := context.Background()
-			var candidates int
-			for i := 0; i < b.N; i++ {
-				resp, err := row.s.Search(ctx, SearchRequest{Query: row.queries[i%len(row.queries)], K: 5, Mode: ModeExact})
-				if err != nil {
-					b.Fatal(err)
+		for _, mode := range []Mode{ModeExact, ModeApproximate} {
+			b.Run(row.name+map[Mode]string{ModeApproximate: "/approximate"}[mode], func(b *testing.B) {
+				candidates := 0
+				search := func(mode Mode) (answers [][]Match) {
+					for _, q := range row.queries {
+						resp, err := row.s.Search(context.Background(), SearchRequest{Query: q, K: k, Mode: mode})
+						if err != nil {
+							b.Fatal(err)
+						}
+						answers, candidates = append(answers, resp.Matches), candidates+resp.Stats.Candidates
+					}
+					return answers
 				}
-				candidates += resp.Stats.Candidates
-			}
-			b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
-		})
+				var exact, answers [][]Match
+				if mode == ModeApproximate {
+					exact, candidates = search(ModeExact), 0 // off the clock and uncounted
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					answers = search(mode)
+				}
+				queries := float64(b.N * len(row.queries))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/queries, "ns/query")
+				b.ReportMetric(float64(candidates)/queries, "candidates/query")
+				if exact == nil {
+					return
+				}
+				found, ratio, full := 0, 0.0, 0
+				for qi, got := range answers {
+					for _, m := range got {
+						if slices.ContainsFunc(exact[qi], func(e Match) bool { return e.ShapeID == m.ShapeID }) {
+							found++
+						}
+					}
+					if len(got) == k {
+						ratio += got[k-1].Distance / exact[qi][k-1].Distance
+						full++
+					}
+				}
+				b.ReportMetric(float64(found)/float64(k*len(answers)), "recall@5")
+				b.ReportMetric(ratio/float64(full), "ratio@5")
+				b.ReportMetric(float64(len(answers)-full), "short")
+			})
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -130,9 +131,9 @@ func TestBoundFirstFitRule(t *testing.T) {
 // match there is); then the writers insert images, delete that copy and a
 // frozen image, compact, and insert more. At 1 and 7 shards, searches over
 // the captured view — while the writers run and after — answer in every
-// mode as an engine rebuilt over the images as of capture, compared on
-// image, distance and continuous distance (global ids shift across a
-// rebuild), and the engine's own searches move on.
+// mode as an engine rebuilt over the images as of capture, its shape ids
+// mapped to the ones the reservation rule gives (reserved), and the
+// engine's own searches move on.
 func TestSearchViewIsASnapshot(t *testing.T) {
 	images, queries, sketch := equivBase(t)
 	ctx := context.Background()
@@ -141,6 +142,8 @@ func TestSearchViewIsASnapshot(t *testing.T) {
 	asOfCapture := append(images[1:len(images):len(images)],
 		synth.Image{ID: 9003, Shapes: []Shape{q.Clone()}},
 		synth.Image{ID: 9004, Shapes: []Shape{queries[1].Clone(), synth.Distort(rand.New(rand.NewSource(7)), q, 0.002)}})
+	inserted := append([]synth.Image{{ID: 9002, Shapes: []Shape{q.Clone()}}}, asOfCapture[len(asOfCapture)-2:]...)
+	ids := reserved(slices.Concat(images, inserted), asOfCapture)
 	rebuilt := buildSingle(t, asOfCapture)
 	reqs := []SearchRequest{{Query: q, K: k, Mode: ModeExact}, {Query: q, K: k, Mode: ModeAuto},
 		{Query: queries[1], K: k, Mode: ModeApproximate},
@@ -148,17 +151,9 @@ func TestSearchViewIsASnapshot(t *testing.T) {
 	want := make([]*SearchResponse, len(reqs))
 	for i, req := range reqs {
 		want[i] = mustSearch(t, rebuilt, req)
-	}
-	same := func(got, want []Match) bool {
-		if len(got) != len(want) {
-			return false
+		for j, m := range want[i].Matches {
+			want[i].Matches[j].ShapeID = ids[m.ShapeID]
 		}
-		for i := range got {
-			if got[i].ImageID != want[i].ImageID || got[i].Distance != want[i].Distance || got[i].ContinuousDistance != want[i].ContinuousDistance {
-				return false
-			}
-		}
-		return true
 	}
 	for _, shards := range []int{1, 7} {
 		se := buildShardedFrom(t, images, shards)
@@ -166,7 +161,7 @@ func TestSearchViewIsASnapshot(t *testing.T) {
 		if err := se.DeleteImage(ctx, images[0].ID); err != nil {
 			t.Fatal(err)
 		}
-		for _, im := range append([]synth.Image{{ID: 9002, Shapes: []Shape{q.Clone()}}}, asOfCapture[len(asOfCapture)-2:]...) {
+		for _, im := range inserted {
 			if err := se.InsertImage(ctx, im.ID, im.Shapes); err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +178,7 @@ func TestSearchViewIsASnapshot(t *testing.T) {
 					t.Errorf("shards=%d %s %v: %v", shards, label, req.Mode, err)
 					return
 				}
-				if !same(got.Matches, want[i].Matches) || !reflect.DeepEqual(got.SketchMatches, want[i].SketchMatches) {
+				if !reflect.DeepEqual(got.Matches, want[i].Matches) || !reflect.DeepEqual(got.SketchMatches, want[i].SketchMatches) {
 					t.Errorf("shards=%d %s request %d (%v): the captured view answers\n%+v %+v\nthe images as of capture\n%+v %+v",
 						shards, label, i, req.Mode, got.Matches, got.SketchMatches, want[i].Matches, want[i].SketchMatches)
 					return
@@ -223,7 +218,7 @@ func TestSearchViewIsASnapshot(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, werr)
 		}
 		check("after the writes")
-		if got := mustSearch(t, se, reqs[0]).Matches; same(got, want[0].Matches) || got[0].ImageID != 9005 {
+		if got := mustSearch(t, se, reqs[0]).Matches; reflect.DeepEqual(got, want[0].Matches) || got[0].ImageID != 9005 {
 			t.Fatalf("shards=%d: the engine's own search did not move on: %+v", shards, got)
 		}
 	}

@@ -106,16 +106,28 @@ func fillBase(adder imageAdder, basePath string, demo int, seed int64) error {
 	return fmt.Errorf("need -base FILE or -demo N")
 }
 
-// storedPoly fetches a stored shape's polygon by global shape id.
-func storedPoly(eng *geosir.ShardedEngine, id int) (geosir.Shape, error) {
-	if id < 0 || id >= eng.NumShapes() {
-		return geosir.Shape{}, fmt.Errorf("shape id %d out of range [0,%d)", id, eng.NumShapes())
+// shapeLog passes images on to an engine and keeps their shapes in
+// AddImage order: global shape ids are that order, so shapes[N] is the
+// shape the engine names N.
+type shapeLog struct {
+	imageAdder
+	shapes []geosir.Shape
+}
+
+func (l *shapeLog) AddImage(imageID int, shapes []geosir.Shape) error {
+	if err := l.imageAdder.AddImage(imageID, shapes); err != nil {
+		return err
 	}
-	shard, local, ok := eng.IDMap().Locate(id)
-	if !ok {
-		return geosir.Shape{}, fmt.Errorf("shape id %d not present (dropped shard?)", id)
+	l.shapes = append(l.shapes, shapes...)
+	return nil
+}
+
+// storedPoly returns the stored shape of global id id.
+func storedPoly(shapes []geosir.Shape, id int) (geosir.Shape, error) {
+	if id < 0 || id >= len(shapes) {
+		return geosir.Shape{}, fmt.Errorf("shape id %d out of range [0,%d)", id, len(shapes))
 	}
-	return eng.Shard(shard).Base().Shape(int(local)).Poly, nil
+	return shapes[id], nil
 }
 
 // printStats prints each shard's hash table, then the GSIR3 section table
@@ -167,7 +179,8 @@ func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 		return err
 	}
 	eng := geosir.NewSharded(geosir.DefaultOptions(), shards)
-	if err := fillBase(eng, basePath, demo, seed); err != nil {
+	base := &shapeLog{imageAdder: eng}
+	if err := fillBase(base, basePath, demo, seed); err != nil {
 		return err
 	}
 	if err := eng.Freeze(); err != nil {
@@ -203,7 +216,7 @@ func run(basePath string, demo int, seed int64, queryStr string, queryOpen bool,
 			return err
 		}
 	case queryShape >= 0:
-		src, err := storedPoly(eng, queryShape)
+		src, err := storedPoly(base.shapes, queryShape)
 		if err != nil {
 			return err
 		}

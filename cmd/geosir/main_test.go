@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 )
 
 func TestParseShape(t *testing.T) {
@@ -126,13 +128,25 @@ func TestLoadBaseErrors(t *testing.T) {
 }
 
 func TestRunDemoPath(t *testing.T) {
-	// End-to-end: demo base, query by stored shape id.
-	if err := run("", 15, 3, "", false, 2, 2, "", "", false, 1, "off"); err != nil {
-		t.Fatalf("demo run: %v", err)
+	// End-to-end: demo base, query by stored shape id n over 1 and 3 shards,
+	// n the first shape off shard 0 of 3 whose local id there is not n.
+	single := geosir.New(geosir.DefaultOptions())
+	if err := fillBase(single, "", 15, 3); err != nil {
+		t.Fatal(err)
 	}
-	// Same demo over a sharded engine.
-	if err := run("", 15, 3, "", false, 2, 2, "", "", false, 3, "off"); err != nil {
-		t.Fatalf("sharded demo run: %v", err)
+	n, local := -1, make([]int, 3)
+	for id, s := range single.Base().Shapes() {
+		shard := core.ShardFor(s.Image, 3)
+		if n < 0 && shard != 0 && local[shard] != id {
+			n = id
+		}
+		local[shard]++
+	}
+	for _, shards := range []int{1, 3} {
+		out := captureStdout(t, func() error { return run("", 15, 3, "", false, n, 2, "", "", false, shards, "off") })
+		if !strings.Contains(out, fmt.Sprintf("#1 shape %d ", n)) {
+			t.Fatalf("-query-shape %d over %d shards: top match is not shape %d:\n%s", n, shards, n, out)
+		}
 	}
 	// Stats mode, both engine kinds: the GSIR3 section table lists the cell
 	// row, and no copy's vertices, offsets or transforms, and no ANN

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -115,10 +116,8 @@ type ingestor struct {
 	// sealSeq is the watermark a running (or failed, retryable)
 	// compaction is folding up to; meaningful while view.sealed != nil.
 	sealSeq uint64
-	// frozenIdx maps an image id to its latest manifest-log index;
-	// gidStart[i] is order[i]'s first global id (prefix sums).
+	// frozenIdx maps an image id to its latest image-log index.
 	frozenIdx map[int]int
-	gidStart  []int
 	// closed is set (under both compactMu and mu) by CloseIngest;
 	// mutations and compactions against a closed ingestor fail with
 	// ErrIngestOff instead of touching the detached WAL or manifest.
@@ -190,9 +189,9 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 		return err
 	}
 	v := se.view.Load()
-	if man.Shards != len(v.shards) || len(man.Images) != len(v.order) {
+	if man.Shards != len(v.shards) || len(man.Images) != len(v.log.images) {
 		return fmt.Errorf("geosir: ingest: snapshot dir %q does not match engine (%d/%d shards, %d/%d images)",
-			cfg.Dir, man.Shards, len(v.shards), len(man.Images), len(v.order))
+			cfg.Dir, man.Shards, len(v.shards), len(man.Images), len(v.log.images))
 	}
 	if cfg.CompactThreshold == 0 {
 		cfg.CompactThreshold = DefaultCompactThreshold
@@ -207,7 +206,7 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	}
 	g.wal = wal
 	g.walTorn = torn
-	active, err := g.newDelta(v.smap.NumGlobal())
+	active, err := g.newDelta(v.log.next())
 	if err != nil {
 		wal.Close()
 		return err
@@ -237,24 +236,20 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	return nil
 }
 
-// rebuildIndexLocked refreshes the manifest-log lookup structures from
-// a view. Caller holds mu (or is still single-threaded in setup).
+// rebuildIndexLocked refreshes the image-log lookup from a view. Caller
+// holds mu (or is still single-threaded in setup).
 func (g *ingestor) rebuildIndexLocked(v *shardView) {
-	g.frozenIdx = make(map[int]int, len(v.order))
-	g.gidStart = make([]int, len(v.order))
-	gid := 0
-	for i, im := range v.order {
+	g.frozenIdx = make(map[int]int, len(v.log.images))
+	for i, im := range v.log.images {
 		g.frozenIdx[im.ID] = i
-		g.gidStart[i] = gid
-		gid += im.Shapes
 	}
 }
 
-// frozenLive reports whether the image id's latest manifest-log entry
-// is a live, physically-present frozen copy.
+// frozenLive reports whether the image id's latest image-log entry is a
+// live, physically-present frozen copy.
 func (g *ingestor) frozenLive(v *shardView, image int) bool {
 	i, ok := g.frozenIdx[image]
-	return ok && !v.order[i].Deleted && v.order[i].Shard >= 0
+	return ok && !v.log.images[i].Deleted && v.log.images[i].Shard >= 0
 }
 
 // applyReplay re-applies one WAL operation during EnableIngest.
@@ -394,21 +389,19 @@ func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 }
 
 // deleteFrozenLocked tombstones a frozen image by publishing a
-// successor view: the manifest-log entry flips to Deleted, and the
-// image's shapes join a fresh copy of its shard's dead set. The shard
-// file itself is untouched. Caller holds mu and has verified frozenLive.
+// successor view: the image-log entry flips to Deleted, and the image's
+// shapes join a fresh copy of its shard's dead set. The shard file
+// itself is untouched. Caller holds mu and has verified frozenLive.
 func (g *ingestor) deleteFrozenLocked(imageID int) {
 	v := g.se.view.Load()
 	idx := g.frozenIdx[imageID]
-	im := v.order[idx]
-
-	norder := append([]shardImage(nil), v.order...)
-	norder[idx].Deleted = true
+	im := v.log.images[idx]
 
 	nv := *v
-	nv.order = norder
+	nv.log.images = slices.Clone(v.log.images)
+	nv.log.images[idx].Deleted = true
 	nv.deadShapes = cowDead(v.deadShapes, len(v.shards), im.Shard)
-	nv.markDead(im, g.gidStart[idx])
+	nv.markDead(im)
 	g.se.view.Store(&nv)
 }
 
@@ -536,29 +529,23 @@ func (se *ShardedEngine) Compact() error {
 		return ErrIngestOff
 	}
 	cur := se.view.Load()
-	extra := 0
+	nshards, extra := cur.shards, 0
 	if eng != nil {
-		extra = 1
+		nshards, extra = append(slices.Clip(cur.shards), eng), 1
 	}
-	nshards := cur.shards
-	if eng != nil {
-		nshards = append(append([]*Engine(nil), cur.shards...), eng)
-	}
-	nsmap := cur.smap.CloneGrow(extra)
-	norder := append([]shardImage(nil), cur.order...)
+	nlog := cur.log.grow(extra)
+	// The new shard adds the live images in the sealed delta's order, so
+	// their local ids there are the ones place gives them.
 	for _, st := range snap {
+		shard := newShard
 		if st.Deleted {
-			nsmap.Skip(st.NumShapes)
-			norder = append(norder, shardImage{ID: st.ID, Shapes: st.NumShapes, Shard: -1, Deleted: true})
-		} else {
-			nsmap.AssignImage(newShard, st.NumShapes)
-			norder = append(norder, shardImage{ID: st.ID, Shapes: st.NumShapes, Shard: newShard})
+			shard = -1
 		}
+		nlog.place(st.ID, st.NumShapes, shard, st.Deleted)
 	}
 	nv := &shardView{
 		shards: nshards,
-		smap:   nsmap,
-		order:  norder,
+		log:    nlog,
 		gen:    cur.gen + 1,
 		active: cur.active,
 		// The new shard holds live images only and the others keep their

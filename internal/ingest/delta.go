@@ -55,7 +55,7 @@ type ImageState struct {
 }
 
 // NewDelta creates an empty delta. gidBase is the engine's current
-// global-id high-water mark (core.ShardMap.NumGlobal plus any earlier
+// global-id high-water mark (the image log's next id plus any earlier
 // deltas' reservations); opts and hashCurves must be the frozen shards'
 // (for result and bucket identity).
 func NewDelta(opts query.Options, hashCurves, gidBase int) (*Delta, error) {

@@ -40,9 +40,9 @@ import (
 //     TestTombstonedSearchMatchesRebuild, one row each;
 //     TestIngestDeleteEquivalence, the last two rows;
 //     TestShardedSearchDeterministic, the shards row re-run): the model's
-//     exact and approximate matches byte for byte (after a delete, on
-//     image, distance and continuous distance: global ids shift),
-//     ann:approx the target's own parts' ANN candidates and live delta
+//     exact and approximate matches byte for byte, the model's shape ids
+//     mapped by the reservation rule (reserved), ann:approx the target's
+//     own parts' ANN candidates and live delta
 //     shapes ranked (annApproxUnshared), Converged exactly when k fits the
 //     live shapes, and the same response, Stats included, at every exec
 //     width and GOMAXPROCS, from a group's every target (a shard count's
@@ -146,18 +146,22 @@ func newModel(t *testing.T, eng *Engine, queries, sketch []Shape) *model {
 // top is the first k of a ranking.
 func top[S ~[]E, E any](s S, k int) S { return s[:min(k, len(s))] }
 
-// unshift drops the shape ids of ms when shifted: a live engine keeps the
-// global ids of deleted images reserved, so after a delete its ids are not
-// the rebuilt engine's, though their order is.
-func unshift(ms []Match, shifted bool) []Match {
-	if !shifted {
-		return ms
+// reserved maps the ids an Engine over kept gives its shapes to the ids a
+// live engine sent every image of sent, in that order, gives them: each
+// image, deleted or not, reserves its shapes' ids in the order it was sent
+// (DESIGN.md §4.12). kept lists the live images in the order they were
+// sent, so the map is monotone and keeps the model's tie order.
+func reserved(sent, kept []synth.Image) (ids []int) {
+	gid := 0
+	for _, im := range sent {
+		if slices.ContainsFunc(kept, func(k synth.Image) bool { return k.ID == im.ID }) {
+			for i := range im.Shapes {
+				ids = append(ids, gid+i)
+			}
+		}
+		gid += len(im.Shapes)
 	}
-	out := slices.Clone(ms)
-	for i := range out {
-		out[i].ShapeID = 0
-	}
-	return out
+	return ids
 }
 
 // target is one way of holding the model's base. Targets of one group hold
@@ -334,19 +338,26 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 			}
 		}
 	}()
-	checkRow := func(row modelRow, images []synth.Image, shifted bool, targets ...target) {
+	// checkRow holds targets sent the images of sent to the model of kept.
+	checkRow := func(row modelRow, sent, kept []synth.Image, targets ...target) {
 		ran[row] = true
 		t.Run(string(row), func(t *testing.T) {
 			var asked []target
 			for range max(run.rounds, 1) {
 				asked = append(asked, targets...)
 			}
-			checkModel(t, newModel(t, buildSingle(t, images), queries, fx.sketch), shifted, asked, queries, fx.sketch, run)
+			m, ids := newModel(t, buildSingle(t, kept), queries, fx.sketch), reserved(sent, kept)
+			for _, ms := range slices.Concat(m.ranked, m.bucket) {
+				for i := range ms {
+					ms[i].ShapeID = ids[ms[i].ShapeID]
+				}
+			}
+			checkModel(t, m, asked, queries, fx.sketch, run)
 		})
 	}
 
 	if want(rowEngine) {
-		checkRow(rowEngine, fx.images, false, target{"engine", "engine", buildSingle(t, fx.images)})
+		checkRow(rowEngine, fx.images, fx.images, target{"engine", "engine", buildSingle(t, fx.images)})
 	}
 	if want(rowShards, rowReloaded) {
 		var sharded, reloaded []target
@@ -379,10 +390,10 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 			}
 		}
 		if want(rowShards) {
-			checkRow(rowShards, fx.images, false, sharded...)
+			checkRow(rowShards, fx.images, fx.images, sharded...)
 		}
 		if want(rowReloaded) {
-			checkRow(rowReloaded, fx.images, false, reloaded...)
+			checkRow(rowReloaded, fx.images, fx.images, reloaded...)
 		}
 	}
 	if !want(liveRows...) {
@@ -398,6 +409,7 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 	var live *ShardedEngine
 	midRan := false
 	mid := synth.Image{ID: 9005, Shapes: []Shape{fx.queries[3].Clone(), fx.nearFirst}}
+	sent := append(slices.Clone(fx.images), mid) // every image the live engine is sent, in order
 	live = buildLive(t, frozen, inserted, liveShards, IngestConfig{CrashStage: func(stage string) error {
 		if stage != "built" || midRan {
 			return nil
@@ -411,12 +423,12 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 		}
 		kept = append(kept, mid)
 		if want(rowLiveMid) {
-			checkRow(rowLiveMid, kept, true, target{"live", "mid-compaction", live})
+			checkRow(rowLiveMid, sent, kept, target{"live", "mid-compaction", live})
 		}
 		return nil
 	}})
 	if want(rowLiveInserted) {
-		checkRow(rowLiveInserted, fx.images, false, target{"live", "inserted", live})
+		checkRow(rowLiveInserted, fx.images, fx.images, target{"live", "inserted", live})
 	}
 	deleted := slices.Clone(fx.deleted)
 	for _, im := range frozen {
@@ -441,7 +453,7 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 	}
 	kept = slices.DeleteFunc(slices.Clone(fx.images), func(im synth.Image) bool { return slices.Contains(deleted, im.ID) })
 	if want(rowLiveDeleted) {
-		checkRow(rowLiveDeleted, kept, true, target{"live", "deleted", live})
+		checkRow(rowLiveDeleted, fx.images, kept, target{"live", "deleted", live})
 	}
 	// The second compaction folds what the first one's built stage inserted.
 	for range 2 {
@@ -453,7 +465,7 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 		t.Fatalf("after two compactions: %+v (the built stage ran: %v)", st, midRan)
 	}
 	if want(rowLiveCompacted) {
-		checkRow(rowLiveCompacted, kept, true, target{"live", "compacted", live})
+		checkRow(rowLiveCompacted, sent, kept, target{"live", "compacted", live})
 	}
 }
 
@@ -569,7 +581,7 @@ func TestBoundFirstEquivalence(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(101))
 		queries := append([]Shape{sliver, synth.Distort(rng, sliver, 0.01)}, synth.Queries(rng, images[:len(images)-2], 2, 0.01)...)
-		checkModel(t, newModel(t, build(), queries, queries[:2]), false, []target{{"engine", "wide", build()}}, queries, queries[:2],
+		checkModel(t, newModel(t, build(), queries, queries[:2]), []target{{"engine", "wide", build()}}, queries, queries[:2],
 			modelRun{checks: propAll, ks: func(live int) []int { return []int{1, 3, live + 2} }})
 	})
 }
@@ -579,16 +591,12 @@ func TestBoundFirstEquivalence(t *testing.T) {
 // and its ANN tier for k = 3. At GOMAXPROCS 1 the sequential and the auto
 // plan are one worker, so only the capped fan-out runs there; the listing
 // orders run once per group, at GOMAXPROCS 2.
-func checkModel(t *testing.T, m *model, shifted bool, targets []target, queries, sketch []Shape, run modelRun) {
+func checkModel(t *testing.T, m *model, targets []target, queries, sketch []Shape, run modelRun) {
 	ctx := context.Background()
 	live, copies := m.eng.NumShapes(), m.eng.NumEntries()
 	ks := []int{1, 3}
 	if run.ks != nil {
 		ks = run.ks(live)
-	}
-	match := func(label string, want, got []Match) {
-		t.Helper()
-		assertMatchesEqual(t, label, unshift(want, shifted), unshift(got, shifted))
 	}
 	// seen is each group's first answer to a request, which every later
 	// answer of the group must repeat.
@@ -639,8 +647,8 @@ func checkModel(t *testing.T, m *model, shifted bool, targets []target, queries,
 							for _, width := range []int{1, len(v.parts)} {
 								e, a := o.stages(t, v, q, k, width)
 								l := fmt.Sprintf("%s order=%s width=%d", label, o.name, width)
-								match(l+" exact stage", exact, e)
-								match(l+" hashing stage", approx, a)
+								assertMatchesEqual(t, l+" exact stage", exact, e)
+								assertMatchesEqual(t, l+" hashing stage", approx, a)
 							}
 						}
 					}
@@ -657,7 +665,7 @@ func checkModel(t *testing.T, m *model, shifted bool, targets []target, queries,
 							return resp
 						}
 						ex := search(ModeExact, AnnOff)
-						match(at+" exact", exact, ex.Matches)
+						assertMatchesEqual(t, at+" exact", exact, ex.Matches)
 						if st := ex.Stats; st.Converged != (k <= live) || st.VerticesCounted != copies || st.UsedHashing {
 							t.Fatalf("%s exact: %+v; want converged=%v, %d copies floored, no hashing", at, st, k <= live, copies)
 						}
@@ -668,7 +676,7 @@ func checkModel(t *testing.T, m *model, shifted bool, targets []target, queries,
 						}
 						if run.checks&propAnswers != 0 {
 							ap := search(ModeApproximate, AnnOff)
-							match(at+" approximate", approx, ap.Matches)
+							assertMatchesEqual(t, at+" approximate", approx, ap.Matches)
 							if !ap.Stats.UsedHashing {
 								t.Fatalf("%s approximate: the hash table did not answer: %+v", at, ap.Stats)
 							}
@@ -680,7 +688,7 @@ func checkModel(t *testing.T, m *model, shifted bool, targets []target, queries,
 								modes = append(modes, ModeApproximate)
 							}
 							for _, mode := range modes {
-								match(fmt.Sprintf("%s %v ann:approx", at, mode), annRef[ref], search(mode, AnnApprox).Matches)
+								assertMatchesEqual(t, fmt.Sprintf("%s %v ann:approx", at, mode), annRef[ref], search(mode, AnnApprox).Matches)
 							}
 						}
 					}

@@ -221,8 +221,8 @@ func (e *Engine) searchView() searchView {
 }
 
 // part is one independently searchable slice of a view, as a request sees
-// it: a frozen shard or a live delta, behind the view's tombstones and id
-// map. Parts hold disjoint sets of live shapes, every shape of an image
+// it: a frozen shard or a live delta, behind the view's tombstones and
+// global ids. Parts hold disjoint sets of live shapes, every shape of an image
 // lives on one part, and all parts hash with one deterministic curve
 // family. Matches a part returns carry global shape ids. Everything a part
 // reads is immutable — a frozen shard, or one version of a delta — so a
@@ -231,11 +231,11 @@ type part struct {
 	db   *query.DB // the images, read behind dead (topological)
 	base *core.Base
 	dead map[int]bool // tombstoned local shape ids
-	// A local id s maps to the global id smap.Global(shard, s), or, with
-	// smap nil, gidBase + s: gidBase is 0 for a single Engine, whose ids
-	// are global already, and the delta's first global id for a delta.
-	smap    *core.ShardMap
-	shard   int
+	// A local id s maps to the global id ids[s], the shard's slice of the
+	// image log, or, with ids nil, gidBase + s: gidBase is 0 for a single
+	// Engine, whose ids are global already, and the delta's first global
+	// id for a delta.
+	ids     []int32
 	gidBase int
 	family  *geohash.Family
 	// lookup is the hash listing: the local ids on the hash curves of
@@ -264,10 +264,10 @@ func (p *part) liveShapes() int { return p.base.NumShapes() - len(p.dead) }
 // order is ascending global id order, so a list sorted by (Distance, local
 // id) is sorted by (Distance, global id).
 func (p *part) global(local int) int {
-	if p.smap == nil {
+	if p.ids == nil {
 		return p.gidBase + local
 	}
-	return p.smap.Global(p.shard, local)
+	return int(p.ids[local])
 }
 
 // live drops the tombstoned shape ids, in place.

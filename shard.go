@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,9 +29,9 @@ var (
 // single Engine over the same base (see DESIGN.md §4.8 for why).
 //
 // Shape ids in results are global: the ids a single unpartitioned
-// Engine would have assigned, via the core.ShardMap recorded at
-// AddImage time. Image ids need no translation (they are caller-chosen
-// and stored verbatim).
+// Engine would have assigned, which the image log (imageLog) hands out
+// in AddImage order. Image ids need no translation (they are
+// caller-chosen and stored verbatim).
 //
 // After Freeze the engine can optionally go live (EnableIngest): a live
 // delta then takes InsertImage/DeleteImage without a rebuild, each write
@@ -46,8 +47,7 @@ var (
 type ShardedEngine struct {
 	opts   Options
 	shards []*Engine
-	smap   *core.ShardMap
-	order  []shardImage // AddImage order, persisted as the snapshot manifest
+	log    imageLog // until Freeze; views carry their own from then on
 	frozen bool
 
 	// view is the atomically-published query snapshot; non-nil once
@@ -69,15 +69,60 @@ type ShardedEngine struct {
 	sched sched.Planner
 }
 
-// shardImage is one image in the manifest log: the image id, how many
+// shardImage is one entry of the image log: the image id, how many
 // shapes it contributed, which shard physically holds it (-1 when it
-// only ever reserved ids), and whether it has since been deleted. The
-// sequence of these fixes every global shape id.
+// only reserves ids), whether it has since been deleted, and the first
+// global and local ids imageLog.place gave its shapes.
 type shardImage struct {
 	ID      int
 	Shapes  int
 	Shard   int
 	Deleted bool
+	GID     int // the image's first global shape id
+	Local   int // its first local shape id on Shard; 0 when Shard is -1
+}
+
+// imageLog is the image log: every image in AddImage order, the list
+// MANIFEST.json persists, and the one place a global shape id is
+// assigned (place). ids holds, per shard, the global id of each local
+// id, ascending; successor views share each shard's slice.
+type imageLog struct {
+	images []shardImage
+	ids    [][]int32
+}
+
+func newImageLog(shards int) imageLog { return imageLog{ids: make([][]int32, shards)} }
+
+// next is the global id the next placed shape takes.
+func (l *imageLog) next() int {
+	if len(l.images) == 0 {
+		return 0
+	}
+	last := l.images[len(l.images)-1]
+	return last.GID + last.Shapes
+}
+
+// place appends an image of n shapes: they take the next n global ids
+// and, when shard is not -1, that shard's next n local ids. An image
+// placed on shard -1 (dropped at load, or deleted before compaction
+// froze it) still reserves its ids, so every later shape keeps the id a
+// single Engine gives it.
+func (l *imageLog) place(id, n, shard int, deleted bool) {
+	im := shardImage{ID: id, Shapes: n, Shard: shard, Deleted: deleted, GID: l.next()}
+	if shard >= 0 {
+		im.Local = len(l.ids[shard])
+		for g := im.GID; g < im.GID+n; g++ {
+			l.ids[shard] = append(l.ids[shard], int32(g))
+		}
+	}
+	l.images = append(l.images, im)
+}
+
+// grow returns a copy of the log over extra more (empty) shards, which
+// place may extend while views keep reading l. The copy shares l's
+// shards' id slices, so it places no image on them.
+func (l *imageLog) grow(extra int) imageLog {
+	return imageLog{images: slices.Clip(l.images), ids: append(slices.Clip(l.ids), make([][]int32, extra)...)}
 }
 
 // shardView is one immutable snapshot of everything a query needs. A
@@ -86,8 +131,7 @@ type shardImage struct {
 // while mutations install successors.
 type shardView struct {
 	shards []*Engine
-	smap   *core.ShardMap
-	order  []shardImage
+	log    imageLog
 	gen    uint64 // compaction generation, for statz and the manifest
 
 	// sealed is the delta version a running compaction is folding,
@@ -143,26 +187,24 @@ func (v *shardView) deadOf(shard int) map[int]bool {
 	return nil
 }
 
-// markDead records the shapes of frozen image im, whose first global
-// shape id is gid, as tombstoned on its shard. It writes in place: the
-// caller owns v's dead sets (a view not yet published, over a fresh copy
-// of the shard's set when it succeeds a published one).
-func (v *shardView) markDead(im shardImage, gid int) {
+// markDead records the shapes of frozen image im, its local range on
+// its shard, as tombstoned. It writes in place: the caller owns v's dead
+// sets (a view not yet published, over a fresh copy of the shard's set
+// when it succeeds a published one).
+func (v *shardView) markDead(im shardImage) {
 	if v.deadShapes == nil {
 		v.deadShapes = make([]map[int]bool, len(v.shards))
 	}
 	if v.deadShapes[im.Shard] == nil {
 		v.deadShapes[im.Shard] = make(map[int]bool)
 	}
-	for g := gid; g < gid+im.Shapes; g++ {
-		if _, local, ok := v.smap.Locate(g); ok {
-			v.deadShapes[im.Shard][local] = true
-		}
+	for local := im.Local; local < im.Local+im.Shapes; local++ {
+		v.deadShapes[im.Shard][local] = true
 	}
 }
 
 // parts lists what a request searches: the live shards, each behind its
-// tombstones and id map, then the deltas (sealed first) — ascending
+// tombstones and global ids, then the deltas (sealed first) — ascending
 // global-id ranges.
 func (v *shardView) parts() []part {
 	live := v.liveShards()
@@ -170,7 +212,7 @@ func (v *shardView) parts() []part {
 	out := make([]part, 0, len(live)+len(deltas))
 	for _, si := range live {
 		p := v.shards[si].part()
-		p.smap, p.shard, p.dead = v.smap, si, v.deadOf(si)
+		p.ids, p.dead = v.log.ids[si], v.deadOf(si)
 		out = append(out, p)
 	}
 	for _, d := range deltas {
@@ -214,29 +256,28 @@ func NewSharded(opts Options, shards int) *ShardedEngine {
 	return &ShardedEngine{
 		opts:   engines[0].opts, // post-defaulting, same as Engine.Options()
 		shards: engines,
-		smap:   core.NewShardMap(shards),
+		log:    newImageLog(shards),
 	}
 }
 
 // newShardedFromParts assembles a sharded engine from already-loaded
-// shards (see loadShardedDir). Shards must be frozen or empty.
-func newShardedFromParts(opts Options, shards []*Engine, smap *core.ShardMap, order []shardImage, gen uint64) *ShardedEngine {
-	se := &ShardedEngine{opts: opts, shards: shards, smap: smap, order: order, frozen: true}
+// shards and the image log placing their images (see loadShardedDir).
+// Shards must be frozen or empty.
+func newShardedFromParts(opts Options, shards []*Engine, log imageLog, gen uint64) *ShardedEngine {
+	se := &ShardedEngine{opts: opts, shards: shards, log: log, frozen: true}
 	se.publishBaseView(gen)
 	return se
 }
 
 // publishBaseView installs the initial query view over the frozen
-// shards, deriving the tombstone sets from the manifest log's Deleted
+// shards, deriving the tombstone sets from the image log's Deleted
 // flags (all empty on a freshly built engine).
 func (se *ShardedEngine) publishBaseView(gen uint64) {
-	v := &shardView{shards: se.shards, smap: se.smap, order: se.order, gen: gen}
-	gid := 0
-	for _, im := range se.order {
+	v := &shardView{shards: se.shards, log: se.log, gen: gen}
+	for _, im := range se.log.images {
 		if im.Deleted && im.Shard >= 0 {
-			v.markDead(im, gid)
+			v.markDead(im)
 		}
-		gid += im.Shapes
 	}
 	se.view.Store(v)
 }
@@ -247,7 +288,7 @@ func (se *ShardedEngine) snapshot() *shardView {
 	if v := se.view.Load(); v != nil {
 		return v
 	}
-	return &shardView{shards: se.shards, smap: se.smap, order: se.order}
+	return &shardView{shards: se.shards, log: se.log}
 }
 
 // AddImage routes an image to its shard. Global shape ids are assigned
@@ -260,8 +301,7 @@ func (se *ShardedEngine) AddImage(imageID int, shapes []Shape) error {
 	if err := se.shards[shard].AddImage(imageID, shapes); err != nil {
 		return err
 	}
-	se.smap.AssignImage(shard, len(shapes))
-	se.order = append(se.order, shardImage{ID: imageID, Shapes: len(shapes), Shard: shard})
+	se.log.place(imageID, len(shapes), shard, false)
 	return nil
 }
 
@@ -310,10 +350,6 @@ func (se *ShardedEngine) NumShards() int { return len(se.snapshot().shards) }
 // Shard exposes one partition's Engine for inspection (per-shard statz,
 // tests). Treat it as read-only.
 func (se *ShardedEngine) Shard(i int) *Engine { return se.snapshot().shards[i] }
-
-// IDMap exposes the global⇄(shard, local) shape-id mapping of the
-// current view.
-func (se *ShardedEngine) IDMap() *core.ShardMap { return se.snapshot().smap }
 
 // StorageStats aggregates the shards' storage backing: MappedBytes and
 // ResidentBytes sum over mmap-served shards, and LoadMode is "mmap"

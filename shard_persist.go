@@ -122,9 +122,9 @@ func manifestFromView(v *shardView, walSeq uint64) *shardManifest {
 		Shards:     len(v.shards),
 		Generation: v.gen,
 		WALSeq:     walSeq,
-		Images:     make([]shardManifestImage, len(v.order)),
+		Images:     make([]shardManifestImage, len(v.log.images)),
 	}
-	for i, im := range v.order {
+	for i, im := range v.log.images {
 		s := im.Shard
 		man.Images[i] = shardManifestImage{ID: im.ID, Shapes: im.Shapes, Shard: &s, Deleted: im.Deleted}
 	}
@@ -320,30 +320,23 @@ func loadShardedDir(dir string, mode LoadMode) (*ShardedEngine, *ShardRecovery, 
 		}
 	}
 
-	// Replay the manifest to rebuild the global id map: each image's ids
-	// go to its shard's next local slots when the shard actually holds
-	// it, and are reserved-but-unmapped otherwise. An image whose shard
-	// did not yield it is demoted to a pure reservation (Shard -1) so
-	// the in-memory log never claims a physical copy that is gone.
-	smap := core.NewShardMap(man.Shards)
-	order := make([]shardImage, len(man.Images))
+	// Replay the manifest into the image log. An image whose shard did
+	// not yield it is placed on shard -1, a pure reservation, so the log
+	// never claims a physical copy that is gone.
+	log := newImageLog(man.Shards)
 	for i := range man.Images {
 		im := &man.Images[i]
 		s := im.homeShard(man)
-		order[i] = shardImage{ID: im.ID, Shapes: im.Shapes, Shard: s, Deleted: im.Deleted}
-		if s < 0 {
-			smap.Skip(im.Shapes)
-			continue
+		if s >= 0 {
+			if n, ok := loaded[s][im.ID]; ok && n == im.Shapes {
+				rec.ImagesLoaded++
+			} else {
+				s = -1
+			}
 		}
-		if n, ok := loaded[s][im.ID]; ok && n == im.Shapes {
-			smap.AssignImage(s, im.Shapes)
-			rec.ImagesLoaded++
-		} else {
-			smap.Skip(im.Shapes)
-			order[i].Shard = -1
-		}
+		log.place(im.ID, im.Shapes, s, im.Deleted)
 	}
-	return newShardedFromParts(*opts, shards, smap, order, man.Generation), rec, nil
+	return newShardedFromParts(*opts, shards, log, man.Generation), rec, nil
 }
 
 // readManifest reads and validates a routing manifest (v1 or v2).
@@ -445,12 +438,11 @@ func LoadAnyMode(path string, mode LoadMode) (Searcher, *ShardRecovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	order := engineImageGroups(eng)
-	smap := core.NewShardMap(1)
-	for _, im := range order {
-		smap.AssignImage(0, im.Shapes)
+	log := newImageLog(1)
+	for _, im := range engineImageGroups(eng) {
+		log.place(im.ID, im.Shapes, 0, false)
 	}
-	return newShardedFromParts(eng.Options(), []*Engine{eng}, smap, order, 0), &ShardRecovery{
+	return newShardedFromParts(eng.Options(), []*Engine{eng}, log, 0), &ShardRecovery{
 		Shards:         []ShardFileRecovery{{Path: path, Recovery: frec}},
 		ImagesExpected: frec.ImagesExpected,
 		ImagesLoaded:   frec.ImagesLoaded,

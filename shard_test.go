@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,26 +93,24 @@ func buildShardedFrom(t testing.TB, images []synth.Image, shards int) *ShardedEn
 	return se
 }
 
-// TestShardedGlobalIDsMatchSingle verifies the id mapping directly:
-// every global id resolves to the same geometry the single engine
-// stores under that id.
+// TestShardedGlobalIDsMatchSingle walks the view's per-shard id slices:
+// each ascending, one id a local shape, no id twice (the shards hold the
+// single engine's shapes, so every id once), each its id of that shape.
 func TestShardedGlobalIDsMatchSingle(t *testing.T) {
 	images, _, _ := equivBase(t)
 	single := buildSingle(t, images)
 	se := buildShardedFrom(t, images, 7)
-	m := se.IDMap()
-	if m.NumGlobal() != single.NumShapes() {
-		t.Fatalf("NumGlobal = %d, want %d", m.NumGlobal(), single.NumShapes())
-	}
-	for g := 0; g < m.NumGlobal(); g++ {
-		shard, local, ok := m.Locate(g)
-		if !ok {
-			t.Fatalf("global id %d unmapped", g)
+	seen := make([]bool, single.NumShapes())
+	for s, ids := range se.snapshot().log.ids {
+		if len(ids) != se.Shard(s).NumShapes() || !slices.IsSorted(ids) {
+			t.Fatalf("shard %d: ids %v for %d shapes", s, ids, se.Shard(s).NumShapes())
 		}
-		got := se.Shard(shard).Base().Shape(local)
-		want := single.Base().Shape(g)
-		if got.Image != want.Image || !reflect.DeepEqual(got.Poly.Pts, want.Poly.Pts) {
-			t.Fatalf("global id %d: shard copy differs from single engine's shape", g)
+		for local, g := range ids {
+			got, want := se.Shard(s).Base().Shape(local), single.Base().Shape(int(g))
+			if seen[g] || got.Image != want.Image || !reflect.DeepEqual(got.Poly.Pts, want.Poly.Pts) {
+				t.Fatalf("shard %d local %d: global id %d named twice or another shape", s, local, g)
+			}
+			seen[g] = true
 		}
 	}
 }
