@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race test-procs purego ledger bench-check bench-smoke fuzz-smoke serve-smoke ingest-smoke load-smoke cover clean
+.PHONY: ci vet build test race test-procs purego ledger bench-check bench-smoke size fuzz-smoke serve-smoke ingest-smoke load-smoke cover clean
 
 # The gate every PR must pass. Performance is not gated here: it is
 # measured with `make ledger` (the one benchmark, BENCHMARK.json).
@@ -100,6 +100,17 @@ bench-smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFloors|BenchmarkDistFieldBuild|BenchmarkFieldReject' -benchtime=1x ./internal/core
 	$(GO) test -short -run '^$$' -bench 'BenchmarkAnnProbe' -benchtime=1x ./internal/annindex
 	$(GO) test -short -run '^$$' -bench 'BenchmarkOpenV3' -benchtime=1x -benchmem .
+
+# The size figures ROADMAP's "Size" notes and gates quote, in lines:
+# tracked non-test and test Go outside bench/, the non-test Go the daemon
+# compiles (go list -deps ./cmd/geosird, the standard library left out),
+# and the two documents. Not part of ci.
+size:
+	@printf '%-28s %s\n' 'non-test Go outside bench/' "$$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l)"
+	@printf '%-28s %s\n' 'test Go outside bench/' "$$(git ls-files '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)"
+	@printf '%-28s %s\n' 'geosird compiled non-test' "$$($(GO) list -deps -f '{{if not .Standard}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' ./cmd/geosird | xargs cat | wc -l)"
+	@printf '%-28s %s\n' 'DESIGN.md' "$$(wc -l < DESIGN.md)"
+	@printf '%-28s %s\n' 'README.md' "$$(wc -l < README.md)"
 
 # Short fuzzing budget per target (Go allows one -fuzz pattern per
 # package invocation, hence one line each). Catches regressions in the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -122,12 +123,16 @@ func TestANNIndexBuiltOnFirstProbe(t *testing.T) {
 
 // TestANNIndexConcurrentFirstProbes sends first ann:approx requests from
 // eight goroutines at once, to an Engine and to a 3-shard engine: each part
-// derives its index once, and every request answers alike. Run under -race.
+// derives its index once, and every request answers alike. GOMAXPROCS is
+// raised to 8, so a 3-shard request's auto plan also probes its parts on
+// several workers while at most four requests are in flight. Run under
+// -race.
 func TestANNIndexConcurrentFirstProbes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	images, queries, _ := equivBase(t)
 	for _, s := range []Searcher{buildSingle(t, images), buildShardedFrom(t, images, 3)} {
 		before := annBuilds.Load()
-		req := SearchRequest{Query: queries[1], K: 5, Ann: AnnApprox, Exec: ExecFanout}
+		req := SearchRequest{Query: queries[1], K: 5, Ann: AnnApprox}
 		resps := make([]*SearchResponse, 8)
 		errs := make([]error, len(resps))
 		var start, done sync.WaitGroup

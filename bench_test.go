@@ -169,10 +169,10 @@ func benchSketch(eng *Engine, n int) []Shape {
 func BenchmarkSearchSketch(b *testing.B) {
 	eng := sharedEngine(b)
 	sketch := benchSketch(eng, 4)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+	for _, exec := range []ExecPolicy{ExecSequential, ExecAuto} {
+		b.Run(exec.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				req := SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch, Exec: ExecFanout, MaxWorkers: workers}
+				req := SearchRequest{Sketch: sketch, K: 3, Mode: ModeSketch, Exec: exec}
 				if _, err := eng.Search(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}

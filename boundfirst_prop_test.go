@@ -128,18 +128,24 @@ func TestBoundFirstFitRule(t *testing.T) {
 // writers do after — for the live delta as for the frozen shards. A view
 // is captured on a live engine holding a tombstoned frozen image, a
 // deleted delta image and, in the delta, a copy of the query (the best
-// match there is); then the writers insert images, delete that copy and a
-// frozen image, compact, and insert more. At 1 and 7 shards, searches over
-// the captured view — while the writers run and after — answer in every
-// mode as an engine rebuilt over the images as of capture, its shape ids
-// mapped to the ones the reservation rule gives (reserved), and the
+// match there is); then the writers insert images, delete that copy and
+// the frozen image of the query's best frozen match — one of the captured
+// top k, on the shard of the tombstone, so it joins a dead set the view
+// already reads — compact, and insert more. At 1 and 7 shards, searches
+// over the captured view — while the writers run and after — answer in
+// every mode as an engine rebuilt over the images as of capture, its shape
+// ids mapped to the ones the reservation rule gives (reserved), and the
 // engine's own searches move on.
 func TestSearchViewIsASnapshot(t *testing.T) {
 	images, queries, sketch := equivBase(t)
 	ctx := context.Background()
 	q := queries[0]
 	const k = 3
-	asOfCapture := append(images[1:len(images):len(images)],
+	top := mustSearch(t, buildSingle(t, images), SearchRequest{Query: q, K: 1, Mode: ModeExact}).Matches[0].ImageID
+	dead := images[slices.IndexFunc(images, func(im synth.Image) bool {
+		return im.ID != top && core.ShardFor(im.ID, 7) == core.ShardFor(top, 7)
+	})].ID
+	asOfCapture := append(slices.DeleteFunc(slices.Clone(images), func(im synth.Image) bool { return im.ID == dead }),
 		synth.Image{ID: 9003, Shapes: []Shape{q.Clone()}},
 		synth.Image{ID: 9004, Shapes: []Shape{queries[1].Clone(), synth.Distort(rand.New(rand.NewSource(7)), q, 0.002)}})
 	inserted := append([]synth.Image{{ID: 9002, Shapes: []Shape{q.Clone()}}}, asOfCapture[len(asOfCapture)-2:]...)
@@ -155,10 +161,13 @@ func TestSearchViewIsASnapshot(t *testing.T) {
 			want[i].Matches[j].ShapeID = ids[m.ShapeID]
 		}
 	}
+	if !slices.ContainsFunc(want[0].Matches, func(m Match) bool { return m.ImageID == top }) {
+		t.Fatalf("image %d is not in the top %d as of capture: %+v", top, k, want[0].Matches)
+	}
 	for _, shards := range []int{1, 7} {
 		se := buildShardedFrom(t, images, shards)
 		enableIngest(t, se, t.TempDir(), IngestConfig{})
-		if err := se.DeleteImage(ctx, images[0].ID); err != nil {
+		if err := se.DeleteImage(ctx, dead); err != nil {
 			t.Fatal(err)
 		}
 		for _, im := range inserted {
@@ -200,7 +209,7 @@ func TestSearchViewIsASnapshot(t *testing.T) {
 		writes := []func() error{
 			func() error { return se.InsertImage(ctx, 9005, []Shape{q.Clone()}) },
 			func() error { return se.DeleteImage(ctx, 9003) },
-			func() error { return se.DeleteImage(ctx, images[1].ID) },
+			func() error { return se.DeleteImage(ctx, top) },
 			se.Compact,
 			func() error { return se.InsertImage(ctx, 9006, []Shape{queries[1].Clone()}) },
 			func() error { return se.DeleteImage(ctx, 9004) },

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -21,8 +22,11 @@ func buildSketch() []Shape {
 // concurrency model promises. Run under -race it also proves the pooled
 // scratch state and frozen oracles are properly isolated per query. Every
 // goroutine must observe exactly the same results as a sequential
-// reference.
+// reference. GOMAXPROCS is raised to 4, so the sketch's reference, asked
+// alone, fans out over its two shapes, and a concurrent ask fans out
+// while fewer than three requests are in flight.
 func TestConcurrentQueries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	eng := buildEngine(t)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(21))
@@ -36,7 +40,7 @@ func TestConcurrentQueries(t *testing.T) {
 		mode := []Mode{ModeAuto, ModeExact, ModeApproximate}[i%3]
 		reqs = append(reqs, SearchRequest{Query: q, K: 2, Mode: mode})
 	}
-	reqs = append(reqs, SearchRequest{Sketch: buildSketch(), K: 3, Mode: ModeSketch, Exec: ExecFanout, MaxWorkers: 2})
+	reqs = append(reqs, SearchRequest{Sketch: buildSketch(), K: 3, Mode: ModeSketch})
 
 	// Sequential reference answers.
 	refs := make([]*SearchResponse, len(reqs))

@@ -116,8 +116,6 @@ type ingestor struct {
 	// sealSeq is the watermark a running (or failed, retryable)
 	// compaction is folding up to; meaningful while view.sealed != nil.
 	sealSeq uint64
-	// frozenIdx maps an image id to its latest image-log index.
-	frozenIdx map[int]int
 	// closed is set (under both compactMu and mu) by CloseIngest;
 	// mutations and compactions against a closed ingestor fail with
 	// ErrIngestOff instead of touching the detached WAL or manifest.
@@ -213,7 +211,6 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	}
 	se.ing.Store(g)
 	g.publishActive(v, active)
-	g.rebuildIndexLocked(v)
 
 	// Crash recovery: re-apply every operation past the fold watermark.
 	// Application is idempotent (an insert of an image that is already
@@ -236,28 +233,12 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	return nil
 }
 
-// rebuildIndexLocked refreshes the image-log lookup from a view. Caller
-// holds mu (or is still single-threaded in setup).
-func (g *ingestor) rebuildIndexLocked(v *shardView) {
-	g.frozenIdx = make(map[int]int, len(v.log.images))
-	for i, im := range v.log.images {
-		g.frozenIdx[im.ID] = i
-	}
-}
-
-// frozenLive reports whether the image id's latest image-log entry is a
-// live, physically-present frozen copy.
-func (g *ingestor) frozenLive(v *shardView, image int) bool {
-	i, ok := g.frozenIdx[image]
-	return ok && !v.log.images[i].Deleted && v.log.images[i].Shard >= 0
-}
-
 // applyReplay re-applies one WAL operation during EnableIngest.
 func (g *ingestor) applyReplay(op ingest.Op) error {
 	v := g.se.view.Load()
 	switch op.Kind {
 	case ingest.OpInsert:
-		if g.frozenLive(v, op.Image) || v.active.Has(op.Image) {
+		if v.log.frozen(op.Image) >= 0 || v.active.Has(op.Image) {
 			return nil // already folded or applied
 		}
 		next, err := v.active.Insert(op.Image, op.Shapes)
@@ -270,8 +251,8 @@ func (g *ingestor) applyReplay(op ingest.Op) error {
 			g.publishActive(v, next)
 			return nil
 		}
-		if g.frozenLive(v, op.Image) {
-			g.deleteFrozenLocked(op.Image)
+		if i := v.log.frozen(op.Image); i >= 0 {
+			g.deleteFrozenLocked(v, i)
 		}
 		return nil
 	}
@@ -297,7 +278,7 @@ func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []
 		return ErrIngestOff
 	}
 	v := se.view.Load()
-	if g.frozenLive(v, imageID) || (v.sealed != nil && v.sealed.Has(imageID)) || v.active.Has(imageID) {
+	if v.log.frozen(imageID) >= 0 || (v.sealed != nil && v.sealed.Has(imageID)) || v.active.Has(imageID) {
 		g.mu.Unlock()
 		return fmt.Errorf("%w: id %d", ErrImageExists, imageID)
 	}
@@ -359,6 +340,7 @@ func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 		return ErrIngestOff
 	}
 	v := se.view.Load()
+	frozen := v.log.frozen(imageID)
 	switch {
 	case v.active.Has(imageID):
 		next, _ := v.active.Delete(imageID)
@@ -370,7 +352,7 @@ func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 		g.publishActive(v, next)
 	case v.sealed != nil && v.sealed.Has(imageID):
 		return ErrCompacting
-	case g.frozenLive(v, imageID):
+	case frozen >= 0:
 		if g.compacting.Load() {
 			return ErrCompacting
 		}
@@ -379,7 +361,7 @@ func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 			return fmt.Errorf("geosir: logging delete: %w", err)
 		}
 		g.pending = append(g.pending, op)
-		g.deleteFrozenLocked(imageID)
+		g.deleteFrozenLocked(v, frozen)
 	default:
 		return fmt.Errorf("%w: id %d", ErrNoImage, imageID)
 	}
@@ -388,35 +370,14 @@ func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 	return nil
 }
 
-// deleteFrozenLocked tombstones a frozen image by publishing a
-// successor view: the image-log entry flips to Deleted, and the image's
-// shapes join a fresh copy of its shard's dead set. The shard file
-// itself is untouched. Caller holds mu and has verified frozenLive.
-func (g *ingestor) deleteFrozenLocked(imageID int) {
-	v := g.se.view.Load()
-	idx := g.frozenIdx[imageID]
-	im := v.log.images[idx]
-
+// deleteFrozenLocked tombstones the frozen image at entry i of v's
+// image log by publishing the successor view over the log in which it is
+// deleted. The shard file itself is untouched. Caller holds mu, and v is
+// the published view.
+func (g *ingestor) deleteFrozenLocked(v *shardView, i int) {
 	nv := *v
-	nv.log.images = slices.Clone(v.log.images)
-	nv.log.images[idx].Deleted = true
-	nv.deadShapes = cowDead(v.deadShapes, len(v.shards), im.Shard)
-	nv.markDead(im)
+	nv.log = v.log.deleted(i)
 	g.se.view.Store(&nv)
-}
-
-// cowDead copies per-shard dead sets for a successor view over n shards:
-// the given shard's set is a fresh copy the caller may add to, the
-// others are shared with the predecessor.
-func cowDead(sets []map[int]bool, n, shard int) []map[int]bool {
-	out := make([]map[int]bool, n)
-	copy(out, sets)
-	own := make(map[int]bool, len(out[shard])+1)
-	for id := range out[shard] {
-		own[id] = true
-	}
-	out[shard] = own
-	return out
 }
 
 // Compact folds the delta into a new immutable shard: it seals the
@@ -543,22 +504,12 @@ func (se *ShardedEngine) Compact() error {
 		}
 		nlog.place(st.ID, st.NumShapes, shard, st.Deleted)
 	}
-	nv := &shardView{
-		shards: nshards,
-		log:    nlog,
-		gen:    cur.gen + 1,
-		active: cur.active,
-		// The new shard holds live images only and the others keep their
-		// tombstones, so the sets carry over as they are: deadOf reads a
-		// shard past their end as "no tombstones".
-		deadShapes: cur.deadShapes,
-	}
+	nv := &shardView{shards: nshards, log: nlog, gen: cur.gen + 1, active: cur.active}
 	if err := writeManifest(filepath.Join(g.cfg.Dir, manifestName), manifestFromView(nv, sealSeq), g.cfg.WrapManifest); err != nil {
 		g.mu.Unlock()
 		return fmt.Errorf("geosir: committing compaction: %w", err)
 	}
 	se.view.Store(nv)
-	g.rebuildIndexLocked(nv)
 	g.walFloor = sealSeq
 	keep := g.pending[:0:0]
 	for _, op := range g.pending {

@@ -97,7 +97,8 @@ func assertSearchEquivalent(t *testing.T, label string, want Searcher, got *Shar
 // image id may be re-inserted with different shapes, gets fresh global
 // ids, and the stale frozen copy never resurfaces — including after the
 // reinsertion is itself compacted (a dead copy in one shard, a live one
-// in another).
+// in another). Then a lookup by the id finds its latest entry, the live
+// compacted copy: a second insert is refused and a delete succeeds.
 func TestIngestReinsertAfterDelete(t *testing.T) {
 	images, queries, _ := equivBase(t)
 	frozenImgs, liveImgs := splitBase(images)
@@ -143,6 +144,12 @@ func TestIngestReinsertAfterDelete(t *testing.T) {
 					w.Matches[i].ImageID, w.Matches[i].Distance)
 			}
 		}
+	}
+	if err := se.InsertImage(ctx, victim.ID, victim.Shapes); !errors.Is(err, ErrImageExists) {
+		t.Fatalf("insert over the compacted copy: %v, want ErrImageExists", err)
+	}
+	if err := se.DeleteImage(ctx, victim.ID); err != nil {
+		t.Fatalf("delete of the compacted copy: %v", err)
 	}
 }
 

@@ -525,30 +525,6 @@ func AvgMinDistVerticesBounded(a geom.Poly, b *BoundaryDist, cutoff float64) (fl
 	return sum / nf, true
 }
 
-// AvgMinDistToBounded is AvgMinDistTo with the same admissible early
-// exit over the resampled boundary: it aborts the moment
-// sum > cutoff·samples, returning (0, false); otherwise the exact
-// continuous measure and true. samples ≤ 0 selects DefaultSamples.
-func AvgMinDistToBounded(a geom.Poly, b *BoundaryDist, samples int, cutoff float64) (float64, bool) {
-	if samples <= 0 {
-		samples = DefaultSamples(a.NumVertices())
-	}
-	pts := a.Resample(samples)
-	if len(pts) == 0 {
-		return math.Inf(1), true
-	}
-	nf := float64(len(pts))
-	trigger := cutoff * nf
-	var sum float64
-	for _, p := range pts {
-		sum += b.Dist(p)
-		if sum > trigger && sum/nf > cutoff {
-			return 0, false
-		}
-	}
-	return sum / nf, true
-}
-
 // ShapeDistancePreparedBounded is ShapeDistancePrepared with an
 // admissible cutoff: it returns the shape's Match — its exact distance and
 // the lowest normalized copy realizing it — and true when the distance is

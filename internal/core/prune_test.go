@@ -51,23 +51,12 @@ func TestBoundedMeasuresMatchUnbounded(t *testing.T) {
 				t.Fatalf("trial %d: cutoff below value %v did not abort", trial, want)
 			}
 		}
-
-		samples := 16 + rng.Intn(64)
-		wantC := AvgMinDistTo(a, oracle, samples)
-		gotC, ok := AvgMinDistToBounded(a, oracle, samples, math.Inf(1))
-		if !ok || gotC != wantC {
-			t.Fatalf("trial %d: continuous unbounded: got (%v, %v), want (%v, true)", trial, gotC, ok, wantC)
-		}
-		if gotC, ok := AvgMinDistToBounded(a, oracle, samples, wantC); !ok || gotC != wantC {
-			t.Fatalf("trial %d: continuous cutoff==value aborted", trial)
-		}
 	}
 }
 
 // TestBoundedMeasureEdgeCases drives the evaluators through the
 // degenerate inputs the validation layer normally filters out: empty
-// vertex sets, single-vertex shapes, zero-length chains, and
-// non-positive sample counts.
+// vertex sets, single-vertex shapes and zero-length chains.
 func TestBoundedMeasureEdgeCases(t *testing.T) {
 	oracle := NewBoundaryDist(unitSquare())
 
@@ -78,45 +67,20 @@ func TestBoundedMeasureEdgeCases(t *testing.T) {
 	if d := AvgMinDistVertices(empty, oracle); !math.IsInf(d, 1) {
 		t.Fatalf("empty poly unbounded: got %v, want +Inf", d)
 	}
-	if d, ok := AvgMinDistToBounded(empty, oracle, 32, 0.5); !ok || !math.IsInf(d, 1) {
-		t.Fatalf("empty poly continuous: got (%v, %v), want (+Inf, true)", d, ok)
-	}
 
-	// A single-vertex "shape": every resample point is the vertex itself,
-	// so the continuous and vertex averages coincide at its distance.
+	// A single-vertex "shape" averages to its vertex's distance.
 	single := geom.Poly{Pts: []geom.Point{geom.Pt(3, 0.5)}}
 	wantD := oracle.Dist(geom.Pt(3, 0.5))
 	if d := AvgMinDistVertices(single, oracle); d != wantD {
 		t.Fatalf("single vertex: got %v, want %v", d, wantD)
 	}
-	wantD7 := AvgMinDistTo(single, oracle, 7)
-	if d, ok := AvgMinDistToBounded(single, oracle, 7, math.Inf(1)); !ok || d != wantD7 {
-		t.Fatalf("single vertex continuous: got (%v, %v), want (%v, true)", d, ok, wantD7)
-	}
-	if _, ok := AvgMinDistToBounded(single, oracle, 7, wantD/2); ok {
-		t.Fatal("single vertex: cutoff below distance did not abort")
-	}
 
-	// A zero-length chain (two identical vertices) has zero perimeter:
-	// resampling collapses to the first vertex.
+	// A zero-length chain (two identical vertices) averages to that
+	// point's distance.
 	zero := geom.Poly{Pts: []geom.Point{geom.Pt(2, 2), geom.Pt(2, 2)}}
 	wantZ := oracle.Dist(geom.Pt(2, 2))
 	if d := AvgMinDistVertices(zero, oracle); d != wantZ {
 		t.Fatalf("zero-length chain: got %v, want %v", d, wantZ)
-	}
-	wantZ16 := AvgMinDistTo(zero, oracle, 16)
-	if d, ok := AvgMinDistToBounded(zero, oracle, 16, math.Inf(1)); !ok || d != wantZ16 {
-		t.Fatalf("zero-length chain continuous: got (%v, %v), want (%v, true)", d, ok, wantZ16)
-	}
-
-	// samples <= 0 selects the same default density as the unbounded path.
-	tri := geom.NewPolygon(geom.Pt(4, 4), geom.Pt(5, 4), geom.Pt(4.5, 5))
-	want := AvgMinDistTo(tri, oracle, 0)
-	if got, ok := AvgMinDistToBounded(tri, oracle, 0, math.Inf(1)); !ok || got != want {
-		t.Fatalf("default samples: got (%v, %v), want (%v, true)", got, ok, want)
-	}
-	if got, ok := AvgMinDistToBounded(tri, oracle, -5, math.Inf(1)); !ok || got != want {
-		t.Fatalf("negative samples: got (%v, %v), want (%v, true)", got, ok, want)
 	}
 }
 

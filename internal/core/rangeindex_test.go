@@ -66,7 +66,7 @@ func TestServingBuildsNoRangeIndex(t *testing.T) {
 	for _, e := range engines {
 		for _, mode := range []geosir.Mode{geosir.ModeAuto, geosir.ModeExact, geosir.ModeApproximate, geosir.ModeSketch} {
 			for _, ann := range []geosir.AnnMode{geosir.AnnOff, geosir.AnnApprox} {
-				for _, exec := range []geosir.ExecPolicy{geosir.ExecAuto, geosir.ExecFanout, geosir.ExecSequential} {
+				for _, exec := range []geosir.ExecPolicy{geosir.ExecAuto, geosir.ExecSequential} {
 					req := geosir.SearchRequest{Query: queries[0], K: 3, Mode: mode, Ann: ann, Exec: exec}
 					if mode == geosir.ModeSketch {
 						req = geosir.SearchRequest{Sketch: queries, K: 3, Mode: mode, Ann: ann, Exec: exec}

@@ -63,9 +63,8 @@ const fpVersion = "GSIRQFP1"
 //
 // The fingerprint covers everything that can change the response bytes —
 // the canonical vertex stream of every query shape, K, Mode, Ann, and
-// the epoch — and deliberately omits the scheduling knobs (Exec and the
-// MaxWorkers cap), which only change how the work is scheduled, never
-// what is returned.
+// the epoch — and deliberately omits the scheduling policy (Exec), which
+// only changes how the work is scheduled, never what is returned.
 func SearchFingerprint(req geosir.SearchRequest, epoch uint64) (Fingerprint, bool) {
 	h := sha256.New()
 	var buf [8]byte

@@ -69,12 +69,12 @@ func FuzzFingerprint(f *testing.F) {
 		if fp3, ok3 := SearchFingerprint(req, epoch+1); ok3 && fp3 == fp1 {
 			t.Fatal("epoch bump did not change the fingerprint")
 		}
-		// The scheduling knobs must not separate: they schedule, they
-		// never change results.
+		// The scheduling policy must not separate: it schedules, it never
+		// changes results.
 		wreq := req
-		wreq.Exec, wreq.MaxWorkers = geosir.ExecSequential, 2
+		wreq.Exec = geosir.ExecSequential
 		if fpW, okW := SearchFingerprint(wreq, epoch); !okW || fpW != fp1 {
-			t.Fatal("scheduling knobs perturbed the fingerprint")
+			t.Fatal("the scheduling policy perturbed the fingerprint")
 		}
 		// Round-trip stability: a request rebuilt from the same wire bytes
 		// (the save/load path a client would take) fingerprints the same.

@@ -29,9 +29,6 @@ const (
 	// narrowing toward sequential as concurrent load approaches the
 	// core count.
 	Auto Policy = iota
-	// Fanout forces one worker per part (capped only by an explicit
-	// max-workers cap), regardless of load.
-	Fanout
 	// Sequential forces a single-goroutine walk over the parts.
 	Sequential
 )
@@ -47,7 +44,7 @@ type Stats struct {
 	PlansSequential uint64
 }
 
-// Planner tracks live load and turns (parts, policy, cap) into a width.
+// Planner tracks live load and turns (parts, policy) into a width.
 // The zero value is ready to use. All methods are safe for concurrent use.
 type Planner struct {
 	inFlight        atomic.Int64
@@ -73,14 +70,14 @@ func (p *Planner) Enter() func() {
 func (p *Planner) InFlight() int64 { return p.inFlight.Load() }
 
 // Width plans the fan-out width for a request over parts independent
-// units of work under pol, capped at max when max > 0. It reads the live
-// gauge and GOMAXPROCS and records the chosen plan in the counters. The
-// result is always in [1, parts] (and [1, max] when max > 0).
+// units of work under pol. It reads the live gauge and GOMAXPROCS and
+// records the chosen plan in the counters. The result is always in
+// [1, parts].
 //
 // The caller is expected to already be counted in the gauge (Enter before
 // Width), so a lone request sees load 1 and gets the full fan-out.
-func (p *Planner) Width(parts int, pol Policy, max int) int {
-	w := WidthAt(parts, pol, max, int(p.inFlight.Load()), runtime.GOMAXPROCS(0))
+func (p *Planner) Width(parts int, pol Policy) int {
+	w := WidthAt(parts, pol, int(p.inFlight.Load()), runtime.GOMAXPROCS(0))
 	if w > 1 {
 		p.plansFanout.Add(1)
 	} else {
@@ -99,42 +96,16 @@ func (p *Planner) Stats() Stats {
 }
 
 // WidthAt is the pure planning function behind Width: given the part
-// count, policy, cap, current in-flight load, and core count, it returns
-// the number of workers to spend. Exposed separately so the plan table is
+// count, policy, current in-flight load, and core count, it returns the
+// number of workers to spend. Exposed separately so the plan table is
 // unit-testable without racing the live gauge.
 //
 //	Sequential           -> 1
-//	Fanout               -> parts        (cap applies)
-//	Auto, load <= 1      -> min(parts, cores)   — idle: today's behavior
+//	Auto, load <= 1      -> min(parts, cores)
 //	Auto, load >  1      -> min(parts, cores/load), floor 1
-func WidthAt(parts int, pol Policy, max, load, cores int) int {
-	if parts <= 1 {
+func WidthAt(parts int, pol Policy, load, cores int) int {
+	if parts <= 1 || pol == Sequential {
 		return 1
 	}
-	if cores < 1 {
-		cores = 1
-	}
-	var w int
-	switch pol {
-	case Sequential:
-		return 1
-	case Fanout:
-		w = parts
-	default: // Auto
-		if load < 1 {
-			load = 1
-		}
-		share := cores / load
-		if share < 1 {
-			share = 1
-		}
-		w = min(parts, share)
-	}
-	if max > 0 && w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(parts, cores/max(load, 1)))
 }

@@ -1,51 +1,45 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
 
 func TestWidthAtTable(t *testing.T) {
 	cases := []struct {
-		name                   string
-		parts                  int
-		pol                    Policy
-		max, load, cores, want int
+		name              string
+		parts             int
+		pol               Policy
+		load, cores, want int
 	}{
 		// Degenerate part counts never fan out.
-		{"one part", 1, Auto, 0, 1, 8, 1},
-		{"zero parts", 0, Fanout, 0, 1, 8, 1},
+		{"one part", 1, Auto, 1, 8, 1},
+		{"zero parts", 0, Auto, 1, 8, 1},
 
 		// Sequential is unconditional.
-		{"sequential idle", 8, Sequential, 0, 1, 8, 1},
-		{"sequential ignores cap", 8, Sequential, 4, 1, 8, 1},
+		{"sequential idle", 8, Sequential, 1, 8, 1},
+		{"sequential one core", 8, Sequential, 1, 1, 1},
 
-		// Fanout is full width regardless of load or cores.
-		{"fanout idle", 8, Fanout, 0, 1, 8, 8},
-		{"fanout loaded", 8, Fanout, 0, 64, 1, 8},
-		{"fanout one core", 8, Fanout, 0, 1, 1, 8},
-		{"fanout capped", 8, Fanout, 3, 1, 8, 3},
-
-		// Auto at idle reproduces the old default: min(parts, cores).
-		{"auto idle few shards", 2, Auto, 0, 1, 8, 2},
-		{"auto idle many shards", 16, Auto, 0, 1, 8, 8},
-		{"auto idle one core", 8, Auto, 0, 1, 1, 1},
+		// Auto at idle spends min(parts, cores).
+		{"auto idle few shards", 2, Auto, 1, 8, 2},
+		{"auto idle many shards", 16, Auto, 1, 8, 8},
+		{"auto idle one core", 8, Auto, 1, 1, 1},
 
 		// Auto under load shares cores across requests.
-		{"auto two requests", 8, Auto, 0, 2, 8, 4},
-		{"auto saturated", 8, Auto, 0, 8, 8, 1},
-		{"auto oversubscribed", 8, Auto, 0, 64, 8, 1},
-		{"auto load rounds down", 7, Auto, 0, 3, 8, 2},
-		{"auto capped", 16, Auto, 3, 1, 8, 3},
+		{"auto two requests", 8, Auto, 2, 8, 4},
+		{"auto saturated", 8, Auto, 8, 8, 1},
+		{"auto oversubscribed", 8, Auto, 64, 8, 1},
+		{"auto load rounds down", 7, Auto, 3, 8, 2},
 
 		// Defensive clamps.
-		{"zero cores", 8, Auto, 0, 1, 0, 1},
-		{"zero load treated as one", 8, Auto, 0, 0, 8, 8},
+		{"zero cores", 8, Auto, 1, 0, 1},
+		{"zero load treated as one", 8, Auto, 0, 8, 8},
 	}
 	for _, tc := range cases {
-		if got := WidthAt(tc.parts, tc.pol, tc.max, tc.load, tc.cores); got != tc.want {
-			t.Errorf("%s: WidthAt(%d, %v, max=%d, load=%d, cores=%d) = %d, want %d",
-				tc.name, tc.parts, tc.pol, tc.max, tc.load, tc.cores, got, tc.want)
+		if got := WidthAt(tc.parts, tc.pol, tc.load, tc.cores); got != tc.want {
+			t.Errorf("%s: WidthAt(%d, %v, load=%d, cores=%d) = %d, want %d",
+				tc.name, tc.parts, tc.pol, tc.load, tc.cores, got, tc.want)
 		}
 	}
 }
@@ -71,12 +65,15 @@ func TestEnterReleaseGauge(t *testing.T) {
 	}
 }
 
+// TestWidthRecordsPlans: a lone Auto request on 4 cores plans width 4
+// and counts as a fan-out, a Sequential one width 1 and a sequential plan.
 func TestWidthRecordsPlans(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var p Planner
-	if w := p.Width(8, Fanout, 0); w != 8 {
-		t.Fatalf("Fanout width = %d, want 8", w)
+	if w := p.Width(8, Auto); w != 4 {
+		t.Fatalf("Auto width = %d, want 4", w)
 	}
-	if w := p.Width(8, Sequential, 0); w != 1 {
+	if w := p.Width(8, Sequential); w != 1 {
 		t.Fatalf("Sequential width = %d, want 1", w)
 	}
 	st := p.Stats()
@@ -94,7 +91,7 @@ func TestPlannerConcurrent(t *testing.T) {
 			defer wg.Done()
 			release := p.Enter()
 			defer release()
-			_ = p.Width(8, Auto, 0)
+			_ = p.Width(8, Auto)
 			_ = p.InFlight()
 			_ = p.Stats()
 		}()

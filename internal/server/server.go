@@ -674,9 +674,8 @@ const cacheHeader = "X-Geosir-Cache"
 // atomically at admission, so neither a hot-swap nor a live write
 // landing mid-request can pair this engine's results with another
 // epoch's entries.
-// The scheduling knobs (exec policy, max-workers cap) are deliberately
-// outside the fingerprint — they schedule work, they never change
-// results (the exec equivalence suite pins it).
+// The exec policy is deliberately outside the fingerprint — it schedules
+// work, it never changes results (the exec equivalence suite pins it).
 func (s *Server) runSearch(ctx context.Context, st *engineState, req geosir.SearchRequest) ([]byte, qcache.Disposition, error) {
 	if s.cache == nil {
 		body, err := s.search(ctx, st, req)
@@ -730,16 +729,15 @@ func (s *Server) search(ctx context.Context, st *engineState, req geosir.SearchR
 
 // searchRequest is the unified /v1/search wire request: one shape (or,
 // for sketch mode, several), k, an optional mode name, an optional
-// execution policy ("auto", "fanout", "sequential") with a worker cap,
-// and an optional ANN tier mode ("off", "approx").
+// execution policy ("auto", "sequential") and an optional ANN tier mode
+// ("off", "approx").
 type searchRequest struct {
-	Shape         *WireShape  `json:"shape,omitempty"`
-	Shapes        []WireShape `json:"shapes,omitempty"`
-	K             int         `json:"k"`
-	Mode          string      `json:"mode,omitempty"`
-	Exec          string      `json:"exec,omitempty"`
-	MaxWorkersCap int         `json:"max_workers,omitempty"`
-	Ann           string      `json:"ann,omitempty"`
+	Shape  *WireShape  `json:"shape,omitempty"`
+	Shapes []WireShape `json:"shapes,omitempty"`
+	K      int         `json:"k"`
+	Mode   string      `json:"mode,omitempty"`
+	Exec   string      `json:"exec,omitempty"`
+	Ann    string      `json:"ann,omitempty"`
 }
 
 // searchResponse is the /v1/search wire response: the mode that answered
@@ -768,7 +766,7 @@ func (s *Server) handleSearch(ctx context.Context, st *engineState, _ *http.Requ
 	if err != nil {
 		return nil, qcache.Bypass, unprocessable(err)
 	}
-	greq := geosir.SearchRequest{K: req.K, Mode: mode, Ann: ann, Exec: exec, MaxWorkers: req.MaxWorkersCap}
+	greq := geosir.SearchRequest{K: req.K, Mode: mode, Ann: ann, Exec: exec}
 	if req.Shape != nil {
 		q, err := req.Shape.Shape()
 		if err != nil {

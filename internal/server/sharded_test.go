@@ -66,7 +66,7 @@ func TestShardedServesAllEndpoints(t *testing.T) {
 		// The execution policy schedules work; it must never change the
 		// wire answer.
 		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", "exec": "sequential"}},
-		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", "exec": "fanout", "max_workers": 2}},
+		{"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", "exec": "auto"}},
 		{"/v1/topological", map[string]any{"query": "similar(a)", "binds": map[string]WireShape{"a": wireSquare()}}},
 	} {
 		respS, bodyS := post(t, single.URL+tc.path, tc.body)
@@ -93,11 +93,14 @@ func TestShardedServesAllEndpoints(t *testing.T) {
 		}
 	}
 
-	// The removed "workers" alias is an unknown field like any other.
+	// The removed "workers" alias and "max_workers" cap are unknown fields
+	// like any other.
 	for _, ts := range []*httptest.Server{single, sharded} {
-		resp, body := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", "workers": 2})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("\"workers\": status %d (%s), want 400", resp.StatusCode, body)
+		for _, field := range []string{"workers", "max_workers"} {
+			resp, body := post(t, ts.URL+"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "mode": "exact", field: 2})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%q: status %d (%s), want 400", field, resp.StatusCode, body)
+			}
 		}
 	}
 }
@@ -127,9 +130,11 @@ func TestSentinelStatusMapping(t *testing.T) {
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Fatalf("unknown mode: status %d (%s), want 422", resp.StatusCode, body)
 		}
-		resp, body = post(t, base+"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "exec": "nope"})
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("unknown exec: status %d (%s), want 422", resp.StatusCode, body)
+		for _, exec := range []string{"nope", "fanout"} {
+			resp, body = post(t, base+"/v1/search", map[string]any{"shape": wireSquare(), "k": 3, "exec": exec})
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("exec %q: status %d (%s), want 422", exec, resp.StatusCode, body)
+			}
 		}
 	}
 }

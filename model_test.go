@@ -33,8 +33,8 @@ import (
 // image and every frozen image of one shard deleted ("live-deleted"), then
 // mid-compaction, a sealed and an active delta at once
 // ("live-mid-compaction"), then compacted ("live-compacted"). Each target
-// answers under ExecSequential, ExecFanout capped at 2 and ExecAuto, at
-// GOMAXPROCS 1 and 2. The checks, each owned by the tests named:
+// answers under ExecAuto at GOMAXPROCS 1 and 2 (widths 1 and 2) and under
+// ExecSequential at 2. The checks, each owned by the tests named:
 //   - answers (TestExecEquivalence, TestShardedEquivalence,
 //     TestShardedMmapEquivalence, TestIngestEquivalence,
 //     TestTombstonedSearchMatchesRebuild, one row each;
@@ -589,8 +589,9 @@ func TestBoundFirstEquivalence(t *testing.T) {
 // checkModel holds each target to the model on run's checks. Each query is
 // asked for each k of run; the sketch for k = 3 and past the live images,
 // and its ANN tier for k = 3. At GOMAXPROCS 1 the sequential and the auto
-// plan are one worker, so only the capped fan-out runs there; the listing
-// orders run once per group, at GOMAXPROCS 2.
+// plan are one worker, so only the auto plan runs there; at 2 the auto plan
+// of an idle engine fans out over two workers and the sequential one runs
+// beside it. The listing orders run once per group, at GOMAXPROCS 2.
 func checkModel(t *testing.T, m *model, targets []target, queries, sketch []Shape, run modelRun) {
 	ctx := context.Background()
 	live, copies := m.eng.NumShapes(), m.eng.NumEntries()
@@ -614,9 +615,9 @@ func checkModel(t *testing.T, m *model, targets []target, queries, sketch []Shap
 	}
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		execs := []SearchRequest{{Exec: ExecFanout, MaxWorkers: 2}}
+		execs := []ExecPolicy{ExecAuto}
 		if procs > 1 {
-			execs = append(execs, SearchRequest{Exec: ExecSequential}, SearchRequest{Exec: ExecAuto})
+			execs = append(execs, ExecSequential)
 		}
 		ordered := map[string]bool{}
 		for _, tg := range targets {
@@ -656,8 +657,8 @@ func checkModel(t *testing.T, m *model, targets []target, queries, sketch []Shap
 						continue
 					}
 					for xi, x := range execs {
-						at := fmt.Sprintf("%s exec=%v/%d", label, x.Exec, x.MaxWorkers)
-						req := SearchRequest{Query: q, K: k, Exec: x.Exec, MaxWorkers: x.MaxWorkers}
+						at := fmt.Sprintf("%s exec=%v", label, x)
+						req := SearchRequest{Query: q, K: k, Exec: x}
 						search := func(mode Mode, ann AnnMode) *SearchResponse {
 							req.Mode, req.Ann = mode, ann
 							resp := mustSearch(t, tg.s, req)
@@ -681,7 +682,7 @@ func checkModel(t *testing.T, m *model, targets []target, queries, sketch []Shap
 								t.Fatalf("%s approximate: the hash table did not answer: %+v", at, ap.Stats)
 							}
 							// ModeApproximate takes ModeAuto's ann:approx path; it
-							// is asked on the capped fan-out, which runs at both
+							// is asked on the auto plan, which runs at both
 							// GOMAXPROCS, alone.
 							modes := []Mode{ModeAuto}
 							if xi == 0 {
@@ -699,8 +700,8 @@ func checkModel(t *testing.T, m *model, targets []target, queries, sketch []Shap
 			}
 			for _, k := range []int{3, len(m.sketch) + 2} {
 				for _, x := range execs {
-					label := fmt.Sprintf("%s sketch k=%d exec=%v/%d", at, k, x.Exec, x.MaxWorkers)
-					req := SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Exec: x.Exec, MaxWorkers: x.MaxWorkers}
+					label := fmt.Sprintf("%s sketch k=%d exec=%v", at, k, x)
+					req := SearchRequest{Sketch: sketch, K: k, Mode: ModeSketch, Exec: x}
 					resp := mustSearch(t, tg.s, req)
 					assertSketchEqual(t, label, top(m.sketch, k), resp.SketchMatches)
 					if resp.Stats.Candidates <= 0 {

@@ -87,9 +87,6 @@ const (
 	// are spent within a request when alone and across requests under
 	// load.
 	ExecAuto ExecPolicy = iota
-	// ExecFanout forces one worker per part regardless of load
-	// (MaxWorkers still caps it).
-	ExecFanout
 	// ExecSequential forces a single-goroutine walk over the parts.
 	ExecSequential
 )
@@ -99,8 +96,6 @@ func (p ExecPolicy) String() string {
 	switch p {
 	case ExecAuto:
 		return "auto"
-	case ExecFanout:
-		return "fanout"
 	case ExecSequential:
 		return "sequential"
 	}
@@ -112,8 +107,6 @@ func ParseExecPolicy(s string) (ExecPolicy, error) {
 	switch s {
 	case "", "auto":
 		return ExecAuto, nil
-	case "fanout":
-		return ExecFanout, nil
 	case "sequential":
 		return ExecSequential, nil
 	}
@@ -144,9 +137,6 @@ type SearchRequest struct {
 	// per-sketch-shape retrievals on an Engine, per-shard searches on a
 	// ShardedEngine. The zero value (ExecAuto) adapts to live load.
 	Exec ExecPolicy
-	// MaxWorkers caps the planned fan-out width under any policy; ≤ 0
-	// means no cap.
-	MaxWorkers int
 	// Mode selects the retrieval strategy.
 	Mode Mode
 	// Ann selects the MinHash/LSH candidate tier's role: AnnOff (the
@@ -181,16 +171,12 @@ type Searcher interface {
 	Search(ctx context.Context, req SearchRequest) (*SearchResponse, error)
 }
 
-// execPlan resolves the request's scheduling knobs to a (policy, cap)
-// pair for internal/sched.
-func (r SearchRequest) execPlan() (sched.Policy, int) {
-	switch r.Exec {
-	case ExecFanout:
-		return sched.Fanout, r.MaxWorkers
-	case ExecSequential:
-		return sched.Sequential, r.MaxWorkers
+// execPlan resolves the request's scheduling policy for internal/sched.
+func (r SearchRequest) execPlan() sched.Policy {
+	if r.Exec == ExecSequential {
+		return sched.Sequential
 	}
-	return sched.Auto, r.MaxWorkers
+	return sched.Auto
 }
 
 // schedStatsFrom converts the internal planner snapshot to the public
@@ -400,13 +386,13 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 	release := pl.Enter()
 	defer release()
 	v := view()
-	pol, maxw := req.execPlan()
+	pol := req.execPlan()
 	switch req.Mode {
 	case ModeAuto, ModeExact, ModeApproximate:
 		if len(req.Query.Pts) == 0 {
 			return nil, ErrEmptyQuery
 		}
-		width := pl.Width(len(v.parts), pol, maxw)
+		width := pl.Width(len(v.parts), pol)
 		// AnnApprox answers from the ANN candidates alone — except in
 		// ModeExact, whose contract is exactness: there it is AnnOff.
 		annOnly := req.Ann == AnnApprox && req.Mode != ModeExact
@@ -456,7 +442,7 @@ func search(ctx context.Context, pl *sched.Planner, frozen bool, view func() sea
 	case ModeSketch:
 		// Sketch work items are (sketch shape × part) pairs, so the plan
 		// covers the full task count.
-		width := pl.Width(len(v.parts)*len(req.Sketch), pol, maxw)
+		width := pl.Width(len(v.parts)*len(req.Sketch), pol)
 		sms, stats, err := sketchScatter(ctx, v.parts, req, width)
 		if err != nil {
 			return nil, err

@@ -79,14 +79,17 @@ func TestSentinelErrors(t *testing.T) {
 
 	t.Run("InvalidShape", func(t *testing.T) {
 		// An invalid shape is rejected (no sentinel: the geometry error is
-		// passed up) at any fan-out width, wherever it sits in the sketch.
+		// passed up) at any fan-out width, wherever it sits in the sketch:
+		// at GOMAXPROCS 2 the sequential plan walks the sketch on one
+		// worker and the auto plan on two.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 		eng := buildEngine(t)
 		bad := NewPolyline(Pt(0, 0))
 		if _, err := eng.Search(ctx, SearchRequest{Query: bad, K: 1}); err == nil {
 			t.Fatal("Search with an invalid query succeeded")
 		}
-		for _, exec := range []ExecPolicy{ExecSequential, ExecFanout} {
-			req := SearchRequest{Sketch: []Shape{q, bad}, K: 1, Mode: ModeSketch, Exec: exec, MaxWorkers: 2}
+		for _, exec := range []ExecPolicy{ExecSequential, ExecAuto} {
+			req := SearchRequest{Sketch: []Shape{q, bad}, K: 1, Mode: ModeSketch, Exec: exec}
 			if _, err := eng.Search(ctx, req); err == nil {
 				t.Fatalf("Search %v with an invalid sketch shape succeeded", exec)
 			}
@@ -117,7 +120,7 @@ func TestSearchContextCancelled(t *testing.T) {
 	if _, err := eng.Search(ctx, SearchRequest{Query: square(0, 0, 1), K: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	sketch := SearchRequest{Sketch: buildSketch(), K: 3, Mode: ModeSketch, Exec: ExecFanout, MaxWorkers: 2}
+	sketch := SearchRequest{Sketch: buildSketch(), K: 3, Mode: ModeSketch}
 	if _, err := eng.Search(ctx, sketch); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sketch: got %v, want context.Canceled", err)
 	}
@@ -334,30 +337,18 @@ func TestExecAutoLoadGauge(t *testing.T) {
 	assertMatchesEqual(t, "idle vs loaded", idle.Matches, loaded.Matches)
 }
 
-// TestExecPlan pins how a request's knobs resolve to a scheduler plan.
+// TestExecPlan pins how a request's policy resolves to a scheduler plan.
 func TestExecPlan(t *testing.T) {
-	cases := []struct {
-		name    string
-		req     SearchRequest
-		wantPol sched.Policy
-		wantCap int
-	}{
-		{"zero request", SearchRequest{}, sched.Auto, 0},
-		{"auto capped", SearchRequest{MaxWorkers: 2}, sched.Auto, 2},
-		{"fanout capped", SearchRequest{Exec: ExecFanout, MaxWorkers: 5}, sched.Fanout, 5},
-		{"sequential", SearchRequest{Exec: ExecSequential, MaxWorkers: 9}, sched.Sequential, 9},
-	}
-	for _, tc := range cases {
-		pol, maxw := tc.req.execPlan()
-		if pol != tc.wantPol || maxw != tc.wantCap {
-			t.Errorf("%s: execPlan() = (%v, %d), want (%v, %d)", tc.name, pol, maxw, tc.wantPol, tc.wantCap)
+	for exec, want := range map[ExecPolicy]sched.Policy{ExecAuto: sched.Auto, ExecSequential: sched.Sequential} {
+		if got := (SearchRequest{Exec: exec}).execPlan(); got != want {
+			t.Errorf("%v: execPlan() = %v, want %v", exec, got, want)
 		}
 	}
 }
 
 // TestParseExecPolicy round-trips the wire names.
 func TestParseExecPolicy(t *testing.T) {
-	for _, pol := range []ExecPolicy{ExecAuto, ExecFanout, ExecSequential} {
+	for _, pol := range []ExecPolicy{ExecAuto, ExecSequential} {
 		got, err := ParseExecPolicy(pol.String())
 		if err != nil || got != pol {
 			t.Errorf("ParseExecPolicy(%q) = (%v, %v), want (%v, nil)", pol.String(), got, err, pol)
@@ -366,7 +357,9 @@ func TestParseExecPolicy(t *testing.T) {
 	if got, err := ParseExecPolicy(""); err != nil || got != ExecAuto {
 		t.Errorf("ParseExecPolicy(\"\") = (%v, %v), want (ExecAuto, nil)", got, err)
 	}
-	if _, err := ParseExecPolicy("bogus"); err == nil {
-		t.Error("ParseExecPolicy(\"bogus\") succeeded, want error")
+	for _, s := range []string{"bogus", "fanout"} {
+		if _, err := ParseExecPolicy(s); err == nil {
+			t.Errorf("ParseExecPolicy(%q) succeeded, want error", s)
+		}
 	}
 }

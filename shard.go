@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -83,15 +84,23 @@ type shardImage struct {
 }
 
 // imageLog is the image log: every image in AddImage order, the list
-// MANIFEST.json persists, and the one place a global shape id is
-// assigned (place). ids holds, per shard, the global id of each local
-// id, ascending; successor views share each shard's slice.
+// MANIFEST.json persists, the one place a global shape id is assigned
+// (place) and the one record of which frozen shapes are tombstoned. ids
+// holds, per shard, the global id of each local id, ascending; dead, per
+// shard, the local ids of shapes whose frozen copy belongs to a deleted
+// image (nil until the first). An image id may be dead on one shard and
+// live on another — delete, re-insert, compact — so the sets are per
+// shard, and of shapes, not images. Successor views share each shard's
+// slice and set.
 type imageLog struct {
 	images []shardImage
 	ids    [][]int32
+	dead   []map[int]bool
 }
 
-func newImageLog(shards int) imageLog { return imageLog{ids: make([][]int32, shards)} }
+func newImageLog(shards int) imageLog {
+	return imageLog{ids: make([][]int32, shards), dead: make([]map[int]bool, shards)}
+}
 
 // next is the global id the next placed shape takes.
 func (l *imageLog) next() int {
@@ -103,7 +112,8 @@ func (l *imageLog) next() int {
 }
 
 // place appends an image of n shapes: they take the next n global ids
-// and, when shard is not -1, that shard's next n local ids. An image
+// and, when shard is not -1, that shard's next n local ids, which are
+// tombstoned when the image is deleted (a manifest replay). An image
 // placed on shard -1 (dropped at load, or deleted before compaction
 // froze it) still reserves its ids, so every later shape keeps the id a
 // single Engine gives it.
@@ -114,15 +124,59 @@ func (l *imageLog) place(id, n, shard int, deleted bool) {
 		for g := im.GID; g < im.GID+n; g++ {
 			l.ids[shard] = append(l.ids[shard], int32(g))
 		}
+		if deleted {
+			l.tombstone(im)
+		}
 	}
 	l.images = append(l.images, im)
 }
 
+// tombstone adds the local ids of frozen image im to its shard's dead
+// set, in place.
+func (l *imageLog) tombstone(im shardImage) {
+	if l.dead[im.Shard] == nil {
+		l.dead[im.Shard] = make(map[int]bool, im.Shapes)
+	}
+	for local := im.Local; local < im.Local+im.Shapes; local++ {
+		l.dead[im.Shard][local] = true
+	}
+}
+
+// deleted returns the successor of l in which entry i, a live frozen
+// image, is deleted. It copies the entry list and that entry's shard's
+// dead set, and shares the rest, so views reading l keep their answers.
+func (l *imageLog) deleted(i int) imageLog {
+	im := l.images[i]
+	nl := imageLog{images: slices.Clone(l.images), ids: l.ids, dead: slices.Clone(l.dead)}
+	nl.images[i].Deleted = true
+	nl.dead[im.Shard] = maps.Clone(l.dead[im.Shard])
+	nl.tombstone(im)
+	return nl
+}
+
+// frozen returns the index of the image's latest entry when that entry
+// is a live, physically present frozen copy, and -1 otherwise.
+func (l *imageLog) frozen(id int) int {
+	for i := len(l.images) - 1; i >= 0; i-- {
+		if im := l.images[i]; im.ID == id {
+			if im.Deleted || im.Shard < 0 {
+				return -1
+			}
+			return i
+		}
+	}
+	return -1
+}
+
 // grow returns a copy of the log over extra more (empty) shards, which
 // place may extend while views keep reading l. The copy shares l's
-// shards' id slices, so it places no image on them.
+// shards' id slices and dead sets, so it places no image on them.
 func (l *imageLog) grow(extra int) imageLog {
-	return imageLog{images: slices.Clip(l.images), ids: append(slices.Clip(l.ids), make([][]int32, extra)...)}
+	return imageLog{
+		images: slices.Clip(l.images),
+		ids:    append(slices.Clip(l.ids), make([][]int32, extra)...),
+		dead:   append(slices.Clip(l.dead), make([]map[int]bool, extra)...),
+	}
 }
 
 // shardView is one immutable snapshot of everything a query needs. A
@@ -141,14 +195,6 @@ type shardView struct {
 	// window. sealed precedes active: its global ids are lower.
 	sealed *ingest.Delta
 	active *ingest.Delta
-
-	// deadShapes marks, per shard, the local shape ids whose frozen copy
-	// is tombstoned (image deleted after its shard froze): every read skips
-	// them before they are scored or name an image. Nil until the first
-	// tombstone. An image id may legitimately be dead in one shard and
-	// live in another — delete then re-insert then compact — so the sets
-	// are per shard, and of shapes, not images.
-	deadShapes []map[int]bool
 }
 
 // deltas returns the view's delta versions that hold live shapes, sealed
@@ -177,32 +223,6 @@ func (v *shardView) liveShards() []int {
 	return out
 }
 
-// deadOf returns one shard's dead shapes, nil when it has none: the view's
-// sets are nil until the first tombstone and stop short of shards a
-// compaction added since.
-func (v *shardView) deadOf(shard int) map[int]bool {
-	if shard < len(v.deadShapes) {
-		return v.deadShapes[shard]
-	}
-	return nil
-}
-
-// markDead records the shapes of frozen image im, its local range on
-// its shard, as tombstoned. It writes in place: the caller owns v's dead
-// sets (a view not yet published, over a fresh copy of the shard's set
-// when it succeeds a published one).
-func (v *shardView) markDead(im shardImage) {
-	if v.deadShapes == nil {
-		v.deadShapes = make([]map[int]bool, len(v.shards))
-	}
-	if v.deadShapes[im.Shard] == nil {
-		v.deadShapes[im.Shard] = make(map[int]bool)
-	}
-	for local := im.Local; local < im.Local+im.Shapes; local++ {
-		v.deadShapes[im.Shard][local] = true
-	}
-}
-
 // parts lists what a request searches: the live shards, each behind its
 // tombstones and global ids, then the deltas (sealed first) — ascending
 // global-id ranges.
@@ -212,7 +232,7 @@ func (v *shardView) parts() []part {
 	out := make([]part, 0, len(live)+len(deltas))
 	for _, si := range live {
 		p := v.shards[si].part()
-		p.ids, p.dead = v.log.ids[si], v.deadOf(si)
+		p.ids, p.dead = v.log.ids[si], v.log.dead[si]
 		out = append(out, p)
 	}
 	for _, d := range deltas {
@@ -230,7 +250,7 @@ func (v *shardView) liveShapeCount() int {
 			n += sh.NumShapes()
 		}
 	}
-	for _, dead := range v.deadShapes {
+	for _, dead := range v.log.dead {
 		n -= len(dead)
 	}
 	if v.sealed != nil {
@@ -261,25 +281,12 @@ func NewSharded(opts Options, shards int) *ShardedEngine {
 }
 
 // newShardedFromParts assembles a sharded engine from already-loaded
-// shards and the image log placing their images (see loadShardedDir).
-// Shards must be frozen or empty.
+// shards and the image log placing their images (see loadShardedDir),
+// tombstones included. Shards must be frozen or empty.
 func newShardedFromParts(opts Options, shards []*Engine, log imageLog, gen uint64) *ShardedEngine {
 	se := &ShardedEngine{opts: opts, shards: shards, log: log, frozen: true}
-	se.publishBaseView(gen)
+	se.view.Store(&shardView{shards: shards, log: log, gen: gen})
 	return se
-}
-
-// publishBaseView installs the initial query view over the frozen
-// shards, deriving the tombstone sets from the image log's Deleted
-// flags (all empty on a freshly built engine).
-func (se *ShardedEngine) publishBaseView(gen uint64) {
-	v := &shardView{shards: se.shards, log: se.log, gen: gen}
-	for _, im := range se.log.images {
-		if im.Deleted && im.Shard >= 0 {
-			v.markDead(im)
-		}
-	}
-	se.view.Store(v)
 }
 
 // snapshot returns the current query view, or a transient one over the
@@ -334,7 +341,7 @@ func (se *ShardedEngine) Freeze() error {
 		}
 	}
 	se.frozen = true
-	se.publishBaseView(0)
+	se.view.Store(&shardView{shards: se.shards, log: se.log})
 	return nil
 }
 
@@ -399,7 +406,7 @@ func (se *ShardedEngine) NumImages() int {
 	v := se.snapshot()
 	n := 0
 	for i, sh := range v.shards {
-		n += sh.db.Without(v.deadOf(i)).NumImages()
+		n += sh.db.Without(v.log.dead[i]).NumImages()
 	}
 	for _, d := range v.deltas() {
 		n += d.NumImages()
