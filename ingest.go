@@ -18,8 +18,8 @@ import (
 // mutable by attaching a write-ahead log and a live delta, whose every
 // write publishes a new immutable version:
 //
-//	InsertImage ──▶ delta (queryable immediately) + DELTA.wal record
-//	DeleteImage ──▶ delta tombstone, or manifest tombstone for frozen images
+//	InsertImage ──▶ delta + image log entry (queryable immediately) + DELTA.wal record
+//	DeleteImage ──▶ image log tombstone, in the image's slot (shard or delta)
 //	Compact     ──▶ freeze the delta into shard-N, rewrite MANIFEST.json
 //	                (the commit point), truncate the folded WAL prefix
 //
@@ -139,20 +139,11 @@ type ingestor struct {
 	lastErr string
 }
 
-// newDelta creates an empty delta whose first global id is gidBase,
-// storing its images under the frozen shards' options (queryOptions) and
-// hashing them with their curve family: the delta must match them exactly
-// for result identity.
-func (g *ingestor) newDelta(gidBase int) (*ingest.Delta, error) {
-	return ingest.NewDelta(queryOptions(g.se.opts), g.se.opts.HashCurves, gidBase)
-}
-
-// publishActive installs the successor of view v whose active delta is d.
-// Caller holds mu (or is still single-threaded in setup).
-func (g *ingestor) publishActive(v *shardView, d *ingest.Delta) {
-	nv := *v
-	nv.active = d
-	g.se.view.Store(&nv)
+// newDelta creates an empty delta, storing its images under the frozen
+// shards' options (queryOptions) and hashing them with their curve
+// family: the delta must match them exactly for result identity.
+func (g *ingestor) newDelta() (*ingest.Delta, error) {
+	return ingest.NewDelta(queryOptions(g.se.opts), g.se.opts.HashCurves)
 }
 
 // IngestEnabled reports whether EnableIngest has completed.
@@ -187,9 +178,10 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 		return err
 	}
 	v := se.view.Load()
-	if man.Shards != len(v.shards) || len(man.Images) != len(v.log.images) {
+	frozen := v.log.manifest(len(v.shards))
+	if man.Shards != len(v.shards) || len(man.Images) != len(frozen) {
 		return fmt.Errorf("geosir: ingest: snapshot dir %q does not match engine (%d/%d shards, %d/%d images)",
-			cfg.Dir, man.Shards, len(v.shards), len(man.Images), len(v.log.images))
+			cfg.Dir, man.Shards, len(v.shards), len(man.Images), len(frozen))
 	}
 	if cfg.CompactThreshold == 0 {
 		cfg.CompactThreshold = DefaultCompactThreshold
@@ -204,13 +196,17 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	}
 	g.wal = wal
 	g.walTorn = torn
-	active, err := g.newDelta(v.log.next())
+	active, err := g.newDelta()
 	if err != nil {
 		wal.Close()
 		return err
 	}
+	// The view's frozen part, with the active delta in a slot after the
+	// shards'. A view left by an earlier ingestor loses its deltas here:
+	// the WAL replays them.
+	base := imageLog{images: frozen, ids: v.log.ids[:len(v.shards)], dead: v.log.dead[:len(v.shards)]}
+	se.view.Store(&shardView{shards: v.shards, log: base.grow(), gen: v.gen, active: active})
 	se.ing.Store(g)
-	g.publishActive(v, active)
 
 	// Crash recovery: re-apply every operation past the fold watermark.
 	// Application is idempotent (an insert of an image that is already
@@ -236,23 +232,20 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 // applyReplay re-applies one WAL operation during EnableIngest.
 func (g *ingestor) applyReplay(op ingest.Op) error {
 	v := g.se.view.Load()
+	i := v.log.live(op.Image)
 	switch op.Kind {
 	case ingest.OpInsert:
-		if v.log.frozen(op.Image) >= 0 || v.active.Has(op.Image) {
+		if i >= 0 {
 			return nil // already folded or applied
 		}
-		next, err := v.active.Insert(op.Image, op.Shapes)
+		nv, err := v.inserted(op.Image, op.Shapes)
 		if err == nil {
-			g.publishActive(v, next)
+			g.se.view.Store(nv)
 		}
 		return err
 	case ingest.OpDelete:
-		if next, found := v.active.Delete(op.Image); found {
-			g.publishActive(v, next)
-			return nil
-		}
-		if i := v.log.frozen(op.Image); i >= 0 {
-			g.deleteFrozenLocked(v, i)
+		if i >= 0 {
+			g.se.view.Store(v.deleted(i))
 		}
 		return nil
 	}
@@ -278,7 +271,7 @@ func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []
 		return ErrIngestOff
 	}
 	v := se.view.Load()
-	if v.log.frozen(imageID) >= 0 || (v.sealed != nil && v.sealed.Has(imageID)) || v.active.Has(imageID) {
+	if v.log.live(imageID) >= 0 {
 		g.mu.Unlock()
 		return fmt.Errorf("%w: id %d", ErrImageExists, imageID)
 	}
@@ -286,7 +279,7 @@ func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []
 	// invalid may reach the log — then append, then publish: a failed
 	// append publishes nothing, so the unacknowledged insert leaves no
 	// trace, its global-id reservation included.
-	next, err := v.active.Insert(imageID, shapes)
+	nv, err := v.inserted(imageID, shapes)
 	if err != nil {
 		g.mu.Unlock()
 		return err
@@ -296,12 +289,12 @@ func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []
 		g.mu.Unlock()
 		return fmt.Errorf("geosir: logging insert: %w", err)
 	}
-	g.publishActive(v, next)
+	se.view.Store(nv)
 	g.pending = append(g.pending, op)
 	g.ins++
 	se.mutEpoch.Add(1)
 	trigger := g.cfg.CompactThreshold > 0 &&
-		next.NumShapes() >= g.cfg.CompactThreshold &&
+		nv.log.liveShapes(nv.activeSlot()) >= g.cfg.CompactThreshold &&
 		!g.compacting.Load()
 	if trigger {
 		g.autos++
@@ -320,12 +313,13 @@ func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []
 }
 
 // DeleteImage removes an image from the live base, durably logged
-// before acknowledgment. Delta-resident images are tombstoned in the
-// delta; frozen images are tombstoned in the manifest log (their shard
-// file is immutable — the tombstone filters them out of every query
-// path). Deletes of frozen or sealed images are refused with
-// ErrCompacting while a compaction is folding, so the fold's input
-// stays exactly the write prefix it sealed.
+// before acknowledgment: its entry in the image log is marked deleted and
+// its shapes tombstoned in its slot — a frozen shard's file, like a
+// delta version, is immutable, and the tombstone filters them out of
+// every query path. Deletes of frozen images are refused with
+// ErrCompacting while a compaction is folding, and of sealed ones until
+// the fold commits, so the fold's input stays exactly the write prefix it
+// sealed.
 func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 	g := se.ing.Load()
 	if g == nil {
@@ -340,44 +334,24 @@ func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
 		return ErrIngestOff
 	}
 	v := se.view.Load()
-	frozen := v.log.frozen(imageID)
-	switch {
-	case v.active.Has(imageID):
-		next, _ := v.active.Delete(imageID)
-		op := ingest.Op{Kind: ingest.OpDelete, Image: imageID}
-		if err := g.wal.Append(&op); err != nil {
-			return fmt.Errorf("geosir: logging delete: %w", err)
-		}
-		g.pending = append(g.pending, op)
-		g.publishActive(v, next)
-	case v.sealed != nil && v.sealed.Has(imageID):
-		return ErrCompacting
-	case frozen >= 0:
-		if g.compacting.Load() {
-			return ErrCompacting
-		}
-		op := ingest.Op{Kind: ingest.OpDelete, Image: imageID}
-		if err := g.wal.Append(&op); err != nil {
-			return fmt.Errorf("geosir: logging delete: %w", err)
-		}
-		g.pending = append(g.pending, op)
-		g.deleteFrozenLocked(v, frozen)
-	default:
+	i := v.log.live(imageID)
+	if i < 0 {
 		return fmt.Errorf("%w: id %d", ErrNoImage, imageID)
 	}
+	// Slots before the active delta's: the frozen shards, then the sealed
+	// delta.
+	if s := v.log.images[i].Shard; s < v.activeSlot() && (s >= len(v.shards) || g.compacting.Load()) {
+		return ErrCompacting
+	}
+	op := ingest.Op{Kind: ingest.OpDelete, Image: imageID}
+	if err := g.wal.Append(&op); err != nil {
+		return fmt.Errorf("geosir: logging delete: %w", err)
+	}
+	g.pending = append(g.pending, op)
+	se.view.Store(v.deleted(i))
 	g.dels++
 	se.mutEpoch.Add(1)
 	return nil
-}
-
-// deleteFrozenLocked tombstones the frozen image at entry i of v's
-// image log by publishing the successor view over the log in which it is
-// deleted. The shard file itself is untouched. Caller holds mu, and v is
-// the published view.
-func (g *ingestor) deleteFrozenLocked(v *shardView, i int) {
-	nv := *v
-	nv.log = v.log.deleted(i)
-	g.se.view.Store(&nv)
 }
 
 // Compact folds the delta into a new immutable shard: it seals the
@@ -416,51 +390,45 @@ func (se *ShardedEngine) Compact() error {
 		return ErrIngestOff
 	}
 	v := se.view.Load()
-	var sealed *ingest.Delta
-	if v.sealed != nil {
-		sealed = v.sealed // retrying a failed fold
-	} else {
+	if v.sealed == nil { // else retrying a failed fold
 		if len(g.pending) == 0 {
 			g.mu.Unlock()
 			return nil // nothing to fold
 		}
-		sealed = v.active
 		g.sealSeq = g.pending[len(g.pending)-1].Seq
-		active, err := g.newDelta(sealed.NextGID())
+		active, err := g.newDelta()
 		if err != nil {
 			g.mu.Unlock()
 			return err
 		}
-		nv := *v
-		nv.sealed = sealed
-		nv.active = active
-		se.view.Store(&nv)
-		v = &nv
+		v = &shardView{shards: v.shards, log: v.log.grow(), gen: v.gen, sealed: v.active, active: active}
+		se.view.Store(v)
 	}
-	snap := sealed.Snapshot()
 	sealSeq := g.sealSeq
 	g.mu.Unlock()
 
-	// Phase 2 (no lock): build and persist the new shard. Inserts keep
-	// landing in the successor delta; queries keep reading the sealed
-	// one.
+	// Phase 2 (no lock): build and persist the new shard over the sealed
+	// slot's live images, in log order, their polygons read from the
+	// sealed version. Inserts keep landing in the successor delta, no
+	// delete reaches the sealed slot, and queries keep reading it.
+	newShard := len(v.shards)
 	var eng *Engine
-	liveImages := 0
-	for _, st := range snap {
-		if !st.Deleted {
-			liveImages++
+	for _, im := range v.log.images {
+		if im.Shard != newShard || im.Deleted {
+			continue
+		}
+		shapes := make([]Shape, im.Shapes)
+		for j := range shapes {
+			shapes[j] = v.sealed.Base().Shape(im.Local + j).Poly
+		}
+		if eng == nil {
+			eng = New(se.opts)
+		}
+		if err := eng.AddImage(im.ID, shapes); err != nil {
+			return fmt.Errorf("geosir: compaction rebuild: %w", err)
 		}
 	}
-	if liveImages > 0 {
-		eng = New(se.opts)
-		for _, st := range snap {
-			if st.Deleted {
-				continue
-			}
-			if err := eng.AddImage(st.ID, st.Shapes); err != nil {
-				return fmt.Errorf("geosir: compaction rebuild: %w", err)
-			}
-		}
+	if eng != nil {
 		if err := eng.Freeze(); err != nil {
 			return fmt.Errorf("geosir: compaction freeze: %w", err)
 		}
@@ -468,7 +436,6 @@ func (se *ShardedEngine) Compact() error {
 	if err := g.stage("built"); err != nil {
 		return err
 	}
-	newShard := len(v.shards)
 	if eng != nil {
 		// The compacted shard is frozen, so the next reload assembles
 		// (or mmaps) it instead of re-deriving the index.
@@ -490,21 +457,11 @@ func (se *ShardedEngine) Compact() error {
 		return ErrIngestOff
 	}
 	cur := se.view.Load()
-	nshards, extra := cur.shards, 0
+	nshards := cur.shards
 	if eng != nil {
-		nshards, extra = append(slices.Clip(cur.shards), eng), 1
+		nshards = append(slices.Clip(cur.shards), eng)
 	}
-	nlog := cur.log.grow(extra)
-	// The new shard adds the live images in the sealed delta's order, so
-	// their local ids there are the ones place gives them.
-	for _, st := range snap {
-		shard := newShard
-		if st.Deleted {
-			shard = -1
-		}
-		nlog.place(st.ID, st.NumShapes, shard, st.Deleted)
-	}
-	nv := &shardView{shards: nshards, log: nlog, gen: cur.gen + 1, active: cur.active}
+	nv := &shardView{shards: nshards, log: cur.log.folded(newShard), gen: cur.gen + 1, active: cur.active}
 	if err := writeManifest(filepath.Join(g.cfg.Dir, manifestName), manifestFromView(nv, sealSeq), g.cfg.WrapManifest); err != nil {
 		g.mu.Unlock()
 		return fmt.Errorf("geosir: committing compaction: %w", err)
@@ -573,12 +530,12 @@ func (se *ShardedEngine) IngestStats() IngestStats {
 		LastCompactError: g.lastErr,
 	}
 	if v.active != nil {
-		st.DeltaImages = v.active.NumImages()
-		st.DeltaShapes = v.active.NumShapes()
+		s := v.activeSlot()
+		st.DeltaImages, st.DeltaShapes = v.log.liveImages(s), v.log.liveShapes(s)
 	}
 	if v.sealed != nil {
-		st.SealedImages = v.sealed.NumImages()
-		st.SealedShapes = v.sealed.NumShapes()
+		s := len(v.shards)
+		st.SealedImages, st.SealedShapes = v.log.liveImages(s), v.log.liveShapes(s)
 	}
 	return st
 }

@@ -153,39 +153,6 @@ func TestIngestReinsertAfterDelete(t *testing.T) {
 	}
 }
 
-// TestIngestMidCompactionQueries runs the full equivalence sweep from
-// inside the compaction (after the sealed delta is published, before
-// the swap) — queries must answer identically from the {frozen, sealed,
-// active} view.
-func TestIngestMidCompactionQueries(t *testing.T) {
-	images, queries, sketch := equivBase(t)
-	frozenImgs, liveImgs := splitBase(images)
-	single := buildSingle(t, images)
-
-	var se *ShardedEngine
-	checked := false
-	cfg := IngestConfig{CrashStage: func(stage string) error {
-		if stage != "built" || checked {
-			return nil
-		}
-		checked = true
-		st := se.IngestStats()
-		if st.SealedShapes == 0 {
-			t.Errorf("mid-compaction: sealed delta empty: %+v", st)
-		}
-		assertSearchEquivalent(t, "mid-compaction", single, se, queries, sketch)
-		return nil
-	}}
-	se = buildLive(t, frozenImgs, liveImgs, 2, cfg)
-	if err := se.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if !checked {
-		t.Fatal("CrashStage hook never ran")
-	}
-	assertSearchEquivalent(t, "post-compaction", single, se, queries, sketch)
-}
-
 // TestIngestRestartReplay pins WAL durability and global-id stability
 // across a restart: insert + delete, drop the engine without compacting,
 // reload the directory, and compare byte-identical results (global ids
@@ -515,13 +482,47 @@ func TestIngestConcurrentSearch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestIngestErrors covers the refusal paths.
+// TestIngestErrors covers the refusal paths, and the decision table of
+// inserts and deletes: for an image in each place — frozen, sealed,
+// active, deleted, unknown — while idle, mid-fold and after a failed fold,
+// the insert's and the delete's outcome.
 func TestIngestErrors(t *testing.T) {
 	images, _, _ := equivBase(t)
 	frozenImgs, _ := splitBase(images)
 	ctx := context.Background()
 
 	se := buildShardedFrom(t, frozenImgs, 2)
+	shapes, f := frozenImgs[0].Shapes, func(i int) int { return frozenImgs[i].ID }
+	// outcomes runs one state's row of the table: a live image is inserted,
+	// then deleted; a deleted or unknown one deleted, then inserted; a zero
+	// id (no sealed delta) is skipped. A sealed image's delete is refused
+	// until its fold commits, also after the fold failed.
+	outcomes := func(state string, frozenDel error, frozen, sealed, active, deleted, unknown int) {
+		for _, c := range []struct {
+			place    string
+			id       int
+			ins, del error
+		}{
+			{"frozen", frozen, ErrImageExists, frozenDel},
+			{"sealed", sealed, ErrImageExists, ErrCompacting},
+			{"active", active, ErrImageExists, nil},
+			{"deleted", deleted, nil, ErrNoImage},
+			{"unknown", unknown, nil, ErrNoImage},
+		} {
+			var ins, del error
+			switch {
+			case c.id == 0:
+				continue
+			case c.ins != nil:
+				ins, del = se.InsertImage(ctx, c.id, shapes), se.DeleteImage(ctx, c.id)
+			default:
+				del, ins = se.DeleteImage(ctx, c.id), se.InsertImage(ctx, c.id, shapes)
+			}
+			if !errors.Is(ins, c.ins) || !errors.Is(del, c.del) {
+				t.Errorf("%s, %s image %d: insert %v, delete %v; want %v, %v", state, c.place, c.id, ins, del, c.ins, c.del)
+			}
+		}
+	}
 	if err := se.InsertImage(ctx, 999, nil); !errors.Is(err, ErrIngestOff) {
 		t.Fatalf("insert before enable: %v", err)
 	}
@@ -531,16 +532,28 @@ func TestIngestErrors(t *testing.T) {
 	if err := se.Compact(); !errors.Is(err, ErrIngestOff) {
 		t.Fatalf("compact before enable: %v", err)
 	}
-	enableIngest(t, se, t.TempDir(), IngestConfig{})
+	crash := errors.New("injected crash at built")
+	enableIngest(t, se, t.TempDir(), IngestConfig{CrashStage: func(stage string) error {
+		if stage != "built" {
+			return nil
+		}
+		if err := se.InsertImage(ctx, 1002, shapes); err != nil {
+			t.Fatal(err)
+		}
+		outcomes("mid-fold", ErrCompacting, f(3), 2001, 1002, 1001, 2002)
+		return crash
+	}})
 	if err := se.EnableIngest(IngestConfig{Dir: t.TempDir()}); err == nil {
 		t.Fatal("double EnableIngest succeeded")
 	}
-	if err := se.InsertImage(ctx, frozenImgs[0].ID, frozenImgs[0].Shapes); !errors.Is(err, ErrImageExists) {
-		t.Fatalf("duplicate insert: %v", err)
+	if err := errors.Join(se.InsertImage(ctx, 1001, shapes), se.DeleteImage(ctx, f(2))); err != nil {
+		t.Fatal(err)
 	}
-	if err := se.DeleteImage(ctx, -12345); !errors.Is(err, ErrNoImage) {
-		t.Fatalf("delete unknown: %v", err)
+	outcomes("idle", nil, f(1), 0, 1001, f(2), 2001)
+	if err := se.Compact(); !errors.Is(err, crash) {
+		t.Fatalf("Compact: %v, want the injected crash", err)
 	}
+	outcomes("after a failed fold", nil, f(3), 2001, 2002, 1002, 2003)
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
 	if err := se.InsertImage(cctx, 999, frozenImgs[0].Shapes); !errors.Is(err, context.Canceled) {
@@ -684,10 +697,10 @@ func TestIngestDeltaStatsCountCopies(t *testing.T) {
 		}
 	}
 	v := se.snapshot()
-	if ds := v.deltas(); len(ds) != 1 || ds[0].NumEntries() <= ds[0].NumShapes() {
+	copies, shapes := v.active.NumEntries(), v.log.liveShapes(v.activeSlot())
+	if ds := v.deltas(); len(ds) != 1 || copies <= shapes {
 		t.Fatalf("want one delta holding several copies per shape, have %d deltas", len(ds))
 	}
-	copies, shapes := v.active.NumEntries(), v.active.NumShapes()
 	all, err := se.Search(ctx, SearchRequest{Query: queries[0], K: shapes + 1, Mode: ModeExact})
 	if err != nil {
 		t.Fatal(err)
@@ -709,7 +722,7 @@ func TestIngestDeltaStatsCountCopies(t *testing.T) {
 	if err := se.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if ds := se.snapshot().deltas(); len(ds) != 0 {
-		t.Fatalf("an empty delta still counts as %d parts", len(ds))
+	if n := len(se.snapshot().parts()); n != se.NumShards() {
+		t.Fatalf("%d parts over %d shards: an empty delta still counts as a part", n, se.NumShards())
 	}
 }

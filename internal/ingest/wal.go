@@ -1,8 +1,8 @@
 // Package ingest is the live-ingestion layer of the sharded engine: a
 // write-ahead log that makes inserts and deletes durable the moment they
-// are acknowledged, and a small delta shard (Delta, one immutable version
-// per mutation) that serves them to queries until a background compaction
-// folds them into a frozen shard.
+// are acknowledged, and a small delta shard (Delta, one version per insert;
+// a delete tombstones the engine's image log) that serves them to queries
+// until a background compaction folds them into a frozen shard.
 //
 // The WAL is the crash-safety half of the LSM-style design (DESIGN.md
 // §4.12): an acknowledged write exists either in the manifest (after

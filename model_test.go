@@ -32,13 +32,15 @@ import (
 // with 30% inserted ("live-inserted"), then with a frozen image, a delta
 // image and every frozen image of one shard deleted ("live-deleted"), then
 // mid-compaction, a sealed and an active delta at once
-// ("live-mid-compaction"), then compacted ("live-compacted"). Each target
-// answers under ExecAuto at GOMAXPROCS 1 and 2 (widths 1 and 2) and under
-// ExecSequential at 2. The checks, each owned by the tests named:
+// ("live-mid-compaction"), then compacted ("live-compacted"), then after a
+// fold of no live image while the active delta took writes, beside its
+// directory reloaded, heap and mapped, with the WAL replayed
+// ("live-refolded"). Each target answers under ExecAuto at GOMAXPROCS 1
+// and 2 (widths 1 and 2) and under ExecSequential at 2. The checks, each owned by the tests named:
 //   - answers (TestExecEquivalence, TestShardedEquivalence,
 //     TestShardedMmapEquivalence, TestIngestEquivalence,
 //     TestTombstonedSearchMatchesRebuild, one row each;
-//     TestIngestDeleteEquivalence, the last two rows;
+//     TestIngestDeleteEquivalence, the last three rows;
 //     TestShardedSearchDeterministic, the shards row re-run): the model's
 //     exact and approximate matches byte for byte, the model's shape ids
 //     mapped by the reservation rule (reserved), ann:approx the target's
@@ -46,7 +48,7 @@ import (
 //     shapes ranked (annApproxUnshared), Converged exactly when k fits the
 //     live shapes, and the same response, Stats included, at every exec
 //     width and GOMAXPROCS, from a group's every target (a shard count's
-//     built, heap and mapped engines);
+//     built, heap and mapped engines; the refolded engine and its reloads);
 //   - ModeAuto answers as ModeExact and the model, never from the hash
 //     table (TestAutoIsExact, every row);
 //   - both stages under every listing order of bucketOrders
@@ -293,10 +295,11 @@ const (
 	rowLiveDeleted   modelRow = "live-deleted"
 	rowLiveMid       modelRow = "live-mid-compaction"
 	rowLiveCompacted modelRow = "live-compacted"
+	rowLiveRefolded  modelRow = "live-refolded"
 )
 
 var (
-	allRows    = []modelRow{rowEngine, rowShards, rowReloaded, rowLiveInserted, rowLiveDeleted, rowLiveMid, rowLiveCompacted}
+	allRows    = []modelRow{rowEngine, rowShards, rowReloaded, rowLiveInserted, rowLiveDeleted, rowLiveMid, rowLiveCompacted, rowLiveRefolded}
 	staticRows = allRows[:3]
 	liveRows   = allRows[3:]
 )
@@ -355,6 +358,22 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 			checkModel(t, m, asked, queries, fx.sketch, run)
 		})
 	}
+	// reload opens a snapshot directory under mode, closed at cleanup.
+	reload := func(label, dir string, mode LoadMode) *ShardedEngine {
+		re, rec, err := loadShardedDir(dir, mode)
+		if err != nil || !rec.Complete() {
+			t.Fatalf("%s %v: %v, %+v", label, mode, err, rec)
+		}
+		t.Cleanup(func() {
+			if err := re.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+		if st := re.StorageStats(); st.LoadMode != servedLoadMode(mode) || (st.LoadMode == "mmap") != (st.MappedBytes > 0) {
+			t.Fatalf("%s %v: served as %+v", label, mode, st)
+		}
+		return re
+	}
 
 	if want(rowEngine) {
 		checkRow(rowEngine, fx.images, fx.images, target{"engine", "engine", buildSingle(t, fx.images)})
@@ -374,19 +393,7 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 				t.Fatal(err)
 			}
 			for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
-				re, rec, err := loadShardedDir(dir, mode)
-				if err != nil || !rec.Complete() {
-					t.Fatalf("%s %v: %v, %+v", group, mode, err, rec)
-				}
-				t.Cleanup(func() {
-					if err := re.Close(); err != nil {
-						t.Error(err)
-					}
-				})
-				if st := re.StorageStats(); st.LoadMode != servedLoadMode(mode) || (st.LoadMode == "mmap") != (st.MappedBytes > 0) {
-					t.Fatalf("%s %v: served as %+v", group, mode, st)
-				}
-				reloaded = append(reloaded, target{fmt.Sprintf("%s %v", group, mode), group, re})
+				reloaded = append(reloaded, target{fmt.Sprintf("%s %v", group, mode), group, reload(group, dir, mode)})
 			}
 		}
 		if want(rowShards) {
@@ -400,30 +407,16 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 		return
 	}
 
-	// The live engine. The first compaction's built stage inserts one more
-	// image, a copy of the fourth query and a shape near the first, into
-	// the active delta beside the sealed one it folds.
+	// The live engine, and what the next compaction's built stage does.
 	const liveShards = 7
 	frozen, inserted := splitBase(fx.images)
 	var kept []synth.Image
 	var live *ShardedEngine
-	midRan := false
-	mid := synth.Image{ID: 9005, Shapes: []Shape{fx.queries[3].Clone(), fx.nearFirst}}
-	sent := append(slices.Clone(fx.images), mid) // every image the live engine is sent, in order
+	var atBuilt func()
 	live = buildLive(t, frozen, inserted, liveShards, IngestConfig{CrashStage: func(stage string) error {
-		if stage != "built" || midRan {
-			return nil
-		}
-		midRan = true
-		if err := live.InsertImage(ctx, mid.ID, mid.Shapes); err != nil {
-			t.Fatal(err)
-		}
-		if st := live.IngestStats(); st.SealedShapes == 0 || st.DeltaShapes == 0 {
-			t.Fatalf("mid-compaction wants a sealed and an active delta: %+v", st)
-		}
-		kept = append(kept, mid)
-		if want(rowLiveMid) {
-			checkRow(rowLiveMid, sent, kept, target{"live", "mid-compaction", live})
+		if f := atBuilt; stage == "built" && f != nil {
+			atBuilt = nil
+			f()
 		}
 		return nil
 	}})
@@ -441,9 +434,6 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 			t.Fatal(err)
 		}
 	}
-	if err := live.DeleteImage(ctx, deleted[0]); !errors.Is(err, ErrNoImage) {
-		t.Fatalf("second delete of image %d: %v, want ErrNoImage", deleted[0], err)
-	}
 	v := live.searchView()
 	if !slices.ContainsFunc(v.parts, func(p part) bool { return p.liveShapes() == 0 }) {
 		t.Fatal("no part of the live view is wholly tombstoned")
@@ -455,18 +445,66 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 	if want(rowLiveDeleted) {
 		checkRow(rowLiveDeleted, fx.images, kept, target{"live", "deleted", live})
 	}
-	// The second compaction folds what the first one's built stage inserted.
+	// The first compaction's built stage inserts one more image, a copy of
+	// the fourth query and a shape near the first, into the active delta
+	// beside the sealed one it folds; the second compaction folds it.
+	mid := synth.Image{ID: 9005, Shapes: []Shape{fx.queries[3].Clone(), fx.nearFirst}}
+	sent := append(slices.Clone(fx.images), mid) // every image the live engine is sent, in order
+	atBuilt = func() {
+		if err := live.InsertImage(ctx, mid.ID, mid.Shapes); err != nil {
+			t.Fatal(err)
+		}
+		if st := live.IngestStats(); st.SealedShapes == 0 || st.DeltaShapes == 0 {
+			t.Fatalf("mid-compaction wants a sealed and an active delta: %+v", st)
+		}
+		kept = append(kept, mid)
+		if want(rowLiveMid) {
+			checkRow(rowLiveMid, sent, kept, target{"live", "mid-compaction", live})
+		}
+	}
 	for range 2 {
 		if err := live.Compact(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := live.IngestStats(); !midRan || st.DeltaShapes != 0 || st.SealedShapes != 0 || st.Compactions != 2 {
-		t.Fatalf("after two compactions: %+v (the built stage ran: %v)", st, midRan)
+	if st := live.IngestStats(); atBuilt != nil || st.DeltaShapes != 0 || st.SealedShapes != 0 || st.Compactions != 2 {
+		t.Fatalf("after two compactions: %+v (the built stage ran: %v)", st, atBuilt == nil)
 	}
 	if want(rowLiveCompacted) {
 		checkRow(rowLiveCompacted, sent, kept, target{"live", "compacted", live})
 	}
+	if !want(rowLiveRefolded) {
+		return
+	}
+	// The third folds a delta whose one image, a copy of the third query,
+	// was deleted: it adds no shard, and the active delta, which took the
+	// fifth query's copy and that image again, deleted, at the built stage,
+	// moves down into the sealed delta's slot. The engine's directory
+	// reloads, heap and mapped, with its WAL replayed into the same delta.
+	gone, late := synth.Image{ID: 9006, Shapes: []Shape{fx.queries[2].Clone()}}, synth.Image{ID: 9007, Shapes: []Shape{fx.queries[4].Clone()}}
+	if err := errors.Join(live.InsertImage(ctx, gone.ID, gone.Shapes), live.DeleteImage(ctx, gone.ID)); err != nil {
+		t.Fatal(err)
+	}
+	atBuilt = func() {
+		if err := errors.Join(live.InsertImage(ctx, late.ID, late.Shapes), live.InsertImage(ctx, gone.ID, gone.Shapes), live.DeleteImage(ctx, gone.ID)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shards := live.NumShards()
+	if err := live.Compact(); err != nil || live.NumShards() != shards || live.IngestStats().DeltaImages != 1 {
+		t.Fatalf("a fold of no live image: %v; %d shards, was %d; %+v", err, live.NumShards(), shards, live.IngestStats())
+	}
+	dir := live.ing.Load().cfg.Dir
+	if err := live.CloseIngest(); err != nil {
+		t.Fatal(err)
+	}
+	targets := []target{{"live", "refolded", live}}
+	for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+		re := reload("live", dir, mode)
+		enableIngest(t, re, dir, IngestConfig{})
+		targets = append(targets, target{fmt.Sprintf("live %v", mode), "refolded", re})
+	}
+	checkRow(rowLiveRefolded, append(sent, gone, late, gone), append(kept, late), targets...)
 }
 
 // deadOnCurves counts the tombstoned shapes of frozen parts on the query's
@@ -518,7 +556,7 @@ func TestTombstonedSearchMatchesRebuild(t *testing.T) {
 }
 
 func TestIngestDeleteEquivalence(t *testing.T) {
-	runModel(t, newModelFixture(t), modelRun{rows: []modelRow{rowLiveMid, rowLiveCompacted}, checks: propAnswers})
+	runModel(t, newModelFixture(t), modelRun{rows: []modelRow{rowLiveMid, rowLiveCompacted, rowLiveRefolded}, checks: propAnswers})
 }
 
 func TestAutoIsExact(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geohash"
 	"repro/internal/geom"
-	"repro/internal/ingest"
 	"repro/internal/query"
 	"repro/internal/sched"
 )
@@ -217,13 +216,11 @@ type part struct {
 	db   *query.DB // the images, read behind dead (topological)
 	base *core.Base
 	dead map[int]bool // tombstoned local shape ids
-	// A local id s maps to the global id ids[s], the shard's slice of the
-	// image log, or, with ids nil, gidBase + s: gidBase is 0 for a single
-	// Engine, whose ids are global already, and the delta's first global
-	// id for a delta.
-	ids     []int32
-	gidBase int
-	family  *geohash.Family
+	// A local id s maps to the global id ids[s], the part's slot of the
+	// image log, or, with ids nil (a single Engine, whose ids are global
+	// already), to s.
+	ids    []int32
+	family *geohash.Family
 	// lookup is the hash listing: the local ids on the hash curves of
 	// quad, widened by radius, tombstoned ones included — the frozen
 	// shard's geohash.Table.Lookup, or the delta's.
@@ -239,11 +236,6 @@ func (e *Engine) part() part {
 	return part{db: e.db, base: e.db.Base(), family: e.family, lookup: e.table.Lookup, ann: e.ANNIndex}
 }
 
-// deltaPart is one version of a live delta as a part.
-func deltaPart(d *ingest.Delta) part {
-	return part{db: d.DB(), base: d.Base(), dead: d.Dead(), gidBase: d.GIDBase(), family: d.Family(), lookup: d.Lookup}
-}
-
 func (p *part) liveShapes() int { return p.base.NumShapes() - len(p.dead) }
 
 // global maps a local shape id to its global id. Within one part local id
@@ -251,7 +243,7 @@ func (p *part) liveShapes() int { return p.base.NumShapes() - len(p.dead) }
 // id) is sorted by (Distance, global id).
 func (p *part) global(local int) int {
 	if p.ids == nil {
-		return p.gidBase + local
+		return local
 	}
 	return int(p.ids[local])
 }

@@ -31,8 +31,8 @@ var (
 //
 // Shape ids in results are global: the ids a single unpartitioned
 // Engine would have assigned, which the image log (imageLog) hands out
-// in AddImage order. Image ids need no translation (they are
-// caller-chosen and stored verbatim).
+// in AddImage, then InsertImage, order. Image ids need no translation
+// (they are caller-chosen and stored verbatim).
 //
 // After Freeze the engine can optionally go live (EnableIngest): a live
 // delta then takes InsertImage/DeleteImage without a rebuild, each write
@@ -71,27 +71,29 @@ type ShardedEngine struct {
 }
 
 // shardImage is one entry of the image log: the image id, how many
-// shapes it contributed, which shard physically holds it (-1 when it
-// only reserves ids), whether it has since been deleted, and the first
-// global and local ids imageLog.place gave its shapes.
+// shapes it contributed, which slot physically holds it (-1 when it only
+// reserves ids), whether it has since been deleted, and the first global
+// and local ids imageLog.place gave its shapes.
 type shardImage struct {
 	ID      int
 	Shapes  int
-	Shard   int
+	Shard   int // the image's slot
 	Deleted bool
 	GID     int // the image's first global shape id
-	Local   int // its first local shape id on Shard; 0 when Shard is -1
+	Local   int // its first local shape id in its slot; 0 when Shard is -1
 }
 
-// imageLog is the image log: every image in AddImage order, the list
-// MANIFEST.json persists, the one place a global shape id is assigned
-// (place) and the one record of which frozen shapes are tombstoned. ids
-// holds, per shard, the global id of each local id, ascending; dead, per
-// shard, the local ids of shapes whose frozen copy belongs to a deleted
-// image (nil until the first). An image id may be dead on one shard and
-// live on another — delete, re-insert, compact — so the sets are per
-// shard, and of shapes, not images. Successor views share each shard's
-// slice and set.
+// imageLog is the image log: every image the engine holds, frozen or in
+// a delta, in the order it was sent — the one place a global shape id is
+// assigned (place) and the one record of which images are live. Its
+// slots are the frozen shards, then the deltas, sealed first; a delta
+// image's entry is always in the log's tail, so the entries before the
+// first in a slot ≥ len(shards) are the list MANIFEST.json persists. ids
+// holds, per slot, the global id of each local id, ascending; dead, per
+// slot, the local ids of shapes whose copy belongs to a deleted image
+// (nil until the first). An image id may be dead in one slot and live in
+// another — delete, re-insert, compact — so the sets are per slot, and of
+// shapes, not images. Successor views share each slot's slice and set.
 type imageLog struct {
 	images []shardImage
 	ids    [][]int32
@@ -112,17 +114,17 @@ func (l *imageLog) next() int {
 }
 
 // place appends an image of n shapes: they take the next n global ids
-// and, when shard is not -1, that shard's next n local ids, which are
+// and, when slot is not -1, that slot's next n local ids, which are
 // tombstoned when the image is deleted (a manifest replay). An image
-// placed on shard -1 (dropped at load, or deleted before compaction
-// froze it) still reserves its ids, so every later shape keeps the id a
-// single Engine gives it.
-func (l *imageLog) place(id, n, shard int, deleted bool) {
-	im := shardImage{ID: id, Shapes: n, Shard: shard, Deleted: deleted, GID: l.next()}
-	if shard >= 0 {
-		im.Local = len(l.ids[shard])
+// placed on slot -1 (dropped at load, or deleted before compaction froze
+// it) still reserves its ids, so every later shape keeps the id a single
+// Engine gives it.
+func (l *imageLog) place(id, n, slot int, deleted bool) {
+	im := shardImage{ID: id, Shapes: n, Shard: slot, Deleted: deleted, GID: l.next()}
+	if slot >= 0 {
+		im.Local = len(l.ids[slot])
 		for g := im.GID; g < im.GID+n; g++ {
-			l.ids[shard] = append(l.ids[shard], int32(g))
+			l.ids[slot] = append(l.ids[slot], int32(g))
 		}
 		if deleted {
 			l.tombstone(im)
@@ -131,8 +133,8 @@ func (l *imageLog) place(id, n, shard int, deleted bool) {
 	l.images = append(l.images, im)
 }
 
-// tombstone adds the local ids of frozen image im to its shard's dead
-// set, in place.
+// tombstone adds the local ids of image im to its slot's dead set, in
+// place.
 func (l *imageLog) tombstone(im shardImage) {
 	if l.dead[im.Shard] == nil {
 		l.dead[im.Shard] = make(map[int]bool, im.Shapes)
@@ -142,9 +144,19 @@ func (l *imageLog) tombstone(im shardImage) {
 	}
 }
 
-// deleted returns the successor of l in which entry i, a live frozen
-// image, is deleted. It copies the entry list and that entry's shard's
-// dead set, and shares the rest, so views reading l keep their answers.
+// inserted returns the successor of l that holds an image of n shapes in
+// slot s, a delta's. It clones the slot list only: the entry list and the
+// slot's ids grow past l's ends, so views reading l keep their answers,
+// and of the successors of one log only one may be kept.
+func (l *imageLog) inserted(id, n, s int) imageLog {
+	nl := imageLog{images: l.images, ids: slices.Clone(l.ids), dead: l.dead}
+	nl.place(id, n, s, false)
+	return nl
+}
+
+// deleted returns the successor of l in which entry i, a live image, is
+// deleted. It copies the entry list and that entry's slot's dead set, and
+// shares the rest, so views reading l keep their answers.
 func (l *imageLog) deleted(i int) imageLog {
 	im := l.images[i]
 	nl := imageLog{images: slices.Clone(l.images), ids: l.ids, dead: slices.Clone(l.dead)}
@@ -154,9 +166,9 @@ func (l *imageLog) deleted(i int) imageLog {
 	return nl
 }
 
-// frozen returns the index of the image's latest entry when that entry
-// is a live, physically present frozen copy, and -1 otherwise.
-func (l *imageLog) frozen(id int) int {
+// live returns the index of the image's latest entry when that entry is
+// a live, physically present copy, in any slot, and -1 otherwise.
+func (l *imageLog) live(id int) int {
 	for i := len(l.images) - 1; i >= 0; i-- {
 		if im := l.images[i]; im.ID == id {
 			if im.Deleted || im.Shard < 0 {
@@ -168,15 +180,73 @@ func (l *imageLog) frozen(id int) int {
 	return -1
 }
 
-// grow returns a copy of the log over extra more (empty) shards, which
-// place may extend while views keep reading l. The copy shares l's
-// shards' id slices and dead sets, so it places no image on them.
-func (l *imageLog) grow(extra int) imageLog {
+// liveImages is the number of live images in slot s.
+func (l *imageLog) liveImages(s int) int {
+	n := 0
+	for _, im := range l.images {
+		if im.Shard == s && !im.Deleted {
+			n++
+		}
+	}
+	return n
+}
+
+// liveShapes is the number of live shapes in slot s.
+func (l *imageLog) liveShapes(s int) int { return len(l.ids[s]) - len(l.dead[s]) }
+
+// manifest is the log's frozen prefix, the entries before the first delta
+// image's: the list MANIFEST.json persists for the given shard count.
+func (l *imageLog) manifest(shards int) []shardImage {
+	for i, im := range l.images {
+		if im.Shard >= shards {
+			return l.images[:i]
+		}
+	}
+	return l.images
+}
+
+// grow returns a copy of l with one more, empty slot: a new active
+// delta's, after the slots l has.
+func (l *imageLog) grow() imageLog {
 	return imageLog{
 		images: slices.Clip(l.images),
-		ids:    append(slices.Clip(l.ids), make([][]int32, extra)...),
-		dead:   append(slices.Clip(l.dead), make([]map[int]bool, extra)...),
+		ids:    append(slices.Clip(l.ids), nil),
+		dead:   append(slices.Clip(l.dead), nil),
 	}
+}
+
+// folded returns the successor of l in which the images of delta slot s
+// are frozen onto a new shard s: the live ones re-homed there under local
+// ids that count live shapes only (the order compaction adds them in),
+// the deleted ones moved to slot -1, where they keep their reservations.
+// With no live image no shard is added: slot s goes, and the slots after
+// it move down by one.
+func (l *imageLog) folded(s int) imageLog {
+	nl := imageLog{images: slices.Clone(l.images), ids: slices.Clone(l.ids), dead: slices.Clone(l.dead)}
+	var ids []int32
+	for i := range nl.images {
+		switch im := &nl.images[i]; {
+		case im.Shard != s:
+		case im.Deleted:
+			im.Shard, im.Local = -1, 0
+		default:
+			im.Local = len(ids)
+			for g := im.GID; g < im.GID+im.Shapes; g++ {
+				ids = append(ids, int32(g))
+			}
+		}
+	}
+	nl.ids[s], nl.dead[s] = ids, nil
+	if len(ids) > 0 {
+		return nl
+	}
+	nl.ids, nl.dead = slices.Delete(nl.ids, s, s+1), slices.Delete(nl.dead, s, s+1)
+	for i := range nl.images {
+		if nl.images[i].Shard > s {
+			nl.images[i].Shard--
+		}
+	}
+	return nl
 }
 
 // shardView is one immutable snapshot of everything a query needs. A
@@ -192,74 +262,78 @@ type shardView struct {
 	// active the latest version of the delta taking new writes — each
 	// write publishes a successor view holding its successor version.
 	// Both nil before EnableIngest; sealed is nil outside a compaction
-	// window. sealed precedes active: its global ids are lower.
+	// window. Each holds the images of a log slot after the shards',
+	// sealed first, so the active delta's is the last.
 	sealed *ingest.Delta
 	active *ingest.Delta
 }
 
-// deltas returns the view's delta versions that hold live shapes, sealed
-// first: ascending global-id ranges.
+// deltas returns the view's delta versions, sealed first: the j-th holds
+// log slot len(shards)+j.
 func (v *shardView) deltas() []*ingest.Delta {
-	out := make([]*ingest.Delta, 0, 2)
-	if v.sealed != nil && v.sealed.NumShapes() > 0 {
-		out = append(out, v.sealed)
+	switch {
+	case v.sealed != nil:
+		return []*ingest.Delta{v.sealed, v.active}
+	case v.active != nil:
+		return []*ingest.Delta{v.active}
 	}
-	if v.active != nil && v.active.NumShapes() > 0 {
-		out = append(out, v.active)
-	}
-	return out
+	return nil
 }
 
-// liveShards returns the indices of shards that can answer queries:
-// frozen and non-empty. A shard dropped wholesale by snapshot recovery
-// is left empty and simply contributes nothing (partial results).
-func (v *shardView) liveShards() []int {
-	out := make([]int, 0, len(v.shards))
-	for i, sh := range v.shards {
-		if sh != nil && sh.Frozen() && sh.NumShapes() > 0 {
-			out = append(out, i)
+// activeSlot is the log slot of the active delta: the last.
+func (v *shardView) activeSlot() int { return len(v.log.ids) - 1 }
+
+// parts lists what a request searches, each behind its slot's tombstones
+// and global ids: the frozen, non-empty shards, then the deltas that hold
+// live shapes (sealed first) — ascending global-id ranges. A shard
+// dropped wholesale by snapshot recovery is left empty and simply
+// contributes nothing (partial results).
+func (v *shardView) parts() []part {
+	out := make([]part, 0, len(v.log.ids))
+	for s, sh := range v.shards {
+		if sh.Frozen() && sh.NumShapes() > 0 {
+			p := sh.part()
+			p.ids, p.dead = v.log.ids[s], v.log.dead[s]
+			out = append(out, p)
+		}
+	}
+	for j, d := range v.deltas() {
+		if s := len(v.shards) + j; v.log.liveShapes(s) > 0 {
+			out = append(out, part{db: d.DB(), base: d.Base(), ids: v.log.ids[s], dead: v.log.dead[s], family: d.Family(), lookup: d.Lookup})
 		}
 	}
 	return out
 }
 
-// parts lists what a request searches: the live shards, each behind its
-// tombstones and global ids, then the deltas (sealed first) — ascending
-// global-id ranges.
-func (v *shardView) parts() []part {
-	live := v.liveShards()
-	deltas := v.deltas()
-	out := make([]part, 0, len(live)+len(deltas))
-	for _, si := range live {
-		p := v.shards[si].part()
-		p.ids, p.dead = v.log.ids[si], v.log.dead[si]
-		out = append(out, p)
-	}
-	for _, d := range deltas {
-		out = append(out, deltaPart(d))
-	}
-	return out
-}
-
-// liveShapeCount is the number of shapes a query can return: frozen
-// shapes minus tombstones plus the deltas' live shapes.
+// liveShapeCount is the number of shapes a query can return: every
+// slot's live shapes.
 func (v *shardView) liveShapeCount() int {
 	n := 0
-	for _, sh := range v.shards {
-		if sh != nil && sh.NumImages() > 0 {
-			n += sh.NumShapes()
-		}
-	}
-	for _, dead := range v.log.dead {
-		n -= len(dead)
-	}
-	if v.sealed != nil {
-		n += v.sealed.NumShapes()
-	}
-	if v.active != nil {
-		n += v.active.NumShapes()
+	for s := range v.log.ids {
+		n += v.log.liveShapes(s)
 	}
 	return n
+}
+
+// inserted returns the successor of v whose active delta holds the image
+// too, or the error that refused its shapes.
+func (v *shardView) inserted(id int, shapes []Shape) (*shardView, error) {
+	next, err := v.active.Insert(id, shapes)
+	if err != nil {
+		return nil, err
+	}
+	nv := *v
+	nv.active = next
+	nv.log = v.log.inserted(id, len(shapes), v.activeSlot())
+	return &nv, nil
+}
+
+// deleted returns the successor of v in which the image of log entry i
+// is deleted, in whichever slot holds it.
+func (v *shardView) deleted(i int) *shardView {
+	nv := *v
+	nv.log = v.log.deleted(i)
+	return &nv
 }
 
 // NewSharded creates an empty sharded engine over the given number of
@@ -400,16 +474,12 @@ func (se *ShardedEngine) MutationEpoch() uint64 { return se.mutEpoch.Load() }
 // Generation returns the compaction generation of the current view.
 func (se *ShardedEngine) Generation() uint64 { return se.snapshot().gen }
 
-// NumImages returns the number of live images: each shard's behind its
-// tombstones plus the deltas' live images.
+// NumImages returns the number of live images: every slot's.
 func (se *ShardedEngine) NumImages() int {
 	v := se.snapshot()
 	n := 0
-	for i, sh := range v.shards {
-		n += sh.db.Without(v.log.dead[i]).NumImages()
-	}
-	for _, d := range v.deltas() {
-		n += d.NumImages()
+	for s := range v.log.ids {
+		n += v.log.liveImages(s)
 	}
 	return n
 }
@@ -429,11 +499,8 @@ func (se *ShardedEngine) NumEntries() int {
 			n += sh.NumEntries()
 		}
 	}
-	if v.sealed != nil {
-		n += v.sealed.NumEntries()
-	}
-	if v.active != nil {
-		n += v.active.NumEntries()
+	for _, d := range v.deltas() {
+		n += d.NumEntries()
 	}
 	return n
 }

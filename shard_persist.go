@@ -114,17 +114,18 @@ func (se *ShardedEngine) SaveDir(dir string) error {
 }
 
 // manifestFromView builds the v2 manifest describing a view's frozen
-// part. walSeq is the WAL fold watermark to record (0 = nothing
-// folded).
+// part, its image log's manifest prefix. walSeq is the WAL fold watermark
+// to record (0 = nothing folded).
 func manifestFromView(v *shardView, walSeq uint64) *shardManifest {
+	images := v.log.manifest(len(v.shards))
 	man := &shardManifest{
 		Version:    shardManifestVersion,
 		Shards:     len(v.shards),
 		Generation: v.gen,
 		WALSeq:     walSeq,
-		Images:     make([]shardManifestImage, len(v.log.images)),
+		Images:     make([]shardManifestImage, len(images)),
 	}
-	for i, im := range v.log.images {
+	for i, im := range images {
 		s := im.Shard
 		man.Images[i] = shardManifestImage{ID: im.ID, Shapes: im.Shapes, Shard: &s, Deleted: im.Deleted}
 	}
