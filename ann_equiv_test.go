@@ -1,6 +1,7 @@
 package geosir
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -293,6 +294,8 @@ func annApproxUnshared(t *testing.T, label string, parts []part, q Shape, k int)
 			}
 		}
 	}
-	sortMatches(ms)
+	slices.SortFunc(ms, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.ShapeID, b.ShapeID))
+	})
 	return ms[:min(k, len(ms))]
 }

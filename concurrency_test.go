@@ -72,25 +72,3 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestSortMatchesDeterministic asserts distance ties are broken on
-// ShapeID, so hash-bucket iteration order can never leak into results.
-func TestSortMatchesDeterministic(t *testing.T) {
-	mk := func(ids ...int) []Match {
-		ms := make([]Match, len(ids))
-		for i, id := range ids {
-			ms[i] = Match{ShapeID: id, Distance: 0.25}
-		}
-		return ms
-	}
-	for _, perm := range [][]int{{3, 1, 2}, {2, 3, 1}, {1, 2, 3}} {
-		ms := mk(perm...)
-		ms = append(ms, Match{ShapeID: 0, Distance: 0.5})
-		sortMatches(ms)
-		for i, want := range []int{1, 2, 3, 0} {
-			if ms[i].ShapeID != want {
-				t.Fatalf("perm %v: rank %d = shape %d, want %d", perm, i, ms[i].ShapeID, want)
-			}
-		}
-	}
-}

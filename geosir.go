@@ -303,17 +303,6 @@ func topological(ctx context.Context, frozen bool, view func() searchView, src s
 	return ids, plan.String(), nil
 }
 
-// sortMatches orders by increasing distance, breaking ties on ShapeID so
-// results are deterministic regardless of hash-bucket iteration order.
-func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Distance != ms[j].Distance {
-			return ms[i].Distance < ms[j].Distance
-		}
-		return ms[i].ShapeID < ms[j].ShapeID
-	})
-}
-
 // SketchMatch is one image retrieved by a multi-shape sketch.
 type SketchMatch struct {
 	ImageID int `json:"image_id"`

@@ -21,8 +21,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
+	"repro/internal/atomicfile"
 	"repro/internal/geom"
 )
 
@@ -175,15 +175,11 @@ func replay(path string) (ops []Op, goodEnd int64, truncated bool, err error) {
 func (w *WAL) Append(op *Op) error {
 	w.seq++
 	op.Seq = w.seq
-	payload, err := json.Marshal(op)
+	rec, err := appendRecord(nil, op)
 	if err != nil {
 		w.seq--
-		return fmt.Errorf("ingest: encoding wal record: %w", err)
+		return err
 	}
-	rec := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
-	copy(rec[8:], payload)
 	if _, err := w.w.Write(rec); err != nil {
 		// Roll back to the last intact boundary; the op was never
 		// acknowledged, so it must not replay after a later crash.
@@ -210,59 +206,41 @@ func (w *WAL) Append(op *Op) error {
 	return nil
 }
 
-// Rewrite atomically replaces the log's contents with the given ops
-// (keeping their sequence numbers), via temp file + fsync + rename +
-// directory fsync — the same discipline as snapshot saves. It is called
-// after a compaction commits to drop the folded prefix; a crash anywhere
-// inside leaves either the old or the new log, and replay of the old one
-// is idempotent against the new manifest.
-func (w *WAL) Rewrite(ops []Op) error {
-	dir := filepath.Dir(w.path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(w.path)+".tmp-*")
+// appendRecord appends op's record to b: u32 payload length | u32
+// CRC32 of the payload | the JSON payload, all little-endian.
+func appendRecord(b []byte, op *Op) ([]byte, error) {
+	payload, err := json.Marshal(op)
 	if err != nil {
-		return fmt.Errorf("ingest: creating wal rewrite temp: %w", err)
+		return nil, fmt.Errorf("ingest: encoding wal record: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	var out io.Writer = tmp
-	if w.opts.WrapWriter != nil {
-		out = w.opts.WrapWriter(tmp)
-	}
-	size := int64(len(walMagic))
-	if _, err := out.Write(walMagic[:]); err != nil {
-		tmp.Close()
-		return fmt.Errorf("ingest: rewriting wal: %w", err)
-	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...), nil
+}
+
+// Rewrite atomically replaces the log's contents with the given ops
+// (keeping their sequence numbers) through atomicfile.Write, the routine
+// snapshot saves use. It is called after a compaction commits to drop the
+// folded prefix; a crash anywhere inside leaves either the old or the new
+// log, and replay of the old one is idempotent against the new manifest.
+func (w *WAL) Rewrite(ops []Op) error {
+	buf := append([]byte{}, walMagic[:]...)
 	for i := range ops {
-		payload, err := json.Marshal(&ops[i])
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("ingest: encoding wal record: %w", err)
+		var err error
+		if buf, err = appendRecord(buf, &ops[i]); err != nil {
+			return err
 		}
-		rec := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
-		copy(rec[8:], payload)
-		if _, err := out.Write(rec); err != nil {
-			tmp.Close()
+	}
+	err := atomicfile.Write(w.path, w.opts.WrapWriter, func(out io.Writer) error {
+		if _, err := out.Write(buf); err != nil {
 			return fmt.Errorf("ingest: rewriting wal: %w", err)
 		}
-		size += int64(len(rec))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("ingest: syncing rewritten wal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("ingest: closing rewritten wal: %w", err)
-	}
-	if err := os.Rename(tmpName, w.path); err != nil {
-		return fmt.Errorf("ingest: publishing rewritten wal: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
+	size := int64(len(buf))
 	// Swap the append handle to the new file.
 	f, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
 	if err != nil {

@@ -1,10 +1,11 @@
 package geosir
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+
+	"repro/internal/atomicfile"
 )
 
 // Save and the two loaders persist an engine's image base: LoadPartial
@@ -17,15 +18,17 @@ import (
 // opening a snapshot is assembly instead of a geometry rebuild — and on
 // capable platforms the sections are mmap'd and used in place
 // (LoadModeMmap). GSIR1 (persist_v1.go) and GSIR2 (persist_v2.go) are the
-// formats of earlier writers, kept readable: GSIR1 a bare concatenation of
-// options and shapes, GSIR2 the same payload in length-prefixed sections,
-// each followed by a CRC32. They store no index, so their loader rebuilds
-// it with Freeze — deterministically, so the engine answers as the one
-// saved.
+// formats of earlier writers, kept readable: GSIR2 an options record and
+// one record per image, each in a length-prefixed section followed by a
+// CRC32, and GSIR1 GSIR2's records unframed — the same records, parsed by
+// the same parsers, as a bare concatenation. They store no index, so their
+// loader rebuilds it with Freeze — deterministically, so the engine
+// answers as the one saved.
 //
 // Each format has one decoder, and it salvages: it returns what it proved
 // intact and a Recovery saying what it dropped, which is Complete exactly
-// when it met no damage.
+// when it met no damage. A stream is read once, whole, and its decoder
+// parses the bytes in place through the one bounds-checked cursor.
 
 const (
 	magicGSIR1 = "GSIR1\n"
@@ -61,7 +64,8 @@ type DroppedImage struct {
 	// best-effort basis, or -1 when the bytes are too mangled to trust.
 	ImageID int
 	// Offset is the byte offset of the section's length prefix in the
-	// stream (0 for GSIR1 streams, which have no section framing).
+	// stream, magic included (0 for GSIR1 streams, which have no section
+	// framing).
 	Offset int64
 	// Err records why the section was dropped.
 	Err error
@@ -96,7 +100,8 @@ type Recovery struct {
 	AuxDropped int
 	// Err is the first damage the decoder met, nil when it met none: a
 	// dropped or unread image, lost framing, a dropped auxiliary section,
-	// or bytes past a GSIR2 stream's final section.
+	// or bytes past a GSIR2 stream's final section — joined with the read
+	// error that ended the stream, if one did.
 	Err error
 }
 
@@ -120,116 +125,42 @@ func (rec *Recovery) damage(err error) {
 // are damaged or torn off is rebuilt from its raw sections. The options
 // section/header — and for GSIR3 the raw sections — must be intact:
 // without them no engine can be constructed and an error is returned.
+//
+// A read error ends the stream where it struck: the bytes before it are
+// decoded as a stream cut there, and the error is joined to Recovery.Err
+// (or to the returned error), so such a load is never Complete.
 func LoadPartial(r io.Reader) (*Engine, *Recovery, error) {
-	cr := &countReader{r: r}
-	magic, err := readMagic(cr)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch magic {
+	data, rerr := io.ReadAll(r)
+	var eng *Engine
+	var rec *Recovery
+	var err error
+	switch magic := string(data[:min(len(data), magicLen)]); magic {
 	case magicGSIR1:
-		return loadGSIR1(cr)
+		eng, rec, err = loadGSIR1(data)
 	case magicGSIR2:
-		return loadGSIR2(cr)
+		eng, rec, err = loadGSIR2(data)
 	case magicGSIR3:
-		data, err := readAllWithMagic(magic, cr)
+		eng, rec, err = loadGSIR3(data, false)
+	default:
+		if len(magic) < magicLen {
+			err = fmt.Errorf("geosir: reading header: %w", io.ErrUnexpectedEOF)
+		} else {
+			err = fmt.Errorf("geosir: bad magic %q", magic)
+		}
+	}
+	if rerr != nil {
+		rerr = fmt.Errorf("geosir: read error after byte %d: %w", len(data), rerr)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, errors.Join(err, rerr)
 		}
-		return loadGSIR3(data, false)
+		rec.Err = errors.Join(rec.Err, rerr)
 	}
-	return nil, nil, fmt.Errorf("geosir: bad magic %q", magic)
+	return eng, rec, err
 }
 
-// SaveFile atomically saves the engine to a file: the snapshot is written
-// to a temporary file in the target directory, fsynced, renamed over the
-// destination, and the directory is fsynced. A crash (or write error) at
-// any point leaves the previous snapshot intact; the new snapshot becomes
-// visible only as a whole.
+// SaveFile atomically saves the engine to a file (atomicfile.Write): a
+// crash (or write error) at any point leaves the previous snapshot intact;
+// the new snapshot becomes visible only as a whole.
 func (e *Engine) SaveFile(path string) error {
-	return e.saveFileAtomic(path, nil)
-}
-
-// saveFileAtomic writes the snapshot to path with the
-// temp-fsync-rename-dirsync discipline. The wrap hook lets tests
-// interpose a fault-injecting writer between Save and the temp file to
-// exercise every crash point of the write path.
-func (e *Engine) saveFileAtomic(path string, wrap func(io.Writer) io.Writer) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("geosir: creating temp snapshot: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	var w io.Writer = tmp
-	if wrap != nil {
-		w = wrap(tmp)
-	}
-	if err := e.Save(w); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("geosir: syncing snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("geosir: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("geosir: publishing snapshot: %w", err)
-	}
-	syncDir(dir)
-	return nil
-}
-
-// syncDir fsyncs a directory so a rename is durable. Best-effort: some
-// filesystems and platforms reject fsync on directories, and by this
-// point the rename has already succeeded.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	_ = d.Sync()
-}
-
-// countReader tracks the byte offset of an io.Reader so recovery reports
-// can point at the damaged section.
-type countReader struct {
-	r   io.Reader
-	off int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.off += int64(n)
-	return n, err
-}
-
-func readMagic(r io.Reader) (string, error) {
-	buf := make([]byte, magicLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("geosir: reading header: %w", err)
-	}
-	return string(buf), nil
-}
-
-// readCapped reads exactly n bytes, growing the buffer in bounded chunks
-// so a corrupt length field cannot force a huge up-front allocation: the
-// allocation never outruns the bytes the stream actually supplies.
-func readCapped(r io.Reader, n int) ([]byte, error) {
-	const chunk = 64 << 10
-	buf := make([]byte, 0, min(n, chunk))
-	for len(buf) < n {
-		m := min(n-len(buf), chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, m)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return atomicfile.Write(path, nil, e.Save)
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/atomicfile"
+	"repro/internal/ingest"
 	"repro/internal/iofault"
 )
 
@@ -78,9 +80,9 @@ func TestSaveFileAtomicUnderWriteFaults(t *testing.T) {
 	next := altEngine(t)
 	size := len(snapshotBytes(t, next))
 	for _, off := range faultOffsets(size) {
-		err := next.saveFileAtomic(path, func(w io.Writer) io.Writer {
+		err := atomicfile.Write(path, func(w io.Writer) io.Writer {
 			return iofault.FailWriter(w, int64(off))
-		})
+		}, next.Save)
 		if !errors.Is(err, iofault.ErrInjected) {
 			t.Fatalf("offset %d: save with injected fault returned %v", off, err)
 		}
@@ -145,9 +147,9 @@ func TestSaveFileTornWriteDetected(t *testing.T) {
 	rawEnd := v3SectionEnd(t, full, "RAWV")
 	nimg := eng.NumImages()
 	for _, off := range faultOffsets(len(full)) {
-		err := eng.saveFileAtomic(path, func(w io.Writer) io.Writer {
+		err := atomicfile.Write(path, func(w io.Writer) io.Writer {
 			return iofault.TruncWriter(w, int64(off))
-		})
+		}, eng.Save)
 		if err != nil {
 			// The torn writer claims success all the way; Sync/rename
 			// should too.
@@ -319,6 +321,74 @@ func TestLoadPartialGSIR1Prefix(t *testing.T) {
 	}
 	if !rec3.Complete() || eng3.NumImages() != eng.NumImages() {
 		t.Fatalf("intact stream not fully recovered: %+v", rec3)
+	}
+}
+
+// TestLoadPartialReadErrorIsACut holds a read error to the rule of a
+// stream cut where it struck: over a file of each format, LoadPartial
+// through a reader that fails at an offset (the file's length included)
+// loads the images the same bytes cut there load, and never reads as
+// complete.
+func TestLoadPartialReadErrorIsACut(t *testing.T) {
+	files := map[string][]byte{"GSIR1": gsir1Golden(t), "GSIR2": gsir2Golden(t), "GSIR3": snapshotBytes(t, buildEngine(t))}
+	for format, data := range files {
+		for _, off := range append(faultOffsets(len(data)), len(data)) {
+			cut, crec, cerr := LoadPartial(iofault.TruncReader(bytes.NewReader(data), int64(off)))
+			got, rec, err := LoadPartial(iofault.FailReader(bytes.NewReader(data), int64(off)))
+			if err != nil || cerr != nil {
+				if err == nil || cerr == nil || !errors.Is(err, iofault.ErrInjected) {
+					t.Fatalf("%s at %d: read error %v, cut %v", format, off, err, cerr)
+				}
+			} else if rec.Complete() || !errors.Is(rec.Err, iofault.ErrInjected) {
+				t.Fatalf("%s at %d: read error not recorded as damage: %v", format, off, rec.Err)
+			} else if rec.Format != format || rec.ImagesLoaded != crec.ImagesLoaded || rec.ImagesUnread != crec.ImagesUnread ||
+				!bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, cut)) {
+				t.Fatalf("%s at %d: read error loaded %d images, the cut %d", format, off, rec.ImagesLoaded, crec.ImagesLoaded)
+			}
+		}
+	}
+}
+
+// TestSaveFileKeepsMode checks that a replaced file keeps its mode — a
+// snapshot SaveFile writes over, the WAL a compaction rewrites — and that
+// a new snapshot is published 0644, the mode OpenWAL creates the WAL with.
+func TestSaveFileKeepsMode(t *testing.T) {
+	dir := t.TempDir()
+	mode := func(path string) os.FileMode {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Mode().Perm()
+	}
+	path, eng := filepath.Join(dir, "snap.gsir3"), buildEngine(t)
+	if err := eng.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if m := mode(path); m != 0o644 {
+		t.Fatalf("new snapshot published %v, want 0644", m)
+	}
+	if err := os.Chmod(path, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if m := mode(path); m != 0o640 {
+		t.Fatalf("snapshot saved over a 0640 file is %v", m)
+	}
+	w, _, _, err := ingest.OpenWAL(filepath.Join(dir, walName), ingest.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	before := mode(w.Path())
+	if err := w.Rewrite(nil); err != nil {
+		t.Fatal(err)
+	}
+	if m := mode(w.Path()); m != before {
+		t.Fatalf("WAL rewrite turned %v into %v", before, m)
 	}
 }
 

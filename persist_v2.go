@@ -33,9 +33,6 @@ import (
 // the auxiliary-section boundary cannot masquerade as a shorter valid
 // stream; bytes past the final section are damage too.
 
-// maxSectionLen bounds a section length prefix against corrupt framing.
-const maxSectionLen = 1 << 30
-
 // errBadCRC marks a section whose payload read fully but failed its
 // checksum — framing is intact, the content is not.
 var errBadCRC = errors.New("geosir: section checksum mismatch")
@@ -68,24 +65,16 @@ func appendF64(b []byte, v float64) []byte {
 }
 
 // readSection reads one framed section. It returns errBadCRC (with the
-// suspect payload, for best-effort reporting) when the bytes read fully
-// but the checksum disagrees; any other error means framing itself is
-// broken (truncation, implausible length) and the stream position past
-// this point cannot be trusted.
-func readSection(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// suspect payload, for best-effort reporting) when the section's bytes are
+// all present but the checksum disagrees; any other error means framing
+// itself is lost (a length prefix that runs past the bytes left), and the
+// position past this point cannot be trusted.
+func readSection(c *cursor) ([]byte, error) {
+	n := c.u32()
+	payload, sum := c.take(int(n)), c.u32()
+	if c.err != nil {
+		return nil, c.err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxSectionLen {
-		return nil, fmt.Errorf("geosir: implausible section length %d", n)
-	}
-	buf, err := readCapped(r, int(n)+4)
-	if err != nil {
-		return nil, err
-	}
-	payload, sum := buf[:n], binary.LittleEndian.Uint32(buf[n:])
 	if crc32.ChecksumIEEE(payload) != sum {
 		return payload, errBadCRC
 	}
@@ -102,7 +91,7 @@ func (c *cursor) take(n int) []byte {
 	if c.err != nil {
 		return nil
 	}
-	if len(c.b) < n {
+	if n < 0 || n > len(c.b) {
 		c.err = io.ErrUnexpectedEOF
 		return nil
 	}
@@ -133,12 +122,28 @@ func (c *cursor) f64() float64 {
 
 func (c *cursor) remaining() int { return len(c.b) }
 
-// readOptionsSection parses section 0: the engine options, the declared
-// image count, and the declared auxiliary-section count. A legacy
-// 40-byte payload (written before auxiliary sections existed) implies
-// zero auxiliary sections.
-func readOptionsSection(r io.Reader) (Options, int, int, error) {
-	payload, err := readSection(r)
+// parseOptions parses the options record GSIR1's header and GSIR2's
+// section 0 share: the engine options and the declared image count.
+func parseOptions(c *cursor) (Options, int, error) {
+	opts := Options{Alpha: c.f64(), Beta: c.f64(), Tau: c.f64(), AngleTol: c.f64()}
+	hc, nimg := c.u32(), c.u32()
+	switch {
+	case c.err != nil:
+		return Options{}, 0, c.err
+	case hc > maxHashCurves:
+		return Options{}, 0, fmt.Errorf("geosir: implausible hash-curve count %d", hc)
+	case nimg > maxCount:
+		return Options{}, 0, fmt.Errorf("geosir: implausible image count %d", nimg)
+	}
+	opts.HashCurves = int(hc)
+	return opts, int(nimg), nil
+}
+
+// readOptionsSection parses section 0: the options record and the
+// declared auxiliary-section count. A legacy 40-byte payload (written
+// before auxiliary sections existed) implies zero auxiliary sections.
+func readOptionsSection(c *cursor) (Options, int, int, error) {
+	payload, err := readSection(c)
 	if err != nil {
 		return Options{}, 0, 0, fmt.Errorf("geosir: options section: %w", err)
 	}
@@ -146,40 +151,26 @@ func readOptionsSection(r io.Reader) (Options, int, int, error) {
 		return Options{}, 0, 0, fmt.Errorf("geosir: options section is %d bytes, want %d or %d",
 			len(payload), optionsSectionLen, optionsSectionLenV1)
 	}
-	c := cursor{b: payload}
-	var opts Options
-	opts.Alpha = c.f64()
-	opts.Beta = c.f64()
-	opts.Tau = c.f64()
-	opts.AngleTol = c.f64()
-	hc := c.u32()
-	nimg := c.u32()
+	p := cursor{b: payload}
+	opts, nimg, err := parseOptions(&p)
+	if err != nil {
+		return Options{}, 0, 0, err
+	}
 	naux := uint32(0)
-	if len(payload) == optionsSectionLen {
-		naux = c.u32()
-	}
-	if c.err != nil {
-		return Options{}, 0, 0, c.err
-	}
-	if hc > maxHashCurves {
-		return Options{}, 0, 0, fmt.Errorf("geosir: implausible hash-curve count %d", hc)
-	}
-	opts.HashCurves = int(hc)
-	if nimg > maxCount {
-		return Options{}, 0, 0, fmt.Errorf("geosir: implausible image count %d", nimg)
+	if p.remaining() > 0 {
+		naux = p.u32()
 	}
 	if naux > maxAuxSections {
 		return Options{}, 0, 0, fmt.Errorf("geosir: implausible auxiliary-section count %d", naux)
 	}
-	return opts, int(nimg), int(naux), nil
+	return opts, nimg, int(naux), nil
 }
 
-// parseImagePayload decodes one image section payload. Counts are
-// validated against the bytes actually present before any allocation, so
-// a corrupt (but checksum-colliding) payload cannot force a huge
-// allocation.
-func parseImagePayload(b []byte) (int, []Shape, error) {
-	c := cursor{b: b}
+// parseImage parses the image record GSIR1's stream and GSIR2's image
+// sections share: id, shape count, shapes. Counts are validated against
+// the bytes actually present before any allocation, so a corrupt count
+// cannot force a huge allocation.
+func parseImage(c *cursor) (int, []Shape, error) {
 	imgID := c.u32()
 	nsh := c.u32()
 	if c.err != nil {
@@ -202,13 +193,7 @@ func parseImagePayload(b []byte) (int, []Shape, error) {
 		for v := range pts {
 			pts[v] = Pt(c.f64(), c.f64())
 		}
-		if c.err != nil {
-			return 0, nil, c.err
-		}
 		shapes = append(shapes, Shape{Pts: pts, Closed: flags&1 == 1})
-	}
-	if c.remaining() != 0 {
-		return 0, nil, fmt.Errorf("geosir: %d trailing bytes in image section", c.remaining())
 	}
 	return int(imgID), shapes, nil
 }
@@ -222,26 +207,31 @@ func bestEffortImageID(payload []byte) int {
 	return -1
 }
 
-// loadGSIR2 is the GSIR2 decoder (magic already consumed): it salvages
+// loadGSIR2 is the GSIR2 decoder, over the stream's bytes: it salvages
 // every image section that still verifies. A checksum mismatch costs only
 // that section (framing stays intact); a framing error (truncation,
 // mangled length prefix) ends recovery, and every unread section is
 // reported dropped.
-func loadGSIR2(cr *countReader) (*Engine, *Recovery, error) {
-	opts, nimg, naux, err := readOptionsSection(cr)
+func loadGSIR2(data []byte) (*Engine, *Recovery, error) {
+	c := cursor{b: data[magicLen:]}
+	opts, nimg, naux, err := readOptionsSection(&c)
 	if err != nil {
 		return nil, nil, fmt.Errorf("geosir: unrecoverable options section: %w", err)
 	}
 	eng := New(opts)
 	rec := &Recovery{Format: "GSIR2", ImagesExpected: nimg}
 	for i := 0; i < nimg; i++ {
-		off := cr.off
-		payload, err := readSection(cr)
+		off := int64(len(data) - c.remaining())
+		payload, err := readSection(&c)
 		framed := err == nil || errors.Is(err, errBadCRC)
 		if err == nil { // a checksum mismatch costs just this section
+			p := cursor{b: payload}
 			var id int
 			var shapes []Shape
-			if id, shapes, err = parseImagePayload(payload); err == nil {
+			if id, shapes, err = parseImage(&p); err == nil && p.remaining() != 0 {
+				err = fmt.Errorf("geosir: %d trailing bytes in image section", p.remaining())
+			}
+			if err == nil {
 				err = eng.AddImage(id, shapes)
 			}
 		}
@@ -272,7 +262,7 @@ func loadGSIR2(cr *countReader) (*Engine, *Recovery, error) {
 			rec.AuxDropped += naux - a
 			break
 		}
-		payload, err := readSection(cr)
+		payload, err := readSection(&c)
 		framed = err == nil || errors.Is(err, errBadCRC)
 		if err == nil && len(payload) < 4 {
 			err = fmt.Errorf("geosir: auxiliary section too short (%d bytes)", len(payload))
@@ -282,11 +272,8 @@ func loadGSIR2(cr *countReader) (*Engine, *Recovery, error) {
 			rec.damage(fmt.Errorf("geosir: auxiliary section %d: %w", a+1, err))
 		}
 	}
-	if framed {
-		var tail [1]byte
-		if _, err := io.ReadFull(cr, tail[:]); err != io.EOF {
-			rec.damage(errors.New("geosir: trailing bytes after final section"))
-		}
+	if framed && c.remaining() != 0 {
+		rec.damage(errors.New("geosir: trailing bytes after final section"))
 	}
 	if err := freezeLoaded(eng); err != nil {
 		return nil, nil, err

@@ -650,18 +650,6 @@ func loadGSIR3(data []byte, alias bool) (*Engine, *Recovery, error) {
 	return eng, rec, nil
 }
 
-// readAllWithMagic re-assembles the complete byte image of a stream
-// whose magic has already been consumed.
-func readAllWithMagic(magic string, r io.Reader) ([]byte, error) {
-	rest, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	data := make([]byte, 0, len(magic)+len(rest))
-	data = append(data, magic...)
-	return append(data, rest...), nil
-}
-
 // engineStorage records how an engine's snapshot is backed, for /statz
 // reporting and unmap lifecycle. nil means heap-built (AddImage+Freeze
 // or a copy-decode load).

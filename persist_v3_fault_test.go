@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/atomicfile"
 	"repro/internal/iofault"
 )
 
@@ -39,9 +40,9 @@ func TestGSIR3SaveAtomicUnderWriteFaults(t *testing.T) {
 	next := buildEngine(t)
 	size := len(snapshotBytes(t, next))
 	for _, off := range faultOffsets(size) {
-		err := next.saveFileAtomic(path, func(w io.Writer) io.Writer {
+		err := atomicfile.Write(path, func(w io.Writer) io.Writer {
 			return iofault.FailWriter(w, int64(off))
-		})
+		}, next.Save)
 		if !errors.Is(err, iofault.ErrInjected) {
 			t.Fatalf("offset %d: save with injected fault returned %v", off, err)
 		}
@@ -137,9 +138,9 @@ func TestGSIR3TornWriteDetected(t *testing.T) {
 	full := snapshotBytes(t, eng)
 	rawEnd := v3SectionEnd(t, full, "RAWV")
 	for _, off := range faultOffsets(len(full)) {
-		err := eng.saveFileAtomic(path, func(w io.Writer) io.Writer {
+		err := atomicfile.Write(path, func(w io.Writer) io.Writer {
 			return iofault.TruncWriter(w, int64(off))
-		})
+		}, eng.Save)
 		if err != nil {
 			t.Fatalf("offset %d: torn save surfaced an error: %v", off, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 )
 
@@ -132,39 +133,17 @@ func manifestFromView(v *shardView, walSeq uint64) *shardManifest {
 	return man
 }
 
-// writeManifest writes the manifest with the same atomic discipline as
-// SaveFile: temp file, fsync, rename, directory fsync. A non-nil wrap
-// intercepts the payload writes (fault injection in tests).
+// writeManifest writes the manifest atomically (atomicfile.Write). A
+// non-nil wrap intercepts the payload writes (fault injection in tests).
 func writeManifest(path string, man *shardManifest, wrap func(io.Writer) io.Writer) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+manifestName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("geosir: creating temp manifest: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	var w io.Writer = tmp
-	if wrap != nil {
-		w = wrap(tmp)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(man); err != nil {
-		tmp.Close()
-		return fmt.Errorf("geosir: encoding manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("geosir: syncing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("geosir: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("geosir: publishing manifest: %w", err)
-	}
-	syncDir(dir)
-	return nil
+	return atomicfile.Write(path, wrap, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(man); err != nil {
+			return fmt.Errorf("geosir: encoding manifest: %w", err)
+		}
+		return nil
+	})
 }
 
 // ShardFileRecovery reports how one shard file fared in LoadAnyMode.
