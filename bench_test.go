@@ -280,12 +280,10 @@ func BenchmarkFig10_Selectivity(b *testing.B) {
 	opts.Alpha = 0.065
 	base := core.NewBase(opts)
 	for _, img := range images {
-		if _, err := base.AddShape(img.ID, img.Shapes[0]); err != nil {
+		var err error
+		if base, err = base.Append(img.ID, img.Shapes[:1]); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := base.Freeze(); err != nil {
-		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
 	b.ResetTimer()

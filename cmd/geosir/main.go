@@ -133,14 +133,13 @@ func storedPoly(shapes []geosir.Shape, id int) (geosir.Shape, error) {
 // printStats prints each shard's hash table, then the GSIR3 section table
 // a snapshot of eng holds — each section's tag, bytes, share of the file
 // and bytes per image, summed over the shards — read off the saved files'
-// own tables (sectable.Parse). An empty shard is never frozen and has
-// neither, so it is left out of both.
+// own tables (sectable.Parse). An empty shard is left out of both.
 func printStats(eng *geosir.ShardedEngine) error {
 	var tags []string
 	size, total := map[string]int{}, 0
 	for i := 0; i < eng.NumShards(); i++ {
 		sh := eng.Shard(i)
-		if !sh.Frozen() || sh.NumShapes() == 0 {
+		if sh.NumShapes() == 0 {
 			continue
 		}
 		mean, maxB := sh.HashTable().BucketStats()

@@ -202,14 +202,11 @@ func (e *Engine) AddImage(imageID int, shapes []Shape) error {
 	return e.db.AddImage(imageID, shapes)
 }
 
-// Freeze builds the retrieval index and the geometric hash table; the
-// engine becomes read-only and queryable.
+// Freeze builds the geometric hash table; the engine becomes read-only
+// and queryable. An engine of no images freezes too, and answers nothing.
 func (e *Engine) Freeze() error {
 	if e.frozen {
 		return nil
-	}
-	if err := e.db.Freeze(); err != nil {
-		return err
 	}
 	family, err := geohash.NewFamily(e.opts.HashCurves)
 	if err != nil {

@@ -212,11 +212,7 @@ func TestHashingFallbackAgreesWithScan(t *testing.T) {
 	if len(approx) == 0 {
 		t.Skip("hash buckets empty for this query (legal: hashing is approximate)")
 	}
-	scan, err := core.NewScanMatcher(eng.Base())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := scan.Match(q, 1)
+	exact, err := core.NewScanMatcher(eng.Base()).Match(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,16 @@ func Write(path string, wrap func(io.Writer) io.Writer, write func(io.Writer) er
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("atomicfile: publishing %s: %w", path, err)
 	}
-	// Best-effort: some filesystems reject fsync on a directory, and the
-	// rename has already succeeded.
+	SyncDir(dir)
+	return nil
+}
+
+// SyncDir fsyncs directory dir, making the entries created or renamed in
+// it durable. Best-effort: some filesystems reject fsync on a directory,
+// and the entry exists already.
+func SyncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		d.Close()
 	}
-	return nil
 }

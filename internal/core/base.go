@@ -92,7 +92,7 @@ type Base struct {
 	fieldCells []uint16
 
 	// scratch recycles per-query working state across Match calls (see
-	// scratch.go). Populated lazily after Freeze.
+	// scratch.go). Populated lazily.
 	scratch sync.Pool
 
 	// entryCost holds the page-granular storage footprint of each entry
@@ -104,15 +104,14 @@ type Base struct {
 	totalCost int
 
 	// rng is the climb's range index, built on its first use.
-	rng    rangeIndex
-	frozen bool
+	rng rangeIndex
 }
 
 // rangeIndex is what only the paper's §2.5 climb reads: every stored
 // vertex, derived copy by copy in entry order (a vertex's id is its cell's
 // index in fieldCells), the simplex range-search structure over them and
 // the vertex → entry map its reports are read through. No serving search
-// climbs, so neither Freeze nor a snapshot load builds it; the first climb
+// climbs, so neither Append nor a snapshot load builds it; the first climb
 // does (BuildRangeIndex).
 type rangeIndex struct {
 	once      sync.Once
@@ -135,15 +134,6 @@ func NewBase(opts Options) *Base {
 
 // Opts returns the base's effective options.
 func (b *Base) Opts() Options { return b.opts }
-
-// AddShape validates, normalizes, and stores a shape, returning its id.
-// It must be called before Freeze.
-func (b *Base) AddShape(image int, p geom.Poly) (int, error) {
-	if b.frozen {
-		return 0, fmt.Errorf("core: base is frozen")
-	}
-	return b.addShape(image, p)
-}
 
 // addShape stores p's normalized copies as the base stores a copy: its
 // meta, its vertices' cells and its block cost.
@@ -171,32 +161,16 @@ func (b *Base) addShape(image int, p geom.Poly) (int, error) {
 	return id, nil
 }
 
-// Freeze makes the base immutable and ready for matching.
-func (b *Base) Freeze() error {
-	if b.frozen {
-		return nil
-	}
-	if len(b.meta) == 0 {
-		return fmt.Errorf("core: cannot freeze an empty base")
-	}
-	b.frozen = true
-	return nil
-}
-
-// Append returns a frozen successor of b holding b's shapes and then
-// polys, all of image, under the next ids — laid out as a frozen base is,
-// so every search reads it as it reads a frozen one. b must be frozen or
-// empty, and stays as it is: the successor shares b's arrays and appends
-// past their ends, which is why only one successor of b may be kept — a
-// second Append to b overwrites what the first appended. An invalid shape
-// fails the whole call.
+// Append returns the successor of b holding b's shapes and then polys, all
+// of image, under the next ids: the one way a base grows. b stays as it is,
+// and every version is searchable, the empty one included. The successor
+// shares b's arrays and appends past their ends, which is why only one
+// successor of b may be kept — a second Append to b overwrites what the
+// first appended. An invalid shape fails the whole call.
 func (b *Base) Append(image int, polys []geom.Poly) (*Base, error) {
-	if !b.frozen && len(b.shapes) > 0 {
-		return nil, fmt.Errorf("core: Append to an unfrozen base")
-	}
 	n := &Base{
 		opts: b.opts, shapes: b.shapes, meta: b.meta, shapeOff: b.shapeOff, cellOff: b.cellOff,
-		fieldCells: b.fieldCells, entryCost: b.entryCost, totalCost: b.totalCost, frozen: true,
+		fieldCells: b.fieldCells, entryCost: b.entryCost, totalCost: b.totalCost,
 	}
 	for i, p := range polys {
 		if _, err := n.addShape(image, p); err != nil {
@@ -220,15 +194,11 @@ func (b *Base) copyPoly(ei int, dst []geom.Point) geom.Poly {
 
 // BuildRangeIndex builds the climb's range index — every stored vertex,
 // Options.BackendFactory's structure or Options.Backend's over them, and
-// the vertex → entry map — unless it is built already; before Freeze it
-// does nothing. Match and MatchTrace call it on their first climb; a caller
-// that times or meters the climb calls it first, so that its clock or
-// counters see searches and not the build. Safe for concurrent use: one
-// build.
+// the vertex → entry map — unless it is built already. Match and MatchTrace
+// call it on their first climb; a caller that times or meters the climb
+// calls it first, so that its clock or counters see searches and not the
+// build. Safe for concurrent use: one build.
 func (b *Base) BuildRangeIndex() {
-	if !b.frozen {
-		return
-	}
 	b.rng.once.Do(func() {
 		rangeIndexBuilds.Add(1)
 		verts := make([]geom.Point, 0, len(b.fieldCells))
@@ -250,11 +220,8 @@ func (b *Base) BuildRangeIndex() {
 
 // EntryOracle builds a boundary-distance oracle over entry i's normalized
 // polygon, on demand: the base holds none (the searches read a copy's own
-// edges, shapeindex.Edges, to the same bits). It returns nil before Freeze.
+// edges, shapeindex.Edges, to the same bits).
 func (b *Base) EntryOracle(i int) *BoundaryDist {
-	if !b.frozen {
-		return nil
-	}
 	return NewBoundaryDist(b.copyPoly(i, nil))
 }
 

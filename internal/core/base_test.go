@@ -34,14 +34,19 @@ func buildTestBase(t *testing.T, opts Options) *Base {
 	t.Helper()
 	b := NewBase(opts)
 	for i, p := range testShapes() {
-		if _, err := b.AddShape(i/2, p); err != nil {
-			t.Fatalf("AddShape %d: %v", i, err)
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+		b = mustAppend(t, b, i/2, p)
 	}
 	return b
+}
+
+// mustAppend returns b's successor holding polys, all of image (Append).
+func mustAppend(t testing.TB, b *Base, image int, polys ...geom.Poly) *Base {
+	t.Helper()
+	n, err := b.Append(image, polys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // distort jitters every vertex by at most mag (in units of the shape's
@@ -60,27 +65,12 @@ func distort(p geom.Poly, mag float64, rng *rand.Rand) geom.Poly {
 
 func TestBaseLifecycle(t *testing.T) {
 	b := NewBase(DefaultOptions())
-	if _, err := b.AddShape(0, geom.NewPolyline(geom.Pt(0, 0))); err == nil {
+	if _, err := b.Append(0, []geom.Poly{geom.NewPolyline(geom.Pt(0, 0))}); err == nil {
 		t.Error("invalid shape should be rejected")
 	}
-	if err := b.Freeze(); err == nil {
-		t.Error("freezing an empty base should fail")
-	}
-	id, err := b.AddShape(7, testShapes()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 0 || b.Shape(0).Image != 7 {
+	b = mustAppend(t, b, 7, testShapes()[0])
+	if id := b.Shape(0).ID; id != 0 || b.Shape(0).Image != 7 {
 		t.Errorf("shape bookkeeping: id=%d image=%d", id, b.Shape(0).Image)
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Freeze(); err != nil {
-		t.Errorf("double freeze should be a no-op: %v", err)
-	}
-	if _, err := b.AddShape(0, testShapes()[1]); err == nil {
-		t.Error("AddShape after Freeze should fail")
 	}
 	if b.NumShapes() != 1 || b.NumEntries() < 2 || b.NumVertices() < 8 {
 		t.Errorf("counts: shapes=%d entries=%d verts=%d", b.NumShapes(), b.NumEntries(), b.NumVertices())
@@ -146,10 +136,7 @@ func TestMatchDistortedCopy(t *testing.T) {
 func TestMatchAgreesWithScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := buildTestBase(t, DefaultOptions())
-	scan, err := NewScanMatcher(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scan := NewScanMatcher(b)
 	for trial := 0; trial < 6; trial++ {
 		src := testShapes()[trial%len(testShapes())]
 		q := distort(src, 0.05, rng)
@@ -208,8 +195,8 @@ func TestMatchTopKOrdering(t *testing.T) {
 
 func TestMatchErrors(t *testing.T) {
 	b := NewBase(DefaultOptions())
-	if _, _, err := b.Match(testShapes()[0], 1); err == nil {
-		t.Error("unfrozen base should error")
+	if ms, _, err := b.Match(testShapes()[0], 1); err != nil || len(ms) != 0 {
+		t.Errorf("an empty base answers %v, %v; want nothing", ms, err)
 	}
 	bb := buildTestBase(t, DefaultOptions())
 	if _, _, err := bb.Match(testShapes()[0], 0); err == nil {
@@ -241,12 +228,7 @@ func TestSimilarShapesCancelled(t *testing.T) {
 	b := NewBase(DefaultOptions())
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
-		if _, err := b.AddShape(i, distort(testShapes()[i%6], 0.02, rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+		b = mustAppend(t, b, i, distort(testShapes()[i%6], 0.02, rng))
 	}
 	firstChunk := 0
 	for i := 0; i < b.NumEntries(); i++ {
@@ -326,11 +308,7 @@ func TestEpsilonMaxFormula(t *testing.T) {
 }
 
 func TestScanMatcherErrors(t *testing.T) {
-	if _, err := NewScanMatcher(NewBase(DefaultOptions())); err == nil {
-		t.Error("unfrozen base should be rejected")
-	}
-	b := buildTestBase(t, DefaultOptions())
-	s, _ := NewScanMatcher(b)
+	s := NewScanMatcher(buildTestBase(t, DefaultOptions()))
 	if _, err := s.Match(testShapes()[0], 0); err == nil {
 		t.Error("k=0 should error")
 	}

@@ -25,13 +25,8 @@ type ScanMatcher struct {
 	base *Base
 }
 
-// NewScanMatcher wraps a frozen base.
-func NewScanMatcher(b *Base) (*ScanMatcher, error) {
-	if !b.frozen {
-		return nil, fmt.Errorf("core: base must be frozen")
-	}
-	return &ScanMatcher{base: b}, nil
-}
+// NewScanMatcher wraps a base.
+func NewScanMatcher(b *Base) *ScanMatcher { return &ScanMatcher{base: b} }
 
 // Match returns the k best shapes by the symmetric vertex-averaged
 // measure, evaluating every entry (O(n) work).

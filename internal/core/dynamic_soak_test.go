@@ -54,18 +54,10 @@ func TestDynamicInterleavedWorkload(t *testing.T) {
 		idOf := make([]int, 0, len(live))
 		for _, ls := range live {
 			s := d.b.Shape(ls.id)
-			if _, err := ob.AddShape(s.Image, s.Poly); err != nil {
-				t.Fatal(err)
-			}
+			ob = mustAppend(t, ob, s.Image, s.Poly)
 			idOf = append(idOf, ls.id)
 		}
-		if err := ob.Freeze(); err != nil {
-			t.Fatal(err)
-		}
-		scan, err := NewScanMatcher(ob)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scan := NewScanMatcher(ob)
 		src := live[rng.Intn(len(live))]
 		s := d.b.Shape(src.id)
 		q := synth.Distort(rng, s.Poly, 0.01)

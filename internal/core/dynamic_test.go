@@ -226,12 +226,7 @@ func TestDynamicMatchAgainstStaticOracle(t *testing.T) {
 		if _, err := dyn.insert(i, p); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := static.AddShape(i, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := static.Freeze(); err != nil {
-		t.Fatal(err)
+		static = mustAppend(t, static, i, p)
 	}
 	for trial := 0; trial < 4; trial++ {
 		q := distort(testShapes()[trial], 0.02, rng)
@@ -278,13 +273,6 @@ func TestDynamicEmptyAndErrors(t *testing.T) {
 	if ms := dynMatch(t, d, testShapes()[0], 3); len(ms) != 0 {
 		t.Errorf("emptied base returned %v", ms)
 	}
-	unfrozen := NewBase(DefaultOptions())
-	if _, err := unfrozen.AddShape(0, testShapes()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := unfrozen.Append(1, testShapes()[1:2]); err == nil {
-		t.Error("Append to an unfrozen base with shapes should fail")
-	}
 }
 
 // TestDynamicWithinCancelled pins that the fixed-cutoff scan honours its
@@ -327,12 +315,7 @@ func TestDynamicShapeDistancePreparedBounded(t *testing.T) {
 		if _, err := d.insert(i, p); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.AddShape(i, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+		b = mustAppend(t, b, i, p)
 	}
 	if !reflect.DeepEqual(d.b.entryCost, b.entryCost) || d.b.totalCost != b.totalCost || !reflect.DeepEqual(d.b.fieldCells, b.fieldCells) {
 		t.Fatal("the grown base's cells or block costs differ from the frozen one's")

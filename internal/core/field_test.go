@@ -231,12 +231,7 @@ func fieldSliverBase(t *testing.T) *Base {
 		shapes = append(shapes, img.Shapes...)
 	}
 	for i, s := range shapes {
-		if _, err := b.AddShape(i, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+		b = mustAppend(t, b, i, s)
 	}
 	return b
 }
@@ -500,16 +495,7 @@ func TestFieldBuiltOncePerRequest(t *testing.T) {
 		bases[i] = NewBase(DefaultOptions())
 	}
 	for _, img := range images {
-		for _, s := range img.Shapes {
-			if _, err := bases[img.ID%parts].AddShape(img.ID, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, b := range bases {
-		if err := b.Freeze(); err != nil {
-			t.Fatal(err)
-		}
+		bases[img.ID%parts] = mustAppend(t, bases[img.ID%parts], img.ID, img.Shapes...)
 	}
 	rng := rand.New(rand.NewSource(113))
 	for trial := 0; trial < 6; trial++ {
@@ -657,14 +643,7 @@ func TestCellListsReadTheWalk(t *testing.T) {
 	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
 	b := NewBase(DefaultOptions())
 	for _, img := range images {
-		for _, s := range img.Shapes {
-			if _, err := b.AddShape(img.ID, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+		b = mustAppend(t, b, img.ID, img.Shapes...)
 	}
 	listed, verts := 0, copyVerts(b)
 	queries := synth.Queries(rand.New(rand.NewSource(5)), images, 8, 0.01)
@@ -721,10 +700,7 @@ func copyVerts(b *Base) []geom.Point {
 // file, or nil: derived, as a file without the row loads).
 func reassemble(t *testing.T, b *Base, cells []uint16) *Base {
 	t.Helper()
-	parts, err := b.FrozenParts()
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := b.FrozenParts()
 	spec := BaseSpec{Opts: b.opts, Shapes: b.shapes, EntryMeta: parts.EntryMeta, Cells: cells}
 	if cells == nil {
 		spec.Cells, spec.DeriveCells = make([]uint16, b.NumVertices()), true
@@ -766,7 +742,7 @@ func mappedCells(t *testing.T, cells []uint16) []uint16 {
 
 // TestFieldCellsFollowTheBase pins that a stored vertex's cell id is a
 // property of the vertex, whichever way its copy came to be searchable: a
-// base frozen from shapes, one reassembled from parts over heap slices,
+// base built from shapes, one reassembled from parts over heap slices,
 // over a read-only file mapping and without a cell row (derived), one grown
 // shape by shape by Append (a live delta's), and the base a compaction
 // freezes from the live shapes all hold fieldCell of every vertex, in
@@ -786,7 +762,7 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 			checkStrided(t, path, b.scanShape(id), b.fieldCells[b.cellOff[id]:b.cellOff[id+1]], int(b.shapeOff[id]))
 		}
 	}
-	check("Freeze", frozen)
+	check("built", frozen)
 	check("BaseFromParts over heap slices", reassemble(t, frozen, frozen.fieldCells))
 	check("BaseFromParts without cells", reassemble(t, frozen, nil))
 	if cells := mappedCells(t, frozen.fieldCells); cells != nil {
@@ -806,14 +782,9 @@ func TestFieldCellsFollowTheBase(t *testing.T) {
 			t.Fatalf("Append: live shape %d holds cells %v, the frozen base %v", id, live.block, want[lo:hi])
 		}
 		ls := d.b.Shape(id)
-		if _, err := compacted.AddShape(ls.Image, ls.Poly); err != nil {
-			t.Fatal(err)
-		}
+		compacted = mustAppend(t, compacted, ls.Image, ls.Poly)
 	}
 	check("Append", d.b)
-	if err := compacted.Freeze(); err != nil {
-		t.Fatal(err)
-	}
 	check("compaction", compacted)
 }
 
@@ -847,14 +818,7 @@ func checkStrided(t *testing.T, path string, s scanShape, owned []uint16, first 
 func BenchmarkFieldReject(b *testing.B) {
 	base := NewBase(DefaultOptions())
 	for _, img := range synth.GenerateBase(synth.PaperSpec(0.01, 1)) {
-		for _, s := range img.Shapes {
-			if _, err := base.AddShape(img.ID, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := base.Freeze(); err != nil {
-		b.Fatal(err)
+		base = mustAppend(b, base, img.ID, img.Shapes...)
 	}
 	q := synth.Distort(rand.New(rand.NewSource(131)), base.Shape(7).Poly, 0.01)
 	ms, _, err := base.Match(q, 5)

@@ -98,9 +98,6 @@ func (b *Base) SimilarShapes(ctx context.Context, q geom.Poly, tau float64) ([]M
 
 // matchable reports why the base cannot answer a top-k search, if so.
 func (b *Base) matchable(k int) error {
-	if !b.frozen {
-		return fmt.Errorf("core: base must be frozen before matching")
-	}
 	if k <= 0 {
 		return fmt.Errorf("core: k must be positive, got %d", k)
 	}

@@ -27,19 +27,9 @@ func TestMatchSoakAgainstScan(t *testing.T) {
 			Distortion: 0.02, OpenFraction: 0.3, Seed: 7,
 		})
 		for _, img := range images {
-			for _, s := range img.Shapes {
-				if _, err := b.AddShape(img.ID, s); err != nil {
-					t.Fatal(err)
-				}
-			}
+			b = mustAppend(t, b, img.ID, img.Shapes...)
 		}
-		if err := b.Freeze(); err != nil {
-			t.Fatal(err)
-		}
-		scan, err := NewScanMatcher(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scan := NewScanMatcher(b)
 		converged := 0
 		for trial := 0; trial < 25; trial++ {
 			src := b.Shape(rng.Intn(b.NumShapes())).Poly

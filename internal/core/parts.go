@@ -9,10 +9,10 @@ import (
 	"repro/internal/shapeindex"
 )
 
-// This file is the persistence seam of the frozen base: FrozenParts
+// This file is the persistence seam of the base: FrozenParts
 // exposes what the base stores of each copy — its meta and its vertices'
 // distance-field cells — so a snapshot writer can serialize them verbatim,
-// and BaseFromParts reassembles a frozen Base from such arrays without
+// and BaseFromParts reassembles a Base from such arrays without
 // deriving a copy: the decode-free load path of the GSIR3 format. Checks in
 // BaseFromParts guard every index the searches and a copy's derivation
 // read, and the half-turn pairs the floors read through; other element
@@ -31,27 +31,23 @@ type EntryMeta struct {
 	DiamJ   int32
 }
 
-// FrozenParts is a read-only view of what a frozen base stores per copy.
-// The slices alias the base's live internals — callers must not mutate
-// them.
+// FrozenParts is a read-only view of what a base stores per copy. The
+// slices alias the base's internals — callers must not mutate them.
 type FrozenParts struct {
 	EntryMeta []EntryMeta // one per copy, each shape's one run, in shape order
 	Cells     []uint16    // every copy's vertices' field cells, copy by copy
 }
 
-// FrozenParts returns what a frozen base stores per copy.
-func (b *Base) FrozenParts() (FrozenParts, error) {
-	if !b.frozen {
-		return FrozenParts{}, fmt.Errorf("core: FrozenParts on an unfrozen base")
-	}
-	return FrozenParts{EntryMeta: b.meta, Cells: b.fieldCells}, nil
+// FrozenParts returns what the base stores per copy.
+func (b *Base) FrozenParts() FrozenParts {
+	return FrozenParts{EntryMeta: b.meta, Cells: b.fieldCells}
 }
 
 // Grid returns the oracle's segment grid.
 func (b *BoundaryDist) Grid() *shapeindex.SegmentGrid { return b.grid }
 
 // BaseSpec carries everything BaseFromParts needs to reassemble a
-// frozen base. Slices are adopted, not copied: they may alias a
+// base. Slices are adopted, not copied: they may alias a
 // read-only memory mapping, in which case the Base must not outlive it.
 type BaseSpec struct {
 	Opts      Options
@@ -73,11 +69,11 @@ type BaseSpec struct {
 // a pair check of meta alone is exact below it.
 const pairDriftExtent = 1e4
 
-// BaseFromParts reassembles a frozen Base from what a snapshot stores. The
-// result answers every query identically to the Base whose parts were
-// serialized: meta and cells are adopted as-is, and only O(shapes + copies)
-// bookkeeping (the shape → copies and shape → cells offsets, block costs)
-// is rebuilt, with no pass over a copy's vertices unless DeriveCells asks
+// BaseFromParts reassembles a Base from what a snapshot stores, parts of
+// no shape included. The result answers every query identically to the
+// Base whose parts were serialized: meta and cells are adopted as-is, and
+// only O(shapes + copies) bookkeeping (the shape → copies and shape →
+// cells offsets, block costs) is rebuilt, with no pass over a copy's vertices unless DeriveCells asks
 // for the cell row. It refuses parts whose layout the searches cannot
 // read: a shape's copies not one run in shape order, or an odd number of
 // them; a copy 2k+1 whose pair is not copy 2k's swapped — the half turn a
@@ -86,17 +82,10 @@ const pairDriftExtent = 1e4
 // counts; a cell row of the wrong length or a cell id past the field's. A
 // shape whose extent exceeds pairDriftExtent times its shortest α-diameter
 // has its copies derived and its pairs checked vertex by vertex, as
-// AddShape checks them. The climb's
-// range index is not part of it: like a frozen Base's, it is built on the
-// first climb (BuildRangeIndex).
+// Append checks them. The climb's range index is not part of it: like an
+// appended Base's, it is built on the first climb (BuildRangeIndex).
 func BaseFromParts(s BaseSpec) (*Base, error) {
 	ne := len(s.EntryMeta)
-	if ne == 0 {
-		return nil, fmt.Errorf("core: base parts with no entries")
-	}
-	if len(s.Shapes) == 0 {
-		return nil, fmt.Errorf("core: base parts with no shapes")
-	}
 	for id, sh := range s.Shapes {
 		if sh.ID != id {
 			return nil, fmt.Errorf("core: base parts shape %d carries id %d", id, sh.ID)
@@ -166,7 +155,6 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 		}
 	}
 	b.fieldCells = s.Cells
-	b.frozen = true
 	return b, nil
 }
 

@@ -35,12 +35,7 @@ func specInOrder(b *Base, order []int) BaseSpec {
 func TestBaseFromPartsRefusesBrokenLayout(t *testing.T) {
 	b := NewBase(DefaultOptions())
 	for i, p := range testShapes() {
-		if _, err := b.AddShape(i, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+		b = mustAppend(t, b, i, p)
 	}
 	// Two neighbouring shapes, a and a+1, of at least two copies each.
 	a := -1
@@ -142,11 +137,7 @@ func TestDemoCopyIsOneBlock(t *testing.T) {
 	}
 	b := NewBase(DefaultOptions())
 	for _, img := range synth.GenerateBase(synth.PaperSpec(0.02, 1)) {
-		for _, s := range img.Shapes {
-			if _, err := b.AddShape(img.ID, s); err != nil {
-				t.Fatal(err)
-			}
-		}
+		b = mustAppend(t, b, img.ID, img.Shapes...)
 	}
 	for ei, c := range b.entryCost {
 		if c != 1 {

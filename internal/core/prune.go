@@ -152,7 +152,7 @@ var FieldLayout = func() uint32 {
 // the box and for non-finite coordinates (every comparison with NaN is
 // false). The box and the resolution are constants, so the id is a property
 // of the point alone — a stored vertex's is computed once, when its copy is
-// frozen or inserted, and every query's table is read through it.
+// appended or loaded, and every query's table is read through it.
 func fieldCell(p geom.Point) uint16 {
 	fx, fy := (p.X-fieldX0)*fieldRes, (p.Y-fieldY0)*fieldRes
 	if !(fx >= 0 && fx < fieldNX && fy >= 0 && fy < fieldNY) {
@@ -537,9 +537,6 @@ func AvgMinDistVerticesBounded(a geom.Poly, b *BoundaryDist, cutoff float64) (fl
 // every copy of the shape; its evaluation counter with the copies that
 // reached the exact evaluator.
 func (b *Base) ShapeDistancePreparedBounded(shapeID int, pq *PreparedQuery, cutoff float64) (Match, bool, error) {
-	if !b.frozen {
-		return Match{}, false, fmt.Errorf("core: base must be frozen before matching")
-	}
 	if shapeID < 0 || shapeID >= len(b.shapes) {
 		return Match{}, false, fmt.Errorf("core: shape id %d out of range", shapeID)
 	}

@@ -143,14 +143,7 @@ func TestShapeDistancePreparedBounded(t *testing.T) {
 	})
 	rng := rand.New(rand.NewSource(5))
 	for _, img := range images {
-		for _, s := range img.Shapes {
-			if _, err := b.AddShape(img.ID, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+		b = mustAppend(t, b, img.ID, img.Shapes...)
 	}
 	q := synth.Distort(rng, b.Shape(0).Poly, 0.02)
 	pq, err := PrepareQuery(q)
@@ -220,14 +213,7 @@ func TestPrunedTopKAgainstScan(t *testing.T) {
 			images = append(images, synth.Image{ID: 9001 + i, Shapes: []geom.Poly{p}})
 		}
 		for _, img := range images {
-			for _, s := range img.Shapes {
-				if _, err := b.AddShape(img.ID, s); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := b.Freeze(); err != nil {
-			t.Fatal(err)
+			b = mustAppend(t, b, img.ID, img.Shapes...)
 		}
 		if len(tc.extra) > 0 {
 			outside := 0
@@ -240,10 +226,7 @@ func TestPrunedTopKAgainstScan(t *testing.T) {
 				t.Fatalf("%s: no stored vertex leaves the distance field's box", tc.name)
 			}
 		}
-		scan, err := NewScanMatcher(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scan := NewScanMatcher(b)
 		rng := rand.New(rand.NewSource(29))
 		converged := 0
 		for trial := 0; trial < tc.trials; trial++ {
@@ -309,14 +292,7 @@ func pruneTestBase(t *testing.T, spec synth.BaseSpec) *Base {
 	t.Helper()
 	b := NewBase(DefaultOptions())
 	for _, img := range synth.GenerateBase(spec) {
-		for _, s := range img.Shapes {
-			if _, err := b.AddShape(img.ID, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+		b = mustAppend(t, b, img.ID, img.Shapes...)
 	}
 	return b
 }
@@ -395,10 +371,7 @@ func TestGrowthClamp(t *testing.T) {
 		Images: 30, MeanShapes: 3, MeanVertices: 13, Prototypes: 8,
 		Distortion: 0.02, OpenFraction: 0.3, Seed: 17,
 	})
-	scan, err := NewScanMatcher(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scan := NewScanMatcher(b)
 	rng := rand.New(rand.NewSource(31))
 	converged, clamped := 0, 0
 	for trial := 0; trial < 30; trial++ {

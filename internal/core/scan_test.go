@@ -38,19 +38,9 @@ func TestScanEquivalence(t *testing.T) {
 		images = append(images, synth.Image{ID: 9001, Shapes: []geom.Poly{twin.Clone()}})
 		b := NewBase(DefaultOptions())
 		for _, img := range images {
-			for _, s := range img.Shapes {
-				if _, err := b.AddShape(img.ID, s); err != nil {
-					t.Fatal(err)
-				}
-			}
+			b = mustAppend(t, b, img.ID, img.Shapes...)
 		}
-		if err := b.Freeze(); err != nil {
-			t.Fatal(err)
-		}
-		exhaustive, err := NewScanMatcher(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exhaustive := NewScanMatcher(b)
 		rng := rand.New(rand.NewSource(seed))
 		queries := append(synth.Queries(rng, images, 5, 0.01), twin, synth.Distort(rng, twin, 0.005))
 		for qi, q := range queries {
@@ -193,16 +183,11 @@ func TestCopiesShareVertexCount(t *testing.T) {
 		b, d := NewBase(opts), newDyn(opts)
 		for _, img := range images {
 			for _, s := range append(img.Shapes, sliver) {
-				if _, err := b.AddShape(img.ID, s); err != nil {
-					t.Fatal(err)
-				}
+				b = mustAppend(t, b, img.ID, s)
 				if _, err := d.insert(img.ID, s); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-		if err := b.Freeze(); err != nil {
-			t.Fatal(err)
 		}
 		for _, base := range []*Base{b, reassemble(t, b, b.fieldCells), d.b} {
 			for id := range base.NumShapes() {
@@ -236,16 +221,11 @@ func TestCopiesComeInMirroredPairs(t *testing.T) {
 		b, d := NewBase(opts), newDyn(opts)
 		for _, img := range images {
 			for _, s := range img.Shapes {
-				if _, err := b.AddShape(img.ID, s); err != nil {
-					t.Fatal(err)
-				}
+				b = mustAppend(t, b, img.ID, s)
 				if _, err := d.insert(img.ID, s); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-		if err := b.Freeze(); err != nil {
-			t.Fatal(err)
 		}
 		bases := map[string]*Base{"Freeze": b, "Append": d.b, "BaseFromParts over heap slices": reassemble(t, b, b.fieldCells)}
 		if cells := mappedCells(t, b.fieldCells); cells != nil {
@@ -271,12 +251,7 @@ func TestCopiesComeInMirroredPairs(t *testing.T) {
 
 	b := NewBase(DefaultOptions())
 	for i, p := range testShapes() {
-		if _, err := b.AddShape(i, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+		b = mustAppend(t, b, i, p)
 	}
 	var own []int
 	for ei := range b.meta {
@@ -305,7 +280,7 @@ func TestCopiesComeInMirroredPairs(t *testing.T) {
 	if _, err := BaseFromParts(farSpec); err == nil || !strings.Contains(err.Error(), "parts shape 0: copy") {
 		t.Fatalf("parts of a unit square 1e9 from the origin, its pairs swapped in meta, reassembled: %v", err)
 	}
-	if _, err := NewBase(DefaultOptions()).AddShape(0, far); err == nil || !strings.Contains(err.Error(), "half-turn pairs") {
+	if _, err := NewBase(DefaultOptions()).Append(0, []geom.Poly{far}); err == nil || !strings.Contains(err.Error(), "half-turn pairs") {
 		t.Fatalf("a unit square 1e9 from the origin was added: %v", err)
 	}
 	if _, err := b.Append(0, []geom.Poly{far}); err == nil {
@@ -482,14 +457,7 @@ func BenchmarkFloors(b *testing.B) {
 	images := synth.GenerateBase(synth.PaperSpec(0.02, 1))
 	base := NewBase(DefaultOptions())
 	for _, img := range images {
-		for _, s := range img.Shapes {
-			if _, err := base.AddShape(img.ID, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := base.Freeze(); err != nil {
-		b.Fatal(err)
+		base = mustAppend(b, base, img.ID, img.Shapes...)
 	}
 	var pqs []*PreparedQuery
 	for _, q := range synth.Queries(rand.New(rand.NewSource(2)), images, 64, 0.01) {

@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the per-query working state of the fattening search
-// (§2.5) in a form that can be recycled across queries. A frozen base
+// (§2.5) in a form that can be recycled across queries. A base version
 // serves every query with the same entry/vertex population, so the
 // O(#entries + #vertices) arrays the algorithm needs are allocated once
 // per worker goroutine and handed out through a sync.Pool; validity is
@@ -147,7 +147,7 @@ func (s *matchScratch) setResolved(ei int32)   { s.doneStamp[ei] = s.epoch }
 func (s *matchScratch) counted(vid int) bool { return s.vertStamp[vid] == s.epoch }
 func (s *matchScratch) setCounted(vid int)   { s.vertStamp[vid] = s.epoch }
 
-// getScratch hands out a scratch sized for the frozen base, resetting it
+// getScratch hands out a scratch sized for the base, resetting it
 // for a fresh query. Concurrent Match calls each get their own scratch;
 // steady state holds about one per active worker goroutine.
 func (b *Base) getScratch() *matchScratch {

@@ -146,17 +146,9 @@ func TestMatchScratchEpochWraparound(t *testing.T) {
 
 // TestEntryOracleEquivalence pins EntryOracle's contract: the base holds
 // no oracle per entry, so EntryOracle builds one over the entry's
-// normalized polygon on demand — nil before Freeze — and what the searches
-// read instead, the copy's own edges (shapeindex.Edges), gives that
+// normalized polygon on demand, and what the searches read instead, the copy's own edges (shapeindex.Edges), gives that
 // oracle's bits at every query vertex, hence the same directed pass.
 func TestEntryOracleEquivalence(t *testing.T) {
-	unfrozen := NewBase(DefaultOptions())
-	if _, err := unfrozen.AddShape(0, testShapes()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if o := unfrozen.EntryOracle(0); o != nil {
-		t.Fatal("an oracle before Freeze")
-	}
 	b := buildTestBase(t, DefaultOptions())
 	rng := rand.New(rand.NewSource(11))
 	queries := make([]geom.Poly, 0, len(testShapes()))
@@ -230,42 +222,33 @@ func TestShapeDistancePreparedEquivalence(t *testing.T) {
 }
 
 // TestEntriesOfShapeIndex asserts the shape→entries index matches the
-// entries' own ShapeID tags, pre- and post-freeze.
+// entries' own ShapeID tags.
 func TestEntriesOfShapeIndex(t *testing.T) {
 	b := NewBase(DefaultOptions())
 	for i, p := range testShapes() {
-		if _, err := b.AddShape(i, p); err != nil {
-			t.Fatal(err)
-		}
+		b = mustAppend(t, b, i, p)
 	}
-	check := func(stage string) {
-		for sid := 0; sid < b.NumShapes(); sid++ {
-			var want []int
-			for ei := 0; ei < b.NumEntries(); ei++ {
-				if b.Entry(ei).ShapeID == sid {
-					want = append(want, ei)
-				}
-			}
-			got := b.EntriesOfShape(sid)
-			if len(got) != len(want) {
-				t.Fatalf("%s shape %d: index %v, scan %v", stage, sid, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s shape %d: index %v, scan %v", stage, sid, got, want)
-				}
+	for sid := 0; sid < b.NumShapes(); sid++ {
+		var want []int
+		for ei := 0; ei < b.NumEntries(); ei++ {
+			if b.Entry(ei).ShapeID == sid {
+				want = append(want, ei)
 			}
 		}
-		if out := b.EntriesOfShape(-1); out != nil {
-			t.Errorf("%s: EntriesOfShape(-1) = %v", stage, out)
+		got := b.EntriesOfShape(sid)
+		if len(got) != len(want) {
+			t.Fatalf("shape %d: index %v, scan %v", sid, got, want)
 		}
-		if out := b.EntriesOfShape(b.NumShapes()); out != nil {
-			t.Errorf("%s: EntriesOfShape(out of range) = %v", stage, out)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("shape %d: index %v, scan %v", sid, got, want)
+			}
 		}
 	}
-	check("pre-freeze")
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
+	if out := b.EntriesOfShape(-1); out != nil {
+		t.Errorf("EntriesOfShape(-1) = %v", out)
 	}
-	check("post-freeze")
+	if out := b.EntriesOfShape(b.NumShapes()); out != nil {
+		t.Errorf("EntriesOfShape(out of range) = %v", out)
+	}
 }

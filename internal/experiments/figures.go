@@ -177,14 +177,10 @@ func Fig10(cfg Config, tau float64, queries int) (Fig10Result, error) {
 		})
 		b := core.NewBase(cfg.CoreOpts)
 		for _, img := range images {
-			for _, s := range img.Shapes {
-				if _, err := b.AddShape(img.ID, s); err != nil {
-					return nil, err
-				}
+			var err error
+			if b, err = b.Append(img.ID, img.Shapes); err != nil {
+				return nil, err
 			}
-		}
-		if err := b.Freeze(); err != nil {
-			return nil, err
 		}
 		return b, nil
 	}
@@ -381,9 +377,6 @@ func Plans(f *Fixture) ([]PlanRow, error) {
 		if err := db.AddImage(img.ID, valid); err != nil {
 			return nil, err
 		}
-	}
-	if err := db.Freeze(); err != nil {
-		return nil, err
 	}
 	// Bind two query shapes: a common one (low V_S) and a rare, highly
 	// structured one (high V_S).
@@ -610,14 +603,10 @@ func ExtIndexIO(f *Fixture, bufferBlocks []int) ([]ExtIndexRow, error) {
 		}
 		b := core.NewBase(opts)
 		for _, img := range f.Images {
-			for _, s := range img.Shapes {
-				if _, err := b.AddShape(img.ID, s); err != nil {
-					return nil, err
-				}
+			var err error
+			if b, err = b.Append(img.ID, img.Shapes); err != nil {
+				return nil, err
 			}
-		}
-		if err := b.Freeze(); err != nil {
-			return nil, err
 		}
 		b.BuildRangeIndex() // the tree exists from here, its counters start below
 		tree.ResetStats()
@@ -751,7 +740,7 @@ func Quality(f *Fixture, distortions []float64, queriesPer int) ([]QualityRow, e
 		sid := 0
 		for _, img := range f.Images {
 			for i := range img.Shapes {
-				// Shape ids are assigned in AddShape order, which follows
+				// Shape ids are assigned in Append order, which follows
 				// the image iteration order of BuildFixture.
 				classOf[sid] = img.Class[i]
 				sid++

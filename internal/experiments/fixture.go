@@ -84,14 +84,10 @@ func BuildFixture(cfg Config) (*Fixture, error) {
 
 	base := core.NewBase(cfg.CoreOpts)
 	for _, img := range images {
-		for _, s := range img.Shapes {
-			if _, err := base.AddShape(img.ID, s); err != nil {
-				return nil, fmt.Errorf("experiments: adding shape of image %d: %w", img.ID, err)
-			}
+		var err error
+		if base, err = base.Append(img.ID, img.Shapes); err != nil {
+			return nil, fmt.Errorf("experiments: adding image %d: %w", img.ID, err)
 		}
-	}
-	if err := base.Freeze(); err != nil {
-		return nil, err
 	}
 	// Every experiment on the fixture climbs, and the ones that time it
 	// must not time the range index's build.

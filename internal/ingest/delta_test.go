@@ -195,11 +195,8 @@ func TestDeltaCandidatesMatchFrozenBuckets(t *testing.T) {
 
 	// Bounded scoring of a surviving candidate agrees with a frozen Base.
 	id := live(d.Lookup(quad, 1), dead)[0]
-	b := core.NewBase(core.DefaultOptions())
-	if _, err := b.AddShape(0, d.Base().Shape(id).Poly); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Freeze(); err != nil {
+	b, err := core.NewBase(core.DefaultOptions()).Append(0, []geom.Poly{d.Base().Shape(id).Poly})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []float64{math.Inf(1), 0.05} {

@@ -21,6 +21,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/atomicfile"
 	"repro/internal/geom"
@@ -70,23 +71,27 @@ type Options struct {
 type WAL struct {
 	path string
 	opts Options
-	f    *os.File
+	f    *os.File // the file at path; nil after a failed reopen (Rewrite)
 	w    io.Writer
 	seq  uint64 // last assigned sequence number
 	n    int    // live record count in the file
 	size int64
 }
 
+// openFile opens the log's file; tests swap it to fail a reopen.
+var openFile = os.OpenFile
+
 // OpenWAL opens (creating if absent) the log at path and replays it.
 // The returned ops are every intact record in order; truncated reports
 // whether a torn tail was found and cut (the crash-recovery case — the
-// torn record was never acknowledged, so dropping it is correct).
+// torn record was never acknowledged, so dropping it is correct). A log
+// it creates has its directory entry made durable (atomicfile.SyncDir).
 func OpenWAL(path string, opts Options) (*WAL, []Op, bool, error) {
 	ops, goodEnd, truncated, err := replay(path)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := openFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("ingest: opening wal: %w", err)
 	}
@@ -100,6 +105,7 @@ func OpenWAL(path string, opts Options) (*WAL, []Op, bool, error) {
 			f.Close()
 			return nil, nil, false, fmt.Errorf("ingest: writing wal header: %w", err)
 		}
+		atomicfile.SyncDir(filepath.Dir(path))
 		goodEnd = int64(len(walMagic))
 	} else if err := f.Truncate(goodEnd); err != nil {
 		f.Close()
@@ -109,10 +115,8 @@ func OpenWAL(path string, opts Options) (*WAL, []Op, bool, error) {
 		f.Close()
 		return nil, nil, false, err
 	}
-	w := &WAL{path: path, opts: opts, f: f, w: io.Writer(f), n: len(ops), size: goodEnd}
-	if opts.WrapWriter != nil {
-		w.w = opts.WrapWriter(f)
-	}
+	w := &WAL{path: path, opts: opts, n: len(ops), size: goodEnd}
+	w.use(f)
 	if len(ops) > 0 {
 		w.seq = ops[len(ops)-1].Seq
 	}
@@ -168,11 +172,27 @@ func replay(path string) (ops []Op, goodEnd int64, truncated bool, err error) {
 	}
 }
 
+// use makes f, positioned at its end, the file appends go to.
+func (w *WAL) use(f *os.File) {
+	w.f, w.w = f, f
+	if w.opts.WrapWriter != nil {
+		w.w = w.opts.WrapWriter(f)
+	}
+}
+
 // Append assigns the op the next sequence number, writes it, and (unless
 // NoSync) fsyncs before returning — the durability point of an
 // acknowledged write. On a write error the file is truncated back to the
-// last intact record so a failed append never leaves a torn middle.
+// last intact record so a failed append never leaves a torn middle. After
+// a Rewrite whose reopen failed it reopens the file at the log's path
+// first, and fails without writing if that fails again: no op is
+// acknowledged that a restart would not replay.
 func (w *WAL) Append(op *Op) error {
+	if w.f == nil {
+		if err := w.reopen(); err != nil {
+			return err
+		}
+	}
 	w.seq++
 	op.Seq = w.seq
 	rec, err := appendRecord(nil, op)
@@ -240,27 +260,29 @@ func (w *WAL) Rewrite(ops []Op) error {
 	if err != nil {
 		return err
 	}
-	size := int64(len(buf))
-	// Swap the append handle to the new file.
-	f, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("ingest: reopening rewritten wal: %w", err)
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
+	// The old handle is on the replaced file: appends through it would
+	// never replay. Drop it, then swap the append handle to the new file.
 	w.f.Close()
-	w.f = f
-	w.w = io.Writer(f)
-	if w.opts.WrapWriter != nil {
-		w.w = w.opts.WrapWriter(f)
-	}
-	w.size = size
+	w.f = nil
+	w.size = int64(len(buf))
 	w.n = len(ops)
 	if len(ops) > 0 && ops[len(ops)-1].Seq > w.seq {
 		w.seq = ops[len(ops)-1].Seq
 	}
+	return w.reopen()
+}
+
+// reopen opens the file at the log's path for appends, at its end.
+func (w *WAL) reopen() error {
+	f, err := openFile(w.path, os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("ingest: reopening rewritten wal: %w", err)
+	}
+	if _, err := f.Seek(w.size, io.SeekStart); err != nil {
+		f.Close()
+		return fmt.Errorf("ingest: reopening rewritten wal: %w", err)
+	}
+	w.use(f)
 	return nil
 }
 
@@ -274,4 +296,9 @@ func (w *WAL) Size() int64 { return w.size }
 func (w *WAL) Path() string { return w.path }
 
 // Close closes the underlying file.
-func (w *WAL) Close() error { return w.f.Close() }
+func (w *WAL) Close() error {
+	if w.f == nil {
+		return nil
+	}
+	return w.f.Close()
+}

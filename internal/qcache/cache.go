@@ -17,11 +17,12 @@ type Config struct {
 	// MaxEntries bounds the entry count (default MaxBytes/4KiB, min 64):
 	// a flood of tiny responses cannot grow the index without bound.
 	MaxEntries int
-	// Shards is the number of independently locked LRU shards (default
-	// 16, rounded up to a power of two). Sharding keeps the hot-path
-	// critical section per-fingerprint-prefix instead of global.
-	Shards int
 }
+
+// shardCount is the number of independently locked LRU shards, a power
+// of two so that shard selection is a mask. Sharding keeps the hot-path
+// critical section per fingerprint prefix instead of global.
+const shardCount = 16
 
 // entryOverhead is the accounting charge per cache entry beyond its
 // body: fingerprint key, list element, map bucket share.
@@ -102,20 +103,13 @@ type Cache struct {
 
 // New builds a cache, or returns nil (meaning "caching off") when
 // cfg.MaxBytes ≤ 0.
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return newCache(cfg, shardCount) }
+
+// newCache is New over n shards, n a power of two.
+func newCache(cfg Config, n int) *Cache {
 	if cfg.MaxBytes <= 0 {
 		return nil
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	n = p
 	maxEntries := cfg.MaxEntries
 	if maxEntries <= 0 {
 		maxEntries = int(cfg.MaxBytes / 4096)

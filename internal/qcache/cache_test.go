@@ -109,7 +109,7 @@ func TestByteBoundEviction(t *testing.T) {
 	// One shard so the LRU order is observable; budget fits two bodies
 	// plus overhead but not three.
 	body := bytes.Repeat([]byte("x"), 1024)
-	c := New(Config{MaxBytes: 2*(1024+entryOverhead) + 64, Shards: 1, MaxEntries: 1024})
+	c := newCache(Config{MaxBytes: 2*(1024+entryOverhead) + 64, MaxEntries: 1024}, 1)
 	for i := 0; i < 3; i++ {
 		mustDo(t, c, fpN(i), string(body))
 	}
@@ -130,7 +130,7 @@ func TestByteBoundEviction(t *testing.T) {
 
 func TestLRUTouchOnHit(t *testing.T) {
 	body := bytes.Repeat([]byte("x"), 1024)
-	c := New(Config{MaxBytes: 2*(1024+entryOverhead) + 64, Shards: 1, MaxEntries: 1024})
+	c := newCache(Config{MaxBytes: 2*(1024+entryOverhead) + 64, MaxEntries: 1024}, 1)
 	mustDo(t, c, fpN(0), string(body))
 	mustDo(t, c, fpN(1), string(body))
 	mustDo(t, c, fpN(0), "") // hit: 0 becomes most recent
@@ -144,7 +144,7 @@ func TestLRUTouchOnHit(t *testing.T) {
 }
 
 func TestEntryCountBound(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20, MaxEntries: 4, Shards: 1})
+	c := newCache(Config{MaxBytes: 1 << 20, MaxEntries: 4}, 1)
 	for i := 0; i < 10; i++ {
 		mustDo(t, c, fpN(i), "tiny")
 	}
@@ -154,7 +154,7 @@ func TestEntryCountBound(t *testing.T) {
 }
 
 func TestOversizedEntryRefused(t *testing.T) {
-	c := New(Config{MaxBytes: 1024, Shards: 1})
+	c := newCache(Config{MaxBytes: 1024}, 1)
 	small := "s"
 	mustDo(t, c, fpN(1), small)
 	huge := string(bytes.Repeat([]byte("x"), 4096))
@@ -324,7 +324,7 @@ func TestWaiterCancellationDoesNotPoison(t *testing.T) {
 // TestConcurrentChurn hammers Do/Get/Purge from many goroutines; run
 // under -race this is the data-race proof for the shard locking.
 func TestConcurrentChurn(t *testing.T) {
-	c := New(Config{MaxBytes: 64 << 10, Shards: 4, MaxEntries: 256})
+	c := newCache(Config{MaxBytes: 64 << 10, MaxEntries: 256}, 4)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -83,7 +83,6 @@ type DB struct {
 	diamAng []float64     // per shape id, its diameter orientation in the image frame
 	seen    map[int]bool  // image ids added, while the DB is built
 	dead    map[int]bool  // shape ids a read skips (Without)
-	frozen  bool
 }
 
 // NewDB creates an empty database.
@@ -101,9 +100,6 @@ func NewDB(opts Options) *DB {
 // An invalid shape fails the whole image; an image must contain at least
 // one shape.
 func (db *DB) AddImage(imageID int, shapes []geom.Poly) error {
-	if db.frozen {
-		return fmt.Errorf("query: database is frozen")
-	}
 	if db.seen[imageID] {
 		return fmt.Errorf("query: image %d already added", imageID)
 	}
@@ -112,12 +108,11 @@ func (db *DB) AddImage(imageID int, shapes []geom.Poly) error {
 		return err
 	}
 	*db = *next
-	db.frozen = false
 	db.seen[imageID] = true
 	return nil
 }
 
-// Append returns a frozen successor of the database that also holds the
+// Append returns the successor of the database that also holds the
 // image: its shapes (core.Base.Append), their diameter angles and its
 // graph, each appended past the end of an array the successor shares with
 // the receiver. So the receiver reads as it did, and of the successors of
@@ -132,7 +127,7 @@ func (db *DB) Append(imageID int, shapes []geom.Poly) (*DB, error) {
 		return nil, fmt.Errorf("query: image %d %w", imageID, err)
 	}
 	next := *db
-	next.base, next.frozen = base, true
+	next.base = base
 	ids := make([]int, len(shapes))
 	for i, p := range shapes {
 		e, err := core.NormalizeCanonical(p)
@@ -148,15 +143,6 @@ func (db *DB) Append(imageID int, shapes []geom.Poly) (*DB, error) {
 		next.graphOf = append(next.graphOf, g)
 	}
 	return &next, nil
-}
-
-// Freeze makes the database read-only and queryable.
-func (db *DB) Freeze() error {
-	if err := db.base.Freeze(); err != nil {
-		return err
-	}
-	db.frozen = true
-	return nil
 }
 
 // Without returns the database as a read sees it behind dead, a set of

@@ -60,9 +60,6 @@ func TestDBWithOpenShapeQueries(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Freeze(); err != nil {
-		t.Fatal(err)
-	}
 	binds := Bindings{
 		"line": geom.NewPolyline(geom.Pt(0, 0), geom.Pt(7, 0)),
 		"box":  sq(0, 0, 4),

@@ -6,10 +6,10 @@ import (
 	"repro/internal/core"
 )
 
-// This file is the persistence seam of the frozen database: accessors
+// This file is the persistence seam of the database: accessors
 // for the state a snapshot writer needs beyond the core base (per-shape
 // diameter angles, per-image graphs), and DBFromParts to reassemble a
-// frozen DB around an already-reassembled base without re-running the
+// DB around an already-reassembled base without re-running the
 // O(shapes²) graph geometry.
 
 // Graphs returns the image graphs in insertion order (the live slice —
@@ -34,16 +34,15 @@ func GraphFromParts(image int, shapeIDs []int, edges []GraphEdge) *ImageGraph {
 	return g
 }
 
-// DBParts carries everything DBFromParts needs to reassemble a frozen
-// database.
+// DBParts carries everything DBFromParts needs to reassemble a database.
 type DBParts struct {
 	Opts    Options
-	Base    *core.Base    // already reassembled and frozen
+	Base    *core.Base    // already reassembled
 	Graphs  []*ImageGraph // per image, in insertion order
 	DiamAng []float64     // per shape id, its diameter orientation
 }
 
-// DBFromParts reassembles a frozen DB; everything is adopted as-is. The
+// DBFromParts reassembles a DB; everything is adopted as-is. The
 // graphs must list the base's shapes as AddImage left them: in id order,
 // each under its own image, no graph empty — so the graphs are the
 // images' insertion order.
@@ -74,6 +73,6 @@ func DBFromParts(p DBParts) (*DB, error) {
 		return nil, fmt.Errorf("query: db parts place %d of %d shapes in an image", placed, len(graphOf))
 	}
 	db := NewDB(p.Opts)
-	db.base, db.graphs, db.graphOf, db.diamAng, db.frozen = p.Base, p.Graphs, graphOf, p.DiamAng, true
+	db.base, db.graphs, db.graphOf, db.diamAng = p.Base, p.Graphs, graphOf, p.DiamAng
 	return db, nil
 }

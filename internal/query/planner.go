@@ -119,9 +119,6 @@ func Prepare(src string, binds Bindings) (*Prepared, error) {
 // negated literals start from the full image set. The conjunct results
 // are united.
 func (db *DB) Eval(ctx context.Context, q *Prepared) (ImageSet, *Plan, error) {
-	if !db.frozen {
-		return nil, nil, fmt.Errorf("query: database must be frozen")
-	}
 	result := make(ImageSet)
 	plan := &Plan{}
 	// The DNF rewrite duplicates literals across conjuncts; a per-query

@@ -300,7 +300,7 @@ func (s *Server) loadState(path string) (*engineState, error) {
 	// directory names it <FORMAT>-SHARDED. The size is a file's.
 	snap := SnapshotStatz{Source: path}
 	for i, fr := range rec.Shards {
-		if sh := sv.Shard(i); sh.Frozen() && sh.NumShapes() > 0 {
+		if sv.Shard(i).NumShapes() > 0 {
 			snap.Format = fr.Recovery.Format
 			break
 		}
@@ -331,7 +331,7 @@ func shardStatz(sv Serving, rec *geosir.ShardRecovery) []ShardStatz {
 		sh := sv.Shard(i)
 		out[i] = ShardStatz{
 			Shard:  i,
-			Live:   sh.Frozen() && sh.NumShapes() > 0,
+			Live:   sh.NumShapes() > 0,
 			Images: sh.NumImages(),
 			Shapes: sh.NumShapes(),
 		}

@@ -77,10 +77,7 @@ func newModel(t *testing.T, eng *Engine, queries, sketch []Shape) *model {
 	t.Helper()
 	m := &model{eng: eng}
 	base := m.eng.Base()
-	scan, err := core.NewScanMatcher(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scan := core.NewScanMatcher(base)
 	rank := func(q Shape) []Match {
 		ms, err := scan.Match(q, base.NumShapes())
 		if err != nil {

@@ -44,17 +44,6 @@ const maxCount = 1 << 28
 // be allowed to stall a load for minutes).
 const maxHashCurves = 1 << 16
 
-// freezeLoaded freezes a just-decoded engine. An engine with no shapes
-// (an empty snapshot, or a salvage that dropped everything) is returned
-// unfrozen because the core index rejects empty bases; it is still a
-// valid engine that can accept AddImage and be frozen later.
-func freezeLoaded(eng *Engine) error {
-	if eng.NumShapes() == 0 {
-		return nil
-	}
-	return eng.Freeze()
-}
-
 // DroppedImage describes one image section that LoadPartial could not
 // recover from a damaged snapshot.
 type DroppedImage struct {
@@ -117,7 +106,7 @@ func (rec *Recovery) damage(err error) {
 }
 
 // LoadPartial reads a possibly damaged snapshot and salvages every image
-// whose bytes still verify, returning the engine (frozen unless it holds no
+// whose bytes still verify, returning the engine (frozen, even of no
 // shapes) plus a Recovery describing exactly what was dropped. For GSIR2
 // streams each image section is independently CRC-protected, so a single
 // corrupted image costs only that image; for GSIR1 streams (no framing)

@@ -44,7 +44,7 @@ func loadGSIR1(data []byte) (*Engine, *Recovery, error) {
 		}
 		rec.ImagesLoaded++
 	}
-	if err := freezeLoaded(eng); err != nil {
+	if err := eng.Freeze(); err != nil {
 		return nil, nil, err
 	}
 	return eng, rec, nil

@@ -275,7 +275,7 @@ func loadGSIR2(data []byte) (*Engine, *Recovery, error) {
 	if framed && c.remaining() != 0 {
 		rec.damage(errors.New("geosir: trailing bytes after final section"))
 	}
-	if err := freezeLoaded(eng); err != nil {
+	if err := eng.Freeze(); err != nil {
 		return nil, nil, err
 	}
 	return eng, rec, nil

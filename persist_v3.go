@@ -208,7 +208,7 @@ func put[T any](b []byte, vs []T) []byte {
 // canonical: saving, loading, and saving again reproduces the stream byte
 // for byte. The derived sections *are* the frozen index, so an engine
 // with shapes must be frozen (else ErrNotFrozen); one with none is written
-// as a file of zero counts, which loads empty and unfrozen.
+// as a file of zero counts, which loads empty and frozen.
 func (e *Engine) Save(w io.Writer) error {
 	built, err := e.buildV3Sections()
 	if err != nil {
@@ -236,15 +236,10 @@ type savedImage struct {
 // views them as, so the two layouts cannot drift apart.
 func (e *Engine) buildV3Sections() (map[string][]byte, error) {
 	base := e.db.Base()
-	var parts core.FrozenParts
-	if e.frozen {
-		var err error
-		if parts, err = base.FrozenParts(); err != nil {
-			return nil, err
-		}
-	} else if base.NumShapes() > 0 {
+	if !e.frozen && base.NumShapes() > 0 {
 		return nil, ErrNotFrozen
 	}
+	parts := base.FrozenParts()
 	shapes := base.Shapes()
 	graphs := e.db.Graphs()
 	out := make(map[string][]byte, len(v3Table))
@@ -580,9 +575,7 @@ func parseV3Graphs(b []byte, o v3Options) ([]*query.ImageGraph, error) {
 // refuses, an assembly that fails — costs only the derived index: the
 // engine is rebuilt from the raw family (deterministically, so it answers
 // as the original, and never aliasing data), and the report counts the
-// loss in AuxDropped. A file of no shapes is built the same way, without
-// loss, and loads unfrozen. The engine aliases data exactly when it is
-// complete and frozen.
+// loss in AuxDropped. The engine aliases data exactly when it is complete.
 func loadGSIR3(data []byte, alias bool) (*Engine, *Recovery, error) {
 	secs, err := sectable.Parse(data)
 	if err != nil {
@@ -615,7 +608,7 @@ func loadGSIR3(data []byte, alias bool) (*Engine, *Recovery, error) {
 	if rec.Err == nil {
 		rec.Err = v3Check(sec, &o, false)
 	}
-	if rec.Err == nil && o.nShapes > 0 {
+	if rec.Err == nil {
 		eng, err := assembleV3(r, o, images)
 		if err == nil {
 			rec.ImagesLoaded = o.nImages
@@ -639,7 +632,7 @@ func loadGSIR3(data []byte, alias bool) (*Engine, *Recovery, error) {
 		rec.ImagesLoaded++
 	}
 	if err == nil {
-		err = freezeLoaded(eng)
+		err = eng.Freeze()
 	}
 	if err != nil {
 		if rec.Err != nil { // what a read that does not rebuild stops at
@@ -700,11 +693,10 @@ func (e *Engine) Close() error {
 var errNotMapped = errors.New("geosir: not mapped")
 
 // mapGSIR3 maps path and runs the GSIR3 decoder over the mapping. A
-// complete, frozen engine keeps the mapping and serves from it; any other
-// result — a salvage, an empty base — is on the heap and the mapping is
-// released. A platform or build that cannot map and cast, a file that does
-// not map, and a file that is not GSIR3 are refused with errNotMapped,
-// undecoded.
+// complete engine keeps the mapping and serves from it; a salvage is on
+// the heap and the mapping is released. A platform or build that cannot
+// map and cast, a file that does not map, and a file that is not GSIR3
+// are refused with errNotMapped, undecoded.
 func mapGSIR3(path string) (*Engine, *Recovery, error) {
 	if !mmap.Supported() || !mmap.CanCast() {
 		return nil, nil, fmt.Errorf("%w: mmap load unsupported on this platform/build: %w", errNotMapped, mmap.ErrUnsupported)
@@ -718,7 +710,7 @@ func mapGSIR3(path string) (*Engine, *Recovery, error) {
 		return nil, nil, fmt.Errorf("%w: %s is not a GSIR3 snapshot", errNotMapped, path)
 	}
 	eng, rec, err := loadGSIR3(m.Data(), true)
-	if err != nil || !rec.Complete() || !eng.frozen {
+	if err != nil || !rec.Complete() {
 		m.Close()
 		return eng, rec, err
 	}

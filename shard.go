@@ -284,14 +284,14 @@ func (v *shardView) deltas() []*ingest.Delta {
 func (v *shardView) activeSlot() int { return len(v.log.ids) - 1 }
 
 // parts lists what a request searches, each behind its slot's tombstones
-// and global ids: the frozen, non-empty shards, then the deltas that hold
+// and global ids: the shards that store a shape, then the deltas that hold
 // live shapes (sealed first) — ascending global-id ranges. A shard
 // dropped wholesale by snapshot recovery is left empty and simply
 // contributes nothing (partial results).
 func (v *shardView) parts() []part {
 	out := make([]part, 0, len(v.log.ids))
 	for s, sh := range v.shards {
-		if sh.Frozen() && sh.NumShapes() > 0 {
+		if sh.NumShapes() > 0 {
 			p := sh.part()
 			p.ids, p.dead = v.log.ids[s], v.log.dead[s]
 			out = append(out, p)
@@ -356,7 +356,7 @@ func NewSharded(opts Options, shards int) *ShardedEngine {
 
 // newShardedFromParts assembles a sharded engine from already-loaded
 // shards and the image log placing their images (see loadShardedDir),
-// tombstones included. Shards must be frozen or empty.
+// tombstones included. Shards must be frozen.
 func newShardedFromParts(opts Options, shards []*Engine, log imageLog, gen uint64) *ShardedEngine {
 	se := &ShardedEngine{opts: opts, shards: shards, log: log, frozen: true}
 	se.view.Store(&shardView{shards: shards, log: log, gen: gen})
@@ -386,9 +386,9 @@ func (se *ShardedEngine) AddImage(imageID int, shapes []Shape) error {
 	return nil
 }
 
-// Freeze builds every shard's retrieval index and hash table in
-// parallel, one goroutine per non-empty shard. Empty shards (possible
-// when shards > images) stay unfrozen and are skipped by queries.
+// Freeze freezes every shard in parallel, one goroutine a shard, empty
+// ones (possible when shards > images) included: a shard of no shapes is
+// frozen like any other, and no view searches it.
 func (se *ShardedEngine) Freeze() error {
 	if se.frozen {
 		return nil
@@ -399,9 +399,6 @@ func (se *ShardedEngine) Freeze() error {
 	errs := make([]error, len(se.shards))
 	var wg sync.WaitGroup
 	for i, sh := range se.shards {
-		if sh.NumImages() == 0 {
-			continue
-		}
 		wg.Add(1)
 		go func(i int, sh *Engine) {
 			defer wg.Done()
@@ -495,9 +492,7 @@ func (se *ShardedEngine) NumEntries() int {
 	v := se.snapshot()
 	n := 0
 	for _, sh := range v.shards {
-		if sh.NumImages() > 0 {
-			n += sh.NumEntries()
-		}
+		n += sh.NumEntries()
 	}
 	for _, d := range v.deltas() {
 		n += d.NumEntries()

@@ -297,6 +297,9 @@ func loadShardedDir(dir string, mode LoadMode) (*ShardedEngine, *ShardRecovery, 
 	for i := range shards {
 		if shards[i] == nil {
 			shards[i] = New(*opts)
+			if err := shards[i].Freeze(); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 

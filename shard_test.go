@@ -423,3 +423,74 @@ func TestShardedMixedOptionsShardDropped(t *testing.T) {
 		re.Close()
 	}
 }
+
+// TestEmptyShardsAreOrdinaryEngines: a shard of no images is an engine
+// like any other. Freeze freezes every shard of an engine with more shards
+// than images, and so does a reload of its directory through LoadAnyMode,
+// heap and mapped; every load answers ModeExact, ModeSketch and Query as
+// one Engine over the same images does. An Engine of no images freezes
+// too, and its Search and Query answer nothing.
+func TestEmptyShardsAreOrdinaryEngines(t *testing.T) {
+	images := []synth.Image{
+		{ID: 1, Shapes: []Shape{square(0, 0, 2), triangle(4, 4, 1)}},
+		{ID: 2, Shapes: []Shape{lshape(9, 9, 2)}},
+		{ID: 3, Shapes: []Shape{square(20, 0, 3), lshape(30, 0, 1)}},
+	}
+	single := buildSingle(t, images)
+	se := buildShardedFrom(t, images, 8)
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := se.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	exact := SearchRequest{Query: square(0.1, 0.1, 2), K: 5, Mode: ModeExact}
+	sketch := SearchRequest{Sketch: []Shape{square(0, 0, 2), triangle(4, 4, 1)}, K: 3, Mode: ModeSketch}
+	const topo = "contain(sq, tri, any) OR similar(ell)"
+	binds := map[string]Shape{"sq": square(0, 0, 5), "tri": triangle(0, 0, 5), "ell": lshape(0, 0, 2)}
+	want := []*SearchResponse{mustSearch(t, single, exact), mustSearch(t, single, sketch)}
+	wantIDs, wantPlan, err := single.Query(context.Background(), topo, binds)
+	if err != nil || len(want[0].Matches) == 0 || len(want[1].SketchMatches) == 0 || len(wantIDs) == 0 {
+		t.Fatalf("the single engine answers %d, %d, %v (%v)", len(want[0].Matches), len(want[1].SketchMatches), wantIDs, err)
+	}
+	engines := map[string]*ShardedEngine{"built": se}
+	for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+		s, rec, err := LoadAnyMode(dir, mode)
+		if err != nil || !rec.Complete() {
+			t.Fatalf("%v: %v, recovery %+v", mode, err, rec)
+		}
+		engines[mode.String()] = s.(*ShardedEngine)
+		defer s.(*ShardedEngine).Close()
+	}
+	for name, eng := range engines {
+		empty := 0
+		for i := 0; i < eng.NumShards(); i++ {
+			if !eng.Shard(i).Frozen() {
+				t.Fatalf("%s: shard %d of %d images is not frozen", name, i, eng.Shard(i).NumImages())
+			}
+			if eng.Shard(i).NumImages() == 0 {
+				empty++
+			}
+		}
+		if empty == 0 {
+			t.Fatalf("%s: no empty shard among %d", name, eng.NumShards())
+		}
+		assertMatchesEqual(t, name+" exact", want[0].Matches, mustSearch(t, eng, exact).Matches)
+		assertSketchEqual(t, name+" sketch", want[1].SketchMatches, mustSearch(t, eng, sketch).SketchMatches)
+		ids, plan, err := eng.Query(context.Background(), topo, binds)
+		if err != nil || !slices.Equal(ids, wantIDs) || plan != wantPlan {
+			t.Fatalf("%s: Query answers %v %q (%v), want %v %q", name, ids, plan, err, wantIDs, wantPlan)
+		}
+	}
+
+	eng := New(DefaultOptions())
+	if err := eng.Freeze(); err != nil {
+		t.Fatalf("an engine of no images does not freeze: %v", err)
+	}
+	for _, req := range []SearchRequest{exact, sketch} {
+		if resp := mustSearch(t, eng, req); len(resp.Matches) != 0 || len(resp.SketchMatches) != 0 {
+			t.Fatalf("an engine of no images answers %+v", resp)
+		}
+	}
+	if ids, _, err := eng.Query(context.Background(), topo, binds); err != nil || len(ids) != 0 {
+		t.Fatalf("an engine of no images answers Query with %v (%v)", ids, err)
+	}
+}
