@@ -100,6 +100,7 @@ bench-smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFloors|BenchmarkDistFieldBuild|BenchmarkFieldReject' -benchtime=1x ./internal/core
 	$(GO) test -short -run '^$$' -bench 'BenchmarkAnnProbe' -benchtime=1x ./internal/annindex
 	$(GO) test -short -run '^$$' -bench 'BenchmarkOpenV3' -benchtime=1x -benchmem .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkImageLog' -benchtime=1x -benchmem .
 
 # The size figures ROADMAP's "Size" notes and gates quote, in lines:
 # tracked non-test and test Go outside bench/, the non-test Go the daemon

@@ -563,6 +563,51 @@ func BenchmarkSearchLive(b *testing.B) {
 	}
 }
 
+// BenchmarkImageLog times the image log's three write-path steps on a
+// synthetic log of 5-shape images over 8 slots, no deletes, at two sizes
+// 100× apart, so a cost that grows with the base's history shows as a
+// ratio: deleted (the successor tombstoning one image), inserted (the
+// successor placing one more in the last slot, on a log with room for
+// it) and live (the lookup both run, here of the oldest id, a scan of
+// the whole log).
+func BenchmarkImageLog(b *testing.B) {
+	var log imageLog
+	var at int
+	for _, n := range []int{1_000, 100_000} {
+		l := newImageLog(8)
+		for id := 0; id < n; id++ {
+			l.place(id, 5, id%8, false)
+		}
+		l.images = slices.Grow(l.images, 1)
+		l.ids[7] = slices.Grow(l.ids[7], 5)
+		b.Run(fmt.Sprintf("deleted/entries=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				log = l.deleted(i % n)
+			}
+		})
+		b.Run(fmt.Sprintf("inserted/entries=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				log = l.inserted(n, 5, 7)
+			}
+		})
+		b.Run(fmt.Sprintf("live/entries=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				at = l.live(0)
+			}
+		})
+	}
+	imageLogSink, imageLogAt = log, at
+}
+
+// imageLogSink and imageLogAt keep BenchmarkImageLog's results live.
+var (
+	imageLogSink imageLog
+	imageLogAt   int
+)
+
 // --- §3: geometric hashing -------------------------------------------------
 
 func BenchmarkGeoHash_Characteristic(b *testing.B) {

@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geohash"
 	"repro/internal/geom"
+	"repro/internal/mmap"
 	"repro/internal/query"
 	"repro/internal/sched"
 )
@@ -154,10 +155,10 @@ type Engine struct {
 	annOnce sync.Once
 	ann     *annindex.Index
 
-	// stor records how the engine's snapshot is backed (nil = heap).
-	// Set by mapGSIR3, which also pins the mapping's lifetime to the
-	// engine; see persist_v3.go.
-	stor *engineStorage
+	// mapping is the snapshot mapping the engine serves from (nil =
+	// heap). Set by mapGSIR3, which also pins the mapping's lifetime to
+	// the engine; see persist_v3.go.
+	mapping *mmap.Mapping
 
 	// sched plans per-request fan-out width (sketch shapes) from the
 	// live in-flight load; the zero value is ready to use.

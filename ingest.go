@@ -229,27 +229,19 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	return nil
 }
 
-// applyReplay re-applies one WAL operation during EnableIngest.
+// applyReplay re-applies one WAL operation during EnableIngest: the
+// write decision with no fold running, which reads ErrImageExists and
+// ErrNoImage as the operation having already happened.
 func (g *ingestor) applyReplay(op ingest.Op) error {
-	v := g.se.view.Load()
-	i := v.log.live(op.Image)
-	switch op.Kind {
-	case ingest.OpInsert:
-		if i >= 0 {
-			return nil // already folded or applied
-		}
-		nv, err := v.inserted(op.Image, op.Shapes)
-		if err == nil {
-			g.se.view.Store(nv)
-		}
-		return err
-	case ingest.OpDelete:
-		if i >= 0 {
-			g.se.view.Store(v.deleted(i))
-		}
+	nv, err := g.se.view.Load().apply(op, false)
+	switch {
+	case errors.Is(err, ErrImageExists), errors.Is(err, ErrNoImage):
 		return nil
+	case err != nil:
+		return err
 	}
-	return fmt.Errorf("unknown op kind %q", string(op.Kind))
+	g.se.view.Store(nv)
+	return nil
 }
 
 // InsertImage adds an image to the live base: validated into a successor
@@ -258,6 +250,27 @@ func (g *ingestor) applyReplay(op ingest.Op) error {
 // anywhere — frozen shards, sealed delta, or active delta; re-using the id
 // of a deleted image is allowed and assigns fresh global shape ids.
 func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []Shape) error {
+	return se.write(ctx, ingest.Op{Kind: ingest.OpInsert, Image: imageID, Shapes: shapes})
+}
+
+// DeleteImage removes an image from the live base, durably logged
+// before acknowledgment: its shapes are tombstoned in its slot — a frozen
+// shard's file, like a delta version, is immutable, and the tombstone
+// filters them out of every query path. Deletes of frozen images are
+// refused with ErrCompacting while a compaction is folding, and of sealed
+// ones until the fold commits, so the fold's input stays exactly the
+// write prefix it sealed.
+func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
+	return se.write(ctx, ingest.Op{Kind: ingest.OpDelete, Image: imageID})
+}
+
+// write runs one live write under the writer mutex: decide
+// (shardView.apply) — nothing refused may reach the log — then append to
+// the WAL, then publish, then count. A failed append publishes nothing,
+// so an unacknowledged write leaves no trace, an insert's global-id
+// reservation included. An insert that fills the active delta to the
+// threshold starts a background compaction.
+func (se *ShardedEngine) write(ctx context.Context, op ingest.Op) error {
 	g := se.ing.Load()
 	if g == nil {
 		return ErrIngestOff
@@ -270,34 +283,29 @@ func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []
 		g.mu.Unlock()
 		return ErrIngestOff
 	}
-	v := se.view.Load()
-	if v.log.live(imageID) >= 0 {
-		g.mu.Unlock()
-		return fmt.Errorf("%w: id %d", ErrImageExists, imageID)
-	}
-	// Build the successor first — Insert validates the shapes, and nothing
-	// invalid may reach the log — then append, then publish: a failed
-	// append publishes nothing, so the unacknowledged insert leaves no
-	// trace, its global-id reservation included.
-	nv, err := v.inserted(imageID, shapes)
+	nv, err := se.view.Load().apply(op, g.compacting.Load())
 	if err != nil {
 		g.mu.Unlock()
 		return err
 	}
-	op := ingest.Op{Kind: ingest.OpInsert, Image: imageID, Shapes: shapes}
 	if err := g.wal.Append(&op); err != nil {
 		g.mu.Unlock()
-		return fmt.Errorf("geosir: logging insert: %w", err)
+		return fmt.Errorf("geosir: logging %s: %w", op.Kind, err)
 	}
 	se.view.Store(nv)
 	g.pending = append(g.pending, op)
-	g.ins++
 	se.mutEpoch.Add(1)
-	trigger := g.cfg.CompactThreshold > 0 &&
-		nv.log.liveShapes(nv.activeSlot()) >= g.cfg.CompactThreshold &&
-		!g.compacting.Load()
-	if trigger {
-		g.autos++
+	trigger := false
+	if op.Kind == ingest.OpDelete {
+		g.dels++
+	} else {
+		g.ins++
+		trigger = g.cfg.CompactThreshold > 0 &&
+			nv.log.liveShapes(nv.activeSlot()) >= g.cfg.CompactThreshold &&
+			!g.compacting.Load()
+		if trigger {
+			g.autos++
+		}
 	}
 	g.mu.Unlock()
 	if trigger {
@@ -309,48 +317,6 @@ func (se *ShardedEngine) InsertImage(ctx context.Context, imageID int, shapes []
 			}
 		}()
 	}
-	return nil
-}
-
-// DeleteImage removes an image from the live base, durably logged
-// before acknowledgment: its entry in the image log is marked deleted and
-// its shapes tombstoned in its slot — a frozen shard's file, like a
-// delta version, is immutable, and the tombstone filters them out of
-// every query path. Deletes of frozen images are refused with
-// ErrCompacting while a compaction is folding, and of sealed ones until
-// the fold commits, so the fold's input stays exactly the write prefix it
-// sealed.
-func (se *ShardedEngine) DeleteImage(ctx context.Context, imageID int) error {
-	g := se.ing.Load()
-	if g == nil {
-		return ErrIngestOff
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return ErrIngestOff
-	}
-	v := se.view.Load()
-	i := v.log.live(imageID)
-	if i < 0 {
-		return fmt.Errorf("%w: id %d", ErrNoImage, imageID)
-	}
-	// Slots before the active delta's: the frozen shards, then the sealed
-	// delta.
-	if s := v.log.images[i].Shard; s < v.activeSlot() && (s >= len(v.shards) || g.compacting.Load()) {
-		return ErrCompacting
-	}
-	op := ingest.Op{Kind: ingest.OpDelete, Image: imageID}
-	if err := g.wal.Append(&op); err != nil {
-		return fmt.Errorf("geosir: logging delete: %w", err)
-	}
-	g.pending = append(g.pending, op)
-	se.view.Store(v.deleted(i))
-	g.dels++
-	se.mutEpoch.Add(1)
 	return nil
 }
 
@@ -414,7 +380,7 @@ func (se *ShardedEngine) Compact() error {
 	newShard := len(v.shards)
 	var eng *Engine
 	for _, im := range v.log.images {
-		if im.Shard != newShard || im.Deleted {
+		if im.Shard != newShard || v.log.tombstoned(im) {
 			continue
 		}
 		shapes := make([]Shape, im.Shapes)

@@ -214,6 +214,57 @@ func TestIngestRestartReplay(t *testing.T) {
 	}
 }
 
+// TestIngestReplaySkipsDeleteThatHappened: SaveDir into a live engine's
+// own directory writes its frozen tombstones into the manifest and resets
+// the fold watermark to 0, so the next EnableIngest replays deletes whose
+// images the manifest already marks deleted. Replay reads such a delete,
+// of an image live nowhere, as already done: the directory reloads to the
+// engine it was saved from.
+func TestIngestReplaySkipsDeleteThatHappened(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	frozenImgs, liveImgs := splitBase(images)
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	se := buildShardedFrom(t, frozenImgs, 3)
+	enableIngest(t, se, dir, IngestConfig{})
+	for _, im := range liveImgs[:4] {
+		if err := se.InsertImage(ctx, im.ID, im.Shapes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := se.DeleteImage(ctx, frozenImgs[2].ID); err != nil {
+		t.Fatal(err)
+	}
+	req := SearchRequest{Query: queries[0], K: 5, Mode: ModeExact}
+	want, err := se.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantImages := se.NumImages()
+	if err := se.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.CloseIngest(); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, _, err := LoadAnyMode(dir, LoadModeHeap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := loaded.(*ShardedEngine)
+	enableIngest(t, re, dir, IngestConfig{})
+	if re.NumImages() != wantImages {
+		t.Fatalf("reloaded %d images, want %d", re.NumImages(), wantImages)
+	}
+	got, err := re.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesEqual(t, "replayed", want.Matches, got.Matches)
+}
+
 // TestIngestCrashMidCompaction is the acceptance-criteria test: abort
 // the compaction at every stage of its protocol (plus a manifest-write
 // fault), "crash" by abandoning the engine, recover the directory with

@@ -29,9 +29,6 @@ type Options struct {
 	// the external-memory tree of internal/extindex, so the fattening
 	// algorithm runs against external auxiliary structures (§4).
 	BackendFactory func(pts []geom.Point) rangesearch.Backend
-	// Samples is the boundary sampling density for the continuous
-	// measure; ≤ 0 selects DefaultSamples per shape.
-	Samples int
 	// GrowthFactor is the multiplicative envelope growth per iteration
 	// (> 1). The default is 2.
 	GrowthFactor float64

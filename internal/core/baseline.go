@@ -63,7 +63,7 @@ func (s *ScanMatcher) Match(q geom.Poly, k int) ([]Match, error) {
 	}
 	var resample []geom.Point
 	for i := range out {
-		out[i].DistContinuous = pq.distContinuous(s.base.copyPoly(out[i].EntryID, buf), s.base.opts.Samples, &resample)
+		out[i].DistContinuous = pq.distContinuous(s.base.copyPoly(out[i].EntryID, buf), &resample)
 	}
 	return out, nil
 }

@@ -110,8 +110,8 @@ func exhaustiveDyn(d *dynBase, pq *PreparedQuery, cut float64) []Match {
 	sortMatches(out)
 	for i := range out {
 		cp := d.b.Entry(out[i].EntryID).Poly
-		out[i].DistContinuous = (AvgMinDistTo(cp, pq.oracle, d.b.opts.Samples) +
-			AvgMinDistTo(pq.entry.Poly, NewBoundaryDist(cp), d.b.opts.Samples)) / 2
+		out[i].DistContinuous = (AvgMinDistTo(cp, pq.oracle, 0) +
+			AvgMinDistTo(pq.entry.Poly, NewBoundaryDist(cp), 0)) / 2
 	}
 	return out
 }

@@ -90,7 +90,7 @@ func (b *Base) SimilarShapes(ctx context.Context, q geom.Poly, tau float64) ([]M
 	var resample, buf []geom.Point
 	for i := range out {
 		ei := out[i].EntryID
-		out[i].DistContinuous = pq.distContinuous(b.copyPoly(ei, buf), b.opts.Samples, &resample)
+		out[i].DistContinuous = pq.distContinuous(b.copyPoly(ei, buf), &resample)
 		stats.BlocksRead += b.blockCost(int32(ei))
 	}
 	return out, stats, nil
@@ -407,7 +407,7 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 		}
 		ei := out[i].EntryID
 		stats.BlocksRead += b.blockCost(int32(ei))
-		out[i].DistContinuous = pq.distContinuous(b.climbPoly(int32(ei)), b.opts.Samples, &scratch.resample)
+		out[i].DistContinuous = pq.distContinuous(b.climbPoly(int32(ei)), &scratch.resample)
 	}
 	return out, stats
 }

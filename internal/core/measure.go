@@ -234,11 +234,12 @@ func (b *Base) ShapeDistancePrepared(shapeID int, pq *PreparedQuery) (float64, e
 }
 
 // distContinuous is the symmetrized continuous measure between the query
-// and a normalized copy cp, each boundary resampled into *resample: cp
-// against the query's oracle, the query against cp's own edges.
-func (pq *PreparedQuery) distContinuous(cp geom.Poly, samples int, resample *[]geom.Point) float64 {
+// and a normalized copy cp, each boundary resampled at DefaultSamples into
+// *resample: cp against the query's oracle, the query against cp's own
+// edges.
+func (pq *PreparedQuery) distContinuous(cp geom.Poly, resample *[]geom.Point) float64 {
 	var buf [edgeStack]shapeindex.Seg
 	back := shapeindex.AppendEdges(buf[:0], cp)
-	return (avgMinDistToInto(cp, pq.oracle.Dist, samples, resample) +
-		avgMinDistToInto(pq.entry.Poly, back.Dist, samples, resample)) / 2
+	return (avgMinDistToInto(cp, pq.oracle.Dist, 0, resample) +
+		avgMinDistToInto(pq.entry.Poly, back.Dist, 0, resample)) / 2
 }

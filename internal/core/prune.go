@@ -571,5 +571,5 @@ func (b *Base) shapeFloor(f *distField, id int) float64 {
 // block cost: the final re-read of an exact match.
 func (b *Base) Continuous(ei int, pq *PreparedQuery, resample *[]geom.Point) (float64, int) {
 	var buf [copyStack]geom.Point
-	return pq.distContinuous(b.copyPoly(ei, buf[:0]), b.opts.Samples, resample), b.blockCost(int32(ei))
+	return pq.distContinuous(b.copyPoly(ei, buf[:0]), resample), b.blockCost(int32(ei))
 }

@@ -333,3 +333,28 @@ func (b *lockedBuffer) reset() {
 	defer b.mu.Unlock()
 	b.buf.Reset()
 }
+
+// TestStatzShardRowsFollowCompaction: /statz lists one row per shard the
+// engine serves now, so a compaction that adds a shard adds a row, and
+// the rows sum to the section's images.
+func TestStatzShardRowsFollowCompaction(t *testing.T) {
+	s, ts, _ := newIngestTestServer(t, Config{})
+	resp, raw := post(t, ts.URL+"/v1/images", map[string]any{"id": 9, "shapes": []WireShape{wirePentagon()}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %d %s", resp.StatusCode, raw)
+	}
+	if resp, raw = post(t, ts.URL+"/admin/compact", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compact: %d %s", resp.StatusCode, raw)
+	}
+	snap := s.Statz().Snapshot
+	if n := s.Serving().NumShards(); len(snap.Shards) != n {
+		t.Fatalf("statz lists %d shard rows, engine serves %d shards", len(snap.Shards), n)
+	}
+	images := 0
+	for _, row := range snap.Shards {
+		images += row.Images
+	}
+	if images != snap.Images {
+		t.Fatalf("shard rows sum to %d images, section reports %d", images, snap.Images)
+	}
+}

@@ -140,10 +140,13 @@ var _ Serving = (*geosir.ShardedEngine)(nil)
 
 // engineState is what the atomic pointer swaps: the frozen engine plus
 // the provenance the status endpoints report (statz adds the engine's
-// counts).
+// counts and shard rows).
 type engineState struct {
 	serving  Serving
 	snapshot SnapshotStatz
+	// rec is the load's recovery report, nil for an engine installed by
+	// SetServing.
+	rec *geosir.ShardRecovery
 	// epoch is the snapshot generation this engine was installed under.
 	// It is part of every cache fingerprint, so a request that loaded
 	// this state can only ever see cache entries computed against this
@@ -211,8 +214,7 @@ func (s *Server) SetServing(sv Serving, source string) error {
 	if sv == nil || !sv.Frozen() {
 		return errors.New("server: engine must be non-nil and frozen")
 	}
-	s.installState(&engineState{serving: sv, snapshot: SnapshotStatz{
-		Source: source, LoadedAt: time.Now(), Shards: shardStatz(sv, nil)}})
+	s.installState(&engineState{serving: sv, snapshot: SnapshotStatz{Source: source, LoadedAt: time.Now()}})
 	return nil
 }
 
@@ -319,12 +321,13 @@ func (s *Server) loadState(path string) (*engineState, error) {
 			return nil, fmt.Errorf("server: enabling ingestion: %w", err)
 		}
 	}
-	snap.LoadedAt, snap.Shards = time.Now(), shardStatz(sv, rec)
-	return &engineState{serving: sv, snapshot: snap}, nil
+	snap.LoadedAt = time.Now()
+	return &engineState{serving: sv, snapshot: snap, rec: rec}, nil
 }
 
-// shardStatz builds the per-shard status rows, folding in the load-time
-// recovery report when the engine came from a snapshot.
+// shardStatz builds the per-shard status rows of the engine's current
+// shards, folding in the load-time recovery report, by index, when the
+// engine came from a snapshot.
 func shardStatz(sv Serving, rec *geosir.ShardRecovery) []ShardStatz {
 	out := make([]ShardStatz, sv.NumShards())
 	for i := range out {
@@ -1027,10 +1030,11 @@ func (s *Server) Statz() Statz {
 	return out
 }
 
-// statz is the state's /statz snapshot section, its counts the engine's
-// now.
+// statz is the state's /statz snapshot section, its counts and shard
+// rows the engine's now.
 func (st *engineState) statz() SnapshotStatz {
 	snap := st.snapshot
+	snap.Shards = shardStatz(st.serving, st.rec)
 	snap.Images = st.serving.NumImages()
 	snap.Shapes = st.serving.NumShapes()
 	snap.Entries = st.serving.NumEntries()

@@ -643,13 +643,6 @@ func loadGSIR3(data []byte, alias bool) (*Engine, *Recovery, error) {
 	return eng, rec, nil
 }
 
-// engineStorage records how an engine's snapshot is backed, for /statz
-// reporting and unmap lifecycle. nil means heap-built (AddImage+Freeze
-// or a copy-decode load).
-type engineStorage struct {
-	mapping *mmap.Mapping
-}
-
 // StorageStats describes how an engine's index is backed.
 type StorageStats struct {
 	// LoadMode is "heap" (all structures on the Go heap) or "mmap"
@@ -664,13 +657,13 @@ type StorageStats struct {
 
 // StorageStats reports how this engine's index is backed.
 func (e *Engine) StorageStats() StorageStats {
-	if e.stor == nil || e.stor.mapping == nil {
+	if e.mapping == nil {
 		return StorageStats{LoadMode: "heap"}
 	}
 	return StorageStats{
 		LoadMode:      "mmap",
-		MappedBytes:   int64(e.stor.mapping.Len()),
-		ResidentBytes: e.stor.mapping.Resident(),
+		MappedBytes:   int64(e.mapping.Len()),
+		ResidentBytes: e.mapping.Resident(),
 	}
 }
 
@@ -680,12 +673,12 @@ func (e *Engine) StorageStats() StorageStats {
 // engines that are simply dropped are unmapped by a finalizer once
 // unreachable (at which point no query can be in flight).
 func (e *Engine) Close() error {
-	if e.stor == nil || e.stor.mapping == nil {
+	if e.mapping == nil {
 		return nil
 	}
 	runtime.SetFinalizer(e, nil)
-	m := e.stor.mapping
-	e.stor.mapping = nil
+	m := e.mapping
+	e.mapping = nil
 	return m.Close()
 }
 
@@ -714,7 +707,7 @@ func mapGSIR3(path string) (*Engine, *Recovery, error) {
 		m.Close()
 		return eng, rec, err
 	}
-	eng.stor = &engineStorage{mapping: m}
+	eng.mapping = m
 	runtime.SetFinalizer(eng, func(e *Engine) { e.Close() })
 	return eng, rec, nil
 }

@@ -72,15 +72,15 @@ type ShardedEngine struct {
 
 // shardImage is one entry of the image log: the image id, how many
 // shapes it contributed, which slot physically holds it (-1 when it only
-// reserves ids), whether it has since been deleted, and the first global
-// and local ids imageLog.place gave its shapes.
+// reserves ids), and the first global and local ids imageLog.place gave
+// its shapes. Whether it has since been deleted is recorded in its slot's
+// dead set alone (imageLog.tombstoned).
 type shardImage struct {
-	ID      int
-	Shapes  int
-	Shard   int // the image's slot
-	Deleted bool
-	GID     int // the image's first global shape id
-	Local   int // its first local shape id in its slot; 0 when Shard is -1
+	ID     int
+	Shapes int
+	Shard  int // the image's slot
+	GID    int // the image's first global shape id
+	Local  int // its first local shape id in its slot; 0 when Shard is -1
 }
 
 // imageLog is the image log: every image the engine holds, frozen or in
@@ -94,6 +94,11 @@ type shardImage struct {
 // (nil until the first). An image id may be dead in one slot and live in
 // another — delete, re-insert, compact — so the sets are per slot, and of
 // shapes, not images. Successor views share each slot's slice and set.
+//
+// An entry never changes once placed, and between folds the entry list
+// only grows: a delete is recorded in its slot's dead set alone, so a
+// successor shares the entry list with its predecessor, and only a fold
+// (folded) writes a new one.
 type imageLog struct {
 	images []shardImage
 	ids    [][]int32
@@ -120,7 +125,7 @@ func (l *imageLog) next() int {
 // it) still reserves its ids, so every later shape keeps the id a single
 // Engine gives it.
 func (l *imageLog) place(id, n, slot int, deleted bool) {
-	im := shardImage{ID: id, Shapes: n, Shard: slot, Deleted: deleted, GID: l.next()}
+	im := shardImage{ID: id, Shapes: n, Shard: slot, GID: l.next()}
 	if slot >= 0 {
 		im.Local = len(l.ids[slot])
 		for g := im.GID; g < im.GID+n; g++ {
@@ -134,7 +139,7 @@ func (l *imageLog) place(id, n, slot int, deleted bool) {
 }
 
 // tombstone adds the local ids of image im to its slot's dead set, in
-// place.
+// place: every one, so tombstoned may test the first.
 func (l *imageLog) tombstone(im shardImage) {
 	if l.dead[im.Shard] == nil {
 		l.dead[im.Shard] = make(map[int]bool, im.Shapes)
@@ -155,15 +160,21 @@ func (l *imageLog) inserted(id, n, s int) imageLog {
 }
 
 // deleted returns the successor of l in which entry i, a live image, is
-// deleted. It copies the entry list and that entry's slot's dead set, and
-// shares the rest, so views reading l keep their answers.
+// deleted. It copies the slot list of dead sets and that entry's slot's
+// set, and shares the rest, the entry list included, so views reading l
+// keep their answers.
 func (l *imageLog) deleted(i int) imageLog {
 	im := l.images[i]
-	nl := imageLog{images: slices.Clone(l.images), ids: l.ids, dead: slices.Clone(l.dead)}
-	nl.images[i].Deleted = true
+	nl := imageLog{images: l.images, ids: l.ids, dead: slices.Clone(l.dead)}
 	nl.dead[im.Shard] = maps.Clone(l.dead[im.Shard])
 	nl.tombstone(im)
 	return nl
+}
+
+// tombstoned reports whether entry im is a placed copy since deleted: its
+// first local id is in its slot's dead set.
+func (l *imageLog) tombstoned(im shardImage) bool {
+	return im.Shard >= 0 && l.dead[im.Shard][im.Local]
 }
 
 // live returns the index of the image's latest entry when that entry is
@@ -171,7 +182,7 @@ func (l *imageLog) deleted(i int) imageLog {
 func (l *imageLog) live(id int) int {
 	for i := len(l.images) - 1; i >= 0; i-- {
 		if im := l.images[i]; im.ID == id {
-			if im.Deleted || im.Shard < 0 {
+			if im.Shard < 0 || l.tombstoned(im) {
 				return -1
 			}
 			return i
@@ -184,7 +195,7 @@ func (l *imageLog) live(id int) int {
 func (l *imageLog) liveImages(s int) int {
 	n := 0
 	for _, im := range l.images {
-		if im.Shard == s && !im.Deleted {
+		if im.Shard == s && !l.tombstoned(im) {
 			n++
 		}
 	}
@@ -227,7 +238,7 @@ func (l *imageLog) folded(s int) imageLog {
 	for i := range nl.images {
 		switch im := &nl.images[i]; {
 		case im.Shard != s:
-		case im.Deleted:
+		case l.tombstoned(*im):
 			im.Shard, im.Local = -1, 0
 		default:
 			im.Local = len(ids)
@@ -315,25 +326,39 @@ func (v *shardView) liveShapeCount() int {
 	return n
 }
 
-// inserted returns the successor of v whose active delta holds the image
-// too, or the error that refused its shapes.
-func (v *shardView) inserted(id int, shapes []Shape) (*shardView, error) {
-	next, err := v.active.Insert(id, shapes)
-	if err != nil {
-		return nil, err
+// apply is the one write decision, a live write's and a WAL replay's: the
+// successor of v in which op has happened, or the error that refuses it.
+// A delete in the sealed slot, or in a frozen one while a fold runs
+// (compacting), is refused so that the fold's input stays exactly the
+// write prefix it sealed.
+func (v *shardView) apply(op ingest.Op, compacting bool) (*shardView, error) {
+	i := v.log.live(op.Image)
+	nv := *v
+	switch op.Kind {
+	case ingest.OpInsert:
+		if i >= 0 {
+			return nil, fmt.Errorf("%w: id %d", ErrImageExists, op.Image)
+		}
+		next, err := v.active.Insert(op.Image, op.Shapes)
+		if err != nil {
+			return nil, err
+		}
+		nv.active = next
+		nv.log = v.log.inserted(op.Image, len(op.Shapes), v.activeSlot())
+	case ingest.OpDelete:
+		if i < 0 {
+			return nil, fmt.Errorf("%w: id %d", ErrNoImage, op.Image)
+		}
+		// Slots before the active delta's: the frozen shards, then the
+		// sealed delta.
+		if s := v.log.images[i].Shard; s < v.activeSlot() && (s >= len(v.shards) || compacting) {
+			return nil, ErrCompacting
+		}
+		nv.log = v.log.deleted(i)
+	default:
+		return nil, fmt.Errorf("unknown op kind %q", string(op.Kind))
 	}
-	nv := *v
-	nv.active = next
-	nv.log = v.log.inserted(id, len(shapes), v.activeSlot())
 	return &nv, nil
-}
-
-// deleted returns the successor of v in which the image of log entry i
-// is deleted, in whichever slot holds it.
-func (v *shardView) deleted(i int) *shardView {
-	nv := *v
-	nv.log = v.log.deleted(i)
-	return &nv
 }
 
 // NewSharded creates an empty sharded engine over the given number of
@@ -467,9 +492,6 @@ func (se *ShardedEngine) Close() error {
 // deletes, compaction swaps) since startup. Any two Searches bracketed
 // by equal epochs saw the same logical base, so caches may key on it.
 func (se *ShardedEngine) MutationEpoch() uint64 { return se.mutEpoch.Load() }
-
-// Generation returns the compaction generation of the current view.
-func (se *ShardedEngine) Generation() uint64 { return se.snapshot().gen }
 
 // NumImages returns the number of live images: every slot's.
 func (se *ShardedEngine) NumImages() int {

@@ -36,9 +36,10 @@ import (
 // v1 schema, all backward compatible (v1 manifests still load):
 //
 //   - per-image "shard" (physical home, -1 = reservation only) and
-//     "deleted" (frozen copy tombstoned after freeze) fields, so
-//     compaction can place an image anywhere — not just at its hash
-//     shard — and deletes need no shard rewrite;
+//     "deleted" (frozen copy tombstoned after freeze; written for placed
+//     copies only, and ignored on a reservation, which has no copy)
+//     fields, so compaction can place an image anywhere — not just at
+//     its hash shard — and deletes need no shard rewrite;
 //   - "generation", bumped by every compaction, for observability;
 //   - "walSeq", the WAL fold watermark: every DELTA.wal operation with
 //     sequence ≤ walSeq is already reflected in the shard files and
@@ -128,7 +129,7 @@ func manifestFromView(v *shardView, walSeq uint64) *shardManifest {
 	}
 	for i, im := range images {
 		s := im.Shard
-		man.Images[i] = shardManifestImage{ID: im.ID, Shapes: im.Shapes, Shard: &s, Deleted: im.Deleted}
+		man.Images[i] = shardManifestImage{ID: im.ID, Shapes: im.Shapes, Shard: &s, Deleted: v.log.tombstoned(im)}
 	}
 	return man
 }
