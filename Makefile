@@ -36,7 +36,9 @@ race:
 # live delta's version while a writer appends its successor. Searches
 # read a live delta's version while writers append its successors past
 # the arrays they share (SearchView: a captured view searched beside the
-# writers).
+# writers). The query cache serializes every lookup, insert and
+# coalesced wait under one lock (its Churn, Singleflight and
+# WaiterCancellation tests).
 #
 # The model harness's tests (PROCS_MODEL, model_test.go) set GOMAXPROCS 1
 # and 2 themselves, so they run once, beside the settings' two runs.
@@ -44,9 +46,9 @@ race:
 # `go test -run` passes when nothing matches, so a renamed suite would
 # drop out silently: the target first fails unless every package lists a
 # test each pattern selects (-list does not apply -skip, hence the grep).
-PROCS_RUN := 'Equivalence|BoundFirst|Delta|SearchView|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological'
+PROCS_RUN := 'Equivalence|BoundFirst|Delta|SearchView|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological|Churn|Singleflight|WaiterCancellation'
 PROCS_MODEL := '^Test(ExecEquivalence|ShardedEquivalence|ShardedMmapEquivalence|IngestEquivalence|IngestDeleteEquivalence|BoundFirstEquivalence|BucketOrderInvariance|ManySegmentQueryIsScanTopK|ShortBucketExactIsScanTopK)$$'
-PROCS_PKGS := . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex
+PROCS_PKGS := . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex ./internal/qcache
 test-procs:
 	@for pkg in $(PROCS_PKGS); do \
 		$(GO) test -list $(PROCS_RUN) $$pkg | grep '^Test' | grep -qvE $(PROCS_MODEL) || { echo "test-procs: no test of $$pkg matches $(PROCS_RUN)"; exit 1; }; \
@@ -92,15 +94,18 @@ bench-check:
 # the exhaustive sketch search, of the topological read (one Engine, 8
 # shards, 8 shards with a live delta), of the core kernel's own (the floor
 # pass alone, the field build, a shape the field turns away whole), of
-# the ANN probe alone, and of a demo-200 snapshot's open (heap and mmap,
-# ns/op and B/op beside the ledger's open_ms) — catches benchmarks that no
-# longer compile or panic, without paying for stable timings.
+# the ANN probe alone, of a demo-200 snapshot's open (heap and mmap,
+# ns/op and B/op beside the ledger's open_ms), and of the query cache's
+# hit path under its one lock at parallelism 1, 8 and 64 — catches
+# benchmarks that no longer compile or panic, without paying for stable
+# timings.
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchApproximate|BenchmarkSearchDistance|BenchmarkSearchLive|BenchmarkSearchSketch|BenchmarkTopological' -benchtime=1x -benchmem .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFloors|BenchmarkDistFieldBuild|BenchmarkFieldReject' -benchtime=1x ./internal/core
 	$(GO) test -short -run '^$$' -bench 'BenchmarkAnnProbe' -benchtime=1x ./internal/annindex
 	$(GO) test -short -run '^$$' -bench 'BenchmarkOpenV3' -benchtime=1x -benchmem .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkImageLog' -benchtime=1x -benchmem .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkCacheDo' -benchtime=1x ./internal/qcache
 
 # The size figures ROADMAP's "Size" notes and gates quote, in lines:
 # tracked non-test and test Go outside bench/, the non-test Go the daemon

@@ -63,15 +63,15 @@ type IngestConfig struct {
 	// NoSync skips the per-append fsync of the WAL. Faster, but a crash
 	// may lose acknowledged writes — for benchmarks and tests only.
 	NoSync bool
-	// WrapWAL and WrapManifest intercept the WAL's and the manifest's
+	// wrapWAL and wrapManifest intercept the WAL's and the manifest's
 	// payload writes (fault injection in tests).
-	WrapWAL      func(io.Writer) io.Writer
-	WrapManifest func(io.Writer) io.Writer
-	// CrashStage, when non-nil, is called between compaction stages
+	wrapWAL      func(io.Writer) io.Writer
+	wrapManifest func(io.Writer) io.Writer
+	// crashStage, when non-nil, is called between compaction stages
 	// ("built", "shard-saved", "manifest-written", "wal-rewritten") and
 	// aborts the compaction at that point when it returns an error —
 	// simulating a crash for recovery tests.
-	CrashStage func(stage string) error
+	crashStage func(stage string) error
 }
 
 // IngestStats is the live-ingestion section of /statz.
@@ -189,7 +189,7 @@ func (se *ShardedEngine) EnableIngest(cfg IngestConfig) error {
 	g := &ingestor{se: se, cfg: cfg, walFloor: man.WALSeq}
 	wal, ops, torn, err := ingest.OpenWAL(filepath.Join(cfg.Dir, walName), ingest.Options{
 		NoSync:     cfg.NoSync,
-		WrapWriter: cfg.WrapWAL,
+		WrapWriter: cfg.wrapWAL,
 	})
 	if err != nil {
 		return err
@@ -428,7 +428,7 @@ func (se *ShardedEngine) Compact() error {
 		nshards = append(slices.Clip(cur.shards), eng)
 	}
 	nv := &shardView{shards: nshards, log: cur.log.folded(newShard), gen: cur.gen + 1, active: cur.active}
-	if err := writeManifest(filepath.Join(g.cfg.Dir, manifestName), manifestFromView(nv, sealSeq), g.cfg.WrapManifest); err != nil {
+	if err := writeManifest(filepath.Join(g.cfg.Dir, manifestName), manifestFromView(nv, sealSeq), g.cfg.wrapManifest); err != nil {
 		g.mu.Unlock()
 		return fmt.Errorf("geosir: committing compaction: %w", err)
 	}
@@ -465,8 +465,8 @@ func (se *ShardedEngine) Compact() error {
 
 // stage invokes the compaction crash-test hook.
 func (g *ingestor) stage(name string) error {
-	if g.cfg.CrashStage != nil {
-		return g.cfg.CrashStage(name)
+	if g.cfg.crashStage != nil {
+		return g.cfg.crashStage(name)
 	}
 	return nil
 }

@@ -282,14 +282,14 @@ func TestIngestCrashMidCompaction(t *testing.T) {
 			dir := t.TempDir()
 			se := buildShardedFrom(t, frozenImgs, 2)
 			crashErr := errors.New("injected crash at " + stage)
-			cfg := IngestConfig{CrashStage: func(s string) error {
+			cfg := IngestConfig{crashStage: func(s string) error {
 				if s == stage {
 					return crashErr
 				}
 				return nil
 			}}
 			if stage == "manifest-fault" {
-				cfg = IngestConfig{WrapManifest: func(w io.Writer) io.Writer {
+				cfg = IngestConfig{wrapManifest: func(w io.Writer) io.Writer {
 					return iofault.FailWriter(w, 64)
 				}}
 			}
@@ -363,7 +363,7 @@ func TestIngestCompactRetry(t *testing.T) {
 	single := buildSingle(t, images)
 
 	fail := true
-	cfg := IngestConfig{WrapManifest: func(w io.Writer) io.Writer {
+	cfg := IngestConfig{wrapManifest: func(w io.Writer) io.Writer {
 		if fail {
 			return iofault.FailWriter(w, 64)
 		}
@@ -416,7 +416,7 @@ func TestIngestWALAppendFault(t *testing.T) {
 	// The wrap is applied once at OpenWAL, so the fault gate has to live
 	// inside the writer and consult the flag per write.
 	fail := false
-	cfg := IngestConfig{WrapWAL: func(w io.Writer) io.Writer {
+	cfg := IngestConfig{wrapWAL: func(w io.Writer) io.Writer {
 		return faultyWriter{w: w, fail: &fail}
 	}}
 	se := buildLive(t, frozenImgs, liveImgs[:len(liveImgs)-1], 2, cfg)
@@ -584,7 +584,7 @@ func TestIngestErrors(t *testing.T) {
 		t.Fatalf("compact before enable: %v", err)
 	}
 	crash := errors.New("injected crash at built")
-	enableIngest(t, se, t.TempDir(), IngestConfig{CrashStage: func(stage string) error {
+	enableIngest(t, se, t.TempDir(), IngestConfig{crashStage: func(stage string) error {
 		if stage != "built" {
 			return nil
 		}
@@ -673,7 +673,7 @@ func TestCloseIngestQuiescesCompaction(t *testing.T) {
 	se := buildShardedFrom(t, frozenImgs, 2)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	enableIngest(t, se, dir, IngestConfig{CrashStage: func(s string) error {
+	enableIngest(t, se, dir, IngestConfig{crashStage: func(s string) error {
 		if s == "built" {
 			close(entered)
 			<-release

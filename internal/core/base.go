@@ -92,12 +92,10 @@ type Base struct {
 	// scratch.go). Populated lazily.
 	scratch sync.Pool
 
-	// entryCost holds the page-granular storage footprint of each entry
-	// (entryBlocks: its cells and meta), computed as it is added or
-	// reassembled. The match kernel charges it into Stats.BlocksRead
-	// whenever an entry is evaluated (§4 block accounting; see parts.go).
-	// totalCost is their sum, what the exact search's floor pass charges.
-	entryCost []int32
+	// totalCost is the page-granular storage footprint of every entry
+	// (blockCost: its cells and meta, a function of its shape) summed,
+	// what the exact search's floor pass charges into Stats.BlocksRead
+	// (§4 block accounting; see parts.go).
 	totalCost int
 
 	// rng is the climb's range index, built on its first use.
@@ -133,7 +131,7 @@ func NewBase(opts Options) *Base {
 func (b *Base) Opts() Options { return b.opts }
 
 // addShape stores p's normalized copies as the base stores a copy: its
-// meta, its vertices' cells and its block cost.
+// meta and its vertices' cells, and counts its block cost.
 func (b *Base) addShape(image int, p geom.Poly) (int, error) {
 	if err := p.Validate(); err != nil {
 		return 0, fmt.Errorf("core: invalid shape: %w", err)
@@ -150,8 +148,7 @@ func (b *Base) addShape(image int, p geom.Poly) (int, error) {
 	for _, e := range entries {
 		b.meta = append(b.meta, EntryMeta{ShapeID: int32(id), Copy: int32(e.Copy), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)})
 		b.fieldCells = appendFieldCells(b.fieldCells, e.Poly.Pts)
-		b.entryCost = append(b.entryCost, entryBlocks(len(e.Poly.Pts)))
-		b.totalCost += int(b.entryCost[len(b.entryCost)-1])
+		b.totalCost += int(entryBlocks(len(e.Poly.Pts)))
 	}
 	b.shapeOff = append(b.shapeOff, int32(len(b.meta)))
 	b.cellOff = append(b.cellOff, int32(len(b.fieldCells)))
@@ -167,7 +164,7 @@ func (b *Base) addShape(image int, p geom.Poly) (int, error) {
 func (b *Base) Append(image int, polys []geom.Poly) (*Base, error) {
 	n := &Base{
 		opts: b.opts, shapes: b.shapes, meta: b.meta, shapeOff: b.shapeOff, cellOff: b.cellOff,
-		fieldCells: b.fieldCells, entryCost: b.entryCost, totalCost: b.totalCost,
+		fieldCells: b.fieldCells, totalCost: b.totalCost,
 	}
 	for i, p := range polys {
 		if _, err := n.addShape(image, p); err != nil {

@@ -416,9 +416,9 @@ func (b *Base) climb(pq *PreparedQuery, env *envelope.Envelope, k int, onAccess 
 // copies' cells are the run of fieldCells from its first copy's first
 // vertex to its last copy's last.
 func (b *Base) scanShape(id int) scanShape {
-	lo, hi := b.shapeOff[id], b.shapeOff[id+1]
+	lo, hi, nv := b.shapeOff[id], b.shapeOff[id+1], len(b.shapes[id].Poly.Pts)
 	return scanShape{id: id, shape: b.shapes[id].Poly, meta: b.meta[lo:hi], block: b.fieldCells[b.cellOff[id]:b.cellOff[id+1]],
-		nv: len(b.shapes[id].Poly.Pts), first: int(lo), cost: b.entryCost[lo:hi]}
+		nv: nv, first: int(lo), cost: entryBlocks(nv)}
 }
 
 // growEpsilon returns the next envelope width of the schedule: eps·grow,

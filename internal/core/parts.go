@@ -94,7 +94,6 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 	b := &Base{opts: s.Opts.withDefaults(), shapes: s.Shapes, meta: s.EntryMeta}
 	b.shapeOff = make([]int32, len(s.Shapes)+1)
 	b.cellOff = make([]int32, len(s.Shapes)+1)
-	b.entryCost = make([]int32, ne)
 	for i, m := range s.EntryMeta {
 		if m.ShapeID < 0 || int(m.ShapeID) >= len(s.Shapes) {
 			return nil, fmt.Errorf("core: base parts entry %d references shape %d of %d", i, m.ShapeID, len(s.Shapes))
@@ -114,8 +113,7 @@ func BaseFromParts(s BaseSpec) (*Base, error) {
 			return nil, fmt.Errorf("core: base parts shape %d: copy %d is not the half turn of copy %d", m.ShapeID, c, c-1)
 		}
 		b.shapeOff[m.ShapeID+1]++
-		b.entryCost[i] = entryBlocks(nv)
-		b.totalCost += int(b.entryCost[i])
+		b.totalCost += int(entryBlocks(nv))
 	}
 	var nCells int64
 	for id, sh := range s.Shapes {
@@ -207,5 +205,8 @@ func entryBlocks(nv int) int32 {
 	return int32(max((bytes+pageSize-1)/pageSize, 1))
 }
 
-// blockCost returns the page-granular cost of touching entry ei.
-func (b *Base) blockCost(ei int32) int { return int(b.entryCost[ei]) }
+// blockCost returns the page-granular cost of touching entry ei: its
+// shape's copies all cost the same.
+func (b *Base) blockCost(ei int32) int {
+	return int(entryBlocks(len(b.shapes[b.meta[ei].ShapeID].Poly.Pts)))
+}

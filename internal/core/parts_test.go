@@ -139,8 +139,8 @@ func TestDemoCopyIsOneBlock(t *testing.T) {
 	for _, img := range synth.GenerateBase(synth.PaperSpec(0.02, 1)) {
 		b = mustAppend(t, b, img.ID, img.Shapes...)
 	}
-	for ei, c := range b.entryCost {
-		if c != 1 {
+	for ei := range b.meta {
+		if c := b.blockCost(int32(ei)); c != 1 {
 			t.Fatalf("demo-200 copy %d of %d vertices costs %d blocks", ei, b.entryVertexCount(int32(ei)), c)
 		}
 	}

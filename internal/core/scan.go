@@ -25,7 +25,7 @@ type scanShape struct {
 	block []uint16
 	nv    int
 	first int
-	cost  []int32 // per-copy block cost
+	cost  int32 // each copy's block cost (entryBlocks of nv)
 }
 
 // copyCells is the field cells of copy c's vertices, one per vertex.
@@ -181,7 +181,7 @@ func (s *scanShape) nearest(pq *PreparedQuery, cutoff float64, onAccess func(ent
 // access charges copy c's read: its block cost to *blocks, its entry to
 // onAccess when set.
 func (s *scanShape) access(c int, blocks *int, onAccess func(entryID int)) {
-	*blocks += int(s.cost[c])
+	*blocks += int(s.cost)
 	if onAccess != nil {
 		onAccess(s.first + c)
 	}

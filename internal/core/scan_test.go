@@ -407,7 +407,7 @@ func TestNearestLowestCopyOnTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := scanShape{id: 7, shape: unitSquare(), nv: len(es[0].Poly.Pts), cost: []int32{1, 1, 1, 1}}
+	s := scanShape{id: 7, shape: unitSquare(), nv: len(es[0].Poly.Pts), cost: 1}
 	for c := range 4 {
 		e := es[c%2]
 		s.meta = append(s.meta, EntryMeta{ShapeID: 7, Copy: int32(c), DiamI: int32(e.DiamI), DiamJ: int32(e.DiamJ)})

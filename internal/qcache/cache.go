@@ -19,11 +19,6 @@ type Config struct {
 	MaxEntries int
 }
 
-// shardCount is the number of independently locked LRU shards, a power
-// of two so that shard selection is a mask. Sharding keeps the hot-path
-// critical section per fingerprint prefix instead of global.
-const shardCount = 16
-
 // entryOverhead is the accounting charge per cache entry beyond its
 // body: fingerprint key, list element, map bucket share.
 const entryOverhead = 128
@@ -67,8 +62,17 @@ type flight struct {
 	waiters atomic.Int64 // callers currently blocked on done (for tests/statz)
 }
 
-// shard is one independently locked LRU + singleflight table.
-type shard struct {
+type entry struct {
+	fp   Fingerprint
+	body []byte
+}
+
+// Cache is one byte- and entry-bounded LRU over encoded search
+// responses under one lock, with singleflight coalescing of concurrent
+// identical lookups. All methods are safe for concurrent use; all
+// methods on a nil *Cache are no-op bypasses, so callers need no "is
+// caching on" branches.
+type Cache struct {
 	mu         sync.Mutex
 	maxBytes   int64
 	maxEntries int
@@ -76,37 +80,18 @@ type shard struct {
 	ll         *list.List // front = most recently used
 	items      map[Fingerprint]*list.Element
 	flights    map[Fingerprint]*flight
-}
 
-type entry struct {
-	fp   Fingerprint
-	body []byte
-}
-
-// Cache is a sharded, byte- and entry-bounded LRU over encoded search
-// responses, with singleflight coalescing of concurrent identical
-// lookups. All methods are safe for concurrent use; all methods on a
-// nil *Cache are no-op bypasses, so callers need no "is caching on"
-// branches.
-type Cache struct {
-	shards []*shard
-	mask   uint64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
+	// Counted under mu.
+	hits, misses, sets, evictions, purges int64
+	// Counted outside mu: a waiter counts after its wait, a bypass never
+	// takes the lock.
 	coalesced atomic.Int64
-	sets      atomic.Int64
-	evictions atomic.Int64
-	purges    atomic.Int64
 	bypasses  atomic.Int64
 }
 
 // New builds a cache, or returns nil (meaning "caching off") when
 // cfg.MaxBytes ≤ 0.
-func New(cfg Config) *Cache { return newCache(cfg, shardCount) }
-
-// newCache is New over n shards, n a power of two.
-func newCache(cfg Config, n int) *Cache {
+func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		return nil
 	}
@@ -117,32 +102,13 @@ func newCache(cfg Config, n int) *Cache {
 			maxEntries = 64
 		}
 	}
-	c := &Cache{shards: make([]*shard, n), mask: uint64(n - 1)}
-	perBytes := cfg.MaxBytes / int64(n)
-	if perBytes < 1 {
-		perBytes = 1
+	return &Cache{
+		maxBytes:   cfg.MaxBytes,
+		maxEntries: maxEntries,
+		ll:         list.New(),
+		items:      make(map[Fingerprint]*list.Element),
+		flights:    make(map[Fingerprint]*flight),
 	}
-	perEntries := maxEntries / n
-	if perEntries < 1 {
-		perEntries = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			maxBytes:   perBytes,
-			maxEntries: perEntries,
-			ll:         list.New(),
-			items:      make(map[Fingerprint]*list.Element),
-			flights:    make(map[Fingerprint]*flight),
-		}
-	}
-	return c
-}
-
-// shardFor picks the shard by the fingerprint's first bytes — SHA-256
-// output is uniform, so no extra mixing is needed.
-func (c *Cache) shardFor(fp Fingerprint) *shard {
-	v := uint64(fp[0]) | uint64(fp[1])<<8 | uint64(fp[2])<<16 | uint64(fp[3])<<24
-	return c.shards[v&c.mask]
 }
 
 // Do answers the fingerprint from the cache, or coalesces onto an
@@ -164,18 +130,17 @@ func (c *Cache) Do(ctx context.Context, fp Fingerprint, compute func() ([]byte, 
 		body, err := compute()
 		return body, Bypass, err
 	}
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	if el, ok := sh.items[fp]; ok {
-		sh.ll.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.items[fp]; ok {
+		c.ll.MoveToFront(el)
 		body := el.Value.(*entry).body
-		sh.mu.Unlock()
-		c.hits.Add(1)
+		c.hits++
+		c.mu.Unlock()
 		return body, Hit, nil
 	}
-	if fl, ok := sh.flights[fp]; ok {
+	if fl, ok := c.flights[fp]; ok {
 		fl.waiters.Add(1)
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		defer fl.waiters.Add(-1)
 		select {
 		case <-fl.done:
@@ -186,22 +151,20 @@ func (c *Cache) Do(ctx context.Context, fp Fingerprint, compute func() ([]byte, 
 		}
 	}
 	fl := &flight{done: make(chan struct{})}
-	sh.flights[fp] = fl
-	sh.mu.Unlock()
+	c.flights[fp] = fl
+	c.mu.Unlock()
 
 	body, err := compute()
 	fl.body, fl.err = body, err
 
-	sh.mu.Lock()
-	delete(sh.flights, fp)
-	if err == nil && body != nil {
-		if c.insertLocked(sh, fp, body) {
-			c.sets.Add(1)
-		}
+	c.mu.Lock()
+	delete(c.flights, fp)
+	if err == nil && body != nil && c.insertLocked(fp, body) {
+		c.sets++
 	}
-	sh.mu.Unlock()
+	c.misses++
+	c.mu.Unlock()
 	close(fl.done)
-	c.misses.Add(1)
 	return body, Miss, err
 }
 
@@ -211,45 +174,44 @@ func (c *Cache) Get(fp Fingerprint) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[fp]; ok {
-		sh.ll.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[fp]; ok {
+		c.ll.MoveToFront(el)
 		return el.Value.(*entry).body, true
 	}
 	return nil, false
 }
 
 // insertLocked adds (or refreshes) an entry and evicts from the LRU
-// tail until the shard is back under both bounds. An entry bigger than
-// the whole shard budget is refused rather than evicting everything.
-func (c *Cache) insertLocked(sh *shard, fp Fingerprint, body []byte) bool {
+// tail until the cache is back under both bounds. An entry bigger than
+// the whole byte budget is refused rather than evicting everything.
+func (c *Cache) insertLocked(fp Fingerprint, body []byte) bool {
 	cost := int64(len(body)) + entryOverhead
-	if cost > sh.maxBytes {
+	if cost > c.maxBytes {
 		return false
 	}
-	if el, ok := sh.items[fp]; ok {
+	if el, ok := c.items[fp]; ok {
 		// A concurrent leader already stored this fingerprint (possible
 		// when a Purge raced between flight removal and insert); refresh.
 		old := el.Value.(*entry)
-		sh.bytes += int64(len(body)) - int64(len(old.body))
+		c.bytes += int64(len(body)) - int64(len(old.body))
 		old.body = body
-		sh.ll.MoveToFront(el)
+		c.ll.MoveToFront(el)
 	} else {
-		sh.items[fp] = sh.ll.PushFront(&entry{fp: fp, body: body})
-		sh.bytes += cost
+		c.items[fp] = c.ll.PushFront(&entry{fp: fp, body: body})
+		c.bytes += cost
 	}
-	for sh.bytes > sh.maxBytes || sh.ll.Len() > sh.maxEntries {
-		back := sh.ll.Back()
+	for c.bytes > c.maxBytes || c.ll.Len() > c.maxEntries {
+		back := c.ll.Back()
 		if back == nil {
 			break
 		}
 		ev := back.Value.(*entry)
-		sh.ll.Remove(back)
-		delete(sh.items, ev.fp)
-		sh.bytes -= int64(len(ev.body)) + entryOverhead
-		c.evictions.Add(1)
+		c.ll.Remove(back)
+		delete(c.items, ev.fp)
+		c.bytes -= int64(len(ev.body)) + entryOverhead
+		c.evictions++
 	}
 	return true
 }
@@ -265,14 +227,12 @@ func (c *Cache) Purge() {
 	if c == nil {
 		return
 	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.ll.Init()
-		sh.items = make(map[Fingerprint]*list.Element)
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
-	c.purges.Add(1)
+	c.mu.Lock()
+	c.ll.Init()
+	c.items = make(map[Fingerprint]*list.Element)
+	c.bytes = 0
+	c.purges++
+	c.mu.Unlock()
 }
 
 // Bypassed counts one request that skipped the cache (no fingerprint).
@@ -309,25 +269,23 @@ func (c *Cache) Snapshot() Stats {
 	if c == nil {
 		return Stats{}
 	}
+	c.mu.Lock()
 	st := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-		Sets:      c.sets.Load(),
-		Evictions: c.evictions.Load(),
-		Purges:    c.purges.Load(),
-		Bypasses:  c.bypasses.Load(),
+		Entries:   c.ll.Len(),
+		Bytes:     c.bytes,
+		MaxBytes:  c.maxBytes,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Sets:      c.sets,
+		Evictions: c.evictions,
+		Purges:    c.purges,
 	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st.Entries += sh.ll.Len()
-		st.Bytes += sh.bytes
-		st.MaxBytes += sh.maxBytes
-		for _, fl := range sh.flights {
-			st.Waiting += fl.waiters.Load()
-		}
-		sh.mu.Unlock()
+	for _, fl := range c.flights {
+		st.Waiting += fl.waiters.Load()
 	}
+	c.mu.Unlock()
+	st.Coalesced = c.coalesced.Load()
+	st.Bypasses = c.bypasses.Load()
 	if n := st.Hits + st.Misses + st.Coalesced; n > 0 {
 		st.HitRate = float64(st.Hits) / float64(n)
 	}

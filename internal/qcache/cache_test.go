@@ -11,8 +11,7 @@ import (
 	"time"
 )
 
-// fpN builds a distinct fingerprint; the first bytes spread across
-// shards like real SHA-256 output would.
+// fpN builds a distinct fingerprint.
 func fpN(n int) Fingerprint {
 	var fp Fingerprint
 	fp[0] = byte(n)
@@ -106,10 +105,9 @@ func TestErrorsAreNeverCached(t *testing.T) {
 }
 
 func TestByteBoundEviction(t *testing.T) {
-	// One shard so the LRU order is observable; budget fits two bodies
-	// plus overhead but not three.
+	// The budget fits two bodies plus overhead but not three.
 	body := bytes.Repeat([]byte("x"), 1024)
-	c := newCache(Config{MaxBytes: 2*(1024+entryOverhead) + 64, MaxEntries: 1024}, 1)
+	c := New(Config{MaxBytes: 2*(1024+entryOverhead) + 64, MaxEntries: 1024})
 	for i := 0; i < 3; i++ {
 		mustDo(t, c, fpN(i), string(body))
 	}
@@ -130,7 +128,7 @@ func TestByteBoundEviction(t *testing.T) {
 
 func TestLRUTouchOnHit(t *testing.T) {
 	body := bytes.Repeat([]byte("x"), 1024)
-	c := newCache(Config{MaxBytes: 2*(1024+entryOverhead) + 64, MaxEntries: 1024}, 1)
+	c := New(Config{MaxBytes: 2*(1024+entryOverhead) + 64, MaxEntries: 1024})
 	mustDo(t, c, fpN(0), string(body))
 	mustDo(t, c, fpN(1), string(body))
 	mustDo(t, c, fpN(0), "") // hit: 0 becomes most recent
@@ -143,18 +141,27 @@ func TestLRUTouchOnHit(t *testing.T) {
 	}
 }
 
+// TestEntryCountBound: the cache holds exactly MaxEntries entries, no
+// fewer and no more, evicting only past the bound.
 func TestEntryCountBound(t *testing.T) {
-	c := newCache(Config{MaxBytes: 1 << 20, MaxEntries: 4}, 1)
-	for i := 0; i < 10; i++ {
-		mustDo(t, c, fpN(i), "tiny")
-	}
-	if st := c.Snapshot(); st.Entries > 4 {
-		t.Fatalf("entries = %d, want ≤ 4", st.Entries)
+	for _, tc := range []struct{ max, inserts int }{
+		{4, 10},
+		{500, 500}, // the benchmark's setting: every entry fits
+	} {
+		c := New(Config{MaxBytes: 1 << 20, MaxEntries: tc.max})
+		for i := 0; i < tc.inserts; i++ {
+			mustDo(t, c, fpN(i), "tiny")
+		}
+		want := min(tc.max, tc.inserts)
+		if st := c.Snapshot(); st.Entries != want || st.Evictions != int64(tc.inserts-want) {
+			t.Fatalf("MaxEntries %d after %d inserts: entries = %d, evictions = %d, want %d and %d",
+				tc.max, tc.inserts, st.Entries, st.Evictions, want, tc.inserts-want)
+		}
 	}
 }
 
 func TestOversizedEntryRefused(t *testing.T) {
-	c := newCache(Config{MaxBytes: 1024}, 1)
+	c := New(Config{MaxBytes: 1024})
 	small := "s"
 	mustDo(t, c, fpN(1), small)
 	huge := string(bytes.Repeat([]byte("x"), 4096))
@@ -322,9 +329,9 @@ func TestWaiterCancellationDoesNotPoison(t *testing.T) {
 }
 
 // TestConcurrentChurn hammers Do/Get/Purge from many goroutines; run
-// under -race this is the data-race proof for the shard locking.
+// under -race this is the data-race proof for the cache's locking.
 func TestConcurrentChurn(t *testing.T) {
-	c := newCache(Config{MaxBytes: 64 << 10, MaxEntries: 256}, 4)
+	c := New(Config{MaxBytes: 64 << 10, MaxEntries: 256})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -367,5 +374,35 @@ func TestConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	if st := c.Snapshot(); st.Bytes < 0 {
 		t.Fatalf("negative byte accounting after churn: %+v", st)
+	}
+}
+
+// BenchmarkCacheDo times Do's hit path over a full 500-entry cache (the
+// benchmark ledger's setting) from RunParallel goroutines, at
+// parallelism 1, 8 and 64 per GOMAXPROCS: the one lock's contention
+// shows as ns/op growing with parallelism.
+func BenchmarkCacheDo(b *testing.B) {
+	const n = 500
+	c := New(Config{MaxBytes: 32 << 20, MaxEntries: n})
+	body := bytes.Repeat([]byte("x"), 2048)
+	compute := func() ([]byte, error) { return body, nil }
+	for i := 0; i < n; i++ {
+		c.Do(context.Background(), fpN(i), compute)
+	}
+	for _, p := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("parallel%d", p), func(b *testing.B) {
+			b.SetParallelism(p)
+			var seed atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				i := int(seed.Add(7919))
+				for pb.Next() {
+					i++
+					if _, d, _ := c.Do(context.Background(), fpN(i%n), compute); d != Hit {
+						b.Errorf("disposition %v, want hit", d)
+						return
+					}
+				}
+			})
+		})
 	}
 }

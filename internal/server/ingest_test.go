@@ -336,25 +336,44 @@ func (b *lockedBuffer) reset() {
 
 // TestStatzShardRowsFollowCompaction: /statz lists one row per shard the
 // engine serves now, so a compaction that adds a shard adds a row, and
-// the rows sum to the section's images.
+// each row counts its shard's live images and shapes: with the delta's
+// they sum to the section's before a compaction, alone after it, a
+// deleted frozen image's excluded both times.
 func TestStatzShardRowsFollowCompaction(t *testing.T) {
 	s, ts, _ := newIngestTestServer(t, Config{})
 	resp, raw := post(t, ts.URL+"/v1/images", map[string]any{"id": 9, "shapes": []WireShape{wirePentagon()}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert: %d %s", resp.StatusCode, raw)
 	}
+	// Image 0 is frozen, with two shapes: its copies stay stored, and
+	// its shard's row must stop counting it.
+	if resp, raw = del(t, ts.URL+"/v1/images/0"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %d %s", resp.StatusCode, raw)
+	}
+	rowSums := func(st Statz) (images, shapes int) {
+		if n := s.Serving().NumShards(); len(st.Snapshot.Shards) != n {
+			t.Fatalf("statz lists %d shard rows, engine serves %d shards", len(st.Snapshot.Shards), n)
+		}
+		for _, row := range st.Snapshot.Shards {
+			images, shapes = images+row.Images, shapes+row.Shapes
+		}
+		return images, shapes
+	}
+
+	st := s.Statz()
+	images, shapes := rowSums(st)
+	images, shapes = images+st.Ingest.DeltaImages, shapes+st.Ingest.DeltaShapes
+	if images != st.Snapshot.Images || shapes != st.Snapshot.Shapes {
+		t.Fatalf("before compaction: rows + delta = %d images, %d shapes; section reports %d, %d",
+			images, shapes, st.Snapshot.Images, st.Snapshot.Shapes)
+	}
+
 	if resp, raw = post(t, ts.URL+"/admin/compact", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("compact: %d %s", resp.StatusCode, raw)
 	}
-	snap := s.Statz().Snapshot
-	if n := s.Serving().NumShards(); len(snap.Shards) != n {
-		t.Fatalf("statz lists %d shard rows, engine serves %d shards", len(snap.Shards), n)
-	}
-	images := 0
-	for _, row := range snap.Shards {
-		images += row.Images
-	}
-	if images != snap.Images {
-		t.Fatalf("shard rows sum to %d images, section reports %d", images, snap.Images)
+	st = s.Statz()
+	if images, shapes = rowSums(st); images != st.Snapshot.Images || shapes != st.Snapshot.Shapes {
+		t.Fatalf("after compaction: rows = %d images, %d shapes; section reports %d, %d",
+			images, shapes, st.Snapshot.Images, st.Snapshot.Shapes)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"expvar"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,18 +122,4 @@ func (m *metrics) snapshotEndpoints() map[string]EndpointSnapshot {
 		out[n] = ems[n].snapshot()
 	}
 	return out
-}
-
-// publishExpvar exposes fn under the process-global expvar namespace so
-// standard tooling reading /debug/vars sees the serving metrics. expvar
-// forbids re-publishing a name, so only the first server in a process
-// (the daemon case — tests construct many) claims it.
-var publishOnce sync.Once
-
-func publishExpvar(name string, fn func() any) {
-	publishOnce.Do(func() {
-		if expvar.Get(name) == nil {
-			expvar.Publish(name, expvar.Func(fn))
-		}
-	})
 }

@@ -124,6 +124,7 @@ type Serving interface {
 	StorageStats() geosir.StorageStats
 	NumShards() int
 	Shard(i int) *geosir.Engine
+	ShardLiveCounts() (images, shapes []int)
 
 	EnableIngest(cfg geosir.IngestConfig) error
 	IngestEnabled() bool
@@ -190,7 +191,6 @@ func New(cfg Config) *Server {
 		cache:   qcache.New(qcache.Config{MaxBytes: cfg.CacheBytes, MaxEntries: cfg.CacheEntries}),
 	}
 	s.mux = s.routes()
-	publishExpvar("geosird", func() any { return s.Statz() })
 	return s
 }
 
@@ -329,14 +329,15 @@ func (s *Server) loadState(path string) (*engineState, error) {
 // shards, folding in the load-time recovery report, by index, when the
 // engine came from a snapshot.
 func shardStatz(sv Serving, rec *geosir.ShardRecovery) []ShardStatz {
-	out := make([]ShardStatz, sv.NumShards())
+	images, shapes := sv.ShardLiveCounts()
+	out := make([]ShardStatz, len(images))
 	for i := range out {
 		sh := sv.Shard(i)
 		out[i] = ShardStatz{
 			Shard:  i,
 			Live:   sh.NumShapes() > 0,
-			Images: sh.NumImages(),
-			Shapes: sh.NumShapes(),
+			Images: images[i],
+			Shapes: shapes[i],
 		}
 		if out[i].Live {
 			out[i].Entries = sh.NumEntries()
@@ -893,7 +894,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// ShardStatz is one shard's row in /statz.
+// ShardStatz is one shard's row in /statz. Images and Shapes are the
+// shard's live ones; Entries counts its stored copies, a deleted image's
+// included until a rebuild.
 type ShardStatz struct {
 	Shard   int  `json:"shard"`
 	Live    bool `json:"live"`
@@ -953,8 +956,8 @@ type StorageStatz struct {
 	ResidentEstimate int64 `json:"resident_estimate"`
 }
 
-// Statz is the full status document served on /statz (and exported via
-// expvar on /metrics).
+// Statz is the full status document served on /statz (and embedded in
+// /metrics).
 type Statz struct {
 	Schema      int     `json:"schema"`
 	UptimeS     float64 `json:"uptime_s"`
@@ -1045,9 +1048,9 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.Statz())
 }
 
-// handleMetrics renders the expvar-style flat variable map: the serving
-// metrics under "geosird" plus the standard process variables expvar
-// publishes globally (cmdline, memstats).
+// handleMetrics renders a flat variable map: the serving metrics under
+// "geosird" and the process's memory and goroutine counts under
+// "process".
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\n")

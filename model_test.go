@@ -410,7 +410,7 @@ func runModel(t *testing.T, fx modelFixture, run modelRun) {
 	var kept []synth.Image
 	var live *ShardedEngine
 	var atBuilt func()
-	live = buildLive(t, frozen, inserted, liveShards, IngestConfig{CrashStage: func(stage string) error {
+	live = buildLive(t, frozen, inserted, liveShards, IngestConfig{crashStage: func(stage string) error {
 		if f := atBuilt; stage == "built" && f != nil {
 			atBuilt = nil
 			f()

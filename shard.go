@@ -506,6 +506,18 @@ func (se *ShardedEngine) NumImages() int {
 // NumShapes returns the number of live shapes (see liveShapeCount).
 func (se *ShardedEngine) NumShapes() int { return se.snapshot().liveShapeCount() }
 
+// ShardLiveCounts returns each frozen shard's live images and live
+// shapes, all read from one view: its stored counts less its deleted
+// images'. The live delta's are IngestStats'.
+func (se *ShardedEngine) ShardLiveCounts() (images, shapes []int) {
+	v := se.snapshot()
+	images, shapes = make([]int, len(v.shards)), make([]int, len(v.shards))
+	for s := range v.shards {
+		images[s], shapes[s] = v.log.liveImages(s), v.log.liveShapes(s)
+	}
+	return images, shapes
+}
+
 // NumEntries returns the number of stored normalized copies across all
 // shards and deltas. Deleted shapes' copies remain stored — a frozen
 // one's until a rebuild, a delta one's until compaction — and are still
