@@ -38,7 +38,9 @@ race:
 # the arrays they share (SearchView: a captured view searched beside the
 # writers). The query cache serializes every lookup, insert and
 # coalesced wait under one lock (its Churn, Singleflight and
-# WaiterCancellation tests).
+# WaiterCancellation tests). A snapshot directory's shard files load
+# concurrently, then are checked in shard order (LoadAnyDirConcurrent,
+# ShardedDamaged, ShardedMixedOptions).
 #
 # The model harness's tests (PROCS_MODEL, model_test.go) set GOMAXPROCS 1
 # and 2 themselves, so they run once, beside the settings' two runs.
@@ -46,7 +48,7 @@ race:
 # `go test -run` passes when nothing matches, so a renamed suite would
 # drop out silently: the target first fails unless every package lists a
 # test each pattern selects (-list does not apply -skip, hence the grep).
-PROCS_RUN := 'Equivalence|BoundFirst|Delta|SearchView|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological|Churn|Singleflight|WaiterCancellation'
+PROCS_RUN := 'Equivalence|BoundFirst|Delta|SearchView|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological|Churn|Singleflight|WaiterCancellation|LoadAnyDirConcurrent|ShardedDamaged|ShardedMixedOptions'
 PROCS_MODEL := '^Test(ExecEquivalence|ShardedEquivalence|ShardedMmapEquivalence|IngestEquivalence|IngestDeleteEquivalence|BoundFirstEquivalence|BucketOrderInvariance|ManySegmentQueryIsScanTopK|ShortBucketExactIsScanTopK)$$'
 PROCS_PKGS := . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex ./internal/qcache
 test-procs:

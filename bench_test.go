@@ -413,17 +413,26 @@ func BenchmarkSearchDistance(b *testing.B) {
 // BenchmarkOpenV3 times opening the 200-image demo base's GSIR3 snapshot
 // as LoadAnyMode opens each file (loadShardFile), heap-decoded and mapped:
 // the in-process number beside the ledger's open_ms. B/op is what one open
-// allocates; the file is in the page cache after the first.
+// allocates; the file is in the page cache after the first. The dir1 and
+// dir8 rows time the ledger's open cycle in-process: LoadAnyMode mapping a
+// 1- or 8-shard directory of the base, plus one ModeApproximate answer. They
+// run on the 200-image base and, outside -short, on the 2000-image one: an
+// open costs its bytes, so it is measured at two sizes 10× apart.
 func BenchmarkOpenV3(b *testing.B) {
 	eng := buildSingle(b, synth.GenerateBase(synth.PaperSpec(0.02, 1)))
 	path := filepath.Join(b.TempDir(), "demo200.gsir3")
 	if err := eng.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
+	mapped := func(b *testing.B) {
+		if !mmap.Supported() || !mmap.CanCast() {
+			b.Skip("mmap serving unsupported on this platform/build")
+		}
+	}
 	for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
 		b.Run(mode.String(), func(b *testing.B) {
-			if mode == LoadModeMmap && (!mmap.Supported() || !mmap.CanCast()) {
-				b.Skip("mmap serving unsupported on this platform/build")
+			if mode == LoadModeMmap {
+				mapped(b)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -434,6 +443,33 @@ func BenchmarkOpenV3(b *testing.B) {
 				e.Close()
 			}
 		})
+	}
+	for _, scale := range []float64{0.02, 0.2} {
+		if scale > 0.02 && testing.Short() {
+			continue
+		}
+		images := synth.GenerateBase(synth.PaperSpec(scale, 1))
+		req := SearchRequest{Query: synth.Queries(rand.New(rand.NewSource(2)), images, 1, 0.01)[0], K: 5, Mode: ModeApproximate}
+		for _, shards := range []int{1, 8} {
+			dir := filepath.Join(b.TempDir(), "snap")
+			if err := buildShardedFrom(b, images, shards).SaveDir(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("dir%d/mmap/images=%d", shards, len(images)), func(b *testing.B) {
+				mapped(b)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, rec, err := LoadAnyMode(dir, LoadModeMmap)
+					if err != nil || !rec.Complete() {
+						b.Fatal(rec, err)
+					}
+					if _, err := s.Search(context.Background(), req); err != nil {
+						b.Fatal(err)
+					}
+					s.(*ShardedEngine).Close()
+				}
+			})
+		}
 	}
 }
 

@@ -119,7 +119,12 @@ func (rec *Recovery) damage(err error) {
 // decoded as a stream cut there, and the error is joined to Recovery.Err
 // (or to the returned error), so such a load is never Complete.
 func LoadPartial(r io.Reader) (*Engine, *Recovery, error) {
-	data, rerr := io.ReadAll(r)
+	return decode(io.ReadAll(r))
+}
+
+// decode is LoadPartial over bytes already read: rerr is the read error
+// that ended them, if one did.
+func decode(data []byte, rerr error) (*Engine, *Recovery, error) {
 	var eng *Engine
 	var rec *Recovery
 	var err error

@@ -411,9 +411,9 @@ func (se *ShardedEngine) AddImage(imageID int, shapes []Shape) error {
 	return nil
 }
 
-// Freeze freezes every shard in parallel, one goroutine a shard, empty
-// ones (possible when shards > images) included: a shard of no shapes is
-// frozen like any other, and no view searches it.
+// Freeze freezes every shard through fanout, on up to GOMAXPROCS
+// goroutines, empty ones (possible when shards > images) included: a shard
+// of no shapes is frozen like any other, and no view searches it.
 func (se *ShardedEngine) Freeze() error {
 	if se.frozen {
 		return nil
@@ -421,20 +421,13 @@ func (se *ShardedEngine) Freeze() error {
 	if se.NumImages() == 0 {
 		return errors.New("geosir: cannot freeze an empty engine")
 	}
-	errs := make([]error, len(se.shards))
-	var wg sync.WaitGroup
-	for i, sh := range se.shards {
-		wg.Add(1)
-		go func(i int, sh *Engine) {
-			defer wg.Done()
-			errs[i] = sh.Freeze()
-		}(i, sh)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+	if err := fanout(context.Background(), len(se.shards), 0, func(i int) error {
+		if err := se.shards[i].Freeze(); err != nil {
 			return fmt.Errorf("geosir: freezing shard %d: %w", i, err)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	se.frozen = true
 	se.view.Store(&shardView{shards: se.shards, log: se.log})

@@ -1,6 +1,7 @@
 package geosir
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -226,19 +227,19 @@ func ParseLoadMode(s string) (LoadMode, error) {
 // clean, it is served in place; damaged, its salvage is the answer. A file
 // that is not GSIR3, or a platform that cannot map, falls back to the
 // salvaging heap loader, so mode is a performance choice, never an
-// availability one.
+// availability one. The heap loader reads the file into one buffer of its
+// size; a read error cuts it where it struck, as LoadPartial's stream.
 func loadShardFile(path string, mode LoadMode) (*Engine, *Recovery, error) {
 	if mode == LoadModeMmap {
 		if eng, rec, err := mapGSIR3(path); !errors.Is(err, errNotMapped) {
 			return eng, rec, err
 		}
 	}
-	f, err := os.Open(path)
-	if err != nil {
+	data, err := os.ReadFile(path)
+	if data == nil { // the open failed: nothing was read
 		return nil, nil, err
 	}
-	defer f.Close()
-	return LoadPartial(f)
+	return decode(data, err)
 }
 
 // loadShardedDir loads a sharded snapshot directory, each shard file
@@ -248,7 +249,9 @@ func loadShardFile(path string, mode LoadMode) (*Engine, *Recovery, error) {
 // that shard. Surviving shapes keep the global ids the manifest assigns.
 // The manifest itself must be intact — without it no routing can be
 // reconstructed. A DELTA.wal in the directory is not replayed here;
-// EnableIngest owns it.
+// EnableIngest owns it. The shard files load concurrently, each into its
+// own slot; every check after that runs in shard order, so the report, the
+// options and the answers do not depend on which load finished first.
 func loadShardedDir(dir string, mode LoadMode) (*ShardedEngine, *ShardRecovery, error) {
 	man, err := readManifest(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -260,18 +263,20 @@ func loadShardedDir(dir string, mode LoadMode) (*ShardedEngine, *ShardRecovery, 
 		ImagesExpected: len(man.Images),
 	}
 	shards := make([]*Engine, man.Shards)
+	// Each load records its own failure in its slot: no item fails fanout.
+	fanout(context.Background(), man.Shards, 0, func(i int) error {
+		sr := &rec.Shards[i]
+		sr.Path = filepath.Join(dir, shardFileName(i))
+		shards[i], sr.Recovery, sr.Err = loadShardFile(sr.Path, mode)
+		return nil
+	})
 	loaded := make([]map[int]int, man.Shards) // per shard: image id → shape count actually loaded
 	var opts *Options
-	for i := range shards {
-		path := filepath.Join(dir, shardFileName(i))
-		rec.Shards[i].Path = path
-		eng, frec, err := loadShardFile(path, mode)
-		if err != nil {
-			rec.Shards[i].Err = err
+	for i, eng := range shards {
+		if rec.Shards[i].Err != nil {
 			rec.Shards[i].Dropped = true
 			continue
 		}
-		rec.Shards[i].Recovery = frec
 		groups, ok := consistentGroups(eng, man, i)
 		switch {
 		case !ok:
@@ -280,7 +285,7 @@ func loadShardedDir(dir string, mode LoadMode) (*ShardedEngine, *ShardRecovery, 
 			rec.Shards[i].Err = fmt.Errorf("geosir: shard %d was saved under options %+v, the shards before it under %+v; shard dropped",
 				i, eng.Options(), *opts)
 		default:
-			shards[i], loaded[i] = eng, groups
+			loaded[i] = groups
 			if opts == nil {
 				o := eng.Options()
 				opts = &o
@@ -288,6 +293,7 @@ func loadShardedDir(dir string, mode LoadMode) (*ShardedEngine, *ShardRecovery, 
 			continue
 		}
 		rec.Shards[i].Dropped = true
+		shards[i] = nil
 		eng.Close()
 	}
 	if opts == nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -421,6 +422,99 @@ func TestShardedMixedOptionsShardDropped(t *testing.T) {
 			t.Fatalf("%v: loaded under %+v, want %+v", mode, re.Options(), se.Options())
 		}
 		re.Close()
+	}
+}
+
+// TestLoadAnyDirConcurrentRecovery opens a damaged 8-shard directory —
+// shard 2 overwritten with garbage, shard 5's file removed, shard 6 saved
+// under other options — heap and mapped, at GOMAXPROCS 1 and 4. The shard
+// files load concurrently at 4, yet every open reports what the sequential
+// one does, field by field, loads under the same options and answers
+// alike: the checks after the loads run in shard order.
+func TestLoadAnyDirConcurrentRecovery(t *testing.T) {
+	images, queries, _ := equivBase(t)
+	const shards, garbage, missing, odd = 8, 2, 5, 6
+	se := buildShardedFrom(t, images, shards)
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := se.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	other := se.Options()
+	other.Alpha, other.Tau = 0.3, 0.2
+	alt := NewSharded(other, shards)
+	for _, im := range images {
+		if err := alt.AddImage(im.ID, im.Shapes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := alt.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if err := alt.Shard(odd).SaveFile(filepath.Join(dir, shardFileName(odd))); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, shardFileName(garbage)), []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, shardFileName(missing))); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []int{garbage, missing, odd} {
+		if se.Shard(s).NumImages() == 0 {
+			t.Fatalf("shard %d holds no image: its damage costs nothing", s)
+		}
+	}
+
+	// report renders a shard's recovery field by field, errors as text.
+	report := func(sr ShardFileRecovery) string {
+		out := fmt.Sprintf("path %s dropped %v err %v", sr.Path, sr.Dropped, sr.Err)
+		if sr.Recovery != nil {
+			out += fmt.Sprintf(" recovery %+v", *sr.Recovery)
+		}
+		return out
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want *ShardRecovery
+	var wantAnswers [][]Match
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, mode := range []LoadMode{LoadModeHeap, LoadModeMmap} {
+			label := fmt.Sprintf("GOMAXPROCS %d %v", procs, mode)
+			s, rec, err := LoadAnyMode(dir, mode)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			re := s.(*ShardedEngine)
+			if re.Options() != se.Options() {
+				t.Fatalf("%s: loaded under %+v, want %+v", label, re.Options(), se.Options())
+			}
+			var answers [][]Match
+			for _, q := range queries {
+				answers = append(answers, mustSearch(t, re, SearchRequest{Query: q, K: 5, Mode: ModeExact}).Matches)
+			}
+			re.Close()
+			if want == nil {
+				for i, sr := range rec.Shards {
+					if dropped := i == garbage || i == missing || i == odd; sr.Dropped != dropped {
+						t.Fatalf("%s: shard %d dropped %v, want %v: %s", label, i, sr.Dropped, dropped, report(sr))
+					}
+				}
+				want, wantAnswers = rec, answers
+				continue
+			}
+			if rec.ImagesExpected != want.ImagesExpected || rec.ImagesLoaded != want.ImagesLoaded || len(rec.Shards) != len(want.Shards) {
+				t.Fatalf("%s: %d of %d images over %d shards, want %d of %d over %d", label,
+					rec.ImagesLoaded, rec.ImagesExpected, len(rec.Shards), want.ImagesLoaded, want.ImagesExpected, len(want.Shards))
+			}
+			for i := range rec.Shards {
+				if got, w := report(rec.Shards[i]), report(want.Shards[i]); got != w {
+					t.Fatalf("%s: shard %d recovered as\n%s\nwant\n%s", label, i, got, w)
+				}
+			}
+			for qi := range answers {
+				assertMatchesEqual(t, fmt.Sprintf("%s q%d", label, qi), wantAnswers[qi], answers[qi])
+			}
+		}
 	}
 }
 
