@@ -40,7 +40,9 @@ race:
 # coalesced wait under one lock (its Churn, Singleflight and
 # WaiterCancellation tests). A snapshot directory's shard files load
 # concurrently, then are checked in shard order (LoadAnyDirConcurrent,
-# ShardedDamaged, ShardedMixedOptions).
+# ShardedDamaged, ShardedMixedOptions). Freeze solves its shapes' hash
+# quadruples concurrently, each into its shape's slot
+# (FreezeWidthIndependent).
 #
 # The model harness's tests (PROCS_MODEL, model_test.go) set GOMAXPROCS 1
 # and 2 themselves, so they run once, beside the settings' two runs.
@@ -48,7 +50,7 @@ race:
 # `go test -run` passes when nothing matches, so a renamed suite would
 # drop out silently: the target first fails unless every package lists a
 # test each pattern selects (-list does not apply -skip, hence the grep).
-PROCS_RUN := 'Equivalence|BoundFirst|Delta|SearchView|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological|Churn|Singleflight|WaiterCancellation|LoadAnyDirConcurrent|ShardedDamaged|ShardedMixedOptions'
+PROCS_RUN := 'Equivalence|BoundFirst|Delta|SearchView|Field|Scan|Seed|SegmentGridDist|Bucket|Floor|ConcurrentTopological|Churn|Singleflight|WaiterCancellation|LoadAnyDirConcurrent|ShardedDamaged|ShardedMixedOptions|FreezeWidthIndependent'
 PROCS_MODEL := '^Test(ExecEquivalence|ShardedEquivalence|ShardedMmapEquivalence|IngestEquivalence|IngestDeleteEquivalence|BoundFirstEquivalence|BucketOrderInvariance|ManySegmentQueryIsScanTopK|ShortBucketExactIsScanTopK)$$'
 PROCS_PKGS := . ./internal/core ./internal/ingest ./internal/query ./internal/shapeindex ./internal/qcache
 test-procs:
@@ -97,7 +99,8 @@ bench-check:
 # shards, 8 shards with a live delta), of the core kernel's own (the floor
 # pass alone, the field build, a shape the field turns away whole), of
 # the ANN probe alone, of a demo-200 snapshot's open (heap and mmap,
-# ns/op and B/op beside the ledger's open_ms), and of the query cache's
+# ns/op and B/op beside the ledger's open_ms) and its Freeze (1 and 8
+# shards), and of the query cache's
 # hit path under its one lock at parallelism 1, 8 and 64 — catches
 # benchmarks that no longer compile or panic, without paying for stable
 # timings.
@@ -105,7 +108,7 @@ bench-smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFig|BenchmarkAnn|BenchmarkMatch_Scaling|BenchmarkBucketScoring|BenchmarkSearchApproximate|BenchmarkSearchDistance|BenchmarkSearchLive|BenchmarkSearchSketch|BenchmarkTopological' -benchtime=1x -benchmem .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFloors|BenchmarkDistFieldBuild|BenchmarkFieldReject' -benchtime=1x ./internal/core
 	$(GO) test -short -run '^$$' -bench 'BenchmarkAnnProbe' -benchtime=1x ./internal/annindex
-	$(GO) test -short -run '^$$' -bench 'BenchmarkOpenV3' -benchtime=1x -benchmem .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkOpenV3|BenchmarkFreeze' -benchtime=1x -benchmem .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkImageLog' -benchtime=1x -benchmem .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkCacheDo' -benchtime=1x ./internal/qcache
 

@@ -473,6 +473,38 @@ func BenchmarkOpenV3(b *testing.B) {
 	}
 }
 
+// BenchmarkFreeze times ShardedEngine.Freeze over a 1- and an 8-shard
+// engine whose images were added off the clock: each shard's hash table,
+// every shape's characteristic curves solved on up to GOMAXPROCS
+// goroutines. A freeze costs its shapes, so it is measured on the
+// 200-image base and, outside -short, the 2000-image one, 10× apart;
+// compare at the same -cpu.
+func BenchmarkFreeze(b *testing.B) {
+	for _, scale := range []float64{0.02, 0.2} {
+		if scale > 0.02 && testing.Short() {
+			continue
+		}
+		images := synth.GenerateBase(synth.PaperSpec(scale, 1))
+		for _, shards := range []int{1, 8} {
+			b.Run(fmt.Sprintf("shards=%d/images=%d", shards, len(images)), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					se := NewSharded(DefaultOptions(), shards)
+					for _, im := range images {
+						if err := se.AddImage(im.ID, im.Shapes); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					if err := se.Freeze(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkBucketScoring times the hashing stage's two passes over one
 // part — the query's hash bucket floored, then refined in floor order
 // (refine; DESIGN.md §4.9), the stage behind ModeApproximate — over the

@@ -215,14 +215,26 @@ func (e *Engine) Freeze() error {
 	}
 	e.family = family
 	e.table = geohash.NewTable(family)
-	base := e.db.Base()
-	for _, s := range base.Shapes() {
-		ce, err := core.NormalizeCanonical(s.Poly)
+	// Each shape's quadruple depends on that shape alone: they are solved
+	// on up to GOMAXPROCS goroutines, each into its shape's slot (no item
+	// fails fanout), and inserted in shape-id order, so the table is the
+	// same at any width.
+	shapes := e.db.Base().Shapes()
+	quads := make([]geohash.Quadruple, len(shapes))
+	hashed := make([]bool, len(shapes))
+	fanout(context.Background(), len(shapes), 0, func(i int) error {
+		ce, err := core.NormalizeCanonical(shapes[i].Poly)
 		if err != nil {
-			continue // degenerate shapes never got this far, but be safe
+			return nil // degenerate shapes never got this far, but be safe
 		}
-		quad := family.Characteristic(ce.Poly.Pts)
-		if err := e.table.Insert(s.ID, quad); err != nil {
+		quads[i], hashed[i] = family.Characteristic(ce.Poly.Pts), true
+		return nil
+	})
+	for i, s := range shapes {
+		if !hashed[i] {
+			continue
+		}
+		if err := e.table.Insert(s.ID, quads[i]); err != nil {
 			return fmt.Errorf("geosir: hashing shape %d: %w", s.ID, err)
 		}
 	}

@@ -205,9 +205,10 @@ func avgDist(x float64, pts []geom.Point) float64 {
 	if len(pts) == 0 {
 		return math.Inf(1)
 	}
+	c := arcCenter(x)
 	var s float64
 	for _, p := range pts {
-		s += distToArc(x, p)
+		s += math.Abs(p.Dist(c) - 1) // distToArc(x, p), its centre read once
 	}
 	return s / float64(len(pts))
 }

@@ -134,7 +134,7 @@ func decode(data []byte, rerr error) (*Engine, *Recovery, error) {
 	case magicGSIR2:
 		eng, rec, err = loadGSIR2(data)
 	case magicGSIR3:
-		eng, rec, err = loadGSIR3(data, false)
+		eng, rec, err = loadGSIR3(data)
 	default:
 		if len(magic) < magicLen {
 			err = fmt.Errorf("geosir: reading header: %w", io.ErrUnexpectedEOF)

@@ -167,10 +167,12 @@ func v3Check(sec map[string][]byte, o *v3Options, rawOnly bool) error {
 
 // view returns section payload b as a []T, T being the fixed-size,
 // padding-free element type the section's row declares. With alias set
-// (an mmap'd snapshot) the payload is served in place; otherwise the
-// result is a fresh heap slice that outlives b — one bulk copy where
-// mmap.Cast can reinterpret the bytes, an element-wise little-endian
-// decode where it declines (big-endian hosts, the geosir_purego build).
+// (a mapping, or the buffer a heap load read and owns) the payload is
+// served in place; otherwise the result is a fresh heap slice that
+// outlives b (a salvage rebuilt from a mapping it releases). Where
+// mmap.Cast declines (big-endian hosts, the geosir_purego build, an
+// unaligned buffer) it is always fresh: an element-wise little-endian
+// decode.
 func view[T any](b []byte, alias bool) []T {
 	if v, ok := mmap.Cast[T](b); ok {
 		if alias {
@@ -441,8 +443,8 @@ func (r *v3Reader) rawImages(o v3Options) ([]savedImage, error) {
 
 // assembleV3 stitches a frozen engine from sections that are verified
 // and that v3Check has passed: O(n) slice views and pointer fills, no
-// geometry. The reader's alias flag decides whether array sections are
-// served in place (mmap) or copied.
+// geometry. Array sections are served in place from the bytes, mapped
+// or read, wherever mmap.Cast can reinterpret them.
 func assembleV3(r *v3Reader, o v3Options, images []savedImage) (*Engine, error) {
 	// Shapes, in id order (= image-group order).
 	shapes := make([]core.Shape, 0, o.nShapes)
@@ -567,16 +569,17 @@ func parseV3Graphs(b []byte, o v3Options) ([]*query.ImageGraph, error) {
 	return graphs, nil
 }
 
-// loadGSIR3 is the GSIR3 decoder, over a complete byte image. A file
-// that verifies and passes v3Check is assembled, its array sections served
-// in place from data when alias is set. Damage to the container, OPTS or
-// the raw family is unrecoverable. Damage anywhere else — a section that
-// fails its checksum or was torn off, one the table's shape check
-// refuses, an assembly that fails — costs only the derived index: the
-// engine is rebuilt from the raw family (deterministically, so it answers
-// as the original, and never aliasing data), and the report counts the
-// loss in AuxDropped. The engine aliases data exactly when it is complete.
-func loadGSIR3(data []byte, alias bool) (*Engine, *Recovery, error) {
+// loadGSIR3 is the GSIR3 decoder, over a complete byte image: a mapping,
+// or a buffer the load read and owns. A file that verifies and passes
+// v3Check is assembled, its array sections served in place from data.
+// Damage to the container, OPTS or the raw family is unrecoverable. Damage
+// anywhere else — a section that fails its checksum or was torn off, one
+// the table's shape check refuses, an assembly that fails — costs only the
+// derived index: the engine is rebuilt from the raw family
+// (deterministically, so it answers as the original, and never aliasing
+// data), and the report counts the loss in AuxDropped. The engine aliases
+// data exactly when it is complete.
+func loadGSIR3(data []byte) (*Engine, *Recovery, error) {
 	secs, err := sectable.Parse(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("geosir: unrecoverable GSIR3 snapshot: %w", err)
@@ -595,7 +598,7 @@ func loadGSIR3(data []byte, alias bool) (*Engine, *Recovery, error) {
 			return nil, nil, fmt.Errorf("geosir: unrecoverable damage in raw section %s", tag)
 		}
 	}
-	r := &v3Reader{sec: sec, alias: alias}
+	r := &v3Reader{sec: sec, alias: true}
 	if err := v3Check(sec, &o, true); err != nil {
 		return nil, nil, fmt.Errorf("geosir: unrecoverable raw image data: %w", err)
 	}
@@ -619,10 +622,10 @@ func loadGSIR3(data []byte, alias bool) (*Engine, *Recovery, error) {
 	if rec.Err != nil {
 		rec.AuxDropped = max(len(bad), 1)
 	}
-	if alias { // the rebuilt engine holds its shapes on the heap
-		r.alias = false
-		images, _ = r.rawImages(o) // it parsed these bytes above
-	}
+	// The rebuilt engine holds its shapes on the heap, not in data: the
+	// raw images are read again, from bytes that parsed above.
+	r.alias = false
+	images, _ = r.rawImages(o)
 	eng := New(o.opts)
 	for _, img := range images {
 		if err = eng.AddImage(img.id, img.shapes); err != nil {
@@ -702,7 +705,7 @@ func mapGSIR3(path string) (*Engine, *Recovery, error) {
 		m.Close()
 		return nil, nil, fmt.Errorf("%w: %s is not a GSIR3 snapshot", errNotMapped, path)
 	}
-	eng, rec, err := loadGSIR3(m.Data(), true)
+	eng, rec, err := loadGSIR3(m.Data())
 	if err != nil || !rec.Complete() {
 		m.Close()
 		return eng, rec, err

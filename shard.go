@@ -24,10 +24,11 @@ var (
 // ShardedEngine partitions the image base across N independent shards,
 // each a full Engine with its own fattening index and geometric hash
 // table. Images are routed to shards by a stable hash of their id
-// (core.ShardFor), Freeze builds every shard index in parallel, and
-// Search lists each request's shapes on every shard and refines them in
-// one heap across the shards — results are identical, byte for byte, to a
-// single Engine over the same base (see DESIGN.md §4.8 for why).
+// (core.ShardFor), Freeze builds the shards one after another, each on
+// every core, and Search lists each request's shapes on every shard and
+// refines them in one heap across the shards — results are identical, byte
+// for byte, to a single Engine over the same base (see DESIGN.md §4.8 for
+// why).
 //
 // Shape ids in results are global: the ids a single unpartitioned
 // Engine would have assigned, which the image log (imageLog) hands out
@@ -411,9 +412,11 @@ func (se *ShardedEngine) AddImage(imageID int, shapes []Shape) error {
 	return nil
 }
 
-// Freeze freezes every shard through fanout, on up to GOMAXPROCS
-// goroutines, empty ones (possible when shards > images) included: a shard
-// of no shapes is frozen like any other, and no view searches it.
+// Freeze freezes every shard in index order, empty ones (possible when
+// shards > images) included: a shard of no shapes is frozen like any
+// other, and no view searches it. Each shard's Freeze solves its shapes
+// on every core, so one level of parallelism balances whatever the shard
+// count.
 func (se *ShardedEngine) Freeze() error {
 	if se.frozen {
 		return nil
@@ -421,13 +424,10 @@ func (se *ShardedEngine) Freeze() error {
 	if se.NumImages() == 0 {
 		return errors.New("geosir: cannot freeze an empty engine")
 	}
-	if err := fanout(context.Background(), len(se.shards), 0, func(i int) error {
-		if err := se.shards[i].Freeze(); err != nil {
+	for i, sh := range se.shards {
+		if err := sh.Freeze(); err != nil {
 			return fmt.Errorf("geosir: freezing shard %d: %w", i, err)
 		}
-		return nil
-	}); err != nil {
-		return err
 	}
 	se.frozen = true
 	se.view.Store(&shardView{shards: se.shards, log: se.log})

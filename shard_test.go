@@ -1,6 +1,7 @@
 package geosir
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geohash"
 	"repro/internal/synth"
 )
 
@@ -513,6 +515,66 @@ func TestLoadAnyDirConcurrentRecovery(t *testing.T) {
 			}
 			for qi := range answers {
 				assertMatchesEqual(t, fmt.Sprintf("%s q%d", label, qi), wantAnswers[qi], answers[qi])
+			}
+		}
+	}
+}
+
+// TestFreezeWidthIndependent: Freeze solves every shape's hash quadruple
+// on up to GOMAXPROCS goroutines, each into its shape's slot. Built at
+// GOMAXPROCS 1 and 4, on 1 and on 7 shards, every shape's quadruple and
+// every file SaveDir writes (QUAD among its sections) are the same.
+func TestFreezeWidthIndependent(t *testing.T) {
+	images := synth.GenerateBase(synth.PaperSpec(0.01, 41))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, shards := range []int{1, 7} {
+		var wantQuads []geohash.Quadruple
+		var wantFiles map[string][]byte
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			label := fmt.Sprintf("%d shards, GOMAXPROCS %d", shards, procs)
+			se := buildShardedFrom(t, images, shards)
+			var quads []geohash.Quadruple
+			for s := 0; s < shards; s++ {
+				table := se.Shard(s).HashTable()
+				for id := 0; id < se.Shard(s).NumShapes(); id++ {
+					q, ok := table.Quad(id)
+					if !ok {
+						t.Fatalf("%s: shard %d shape %d has no quadruple", label, s, id)
+					}
+					quads = append(quads, q)
+				}
+			}
+			dir := filepath.Join(t.TempDir(), "snap")
+			if err := se.SaveDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := make(map[string][]byte, len(entries))
+			for _, e := range entries {
+				if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if wantQuads == nil {
+				wantQuads, wantFiles = quads, files
+				continue
+			}
+			for i := range wantQuads {
+				if quads[i] != wantQuads[i] {
+					t.Fatalf("%s: shape %d (shard order) has quadruple %v, want %v", label, i, quads[i], wantQuads[i])
+				}
+			}
+			if len(files) != len(wantFiles) {
+				t.Fatalf("%s: SaveDir wrote %d files, want %d", label, len(files), len(wantFiles))
+			}
+			for name, b := range wantFiles {
+				if !bytes.Equal(files[name], b) {
+					t.Fatalf("%s: %s differs from the GOMAXPROCS 1 build's", label, name)
+				}
 			}
 		}
 	}
